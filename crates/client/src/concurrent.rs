@@ -102,12 +102,13 @@ mod tests {
         let scenario =
             scenario_from_markup(FIGURE2_MARKUP, DocumentId::new(1), ServerId::new(0)).unwrap();
         let schedule = hermes_core::PlayoutSchedule::from_scenario(&scenario);
-        // 19 s scenario compressed to ~19 ms.
-        let records = run_threaded_playout(&schedule, 0.001);
+        // 19 s scenario compressed to ~0.95 s. The compression sets what a
+        // late thread wake-up costs in scenario time: at 0.05 the tolerance
+        // below is 100 ms of wall time, which spawning a thread on a loaded
+        // two-core host stays inside (at 0.001 it was 1.5 ms, and did not).
+        let records = run_threaded_playout(&schedule, 0.05);
         assert_eq!(records.len(), schedule.entries.len());
-        // Tolerance: thread wakeups at this compression are within ~1 s of
-        // scenario time (1 ms wall).
-        let tol = MediaDuration::from_millis(1_500);
+        let tol = MediaDuration::from_millis(2_000);
         for r in &records {
             let late = r.actual_start - r.scheduled_start;
             assert!(

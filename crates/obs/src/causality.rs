@@ -126,8 +126,11 @@ pub struct HopRecord {
     pub value: i64,
 }
 
-/// Default cap on retained provenance records (≈64 MB worst case; far above
-/// any experiment's real volume — a backstop, not a budget).
+/// Default cap on retained provenance records (≈64 MB when full). A budget,
+/// not a distant backstop: fleet-sized runs fill it — every world of every
+/// benchmark workload drops 0.9–4.1 M records past it — and hops after that
+/// are invisible to attribution. The overflow is counted in
+/// [`ProvenanceLog::dropped`] and published as `sim.prov_dropped`.
 pub const DEFAULT_PROV_CAP: usize = 1 << 20;
 
 /// The run's provenance log: an append-only bounded vec of hop records.

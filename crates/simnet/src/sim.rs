@@ -22,12 +22,12 @@
 
 use crate::faults::{FaultEvent, FaultKind, FaultPlan};
 use crate::rng::SimRng;
-use crate::topology::{LinkOutcome, Network};
+use crate::topology::{LinkOutcome, Network, NONE};
 use hermes_core::{MediaDuration, MediaTime, NodeId};
 use hermes_obs::causality::{CauseCtx, HopKind, HopRecord};
 use hermes_obs::{Labels, Obs, Severity, SpanId};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 
 /// Anything sent through the network must report its wire size.
 pub trait WireSize {
@@ -59,11 +59,14 @@ pub enum Transport {
 }
 
 enum Pending<M> {
-    /// A packet sitting at `path[hop]`, about to cross to `path[hop + 1]`.
+    /// A packet from `src` sitting at `here`, about to cross the egress link
+    /// toward `dst` (dense node indices, translated once when the send
+    /// started). It owns no heap memory but its message: the routing table
+    /// is asked for the next link at every hop.
     Hop {
-        path: Vec<NodeId>,
-        hop: usize,
-        from: NodeId,
+        src: u32,
+        here: u32,
+        dst: u32,
         msg: M,
         transport: Transport,
         attempt: u32,
@@ -79,6 +82,9 @@ enum Pending<M> {
     /// Final delivery to the application.
     Deliver {
         node: NodeId,
+        /// Dense index of `node` ([`NONE`] for a node the network never
+        /// heard of), so the liveness probe at delivery is an array read.
+        ix: u32,
         from: NodeId,
         msg: M,
         /// Incarnation of the destination at scheduling time: a delivery
@@ -93,6 +99,8 @@ enum Pending<M> {
     /// A timer.
     Timer {
         node: NodeId,
+        /// Dense index of `node` ([`NONE`] if unknown to the network).
+        ix: u32,
         key: u64,
         payload: u64,
         /// Incarnation of the node when the timer was set.
@@ -102,13 +110,16 @@ enum Pending<M> {
         cause: CauseCtx,
     },
     /// A multicast copy sitting at `here`, bound for the subtree of group
-    /// members in `targets`. At each hop the copy fans out with ONE link
-    /// transmission per distinct egress link, so a shared flow costs a
-    /// single copy on every trunk it crosses regardless of receiver count.
+    /// members in `targets` (dense indices, ascending by node id). At each
+    /// hop the copy fans out with ONE link transmission per distinct egress
+    /// link, so a shared flow costs a single copy on every trunk it crosses
+    /// regardless of receiver count.
     McastHop {
         group: u64,
-        here: NodeId,
-        targets: Vec<NodeId>,
+        /// Dense index of the sender `from` ([`NONE`] if unknown).
+        src: u32,
+        here: u32,
+        targets: Vec<u32>,
         from: NodeId,
         msg: M,
         /// Incarnation of the sending node when the send started.
@@ -190,36 +201,105 @@ impl Default for SimConfig {
     }
 }
 
-/// Out-of-order reliable arrivals held until their predecessors land,
-/// keyed by sequence number: (message, causal context, original send time).
-type HeldMsgs<M> = std::collections::BTreeMap<u64, (M, CauseCtx, MediaTime)>;
+/// The future-event list: a min-heap on (time, scheduling order), so events
+/// of one instant run in the order they were scheduled. A field of its own
+/// so a borrowed reliable channel can schedule its releases.
+struct EventQueue<M> {
+    heap: BinaryHeap<Reverse<Scheduled<M>>>,
+    seq: u64,
+}
+
+impl<M> EventQueue<M> {
+    fn push(&mut self, at: MediaTime, pending: Pending<M>) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Reverse(Scheduled { at, seq, pending }));
+    }
+}
+
+/// A reliable segment waiting at the receiver: (message, causal context,
+/// original send time).
+type Segment<M> = (M, CauseCtx, MediaTime);
+
+/// One reliable (src, dst) stream: the sender's numbering and the
+/// receiver's in-order release gate.
+struct Channel<M> {
+    /// Next sequence number the sender assigns.
+    tx_next: u64,
+    /// Next sequence number the gate releases.
+    rx_next: u64,
+    /// Out-of-order arrivals held back until their predecessors land.
+    held: BTreeMap<u64, Segment<M>>,
+    /// Sequence numbers the sender abandoned (retry budget exhausted): the
+    /// gate skips them instead of wedging.
+    abandoned: BTreeSet<u64>,
+    /// Monotone delivery clock: per-packet jitter must not reorder
+    /// deliveries the gate already released.
+    released_at: MediaTime,
+}
+
+impl<M> Default for Channel<M> {
+    fn default() -> Self {
+        Channel {
+            tx_next: 0,
+            rx_next: 0,
+            held: BTreeMap::new(),
+            abandoned: BTreeSet::new(),
+            released_at: MediaTime::ZERO,
+        }
+    }
+}
+
+impl<M> Channel<M> {
+    /// The next segment the gate can pass, skipping abandoned sequence
+    /// numbers; `None` once it blocks on a number still outstanding.
+    fn next_ready(&mut self) -> Option<Segment<M>> {
+        while self.abandoned.remove(&self.rx_next) {
+            self.rx_next += 1;
+        }
+        let segment = self.held.remove(&self.rx_next)?;
+        self.rx_next += 1;
+        Some(segment)
+    }
+
+    /// Schedule, in order, `first` (a segment that arrived in sequence and
+    /// already advanced the gate) and every successor the gate can now pass;
+    /// each no earlier than `arrival` and strictly after the release before.
+    fn release(
+        &mut self,
+        queue: &mut EventQueue<M>,
+        arrival: MediaTime,
+        first: Option<Segment<M>>,
+        deliver: impl Fn(Segment<M>) -> Pending<M>,
+    ) {
+        let mut next = first;
+        while let Some(segment) = next.take().or_else(|| self.next_ready()) {
+            let at = arrival.max(self.released_at + MediaDuration::from_micros(1));
+            self.released_at = at;
+            queue.push(at, deliver(segment));
+        }
+    }
+}
 
 struct Core<M> {
     now: MediaTime,
-    seq: u64,
-    heap: BinaryHeap<Reverse<Scheduled<M>>>,
+    queue: EventQueue<M>,
     net: Network,
     rng: SimRng,
     cfg: SimConfig,
     stats: SimStats,
-    /// Next sequence number to assign per reliable (src, dst) pair.
-    reliable_tx: HashMap<(NodeId, NodeId), u64>,
-    /// Next sequence number to release per reliable (src, dst) pair.
-    reliable_rx: HashMap<(NodeId, NodeId), u64>,
-    /// Out-of-order arrivals held back until their predecessors land.
-    reliable_hold: HashMap<(NodeId, NodeId), HeldMsgs<M>>,
-    /// Monotone delivery clock per reliable pair: per-packet jitter must not
-    /// reorder deliveries that the sequence gate already released.
-    reliable_release: HashMap<(NodeId, NodeId), MediaTime>,
-    /// Sequence numbers the sender abandoned (retry budget exhausted or the
-    /// sender crashed): the release gate skips them instead of wedging.
-    reliable_dead: HashMap<(NodeId, NodeId), BTreeSet<u64>>,
-    /// Crashed nodes.
-    dead: HashSet<NodeId>,
-    /// Process incarnation per node (bumped on restart). Absent = 0.
-    incarnation: HashMap<NodeId, u64>,
+    /// Reliable streams by dense (src, dst): one lookup per reliable send
+    /// and one per reliable arrival or abandon.
+    channels: HashMap<(u32, u32), Channel<M>>,
+    /// Process state per node, by dense index. Grown on the first fault;
+    /// an index beyond it — [`NONE`] included, i.e. a node the network has
+    /// never heard of — reads as alive at incarnation 0.
+    nodes: Vec<NodeState>,
     /// Multicast group membership, managed by the sim: group id → members.
     mcast_groups: BTreeMap<u64, BTreeSet<NodeId>>,
+    /// Scratch for one multicast hop's (egress link, target) pairs, kept
+    /// between hops so fanning out allocates only the subtrees it forwards.
+    mcast_fanout: Vec<(u32, u32)>,
     /// The observability capture for the run (tracing, spans, metrics,
     /// flight recorder) — events record through [`SimApi`] so every record
     /// is stamped with the engine clock.
@@ -236,10 +316,44 @@ struct Core<M> {
     kind_of: fn(&M) -> &'static str,
 }
 
+/// Liveness of one node's process.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeState {
+    /// Crashed by an injected fault and not yet restarted.
+    dead: bool,
+    /// Process incarnation (bumped on restart).
+    inc: u64,
+}
+
 impl<M: WireSize + Clone> Core<M> {
-    /// Current incarnation of a node's process.
-    fn inc(&self, node: NodeId) -> u64 {
-        self.incarnation.get(&node).copied().unwrap_or(0)
+    /// Dense index of a node, [`NONE`] if the network never heard of it.
+    #[inline]
+    fn ix(&self, node: NodeId) -> u32 {
+        self.net.index_of(node).unwrap_or(NONE)
+    }
+
+    /// Process state of the node at a dense index.
+    #[inline]
+    fn node(&self, ix: u32) -> NodeState {
+        self.nodes.get(ix as usize).copied().unwrap_or_default()
+    }
+
+    /// True when work scheduled for the node at `ix` under incarnation `inc`
+    /// must be discarded: the process crashed, or restarted since.
+    #[inline]
+    fn gone(&self, ix: u32, inc: u64) -> bool {
+        let state = self.node(ix);
+        state.dead || state.inc != inc
+    }
+
+    /// Mutable process state for a fault to act on. Faults aimed at a node
+    /// the network never heard of find nothing to act on.
+    fn node_mut(&mut self, node: NodeId) -> Option<&mut NodeState> {
+        let ix = self.net.index_of(node)? as usize;
+        if self.nodes.len() <= ix {
+            self.nodes.resize(ix + 1, NodeState::default());
+        }
+        Some(&mut self.nodes[ix])
     }
 
     /// Stamp a fresh per-message causal context: the ambient root plus the
@@ -281,58 +395,47 @@ impl<M: WireSize + Clone> Core<M> {
         });
     }
 
-    /// Schedule a reliable delivery no earlier than every previously
-    /// released delivery of the same (src, dst) pair.
-    fn schedule_reliable_delivery(
+    /// Run the in-order gate of the reliable stream `src → dst` after one
+    /// of its segments arrived (`Some`) or was abandoned (`None`): schedule
+    /// every delivery the gate can now pass, no earlier than `arrival`.
+    fn advance_reliable_gate(
         &mut self,
-        from: NodeId,
-        dst: NodeId,
+        src: u32,
+        dst: u32,
+        seq: u64,
+        arrived: Option<Segment<M>>,
         arrival: MediaTime,
-        msg: M,
-        cause: CauseCtx,
-        sent_at: MediaTime,
     ) {
-        let slot = self
-            .reliable_release
-            .entry((from, dst))
-            .or_insert(MediaTime::ZERO);
-        let at = arrival.max(*slot + MediaDuration::from_micros(1));
-        *slot = at;
-        let inc = self.inc(dst);
-        self.schedule(
-            at,
+        let (node, from) = (self.net.id_at(dst), self.net.id_at(src));
+        let inc = self.node(dst).inc;
+        let channel = self.channels.entry((src, dst)).or_default();
+        let first = match arrived {
+            Some(segment) if seq == channel.rx_next => {
+                channel.rx_next += 1;
+                Some(segment)
+            }
+            Some(segment) => {
+                if seq > channel.rx_next {
+                    channel.held.insert(seq, segment);
+                } // else a stale duplicate: drop silently.
+                return;
+            }
+            None => {
+                channel.abandoned.insert(seq);
+                None
+            }
+        };
+        channel.release(&mut self.queue, arrival, first, |(msg, cause, sent_at)| {
             Pending::Deliver {
-                node: dst,
+                node,
+                ix: dst,
                 from,
                 msg,
                 inc,
                 cause,
                 sent_at,
-            },
-        );
-    }
-
-    /// Release everything now deliverable on a reliable pair: flush held
-    /// successors of the expected sequence number and skip sequence numbers
-    /// the sender abandoned, repeatedly, until the gate blocks again.
-    fn advance_reliable_gate(&mut self, from: NodeId, dst: NodeId, arrival: MediaTime) {
-        loop {
-            let expected = self.reliable_rx.get(&(from, dst)).copied().unwrap_or(0);
-            if let Some(deadset) = self.reliable_dead.get_mut(&(from, dst)) {
-                if deadset.remove(&expected) {
-                    self.reliable_rx.insert((from, dst), expected + 1);
-                    continue;
-                }
             }
-            if let Some(held) = self.reliable_hold.get_mut(&(from, dst)) {
-                if let Some((m, cause, sent_at)) = held.remove(&expected) {
-                    self.reliable_rx.insert((from, dst), expected + 1);
-                    self.schedule_reliable_delivery(from, dst, arrival, m, cause, sent_at);
-                    continue;
-                }
-            }
-            break;
-        }
+        });
     }
 
     /// Tear down engine-level reliable-channel state involving a crashed
@@ -340,26 +443,21 @@ impl<M: WireSize + Clone> Core<M> {
     /// surviving peers' gates cannot wedge on segments that died with the
     /// process (connection-reset semantics).
     fn teardown_reliable_channels(&mut self, node: NodeId) {
-        let pairs: BTreeSet<(NodeId, NodeId)> = self
-            .reliable_tx
-            .keys()
-            .chain(self.reliable_rx.keys())
-            .chain(self.reliable_hold.keys())
-            .copied()
-            .filter(|(a, b)| *a == node || *b == node)
-            .collect();
-        for pair in pairs {
-            let tx = self.reliable_tx.get(&pair).copied().unwrap_or(0);
-            let rx = self.reliable_rx.entry(pair).or_insert(0);
-            *rx = (*rx).max(tx);
+        let Some(ix) = self.net.index_of(node) else {
+            return;
+        };
+        for (&(src, dst), channel) in &mut self.channels {
+            if src != ix && dst != ix {
+                continue;
+            }
+            channel.rx_next = channel.rx_next.max(channel.tx_next);
             // Segments already delivered to the transport but parked behind
             // the in-order gate die with the connection: account them as
             // fault drops so conservation audits (sent = delivered + dropped
             // + fault_drops) keep balancing across crashes.
-            if let Some(held) = self.reliable_hold.remove(&pair) {
-                self.stats.fault_drops += held.len() as u64;
-            }
-            self.reliable_dead.remove(&pair);
+            self.stats.fault_drops += channel.held.len() as u64;
+            channel.held.clear();
+            channel.abandoned.clear();
         }
     }
 
@@ -369,14 +467,18 @@ impl<M: WireSize + Clone> Core<M> {
         let now = self.now;
         match kind {
             FaultKind::NodeCrash { node } => {
-                self.dead.insert(node);
+                if let Some(state) = self.node_mut(node) {
+                    state.dead = true;
+                }
                 self.teardown_reliable_channels(node);
                 self.obs
                     .emit(now, node.raw(), Severity::Error, "node_crash", Labels::NONE);
             }
             FaultKind::NodeRestart { node } => {
-                self.dead.remove(&node);
-                *self.incarnation.entry(node).or_insert(0) += 1;
+                if let Some(state) = self.node_mut(node) {
+                    state.dead = false;
+                    state.inc += 1;
+                }
                 self.obs.emit(
                     now,
                     node.raw(),
@@ -424,12 +526,6 @@ impl<M: WireSize + Clone> Core<M> {
         }
     }
 
-    fn schedule(&mut self, at: MediaTime, pending: Pending<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Scheduled { at, seq, pending }));
-    }
-
     fn start_send(
         &mut self,
         from: NodeId,
@@ -438,7 +534,9 @@ impl<M: WireSize + Clone> Core<M> {
         transport: Transport,
         attempt: u32,
     ) -> bool {
-        if self.dead.contains(&from) {
+        let src = self.ix(from);
+        let src_state = self.node(src);
+        if src_state.dead {
             // A crashed process cannot transmit.
             return false;
         }
@@ -448,46 +546,45 @@ impl<M: WireSize + Clone> Core<M> {
         if from == to {
             // Local delivery: still asynchronous (next event), zero delay.
             let now = self.now;
-            let inc = self.inc(to);
-            self.schedule(
+            self.queue.push(
                 now,
                 Pending::Deliver {
                     node: to,
+                    ix: src,
+                    inc: src_state.inc,
                     from,
                     msg,
-                    inc,
                     cause,
                     sent_at: now,
                 },
             );
             return true;
         }
-        let Some(path) = self.net.path(from, to) else {
-            return false;
-        };
+        let dst = self.ix(to);
+        if self.net.egress(src, dst).is_none() {
+            return false; // unreachable, or routing invalidated
+        }
         let seq_no = match transport {
             Transport::Datagram => None,
             Transport::Reliable => {
-                let c = self.reliable_tx.entry((from, to)).or_insert(0);
-                let s = *c;
-                *c += 1;
-                Some(s)
+                let channel = self.channels.entry((src, dst)).or_default();
+                channel.tx_next += 1;
+                Some(channel.tx_next - 1)
             }
         };
         let now = self.now;
-        let src_inc = self.inc(from);
-        self.schedule(
+        self.queue.push(
             now,
             Pending::Hop {
-                path,
-                hop: 0,
-                from,
+                src,
+                here: src,
+                dst,
                 msg,
                 transport,
                 attempt,
                 sent_at: now,
                 seq_no,
-                src_inc,
+                src_inc: src_state.inc,
                 cause,
             },
         );
@@ -498,32 +595,46 @@ impl<M: WireSize + Clone> Core<M> {
     /// member of `group` except the sender. Returns the number of member
     /// nodes targeted (0 when the sender is dead or the group is empty).
     fn start_send_mcast(&mut self, from: NodeId, group: u64, msg: M) -> usize {
-        if self.dead.contains(&from) {
+        let src = self.ix(from);
+        let src_state = self.node(src);
+        if src_state.dead {
             return 0;
         }
         let Some(members) = self.mcast_groups.get(&group) else {
             return 0;
         };
-        let targets: Vec<NodeId> = members.iter().copied().filter(|&t| t != from).collect();
-        if targets.is_empty() {
+        // A member the network has never heard of is unroutable from
+        // anywhere: its copy is counted dropped here, not carried along.
+        let mut unknown = 0;
+        let targets: Vec<u32> = members
+            .iter()
+            .filter(|&&t| t != from)
+            .filter_map(|&t| {
+                let ix = self.net.index_of(t);
+                unknown += ix.is_none() as usize;
+                ix
+            })
+            .collect();
+        let count = targets.len() + unknown;
+        if count == 0 {
             return 0;
         }
+        self.stats.datagrams_dropped += unknown as u64;
         self.stats.mcast_sends += 1;
         let now = self.now;
-        let src_inc = self.inc(from);
-        let count = targets.len();
         let cause = self.next_cause();
         let msg_kind = (self.kind_of)(&msg);
         self.record_hop(HopKind::Enqueue, from, from, cause, msg_kind, count as i64);
-        self.schedule(
+        self.queue.push(
             now,
             Pending::McastHop {
                 group,
-                here: from,
+                src,
+                here: src,
                 targets,
                 from,
                 msg,
-                src_inc,
+                src_inc: src_state.inc,
                 cause,
                 sent_at: now,
             },
@@ -533,78 +644,81 @@ impl<M: WireSize + Clone> Core<M> {
 
     /// Forward one multicast copy from `here` toward its target subtree:
     /// deliver locally to members at this node, then group the remaining
-    /// targets by routing next hop and place ONE copy on each distinct
-    /// egress link. A copy lost on a link (loss model, queue overflow or a
-    /// fault-injected partition) takes its whole subtree with it — datagram
-    /// semantics, like the unicast RTP path. Membership is re-read at every
-    /// hop, so a member leaving mid-flight stops receiving immediately.
+    /// targets by egress link and place ONE copy on each, in ascending
+    /// next-hop id order. A copy lost on a link (loss model, queue overflow
+    /// or a fault-injected partition) takes its whole subtree with it —
+    /// datagram semantics, like the unicast RTP path. Membership is re-read
+    /// at every hop, so a member leaving mid-flight stops receiving
+    /// immediately.
     #[allow(clippy::too_many_arguments)]
     fn process_mcast_hop(
         &mut self,
         group: u64,
-        here: NodeId,
-        targets: Vec<NodeId>,
+        src: u32,
+        here: u32,
+        targets: Vec<u32>,
         from: NodeId,
         msg: M,
         src_inc: u64,
         cause: CauseCtx,
         sent_at: MediaTime,
     ) {
-        if self.dead.contains(&from) || src_inc != self.inc(from) {
+        if self.gone(src, src_inc) {
             self.stats.fault_drops += 1;
             return;
         }
-        let members = self.mcast_groups.get(&group).cloned().unwrap_or_default();
         let now = self.now;
-        let msg_kind = (self.kind_of)(&msg);
-        let mut by_next: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+        let here_inc = self.node(here).inc;
+        let mut fanout = std::mem::take(&mut self.mcast_fanout);
+        let members = self.mcast_groups.get(&group);
         for t in targets {
-            if !members.contains(&t) {
+            let id = self.net.id_at(t);
+            if !members.is_some_and(|m| m.contains(&id)) {
                 continue; // left the group while the copy was in flight
             }
             if t == here {
-                let inc = self.inc(t);
                 self.stats.mcast_deliveries += 1;
-                self.schedule(
+                self.queue.push(
                     now,
                     Pending::Deliver {
-                        node: t,
+                        node: id,
+                        ix: t,
                         from,
                         msg: msg.clone(),
-                        inc,
+                        inc: here_inc,
                         cause,
                         sent_at,
                     },
                 );
-            } else if let Some(nh) = self.net.next_hop(here, t) {
-                by_next.entry(nh).or_default().push(t);
+            } else if let Some(link) = self.net.egress(here, t) {
+                fanout.push((link, t));
             } else {
                 self.stats.datagrams_dropped += 1; // unroutable member
             }
         }
+        // Links out of one node end at distinct neighbours, so ordering by
+        // (next-hop id, target id) groups by link in ascending next-hop
+        // order and keeps every subtree ascending.
+        let net = &self.net;
+        fanout.sort_unstable_by_key(|&(link, t)| (net.id_at(net.link_to(link)), net.id_at(t)));
         let size = msg.wire_size();
-        for (nh, subtree) in by_next {
-            let outcome = match self.net.link_mut(here, nh) {
-                Some(link) => link.transmit(now, size),
-                None => LinkOutcome::QueueFull,
-            };
+        let msg_kind = (self.kind_of)(&msg);
+        for copy in fanout.chunk_by(|a, b| a.0 == b.0) {
+            let (link, next) = self.net.hop_mut(copy[0].0);
+            let outcome = link.transmit(now, size);
             self.stats.mcast_link_copies += 1;
+            let (here_id, next_id) = (self.net.id_at(here), self.net.id_at(next));
+            let fan = copy.len() as i64;
             match outcome {
                 LinkOutcome::Delivered { arrival } => {
-                    self.record_hop(
-                        HopKind::McastFanout,
-                        here,
-                        nh,
-                        cause,
-                        msg_kind,
-                        subtree.len() as i64,
-                    );
-                    self.schedule(
+                    self.record_hop(HopKind::McastFanout, here_id, next_id, cause, msg_kind, fan);
+                    self.queue.push(
                         arrival,
                         Pending::McastHop {
                             group,
-                            here: nh,
-                            targets: subtree,
+                            src,
+                            here: next,
+                            targets: copy.iter().map(|&(_, t)| t).collect(),
                             from,
                             msg: msg.clone(),
                             src_inc,
@@ -614,26 +728,21 @@ impl<M: WireSize + Clone> Core<M> {
                     );
                 }
                 LinkOutcome::Lost { .. } | LinkOutcome::QueueFull => {
-                    self.stats.datagrams_dropped += subtree.len() as u64;
-                    self.record_hop(
-                        HopKind::Loss,
-                        here,
-                        nh,
-                        cause,
-                        msg_kind,
-                        subtree.len() as i64,
-                    );
+                    self.stats.datagrams_dropped += fan as u64;
+                    self.record_hop(HopKind::Loss, here_id, next_id, cause, msg_kind, fan);
                 }
             }
         }
+        fanout.clear();
+        self.mcast_fanout = fanout;
     }
 
     #[allow(clippy::too_many_arguments)]
     fn process_hop(
         &mut self,
-        path: Vec<NodeId>,
-        hop: usize,
-        from: NodeId,
+        src: u32,
+        here: u32,
+        dst: u32,
         msg: M,
         transport: Transport,
         attempt: u32,
@@ -642,32 +751,35 @@ impl<M: WireSize + Clone> Core<M> {
         src_inc: u64,
         cause: CauseCtx,
     ) {
-        if self.dead.contains(&from) || src_inc != self.inc(from) {
+        if self.gone(src, src_inc) {
             // The sending process died (or restarted) while this packet or
             // its retransmission chain was in flight: the chain dies too.
             self.stats.fault_drops += 1;
             return;
         }
-        let here = path[hop];
-        let next = path[hop + 1];
         let size = msg.wire_size();
         let now = self.now;
-        let outcome = match self.net.link_mut(here, next) {
-            Some(link) => link.transmit(now, size),
-            None => LinkOutcome::QueueFull, // topology changed mid-flight
+        let (outcome, next) = match self.net.egress(here, dst) {
+            Some(l) => {
+                let (link, next) = self.net.hop_mut(l);
+                (link.transmit(now, size), next)
+            }
+            // Routing was invalidated mid-flight: dropped where it stands.
+            None => (LinkOutcome::QueueFull, dst),
         };
+        let (from, to) = (self.net.id_at(src), self.net.id_at(dst));
         match outcome {
             LinkOutcome::Delivered { arrival } => {
-                if hop + 2 == path.len() {
+                if next == dst {
                     // Reached the destination node.
-                    let dst = *path.last().unwrap();
                     match (transport, seq_no) {
                         (Transport::Datagram, _) | (Transport::Reliable, None) => {
-                            let inc = self.inc(dst);
-                            self.schedule(
+                            let inc = self.node(dst).inc;
+                            self.queue.push(
                                 arrival,
                                 Pending::Deliver {
-                                    node: dst,
+                                    node: to,
+                                    ix: dst,
                                     from,
                                     msg,
                                     inc,
@@ -680,29 +792,17 @@ impl<M: WireSize + Clone> Core<M> {
                             // In-order release: deliver if this is the next
                             // expected sequence number, then flush any held
                             // or abandoned successors; otherwise hold.
-                            let next = self.reliable_rx.entry((from, dst)).or_insert(0);
-                            if seq == *next {
-                                *next += 1;
-                                self.schedule_reliable_delivery(
-                                    from, dst, arrival, msg, cause, sent_at,
-                                );
-                                self.advance_reliable_gate(from, dst, arrival);
-                            } else if seq > *next {
-                                self.reliable_hold
-                                    .entry((from, dst))
-                                    .or_default()
-                                    .insert(seq, (msg, cause, sent_at));
-                            }
-                            // seq < next: stale duplicate; drop silently.
+                            let segment = (msg, cause, sent_at);
+                            self.advance_reliable_gate(src, dst, seq, Some(segment), arrival);
                         }
                     }
                 } else {
-                    self.schedule(
+                    self.queue.push(
                         arrival,
                         Pending::Hop {
-                            path,
-                            hop: hop + 1,
-                            from,
+                            src,
+                            here: next,
+                            dst,
                             msg,
                             transport,
                             attempt,
@@ -716,6 +816,7 @@ impl<M: WireSize + Clone> Core<M> {
             }
             LinkOutcome::Lost { .. } | LinkOutcome::QueueFull => {
                 let msg_kind = (self.kind_of)(&msg);
+                let (here, next) = (self.net.id_at(here), self.net.id_at(next));
                 self.record_hop(HopKind::Loss, here, next, cause, msg_kind, attempt as i64);
                 match transport {
                     Transport::Datagram => {
@@ -724,58 +825,47 @@ impl<M: WireSize + Clone> Core<M> {
                     Transport::Reliable => {
                         if attempt + 1 >= self.cfg.max_attempts {
                             self.stats.reliable_failures += 1;
-                            {
-                                let now = self.now;
-                                let dst = *path.last().unwrap();
-                                self.record_hop(
-                                    HopKind::Abandon,
-                                    from,
-                                    dst,
-                                    cause,
-                                    msg_kind,
-                                    attempt as i64 + 1,
-                                );
-                                self.obs.emit_val(
-                                    now,
-                                    from.raw(),
-                                    Severity::Warn,
-                                    "reliable_abandon",
-                                    Labels::for_peer(dst.raw()),
-                                    attempt as i64 + 1,
-                                );
-                            }
+                            self.record_hop(
+                                HopKind::Abandon,
+                                from,
+                                to,
+                                cause,
+                                msg_kind,
+                                attempt as i64 + 1,
+                            );
+                            self.obs.emit_val(
+                                now,
+                                from.raw(),
+                                Severity::Warn,
+                                "reliable_abandon",
+                                Labels::for_peer(to.raw()),
+                                attempt as i64 + 1,
+                            );
                             // Abandoning a sequence number must not wedge the
                             // receiver's in-order gate: mark it dead so later
                             // segments can still be released.
                             if let Some(seq) = seq_no {
-                                let dst = *path.last().unwrap();
-                                self.reliable_dead
-                                    .entry((from, dst))
-                                    .or_default()
-                                    .insert(seq);
-                                let now = self.now;
-                                self.advance_reliable_gate(from, dst, now);
+                                self.advance_reliable_gate(src, dst, seq, None, now);
                             }
                         } else {
                             self.stats.retransmissions += 1;
                             // Exponential backoff from the original send time.
                             let backoff = self.cfg.rto * (1 << attempt.min(6)) as i64;
                             let retry_at = self.now + backoff;
-                            let dst = *path.last().unwrap();
                             self.record_hop(
                                 HopKind::Retransmit,
                                 from,
-                                dst,
+                                to,
                                 cause,
                                 msg_kind,
                                 attempt as i64 + 1,
                             );
-                            self.schedule(
+                            self.queue.push(
                                 retry_at,
                                 Pending::Hop {
-                                    path: self.net.path(from, dst).unwrap_or(path),
-                                    hop: 0,
-                                    from,
+                                    src,
+                                    here: src,
+                                    dst,
                                     msg,
                                     transport,
                                     attempt: attempt + 1,
@@ -855,12 +945,14 @@ impl<'a, M: WireSize + Clone> SimApi<'a, M> {
     /// and restarts) before the timer fires, it is silently discarded.
     pub fn set_timer(&mut self, node: NodeId, delay: MediaDuration, key: u64, payload: u64) {
         let at = self.core.now + delay.max(MediaDuration::ZERO);
-        let inc = self.core.inc(node);
+        let ix = self.core.ix(node);
+        let inc = self.core.node(ix).inc;
         let cause = self.core.current_cause;
-        self.core.schedule(
+        self.core.queue.push(
             at,
             Pending::Timer {
                 node,
+                ix,
                 key,
                 payload,
                 inc,
@@ -900,7 +992,7 @@ impl<'a, M: WireSize + Clone> SimApi<'a, M> {
     }
     /// True unless the node is currently crashed by an injected fault.
     pub fn node_is_up(&self, node: NodeId) -> bool {
-        !self.core.dead.contains(&node)
+        !self.core.node(self.core.ix(node)).dead
     }
     /// The shared RNG (application-level randomness draws from the same
     /// seeded stream, keeping whole runs reproducible).
@@ -997,20 +1089,18 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
             app,
             core: Core {
                 now: MediaTime::ZERO,
-                seq: 0,
-                heap: BinaryHeap::new(),
+                queue: EventQueue {
+                    heap: BinaryHeap::new(),
+                    seq: 0,
+                },
                 net,
                 rng: SimRng::seed_from_u64(seed),
                 cfg,
                 stats: SimStats::default(),
-                reliable_tx: HashMap::new(),
-                reliable_rx: HashMap::new(),
-                reliable_hold: HashMap::new(),
-                reliable_release: HashMap::new(),
-                reliable_dead: HashMap::new(),
-                dead: HashSet::new(),
-                incarnation: HashMap::new(),
+                channels: HashMap::new(),
+                nodes: Vec::new(),
                 mcast_groups: BTreeMap::new(),
+                mcast_fanout: Vec::new(),
                 obs: Obs::new(),
                 current_cause: CauseCtx::NONE,
                 cause_seq: 0,
@@ -1051,7 +1141,7 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
     }
     /// True unless the node is currently crashed by an injected fault.
     pub fn node_is_up(&self, node: NodeId) -> bool {
-        !self.core.dead.contains(&node)
+        !self.core.node(self.core.ix(node)).dead
     }
     /// The run's observability capture.
     pub fn obs(&self) -> &Obs {
@@ -1070,8 +1160,10 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
     pub fn publish_metrics(&mut self) {
         let s = self.core.stats;
         let prov_records = self.core.obs.prov.len() as u64;
+        let prov_dropped = self.core.obs.prov.dropped;
         let r = &mut self.core.obs.registry;
         r.counter_set("sim.prov_records", Labels::NONE, prov_records);
+        r.counter_set("sim.prov_dropped", Labels::NONE, prov_dropped);
         r.counter_set("sim.delivered", Labels::NONE, s.delivered);
         r.counter_set("sim.datagrams_dropped", Labels::NONE, s.datagrams_dropped);
         r.counter_set("sim.retransmissions", Labels::NONE, s.retransmissions);
@@ -1105,16 +1197,16 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
 
     /// Process a single event. Returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(ev)) = self.core.heap.pop() else {
+        let Some(Reverse(ev)) = self.core.queue.heap.pop() else {
             return false;
         };
         debug_assert!(ev.at >= self.core.now, "time went backwards");
         self.core.now = ev.at;
         match ev.pending {
             Pending::Hop {
-                path,
-                hop,
-                from,
+                src,
+                here,
+                dst,
                 msg,
                 transport,
                 attempt,
@@ -1124,18 +1216,19 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
                 cause,
             } => {
                 self.core.process_hop(
-                    path, hop, from, msg, transport, attempt, sent_at, seq_no, src_inc, cause,
+                    src, here, dst, msg, transport, attempt, sent_at, seq_no, src_inc, cause,
                 );
             }
             Pending::Deliver {
                 node,
+                ix,
                 from,
                 msg,
                 inc,
                 cause,
                 sent_at,
             } => {
-                if self.core.dead.contains(&node) || inc != self.core.inc(node) {
+                if self.core.gone(ix, inc) {
                     self.core.stats.fault_drops += 1;
                     return true;
                 }
@@ -1154,12 +1247,13 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
             }
             Pending::Timer {
                 node,
+                ix,
                 key,
                 payload,
                 inc,
                 cause,
             } => {
-                if self.core.dead.contains(&node) || inc != self.core.inc(node) {
+                if self.core.gone(ix, inc) {
                     self.core.stats.fault_drops += 1;
                     return true;
                 }
@@ -1172,6 +1266,7 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
             }
             Pending::McastHop {
                 group,
+                src,
                 here,
                 targets,
                 from,
@@ -1180,8 +1275,9 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
                 cause,
                 sent_at,
             } => {
-                self.core
-                    .process_mcast_hop(group, here, targets, from, msg, src_inc, cause, sent_at);
+                self.core.process_mcast_hop(
+                    group, src, here, targets, from, msg, src_inc, cause, sent_at,
+                );
             }
             Pending::Fault(kind) => {
                 // Faults are external: no causal chain.
@@ -1212,7 +1308,7 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
     pub fn run_until(&mut self, until: MediaTime) -> u64 {
         let mut n = 0;
         loop {
-            match self.core.heap.peek() {
+            match self.core.queue.heap.peek() {
                 Some(Reverse(ev)) if ev.at <= until => {
                     self.step();
                     n += 1;
@@ -1227,7 +1323,7 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
     /// Schedule a single fault. Instants in the past are clamped to `now`.
     pub fn inject_fault(&mut self, at: MediaTime, kind: FaultKind) {
         let at = at.max(self.core.now);
-        self.core.schedule(at, Pending::Fault(kind));
+        self.core.queue.push(at, Pending::Fault(kind));
     }
 
     /// Install every event of a [`FaultPlan`] on the timer wheel. Events
@@ -1638,6 +1734,202 @@ mod tests {
         sim.run(100_000);
         assert_eq!(sim.app().got.len(), 1, "gate wedged on abandoned seq");
         assert_eq!(sim.app().got[0].3, "after-heal");
+    }
+
+    #[test]
+    fn gate_releases_held_segments_past_an_abandoned_one() {
+        // m0 is lost to a partition and its single retry to a second one, so
+        // the sender abandons it while m1 and m2 wait in the receiver's hold:
+        // the abandon itself must open the gate, in order, at that instant.
+        let cfg = SimConfig {
+            rto: MediaDuration::from_millis(100),
+            max_attempts: 2,
+        };
+        let ms = MediaTime::from_millis;
+        let mut sim = Sim::with_config(two_node_net(LossModel::None), Recorder::default(), 16, cfg);
+        sim.install_faults(
+            &FaultPlan::new()
+                .partition(n(0), n(1), ms(0), ms(10))
+                .partition(n(0), n(1), ms(90), ms(150)),
+        );
+        sim.run(1); // apply the first LinkDown
+        sim.with_api(|_, api| {
+            api.send_reliable(n(0), n(1), Msg("m0".into(), 100));
+        });
+        sim.run_until(ms(20));
+        sim.with_api(|_, api| {
+            api.send_reliable(n(0), n(1), Msg("m1".into(), 100));
+            api.send_reliable(n(0), n(1), Msg("m2".into(), 100));
+        });
+        sim.run_until(ms(99));
+        assert!(sim.app().got.is_empty(), "released past a live gap");
+        sim.run_until(ms(200));
+        sim.with_api(|_, api| {
+            api.send_reliable(n(0), n(1), Msg("m3".into(), 100));
+        });
+        sim.run(1_000);
+        let got: Vec<(i64, &str)> = sim
+            .app()
+            .got
+            .iter()
+            .map(|g| (g.0.as_micros(), g.3.as_str()))
+            .collect();
+        // m3: 100 bytes at 8 Mbps = 100 µs tx + 200 µs propagation.
+        assert_eq!(got, vec![(100_000, "m1"), (100_001, "m2"), (200_300, "m3")]);
+        assert_eq!(sim.stats().reliable_failures, 1);
+        assert_eq!(sim.stats().retransmissions, 1);
+        assert_eq!(sim.stats().fault_drops, 0);
+    }
+
+    #[test]
+    fn crash_teardown_counts_exactly_the_held_segments() {
+        // m0 is lost to a partition; m1..m3 arrive and wait behind it. A
+        // crash of either end resets the channel: the three held segments
+        // are fault drops, m0's late retry is a stale duplicate (receiver
+        // crash) or dies with its sender (sender crash, one more drop), and
+        // the gate is open for the next send.
+        let ms = MediaTime::from_millis;
+        for (crashed, fault_drops) in [(n(1), 3), (n(0), 4)] {
+            let mut sim = Sim::new(two_node_net(LossModel::None), Recorder::default(), 17);
+            sim.install_faults(
+                &FaultPlan::new()
+                    .partition(n(0), n(1), ms(0), ms(5))
+                    .crash_for(crashed, ms(10), MediaDuration::from_millis(10)),
+            );
+            sim.run(1); // apply LinkDown
+            sim.with_api(|_, api| {
+                api.send_reliable(n(0), n(1), Msg("m0".into(), 100));
+            });
+            sim.run_until(ms(6));
+            sim.with_api(|_, api| {
+                for i in 1..4 {
+                    api.send_reliable(n(0), n(1), Msg(format!("m{i}"), 100));
+                }
+            });
+            sim.run_until(ms(9));
+            assert_eq!(sim.stats().fault_drops, 0);
+            sim.run_until(ms(10));
+            assert_eq!(sim.stats().fault_drops, 3, "held segments at the crash");
+            sim.run_until(ms(300)); // m0's retransmission fires at 200 ms
+            sim.with_api(|_, api| {
+                api.send_reliable(n(0), n(1), Msg("m4".into(), 100));
+            });
+            sim.run(1_000);
+            let got: Vec<&str> = sim.app().got.iter().map(|g| g.3.as_str()).collect();
+            assert_eq!(got, vec!["m4"], "crashed {crashed}");
+            assert_eq!(sim.stats().fault_drops, fault_drops, "crashed {crashed}");
+            assert_eq!(sim.stats().reliable_failures, 0);
+        }
+    }
+
+    #[test]
+    fn channel_gate_skips_runs_of_abandoned_numbers_on_a_monotone_clock() {
+        let mut channel: Channel<Msg> = Channel::default();
+        let mut queue = EventQueue {
+            heap: BinaryHeap::new(),
+            seq: 0,
+        };
+        let segment = |name: &str| (Msg(name.into(), 1), CauseCtx::NONE, MediaTime::ZERO);
+        let deliver = |(msg, cause, sent_at): Segment<Msg>| Pending::Deliver {
+            node: n(1),
+            ix: 1,
+            from: n(0),
+            msg,
+            inc: 0,
+            cause,
+            sent_at,
+        };
+        // 0 outstanding; 1 and 2 abandoned; 3 and 5 held; 4 outstanding.
+        channel.abandoned.extend([1, 2]);
+        channel.held.insert(3, segment("s3"));
+        channel.held.insert(5, segment("s5"));
+        channel.release(&mut queue, MediaTime::from_millis(7), None, deliver);
+        assert!(queue.heap.is_empty(), "gate opened past outstanding 0");
+        // 0 arrives in sequence: it and 3 go out, the gate stops at 4.
+        channel.rx_next = 1;
+        let at = MediaTime::from_millis(9);
+        channel.release(&mut queue, at, Some(segment("s0")), deliver);
+        assert_eq!((channel.rx_next, channel.held.len()), (4, 1));
+        // 4 is abandoned at an *earlier* clock reading than the last
+        // release: 5 still leaves strictly after it.
+        channel.abandoned.insert(4);
+        channel.release(&mut queue, MediaTime::from_millis(8), None, deliver);
+        assert_eq!(channel.rx_next, 6);
+        assert!(channel.abandoned.is_empty() && channel.held.is_empty());
+        let mut out = Vec::new();
+        while let Some(Reverse(ev)) = queue.heap.pop() {
+            match ev.pending {
+                Pending::Deliver { msg, .. } => out.push((ev.at.as_micros(), msg.0)),
+                _ => unreachable!(),
+            }
+        }
+        let expect = [(9_000, "s0"), (9_001, "s3"), (9_002, "s5")];
+        assert_eq!(out.len(), expect.len());
+        for ((at, name), (want_at, want_name)) in out.iter().zip(expect) {
+            assert_eq!((*at, name.as_str()), (want_at, want_name));
+        }
+    }
+
+    #[test]
+    fn unknown_nodes_read_as_alive_at_incarnation_zero() {
+        let mut sim = Sim::new(two_node_net(LossModel::None), Recorder::default(), 18);
+        // A fault aimed at a node the network never heard of is applied and
+        // reported, but finds no process to act on.
+        sim.inject_fault(MediaTime::ZERO, FaultKind::NodeCrash { node: n(99) });
+        sim.run(1);
+        assert_eq!(sim.stats().faults_applied, 1);
+        assert!(sim.node_is_up(n(99)));
+        sim.with_api(|_, api| {
+            api.set_timer(n(99), MediaDuration::from_millis(1), 4, 2);
+            assert!(api.send(n(99), n(99), Msg("loop".into(), 10)));
+            assert!(!api.send(n(99), n(1), Msg("out".into(), 10)));
+            assert!(!api.send(n(0), n(99), Msg("in".into(), 10)));
+            // An unknown group member is unroutable: dropped, not carried.
+            api.mcast_join(3, n(99));
+            api.mcast_join(3, n(1));
+            assert_eq!(api.send_mcast(n(0), 3, Msg("m".into(), 10)), 2);
+        });
+        sim.run(100);
+        let got: Vec<&str> = sim.app().got.iter().map(|g| g.3.as_str()).collect();
+        assert_eq!(got, vec!["loop", "m"]);
+        assert_eq!(sim.app().timers.len(), 1);
+        assert_eq!(sim.stats().datagrams_dropped, 1);
+        assert_eq!(sim.stats().fault_drops, 0);
+    }
+
+    #[test]
+    fn topology_change_mid_run_invalidates_routes_but_not_node_state() {
+        let mut sim = Sim::new(star_net(2, LossModel::None, 19), Recorder::default(), 19);
+        sim.inject_fault(MediaTime::ZERO, FaultKind::NodeCrash { node: n(11) });
+        sim.with_api(|_, api| {
+            assert!(api.send(n(1), n(10), Msg("in-flight".into(), 500)));
+        });
+        sim.run(2); // the crash, and the packet's first hop onto the trunk
+                    // A node with a *smaller* id than every other joins: dense indices
+                    // are add order, so in-flight packets and crash state stay put.
+        sim.net_mut().add_node(n(5), "late");
+        let mut rng = SimRng::seed_from_u64(19);
+        sim.net_mut()
+            .add_duplex(n(0), n(5), LinkSpec::lan(8_000_000), &mut rng);
+        // add_link invalidated routing: sends are refused, and the packet
+        // already in flight is dropped at its next hop like a full queue.
+        sim.with_api(|_, api| {
+            assert!(!api.send(n(1), n(10), Msg("refused".into(), 500)));
+        });
+        sim.run(100);
+        assert!(sim.app().got.is_empty());
+        assert_eq!(sim.stats().datagrams_dropped, 1);
+        sim.net_mut().compute_routes();
+        sim.with_api(|_, api| {
+            assert!(api.send(n(1), n(5), Msg("to-late".into(), 500)));
+            assert!(api.send(n(1), n(10), Msg("again".into(), 500)));
+            assert!(api.send(n(1), n(11), Msg("to-dead".into(), 500)));
+        });
+        sim.run(100);
+        let got: Vec<(NodeId, &str)> = sim.app().got.iter().map(|g| (g.1, g.3.as_str())).collect();
+        assert_eq!(got, vec![(n(5), "to-late"), (n(10), "again")]);
+        assert!(!sim.node_is_up(n(11)));
+        assert_eq!(sim.stats().fault_drops, 1);
     }
 
     /// Star topology for multicast tests: server `n(1)` — backbone `n(0)` —

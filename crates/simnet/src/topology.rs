@@ -8,7 +8,7 @@
 use crate::models::{CongestionProfile, JitterModel, LossModel, LossState};
 use crate::rng::SimRng;
 use hermes_core::{ConnectionId, MediaDuration, MediaTime, NodeId};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Static parameters of a directed link.
 #[derive(Debug, Clone)]
@@ -196,49 +196,128 @@ impl Link {
     }
 }
 
+/// "No link" in the routing table, "no such node" as a dense index.
+pub(crate) const NONE: u32 = u32::MAX;
+
 /// The network: a set of nodes and directed links with static routing.
+///
+/// Nodes and links live in flat arrays. A node's *dense index* is its
+/// position in `add_node` order and never changes, so engine events may
+/// carry indices across any later topology change; a link's index is its
+/// position in `add_link` order. Routing is one `n × n` table of egress
+/// link indices (4·n² bytes), rebuilt only by [`Network::compute_routes`].
 #[derive(Debug)]
 pub struct Network {
-    names: BTreeMap<NodeId, String>,
-    links: HashMap<(NodeId, NodeId), Link>,
-    /// next_hop[(src, dst)] = neighbour to forward through.
-    routes: HashMap<(NodeId, NodeId), NodeId>,
-    /// Reservations: connection → (path links, bps).
-    reservations: HashMap<ConnectionId, (Vec<(NodeId, NodeId)>, u64)>,
+    /// Dense index → node id.
+    ids: Vec<NodeId>,
+    /// Dense index → display name.
+    names: Vec<String>,
+    /// Dense indices in ascending node-id order: the id → index lookup for
+    /// ids that are not their own index, and the order `nodes()` reports.
+    by_id: Vec<u32>,
+    links: Vec<Link>,
+    /// Dense (from, to) endpoints of each link, parallel to `links`.
+    ends: Vec<(u32, u32)>,
+    /// Pair-keyed link lookup for the cold public calls (`link`, `reserve*`,
+    /// fault application); the engine's per-hop path goes through `routes`.
+    link_ix: HashMap<(NodeId, NodeId), u32>,
+    /// `routes[src * stride + dst]` = index of the link a packet at `src`
+    /// bound for `dst` leaves on, [`NONE`] when unreachable (or `src == dst`).
+    routes: Vec<u32>,
+    /// Node count the table was built for; 0 while routing is invalid.
+    stride: usize,
+    /// Reservations: connection → (link indices charged, bps).
+    reservations: HashMap<ConnectionId, (Vec<u32>, u64)>,
 }
 
 impl Network {
     /// An empty network.
     pub fn new() -> Self {
         Network {
-            names: BTreeMap::new(),
-            links: HashMap::new(),
-            routes: HashMap::new(),
+            ids: Vec::new(),
+            names: Vec::new(),
+            by_id: Vec::new(),
+            links: Vec::new(),
+            ends: Vec::new(),
+            link_ix: HashMap::new(),
+            routes: Vec::new(),
+            stride: 0,
             reservations: HashMap::new(),
         }
     }
 
-    /// Add a node with a display name.
+    /// Add a node with a display name (re-adding an id renames it).
     pub fn add_node(&mut self, id: NodeId, name: impl Into<String>) {
-        self.names.insert(id, name.into());
+        if let Some(ix) = self.index_of(id) {
+            self.names[ix as usize] = name.into();
+            return;
+        }
+        assert!(self.ids.len() < NONE as usize, "too many nodes");
+        let ix = self.ids.len() as u32;
+        let pos = self.by_id.partition_point(|&i| self.ids[i as usize] < id);
+        self.by_id.insert(pos, ix);
+        self.ids.push(id);
+        self.names.push(name.into());
     }
 
-    /// All node ids.
+    /// All node ids, ascending.
     pub fn nodes(&self) -> Vec<NodeId> {
-        self.names.keys().copied().collect()
+        self.by_id.iter().map(|&i| self.ids[i as usize]).collect()
     }
 
     /// A node's display name.
     pub fn node_name(&self, id: NodeId) -> Option<&str> {
-        self.names.get(&id).map(|s| s.as_str())
+        self.index_of(id).map(|ix| self.names[ix as usize].as_str())
     }
 
-    /// Add a directed link.
+    /// The dense index of a node, if it was ever added. Node ids need not be
+    /// dense or ordered; this is the one place they are translated, once per
+    /// send or timer, never per hop.
+    pub(crate) fn index_of(&self, id: NodeId) -> Option<u32> {
+        // Builders hand out ids 0, 1, 2, …, so an id is usually its own index.
+        let raw = id.raw();
+        if raw < self.ids.len() as u64 && self.ids[raw as usize] == id {
+            return Some(raw as u32);
+        }
+        self.by_id
+            .binary_search_by_key(&id, |&i| self.ids[i as usize])
+            .ok()
+            .map(|pos| self.by_id[pos])
+    }
+
+    /// The node id behind a dense index.
+    #[inline]
+    pub(crate) fn id_at(&self, ix: u32) -> NodeId {
+        self.ids[ix as usize]
+    }
+
+    /// Add a directed link (re-adding a pair replaces the link).
+    ///
+    /// Adding a link **invalidates routing**: until the next
+    /// [`Network::compute_routes`] every route reads as absent — `next_hop`
+    /// and `path` return `None`, sends return `false`, and a packet already
+    /// in flight finds no egress link at its next hop and is dropped there
+    /// as [`LinkOutcome::QueueFull`]. (`add_node` alone invalidates nothing:
+    /// the new node is simply unreachable until routes are recomputed.)
     pub fn add_link(&mut self, from: NodeId, to: NodeId, spec: LinkSpec, rng: SimRng) {
-        assert!(self.names.contains_key(&from), "unknown node {from}");
-        assert!(self.names.contains_key(&to), "unknown node {to}");
-        self.links.insert((from, to), Link::new(spec, rng));
-        self.routes.clear(); // invalidate routing
+        let f = self
+            .index_of(from)
+            .unwrap_or_else(|| panic!("unknown node {from}"));
+        let t = self
+            .index_of(to)
+            .unwrap_or_else(|| panic!("unknown node {to}"));
+        let link = Link::new(spec, rng);
+        match self.link_ix.get(&(from, to)) {
+            Some(&l) => self.links[l as usize] = link,
+            None => {
+                assert!(self.links.len() < NONE as usize, "too many links");
+                self.link_ix.insert((from, to), self.links.len() as u32);
+                self.links.push(link);
+                self.ends.push((f, t));
+            }
+        }
+        self.routes.clear();
+        self.stride = 0;
     }
 
     /// Add a symmetric pair of links with the same spec.
@@ -249,12 +328,14 @@ impl Network {
 
     /// Direct link between two nodes, if present.
     pub fn link(&self, from: NodeId, to: NodeId) -> Option<&Link> {
-        self.links.get(&(from, to))
+        let l = *self.link_ix.get(&(from, to))?;
+        Some(&self.links[l as usize])
     }
 
     /// Mutable access to a link.
     pub fn link_mut(&mut self, from: NodeId, to: NodeId) -> Option<&mut Link> {
-        self.links.get_mut(&(from, to))
+        let l = *self.link_ix.get(&(from, to))?;
+        Some(&mut self.links[l as usize])
     }
 
     /// Bring both directions of the `a`–`b` link up or down. Returns true if
@@ -263,8 +344,8 @@ impl Network {
     /// than a topology change.
     pub fn set_link_up(&mut self, a: NodeId, b: NodeId, up: bool) -> bool {
         let mut found = false;
-        for key in [(a, b), (b, a)] {
-            if let Some(l) = self.links.get_mut(&key) {
+        for (from, to) in [(a, b), (b, a)] {
+            if let Some(l) = self.link_mut(from, to) {
                 l.up = up;
                 found = true;
             }
@@ -276,90 +357,123 @@ impl Network {
     pub fn link_is_up(&self, a: NodeId, b: NodeId) -> bool {
         [(a, b), (b, a)]
             .iter()
-            .filter_map(|k| self.links.get(k))
+            .filter_map(|&(from, to)| self.link(from, to))
             .all(|l| l.up)
     }
 
-    /// (Re)compute all-pairs next-hop routes by BFS (hop count metric).
+    /// (Re)compute all-pairs routes by BFS (hop count metric): neighbours
+    /// are explored in ascending node-id order and the first-discovered
+    /// parent wins, so equal-cost ties break the same way on every run.
+    /// Rebuilds the whole `n × n` table; nothing else ever writes it.
     pub fn compute_routes(&mut self) {
+        let n = self.ids.len();
+        let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
+        for (l, &(from, to)) in self.ends.iter().enumerate() {
+            adj[from as usize].push((to, l as u32));
+        }
+        for nbrs in &mut adj {
+            nbrs.sort_by_key(|&(to, _)| self.ids[to as usize]);
+        }
         self.routes.clear();
-        let nodes: Vec<NodeId> = self.names.keys().copied().collect();
-        let mut adj: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-        for (from, to) in self.links.keys() {
-            adj.entry(*from).or_default().push(*to);
-        }
-        for v in adj.values_mut() {
-            v.sort(); // deterministic tie-breaking
-        }
-        for &src in &nodes {
-            // BFS from src recording parents.
-            let mut parent: HashMap<NodeId, NodeId> = HashMap::new();
-            let mut q = VecDeque::new();
-            q.push_back(src);
-            parent.insert(src, src);
-            while let Some(u) = q.pop_front() {
-                if let Some(nbrs) = adj.get(&u) {
-                    for &w in nbrs {
-                        if let std::collections::hash_map::Entry::Vacant(e) = parent.entry(w) {
-                            e.insert(u);
-                            q.push_back(w);
-                        }
+        self.routes.resize(n * n, NONE);
+        self.stride = n;
+        let mut queue = VecDeque::with_capacity(n);
+        for src in 0..n {
+            // The row doubles as the BFS visited set: a node is discovered
+            // exactly when its egress link out of `src` becomes known, and
+            // it inherits that link from its parent — the first hop a walk
+            // back from it along the parents would reach.
+            let row = &mut self.routes[src * n..(src + 1) * n];
+            queue.push_back(src);
+            while let Some(u) = queue.pop_front() {
+                for &(w, l) in &adj[u] {
+                    let w = w as usize;
+                    if w != src && row[w] == NONE {
+                        row[w] = if u == src { l } else { row[u] };
+                        queue.push_back(w);
                     }
                 }
             }
-            for &dst in &nodes {
-                if dst == src || !parent.contains_key(&dst) {
-                    continue;
-                }
-                // Walk back from dst to find the first hop out of src.
-                let mut cur = dst;
-                while parent[&cur] != src {
-                    cur = parent[&cur];
-                }
-                self.routes.insert((src, dst), cur);
-            }
         }
+    }
+
+    /// The link a packet at `here` bound for `dst` leaves on (dense indices),
+    /// or `None` when `dst` is unreachable, routing is invalid, or either
+    /// index is [`NONE`] or newer than the table.
+    #[inline]
+    pub(crate) fn egress(&self, here: u32, dst: u32) -> Option<u32> {
+        let (here, dst, n) = (here as usize, dst as usize, self.stride);
+        if here >= n || dst >= n {
+            return None;
+        }
+        let l = self.routes[here * n + dst];
+        (l != NONE).then_some(l)
+    }
+
+    /// Mutable link by index, with the dense index of its far end.
+    #[inline]
+    pub(crate) fn hop_mut(&mut self, link: u32) -> (&mut Link, u32) {
+        (&mut self.links[link as usize], self.ends[link as usize].1)
+    }
+
+    /// The far end of a link (dense index).
+    #[inline]
+    pub(crate) fn link_to(&self, link: u32) -> u32 {
+        self.ends[link as usize].1
     }
 
     /// The routing next hop from `src` toward `dst`, if reachable.
     /// `compute_routes` must have been called after the last topology change.
     pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
-        self.routes.get(&(src, dst)).copied()
+        let l = self.egress(self.index_of(src)?, self.index_of(dst)?)?;
+        Some(self.id_at(self.link_to(l)))
+    }
+
+    /// Link indices along the route from `src` to `dst` (empty when equal).
+    fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<u32>> {
+        if src == dst {
+            return Some(Vec::new());
+        }
+        let (mut cur, dst) = (self.index_of(src)?, self.index_of(dst)?);
+        let mut route = Vec::new();
+        while cur != dst {
+            let l = self.egress(cur, dst)?;
+            route.push(l);
+            cur = self.link_to(l);
+            if route.len() >= self.ids.len() {
+                return None; // should not happen; guards a routing bug
+            }
+        }
+        Some(route)
     }
 
     /// The node-path from `src` to `dst` (inclusive of both), if reachable.
     /// `compute_routes` must have been called after the last topology change.
     pub fn path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        if src == dst {
-            return Some(vec![src]);
-        }
-        let mut path = vec![src];
-        let mut cur = src;
-        while cur != dst {
-            let next = *self.routes.get(&(cur, dst))?;
-            path.push(next);
-            cur = next;
-            if path.len() > self.names.len() {
-                return None; // should not happen; guards a routing bug
-            }
-        }
+        let route = self.route(src, dst)?;
+        let mut path = Vec::with_capacity(route.len() + 1);
+        path.push(src);
+        path.extend(route.iter().map(|&l| self.id_at(self.link_to(l))));
         Some(path)
     }
 
     /// The links along the path from `src` to `dst`.
     pub fn path_links(&self, src: NodeId, dst: NodeId) -> Option<Vec<(NodeId, NodeId)>> {
-        let p = self.path(src, dst)?;
-        Some(p.windows(2).map(|w| (w[0], w[1])).collect())
+        let route = self.route(src, dst)?;
+        let ends = route.iter().map(|&l| self.ends[l as usize]);
+        Some(
+            ends.map(|(from, to)| (self.id_at(from), self.id_at(to)))
+                .collect(),
+        )
     }
 
     /// Bottleneck free bandwidth along a path at instant `t`:
     /// min over links of capacity − reserved − background.
     pub fn path_free_bandwidth(&self, src: NodeId, dst: NodeId, t: MediaTime) -> Option<u64> {
-        let links = self.path_links(src, dst)?;
-        links
+        self.route(src, dst)?
             .iter()
-            .map(|k| {
-                let l = &self.links[k];
+            .map(|&l| {
+                let l = &self.links[l as usize];
                 let bg = (l.spec.bandwidth_bps as f64 * l.spec.congestion.load_at(t)) as u64;
                 l.spec
                     .bandwidth_bps
@@ -371,29 +485,19 @@ impl Network {
 
     /// Worst utilization along a path at instant `t`.
     pub fn path_utilization(&self, src: NodeId, dst: NodeId, t: MediaTime) -> Option<f64> {
-        let links = self.path_links(src, dst)?;
-        links
+        self.route(src, dst)?
             .iter()
-            .map(|k| self.links[k].utilization(t))
+            .map(|&l| self.links[l as usize].utilization(t))
             .fold(None, |acc, u| Some(acc.map_or(u, |a: f64| a.max(u))))
     }
 
     /// Reserve `bps` along the path for a connection. Returns false (and
     /// reserves nothing) if any link lacks headroom.
     pub fn reserve(&mut self, conn: ConnectionId, src: NodeId, dst: NodeId, bps: u64) -> bool {
-        let Some(links) = self.path_links(src, dst) else {
-            return false;
-        };
-        for k in &links {
-            if self.links[k].reserved_bps + bps > self.links[k].spec.bandwidth_bps {
-                return false;
-            }
+        match self.route(src, dst) {
+            Some(route) => self.reserve_route(conn, route, bps),
+            None => false,
         }
-        for k in &links {
-            self.links.get_mut(k).unwrap().reserved_bps += bps;
-        }
-        self.reservations.insert(conn, (links, bps));
-        true
     }
 
     /// Reserve `bps` on an explicit set of links (a partial path). Used when
@@ -408,26 +512,31 @@ impl Network {
         links: Vec<(NodeId, NodeId)>,
         bps: u64,
     ) -> bool {
-        for k in &links {
-            match self.links.get(k) {
-                Some(l) if l.reserved_bps + bps <= l.spec.bandwidth_bps => {}
-                _ => return false,
-            }
+        let route: Option<Vec<u32>> = links.iter().map(|k| self.link_ix.get(k).copied()).collect();
+        match route {
+            Some(route) => self.reserve_route(conn, route, bps),
+            None => false,
         }
-        for k in &links {
-            self.links.get_mut(k).unwrap().reserved_bps += bps;
+    }
+
+    fn reserve_route(&mut self, conn: ConnectionId, route: Vec<u32>, bps: u64) -> bool {
+        let fits = |l: &Link| l.reserved_bps + bps <= l.spec.bandwidth_bps;
+        if !route.iter().all(|&l| fits(&self.links[l as usize])) {
+            return false;
         }
-        self.reservations.insert(conn, (links, bps));
+        for &l in &route {
+            self.links[l as usize].reserved_bps += bps;
+        }
+        self.reservations.insert(conn, (route, bps));
         true
     }
 
     /// Release a connection's reservation (idempotent).
     pub fn release(&mut self, conn: ConnectionId) {
-        if let Some((links, bps)) = self.reservations.remove(&conn) {
-            for k in links {
-                if let Some(l) = self.links.get_mut(&k) {
-                    l.reserved_bps = l.reserved_bps.saturating_sub(bps);
-                }
+        if let Some((route, bps)) = self.reservations.remove(&conn) {
+            for l in route {
+                let l = &mut self.links[l as usize];
+                l.reserved_bps = l.reserved_bps.saturating_sub(bps);
             }
         }
     }
@@ -440,7 +549,7 @@ impl Network {
     /// Aggregate stats over all links.
     pub fn total_stats(&self) -> LinkStats {
         let mut s = LinkStats::default();
-        for l in self.links.values() {
+        for l in &self.links {
             s.packets_sent += l.stats.packets_sent;
             s.bytes_sent += l.stats.bytes_sent;
             s.packets_lost += l.stats.packets_lost;
@@ -460,9 +569,188 @@ impl Default for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn n(id: u64) -> NodeId {
         NodeId::new(id)
+    }
+
+    /// The routing this crate used before the tables went dense, kept as the
+    /// reference the dense BFS is compared against: an all-pairs
+    /// `HashMap<(src, dst), next hop>` filled by a `HashMap`-parent BFS over
+    /// id-sorted adjacency, first hop found by walking back from `dst`.
+    fn reference_routes(
+        nodes: &[NodeId],
+        links: &[(NodeId, NodeId)],
+    ) -> HashMap<(NodeId, NodeId), NodeId> {
+        let mut routes = HashMap::new();
+        let mut adj: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+        for (from, to) in links {
+            adj.entry(*from).or_default().push(*to);
+        }
+        for v in adj.values_mut() {
+            v.sort();
+        }
+        for &src in nodes {
+            let mut parent: HashMap<NodeId, NodeId> = HashMap::new();
+            let mut q = VecDeque::new();
+            q.push_back(src);
+            parent.insert(src, src);
+            while let Some(u) = q.pop_front() {
+                for &w in adj.get(&u).map_or(&[][..], |v| v) {
+                    if let std::collections::hash_map::Entry::Vacant(e) = parent.entry(w) {
+                        e.insert(u);
+                        q.push_back(w);
+                    }
+                }
+            }
+            for &dst in nodes {
+                if dst == src || !parent.contains_key(&dst) {
+                    continue;
+                }
+                let mut cur = dst;
+                while parent[&cur] != src {
+                    cur = parent[&cur];
+                }
+                routes.insert((src, dst), cur);
+            }
+        }
+        routes
+    }
+
+    /// The reference `path`: iterate the reference next hops.
+    fn reference_path(
+        routes: &HashMap<(NodeId, NodeId), NodeId>,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Option<Vec<NodeId>> {
+        let mut path = vec![src];
+        let mut cur = src;
+        while cur != dst {
+            cur = *routes.get(&(cur, dst))?;
+            path.push(cur);
+        }
+        Some(path)
+    }
+
+    fn assert_routes_match(
+        net: &Network,
+        nodes: &[NodeId],
+        links: &[(NodeId, NodeId)],
+    ) -> Result<(), TestCaseError> {
+        let reference = reference_routes(nodes, links);
+        for &src in nodes {
+            for &dst in nodes {
+                prop_assert_eq!(
+                    net.next_hop(src, dst),
+                    reference.get(&(src, dst)).copied(),
+                    "next_hop {} -> {}",
+                    src,
+                    dst
+                );
+                prop_assert_eq!(
+                    net.path(src, dst),
+                    reference_path(&reference, src, dst),
+                    "path {} -> {}",
+                    src,
+                    dst
+                );
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random directed graphs — asymmetric links, unreachable nodes,
+        /// equal-cost ties, sparse ids added in arbitrary order — route
+        /// exactly as the reference does for every ordered pair, and read as
+        /// unrouted between an `add_link` and the next `compute_routes`.
+        #[test]
+        fn dense_routing_equals_reference_bfs(
+            raw_ids in proptest::collection::vec(0u64..400, 2..61),
+            raw_links in proptest::collection::vec((0usize..60, 0usize..60), 0..200),
+            late in (0usize..60, 0usize..60),
+        ) {
+            let mut ids: Vec<NodeId> = Vec::new();
+            for raw in raw_ids {
+                // A few dense low ids among widely spaced ones.
+                let id = n(if raw % 3 == 0 { raw / 3 } else { raw * 1_000_003 });
+                if !ids.contains(&id) {
+                    ids.push(id);
+                }
+            }
+            if ids.len() < 2 {
+                ids.push(n(u64::MAX));
+            }
+            let pick = |(a, b): (usize, usize)| (ids[a % ids.len()], ids[b % ids.len()]);
+            let mut net = Network::new();
+            for &id in &ids {
+                net.add_node(id, "");
+            }
+            let mut rng = SimRng::seed_from_u64(1);
+            let mut links: Vec<(NodeId, NodeId)> = Vec::new();
+            for (from, to) in raw_links.into_iter().map(pick) {
+                if from != to && !links.contains(&(from, to)) {
+                    links.push((from, to));
+                    net.add_link(from, to, LinkSpec::lan(1_000_000), rng.split());
+                }
+            }
+            let mut sorted = ids.clone();
+            sorted.sort();
+            prop_assert_eq!(net.nodes(), sorted.clone());
+            net.compute_routes();
+            assert_routes_match(&net, &sorted, &links)?;
+
+            // One more link: routing is invalid until recomputed...
+            let (from, to) = pick(late);
+            if from != to {
+                net.add_link(from, to, LinkSpec::lan(1_000_000), rng.split());
+                if !links.contains(&(from, to)) {
+                    links.push((from, to));
+                }
+                for &src in &sorted {
+                    for &dst in &sorted {
+                        prop_assert_eq!(net.next_hop(src, dst), None);
+                        prop_assert_eq!(net.path(src, dst).is_some(), src == dst);
+                    }
+                }
+                // ...and matches the reference again afterwards.
+                net.compute_routes();
+                assert_routes_match(&net, &sorted, &links)?;
+            }
+        }
+    }
+
+    #[test]
+    fn nodes_added_after_routing_are_unrouted_until_recompute() {
+        let mut net = line_network();
+        net.add_node(n(3), "late");
+        // Old routes stand; the new node is simply unreachable.
+        assert_eq!(net.next_hop(n(0), n(2)), Some(n(1)));
+        assert_eq!(net.next_hop(n(0), n(3)), None);
+        assert_eq!(net.next_hop(n(3), n(0)), None);
+        let mut rng = SimRng::seed_from_u64(2);
+        net.add_duplex(n(2), n(3), LinkSpec::lan(10_000_000), &mut rng);
+        assert_eq!(net.next_hop(n(0), n(2)), None, "add_link invalidates");
+        net.compute_routes();
+        assert_eq!(net.path(n(0), n(3)).unwrap(), vec![n(0), n(1), n(2), n(3)]);
+    }
+
+    #[test]
+    fn readding_a_node_or_link_replaces_in_place() {
+        let mut net = line_network();
+        net.link_mut(n(0), n(1)).unwrap().reserved_bps = 5;
+        net.add_node(n(1), "renamed");
+        assert_eq!(net.node_name(n(1)), Some("renamed"));
+        assert_eq!(net.nodes(), vec![n(0), n(1), n(2)]);
+        let mut rng = SimRng::seed_from_u64(3);
+        net.add_link(n(0), n(1), LinkSpec::lan(1_000_000), rng.split());
+        net.compute_routes();
+        let l = net.link(n(0), n(1)).unwrap();
+        assert_eq!((l.spec.bandwidth_bps, l.reserved_bps), (1_000_000, 0));
+        assert_eq!(net.path_links(n(0), n(2)).unwrap().len(), 2);
     }
 
     fn line_network() -> Network {
