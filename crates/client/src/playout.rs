@@ -132,6 +132,142 @@ impl StreamPlayout {
     pub fn lag(&self, presentation_start: MediaTime, now: MediaTime) -> MediaDuration {
         (self.expected_pos(presentation_start, now) - self.content_pos).max(MediaDuration::ZERO)
     }
+
+    /// The position this stream could itself reach right now: its content,
+    /// or the newest data in its buffer, bounded by schedule.
+    fn frontier(&self, presentation_start: MediaTime, now: MediaTime) -> MediaDuration {
+        let expected = self.expected_pos(presentation_start, now);
+        let reachable = match &self.buffer {
+            Some(b) => match b.newest_pts() {
+                Some(pts) => (pts - MediaTime::ZERO) + self.frame_period,
+                None => self.content_pos,
+            },
+            None => expected,
+        };
+        self.content_pos.max(reachable).min(expected)
+    }
+
+    /// Advance this stream to wall time `now`: apply the occupancy repair,
+    /// then present every due frame, reporting each event through `emit` in
+    /// the order it happens.
+    fn tick(
+        &mut self,
+        cfg: &PlayoutConfig,
+        t0: MediaTime,
+        now: MediaTime,
+        catch_up_cap: Option<MediaDuration>,
+        mut emit: impl FnMut(MediaTime, PlayoutEventKind),
+    ) {
+        match self.status {
+            StreamStatus::Disabled | StreamStatus::Finished => return,
+            StreamStatus::Pending => {
+                if self.next_deadline <= now {
+                    self.status = StreamStatus::Active;
+                    emit(self.next_deadline, PlayoutEventKind::Started);
+                } else {
+                    return;
+                }
+            }
+            StreamStatus::Active => {}
+        }
+        // Occupancy repair: overflow → drop stale frames down to the
+        // nominal window.
+        if cfg.drop_on_overflow {
+            let mut expected = self.expected_pos(t0, now);
+            if let Some(cap) = catch_up_cap {
+                expected = expected.min(cap);
+            }
+            if let Some(b) = &mut self.buffer {
+                if b.state() == BufferState::Overflow {
+                    let excess = b.staged_time() - b.config().time_window;
+                    let n = (excess.as_micros() / self.frame_period.as_micros()).max(1) as u32;
+                    let dropped = b.drop_stale(MediaTime::ZERO + expected, n);
+                    if dropped > 0 {
+                        self.stats.frames_dropped += dropped as u64;
+                        // Content skips forward implicitly: the next
+                        // played frame carries a later pts, and playout
+                        // sets content_pos from the frame's pts.
+                        emit(now, PlayoutEventKind::FramesDropped { count: dropped });
+                    }
+                }
+            }
+        }
+        // Present every due frame.
+        while self.next_deadline <= now && self.status == StreamStatus::Active {
+            let deadline = self.next_deadline;
+            if self.content_pos >= self.duration {
+                self.status = StreamStatus::Finished;
+                emit(deadline, PlayoutEventKind::Finished);
+                break;
+            }
+            match &mut self.buffer {
+                Some(b) => {
+                    // Skip frames whose presentation window is entirely
+                    // in the past (they arrived too late to matter) —
+                    // except the final frame, which must terminate the
+                    // stream.
+                    let popped = loop {
+                        match b.pop() {
+                            Some(Popped::Frame(f))
+                                if !f.last
+                                    && (f.pts - MediaTime::ZERO) + self.frame_period
+                                        <= self.content_pos =>
+                            {
+                                self.stats.frames_dropped += 1;
+                                continue;
+                            }
+                            other => break other,
+                        }
+                    };
+                    match popped {
+                        Some(Popped::Frame(frame)) => {
+                            let advances = (frame.pts - MediaTime::ZERO) >= self.content_pos;
+                            if advances {
+                                self.content_pos =
+                                    (frame.pts - MediaTime::ZERO) + self.frame_period;
+                                self.stats.frames_played += 1;
+                                emit(deadline, PlayoutEventKind::FramePlayed { seq: frame.seq });
+                            } else {
+                                self.stats.stale_frames += 1;
+                                emit(deadline, PlayoutEventKind::DuplicatePlayed);
+                            }
+                            if frame.last {
+                                self.status = StreamStatus::Finished;
+                                emit(deadline, PlayoutEventKind::Finished);
+                            }
+                        }
+                        Some(Popped::Duplicate) => {
+                            // Skew repair: replay the previous frame,
+                            // content stalls.
+                            self.stats.duplicates_played += 1;
+                            emit(deadline, PlayoutEventKind::DuplicatePlayed);
+                        }
+                        None => {
+                            if cfg.duplicate_on_underflow && self.stats.frames_played > 0 {
+                                // Replay the previous frame: smooth
+                                // presentation, content stalls.
+                                self.stats.duplicates_played += 1;
+                                emit(deadline, PlayoutEventKind::DuplicatePlayed);
+                            } else {
+                                self.stats.glitches += 1;
+                                emit(deadline, PlayoutEventKind::Glitch);
+                            }
+                        }
+                    }
+                }
+                None => {
+                    // Inline media (text): present instantly, whole
+                    // duration in one step.
+                    self.content_pos = self.duration;
+                    self.stats.frames_played += 1;
+                    emit(deadline, PlayoutEventKind::FramePlayed { seq: 0 });
+                    self.status = StreamStatus::Finished;
+                    emit(deadline, PlayoutEventKind::Finished);
+                }
+            }
+            self.next_deadline = deadline + self.frame_period;
+        }
+    }
 }
 
 /// Engine configuration.
@@ -194,6 +330,9 @@ pub struct PlayoutEngine {
     /// one per frame period so duplicates don't pile up faster than playout
     /// consumes them.
     repair_cooldown: BTreeMap<(ComponentId, ComponentId), MediaTime>,
+    /// Scratch of the tick in progress: each stream's catch-up cap, in
+    /// `streams` order. Kept so a tick allocates nothing.
+    caps: Vec<Option<MediaDuration>>,
 }
 
 impl PlayoutEngine {
@@ -246,6 +385,7 @@ impl PlayoutEngine {
             events: Vec::new(),
             max_skew_observed: MediaDuration::ZERO,
             repair_cooldown: BTreeMap::new(),
+            caps: Vec::new(),
         }
     }
 
@@ -356,191 +496,40 @@ impl PlayoutEngine {
         let Some(t0) = self.presentation_start else {
             return;
         };
-        let ids: Vec<ComponentId> = self.streams.keys().copied().collect();
         // A stream in a sync group must never skip ahead of its slowest
         // partner by more than the tolerance. The partner's *frontier* is
-        // the position it could itself reach right now (its content, or the
-        // newest data in its buffer, bounded by schedule) — using the
-        // frontier rather than raw content lets partners with backlog skip
-        // forward together.
+        // the position it could itself reach right now — using the frontier
+        // rather than raw content lets partners with backlog skip forward
+        // together. Every cap is taken before any stream moves.
         let tolerance = self.cfg.tolerance.audio_video;
-        let frontier: BTreeMap<ComponentId, MediaDuration> = ids
-            .iter()
-            .map(|id| {
-                let s = &self.streams[id];
-                let expected = self
-                    .presentation_start
-                    .map(|start| s.expected_pos(start, now))
-                    .unwrap_or(MediaDuration::ZERO);
-                let reachable = match &s.buffer {
-                    Some(b) => match b.newest_pts() {
-                        Some(pts) => (pts - MediaTime::ZERO) + s.frame_period,
-                        None => s.content_pos,
-                    },
-                    None => expected,
-                };
-                (*id, s.content_pos.max(reachable).min(expected))
-            })
-            .collect();
-        let mut caps: BTreeMap<ComponentId, MediaDuration> = BTreeMap::new();
-        for id in &ids {
-            let s = &self.streams[id];
-            let min_partner = s
-                .sync_partners
+        let streams = &self.streams;
+        self.caps.clear();
+        self.caps.extend(streams.values().map(|s| {
+            s.sync_partners
                 .iter()
-                .filter(|p| {
-                    self.streams
-                        .get(p)
-                        .map(|ps| {
-                            ps.status == StreamStatus::Active || ps.status == StreamStatus::Pending
-                        })
-                        .unwrap_or(false)
-                })
-                .filter_map(|p| frontier.get(p))
-                .copied()
-                .min();
-            if let Some(mp) = min_partner {
-                caps.insert(*id, mp + tolerance);
-            }
-        }
-        for id in ids {
-            let cap = caps.get(&id).copied();
-            self.tick_stream(id, now, cap);
+                .filter_map(|p| streams.get(p))
+                .filter(|ps| matches!(ps.status, StreamStatus::Active | StreamStatus::Pending))
+                .map(|ps| ps.frontier(t0, now))
+                .min()
+                .map(|min_partner| min_partner + tolerance)
+        }));
+        let (cfg, events) = (&self.cfg, &mut self.events);
+        for (s, &cap) in self.streams.values_mut().zip(&self.caps) {
+            let component = s.component;
+            s.tick(cfg, t0, now, cap, |at, kind| {
+                if cfg.record_events {
+                    events.push(PlayoutEvent {
+                        at,
+                        component,
+                        kind,
+                    });
+                }
+            });
         }
         if self.cfg.enforce_sync {
             self.enforce_sync(now);
         }
         self.observe_skew(t0, now);
-    }
-
-    fn tick_stream(
-        &mut self,
-        id: ComponentId,
-        now: MediaTime,
-        catch_up_cap: Option<MediaDuration>,
-    ) {
-        let t0 = self.presentation_start.expect("tick_stream before start");
-        let mut pending_events: Vec<(MediaTime, PlayoutEventKind)> = Vec::new();
-        {
-            let s = self.streams.get_mut(&id).unwrap();
-            match s.status {
-                StreamStatus::Disabled | StreamStatus::Finished => return,
-                StreamStatus::Pending => {
-                    if s.next_deadline <= now {
-                        s.status = StreamStatus::Active;
-                        pending_events.push((s.next_deadline, PlayoutEventKind::Started));
-                    } else {
-                        return;
-                    }
-                }
-                StreamStatus::Active => {}
-            }
-            // Occupancy repair: overflow → drop stale frames down to the
-            // nominal window.
-            if self.cfg.drop_on_overflow {
-                let mut expected = s.expected_pos(t0, now);
-                if let Some(cap) = catch_up_cap {
-                    expected = expected.min(cap);
-                }
-                if let Some(b) = &mut s.buffer {
-                    if b.state() == BufferState::Overflow {
-                        let excess = b.staged_time() - b.config().time_window;
-                        let n = (excess.as_micros() / s.frame_period.as_micros()).max(1) as u32;
-                        let dropped = b.drop_stale(MediaTime::ZERO + expected, n);
-                        if dropped > 0 {
-                            s.stats.frames_dropped += dropped as u64;
-                            // Content skips forward implicitly: the next
-                            // played frame carries a later pts, and playout
-                            // sets content_pos from the frame's pts.
-                            pending_events
-                                .push((now, PlayoutEventKind::FramesDropped { count: dropped }));
-                        }
-                    }
-                }
-            }
-            // Present every due frame.
-            while s.next_deadline <= now && s.status == StreamStatus::Active {
-                let deadline = s.next_deadline;
-                if s.content_pos >= s.duration {
-                    s.status = StreamStatus::Finished;
-                    pending_events.push((deadline, PlayoutEventKind::Finished));
-                    break;
-                }
-                match &mut s.buffer {
-                    Some(b) => {
-                        // Skip frames whose presentation window is entirely
-                        // in the past (they arrived too late to matter) —
-                        // except the final frame, which must terminate the
-                        // stream.
-                        let popped = loop {
-                            match b.pop() {
-                                Some(Popped::Frame(f))
-                                    if !f.last
-                                        && (f.pts - MediaTime::ZERO) + s.frame_period
-                                            <= s.content_pos =>
-                                {
-                                    s.stats.frames_dropped += 1;
-                                    continue;
-                                }
-                                other => break other,
-                            }
-                        };
-                        match popped {
-                            Some(Popped::Frame(frame)) => {
-                                let advances = (frame.pts - MediaTime::ZERO) >= s.content_pos;
-                                if advances {
-                                    s.content_pos = (frame.pts - MediaTime::ZERO) + s.frame_period;
-                                    s.stats.frames_played += 1;
-                                    pending_events.push((
-                                        deadline,
-                                        PlayoutEventKind::FramePlayed { seq: frame.seq },
-                                    ));
-                                } else {
-                                    s.stats.stale_frames += 1;
-                                    pending_events
-                                        .push((deadline, PlayoutEventKind::DuplicatePlayed));
-                                }
-                                if frame.last {
-                                    s.status = StreamStatus::Finished;
-                                    pending_events.push((deadline, PlayoutEventKind::Finished));
-                                }
-                            }
-                            Some(Popped::Duplicate) => {
-                                // Skew repair: replay the previous frame,
-                                // content stalls.
-                                s.stats.duplicates_played += 1;
-                                pending_events.push((deadline, PlayoutEventKind::DuplicatePlayed));
-                            }
-                            None => {
-                                if self.cfg.duplicate_on_underflow && s.stats.frames_played > 0 {
-                                    // Replay the previous frame: smooth
-                                    // presentation, content stalls.
-                                    s.stats.duplicates_played += 1;
-                                    pending_events
-                                        .push((deadline, PlayoutEventKind::DuplicatePlayed));
-                                } else {
-                                    s.stats.glitches += 1;
-                                    pending_events.push((deadline, PlayoutEventKind::Glitch));
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        // Inline media (text): present instantly, whole
-                        // duration in one step.
-                        s.content_pos = s.duration;
-                        s.stats.frames_played += 1;
-                        pending_events.push((deadline, PlayoutEventKind::FramePlayed { seq: 0 }));
-                        s.status = StreamStatus::Finished;
-                        pending_events.push((deadline, PlayoutEventKind::Finished));
-                    }
-                }
-                s.next_deadline = deadline + s.frame_period;
-            }
-        }
-        for (at, kind) in pending_events {
-            self.push_event(at, id, kind);
-        }
     }
 
     /// Signed content skew of `a` relative to `b` (positive: `a` leads).
@@ -557,10 +546,11 @@ impl PlayoutEngine {
 
     /// Enforce skew bounds within each sync group.
     fn enforce_sync(&mut self, now: MediaTime) {
-        let groups = self.sync_groups.clone();
-        for group in groups {
-            for i in 0..group.len() {
-                for j in (i + 1)..group.len() {
+        for g in 0..self.sync_groups.len() {
+            let members = self.sync_groups[g].len();
+            for i in 0..members {
+                for j in (i + 1)..members {
+                    let group = &self.sync_groups[g];
                     self.repair_pair(group[i], group[j], now);
                 }
             }

@@ -4,9 +4,10 @@
 //! "RTP data packets contain, besides pure data, auxiliary information such
 //! as: a timestamp ..., packet sequencing information, the packet's data
 //! payload type" (§6.3). The 12-byte header is encoded/decoded exactly;
-//! payloads in the simulator are synthetic bytes of the right length.
+//! payloads in the simulator are synthetic bytes of the right length, so a
+//! packet records only how long its payload is and owns no memory.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use serde::{Deserialize, Serialize};
 
 /// RTP protocol version (always 2).
@@ -69,7 +70,7 @@ impl PayloadType {
 }
 
 /// A decoded RTP packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RtpPacket {
     /// Payload type.
     pub payload_type: PayloadType,
@@ -81,8 +82,8 @@ pub struct RtpPacket {
     pub timestamp: u32,
     /// Synchronization source (one per media stream/connection).
     pub ssrc: u32,
-    /// Payload bytes.
-    pub payload: Bytes,
+    /// Payload length in bytes (the content is synthetic: zeros on the wire).
+    pub payload_len: usize,
 }
 
 /// Errors decoding an RTP packet.
@@ -109,21 +110,21 @@ impl std::fmt::Display for RtpDecodeError {
 impl std::error::Error for RtpDecodeError {}
 
 impl RtpPacket {
-    /// Encode to wire bytes (header + payload).
+    /// Encode to wire bytes (header + zero payload).
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(RTP_HEADER_LEN + self.payload.len());
+        let mut b = vec![0u8; RTP_HEADER_LEN + self.payload_len];
         // V=2, P=0, X=0, CC=0
-        b.put_u8(RTP_VERSION << 6);
+        b[0] = RTP_VERSION << 6;
         let m = if self.marker { 0x80 } else { 0 };
-        b.put_u8(m | (self.payload_type.code() & 0x7F));
-        b.put_u16(self.seq);
-        b.put_u32(self.timestamp);
-        b.put_u32(self.ssrc);
-        b.extend_from_slice(&self.payload);
-        b.freeze()
+        b[1] = m | (self.payload_type.code() & 0x7F);
+        b[2..4].copy_from_slice(&self.seq.to_be_bytes());
+        b[4..8].copy_from_slice(&self.timestamp.to_be_bytes());
+        b[8..12].copy_from_slice(&self.ssrc.to_be_bytes());
+        Bytes::from(b)
     }
 
-    /// Decode from wire bytes.
+    /// Decode from wire bytes: the header is validated, the payload is
+    /// measured and dropped.
     pub fn decode(mut data: Bytes) -> Result<RtpPacket, RtpDecodeError> {
         if data.len() < RTP_HEADER_LEN {
             return Err(RtpDecodeError::Truncated);
@@ -147,17 +148,18 @@ impl RtpPacket {
             seq,
             timestamp,
             ssrc,
-            payload: data,
+            payload_len: data.len(),
         })
     }
 
     /// Total on-wire size including UDP/IP overhead (what the simulator
     /// charges the link for).
     pub fn wire_size(&self) -> usize {
-        RTP_HEADER_LEN + self.payload.len() + UDP_IP_OVERHEAD
+        RTP_HEADER_LEN + self.payload_len + UDP_IP_OVERHEAD
     }
 
-    /// A packet with a synthetic zero payload of `len` bytes.
+    /// A packet with a synthetic zero payload of `len` bytes (allocates
+    /// nothing).
     pub fn synthetic(
         payload_type: PayloadType,
         marker: bool,
@@ -172,7 +174,7 @@ impl RtpPacket {
             seq,
             timestamp,
             ssrc,
-            payload: Bytes::from(vec![0u8; len]),
+            payload_len: len,
         }
     }
 }
@@ -269,8 +271,21 @@ mod tests {
     }
 
     #[test]
+    fn packet_owns_no_memory() {
+        fn is_copy<T: Copy>() {}
+        is_copy::<RtpPacket>();
+        // It rides inside every queued `RtpData` message; 32 B is what it
+        // measured while it still owned its payload.
+        assert!(std::mem::size_of::<RtpPacket>() <= 32);
+    }
+
+    #[test]
     fn wire_size_includes_overhead() {
         let p = RtpPacket::synthetic(PayloadType::Pcm, false, 1, 2, 3, 160);
         assert_eq!(p.wire_size(), 12 + 160 + 28);
+        for len in [0, 1, 1_400, 65_000] {
+            let p = RtpPacket::synthetic(PayloadType::Mpeg, true, 1, 2, 3, len);
+            assert_eq!(p.wire_size(), p.encode().len() + UDP_IP_OVERHEAD);
+        }
     }
 }

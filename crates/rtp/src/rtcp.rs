@@ -86,6 +86,8 @@ pub enum RtcpDecodeError {
 const PT_SR: u8 = 200;
 const PT_RR: u8 = 201;
 const PT_BYE: u8 = 203;
+/// Encoded size of one report block.
+const BLOCK_LEN: usize = 24;
 
 fn put_block(b: &mut BytesMut, r: &ReportBlock) {
     b.put_u32(r.ssrc);
@@ -100,7 +102,7 @@ fn put_block(b: &mut BytesMut, r: &ReportBlock) {
 }
 
 fn get_block(b: &mut Bytes) -> Result<ReportBlock, RtcpDecodeError> {
-    if b.len() < 24 {
+    if b.len() < BLOCK_LEN {
         return Err(RtcpDecodeError::Truncated);
     }
     let ssrc = b.get_u32();
@@ -217,9 +219,17 @@ impl RtcpPacket {
         }
     }
 
-    /// On-wire size including UDP/IP overhead.
+    /// On-wire size including UDP/IP overhead: the length [`encode`] would
+    /// produce, without encoding.
+    ///
+    /// [`encode`]: RtcpPacket::encode
     pub fn wire_size(&self) -> usize {
-        self.encode().len() + crate::packet::UDP_IP_OVERHEAD
+        let rtcp = match self {
+            RtcpPacket::SenderReport { reports, .. } => 28 + BLOCK_LEN * reports.len(),
+            RtcpPacket::ReceiverReport { reports, .. } => 8 + BLOCK_LEN * reports.len(),
+            RtcpPacket::Bye { .. } => 8,
+        };
+        rtcp + crate::packet::UDP_IP_OVERHEAD
     }
 }
 
@@ -278,6 +288,32 @@ mod tests {
         // 8-byte header + 24-byte block = 32 bytes = 8 words → length 7.
         assert_eq!(wire.len(), 32);
         assert_eq!(u16::from_be_bytes([wire[2], wire[3]]), 7);
+    }
+
+    #[test]
+    fn wire_size_is_encoded_length_plus_overhead() {
+        for n in 0..32u32 {
+            let reports: Vec<ReportBlock> = (0..n).map(block).collect();
+            let packets = [
+                RtcpPacket::SenderReport {
+                    ssrc: 7,
+                    ntp_timestamp: 1,
+                    rtp_timestamp: 2,
+                    packet_count: 3,
+                    octet_count: 4,
+                    reports: reports.clone(),
+                },
+                RtcpPacket::ReceiverReport { ssrc: 7, reports },
+                RtcpPacket::Bye { ssrc: 7 },
+            ];
+            for p in packets {
+                assert_eq!(
+                    p.wire_size(),
+                    p.encode().len() + crate::packet::UDP_IP_OVERHEAD,
+                    "{p:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,12 +7,16 @@
 //! parallel connection which is established between the browser and the
 //! corresponding media server", §6.1).
 
-use crate::packet::{micros_to_clock, PayloadType, RtpPacket, RTP_HEADER_LEN, UDP_IP_OVERHEAD};
+use crate::packet::{
+    clock_to_micros, micros_to_clock, PayloadType, RtpPacket, RTP_HEADER_LEN, UDP_IP_OVERHEAD,
+};
 use crate::rtcp::{ReportBlock, RtcpPacket};
 use crate::stats::ReceiverStats;
 use hermes_core::{Encoding, MediaTime};
 use hermes_media::MediaFrame;
-use std::collections::BTreeMap;
+
+#[cfg(test)]
+mod spec;
 
 /// Map an encoding to its RTP payload type.
 pub fn payload_type_for(encoding: Encoding) -> PayloadType {
@@ -70,31 +74,25 @@ impl RtpSender {
 
     /// Packetize one media frame into RTP packets. The frame's `pts` (stream
     /// relative) becomes the RTP timestamp; the marker bit is set on the
-    /// final fragment of the frame.
-    pub fn packetize(&mut self, frame: &MediaFrame) -> Vec<RtpPacket> {
-        let ts = micros_to_clock(frame.pts.as_micros(), self.payload_type.clock_rate());
-        let mut remaining = frame.size as usize;
-        let mut out = Vec::new();
-        loop {
-            let chunk = remaining.min(self.max_payload);
-            remaining -= chunk;
-            let marker = remaining == 0;
-            out.push(RtpPacket::synthetic(
-                self.payload_type,
-                marker,
-                self.next_seq,
-                ts,
-                self.ssrc,
-                chunk,
-            ));
-            self.next_seq = self.next_seq.wrapping_add(1);
-            self.packet_count += 1;
-            self.octet_count = self.octet_count.wrapping_add(chunk as u32);
-            if marker {
-                break;
-            }
-        }
-        out
+    /// final fragment of the frame (a 0-byte frame is one marker packet).
+    /// The sender's sequence and counters advance for the whole frame here,
+    /// whether or not the returned iterator is drained.
+    pub fn packetize(&mut self, frame: &MediaFrame) -> Packets {
+        let size = frame.size as usize;
+        let fragments = size.div_ceil(self.max_payload).max(1);
+        let packets = Packets {
+            payload_type: self.payload_type,
+            ssrc: self.ssrc,
+            timestamp: micros_to_clock(frame.pts.as_micros(), self.payload_type.clock_rate()),
+            seq: self.next_seq,
+            remaining: size,
+            max_payload: self.max_payload,
+            done: false,
+        };
+        self.next_seq = self.next_seq.wrapping_add(fragments as u16);
+        self.packet_count += fragments as u32;
+        self.octet_count = self.octet_count.wrapping_add(frame.size);
+        packets
     }
 
     /// Produce a sender report at local time `now`.
@@ -107,6 +105,42 @@ impl RtpSender {
             octet_count: self.octet_count,
             reports: Vec::new(),
         }
+    }
+}
+
+/// The RTP packets of one frame, in sequence order (see
+/// [`RtpSender::packetize`]). Owns no memory and borrows nothing.
+#[derive(Debug, Clone)]
+pub struct Packets {
+    payload_type: PayloadType,
+    ssrc: u32,
+    timestamp: u32,
+    seq: u16,
+    remaining: usize,
+    max_payload: usize,
+    done: bool,
+}
+
+impl Iterator for Packets {
+    type Item = RtpPacket;
+
+    fn next(&mut self) -> Option<RtpPacket> {
+        if self.done {
+            return None;
+        }
+        let chunk = self.remaining.min(self.max_payload);
+        self.remaining -= chunk;
+        self.done = self.remaining == 0;
+        let packet = RtpPacket::synthetic(
+            self.payload_type,
+            self.done,
+            self.seq,
+            self.timestamp,
+            self.ssrc,
+            chunk,
+        );
+        self.seq = self.seq.wrapping_add(1);
+        Some(packet)
     }
 }
 
@@ -125,6 +159,14 @@ pub struct ReceivedFrame {
     pub incomplete: bool,
 }
 
+/// Fragments of one frame received so far.
+#[derive(Debug, Clone, Copy)]
+struct PartialFrame {
+    timestamp: u32,
+    bytes: u32,
+    last_arrival: MediaTime,
+}
+
 /// Receiver half of an RTP session for one media stream.
 #[derive(Debug)]
 pub struct RtpReceiver {
@@ -133,8 +175,10 @@ pub struct RtpReceiver {
     clock_rate: u32,
     /// Reception statistics for RTCP reporting.
     pub stats: ReceiverStats,
-    /// Partial frames keyed by RTP timestamp.
-    partial: BTreeMap<u32, (u32, MediaTime, bool)>, // (bytes, last_arrival, saw_marker)
+    /// Partial frames sorted by RTP timestamp. A frame lives here from its
+    /// first fragment to its marker, so this is almost always empty or one
+    /// entry at the tail.
+    partial: Vec<PartialFrame>,
     /// Completed frames ready for the buffer layer.
     ready: Vec<ReceivedFrame>,
     /// Timestamp of the last SR received (for LSR/DLSR).
@@ -149,7 +193,7 @@ impl RtpReceiver {
             ssrc: None,
             clock_rate,
             stats: ReceiverStats::new(clock_rate),
-            partial: BTreeMap::new(),
+            partial: Vec::new(),
             ready: Vec::new(),
             last_sr: None,
         }
@@ -163,28 +207,43 @@ impl RtpReceiver {
             return; // foreign SSRC — not our stream
         }
         self.stats.on_packet(pkt, arrival);
-        let entry = self
+        let at = match self
             .partial
-            .entry(pkt.timestamp)
-            .or_insert((0, arrival, false));
-        entry.0 += pkt.payload.len() as u32;
-        entry.1 = entry.1.max(arrival);
-        entry.2 |= pkt.marker;
+            .binary_search_by_key(&pkt.timestamp, |p| p.timestamp)
+        {
+            Ok(at) => at,
+            Err(at) => {
+                self.partial.insert(
+                    at,
+                    PartialFrame {
+                        timestamp: pkt.timestamp,
+                        bytes: 0,
+                        last_arrival: arrival,
+                    },
+                );
+                at
+            }
+        };
+        let entry = &mut self.partial[at];
+        entry.bytes += pkt.payload_len as u32;
+        entry.last_arrival = entry.last_arrival.max(arrival);
         if pkt.marker {
             // Frame complete (fragments of one frame arrive in order on our
             // simulated links; a lost fragment means the marker may carry a
             // short frame — flagged incomplete by the caller via size checks).
-            let (size, last_arrival, _) = self.partial.remove(&pkt.timestamp).unwrap();
+            let done = self.partial.remove(at);
             self.ready.push(ReceivedFrame {
                 timestamp: pkt.timestamp,
-                pts: MediaTime::from_micros(crate::packet::clock_to_micros(
-                    pkt.timestamp,
-                    self.clock_rate,
-                )),
-                size,
-                arrival: last_arrival,
+                pts: MediaTime::from_micros(clock_to_micros(pkt.timestamp, self.clock_rate)),
+                size: done.bytes,
+                arrival: done.last_arrival,
                 incomplete: false,
             });
+            // A fragment that arrives after its frame's marker re-creates an
+            // entry no second marker will ever complete; bound those to one
+            // second of media clock behind the newest completed frame.
+            self.stats.frames_abandoned +=
+                self.expire_partials(pkt.timestamp, self.clock_rate) as u64;
         }
     }
 
@@ -193,28 +252,25 @@ impl RtpReceiver {
         self.last_sr = Some((ntp_timestamp, arrival));
     }
 
-    /// Drain frames completed since the last call.
+    /// Take the frames completed since the last call (the buffer goes with
+    /// them; [`RtpReceiver::drain_frames`] keeps it).
     pub fn take_frames(&mut self) -> Vec<ReceivedFrame> {
         std::mem::take(&mut self.ready)
     }
 
-    /// Expire partial frames whose timestamp is older than `horizon_us`
-    /// behind the newest — their missing fragments were lost. Returns how
-    /// many frames were abandoned.
+    /// Drain the frames completed since the last call, in completion order.
+    pub fn drain_frames(&mut self) -> std::vec::Drain<'_, ReceivedFrame> {
+        self.ready.drain(..)
+    }
+
+    /// Expire partial frames more than `horizon_clock` clock units behind
+    /// `newest_ts` (wrap-aware) — their missing fragments were lost. Returns
+    /// how many frames were abandoned.
     pub fn expire_partials(&mut self, newest_ts: u32, horizon_clock: u32) -> usize {
-        let cutoff = newest_ts.wrapping_sub(horizon_clock);
-        // BTreeMap over raw u32 — correct as long as the session doesn't
-        // wrap mid-expiry window; sessions in this system are minutes long.
-        let stale: Vec<u32> = self
-            .partial
-            .keys()
-            .copied()
-            .filter(|&ts| ts < cutoff)
-            .collect();
-        for ts in &stale {
-            self.partial.remove(ts);
-        }
-        stale.len()
+        let before = self.partial.len();
+        self.partial
+            .retain(|p| newest_ts.wrapping_sub(p.timestamp) as i32 <= horizon_clock as i32);
+        before - self.partial.len()
     }
 
     /// Build a receiver report at local time `now`.
@@ -270,10 +326,10 @@ mod tests {
     #[test]
     fn small_frame_single_packet_with_marker() {
         let mut tx = RtpSender::new(7, Encoding::Pcm);
-        let pkts = tx.packetize(&frame(0, 0, 882));
+        let pkts: Vec<_> = tx.packetize(&frame(0, 0, 882)).collect();
         assert_eq!(pkts.len(), 1);
         assert!(pkts[0].marker);
-        assert_eq!(pkts[0].payload.len(), 882);
+        assert_eq!(pkts[0].payload_len, 882);
     }
 
     #[test]
@@ -281,7 +337,7 @@ mod tests {
         let mut tx = RtpSender::new(7, Encoding::Mpeg);
         let mut rx = RtpReceiver::new(Encoding::Mpeg);
         let f = frame(0, 40, 7_500);
-        let pkts = tx.packetize(&f);
+        let pkts: Vec<_> = tx.packetize(&f).collect();
         assert_eq!(pkts.len(), 6); // ceil(7500/1400)
         assert!(pkts.last().unwrap().marker);
         assert!(pkts[..5].iter().all(|p| !p.marker));
@@ -298,8 +354,8 @@ mod tests {
     #[test]
     fn sequence_numbers_contiguous_across_frames() {
         let mut tx = RtpSender::new(1, Encoding::Mpeg);
-        let p1 = tx.packetize(&frame(0, 0, 3_000));
-        let p2 = tx.packetize(&frame(1, 40, 3_000));
+        let p1: Vec<_> = tx.packetize(&frame(0, 0, 3_000)).collect();
+        let p2: Vec<_> = tx.packetize(&frame(1, 40, 3_000)).collect();
         let first = p1[0].seq;
         let all: Vec<u16> = p1.iter().chain(p2.iter()).map(|p| p.seq).collect();
         let expect: Vec<u16> = (0..all.len() as u16)
@@ -329,7 +385,7 @@ mod tests {
         let mut rx = RtpReceiver::new(Encoding::Mpeg);
         // 10 single-packet frames; drop every other packet.
         for i in 0..10 {
-            let pkts = tx.packetize(&frame(i, i as i64 * 40, 1_000));
+            let pkts: Vec<_> = tx.packetize(&frame(i, i as i64 * 40, 1_000)).collect();
             if i % 2 == 0 {
                 rx.on_packet(&pkts[0], MediaTime::from_millis(i as i64 * 40 + 10));
             }
@@ -388,14 +444,57 @@ mod tests {
     fn partial_expiry_abandons_stale_frames() {
         let mut tx = RtpSender::new(4, Encoding::Mpeg).with_max_payload(500);
         let mut rx = RtpReceiver::new(Encoding::Mpeg);
-        let pkts = tx.packetize(&frame(0, 0, 1_500)); // 3 fragments
-                                                      // Deliver only the first two (marker lost).
-        rx.on_packet(&pkts[0], MediaTime::from_millis(1));
-        rx.on_packet(&pkts[1], MediaTime::from_millis(2));
+        // Deliver only the first two of three fragments (marker lost).
+        for (i, p) in tx.packetize(&frame(0, 0, 1_500)).take(2).enumerate() {
+            rx.on_packet(&p, MediaTime::from_millis(1 + i as i64));
+        }
         assert!(rx.take_frames().is_empty());
         let newest = micros_to_clock(2_000_000, 90_000);
-        let abandoned = rx.expire_partials(newest, 90_000 / 2);
-        assert_eq!(abandoned, 1);
+        assert_eq!(rx.expire_partials(newest, 90_000 / 2), 1);
+    }
+
+    #[test]
+    fn partial_expiry_is_wrap_aware() {
+        let fragment = |rx: &mut RtpReceiver, ts: u32| {
+            let p = RtpPacket::synthetic(PayloadType::Mpeg, false, ts as u16, ts, 4, 100);
+            rx.on_packet(&p, MediaTime::ZERO);
+        };
+        // Early in a stream (newest < horizon) nothing live is erased.
+        let mut rx = RtpReceiver::new(Encoding::Mpeg);
+        fragment(&mut rx, 0);
+        fragment(&mut rx, 3_600);
+        assert_eq!(rx.expire_partials(7_200, 90_000), 0);
+        assert_eq!(rx.expire_partials(90_000, 90_000), 0);
+        assert_eq!(rx.expire_partials(90_001, 90_000), 1);
+        // Across the u32 wrap: one entry 2 s behind, one 0.5 s behind, one
+        // just past the wrap.
+        let mut rx = RtpReceiver::new(Encoding::Mpeg);
+        let newest = 45_000u32;
+        fragment(&mut rx, newest.wrapping_sub(180_000));
+        fragment(&mut rx, newest.wrapping_sub(45_001));
+        fragment(&mut rx, 10);
+        assert_eq!(rx.expire_partials(newest, 90_000), 1);
+        assert_eq!(rx.partial.len(), 2);
+    }
+
+    #[test]
+    fn late_fragments_are_bounded_not_leaked() {
+        // Every frame's first fragment arrives after its marker: each
+        // re-creates an entry that can never complete. One second of media
+        // clock later they are dropped and counted.
+        let mut tx = RtpSender::new(4, Encoding::Mpeg).with_max_payload(500);
+        let mut rx = RtpReceiver::new(Encoding::Mpeg);
+        for i in 0..100 {
+            let at = MediaTime::from_millis(i * 40);
+            let mut pkts = tx.packetize(&frame(i as u64, i * 40, 1_000));
+            let (first, marker) = (pkts.next().unwrap(), pkts.next().unwrap());
+            rx.on_packet(&marker, at);
+            rx.on_packet(&first, at);
+        }
+        assert_eq!(rx.drain_frames().len(), 100);
+        // 25 frames per second: the newest 26 late fragments are within 1 s.
+        assert_eq!(rx.partial.len(), 26);
+        assert_eq!(rx.stats.frames_abandoned, 74);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use hermes_core::{MediaDuration, MediaTime};
 use serde::{Deserialize, Serialize};
 
 /// Per-source reception statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReceiverStats {
     clock_rate: u32,
     /// Highest sequence number seen (16-bit).
@@ -36,6 +36,9 @@ pub struct ReceiverStats {
     pub duplicates: u64,
     /// Out-of-order (late but not duplicate) packets observed.
     pub reordered: u64,
+    /// Partial frames given up by the receiver: their remaining fragments
+    /// never came, or came after the frame was already completed short.
+    pub frames_abandoned: u64,
 }
 
 impl ReceiverStats {
@@ -54,6 +57,7 @@ impl ReceiverStats {
             last_transit: None,
             duplicates: 0,
             reordered: 0,
+            frames_abandoned: 0,
         }
     }
 

@@ -13,7 +13,7 @@ use hermes_core::{
     PlayoutSchedule, PricingClass, QosMeasurement, Scenario, ServerId, SessionId, UserId,
 };
 use hermes_media::MediaFrame;
-use hermes_rtp::{ReceivedFrame, RtpReceiver};
+use hermes_rtp::RtpReceiver;
 use hermes_server::{RetryBudget, SubscriptionForm, TopicEntry};
 use hermes_simnet::obs::{SloMonitor, SloSpec};
 use hermes_simnet::{Labels, Obs, Severity, SimApi, SpanId};
@@ -1207,8 +1207,7 @@ impl ClientActor {
             return;
         };
         rx.on_packet(&packet, now);
-        let frames: Vec<ReceivedFrame> = rx.take_frames();
-        for f in frames {
+        for f in rx.drain_frames() {
             let n = p.frames_received.entry(component).or_insert(0);
             p.engine.deliver(MediaFrame {
                 component,

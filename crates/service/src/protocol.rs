@@ -786,6 +786,13 @@ mod tests {
     use hermes_rtp::PayloadType;
 
     #[test]
+    fn message_is_no_larger_than_before_packets_went_length_only() {
+        // Every queued event carries one; 120 B is what it measured with the
+        // 32-byte, payload-owning packet.
+        assert!(std::mem::size_of::<ServiceMsg>() <= 120);
+    }
+
+    #[test]
     fn stack_paths_classified() {
         let rtp = ServiceMsg::RtpData {
             session: SessionId::new(1),

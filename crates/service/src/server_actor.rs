@@ -2163,13 +2163,7 @@ impl ServerActor {
             .iter()
             .filter(|&&n| api.node_is_up(n))
             .map(|&n| {
-                let prop: i64 = net
-                    .path_links(node, n)
-                    .unwrap_or_default()
-                    .iter()
-                    .filter_map(|(a, b)| net.link(*a, *b))
-                    .map(|l| l.spec.propagation.as_micros())
-                    .sum();
+                let prop = net.path_propagation(node, n).map_or(0, |p| p.as_micros());
                 let penalty = if tier.cfg.breaker {
                     tier.health.penalty_micros(n)
                 } else {
@@ -2774,13 +2768,7 @@ impl ServerActor {
             .iter()
             .filter(|&&n| n != tag.replica && api.node_is_up(n))
             .map(|&n| {
-                let prop: i64 = net
-                    .path_links(node, n)
-                    .unwrap_or_default()
-                    .iter()
-                    .filter_map(|(a, b)| net.link(*a, *b))
-                    .map(|l| l.spec.propagation.as_micros())
-                    .sum();
+                let prop = net.path_propagation(node, n).map_or(0, |p| p.as_micros());
                 let penalty = if tier.cfg.breaker {
                     tier.health.penalty_micros(n)
                 } else {

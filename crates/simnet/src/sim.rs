@@ -58,6 +58,48 @@ pub enum Transport {
     Reliable,
 }
 
+/// The group members one multicast copy is bound for (dense indices,
+/// ascending by node id). Most copies are last-hop copies for one or two
+/// members, so up to three are carried inline and only longer lists own a
+/// buffer; the type is no larger than the `Vec` it replaces.
+#[derive(Debug)]
+enum Targets {
+    Few { len: u8, ix: [u32; 3] },
+    Many(Vec<u32>),
+}
+
+impl Targets {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Targets::Few { len, ix } => &ix[..*len as usize],
+            Targets::Many(v) => v,
+        }
+    }
+}
+
+impl FromIterator<u32> for Targets {
+    fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Targets {
+        let mut iter = iter.into_iter();
+        let mut ix = [0; 3];
+        let mut len = 0;
+        for slot in &mut ix {
+            let Some(t) = iter.next() else {
+                return Targets::Few { len, ix };
+            };
+            *slot = t;
+            len += 1;
+        }
+        let Some(t) = iter.next() else {
+            return Targets::Few { len, ix };
+        };
+        let mut v = Vec::with_capacity(ix.len() + 1 + iter.size_hint().0);
+        v.extend_from_slice(&ix);
+        v.push(t);
+        v.extend(iter);
+        Targets::Many(v)
+    }
+}
+
 enum Pending<M> {
     /// A packet from `src` sitting at `here`, about to cross the egress link
     /// toward `dst` (dense node indices, translated once when the send
@@ -119,7 +161,7 @@ enum Pending<M> {
         /// Dense index of the sender `from` ([`NONE`] if unknown).
         src: u32,
         here: u32,
-        targets: Vec<u32>,
+        targets: Targets,
         from: NodeId,
         msg: M,
         /// Incarnation of the sending node when the send started.
@@ -606,7 +648,7 @@ impl<M: WireSize + Clone> Core<M> {
         // A member the network has never heard of is unroutable from
         // anywhere: its copy is counted dropped here, not carried along.
         let mut unknown = 0;
-        let targets: Vec<u32> = members
+        let targets: Targets = members
             .iter()
             .filter(|&&t| t != from)
             .filter_map(|&t| {
@@ -615,7 +657,7 @@ impl<M: WireSize + Clone> Core<M> {
                 ix
             })
             .collect();
-        let count = targets.len() + unknown;
+        let count = targets.as_slice().len() + unknown;
         if count == 0 {
             return 0;
         }
@@ -656,7 +698,7 @@ impl<M: WireSize + Clone> Core<M> {
         group: u64,
         src: u32,
         here: u32,
-        targets: Vec<u32>,
+        targets: Targets,
         from: NodeId,
         msg: M,
         src_inc: u64,
@@ -671,7 +713,7 @@ impl<M: WireSize + Clone> Core<M> {
         let here_inc = self.node(here).inc;
         let mut fanout = std::mem::take(&mut self.mcast_fanout);
         let members = self.mcast_groups.get(&group);
-        for t in targets {
+        for &t in targets.as_slice() {
             let id = self.net.id_at(t);
             if !members.is_some_and(|m| m.contains(&id)) {
                 continue; // left the group while the copy was in flight
@@ -1346,6 +1388,19 @@ mod tests {
     impl WireSize for Msg {
         fn wire_size(&self) -> usize {
             self.1
+        }
+    }
+
+    #[test]
+    fn mcast_targets_inline_up_to_three_and_no_larger_than_a_vec() {
+        assert_eq!(
+            std::mem::size_of::<Targets>(),
+            std::mem::size_of::<Vec<u32>>()
+        );
+        for n in 0..9u32 {
+            let t: Targets = (10..10 + n).collect();
+            assert_eq!(t.as_slice(), (10..10 + n).collect::<Vec<u32>>());
+            assert_eq!(matches!(t, Targets::Few { .. }), n <= 3, "{t:?}");
         }
     }
 

@@ -429,19 +429,29 @@ impl Network {
         Some(self.id_at(self.link_to(l)))
     }
 
-    /// Link indices along the route from `src` to `dst` (empty when equal).
-    fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<u32>> {
-        if src == dst {
-            return Some(Vec::new());
-        }
-        let (mut cur, dst) = (self.index_of(src)?, self.index_of(dst)?);
-        let mut route = Vec::new();
-        while cur != dst {
-            let l = self.egress(cur, dst)?;
-            route.push(l);
-            cur = self.link_to(l);
-            if route.len() >= self.ids.len() {
-                return None; // should not happen; guards a routing bug
+    /// The links along the route from `src` to `dst`, walked off the routing
+    /// table without building anything (empty when equal); `None` when
+    /// `dst` is unreachable.
+    fn route(&self, src: NodeId, dst: NodeId) -> Option<Route<'_>> {
+        let (cur, dst) = if src == dst {
+            (NONE, NONE)
+        } else {
+            (self.index_of(src)?, self.index_of(dst)?)
+        };
+        let route = Route {
+            net: self,
+            cur,
+            dst,
+        };
+        // Walk it once here so the caller's walk cannot stop short. The
+        // bound should never bind; it guards a routing bug.
+        let mut probe = route.clone();
+        let mut hops = 0;
+        while probe.cur != probe.dst {
+            probe.next()?;
+            hops += 1;
+            if hops >= self.ids.len() {
+                return None;
             }
         }
         Some(route)
@@ -451,28 +461,34 @@ impl Network {
     /// `compute_routes` must have been called after the last topology change.
     pub fn path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
         let route = self.route(src, dst)?;
-        let mut path = Vec::with_capacity(route.len() + 1);
-        path.push(src);
-        path.extend(route.iter().map(|&l| self.id_at(self.link_to(l))));
+        let mut path = vec![src];
+        path.extend(route.map(|l| self.id_at(self.link_to(l))));
         Some(path)
     }
 
     /// The links along the path from `src` to `dst`.
     pub fn path_links(&self, src: NodeId, dst: NodeId) -> Option<Vec<(NodeId, NodeId)>> {
-        let route = self.route(src, dst)?;
-        let ends = route.iter().map(|&l| self.ends[l as usize]);
+        let ends = self.route(src, dst)?.map(|l| self.ends[l as usize]);
         Some(
             ends.map(|(from, to)| (self.id_at(from), self.id_at(to)))
                 .collect(),
         )
     }
 
+    /// One-way propagation delay summed along the path from `src` to `dst`.
+    pub fn path_propagation(&self, src: NodeId, dst: NodeId) -> Option<MediaDuration> {
+        let micros = self
+            .route(src, dst)?
+            .map(|l| self.links[l as usize].spec.propagation.as_micros())
+            .sum();
+        Some(MediaDuration::from_micros(micros))
+    }
+
     /// Bottleneck free bandwidth along a path at instant `t`:
     /// min over links of capacity − reserved − background.
     pub fn path_free_bandwidth(&self, src: NodeId, dst: NodeId, t: MediaTime) -> Option<u64> {
         self.route(src, dst)?
-            .iter()
-            .map(|&l| {
+            .map(|l| {
                 let l = &self.links[l as usize];
                 let bg = (l.spec.bandwidth_bps as f64 * l.spec.congestion.load_at(t)) as u64;
                 l.spec
@@ -486,8 +502,7 @@ impl Network {
     /// Worst utilization along a path at instant `t`.
     pub fn path_utilization(&self, src: NodeId, dst: NodeId, t: MediaTime) -> Option<f64> {
         self.route(src, dst)?
-            .iter()
-            .map(|&l| self.links[l as usize].utilization(t))
+            .map(|l| self.links[l as usize].utilization(t))
             .fold(None, |acc, u| Some(acc.map_or(u, |a: f64| a.max(u))))
     }
 
@@ -495,7 +510,7 @@ impl Network {
     /// reserves nothing) if any link lacks headroom.
     pub fn reserve(&mut self, conn: ConnectionId, src: NodeId, dst: NodeId, bps: u64) -> bool {
         match self.route(src, dst) {
-            Some(route) => self.reserve_route(conn, route, bps),
+            Some(route) => self.reserve_route(conn, route.collect(), bps),
             None => false,
         }
     }
@@ -563,6 +578,27 @@ impl Network {
 impl Default for Network {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// A walk over the link indices of one route (see [`Network::route`]).
+#[derive(Clone)]
+struct Route<'a> {
+    net: &'a Network,
+    cur: u32,
+    dst: u32,
+}
+
+impl Iterator for Route<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        if self.cur == self.dst {
+            return None;
+        }
+        let l = self.net.egress(self.cur, self.dst)?;
+        self.cur = self.net.link_to(l);
+        Some(l)
     }
 }
 
@@ -920,6 +956,32 @@ mod tests {
         assert_eq!(net.link(n(1), n(2)).unwrap().reserved_bps, 0);
         // Unknown links reserve nothing.
         assert!(!net.reserve_links(tail, vec![(n(0), n(9))], 1));
+    }
+
+    #[test]
+    fn path_propagation_sums_the_links_of_the_path() {
+        let mut net = line_network();
+        net.add_node(n(9), "island");
+        net.link_mut(n(0), n(1)).unwrap().spec.propagation = MediaDuration::from_micros(300);
+        net.link_mut(n(1), n(2)).unwrap().spec.propagation = MediaDuration::from_micros(4_000);
+        net.compute_routes();
+        for (src, dst) in [(0, 2), (0, 1), (2, 0), (1, 1), (0, 9), (7, 7), (7, 0)] {
+            // What the replica selector used to compute from `path_links`.
+            let by_pairs = net.path_links(n(src), n(dst)).map(|links| {
+                let micros = links.iter().filter_map(|&(a, b)| net.link(a, b));
+                MediaDuration::from_micros(micros.map(|l| l.spec.propagation.as_micros()).sum())
+            });
+            assert_eq!(
+                net.path_propagation(n(src), n(dst)),
+                by_pairs,
+                "{src}→{dst}"
+            );
+        }
+        assert_eq!(
+            net.path_propagation(n(0), n(2)),
+            Some(MediaDuration::from_micros(4_300))
+        );
+        assert_eq!(net.path_propagation(n(0), n(9)), None);
     }
 
     #[test]
