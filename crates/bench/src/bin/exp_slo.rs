@@ -107,7 +107,7 @@ struct Point {
     correct: usize,
     /// All attributions of the run (any kind, any time).
     total_attrs: usize,
-    /// Provenance hop records captured.
+    /// Provenance delivery records retained (the `prov hops` column).
     prov_records: usize,
     /// First `slo_alert` event, ms (engine clock).
     alert_ms: Option<i64>,

@@ -5,16 +5,20 @@
 //!
 //! * **Provenance** — every in-flight message carries a compact
 //!   [`CauseCtx`] (the root span of the session-level request that caused
-//!   it plus a causal sequence number). The engine stamps per-hop
-//!   [`HopRecord`]s (enqueue, deliver, loss, retransmit, abandon, multicast
-//!   fanout) into the capture's [`ProvenanceLog`], so a frame's full path —
-//!   request, placement choice, replica fetch, retries, hedges, multicast
-//!   merge — is reconstructible after the run.
+//!   it plus a causal sequence number), handed on to whatever its handler
+//!   sends. At final delivery the engine writes one 16-byte [`HopRecord`]
+//!   — when, under which causal root, which protocol message kind, how
+//!   long in flight — into the capture's [`ProvenanceLog`]: a delivery
+//!   log keyed by causal root. Losses, retransmissions, abandoned sends
+//!   and multicast fan-out are not logged per message; they are engine
+//!   counters (`sim.datagrams_dropped`, `sim.retransmissions`,
+//!   `sim.reliable_failures`, `sim.mcast_link_copies`) and the
+//!   `reliable_abandon` event.
 //! * **Attribution** — for every playout gap, stall and session abandon in
 //!   the finished event log, [`attribute_events`] walks the causal window
 //!   backwards and emits a deterministic [`GapAttribution`] naming the
 //!   dominant [`CauseClass`], the strongest supporting evidence event, and
-//!   (via [`attribute_run`]) the critical-path hop timings from the
+//!   (via [`fill_critical_paths`]) the critical-path hop timings from the
 //!   provenance log. [`publish_attr_counters`] folds the verdicts into
 //!   `attr.*` registry counters.
 //!
@@ -28,6 +32,9 @@ use crate::registry::MetricsRegistry;
 use crate::span::SpanId;
 use hermes_core::{MediaDuration, MediaTime};
 use std::collections::HashMap;
+
+#[cfg(test)]
+mod spec;
 
 /// The compact causal context every in-flight message and timer carries:
 /// the session root span that ultimately caused it plus a per-run causal
@@ -69,76 +76,64 @@ impl CauseCtx {
     }
 }
 
-/// What happened to a message at one point of its path.
+/// One retained delivery, 16 bytes: everything [`fill_critical_paths`]
+/// reads of a message's path and nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HopKind {
-    /// The send started (origin enqueue onto the first link).
-    Enqueue,
-    /// Final delivery to the application; `value` = in-flight µs since the
-    /// original send (retransmission waits included).
-    Deliver,
-    /// A link lost the packet (loss model, queue overflow or partition);
-    /// `value` = the attempt number that died.
-    Loss,
-    /// The reliable transport scheduled a retransmission; `value` = the
-    /// attempt number about to run.
-    Retransmit,
-    /// The reliable transport exhausted its retry budget; `value` = the
-    /// attempts spent.
-    Abandon,
-    /// A multicast copy fanned out at a branch node; `value` = subtree
-    /// member count carried forward.
-    McastFanout,
+pub struct HopRecord {
+    /// `at µs << 8 | kind index` — one field that still sorts by time, so
+    /// a causal window is two `partition_point`s over the log.
+    at_kind: u64,
+    /// Raw id of the causal root span the message descends from
+    /// ([`CauseCtx::root`]; `u32::MAX` = none).
+    pub root: u32,
+    /// In-flight µs from the original send to the delivery, retransmission
+    /// waits included. Saturates at `u32::MAX` (≈ 71 min); a negative wait
+    /// clamps to 0.
+    pub wait_us: u32,
 }
 
-impl HopKind {
-    /// Static lower-case label for exports.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            HopKind::Enqueue => "enqueue",
-            HopKind::Deliver => "deliver",
-            HopKind::Loss => "loss",
-            HopKind::Retransmit => "retransmit",
-            HopKind::Abandon => "abandon",
-            HopKind::McastFanout => "mcast_fanout",
+impl HopRecord {
+    fn new(at: MediaTime, kind: u8, root: u32, wait_us: i64) -> HopRecord {
+        debug_assert!(at >= MediaTime::ZERO, "engine clock is never negative");
+        HopRecord {
+            at_kind: ((at.as_micros() as u64) << 8) | kind as u64,
+            root,
+            wait_us: wait_us.clamp(0, u32::MAX as i64) as u32,
         }
+    }
+
+    /// Engine clock at the delivery.
+    pub fn at(&self) -> MediaTime {
+        MediaTime::from_micros((self.at_kind >> 8) as i64)
+    }
+
+    /// Index of the message kind in the owning log's kind table (resolve
+    /// it with [`ProvenanceLog::kind`]).
+    pub fn kind_index(&self) -> u8 {
+        self.at_kind as u8
     }
 }
 
-/// One per-hop provenance record. `Copy`, `&'static str` message kind —
-/// recording one is two field writes and a `Vec` push, like [`Event`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HopRecord {
-    /// Engine clock when the hop event happened.
-    pub at: MediaTime,
-    /// What happened.
-    pub kind: HopKind,
-    /// Origin node of the message.
-    pub from: u64,
-    /// Destination node of the message.
-    pub to: u64,
-    /// The causal context the message carries.
-    pub cause: CauseCtx,
-    /// Protocol-level message class (`ServiceMsg::provenance_kind`, or
-    /// `"msg"` for apps that never register a classifier).
-    pub msg_kind: &'static str,
-    /// Kind-specific payload (see [`HopKind`]).
-    pub value: i64,
-}
+/// Default cap on retained delivery records: 2²¹ × 16 B = 32 MiB when
+/// full. A hard byte budget — a world with more deliveries than this is
+/// truncated to its first 2²¹, and the later ones are invisible to
+/// attribution. The overflow is counted in [`ProvenanceLog::dropped`] and
+/// published as `sim.prov_dropped`.
+pub const DEFAULT_PROV_CAP: usize = 1 << 21;
 
-/// Default cap on retained provenance records (≈64 MB when full). A budget,
-/// not a distant backstop: fleet-sized runs fill it — every world of every
-/// benchmark workload drops 0.9–4.1 M records past it — and hops after that
-/// are invisible to attribution. The overflow is counted in
-/// [`ProvenanceLog::dropped`] and published as `sim.prov_dropped`.
-pub const DEFAULT_PROV_CAP: usize = 1 << 20;
-
-/// The run's provenance log: an append-only bounded vec of hop records.
+/// The run's provenance log: final deliveries only, append-only in
+/// engine-clock order and bounded, plus the interned table of message
+/// kinds the records index into.
 #[derive(Debug, Clone)]
 pub struct ProvenanceLog {
     records: Vec<HopRecord>,
+    /// Interned message kinds; a record stores an index into this.
+    kinds: Vec<&'static str>,
+    /// Index of the kind interned last (consecutive deliveries mostly
+    /// share one).
+    last_kind: u8,
     cap: usize,
-    /// Records dropped past the cap (still counted so audits notice).
+    /// Deliveries dropped past the cap (still counted so audits notice).
     pub dropped: u64,
 }
 
@@ -146,6 +141,8 @@ impl Default for ProvenanceLog {
     fn default() -> Self {
         ProvenanceLog {
             records: Vec::new(),
+            kinds: Vec::new(),
+            last_kind: 0,
             cap: DEFAULT_PROV_CAP,
             dropped: 0,
         }
@@ -153,22 +150,61 @@ impl Default for ProvenanceLog {
 }
 
 impl ProvenanceLog {
-    /// Append a record (dropped with accounting past the cap).
+    /// Append one delivery (dropped with accounting past the cap): at
+    /// engine time `at` a message of protocol class `kind`, descending
+    /// from causal root `root`, reached its application after `wait_us`
+    /// in flight.
     #[inline]
-    pub fn push(&mut self, rec: HopRecord) {
+    pub fn record(&mut self, at: MediaTime, root: u32, kind: &'static str, wait_us: i64) {
         if self.records.len() >= self.cap {
             self.dropped += 1;
             return;
         }
-        self.records.push(rec);
+        let kind = self.intern(kind);
+        self.records.push(HopRecord::new(at, kind, root, wait_us));
     }
 
-    /// All records in stamp order.
+    /// Index of `kind` in the kind table, adding it on first sight. Equal
+    /// literals need not share an address, so identity is only the fast
+    /// path and content decides.
+    fn intern(&mut self, kind: &'static str) -> u8 {
+        if let Some(&last) = self.kinds.get(self.last_kind as usize) {
+            if std::ptr::eq(last, kind) {
+                return self.last_kind;
+            }
+        }
+        let ix = match self.kinds.iter().position(|&k| k == kind) {
+            Some(ix) => ix,
+            None => {
+                assert!(
+                    self.kinds.len() < 256,
+                    "more than 256 distinct provenance message kinds"
+                );
+                if self.kinds.is_empty() {
+                    // One allocation for any realistic protocol.
+                    self.kinds.reserve_exact(32);
+                }
+                self.kinds.push(kind);
+                self.kinds.len() - 1
+            }
+        };
+        self.last_kind = ix as u8;
+        self.last_kind
+    }
+
+    /// The protocol message class of a record of this log
+    /// (`ServiceMsg::provenance_kind`, or `"msg"` for apps that never
+    /// register a classifier).
+    pub fn kind(&self, rec: &HopRecord) -> &'static str {
+        self.kinds[rec.kind_index() as usize]
+    }
+
+    /// All retained deliveries in stamp order.
     pub fn records(&self) -> &[HopRecord] {
         &self.records
     }
 
-    /// Number of records retained.
+    /// Number of deliveries retained.
     pub fn len(&self) -> usize {
         self.records.len()
     }
@@ -371,8 +407,8 @@ impl GapAttribution {
 /// Order-independent: scores are computed from per-class weight multisets
 /// (sorted before the cap is applied) and ties break by the fixed
 /// [`CauseClass`] priority — the `seq` tie-break is never consulted.
-pub fn classify_window(
-    window_events: &[Event],
+pub fn classify_window<'a>(
+    window_events: impl IntoIterator<Item = &'a Event>,
     at: MediaTime,
     session: Option<u64>,
     cfg: &AttributionConfig,
@@ -564,7 +600,8 @@ impl EvidenceIndex {
 
 /// Attribute every disruption in a finished `(at, seq)`-ordered event log.
 /// Pure over events — the invariant checker and property tests feed this
-/// synthetic streams; [`attribute_run`] adds provenance-based hop timings.
+/// synthetic streams; [`fill_critical_paths`] adds provenance-based hop
+/// timings.
 ///
 /// Classification runs off a pre-built [`EvidenceIndex`] — O(evidence
 /// names × log n) per disruption rather than a scan of the window — but
@@ -614,12 +651,12 @@ pub fn fill_critical_paths(
         // Records are appended in stamp order, so the window is a
         // contiguous slice — don't scan the whole log per attribution.
         let recs = prov.records();
-        let w0 = recs.partition_point(|r| r.at < lo);
-        let w1 = recs.partition_point(|r| r.at <= a.at);
+        let w0 = recs.partition_point(|r| r.at() < lo);
+        let w1 = recs.partition_point(|r| r.at() <= a.at);
         let mut hops: Vec<(&'static str, i64)> = recs[w0..w1]
             .iter()
-            .filter(|r| r.kind == HopKind::Deliver && r.cause.root == root.0)
-            .map(|r| (r.msg_kind, r.value))
+            .filter(|r| r.root == root.0)
+            .map(|r| (prov.kind(r), r.wait_us as i64))
             .collect();
         // Slowest first; name tie-break keeps the order content-determined.
         hops.sort_unstable_by(|a, b| (b.1, a.0).cmp(&(a.1, b.0)));
@@ -637,7 +674,7 @@ pub fn publish_attr_counters(attrs: &[GapAttribution], registry: &mut MetricsReg
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::event::{Labels, Severity};
 
@@ -725,11 +762,21 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The indexed classifier must agree with the scan-based reference on
-    /// randomized logs: mixed evidence names, sessions, unlabelled noise,
-    /// clustered and spread timestamps, multiple disruptions per log.
-    #[test]
-    fn indexed_attribution_matches_reference_scan() {
+    /// Deterministic LCG for the randomized differential tests.
+    pub(crate) fn lcg(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 16
+        }
+    }
+
+    /// A randomized `(at, seq)`-ordered log over 5 s: mixed evidence
+    /// names, sessions, unlabelled noise, clustered and spread
+    /// timestamps, four `playout_gap`s (some below the threshold).
+    pub(crate) fn random_log(next: &mut impl FnMut() -> u64) -> Vec<Event> {
         type LabelFn = fn(u64) -> Labels;
         const NAMES: [(&str, LabelFn); 7] = [
             ("link_down", |s| Labels::for_peer(s)),
@@ -740,48 +787,50 @@ mod tests {
             ("stream_regraded", Labels::session),
             ("ctrl_elect", |_| Labels::NONE),
         ];
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 16
-        };
+        let n = 30 + (next() % 120) as usize;
+        let mut events: Vec<Event> = (0..n)
+            .map(|i| {
+                let (name, labels) = NAMES[(next() % NAMES.len() as u64) as usize];
+                let mut e = ev(
+                    (next() % 5000) as i64,
+                    i as u64,
+                    next() % 6,
+                    name,
+                    labels(next() % 4),
+                    0,
+                );
+                // Some evidence carries no session at all.
+                if next().is_multiple_of(4) {
+                    e.labels = Labels::NONE;
+                }
+                e
+            })
+            .collect();
+        for i in 0..4 {
+            events.push(ev(
+                (next() % 5000) as i64,
+                (n + i) as u64,
+                next() % 6,
+                "playout_gap",
+                Labels::session(next() % 4),
+                (next() % 3) as i64, // sometimes below gap_threshold
+            ));
+        }
+        events.sort_by_key(|e| e.sort_key());
+        for (i, e) in events.iter_mut().enumerate() {
+            e.seq = i as u64;
+        }
+        events
+    }
+
+    /// The indexed classifier must agree with the scan-based reference on
+    /// randomized logs, disruption by disruption.
+    #[test]
+    fn indexed_attribution_matches_reference_scan() {
+        let mut next = lcg(0x9E3779B97F4A7C15);
         let cfg = AttributionConfig::default();
         for _trial in 0..50 {
-            let n = 30 + (next() % 120) as usize;
-            let mut events: Vec<Event> = (0..n)
-                .map(|i| {
-                    let (name, labels) = NAMES[(next() % NAMES.len() as u64) as usize];
-                    let mut e = ev(
-                        (next() % 5000) as i64,
-                        i as u64,
-                        next() % 6,
-                        name,
-                        labels(next() % 4),
-                        0,
-                    );
-                    // Some evidence carries no session at all.
-                    if next() % 4 == 0 {
-                        e.labels = Labels::NONE;
-                    }
-                    e
-                })
-                .collect();
-            for i in 0..4 {
-                events.push(ev(
-                    (next() % 5000) as i64,
-                    (n + i) as u64,
-                    next() % 6,
-                    "playout_gap",
-                    Labels::session(next() % 4),
-                    (next() % 3) as i64, // sometimes below gap_threshold
-                ));
-            }
-            events.sort_by_key(|e| e.sort_key());
-            for (i, e) in events.iter_mut().enumerate() {
-                e.seq = i as u64;
-            }
+            let events = random_log(&mut next);
             // Reference: the windowed scan, disruption by disruption.
             let mut expected = Vec::new();
             for e in &events {
@@ -810,32 +859,13 @@ mod tests {
         let mut prov = ProvenanceLog::default();
         let root = SpanId(4);
         for (i, (kind, us)) in [("rtp", 900), ("fetch_chunk", 4000), ("rtp", 100)]
-            .iter()
+            .into_iter()
             .enumerate()
         {
-            prov.push(HopRecord {
-                at: MediaTime::from_millis(400 + i as i64),
-                kind: HopKind::Deliver,
-                from: 1,
-                to: 2,
-                cause: CauseCtx {
-                    root: root.0,
-                    seq: i as u32,
-                },
-                msg_kind: kind,
-                value: *us,
-            });
+            prov.record(MediaTime::from_millis(400 + i as i64), root.0, kind, us);
         }
         // A foreign root's hop must not leak in.
-        prov.push(HopRecord {
-            at: MediaTime::from_millis(450),
-            kind: HopKind::Deliver,
-            from: 1,
-            to: 2,
-            cause: CauseCtx { root: 99, seq: 0 },
-            msg_kind: "other",
-            value: 9999,
-        });
+        prov.record(MediaTime::from_millis(450), 99, "other", 9999);
         let mut attrs = vec![GapAttribution {
             at: MediaTime::from_millis(900),
             node: 2,
@@ -887,19 +917,12 @@ mod tests {
             cap: 2,
             ..Default::default()
         };
-        let rec = HopRecord {
-            at: MediaTime::ZERO,
-            kind: HopKind::Enqueue,
-            from: 0,
-            to: 1,
-            cause: CauseCtx::NONE,
-            msg_kind: "msg",
-            value: 0,
-        };
-        for _ in 0..5 {
-            p.push(rec);
+        for i in 0..5 {
+            p.record(MediaTime::from_millis(i), CauseCtx::NONE.root, "msg", 0);
         }
+        // The first deliveries are kept, the rest only counted.
         assert_eq!(p.len(), 2);
         assert_eq!(p.dropped, 3);
+        assert_eq!(p.records()[1].at(), MediaTime::from_millis(1));
     }
 }

@@ -57,6 +57,9 @@ pub struct FlightRecorder {
     pub suppressed: u64,
     /// Anomalies folded into an earlier dump of the same incident.
     pub deduped: u64,
+    /// Events evicted from a full ring, by the evicted event's
+    /// [`crate::event::Severity`] (`Debug` first).
+    pub overwritten: [u64; 4],
 }
 
 impl Default for FlightRecorder {
@@ -78,6 +81,7 @@ impl FlightRecorder {
             recent: BTreeMap::new(),
             suppressed: 0,
             deduped: 0,
+            overwritten: [0; 4],
         }
     }
 
@@ -85,7 +89,9 @@ impl FlightRecorder {
     pub fn record(&mut self, ev: Event) {
         let ring = self.rings.entry(ev.node).or_default();
         if ring.len() == self.cap {
-            ring.pop_front();
+            if let Some(old) = ring.pop_front() {
+                self.overwritten[old.severity as usize] += 1;
+            }
         }
         ring.push_back(ev);
     }
@@ -93,19 +99,24 @@ impl FlightRecorder {
     /// Snapshot `node`'s ring as an anomaly dump (no attribution header,
     /// no session root — incident dedupe falls back to a per-node key).
     pub fn dump(&mut self, at: MediaTime, node: u64, reason: &'static str, labels: Labels) {
-        self.dump_incident(at, node, reason, labels, u32::MAX, "");
+        self.dump_incident(at, node, reason, labels, u32::MAX, |_| "");
     }
 
-    /// Snapshot `node`'s ring as an anomaly dump attributed to `cause`,
-    /// keyed by its `(session, root span)` incident identity.
+    /// Snapshot `node`'s ring as an anomaly dump, keyed by its
+    /// `(session, root span)` incident identity and attributed to whatever
+    /// `cause` reads out of the ring.
     ///
     /// Anomaly events fire per raw occurrence, so one incident — a gap
     /// burst on a session, the same breaker trip observed from two nodes —
     /// used to dump multiple near-identical windows and burn the dump cap.
-    /// The first dump inside [`Self::dedupe_window`] per
-    /// `(reason, session, root)` key wins; repeats are counted in
-    /// [`Self::deduped`]. Anomalies with no session label keep a per-node
-    /// key (distinct unlabelled incidents on different nodes never fold).
+    /// The first dump inside the dedupe window
+    /// ([`Self::set_dedupe_window`]) per `(reason, session, root)` key
+    /// wins; repeats are counted in [`Self::deduped`]. Anomalies with no
+    /// session label keep a per-node key (distinct unlabelled incidents on
+    /// different nodes never fold).
+    ///
+    /// `cause` runs only for a dump that is kept: a repeat or a dump past
+    /// the cap costs a map lookup, not a classification and a ring copy.
     pub fn dump_incident(
         &mut self,
         at: MediaTime,
@@ -113,7 +124,7 @@ impl FlightRecorder {
         reason: &'static str,
         labels: Labels,
         root: u32,
-        cause: &'static str,
+        cause: impl FnOnce(&VecDeque<Event>) -> &'static str,
     ) {
         let ident = match labels.session {
             Some(s) => s,
@@ -131,34 +142,22 @@ impl FlightRecorder {
             self.suppressed += 1;
             return;
         }
-        let events: Vec<Event> = self
-            .rings
-            .get(&node)
-            .map(|r| r.iter().copied().collect())
-            .unwrap_or_default();
+        let quiet = VecDeque::new();
+        let ring = self.rings.get(&node).unwrap_or(&quiet);
         self.dumps.push(FlightDump {
             at,
             node,
             reason,
             labels,
             root,
-            cause,
-            events,
+            cause: cause(ring),
+            events: ring.iter().copied().collect(),
         });
     }
 
     /// Override the incident-dedupe window.
     pub fn set_dedupe_window(&mut self, w: MediaDuration) {
         self.dedupe_window = w;
-    }
-
-    /// Copy of `node`'s current ring contents, oldest first (the window an
-    /// attribution-at-dump-time classifier looks at).
-    pub fn ring_events(&self, node: u64) -> Vec<Event> {
-        self.rings
-            .get(&node)
-            .map(|r| r.iter().copied().collect())
-            .unwrap_or_default()
     }
 
     /// Dumps collected so far, in trigger order.
@@ -210,6 +209,62 @@ mod tests {
         // The ring keeps rolling after a dump.
         f.record(ev(10, 1, 9, "tick"));
         assert_eq!(f.ring_len(1), 3);
+        // Three `Debug` ticks were pushed out so far; the `Warn` that
+        // evicts nothing is not counted until it is itself evicted.
+        assert_eq!(f.overwritten, [3, 0, 0, 0]);
+        let mut warn = ev(11, 1, 10, "late");
+        warn.severity = Severity::Warn;
+        f.record(warn);
+        for i in 0..3 {
+            f.record(ev(12 + i, 1, 11 + i as u64, "tick"));
+        }
+        assert_eq!(f.overwritten, [6, 0, 1, 0]);
+    }
+
+    /// A gap burst raises the same incident over and over: the recorder
+    /// answers from its dedupe map, and only the dump that is kept pays
+    /// for a classification and a copy of the ring.
+    #[test]
+    fn burst_on_one_incident_classifies_once() {
+        let mut f = FlightRecorder::new(64, 2);
+        for i in 0..64 {
+            f.record(ev(i, 1, i as u64, "tick"));
+        }
+        let mut classified = 0;
+        for i in 0..100 {
+            f.dump_incident(
+                MediaTime::from_millis(100 + i),
+                1,
+                "playout_gap",
+                Labels::session(7),
+                4,
+                |ring| {
+                    classified += 1;
+                    assert_eq!(ring.len(), 64);
+                    "link_loss"
+                },
+            );
+        }
+        assert_eq!(classified, 1);
+        assert_eq!((f.dumps().len(), f.deduped, f.suppressed), (1, 99, 0));
+        assert_eq!(f.dumps()[0].cause, "link_loss");
+        assert_eq!(f.dumps()[0].events.len(), 64);
+        // Past the dump cap a fresh incident is counted, not classified.
+        for session in 8..12 {
+            f.dump_incident(
+                MediaTime::from_millis(300),
+                1,
+                "playout_gap",
+                Labels::session(session),
+                4,
+                |_| {
+                    classified += 1;
+                    "link_loss"
+                },
+            );
+        }
+        assert_eq!(classified, 2);
+        assert_eq!((f.dumps().len(), f.deduped, f.suppressed), (2, 99, 3));
     }
 
     #[test]
@@ -245,7 +300,7 @@ mod tests {
             "playout_gap",
             Labels::session(7),
             4,
-            "link_loss",
+            |_| "link_loss",
         );
         f.dump_incident(
             MediaTime::from_millis(3),
@@ -253,7 +308,7 @@ mod tests {
             "playout_gap",
             Labels::session(7),
             4,
-            "link_loss",
+            |_| "link_loss",
         );
         assert_eq!(f.dumps().len(), 1);
         assert_eq!(f.deduped, 1);
@@ -266,7 +321,7 @@ mod tests {
             "playout_gap",
             Labels::session(8),
             9,
-            "media_queue",
+            |_| "media_queue",
         );
         assert_eq!(f.dumps().len(), 2);
         // The same incident recurs after the window: a fresh dump.
@@ -276,7 +331,7 @@ mod tests {
             "playout_gap",
             Labels::session(7),
             4,
-            "link_loss",
+            |_| "link_loss",
         );
         assert_eq!(f.dumps().len(), 3);
     }

@@ -144,13 +144,8 @@ pub fn check_attribution_soundness(events: &[Event]) -> Vec<Violation> {
         if a.class == CauseClass::Unknown {
             continue;
         }
-        // The named evidence event must exist in the claimed window, and
-        // must itself map to the verdict's cause class.
-        let lo = a.at - cfg.window;
-        let found = events
-            .iter()
-            .any(|e| e.name == a.evidence && e.at == a.evidence_at && e.at >= lo && e.at <= a.at);
-        if !found {
+        // The named evidence event must exist in the claimed window.
+        if !evidence_in_window(events, a, a.at - cfg.window) {
             v.push(Violation::new(
                 "attribution_soundness",
                 a.at,
@@ -166,6 +161,29 @@ pub fn check_attribution_soundness(events: &[Event]) -> Vec<Violation> {
         }
     }
     v
+}
+
+/// Is `a`'s evidence event in the log at the instant the verdict names,
+/// and is that instant inside `[lo, a.at]`? The log is in `(at, seq)`
+/// order, so the instant is a binary search away and only the events that
+/// share it are compared by name.
+fn evidence_in_window(events: &[Event], a: &crate::GapAttribution, lo: MediaTime) -> bool {
+    if a.evidence_at < lo || a.evidence_at > a.at {
+        return false;
+    }
+    let first = events.partition_point(|e| e.at < a.evidence_at);
+    events[first..]
+        .iter()
+        .take_while(|e| e.at == a.evidence_at)
+        .any(|e| e.name == a.evidence)
+}
+
+/// The whole-log scan [`evidence_in_window`] replaced, kept as its spec.
+#[cfg(test)]
+fn evidence_in_window_scan(events: &[Event], a: &crate::GapAttribution, lo: MediaTime) -> bool {
+    events
+        .iter()
+        .any(|e| e.name == a.evidence && e.at == a.evidence_at && e.at >= lo && e.at <= a.at)
 }
 
 /// `stream_epoch` (per server node + session + stream) and `group_epoch`
@@ -631,4 +649,64 @@ pub fn check_bounded_recovery(
             )
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::causality::tests::{lcg, random_log};
+    use crate::causality::{attribute_events, AttributionConfig};
+
+    /// The binary-searched evidence lookup answers exactly as the
+    /// whole-log scan does, so both report the same violations: present
+    /// for every honest named verdict on randomized logs, absent for
+    /// verdicts forged to point outside the window, past the disruption,
+    /// at an instant nothing happened, or at a name that did not fire then.
+    #[test]
+    fn evidence_lookup_matches_reference_scan() {
+        let mut next = lcg(0xD1B54A32D192ED03);
+        let cfg = AttributionConfig::default();
+        let (mut named, mut forged) = (0, 0);
+        for _trial in 0..50 {
+            let events = random_log(&mut next);
+            let agree = |a: &crate::GapAttribution| {
+                let lo = a.at - cfg.window;
+                let found = evidence_in_window(&events, a, lo);
+                assert_eq!(
+                    found,
+                    evidence_in_window_scan(&events, a, lo),
+                    "indexed / scan divergence on {a:?}"
+                );
+                found
+            };
+            for a in attribute_events(&events, &cfg) {
+                if a.class == crate::CauseClass::Unknown {
+                    continue;
+                }
+                named += 1;
+                assert!(agree(&a), "honest verdict lost its evidence: {a:?}");
+                let us = MediaDuration::from_micros(1);
+                let forgeries: [fn(&mut crate::GapAttribution, MediaDuration, MediaDuration); 5] = [
+                    // 1 µs older than the window reaches.
+                    |b, w, us| b.evidence_at = b.at - w - us,
+                    // After the disruption it claims to explain.
+                    |b, _, us| b.evidence_at = b.at + us,
+                    // An instant between events.
+                    |b, _, us| b.evidence_at += us,
+                    // A name that did not fire at that instant.
+                    |b, _, _| b.evidence = "no_such_event",
+                    // A disruption moved so its honest evidence falls out.
+                    |b, _, us| b.at = b.evidence_at - us,
+                ];
+                for forge in forgeries {
+                    let mut b = a.clone();
+                    forge(&mut b, cfg.window, us);
+                    assert!(!agree(&b), "forgery accepted: {b:?}");
+                    forged += 1;
+                }
+            }
+        }
+        assert!(named > 50, "the logs must produce named verdicts: {named}");
+        assert_eq!(forged, 5 * named);
+    }
 }

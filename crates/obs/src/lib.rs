@@ -45,7 +45,7 @@ pub mod stats;
 
 pub use causality::{
     attribute_events, fill_critical_paths, publish_attr_counters, AttributionConfig, CauseClass,
-    CauseCtx, GapAttribution, HopKind, HopRecord, ProvenanceLog,
+    CauseCtx, GapAttribution, HopRecord, ProvenanceLog,
 };
 pub use event::{Event, Labels, Severity};
 pub use export::{chrome_trace, events_jsonl, flight_report, session_timeline};
@@ -56,7 +56,7 @@ pub use slo::{SloAlert, SloMonitor, SloSpec};
 pub use span::{Span, SpanId, SpanStore};
 pub use stats::{max_dur_by, mean_by, percentile, Accumulator, DurationHistogram, RateMeter};
 
-use hermes_core::MediaTime;
+use hermes_core::{MediaDuration, MediaTime};
 
 /// True when the `trace` cargo feature is compiled in. With it off, every
 /// recording method starts with a statically-false check and compiles to a
@@ -79,8 +79,8 @@ pub struct Obs {
     pub registry: MetricsRegistry,
     /// Per-node recent-event rings and anomaly dumps.
     pub flight: FlightRecorder,
-    /// Per-hop message provenance stamped by the engine (enqueue, deliver,
-    /// loss, retransmit, abandon, multicast fanout).
+    /// Message provenance stamped by the engine: one record per final
+    /// delivery, keyed by causal root.
     pub prov: ProvenanceLog,
 }
 
@@ -201,6 +201,8 @@ impl Obs {
     /// session-root id and a dominant-cause verdict classified from the
     /// ring window, and deduplicated per `(reason, session, root)`
     /// incident key (one incident observed from several nodes dumps once).
+    /// The recorder is asked first: a repeat inside the dedupe window or a
+    /// dump past the cap is counted and classifies nothing.
     #[inline]
     pub fn dump_flight(&mut self, at: MediaTime, node: u64, reason: &'static str, labels: Labels) {
         if !self.on() {
@@ -211,20 +213,49 @@ impl Obs {
             .and_then(|s| self.spans.session_root_of(s))
             .map(|r| r.0)
             .unwrap_or(u32::MAX);
-        let ring = self.flight.ring_events(node);
-        let (class, _, _, _) =
-            causality::classify_window(&ring, at, labels.session, &AttributionConfig::default());
         self.flight
-            .dump_incident(at, node, reason, labels, root, class.label());
+            .dump_incident(at, node, reason, labels, root, |ring| {
+                let cfg = AttributionConfig::default();
+                let (class, ..) = causality::classify_window(ring, at, labels.session, &cfg);
+                class.label()
+            });
     }
 
-    /// Record a per-hop provenance record (no-op when tracing is off).
+    /// Record one final delivery in the provenance log: a message of
+    /// protocol class `kind` carrying `cause` reached its application at
+    /// `at` after `wait` in flight (no-op when tracing is off).
     #[inline]
-    pub fn record_hop(&mut self, rec: HopRecord) {
+    pub fn record_hop(
+        &mut self,
+        at: MediaTime,
+        cause: CauseCtx,
+        kind: &'static str,
+        wait: MediaDuration,
+    ) {
         if !self.on() {
             return;
         }
-        self.prov.push(rec);
+        self.prov.record(at, cause.root, kind, wait.as_micros());
+    }
+
+    /// Publish the capture's own meters into its registry: flight-recorder
+    /// dumps refused (`obs.flight_suppressed`, `obs.flight_deduped`) and
+    /// ring evictions by the evicted event's severity
+    /// (`obs.flight_overwritten_debug`, …).
+    pub fn publish_self_metrics(&mut self) {
+        let f = &self.flight;
+        let r = &mut self.registry;
+        r.counter_set("obs.flight_suppressed", Labels::NONE, f.suppressed);
+        r.counter_set("obs.flight_deduped", Labels::NONE, f.deduped);
+        const OVERWRITTEN: [&str; 4] = [
+            "obs.flight_overwritten_debug",
+            "obs.flight_overwritten_info",
+            "obs.flight_overwritten_warn",
+            "obs.flight_overwritten_error",
+        ];
+        for (name, n) in OVERWRITTEN.into_iter().zip(f.overwritten) {
+            r.counter_set(name, Labels::NONE, n);
+        }
     }
 
     /// Attribute every disruption in the capture: walks the event log,
@@ -276,13 +307,62 @@ mod tests {
         obs.emit(MediaTime::ZERO, 1, Severity::Error, "boom", Labels::NONE);
         let id = obs.span_start(MediaTime::ZERO, 1, "s", Labels::NONE, SpanId::NONE);
         obs.dump_flight(MediaTime::ZERO, 1, "anomaly", Labels::NONE);
+        obs.record_hop(
+            MediaTime::ZERO,
+            CauseCtx::NONE,
+            "msg",
+            MediaDuration::from_millis(1),
+        );
         assert!(id.is_none());
         assert!(obs.events().is_empty());
         assert!(obs.spans.is_empty());
         assert!(obs.flight.dumps().is_empty());
+        assert!(obs.prov.is_empty());
+        // A silenced capture meters itself as idle.
+        obs.publish_self_metrics();
+        for name in [
+            "obs.flight_suppressed",
+            "obs.flight_deduped",
+            "obs.flight_overwritten_debug",
+        ] {
+            assert_eq!(obs.registry.counter(name, Labels::NONE), 0);
+        }
+        assert_eq!(obs.registry.counters().count(), 6);
         // The registry stays usable regardless of the toggle.
         obs.registry.counter_add("c", Labels::NONE, 1);
         assert_eq!(obs.registry.counter("c", Labels::NONE), 1);
+    }
+
+    /// With the `trace` feature compiled out the delivery log, the flight
+    /// rings and the dump path are all no-ops; compiled in, a gap burst on
+    /// one session dumps once and the capture's meters say what it cost.
+    #[test]
+    fn capture_meters_itself_and_follows_the_compile_toggle() {
+        let mut obs = Obs::new();
+        let t = MediaTime::from_millis(5);
+        obs.record_hop(t, CauseCtx::NONE, "msg", MediaDuration::from_millis(1));
+        // 70 events into a 64-slot ring: six `Debug` evictions.
+        for _ in 0..70 {
+            obs.emit(t, 1, Severity::Debug, "tick", Labels::NONE);
+        }
+        for _ in 0..100 {
+            obs.dump_flight(t, 1, "playout_gap", Labels::session(7));
+        }
+        obs.publish_self_metrics();
+        let counter = |name| obs.registry.counter(name, Labels::NONE);
+        if TRACE_COMPILED {
+            assert_eq!(obs.prov.len(), 1);
+            assert_eq!(obs.prov.records()[0].wait_us, 1000);
+            assert_eq!(obs.flight.dumps().len(), 1);
+            assert_eq!(counter("obs.flight_deduped"), 99);
+            assert_eq!(counter("obs.flight_overwritten_debug"), 6);
+        } else {
+            assert!(obs.prov.is_empty());
+            assert!(obs.flight.dumps().is_empty());
+            assert_eq!(counter("obs.flight_deduped"), 0);
+            assert_eq!(counter("obs.flight_overwritten_debug"), 0);
+        }
+        assert_eq!(counter("obs.flight_suppressed"), 0);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 
 use hermes_core::MediaTime;
 use hermes_obs::{
-    attribute_events, fill_critical_paths, AttributionConfig, CauseClass, CauseCtx, Event,
-    GapAttribution, HopKind, HopRecord, Labels, ProvenanceLog, Severity, SpanId,
+    attribute_events, fill_critical_paths, AttributionConfig, CauseClass, Event, GapAttribution,
+    Labels, ProvenanceLog, Severity, SpanId,
 };
 
 fn ev(at_ms: i64, seq: u64, node: u64, name: &'static str, labels: Labels, value: i64) -> Event {
@@ -98,26 +98,20 @@ fn critical_path_is_provenance_order_independent() {
         ("fetch_chunk", 2500),
         ("control", 900), // same in-flight µs, different kind
     ];
-    let base: Vec<HopRecord> = hops
+    let base: Vec<(MediaTime, &'static str, i64)> = hops
         .iter()
         .enumerate()
-        .map(|(i, &(kind, us))| HopRecord {
-            at: MediaTime::from_millis(400 + i as i64),
-            kind: HopKind::Deliver,
-            from: 1,
-            to: 2,
-            cause: CauseCtx::from_root(root),
-            msg_kind: kind,
-            value: us,
-        })
+        .map(|(i, &(kind, us))| (MediaTime::from_millis(400 + i as i64), kind, us))
         .collect();
     let cfg = AttributionConfig::default();
     let gap = ev(900, 9, 2, "playout_gap", Labels::session(7), 1);
 
-    let run = |records: &[HopRecord]| {
+    // Every delivery sits inside the gap's window, so the window search
+    // keeps them all whatever order they were appended in.
+    let run = |deliveries: &[(MediaTime, &'static str, i64)]| {
         let mut prov = ProvenanceLog::default();
-        for &r in records {
-            prov.push(r);
+        for &(at, kind, us) in deliveries {
+            prov.record(at, root.0, kind, us);
         }
         let mut attrs = attribute_events(std::slice::from_ref(&gap), &cfg);
         fill_critical_paths(&mut attrs, &prov, |s| (s == 7).then_some(root), &cfg);

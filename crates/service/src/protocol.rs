@@ -615,11 +615,14 @@ impl ServiceMsg {
         }
     }
 
-    /// Hop-class label for engine provenance records: which step of a
+    /// Message-class label for engine provenance records: which step of a
     /// request's path this message represents. Registered with the engine
-    /// via `Sim::set_msg_kind`, so every per-hop [`hermes_obs::HopRecord`]
-    /// carries it — the full request → placement → replica fetch →
-    /// media-delivery path is reconstructible from the provenance log.
+    /// via `Sim::set_msg_kind`, so every delivery the engine logs (one
+    /// [`hermes_simnet::obs::HopRecord`] per delivered message, keyed by
+    /// causal root) carries it, and a disruption's critical path reads as
+    /// request → replica fetch → media-delivery steps. Messages that never arrive
+    /// leave no record: losses and retries are `SimStats` counters and
+    /// events.
     pub fn provenance_kind(&self) -> &'static str {
         match self {
             ServiceMsg::Tracked { inner, .. } => inner.provenance_kind(),

@@ -24,7 +24,7 @@ use crate::faults::{FaultEvent, FaultKind, FaultPlan};
 use crate::rng::SimRng;
 use crate::topology::{LinkOutcome, Network, NONE};
 use hermes_core::{MediaDuration, MediaTime, NodeId};
-use hermes_obs::causality::{CauseCtx, HopKind, HopRecord};
+use hermes_obs::causality::CauseCtx;
 use hermes_obs::{Labels, Obs, Severity, SpanId};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
@@ -410,33 +410,6 @@ impl<M: WireSize + Clone> Core<M> {
         c
     }
 
-    /// Record a per-hop provenance record (no-op when tracing is off —
-    /// with the `trace` feature compiled out this whole call folds away).
-    #[inline]
-    fn record_hop(
-        &mut self,
-        kind: HopKind,
-        from: NodeId,
-        to: NodeId,
-        cause: CauseCtx,
-        msg_kind: &'static str,
-        value: i64,
-    ) {
-        if !self.obs.on() {
-            return;
-        }
-        let at = self.now;
-        self.obs.record_hop(HopRecord {
-            at,
-            kind,
-            from: from.raw(),
-            to: to.raw(),
-            cause,
-            msg_kind,
-            value,
-        });
-    }
-
     /// Run the in-order gate of the reliable stream `src → dst` after one
     /// of its segments arrived (`Some`) or was abandoned (`None`): schedule
     /// every delivery the gate can now pass, no earlier than `arrival`.
@@ -583,8 +556,6 @@ impl<M: WireSize + Clone> Core<M> {
             return false;
         }
         let cause = self.next_cause();
-        let msg_kind = (self.kind_of)(&msg);
-        self.record_hop(HopKind::Enqueue, from, to, cause, msg_kind, 0);
         if from == to {
             // Local delivery: still asynchronous (next event), zero delay.
             let now = self.now;
@@ -665,8 +636,6 @@ impl<M: WireSize + Clone> Core<M> {
         self.stats.mcast_sends += 1;
         let now = self.now;
         let cause = self.next_cause();
-        let msg_kind = (self.kind_of)(&msg);
-        self.record_hop(HopKind::Enqueue, from, from, cause, msg_kind, count as i64);
         self.queue.push(
             now,
             Pending::McastHop {
@@ -744,16 +713,12 @@ impl<M: WireSize + Clone> Core<M> {
         let net = &self.net;
         fanout.sort_unstable_by_key(|&(link, t)| (net.id_at(net.link_to(link)), net.id_at(t)));
         let size = msg.wire_size();
-        let msg_kind = (self.kind_of)(&msg);
         for copy in fanout.chunk_by(|a, b| a.0 == b.0) {
             let (link, next) = self.net.hop_mut(copy[0].0);
             let outcome = link.transmit(now, size);
             self.stats.mcast_link_copies += 1;
-            let (here_id, next_id) = (self.net.id_at(here), self.net.id_at(next));
-            let fan = copy.len() as i64;
             match outcome {
                 LinkOutcome::Delivered { arrival } => {
-                    self.record_hop(HopKind::McastFanout, here_id, next_id, cause, msg_kind, fan);
                     self.queue.push(
                         arrival,
                         Pending::McastHop {
@@ -770,8 +735,7 @@ impl<M: WireSize + Clone> Core<M> {
                     );
                 }
                 LinkOutcome::Lost { .. } | LinkOutcome::QueueFull => {
-                    self.stats.datagrams_dropped += fan as u64;
-                    self.record_hop(HopKind::Loss, here_id, next_id, cause, msg_kind, fan);
+                    self.stats.datagrams_dropped += copy.len() as u64;
                 }
             }
         }
@@ -857,9 +821,6 @@ impl<M: WireSize + Clone> Core<M> {
                 }
             }
             LinkOutcome::Lost { .. } | LinkOutcome::QueueFull => {
-                let msg_kind = (self.kind_of)(&msg);
-                let (here, next) = (self.net.id_at(here), self.net.id_at(next));
-                self.record_hop(HopKind::Loss, here, next, cause, msg_kind, attempt as i64);
                 match transport {
                     Transport::Datagram => {
                         self.stats.datagrams_dropped += 1;
@@ -867,14 +828,6 @@ impl<M: WireSize + Clone> Core<M> {
                     Transport::Reliable => {
                         if attempt + 1 >= self.cfg.max_attempts {
                             self.stats.reliable_failures += 1;
-                            self.record_hop(
-                                HopKind::Abandon,
-                                from,
-                                to,
-                                cause,
-                                msg_kind,
-                                attempt as i64 + 1,
-                            );
                             self.obs.emit_val(
                                 now,
                                 from.raw(),
@@ -894,14 +847,6 @@ impl<M: WireSize + Clone> Core<M> {
                             // Exponential backoff from the original send time.
                             let backoff = self.cfg.rto * (1 << attempt.min(6)) as i64;
                             let retry_at = self.now + backoff;
-                            self.record_hop(
-                                HopKind::Retransmit,
-                                from,
-                                to,
-                                cause,
-                                msg_kind,
-                                attempt as i64 + 1,
-                            );
                             self.queue.push(
                                 retry_at,
                                 Pending::Hop {
@@ -1151,8 +1096,11 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
         }
     }
 
-    /// Register the protocol-level message classifier used to label
-    /// provenance hop records (e.g. `ServiceMsg::provenance_kind`).
+    /// Register the protocol-level message classifier that names the kind
+    /// of each delivery in the provenance log (e.g.
+    /// `ServiceMsg::provenance_kind`). Called once per delivered message
+    /// while tracing is on, never for losses or retransmissions — those
+    /// are `SimStats` counters and events.
     pub fn set_msg_kind(&mut self, f: fn(&M) -> &'static str) {
         self.core.kind_of = f;
     }
@@ -1203,6 +1151,7 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
         let s = self.core.stats;
         let prov_records = self.core.obs.prov.len() as u64;
         let prov_dropped = self.core.obs.prov.dropped;
+        self.core.obs.publish_self_metrics();
         let r = &mut self.core.obs.registry;
         r.counter_set("sim.prov_records", Labels::NONE, prov_records);
         r.counter_set("sim.prov_dropped", Labels::NONE, prov_dropped);
@@ -1275,12 +1224,14 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
                     return true;
                 }
                 self.core.stats.delivered += 1;
-                // Stamp the final-delivery provenance hop (in-flight µs)
-                // and adopt the message's cause for the handler's sends.
-                let msg_kind = (self.core.kind_of)(&msg);
-                let wait = (self.core.now - sent_at).as_micros();
-                self.core
-                    .record_hop(HopKind::Deliver, from, node, cause, msg_kind, wait);
+                // Log the delivery (the only provenance written down: kind,
+                // causal root, time in flight) and adopt the message's
+                // cause for the handler's sends.
+                if self.core.obs.on() {
+                    let kind = (self.core.kind_of)(&msg);
+                    let now = self.core.now;
+                    self.core.obs.record_hop(now, cause, kind, now - sent_at);
+                }
                 self.core.current_cause = cause;
                 let mut api = SimApi {
                     core: &mut self.core,
