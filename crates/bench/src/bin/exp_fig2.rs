@@ -66,7 +66,10 @@ fn main() {
         LinkSpec::lan(10_000_000),
         ServerConfig::default(),
     );
-    let cli = b.add_client(LinkSpec::lan(10_000_000), ClientConfig::default());
+    // The achieved-start table below reads the engine's `Started` events.
+    let mut client_cfg = ClientConfig::default();
+    client_cfg.playout.record_events = true;
+    let cli = b.add_client(LinkSpec::lan(10_000_000), client_cfg);
     let mut sim = b.build(seed);
     let mut rng = SimRng::seed_from_u64(seed.wrapping_add(1));
     install_figure2(sim.app_mut().server_mut(srv), DocumentId::new(1), &mut rng);

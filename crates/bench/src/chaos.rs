@@ -216,7 +216,7 @@ pub fn run_chaos_plan(seed: u64, plan: &FaultPlan, sabotage: bool) -> ChaosRepor
             .iter()
             .rev()
             .take(64)
-            .map(|e| e.node)
+            .map(|e| e.node())
             .collect::<std::collections::BTreeSet<_>>()
             .into_iter()
             .collect();
@@ -291,15 +291,15 @@ fn inject_epoch_regression(events: &mut Vec<Event>, server: NodeId) {
     let at = events.last().map(|e| e.at).unwrap_or(MediaTime::ZERO);
     let labels = Labels::session(424_242).stream(7);
     for (i, value) in [(1, 5), (2, 3)] {
-        events.push(Event {
+        events.push(Event::new(
             at,
-            seq: u64::MAX - 2 + i,
-            node: server.raw(),
-            severity: Severity::Info,
-            name: "stream_epoch",
+            u64::MAX - 2 + i,
+            server.raw(),
+            Severity::Info,
+            "stream_epoch",
             labels,
             value,
-        });
+        ));
     }
 }
 

@@ -284,7 +284,12 @@ pub struct PlayoutConfig {
     pub tolerance: SkewTolerance,
     /// Which side of a skewed pair to repair.
     pub policy: SkewPolicy,
-    /// Record every event (tests/experiments) or only counters.
+    /// Append every [`PlayoutEvent`] — one per presented frame per stream
+    /// — to [`PlayoutEngine::events`], or keep only the counters. Off by
+    /// default: a fleet of clients otherwise holds 32 bytes per frame for
+    /// the whole session. `exp_fig2`, the restart test in
+    /// `crates/service/tests/end_to_end.rs`, the playout golden test and
+    /// `events_recorded_in_order` read the log and switch it on.
     pub record_events: bool,
 }
 
@@ -296,7 +301,7 @@ impl Default for PlayoutConfig {
             enforce_sync: true,
             tolerance: SkewTolerance::default(),
             policy: SkewPolicy::Both,
-            record_events: true,
+            record_events: false,
         }
     }
 }
@@ -1026,7 +1031,11 @@ mod tests {
 
     #[test]
     fn events_recorded_in_order() {
-        let mut e = engine(PlayoutConfig::default(), 80);
+        let cfg = PlayoutConfig {
+            record_events: true,
+            ..PlayoutConfig::default()
+        };
+        let mut e = engine(cfg, 80);
         for i in 0..50 {
             e.deliver(frame(0, i, i as i64 * 40, i == 49));
             e.deliver(frame(1, i, i as i64 * 40, i == 49));

@@ -139,6 +139,7 @@ fn run(policy: SkewPolicy) -> Outcome {
         &periods,
         PlayoutConfig {
             policy,
+            record_events: true,
             ..PlayoutConfig::default()
         },
     );

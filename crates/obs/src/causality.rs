@@ -5,10 +5,10 @@
 //!
 //! * **Provenance** — every in-flight message carries a compact
 //!   [`CauseCtx`] (the root span of the session-level request that caused
-//!   it plus a causal sequence number), handed on to whatever its handler
-//!   sends. At final delivery the engine writes one 16-byte [`HopRecord`]
-//!   — when, under which causal root, which protocol message kind, how
-//!   long in flight — into the capture's [`ProvenanceLog`]: a delivery
+//!   it), handed on to whatever its handler sends. At final delivery the
+//!   engine writes one 16-byte [`HopRecord`] — when, under which causal
+//!   root, which protocol message kind, how long in flight — into the
+//!   capture's [`ProvenanceLog`]: a delivery
 //!   log keyed by causal root. Losses, retransmissions, abandoned sends
 //!   and multicast fan-out are not logged per message; they are engine
 //!   counters (`sim.datagrams_dropped`, `sim.retransmissions`,
@@ -37,32 +37,22 @@ use std::collections::HashMap;
 mod spec;
 
 /// The compact causal context every in-flight message and timer carries:
-/// the session root span that ultimately caused it plus a per-run causal
-/// sequence number. `Copy` and 8 bytes — stamping one costs two register
-/// writes, nothing allocates.
+/// the session root span that ultimately caused it. `Copy` and 4 bytes —
+/// stamping one costs a register write, nothing allocates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CauseCtx {
     /// Raw id of the root span ([`SpanId`]) this work descends from;
     /// `u32::MAX` = no known root (pre-session traffic, engine faults).
     pub root: u32,
-    /// Causal sequence number, assigned per message at send time — a total
-    /// order over everything descending from the same root.
-    pub seq: u32,
 }
 
 impl CauseCtx {
     /// The null context: no known root.
-    pub const NONE: CauseCtx = CauseCtx {
-        root: u32::MAX,
-        seq: 0,
-    };
+    pub const NONE: CauseCtx = CauseCtx { root: u32::MAX };
 
     /// A fresh context rooted at a span (normally a session root).
     pub fn from_root(root: SpanId) -> CauseCtx {
-        CauseCtx {
-            root: root.0,
-            seq: 0,
-        }
+        CauseCtx { root: root.0 }
     }
 
     /// True for the null context.
@@ -427,7 +417,7 @@ pub fn classify_window<'a>(
         };
         // Session-specific evidence counts double: it is on this
         // disruption's causal path, not just fleet-wide noise.
-        let w = if session.is_some() && e.labels.session == session {
+        let w = if session.is_some() && e.labels().session == session {
             base * 2
         } else {
             base
@@ -499,7 +489,7 @@ impl EvidenceIndex {
                 continue;
             }
             idx.all.entry(e.name).or_default().push(e.at);
-            if let Some(s) = e.labels.session {
+            if let Some(s) = e.labels().session {
                 idx.by_session.entry((e.name, s)).or_default().push(e.at);
             }
         }
@@ -619,11 +609,12 @@ pub fn attribute_events(events: &[Event], cfg: &AttributionConfig) -> Vec<GapAtt
         if !is_disruption {
             continue;
         }
-        let (class, score, evidence, evidence_at) = index.classify(e.at, e.labels.session, cfg);
+        let session = e.labels().session;
+        let (class, score, evidence, evidence_at) = index.classify(e.at, session, cfg);
         out.push(GapAttribution {
             at: e.at,
-            node: e.node,
-            session: e.labels.session.unwrap_or(0),
+            node: e.node(),
+            session: session.unwrap_or(0),
             kind: e.name,
             class,
             score,
@@ -686,20 +677,20 @@ pub(crate) mod tests {
         labels: Labels,
         value: i64,
     ) -> Event {
-        Event {
-            at: MediaTime::from_millis(at_ms),
+        Event::new(
+            MediaTime::from_millis(at_ms),
             seq,
             node,
-            severity: Severity::Warn,
+            Severity::Warn,
             name,
             labels,
             value,
-        }
+        )
     }
 
     #[test]
     fn cause_ctx_is_compact_and_null_safe() {
-        assert_eq!(std::mem::size_of::<CauseCtx>(), 8);
+        assert_eq!(std::mem::size_of::<CauseCtx>(), 4);
         assert!(CauseCtx::NONE.is_none());
         let c = CauseCtx::from_root(SpanId(7));
         assert!(!c.is_none());
@@ -791,19 +782,13 @@ pub(crate) mod tests {
         let mut events: Vec<Event> = (0..n)
             .map(|i| {
                 let (name, labels) = NAMES[(next() % NAMES.len() as u64) as usize];
-                let mut e = ev(
-                    (next() % 5000) as i64,
-                    i as u64,
-                    next() % 6,
-                    name,
-                    labels(next() % 4),
-                    0,
-                );
+                let (at_ms, node) = ((next() % 5000) as i64, next() % 6);
+                let mut labels = labels(next() % 4);
                 // Some evidence carries no session at all.
                 if next().is_multiple_of(4) {
-                    e.labels = Labels::NONE;
+                    labels = Labels::NONE;
                 }
-                e
+                ev(at_ms, i as u64, node, name, labels, 0)
             })
             .collect();
         for i in 0..4 {
@@ -842,7 +827,7 @@ pub(crate) mod tests {
                 expected.push(classify_window(
                     &events[lo..hi],
                     e.at,
-                    e.labels.session,
+                    e.labels().session,
                     &cfg,
                 ));
             }

@@ -28,7 +28,7 @@ const SPEC_KINDS: [SpecHopKind; 6] = [
 ];
 
 #[derive(Debug, Clone, Copy)]
-#[allow(dead_code)] // `from`, `to` and `cause.seq` were written and never read
+#[allow(dead_code)] // `from` and `to` were written and never read
 struct SpecHopRecord {
     at: MediaTime,
     kind: SpecHopKind,
@@ -137,7 +137,7 @@ proptest! {
         let mut spec = SpecLog { records: Vec::new(), cap: 1 << 20, dropped: 0 };
         let mut log = ProvenanceLog::default();
         let mut now = 0i64;
-        for (seq, &((tie, dt), hop, root, kind, (wsel, w))) in stamps.iter().enumerate() {
+        for &((tie, dt), hop, root, kind, (wsel, w)) in &stamps {
             now += if tie == 0 { 0 } else { dt };
             let at = MediaTime::from_micros(now);
             let hop = SPEC_KINDS[hop];
@@ -153,7 +153,7 @@ proptest! {
                 kind: hop,
                 from: 1,
                 to: 2,
-                cause: CauseCtx { root, seq: seq as u32 },
+                cause: CauseCtx { root },
                 msg_kind,
                 value,
             });

@@ -33,14 +33,15 @@ fn event_json(ev: &Event) -> String {
         "{{\"at\":{},\"seq\":{},\"node\":{},\"sev\":\"{}\",\"name\":\"{}\"",
         ev.at.as_micros(),
         ev.seq,
-        ev.node,
+        ev.node(),
         ev.severity.as_str(),
         ev.name,
     );
-    push_label_json(&mut s, "session", ev.labels.session);
-    push_label_json(&mut s, "stream", ev.labels.stream);
-    push_label_json(&mut s, "peer", ev.labels.peer);
-    push_label_json(&mut s, "segment", ev.labels.segment);
+    let labels = ev.labels();
+    push_label_json(&mut s, "session", labels.session);
+    push_label_json(&mut s, "stream", labels.stream);
+    push_label_json(&mut s, "peer", labels.peer);
+    push_label_json(&mut s, "segment", labels.segment);
     s.push_str(&format!(",\"value\":{}}}", ev.value));
     s
 }
@@ -74,8 +75,8 @@ pub fn chrome_trace(obs: &Obs, trace_end: MediaTime) -> String {
             ev.name,
             ev.severity.as_str(),
             ev.at.as_micros(),
-            ev.node,
-            ev.labels.session.unwrap_or(0),
+            ev.node(),
+            ev.labels().session.unwrap_or(0),
             ev.value,
         ));
     }
@@ -113,7 +114,7 @@ pub fn session_timeline(obs: &Obs, session: u64) -> String {
     let mut evs: Vec<&Event> = obs
         .events()
         .iter()
-        .filter(|e| e.labels.session == Some(session))
+        .filter(|e| e.labels().session == Some(session))
         .collect();
     evs.sort_by_key(|e| e.sort_key());
     for e in evs {
@@ -122,7 +123,7 @@ pub fn session_timeline(obs: &Obs, session: u64) -> String {
             fmt_ms(e.at),
             e.severity.as_str(),
             e.name,
-            e.labels.render(),
+            e.labels().render(),
             e.value,
         ));
     }
@@ -160,7 +161,7 @@ pub fn flight_report(obs: &Obs) -> String {
                 fmt_ms(e.at),
                 e.severity.as_str(),
                 e.name,
-                e.labels.render(),
+                e.labels().render(),
                 e.value,
             ));
         }

@@ -87,7 +87,7 @@ impl FlightRecorder {
 
     /// Append an event to its node's ring, evicting the oldest past `cap`.
     pub fn record(&mut self, ev: Event) {
-        let ring = self.rings.entry(ev.node).or_default();
+        let ring = self.rings.entry(ev.node()).or_default();
         if ring.len() == self.cap {
             if let Some(old) = ring.pop_front() {
                 self.overwritten[old.severity as usize] += 1;
@@ -177,15 +177,15 @@ mod tests {
     use crate::event::Severity;
 
     fn ev(at: i64, node: u64, seq: u64, name: &'static str) -> Event {
-        Event {
-            at: MediaTime::from_millis(at),
+        Event::new(
+            MediaTime::from_millis(at),
             seq,
             node,
-            severity: Severity::Debug,
+            Severity::Debug,
             name,
-            labels: Labels::NONE,
-            value: 0,
-        }
+            Labels::NONE,
+            0,
+        )
     }
 
     #[test]
@@ -219,6 +219,56 @@ mod tests {
             f.record(ev(12 + i, 1, 11 + i as u64, "tick"));
         }
         assert_eq!(f.overwritten, [6, 0, 1, 0]);
+    }
+
+    /// Whatever an event carries — any severity, any label mix, the widest
+    /// ids a slot holds — the dump is the ring, event for event, and an
+    /// eviction is booked under the severity of the event that left.
+    #[test]
+    fn dump_equals_ring_contents_and_evictions_count_by_severity() {
+        const SEVERITIES: [Severity; 4] = [
+            Severity::Debug,
+            Severity::Info,
+            Severity::Warn,
+            Severity::Error,
+        ];
+        let big = u32::MAX as u64 - 2;
+        let all: Vec<Event> = (0..11u64)
+            .map(|i| {
+                let labels = match i % 4 {
+                    0 => Labels::NONE,
+                    1 => Labels::session(i).stream(0),
+                    2 => Labels::for_peer(big).segment(i),
+                    _ => Labels::session(big).stream(big).peer(big).segment(big),
+                };
+                let severity = SEVERITIES[(i % 3 + i % 2) as usize];
+                let at = MediaTime::from_millis(i as i64 / 2);
+                Event::new(at, i, 5, severity, "tick", labels, -(i as i64))
+            })
+            .collect();
+        let mut f = FlightRecorder::new(4, all.len());
+        f.set_dedupe_window(MediaDuration::ZERO);
+        let mut evicted = [0u64; 4];
+        for (i, &e) in all.iter().enumerate() {
+            f.record(e);
+            if i >= 4 {
+                evicted[all[i - 4].severity as usize] += 1;
+            }
+            assert_eq!(f.overwritten, evicted);
+            f.dump(
+                MediaTime::from_millis(100 + i as i64),
+                5,
+                "probe",
+                Labels::NONE,
+            );
+            let dump = f.dumps().last().unwrap();
+            assert_eq!(dump.events, all[(i + 1).saturating_sub(4)..=i]);
+        }
+        assert_eq!(evicted.iter().sum::<u64>(), 7);
+        assert!(
+            evicted.iter().filter(|&&n| n > 0).count() >= 3,
+            "{evicted:?}"
+        );
     }
 
     /// A gap burst raises the same incident over and over: the recorder

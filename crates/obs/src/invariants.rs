@@ -28,6 +28,9 @@
 //!   event is actually present in the claimed causal window.
 //! * **Bounded recovery** — after the last injected fault clears, the
 //!   system returns to quiet: no disruption events past a settle window.
+//! * **Label width** — no event was recorded with a node id or label too
+//!   wide for its 32-bit slot (`obs.label_overflow` is zero): a saturated
+//!   id would merge distinct keys in every checker above.
 //!
 //! Checkers are individually public so property tests can feed each one
 //! synthetic streams with known violations.
@@ -103,10 +106,27 @@ pub fn check_run(
     v.extend(check_controller_legality(events));
     v.extend(check_conservation(registry));
     v.extend(check_attribution_soundness(events));
+    v.extend(check_label_overflow(registry));
     if let Some(clear) = cfg.last_fault_clear {
         v.extend(check_bounded_recovery(events, clear, cfg.settle));
     }
     v
+}
+
+/// **Label width** — an [`Event`] stores its node id and labels in 32-bit
+/// slots; an id that did not fit was stored saturated and counted by the
+/// capture (`obs.label_overflow`, published by
+/// [`crate::Obs::publish_self_metrics`]). Any such event makes the other
+/// checkers' keys unreliable, so the run is reported, not trusted.
+pub fn check_label_overflow(registry: &MetricsRegistry) -> Vec<Violation> {
+    match registry.counter("obs.label_overflow", Labels::NONE) {
+        0 => Vec::new(),
+        n => vec![Violation::new(
+            "label_overflow",
+            MediaTime::ZERO,
+            format!("{n} events carried a node id or label above the 32-bit slot range"),
+        )],
+    }
 }
 
 /// **Attribution soundness** — every playout gap above the attribution
@@ -194,14 +214,11 @@ pub fn check_epoch_monotonicity(events: &[Event]) -> Vec<Violation> {
     let mut v = Vec::new();
     let mut last: BTreeMap<(u64, u64, u64, u64), i64> = BTreeMap::new();
     for e in events {
+        let labels = e.labels();
+        let stream = labels.stream.unwrap_or(0);
         let key = match e.name {
-            "stream_epoch" => (
-                e.node,
-                0,
-                e.labels.session.unwrap_or(0),
-                e.labels.stream.unwrap_or(0),
-            ),
-            "group_epoch" => (e.node, 1, 0, e.labels.stream.unwrap_or(0)),
+            "stream_epoch" => (e.node(), 0, labels.session.unwrap_or(0), stream),
+            "group_epoch" => (e.node(), 1, 0, stream),
             _ => continue,
         };
         if let Some(&prev) = last.get(&key) {
@@ -212,8 +229,8 @@ pub fn check_epoch_monotonicity(events: &[Event]) -> Vec<Violation> {
                     format!(
                         "{}{} on node {} regressed {} → {}",
                         e.name,
-                        e.labels.render(),
-                        e.node,
+                        labels.render(),
+                        e.node(),
                         prev,
                         e.value
                     ),
@@ -244,12 +261,12 @@ pub fn check_session_lifecycle(events: &[Event]) -> Vec<Violation> {
     // (client node, session) -> abandoned at.
     let mut abandoned: BTreeMap<(u64, u64), MediaTime> = BTreeMap::new();
     for e in events {
-        let sid = e.labels.session.unwrap_or(0);
+        let sid = e.labels().session.unwrap_or(0);
         match e.name {
             "session_connect" | "session_rebuilt" => {
-                let key = (e.node, sid);
+                let key = (e.node(), sid);
                 if e.name == "session_rebuilt" {
-                    let old = (e.node, e.value as u64);
+                    let old = (e.node(), e.value as u64);
                     // The rebuild supersedes the old incarnation's session:
                     // that id must have existed and may or may not still be
                     // open (a crash loss already closed it).
@@ -260,9 +277,9 @@ pub fn check_session_lifecycle(events: &[Event]) -> Vec<Violation> {
                             e.at,
                             format!(
                                 "session_rebuilt{} supersedes unknown session {} on node {}",
-                                e.labels.render(),
+                                e.labels().render(),
                                 e.value,
-                                e.node
+                                e.node()
                             ),
                         ));
                     }
@@ -274,15 +291,15 @@ pub fn check_session_lifecycle(events: &[Event]) -> Vec<Violation> {
                         format!(
                             "{}{} re-opened live session on node {}",
                             e.name,
-                            e.labels.render(),
-                            e.node
+                            e.labels().render(),
+                            e.node()
                         ),
                     ));
                 }
                 known.insert(key);
             }
             "session_teardown" | "session_crash_lost" => {
-                let key = (e.node, sid);
+                let key = (e.node(), sid);
                 if !open.remove(&key) {
                     v.push(Violation::new(
                         "session_lifecycle",
@@ -290,8 +307,8 @@ pub fn check_session_lifecycle(events: &[Event]) -> Vec<Violation> {
                         format!(
                             "{}{} closed a session not open on node {} ({})",
                             e.name,
-                            e.labels.render(),
-                            e.node,
+                            e.labels().render(),
+                            e.node(),
                             if known.contains(&key) {
                                 "double close"
                             } else {
@@ -302,24 +319,24 @@ pub fn check_session_lifecycle(events: &[Event]) -> Vec<Violation> {
                 }
             }
             "session_abandoned" => {
-                let key = (e.node, sid);
+                let key = (e.node(), sid);
                 if abandoned.insert(key, e.at).is_some() {
                     v.push(Violation::new(
                         "session_lifecycle",
                         e.at,
-                        format!("session {sid} abandoned twice by client node {}", e.node),
+                        format!("session {sid} abandoned twice by client node {}", e.node()),
                     ));
                 }
             }
             "presentation_complete" => {
-                if let Some(&when) = abandoned.get(&(e.node, sid)) {
+                if let Some(&when) = abandoned.get(&(e.node(), sid)) {
                     v.push(Violation::new(
                         "session_lifecycle",
                         e.at,
                         format!(
                             "client node {} completed a presentation on session {sid} \
                              abandoned at {}µs",
-                            e.node,
+                            e.node(),
                             when.as_micros()
                         ),
                     ));
@@ -376,13 +393,13 @@ pub fn check_breaker_legality(events: &[Event]) -> Vec<Violation> {
         match e.name {
             "node_crash" => {
                 // The crashed node's own breaker map is volatile state.
-                state.retain(|(srv, _), _| *srv != e.node);
+                state.retain(|(srv, _), _| *srv != e.node());
                 continue;
             }
             "breaker_trip" | "breaker_probe" | "breaker_close" | "breaker_reset" => {}
             _ => continue,
         }
-        let key = (e.node, e.labels.peer.unwrap_or(0));
+        let key = (e.node(), e.labels().peer.unwrap_or(0));
         let cur = *state.get(&key).unwrap_or(&Breaker::Closed);
         let next = match (e.name, cur) {
             ("breaker_trip", Breaker::Closed | Breaker::HalfOpen) => Breaker::Open,
@@ -396,8 +413,8 @@ pub fn check_breaker_legality(events: &[Event]) -> Vec<Violation> {
                     format!(
                         "{}{} on node {} illegal from state {:?}",
                         e.name,
-                        e.labels.render(),
-                        e.node,
+                        e.labels().render(),
+                        e.node(),
                         cur
                     ),
                 ));
@@ -446,25 +463,25 @@ pub fn check_controller_legality(events: &[Event]) -> Vec<Violation> {
     let mut last_actuate: Option<(u64, i64)> = None;
     let mut max_epoch: i64 = 0;
     for e in events {
-        let sid = e.labels.session.unwrap_or(0);
+        let sid = e.labels().session.unwrap_or(0);
         match e.name {
             "node_crash" => {
-                down.insert(e.node);
+                down.insert(e.node());
             }
             "node_restart" => {
-                down.remove(&e.node);
+                down.remove(&e.node());
             }
             "session_connect" | "session_rebuilt" => {
                 if e.name == "session_rebuilt" {
-                    open.remove(&(e.node, e.value as u64));
+                    open.remove(&(e.node(), e.value as u64));
                 }
-                open.insert((e.node, sid));
+                open.insert((e.node(), sid));
             }
             "session_teardown" | "session_crash_lost" => {
-                open.remove(&(e.node, sid));
+                open.remove(&(e.node(), sid));
             }
             "ctrl_overload" => {
-                pressured.insert(e.node, e.value != 0);
+                pressured.insert(e.node(), e.value != 0);
             }
             "ctrl_actuate" => {
                 if let Some((node, epoch)) = last_actuate {
@@ -475,22 +492,24 @@ pub fn check_controller_legality(events: &[Event]) -> Vec<Violation> {
                             format!(
                                 "ctrl_actuate on node {} at epoch {} after epoch {epoch} — \
                                  actuation epoch regressed",
-                                e.node, e.value
+                                e.node(),
+                                e.value
                             ),
                         ));
-                    } else if node != e.node && e.value == epoch {
+                    } else if node != e.node() && e.value == epoch {
                         v.push(Violation::new(
                             "controller_legality",
                             e.at,
                             format!(
                                 "ctrl_actuate on node {} at epoch {} also actuated by node \
                                  {node} — split-brain under one epoch",
-                                e.node, e.value
+                                e.node(),
+                                e.value
                             ),
                         ));
                     }
                 }
-                last_actuate = Some((e.node, e.value));
+                last_actuate = Some((e.node(), e.value));
                 max_epoch = max_epoch.max(e.value);
             }
             "ctrl_elect" => {
@@ -501,48 +520,49 @@ pub fn check_controller_legality(events: &[Event]) -> Vec<Violation> {
                         format!(
                             "ctrl_elect on node {} claims epoch {} but epoch {max_epoch} was \
                              already in use",
-                            e.node, e.value
+                            e.node(),
+                            e.value
                         ),
                     ));
                 }
                 max_epoch = max_epoch.max(e.value);
             }
-            "ctrl_upgrade_cmd" if pressured.get(&e.node).copied().unwrap_or(false) => {
+            "ctrl_upgrade_cmd" if pressured.get(&e.node()).copied().unwrap_or(false) => {
                 v.push(Violation::new(
                     "controller_legality",
                     e.at,
                     format!(
                         "ctrl_upgrade_cmd{} issued by node {} while pressured",
-                        e.labels.render(),
-                        e.node
+                        e.labels().render(),
+                        e.node()
                     ),
                 ));
             }
-            "ctrl_degrade" | "ctrl_upgrade" if !open.contains(&(e.node, sid)) => {
+            "ctrl_degrade" | "ctrl_upgrade" if !open.contains(&(e.node(), sid)) => {
                 v.push(Violation::new(
                     "controller_legality",
                     e.at,
                     format!(
                         "{}{} applied on node {} to a session not open there",
                         e.name,
-                        e.labels.render(),
-                        e.node
+                        e.labels().render(),
+                        e.node()
                     ),
                 ));
             }
             "ctrl_scale_out" | "ctrl_scale_in" => {
-                if e.name == "ctrl_scale_in" && pressured.get(&e.node).copied().unwrap_or(false) {
+                if e.name == "ctrl_scale_in" && pressured.get(&e.node()).copied().unwrap_or(false) {
                     v.push(Violation::new(
                         "controller_legality",
                         e.at,
                         format!(
                             "ctrl_scale_in{} issued by node {} while pressured",
-                            e.labels.render(),
-                            e.node
+                            e.labels().render(),
+                            e.node()
                         ),
                     ));
                 }
-                let target = e.labels.peer.unwrap_or(0);
+                let target = e.labels().peer.unwrap_or(0);
                 if down.contains(&target) {
                     v.push(Violation::new(
                         "controller_legality",
@@ -550,8 +570,8 @@ pub fn check_controller_legality(events: &[Event]) -> Vec<Violation> {
                         format!(
                             "{}{} issued by node {} targets crashed media node {target}",
                             e.name,
-                            e.labels.render(),
-                            e.node
+                            e.labels().render(),
+                            e.node()
                         ),
                     ));
                 }
@@ -641,8 +661,8 @@ pub fn check_bounded_recovery(
                 format!(
                     "{}{} on node {} at {}µs — {}µs past the recovery deadline",
                     e.name,
-                    e.labels.render(),
-                    e.node,
+                    e.labels().render(),
+                    e.node(),
                     e.at.as_micros(),
                     (e.at - deadline).as_micros()
                 ),

@@ -26,10 +26,11 @@
 //! Recording is gated twice: the `trace` cargo feature (compile-time; off
 //! means every record call is a statically-false branch the optimizer
 //! deletes) and a runtime `enabled` flag (one load + branch when compiled
-//! in). Hot-path records are `Copy` — `&'static str` names, fixed label
-//! struct, no formatting — so an enabled trace costs a ring push and, for
-//! `Info`-and-above, one `Vec` push. The `exp_obs` benchmark measures both
-//! sides of the toggle.
+//! in). Hot-path records are 64-byte `Copy` values — `&'static str` names,
+//! node id and labels packed into five 32-bit slots, no formatting — so an
+//! enabled trace costs the packing, a ring push and, for `Info`-and-above,
+//! one `Vec` push: 64 bytes of log per retained event. The `exp_obs`
+//! benchmark measures both sides of the toggle.
 
 #![warn(missing_docs)]
 
@@ -72,6 +73,9 @@ pub struct Obs {
     enabled: bool,
     seq: u64,
     events: Vec<Event>,
+    /// Events recorded with a node id or label too wide for its 32-bit
+    /// slot (stored saturated; published as `obs.label_overflow`).
+    label_overflow: u64,
     /// Lifecycle spans.
     pub spans: SpanStore,
     /// The unified metrics registry (always live — publishing happens at
@@ -97,6 +101,7 @@ impl Obs {
             enabled: true,
             seq: 0,
             events: Vec::new(),
+            label_overflow: 0,
             spans: SpanStore::default(),
             registry: MetricsRegistry::new(),
             flight: FlightRecorder::default(),
@@ -145,16 +150,9 @@ impl Obs {
         if !self.on() {
             return;
         }
-        let ev = Event {
-            at,
-            seq: self.seq,
-            node,
-            severity,
-            name,
-            labels,
-            value,
-        };
+        let ev = Event::new(at, self.seq, node, severity, name, labels, value);
         self.seq += 1;
+        self.label_overflow += u64::from(ev.saturated());
         self.flight.record(ev);
         if severity >= Severity::Info {
             self.events.push(ev);
@@ -239,12 +237,15 @@ impl Obs {
     }
 
     /// Publish the capture's own meters into its registry: flight-recorder
-    /// dumps refused (`obs.flight_suppressed`, `obs.flight_deduped`) and
-    /// ring evictions by the evicted event's severity
-    /// (`obs.flight_overwritten_debug`, …).
+    /// dumps refused (`obs.flight_suppressed`, `obs.flight_deduped`), ring
+    /// evictions by the evicted event's severity
+    /// (`obs.flight_overwritten_debug`, …) and events whose node id or a
+    /// label was stored saturated (`obs.label_overflow` — non-zero is an
+    /// invariant violation, see [`invariants::check_label_overflow`]).
     pub fn publish_self_metrics(&mut self) {
         let f = &self.flight;
         let r = &mut self.registry;
+        r.counter_set("obs.label_overflow", Labels::NONE, self.label_overflow);
         r.counter_set("obs.flight_suppressed", Labels::NONE, f.suppressed);
         r.counter_set("obs.flight_deduped", Labels::NONE, f.deduped);
         const OVERWRITTEN: [&str; 4] = [
@@ -327,7 +328,7 @@ mod tests {
         ] {
             assert_eq!(obs.registry.counter(name, Labels::NONE), 0);
         }
-        assert_eq!(obs.registry.counters().count(), 6);
+        assert_eq!(obs.registry.counters().count(), 7);
         // The registry stays usable regardless of the toggle.
         obs.registry.counter_add("c", Labels::NONE, 1);
         assert_eq!(obs.registry.counter("c", Labels::NONE), 1);

@@ -10,15 +10,15 @@ use hermes_obs::{
 };
 
 fn ev(at_ms: i64, seq: u64, node: u64, name: &'static str, labels: Labels, value: i64) -> Event {
-    Event {
-        at: MediaTime::from_millis(at_ms),
+    Event::new(
+        MediaTime::from_millis(at_ms),
         seq,
         node,
-        severity: Severity::Warn,
+        Severity::Warn,
         name,
         labels,
         value,
-    }
+    )
 }
 
 /// Deterministic Fisher–Yates driven by a tiny LCG: enough entropy to

@@ -14,15 +14,15 @@ use hermes_obs::{Event, Labels, MetricsRegistry, Severity};
 
 /// Synthetic event with deterministic (at, seq) ordering.
 fn ev(at_ms: i64, seq: u64, node: u64, name: &'static str, labels: Labels, value: i64) -> Event {
-    Event {
-        at: MediaTime::from_millis(at_ms),
+    Event::new(
+        MediaTime::from_millis(at_ms),
         seq,
         node,
-        severity: Severity::Info,
+        Severity::Info,
         name,
         labels,
         value,
-    }
+    )
 }
 
 #[test]
@@ -437,4 +437,46 @@ fn check_run_aggregates_and_gates_bounded_recovery_on_config() {
     let v = check_run(&events, &registry, &cfg);
     assert_eq!(v.len(), 2, "{v:?}");
     assert!(v.iter().any(|v| v.invariant == "bounded_recovery"));
+}
+
+/// An id too wide for an event's 32-bit slot is stored saturated, counted
+/// once per event however many of its ids overflowed, and turns the run
+/// into a reported violation; a capture whose ids all fit publishes the
+/// counter as zero and gains nothing.
+#[test]
+#[cfg(feature = "trace")]
+fn label_overflow_is_counted_and_reported_never_wrapped() {
+    use hermes_obs::Obs;
+    let t = MediaTime::from_millis(1);
+    let fits = u32::MAX as u64 - 2;
+    let mut clean = Obs::new();
+    clean.emit(t, fits, Severity::Info, "tick", Labels::session(fits));
+    clean.emit(t, 1, Severity::Debug, "tick", Labels::NONE.segment(0));
+    clean.publish_self_metrics();
+    assert_eq!(
+        clean.registry.counter("obs.label_overflow", Labels::NONE),
+        0
+    );
+    let cfg = InvariantConfig::default();
+    assert_eq!(check_run(clean.events(), &clean.registry, &cfg), vec![]);
+
+    let mut obs = Obs::new();
+    for wide in [u32::MAX as u64, 1 << 40, u64::MAX] {
+        obs.emit(t, 1, Severity::Info, "tick", Labels::for_peer(wide));
+        // Two wide labels and a wide node id on one `Debug` event: still
+        // one overflow, and the ring-only event counts too.
+        let both = Labels::NONE.stream(wide).segment(wide);
+        obs.emit(t, wide, Severity::Debug, "tick", both);
+    }
+    for e in obs.events() {
+        // Saturated to the top of the range, not wrapped to 0 / 2⁴⁰ mod 2³².
+        assert_eq!(e.labels().peer, Some(u32::MAX as u64 - 1));
+        assert!(e.saturated());
+    }
+    obs.publish_self_metrics();
+    assert_eq!(obs.registry.counter("obs.label_overflow", Labels::NONE), 6);
+    let v = check_run(obs.events(), &obs.registry, &cfg);
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert_eq!(v[0].invariant, "label_overflow");
+    assert!(v[0].detail.starts_with("6 events"), "{}", v[0].detail);
 }

@@ -504,9 +504,10 @@ impl<T> OverloadQueue<T> {
     }
 
     /// Drop every request whose deadline has already passed (unmeetable),
-    /// returning them oldest-first so the caller can answer each.
-    pub fn expire(&mut self, now: MediaTime) -> Vec<QueuedRequest<T>> {
-        let mut shed = Vec::new();
+    /// appending them oldest-first to the caller's `shed` so it can answer
+    /// each (the media actor reuses one scratch `Vec` across a shed storm).
+    pub fn expire(&mut self, now: MediaTime, shed: &mut Vec<QueuedRequest<T>>) {
+        let before = shed.len();
         let mut i = 0;
         while i < self.queue.len() {
             if self.queue[i].deadline < now {
@@ -515,16 +516,20 @@ impl<T> OverloadQueue<T> {
                 i += 1;
             }
         }
-        self.stats.shed_deadline += shed.len() as u64;
-        shed
+        self.stats.shed_deadline += (shed.len() - before) as u64;
     }
 
-    /// Enqueue a request, returning every request shed to admit it: first
-    /// deadline-expired entries, then — if the queue is still over capacity —
-    /// the oldest entry of the cheapest class present (which may be the new
-    /// request itself).
-    pub fn push(&mut self, req: QueuedRequest<T>, now: MediaTime) -> Vec<QueuedRequest<T>> {
-        let mut shed = self.expire(now);
+    /// Enqueue a request, appending to `shed` every request shed to admit
+    /// it: first deadline-expired entries, then — if the queue is still over
+    /// capacity — the oldest entry of the cheapest class present (which may
+    /// be the new request itself).
+    pub fn push(
+        &mut self,
+        req: QueuedRequest<T>,
+        now: MediaTime,
+        shed: &mut Vec<QueuedRequest<T>>,
+    ) {
+        self.expire(now, shed);
         self.queue.push_back(req);
         self.stats.enqueued += 1;
         while self.queue.len() > self.capacity {
@@ -533,7 +538,6 @@ impl<T> OverloadQueue<T> {
             shed.push(self.queue.remove(victim).unwrap());
             self.stats.shed_capacity += 1;
         }
-        shed
     }
 
     /// Keep only requests whose payload satisfies the predicate (used for
@@ -616,6 +620,16 @@ mod tests {
     }
     fn at(v: i64) -> MediaTime {
         MediaTime::from_millis(v)
+    }
+    /// `push`, returning what this one call shed.
+    fn push(
+        q: &mut OverloadQueue<u32>,
+        req: QueuedRequest<u32>,
+        now: MediaTime,
+    ) -> Vec<QueuedRequest<u32>> {
+        let mut shed = Vec::new();
+        q.push(req, now, &mut shed);
+        shed
     }
 
     #[test]
@@ -739,7 +753,8 @@ mod tests {
     fn queue_sheds_expired_deadlines_first() {
         let mut q: OverloadQueue<u32> = OverloadQueue::new(8);
         for i in 0..4 {
-            let shed = q.push(
+            let shed = push(
+                &mut q,
                 QueuedRequest {
                     item: i,
                     enqueued_at: at(0),
@@ -751,7 +766,8 @@ mod tests {
             assert!(shed.is_empty());
         }
         // Two deadlines pass; both are shed on the next push.
-        let shed = q.push(
+        let shed = push(
+            &mut q,
             QueuedRequest {
                 item: 9,
                 enqueued_at: at(102),
@@ -774,7 +790,8 @@ mod tests {
             PricingClass::Economy,
         ];
         for (i, class) in classes.iter().enumerate() {
-            q.push(
+            push(
+                &mut q,
                 QueuedRequest {
                     item: i as u32,
                     enqueued_at: at(i as i64),
@@ -785,7 +802,8 @@ mod tests {
             );
         }
         // Full: a premium push evicts the oldest economy entry (item 1).
-        let shed = q.push(
+        let shed = push(
+            &mut q,
             QueuedRequest {
                 item: 3,
                 enqueued_at: at(10),
@@ -798,7 +816,8 @@ mod tests {
         assert_eq!(q.stats.shed_capacity, 1);
         // Queue is now [0 Premium, 2 Economy, 3 Premium]: a further economy
         // push evicts the *older* economy entry, not the newcomer...
-        let shed = q.push(
+        let shed = push(
+            &mut q,
             QueuedRequest {
                 item: 4,
                 enqueued_at: at(11),
@@ -811,7 +830,8 @@ mod tests {
         // ...and once it is the only economy entry left, a premium push
         // sheds the newcomer's own class mate — the newcomer survives only
         // if it outranks something.
-        let shed = q.push(
+        let shed = push(
+            &mut q,
             QueuedRequest {
                 item: 5,
                 enqueued_at: at(12),
@@ -841,5 +861,87 @@ mod tests {
             b.on_success();
         }
         assert_eq!(b.tokens(), b.max_tokens, "refill saturates at capacity");
+    }
+    /// The parent's `Vec`-returning `expire` / `push`, kept as the spec the
+    /// out-parameter pair is checked against.
+    impl<T> OverloadQueue<T> {
+        fn expire_spec(&mut self, now: MediaTime) -> Vec<QueuedRequest<T>> {
+            let mut shed = Vec::new();
+            let mut i = 0;
+            while i < self.queue.len() {
+                if self.queue[i].deadline < now {
+                    shed.push(self.queue.remove(i).unwrap());
+                } else {
+                    i += 1;
+                }
+            }
+            self.stats.shed_deadline += shed.len() as u64;
+            shed
+        }
+
+        fn push_spec(&mut self, req: QueuedRequest<T>, now: MediaTime) -> Vec<QueuedRequest<T>> {
+            let mut shed = self.expire_spec(now);
+            self.queue.push_back(req);
+            self.stats.enqueued += 1;
+            while self.queue.len() > self.capacity {
+                let cheapest = self.queue.iter().map(|r| r.class).min().unwrap();
+                let victim = self.queue.iter().position(|r| r.class == cheapest).unwrap();
+                shed.push(self.queue.remove(victim).unwrap());
+                self.stats.shed_capacity += 1;
+            }
+            shed
+        }
+    }
+
+    proptest::proptest! {
+        /// Over random push / pop / expire / time sequences the
+        /// out-parameter pair sheds the same requests in the same order as
+        /// the `Vec`-returning spec, serves the same ones and ends every
+        /// step with the same stats — also when the caller's scratch
+        /// already holds earlier sheds (`shed_deadline` counts only what
+        /// the call appended).
+        #[test]
+        fn out_parameter_queue_matches_vec_returning_spec(
+            cap in 1usize..6,
+            drain_scratch in proptest::any::<bool>(),
+            ops in proptest::collection::vec((0u8..3, 0i64..40, 0i64..120, 0u8..3), 0..150),
+        ) {
+            let mut q: OverloadQueue<u32> = OverloadQueue::new(cap);
+            let mut spec: OverloadQueue<u32> = OverloadQueue::new(cap);
+            let (mut shed, mut shed_spec) = (Vec::new(), Vec::new());
+            let mut now = MediaTime::ZERO;
+            for (i, &(op, dt, deadline, class)) in ops.iter().enumerate() {
+                now += ms(dt);
+                match op {
+                    0 => {
+                        let req = QueuedRequest {
+                            item: i as u32,
+                            enqueued_at: now,
+                            deadline: now + ms(deadline - 20),
+                            class: [PricingClass::Economy, PricingClass::Standard, PricingClass::Premium]
+                                [class as usize],
+                        };
+                        q.push(req.clone(), now, &mut shed);
+                        shed_spec.extend(spec.push_spec(req, now));
+                    }
+                    1 => {
+                        q.expire(now, &mut shed);
+                        shed_spec.extend(spec.expire_spec(now));
+                    }
+                    _ => proptest::prop_assert_eq!(
+                        q.pop().map(|r| r.item),
+                        spec.pop().map(|r| r.item)
+                    ),
+                }
+                let items = |v: &[QueuedRequest<u32>]| v.iter().map(|r| r.item).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(items(&shed), items(&shed_spec));
+                proptest::prop_assert_eq!(q.stats, spec.stats);
+                proptest::prop_assert_eq!(q.len(), spec.len());
+                if drain_scratch {
+                    shed.clear();
+                    shed_spec.clear();
+                }
+            }
+        }
     }
 }

@@ -10,6 +10,7 @@
 //! combined outstanding-load + round-trip-time score.
 
 use hermes_core::NodeId;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// Stable 64-bit FNV-1a hash (placement must not depend on the process'
@@ -138,12 +139,18 @@ impl ReplicaSelector {
         Self::default()
     }
 
-    /// Pick the best replica among `(node, rtt_micros)` candidates, or
-    /// `None` when the slice is empty.
-    pub fn pick(&self, candidates: &[(NodeId, i64)]) -> Option<NodeId> {
+    /// Pick the best replica among `(node, rtt_micros)` candidates — a
+    /// slice or any iterator, so the fetch path scores replicas without
+    /// collecting them — or `None` when there are none.
+    pub fn pick<I>(&self, candidates: I) -> Option<NodeId>
+    where
+        I: IntoIterator,
+        I::Item: Borrow<(NodeId, i64)>,
+    {
         candidates
-            .iter()
-            .map(|&(node, rtt)| {
+            .into_iter()
+            .map(|c| {
+                let &(node, rtt) = c.borrow();
                 let load = *self.outstanding.get(&node).unwrap_or(&0) as i64;
                 (load.saturating_mul(self.load_penalty_micros) + rtt, node)
             })
@@ -320,17 +327,17 @@ mod tests {
         let b = NodeId::new(2);
         let mut sel = ReplicaSelector::new();
         let cands = [(a, 1_000), (b, 4_000)];
-        assert_eq!(sel.pick(&cands), Some(a));
+        assert_eq!(sel.pick(cands), Some(a));
         // Pile outstanding fetches on `a` until `b`'s lower load wins.
         sel.fetch_started(a);
         sel.fetch_started(a);
-        assert_eq!(sel.pick(&cands), Some(b));
+        assert_eq!(sel.pick(cands), Some(b));
         // Completion drains the load back off.
         sel.fetch_finished(a);
         sel.fetch_finished(a);
-        assert_eq!(sel.pick(&cands), Some(a));
+        assert_eq!(sel.pick(cands), Some(a));
         assert_eq!(sel.served().get(&a), Some(&2));
-        assert_eq!(sel.pick(&[]), None);
+        assert_eq!(sel.pick(std::iter::empty::<(NodeId, i64)>()), None);
     }
 
     #[test]
@@ -342,5 +349,34 @@ mod tests {
         assert_eq!(sel.outstanding(a), 2);
         sel.clear_outstanding(a);
         assert_eq!(sel.outstanding(a), 0);
+    }
+    proptest::proptest! {
+        /// `pick` fed an iterator of owned pairs chooses what it chooses
+        /// over the collected slice, and both name the lowest
+        /// `load × penalty + rtt`, equal scores going to the lower node id
+        /// — for any candidate order, duplicate scores included.
+        #[test]
+        fn pick_over_an_iterator_equals_pick_over_the_slice(
+            cands in proptest::collection::vec((0u64..6, 0i64..4), 0..8),
+            loads in proptest::collection::vec(0u64..6, 0..12),
+        ) {
+            let mut sel = ReplicaSelector::new();
+            for &n in &loads {
+                sel.fetch_started(NodeId::new(n));
+            }
+            // Coarse RTTs in penalty units, so load and distance trade off
+            // into frequent score ties.
+            let rtt = |r: i64| r * sel.load_penalty_micros;
+            let slice: Vec<(NodeId, i64)> =
+                cands.iter().map(|&(n, r)| (NodeId::new(n), rtt(r))).collect();
+            let streamed = sel.pick(cands.iter().map(|&(n, r)| (NodeId::new(n), rtt(r))));
+            proptest::prop_assert_eq!(streamed, sel.pick(&slice));
+            let expected = slice
+                .iter()
+                .map(|&(n, r)| (sel.outstanding(n) as i64 * sel.load_penalty_micros + r, n))
+                .min()
+                .map(|(_, n)| n);
+            proptest::prop_assert_eq!(streamed, expected);
+        }
     }
 }

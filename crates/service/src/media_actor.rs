@@ -94,6 +94,9 @@ pub struct MediaActor {
     pub slowdown: u32,
     /// The bounded request queue.
     queue: OverloadQueue<PendingFetch>,
+    /// Scratch the queue sheds into; empty between calls, kept so a shed
+    /// storm allocates nothing per fetch.
+    shed: Vec<QueuedRequest<PendingFetch>>,
     /// The request currently in service, if any.
     serving: Option<PendingFetch>,
     /// Controller host receiving this node's queue-depth reports, if the
@@ -115,6 +118,7 @@ impl MediaActor {
             stats: MediaNodeStats::default(),
             slowdown: 1,
             queue,
+            shed: Vec::new(),
             serving: None,
             control_peer: None,
             report_period: MediaDuration::from_millis(100),
@@ -276,7 +280,9 @@ impl MediaActor {
                     deadline: MediaTime::from_micros(deadline_micros),
                     class,
                 };
-                for shed in self.queue.push(req, api.now()) {
+                let mut shed_now = std::mem::take(&mut self.shed);
+                self.queue.push(req, api.now(), &mut shed_now);
+                for shed in shed_now.drain(..) {
                     self.stats.busy_sent += 1;
                     api.emit_val(
                         self.node,
@@ -293,6 +299,7 @@ impl MediaActor {
                         },
                     );
                 }
+                self.shed = shed_now;
                 self.maybe_start(api);
             }
             ServiceMsg::MediaFetchCancel { fetch } => {
@@ -326,7 +333,9 @@ impl MediaActor {
             return;
         }
         // Deadline-expired entries are shed eagerly at dispatch.
-        for shed in self.queue.expire(api.now()) {
+        let mut shed_now = std::mem::take(&mut self.shed);
+        self.queue.expire(api.now(), &mut shed_now);
+        for shed in shed_now.drain(..) {
             self.stats.busy_sent += 1;
             api.send_reliable(
                 self.node,
@@ -336,6 +345,7 @@ impl MediaActor {
                 },
             );
         }
+        self.shed = shed_now;
         let Some(next) = self.queue.pop() else {
             return;
         };

@@ -1367,6 +1367,9 @@ impl ServerActor {
                 tier.cache.pin(o);
             }
         }
+        // Travels as an event's `stream` label, a 32-bit slot: fits while
+        // this node's raw id is below 4096 (past it `obs.label_overflow`
+        // counts the event and `check_run` reports the run).
         let gid = (self.node.raw() << 20) | self.next_group;
         self.next_group += 1;
         self.groups.insert(
@@ -2157,7 +2160,7 @@ impl ServerActor {
             return false;
         };
         let net = api.net();
-        let candidates: Vec<(NodeId, i64)> = tier
+        let candidates = tier
             .placement
             .replicas(&r.object)
             .iter()
@@ -2170,9 +2173,8 @@ impl ServerActor {
                     0
                 };
                 (n, prop * 2 + penalty)
-            })
-            .collect();
-        let Some(choice) = tier.selector.pick(&candidates) else {
+            });
+        let Some(choice) = tier.selector.pick(candidates) else {
             return false;
         };
         if let Some(r) = self
@@ -2762,7 +2764,7 @@ impl ServerActor {
         let Some(tier) = self.media.as_mut() else {
             return;
         };
-        let candidates: Vec<(NodeId, i64)> = tier
+        let candidates = tier
             .placement
             .replicas(&object)
             .iter()
@@ -2775,9 +2777,8 @@ impl ServerActor {
                     0
                 };
                 (n, prop * 2 + penalty)
-            })
-            .collect();
-        let Some(alt) = tier.selector.pick(&candidates) else {
+            });
+        let Some(alt) = tier.selector.pick(candidates) else {
             return; // single-replica object: nothing to race against
         };
         if tier.cfg.breaker && !tier.health.admit(alt, now) {

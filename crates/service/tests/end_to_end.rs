@@ -542,7 +542,10 @@ fn stopped_stream_restarts_after_recovery() {
         load: 0.85,
         extra_loss: 0.05,
     }]);
-    let cli = b.add_client(access, ClientConfig::default());
+    // The restart is read off the playout event log below.
+    let mut client_cfg = ClientConfig::default();
+    client_cfg.playout.record_events = true;
+    let cli = b.add_client(access, client_cfg);
     let mut sim = b.build(83);
     let mut rng = SimRng::seed_from_u64(84);
     let lessons = install_course(

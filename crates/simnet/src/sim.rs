@@ -350,8 +350,6 @@ struct Core<M> {
     /// each `on_message`/`on_timer` dispatch, so everything a handler
     /// sends or schedules inherits the request chain it serves.
     current_cause: CauseCtx,
-    /// Next causal sequence number (assigned per message at send time).
-    cause_seq: u32,
     /// Protocol-level message classifier for provenance records. The
     /// engine is generic over `M`, so the service layer registers its
     /// classifier as a plain fn pointer (default: every message is "msg").
@@ -396,18 +394,6 @@ impl<M: WireSize + Clone> Core<M> {
             self.nodes.resize(ix + 1, NodeState::default());
         }
         Some(&mut self.nodes[ix])
-    }
-
-    /// Stamp a fresh per-message causal context: the ambient root plus the
-    /// next causal sequence number.
-    #[inline]
-    fn next_cause(&mut self) -> CauseCtx {
-        let c = CauseCtx {
-            root: self.current_cause.root,
-            seq: self.cause_seq,
-        };
-        self.cause_seq = self.cause_seq.wrapping_add(1);
-        c
     }
 
     /// Run the in-order gate of the reliable stream `src → dst` after one
@@ -555,7 +541,7 @@ impl<M: WireSize + Clone> Core<M> {
             // A crashed process cannot transmit.
             return false;
         }
-        let cause = self.next_cause();
+        let cause = self.current_cause;
         if from == to {
             // Local delivery: still asynchronous (next event), zero delay.
             let now = self.now;
@@ -635,7 +621,7 @@ impl<M: WireSize + Clone> Core<M> {
         self.stats.datagrams_dropped += unknown as u64;
         self.stats.mcast_sends += 1;
         let now = self.now;
-        let cause = self.next_cause();
+        let cause = self.current_cause;
         self.queue.push(
             now,
             Pending::McastHop {
@@ -1090,7 +1076,6 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
                 mcast_fanout: Vec::new(),
                 obs: Obs::new(),
                 current_cause: CauseCtx::NONE,
-                cause_seq: 0,
                 kind_of: |_| "msg",
             },
         }

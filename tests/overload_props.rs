@@ -207,7 +207,9 @@ proptest! {
         let mut q: OverloadQueue<u64> = OverloadQueue::new(cap);
         let mut now = MediaTime::ZERO;
         let mut id = 0u64;
+        let mut shed = Vec::new();
         for op in &ops {
+            shed.clear();
             match *op {
                 QueueOp::Push(dt, dl, c) => {
                     now += MediaDuration::from_micros(dt);
@@ -218,11 +220,11 @@ proptest! {
                         deadline: now + MediaDuration::from_micros(dl),
                         class: class_of(c),
                     };
-                    let _ = q.push(req, now);
+                    q.push(req, now, &mut shed);
                 }
                 QueueOp::Pop(dt) => {
                     now += MediaDuration::from_micros(dt);
-                    let _ = q.expire(now);
+                    q.expire(now, &mut shed);
                     if let Some(r) = q.pop() {
                         prop_assert!(
                             r.deadline >= now,
@@ -233,7 +235,8 @@ proptest! {
                 }
                 QueueOp::Expire(dt) => {
                     now += MediaDuration::from_micros(dt);
-                    for shed in q.expire(now) {
+                    q.expire(now, &mut shed);
+                    for shed in &shed {
                         prop_assert!(shed.deadline < now, "live request shed as expired");
                     }
                 }
