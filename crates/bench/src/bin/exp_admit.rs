@@ -7,9 +7,9 @@
 //! Economy / Standard / Premium clients over one shared 10 Mbps server
 //! uplink, sweeping the offered load, and report per-class admission rates.
 
-use hermes_bench::{ExpOpts, Table};
+use hermes_bench::{clip_lesson, ExpOpts, Table};
 use hermes_core::{MediaTime, PricingClass, ServerId};
-use hermes_service::{install_course, ClientConfig, LessonShape, ServerConfig, WorldBuilder};
+use hermes_service::{install_course, ClientConfig, ServerConfig, WorldBuilder};
 use hermes_simnet::{LinkSpec, SimRng};
 
 /// One sweep point: `n_clients` clients each requesting a ~2.25 Mbps lesson,
@@ -42,12 +42,7 @@ fn run_point(n_clients: usize, seed: u64) -> Vec<(PricingClass, u64, u64)> {
         &["demand"],
         1,
         1,
-        LessonShape {
-            images: 0,
-            image_secs: 0,
-            narrated_clip_secs: Some(25),
-            closing_audio_secs: None,
-        },
+        clip_lesson(25),
         &mut rng,
     );
     // Poisson-ish arrivals over the first 5 seconds.

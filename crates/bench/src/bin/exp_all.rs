@@ -39,10 +39,18 @@ fn main() {
     let mut failed = Vec::new();
     for name in EXPERIMENTS {
         sink.line(&format!("\n################ {name} ################"));
-        let status = Command::new(dir.join(name))
+        let path = dir.join(name);
+        let status = Command::new(&path)
             .args(&forwarded)
             .status()
-            .unwrap_or_else(|e| panic!("failed to launch {name}: {e}"));
+            .unwrap_or_else(|e| {
+                eprintln!(
+                    "cannot launch {}: {e}\nexp_all runs its sibling binaries; build them \
+                     first: cargo build --release -p hermes-bench --bins",
+                    path.display()
+                );
+                std::process::exit(2);
+            });
         if !status.success() {
             failed.push(*name);
         }

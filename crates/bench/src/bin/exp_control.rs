@@ -26,13 +26,13 @@
 //! `--smoke` runs two seeds for the CI determinism gate; `--seed`/`--out`/
 //! `--json` as in every experiment binary.
 
-use hermes_bench::{percentile, Arrival, ExpOpts, Table, ZipfCatalog};
+use hermes_bench::{clip_lesson, drive_pool, percentile, tight_tier, ExpOpts, FlashCrowd, Table};
 use hermes_control::ControllerConfig;
 use hermes_core::{MediaDuration, MediaTime, NodeId, ServerId};
 use hermes_server::{SharingMode, SharingPolicy};
 use hermes_service::{
-    install_course, ClientConfig, LessonShape, MediaNodeConfig, MediaTierConfig, ServerConfig,
-    ServiceMsg, ServiceWorld, WorldBuilder,
+    install_course, ClientConfig, MediaTierConfig, ServerConfig, ServiceMsg, ServiceWorld,
+    WorldBuilder,
 };
 use hermes_simnet::{LinkSpec, Sim, SimRng};
 
@@ -77,13 +77,8 @@ impl Mode {
 struct Grid {
     modes: Vec<Mode>,
     seeds: Vec<u64>,
-    base_rate: f64,
-    spike_mult: f64,
-    spike_at: MediaTime,
-    spike_len: MediaDuration,
-    arrival_horizon: MediaTime,
+    crowd: FlashCrowd,
     pool: usize,
-    catalog: usize,
     clip_secs: i64,
 }
 
@@ -93,55 +88,33 @@ impl Grid {
             Grid {
                 modes: vec![Mode::Local, Mode::Global],
                 seeds: opts.seeds(&[1, 2]),
-                base_rate: 2.0,
-                spike_mult: 3.5,
-                spike_at: MediaTime::from_secs(6),
-                spike_len: MediaDuration::from_secs(8),
-                arrival_horizon: MediaTime::from_secs(20),
+                crowd: FlashCrowd {
+                    base_rate: 2.0,
+                    spike_mult: 3.5,
+                    spike_at: MediaTime::from_secs(6),
+                    spike_len: Some(MediaDuration::from_secs(8)),
+                    horizon: MediaTime::from_secs(20),
+                    catalog: 6,
+                },
                 pool: 60,
-                catalog: 6,
                 clip_secs: 8,
             }
         } else {
             Grid {
                 modes: vec![Mode::Local, Mode::Global],
                 seeds: opts.seeds(&[1, 2, 3]),
-                base_rate: 2.5,
-                spike_mult: 3.5,
-                spike_at: MediaTime::from_secs(8),
-                spike_len: MediaDuration::from_secs(10),
-                arrival_horizon: MediaTime::from_secs(26),
+                crowd: FlashCrowd {
+                    base_rate: 2.5,
+                    spike_mult: 3.5,
+                    spike_at: MediaTime::from_secs(8),
+                    spike_len: Some(MediaDuration::from_secs(10)),
+                    horizon: MediaTime::from_secs(26),
+                    catalog: 8,
+                },
                 pool: 90,
-                catalog: 8,
                 clip_secs: 8,
             }
         }
-    }
-}
-
-/// Piecewise-Poisson flash crowd over a Zipf catalog: same seed ⇒ same
-/// schedule for both modes, so columns are directly comparable.
-fn flash_crowd(seed: u64, g: &Grid) -> Vec<Arrival> {
-    let mut rng = SimRng::seed_from_u64(seed);
-    let catalog = ZipfCatalog::new(g.catalog, 1.1);
-    let mut out = Vec::new();
-    let mut t = MediaTime::ZERO;
-    loop {
-        let hot = t >= g.spike_at && t < g.spike_at + g.spike_len;
-        let rate = if hot {
-            g.base_rate * g.spike_mult
-        } else {
-            g.base_rate
-        };
-        let gap_secs = rng.exponential(1.0 / rate);
-        t += MediaDuration::from_micros((gap_secs * 1e6) as i64);
-        if t >= g.arrival_horizon {
-            return out;
-        }
-        out.push(Arrival {
-            at: t,
-            rank: catalog.sample(&mut rng),
-        });
     }
 }
 
@@ -186,28 +159,15 @@ fn run_point(seed: u64, mode: Mode, g: &Grid) -> Point {
     for &m in &media[2..] {
         sim.app_mut().standby_media.insert(m);
     }
-    // Tight tier: short queues and slow disks so the spike overloads
-    // serving capacity rather than the network.
-    for &m in &media {
-        sim.app_mut().media_mut(m).configure(MediaNodeConfig {
-            queue_capacity: 24,
-            fixed_service: MediaDuration::from_millis(1),
-            per_mbyte: MediaDuration::from_millis(300),
-        });
-    }
+    tight_tier(&mut sim, &media, 300);
     let mut rng = SimRng::seed_from_u64(seed ^ 0xF1A5);
     let lessons = install_course(
         sim.app_mut().server_mut(srv),
         "Crowd",
         &["control"],
         1,
-        g.catalog,
-        LessonShape {
-            images: 0,
-            image_secs: 0,
-            narrated_clip_secs: Some(g.clip_secs),
-            closing_audio_secs: None,
-        },
+        g.crowd.catalog,
+        clip_lesson(g.clip_secs),
         &mut rng,
     );
     sim.app_mut().distribute_media();
@@ -230,73 +190,34 @@ fn run_point(seed: u64, mode: Mode, g: &Grid) -> Point {
         sim.with_api(|w, api| w.enable_control(api, srv, cfg));
     }
 
-    let arrivals = flash_crowd(seed, g);
-
-    // Open-loop driver over a fixed client pool (same scheme as
-    // EXP-OVERLOAD): each arrival claims an idle client; a grown
-    // completed/errors count frees the slot.
-    let mut slots: Vec<Option<(usize, usize)>> = vec![None; g.pool];
-    let mut p = Point {
-        arrivals: arrivals.len(),
-        ..Point::default()
-    };
+    let arrivals = g.crowd.arrivals(seed);
     let mut glitches = 0u64;
     let mut frames = 0u64;
     let mut session_gaps: Vec<f64> = Vec::new();
-    let mut harvest = |c: &hermes_service::ClientActor| {
-        if let Some(pres) = &c.presentation {
-            let s = pres.engine.total_stats();
-            glitches += s.glitches;
-            frames += s.frames_played;
-            if s.frames_played > 0 {
-                session_gaps.push(s.glitches as f64 * 1_000.0 / s.frames_played as f64);
-            }
-        }
-    };
-    for a in &arrivals {
-        sim.run_until(a.at);
-        let mut free = None;
-        for i in 0..g.pool {
-            match slots[i] {
-                None => {
-                    if free.is_none() {
-                        free = Some(i);
-                    }
-                }
-                Some((c0, e0)) => {
-                    let c = sim.app().client(nodes[i]);
-                    if c.completed.len() > c0 || c.errors.len() > e0 {
-                        harvest(c);
-                        slots[i] = None;
-                        if free.is_none() {
-                            free = Some(i);
-                        }
-                    }
-                }
-            }
-        }
-        let Some(i) = free else {
-            p.unserved += 1;
-            continue;
-        };
-        let node = nodes[i];
-        let doc = lessons[a.rank];
-        let c = sim.app().client(node);
-        slots[i] = Some((c.completed.len(), c.errors.len()));
-        sim.with_api(|w, api| {
-            let cl = w.client_mut(node);
-            cl.disconnect(api);
-            cl.connect(api, srv, Some(doc));
-        });
-    }
     // Drain: let every in-flight session play out.
-    let end = g.arrival_horizon + MediaDuration::from_secs(g.clip_secs + 15);
-    sim.run_until(end);
-    for (i, s) in slots.iter().enumerate() {
-        if s.is_some() {
-            harvest(sim.app().client(nodes[i]));
-        }
-    }
+    let end = g.crowd.horizon + MediaDuration::from_secs(g.clip_secs + 15);
+    let run = drive_pool(
+        &mut sim,
+        &nodes,
+        &arrivals,
+        end,
+        |a| (srv, lessons[a.rank]),
+        |c| {
+            if let Some(pres) = &c.presentation {
+                let s = pres.engine.total_stats();
+                glitches += s.glitches;
+                frames += s.frames_played;
+                if s.frames_played > 0 {
+                    session_gaps.push(s.glitches as f64 * 1_000.0 / s.frames_played as f64);
+                }
+            }
+        },
+    );
+    let mut p = Point {
+        arrivals: arrivals.len(),
+        unserved: run.unserved,
+        ..Point::default()
+    };
 
     for &node in &nodes {
         let c = sim.app().client(node);
@@ -353,14 +274,14 @@ fn main() {
          for {} s plus drain. local = breakers + hedging + degradation ladder;\n\
          global = fleet controller (grading + admission price + elastic\n\
          scale-out), ladder off.",
-        g.catalog,
+        g.crowd.catalog,
         g.clip_secs,
         g.pool,
-        g.base_rate,
-        g.spike_mult,
-        (g.spike_at - MediaTime::ZERO).as_micros() / 1_000_000,
-        g.spike_len.as_micros() / 1_000_000,
-        (g.arrival_horizon - MediaTime::ZERO).as_micros() / 1_000_000,
+        g.crowd.base_rate,
+        g.crowd.spike_mult,
+        (g.crowd.spike_at - MediaTime::ZERO).as_micros() / 1_000_000,
+        g.crowd.spike_len.expect("a spike").as_micros() / 1_000_000,
+        (g.crowd.horizon - MediaTime::ZERO).as_micros() / 1_000_000,
     ));
     let mut t = Table::new(vec![
         "mode",
@@ -430,7 +351,7 @@ fn main() {
     out.line(&format!(
         "claim @ ×{:.1} crowd: aggregate utility (worst seed) {:.1} → {:.1}, \
          session gap P99 (worst seed) {:.2} → {:.2}",
-        g.spike_mult, local_u, global_u, local_p, global_p,
+        g.crowd.spike_mult, local_u, global_u, local_p, global_p,
     ));
     assert!(
         engaged["global"] > 0,

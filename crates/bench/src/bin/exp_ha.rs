@@ -22,13 +22,13 @@
 //! `--smoke` runs two seeds for the CI determinism gate; `--seed`/`--out`/
 //! `--json` as in every experiment binary.
 
-use hermes_bench::{percentile, Arrival, ExpOpts, Table, ZipfCatalog};
+use hermes_bench::{clip_lesson, drive_pool, percentile, tight_tier, ExpOpts, FlashCrowd, Table};
 use hermes_control::ControllerConfig;
 use hermes_core::{MediaDuration, MediaTime, NodeId, ServerId};
 use hermes_server::{SharingMode, SharingPolicy};
 use hermes_service::{
-    install_course, ClientConfig, LessonShape, MediaNodeConfig, MediaTierConfig, ServerConfig,
-    ServiceMsg, ServiceWorld, WorldBuilder,
+    install_course, ClientConfig, MediaTierConfig, ServerConfig, ServiceMsg, ServiceWorld,
+    WorldBuilder,
 };
 use hermes_simnet::obs::invariants::check_controller_legality;
 use hermes_simnet::{FaultPlan, LinkSpec, Sim, SimRng};
@@ -55,15 +55,10 @@ impl Mode {
 struct Grid {
     modes: Vec<Mode>,
     seeds: Vec<u64>,
-    base_rate: f64,
-    spike_mult: f64,
-    spike_at: MediaTime,
-    spike_len: MediaDuration,
+    crowd: FlashCrowd,
     crash_at: MediaTime,
     crash_down: MediaDuration,
-    arrival_horizon: MediaTime,
     pool: usize,
-    catalog: usize,
     clip_secs: i64,
 }
 
@@ -84,43 +79,19 @@ impl Grid {
         Grid {
             modes: vec![Mode::Ha, Mode::Pinned],
             seeds,
-            base_rate: if opts.smoke { 2.0 } else { 2.5 },
-            spike_mult: 5.0,
-            spike_at,
-            spike_len: MediaDuration::from_secs(if opts.smoke { 8 } else { 10 }),
+            crowd: FlashCrowd {
+                base_rate: if opts.smoke { 2.0 } else { 2.5 },
+                spike_mult: 5.0,
+                spike_at,
+                spike_len: Some(MediaDuration::from_secs(if opts.smoke { 8 } else { 10 })),
+                horizon: MediaTime::from_secs(if opts.smoke { 16 } else { 20 }),
+                catalog,
+            },
             crash_at: spike_at + MediaDuration::from_millis(300),
             crash_down: MediaDuration::from_secs(4),
-            arrival_horizon: MediaTime::from_secs(if opts.smoke { 16 } else { 20 }),
             pool,
-            catalog,
             clip_secs: 8,
         }
-    }
-}
-
-/// Piecewise-Poisson flash crowd over a Zipf catalog: same seed ⇒ same
-/// schedule for both modes, so columns are directly comparable.
-fn flash_crowd(seed: u64, g: &Grid) -> Vec<Arrival> {
-    let mut rng = SimRng::seed_from_u64(seed);
-    let catalog = ZipfCatalog::new(g.catalog, 1.1);
-    let mut out = Vec::new();
-    let mut t = MediaTime::ZERO;
-    loop {
-        let hot = t >= g.spike_at && t < g.spike_at + g.spike_len;
-        let rate = if hot {
-            g.base_rate * g.spike_mult
-        } else {
-            g.base_rate
-        };
-        let gap_secs = rng.exponential(1.0 / rate);
-        t += MediaDuration::from_micros((gap_secs * 1e6) as i64);
-        if t >= g.arrival_horizon {
-            return out;
-        }
-        out.push(Arrival {
-            at: t,
-            rank: catalog.sample(&mut rng),
-        });
     }
 }
 
@@ -205,15 +176,8 @@ fn run_point(seed: u64, mode: Mode, g: &Grid) -> Point {
     for &m in &media[2..] {
         sim.app_mut().standby_media.insert(m);
     }
-    // EXP-CONTROL's tight tier: short queues and slow disks so the crowd
-    // overloads serving capacity rather than the network.
-    for &m in &media {
-        sim.app_mut().media_mut(m).configure(MediaNodeConfig {
-            queue_capacity: 24,
-            fixed_service: MediaDuration::from_millis(1),
-            per_mbyte: MediaDuration::from_millis(600),
-        });
-    }
+    // EXP-CONTROL's tight tier with disks twice as slow.
+    tight_tier(&mut sim, &media, 600);
     // Lessons on the session servers only: crashing the host takes out
     // the control function and nothing else.
     let mut rng = SimRng::seed_from_u64(seed ^ 0xF1A5);
@@ -224,13 +188,8 @@ fn run_point(seed: u64, mode: Mode, g: &Grid) -> Point {
             ["Crowd A", "Crowd B"][i],
             &["ha"],
             1 + 100 * i as u64,
-            g.catalog / 2,
-            LessonShape {
-                images: 0,
-                image_secs: 0,
-                narrated_clip_secs: Some(g.clip_secs),
-                closing_audio_secs: None,
-            },
+            g.crowd.catalog / 2,
+            clip_lesson(g.clip_secs),
             &mut rng,
         );
         for d in docs {
@@ -247,65 +206,30 @@ fn run_point(seed: u64, mode: Mode, g: &Grid) -> Point {
     // comes back a few seconds later.
     sim.install_faults(&FaultPlan::new().crash_for(host, g.crash_at, g.crash_down));
 
-    let arrivals = flash_crowd(seed, g);
-    let mut slots: Vec<Option<(usize, usize)>> = vec![None; g.pool];
+    let arrivals = g.crowd.arrivals(seed);
+    let mut session_gaps: Vec<f64> = Vec::new();
+    let end = g.crowd.horizon + MediaDuration::from_secs(g.clip_secs + 15);
+    let run = drive_pool(
+        &mut sim,
+        &nodes,
+        &arrivals,
+        end,
+        |a| lessons[a.rank % lessons.len()],
+        |c| {
+            if let Some(pres) = &c.presentation {
+                let s = pres.engine.total_stats();
+                let ticks = s.glitches + s.frames_played + s.duplicates_played;
+                if ticks > 0 {
+                    session_gaps.push(s.glitches as f64 * 1_000.0 / ticks as f64);
+                }
+            }
+        },
+    );
     let mut p = Point {
         arrivals: arrivals.len(),
+        unserved: run.unserved,
         ..Point::default()
     };
-    let mut session_gaps: Vec<f64> = Vec::new();
-    let mut harvest = |c: &hermes_service::ClientActor| {
-        if let Some(pres) = &c.presentation {
-            let s = pres.engine.total_stats();
-            let ticks = s.glitches + s.frames_played + s.duplicates_played;
-            if ticks > 0 {
-                session_gaps.push(s.glitches as f64 * 1_000.0 / ticks as f64);
-            }
-        }
-    };
-    for a in &arrivals {
-        sim.run_until(a.at);
-        let mut free = None;
-        for i in 0..g.pool {
-            match slots[i] {
-                None => {
-                    if free.is_none() {
-                        free = Some(i);
-                    }
-                }
-                Some((c0, e0)) => {
-                    let c = sim.app().client(nodes[i]);
-                    if c.completed.len() > c0 || c.errors.len() > e0 {
-                        harvest(c);
-                        slots[i] = None;
-                        if free.is_none() {
-                            free = Some(i);
-                        }
-                    }
-                }
-            }
-        }
-        let Some(i) = free else {
-            p.unserved += 1;
-            continue;
-        };
-        let node = nodes[i];
-        let (srv, doc) = lessons[a.rank % lessons.len()];
-        let c = sim.app().client(node);
-        slots[i] = Some((c.completed.len(), c.errors.len()));
-        sim.with_api(|w, api| {
-            let cl = w.client_mut(node);
-            cl.disconnect(api);
-            cl.connect(api, srv, Some(doc));
-        });
-    }
-    let end = g.arrival_horizon + MediaDuration::from_secs(g.clip_secs + 15);
-    sim.run_until(end);
-    for (i, s) in slots.iter().enumerate() {
-        if s.is_some() {
-            harvest(sim.app().client(nodes[i]));
-        }
-    }
 
     for &node in &nodes {
         let c = sim.app().client(node);
@@ -362,13 +286,13 @@ fn main() {
          The fleet controller runs on a third, session-free server that crashes\n\
          at {} ms (0.3 s into the spike) and restarts {} s later. ha = lease/\n\
          election failover on; pinned = controller dies with its host.",
-        g.catalog,
+        g.crowd.catalog,
         g.clip_secs,
         g.pool,
-        g.base_rate,
-        g.spike_mult,
-        (g.spike_at - MediaTime::ZERO).as_micros() / 1_000_000,
-        g.spike_len.as_micros() / 1_000_000,
+        g.crowd.base_rate,
+        g.crowd.spike_mult,
+        (g.crowd.spike_at - MediaTime::ZERO).as_micros() / 1_000_000,
+        g.crowd.spike_len.expect("a spike").as_micros() / 1_000_000,
         (g.crash_at - MediaTime::ZERO).as_micros() / 1_000,
         g.crash_down.as_micros() / 1_000_000,
     ));
@@ -474,7 +398,7 @@ fn main() {
     out.line(&format!(
         "claim @ x{:.1} crowd: aggregate utility (worst seed) {:.1} (pinned) -> {:.1} (ha), \
          session gap P99 (worst seed) {:.2} (pinned) -> {:.2} (ha)",
-        g.spike_mult, pin_u, ha_u, pin_p, ha_p,
+        g.crowd.spike_mult, pin_u, ha_u, pin_p, ha_p,
     ));
     assert!(
         ha_u > pin_u,

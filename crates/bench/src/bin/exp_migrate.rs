@@ -8,9 +8,9 @@
 //! Sweep the user's revisit delay against the server's grace period and
 //! report whether the suspended session survived.
 
-use hermes_bench::{ExpOpts, Table};
+use hermes_bench::{clip_lesson, ExpOpts, Table};
 use hermes_core::{LinkTarget, MediaDuration, MediaTime, ServerId};
-use hermes_service::{install_course, ClientConfig, LessonShape, ServerConfig, WorldBuilder};
+use hermes_service::{install_course, ClientConfig, ServerConfig, WorldBuilder};
 use hermes_simnet::{LinkSpec, SimRng};
 
 /// Returns (session_alive_at_revisit, client_was_notified_of_expiry).
@@ -27,12 +27,7 @@ fn run(revisit_after_s: i64, grace_s: i64, seed: u64) -> (bool, bool) {
     let cli = b.add_client(LinkSpec::lan(10_000_000), ClientConfig::default());
     let mut sim = b.build(seed);
     let mut rng = SimRng::seed_from_u64(seed.wrapping_add(1));
-    let shape = LessonShape {
-        images: 0,
-        image_secs: 0,
-        narrated_clip_secs: Some(4),
-        closing_audio_secs: None,
-    };
+    let shape = clip_lesson(4);
     let home = install_course(
         sim.app_mut().server_mut(s1),
         "Home",

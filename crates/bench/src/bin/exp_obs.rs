@@ -1,5 +1,4 @@
-//! OBS — observability: trace one lossy streaming session end-to-end and
-//! measure what the tracing layer costs.
+//! OBS — observability: trace one lossy streaming session end-to-end.
 //!
 //! Part 1 (trace): a session over a lossy access link with short-term
 //! recovery and grading disabled, so playout gaps actually happen. The run
@@ -16,12 +15,9 @@
 //! loop's transitions must appear as `qos_degrade` / `stream_regraded`
 //! events in the trace.
 //!
-//! Part 3 (overhead): wall-clock of the identical workload with tracing
-//! runtime-enabled vs runtime-disabled (and, when the `trace` feature is
-//! compiled out, everything free). Timings go to the sink only — never
-//! into the exported trace files, which must stay byte-deterministic.
+//! What tracing costs is the benchmark's `bench.trace_overhead_pct`.
 
-use hermes_bench::{run_streaming_session_traced, ExpOpts, Sink, StreamingParams, Table};
+use hermes_bench::{run_streaming_session_traced, ExpOpts, Sink, StreamingParams};
 use hermes_client::PlayoutConfig;
 use hermes_core::MediaTime;
 use hermes_simnet::obs::{chrome_trace, events_jsonl, flight_report, session_timeline};
@@ -123,14 +119,14 @@ fn main() {
         // nothing to assert about or export.
         sink.line("trace feature compiled out — running workloads untraced");
         let p = lossy_params(seed, opts.smoke, false);
-        let (m, _) = run_streaming_session_traced(&p, true);
+        let (m, _) = run_streaming_session_traced(&p);
         sink.line(&format!("glitches={} (untraced run ok)", m.glitches));
         return;
     }
 
     // -- Part 1: the forced-gap trace ------------------------------------
     let p = lossy_params(seed, opts.smoke, false);
-    let (m, obs) = run_streaming_session_traced(&p, true);
+    let (m, obs) = run_streaming_session_traced(&p);
     check_gap_trace(&obs, m.glitches, &mut sink);
     let session = the_session(&obs);
     sink.line(&session_timeline(&obs, session));
@@ -165,7 +161,7 @@ fn main() {
 
     // -- Part 2: degradation transitions under grading -------------------
     let pg = lossy_params(seed, opts.smoke, true);
-    let (_, graded) = run_streaming_session_traced(&pg, true);
+    let (_, graded) = run_streaming_session_traced(&pg);
     let degrades = count(&graded, "qos_degrade");
     let regrades = count(&graded, "stream_regraded");
     assert!(
@@ -182,48 +178,4 @@ fn main() {
         count(&graded, "qos_upgrade"),
         count(&graded, "qos_stop"),
     ));
-
-    // -- Part 3: overhead of the toggle -----------------------------------
-    // Wall-clock only reaches the sink; the exported traces above must stay
-    // byte-identical across runs.
-    let reps = if opts.smoke { 50 } else { 150 };
-    // Warm both paths once untimed, interleave the timed reps, and compare
-    // per-rep *minima*: timing all-off then all-on lets allocator warmup
-    // and clock drift land on one side, and scheduler stalls are additive
-    // noise the minimum filters out of both.
-    for enabled in [false, true] {
-        let p = lossy_params(seed + 99, opts.smoke, false);
-        std::hint::black_box(run_streaming_session_traced(&p, enabled));
-    }
-    let mut off = f64::INFINITY;
-    let mut on = f64::INFINITY;
-    for r in 0..reps {
-        // Alternate which side runs first so cache-warming from the
-        // earlier run of a pair doesn't systematically favour one side.
-        let order = if r % 2 == 0 {
-            [false, true]
-        } else {
-            [true, false]
-        };
-        for enabled in order {
-            let p = lossy_params(seed + 100 + r, opts.smoke, false);
-            let start = std::time::Instant::now();
-            let (m, _) = run_streaming_session_traced(&p, enabled);
-            let dt = start.elapsed().as_secs_f64() * 1000.0;
-            std::hint::black_box(m);
-            if enabled {
-                on = on.min(dt);
-            } else {
-                off = off.min(dt);
-            }
-        }
-    }
-    let mut t = Table::new(vec!["tracing", "ms/run"]);
-    t.row(vec!["runtime-disabled".to_string(), format!("{off:.1}")]);
-    t.row(vec!["enabled".to_string(), format!("{on:.1}")]);
-    t.row(vec![
-        "overhead".to_string(),
-        format!("{:+.1}%", (on / off - 1.0) * 100.0),
-    ]);
-    sink.table("OBS overhead (wall clock, not part of the trace)", &t);
 }

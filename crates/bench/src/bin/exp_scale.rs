@@ -16,11 +16,11 @@
 //! `--smoke` runs a reduced grid (two low rates, two seeds) for the CI
 //! determinism gate; `--seed`/`--out` as in every experiment binary.
 
-use hermes_bench::{session_arrivals, ExpOpts, Table, ZipfCatalog};
+use hermes_bench::{clip_lesson, drive_pool, session_arrivals, ExpOpts, Table, ZipfCatalog};
 use hermes_core::{MediaDuration, MediaTime, NodeId, ServerId};
 use hermes_server::{SharingMode, SharingPolicy};
 use hermes_service::{
-    install_course, ClientConfig, LessonShape, ServerConfig, ServiceMsg, ServiceWorld, WorldBuilder,
+    install_course, ClientConfig, ServerConfig, ServiceMsg, ServiceWorld, WorldBuilder,
 };
 use hermes_simnet::{LinkSpec, Sim, SimRng};
 
@@ -110,12 +110,7 @@ fn run_point(seed: u64, rate: f64, skew: f64, mode: SharingMode, g: &Grid) -> Po
         &["load"],
         1,
         g.catalog,
-        LessonShape {
-            images: 0,
-            image_secs: 0,
-            narrated_clip_secs: Some(g.clip_secs),
-            closing_audio_secs: None,
-        },
+        clip_lesson(g.clip_secs),
         &mut rng,
     );
     sim.app_mut().distribute_media();
@@ -125,74 +120,30 @@ fn run_point(seed: u64, rate: f64, skew: f64, mode: SharingMode, g: &Grid) -> Po
     let catalog = ZipfCatalog::new(g.catalog, skew);
     let arrivals = session_arrivals(seed, rate, g.arrival_horizon, &catalog);
 
-    // Open-loop driver over a fixed client pool: each arrival claims an
-    // idle client (one whose previous session completed or was rejected),
-    // detaches it and reconnects it to the newly requested lesson.
-    // `slots[i]` holds the (completed, errors) counts at assignment; a
-    // later count means the session resolved and the client is free again.
-    let mut slots: Vec<Option<(usize, usize)>> = vec![None; g.pool];
-    let mut p = Point {
-        arrivals: arrivals.len(),
-        ..Point::default()
-    };
     let mut glitches = 0u64;
     let mut frames = 0u64;
-    let harvest = |c: &hermes_service::ClientActor, glitches: &mut u64, frames: &mut u64| {
-        if let Some(pres) = &c.presentation {
-            let s = pres.engine.total_stats();
-            *glitches += s.glitches;
-            *frames += s.frames_played;
-        }
-    };
-    for a in &arrivals {
-        sim.run_until(a.at);
-        let mut active = 0usize;
-        let mut free = None;
-        for i in 0..g.pool {
-            match slots[i] {
-                None => {
-                    if free.is_none() {
-                        free = Some(i);
-                    }
-                }
-                Some((c0, e0)) => {
-                    let c = sim.app().client(nodes[i]);
-                    if c.completed.len() > c0 || c.errors.len() > e0 {
-                        harvest(c, &mut glitches, &mut frames);
-                        slots[i] = None;
-                        if free.is_none() {
-                            free = Some(i);
-                        }
-                    } else {
-                        active += 1;
-                    }
-                }
-            }
-        }
-        let Some(i) = free else {
-            p.unserved += 1;
-            p.peak_concurrent = p.peak_concurrent.max(active);
-            continue;
-        };
-        let node = nodes[i];
-        let doc = lessons[a.rank];
-        let c = sim.app().client(node);
-        slots[i] = Some((c.completed.len(), c.errors.len()));
-        sim.with_api(|w, api| {
-            let cl = w.client_mut(node);
-            cl.disconnect(api);
-            cl.connect(api, srv, Some(doc));
-        });
-        p.peak_concurrent = p.peak_concurrent.max(active + 1);
-    }
     // Drain: let every in-flight session play out.
     let end = g.arrival_horizon + MediaDuration::from_secs(g.clip_secs + 15);
-    sim.run_until(end);
-    for (i, s) in slots.iter().enumerate() {
-        if s.is_some() {
-            harvest(sim.app().client(nodes[i]), &mut glitches, &mut frames);
-        }
-    }
+    let run = drive_pool(
+        &mut sim,
+        &nodes,
+        &arrivals,
+        end,
+        |a| (srv, lessons[a.rank]),
+        |c| {
+            if let Some(pres) = &c.presentation {
+                let s = pres.engine.total_stats();
+                glitches += s.glitches;
+                frames += s.frames_played;
+            }
+        },
+    );
+    let mut p = Point {
+        arrivals: arrivals.len(),
+        unserved: run.unserved,
+        peak_concurrent: run.peak_concurrent,
+        ..Point::default()
+    };
 
     let mut startup_us = 0f64;
     for &node in &nodes {

@@ -5,9 +5,9 @@
 //! Sweep the number of servers; measure result completeness and query
 //! latency (request → merged response).
 
-use hermes_bench::{ExpOpts, Table};
+use hermes_bench::{clip_lesson, ExpOpts, Table};
 use hermes_core::{MediaTime, ServerId};
-use hermes_service::{install_course, ClientConfig, LessonShape, ServerConfig, WorldBuilder};
+use hermes_service::{install_course, ClientConfig, ServerConfig, WorldBuilder};
 use hermes_simnet::{LinkSpec, SimRng};
 
 fn main() {
@@ -35,12 +35,7 @@ fn main() {
         let client = b.add_client(LinkSpec::lan(10_000_000), ClientConfig::default());
         let mut sim = b.build(base + n_servers as u64);
         let mut rng = SimRng::seed_from_u64(base + 99);
-        let shape = LessonShape {
-            images: 0,
-            image_secs: 0,
-            narrated_clip_secs: Some(4),
-            closing_audio_secs: None,
-        };
+        let shape = clip_lesson(4);
         // Each server holds 3 lessons; every second server's course mentions
         // the search token in its topic words.
         let mut total = 0;

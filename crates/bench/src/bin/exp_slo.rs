@@ -17,16 +17,15 @@
 //!   `link_loss`.
 //!
 //! The attribution and burn tables are fully deterministic (the CI gate
-//! byte-diffs two runs); the harness phase profile (wall-clock ns,
-//! allocation counts) is host-dependent and goes into `--json` only.
+//! byte-diffs two runs).
 
-use hermes_bench::{run_streaming_session_profiled, ExpOpts, StreamingParams, Table, ZipfCatalog};
+use hermes_bench::{clip_lesson, drive_pool, tight_tier, ExpOpts, FlashCrowd, Table};
 use hermes_control::ControllerConfig;
 use hermes_core::{MediaDuration, MediaTime, NodeId, ServerId};
 use hermes_server::{SharingMode, SharingPolicy};
 use hermes_service::{
-    install_course, ClientConfig, LessonShape, MediaNodeConfig, MediaTierConfig, ServerConfig,
-    ServiceMsg, ServiceWorld, WorldBuilder,
+    install_course, ClientConfig, MediaNodeConfig, MediaTierConfig, ServerConfig, ServiceMsg,
+    ServiceWorld, WorldBuilder,
 };
 use hermes_simnet::obs::{AttributionConfig, CauseClass, GapAttribution};
 use hermes_simnet::{Event, FaultPlan, LinkSpec, Sim, SimRng};
@@ -58,42 +57,26 @@ impl Scenario {
 
 struct Grid {
     seeds: Vec<u64>,
-    base_rate: f64,
-    spike_mult: f64,
-    spike_at: MediaTime,
-    spike_len: MediaDuration,
-    arrival_horizon: MediaTime,
+    crowd: FlashCrowd,
     pool: usize,
-    catalog: usize,
     clip_secs: i64,
 }
 
 impl Grid {
+    /// EXP-OVERLOAD's smoke spike; `--smoke` only drops the second seed.
     fn new(opts: &ExpOpts) -> Self {
-        if opts.smoke {
-            Grid {
-                seeds: opts.seeds(&[1]),
+        Grid {
+            seeds: opts.seeds(if opts.smoke { &[1] } else { &[1, 2] }),
+            crowd: FlashCrowd {
                 base_rate: 2.0,
                 spike_mult: 3.5,
                 spike_at: MediaTime::from_secs(6),
-                spike_len: MediaDuration::from_secs(8),
-                arrival_horizon: MediaTime::from_secs(20),
-                pool: 60,
+                spike_len: Some(MediaDuration::from_secs(8)),
+                horizon: MediaTime::from_secs(20),
                 catalog: 6,
-                clip_secs: 8,
-            }
-        } else {
-            Grid {
-                seeds: opts.seeds(&[1, 2]),
-                base_rate: 2.0,
-                spike_mult: 3.5,
-                spike_at: MediaTime::from_secs(6),
-                spike_len: MediaDuration::from_secs(8),
-                arrival_horizon: MediaTime::from_secs(20),
-                pool: 60,
-                catalog: 6,
-                clip_secs: 8,
-            }
+            },
+            pool: 60,
+            clip_secs: 8,
         }
     }
 }
@@ -122,28 +105,6 @@ fn first_at(events: &[Event], pred: impl Fn(&Event) -> bool) -> Option<i64> {
         .iter()
         .find(|e| pred(e))
         .map(|e| e.at.as_micros() / 1_000)
-}
-
-/// Open-loop flash crowd (EXP-OVERLOAD's spike pattern).
-fn flash_crowd(seed: u64, g: &Grid) -> Vec<(MediaTime, usize)> {
-    let mut rng = SimRng::seed_from_u64(seed);
-    let catalog = ZipfCatalog::new(g.catalog, 1.1);
-    let mut out = Vec::new();
-    let mut t = MediaTime::ZERO;
-    loop {
-        let hot = t >= g.spike_at && t < g.spike_at + g.spike_len;
-        let rate = if hot {
-            g.base_rate * g.spike_mult
-        } else {
-            g.base_rate
-        };
-        let gap_secs = rng.exponential(1.0 / rate);
-        t += MediaDuration::from_micros((gap_secs * 1e6) as i64);
-        if t >= g.arrival_horizon {
-            return out;
-        }
-        out.push((t, catalog.sample(&mut rng)));
-    }
 }
 
 /// Score a run's attributions: gaps inside `[from, until]` on the wall
@@ -200,26 +161,15 @@ fn run_spike(seed: u64, g: &Grid, control: bool) -> Point {
     });
     let mut sim: Sim<ServiceMsg, ServiceWorld> = b.build(seed);
     sim.obs_mut().set_enabled(true);
-    for &m in &media {
-        sim.app_mut().media_mut(m).configure(MediaNodeConfig {
-            queue_capacity: 24,
-            fixed_service: MediaDuration::from_millis(1),
-            per_mbyte: MediaDuration::from_millis(300),
-        });
-    }
+    tight_tier(&mut sim, &media, 300);
     let mut rng = SimRng::seed_from_u64(seed ^ 0xF1A5);
     let lessons = install_course(
         sim.app_mut().server_mut(srv),
         "Crowd",
         &["slo"],
         1,
-        g.catalog,
-        LessonShape {
-            images: 0,
-            image_secs: 0,
-            narrated_clip_secs: Some(g.clip_secs),
-            closing_audio_secs: None,
-        },
+        g.crowd.catalog,
+        clip_lesson(g.clip_secs),
         &mut rng,
     );
     sim.app_mut().distribute_media();
@@ -227,46 +177,20 @@ fn run_spike(seed: u64, g: &Grid, control: bool) -> Point {
         sim.with_api(|w, api| w.enable_control(api, srv, ControllerConfig::default()));
     }
 
-    let mut slots: Vec<Option<(usize, usize)>> = vec![None; g.pool];
-    for (at, rank) in flash_crowd(seed, g) {
-        sim.run_until(at);
-        let mut free = None;
-        for i in 0..g.pool {
-            match slots[i] {
-                None => {
-                    if free.is_none() {
-                        free = Some(i);
-                    }
-                }
-                Some((c0, e0)) => {
-                    let c = sim.app().client(nodes[i]);
-                    if c.completed.len() > c0 || c.errors.len() > e0 {
-                        slots[i] = None;
-                        if free.is_none() {
-                            free = Some(i);
-                        }
-                    }
-                }
-            }
-        }
-        let Some(i) = free else { continue };
-        let node = nodes[i];
-        let doc = lessons[rank];
-        let c = sim.app().client(node);
-        slots[i] = Some((c.completed.len(), c.errors.len()));
-        sim.with_api(|w, api| {
-            let cl = w.client_mut(node);
-            cl.disconnect(api);
-            cl.connect(api, srv, Some(doc));
-        });
-    }
-    let end = g.arrival_horizon + MediaDuration::from_secs(g.clip_secs + 15);
-    sim.run_until(end);
+    let end = g.crowd.horizon + MediaDuration::from_secs(g.clip_secs + 15);
+    drive_pool(
+        &mut sim,
+        &nodes,
+        &g.crowd.arrivals(seed),
+        end,
+        |a| (srv, lessons[a.rank]),
+        |_| {},
+    );
 
     // The crowd's queue backlog keeps starving sessions well past the
     // arrival spike itself, so every gap from spike onset to the end of
     // the drain is spike-caused (the run injects nothing else).
-    finish(sim, Scenario::Spike, g.spike_at, end)
+    finish(sim, Scenario::Spike, g.crowd.spike_at, end)
 }
 
 fn run_partition(seed: u64, _g: &Grid) -> Point {
@@ -315,12 +239,7 @@ fn run_partition(seed: u64, _g: &Grid) -> Point {
         &["slo"],
         1,
         1,
-        LessonShape {
-            images: 0,
-            image_secs: 0,
-            narrated_clip_secs: Some(16),
-            closing_audio_secs: None,
-        },
+        clip_lesson(16),
         &mut rng,
     );
     sim.app_mut().distribute_media();
@@ -426,11 +345,11 @@ fn main() {
          Gaps inside each fault window must attribute to the injected cause;\n\
          SLO burn must pressure the controller ahead of queue depth.",
         g.pool,
-        g.catalog,
+        g.crowd.catalog,
         g.clip_secs,
-        g.spike_mult,
-        (g.spike_at - MediaTime::ZERO).as_micros() / 1_000_000,
-        g.spike_len.as_micros() / 1_000_000,
+        g.crowd.spike_mult,
+        (g.crowd.spike_at - MediaTime::ZERO).as_micros() / 1_000_000,
+        g.crowd.spike_len.expect("a spike").as_micros() / 1_000_000,
     ));
 
     let mut acc = Table::new(vec![
@@ -542,47 +461,5 @@ fn main() {
          burn bit pressures the controller ticks before queue depth crosses its\n\
          target.",
     );
-
-    // Host-dependent phase profile of one standard harness run — `--json`
-    // only, so the deterministic `--out` text above stays byte-stable.
-    let (_, prof) = run_streaming_session_profiled(
-        &StreamingParams {
-            clip_secs: 6,
-            horizon: MediaTime::from_secs(20),
-            ..Default::default()
-        },
-        true,
-    );
-    let mut pt = Table::new(vec!["metric", "value"]);
-    pt.row(vec!["build_ns".into(), prof.build_ns.to_string()]);
-    pt.row(vec!["run_ns".into(), prof.run_ns.to_string()]);
-    pt.row(vec!["extract_ns".into(), prof.extract_ns.to_string()]);
-    pt.row(vec!["allocs".into(), prof.allocs.to_string()]);
-    pt.row(vec!["alloc_bytes".into(), prof.alloc_bytes.to_string()]);
-    pt.row(vec![
-        "server_ns".into(),
-        prof.subsystems.server_ns.to_string(),
-    ]);
-    pt.row(vec![
-        "client_ns".into(),
-        prof.subsystems.client_ns.to_string(),
-    ]);
-    pt.row(vec![
-        "media_ns".into(),
-        prof.subsystems.media_ns.to_string(),
-    ]);
-    pt.row(vec![
-        "server_events".into(),
-        prof.subsystems.server_events.to_string(),
-    ]);
-    pt.row(vec![
-        "client_events".into(),
-        prof.subsystems.client_events.to_string(),
-    ]);
-    pt.row(vec![
-        "media_events".into(),
-        prof.subsystems.media_events.to_string(),
-    ]);
-    out.json_table("EXP-SLO — harness phase profile (host-dependent)", &pt);
     out.finish();
 }

@@ -16,8 +16,8 @@
 
 use hermes_core::{DocumentId, MediaDuration, MediaTime, NodeId, ServerId};
 use hermes_service::{
-    install_course, ClientConfig, LessonShape, MediaTierConfig, ServerConfig, ServiceMsg,
-    ServiceWorld, WorldBuilder,
+    install_course, ClientConfig, MediaTierConfig, ServerConfig, ServiceMsg, ServiceWorld,
+    WorldBuilder,
 };
 use hermes_simnet::obs::invariants::{check_run, InvariantConfig, Violation};
 use hermes_simnet::obs::{flight_report, Event, Labels, Severity};
@@ -97,12 +97,7 @@ fn build_world(seed: u64) -> (Sim<ServiceMsg, ServiceWorld>, WorldIds) {
         .collect();
     let mut sim = b.build(seed);
     let mut rng = SimRng::seed_from_u64(seed ^ 0x00DD_BA11);
-    let shape = LessonShape {
-        images: 0,
-        image_secs: 0,
-        narrated_clip_secs: Some(12),
-        closing_audio_secs: None,
-    };
+    let shape = crate::harness::clip_lesson(12);
     let mut docs = Vec::new();
     for (i, &srv) in servers.iter().enumerate() {
         let first = 1 + 100 * i as u64;

@@ -165,8 +165,9 @@ impl ExpOpts {
 
 /// Writes experiment output to stdout and, when `--out` was given, to a
 /// file as well. With `--json`, every table is additionally accumulated
-/// and written as one JSON document when the sink drops (or on an explicit
-/// [`finish`](Self::finish), which fails loudly).
+/// and written as one JSON document when the sink drops (a failed write is
+/// reported on stderr) or on an explicit [`finish`](Self::finish), which
+/// panics instead.
 pub struct Sink {
     file: Option<File>,
     json_path: Option<PathBuf>,
@@ -209,16 +210,6 @@ impl Sink {
         }
     }
 
-    /// Accumulate a table into the `--json` document only — nothing is
-    /// printed or teed to `--out`. For host-dependent measurements (wall
-    /// clock phase timings, allocation counts) that must stay out of the
-    /// deterministic text the CI byte-diff gate compares.
-    pub fn json_table(&mut self, caption: &str, t: &Table) {
-        if self.json_path.is_some() {
-            self.json_tables.push((caption.to_string(), t.to_json()));
-        }
-    }
-
     fn render_json(&self) -> String {
         let tables: Vec<String> = self
             .json_tables
@@ -238,24 +229,29 @@ impl Sink {
         format!("[\n{}\n]\n", tables.join(",\n"))
     }
 
-    fn write_json(&mut self) -> std::io::Result<()> {
+    /// Write the `--json` document once (the path is taken, so a second
+    /// call is a no-op); the error names the path it could not write.
+    fn write_json(&mut self) -> Result<(), String> {
         let Some(p) = self.json_path.take() else {
             return Ok(());
         };
-        std::fs::write(p, self.render_json())
+        std::fs::write(&p, self.render_json())
+            .map_err(|e| format!("cannot write --json {}: {e}", p.display()))
     }
 
     /// Write the accumulated `--json` document now, failing loudly.
     pub fn finish(&mut self) {
-        self.write_json().expect("write --json file");
+        self.write_json().unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
 impl Drop for Sink {
     fn drop(&mut self) {
-        // Best-effort for experiments that never call finish(); an explicit
-        // finish() already cleared json_path, making this a no-op.
-        let _ = self.write_json();
+        // Most experiments never call finish(); a destructor must not
+        // panic, so a failed write is reported and the run goes on.
+        if let Err(e) = self.write_json() {
+            let _ = writeln!(std::io::stderr(), "{e}");
+        }
     }
 }
 
@@ -349,6 +345,17 @@ mod tests {
         assert!(got.contains("\"p99\": \"12.5\""));
         assert!(got.contains("full \\\"x\\\""), "{got}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn unwritable_json_path_is_reported() {
+        let path = std::env::temp_dir().join("hermes-bench-no-such-dir/j.json");
+        let mut sink = Sink::with_json(None, Some(path.clone()));
+        let err = sink.write_json().unwrap_err();
+        assert!(err.contains("cannot write --json"), "{err}");
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        // The path was taken: the drop that follows has nothing to retry.
+        assert_eq!(sink.write_json(), Ok(()));
     }
 
     #[test]

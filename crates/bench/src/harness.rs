@@ -115,49 +115,26 @@ pub fn standard_lesson(clip_secs: i64) -> LessonShape {
     }
 }
 
-/// Wall-clock and allocation profile of one harness run, split by phase:
-/// world construction, simulation, and metric extraction, plus the
-/// per-subsystem dispatch split the world collects. Host-dependent — goes
-/// into `--json` output only, never the deterministic `--out` text.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseProfile {
-    /// Nanoseconds building the world (topology, course install, connect).
-    pub build_ns: u64,
-    /// Nanoseconds inside `run_until` (the simulation proper).
-    pub run_ns: u64,
-    /// Nanoseconds extracting metrics from the finished world.
-    pub extract_ns: u64,
-    /// Heap allocations over the whole run.
-    pub allocs: u64,
-    /// Heap bytes requested over the whole run.
-    pub alloc_bytes: u64,
-    /// Dispatch time split across the actor subsystems.
-    pub subsystems: hermes_service::SubsystemProfile,
+/// A lesson that is nothing but the narrated clip, starting at scenario
+/// zero: the continuous flow begins the moment the session (or a shared
+/// group) opens, which is what the load experiments want.
+pub fn clip_lesson(clip_secs: i64) -> LessonShape {
+    LessonShape {
+        images: 0,
+        image_secs: 0,
+        narrated_clip_secs: Some(clip_secs),
+        closing_audio_secs: None,
+    }
 }
 
 /// Run one streaming session with the given parameters and extract metrics.
 pub fn run_streaming_session(p: &StreamingParams) -> StreamingMetrics {
-    run_streaming_session_inner(p, true, None).0
-}
-
-/// Run one streaming session while collecting the per-phase wall-clock and
-/// allocation profile (the bench `--json` phase table's data source).
-pub fn run_streaming_session_profiled(
-    p: &StreamingParams,
-    trace_enabled: bool,
-) -> (StreamingMetrics, PhaseProfile) {
-    let mut prof = PhaseProfile::default();
-    let (m, _) = run_streaming_session_inner(p, trace_enabled, Some(&mut prof));
-    (m, prof)
+    run_streaming_session_inner(p).0
 }
 
 fn run_streaming_session_inner(
     p: &StreamingParams,
-    trace_enabled: bool,
-    mut profile: Option<&mut PhaseProfile>,
 ) -> (StreamingMetrics, Sim<ServiceMsg, ServiceWorld>) {
-    let (allocs0, bytes0) = crate::alloc::counters();
-    let t_build = std::time::Instant::now();
     let mut b = WorldBuilder::new(p.seed);
     let mut server_cfg = ServerConfig::default();
     server_cfg.flow.media_time_window = p.time_window;
@@ -187,7 +164,7 @@ fn run_streaming_session_inner(
     let client = b.add_client(access, client_cfg);
 
     let mut sim: Sim<ServiceMsg, ServiceWorld> = b.build(p.seed);
-    sim.obs_mut().set_enabled(trace_enabled);
+    sim.obs_mut().set_enabled(true);
     let mut rng = SimRng::seed_from_u64(p.seed.wrapping_mul(0x9E37_79B9));
     let lessons = install_course(
         sim.app_mut().server_mut(server),
@@ -201,16 +178,7 @@ fn run_streaming_session_inner(
     sim.with_api(|w, api| {
         w.client_mut(client).connect(api, server, Some(lessons[0]));
     });
-    if let Some(prof) = profile.as_deref_mut() {
-        sim.app_mut().enable_profiling();
-        prof.build_ns = t_build.elapsed().as_nanos() as u64;
-    }
-    let t_run = std::time::Instant::now();
     sim.run_until(p.horizon);
-    if let Some(prof) = profile.as_deref_mut() {
-        prof.run_ns = t_run.elapsed().as_nanos() as u64;
-    }
-    let t_extract = std::time::Instant::now();
 
     let mut m = StreamingMetrics::default();
     let c = sim.app().client(client);
@@ -246,42 +214,31 @@ fn run_streaming_session_inner(
     let net = sim.net().total_stats();
     m.net_dropped = net.packets_lost + net.packets_dropped_queue;
     m.net_packets = net.packets_sent;
-    if let Some(prof) = profile {
-        prof.extract_ns = t_extract.elapsed().as_nanos() as u64;
-        let (allocs1, bytes1) = crate::alloc::counters();
-        prof.allocs = allocs1.saturating_sub(allocs0);
-        prof.alloc_bytes = bytes1.saturating_sub(bytes0);
-        prof.subsystems = sim.app().profile.unwrap_or_default();
-    }
     (m, sim)
 }
 
-/// Run the same parameter point over several seeds in parallel (crossbeam
-/// scoped threads) and return all metrics.
+/// Run the same parameter point over several seeds in parallel (scoped
+/// threads; a panicking worker propagates when the scope ends) and return
+/// all metrics.
 pub fn run_seeds(base: &StreamingParams, seeds: &[u64]) -> Vec<StreamingMetrics> {
     let mut out: Vec<Option<StreamingMetrics>> = vec![None; seeds.len()];
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for (slot, &seed) in out.iter_mut().zip(seeds) {
             let mut p = base.clone();
             p.seed = seed;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 *slot = Some(run_streaming_session(&p));
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
     out.into_iter().map(|m| m.unwrap()).collect()
 }
 
 /// Run one streaming session and hand back the observability capture along
 /// with the metrics: the engine + actor counters are published into the
-/// capture's registry before it is detached. `enabled` drives the runtime
-/// trace toggle (the overhead benchmark's control knob).
-pub fn run_streaming_session_traced(
-    p: &StreamingParams,
-    enabled: bool,
-) -> (StreamingMetrics, hermes_simnet::Obs) {
-    let (m, mut sim) = run_streaming_session_inner(p, enabled, None);
+/// capture's registry before it is detached.
+pub fn run_streaming_session_traced(p: &StreamingParams) -> (StreamingMetrics, hermes_simnet::Obs) {
+    let (m, mut sim) = run_streaming_session_inner(p);
     sim.publish_metrics();
     let mut obs = sim.take_obs();
     sim.app().publish_metrics(&mut obs);

@@ -1,23 +1,25 @@
 //! # hermes-bench
 //!
-//! The experiment harness: shared world builders, metric extraction, table
-//! printing and parallel parameter sweeps used by the `exp_*` binaries (one
-//! per paper figure/table/claim — see DESIGN.md's reproduction index) and by
-//! the criterion benches.
+//! The experiment harness: shared world builders, the flash-crowd rig,
+//! metric extraction, table printing and parallel parameter sweeps used by
+//! the `exp_*` binaries (one per paper figure/table/claim — see DESIGN.md's
+//! reproduction index). Host cost is measured from outside, by
+//! `benchmark/`.
 
 #![warn(missing_docs)]
 
-pub mod alloc;
 pub mod chaos;
 pub mod cli;
+pub mod crowd;
 pub mod harness;
 pub mod tables;
 pub mod workload;
 
 pub use cli::{ExpOpts, Sink};
+pub use crowd::{drive_pool, tight_tier, FlashCrowd, PoolRun};
 pub use harness::{
-    run_seeds, run_streaming_session, run_streaming_session_profiled, run_streaming_session_traced,
-    standard_lesson, PhaseProfile, StreamingMetrics, StreamingParams,
+    clip_lesson, run_seeds, run_streaming_session, run_streaming_session_traced, standard_lesson,
+    StreamingMetrics, StreamingParams,
 };
 // The sample-set helpers live in hermes-obs now; keep the historical bench
 // names as aliases so the exp_* binaries read naturally.

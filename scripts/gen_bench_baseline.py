@@ -3,14 +3,12 @@
 
 Runs the pinned-seed (--smoke) grids of the scale, overload, control,
 HA and SLO experiments with `--json` and merges the documents into one
-file. Every run is deterministic, so a diff against the checked-in
-baseline is a real behaviour change (or a real speedup/regression in the
-columns that count frames, bytes and gaps), never noise — EXCEPT the
-harness phase-profile tables (wall-clock ns, allocation counts) that
-exp_slo appends to its JSON: those are host-dependent by nature, and
-`scripts/bench_diff.py` compares them with a wide tolerance instead of
-byte equality. Re-run after a PR that moves these numbers and commit the
-diff alongside the change that explains it.
+file. Every run is deterministic and no row is host-timed, so the file is
+a pure function of the source: a diff against the checked-in baseline is
+a real behaviour change, never noise, and CI fails on one (`git diff
+--exit-code BENCH_baseline.json` after this script). Re-run after a PR
+that moves these numbers and commit the diff alongside the change that
+explains it. Host cost is measured by `bash benchmark/run.sh`, not here.
 
 Usage: python3 scripts/gen_bench_baseline.py
 """
@@ -33,9 +31,9 @@ def main():
             r = subprocess.run(
                 ["cargo", "run", "--release", "-q", "-p", "hermes-bench",
                  "--bin", e, "--", "--smoke", "--json", path],
-                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                stdout=subprocess.DEVNULL)  # stderr through: a failure shows its reason
             if r.returncode != 0:
-                sys.exit(f"{e} FAILED")
+                sys.exit(f"{e} FAILED (exit {r.returncode})")
             with open(path) as f:
                 doc["experiments"][e] = json.load(f)
             print(e, "OK")

@@ -642,10 +642,11 @@ gates on it.
 
 ## Benchmarks
 
-`cargo bench --workspace` runs the criterion suites (`parser`, `simnet`,
-`playout`, `rtp`, `session`) — micro-benchmarks for each substrate plus a
-full end-to-end Fig. 2 session. See `bench_output.txt` for the most recent
-numbers on this machine.
+`bash benchmark/run.sh` is the one way to measure what the service costs
+the host: four seeded fleet workloads, ten end-to-end and 80 per-layer
+metrics, and kernels for the parser, RTP, playout, segment cache,
+controller, tracing and the engine. See `benchmark/README.md` for the
+method and `docs/PERF_LEDGER.md` for the recorded numbers.
 """)
     open("EXPERIMENTS.md","w").write("\n".join(doc))
     print("EXPERIMENTS.md written")
