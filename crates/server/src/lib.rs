@@ -18,6 +18,9 @@
 //!   interval-caching admission fronting the media tier;
 //! * [`sharing`] — the stream-sharing policy (batching windows and
 //!   patching decisions for popular content);
+//! * [`fetch`] — the media-tier fetch client: per-stream pipelined segment
+//!   windows, replica choice, breaker scoring, hedged duplicates and shed
+//!   roll-back as a simulator-free core that answers in [`FetchOut`] data;
 //! * [`overload`] — overload-control primitives: circuit-breaking replica
 //!   health, bounded deadline-shedding request queues, CoDel-style pressure
 //!   detection, and retry budgets.
@@ -27,6 +30,7 @@
 pub mod accounts;
 pub mod admission;
 pub mod database;
+pub mod fetch;
 pub mod flow;
 pub mod overload;
 pub mod placement;
@@ -39,6 +43,10 @@ pub use admission::{
     AdmissionController, AdmissionDecision, ClassStats, ConnectionRequest, PathCondition,
 };
 pub use database::{MultimediaDb, StoredDocument, TopicEntry};
+pub use fetch::{
+    ChunkDone, Demand, FetchOut, FetchTag, MediaTier, MediaTierConfig, MediaTierStats,
+    RemoteStream, TierNet,
+};
 pub use flow::{compute_flow_scenario, FlowConfig, FlowPlan, FlowScenario};
 pub use overload::{
     BreakerConfig, BreakerState, BreakerTransition, NodeHealth, OverloadQueue, OverloadQueueStats,

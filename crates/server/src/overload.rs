@@ -328,12 +328,13 @@ impl ReplicaHealthMap {
     }
 
     /// Run `op` on `node`'s record and log any state change under `cause`.
+    /// True when the change was a trip to Open.
     fn traced(
         &mut self,
         node: NodeId,
         cause: &'static str,
         op: impl FnOnce(&mut NodeHealth, &BreakerConfig),
-    ) {
+    ) -> bool {
         let cfg = self.cfg;
         let h = self.entry(node);
         let from = h.state;
@@ -347,6 +348,7 @@ impl ReplicaHealthMap {
                 cause,
             });
         }
+        from != to && to == BreakerState::Open
     }
 
     /// Drain the breaker state changes observed since the last call. The
@@ -356,16 +358,17 @@ impl ReplicaHealthMap {
         std::mem::take(&mut self.pending)
     }
 
-    /// Record a successful fetch to `node` with the observed latency.
-    pub fn record_success(&mut self, node: NodeId, now: MediaTime, latency: MediaDuration) {
+    /// Record a successful fetch to `node` with the observed latency. True
+    /// when this observation tripped the circuit Open (a slow success can).
+    pub fn record_success(&mut self, node: NodeId, now: MediaTime, latency: MediaDuration) -> bool {
         self.traced(node, "success", |h, cfg| {
             h.record_success(cfg, now, latency);
-        });
+        })
     }
 
-    /// Record a failed fetch to `node`.
-    pub fn record_failure(&mut self, node: NodeId, now: MediaTime) {
-        self.traced(node, "failure", |h, cfg| h.record_failure(cfg, now));
+    /// Record a failed fetch to `node`. True when it tripped the circuit.
+    pub fn record_failure(&mut self, node: NodeId, now: MediaTime) -> bool {
+        self.traced(node, "failure", |h, cfg| h.record_failure(cfg, now))
     }
 
     /// Record an abandoned fetch to `node` (no verdict).
@@ -374,11 +377,17 @@ impl ReplicaHealthMap {
     }
 
     /// Record a lost hedge race against `node`: a censored latency sample
-    /// of at least `elapsed` (see [`NodeHealth::record_slow_loss`]).
-    pub fn record_slow_loss(&mut self, node: NodeId, now: MediaTime, elapsed: MediaDuration) {
+    /// of at least `elapsed` (see [`NodeHealth::record_slow_loss`]). True
+    /// when it tripped the circuit.
+    pub fn record_slow_loss(
+        &mut self,
+        node: NodeId,
+        now: MediaTime,
+        elapsed: MediaDuration,
+    ) -> bool {
         self.traced(node, "slow_loss", |h, cfg| {
             h.record_slow_loss(cfg, now, elapsed);
-        });
+        })
     }
 
     /// May a fetch be sent to `node` right now? (May transition the node's

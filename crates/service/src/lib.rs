@@ -24,10 +24,10 @@ pub mod world;
 
 pub use client_actor::{ClientActor, ClientConfig, Presentation};
 pub use hermes::{install_course, install_figure2, lesson_markup, tutor_reply, LessonShape};
+pub use hermes_server::{MediaTier, MediaTierConfig, MediaTierStats, RemoteStream};
 pub use media_actor::{MediaActor, MediaNodeConfig, MediaNodeStats};
 pub use protocol::{MailMessage, SearchHit, ServiceMsg, StackPath};
 pub use server_actor::{
-    MediaTier, MediaTierConfig, MediaTierStats, RemoteStream, ServerActor, ServerConfig,
-    SessionState, SharedGroup, SharingStats, StreamTx,
+    ServerActor, ServerConfig, SessionState, SharedGroup, SharingStats, StreamTx,
 };
 pub use world::{ServiceWorld, SubsystemProfile, WorldBuilder};

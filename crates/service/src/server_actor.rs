@@ -14,17 +14,17 @@ use hermes_core::{
     MediaDuration, MediaKind, MediaTime, NodeId, PresentationFloor, PricingClass, ServerId,
     SessionId, UserId,
 };
-use hermes_media::{segment_of_frame, CodecModel, FrameSource, SegmentFrame};
+use hermes_media::{CodecModel, FrameSource, SegmentFrame};
 use hermes_rtp::RtpSender;
 use hermes_server::{
     compute_flow_scenario, AccountsDb, AdmissionController, AdmissionDecision, BatchingPolicy,
-    BreakerConfig, BreakerState, Charge, ConnectionRequest, FlowConfig, FlowPlan, GroupPhase,
-    MultimediaDb, PathCondition, PlacementMap, PressureDetector, ReplicaHealthMap, ReplicaSelector,
-    SegmentCache, SegmentKey, ServerQosManager, ShareDecision, SharingMode, SharingPolicy,
+    Charge, ConnectionRequest, Demand, FetchOut, FlowConfig, FlowPlan, GroupPhase, MediaTier,
+    MultimediaDb, PathCondition, PlacementMap, RemoteStream, ServerQosManager, ShareDecision,
+    SharingMode, SharingPolicy,
 };
 use hermes_simnet::obs::{MetricsRegistry, SloMonitor, SloSpec};
-use hermes_simnet::{DurationHistogram, Labels, Obs, Severity, SimApi, SpanId};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use hermes_simnet::{Labels, Obs, Severity, SimApi, SpanId};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One active outgoing media stream of a session.
 #[derive(Debug)]
@@ -53,6 +53,59 @@ pub struct StreamTx {
     /// receives carries exactly this pts, so the patch covers [0, cutoff)
     /// with no duplicate and no gap.
     pub patch_until: Option<MediaTime>,
+}
+
+impl StreamTx {
+    /// A stream about to start: nothing sent yet.
+    fn new(
+        plan: &FlowPlan,
+        source: FrameSource,
+        ssrc: u32,
+        remote: Option<RemoteStream>,
+        patch_until: Option<MediaTime>,
+    ) -> Self {
+        StreamTx {
+            plan: plan.clone(),
+            source,
+            sender: RtpSender::new(ssrc, plan.encoding),
+            done: false,
+            stopped: false,
+            frames_sent: 0,
+            bytes_sent: 0,
+            remote,
+            patch_until,
+        }
+    }
+
+    /// Switch the pacer to `level`. A level switch changes every frame size
+    /// from here on: buffered and in-flight segments were computed at the
+    /// old level and are now wrong, so the fetch window is re-pointed at
+    /// the pacer's position.
+    fn set_level(&mut self, level: GradeLevel) {
+        self.source.set_level(level);
+        let seq = self.source.next_seq();
+        if let Some(r) = self.remote.as_mut() {
+            r.retarget(seq);
+        }
+    }
+
+    /// What the fetch client needs to know of the pacer to top up this
+    /// stream's window.
+    fn demand(&self, session: SessionId, component: ComponentId, class: PricingClass) -> Demand {
+        let level = self.source.level();
+        Demand {
+            session,
+            component,
+            class,
+            level,
+            frame_period: self.source.model().level(level).frame_period(),
+            frames_needed: if self.plan.kind.is_continuous() {
+                self.source.frames_remaining() + 1
+            } else {
+                1
+            },
+        }
+    }
 }
 
 /// One shared delivery group: several sessions fed by the leader's streams
@@ -98,268 +151,6 @@ pub struct SharingStats {
     pub mcast_frames: u64,
     /// Group epoch bumps (media-tier failovers of a shared flow).
     pub epoch_bumps: u64,
-}
-
-/// Media-tier fetch state of one stream: which replica it pulls from and
-/// the windowed-pipelining bookkeeping between the pacer and the network.
-#[derive(Debug)]
-pub struct RemoteStream {
-    /// The media object's storage key.
-    pub object: String,
-    /// Its media kind (selects the shard store on media nodes).
-    pub kind: MediaKind,
-    /// The media node currently serving this stream.
-    pub replica: NodeId,
-    /// Segment granularity of this stream's fetches: the tier's configured
-    /// value for continuous media, 1 for discrete objects (one oversized
-    /// "frame" — fetching a whole segment would pull redundant copies).
-    pub frames_per_segment: u32,
-    /// Bumped on failover and level retargets; chunks tagged with an older
-    /// epoch are stale and dropped.
-    pub epoch: u32,
-    /// Next segment index to request.
-    pub next_request: u64,
-    /// Next segment index to append into `ready`.
-    pub next_append: u64,
-    /// Fetched segments waiting for in-order append (segment → frames).
-    pub pending: BTreeMap<u64, Vec<SegmentFrame>>,
-    /// In-order frame specs ready for the pacer to consume.
-    pub ready: VecDeque<SegmentFrame>,
-    /// Frames to drop from the next appended segment (mid-segment starts
-    /// after fast-forward or a level retarget).
-    pub skip: u32,
-    /// Outstanding segment fetches (segment → fetch id).
-    pub inflight: BTreeMap<u64, u64>,
-}
-
-impl RemoteStream {
-    /// Point the fetch window at global frame index `next_seq`, discarding
-    /// all buffered and in-flight content (used at stream start and when a
-    /// level switch invalidates fetched frame sizes).
-    pub fn retarget(&mut self, next_seq: u64) {
-        let (seg, off) = segment_of_frame(next_seq, self.frames_per_segment);
-        self.pending.clear();
-        self.ready.clear();
-        self.inflight.clear();
-        self.next_request = seg;
-        self.next_append = seg;
-        self.skip = off;
-        self.epoch += 1;
-    }
-
-    /// Drain contiguously fetched segments into the ready queue.
-    fn drain_ready(&mut self) {
-        while let Some(frames) = self.pending.remove(&self.next_append) {
-            self.next_append += 1;
-            for f in frames {
-                if self.skip > 0 {
-                    self.skip -= 1;
-                } else {
-                    self.ready.push_back(f);
-                }
-            }
-        }
-    }
-
-    /// Frames buffered or expected from outstanding fetches.
-    fn frames_covered(&self) -> u64 {
-        self.ready.len() as u64
-            + self.pending.values().map(|v| v.len() as u64).sum::<u64>()
-            + self.inflight.len() as u64 * self.frames_per_segment as u64
-    }
-}
-
-/// Configuration of the distributed media tier, shared by the world builder
-/// (content distribution) and the multimedia servers (fetch behaviour).
-#[derive(Debug, Clone)]
-pub struct MediaTierConfig {
-    /// Replicas per media object across the media nodes.
-    pub replication: usize,
-    /// Segment-cache capacity in payload bytes (0 disables caching).
-    pub cache_bytes: u64,
-    /// Frames per fetched segment.
-    pub frames_per_segment: u32,
-    /// Maximum outstanding segment fetches per stream (the pipelining
-    /// window).
-    pub pipeline: u32,
-    /// Re-poll interval while a stream is stalled waiting for the tier.
-    pub stall_poll: MediaDuration,
-    /// Consult the per-replica circuit breaker: score fetch outcomes,
-    /// penalise sick replicas at selection time and bound probe traffic
-    /// while a tripped circuit is half-open.
-    pub breaker: bool,
-    /// Circuit-breaker tuning (EWMA thresholds, open timeout, probe count).
-    pub breaker_cfg: BreakerConfig,
-    /// Issue a duplicate fetch to the next-best replica when the first has
-    /// not answered within the hedge delay; first response wins.
-    pub hedging: bool,
-    /// Floor of the adaptive (P95-derived) hedge delay.
-    pub hedge_min: MediaDuration,
-    /// Cap of the adaptive hedge delay; also used until enough latency
-    /// samples accumulate to estimate a P95.
-    pub hedge_max: MediaDuration,
-    /// Slack added to every fetch deadline beyond the playout horizon the
-    /// stream's buffered frames already cover.
-    pub deadline_slack: MediaDuration,
-    /// Walk active sessions down the grade ladder under sustained fetch
-    /// pressure (the mid-session extension of admission-time shedding).
-    pub ladder: bool,
-    /// Fetch-latency target of the CoDel-style pressure detector.
-    pub pressure_target: MediaDuration,
-    /// How long fetch latency must stay above target before the detector
-    /// declares pressure (transient bursts pass).
-    pub pressure_interval: MediaDuration,
-    /// Cadence of the degradation-ladder evaluation timer.
-    pub ladder_period: MediaDuration,
-    /// Calm period required before one degraded level is restored (and the
-    /// spacing between successive restores).
-    pub ladder_hysteresis: MediaDuration,
-}
-
-impl Default for MediaTierConfig {
-    fn default() -> Self {
-        MediaTierConfig {
-            replication: 2,
-            cache_bytes: 512 * 1024,
-            frames_per_segment: 32,
-            pipeline: 3,
-            stall_poll: MediaDuration::from_millis(10),
-            breaker: true,
-            breaker_cfg: BreakerConfig::default(),
-            hedging: false,
-            hedge_min: MediaDuration::from_millis(5),
-            hedge_max: MediaDuration::from_millis(250),
-            deadline_slack: MediaDuration::from_millis(500),
-            ladder: false,
-            pressure_target: MediaDuration::from_millis(50),
-            pressure_interval: MediaDuration::from_millis(100),
-            ladder_period: MediaDuration::from_millis(250),
-            ladder_hysteresis: MediaDuration::from_secs(2),
-        }
-    }
-}
-
-/// Counters of the media-tier fetch path on one multimedia server.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MediaTierStats {
-    /// Segment fetches sent to media nodes.
-    pub fetches: u64,
-    /// Chunks received back.
-    pub chunks: u64,
-    /// Paced frames that found the ready queue empty (tier too slow).
-    pub stalls: u64,
-    /// Streams re-pointed at another replica after a media-node fault.
-    pub failovers: u64,
-    /// Fetches answered with [`ServiceMsg::MediaFetchError`].
-    pub fetch_errors: u64,
-    /// Transport parts received from media nodes (conservation audit
-    /// against the nodes' `parts_sent`).
-    pub parts_received: u64,
-    /// Fetches answered with [`ServiceMsg::MediaFetchBusy`] (shed by an
-    /// overloaded node's queue).
-    pub busy: u64,
-    /// Duplicate fetches issued after the hedge delay expired unanswered.
-    pub hedges: u64,
-    /// Hedge races the duplicate won.
-    pub hedge_wins: u64,
-    /// Losing fetches of resolved hedge races cancelled at their node.
-    pub hedge_cancels: u64,
-    /// Circuit transitions to Open (cumulative; survives health resets and
-    /// server restarts, unlike the live health map).
-    pub breaker_trips: u64,
-    /// Outstanding fetches written off by a media-node incarnation event.
-    pub fetches_lost: u64,
-    /// Degradation-ladder steps applied (one victim session walked one
-    /// level down).
-    pub ladder_degrades: u64,
-    /// Degradation-ladder steps restored after pressure cleared.
-    pub ladder_restores: u64,
-}
-
-/// Identifies an outstanding fetch (for chunk routing and failover).
-#[derive(Debug, Clone, Copy)]
-pub struct FetchTag {
-    /// The session the fetch belongs to.
-    pub session: SessionId,
-    /// The stream within the session.
-    pub component: ComponentId,
-    /// The segment requested.
-    pub segment: u64,
-    /// The quality level it was computed at.
-    pub level: GradeLevel,
-    /// The issuing stream's epoch (stale-chunk rejection).
-    pub epoch: u32,
-    /// The media node it was sent to.
-    pub replica: NodeId,
-    /// When the fetch was issued (health latency samples, hedge timing).
-    pub issued_at: MediaTime,
-    /// The playout deadline the request carried.
-    pub deadline: MediaTime,
-    /// True for the duplicate of a hedged pair.
-    pub hedged: bool,
-}
-
-/// The multimedia server's side of the distributed media tier: where its
-/// content lives ([`PlacementMap`]), which replica each fetch should use
-/// ([`ReplicaSelector`]), the segment cache fronting the network, and the
-/// outstanding-fetch table.
-#[derive(Debug)]
-pub struct MediaTier {
-    /// Tier configuration.
-    pub cfg: MediaTierConfig,
-    /// Object key → media-node replicas.
-    pub placement: PlacementMap,
-    /// Load/RTT-aware replica choice.
-    pub selector: ReplicaSelector,
-    /// The segment cache (interval-caching admission).
-    pub cache: SegmentCache,
-    /// Outstanding fetches by fetch id.
-    pub inflight: BTreeMap<u64, FetchTag>,
-    next_fetch: u64,
-    /// Fetch-path counters.
-    pub stats: MediaTierStats,
-    /// Per-replica EWMA health scores and circuit breakers.
-    pub health: ReplicaHealthMap,
-    /// Completed-fetch latency distribution: drives the adaptive hedge
-    /// delay and the reported tail percentiles.
-    pub fetch_latency: DurationHistogram,
-    /// CoDel-style pressure detector over fetch latency (ladder trigger).
-    pub pressure: PressureDetector,
-    /// Unresolved hedge races, keyed both ways (primary ⇄ duplicate).
-    pub hedge_pairs: BTreeMap<u64, u64>,
-}
-
-impl MediaTier {
-    /// A tier client for `placement` under `cfg`.
-    pub fn new(cfg: MediaTierConfig, placement: PlacementMap) -> Self {
-        let cache = SegmentCache::new(cfg.cache_bytes);
-        let health = ReplicaHealthMap::new(cfg.breaker_cfg);
-        let pressure = PressureDetector::new(cfg.pressure_target, cfg.pressure_interval);
-        MediaTier {
-            cfg,
-            placement,
-            selector: ReplicaSelector::new(),
-            cache,
-            inflight: BTreeMap::new(),
-            next_fetch: 1,
-            stats: MediaTierStats::default(),
-            health,
-            fetch_latency: DurationHistogram::new(MediaDuration::from_millis(1), 1024),
-            pressure,
-            hedge_pairs: BTreeMap::new(),
-        }
-    }
-
-    /// The hedge delay: the observed P95 fetch latency clamped to the
-    /// configured window; the cap until enough samples accumulate.
-    pub fn hedge_delay(&self) -> MediaDuration {
-        if self.fetch_latency.count() < 16 {
-            return self.cfg.hedge_max;
-        }
-        self.fetch_latency
-            .quantile(0.95)
-            .clamp(self.cfg.hedge_min, self.cfg.hedge_max)
-    }
 }
 
 /// One client session's server-side state.
@@ -649,6 +440,8 @@ pub struct ServerActor {
     /// control-report beat; the max burn feeds the controller as
     /// `ctrl.slo_burn` pressure ahead of queue depth.
     pub slo: SloMonitor,
+    /// What the fetch client asked for and nobody has applied yet.
+    fetch: FetchPort,
 }
 
 /// Fetch-latency SLO: a fetch slower than this is a bad event.
@@ -668,6 +461,72 @@ fn server_slo_monitor() -> SloMonitor {
         SloSpec::latency("slo.fetch", SLO_FETCH_THRESHOLD, SLO_BUDGET_PER_1000),
         SloSpec::latency("slo.join", SLO_JOIN_THRESHOLD, SLO_BUDGET_PER_1000),
     ])
+}
+
+/// The fetch client's output list and what applying it needs to know of the
+/// server. The list is kept across dispatches so none allocates it.
+struct FetchPort {
+    node: NodeId,
+    server: ServerId,
+    out: Vec<FetchOut>,
+}
+
+impl FetchPort {
+    /// Apply what the fetch client asked for, in the order it asked.
+    fn flush(&mut self, api: &mut SimApi<'_, ServiceMsg>, slo: &mut SloMonitor) {
+        let node = self.node;
+        for o in self.out.drain(..) {
+            match o {
+                FetchOut::Adopt(session) => {
+                    api.cause_root(session.raw(), node);
+                }
+                FetchOut::Request {
+                    fetch,
+                    tag,
+                    kind,
+                    object,
+                    frames_per_segment,
+                    class,
+                } => {
+                    let msg = ServiceMsg::MediaFetchRequest {
+                        fetch,
+                        server: self.server,
+                        kind,
+                        object,
+                        level: tag.level.0,
+                        segment: tag.segment,
+                        frames_per_segment,
+                        deadline_micros: tag.deadline.as_micros(),
+                        class,
+                    };
+                    api.send_reliable(node, tag.replica, msg);
+                }
+                FetchOut::Cancel { fetch, replica } => {
+                    api.send_reliable(node, replica, ServiceMsg::MediaFetchCancel { fetch });
+                }
+                FetchOut::HedgeTimer { fetch, delay } => {
+                    api.set_timer(node, delay, timers::TK_HEDGE, fetch);
+                }
+                FetchOut::RepumpTimer { stream, delay } => {
+                    let payload = timers::pack(stream.0, stream.1);
+                    api.set_timer(node, delay, timers::TK_REPUMP, payload);
+                }
+                FetchOut::Event {
+                    severity,
+                    name,
+                    labels,
+                    value,
+                    dump,
+                } => {
+                    api.emit_val(node, severity, name, labels, value);
+                    if dump {
+                        api.flight_dump(node, name, labels);
+                    }
+                }
+                FetchOut::Latency(latency) => slo.record_latency(api.now(), SLO_FETCH, latency),
+            }
+        }
+    }
 }
 
 /// A pending failover candidacy: the epoch this node asked the fleet to
@@ -742,6 +601,11 @@ impl ServerActor {
             ctrl_lease_seq: 0,
             util_closed: 0.0,
             slo: server_slo_monitor(),
+            fetch: FetchPort {
+                node,
+                server: server_id,
+                out: Vec::new(),
+            },
         }
     }
 
@@ -782,20 +646,8 @@ impl ServerActor {
         }
         self.seen_reqs.clear();
         self.queries.clear();
-        // The segment cache and fetch table are RAM: gone with the process.
-        // Cumulative statistics survive for post-run reporting only.
         if let Some(tier) = self.media.as_mut() {
-            let stats = tier.cache.stats;
-            tier.cache = SegmentCache::new(tier.cfg.cache_bytes);
-            tier.cache.stats = stats;
-            tier.inflight.clear();
-            tier.selector = ReplicaSelector::new();
-            // Health scores, hedge races and pressure state are RAM too;
-            // breaker trips live in `stats` and survive for reporting.
-            tier.health = ReplicaHealthMap::new(tier.cfg.breaker_cfg);
-            tier.hedge_pairs.clear();
-            tier.pressure =
-                PressureDetector::new(tier.cfg.pressure_target, tier.cfg.pressure_interval);
+            tier.crash();
         }
         self.ladder_stack.clear();
         self.ladder_armed = false;
@@ -1029,41 +881,21 @@ impl ServerActor {
         self.drain_breaker_events(api);
     }
 
-    /// Emit a trace event per breaker state change the health map recorded
-    /// since the last drain. Trips (`to == Open`) are skipped here: the
-    /// fetch-outcome paths emit `breaker_trip` eagerly with richer context
-    /// (stream ejection, flight dump). What remains — Open → HalfOpen
-    /// probes, HalfOpen → Closed recoveries, incarnation resets — gives the
-    /// invariant checker a complete, legal-order transition record.
+    /// Trace the breaker state changes of this dispatch (all but trips,
+    /// which the fetch-outcome paths report as they happen).
     fn drain_breaker_events(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
-        let Some(tier) = self.media.as_mut() else {
-            return;
-        };
-        let transitions = tier.health.take_transitions();
-        for t in transitions {
-            let name = match (t.to, t.cause) {
-                (BreakerState::Open, _) => continue,
-                (BreakerState::HalfOpen, _) => "breaker_probe",
-                (BreakerState::Closed, "reset") => "breaker_reset",
-                (BreakerState::Closed, _) => "breaker_close",
-            };
-            api.emit(
-                self.node,
-                Severity::Info,
-                name,
-                Labels::for_peer(t.node.raw()),
-            );
+        if let Some(tier) = self.media.as_mut() {
+            tier.breaker_events(&mut self.fetch.out);
+            self.fetch.flush(api, &mut self.slo);
         }
     }
 
     /// Handle a timer addressed to this server.
     pub fn on_timer(&mut self, api: &mut SimApi<'_, ServiceMsg>, key: u64, payload: u64) {
         match key {
-            timers::TK_STREAM_START => {
-                let (session, component) = timers::unpack(payload);
-                self.start_stream(api, session, component);
-            }
-            timers::TK_FRAME => {
+            // A stream's first frame goes out at its start; each frame arms
+            // the timer of the next.
+            timers::TK_STREAM_START | timers::TK_FRAME => {
                 let (session, component) = timers::unpack(payload);
                 self.send_frame(api, session, component);
             }
@@ -1116,7 +948,10 @@ impl ServerActor {
             }
             timers::TK_HEDGE => self.on_hedge_timer(api, payload),
             timers::TK_LADDER => self.on_ladder_tick(api),
-            timers::TK_REPUMP => self.on_repump(api, payload),
+            timers::TK_REPUMP => {
+                let (session, component) = timers::unpack(payload);
+                self.repump_stream(api, session, component);
+            }
             timers::TK_CONTROL => self.on_control_tick(api),
             timers::TK_CONTROL_REPORT => self.on_control_report(api),
             timers::TK_CTRL_LEASE => self.on_ctrl_lease(api),
@@ -1585,24 +1420,12 @@ impl ServerActor {
             let Some(source) = source else {
                 continue;
             };
-            let remote = self.make_remote(&plan.source.object, plan.kind, 0);
+            let tier = self.media.as_mut();
+            let remote = tier.and_then(|t| t.open(&*api, &plan.source.object, plan.kind, 0));
             let ssrc = ((session.raw() as u32) << 16) ^ plan.component.raw() as u32;
             let s = self.sessions.get_mut(&session).unwrap();
-            s.streams.insert(
-                plan.component,
-                StreamTx {
-                    plan: plan.clone(),
-                    source,
-                    sender: RtpSender::new(ssrc, plan.encoding),
-                    done: false,
-                    stopped: false,
-                    frames_sent: 0,
-                    bytes_sent: 0,
-                    remote,
-                    patch_until: Some(cutoff),
-                },
-            );
-            self.attach_remote(api, session, plan.component);
+            let tx = StreamTx::new(plan, source, ssrc, remote, Some(cutoff));
+            s.streams.insert(plan.component, tx);
             api.set_timer(
                 self.node,
                 MediaDuration::ZERO,
@@ -1989,24 +1812,13 @@ impl ServerActor {
                         let _ = source.next_frame();
                     }
                 }
-                let remote = self.make_remote(&plan.source.object, plan.kind, source.next_seq());
+                let (object, seq) = (&plan.source.object, source.next_seq());
+                let tier = self.media.as_mut();
+                let remote = tier.and_then(|t| t.open(&*api, object, plan.kind, seq));
                 let ssrc = ((session.raw() as u32) << 16) ^ plan.component.raw() as u32;
                 let s = self.sessions.get_mut(&session).unwrap();
-                s.streams.insert(
-                    plan.component,
-                    StreamTx {
-                        plan: plan.clone(),
-                        source,
-                        sender: RtpSender::new(ssrc, plan.encoding),
-                        done: false,
-                        stopped: false,
-                        frames_sent: 0,
-                        bytes_sent: 0,
-                        remote,
-                        patch_until: None,
-                    },
-                );
-                self.attach_remote(api, session, plan.component);
+                let tx = StreamTx::new(plan, source, ssrc, remote, None);
+                s.streams.insert(plan.component, tx);
                 api.set_timer(
                     self.node,
                     delay,
@@ -2049,7 +1861,6 @@ impl ServerActor {
                         .mean_frame_bytes
                 }
             };
-        let remote = self.make_remote(&plan.source.object, plan.kind, 0);
         let component = plan.component;
         api.set_timer(
             self.node,
@@ -2057,292 +1868,77 @@ impl ServerActor {
             timers::TK_DISCRETE,
             timers::pack(session, component),
         );
+        let tier = self.media.as_mut();
+        let remote = tier.and_then(|t| t.open(&*api, &plan.source.object, plan.kind, 0));
         // Stash the size in the session for the timer to pick up.
         let Some(s) = self.sessions.get_mut(&session) else {
             return;
         };
-        s.streams.insert(
-            component,
-            StreamTx {
-                plan: plan.clone(),
-                source: FrameSource::new(
-                    component,
-                    plan.encoding,
-                    size as u64,
-                    plan.duration.max(MediaDuration::from_millis(1)),
-                ),
-                sender: RtpSender::new(0, plan.encoding),
-                done: false,
-                stopped: false,
-                frames_sent: 0,
-                bytes_sent: 0,
-                remote,
-                patch_until: None,
-            },
-        );
-        self.attach_remote(api, session, component);
-    }
-
-    /// Media-tier fetch state for a stream over `object`, starting at
-    /// global frame index `next_seq`; `None` without a tier (or for content
-    /// the placement map never distributed) — the stream then reads its
-    /// local store as before.
-    fn make_remote(&self, object: &str, kind: MediaKind, next_seq: u64) -> Option<RemoteStream> {
-        let tier = self.media.as_ref()?;
-        if tier.placement.replicas(object).is_empty() {
-            return None;
-        }
-        let fps = if kind.is_continuous() {
-            tier.cfg.frames_per_segment.max(1)
-        } else {
-            1 // a discrete "frame" is the whole object; don't fetch copies
-        };
-        let (seg, off) = segment_of_frame(next_seq, fps);
-        Some(RemoteStream {
-            object: object.to_string(),
-            kind,
-            replica: self.node, // placeholder until attach_remote selects
-            frames_per_segment: fps,
-            epoch: 0,
-            next_request: seg,
-            next_append: seg,
-            pending: BTreeMap::new(),
-            ready: VecDeque::new(),
-            skip: off,
-            inflight: BTreeMap::new(),
-        })
-    }
-
-    /// Register a freshly inserted remote stream with the tier: count its
-    /// cache reader (interval-caching admission) and pick its replica.
-    fn attach_remote(
-        &mut self,
-        api: &mut SimApi<'_, ServiceMsg>,
-        session: SessionId,
-        component: ComponentId,
-    ) {
-        let object = match self
-            .sessions
-            .get(&session)
-            .and_then(|s| s.streams.get(&component))
-            .and_then(|tx| tx.remote.as_ref())
-        {
-            Some(r) => r.object.clone(),
-            None => return,
-        };
-        if let Some(tier) = self.media.as_mut() {
-            tier.cache.reader_started(&object);
-        }
-        self.reselect_replica(api, session, component);
-    }
-
-    /// Point a remote stream at the best live replica of its object (score:
-    /// outstanding load + path RTT + breaker health penalty — a tripped or
-    /// probing circuit loses to any closed one, so outliers are ejected
-    /// whenever a healthy alternative exists). Returns false when no
-    /// replica is up.
-    fn reselect_replica(
-        &mut self,
-        api: &SimApi<'_, ServiceMsg>,
-        session: SessionId,
-        component: ComponentId,
-    ) -> bool {
-        let node = self.node;
-        let Some(tier) = self.media.as_ref() else {
-            return false;
-        };
-        let Some(r) = self
-            .sessions
-            .get(&session)
-            .and_then(|s| s.streams.get(&component))
-            .and_then(|tx| tx.remote.as_ref())
-        else {
-            return false;
-        };
-        let net = api.net();
-        let candidates = tier
-            .placement
-            .replicas(&r.object)
-            .iter()
-            .filter(|&&n| api.node_is_up(n))
-            .map(|&n| {
-                let prop = net.path_propagation(node, n).map_or(0, |p| p.as_micros());
-                let penalty = if tier.cfg.breaker {
-                    tier.health.penalty_micros(n)
-                } else {
-                    0
-                };
-                (n, prop * 2 + penalty)
-            });
-        let Some(choice) = tier.selector.pick(candidates) else {
-            return false;
-        };
-        if let Some(r) = self
-            .sessions
-            .get_mut(&session)
-            .and_then(|s| s.streams.get_mut(&component))
-            .and_then(|tx| tx.remote.as_mut())
-        {
-            r.replica = choice;
-        }
-        true
+        let duration = plan.duration.max(MediaDuration::from_millis(1));
+        let source = FrameSource::new(component, plan.encoding, size as u64, duration);
+        s.streams
+            .insert(component, StreamTx::new(plan, source, 0, remote, None));
     }
 
     /// Deregister a session's remote streams from the cache's reader counts
     /// (called before the streams are dropped or replaced).
     fn release_session_readers(&mut self, session: SessionId) {
-        let objects: Vec<String> = self
-            .sessions
-            .get(&session)
-            .map(|s| {
-                s.streams
-                    .values()
-                    .filter_map(|tx| tx.remote.as_ref().map(|r| r.object.clone()))
-                    .collect()
-            })
-            .unwrap_or_default();
-        if let Some(tier) = self.media.as_mut() {
-            for o in &objects {
-                tier.cache.reader_finished(o);
+        if let (Some(tier), Some(s)) = (self.media.as_mut(), self.sessions.get(&session)) {
+            for r in s.streams.values().filter_map(|tx| tx.remote.as_ref()) {
+                tier.cache.reader_finished(&r.object);
             }
         }
     }
 
-    /// Top up a remote stream's fetch window: serve segments from the cache
-    /// when resident, otherwise issue pipelined fetches to the stream's
-    /// replica until the window covers the pacer's remaining need.
-    fn pump_remote(
+    /// The tier-backed stream `(session, component)` if it is live (neither
+    /// done nor stopped), with what its pacer still needs.
+    fn live_stream(
+        sessions: &mut BTreeMap<SessionId, SessionState>,
+        session: SessionId,
+        component: ComponentId,
+    ) -> Option<(Demand, &mut RemoteStream)> {
+        let s = sessions.get_mut(&session)?;
+        let class = s.class;
+        let tx = s.streams.get_mut(&component)?;
+        if tx.done || tx.stopped {
+            return None;
+        }
+        let demand = tx.demand(session, component, class);
+        Some((demand, tx.remote.as_mut()?))
+    }
+
+    /// Every live tier-backed stream of every session.
+    fn live_streams(
+        sessions: &mut BTreeMap<SessionId, SessionState>,
+    ) -> impl Iterator<Item = (SessionId, ComponentId, &mut RemoteStream)> {
+        sessions.iter_mut().flat_map(|(sid, s)| {
+            let live = s
+                .streams
+                .iter_mut()
+                .filter(|(_, tx)| !tx.done && !tx.stopped);
+            live.filter_map(|(cid, tx)| Some((*sid, *cid, tx.remote.as_mut()?)))
+        })
+    }
+
+    /// Re-pick a live stream's replica and refill its fetch window (timer
+    /// `TK_REPUMP` after a shed; every re-point). False when the stream is
+    /// gone or no replica of its object is up.
+    fn repump_stream(
         &mut self,
         api: &mut SimApi<'_, ServiceMsg>,
         session: SessionId,
         component: ComponentId,
-    ) {
-        let node = self.node;
-        let server_id = self.server_id;
-        let Some(tier) = self.media.as_mut() else {
-            return;
+    ) -> bool {
+        let stream = Self::live_stream(&mut self.sessions, session, component);
+        let found = match (self.media.as_mut(), stream) {
+            (Some(tier), Some((d, r))) => tier.repump(&*api, api.now(), &d, r, &mut self.fetch.out),
+            _ => false,
         };
-        let Some(s) = self.sessions.get_mut(&session) else {
-            return;
-        };
-        let class = s.class;
-        let Some(tx) = s.streams.get_mut(&component) else {
-            return;
-        };
-        if tx.done || tx.stopped {
-            return;
-        }
-        // A discrete object needs exactly its one oversized frame; demanding
-        // the pacer's full remaining count would fetch redundant copies.
-        let needed = if tx.plan.kind.is_continuous() {
-            tx.source.frames_remaining() + 1
-        } else {
-            1
-        };
-        let level = tx.source.level();
-        let period = tx.source.model().level(level).frame_period();
-        let Some(r) = tx.remote.as_mut() else {
-            return;
-        };
-        let fps = r.frames_per_segment;
-        let now = api.now();
-        // Re-adopt this session's causal root: pump timers serve many
-        // sessions, and fetches issued here must attribute to the session
-        // they serve, not to whichever dispatch armed the pump.
-        api.cause_root(session.raw(), node);
-        while (r.inflight.len() as u32) < tier.cfg.pipeline && r.frames_covered() < needed {
-            let seg = r.next_request;
-            // After a shed rolls the cursor back, segments between the shed
-            // one and the frontier may still be covered — skip them.
-            if seg < r.next_append || r.inflight.contains_key(&seg) || r.pending.contains_key(&seg)
-            {
-                r.next_request = seg + 1;
-                continue;
-            }
-            let key = SegmentKey {
-                object: r.object.clone(),
-                level,
-                segment: seg,
-            };
-            if let Some(frames) = tier.cache.get(&key) {
-                let frames = frames.to_vec();
-                r.pending.insert(seg, frames);
-                r.next_request = seg + 1;
-                r.drain_ready();
-                continue;
-            }
-            if !api.node_is_up(r.replica) {
-                // Parked: every replica of the object is down. The stall
-                // poll keeps the stream alive until a fault event re-points
-                // it at a live (or restarted) replica.
-                break;
-            }
-            if tier.cfg.breaker && !tier.health.admit(r.replica, now) {
-                // Circuit open (or half-open with its probe slots taken):
-                // hold the window. The stall poll re-pumps, and the open
-                // timeout eventually admits probes through this same path.
-                break;
-            }
-            // The segment is useful until the pacer plays out everything it
-            // already has ahead of it; past that (plus slack for transport)
-            // the node may shed the request instead of serving dead work.
-            let deadline =
-                now + period * (r.frames_covered() + fps as u64) as i64 + tier.cfg.deadline_slack;
-            let fetch = tier.next_fetch;
-            tier.next_fetch += 1;
-            tier.selector.fetch_started(r.replica);
-            tier.inflight.insert(
-                fetch,
-                FetchTag {
-                    session,
-                    component,
-                    segment: seg,
-                    level,
-                    epoch: r.epoch,
-                    replica: r.replica,
-                    issued_at: now,
-                    deadline,
-                    hedged: false,
-                },
-            );
-            r.inflight.insert(seg, fetch);
-            r.next_request = seg + 1;
-            tier.stats.fetches += 1;
-            // An issued fetch is by definition a server-cache miss for this
-            // segment — the evidence record the cache-miss-chain attribution
-            // class looks for in the event window.
-            api.emit_val(
-                node,
-                Severity::Info,
-                "cache_miss",
-                Labels::session(session.raw()).segment(seg),
-                seg as i64,
-            );
-            api.send_reliable(
-                node,
-                r.replica,
-                ServiceMsg::MediaFetchRequest {
-                    fetch,
-                    server: server_id,
-                    kind: r.kind,
-                    object: r.object.clone(),
-                    level: level.0,
-                    segment: seg,
-                    frames_per_segment: fps,
-                    deadline_micros: deadline.as_micros(),
-                    class,
-                },
-            );
-            if tier.cfg.hedging {
-                api.set_timer(node, tier.hedge_delay(), timers::TK_HEDGE, fetch);
-            }
-        }
+        self.fetch.flush(api, &mut self.slo);
+        found
     }
 
-    /// A segment arrived from a media node. Segments travel as bounded
-    /// transport parts; only the final part (`last`) carries the frame
-    /// specs, and reliable in-order delivery guarantees it arrives after
-    /// every payload part — so earlier parts need no bookkeeping here.
+    /// A segment part arrived from a media node.
     fn on_media_chunk(
         &mut self,
         api: &mut SimApi<'_, ServiceMsg>,
@@ -2350,168 +1946,38 @@ impl ServerActor {
         frames: Vec<SegmentFrame>,
         last: bool,
     ) {
-        let now = api.now();
-        let newly_open;
-        let mut loser_slow = None;
-        let tag = {
-            let Some(tier) = self.media.as_mut() else {
-                return;
-            };
-            tier.stats.parts_received += 1;
-            if !last {
-                return;
-            }
-            let Some(tag) = tier.inflight.remove(&fetch) else {
-                return; // superseded by failover or session teardown
-            };
-            tier.selector.fetch_finished(tag.replica);
-            tier.stats.chunks += 1;
-            let latency = now - tag.issued_at;
-            tier.fetch_latency.record(latency);
-            tier.pressure.observe(now, latency);
-            self.slo.record_latency(now, SLO_FETCH, latency);
-            newly_open = Self::note_success(tier, tag.replica, now, latency);
-            // Resolve the hedge race: first completion wins, the loser is
-            // cancelled at its node (best effort) and accounted. The time
-            // the loser spent unanswered is a censored latency observation
-            // — enough to trip the breaker on a chronically slow replica
-            // that hedges always beat, without counting as a real verdict.
-            if let Some(partner) = tier.hedge_pairs.remove(&fetch) {
-                tier.hedge_pairs.remove(&partner);
-                if tag.hedged {
-                    tier.stats.hedge_wins += 1;
-                }
-                if let Some(ptag) = tier.inflight.remove(&partner) {
-                    tier.selector.fetch_finished(ptag.replica);
-                    loser_slow =
-                        Self::note_slow_loss(tier, ptag.replica, now, now - ptag.issued_at);
-                    tier.stats.hedge_cancels += 1;
-                    api.send_reliable(
-                        self.node,
-                        ptag.replica,
-                        ServiceMsg::MediaFetchCancel { fetch: partner },
-                    );
-                }
-            }
-            tag
-        };
-        self.deliver_segment(api, tag, frames);
-        if newly_open {
-            // A successful-but-slow completion can still trip the breaker
-            // (EWMA latency): eject only after the fetched frames landed.
-            api.emit(
-                self.node,
-                Severity::Error,
-                "breaker_trip",
-                Labels::for_peer(tag.replica.raw()),
-            );
-            api.flight_dump(
-                self.node,
-                "breaker_trip",
-                Labels::for_peer(tag.replica.raw()),
-            );
-            self.eject_replica_streams(api, tag.replica);
-        }
-        if let Some(sick) = loser_slow {
-            api.emit(
-                self.node,
-                Severity::Error,
-                "breaker_trip",
-                Labels::for_peer(sick.raw()),
-            );
-            api.flight_dump(self.node, "breaker_trip", Labels::for_peer(sick.raw()));
-            self.eject_replica_streams(api, sick);
-        }
-    }
-
-    /// Book a completed fetch's frames into its stream (cache offer, window
-    /// bookkeeping, discrete dispatch).
-    fn deliver_segment(
-        &mut self,
-        api: &mut SimApi<'_, ServiceMsg>,
-        tag: FetchTag,
-        frames: Vec<SegmentFrame>,
-    ) {
         let Some(tier) = self.media.as_mut() else {
             return;
         };
-        let Some(r) = self
-            .sessions
-            .get_mut(&tag.session)
-            .and_then(|s| s.streams.get_mut(&tag.component))
-            .and_then(|tx| tx.remote.as_mut())
-        else {
-            return;
-        };
-        // Offer the segment to the cache even when the stream has moved on
-        // (stale epoch): the content itself is valid and shareable.
-        tier.cache.insert(
-            SegmentKey {
-                object: r.object.clone(),
-                level: tag.level,
-                segment: tag.segment,
-            },
-            frames.clone(),
-        );
-        if tag.epoch != r.epoch {
-            return;
-        }
-        r.inflight.remove(&tag.segment);
-        r.pending.insert(tag.segment, frames);
-        r.drain_ready();
+        let owner = tier.owner(fetch);
+        let tx = owner.and_then(|(s, c)| self.sessions.get_mut(&s)?.streams.get_mut(&c));
+        let discrete = tx.as_ref().is_some_and(|tx| !tx.plan.kind.is_continuous());
+        let r = tx.and_then(|tx| tx.remote.as_mut());
+        let done = tier.on_chunk(api.now(), fetch, frames, last, r, &mut self.fetch.out);
+        self.fetch.flush(api, &mut self.slo);
         // Discrete objects ship the moment their bytes arrive; continuous
         // streams stay on the pacer's cadence (the stall poll picks the
         // fetched frames up).
-        let discrete = self
-            .sessions
-            .get(&tag.session)
-            .and_then(|s| s.streams.get(&tag.component))
-            .map(|tx| !tx.plan.kind.is_continuous())
-            .unwrap_or(false);
-        if discrete {
-            self.send_discrete(api, tag.session, tag.component);
+        if let (true, Some((session, component))) = (done.appended && discrete, owner) {
+            self.send_discrete(api, session, component);
+        }
+        // A successful-but-slow completion can still trip the breaker (EWMA
+        // latency): eject only after the fetched frames landed.
+        for sick in done.tripped.into_iter().flatten() {
+            self.eject_replica_streams(api, sick);
         }
     }
 
     /// A media node refused a fetch (object not replicated there): stop the
     /// stream — retrying cannot succeed, the placement map is wrong.
     fn on_media_error(&mut self, api: &mut SimApi<'_, ServiceMsg>, fetch: u64) {
-        let now = api.now();
         let Some(tier) = self.media.as_mut() else {
             return;
         };
-        let Some(tag) = tier.inflight.remove(&fetch) else {
+        let Some(tag) = tier.on_error(api.now(), fetch, &mut self.fetch.out) else {
             return;
         };
-        tier.selector.fetch_finished(tag.replica);
-        tier.stats.fetch_errors += 1;
-        let tripped = Self::note_failure(tier, tag.replica, now);
-        api.emit(
-            self.node,
-            Severity::Warn,
-            "fetch_error",
-            Labels::session(tag.session.raw())
-                .stream(tag.component.raw())
-                .peer(tag.replica.raw()),
-        );
-        if tripped {
-            api.emit(
-                self.node,
-                Severity::Error,
-                "breaker_trip",
-                Labels::for_peer(tag.replica.raw()),
-            );
-            api.flight_dump(
-                self.node,
-                "breaker_trip",
-                Labels::for_peer(tag.replica.raw()),
-            );
-        }
-        let tier = self.media.as_mut().expect("tier checked above");
-        if let Some(partner) = tier.hedge_pairs.remove(&fetch) {
-            // The partner (if still outstanding) carries on alone.
-            tier.hedge_pairs.remove(&partner);
-        }
+        self.fetch.flush(api, &mut self.slo);
         let Some(s) = self.sessions.get_mut(&tag.session) else {
             return;
         };
@@ -2532,314 +1998,92 @@ impl ServerActor {
         }
     }
 
-    /// A media node shed a fetch from its overloaded queue. Unlike a fetch
-    /// *error* this is flow control, not a health verdict: the shed is NOT
-    /// scored into the breaker (under a symmetric flash crowd every replica
-    /// queues alike, and tripping circuits on shared congestion only
-    /// strangles throughput further). The stream's window is re-requested —
-    /// immediately when overload control is off (the naive retry storm the
-    /// benchmarks measure), after a `stall_poll` pause when it is on, so
-    /// retry pressure on saturated queues is paced. A still-racing hedge
-    /// partner carries the segment alone instead.
+    /// A media node shed a fetch from its overloaded queue.
     fn on_media_busy(&mut self, api: &mut SimApi<'_, ServiceMsg>, fetch: u64) {
-        let paced;
-        let partner_live;
-        let tag = {
-            let Some(tier) = self.media.as_mut() else {
-                return;
-            };
-            tier.stats.busy += 1;
-            let Some(tag) = tier.inflight.remove(&fetch) else {
-                return;
-            };
-            tier.selector.fetch_finished(tag.replica);
-            paced = tier.cfg.breaker;
-            let partner = tier.hedge_pairs.remove(&fetch);
-            if let Some(p) = partner {
-                tier.hedge_pairs.remove(&p);
-            }
-            partner_live = partner.is_some_and(|p| tier.inflight.contains_key(&p));
-            tag
-        };
-        if partner_live {
-            return;
-        }
-        // Surgical retry of just the shed segment: roll the request cursor
-        // back so the next pump re-requests it. Sibling fetches, buffered
-        // segments and the epoch all stay valid — a shed must not discard
-        // work the node is still completing. The epoch check skips this if
-        // something else already moved the stream.
-        let Some(r) = self
-            .sessions
-            .get_mut(&tag.session)
-            .and_then(|s| s.streams.get_mut(&tag.component))
-            .and_then(|tx| (!tx.done && !tx.stopped).then_some(tx))
-            .and_then(|tx| tx.remote.as_mut())
-        else {
+        let Some(tier) = self.media.as_mut() else {
             return;
         };
-        if r.epoch != tag.epoch {
+        let owner = tier.owner(fetch);
+        let stream = owner.and_then(|(s, c)| Self::live_stream(&mut self.sessions, s, c));
+        tier.on_busy(&*api, api.now(), fetch, stream, &mut self.fetch.out);
+        self.fetch.flush(api, &mut self.slo);
+    }
+
+    /// The hedge delay of a fetch expired unanswered (timer `TK_HEDGE`,
+    /// payload = fetch id).
+    fn on_hedge_timer(&mut self, api: &mut SimApi<'_, ServiceMsg>, fetch: u64) {
+        let Some(tier) = self.media.as_mut() else {
             return;
-        }
-        r.inflight.remove(&tag.segment);
-        r.next_request = r.next_request.min(tag.segment);
-        if paced {
-            let delay = self.media.as_ref().map(|t| t.cfg.stall_poll).unwrap();
-            api.set_timer(
-                self.node,
-                delay,
-                timers::TK_REPUMP,
-                timers::pack(tag.session, tag.component),
-            );
-        } else if self.reselect_replica(api, tag.session, tag.component) {
-            self.pump_remote(api, tag.session, tag.component);
-        }
+        };
+        let stream = tier.owner(fetch).and_then(|(s, c)| {
+            let s = self.sessions.get(&s)?;
+            Some((s.streams.get(&c)?.remote.as_ref()?, s.class))
+        });
+        tier.on_hedge_timer(&*api, api.now(), fetch, stream, &mut self.fetch.out);
+        self.fetch.flush(api, &mut self.slo);
     }
 
-    /// Paced retry of a stream whose fetch was shed: re-pick a replica and
-    /// refill the window (a no-op if a chunk, an eject or another shed
-    /// already did).
-    fn on_repump(&mut self, api: &mut SimApi<'_, ServiceMsg>, payload: u64) {
-        let (session, component) = timers::unpack(payload);
-        let live = self
-            .sessions
-            .get(&session)
-            .and_then(|s| s.streams.get(&component))
-            .and_then(|tx| (!tx.done && !tx.stopped).then_some(tx))
-            .is_some_and(|tx| tx.remote.is_some());
-        if live && self.reselect_replica(api, session, component) {
-            self.pump_remote(api, session, component);
-        }
+    /// Phase one of a failover: restart the fetch window of every live
+    /// stream pulling from `node`. Returns the streams restarted.
+    fn restart_streams_on(&mut self, node: NodeId) -> Vec<(SessionId, ComponentId)> {
+        let on_node = Self::live_streams(&mut self.sessions).filter(|(_, _, r)| r.replica == node);
+        on_node
+            .map(|(sid, cid, r)| {
+                r.restart(sid, cid, &mut self.fetch.out);
+                (sid, cid)
+            })
+            .collect()
     }
 
-    /// Score a completed fetch into the health map (breaker enabled only).
-    /// Returns true when this observation newly tripped the circuit Open.
-    fn note_success(
-        tier: &mut MediaTier,
-        node: NodeId,
-        now: MediaTime,
-        latency: MediaDuration,
-    ) -> bool {
-        if !tier.cfg.breaker {
-            return false;
-        }
-        let was = tier.health.state(node);
-        tier.health.record_success(node, now, latency);
-        let tripped = was != BreakerState::Open && tier.health.state(node) == BreakerState::Open;
-        if tripped {
-            tier.stats.breaker_trips += 1;
-        }
-        tripped
-    }
-
-    /// Score a lost hedge race into the loser's health map (breaker enabled
-    /// only): a censored latency sample of at least `elapsed`. Returns
-    /// `Some(node)` when the observation newly tripped its circuit Open.
-    fn note_slow_loss(
-        tier: &mut MediaTier,
-        node: NodeId,
-        now: MediaTime,
-        elapsed: MediaDuration,
-    ) -> Option<NodeId> {
-        if !tier.cfg.breaker {
-            return None;
-        }
-        let was = tier.health.state(node);
-        tier.health.record_slow_loss(node, now, elapsed);
-        let tripped = was != BreakerState::Open && tier.health.state(node) == BreakerState::Open;
-        if tripped {
-            tier.stats.breaker_trips += 1;
-            return Some(node);
-        }
-        None
-    }
-
-    /// Score a failed fetch into the health map (breaker enabled only).
-    /// Returns true when this observation newly tripped the circuit Open.
-    fn note_failure(tier: &mut MediaTier, node: NodeId, now: MediaTime) -> bool {
-        if !tier.cfg.breaker {
-            return false;
-        }
-        let was = tier.health.state(node);
-        tier.health.record_failure(node, now);
-        let tripped = was != BreakerState::Open && tier.health.state(node) == BreakerState::Open;
-        if tripped {
-            tier.stats.breaker_trips += 1;
-        }
-        tripped
-    }
-
-    /// A replica's circuit just tripped Open: re-point every live stream
-    /// pulling from it at the best admitted alternative — the same motion
-    /// as a media-node crash, but without touching incarnation state
-    /// (outstanding fetches may still complete, and their outcomes keep
-    /// feeding the health score). With no healthy alternative the selector
-    /// re-picks the sick node and the probe gate in `pump_remote` paces
-    /// recovery traffic instead.
-    fn eject_replica_streams(&mut self, api: &mut SimApi<'_, ServiceMsg>, sick: NodeId) {
-        let mut affected: Vec<(SessionId, ComponentId)> = Vec::new();
-        for (sid, s) in self.sessions.iter_mut() {
-            for (cid, tx) in s.streams.iter_mut() {
-                if tx.done || tx.stopped {
-                    continue;
-                }
-                let Some(r) = tx.remote.as_mut() else {
-                    continue;
-                };
-                if r.replica != sick {
-                    continue;
-                }
-                r.pending.clear();
-                r.inflight.clear();
-                r.next_request = r.next_append;
-                r.epoch += 1;
-                api.emit_val(
-                    self.node,
-                    Severity::Info,
-                    "stream_epoch",
-                    Labels::session(sid.raw()).stream(cid.raw()),
-                    r.epoch as i64,
-                );
-                affected.push((*sid, *cid));
+    /// Shared groups move as one unit: exactly ONE epoch bump per group per
+    /// re-point, announced to the whole group — the leader's per-stream
+    /// re-point already moved the fetch window, so members see an
+    /// uninterrupted frame sequence.
+    fn bump_group_epochs(
+        &mut self,
+        api: &mut SimApi<'_, ServiceMsg>,
+        affected: &[(SessionId, ComponentId)],
+    ) {
+        for (&gid, g) in self.groups.iter_mut() {
+            if !affected.iter().any(|(sid, _)| *sid == g.leader) {
+                continue;
             }
-        }
-        for &(sid, cid) in &affected {
-            if self.reselect_replica(api, sid, cid) {
-                self.pump_remote(api, sid, cid);
-            }
-        }
-        // Shared groups fail over as one unit, exactly as on a node crash.
-        let mut bumped: Vec<(u64, u64)> = Vec::new();
-        for (gid, g) in self.groups.iter_mut() {
-            if affected.iter().any(|(sid, _)| *sid == g.leader) {
-                g.epoch += 1;
-                bumped.push((*gid, g.epoch));
-            }
-        }
-        for (gid, epoch) in bumped {
+            g.epoch += 1;
+            let epoch = g.epoch;
             self.sharing_stats.epoch_bumps += 1;
+            let labels = Labels::NONE.stream(gid);
             api.emit_val(
                 self.node,
                 Severity::Info,
                 "group_epoch",
-                Labels::NONE.stream(gid),
+                labels,
                 epoch as i64,
             );
             api.send_mcast(self.node, gid, ServiceMsg::GroupEpoch { group: gid, epoch });
         }
     }
 
-    /// The hedge delay of a fetch expired unanswered (timer `TK_HEDGE`,
-    /// payload = fetch id): race a duplicate against the next-best replica.
-    /// First response wins; the loser is cancelled and accounted.
-    fn on_hedge_timer(&mut self, api: &mut SimApi<'_, ServiceMsg>, fetch: u64) {
-        let now = api.now();
-        let node = self.node;
-        let server_id = self.server_id;
-        let Some(tier) = self.media.as_ref() else {
-            return;
-        };
-        if !tier.cfg.hedging {
-            return;
+    /// A replica's circuit just tripped Open: re-point every live stream
+    /// pulling from it at the best admitted alternative. With no sound
+    /// alternative the re-pick lands on the sick node again and the probe
+    /// gate in the pump paces recovery traffic instead.
+    fn eject_replica_streams(&mut self, api: &mut SimApi<'_, ServiceMsg>, sick: NodeId) {
+        MediaTier::report_trip(sick, &mut self.fetch.out);
+        let affected = self.restart_streams_on(sick);
+        self.fetch.flush(api, &mut self.slo);
+        for &(sid, cid) in &affected {
+            self.repump_stream(api, sid, cid);
         }
-        let Some(tag) = tier.inflight.get(&fetch).copied() else {
-            return; // answered (or written off) before the delay expired
-        };
-        if tag.hedged || tier.hedge_pairs.contains_key(&fetch) {
-            return; // never hedge a hedge, never hedge twice
-        }
-        // The pulling stream must still want this segment.
-        let Some((object, kind, fps, class)) = self.sessions.get(&tag.session).and_then(|s| {
-            let class = s.class;
-            s.streams.get(&tag.component).and_then(|tx| {
-                tx.remote
-                    .as_ref()
-                    .filter(|r| r.epoch == tag.epoch)
-                    .map(|r| (r.object.clone(), r.kind, r.frames_per_segment, class))
-            })
-        }) else {
-            return;
-        };
-        let net = api.net();
-        let Some(tier) = self.media.as_mut() else {
-            return;
-        };
-        let candidates = tier
-            .placement
-            .replicas(&object)
-            .iter()
-            .filter(|&&n| n != tag.replica && api.node_is_up(n))
-            .map(|&n| {
-                let prop = net.path_propagation(node, n).map_or(0, |p| p.as_micros());
-                let penalty = if tier.cfg.breaker {
-                    tier.health.penalty_micros(n)
-                } else {
-                    0
-                };
-                (n, prop * 2 + penalty)
-            });
-        let Some(alt) = tier.selector.pick(candidates) else {
-            return; // single-replica object: nothing to race against
-        };
-        if tier.cfg.breaker && !tier.health.admit(alt, now) {
-            return;
-        }
-        // Hedging pays only when slowness is idiosyncratic to the primary.
-        // If the alternative is observably slow too (a symmetric flash
-        // crowd queues every replica alike), a duplicate fetch would feed
-        // the overload rather than route around it.
-        if tier
-            .health
-            .health(alt)
-            .is_some_and(|h| h.latency.value() > tier.cfg.pressure_target.as_micros() as f64)
-        {
-            return;
-        }
-        let hedge = tier.next_fetch;
-        tier.next_fetch += 1;
-        tier.selector.fetch_started(alt);
-        tier.inflight.insert(
-            hedge,
-            FetchTag {
-                session: tag.session,
-                component: tag.component,
-                segment: tag.segment,
-                level: tag.level,
-                epoch: tag.epoch,
-                replica: alt,
-                issued_at: now,
-                deadline: tag.deadline,
-                hedged: true,
-            },
-        );
-        tier.hedge_pairs.insert(fetch, hedge);
-        tier.hedge_pairs.insert(hedge, fetch);
-        tier.stats.hedges += 1;
-        api.send_reliable(
-            node,
-            alt,
-            ServiceMsg::MediaFetchRequest {
-                fetch: hedge,
-                server: server_id,
-                kind,
-                object,
-                level: tag.level.0,
-                segment: tag.segment,
-                frames_per_segment: fps,
-                deadline_micros: tag.deadline.as_micros(),
-                class,
-            },
-        );
+        self.bump_group_epochs(api, &affected);
     }
 
     /// Arm the degradation-ladder evaluation chain once a tier with the
     /// ladder enabled is in place (idempotent; called on session arrival).
     fn ensure_ladder(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
-        let enabled = self.media.as_ref().map(|t| t.cfg.ladder).unwrap_or(false);
-        if enabled && !self.ladder_armed {
+        let tier = self.media.as_ref().filter(|t| t.cfg.ladder);
+        if let (Some(tier), false) = (tier, self.ladder_armed) {
             self.ladder_armed = true;
-            let period = self.media.as_ref().unwrap().cfg.ladder_period;
-            api.set_timer(self.node, period, timers::TK_LADDER, 0);
+            api.set_timer(self.node, tier.cfg.ladder_period, timers::TK_LADDER, 0);
         }
     }
 
@@ -2849,20 +2093,12 @@ impl ServerActor {
     /// one step (LIFO), level by level.
     fn on_ladder_tick(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
         let now = api.now();
-        let (enabled, period, hysteresis, overloaded) = match self.media.as_ref() {
-            Some(t) => (
-                t.cfg.ladder,
-                t.cfg.ladder_period,
-                t.cfg.ladder_hysteresis,
-                t.pressure.overloaded(now),
-            ),
-            None => (false, MediaDuration::ZERO, MediaDuration::ZERO, false),
-        };
-        if !enabled {
+        let Some(tier) = self.media.as_ref().filter(|t| t.cfg.ladder) else {
             self.ladder_armed = false;
             return;
-        }
-        if overloaded {
+        };
+        let (period, hysteresis) = (tier.cfg.ladder_period, tier.cfg.ladder_hysteresis);
+        if tier.pressure.overloaded(now) {
             self.ladder_last_pressure = now;
             self.ladder_degrade_step(api);
         } else if !self.ladder_stack.is_empty() && now - self.ladder_last_pressure >= hysteresis {
@@ -2912,13 +2148,7 @@ impl ServerActor {
             }
             let new = GradeLevel(cur.0 + 1);
             s.qos.force_level(*cid, new);
-            tx.source.set_level(new);
-            // Buffered and in-flight segments were computed at the old
-            // level; re-point the fetch window at the pacer's position.
-            let seq = tx.source.next_seq();
-            if let Some(r) = tx.remote.as_mut() {
-                r.retarget(seq);
-            }
+            tx.set_level(new);
             prior.push((*cid, cur));
             regrades.push((*cid, new));
         }
@@ -2972,11 +2202,7 @@ impl ServerActor {
                 continue;
             }
             s.qos.force_level(cid, level);
-            tx.source.set_level(level);
-            let seq = tx.source.next_seq();
-            if let Some(r) = tx.remote.as_mut() {
-                r.retarget(seq);
-            }
+            tx.set_level(level);
             regrades.push((cid, level));
         }
         for &(cid, level) in &regrades {
@@ -3724,13 +2950,7 @@ impl ServerActor {
         let cur = tx.source.level().0;
         let new = GradeLevel(if upgrade { cur - 1 } else { cur + 1 });
         s.qos.force_level(cid, new);
-        tx.source.set_level(new);
-        // Buffered and in-flight segments were computed at the old level;
-        // re-point the fetch window at the pacer's position.
-        let seq = tx.source.next_seq();
-        if let Some(r) = tx.remote.as_mut() {
-            r.retarget(seq);
-        }
+        tx.set_level(new);
         api.emit_val(
             self.node,
             if upgrade {
@@ -3760,9 +2980,7 @@ impl ServerActor {
     /// Controller-driven elastic rebalance: swap the tier's placement map
     /// and re-point exactly the streams whose current replica no longer
     /// hosts their object — under rendezvous hashing that is the minimal
-    /// moved key range. When `drain` names a node being scaled in, its
-    /// outstanding fetches are cancelled and written off first (the node is
-    /// healthy, so this is a graceful drain, not a failover).
+    /// moved key range. `drain` names a node being scaled in.
     pub fn rebalance_media(
         &mut self,
         api: &mut SimApi<'_, ServiceMsg>,
@@ -3772,212 +2990,41 @@ impl ServerActor {
         let Some(tier) = self.media.as_mut() else {
             return;
         };
-        tier.placement = placement;
-        if let Some(node) = drain {
-            api.emit(
-                self.node,
-                Severity::Info,
-                "ctrl_drain",
-                Labels::for_peer(node.raw()),
-            );
-            tier.selector.clear_outstanding(node);
-            let lost: Vec<u64> = tier
-                .inflight
-                .iter()
-                .filter(|(_, tag)| tag.replica == node)
-                .map(|(f, _)| *f)
-                .collect();
-            for f in lost {
-                tier.inflight.remove(&f);
-                if let Some(p) = tier.hedge_pairs.remove(&f) {
-                    tier.hedge_pairs.remove(&p);
-                }
-                // A drain can race the drained node's own crash (chaos aims
-                // crashes at scaled-out standbys too): a reliable cancel to
-                // a dead process would be retried into its next incarnation,
-                // which never saw the fetch. The crash already voided the
-                // queue, so only a live node needs the courtesy cancel.
-                if api.node_is_up(node) {
-                    api.send_reliable(self.node, node, ServiceMsg::MediaFetchCancel { fetch: f });
-                }
-            }
-        }
-        let mut affected: Vec<(SessionId, ComponentId)> = Vec::new();
-        {
-            let tier = self.media.as_ref().unwrap();
-            for (sid, s) in self.sessions.iter() {
-                for (cid, tx) in s.streams.iter() {
-                    if tx.done || tx.stopped {
-                        continue;
-                    }
-                    let Some(r) = tx.remote.as_ref() else {
-                        continue;
-                    };
-                    if tier.placement.replicas(&r.object).contains(&r.replica) {
-                        continue;
-                    }
-                    affected.push((*sid, *cid));
-                }
-            }
-        }
+        tier.drain(&*api, placement, drain, &mut self.fetch.out);
+        let affected: Vec<(SessionId, ComponentId)> = Self::live_streams(&mut self.sessions)
+            .filter(|(_, _, r)| !tier.placement.replicas(&r.object).contains(&r.replica))
+            .map(|(sid, cid, _)| (sid, cid))
+            .collect();
+        // One stream at a time, unlike a failover: restart, then refill.
         for &(sid, cid) in &affected {
-            if let Some(r) = self
-                .sessions
-                .get_mut(&sid)
-                .and_then(|s| s.streams.get_mut(&cid))
-                .and_then(|tx| tx.remote.as_mut())
-            {
-                r.pending.clear();
-                r.inflight.clear();
-                r.next_request = r.next_append;
-                r.epoch += 1;
-                let epoch = r.epoch;
-                api.emit_val(
-                    self.node,
-                    Severity::Info,
-                    "stream_epoch",
-                    Labels::session(sid.raw()).stream(cid.raw()),
-                    epoch as i64,
-                );
+            if let Some((_, r)) = Self::live_stream(&mut self.sessions, sid, cid) {
+                r.restart(sid, cid, &mut self.fetch.out);
             }
-            if self.reselect_replica(api, sid, cid) {
-                self.pump_remote(api, sid, cid);
-            }
+            self.repump_stream(api, sid, cid);
         }
-        // Shared groups move as one unit, exactly as on failover.
-        let mut bumped: Vec<(u64, u64)> = Vec::new();
-        for (gid, g) in self.groups.iter_mut() {
-            if affected.iter().any(|(sid, _)| *sid == g.leader) {
-                g.epoch += 1;
-                bumped.push((*gid, g.epoch));
-            }
-        }
-        for (gid, epoch) in bumped {
-            self.sharing_stats.epoch_bumps += 1;
-            api.emit_val(
-                self.node,
-                Severity::Info,
-                "group_epoch",
-                Labels::NONE.stream(gid),
-                epoch as i64,
-            );
-            api.send_mcast(self.node, gid, ServiceMsg::GroupEpoch { group: gid, epoch });
-        }
+        self.fetch.flush(api, &mut self.slo);
+        self.bump_group_epochs(api, &affected);
     }
 
-    /// A media node crashed or restarted. Fetches outstanding to it will
-    /// never complete; every stream pulling from it drops its in-flight
-    /// window and re-points at the best live replica — the stateless fetch
-    /// protocol makes failover exactly a re-request from `next_append`,
-    /// i.e. from the first frame the client has not yet been sent.
+    /// A media node crashed or restarted: every stream pulling from it
+    /// drops its in-flight window and re-points at the best live replica.
     pub fn on_media_node_event(&mut self, api: &mut SimApi<'_, ServiceMsg>, media_node: NodeId) {
-        if self.media.is_none() {
-            return;
-        }
-        api.emit(
-            self.node,
-            Severity::Warn,
-            "media_failover",
-            Labels::for_peer(media_node.raw()),
-        );
-        api.flight_dump(
-            self.node,
-            "media_failover",
-            Labels::for_peer(media_node.raw()),
-        );
         let Some(tier) = self.media.as_mut() else {
             return;
         };
-        tier.selector.clear_outstanding(media_node);
-        // A new incarnation is a new server: forget the old one's health
-        // score and breaker state along with the load estimate (its trips
-        // stay in the cumulative totals).
-        tier.health.reset(media_node);
-        let lost: Vec<u64> = tier
-            .inflight
-            .iter()
-            .filter(|(_, tag)| tag.replica == media_node)
-            .map(|(f, _)| *f)
-            .collect();
-        tier.stats.fetches_lost += lost.len() as u64;
-        for f in lost {
-            tier.inflight.remove(&f);
-            // A written-off half of a hedge race leaves the survivor
-            // racing nobody; it completes (or fails) on its own.
-            if let Some(p) = tier.hedge_pairs.remove(&f) {
-                tier.hedge_pairs.remove(&p);
-            }
-        }
-        let mut affected: Vec<(SessionId, ComponentId)> = Vec::new();
-        for (sid, s) in self.sessions.iter_mut() {
-            for (cid, tx) in s.streams.iter_mut() {
-                if tx.done || tx.stopped {
-                    continue;
-                }
-                let Some(r) = tx.remote.as_mut() else {
-                    continue;
-                };
-                if r.replica != media_node {
-                    continue;
-                }
-                // Keep `ready` (already fetched, in order); drop the rest.
-                r.pending.clear();
-                r.inflight.clear();
-                r.next_request = r.next_append;
-                r.epoch += 1;
-                api.emit_val(
-                    self.node,
-                    Severity::Info,
-                    "stream_epoch",
-                    Labels::session(sid.raw()).stream(cid.raw()),
-                    r.epoch as i64,
-                );
-                affected.push((*sid, *cid));
-            }
-        }
+        tier.node_event(media_node, &mut self.fetch.out);
+        let affected = self.restart_streams_on(media_node);
+        self.fetch.flush(api, &mut self.slo);
         for &(sid, cid) in &affected {
-            if self.reselect_replica(api, sid, cid) {
+            // No live replica: parked until a restart event re-points us.
+            if self.repump_stream(api, sid, cid) {
                 if let Some(tier) = self.media.as_mut() {
                     tier.stats.failovers += 1;
                 }
-                self.pump_remote(api, sid, cid);
-            }
-            // No live replica: parked until a restart event re-points us.
-        }
-        // Shared groups fail over as one unit: exactly ONE epoch bump per
-        // group per media-node event, announced to the whole group — the
-        // leader's per-stream failover above already re-pointed the fetch
-        // window, so members see an uninterrupted frame sequence.
-        let mut bumped: Vec<(u64, u64)> = Vec::new();
-        for (gid, g) in self.groups.iter_mut() {
-            if affected.iter().any(|(sid, _)| *sid == g.leader) {
-                g.epoch += 1;
-                bumped.push((*gid, g.epoch));
             }
         }
-        for (gid, epoch) in bumped {
-            self.sharing_stats.epoch_bumps += 1;
-            api.emit_val(
-                self.node,
-                Severity::Info,
-                "group_epoch",
-                Labels::NONE.stream(gid),
-                epoch as i64,
-            );
-            api.send_mcast(self.node, gid, ServiceMsg::GroupEpoch { group: gid, epoch });
-        }
+        self.bump_group_epochs(api, &affected);
         self.drain_breaker_events(api);
-    }
-
-    fn start_stream(
-        &mut self,
-        api: &mut SimApi<'_, ServiceMsg>,
-        session: SessionId,
-        component: ComponentId,
-    ) {
-        // The first frame goes out immediately; the chain continues in
-        // send_frame.
-        self.send_frame(api, session, component);
     }
 
     /// Send one discrete object (timer TK_DISCRETE).
@@ -3987,84 +3034,56 @@ impl ServerActor {
         session: SessionId,
         component: ComponentId,
     ) {
-        {
-            let Some(s) = self.sessions.get_mut(&session) else {
-                return;
-            };
-            if s.paused || s.suspended {
-                // Retry after a pause-poll interval.
-                api.set_timer(
-                    self.node,
-                    MediaDuration::from_millis(200),
-                    timers::TK_DISCRETE,
-                    timers::pack(session, component),
-                );
-                return;
-            }
-            let Some(tx) = s.streams.get(&component) else {
-                return;
-            };
-            if tx.done || tx.stopped {
-                return;
-            }
-        }
-        // With a media tier, the object's bytes must first arrive from a
-        // replica (or the cache); until then, poll.
-        let mut fetched_total = None;
-        let is_remote = self
-            .sessions
-            .get(&session)
-            .and_then(|s| s.streams.get(&component))
-            .map(|tx| tx.remote.is_some())
-            .unwrap_or(false);
-        if is_remote {
-            self.pump_remote(api, session, component);
-            let Some(r) = self
-                .sessions
-                .get(&session)
-                .and_then(|s| s.streams.get(&component))
-                .and_then(|tx| tx.remote.as_ref())
-            else {
-                return;
-            };
-            match r.ready.front() {
-                Some(spec) => fetched_total = Some(spec.size),
-                None => {
-                    let tier = self.media.as_mut().expect("remote stream without tier");
-                    tier.stats.stalls += 1;
-                    api.set_timer(
-                        self.node,
-                        tier.cfg.stall_poll,
-                        timers::TK_DISCRETE,
-                        timers::pack(session, component),
-                    );
-                    return;
-                }
-            }
-        }
+        let node = self.node;
         let Some(s) = self.sessions.get_mut(&session) else {
             return;
         };
+        if s.paused || s.suspended {
+            // Retry after a pause-poll interval.
+            api.set_timer(
+                node,
+                MediaDuration::from_millis(200),
+                timers::TK_DISCRETE,
+                timers::pack(session, component),
+            );
+            return;
+        }
         let client = s.client;
         let Some(tx) = s.streams.get_mut(&component) else {
             return;
         };
-        let total = match fetched_total {
-            Some(size) => size,
-            None => tx
-                .source
+        if tx.done || tx.stopped {
+            return;
+        }
+        // With a media tier, the object's bytes must first arrive from a
+        // replica (or the cache); until then, poll.
+        let demand = tx.demand(session, component, s.class);
+        let total = if let (Some(tier), Some(r)) = (self.media.as_mut(), tx.remote.as_mut()) {
+            tier.pump(&*api, api.now(), &demand, r, &mut self.fetch.out);
+            self.fetch.flush(api, &mut self.slo);
+            let Some(spec) = r.ready.front() else {
+                tier.stats.stalls += 1;
+                api.set_timer(
+                    node,
+                    tier.cfg.stall_poll,
+                    timers::TK_DISCRETE,
+                    timers::pack(session, component),
+                );
+                return;
+            };
+            spec.size
+        } else {
+            tx.source
                 .clone()
                 .next_frame()
                 .map(|f| f.size)
-                .unwrap_or(10_000),
+                .unwrap_or(10_000)
         };
         tx.done = true;
         tx.frames_sent = 1;
         tx.bytes_sent = total as u64;
         let now = api.now();
-        if let Some(s) = self.sessions.get_mut(&session) {
-            s.last_media = now;
-        }
+        s.last_media = now;
         // Segment to MTU-sized chunks, as TCP would.
         const SEGMENT: u32 = 1_400;
         let mut remaining = total;
@@ -4096,76 +3115,23 @@ impl ServerActor {
         session: SessionId,
         component: ComponentId,
     ) {
-        {
-            let Some(s) = self.sessions.get_mut(&session) else {
-                return;
-            };
-            if s.suspended {
-                return; // resumes re-arm the chain
-            }
-            if s.paused {
-                // Poll until resumed (resume also re-arms immediately).
-                api.set_timer(
-                    self.node,
-                    MediaDuration::from_millis(100),
-                    timers::TK_FRAME,
-                    timers::pack(session, component),
-                );
-                return;
-            }
-            let Some(tx) = s.streams.get_mut(&component) else {
-                return;
-            };
-            if tx.done || tx.stopped {
-                return;
-            }
-            if let Some(limit) = tx.patch_until {
-                // Patch complete: the stream's next pts is carried by the
-                // shared flow. Strictly exclusive — equal pts stops here.
-                if tx.source.next_pts() >= limit {
-                    tx.done = true;
-                    return;
-                }
-            }
-        }
-        // Media tier: top up the fetch window, then gate this frame on
-        // fetched content — the pacer only advances once the frame's bytes
-        // have actually come off the wire from a replica (or the cache).
-        let mut fetched = None;
-        let is_remote = self
-            .sessions
-            .get(&session)
-            .and_then(|s| s.streams.get(&component))
-            .map(|tx| tx.remote.is_some())
-            .unwrap_or(false);
-        if is_remote {
-            self.pump_remote(api, session, component);
-            let Some(r) = self
-                .sessions
-                .get_mut(&session)
-                .and_then(|s| s.streams.get_mut(&component))
-                .and_then(|tx| tx.remote.as_mut())
-            else {
-                return;
-            };
-            match r.ready.pop_front() {
-                Some(spec) => fetched = Some(spec),
-                None => {
-                    let tier = self.media.as_mut().expect("remote stream without tier");
-                    tier.stats.stalls += 1;
-                    api.set_timer(
-                        self.node,
-                        tier.cfg.stall_poll,
-                        timers::TK_FRAME,
-                        timers::pack(session, component),
-                    );
-                    return;
-                }
-            }
-        }
+        let node = self.node;
         let Some(s) = self.sessions.get_mut(&session) else {
             return;
         };
+        if s.suspended {
+            return; // resumes re-arm the chain
+        }
+        if s.paused {
+            // Poll until resumed (resume also re-arms immediately).
+            api.set_timer(
+                node,
+                MediaDuration::from_millis(100),
+                timers::TK_FRAME,
+                timers::pack(session, component),
+            );
+            return;
+        }
         let client = s.client;
         // A group leader's streams feed the whole group: one multicast send
         // replaces the per-member unicasts (single copy per egress link).
@@ -4177,6 +3143,37 @@ impl ServerActor {
         let Some(tx) = s.streams.get_mut(&component) else {
             return;
         };
+        if tx.done || tx.stopped {
+            return;
+        }
+        if let Some(limit) = tx.patch_until {
+            // Patch complete: the stream's next pts is carried by the
+            // shared flow. Strictly exclusive — equal pts stops here.
+            if tx.source.next_pts() >= limit {
+                tx.done = true;
+                return;
+            }
+        }
+        // Media tier: top up the fetch window, then gate this frame on
+        // fetched content — the pacer only advances once the frame's bytes
+        // have actually come off the wire from a replica (or the cache).
+        let mut fetched = None;
+        let demand = tx.demand(session, component, s.class);
+        if let (Some(tier), Some(r)) = (self.media.as_mut(), tx.remote.as_mut()) {
+            tier.pump(&*api, api.now(), &demand, r, &mut self.fetch.out);
+            self.fetch.flush(api, &mut self.slo);
+            fetched = r.ready.pop_front();
+            if fetched.is_none() {
+                tier.stats.stalls += 1;
+                api.set_timer(
+                    node,
+                    tier.cfg.stall_poll,
+                    timers::TK_FRAME,
+                    timers::pack(session, component),
+                );
+                return;
+            }
+        }
         let mut stream_finished = false;
         match tx.source.next_frame() {
             Some(frame) => {
@@ -4188,41 +3185,32 @@ impl ServerActor {
                 tx.frames_sent += 1;
                 tx.bytes_sent += frame.size as u64;
                 let now = api.now();
+                let mut send = |msg| match shared {
+                    Some(gid) => {
+                        api.send_mcast(node, gid, msg);
+                    }
+                    None => {
+                        api.send(node, client, msg);
+                    }
+                };
                 for packet in tx.sender.packetize(&frame) {
-                    let msg = ServiceMsg::RtpData {
+                    send(ServiceMsg::RtpData {
                         session,
                         component,
                         packet,
                         sent_at: now,
-                    };
-                    match shared {
-                        Some(gid) => {
-                            api.send_mcast(self.node, gid, msg);
-                        }
-                        None => {
-                            api.send(self.node, client, msg);
-                        }
-                    }
+                    });
                 }
                 if shared.is_some() {
                     self.sharing_stats.mcast_frames += 1;
                 }
                 // Periodic RTCP sender report (RFC 3550): every 64 frames.
                 if tx.frames_sent % 64 == 1 {
-                    let sr = tx.sender.sender_report(now);
-                    let msg = ServiceMsg::RtcpSenderReport {
+                    send(ServiceMsg::RtcpSenderReport {
                         session,
                         component,
-                        packet: sr,
-                    };
-                    match shared {
-                        Some(gid) => {
-                            api.send_mcast(self.node, gid, msg);
-                        }
-                        None => {
-                            api.send(self.node, client, msg);
-                        }
-                    }
+                        packet: tx.sender.sender_report(now),
+                    });
                 }
                 let period = tx.source.model().level(tx.source.level()).frame_period();
                 api.set_timer(
@@ -4277,15 +3265,7 @@ impl ServerActor {
             if let Some(tx) = s.streams.get_mut(&act.component) {
                 match act.decision {
                     GradeDecision::Degrade | GradeDecision::Upgrade => {
-                        tx.source.set_level(act.new_level);
-                        // A level switch changes every frame size from here
-                        // on: buffered and in-flight segments were computed
-                        // at the old level and are now wrong. Re-point the
-                        // fetch window at the pacer's position.
-                        let seq = tx.source.next_seq();
-                        if let Some(r) = tx.remote.as_mut() {
-                            r.retarget(seq);
-                        }
+                        tx.set_level(act.new_level);
                         if tx.stopped && !act.stopped {
                             // Restarted after a stop: re-arm the chain.
                             tx.stopped = false;
@@ -4441,33 +3421,27 @@ impl ServerActor {
             self.sharing_stats.epoch_bumps,
         );
         if let Some(tier) = self.media.as_ref() {
-            let st = &tier.stats;
-            obs.registry.counter_set("server.fetches", l, st.fetches);
-            obs.registry.counter_set("server.chunks", l, st.chunks);
-            obs.registry.counter_set("server.stalls", l, st.stalls);
-            obs.registry
-                .counter_set("server.failovers", l, st.failovers);
-            obs.registry
-                .counter_set("server.fetch_errors", l, st.fetch_errors);
-            obs.registry.counter_set("server.fetch_busy", l, st.busy);
-            obs.registry.counter_set("server.hedges", l, st.hedges);
-            obs.registry
-                .counter_set("server.hedge_wins", l, st.hedge_wins);
-            obs.registry
-                .counter_set("server.breaker_trips", l, st.breaker_trips);
-            obs.registry
-                .counter_set("server.fetches_lost", l, st.fetches_lost);
-            obs.registry
-                .counter_set("server.parts_received", l, st.parts_received);
-            obs.registry
-                .counter_set("server.ladder_degrades", l, st.ladder_degrades);
-            obs.registry
-                .counter_set("server.ladder_restores", l, st.ladder_restores);
-            let c = tier.cache.stats;
-            obs.registry.counter_set("server.cache_hits", l, c.hits);
-            obs.registry.counter_set("server.cache_misses", l, c.misses);
-            obs.registry
-                .counter_set("server.cache_evicted", l, c.evicted);
+            let (st, c) = (tier.stats, tier.cache.stats);
+            for (name, count) in [
+                ("server.fetches", st.fetches),
+                ("server.chunks", st.chunks),
+                ("server.stalls", st.stalls),
+                ("server.failovers", st.failovers),
+                ("server.fetch_errors", st.fetch_errors),
+                ("server.fetch_busy", st.busy),
+                ("server.hedges", st.hedges),
+                ("server.hedge_wins", st.hedge_wins),
+                ("server.breaker_trips", st.breaker_trips),
+                ("server.fetches_lost", st.fetches_lost),
+                ("server.parts_received", st.parts_received),
+                ("server.ladder_degrades", st.ladder_degrades),
+                ("server.ladder_restores", st.ladder_restores),
+                ("server.cache_hits", c.hits),
+                ("server.cache_misses", c.misses),
+                ("server.cache_evicted", c.evicted),
+            ] {
+                obs.registry.counter_set(name, l, count);
+            }
             obs.registry
                 .hist_set("server.fetch_latency", l, tier.fetch_latency.clone());
         }

@@ -4,11 +4,11 @@
 use crate::client_actor::{ClientActor, ClientConfig};
 use crate::media_actor::MediaActor;
 use crate::protocol::{ServiceMsg, StackPath};
-use crate::server_actor::{MediaTier, MediaTierConfig, ServerActor, ServerConfig};
+use crate::server_actor::{ServerActor, ServerConfig};
 use hermes_control::{ControlSnapshot, ControllerConfig};
 use hermes_core::{MediaDuration, MediaKind, NodeId, ServerId};
 use hermes_media::MediaObject;
-use hermes_server::PlacementMap;
+use hermes_server::{MediaTier, MediaTierConfig, PlacementMap};
 use hermes_simnet::{
     App, FaultEvent, FaultKind, Labels, LinkSpec, Network, Severity, Sim, SimApi, SimRng, WireSize,
 };
@@ -175,7 +175,7 @@ impl ServiceWorld {
                         .install(server.server_id, obj.clone());
                 }
             }
-            server.media = Some(MediaTier::new(cfg.clone(), placement));
+            server.media = Some(MediaTier::new(cfg.clone(), placement, server.node));
         }
     }
 
