@@ -251,8 +251,8 @@ fn run_point(seed: u64, mode: Mode, g: &Grid) -> Point {
         p.elections += s.ctrl_stats.elections;
         p.fenced += s.ctrl_stats.fence_drops;
         p.stale_dropped += s.ctrl_stats.stale_drops;
-        p.epoch = p.epoch.max(s.ctrl_epoch_seen);
-        if let Some(at) = s.last_elected_at {
+        p.epoch = p.epoch.max(s.election.fence());
+        if let Some(at) = s.election.last_elected_at {
             p.elect_ms = (at - g.crash_at).as_micros() as f64 / 1_000.0;
         }
         if let Some(c) = &s.controller {

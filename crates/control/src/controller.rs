@@ -358,13 +358,6 @@ impl FleetController {
         self.epoch
     }
 
-    /// Stamp the controller with its fencing epoch (set once when the host
-    /// starts or wins an election; never lowered).
-    pub fn set_epoch(&mut self, epoch: u64) {
-        debug_assert!(epoch >= self.epoch, "controller epochs never regress");
-        self.epoch = epoch;
-    }
-
     /// True while the controller is inside its post-election cold-start
     /// window and must not actuate.
     pub fn is_cold(&self, now: MediaTime) -> bool {

@@ -7,8 +7,8 @@
 //!
 //! Where PRs 1–6 built purely *local* reactions — per-request admission
 //! shedding, a per-server degradation ladder, per-replica circuit breakers —
-//! this crate adds the first *global* decision layer (ROADMAP item 4,
-//! following Alaya et al.'s measurement-driven distributed QoS management):
+//! this crate adds the first *global* decision layer (following Alaya et
+//! al.'s measurement-driven distributed QoS management):
 //!
 //! * [`utility`] — the aggregate-utility model: per-stream utility weighted
 //!   by media kind (audio above video, the paper's degrade-video-first rule
@@ -20,13 +20,14 @@
 //!   media-node scale-out/in policy;
 //! * [`ha`] — controller high availability: the lease/K-missed-beats
 //!   failure detector, strict-majority quorum arithmetic, and the
-//!   deterministic lowest-live-id failover election, paired with fencing
-//!   epochs and [`ControlSnapshot`] lease replication in [`controller`].
+//!   [`Election`] state machine — lowest-live-id candidacy, a vote round
+//!   over durable promises, fencing epochs and [`ControlSnapshot`] lease
+//!   replication — as inputs in, a list of [`HaOut`] effects out.
 //!
 //! Everything here is pure policy over report registries — no simulator or
-//! network types — so the service layer owns transport (report and command
-//! messages) and actuation, and the bench can drive the decision functions
-//! directly.
+//! network types — so the service layer owns transport (report, command
+//! and election messages), timers and actuation, and tests and the bench
+//! can drive the decision functions directly.
 
 #![warn(missing_docs)]
 
@@ -38,7 +39,7 @@ pub use controller::{
     names, ControlCommand, ControlPlan, ControlSnapshot, ControllerConfig, ControllerStats,
     FairnessBudget, FleetController,
 };
-pub use ha::{elect, majority, LeaseView, PeerFreshness};
+pub use ha::{elect, majority, Election, HaMsg, HaOut, LeaseView, PeerFreshness};
 pub use utility::{
     class_from_priority, class_multiplier, decode_kind, encode_kind, fleet_utility, kind_weight,
     stream_utility, SessionView, StreamView,

@@ -7,6 +7,7 @@
 //! message declares its wire size so the simulated links can charge
 //! serialization delay faithfully.
 
+use hermes_control::HaMsg;
 use hermes_core::{
     ComponentId, DocumentId, MediaKind, MediaTime, PricingClass, QosMeasurement, ServerId,
     SessionId, UserId,
@@ -464,14 +465,11 @@ pub enum ServiceMsg {
         /// The issuing controller's fencing epoch.
         epoch: u64,
     },
-    /// Controller host → every server and media node: the periodic lease
-    /// beat asserting leadership at `epoch`. The beat doubles as
-    /// conservative state replication — it carries the controller's
-    /// administrative snapshot (price, standby/scaled-out pools) so any
-    /// follower can seed a successor controller after failover. Followers
-    /// run a K-missed-beats detector over this message; on expiry the
-    /// lowest live server id holding a strict report majority campaigns
-    /// for a fresh epoch via [`ServiceMsg::ControlVoteReq`].
+    /// Controller host → every other server: the periodic lease beat
+    /// asserting leadership at `epoch`. The beat doubles as conservative
+    /// state replication — it carries the controller's administrative
+    /// snapshot (price, standby/scaled-out pools) so any follower can seed
+    /// a successor after failover ([`hermes_control::HaMsg::Lease`]).
     ControlLease {
         /// The leaseholder's fencing epoch.
         epoch: u64,
@@ -485,11 +483,8 @@ pub enum ServiceMsg {
         scaled_out: Vec<u64>,
     },
     /// Candidate server → every server peer: ask for a vote to lead the
-    /// control plane at `epoch`. Granted only by followers whose own
-    /// lease view has lapsed and who have neither seen nor promised that
-    /// epoch; the promise is durable, so two candidates can never both
-    /// assemble a majority for one epoch (the majorities intersect in a
-    /// voter whose promise forbids the second grant).
+    /// control plane at `epoch` ([`hermes_control::Election::vote_req`]
+    /// decides).
     ControlVoteReq {
         /// The fencing epoch the candidate wants to claim.
         epoch: u64,
@@ -673,6 +668,22 @@ impl ServiceMsg {
             ServiceMsg::MailSend { .. }
             | ServiceMsg::MailFetch { .. }
             | ServiceMsg::MailBox { .. } => "mail",
+        }
+    }
+}
+
+impl From<HaMsg> for ServiceMsg {
+    fn from(msg: HaMsg) -> Self {
+        match msg {
+            HaMsg::Lease(seq, snapshot) => ServiceMsg::ControlLease {
+                epoch: snapshot.epoch,
+                seq,
+                price: snapshot.price,
+                standby: snapshot.standby,
+                scaled_out: snapshot.scaled_out,
+            },
+            HaMsg::VoteReq(epoch) => ServiceMsg::ControlVoteReq { epoch },
+            HaMsg::Vote(epoch) => ServiceMsg::ControlVote { epoch },
         }
     }
 }

@@ -6,8 +6,8 @@
 use crate::protocol::{MailMessage, SearchHit, ServiceMsg};
 use crate::timers;
 use hermes_control::{
-    elect, majority, names as ctrl_names, stream_utility, ControlCommand, ControlSnapshot,
-    ControllerConfig, FleetController, LeaseView, PeerFreshness,
+    names as ctrl_names, stream_utility, ControlCommand, ControlSnapshot, ControllerConfig,
+    Election, FleetController, HaOut,
 };
 use hermes_core::{
     ComponentId, DocumentId, GradeDecision, GradeLevel, GradingHysteresis, GradingOrder,
@@ -24,7 +24,7 @@ use hermes_server::{
 };
 use hermes_simnet::obs::{MetricsRegistry, SloMonitor, SloSpec};
 use hermes_simnet::{Labels, Obs, Severity, SimApi, SpanId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// One active outgoing media stream of a session.
 #[derive(Debug)]
@@ -390,47 +390,21 @@ pub struct ServerActor {
     pub controller: Option<FleetController>,
     /// The controller host this server reports to (`None` disables the
     /// control-plane report chain).
-    pub control_peer: Option<NodeId>,
+    control_peer: Option<NodeId>,
     /// Cadence of the control-plane report timer.
     control_report_period: MediaDuration,
     /// Fleet admission price set by the controller: new admissions start
     /// this many grade levels below nominal.
     pub admission_price: u8,
-    /// Controller failover config, when HA is enabled on this deployment
-    /// (`None` pins the control plane to its original host, pre-HA style).
-    pub control_ha: Option<ControllerConfig>,
-    /// Freshness of server-fleet control reports — the liveness view the
-    /// election and the leader's quorum check both read. RAM: a restarted
-    /// process re-learns liveness from scratch.
-    ctrl_peers: PeerFreshness,
-    /// This follower's view of the controller lease (epoch, holder, last
-    /// beat).
-    pub ctrl_lease: LeaseView,
-    /// Administrative controller snapshot cached from the last accepted
-    /// lease beat. Models the replicated control ledger on disk (like the
-    /// databases): it survives a crash, so a restarted server can still
-    /// seed a successor controller.
-    ctrl_snapshot: ControlSnapshot,
-    /// Highest controller epoch this node has observed — the fencing
-    /// record. Also disk-modeled: epochs must never regress across
-    /// restarts or a zombie could actuate on an amnesiac fleet.
-    pub ctrl_epoch_seen: u64,
-    /// Highest epoch this node has promised to any election candidate
-    /// (its own candidacies included). Disk-modeled like the fence
-    /// record: promise monotonicity across restarts is what makes the
-    /// vote round a proof — two majorities for one epoch would have to
-    /// intersect in a voter whose promise forbids the second grant.
-    ctrl_promised: u64,
-    /// This node's pending failover candidacy, if any. RAM: an
-    /// interrupted candidacy is simply retried (at a higher epoch).
-    ctrl_candidacy: Option<CtrlCandidacy>,
+    /// The controller election as this server sees it: fence, promise and
+    /// replicated snapshot (disk), lease and liveness views (RAM). Whether
+    /// this server leads is [`controller`](Self::controller).
+    pub election: Election,
+    /// What the election asked for and nobody has applied yet.
+    ha_out: Vec<HaOut>,
     /// Controller HA counters (elections won, demotions, fenced and stale
     /// command drops).
     pub ctrl_stats: CtrlHaStats,
-    /// When this node last won the controller election.
-    pub last_elected_at: Option<MediaTime>,
-    /// Lease beats sent while leading (the lease `seq`).
-    ctrl_lease_seq: u64,
     /// Utility-seconds of sessions that have already closed (the live
     /// remainder sits in each [`SessionState::util_acc`]).
     pub util_closed: f64,
@@ -529,17 +503,6 @@ impl FetchPort {
     }
 }
 
-/// A pending failover candidacy: the epoch this node asked the fleet to
-/// grant it, the voters heard so far (self included), and when the ask
-/// went out (a candidacy that collects no majority is retried after two
-/// beat intervals, at a strictly higher epoch).
-#[derive(Debug, Clone)]
-struct CtrlCandidacy {
-    epoch: u64,
-    votes: BTreeSet<u64>,
-    since: MediaTime,
-}
-
 /// Controller high-availability counters of one server.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CtrlHaStats {
@@ -589,16 +552,9 @@ impl ServerActor {
             control_peer: None,
             control_report_period: MediaDuration::from_millis(100),
             admission_price: 0,
-            control_ha: None,
-            ctrl_peers: PeerFreshness::new(),
-            ctrl_lease: LeaseView::default(),
-            ctrl_snapshot: ControlSnapshot::default(),
-            ctrl_epoch_seen: 0,
-            ctrl_promised: 0,
-            ctrl_candidacy: None,
+            election: Election::new(node.raw()),
+            ha_out: Vec::new(),
             ctrl_stats: CtrlHaStats::default(),
-            last_elected_at: None,
-            ctrl_lease_seq: 0,
             util_closed: 0.0,
             slo: server_slo_monitor(),
             fetch: FetchPort {
@@ -652,14 +608,9 @@ impl ServerActor {
         self.ladder_stack.clear();
         self.ladder_armed = false;
         // Controller leadership is RAM: it dies with the process, and the
-        // restarted node rejoins as a follower that must win a fresh
-        // election (at a strictly higher epoch) before it may actuate
-        // again. The fencing epoch record, the vote promise and the
-        // lease snapshot model disk, like the databases, and survive —
-        // epochs never regress and promises are never forgotten.
+        // restarted node rejoins as a follower.
         self.controller = None;
-        self.ctrl_peers.clear();
-        self.ctrl_candidacy = None;
+        self.election.crash();
     }
 
     fn start_heartbeat(&mut self, api: &mut SimApi<'_, ServiceMsg>, session: SessionId) {
@@ -820,25 +771,10 @@ impl ServerActor {
                 api.send_reliable(self.node, from, ServiceMsg::MailBox { messages });
             }
             ServiceMsg::ControlReport { registry, epoch } => {
-                // A peer server's report is a liveness proof for the
-                // failover election, whoever currently leads.
-                if self.peers.contains(&from) {
-                    self.ctrl_peers.heard(from.raw(), api.now());
-                }
-                // Epoch gossip: the report carries the sender's fence
-                // record, so a node that missed the new leader's beats
-                // (restarted, or healed from a partition that also cut
-                // off the leader) learns a succession happened before
-                // its own lease clock runs out — and a zombie leader
-                // hears it has been superseded and stands down.
-                self.ctrl_epoch_seen = self.ctrl_epoch_seen.max(epoch);
-                if self
-                    .controller
-                    .as_ref()
-                    .is_some_and(|c| c.epoch() < self.ctrl_epoch_seen)
-                {
-                    self.demote_controller(api);
-                }
+                let (now, leading) = (api.now(), self.leading());
+                self.election
+                    .report_heard(from.raw(), epoch, now, leading, &mut self.ha_out);
+                self.flush_ha(api);
                 if let Some(c) = self.controller.as_mut() {
                     c.ingest(api.now(), from.raw(), &registry);
                 }
@@ -868,13 +804,27 @@ impl ServerActor {
                 standby,
                 scaled_out,
             } => {
-                self.on_control_lease(api, from, epoch, price, standby, scaled_out);
+                let snapshot = ControlSnapshot {
+                    epoch,
+                    price,
+                    standby,
+                    scaled_out,
+                };
+                let (now, leading) = (api.now(), self.leading());
+                self.election
+                    .lease(from.raw(), snapshot, now, leading, &mut self.ha_out);
+                self.flush_ha(api);
             }
             ServiceMsg::ControlVoteReq { epoch } => {
-                self.on_control_vote_req(api, from, epoch);
+                let (now, leading) = (api.now(), self.leading());
+                self.election
+                    .vote_req(from.raw(), epoch, now, leading, &mut self.ha_out);
+                self.flush_ha(api);
             }
             ServiceMsg::ControlVote { epoch } => {
-                self.on_control_vote(api, from, epoch);
+                self.election
+                    .vote(from.raw(), epoch, api.now(), &mut self.ha_out);
+                self.flush_ha(api);
             }
             _ => { /* messages addressed to clients are ignored here */ }
         }
@@ -954,8 +904,17 @@ impl ServerActor {
             }
             timers::TK_CONTROL => self.on_control_tick(api),
             timers::TK_CONTROL_REPORT => self.on_control_report(api),
-            timers::TK_CTRL_LEASE => self.on_ctrl_lease(api),
-            timers::TK_CTRL_WATCH => self.on_ctrl_watch(api),
+            timers::TK_CTRL_LEASE => {
+                let leading = self.controller.as_ref().map(|c| c.snapshot());
+                self.election
+                    .beat_tick(leading, api.now(), &mut self.ha_out);
+                self.flush_ha(api);
+            }
+            timers::TK_CTRL_WATCH => {
+                let (now, leading) = (api.now(), self.leading());
+                self.election.watch_tick(now, leading, &mut self.ha_out);
+                self.flush_ha(api);
+            }
             _ => {}
         }
         self.drain_breaker_events(api);
@@ -2233,10 +2192,9 @@ impl ServerActor {
     // ------------------------------------------------------------------
 
     /// Host the fleet controller on this server: install the policy with
-    /// the standby media-node pool and arm the control tick. With HA
-    /// enabled ([`enable_control_ha`](Self::enable_control_ha) first), the
-    /// lease-beat chain starts too and the host records itself as the
-    /// epoch-1 leaseholder.
+    /// the standby media-node pool and arm the control tick; with HA enabled
+    /// ([`enable_control_ha`](Self::enable_control_ha) first) the lease beat
+    /// too.
     pub fn host_controller(
         &mut self,
         api: &mut SimApi<'_, ServiceMsg>,
@@ -2245,37 +2203,23 @@ impl ServerActor {
     ) {
         let mut c = FleetController::new(cfg);
         c.set_standby(standby);
-        let epoch = c.epoch();
-        self.ctrl_epoch_seen = self.ctrl_epoch_seen.max(epoch);
-        self.ctrl_lease.observe(epoch, self.node.raw(), api.now());
+        self.election.host(c.epoch(), api.now(), &mut self.ha_out);
         self.controller = Some(c);
         api.set_timer(self.node, cfg.tick, timers::TK_CONTROL, 0);
-        if self.control_ha.is_some() {
-            api.set_timer(self.node, cfg.lease_beat, timers::TK_CTRL_LEASE, 0);
-        }
+        self.flush_ha(api);
     }
 
-    /// Arm controller failover on this server: remember the controller
-    /// config and the seed snapshot (the deployment manifest: standby pool,
-    /// nominal price), start the lease-watch chain, and grant the fleet one
-    /// optimistic liveness window so nobody elects before the first reports
-    /// have had a chance to arrive.
+    /// Arm controller failover on this server (see [`Election::enable`]).
     pub fn enable_control_ha(
         &mut self,
         api: &mut SimApi<'_, ServiceMsg>,
         cfg: ControllerConfig,
         seed: ControlSnapshot,
     ) {
-        let now = api.now();
-        self.control_ha = Some(cfg);
-        self.ctrl_epoch_seen = self.ctrl_epoch_seen.max(seed.epoch);
-        self.ctrl_snapshot = seed;
-        self.ctrl_lease.heard_at = now;
-        self.ctrl_peers.heard(self.node.raw(), now);
-        for p in self.peers.clone() {
-            self.ctrl_peers.heard(p.raw(), now);
-        }
-        api.set_timer(self.node, cfg.lease_beat, timers::TK_CTRL_WATCH, 0);
+        let peers = self.peers.iter().map(|p| p.raw()).collect();
+        self.election
+            .enable(cfg, seed, peers, api.now(), &mut self.ha_out);
+        self.flush_ha(api);
     }
 
     /// Start shipping periodic control-plane reports to `host`.
@@ -2291,16 +2235,10 @@ impl ServerActor {
     }
 
     /// Re-arm the control-plane timer chains after a restart (the old
-    /// incarnation's timers died with the process). Leadership itself does
-    /// NOT survive: `on_crash` already demoted this node, so the restarted
-    /// process comes back as a reporting follower and must win a fresh
-    /// election — at a strictly higher epoch — to actuate again.
+    /// incarnation's timers died with the process). Leadership does NOT
+    /// survive: `on_crash` demoted this node, which comes back as a
+    /// reporting follower.
     pub fn rearm_control(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
-        if let Some(c) = self.controller.as_ref() {
-            // Unreachable after a crash (on_crash clears the controller);
-            // kept so a manually re-hosted controller can be re-armed.
-            api.set_timer(self.node, c.cfg.tick, timers::TK_CONTROL, 0);
-        }
         if self.control_peer.is_some() {
             api.set_timer(
                 self.node,
@@ -2309,305 +2247,77 @@ impl ServerActor {
                 0,
             );
         }
-        if let Some(cfg) = self.control_ha {
-            // Assume the lease alive at restart: the node grants the
-            // incumbent (if any) one full timeout to prove itself before
-            // considering an election of its own.
-            self.ctrl_lease.heard_at = api.now();
-            api.set_timer(self.node, cfg.lease_beat, timers::TK_CTRL_WATCH, 0);
+        self.election.restart(api.now(), &mut self.ha_out);
+        self.flush_ha(api);
+    }
+
+    /// The epoch this server leads the control plane at, if it does.
+    fn leading(&self) -> Option<u64> {
+        self.controller.as_ref().map(|c| c.epoch())
+    }
+
+    /// A control-plane trace event about this server itself.
+    fn ctrl_event(
+        &self,
+        api: &mut SimApi<'_, ServiceMsg>,
+        severity: Severity,
+        name: &'static str,
+        value: i64,
+    ) {
+        let labels = Labels::for_peer(self.node.raw());
+        api.emit_val(self.node, severity, name, labels, value);
+    }
+
+    /// Apply what the election asked for, in the order it asked.
+    fn flush_ha(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
+        let node = self.node;
+        let cfg = self.election.cfg();
+        let mut out = std::mem::take(&mut self.ha_out);
+        for o in out.drain(..) {
+            match (o, cfg) {
+                (HaOut::Send(to, msg), _) => {
+                    api.send(node, NodeId::new(to), msg.into());
+                }
+                (HaOut::Promote(epoch), Some(cfg)) => {
+                    let seed = self.election.snapshot();
+                    let c = FleetController::from_snapshot(cfg, epoch, seed, api.now());
+                    self.controller = Some(c);
+                    self.ctrl_stats.elections += 1;
+                    api.set_timer(node, cfg.tick, timers::TK_CONTROL, 0);
+                }
+                (HaOut::Demote, _) => {
+                    self.controller = None;
+                    self.ctrl_stats.demotions += 1;
+                }
+                (HaOut::Repoint(holder), _) => self.control_peer = Some(NodeId::new(holder)),
+                (HaOut::Price(price), _) => self.admission_price = price,
+                (HaOut::ArmWatch, Some(cfg)) => {
+                    api.set_timer(node, cfg.lease_beat, timers::TK_CTRL_WATCH, 0);
+                }
+                (HaOut::ArmBeat, Some(cfg)) => {
+                    api.set_timer(node, cfg.lease_beat, timers::TK_CTRL_LEASE, 0);
+                }
+                (HaOut::Event(name, value), _) => {
+                    self.ctrl_event(api, Severity::Warn, name, value);
+                }
+                // Only an enabled election promotes or arms a timer.
+                (HaOut::Promote(_) | HaOut::ArmWatch | HaOut::ArmBeat, None) => {}
+            }
         }
+        self.ha_out = out;
+        self.ctrl_stats.lease_beats = self.election.lease_beats;
     }
 
     /// True iff `epoch` is stale against the highest controller epoch this
     /// node has seen — in which case the command is counted and dropped
-    /// (the fence). Accepting a command from a newer epoch advances the
-    /// fence record.
+    /// (the fence).
     fn ctrl_fenced(&mut self, api: &mut SimApi<'_, ServiceMsg>, epoch: u64) -> bool {
-        if epoch < self.ctrl_epoch_seen {
+        let fenced = !self.election.admit(epoch);
+        if fenced {
             self.ctrl_stats.fence_drops += 1;
-            api.emit_val(
-                self.node,
-                Severity::Warn,
-                "ctrl_fence_drop",
-                Labels::for_peer(self.node.raw()),
-                epoch as i64,
-            );
-            return true;
+            self.ctrl_event(api, Severity::Warn, "ctrl_fence_drop", epoch as i64);
         }
-        self.ctrl_epoch_seen = epoch;
-        false
-    }
-
-    /// A controller lease beat arrived. A leading node yields to a higher
-    /// epoch (the split-brain loser demotes itself); followers refresh the
-    /// K-missed-beats clock, cache the replicated snapshot, and re-point
-    /// their reports at the current leaseholder.
-    fn on_control_lease(
-        &mut self,
-        api: &mut SimApi<'_, ServiceMsg>,
-        from: NodeId,
-        epoch: u64,
-        price: u8,
-        standby: Vec<u64>,
-        scaled_out: Vec<u64>,
-    ) {
-        let now = api.now();
-        if let Some(c) = self.controller.as_ref() {
-            if epoch <= c.epoch() {
-                // A zombie ex-leader's beat: ignore (its commands are
-                // fenced by every receiver anyway).
-                return;
-            }
-            self.demote_controller(api);
-        }
-        if self.ctrl_lease.observe(epoch, from.raw(), now) {
-            self.ctrl_epoch_seen = self.ctrl_epoch_seen.max(epoch);
-            self.ctrl_snapshot = ControlSnapshot {
-                epoch,
-                price,
-                standby,
-                scaled_out,
-            };
-            // The lease carries the authoritative admission price — a
-            // restarted follower re-learns it here instead of waiting for
-            // the next price change.
-            self.admission_price = price;
-            self.ctrl_peers.heard(from.raw(), now);
-            self.control_peer = Some(from);
-        }
-    }
-
-    /// A candidate asked for this node's vote at `epoch`. Granted only by
-    /// a follower whose lease has lapsed (the incumbent gets stickiness)
-    /// for an epoch above both the fence record and every promise already
-    /// made; the promise is durable, so no epoch is ever granted to two
-    /// majorities. Granting a higher epoch also abandons any candidacy of
-    /// our own — the asker outbid us.
-    fn on_control_vote_req(&mut self, api: &mut SimApi<'_, ServiceMsg>, from: NodeId, epoch: u64) {
-        let Some(cfg) = self.control_ha else {
-            return;
-        };
-        let now = api.now();
-        if self.controller.is_none()
-            && self.ctrl_lease.expired(now, cfg.lease_timeout())
-            && epoch > self.ctrl_promised
-            && epoch > self.ctrl_epoch_seen
-            && self.peers.contains(&from)
-        {
-            self.ctrl_promised = epoch;
-            self.ctrl_candidacy = None;
-            api.send(self.node, from, ServiceMsg::ControlVote { epoch });
-        }
-    }
-
-    /// A peer granted its vote. Counted only against the candidacy that
-    /// asked for exactly this epoch; a majority promotes it.
-    fn on_control_vote(&mut self, api: &mut SimApi<'_, ServiceMsg>, from: NodeId, epoch: u64) {
-        let Some(cfg) = self.control_ha else {
-            return;
-        };
-        if !self.peers.contains(&from) {
-            return;
-        }
-        if let Some(c) = self.ctrl_candidacy.as_mut() {
-            if c.epoch == epoch {
-                c.votes.insert(from.raw());
-            }
-        }
-        self.ctrl_try_win(api, cfg, api.now());
-    }
-
-    /// Timer `TK_CTRL_LEASE` (leader only): broadcast the lease beat with
-    /// the current administrative snapshot to every server peer.
-    fn on_ctrl_lease(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
-        let Some(c) = self.controller.as_ref() else {
-            return; // demoted: the lease chain dies here
-        };
-        let Some(cfg) = self.control_ha else {
-            return;
-        };
-        let snap = c.snapshot();
-        self.ctrl_snapshot = snap.clone();
-        self.ctrl_lease
-            .observe(snap.epoch, self.node.raw(), api.now());
-        self.ctrl_lease_seq += 1;
-        self.ctrl_stats.lease_beats += 1;
-        for peer in self.peers.clone() {
-            // Best effort on purpose: a lost beat is absorbed by the
-            // K-missed-beats margin, and retransmission backlogs during a
-            // partition would only delay the truth.
-            api.send(
-                self.node,
-                peer,
-                ServiceMsg::ControlLease {
-                    epoch: snap.epoch,
-                    seq: self.ctrl_lease_seq,
-                    price: snap.price,
-                    standby: snap.standby.clone(),
-                    scaled_out: snap.scaled_out.clone(),
-                },
-            );
-        }
-        api.set_timer(self.node, cfg.lease_beat, timers::TK_CTRL_LEASE, 0);
-    }
-
-    /// Timer `TK_CTRL_WATCH`: a follower checks the lease for expiry, and
-    /// the lowest node id among report-fresh servers — iff that fresh set
-    /// is a strict majority of the fleet — stands as the failover
-    /// candidate: it asks every peer for a vote on a fresh epoch and
-    /// elects itself only once a strict majority grants it. The quorum
-    /// precondition keeps both sides of a partition from campaigning at
-    /// once; the vote round makes the claimed epoch provably unused.
-    fn on_ctrl_watch(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
-        let Some(cfg) = self.control_ha else {
-            return;
-        };
-        let now = api.now();
-        if self.controller.is_none() {
-            let fresh = self.ctrl_peers.fresh(now, cfg.stale_after);
-            if !majority(fresh.len(), self.peers.len() + 1) {
-                // No quorum view: "leader dead" and "we are the isolated
-                // side" are indistinguishable, so grant the (possibly
-                // live) leader a fresh timeout — unconditionally, not
-                // just once the lease lapses, so a heal that lands right
-                // at the expiry instant still buys a full timeout during
-                // which the incumbent's beats (or gossiped epochs) reach
-                // us before we would campaign against a live leader.
-                self.ctrl_lease.heard_at = now;
-                self.ctrl_candidacy = None;
-            } else if self.ctrl_lease.expired(now, cfg.lease_timeout())
-                && elect(&fresh) == Some(self.node.raw())
-            {
-                // Stand (or retry a candidacy whose votes never came —
-                // lost grants are absorbed by re-asking at a higher
-                // epoch, never by waiting on a specific voter).
-                let retry = self
-                    .ctrl_candidacy
-                    .as_ref()
-                    .is_none_or(|c| now - c.since >= cfg.lease_beat + cfg.lease_beat);
-                if retry {
-                    self.start_candidacy(api, cfg, now);
-                }
-            } else {
-                // Some other node is the designated candidate now.
-                self.ctrl_candidacy = None;
-            }
-        }
-        api.set_timer(self.node, cfg.lease_beat, timers::TK_CTRL_WATCH, 0);
-    }
-
-    /// Stand for election: pick an epoch above everything seen or
-    /// promised, promise it to ourselves (durably — a candidacy is a vote
-    /// too), and ask every peer for theirs. A single-server "fleet" has
-    /// its majority in the self-vote and wins on the spot.
-    fn start_candidacy(
-        &mut self,
-        api: &mut SimApi<'_, ServiceMsg>,
-        cfg: ControllerConfig,
-        now: MediaTime,
-    ) {
-        let epoch = self
-            .ctrl_epoch_seen
-            .max(self.ctrl_promised)
-            .max(self.ctrl_lease.epoch)
-            .max(self.ctrl_snapshot.epoch)
-            + 1;
-        self.ctrl_promised = epoch;
-        let mut votes = BTreeSet::new();
-        votes.insert(self.node.raw());
-        self.ctrl_candidacy = Some(CtrlCandidacy {
-            epoch,
-            votes,
-            since: now,
-        });
-        for peer in self.peers.clone() {
-            // Best effort, like the lease: a lost ask is a retried
-            // candidacy, not a blocked election.
-            api.send(self.node, peer, ServiceMsg::ControlVoteReq { epoch });
-        }
-        self.ctrl_try_win(api, cfg, now);
-    }
-
-    /// Promote a candidacy that holds a strict majority of votes. Dropped
-    /// instead if the fence record caught up to the candidacy epoch in
-    /// the meantime (someone else won at least as fresh an epoch).
-    fn ctrl_try_win(
-        &mut self,
-        api: &mut SimApi<'_, ServiceMsg>,
-        cfg: ControllerConfig,
-        now: MediaTime,
-    ) {
-        let Some(c) = self.ctrl_candidacy.as_ref() else {
-            return;
-        };
-        if c.epoch <= self.ctrl_epoch_seen {
-            self.ctrl_candidacy = None;
-            return;
-        }
-        if majority(c.votes.len(), self.peers.len() + 1) {
-            let epoch = c.epoch;
-            self.ctrl_candidacy = None;
-            self.win_election(api, cfg, now, epoch);
-        }
-    }
-
-    /// This node won the failover election at `epoch` (granted by a
-    /// strict majority, or bootstrapped): rebuild a cold controller from
-    /// the replicated snapshot and announce leadership with an immediate
-    /// lease beat.
-    fn win_election(
-        &mut self,
-        api: &mut SimApi<'_, ServiceMsg>,
-        cfg: ControllerConfig,
-        now: MediaTime,
-        epoch: u64,
-    ) {
-        self.ctrl_epoch_seen = epoch;
-        self.controller = Some(FleetController::from_snapshot(
-            cfg,
-            epoch,
-            &self.ctrl_snapshot,
-            now,
-        ));
-        self.control_peer = Some(self.node);
-        self.ctrl_lease.observe(epoch, self.node.raw(), now);
-        self.ctrl_stats.elections += 1;
-        self.last_elected_at = Some(now);
-        api.emit_val(
-            self.node,
-            Severity::Warn,
-            "ctrl_elect",
-            Labels::for_peer(self.node.raw()),
-            epoch as i64,
-        );
-        api.set_timer(self.node, cfg.tick, timers::TK_CONTROL, 0);
-        self.on_ctrl_lease(api);
-    }
-
-    /// Stop leading: drop the controller (its timer chains die unrenewed)
-    /// and reset the lease clock so this node grants the next leader a
-    /// full timeout before it would consider running again.
-    fn demote_controller(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
-        let Some(c) = self.controller.take() else {
-            return;
-        };
-        self.ctrl_stats.demotions += 1;
-        self.ctrl_lease.heard_at = api.now();
-        api.emit_val(
-            self.node,
-            Severity::Warn,
-            "ctrl_demote",
-            Labels::for_peer(self.node.raw()),
-            c.epoch() as i64,
-        );
-    }
-
-    /// The leader's own split-brain guard: fresh server reports (self
-    /// included) must form a strict majority of the fleet or this leader
-    /// may be the isolated side of a partition and must stop actuating.
-    fn ctrl_quorum(&self, now: MediaTime, cfg: &ControllerConfig) -> bool {
-        let fresh = self.ctrl_peers.fresh(now, cfg.stale_after);
-        majority(fresh.len(), self.peers.len() + 1)
+        fenced
     }
 
     /// Timer `TK_CONTROL_REPORT`: assemble this server's control-plane
@@ -2638,13 +2348,8 @@ impl ServerActor {
         // (milli-burn units) as a leading pressure signal — fetch latency
         // crosses its threshold several control ticks before queue depth.
         for alert in self.slo.check(now) {
-            api.emit_val(
-                self.node,
-                Severity::Warn,
-                "slo_alert",
-                Labels::for_peer(me),
-                (alert.fast_burn * 100.0) as i64,
-            );
+            let burn = (alert.fast_burn * 100.0) as i64;
+            self.ctrl_event(api, Severity::Warn, "slo_alert", burn);
         }
         reg.gauge_set(
             ctrl_names::SLO_BURN,
@@ -2678,40 +2383,26 @@ impl ServerActor {
                 );
             }
         }
-        // Own report = own liveness: the election's view of "report-
-        // reachable" always includes a live self.
-        self.ctrl_peers.heard(me, now);
+        self.election.report_sent(now);
+        let epoch = self.election.fence();
+        let report = || ServiceMsg::ControlReport {
+            registry: reg.clone(),
+            epoch,
+        };
         if peer == self.node {
             // The hosting server's own report short-circuits the wire.
             if let Some(c) = self.controller.as_mut() {
                 c.ingest(now, me, &reg);
             }
         } else {
-            api.send_reliable(
-                self.node,
-                peer,
-                ServiceMsg::ControlReport {
-                    registry: reg.clone(),
-                    epoch: self.ctrl_epoch_seen,
-                },
-            );
+            api.send_reliable(self.node, peer, report());
         }
         // With HA on, every other server gets a best-effort copy too: the
         // broadcast is the failover election's liveness signal ("report-
         // reachable peers") and pre-warms whoever wins with fleet state.
-        if self.control_ha.is_some() {
-            for p in self.peers.clone() {
-                if Some(p) == self.control_peer || p == self.node {
-                    continue;
-                }
-                api.send(
-                    self.node,
-                    p,
-                    ServiceMsg::ControlReport {
-                        registry: reg.clone(),
-                        epoch: self.ctrl_epoch_seen,
-                    },
-                );
+        if self.election.cfg().is_some() {
+            for &p in self.peers.iter().filter(|&&p| p != peer) {
+                api.send(self.node, p, report());
             }
         }
         api.set_timer(
@@ -2727,17 +2418,9 @@ impl ServerActor {
     /// server, scale commands toward the media tier (the world intercepts
     /// them to rebuild placements).
     fn on_control_tick(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
-        let now = api.now();
-        if let Some(cfg) = self.control_ha {
-            // Split-brain guard before anything actuates: a leader that
-            // cannot see a strict report majority of the server fleet may
-            // be the isolated side of a partition — stop leading (the
-            // majority side will elect once the lease lapses).
-            if self.controller.is_some() && !self.ctrl_quorum(now, &cfg) {
-                self.demote_controller(api);
-                return;
-            }
-        }
+        let (now, leading) = (api.now(), self.leading());
+        self.election.quorum(now, leading, &mut self.ha_out);
+        self.flush_ha(api);
         let Some(c) = self.controller.as_mut() else {
             return;
         };
@@ -2749,85 +2432,40 @@ impl ServerActor {
             // Which signal families voted pressure this tick (bit 0 CoDel,
             // bit 1 queue depth, bit 2 SLO burn) — exp_slo measures the
             // burn-rate lead time from these markers.
-            api.emit_val(
-                self.node,
-                Severity::Info,
-                "ctrl_pressure_src",
-                Labels::for_peer(self.node.raw()),
-                sources as i64,
-            );
+            self.ctrl_event(api, Severity::Info, "ctrl_pressure_src", sources as i64);
         }
-        api.emit_val(
-            self.node,
-            Severity::Info,
-            "ctrl_overload",
-            Labels::for_peer(self.node.raw()),
-            plan.pressured as i64,
-        );
+        self.ctrl_event(api, Severity::Info, "ctrl_overload", plan.pressured as i64);
         if !plan.commands.is_empty() {
             // One actuation marker per commanding tick, stamped with the
             // epoch: the chaos invariant proves at most one controller
             // actuates at a time and epochs never move backwards.
-            api.emit_val(
-                self.node,
-                Severity::Info,
-                "ctrl_actuate",
-                Labels::for_peer(self.node.raw()),
-                epoch as i64,
-            );
+            self.ctrl_event(api, Severity::Info, "ctrl_actuate", epoch as i64);
         }
         for cmd in plan.commands {
             match cmd {
-                ControlCommand::Degrade { server, session } => {
-                    api.emit(
-                        self.node,
-                        Severity::Info,
-                        "ctrl_degrade_cmd",
-                        Labels::session(session).peer(server),
-                    );
+                ControlCommand::Degrade { server, session }
+                | ControlCommand::Upgrade { server, session } => {
+                    let upgrade = matches!(cmd, ControlCommand::Upgrade { .. });
+                    let name = ["ctrl_degrade_cmd", "ctrl_upgrade_cmd"][upgrade as usize];
+                    let labels = Labels::session(session).peer(server);
+                    api.emit(self.node, Severity::Info, name, labels);
+                    let session = SessionId::new(session);
                     if server == self.node.raw() {
-                        self.apply_control_regrade(api, SessionId::new(session), false);
+                        self.apply_control_regrade(api, session, upgrade);
                     } else {
                         api.send_reliable(
                             self.node,
                             NodeId::new(server),
                             ServiceMsg::ControlRegrade {
-                                session: SessionId::new(session),
-                                upgrade: false,
-                                epoch,
-                            },
-                        );
-                    }
-                }
-                ControlCommand::Upgrade { server, session } => {
-                    api.emit(
-                        self.node,
-                        Severity::Info,
-                        "ctrl_upgrade_cmd",
-                        Labels::session(session).peer(server),
-                    );
-                    if server == self.node.raw() {
-                        self.apply_control_regrade(api, SessionId::new(session), true);
-                    } else {
-                        api.send_reliable(
-                            self.node,
-                            NodeId::new(server),
-                            ServiceMsg::ControlRegrade {
-                                session: SessionId::new(session),
-                                upgrade: true,
+                                session,
+                                upgrade,
                                 epoch,
                             },
                         );
                     }
                 }
                 ControlCommand::SetPrice { shed } => {
-                    api.emit_val(
-                        self.node,
-                        Severity::Info,
-                        "ctrl_price",
-                        Labels::for_peer(self.node.raw()),
-                        shed as i64,
-                    );
+                    self.ctrl_event(api, Severity::Info, "ctrl_price", shed as i64);
                     self.admission_price = shed;
                     for peer in self.peers.clone() {
                         api.send_reliable(
@@ -2837,36 +2475,18 @@ impl ServerActor {
                         );
                     }
                 }
-                ControlCommand::ScaleOut { node } => {
-                    api.emit(
-                        self.node,
-                        Severity::Warn,
-                        "ctrl_scale_out",
-                        Labels::for_peer(node),
-                    );
+                ControlCommand::ScaleOut { node } | ControlCommand::ScaleIn { node } => {
+                    let active = matches!(cmd, ControlCommand::ScaleOut { .. });
+                    let (severity, name) = if active {
+                        (Severity::Warn, "ctrl_scale_out")
+                    } else {
+                        (Severity::Info, "ctrl_scale_in")
+                    };
+                    api.emit(self.node, severity, name, Labels::for_peer(node));
                     api.send_reliable(
                         self.node,
                         NodeId::new(node),
-                        ServiceMsg::ControlScale {
-                            active: true,
-                            epoch,
-                        },
-                    );
-                }
-                ControlCommand::ScaleIn { node } => {
-                    api.emit(
-                        self.node,
-                        Severity::Info,
-                        "ctrl_scale_in",
-                        Labels::for_peer(node),
-                    );
-                    api.send_reliable(
-                        self.node,
-                        NodeId::new(node),
-                        ServiceMsg::ControlScale {
-                            active: false,
-                            epoch,
-                        },
+                        ServiceMsg::ControlScale { active, epoch },
                     );
                 }
             }
@@ -2885,46 +2505,44 @@ impl ServerActor {
         upgrade: bool,
     ) {
         let order = self.cfg.grading_order;
-        let Some(s) = self.sessions.get_mut(&session) else {
-            // The session was torn down (possibly this very tick) between
-            // the controller's view and the command's arrival — count and
-            // drop rather than touch rebuilt state under a stale id.
-            self.ctrl_stats.stale_drops += 1;
-            api.emit(
-                self.node,
-                Severity::Info,
-                "ctrl_stale",
-                Labels::session(session.raw()),
-            );
-            return;
+        let steppable = |tx: &StreamTx| {
+            tx.plan.kind.is_continuous()
+                && !tx.done
+                && !tx.stopped
+                && if upgrade {
+                    tx.source.level().0 > 0
+                } else {
+                    tx.source.level() < tx.source.model().max_level()
+                }
         };
-        let chosen = {
-            let candidates = s
-                .streams
-                .iter()
-                .filter(|(_, tx)| tx.plan.kind.is_continuous() && !tx.done && !tx.stopped)
-                .filter(|(_, tx)| {
-                    if upgrade {
-                        tx.source.level().0 > 0
-                    } else {
-                        tx.source.level() < tx.source.model().max_level()
-                    }
-                })
-                .map(|(cid, tx)| {
+        let target = self
+            .sessions
+            .get_mut(&session)
+            .filter(|s| !s.suspended)
+            .and_then(|s| {
+                if s.streams.values().any(steppable) {
+                    s.utility_touch();
+                }
+                let rank = |(cid, tx): &(&ComponentId, &mut StreamTx)| {
                     (
                         order.degrade_rank(tx.plan.kind),
                         tx.source.level().0,
                         cid.raw(),
-                        *cid,
                     )
-                });
-            if upgrade {
-                candidates.max_by_key(|&(r, l, c, _)| (r, l, c))
-            } else {
-                candidates.min_by_key(|&(r, l, c, _)| (r, l, c))
-            }
-        };
-        let Some((_, _, _, cid)) = chosen else {
+                };
+                let streams = s.streams.iter_mut().filter(|(_, tx)| steppable(tx));
+                let (cid, tx) = if upgrade {
+                    streams.max_by_key(rank)
+                } else {
+                    streams.min_by_key(rank)
+                }?;
+                Some((s.client, &mut s.qos, *cid, tx))
+            });
+        let Some((client, qos, cid, tx)) = target else {
+            // The session was torn down (possibly this very tick) between
+            // the controller's view and the command's arrival, is
+            // suspended, or has no step left — count and drop rather than
+            // touch rebuilt state under a stale id.
             self.ctrl_stats.stale_drops += 1;
             api.emit(
                 self.node,
@@ -2934,38 +2552,16 @@ impl ServerActor {
             );
             return;
         };
-        if s.suspended {
-            self.ctrl_stats.stale_drops += 1;
-            api.emit(
-                self.node,
-                Severity::Info,
-                "ctrl_stale",
-                Labels::session(session.raw()),
-            );
-            return;
-        }
-        s.utility_touch();
-        let client = s.client;
-        let tx = s.streams.get_mut(&cid).unwrap();
         let cur = tx.source.level().0;
-        let new = GradeLevel(if upgrade { cur - 1 } else { cur + 1 });
-        s.qos.force_level(cid, new);
+        let (new, severity, name) = if upgrade {
+            (GradeLevel(cur - 1), Severity::Info, "ctrl_upgrade")
+        } else {
+            (GradeLevel(cur + 1), Severity::Warn, "ctrl_degrade")
+        };
+        qos.force_level(cid, new);
         tx.set_level(new);
-        api.emit_val(
-            self.node,
-            if upgrade {
-                Severity::Info
-            } else {
-                Severity::Warn
-            },
-            if upgrade {
-                "ctrl_upgrade"
-            } else {
-                "ctrl_degrade"
-            },
-            Labels::session(session.raw()).stream(cid.raw()),
-            new.0 as i64,
-        );
+        let labels = Labels::session(session.raw()).stream(cid.raw());
+        api.emit_val(self.node, severity, name, labels, new.0 as i64);
         api.send_reliable(
             self.node,
             client,
@@ -3471,7 +3067,7 @@ impl ServerActor {
         // accepted) and what got fenced — first-class, so exp tables and
         // flight dumps can show the failover story without trace parsing.
         obs.registry
-            .gauge_set("control.epoch", l, self.ctrl_epoch_seen as f64);
+            .gauge_set("control.epoch", l, self.election.fence() as f64);
         obs.registry
             .counter_set("control.fence_drops", l, self.ctrl_stats.fence_drops);
         obs.registry

@@ -5,8 +5,8 @@ use crate::client_actor::{ClientActor, ClientConfig};
 use crate::media_actor::MediaActor;
 use crate::protocol::{ServiceMsg, StackPath};
 use crate::server_actor::{ServerActor, ServerConfig};
-use hermes_control::{ControlSnapshot, ControllerConfig};
-use hermes_core::{MediaDuration, MediaKind, NodeId, ServerId};
+use hermes_control::{ControlSnapshot, ControllerConfig, LeaseView};
+use hermes_core::{MediaDuration, MediaKind, MediaTime, NodeId, ServerId};
 use hermes_media::MediaObject;
 use hermes_server::{MediaTier, MediaTierConfig, PlacementMap};
 use hermes_simnet::{
@@ -35,15 +35,15 @@ pub struct ServiceWorld {
     /// Media nodes held in reserve: excluded from placement until the
     /// controller scales them out.
     pub standby_media: BTreeSet<NodeId>,
-    /// Node hosting the fleet controller, when the control plane is on.
-    /// Tracked from observed lease beats after a failover.
-    control_host: Option<NodeId>,
+    /// The media tier's view of the controller lease, when the control
+    /// plane is on (the world acts as the media nodes' control agent, since
+    /// placement rebuilds span actors): the node hosting the fleet
+    /// controller, tracked from observed lease beats after a failover, and
+    /// the highest epoch seen — the fencing record for `ControlScale`
+    /// commands.
+    control: Option<LeaseView>,
     /// Report cadence the control plane was enabled with.
     control_report: MediaDuration,
-    /// Highest controller epoch the world has observed — the media tier's
-    /// fencing record for `ControlScale` commands (the world acts as the
-    /// media nodes' control agent, since placement rebuilds span actors).
-    control_epoch: u64,
     /// Stale-epoch `ControlScale` commands the world fenced off.
     pub control_fence_drops: u64,
     /// Scale commands skipped because their target media node was crashed
@@ -219,14 +219,16 @@ impl ServiceWorld {
         ha: bool,
     ) {
         let standby: Vec<u64> = self.standby_media.iter().map(|n| n.raw()).collect();
-        self.control_host = Some(host);
+        self.control = Some(LeaseView {
+            epoch: 1,
+            heard_at: api.now(),
+            holder: host.raw(),
+        });
         self.control_report = cfg.report;
-        self.control_epoch = 1;
         assert!(
             self.servers.contains_key(&host),
             "controller host must be a server node"
         );
-        let servers: Vec<NodeId> = self.servers.keys().copied().collect();
         if ha {
             // The seed snapshot models the deployment manifest on every
             // server's disk: even a follower that never heard a lease beat
@@ -237,34 +239,18 @@ impl ServiceWorld {
                 standby: standby.clone(),
                 scaled_out: Vec::new(),
             };
-            for n in &servers {
-                self.servers
-                    .get_mut(n)
-                    .unwrap()
-                    .enable_control_ha(api, cfg, seed.clone());
+            for s in self.servers.values_mut() {
+                s.enable_control_ha(api, cfg, seed.clone());
             }
         }
-        self.servers
-            .get_mut(&host)
-            .unwrap()
-            .host_controller(api, cfg, standby);
-        for n in servers {
-            self.servers
-                .get_mut(&n)
-                .unwrap()
-                .enable_control_reports(api, host, cfg.report);
+        self.server_mut(host).host_controller(api, cfg, standby);
+        for s in self.servers.values_mut() {
+            s.enable_control_reports(api, host, cfg.report);
         }
-        let active: Vec<NodeId> = self
-            .media_nodes
-            .keys()
-            .copied()
-            .filter(|n| !self.standby_media.contains(n))
-            .collect();
-        for n in active {
-            self.media_nodes
-                .get_mut(&n)
-                .unwrap()
-                .enable_control_reports(api, host, cfg.report);
+        for (n, m) in &mut self.media_nodes {
+            if !self.standby_media.contains(n) {
+                m.enable_control_reports(api, host, cfg.report);
+            }
         }
     }
 
@@ -273,13 +259,12 @@ impl ServiceWorld {
     /// nodes' report chains when leadership moves (the world is the media
     /// tier's control agent, so this models the new leader's announcement
     /// reaching the tier).
-    fn on_control_lease(&mut self, holder: NodeId, epoch: u64) {
-        if epoch < self.control_epoch {
+    fn on_control_lease(&mut self, holder: NodeId, epoch: u64, now: MediaTime) {
+        let Some(lease) = self.control.as_mut() else {
             return;
-        }
-        self.control_epoch = epoch;
-        if self.control_host != Some(holder) {
-            self.control_host = Some(holder);
+        };
+        let moved = lease.holder != holder.raw();
+        if lease.observe(epoch, holder.raw(), now) && moved {
             for m in self.media_nodes.values_mut() {
                 m.repoint_control(holder);
             }
@@ -346,7 +331,11 @@ impl ServiceWorld {
         active: bool,
         epoch: u64,
     ) {
-        if epoch < self.control_epoch {
+        let Some(lease) = self.control.as_mut() else {
+            return;
+        };
+        let host = lease.holder;
+        if !lease.observe(epoch, host, api.now()) {
             self.control_fence_drops += 1;
             api.emit_val(
                 node,
@@ -357,7 +346,6 @@ impl ServiceWorld {
             );
             return;
         }
-        self.control_epoch = epoch;
         // A command can race the target's crash fault: the controller only
         // learns of the death when the next report window goes quiet. Skip
         // the actuation — a standby target stays in the pool, and a later
@@ -371,13 +359,11 @@ impl ServiceWorld {
             if !self.standby_media.remove(&node) {
                 return; // already active
             }
-            if let Some(host) = self.control_host {
-                let period = self.control_report;
-                self.media_nodes
-                    .get_mut(&node)
-                    .unwrap()
-                    .enable_control_reports(api, host, period);
-            }
+            let period = self.control_report;
+            self.media_nodes
+                .get_mut(&node)
+                .unwrap()
+                .enable_control_reports(api, NodeId::new(host), period);
             self.rebuild_placements(api, Some(node), None);
         } else {
             if self.standby_media.contains(&node) {
@@ -471,7 +457,7 @@ impl App<ServiceMsg> for ServiceWorld {
         // report chains when a successor takes over).
         if let ServiceMsg::ControlLease { epoch, .. } = &msg {
             if self.servers.contains_key(&node) {
-                self.on_control_lease(from, *epoch);
+                self.on_control_lease(from, *epoch, api.now());
             }
         }
         let start = self.profile.as_ref().map(|_| std::time::Instant::now());
@@ -541,8 +527,8 @@ impl App<ServiceMsg> for ServiceWorld {
                     let s = self.servers.get_mut(&node).unwrap();
                     s.on_crash(api);
                     // Control-plane timer chains died with the old
-                    // incarnation; the controller ledger models replicated
-                    // control state and resumes on the new one.
+                    // incarnation; the new one reports and watches the
+                    // lease as a follower.
                     s.rearm_control(api);
                 } else if self.media_nodes.contains_key(&node) {
                     for server in self.servers.values_mut() {
@@ -616,9 +602,8 @@ impl WorldBuilder {
                 stack_bytes: BTreeMap::new(),
                 catalog: Vec::new(),
                 standby_media: BTreeSet::new(),
-                control_host: None,
+                control: None,
                 control_report: MediaDuration::from_millis(100),
-                control_epoch: 0,
                 control_fence_drops: 0,
                 control_scale_skips: 0,
                 profile: None,

@@ -11,6 +11,7 @@ use hermes_service::{
     ServiceMsg, ServiceWorld, WorldBuilder,
 };
 use hermes_simnet::obs::invariants::check_controller_legality;
+use hermes_simnet::obs::Event;
 use hermes_simnet::{App, FaultPlan, LinkSpec, Sim, SimRng};
 
 /// The world under test plus its (servers, media, clients, courses) handles.
@@ -80,6 +81,49 @@ fn ha_world(seed: u64) -> HaWorld {
     (sim, servers, media, clients, docs)
 }
 
+/// What an HA run is pinned by: per server, in id order, its `CtrlHaStats`
+/// fields in declaration order followed by its fence record, and an FNV
+/// digest over the run's `ctrl_*` events (name, node, time, value).
+type Pin = ([[u64; 6]; 3], u64);
+
+fn ha_pin(world: &ServiceWorld, servers: &[NodeId], events: &[Event]) -> Pin {
+    let mut rows = [[0; 6]; 3];
+    for (row, &n) in rows.iter_mut().zip(servers) {
+        let s = world.server(n);
+        let c = s.ctrl_stats;
+        *row = [
+            c.fence_drops,
+            c.stale_drops,
+            c.elections,
+            c.demotions,
+            c.lease_beats,
+            s.election.fence(),
+        ];
+    }
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for e in events.iter().filter(|e| e.name.starts_with("ctrl_")) {
+        let line = format!("{} {} {} {}\n", e.name, e.node(), e.at.as_micros(), e.value);
+        for b in line.bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    (rows, h)
+}
+
+// Printed at 74b5a57 — the commit before the election moved out of
+// `server_actor.rs` into `hermes_control::ha::Election` — by this file's own
+// `assert_eq!` failure messages; they must never move. Columns: fence_drops,
+// stale_drops, elections, demotions, lease_beats, fence record.
+const CRASH: Pin = (
+    [[0, 0, 0, 0, 9, 2], [0, 0, 1, 0, 70, 2], [0, 0, 0, 0, 0, 2]],
+    5_935_964_759_862_205_836,
+);
+const ISOLATED: Pin = (
+    [[0, 0, 0, 1, 13, 2], [2, 0, 1, 0, 26, 2], [0, 0, 0, 0, 0, 2]],
+    4_596_231_637_193_962_331,
+);
+
 /// Milliseconds within which a successor must be elected: the lease must
 /// expire and the next watch tick must notice.
 fn lease_bound() -> MediaDuration {
@@ -114,7 +158,7 @@ fn controller_crash_mid_crowd_elects_successor_within_lease_bound() {
     // Exactly one election, won by the lowest surviving server id.
     let s1 = sim.app().server(servers[1]);
     assert_eq!(s1.ctrl_stats.elections, 1, "successor must elect once");
-    let elected_at = s1.last_elected_at.expect("election timestamp");
+    let elected_at = s1.election.last_elected_at.expect("election timestamp");
     assert!(
         elected_at > crash_at && elected_at - crash_at <= lease_bound(),
         "elected {:?} after the crash (bound {:?})",
@@ -128,7 +172,7 @@ fn controller_crash_mid_crowd_elects_successor_within_lease_bound() {
     // The whole fleet — including the restarted ex-leader — converged on
     // the new epoch, and the ex-leader came back as a follower.
     for &s in &servers {
-        assert_eq!(sim.app().server(s).ctrl_epoch_seen, 2, "epoch on {s:?}");
+        assert_eq!(sim.app().server(s).election.fence(), 2, "epoch on {s:?}");
     }
     assert!(
         sim.app().server(host).controller.is_none(),
@@ -147,6 +191,7 @@ fn controller_crash_mid_crowd_elects_successor_within_lease_bound() {
     let obs = sim.take_obs();
     let violations = check_controller_legality(obs.events());
     assert!(violations.is_empty(), "violations: {violations:?}");
+    assert_eq!(ha_pin(sim.app(), &servers, obs.events()), CRASH);
 }
 
 /// A leader cut off from the rest of the fleet (access link down) must
@@ -184,7 +229,7 @@ fn quorum_isolated_leader_demotes_and_zombie_commands_are_fenced() {
     assert_eq!(s1.ctrl_stats.elections, 1, "majority side must elect once");
     assert_eq!(s1.controller.as_ref().map(|c| c.epoch()), Some(2));
     // After the partition heals, the ex-leader follows the new epoch.
-    assert_eq!(old.ctrl_epoch_seen, 2, "healed ex-leader missed the epoch");
+    assert_eq!(old.election.fence(), 2, "healed ex-leader missed the epoch");
 
     // A zombie's surviving commands are fenced everywhere. Deliver forged
     // epoch-1 commands as if retransmissions from the old leader had been
@@ -240,4 +285,5 @@ fn quorum_isolated_leader_demotes_and_zombie_commands_are_fenced() {
     let obs = sim.take_obs();
     let violations = check_controller_legality(obs.events());
     assert!(violations.is_empty(), "violations: {violations:?}");
+    assert_eq!(ha_pin(sim.app(), &servers, obs.events()), ISOLATED);
 }
