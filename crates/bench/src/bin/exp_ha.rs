@@ -65,13 +65,15 @@ struct Grid {
 impl Grid {
     fn new(opts: &ExpOpts) -> Self {
         let (seeds, pool, catalog) = if opts.smoke {
-            (opts.seeds(&[1, 2]), 60, 6)
+            (opts.seeds(&[1, 2]), 150, 6)
         } else {
-            (opts.seeds(&[1, 2, 3]), 90, 8)
+            (opts.seeds(&[1, 2, 3]), 200, 8)
         };
-        // EXP-CONTROL's chronic-overload rig (same base rate, spike and
+        // EXP-CONTROL's chronic-overload rig (same base rate, ×9 spike and
         // media-tier knobs — the regime where closed-loop control provably
-        // pays), with the spike moved early so the controller host dies
+        // pays now that the media fetch is flow-controlled: at the old ×5 two
+        // nodes carry the crowd and a live controller's degrades only cost
+        // utility), with the spike moved early so the controller host dies
         // 0.3 s into the crowd, BEFORE its first possible scale-out: every
         // decisive control move is needed after the host is dead, and the
         // two modes genuinely diverge.
@@ -81,7 +83,7 @@ impl Grid {
             seeds,
             crowd: FlashCrowd {
                 base_rate: if opts.smoke { 2.0 } else { 2.5 },
-                spike_mult: 5.0,
+                spike_mult: 9.0,
                 spike_at,
                 spike_len: Some(MediaDuration::from_secs(if opts.smoke { 8 } else { 10 })),
                 horizon: MediaTime::from_secs(if opts.smoke { 16 } else { 20 }),
@@ -386,7 +388,8 @@ fn main() {
     out.line(
         "expected shape: pinned loses its controller 0.3 s into the\n\
          spike — no grading, no pricing, and the standby nodes stay dark, so\n\
-         the crowd grinds on two media nodes and the gap tail grows; in ha the\n\
+         the crowd queues for two media nodes' credits, delivery stretches\n\
+         past the drain and the gap tail saturates; in ha the\n\
          lowest live server id wins a majority vote within the lease bound,\n\
          the successor warms up on live reports, re-prices and scales out,\n\
          and every command a zombie could send is fenced by its stale epoch.",

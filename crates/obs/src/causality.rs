@@ -281,7 +281,9 @@ fn evidence(name: &'static str) -> Option<(CauseClass, u64)> {
         // Both failover shapes: the replica reselection itself and the
         // per-stream epoch bump that flushes a sick replica's window.
         "media_failover" | "stream_epoch" => (CauseClass::LinkLoss, 5),
-        "fetch_shed" => (CauseClass::MediaQueue, 4),
+        // The tier's queue either way: a node shed the fetch, or the
+        // stream ran dry waiting for a credit to ask at all.
+        "fetch_shed" | "fetch_wait" => (CauseClass::MediaQueue, 4),
         "breaker_trip" => (CauseClass::Breaker, 6),
         "cache_miss" => (CauseClass::CacheMiss, 1),
         "ctrl_degrade" | "stream_regraded" => (CauseClass::CtrlRegrade, 5),
@@ -723,6 +725,20 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_dry_credit_wait_names_media_queue_not_the_cache_miss_beside_it() {
+        let s = Labels::session(2);
+        let events = vec![
+            ev(100, 0, 5, "cache_miss", s, 7),
+            ev(300, 1, 5, "fetch_wait", s.segment(8), 0),
+            ev(310, 2, 5, "cache_miss", s, 8),
+            ev(600, 9, 3, "playout_gap", s, 1),
+        ];
+        let attrs = attribute_events(&events, &AttributionConfig::default());
+        assert_eq!(attrs[0].class, CauseClass::MediaQueue);
+        assert_eq!(attrs[0].evidence, "fetch_wait");
+    }
+
+    #[test]
     fn no_evidence_is_unknown_and_below_threshold_skipped() {
         let events = vec![
             ev(100, 0, 3, "playout_gap", Labels::session(1), 0), // below threshold
@@ -769,10 +785,11 @@ pub(crate) mod tests {
     /// timestamps, four `playout_gap`s (some below the threshold).
     pub(crate) fn random_log(next: &mut impl FnMut() -> u64) -> Vec<Event> {
         type LabelFn = fn(u64) -> Labels;
-        const NAMES: [(&str, LabelFn); 7] = [
+        const NAMES: [(&str, LabelFn); 8] = [
             ("link_down", |s| Labels::for_peer(s)),
             ("reliable_abandon", Labels::session),
             ("fetch_shed", Labels::session),
+            ("fetch_wait", Labels::session),
             ("breaker_trip", |_| Labels::NONE),
             ("cache_miss", Labels::session),
             ("stream_regraded", Labels::session),

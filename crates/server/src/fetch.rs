@@ -1,9 +1,9 @@
 //! The multimedia server's client of the distributed media tier (paper
 //! Fig. 3: the server pulls continuous media from separate media servers):
 //! windowed pipelined segment fetches per stream, the segment cache in front
-//! of the network, replica choice, circuit-breaker scoring, hedged
-//! duplicates, shed roll-back and the write-off of a node's outstanding
-//! fetches.
+//! of the network, replica choice, the credit window each media node grants,
+//! circuit-breaker scoring, hedged duplicates, shed roll-back and the
+//! write-off of a node's outstanding fetches.
 //!
 //! Nothing here needs a simulator to run. Every entry point takes the
 //! [`RemoteStream`] its caller already looked up, a read-only [`TierNet`]
@@ -83,13 +83,9 @@ pub enum FetchOut {
         /// The hedge delay.
         delay: MediaDuration,
     },
-    /// Arm the paced-retry timer of a stream whose fetch was shed.
-    RepumpTimer {
-        /// The stream, as [`MediaTier::owner`] names it.
-        stream: (SessionId, ComponentId),
-        /// The pause before re-asking.
-        delay: MediaDuration,
-    },
+    /// A credit came free at a node this waiting stream can pull from:
+    /// [`MediaTier::repump`] it. Most urgent waiter first.
+    Wake((SessionId, ComponentId)),
     /// Record a trace event.
     Event {
         /// Event severity.
@@ -402,7 +398,8 @@ pub struct MediaTier {
     /// Completed-fetch latency distribution: drives the adaptive hedge
     /// delay and the reported tail percentiles.
     pub fetch_latency: DurationHistogram,
-    /// CoDel-style pressure detector over fetch latency (ladder trigger).
+    /// CoDel-style pressure detector (ladder trigger) over how late for its
+    /// pacer each segment arrived — over fetch latency with `breaker` off.
     pub pressure: PressureDetector,
     /// Load/RTT-aware replica choice.
     selector: ReplicaSelector,
@@ -413,6 +410,14 @@ pub struct MediaTier {
     health: ReplicaHealthMap,
     /// Unresolved hedge races, keyed both ways (primary ⇄ duplicate).
     hedge_pairs: BTreeMap<u64, u64>,
+    /// The last credit each media node granted: how many fetches may be
+    /// outstanding there. A node that has not said is open.
+    grants: BTreeMap<NodeId, u16>,
+    /// Streams held at the gate, keyed by when each runs dry — most urgent
+    /// first — with the object whose replicas can serve it.
+    waiting: BTreeMap<(MediaTime, (SessionId, ComponentId)), String>,
+    /// Each waiting stream's key in `waiting`.
+    wait_index: BTreeMap<(SessionId, ComponentId), MediaTime>,
     /// The server's own node: where propagation is measured from, and where
     /// a stream is parked while every replica of its object is down.
     home: NodeId,
@@ -437,6 +442,9 @@ impl MediaTier {
             next_fetch: 1,
             health,
             hedge_pairs: BTreeMap::new(),
+            grants: BTreeMap::new(),
+            waiting: BTreeMap::new(),
+            wait_index: BTreeMap::new(),
             home,
         }
     }
@@ -483,7 +491,9 @@ impl MediaTier {
         Some(RemoteStream {
             object: object.to_string(),
             kind,
-            replica: self.best_replica(net, object, None).unwrap_or(self.home),
+            replica: self
+                .best_replica(net, object, |_| true)
+                .unwrap_or(self.home),
             frames_per_segment,
             epoch: 0,
             ready: VecDeque::new(),
@@ -495,7 +505,7 @@ impl MediaTier {
         })
     }
 
-    /// The best live replica of `object` other than `except` (score:
+    /// The best live replica of `object` among those `ok` admits (score:
     /// outstanding load + path RTT + breaker health penalty — a tripped or
     /// probing circuit loses to any closed one, so outliers are ejected
     /// whenever a healthy alternative exists). `None` when none is up.
@@ -503,13 +513,13 @@ impl MediaTier {
         &self,
         net: &impl TierNet,
         object: &str,
-        except: Option<NodeId>,
+        ok: impl Fn(NodeId) -> bool,
     ) -> Option<NodeId> {
         let candidates = self
             .placement
             .replicas(object)
             .iter()
-            .filter(|&&n| Some(n) != except && net.node_is_up(n))
+            .filter(|&&n| ok(n) && net.node_is_up(n))
             .map(|&n| {
                 let penalty = if self.cfg.breaker {
                     self.health.penalty_micros(n)
@@ -545,9 +555,97 @@ impl MediaTier {
         fetch
     }
 
+    /// The gate — the one place that decides whether a fetch may be issued
+    /// to `node`: does its last grant leave [`room`](Self::room) for one
+    /// more. The selector's count of the fetches outstanding there is the
+    /// fetch table's, kept without a search: below the grant there is room
+    /// whatever has expired, so the table is searched only at the grant.
+    fn has_room(&self, node: NodeId, now: MediaTime) -> bool {
+        let below = |&grant| self.selector.outstanding(node) < grant as u64;
+        self.grants.get(&node).is_none_or(below) || self.room(node, now) > 0
+    }
+
+    /// How many more fetches `node`'s last grant lets this server hold
+    /// there. A fetch past its deadline holds nothing: the node sheds
+    /// expired work at dispatch, so it is in service or was lost on the
+    /// way, and a fetch never answered must not keep a credit for ever.
+    /// Without overload control (`breaker: false`) no grant is kept and
+    /// every node is open.
+    fn room(&self, node: NodeId, now: MediaTime) -> u64 {
+        let Some(&grant) = self.grants.get(&node) else {
+            return u64::MAX;
+        };
+        let live = |t: &&FetchTag| t.replica == node && t.deadline >= now;
+        (grant as u64).saturating_sub(self.inflight.values().filter(live).count() as u64)
+    }
+
+    /// No replica of the stream's object has room: hold it in the wait set
+    /// under the moment it runs dry. A stream already there keeps its
+    /// place, so one that has run dry stays ahead of one about to.
+    fn wait(&mut self, now: MediaTime, d: &Demand, r: &RemoteStream, out: &mut Vec<FetchOut>) {
+        let stream = (d.session, d.component);
+        if self.wait_index.contains_key(&stream) {
+            return;
+        }
+        let covered = r.frames_covered();
+        if covered == 0 {
+            // Evidence for attribution: a gap here is the tier's queue.
+            let labels = Labels::session(d.session.raw()).segment(r.next_request);
+            out.push(FetchOut::event(Severity::Info, "fetch_wait", labels, 0));
+        }
+        let dry_at = now + d.frame_period * covered as i64;
+        self.wait_index.insert(stream, dry_at);
+        self.waiting.insert((dry_at, stream), r.object.clone());
+    }
+
+    /// Take `stream` out of the wait set, if it is there.
+    fn unwait(&mut self, stream: (SessionId, ComponentId)) {
+        if let Some(dry_at) = self.wait_index.remove(&stream) {
+            self.waiting.remove(&(dry_at, stream));
+        }
+    }
+
+    /// Credits came back at `node`: wake the most urgent waiters whose
+    /// object it holds, one per free credit — none for a node no waiter
+    /// may be sent to. A waiter that has moved on or gone wakes to nothing.
+    fn wake(&mut self, node: NodeId, now: MediaTime, out: &mut Vec<FetchOut>) {
+        if self.waiting.is_empty() || !self.health.admits(node, now) {
+            return;
+        }
+        for _ in 0..self.room(node, now).min(self.waiting.len() as u64) {
+            let holds = |object: &String| self.placement.replicas(object).contains(&node);
+            let Some((&(_, stream), _)) = self.waiting.iter().find(|(_, o)| holds(o)) else {
+                return;
+            };
+            self.unwait(stream);
+            out.push(FetchOut::Wake(stream));
+        }
+    }
+
+    /// The one place a credit is given back: `fetch` is no longer
+    /// outstanding at its node, whatever ended it. An answer from the node
+    /// itself brings its new `grant`.
+    fn settle(
+        &mut self,
+        fetch: u64,
+        grant: Option<u16>,
+        now: MediaTime,
+        out: &mut Vec<FetchOut>,
+    ) -> Option<FetchTag> {
+        let tag = self.inflight.remove(&fetch)?;
+        if let (true, Some(credit)) = (self.cfg.breaker, grant) {
+            self.grants.insert(tag.replica, credit.max(1));
+        }
+        self.selector.fetch_finished(tag.replica);
+        self.wake(tag.replica, now, out);
+        Some(tag)
+    }
+
     /// Top up a stream's fetch window: serve segments from the cache when
     /// resident, otherwise issue pipelined fetches to the stream's replica
-    /// until the window covers the pacer's remaining need.
+    /// — or, when its window there is full, to another with room — until
+    /// the window covers the pacer's remaining need. With every window
+    /// full the stream waits for a credit.
     pub fn pump(
         &mut self,
         net: &impl TierNet,
@@ -584,6 +682,16 @@ impl MediaTier {
                 // it at a live (or restarted) replica.
                 break;
             }
+            if !self.has_room(r.replica, now) {
+                // Full: another with room takes the fetch if it would admit
+                // it (a tripped circuit has room: nobody may use it), or wait.
+                let usable = |n| self.has_room(n, now) && self.health.admits(n, now);
+                let Some(alt) = self.best_replica(net, &r.object, usable) else {
+                    self.wait(now, d, r, out);
+                    break;
+                };
+                r.replica = alt;
+            }
             if self.cfg.breaker && !self.health.admit(r.replica, now) {
                 // Circuit open (or half-open with its probe slots taken):
                 // hold the window. The stall poll re-pumps, and the open
@@ -616,6 +724,7 @@ impl MediaTier {
                 deadline,
                 hedged: false,
             };
+            self.unwait((d.session, d.component));
             let fetch = self.issue(tag, key.object, r, d.class, out);
             r.inflight.insert(seg, fetch);
             r.next_request = seg + 1;
@@ -640,7 +749,7 @@ impl MediaTier {
         r: &mut RemoteStream,
         out: &mut Vec<FetchOut>,
     ) -> bool {
-        let Some(choice) = self.best_replica(net, &r.object, None) else {
+        let Some(choice) = self.best_replica(net, &r.object, |_| true) else {
             return false;
         };
         r.replica = choice;
@@ -682,14 +791,16 @@ impl MediaTier {
     /// A transport part of a segment arrived. Only the final part (`last`)
     /// carries the frame specs, and reliable in-order delivery guarantees
     /// it arrives after every payload part — so earlier parts are counted
-    /// and nothing else. `stream` is the fetch's [`owner`](Self::owner), if
-    /// it still exists.
+    /// and nothing else; it also carries the node's `credit`. `stream` is
+    /// the fetch's [`owner`](Self::owner), if it still exists.
+    #[allow(clippy::too_many_arguments)]
     pub fn on_chunk(
         &mut self,
         now: MediaTime,
         fetch: u64,
         frames: Vec<SegmentFrame>,
         last: bool,
+        credit: u16,
         stream: Option<&mut RemoteStream>,
         out: &mut Vec<FetchOut>,
     ) -> ChunkDone {
@@ -698,14 +809,19 @@ impl MediaTier {
         if !last {
             return done;
         }
-        let Some(tag) = self.inflight.remove(&fetch) else {
+        let Some(tag) = self.settle(fetch, Some(credit), now, out) else {
             return done; // superseded by failover or session teardown
         };
-        self.selector.fetch_finished(tag.replica);
         self.stats.chunks += 1;
         let latency = now - tag.issued_at;
         self.fetch_latency.record(latency);
-        self.pressure.observe(now, latency);
+        // Behind a window pressure is lateness, not queueing delay: full
+        // windows keep the nodes' queues full, so latency sits at queue
+        // depth × service time whenever any backlog exists. What hurts is
+        // a segment landing after the pacer needed it.
+        let late = (now - (tag.deadline - self.cfg.deadline_slack)).max(MediaDuration::ZERO);
+        let felt = if self.cfg.breaker { late } else { latency };
+        self.pressure.observe(now, felt);
         out.push(FetchOut::Latency(latency));
         if self.score(tag.replica, now, Outcome::Success(latency)) {
             done.tripped[0] = Some(tag.replica);
@@ -717,8 +833,7 @@ impl MediaTier {
         // always beat, without counting as a real verdict.
         if let Some(partner) = self.unpair(fetch) {
             self.stats.hedge_wins += tag.hedged as u64;
-            if let Some(ptag) = self.inflight.remove(&partner) {
-                self.selector.fetch_finished(ptag.replica);
+            if let Some(ptag) = self.settle(partner, None, now, out) {
                 if self.score(ptag.replica, now, Outcome::SlowLoss(now - ptag.issued_at)) {
                     done.tripped[1] = Some(ptag.replica);
                 }
@@ -760,8 +875,7 @@ impl MediaTier {
         fetch: u64,
         out: &mut Vec<FetchOut>,
     ) -> Option<FetchTag> {
-        let tag = self.inflight.remove(&fetch)?;
-        self.selector.fetch_finished(tag.replica);
+        let tag = self.settle(fetch, None, now, out)?;
         self.stats.fetch_errors += 1;
         let tripped = self.score(tag.replica, now, Outcome::Failure);
         out.push(FetchOut::event(
@@ -784,51 +898,45 @@ impl MediaTier {
     /// *error* this is flow control, not a health verdict: the shed is NOT
     /// scored into the breaker (under a symmetric flash crowd every replica
     /// queues alike, and tripping circuits on shared congestion only
-    /// strangles throughput further). The stream's window is re-requested —
-    /// immediately when overload control is off (the naive retry storm the
-    /// benchmarks measure), after a `stall_poll` pause when it is on, so
-    /// retry pressure on saturated queues is paced. A still-racing hedge
-    /// partner carries the segment alone instead. `stream` is the fetch's
-    /// [`owner`](Self::owner) if it is still live (neither done nor
+    /// strangles throughput further). The node's `credit` is learned and
+    /// the shed segment alone is rolled back; the stream then waits its
+    /// turn for a credit like any other — the one this shed gives back may
+    /// be its own. With overload control off the window is re-requested at
+    /// once (the naive retry storm the benchmarks measure). A still-racing
+    /// hedge partner carries the segment alone instead. `stream` is the
+    /// fetch's [`owner`](Self::owner) if it is still live (neither done nor
     /// stopped).
     pub fn on_busy(
         &mut self,
         net: &impl TierNet,
         now: MediaTime,
         fetch: u64,
+        credit: u16,
         stream: Option<(Demand, &mut RemoteStream)>,
         out: &mut Vec<FetchOut>,
     ) {
         self.stats.busy += 1;
-        let Some(tag) = self.inflight.remove(&fetch) else {
+        let Some(&tag) = self.inflight.get(&fetch) else {
             return;
         };
-        self.selector.fetch_finished(tag.replica);
-        if self
+        let racing = self
             .unpair(fetch)
-            .is_some_and(|p| self.inflight.contains_key(&p))
-        {
-            return;
-        }
+            .is_some_and(|p| self.inflight.contains_key(&p));
         // Surgical retry of just the shed segment: roll the request cursor
         // back so the next pump re-requests it. Sibling fetches, buffered
         // segments and the epoch all stay valid — a shed must not discard
         // work the node is still completing. The epoch check skips this if
         // something else already moved the stream.
-        let Some((d, r)) = stream else {
-            return;
-        };
-        if r.epoch != tag.epoch {
-            return;
+        let mut owner = stream.filter(|(_, r)| !racing && r.epoch == tag.epoch);
+        if let Some((d, r)) = &mut owner {
+            r.inflight.remove(&tag.segment);
+            r.next_request = r.next_request.min(tag.segment);
+            if self.cfg.breaker {
+                self.wait(now, d, r, out);
+            }
         }
-        r.inflight.remove(&tag.segment);
-        r.next_request = r.next_request.min(tag.segment);
-        if self.cfg.breaker {
-            out.push(FetchOut::RepumpTimer {
-                stream: (tag.session, tag.component),
-                delay: self.cfg.stall_poll,
-            });
-        } else {
+        self.settle(fetch, Some(credit), now, out);
+        if let (false, Some((d, r))) = (self.cfg.breaker, owner) {
             self.repump(net, now, &d, r, out);
         }
     }
@@ -858,7 +966,9 @@ impl MediaTier {
         let Some((r, class)) = stream.filter(|(r, _)| r.epoch == tag.epoch) else {
             return;
         };
-        let Some(alt) = self.best_replica(net, &r.object, Some(tag.replica)) else {
+        // The duplicate takes a credit of its alternate or is not sent.
+        let elsewhere = |n| n != tag.replica && self.has_room(n, now);
+        let Some(alt) = self.best_replica(net, &r.object, elsewhere) else {
             return; // single-replica object: nothing to race against
         };
         if self.cfg.breaker && !self.health.admit(alt, now) {
@@ -891,9 +1001,10 @@ impl MediaTier {
     /// answered, or must not be): a written-off half of a hedge race leaves
     /// the survivor racing nobody. With `cancel`, each one is also
     /// cancelled at the node. Returns how many were lost.
-    fn write_off(&mut self, node: NodeId, mut cancel: Option<&mut Vec<FetchOut>>) -> u64 {
+    fn write_off(&mut self, node: NodeId, cancel: bool, out: &mut Vec<FetchOut>) -> u64 {
         let mut lost = 0;
         let pairs = &mut self.hedge_pairs;
+        self.selector.clear_outstanding(node);
         self.inflight.retain(|&fetch, tag| {
             if tag.replica != node {
                 return true;
@@ -902,7 +1013,7 @@ impl MediaTier {
             if let Some(partner) = pairs.remove(&fetch) {
                 pairs.remove(&partner);
             }
-            if let Some(out) = cancel.as_deref_mut() {
+            if cancel {
                 out.push(FetchOut::Cancel {
                     fetch,
                     replica: node,
@@ -915,14 +1026,18 @@ impl MediaTier {
 
     /// A media node crashed or restarted. Fetches outstanding to it will
     /// never complete, and a new incarnation is a new server: forget the
-    /// old one's load estimate, health score and breaker state (its trips
-    /// stay in the cumulative totals). The caller re-points every stream
-    /// that was pulling from it.
-    pub fn node_event(&mut self, node: NodeId, out: &mut Vec<FetchOut>) {
+    /// old one's load estimate, grant, health score and breaker state (its
+    /// trips stay in the cumulative totals). The caller re-points every
+    /// stream that was pulling from it; a restarted node (`up`) opens its
+    /// window to the waiters it can serve.
+    pub fn node_event(&mut self, up: bool, now: MediaTime, node: NodeId, out: &mut Vec<FetchOut>) {
         out.push(FetchOut::alarm(Severity::Warn, "media_failover", node));
-        self.selector.clear_outstanding(node);
         self.health.reset(node);
-        self.stats.fetches_lost += self.write_off(node, None);
+        self.grants.remove(&node);
+        self.stats.fetches_lost += self.write_off(node, false, out);
+        if up {
+            self.wake(node, now, out);
+        }
     }
 
     /// Controller-driven elastic rebalance: swap the placement map. When
@@ -947,17 +1062,17 @@ impl MediaTier {
             Labels::for_peer(node.raw()),
             0,
         ));
-        self.selector.clear_outstanding(node);
         // A drain can race the drained node's own crash (chaos aims crashes
         // at scaled-out standbys too): a reliable cancel to a dead process
         // would be retried into its next incarnation, which never saw the
         // fetch. The crash already voided the queue, so only a live node
         // needs the courtesy cancel.
-        self.write_off(node, net.node_is_up(node).then_some(out));
+        self.write_off(node, net.node_is_up(node), out);
     }
 
     /// The server process crashed: the segment cache, the fetch table, load
-    /// and health scores, hedge races and pressure state are RAM and gone.
+    /// and health scores, hedge races, grants, the wait set and pressure
+    /// state are RAM and gone.
     /// Cumulative statistics (breaker trips among them) survive for
     /// post-run reporting only.
     pub fn crash(&mut self) {
@@ -968,6 +1083,9 @@ impl MediaTier {
         self.selector = ReplicaSelector::new();
         self.health = ReplicaHealthMap::new(self.cfg.breaker_cfg);
         self.hedge_pairs.clear();
+        self.grants.clear();
+        self.waiting.clear();
+        self.wait_index.clear();
         self.pressure = PressureDetector::new(self.cfg.pressure_target, self.cfg.pressure_interval);
     }
 

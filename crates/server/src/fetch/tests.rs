@@ -111,7 +111,7 @@ fn a_shed_rolls_the_cursor_back_to_its_segment_only() {
     let (mut t, net, mut a, _b) = pumped(true, false);
     let mut out = Vec::new();
     let frames = segment(&a);
-    let done = t.on_chunk(ms(5), 1, frames, true, Some(&mut a), &mut out);
+    let done = t.on_chunk(ms(5), 1, frames, true, 64, Some(&mut a), &mut out);
     assert!(done.appended && done.tripped == [None, None]);
     assert_eq!(out, [FetchOut::Latency(MediaDuration::from_millis(5))]);
     out.clear();
@@ -119,11 +119,12 @@ fn a_shed_rolls_the_cursor_back_to_its_segment_only() {
     assert_eq!(requests(&out), [(4, a.replica, 3)]);
     out.clear();
 
-    // Fetch 2 (segment 1) is shed: paced retry, nothing else moves.
-    t.on_busy(&net, ms(7), 2, Some((demand(0), &mut a)), &mut out);
+    // Fetch 2 (segment 1) is shed: the stream waits, and the credit the
+    // shed gave back wakes it — nothing else moves.
+    t.on_busy(&net, ms(7), 2, 64, Some((demand(0), &mut a)), &mut out);
     let stream = (SESSION, ComponentId::new(0));
-    let delay = t.cfg.stall_poll;
-    assert_eq!(out, [FetchOut::RepumpTimer { stream, delay }]);
+    assert_eq!(out, [FetchOut::Wake(stream)]);
+    assert!(t.waiting.is_empty() && t.wait_index.is_empty());
     assert_eq!(a.next_request, 1, "rolled back to the shed segment");
     assert_eq!(a.inflight.keys().copied().collect::<Vec<_>>(), [2, 3]);
     assert_eq!(a.ready.len(), 32, "fetched frames survive");
@@ -135,7 +136,7 @@ fn a_shed_rolls_the_cursor_back_to_its_segment_only() {
     assert_eq!(requests(&out), [(5, a.replica, 1)]);
     out.clear();
     let frames = segment(&a);
-    t.on_chunk(ms(18), 3, frames, true, Some(&mut a), &mut out);
+    t.on_chunk(ms(18), 3, frames, true, 64, Some(&mut a), &mut out);
     assert_eq!(a.ready.len(), 32, "segment 2 waits behind segment 1");
     out.clear();
     t.pump(&net, ms(18), &demand(0), &mut a, &mut out);
@@ -143,8 +144,8 @@ fn a_shed_rolls_the_cursor_back_to_its_segment_only() {
 
     // The same shed answered twice, or for an unknown id, only counts.
     out.clear();
-    t.on_busy(&net, ms(18), 2, Some((demand(0), &mut a)), &mut out);
-    t.on_busy(&net, ms(18), 99, None, &mut out);
+    t.on_busy(&net, ms(18), 2, 64, Some((demand(0), &mut a)), &mut out);
+    t.on_busy(&net, ms(18), 99, 64, None, &mut out);
     assert!(out.is_empty());
     assert_eq!(t.stats.busy, 3);
 }
@@ -153,12 +154,12 @@ fn a_shed_rolls_the_cursor_back_to_its_segment_only() {
 fn without_the_breaker_a_shed_is_re_asked_at_once() {
     let (mut t, net, mut a, _b) = pumped(false, false);
     let mut out = Vec::new();
-    t.on_busy(&net, ms(1), 3, Some((demand(0), &mut a)), &mut out);
+    t.on_busy(&net, ms(1), 3, 64, Some((demand(0), &mut a)), &mut out);
     assert_eq!(out[0], FetchOut::Adopt(SESSION));
     assert_eq!(requests(&out), [(4, a.replica, 2)]);
     // A stream that is no longer live gets no retry.
     out.clear();
-    t.on_busy(&net, ms(2), 4, None, &mut out);
+    t.on_busy(&net, ms(2), 4, 64, None, &mut out);
     assert!(out.is_empty() && t.owner(4).is_none());
 }
 
@@ -177,7 +178,7 @@ fn a_stale_epoch_chunk_is_cached_but_not_appended() {
     ));
     assert!(a.inflight.is_empty() && a.next_request == 0);
     let frames = segment(&a);
-    let done = t.on_chunk(ms(3), 1, frames, true, Some(&mut a), &mut out);
+    let done = t.on_chunk(ms(3), 1, frames, true, 64, Some(&mut a), &mut out);
     assert!(!done.appended);
     assert!(a.ready.is_empty() && a.pending.is_empty());
     // The sibling stream finds segment 0 resident and asks for 1.. only.
@@ -188,7 +189,7 @@ fn a_stale_epoch_chunk_is_cached_but_not_appended() {
     assert_eq!(t.cache.stats.hits, 1);
     // A part that is not the last one is counted and nothing else.
     let before = t.stats;
-    let done = t.on_chunk(ms(5), 2, Vec::new(), false, Some(&mut a), &mut out);
+    let done = t.on_chunk(ms(5), 2, Vec::new(), false, 64, Some(&mut a), &mut out);
     assert_eq!(done, ChunkDone::default());
     assert_eq!(t.stats.parts_received, before.parts_received + 1);
     assert!(t.owner(2).is_some());
@@ -218,7 +219,7 @@ fn a_hedge_that_wins_cancels_the_primary() {
     let (mut t, _net, mut a, (hedge, _)) = hedged();
     let (primary_node, mut out) = (a.replica, Vec::new());
     let frames = segment(&a);
-    let done = t.on_chunk(ms(260), hedge, frames, true, Some(&mut a), &mut out);
+    let done = t.on_chunk(ms(260), hedge, frames, true, 64, Some(&mut a), &mut out);
     assert!(done.appended && a.ready.len() == 32);
     let cancel = FetchOut::Cancel {
         fetch: 1,
@@ -232,7 +233,7 @@ fn a_hedge_that_wins_cancels_the_primary() {
     assert!(t.owner(1).is_none() && t.hedge_pairs.is_empty());
     // The loser's late answer is a chunk for an unknown fetch.
     out.clear();
-    let done = t.on_chunk(ms(270), 1, segment(&a), true, Some(&mut a), &mut out);
+    let done = t.on_chunk(ms(270), 1, segment(&a), true, 64, Some(&mut a), &mut out);
     assert!(!done.appended && out.is_empty() && a.ready.len() == 32);
 }
 
@@ -241,7 +242,7 @@ fn a_hedge_that_loses_is_cancelled_and_not_a_win() {
     let (mut t, _net, mut a, (hedge, alt)) = hedged();
     let mut out = Vec::new();
     let frames = segment(&a);
-    let done = t.on_chunk(ms(255), 1, frames, true, Some(&mut a), &mut out);
+    let done = t.on_chunk(ms(255), 1, frames, true, 64, Some(&mut a), &mut out);
     assert!(done.appended);
     assert_eq!(
         out[1],
@@ -257,12 +258,12 @@ fn a_hedge_that_loses_is_cancelled_and_not_a_win() {
 fn a_shed_half_of_a_race_leaves_the_other_half_carrying_the_segment() {
     let (mut t, net, mut a, (hedge, _)) = hedged();
     let mut out = Vec::new();
-    t.on_busy(&net, ms(252), 1, Some((demand(0), &mut a)), &mut out);
+    t.on_busy(&net, ms(252), 1, 64, Some((demand(0), &mut a)), &mut out);
     assert!(out.is_empty(), "no retry while the partner races on");
     assert_eq!(a.next_request, 3, "no roll-back either");
     assert!(t.hedge_pairs.is_empty() && t.owner(hedge).is_some());
     let frames = segment(&a);
-    let done = t.on_chunk(ms(260), hedge, frames, true, Some(&mut a), &mut out);
+    let done = t.on_chunk(ms(260), hedge, frames, true, 64, Some(&mut a), &mut out);
     assert!(done.appended && !a.inflight.contains_key(&0));
     assert_eq!(t.stats.hedge_wins, 0, "the race was already off");
 }
@@ -317,7 +318,7 @@ fn failures_trip_the_breaker_once_and_the_trip_is_an_alarm() {
     assert!(a.inflight.is_empty(), "an open circuit holds the window");
     // The transition record skips the trip and reports the rest.
     out.clear();
-    t.node_event(node, &mut out);
+    t.node_event(true, ms(20), node, &mut out);
     t.breaker_events(&mut out);
     let names: Vec<&str> = out
         .iter()
@@ -347,7 +348,7 @@ fn a_node_event_writes_off_that_nodes_fetches_only() {
     assert_eq!(t.selector.outstanding(other), 4);
     out.clear();
 
-    t.node_event(a.replica, &mut out);
+    t.node_event(true, ms(250), a.replica, &mut out);
     assert!(matches!(
         out[..],
         [FetchOut::Event {
@@ -379,7 +380,7 @@ fn a_crash_forgets_everything_but_the_totals() {
     let (mut t, net, mut a, _b) = pumped(true, true);
     let mut out = Vec::new();
     let frames = segment(&a);
-    t.on_chunk(ms(9), 1, frames, true, Some(&mut a), &mut out);
+    t.on_chunk(ms(9), 1, frames, true, 64, Some(&mut a), &mut out);
     let (stats, cache) = (t.stats, t.cache.stats);
     t.crash();
     assert!(t.inflight.is_empty() && t.hedge_pairs.is_empty() && t.cache.is_empty());
@@ -393,6 +394,287 @@ fn a_crash_forgets_everything_but_the_totals() {
 }
 
 // ---------------------------------------------------------------------------
+// The credit window
+// ---------------------------------------------------------------------------
+
+/// The replica of `r`'s object that `r` is not pulling from.
+fn other(t: &MediaTier, r: &RemoteStream) -> NodeId {
+    let replicas = t.placement.replicas(&r.object);
+    *replicas.iter().find(|&&n| n != r.replica).unwrap()
+}
+
+fn woken(out: &[FetchOut]) -> Vec<u64> {
+    let wake = |o: &FetchOut| match o {
+        FetchOut::Wake((_, c)) => Some(c.raw()),
+        _ => None,
+    };
+    out.iter().filter_map(wake).collect()
+}
+
+fn events(out: &[FetchOut], wanted: &str) -> usize {
+    let named = |o: &&FetchOut| matches!(o, FetchOut::Event { name, .. } if *name == wanted);
+    out.iter().filter(named).count()
+}
+
+/// A demand for exactly `frames` more frames.
+fn needing(component: u64, frames: u64) -> Demand {
+    Demand {
+        frames_needed: frames,
+        ..demand(component)
+    }
+}
+
+#[test]
+fn a_grant_is_learned_from_a_chunk_and_a_busy_and_the_gate_holds_at_it() {
+    let (mut t, mut net, mut a, mut b) = pumped(true, false);
+    let (x, y, mut out) = (a.replica, other(&t, &a), Vec::new());
+    assert_eq!(
+        t.room(x, ms(0)),
+        u64::MAX,
+        "a node that has not said is open"
+    );
+    // The chunk grants 3: fetches 2 and 3 are still out, so one more fits.
+    t.on_chunk(ms(5), 1, segment(&a), true, 3, Some(&mut a), &mut out);
+    assert_eq!((t.grants[&x], t.room(x, ms(5))), (3, 1));
+    out.clear();
+    t.pump(&net, ms(6), &demand(0), &mut a, &mut out);
+    assert_eq!((requests(&out), t.room(x, ms(6))), (vec![(4, x, 3)], 0));
+
+    // The sibling finds x full and its other replica down: it waits, dry.
+    net.down.insert(y);
+    b.replica = x;
+    b.retarget(320); // past the segment the chunk left in the cache
+    out.clear();
+    t.pump(&net, ms(7), &demand(1), &mut b, &mut out);
+    assert!(requests(&out).is_empty() && events(&out, "fetch_wait") == 1);
+    let waiter = (SESSION, ComponentId::new(1));
+    assert_eq!(t.wait_index.get(&waiter), Some(&ms(7)));
+    // Ticking again neither moves its place nor repeats the event.
+    out.clear();
+    t.pump(&net, ms(47), &demand(1), &mut b, &mut out);
+    assert_eq!(out, [FetchOut::Adopt(SESSION)]);
+    assert_eq!(t.waiting.keys().collect::<Vec<_>>(), [&(ms(7), waiter)]);
+
+    // A busy narrows the grant to 1: its own credit comes back, but two
+    // fetches are still out, so nobody is woken and the shed stream waits
+    // behind the dry one (it still has a segment buffered).
+    out.clear();
+    t.on_busy(&net, ms(50), 2, 1, Some((demand(0), &mut a)), &mut out);
+    assert!(out.is_empty(), "{out:?}");
+    assert_eq!((t.grants[&x], t.room(x, ms(50))), (1, 0));
+    let order: Vec<u64> = t.waiting.keys().map(|(_, s)| s.1.raw()).collect();
+    assert_eq!(order, [1, 0]);
+
+    // With the other replica back the sibling re-picks it and stops waiting.
+    net.down.clear();
+    t.pump(&net, ms(51), &demand(1), &mut b, &mut out);
+    assert_eq!(requests(&out).len(), 3);
+    assert!(requests(&out).iter().all(|r| r.1 == y) && b.replica == y);
+    assert!(!t.wait_index.contains_key(&waiter));
+}
+
+#[test]
+fn a_tripped_replica_has_room_nobody_may_use() {
+    let (mut t, net, a, mut b) = pumped(true, false);
+    let (x, y, mut out) = (a.replica, other(&t, &a), Vec::new());
+    t.grants.insert(x, 3);
+    while t.health.state(y) == BreakerState::Closed {
+        t.health.record_failure(y, ms(0));
+    }
+    // x is full and y is open: the sibling waits where it is rather than
+    // move to the one replica with room, and y's credits wake nobody —
+    // until y's open timeout has passed and it is owed a probe.
+    b.replica = x;
+    b.retarget(320);
+    t.pump(&net, ms(1), &demand(1), &mut b, &mut out);
+    assert!(requests(&out).is_empty() && b.replica == x && t.waiting.len() == 1);
+    out.clear();
+    t.wake(y, ms(2), &mut out);
+    assert!(out.is_empty());
+    t.wake(y, ms(600), &mut out);
+    assert_eq!(woken(&out), [1]);
+    out.clear();
+    t.pump(&net, ms(600), &demand(1), &mut b, &mut out);
+    assert!(
+        b.replica == y && requests(&out).len() == 2,
+        "two probe slots"
+    );
+}
+
+#[test]
+fn a_fetch_past_its_deadline_holds_no_credit() {
+    let (mut t, _net, a, _b) = pumped(true, false);
+    t.grants.insert(a.replica, 3);
+    let deadlines = || t.inflight.values().map(|tag| tag.deadline);
+    assert_eq!(t.room(a.replica, deadlines().min().unwrap()), 0);
+    let later = deadlines().max().unwrap() + MediaDuration::from_micros(1);
+    assert_eq!(
+        t.room(a.replica, later),
+        3,
+        "never answered: lost or in service"
+    );
+    // The gate agrees at the grant, below it and with no grant at all.
+    let early = deadlines().min().unwrap();
+    assert!(!t.has_room(a.replica, early) && t.has_room(a.replica, later));
+    t.grants.insert(a.replica, 4);
+    assert!(t.has_room(a.replica, early) && t.room(a.replica, early) == 1);
+    t.grants.clear();
+    assert!(t.has_room(a.replica, early));
+}
+
+/// Both replicas of the first object grant one fetch and a hog holds both;
+/// streams 1, 2, 3 then wait with 10, 0 and 5 frames buffered.
+fn three_waiters() -> (MediaTier, Net, Vec<RemoteStream>) {
+    let (mut t, net) = (tier(true, false), Net::default());
+    let mut streams: Vec<RemoteStream> = (0..4)
+        .map(|_| t.open(&net, OBJECTS[0], MediaKind::Video, 0).unwrap())
+        .collect();
+    for &n in t.placement.replicas(OBJECTS[0]) {
+        t.grants.insert(n, 1);
+    }
+    let mut out = Vec::new();
+    t.pump(&net, ms(0), &needing(0, 64), &mut streams[0], &mut out);
+    assert_eq!(requests(&out).len(), 2, "one fetch at each replica");
+    assert!(t.waiting.is_empty(), "the hog is covered");
+    out.clear();
+    for (i, buffered) in [(1, 10), (2, 0), (3, 5)] {
+        let frame = segment(&streams[i])[0];
+        streams[i].ready.extend(vec![frame; buffered]);
+        t.pump(&net, ms(100), &demand(i as u64), &mut streams[i], &mut out);
+    }
+    assert!(requests(&out).is_empty());
+    assert_eq!(events(&out, "fetch_wait"), 1, "only the dry one says so");
+    (t, net, streams)
+}
+
+#[test]
+fn waiters_are_ordered_by_when_they_run_dry_and_woken_in_that_order() {
+    let (mut t, net, mut s) = three_waiters();
+    let keys: Vec<(MediaTime, u64)> = t.waiting.keys().map(|(at, s)| (*at, s.1.raw())).collect();
+    assert_eq!(keys, [(ms(100), 2), (ms(300), 3), (ms(500), 1)]);
+    // One credit back, one waiter woken: the most urgent.
+    let (mut out, frames) = (Vec::new(), segment(&s[0]));
+    t.on_chunk(
+        ms(110),
+        1,
+        frames.clone(),
+        true,
+        1,
+        Some(&mut s[0]),
+        &mut out,
+    );
+    assert_eq!(woken(&out), [2]);
+    // The actor refills it: one fetch fits, and it waits again for the
+    // rest — now behind the others, with a segment on its way.
+    out.clear();
+    assert!(t.repump(&net, ms(110), &demand(2), &mut s[2], &mut out));
+    assert_eq!(requests(&out).len(), 1);
+    let order: Vec<u64> = t.waiting.keys().map(|(_, s)| s.1.raw()).collect();
+    assert_eq!(order, [3, 1, 2]);
+    // A torn-down waiter (the actor finds no stream and does nothing) and a
+    // retargeted one are woken like any other and cost nothing.
+    out.clear();
+    t.on_chunk(
+        ms(120),
+        2,
+        frames.clone(),
+        true,
+        1,
+        Some(&mut s[0]),
+        &mut out,
+    );
+    assert_eq!(woken(&out), [3], "stream 3 is gone: nobody refills");
+    out.clear();
+    s[1].retarget(70);
+    t.on_chunk(ms(130), 3, frames, true, 1, Some(&mut s[2]), &mut out);
+    assert_eq!(woken(&out), [1], "the credit stream 3 left is not lost");
+    out.clear();
+    assert!(t.repump(&net, ms(130), &demand(1), &mut s[1], &mut out));
+    assert_eq!(
+        requests(&out).iter().map(|r| r.2).collect::<Vec<_>>(),
+        [2, 3]
+    );
+    // The wait set and its index still tell one story.
+    assert_eq!(t.waiting.len(), t.wait_index.len());
+}
+
+#[test]
+fn a_freed_credit_goes_to_the_most_urgent_waiter_that_node_can_serve() {
+    // Two objects and a node that holds the first but not the second.
+    let names: Vec<String> = (0..32).map(|i| format!("clips/{i}.mpg")).collect();
+    let placement = PlacementMap::build(names.iter().map(String::as_str), &NODES, 2);
+    let find = |holds: bool| {
+        let on_x = |n: &&String| placement.replicas(n).contains(&NODES[0]) == holds;
+        names.iter().find(on_x).unwrap().clone()
+    };
+    let (here, elsewhere) = (find(true), find(false));
+    let mut t = MediaTier::new(MediaTierConfig::default(), placement, HOME);
+    let net = Net::default();
+    for n in NODES {
+        t.grants.insert(n, 1);
+    }
+    // A hog over each object fills all three windows.
+    let mut out = Vec::new();
+    let mut hogs = [&here, &elsewhere].map(|o| t.open(&net, o, MediaKind::Video, 0).unwrap());
+    for (i, hog) in hogs.iter_mut().enumerate() {
+        t.pump(&net, ms(0), &needing(i as u64, 64), hog, &mut out);
+    }
+    assert!(NODES.iter().all(|&n| t.room(n, ms(0)) == 0));
+    // The dry waiter cannot use the node; the one with frames in hand can.
+    let mut dry = t.open(&net, &elsewhere, MediaKind::Video, 0).unwrap();
+    let mut buffered = t.open(&net, &here, MediaKind::Video, 0).unwrap();
+    buffered.ready.extend(segment(&buffered));
+    t.pump(&net, ms(10), &demand(2), &mut dry, &mut out);
+    t.pump(&net, ms(10), &demand(3), &mut buffered, &mut out);
+    assert_eq!(t.waiting.keys().next().unwrap().1 .1.raw(), 2);
+    let at_x = t.inflight.iter().find(|(_, tag)| tag.replica == NODES[0]);
+    let (&fetch, _) = at_x.expect("a hog holds the node's one credit");
+    out.clear();
+    t.on_error(ms(20), fetch, &mut out);
+    assert_eq!(woken(&out), [3]);
+    let dry = (SESSION, ComponentId::new(2));
+    assert!(
+        t.wait_index.contains_key(&dry),
+        "the more urgent one waits on"
+    );
+}
+
+#[test]
+fn a_hedge_takes_a_credit_of_its_alternate_or_is_not_sent() {
+    let (mut t, net, a, mut b) = pumped(true, true);
+    let (alt, mut out) = (other(&t, &a), Vec::new());
+    b.replica = alt;
+    t.pump(&net, ms(0), &demand(1), &mut b, &mut out);
+    t.grants.insert(alt, 3);
+    out.clear();
+    let class = PricingClass::Standard;
+    t.on_hedge_timer(&net, ms(250), 1, Some((&a, class)), &mut out);
+    assert!(
+        out.is_empty() && t.stats.hedges == 0,
+        "the alternate is full"
+    );
+    t.grants.insert(alt, 4);
+    t.on_hedge_timer(&net, ms(251), 1, Some((&a, class)), &mut out);
+    assert_eq!(requests(&out), [(7, alt, 0)]);
+    assert_eq!(t.room(alt, ms(251)), 0);
+}
+
+#[test]
+fn without_the_breaker_grants_are_ignored() {
+    let (mut t, net, mut a, mut b) = pumped(false, false);
+    let mut out = Vec::new();
+    t.on_chunk(ms(5), 1, segment(&a), true, 1, Some(&mut a), &mut out);
+    t.on_busy(&net, ms(6), 2, 1, Some((demand(0), &mut a)), &mut out);
+    assert!(t.grants.is_empty() && woken(&out).is_empty());
+    assert_eq!(requests(&out).len(), 2, "the shed segment and the frontier");
+    b.replica = a.replica;
+    out.clear();
+    t.pump(&net, ms(7), &demand(1), &mut b, &mut out);
+    assert_eq!(requests(&out).len(), 3);
+    assert!(t.waiting.is_empty() && t.room(a.replica, ms(7)) == u64::MAX);
+}
+
+// ---------------------------------------------------------------------------
 // Fuzz: arbitrary inputs in arbitrary order
 // ---------------------------------------------------------------------------
 
@@ -400,8 +682,8 @@ fn a_crash_forgets_everything_but_the_totals() {
 enum Op {
     Tick(i64),
     Pump(usize),
-    Chunk(u64, bool),
-    Busy(u64),
+    Chunk(u64, bool, u16),
+    Busy(u64, u16),
     Error(u64),
     Hedge(u64),
     Repump(usize),
@@ -416,13 +698,18 @@ fn op() -> impl Strategy<Value = Op> {
     // runs: mostly an outstanding fetch, one time in four any small number
     // — an id never issued, already answered, or answered twice.
     let fetch = 0u64..4096;
+    // Grants from a node that refuses everything to one wider than any
+    // window here; 0 is a malformed grant and must read as 1.
+    let credit = 0u16..8;
     prop_oneof![
         (0i64..400).prop_map(Op::Tick),
+        Just(Op::Tick(4_000)), // long enough for every deadline to pass
         (0usize..4).prop_map(Op::Pump), // listed twice: twice as likely
         (0usize..4).prop_map(Op::Pump),
-        (fetch.clone(), any::<bool>()).prop_map(|(f, last)| Op::Chunk(f, last)),
-        (fetch.clone(), Just(true)).prop_map(|(f, last)| Op::Chunk(f, last)),
-        fetch.clone().prop_map(Op::Busy),
+        (fetch.clone(), any::<bool>(), credit.clone())
+            .prop_map(|(f, last, c)| Op::Chunk(f, last, c)),
+        (fetch.clone(), credit.clone()).prop_map(|(f, c)| Op::Chunk(f, true, c)),
+        (fetch.clone(), credit).prop_map(|(f, c)| Op::Busy(f, c)),
         fetch.clone().prop_map(Op::Error),
         fetch.prop_map(Op::Hedge),
         (0usize..4).prop_map(Op::Repump),
@@ -497,22 +784,24 @@ impl Rig {
             Op::Repump(i) => {
                 tier.repump(net, now, &demand(i as u64), &mut self.streams[i], &mut out);
             }
-            Op::Chunk(draw, last) => {
+            Op::Chunk(draw, last, credit) => {
                 let fetch = self.fetch_id(draw);
                 let i = self.index_of(fetch);
                 let frames = i.map_or(Vec::new(), |i| segment(&self.streams[i]));
                 let r = i.map(|i| &mut self.streams[i]);
-                let done = self.tier.on_chunk(now, fetch, frames, last, r, &mut out);
+                let tier = &mut self.tier;
+                let done = tier.on_chunk(now, fetch, frames, last, credit, r, &mut out);
                 for sick in done.tripped.into_iter().flatten() {
                     MediaTier::report_trip(sick, &mut out);
                     self.repoint(sick, &mut out);
                 }
             }
-            Op::Busy(draw) => {
+            Op::Busy(draw, credit) => {
                 let fetch = self.fetch_id(draw);
                 let i = self.index_of(fetch).filter(|&i| !self.stopped[i]);
                 let live = i.map(|i| (demand(i as u64), &mut self.streams[i]));
-                self.tier.on_busy(&self.net, now, fetch, live, &mut out);
+                let (tier, net) = (&mut self.tier, &self.net);
+                tier.on_busy(net, now, fetch, credit, live, &mut out);
             }
             Op::Error(draw) => {
                 let fetch = self.fetch_id(draw);
@@ -534,7 +823,8 @@ impl Rig {
                 if !self.net.down.remove(&NODES[n]) {
                     self.net.down.insert(NODES[n]);
                 }
-                self.tier.node_event(NODES[n], &mut out);
+                let up = self.net.node_is_up(NODES[n]);
+                self.tier.node_event(up, now, NODES[n], &mut out);
                 self.repoint(NODES[n], &mut out);
             }
             Op::Drain(n) => {
@@ -545,6 +835,14 @@ impl Rig {
                 // The actor's sessions die with the process.
                 tier.crash();
                 self.open_streams();
+            }
+        }
+        // Woken waiters are refilled, as the actor does — unless stopped.
+        for i in woken(&out) {
+            if !self.stopped[i as usize] {
+                let r = &mut self.streams[i as usize];
+                self.tier
+                    .repump(&self.net, self.now, &demand(i), r, &mut out);
             }
         }
         self.tier.breaker_events(&mut out);
@@ -599,9 +897,40 @@ impl Rig {
             let held = t.inflight.values().filter(|tag| tag.replica == n).count();
             prop_assert_eq!(t.selector.outstanding(n), held as u64);
         }
-        // Every request in the output is booked under its own id.
+        // Every request in the output is booked under its own id, and was
+        // issued inside its node's window: the live fetches there are no
+        // more than the last grant.
+        let live = |n: NodeId| {
+            let at = |tag: &&FetchTag| tag.replica == n && tag.deadline >= self.now;
+            t.inflight.values().filter(at).count() as u64
+        };
         for (fetch, replica, _) in requests(&self.out) {
             prop_assert_eq!(t.inflight.get(&fetch).map(|tag| tag.replica), Some(replica));
+            let grant = t.grants.get(&replica).map_or(u64::MAX, |&g| g as u64);
+            prop_assert!(
+                live(replica) <= grant,
+                "{} > {grant} at {replica:?}",
+                live(replica)
+            );
+        }
+        // The wait set and its index agree and name no stream twice.
+        prop_assert_eq!(t.waiting.len(), t.wait_index.len());
+        for (&(dry_at, stream), object) in &t.waiting {
+            prop_assert_eq!(t.wait_index.get(&stream), Some(&dry_at));
+            prop_assert_eq!(object, &self.streams[stream.1.raw() as usize].object);
+        }
+        // No credit leaks: once every outstanding fetch's deadline has
+        // passed, each node's window is as wide as its grant again. And the
+        // gate, which searches the table only when the selector's count
+        // has reached the grant, says what the exact window says.
+        for (&n, &grant) in &t.grants {
+            prop_assert!(grant >= 1 && t.cfg.breaker);
+            let room = t.room(n, self.now);
+            prop_assert_eq!(room, grant as u64 - live(n).min(grant as u64));
+            prop_assert_eq!(t.has_room(n, self.now), room > 0);
+            if t.inflight.values().all(|tag| tag.deadline < self.now) {
+                prop_assert_eq!(room, grant as u64);
+            }
         }
         Ok(())
     }

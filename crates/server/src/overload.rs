@@ -269,6 +269,18 @@ impl NodeHealth {
         }
     }
 
+    /// What [`admit`](Self::admit) would answer at `now`; reserves nothing.
+    pub fn admits(&self, cfg: &BreakerConfig, now: MediaTime) -> bool {
+        let stale = |since| now - since >= cfg.open_timeout;
+        match self.state {
+            BreakerState::Closed => true,
+            BreakerState::Open => stale(self.opened_at),
+            BreakerState::HalfOpen => {
+                self.probes_in_flight < cfg.half_open_probes || stale(self.probed_at)
+            }
+        }
+    }
+
     /// Selection penalty in microseconds: the EWMA latency, plus a large
     /// constant while the breaker is not Closed so probed replicas rank
     /// behind every healthy one.
@@ -401,6 +413,12 @@ impl ReplicaHealthMap {
         admitted
     }
 
+    /// What [`admit`](Self::admit) would answer; reserves nothing.
+    pub fn admits(&self, node: NodeId, now: MediaTime) -> bool {
+        let known = self.nodes.get(&node);
+        known.is_none_or(|h| h.admits(&self.cfg, now))
+    }
+
     /// Selection penalty for `node` (0 for unknown nodes).
     pub fn penalty_micros(&self, node: NodeId) -> i64 {
         self.nodes.get(&node).map_or(0, NodeHealth::penalty_micros)
@@ -503,6 +521,11 @@ impl<T> OverloadQueue<T> {
     /// True iff nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
+    }
+
+    /// The queued requests, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &QueuedRequest<T>> {
+        self.queue.iter()
     }
 
     /// Queueing delay the head request has accumulated (zero when empty).
@@ -740,6 +763,31 @@ mod tests {
         assert!(h.admit(&cfg, t2), "stale slots must be reclaimed");
         assert!(h.admit(&cfg, t2));
         assert!(!h.admit(&cfg, t2), "reclaimed probes are bounded again");
+    }
+
+    #[test]
+    fn admits_answers_what_admit_would_and_reserves_nothing() {
+        // Closed, Open before and after the timeout, HalfOpen with a free
+        // slot, with none, and with stale ones.
+        let cfg = BreakerConfig::default();
+        let mut h = NodeHealth::new();
+        let agree = |h: &mut NodeHealth, now| {
+            let asked = h.admits(&cfg, now);
+            assert_eq!(h.admits(&cfg, now), asked, "asking changes nothing");
+            assert_eq!(h.admit(&cfg, now), asked, "{:?} at {now:?}", h.state);
+            asked
+        };
+        assert!(agree(&mut h, at(0)));
+        for _ in 0..10 {
+            h.record_failure(&cfg, at(0));
+        }
+        assert!(!agree(&mut h, at(1)));
+        let t1 = at(0) + cfg.open_timeout;
+        for _ in 0..cfg.half_open_probes {
+            assert!(agree(&mut h, t1));
+        }
+        assert!(!agree(&mut h, t1));
+        assert!(agree(&mut h, t1 + cfg.open_timeout));
     }
 
     #[test]

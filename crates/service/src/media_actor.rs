@@ -12,8 +12,9 @@
 //! admitted request costs a deterministic service time (fixed overhead plus
 //! a per-byte disk/CPU cost, inflated by an injected brownout factor), and
 //! requests wait in a bounded [`OverloadQueue`] with deadline-aware
-//! shedding. Shed requests are answered with [`ServiceMsg::MediaFetchBusy`]
-//! so the puller fails over instead of timing out.
+//! shedding. Shed requests are answered with [`ServiceMsg::MediaFetchBusy`],
+//! and every answer carries the puller's credit: its share of the queue
+//! bound, which the puller's window then stays inside.
 
 use crate::protocol::ServiceMsg;
 use crate::timers;
@@ -99,6 +100,8 @@ pub struct MediaActor {
     shed: Vec<QueuedRequest<PendingFetch>>,
     /// The request currently in service, if any.
     serving: Option<PendingFetch>,
+    /// Scratch of `credit`: the distinct pullers it counted last.
+    pullers: Vec<NodeId>,
     /// Controller host receiving this node's queue-depth reports, if the
     /// control plane is enabled.
     control_peer: Option<NodeId>,
@@ -120,6 +123,7 @@ impl MediaActor {
             queue,
             shed: Vec::new(),
             serving: None,
+            pullers: Vec::new(),
             control_peer: None,
             report_period: MediaDuration::from_millis(100),
         }
@@ -291,13 +295,11 @@ impl MediaActor {
                         Labels::for_peer(shed.item.from.raw()).segment(shed.item.segment),
                         self.queue.len() as i64,
                     );
-                    api.send_reliable(
-                        self.node,
-                        shed.item.from,
-                        ServiceMsg::MediaFetchBusy {
-                            fetch: shed.item.fetch,
-                        },
-                    );
+                    let busy = ServiceMsg::MediaFetchBusy {
+                        fetch: shed.item.fetch,
+                        credit: self.credit(shed.item.from),
+                    };
+                    api.send_reliable(self.node, shed.item.from, busy);
                 }
                 self.shed = shed_now;
                 self.maybe_start(api);
@@ -327,6 +329,25 @@ impl MediaActor {
         }
     }
 
+    /// The fetches `to` may hold here from now on: the queue bound shared
+    /// equally among the pullers with work queued or in service, `to` among
+    /// them (it is being answered, so it is about to ask again). Never 0 —
+    /// a puller told to hold nothing could not learn a later, wider grant.
+    fn credit(&mut self, to: NodeId) -> u16 {
+        let mut pullers = std::mem::take(&mut self.pullers);
+        pullers.clear();
+        pullers.push(to);
+        let queued = self.queue.iter().map(|q| q.item.from);
+        for from in queued.chain(self.serving.as_ref().map(|p| p.from)) {
+            if !pullers.contains(&from) {
+                pullers.push(from);
+            }
+        }
+        let share = self.queue.capacity / pullers.len();
+        self.pullers = pullers;
+        share.clamp(1, u16::MAX as usize) as u16
+    }
+
     /// Start serving the queue head if the server is idle.
     fn maybe_start(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
         if self.serving.is_some() {
@@ -337,13 +358,11 @@ impl MediaActor {
         self.queue.expire(api.now(), &mut shed_now);
         for shed in shed_now.drain(..) {
             self.stats.busy_sent += 1;
-            api.send_reliable(
-                self.node,
-                shed.item.from,
-                ServiceMsg::MediaFetchBusy {
-                    fetch: shed.item.fetch,
-                },
-            );
+            let busy = ServiceMsg::MediaFetchBusy {
+                fetch: shed.item.fetch,
+                credit: self.credit(shed.item.from),
+            };
+            api.send_reliable(self.node, shed.item.from, busy);
         }
         self.shed = shed_now;
         let Some(next) = self.queue.pop() else {
@@ -403,6 +422,7 @@ impl MediaActor {
         const PART_BYTES: u64 = 64 * 1024;
         let mut frames = Some(frames);
         let mut remaining = total;
+        let credit = self.credit(p.from);
         loop {
             let part = remaining.min(PART_BYTES);
             remaining -= part;
@@ -420,6 +440,7 @@ impl MediaActor {
                     } else {
                         Vec::new()
                     },
+                    credit,
                 },
             );
             if last {
@@ -458,6 +479,52 @@ mod tests {
         // Same key, different origin servers: two distinct replicas.
         assert_eq!(m.objects(), 2);
         assert_eq!(m.shards.len(), 2);
+    }
+
+    /// Queue one fetch from each of `pullers`, oldest first.
+    fn queued(m: &mut MediaActor, pullers: impl IntoIterator<Item = u64>) {
+        for (i, from) in pullers.into_iter().enumerate() {
+            let item = PendingFetch {
+                fetch: i as u64,
+                from: NodeId::new(from),
+                server: ServerId::new(0),
+                kind: MediaKind::Video,
+                object: "v.mpg".into(),
+                level: 0,
+                segment: i as u64,
+                frames_per_segment: 32,
+            };
+            let req = QueuedRequest {
+                item,
+                enqueued_at: MediaTime::ZERO,
+                deadline: MediaTime::from_secs(9),
+                class: hermes_core::PricingClass::Standard,
+            };
+            m.queue.push(req, MediaTime::ZERO, &mut m.shed);
+        }
+        assert!(m.shed.is_empty());
+    }
+
+    #[test]
+    fn credit_is_the_queue_bound_over_the_distinct_pullers_at_work() {
+        let mut m = MediaActor::new(NodeId::new(7));
+        let to = NodeId::new(1);
+        assert_eq!(m.credit(to), 64, "empty queue: the whole bound");
+        // However much one puller has queued, it is one puller — and the
+        // one being answered counts whether or not it has work left.
+        queued(&mut m, [1, 1, 1, 2, 2]);
+        assert_eq!((m.credit(to), m.credit(NodeId::new(3))), (32, 21));
+        m.serving = m.queue.pop().map(|q| q.item);
+        assert_eq!(m.credit(NodeId::new(2)), 32, "in service is at work too");
+        // Ten pullers share evenly; a bound smaller than the crowd still
+        // grants one each, or a puller could never learn a wider grant.
+        queued(&mut m, 3..=10);
+        assert_eq!(m.credit(to), 6);
+        m.configure(MediaNodeConfig {
+            queue_capacity: 4,
+            ..MediaNodeConfig::default()
+        });
+        assert_eq!(m.credit(to), 1);
     }
 
     #[test]

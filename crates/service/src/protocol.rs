@@ -393,6 +393,10 @@ pub enum ServiceMsg {
         /// part — serving is unbounded past the object's duration; the
         /// puller's pacer bounds the stream.
         frames: Vec<SegmentFrame>,
+        /// Final part only: how many fetches this puller may hold at the
+        /// node from now on — absolute, so a lost, reordered or repeated
+        /// grant needs no bookkeeping. Rides in the 16-byte fetch header.
+        credit: u16,
     },
     /// Media node → multimedia server: the fetch could not be served.
     MediaFetchError {
@@ -403,12 +407,15 @@ pub enum ServiceMsg {
     },
     /// Media node → multimedia server: the fetch was shed by overload
     /// control (queue full or deadline unmeetable). Unlike
-    /// [`ServiceMsg::MediaFetchError`] this is transient — the puller
-    /// records a failure against the replica and re-requests elsewhere
-    /// rather than stopping the stream.
+    /// [`ServiceMsg::MediaFetchError`] this is transient flow control, not
+    /// a verdict on the replica: the puller learns the grant and re-asks
+    /// the segment when a credit is free rather than stopping the stream.
     MediaFetchBusy {
         /// The fetch id being shed.
         fetch: u64,
+        /// The puller's allowance at the node, as on a final
+        /// [`ServiceMsg::MediaFetchChunk`] part.
+        credit: u16,
     },
     /// Multimedia server → media node: abandon a fetch if still queued (the
     /// hedged duplicate already won). Best-effort — a fetch already being

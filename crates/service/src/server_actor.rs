@@ -443,6 +443,8 @@ struct FetchPort {
     node: NodeId,
     server: ServerId,
     out: Vec<FetchOut>,
+    /// Waiting streams the list said to wake, for [`ServerActor::flush_woken`].
+    woken: Vec<(SessionId, ComponentId)>,
 }
 
 impl FetchPort {
@@ -481,10 +483,7 @@ impl FetchPort {
                 FetchOut::HedgeTimer { fetch, delay } => {
                     api.set_timer(node, delay, timers::TK_HEDGE, fetch);
                 }
-                FetchOut::RepumpTimer { stream, delay } => {
-                    let payload = timers::pack(stream.0, stream.1);
-                    api.set_timer(node, delay, timers::TK_REPUMP, payload);
-                }
+                FetchOut::Wake(stream) => self.woken.push(stream),
                 FetchOut::Event {
                     severity,
                     name,
@@ -561,6 +560,7 @@ impl ServerActor {
                 node,
                 server: server_id,
                 out: Vec::new(),
+                woken: Vec::new(),
             },
         }
     }
@@ -673,10 +673,11 @@ impl ServerActor {
                 fetch,
                 last,
                 frames,
+                credit,
                 ..
-            } => self.on_media_chunk(api, fetch, frames, last),
+            } => self.on_media_chunk(api, fetch, frames, last, credit),
             ServiceMsg::MediaFetchError { fetch, .. } => self.on_media_error(api, fetch),
-            ServiceMsg::MediaFetchBusy { fetch } => self.on_media_busy(api, fetch),
+            ServiceMsg::MediaFetchBusy { fetch, credit } => self.on_media_busy(api, fetch, credit),
             ServiceMsg::Pause { session } => {
                 if let Some(s) = self.sessions.get_mut(&session) {
                     s.paused = true;
@@ -898,10 +899,6 @@ impl ServerActor {
             }
             timers::TK_HEDGE => self.on_hedge_timer(api, payload),
             timers::TK_LADDER => self.on_ladder_tick(api),
-            timers::TK_REPUMP => {
-                let (session, component) = timers::unpack(payload);
-                self.repump_stream(api, session, component);
-            }
             timers::TK_CONTROL => self.on_control_tick(api),
             timers::TK_CONTROL_REPORT => self.on_control_report(api),
             timers::TK_CTRL_LEASE => {
@@ -1879,9 +1876,9 @@ impl ServerActor {
         })
     }
 
-    /// Re-pick a live stream's replica and refill its fetch window (timer
-    /// `TK_REPUMP` after a shed; every re-point). False when the stream is
-    /// gone or no replica of its object is up.
+    /// Re-pick a live stream's replica and refill its fetch window (a
+    /// waiter woken by a freed credit; every re-point). False when the
+    /// stream is gone or no replica of its object is up.
     fn repump_stream(
         &mut self,
         api: &mut SimApi<'_, ServiceMsg>,
@@ -1897,6 +1894,18 @@ impl ServerActor {
         found
     }
 
+    /// Apply the fetch client's list, then refill the waiting streams it
+    /// woke, most urgent first. A refill gives no credit back, so it wakes
+    /// nobody in turn.
+    fn flush_woken(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
+        self.fetch.flush(api, &mut self.slo);
+        let mut woken = std::mem::take(&mut self.fetch.woken);
+        for (session, component) in woken.drain(..) {
+            self.repump_stream(api, session, component);
+        }
+        self.fetch.woken = woken;
+    }
+
     /// A segment part arrived from a media node.
     fn on_media_chunk(
         &mut self,
@@ -1904,6 +1913,7 @@ impl ServerActor {
         fetch: u64,
         frames: Vec<SegmentFrame>,
         last: bool,
+        credit: u16,
     ) {
         let Some(tier) = self.media.as_mut() else {
             return;
@@ -1912,8 +1922,9 @@ impl ServerActor {
         let tx = owner.and_then(|(s, c)| self.sessions.get_mut(&s)?.streams.get_mut(&c));
         let discrete = tx.as_ref().is_some_and(|tx| !tx.plan.kind.is_continuous());
         let r = tx.and_then(|tx| tx.remote.as_mut());
-        let done = tier.on_chunk(api.now(), fetch, frames, last, r, &mut self.fetch.out);
-        self.fetch.flush(api, &mut self.slo);
+        let out = &mut self.fetch.out;
+        let done = tier.on_chunk(api.now(), fetch, frames, last, credit, r, out);
+        self.flush_woken(api);
         // Discrete objects ship the moment their bytes arrive; continuous
         // streams stay on the pacer's cadence (the stall poll picks the
         // fetched frames up).
@@ -1936,7 +1947,7 @@ impl ServerActor {
         let Some(tag) = tier.on_error(api.now(), fetch, &mut self.fetch.out) else {
             return;
         };
-        self.fetch.flush(api, &mut self.slo);
+        self.flush_woken(api);
         let Some(s) = self.sessions.get_mut(&tag.session) else {
             return;
         };
@@ -1958,14 +1969,15 @@ impl ServerActor {
     }
 
     /// A media node shed a fetch from its overloaded queue.
-    fn on_media_busy(&mut self, api: &mut SimApi<'_, ServiceMsg>, fetch: u64) {
+    fn on_media_busy(&mut self, api: &mut SimApi<'_, ServiceMsg>, fetch: u64, credit: u16) {
         let Some(tier) = self.media.as_mut() else {
             return;
         };
         let owner = tier.owner(fetch);
         let stream = owner.and_then(|(s, c)| Self::live_stream(&mut self.sessions, s, c));
-        tier.on_busy(&*api, api.now(), fetch, stream, &mut self.fetch.out);
-        self.fetch.flush(api, &mut self.slo);
+        let out = &mut self.fetch.out;
+        tier.on_busy(&*api, api.now(), fetch, credit, stream, out);
+        self.flush_woken(api);
     }
 
     /// The hedge delay of a fetch expired unanswered (timer `TK_HEDGE`,
@@ -2608,7 +2620,8 @@ impl ServerActor {
         let Some(tier) = self.media.as_mut() else {
             return;
         };
-        tier.node_event(media_node, &mut self.fetch.out);
+        let up = api.node_is_up(media_node);
+        tier.node_event(up, api.now(), media_node, &mut self.fetch.out);
         let affected = self.restart_streams_on(media_node);
         self.fetch.flush(api, &mut self.slo);
         for &(sid, cid) in &affected {
@@ -2619,6 +2632,7 @@ impl ServerActor {
                 }
             }
         }
+        self.flush_woken(api);
         self.bump_group_epochs(api, &affected);
         self.drain_breaker_events(api);
     }

@@ -30,9 +30,6 @@ pub const TK_RETRY: u64 = 13;
 pub const TK_LIVENESS: u64 = 14;
 /// Media node: service of the fetch at the head of the queue completes.
 pub const TK_MEDIA_SVC: u64 = 15;
-/// Server: paced re-pump of a stream whose fetch was shed by an overloaded
-/// media node (payload = packed session/component).
-pub const TK_REPUMP: u64 = 16;
 /// Controller host: evaluate one fleet control tick.
 pub const TK_CONTROL: u64 = 17;
 /// Server / media node: ship the next control-plane report registry to the

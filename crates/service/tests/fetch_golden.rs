@@ -1,88 +1,29 @@
 //! Media-tier fetch-client golden test: one small real world run under the
 //! five regimes the fetch client behaves differently in, each pinned by its
 //! full [`MediaTierStats`] and an FNV digest of the exported event trace.
-//! The literals were printed at cec5907 — the commit *before* the fetch
-//! client moved out of `server_actor.rs` into `hermes_server::fetch` — and
-//! must never move: a send, timer, emit or RNG draw that changes order or
-//! count anywhere on the pump / chunk / busy / hedge / failover / rebalance
-//! paths changes a digest.
+//! `NAIVE` was printed at cec5907 — the commit *before* the fetch client
+//! moved out of `server_actor.rs` into `hermes_server::fetch` — and has never
+//! moved; the other four were re-pinned when the credit window replaced the
+//! paced re-poll (PR 24; docs/PERF_LEDGER.md explains each moved counter).
+//! None may move again unasked: a send, timer, emit or RNG draw that changes
+//! order or count anywhere on the pump / chunk / busy / hedge / failover /
+//! rebalance paths changes a digest.
 //!
-//! The world: one server, two media nodes with short queues and slow disks
-//! (replication 2, so every object lives on both), twelve clients arriving
-//! 150 ms apart over three lessons of one image + a 10 s narrated clip — so
-//! the tier sheds, rolls cursors back and re-pumps in every scenario, and
+//! The world (`common/mod.rs`): one server, two media nodes with short
+//! queues and slow disks (replication 2, so every object lives on both),
+//! twelve clients arriving 150 ms apart over three lessons of one image + a
+//! 10 s narrated clip — so streams fill the nodes' credit windows and wait
+//! in every scenario (and, without overload control, shed and re-ask), and
 //! the discrete path (an image ships the moment its bytes arrive) runs too.
 
-use hermes_core::{DocumentId, MediaDuration, MediaKind, MediaTime, NodeId, ServerId};
+mod common;
+
+use common::{build, connect, ms, world, World};
+use hermes_core::{MediaDuration, MediaKind, MediaTime};
 use hermes_server::PlacementMap;
-use hermes_service::{
-    install_course, ClientConfig, LessonShape, MediaNodeConfig, MediaTierConfig, MediaTierStats,
-    ServerConfig, ServiceMsg, ServiceWorld, WorldBuilder,
-};
+use hermes_service::{MediaTierConfig, MediaTierStats};
 use hermes_simnet::obs::events_jsonl;
-use hermes_simnet::{FaultKind, LinkSpec, Sim, SimRng};
-
-const SEED: u64 = 22;
-const CLIENTS: usize = 12;
-
-fn ms(t: i64) -> MediaTime {
-    MediaTime::from_millis(t)
-}
-
-struct World {
-    sim: Sim<ServiceMsg, ServiceWorld>,
-    srv: NodeId,
-    media: Vec<NodeId>,
-}
-
-/// Build the world and connect the twelve clients; returns at t = 2 s with
-/// every session admitted and streaming.
-fn world(tier: MediaTierConfig) -> World {
-    let mut b = WorldBuilder::new(SEED);
-    let srv = b.add_server(
-        ServerId::new(0),
-        LinkSpec::lan(100_000_000),
-        ServerConfig::default(),
-    );
-    let clients: Vec<NodeId> = (0..CLIENTS)
-        .map(|_| b.add_client(LinkSpec::lan(10_000_000), ClientConfig::default()))
-        .collect();
-    let media: Vec<NodeId> = (0..2)
-        .map(|_| b.add_media_node(LinkSpec::san(100_000_000)))
-        .collect();
-    b.media_config(tier);
-    let mut sim: Sim<ServiceMsg, ServiceWorld> = b.build(SEED);
-    let mut rng = SimRng::seed_from_u64(SEED);
-    let lessons = install_course(
-        sim.app_mut().server_mut(srv),
-        "Golden",
-        &["fetch"],
-        1,
-        3,
-        LessonShape {
-            images: 1,
-            image_secs: 2,
-            narrated_clip_secs: Some(10),
-            closing_audio_secs: None,
-        },
-        &mut rng,
-    );
-    sim.app_mut().distribute_media();
-    for &m in &media {
-        sim.app_mut().media_mut(m).configure(MediaNodeConfig {
-            queue_capacity: 4,
-            fixed_service: MediaDuration::from_millis(1),
-            per_mbyte: MediaDuration::from_millis(150),
-        });
-    }
-    for (i, &c) in clients.iter().enumerate() {
-        sim.run_until(ms(100 + 150 * i as i64));
-        let doc: DocumentId = lessons[i % lessons.len()];
-        sim.with_api(|w, api| w.client_mut(c).connect(api, srv, Some(doc)));
-    }
-    sim.run_until(ms(2_000));
-    World { sim, srv, media }
-}
+use hermes_simnet::FaultKind;
 
 fn fnv1a(text: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -129,9 +70,15 @@ fn count(w: &World, name: &str) -> usize {
 }
 
 #[test]
-fn defaults_shed_and_repump() {
+fn defaults_wait_for_credit() {
     let (s, got) = finish(world(MediaTierConfig::default()));
-    assert!(s.busy > 0 && s.stalls > 0, "{s:?}");
+    // The window holds each node's queue inside its bound: nothing is shed
+    // (the paced re-poll shed 3,238 of 3,503 fetches here), every fetch is
+    // answered, and streams still run dry waiting their turn.
+    assert!(
+        s.busy == 0 && s.chunks == s.fetches && s.stalls > 0,
+        "{s:?}"
+    );
     assert_eq!(got, DEFAULTS);
 }
 
@@ -147,14 +94,18 @@ fn naive_immediate_retry_without_breaker() {
 
 #[test]
 fn hedging_around_a_slow_replica() {
-    let mut w = world(MediaTierConfig {
+    // The replica is slow from before the first client connects: a hedge
+    // takes a credit of its alternate or is not sent, and once the crowd is
+    // in, both 4-deep windows are full. The races are run — and won by the
+    // healthy replica — while the crowd is still arriving.
+    let mut w = build(MediaTierConfig {
         hedging: true,
         hedge_max: MediaDuration::from_millis(40),
         ..MediaTierConfig::default()
     });
     let slow = w.media[0];
     w.sim.inject_fault(
-        ms(2_000),
+        ms(0),
         FaultKind::NodeSlow {
             node: slow,
             factor: 40,
@@ -162,6 +113,7 @@ fn hedging_around_a_slow_replica() {
     );
     w.sim
         .inject_fault(ms(6_000), FaultKind::NodeNominal { node: slow });
+    connect(&mut w);
     let (s, got) = finish(w);
     assert!(
         s.hedges > 0 && s.hedge_wins > 0 && s.hedge_cancels > 0 && s.breaker_trips > 0,
@@ -207,14 +159,15 @@ fn rebalance_with_drain() {
 /// declaration order, the trace-event count, the digest.
 type Pin = ([u64; 14], usize, u64);
 
-// Printed at cec5907 by this file's own `assert_eq!` failure messages.
+// Printed by this file's own `assert_eq!` failure messages: `NAIVE` at
+// cec5907, the rest at PR 24.
 // Columns: fetches, chunks, stalls, failovers, fetch_errors, parts_received,
 // busy, hedges, hedge_wins, hedge_cancels, breaker_trips, fetches_lost,
 // ladder_degrades, ladder_restores.
 const DEFAULTS: Pin = (
-    [3503, 265, 1255, 0, 0, 541, 3238, 0, 0, 0, 1, 0, 0, 0],
-    6846,
-    17_096_214_184_780_689_724,
+    [252, 252, 294, 0, 0, 492, 0, 0, 0, 0, 0, 0, 0, 0],
+    338,
+    1_854_026_607_145_854_128,
 );
 const NAIVE: Pin = (
     [780, 281, 638, 0, 0, 560, 499, 0, 0, 0, 0, 0, 0, 0],
@@ -222,17 +175,17 @@ const NAIVE: Pin = (
     3_044_348_924_380_930_742,
 );
 const HEDGING: Pin = (
-    [4979, 242, 1316, 0, 0, 501, 4763, 31, 2, 5, 2, 0, 0, 0],
-    9812,
-    16_521_010_495_117_846_366,
+    [200, 198, 532, 0, 0, 374, 2, 4, 4, 4, 2, 0, 0, 0],
+    296,
+    14_840_022_397_364_975_861,
 );
 const CRASH: Pin = (
-    [3622, 234, 21755, 8, 0, 488, 3379, 0, 0, 0, 0, 25, 0, 0],
-    9792,
-    7_997_666_377_337_118_387,
+    [252, 248, 3912, 13, 0, 476, 0, 0, 0, 0, 0, 4, 0, 0],
+    354,
+    6_219_896_558_802_267_688,
 );
 const REBALANCE: Pin = (
-    [3513, 230, 21720, 0, 0, 482, 3274, 0, 0, 0, 0, 0, 0, 0],
-    9573,
-    13_934_932_677_467_769_208,
+    [252, 248, 3912, 0, 0, 481, 0, 0, 0, 0, 0, 0, 0, 0],
+    351,
+    12_716_029_065_538_257_960,
 );

@@ -4,6 +4,8 @@
 //! covered by hedged fetches, keeping playout smooth where an uncontrolled
 //! run visibly stalls — deterministically under fixed seeds.
 
+mod common;
+
 use hermes_core::{DocumentId, MediaDuration, MediaTime, ServerId};
 use hermes_server::BreakerConfig;
 use hermes_service::{
@@ -168,4 +170,39 @@ fn brownout_with_overload_control_beats_uncontrolled_baseline() {
 fn brownout_outcome_is_deterministic() {
     assert_eq!(brownout_run(true), brownout_run(true));
     assert_eq!(brownout_run(false), brownout_run(false));
+}
+
+/// The `fetch_golden` world to its end, optionally with one of its two
+/// replicas slowed ×20 from 2 s to 7 s: (fetches, sheds, engine events,
+/// presentations completed).
+fn golden_world_run(brownout: bool) -> (u64, u64, u64, usize) {
+    let mut w = common::world(MediaTierConfig::default());
+    if brownout {
+        let node = w.media[0];
+        let slow = FaultKind::NodeSlow { node, factor: 20 };
+        w.sim.inject_fault(common::ms(2_000), slow);
+        w.sim
+            .inject_fault(common::ms(7_000), FaultKind::NodeNominal { node });
+    }
+    let events = w.events + w.sim.run_until(MediaTime::from_secs(60));
+    let app = w.sim.app();
+    let done = |c| app.client(c).completed.len();
+    let stats = app.server(w.srv).media.as_ref().expect("tier").stats;
+    let completed = w.clients.iter().map(|&c| done(c)).sum();
+    (stats.fetches, stats.busy, events, completed)
+}
+
+/// A browned-out replica answers late and sheds what has expired, but the
+/// credit window keeps the puller from re-asking faster than the node
+/// serves: no shed-and-poll storm, and every presentation still completes.
+#[test]
+fn brownout_does_not_storm() {
+    let (fetches, busy, events, completed) = golden_world_run(true);
+    let (_, _, calm_events, calm_completed) = golden_world_run(false);
+    assert_eq!((completed, calm_completed), (12, 12));
+    assert!(busy * 20 <= fetches, "{busy} of {fetches} fetches shed");
+    assert!(
+        events * 2 <= calm_events * 3,
+        "{events} events against {calm_events} without the brownout"
+    );
 }

@@ -363,14 +363,18 @@ catalog skew × sharing policy (off / batching / batching+patching).
 **Finding.** At 12 arrivals/s every policy serves everyone, and sharing
 already cuts server egress ~3× on the skewed catalog — but batching alone
 buys that with a ~1.3 s startup penalty (the window wait), which patching
-mostly eliminates. At 50 arrivals/s the unshared service saturates: over
-a third of arrivals go unserved because stalled sessions pin the client
-pool, the served ones glitch at ~60–70 gaps per thousand frames, and
-startup stretches past 4.5 s. Batching absorbs the same crowd outright —
-all 2 292 arrivals served with **zero** playout gaps — while
-batching+patching trades a small residual tail (~1 gap/kframe, a couple
-hundred late joiners unserved) for the deepest egress cut: 77% versus off
-(4046 → 928 MB) on the Zipf(1.2) catalog. Egress flattens as skew grows
+mostly eliminates. At 50 arrivals/s the unshared service saturates: a
+sixth to a quarter of arrivals go unserved because stalled sessions pin
+the client pool, the served ones glitch at ~5–25 gaps per thousand
+frames, and startup stretches past 3 s (before the media fetch was
+flow-controlled — PR 24 — the same cell lost over a third of its
+arrivals and glitched at 60–70: much of that collapse was the tier's
+own shed-and-retry churn). Batching absorbs the same crowd
+outright — all 2 292 arrivals served with **zero** playout gaps — while
+batching+patching trades a small residual tail (~0.2 gaps/kframe, a
+couple hundred late joiners unserved on the skewed catalog) for the
+deepest egress cut: 81% versus off (4983 → 967 MB) on the Zipf(1.2)
+catalog. Egress flattens as skew grows
 because more arrivals land on hot titles whose groups already stream.
 Multicast frame copies ride one trunk serialization each (`mcast`
 column), which is exactly the saving.
@@ -398,23 +402,34 @@ off, breaker+hedging, breaker+ladder, or the full stack.
 falls apart: a quarter of all frames glitch (257 gaps/kframe on the step
 crowd) and the worst sessions spend more time stalled than playing
 (P99 ≈ 1.45 gaps *per frame*), while naive immediate-retry turns ~17 M
-shed fetches into pure message churn. Each control recovers a different
-share: hedging alone reroutes the latency tail (−32% gaps) but cannot
-create capacity; the ladder alone *does* create capacity (Q1→Q3 cuts
-tier bytes ~2.5×, −45% gaps) at the price of picture quality; the full
-stack composes them — **3.3× fewer playout gaps than the baseline on the
-step crowd, 2.6× on the spike** — while paced surgical retries cut shed
-churn ~3×. Breaker trips stay at zero by design: a symmetric flash crowd
-makes every replica equally slow, and tripping on shared queueing would
-only amplify the collapse (the brownout tests in
-`crates/service/tests/overload.rs` cover the asymmetric case where the
-breaker *does* fire). Note the step and spike rows coincide for the
-modes that pin the client pool: once every slot is busy, late arrivals
-are turned away either way and the served set — hence the tier dynamics
-— is identical; the crowd's *shape* stops mattering once admission, not
-serving, is the bottleneck. CI re-runs the smoke grid twice and diffs
-the output: every number above — including hedge races, which are
-resolved by simulated time — is deterministic.
+shed fetches into pure message churn. That baseline is the `off` row and
+has not moved since it was first measured. What *has* moved is everything
+with overload control on: since PR 24 the media node grants each puller a
+credit window in every answer and the server's fetch client stays inside
+it, so a stream that cannot ask waits its turn — most urgent first — where
+it used to be shed and re-ask every 10 ms. The same crowds now pass with
+**zero playout gaps in every controlled mode** on 9 shed fetches where
+the paced re-poll shed 5.0–6.5 M (and glitched at 79–174 gaps/kframe): the
+collapse the earlier stack fought with hedges and the ladder was largely
+the retry traffic itself. The individual controls consequently have
+little left to do here — 7 hedges, none won; no ladder step, because the
+pressure detector now reads how *late* a segment was for its pacer rather
+than fetch latency (which full windows pin at queue depth × service time)
+and nothing arrives late — and the three controlled rows coincide. Breaker
+trips stay at zero by design: a symmetric flash crowd makes every replica
+equally slow, and tripping on shared queueing would only amplify the
+collapse (the brownout tests in `crates/service/tests/overload.rs` cover
+the asymmetric case where the breaker *does* fire, and
+`brownout_does_not_storm` that a slow replica no longer triggers a storm).
+The crowd still costs something: 78 of 184 step arrivals (26 of 132 on
+the spike) find the client pool busy, because flow control stretches
+delivery instead of dropping it. Note the step and spike rows coincide
+for the modes that pin the client pool: once every slot is busy, late
+arrivals are turned away either way and the served set — hence the tier
+dynamics — is identical; the crowd's *shape* stops mattering once
+admission, not serving, is the bottleneck. CI compares the smoke grid
+exactly against `BENCH_baseline.json`: every number above — including
+hedge races, which are resolved by simulated time — is deterministic.
 
 ---
 
@@ -425,8 +440,11 @@ each server degrades its own sessions, admits against its own link, sizes
 its own media servers (§4, §6.1). Nothing coordinates the fleet: no one
 can trade quality across servers by pricing class, price admissions down
 when the tier is drowning, or bring spare media servers online when
-demand outruns the plan. **Measured:** the EXP-OVERLOAD flash crowd
-against a 4-node media tier of which two nodes start on *standby*
+demand outruns the plan. **Measured:** a flash crowd of EXP-OVERLOAD's
+shape but ×9 rather than ×3.5 — with the media fetch flow-controlled
+(PR 24) a ×3.5 crowd no longer overloads two media nodes, and at that size
+the controller's degrades cost more utility than they buy (ROADMAP item
+6 d) — against a 4-node media tier of which two nodes start on *standby*
 (installed but out of the placement). `local` fights with the PR-5 stack
 alone — breakers, hedged fetches, the degradation ladder — and can never
 touch the standby nodes. `global` hands the same signals (per-node queue
@@ -445,21 +463,23 @@ seconds, so degradation, stops, stalls and rejections all price in.
     A("""```
 
 **Finding.** Same hardware, different control. The local stack rides the
-crowd on its two active nodes: a fifth of arrivals go unserved, the
-ladder walks whole sessions down (audio included), and the sessions it
-does serve glitch into a three-digit gap P99. The controller absorbs the
-same crowd on both axes at once — higher worst-seed utility *and* a
-gap P99 an order of magnitude lower — because its three actuators
-compose: the standby nodes come online ~1 s into the spike (capacity
-first), the admission price
-pre-sheds one grade while pressured instead of admitting at doomed
+crowd on its two active nodes: fetches are granted in deadline order, so
+nothing is shed and the ladder — which now acts on lateness, not queueing
+delay — takes one to three steps; but two nodes cannot carry a ×9 crowd at
+any grade, so delivery stretches past the drain (15–22 of ~270 sessions
+finish inside it), a fifth of arrivals find the pool busy and the sessions
+that are served glitch into a four-digit gap P99. The controller absorbs
+the same crowd on both axes at once — worst-seed utility 6874.6 → 12124.8
+*and* a gap-free P99 — because its three actuators compose: the standby
+nodes come online ~1 s into the spike (capacity first), the admission
+price pre-sheds one grade while pressured instead of admitting at doomed
 nominal, and the grade steps that remain are video-first singles under
 the fairness caps rather than whole-session walks. The
 `controller-legality` invariant (no upgrades or scale-ins while the
 emitting node is pressured, grade commands only inside a session's open
 window, scale targets never crashed nodes) holds across the EXP-CHAOS
-sweeps with the controller enabled, and CI re-runs this grid twice and
-byte-diffs the output: the whole control loop — reports, ticks,
+sweeps with the controller enabled, and CI compares the smoke grid exactly
+against `BENCH_baseline.json`: the whole control loop — reports, ticks,
 actuations, rebalances — is deterministic in simulated time.
 
 ---
@@ -473,7 +493,9 @@ stakes: one server now carries the fleet's grading, pricing and elastic
 scale-out, so its crash silently reverts the whole deployment to
 uncoordinated overload — at exactly the moment a flash crowd makes
 coordination decisive. **Measured:** the EXP-CONTROL chronic-overload
-rig (same base rate, spike multiplier and 600 ms/MiB media tier) with
+rig (same base rate, ×9 spike and 600 ms/MiB media tier — ×5 before the
+media fetch was flow-controlled, when two nodes already collapsed under
+it) with
 the management tier split from the data path: lessons live on two
 session servers while the controller runs on a third, session-free
 server that crashes 0.3 s into the spike — before its first possible
@@ -505,9 +527,13 @@ whose promise forbids the second grant. The restarted ex-host rejoins
 as a follower and re-learns the epoch from lease beats and
 report-carried epoch gossip. Economically the successor's response —
 re-pricing, surgical video-first grade steps, standby scale-out — beats
-the headless fleet on both axes at once: worst-seed utility 2652.4 →
-4056.8 (+53%) and worst-seed starvation tail 766 → 666 per 1000 ticks,
-with more sessions finishing inside the horizon (23–62 vs 8–33). The
+the headless fleet on both axes at once: worst-seed utility 3747.4 →
+6276.5 (+67%) and worst-seed starvation tail 979 → 935 per 1000 ticks,
+with more sessions finishing inside the horizon (37–51 vs 14–30). The
+starvation axis is near its ceiling for both modes — a ×9 crowd is more
+than four nodes carry without gaps too — so the margin there is thin
+(lower on every seed, by 44–222 of 1000); utility is the axis with room.
+The
 `pinned` rows are the measured price of ROADMAP item 4's single point
 of failure; the `ha` rows are the same crowd with the control plane
 treated as a service, not a machine. CI re-runs the smoke grid twice
