@@ -16,8 +16,10 @@
 //!   selection;
 //! * [`segcache`] — the byte-bounded LRU segment cache with
 //!   interval-caching admission fronting the media tier;
-//! * [`sharing`] — the stream-sharing policy (batching windows and
-//!   patching decisions for popular content);
+//! * [`sharing`] — stream sharing for popular content: batching windows,
+//!   patching decisions and the shared-group table (membership, patch
+//!   cut-offs, epochs, cache pins) as a simulator-free core that answers in
+//!   [`ShareOut`] data;
 //! * [`fetch`] — the media-tier fetch client: per-stream pipelined segment
 //!   windows, replica choice, breaker scoring, hedged duplicates and shed
 //!   roll-back as a simulator-free core that answers in [`FetchOut`] data;
@@ -55,4 +57,6 @@ pub use overload::{
 pub use placement::{PlacementMap, ReplicaSelector};
 pub use qos::{GradingAction, ManagedStream, ServerQosManager};
 pub use segcache::{SegmentCache, SegmentCacheStats, SegmentKey};
-pub use sharing::{BatchingPolicy, GroupPhase, ShareDecision, SharingMode, SharingPolicy};
+pub use sharing::{
+    ShareDecision, ShareOut, SharedGroups, SharingMode, SharingPolicy, SharingStats,
+};

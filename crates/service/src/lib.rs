@@ -24,10 +24,8 @@ pub mod world;
 
 pub use client_actor::{ClientActor, ClientConfig, Presentation};
 pub use hermes::{install_course, install_figure2, lesson_markup, tutor_reply, LessonShape};
-pub use hermes_server::{MediaTier, MediaTierConfig, MediaTierStats, RemoteStream};
+pub use hermes_server::{MediaTier, MediaTierConfig, MediaTierStats, RemoteStream, SharingStats};
 pub use media_actor::{MediaActor, MediaNodeConfig, MediaNodeStats};
 pub use protocol::{MailMessage, SearchHit, ServiceMsg, StackPath};
-pub use server_actor::{
-    ServerActor, ServerConfig, SessionState, SharedGroup, SharingStats, StreamTx,
-};
+pub use server_actor::{ServerActor, ServerConfig, SessionState, StreamTx};
 pub use world::{ServiceWorld, SubsystemProfile, WorldBuilder};

@@ -17,10 +17,10 @@ use hermes_core::{
 use hermes_media::{CodecModel, FrameSource, SegmentFrame};
 use hermes_rtp::RtpSender;
 use hermes_server::{
-    compute_flow_scenario, AccountsDb, AdmissionController, AdmissionDecision, BatchingPolicy,
-    Charge, ConnectionRequest, Demand, FetchOut, FlowConfig, FlowPlan, GroupPhase, MediaTier,
-    MultimediaDb, PathCondition, PlacementMap, RemoteStream, ServerQosManager, ShareDecision,
-    SharingMode, SharingPolicy,
+    compute_flow_scenario, AccountsDb, AdmissionController, AdmissionDecision, Charge,
+    ConnectionRequest, Demand, FetchOut, FlowConfig, FlowPlan, MediaTier, MultimediaDb,
+    PathCondition, PlacementMap, RemoteStream, ServerQosManager, ShareDecision, ShareOut,
+    SharedGroups, SharingMode, SharingPolicy, SharingStats,
 };
 use hermes_simnet::obs::{MetricsRegistry, SloMonitor, SloSpec};
 use hermes_simnet::{Labels, Obs, Severity, SimApi, SpanId};
@@ -108,51 +108,6 @@ impl StreamTx {
     }
 }
 
-/// One shared delivery group: several sessions fed by the leader's streams
-/// over one simulator multicast group (batching/patching, ISSUE 3).
-#[derive(Debug)]
-pub struct SharedGroup {
-    /// The group id (also the simulator multicast group id).
-    pub id: u64,
-    /// Delivery epoch, bumped exactly once per media-node fault affecting
-    /// the group — the whole group fails over together.
-    pub epoch: u64,
-    /// The document the group delivers.
-    pub document: DocumentId,
-    /// The session whose streams feed the group.
-    pub leader: SessionId,
-    /// All member sessions (leader included).
-    pub members: Vec<SessionId>,
-    /// When the shared flow starts (creation + batching wait); requests
-    /// before this instant join the pending batch.
-    pub starts_at: MediaTime,
-    /// Media objects pinned in the segment cache for the group's lifetime.
-    pub objects: Vec<String>,
-    /// Patch cutoffs snapshotted per joiner *at join time* (the same
-    /// instant the joiner enters the multicast group): the patch covers
-    /// `[0, cutoff)` and the first shared frame the member sees carries
-    /// exactly `cutoff` — snapshotting later (at PatchRequest arrival)
-    /// would double-deliver frames multicast in between.
-    pub patch_cutoffs: BTreeMap<SessionId, Vec<(ComponentId, MediaTime)>>,
-}
-
-/// Counters of the stream-sharing machinery on one server.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SharingStats {
-    /// Shared groups opened.
-    pub groups_opened: u64,
-    /// Requests that joined a pending (not yet started) group.
-    pub joins_pending: u64,
-    /// Requests that joined a started group with a unicast patch.
-    pub joins_patched: u64,
-    /// Unicast patch streams started.
-    pub patch_streams: u64,
-    /// Frames sent over multicast groups.
-    pub mcast_frames: u64,
-    /// Group epoch bumps (media-tier failovers of a shared flow).
-    pub epoch_bumps: u64,
-}
-
 /// One client session's server-side state.
 #[derive(Debug)]
 pub struct SessionState {
@@ -189,8 +144,6 @@ pub struct SessionState {
     /// Admission-time shed: streams started this many grade levels below
     /// nominal because the path lacked headroom for full quality.
     pub shed_levels: u8,
-    /// The shared delivery group this session belongs to, if any.
-    pub group: Option<u64>,
     /// The session's root trace span (null when tracing is off).
     pub obs_root: SpanId,
     /// The open admission span: connect → first successful document
@@ -206,6 +159,38 @@ pub struct SessionState {
 }
 
 impl SessionState {
+    /// A session of `client` that has just connected (or been rebuilt) at
+    /// `now`: no document, no streams.
+    fn new(
+        client: NodeId,
+        user: Option<UserId>,
+        class: PricingClass,
+        cfg: &ServerConfig,
+        now: MediaTime,
+        obs_root: SpanId,
+        obs_admission: SpanId,
+    ) -> Self {
+        SessionState {
+            client,
+            user,
+            class,
+            qos: ServerQosManager::new(cfg.grading_order, cfg.hysteresis),
+            streams: BTreeMap::new(),
+            current_doc: None,
+            paused: false,
+            suspended: false,
+            connected_at: now,
+            heartbeat_seq: 0,
+            last_media: now,
+            last_ack: now,
+            shed_levels: 0,
+            obs_root,
+            obs_admission,
+            util_acc: 0.0,
+            util_pos: BTreeMap::new(),
+        }
+    }
+
     /// The session's current utility rate: summed [`stream_utility`] of its
     /// live continuous streams (utility per delivered media second).
     pub fn utility_rate(&self) -> f64 {
@@ -345,6 +330,9 @@ pub struct ServerActor {
     pub cfg: ServerConfig,
     /// Live sessions.
     pub sessions: BTreeMap<SessionId, SessionState>,
+    /// The stream-sharing table: popularity, groups, which group each
+    /// session is in, patch cut-offs, epochs and cache pins.
+    pub sharing: SharedGroups,
     next_session: u64,
     /// Other servers (for search fan-out), set by the world builder.
     pub peers: Vec<NodeId>,
@@ -367,15 +355,10 @@ pub struct ServerActor {
     ///
     /// [`ServiceWorld::distribute_media`]: crate::world::ServiceWorld::distribute_media
     pub media: Option<MediaTier>,
-    /// Per-object popularity accounting + the batching/patching decision
-    /// function (pure policy; the actor owns the groups and timers).
-    pub sharing: BatchingPolicy,
-    /// Live shared delivery groups by group id.
-    pub groups: BTreeMap<u64, SharedGroup>,
-    /// The joinable (latest) group per document.
-    open_groups: BTreeMap<DocumentId, u64>,
-    next_group: u64,
-    /// Stream-sharing counters.
+    /// What the sharing table asked for and nobody has applied yet.
+    share_out: Vec<ShareOut>,
+    /// Stream-sharing counters, counted where the actor applies
+    /// [`ShareOut`]s and sends frames.
     pub sharing_stats: SharingStats,
     /// Sessions stepped down by the degradation ladder, most recent last
     /// (restores pop in LIFO order).
@@ -521,7 +504,7 @@ pub struct CtrlHaStats {
 impl ServerActor {
     /// Create a server actor for a node.
     pub fn new(node: NodeId, server_id: ServerId, cfg: ServerConfig) -> Self {
-        let sharing = BatchingPolicy::new(cfg.sharing.clone());
+        let sharing = SharedGroups::new(cfg.sharing.clone(), node);
         ServerActor {
             node,
             server_id,
@@ -540,9 +523,7 @@ impl ServerActor {
             rebuilt_sessions: Vec::new(),
             media: None,
             sharing,
-            groups: BTreeMap::new(),
-            open_groups: BTreeMap::new(),
-            next_group: 1,
+            share_out: Vec::new(),
             sharing_stats: SharingStats::default(),
             ladder_stack: Vec::new(),
             ladder_armed: false,
@@ -573,15 +554,12 @@ impl ServerActor {
     pub fn on_crash(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
         // Shared groups are RAM: dissolve them (and their simulator
         // multicast memberships) before the sessions vanish.
-        let gids: Vec<u64> = self.groups.keys().copied().collect();
-        for gid in gids {
-            self.end_group(api, gid);
-        }
+        let cache = self.media.as_mut().map(|t| &mut t.cache);
+        self.sharing.crash(cache, &mut self.share_out);
+        self.flush_share(api);
         let ids: Vec<SessionId> = self.sessions.keys().copied().collect();
         for session in ids {
-            if let Some(conn) = self.admission.release(session) {
-                api.net_mut().release(conn);
-            }
+            self.release_admission(api, session);
         }
         // Every live session dies with the process — say so, and close its
         // spans, so the trace shows a terminal state for each one (the
@@ -948,31 +926,10 @@ impl ServerActor {
             "session_connect",
             Labels::session(session.raw()).peer(from.raw()),
         );
-        self.sessions.insert(
-            session,
-            SessionState {
-                client: from,
-                user: if authorized { user } else { None },
-                class,
-                qos: ServerQosManager::new(self.cfg.grading_order, self.cfg.hysteresis),
-                streams: BTreeMap::new(),
-                current_doc: None,
-                paused: false,
-                suspended: false,
-                connected_at: now,
-                heartbeat_seq: 0,
-                last_media: now,
-                last_ack: now,
-                shed_levels: 0,
-                group: None,
-                obs_root,
-                obs_admission,
-                util_acc: 0.0,
-                util_pos: BTreeMap::new(),
-            },
-        );
-        if authorized {
-            let u = user.unwrap();
+        let user = user.filter(|_| authorized);
+        let s = SessionState::new(from, user, class, &self.cfg, now, obs_root, obs_admission);
+        self.sessions.insert(session, s);
+        if let Some(u) = user {
             self.accounts.record_login(u, now);
             self.accounts.charge(u, Charge::Connection);
         }
@@ -1046,72 +1003,24 @@ impl ServerActor {
         session: SessionId,
         document: DocumentId,
     ) {
-        if self.sharing.policy().mode == SharingMode::Off {
-            self.deliver_document(
-                api,
-                session,
-                document,
-                MediaDuration::ZERO,
-                true,
-                MediaDuration::ZERO,
-            );
-            return;
-        }
         if !self.sessions.contains_key(&session) {
             return;
         }
-        let key = document.to_string();
-        self.sharing.on_request(&key);
-        let now = api.now();
-        let phase = self
-            .open_groups
-            .get(&document)
-            .and_then(|gid| self.groups.get(gid))
-            .map(|g| {
-                if now < g.starts_at {
-                    GroupPhase::Pending
-                } else {
-                    GroupPhase::Streaming {
-                        elapsed: now - g.starts_at,
-                    }
-                }
-            });
-        match self.sharing.decide(&key, phase) {
-            ShareDecision::Unicast => self.deliver_document(
-                api,
-                session,
-                document,
-                MediaDuration::ZERO,
-                true,
-                MediaDuration::ZERO,
-            ),
+        let (node, labels) = (self.node, Labels::session(session.raw()));
+        match self.sharing.route(document, api.now()) {
+            ShareDecision::Unicast => self.deliver_unicast(api, session, document),
             ShareDecision::OpenGroup { wait } => {
-                api.emit_val(
-                    self.node,
-                    Severity::Info,
-                    "share_open",
-                    Labels::session(session.raw()),
-                    wait.as_micros(),
-                );
+                let value = wait.as_micros();
+                api.emit_val(node, Severity::Info, "share_open", labels, value);
                 self.open_shared_group(api, session, document, wait)
             }
             ShareDecision::JoinPending => {
-                api.emit(
-                    self.node,
-                    Severity::Info,
-                    "share_join",
-                    Labels::session(session.raw()),
-                );
+                api.emit(node, Severity::Info, "share_join", labels);
                 self.join_shared_group(api, session, document, None)
             }
             ShareDecision::JoinWithPatch { offset } => {
-                api.emit_val(
-                    self.node,
-                    Severity::Info,
-                    "share_join_patch",
-                    Labels::session(session.raw()),
-                    offset.as_micros(),
-                );
+                let value = offset.as_micros();
+                api.emit_val(node, Severity::Info, "share_join_patch", labels, value);
                 self.join_shared_group(api, session, document, Some(offset))
             }
         }
@@ -1136,60 +1045,16 @@ impl ServerActor {
         let Some(s) = self.sessions.get(&session) else {
             return;
         };
-        if s.current_doc != Some(document)
-            || !s
-                .streams
-                .values()
-                .any(|tx| tx.plan.kind.is_continuous() && !tx.done)
-        {
+        let continuous = s.streams.values().filter(|tx| tx.plan.kind.is_continuous());
+        if s.current_doc != Some(document) || continuous.clone().all(|tx| tx.done) {
             return;
         }
-        let client = s.client;
-        let objects: Vec<String> = s
-            .streams
-            .values()
-            .filter(|tx| tx.plan.kind.is_continuous())
-            .filter_map(|tx| tx.remote.as_ref().map(|r| r.object.clone()))
-            .collect();
-        // Pin the group's working set: shared flows serve many viewers per
-        // fetched byte, so their segments must survive cache pressure.
-        if let Some(tier) = self.media.as_mut() {
-            for o in &objects {
-                tier.cache.pin(o);
-            }
-        }
-        // Travels as an event's `stream` label, a 32-bit slot: fits while
-        // this node's raw id is below 4096 (past it `obs.label_overflow`
-        // counts the event and `check_run` reports the run).
-        let gid = (self.node.raw() << 20) | self.next_group;
-        self.next_group += 1;
-        self.groups.insert(
-            gid,
-            SharedGroup {
-                id: gid,
-                epoch: 0,
-                document,
-                leader: session,
-                members: vec![session],
-                starts_at: now + wait,
-                objects,
-                patch_cutoffs: BTreeMap::new(),
-            },
-        );
-        self.open_groups.insert(document, gid);
-        self.sessions.get_mut(&session).unwrap().group = Some(gid);
-        api.mcast_join(gid, client);
-        self.sharing_stats.groups_opened += 1;
-        api.send_reliable(
-            self.node,
-            client,
-            ServiceMsg::StreamJoin {
-                session,
-                group: gid,
-                epoch: 0,
-                offset_micros: -1,
-            },
-        );
+        let objects = continuous.filter_map(|tx| tx.remote.as_ref().map(|r| r.object.clone()));
+        let cache = self.media.as_mut().map(|t| &mut t.cache);
+        let (starts_at, out) = (now + wait, &mut self.share_out);
+        self.sharing
+            .open(session, document, starts_at, objects.collect(), cache, out);
+        self.flush_share(api);
     }
 
     /// Attach `session` to the document's joinable group. `offset` is
@@ -1204,17 +1069,9 @@ impl ServerActor {
         document: DocumentId,
         offset: Option<MediaDuration>,
     ) {
-        let Some(&gid) = self.open_groups.get(&document) else {
+        let Some(gid) = self.sharing.joinable(document) else {
             // Raced with the group ending: fall back to a private flow.
-            self.deliver_document(
-                api,
-                session,
-                document,
-                MediaDuration::ZERO,
-                true,
-                MediaDuration::ZERO,
-            );
-            return;
+            return self.deliver_unicast(api, session, document);
         };
         self.leave_group(api, session);
         let Some(s) = self.sessions.get(&session) else {
@@ -1238,9 +1095,7 @@ impl ServerActor {
             }
         };
         let flow = compute_flow_scenario(&doc.scenario, self.cfg.flow);
-        if let Some(conn) = self.admission.release(session) {
-            api.net_mut().release(conn);
-        }
+        self.release_admission(api, session);
         if let Err(reason) = self.admit_with_shedding(api, session, class, client, &flow, true) {
             api.send_reliable(self.node, client, ServiceMsg::DocError { session, reason });
             return;
@@ -1250,7 +1105,9 @@ impl ServerActor {
             self.accounts.charge(u, Charge::Retrieval(document));
         }
         self.release_session_readers(session);
-        let s = self.sessions.get_mut(&session).unwrap();
+        let Some(s) = self.sessions.get_mut(&session) else {
+            return;
+        };
         s.streams.clear();
         s.qos = ServerQosManager::new(self.cfg.grading_order, self.cfg.hysteresis);
         s.current_doc = Some(document);
@@ -1266,76 +1123,35 @@ impl ServerActor {
                 lead_micros: flow.lead.as_micros(),
             },
         );
+        // Snapshot the leader's pacer positions now: this event also enters
+        // the joiner into the multicast group, so every frame multicast
+        // after this instant reaches it — the patch must cover exactly the
+        // pts before these positions, no more.
+        let sessions = &self.sessions;
+        let positions = |leader| {
+            let streams = sessions.get(&leader)?.streams.iter();
+            let live = streams.filter(|(_, tx)| tx.plan.kind.is_continuous());
+            Some(live.map(|(c, tx)| (*c, tx.source.next_pts())).collect())
+        };
+        let cache = self.media.as_mut().map(|t| &mut t.cache);
+        let out = &mut self.share_out;
+        let starts_at = self
+            .sharing
+            .join(session, gid, offset, positions, cache, out);
         // Discrete objects (images, text) stay per-session: they are tiny
         // next to the continuous media and every member needs its own copy.
         // Their schedule is shifted onto the *group's* timeline — a pending
         // member receiving its images early would satisfy the client's
         // prefill check and start playout before the shared flow exists.
-        let remaining_wait = self
-            .groups
-            .get(&gid)
-            .map(|g| (g.starts_at - api.now()).max(MediaDuration::ZERO))
-            .unwrap_or(MediaDuration::ZERO);
-        let plans: Vec<FlowPlan> = flow
-            .plans
-            .iter()
-            .filter(|p| !p.kind.is_continuous())
-            .cloned()
-            .collect();
-        for plan in &plans {
+        let remaining_wait = starts_at.map_or(MediaDuration::ZERO, |t| {
+            (t - api.now()).max(MediaDuration::ZERO)
+        });
+        for plan in flow.plans.iter().filter(|p| !p.kind.is_continuous()) {
             let delay =
                 (plan.send_start - MediaTime::ZERO).max(MediaDuration::ZERO) + remaining_wait;
             self.schedule_discrete(api, session, plan, delay);
         }
-        // Snapshot the leader's pacer positions now: this event also enters
-        // the joiner into the multicast group, so every frame multicast
-        // after this instant reaches it — the patch must cover exactly the
-        // pts before these positions, no more.
-        let cutoffs: Option<Vec<(ComponentId, MediaTime)>> = if offset.is_some() {
-            let leader = self.groups.get(&gid).map(|g| g.leader);
-            leader.and_then(|l| self.sessions.get(&l)).map(|ls| {
-                ls.streams
-                    .iter()
-                    .filter(|(_, tx)| tx.plan.kind.is_continuous())
-                    .map(|(c, tx)| (*c, tx.source.next_pts()))
-                    .collect()
-            })
-        } else {
-            None
-        };
-        let Some(g) = self.groups.get_mut(&gid) else {
-            return;
-        };
-        g.members.push(session);
-        if let Some(c) = cutoffs {
-            g.patch_cutoffs.insert(session, c);
-        }
-        let epoch = g.epoch;
-        self.sessions.get_mut(&session).unwrap().group = Some(gid);
-        api.mcast_join(gid, client);
-        let offset_micros = match offset {
-            // The shared flow already runs: the client must ask for the
-            // missed prefix (any non-negative offset, including zero —
-            // frames may have left in this very instant).
-            Some(o) => o.as_micros().max(0),
-            None => {
-                self.sharing_stats.joins_pending += 1;
-                -1
-            }
-        };
-        if offset.is_some() {
-            self.sharing_stats.joins_patched += 1;
-        }
-        api.send_reliable(
-            self.node,
-            client,
-            ServiceMsg::StreamJoin {
-                session,
-                group: gid,
-                epoch,
-                offset_micros,
-            },
-        );
+        self.flush_share(api);
     }
 
     /// The joiner asked for the missed prefix of its shared flow: start a
@@ -1344,92 +1160,83 @@ impl ServerActor {
     /// frame carries exactly that pts, so patch + shared flow tile the
     /// stream with no duplicate and no gap.
     fn on_patch_request(&mut self, api: &mut SimApi<'_, ServiceMsg>, session: SessionId, gid: u64) {
-        if self.sessions.get(&session).and_then(|s| s.group) != Some(gid) {
-            return;
-        }
-        let Some(g) = self.groups.get_mut(&gid) else {
-            return;
-        };
-        let document = g.document;
-        let Some(cutoffs) = g.patch_cutoffs.remove(&session) else {
-            return; // no snapshot (or already patched): nothing missed
+        let Some((document, cutoffs)) = self.sharing.take_cutoffs(session, gid) else {
+            return; // not a member, no snapshot, or already patched
         };
         let doc = match self.db.document(document) {
             Ok(d) => d.clone(),
             Err(_) => return,
         };
         let flow = compute_flow_scenario(&doc.scenario, self.cfg.flow);
-        for plan in &flow.plans {
-            if !plan.kind.is_continuous() {
-                continue;
-            }
+        for plan in flow.plans.iter().filter(|p| p.kind.is_continuous()) {
             let Some(&(_, cutoff)) = cutoffs.iter().find(|(c, _)| *c == plan.component) else {
                 continue;
             };
             if cutoff <= MediaTime::ZERO {
                 continue; // nothing missed yet
             }
-            let source =
-                self.db
-                    .store(plan.kind)
-                    .open(&plan.source.object, plan.component, plan.duration);
-            let Some(source) = source else {
-                continue;
-            };
-            let tier = self.media.as_mut();
-            let remote = tier.and_then(|t| t.open(&*api, &plan.source.object, plan.kind, 0));
-            let ssrc = ((session.raw() as u32) << 16) ^ plan.component.raw() as u32;
-            let s = self.sessions.get_mut(&session).unwrap();
-            let tx = StreamTx::new(plan, source, ssrc, remote, Some(cutoff));
-            s.streams.insert(plan.component, tx);
-            api.set_timer(
-                self.node,
-                MediaDuration::ZERO,
-                timers::TK_STREAM_START,
-                timers::pack(session, plan.component),
-            );
-            self.sharing_stats.patch_streams += 1;
-        }
-    }
-
-    /// Detach `session` from its shared group, if any. The leader leaving
-    /// dissolves the whole group (members keep whatever they buffered).
-    fn leave_group(&mut self, api: &mut SimApi<'_, ServiceMsg>, session: SessionId) {
-        let Some(s) = self.sessions.get_mut(&session) else {
-            return;
-        };
-        let Some(gid) = s.group.take() else {
-            return;
-        };
-        let client = s.client;
-        let Some(g) = self.groups.get_mut(&gid) else {
-            return;
-        };
-        g.members.retain(|&m| m != session);
-        api.mcast_leave(gid, client);
-        if g.leader == session || g.members.is_empty() {
-            self.end_group(api, gid);
-        }
-    }
-
-    /// Dissolve a shared group: release memberships, unpin its cached
-    /// segments, and stop advertising it as joinable.
-    fn end_group(&mut self, api: &mut SimApi<'_, ServiceMsg>, gid: u64) {
-        let Some(g) = self.groups.remove(&gid) else {
-            return;
-        };
-        if self.open_groups.get(&g.document) == Some(&gid) {
-            self.open_groups.remove(&g.document);
-        }
-        for m in g.members {
-            if let Some(s) = self.sessions.get_mut(&m) {
-                s.group = None;
-                api.mcast_leave(gid, s.client);
+            let until = Some(cutoff);
+            if self.start_stream(api, session, plan, MediaDuration::ZERO, until, |_| {}) {
+                self.sharing_stats.patch_streams += 1;
             }
         }
-        if let Some(tier) = self.media.as_mut() {
-            for o in &g.objects {
-                tier.cache.unpin(o);
+    }
+
+    /// Detach `session` from its shared group, if any; the leader leaving
+    /// dissolves the whole group (members keep whatever they buffered).
+    fn leave_group(&mut self, api: &mut SimApi<'_, ServiceMsg>, session: SessionId) {
+        let cache = self.media.as_mut().map(|t| &mut t.cache);
+        self.sharing.leave(session, cache, &mut self.share_out);
+        self.flush_share(api);
+    }
+
+    /// Apply what the sharing table asked for, in the order it asked,
+    /// counting [`SharingStats`] as it goes.
+    fn flush_share(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
+        let node = self.node;
+        for o in self.share_out.drain(..) {
+            match o {
+                ShareOut::Join { group, session } => {
+                    if let Some(s) = self.sessions.get(&session) {
+                        api.mcast_join(group, s.client);
+                    }
+                }
+                ShareOut::Leave { group, session } => {
+                    if let Some(s) = self.sessions.get(&session) {
+                        api.mcast_leave(group, s.client);
+                    }
+                }
+                ShareOut::Announce {
+                    session,
+                    group,
+                    epoch,
+                    offset_micros,
+                } => {
+                    let Some(s) = self.sessions.get(&session) else {
+                        continue;
+                    };
+                    let st = &mut self.sharing_stats;
+                    if offset_micros >= 0 {
+                        st.joins_patched += 1;
+                    } else if self.sharing.leads(session) == Some(group) {
+                        st.groups_opened += 1;
+                    } else {
+                        st.joins_pending += 1;
+                    }
+                    let msg = ServiceMsg::StreamJoin {
+                        session,
+                        group,
+                        epoch,
+                        offset_micros,
+                    };
+                    api.send_reliable(node, s.client, msg);
+                }
+                ShareOut::Epoch { group, epoch } => {
+                    self.sharing_stats.epoch_bumps += 1;
+                    let labels = Labels::NONE.stream(group);
+                    api.emit_val(node, Severity::Info, "group_epoch", labels, epoch as i64);
+                    api.send_mcast(node, group, ServiceMsg::GroupEpoch { group, epoch });
+                }
             }
         }
     }
@@ -1484,29 +1291,9 @@ impl ServerActor {
             Labels::session(new_session.raw()).peer(from.raw()),
             session.raw() as i64,
         );
-        self.sessions.insert(
-            new_session,
-            SessionState {
-                client: from,
-                user: if authorized { user } else { None },
-                class,
-                qos: ServerQosManager::new(self.cfg.grading_order, self.cfg.hysteresis),
-                streams: BTreeMap::new(),
-                current_doc: None,
-                paused: false,
-                suspended: false,
-                connected_at: now,
-                heartbeat_seq: 0,
-                last_media: now,
-                last_ack: now,
-                shed_levels: 0,
-                group: None,
-                obs_root,
-                obs_admission: SpanId::NONE,
-                util_acc: 0.0,
-                util_pos: BTreeMap::new(),
-            },
-        );
+        let user = user.filter(|_| authorized);
+        let s = SessionState::new(from, user, class, &self.cfg, now, obs_root, SpanId::NONE);
+        self.sessions.insert(new_session, s);
         self.rebuilt_sessions.push((session, new_session));
         self.start_heartbeat(api, new_session);
         api.send_reliable(
@@ -1599,6 +1386,17 @@ impl ServerActor {
         Err(last_reason)
     }
 
+    /// Deliver a document to a session over a private flow from the start.
+    fn deliver_unicast(
+        &mut self,
+        api: &mut SimApi<'_, ServiceMsg>,
+        session: SessionId,
+        document: DocumentId,
+    ) {
+        let zero = MediaDuration::ZERO;
+        self.deliver_document(api, session, document, zero, true, zero);
+    }
+
     /// Deliver a document to a session: admission (with graceful shedding),
     /// optionally the scenario itself, then media activation. `resume_from`
     /// shifts all send starts earlier and fast-forwards the frame sources —
@@ -1644,9 +1442,7 @@ impl ServerActor {
         // pressure, shed quality levels before giving up ("graceful
         // degradation instead of session loss").
         // Release any previous document's reservation first.
-        if let Some(conn) = self.admission.release(session) {
-            api.net_mut().release(conn);
-        }
+        self.release_admission(api, session);
         let shed = match self.admit_with_shedding(api, session, class, client, &flow, false) {
             Ok(shed) => shed,
             Err(reason) => {
@@ -1738,28 +1534,8 @@ impl ServerActor {
                 if start_level > GradeLevel::NOMINAL {
                     s.qos.force_level(plan.component, start_level);
                 }
-                // Open the frame source through the store handle — the
-                // object's metadata stays in the database, un-cloned.
-                let source = self.db.store(plan.kind).open(
-                    &plan.source.object,
-                    plan.component,
-                    plan.duration,
-                );
-                let Some(mut source) = source else {
-                    api.send_reliable(
-                        self.node,
-                        client,
-                        ServiceMsg::DocError {
-                            session,
-                            reason: format!("media object '{}' missing", plan.source.object),
-                        },
-                    );
-                    continue;
-                };
-                if start_level > GradeLevel::NOMINAL {
+                let started = self.start_stream(api, session, plan, delay, None, |source| {
                     source.set_level(start_level);
-                }
-                if elapsed > MediaDuration::ZERO {
                     // Fast-forward past the client's playout position: the
                     // stream restarts where the viewer left off. Source pts
                     // are stream-relative, so skip only the elapsed part.
@@ -1767,20 +1543,12 @@ impl ServerActor {
                     while source.frames_remaining() > 0 && source.next_pts() < ff_point {
                         let _ = source.next_frame();
                     }
+                });
+                if !started {
+                    let reason = format!("media object '{}' missing", plan.source.object);
+                    let msg = ServiceMsg::DocError { session, reason };
+                    api.send_reliable(self.node, client, msg);
                 }
-                let (object, seq) = (&plan.source.object, source.next_seq());
-                let tier = self.media.as_mut();
-                let remote = tier.and_then(|t| t.open(&*api, object, plan.kind, seq));
-                let ssrc = ((session.raw() as u32) << 16) ^ plan.component.raw() as u32;
-                let s = self.sessions.get_mut(&session).unwrap();
-                let tx = StreamTx::new(plan, source, ssrc, remote, None);
-                s.streams.insert(plan.component, tx);
-                api.set_timer(
-                    self.node,
-                    delay,
-                    timers::TK_STREAM_START,
-                    timers::pack(session, plan.component),
-                );
             } else {
                 if resume_from > MediaDuration::ZERO && elapsed > MediaDuration::ZERO {
                     // Discrete object already shown before the outage.
@@ -1788,6 +1556,47 @@ impl ServerActor {
                 }
                 self.schedule_discrete(api, session, plan, delay);
             }
+        }
+    }
+
+    /// Start `plan`'s continuous stream for `session`: open its frame source
+    /// through the store handle (the object's metadata stays in the
+    /// database, un-cloned) and let `prep` position it, open its media-tier
+    /// fetch state and RTP sender, and arm its first frame `delay` from now.
+    /// False when the store lacks the object.
+    fn start_stream(
+        &mut self,
+        api: &mut SimApi<'_, ServiceMsg>,
+        session: SessionId,
+        plan: &FlowPlan,
+        delay: MediaDuration,
+        patch_until: Option<MediaTime>,
+        prep: impl FnOnce(&mut FrameSource),
+    ) -> bool {
+        let store = self.db.store(plan.kind);
+        let object = &plan.source.object;
+        let (Some(s), Some(mut source)) = (
+            self.sessions.get_mut(&session),
+            store.open(object, plan.component, plan.duration),
+        ) else {
+            return false;
+        };
+        prep(&mut source);
+        let tier = self.media.as_mut();
+        let remote = tier.and_then(|t| t.open(&*api, object, plan.kind, source.next_seq()));
+        let ssrc = ((session.raw() as u32) << 16) ^ plan.component.raw() as u32;
+        let tx = StreamTx::new(plan, source, ssrc, remote, patch_until);
+        s.streams.insert(plan.component, tx);
+        let key = timers::pack(session, plan.component);
+        api.set_timer(self.node, delay, timers::TK_STREAM_START, key);
+        true
+    }
+
+    /// Return `session`'s admission reservation, and the links it held, to
+    /// the pool.
+    fn release_admission(&mut self, api: &mut SimApi<'_, ServiceMsg>, session: SessionId) {
+        if let Some(conn) = self.admission.release(session) {
+            api.net_mut().release(conn);
         }
     }
 
@@ -2006,34 +1815,6 @@ impl ServerActor {
             .collect()
     }
 
-    /// Shared groups move as one unit: exactly ONE epoch bump per group per
-    /// re-point, announced to the whole group — the leader's per-stream
-    /// re-point already moved the fetch window, so members see an
-    /// uninterrupted frame sequence.
-    fn bump_group_epochs(
-        &mut self,
-        api: &mut SimApi<'_, ServiceMsg>,
-        affected: &[(SessionId, ComponentId)],
-    ) {
-        for (&gid, g) in self.groups.iter_mut() {
-            if !affected.iter().any(|(sid, _)| *sid == g.leader) {
-                continue;
-            }
-            g.epoch += 1;
-            let epoch = g.epoch;
-            self.sharing_stats.epoch_bumps += 1;
-            let labels = Labels::NONE.stream(gid);
-            api.emit_val(
-                self.node,
-                Severity::Info,
-                "group_epoch",
-                labels,
-                epoch as i64,
-            );
-            api.send_mcast(self.node, gid, ServiceMsg::GroupEpoch { group: gid, epoch });
-        }
-    }
-
     /// A replica's circuit just tripped Open: re-point every live stream
     /// pulling from it at the best admitted alternative. With no sound
     /// alternative the re-pick lands on the sick node again and the probe
@@ -2045,7 +1826,8 @@ impl ServerActor {
         for &(sid, cid) in &affected {
             self.repump_stream(api, sid, cid);
         }
-        self.bump_group_epochs(api, &affected);
+        self.sharing.bump(&affected, &mut self.share_out);
+        self.flush_share(api);
     }
 
     /// Arm the degradation-ladder evaluation chain once a tier with the
@@ -2611,7 +2393,8 @@ impl ServerActor {
             self.repump_stream(api, sid, cid);
         }
         self.fetch.flush(api, &mut self.slo);
-        self.bump_group_epochs(api, &affected);
+        self.sharing.bump(&affected, &mut self.share_out);
+        self.flush_share(api);
     }
 
     /// A media node crashed or restarted: every stream pulling from it
@@ -2633,7 +2416,8 @@ impl ServerActor {
             }
         }
         self.flush_woken(api);
-        self.bump_group_epochs(api, &affected);
+        self.sharing.bump(&affected, &mut self.share_out);
+        self.flush_share(api);
         self.drain_breaker_events(api);
     }
 
@@ -2745,11 +2529,7 @@ impl ServerActor {
         let client = s.client;
         // A group leader's streams feed the whole group: one multicast send
         // replaces the per-member unicasts (single copy per egress link).
-        let shared = s
-            .group
-            .and_then(|gid| self.groups.get(&gid))
-            .filter(|g| g.leader == session)
-            .map(|g| g.id);
+        let shared = self.sharing.leads(session);
         let Some(tx) = s.streams.get_mut(&component) else {
             return;
         };
@@ -2784,7 +2564,6 @@ impl ServerActor {
                 return;
             }
         }
-        let mut stream_finished = false;
         match tx.source.next_frame() {
             Some(frame) => {
                 if let Some(spec) = fetched {
@@ -2833,25 +2612,13 @@ impl ServerActor {
             }
             None => {
                 tx.done = true;
-                stream_finished = true;
-            }
-        }
-        if stream_finished {
-            if let Some(gid) = shared {
                 // The group ends when the leader's last continuous stream
                 // finishes; members keep draining their playout buffers.
-                let all_done = self
-                    .sessions
-                    .get(&session)
-                    .map(|s| {
-                        s.streams
-                            .values()
-                            .filter(|t| t.plan.kind.is_continuous())
-                            .all(|t| t.done || t.stopped)
-                    })
-                    .unwrap_or(true);
-                if all_done {
-                    self.end_group(api, gid);
+                let mut continuous = s.streams.values().filter(|t| t.plan.kind.is_continuous());
+                if let Some(gid) = shared.filter(|_| continuous.all(|t| t.done || t.stopped)) {
+                    let cache = self.media.as_mut().map(|t| &mut t.cache);
+                    self.sharing.end(gid, cache, &mut self.share_out);
+                    self.flush_share(api);
                 }
             }
         }
@@ -2961,9 +2728,7 @@ impl ServerActor {
     fn teardown_session(&mut self, api: &mut SimApi<'_, ServiceMsg>, session: SessionId) {
         self.leave_group(api, session);
         self.release_session_readers(session);
-        if let Some(conn) = self.admission.release(session) {
-            api.net_mut().release(conn);
-        }
+        self.release_admission(api, session);
         if let Some(mut s) = self.sessions.remove(&session) {
             // Fold the session's utility integral into the closed ledger so
             // `server.utility_acc` keeps counting it after removal.
@@ -3000,36 +2765,17 @@ impl ServerActor {
             .counter_set("server.admit_rejected", l, rejected);
         obs.registry
             .gauge_set("server.sessions", l, self.sessions.len() as f64);
-        obs.registry.counter_set(
-            "server.share_groups_opened",
-            l,
-            self.sharing_stats.groups_opened,
-        );
-        obs.registry.counter_set(
-            "server.share_joins_pending",
-            l,
-            self.sharing_stats.joins_pending,
-        );
-        obs.registry.counter_set(
-            "server.share_joins_patched",
-            l,
-            self.sharing_stats.joins_patched,
-        );
-        obs.registry.counter_set(
-            "server.share_patch_streams",
-            l,
-            self.sharing_stats.patch_streams,
-        );
-        obs.registry.counter_set(
-            "server.share_mcast_frames",
-            l,
-            self.sharing_stats.mcast_frames,
-        );
-        obs.registry.counter_set(
-            "server.share_epoch_bumps",
-            l,
-            self.sharing_stats.epoch_bumps,
-        );
+        let sh = self.sharing_stats;
+        for (name, count) in [
+            ("server.share_groups_opened", sh.groups_opened),
+            ("server.share_joins_pending", sh.joins_pending),
+            ("server.share_joins_patched", sh.joins_patched),
+            ("server.share_patch_streams", sh.patch_streams),
+            ("server.share_mcast_frames", sh.mcast_frames),
+            ("server.share_epoch_bumps", sh.epoch_bumps),
+        ] {
+            obs.registry.counter_set(name, l, count);
+        }
         if let Some(tier) = self.media.as_ref() {
             let (st, c) = (tier.stats, tier.cache.stats);
             for (name, count) in [
