@@ -6,7 +6,8 @@
 //! actuated, and the fleet ends the crowd with strictly higher aggregate
 //! utility and a strictly lower session gap P99 than the same sweep with
 //! the controller pinned to its host (it dies, and grading, pricing and
-//! elastic scale-out silently stop — ROADMAP item 4's failure mode).
+//! elastic scale-out silently stop — the controller as a single point of
+//! failure).
 //!
 //! The deployment separates the management tier from the data path so the
 //! crash isolates the control function: three multimedia servers, with the

@@ -29,6 +29,9 @@ use hermes_obs::{Labels, Obs, Severity, SpanId};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 
+#[cfg(test)]
+mod spec;
+
 /// Anything sent through the network must report its wire size.
 pub trait WireSize {
     /// Serialized size in bytes (headers included).
@@ -103,8 +106,11 @@ impl FromIterator<u32> for Targets {
 enum Pending<M> {
     /// A packet from `src` sitting at `here`, about to cross the egress link
     /// toward `dst` (dense node indices, translated once when the send
-    /// started). It owns no heap memory but its message: the routing table
-    /// is asked for the next link at every hop.
+    /// started): a packet a hop forwarded to `here`, or a retransmission
+    /// waiting at `here == src`. A send's first transmission is no event —
+    /// [`Core::start_send`] takes the first link itself. It owns no heap
+    /// memory but its message: the routing table is asked for the next link
+    /// at every hop.
     Hop {
         src: u32,
         here: u32,
@@ -151,11 +157,11 @@ enum Pending<M> {
         /// work stays attributed to the request chain that scheduled it.
         cause: CauseCtx,
     },
-    /// A multicast copy sitting at `here`, bound for the subtree of group
-    /// members in `targets` (dense indices, ascending by node id). At each
-    /// hop the copy fans out with ONE link transmission per distinct egress
-    /// link, so a shared flow costs a single copy on every trunk it crosses
-    /// regardless of receiver count.
+    /// A multicast copy that a hop forwarded to `here`, bound for the
+    /// subtree of group members in `targets` (dense indices, ascending by
+    /// node id). At each hop the copy fans out with ONE link transmission
+    /// per distinct egress link, so a shared flow costs a single copy on
+    /// every trunk it crosses regardless of receiver count.
     McastHop {
         group: u64,
         /// Dense index of the sender `from` ([`NONE`] if unknown).
@@ -173,29 +179,6 @@ enum Pending<M> {
     },
     /// An injected fault to apply.
     Fault(FaultKind),
-}
-
-struct Scheduled<M> {
-    at: MediaTime,
-    seq: u64,
-    pending: Pending<M>,
-}
-
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 /// Engine-level delivery counters.
@@ -244,18 +227,51 @@ impl Default for SimConfig {
 }
 
 /// The future-event list: a min-heap on (time, scheduling order), so events
-/// of one instant run in the order they were scheduled. A field of its own
-/// so a borrowed reliable channel can schedule its releases.
+/// of one instant run in the order they were scheduled. The heap orders
+/// 24-byte `(at, seq, slot)` keys; each event sits still in its slot until
+/// it is popped, and a popped slot is reused. A field of its own so a
+/// borrowed reliable channel can schedule its releases.
 struct EventQueue<M> {
-    heap: BinaryHeap<Reverse<Scheduled<M>>>,
+    heap: BinaryHeap<Reverse<(MediaTime, u64, u32)>>,
+    /// Events by slot; `None` is a free slot, listed in `free`.
+    slots: Vec<Option<Pending<M>>>,
+    free: Vec<u32>,
     seq: u64,
 }
 
 impl<M> EventQueue<M> {
+    fn new() -> Self {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            seq: 0,
+        }
+    }
+
     fn push(&mut self, at: MediaTime, pending: Pending<M>) {
-        let seq = self.seq;
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                self.slots.push(None);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.slots[slot as usize] = Some(pending);
+        self.heap.push(Reverse((at, self.seq, slot)));
         self.seq += 1;
-        self.heap.push(Reverse(Scheduled { at, seq, pending }));
+    }
+
+    /// Time of the earliest event.
+    fn peek_at(&self) -> Option<MediaTime> {
+        self.heap.peek().map(|Reverse((at, ..))| *at)
+    }
+
+    fn pop(&mut self) -> Option<(MediaTime, Pending<M>)> {
+        let Reverse((at, _, slot)) = self.heap.pop()?;
+        self.free.push(slot);
+        let pending = self.slots[slot as usize].take();
+        Some((at, pending.expect("a queued key names a live slot")))
     }
 }
 
@@ -354,6 +370,11 @@ struct Core<M> {
     /// engine is generic over `M`, so the service layer registers its
     /// classifier as a plain fn pointer (default: every message is "msg").
     kind_of: fn(&M) -> &'static str,
+    /// The engine as it was before a send took its first link itself: the
+    /// first hop is queued at `now` like a forwarded one. The executable
+    /// spec the differential tests hold the engine to.
+    #[cfg(test)]
+    queued_first_hop: bool,
 }
 
 /// Liveness of one node's process.
@@ -527,6 +548,13 @@ impl<M: WireSize + Clone> Core<M> {
         }
     }
 
+    /// Start a unicast send: a self-send is delivered as the next event;
+    /// any other send crosses its first link here, at the instant it is
+    /// made, so a message on an n-link path costs n events. Tie rule: the
+    /// send takes the node's egress link, and schedules what that link
+    /// reaches, ahead of the events still queued for this microsecond,
+    /// among them any retransmission from this node or packet forwarded
+    /// through it.
     fn start_send(
         &mut self,
         from: NodeId,
@@ -572,27 +600,38 @@ impl<M: WireSize + Clone> Core<M> {
             }
         };
         let now = self.now;
-        self.queue.push(
-            now,
-            Pending::Hop {
-                src,
-                here: src,
-                dst,
-                msg,
-                transport,
-                attempt,
-                sent_at: now,
-                seq_no,
-                src_inc: src_state.inc,
-                cause,
-            },
+        #[cfg(test)]
+        if self.queued_first_hop {
+            self.queue.push(
+                now,
+                Pending::Hop {
+                    src,
+                    here: src,
+                    dst,
+                    msg,
+                    transport,
+                    attempt,
+                    sent_at: now,
+                    seq_no,
+                    src_inc: src_state.inc,
+                    cause,
+                },
+            );
+            return true;
+        }
+        let inc = src_state.inc;
+        self.process_hop(
+            src, src, dst, msg, transport, attempt, now, seq_no, inc, cause,
         );
         true
     }
 
     /// Start a multicast send: one logical message toward every current
-    /// member of `group` except the sender. Returns the number of member
-    /// nodes targeted (0 when the sender is dead or the group is empty).
+    /// member of `group` except the sender, fanned out over the sender's
+    /// egress links at once (the tie rule of [`Core::start_send`]; a member
+    /// that leaves later in the same instant loses its copy at the next
+    /// hop, not at the sender). Returns the number of member nodes targeted
+    /// (0 when the sender is dead or the group is empty).
     fn start_send_mcast(&mut self, from: NodeId, group: u64, msg: M) -> usize {
         let src = self.ix(from);
         let src_state = self.node(src);
@@ -622,20 +661,26 @@ impl<M: WireSize + Clone> Core<M> {
         self.stats.mcast_sends += 1;
         let now = self.now;
         let cause = self.current_cause;
-        self.queue.push(
-            now,
-            Pending::McastHop {
-                group,
-                src,
-                here: src,
-                targets,
-                from,
-                msg,
-                src_inc: src_state.inc,
-                cause,
-                sent_at: now,
-            },
-        );
+        #[cfg(test)]
+        if self.queued_first_hop {
+            self.queue.push(
+                now,
+                Pending::McastHop {
+                    group,
+                    src,
+                    here: src,
+                    targets,
+                    from,
+                    msg,
+                    src_inc: src_state.inc,
+                    cause,
+                    sent_at: now,
+                },
+            );
+            return count;
+        }
+        let inc = src_state.inc;
+        self.process_mcast_hop(group, src, src, targets, from, msg, inc, cause, now);
         count
     }
 
@@ -1062,10 +1107,7 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
             app,
             core: Core {
                 now: MediaTime::ZERO,
-                queue: EventQueue {
-                    heap: BinaryHeap::new(),
-                    seq: 0,
-                },
+                queue: EventQueue::new(),
                 net,
                 rng: SimRng::seed_from_u64(seed),
                 cfg,
@@ -1077,6 +1119,8 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
                 obs: Obs::new(),
                 current_cause: CauseCtx::NONE,
                 kind_of: |_| "msg",
+                #[cfg(test)]
+                queued_first_hop: false,
             },
         }
     }
@@ -1173,12 +1217,12 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
 
     /// Process a single event. Returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(ev)) = self.core.queue.heap.pop() else {
+        let Some((at, pending)) = self.core.queue.pop() else {
             return false;
         };
-        debug_assert!(ev.at >= self.core.now, "time went backwards");
-        self.core.now = ev.at;
-        match ev.pending {
+        debug_assert!(at >= self.core.now, "time went backwards");
+        self.core.now = at;
+        match pending {
             Pending::Hop {
                 src,
                 here,
@@ -1285,14 +1329,9 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
     /// are processed). Returns the number of events processed.
     pub fn run_until(&mut self, until: MediaTime) -> u64 {
         let mut n = 0;
-        loop {
-            match self.core.queue.heap.peek() {
-                Some(Reverse(ev)) if ev.at <= until => {
-                    self.step();
-                    n += 1;
-                }
-                _ => break,
-            }
+        while self.core.queue.peek_at().is_some_and(|at| at <= until) {
+            self.step();
+            n += 1;
         }
         self.core.now = self.core.now.max(until);
         n
@@ -1816,10 +1855,7 @@ mod tests {
     #[test]
     fn channel_gate_skips_runs_of_abandoned_numbers_on_a_monotone_clock() {
         let mut channel: Channel<Msg> = Channel::default();
-        let mut queue = EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        };
+        let mut queue = EventQueue::new();
         let segment = |name: &str| (Msg(name.into(), 1), CauseCtx::NONE, MediaTime::ZERO);
         let deliver = |(msg, cause, sent_at): Segment<Msg>| Pending::Deliver {
             node: n(1),
@@ -1848,9 +1884,9 @@ mod tests {
         assert_eq!(channel.rx_next, 6);
         assert!(channel.abandoned.is_empty() && channel.held.is_empty());
         let mut out = Vec::new();
-        while let Some(Reverse(ev)) = queue.heap.pop() {
-            match ev.pending {
-                Pending::Deliver { msg, .. } => out.push((ev.at.as_micros(), msg.0)),
+        while let Some((at, pending)) = queue.pop() {
+            match pending {
+                Pending::Deliver { msg, .. } => out.push((at.as_micros(), msg.0)),
                 _ => unreachable!(),
             }
         }
@@ -1895,9 +1931,11 @@ mod tests {
         sim.with_api(|_, api| {
             assert!(api.send(n(1), n(10), Msg("in-flight".into(), 500)));
         });
-        sim.run(2); // the crash, and the packet's first hop onto the trunk
-                    // A node with a *smaller* id than every other joins: dense indices
-                    // are add order, so in-flight packets and crash state stay put.
+        // The send already put the packet on the trunk; this is the crash.
+        // The packet is still on the trunk when routing is invalidated.
+        sim.run(1);
+        // A node with a *smaller* id than every other joins: dense indices
+        // are add order, so in-flight packets and crash state stay put.
         sim.net_mut().add_node(n(5), "late");
         let mut rng = SimRng::seed_from_u64(19);
         sim.net_mut()

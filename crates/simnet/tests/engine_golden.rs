@@ -3,17 +3,7 @@
 //! commit *before* the network tables went dense (d2535e7) and must never
 //! move. Any change to routing, hop forwarding, the reliable gate, node
 //! liveness or multicast fan-out that shifts one event, timestamp or RNG
-//! draw changes the digest.
-//!
-//! The scenario is built to touch every engine path: a star (server `1` —
-//! hub `0` — clients `10..=14`) joined to a three-hop line (`0 — 20 — 21 —
-//! 22`), sparse ids added out of order, an unlinked island, jittery links of
-//! every model, Gilbert–Elliott loss on three of them, one tiny queue;
-//! datagram, reliable (with request/response echo) and multicast traffic
-//! with membership churn; crash + restart of a receiver, a sender and a
-//! forwarding node; a partition longer than the retry budget (abandons) and
-//! a link flap; sends to unreachable and unknown nodes, a self-send and a
-//! timer on a node the network never heard of.
+//! draw changes the digest. The scenario is in `golden_world/mod.rs`.
 
 use hermes_core::{MediaDuration, MediaTime, NodeId};
 use hermes_simnet::{
@@ -21,222 +11,18 @@ use hermes_simnet::{
     SimConfig, SimRng, WireSize,
 };
 
-#[derive(Clone)]
-struct Msg {
-    text: String,
-    size: usize,
-}
-impl WireSize for Msg {
-    fn wire_size(&self) -> usize {
-        self.size
-    }
-}
+mod golden_world;
+use golden_world::{digest, fault_plan, n, world, Driver, Msg};
 
-fn msg(text: impl Into<String>, size: usize) -> Msg {
-    Msg {
-        text: text.into(),
-        size,
-    }
-}
-
-fn n(id: u64) -> NodeId {
-    NodeId::new(id)
-}
-
-const GROUP: u64 = 7;
-const TICK: u64 = 1;
-const CHURN: u64 = 2;
-
-#[derive(Default)]
-struct Driver {
-    trace: Vec<(MediaTime, NodeId, NodeId, String)>,
-    faults: Vec<FaultEvent>,
-    refused: u64,
-}
-
-impl App<Msg> for Driver {
-    fn on_message(&mut self, api: &mut SimApi<'_, Msg>, node: NodeId, from: NodeId, m: Msg) {
-        if m.text.starts_with("req") {
-            api.send_reliable(node, from, msg(format!("rsp{}", &m.text[3..]), m.size / 2));
-        }
-        self.trace.push((api.now(), node, from, m.text));
-    }
-
-    fn on_timer(&mut self, api: &mut SimApi<'_, Msg>, node: NodeId, key: u64, i: u64) {
-        match key {
-            TICK if node == n(1) => {
-                // The server's generator: a datagram per tick round-robin
-                // over the clients, plus periodic reliable, multicast and
-                // deliberately undeliverable traffic.
-                api.send(
-                    n(1),
-                    n(10 + i % 5),
-                    msg(format!("d{i}"), 700 + (i as usize % 7) * 90),
-                );
-                if i.is_multiple_of(3) {
-                    api.send_reliable(n(1), n(22), msg(format!("r{i}"), 400));
-                }
-                if i.is_multiple_of(4) {
-                    api.send_mcast(n(1), GROUP, msg(format!("m{i}"), 900));
-                }
-                if i.is_multiple_of(50) {
-                    self.refused += !api.send(n(1), n(30), msg("island", 10)) as u64;
-                    self.refused += !api.send_reliable(n(1), n(99), msg("nobody", 10)) as u64;
-                    api.send(n(1), n(1), msg(format!("self{i}"), 10));
-                }
-            }
-            TICK => {
-                // Edge generators: requests the server echoes, and a
-                // multi-hop reliable stream that crosses the whole line.
-                api.send_reliable(node, n(1), msg(format!("req{}-{i}", node.raw()), 300));
-                if node == n(12) {
-                    api.send_reliable(n(12), n(22), msg(format!("x{i}"), 250));
-                }
-                if node == n(77) {
-                    self.trace
-                        .push((api.now(), node, node, format!("ghost-timer{i}")));
-                }
-            }
-            CHURN => {
-                if i == 0 {
-                    api.mcast_leave(GROUP, node);
-                } else {
-                    api.mcast_join(GROUP, node);
-                }
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    fn on_fault(&mut self, _: &mut SimApi<'_, Msg>, event: FaultEvent) {
-        self.faults.push(event);
-    }
-}
-
-fn topology(seed: u64) -> Network {
-    let mut rng = SimRng::seed_from_u64(seed);
-    let mut net = Network::new();
-    // Out of id order on purpose: nothing may depend on insertion order.
-    for (id, name) in [
-        (22, "line-end"),
-        (0, "hub"),
-        (30, "island"),
-        (1, "server"),
-        (21, "line-mid"),
-        (20, "line-head"),
-    ] {
-        net.add_node(n(id), name);
-    }
-    let ge = LossModel::GilbertElliott {
-        p_gb: 0.05,
-        p_bg: 0.3,
-        loss_good: 0.01,
-        loss_bad: 0.5,
-    };
-    let mut trunk = LinkSpec::lan(8_000_000);
-    trunk.jitter = JitterModel::Exponential {
-        mean: MediaDuration::from_micros(300),
-    };
-    net.add_duplex(n(1), n(0), trunk, &mut rng);
-    for i in (0..5u64).rev() {
-        let c = n(10 + i);
-        net.add_node(c, format!("client-{i}"));
-        let mut spec = LinkSpec::lan(4_000_000);
-        spec.jitter = JitterModel::Uniform {
-            max: MediaDuration::from_millis(2),
-        };
-        if i % 2 == 1 {
-            spec.loss = ge.clone();
-        }
-        if i == 4 {
-            spec.queue_capacity_bytes = 1_500;
-        }
-        net.add_duplex(n(0), c, spec, &mut rng);
-    }
-    let mut head = LinkSpec::wan(2_000_000, 3);
-    head.jitter = JitterModel::Gaussian {
-        mean: MediaDuration::from_millis(1),
-        std_dev: MediaDuration::from_micros(400),
-    };
-    net.add_duplex(n(0), n(20), head, &mut rng);
-    let mut mid = LinkSpec::wan(2_000_000, 2);
-    mid.loss = ge;
-    net.add_duplex(n(20), n(21), mid, &mut rng);
-    let mut tail = LinkSpec::lan(2_000_000);
-    tail.jitter = JitterModel::Pareto {
-        floor: MediaDuration::from_micros(200),
-        alpha_tenths: 18,
-    };
-    net.add_duplex(n(21), n(22), tail, &mut rng);
-    net.compute_routes();
-    net
-}
-
-fn fault_plan() -> FaultPlan {
-    let ms = MediaTime::from_millis;
-    let dur = MediaDuration::from_millis;
-    FaultPlan::new()
-        .crash_for(n(22), ms(300), dur(200))
-        .crash_for(n(12), ms(420), dur(150))
-        .crash_for(n(21), ms(1200), dur(100))
-        // Longer than the whole retry window (20 + 40 + 80 ms): abandons.
-        .partition(n(0), n(20), ms(700), ms(1000))
-        .flap(n(0), n(11), ms(1300), dur(40), dur(15), 5)
-        .slow(n(1), ms(100), 4)
-        .at(ms(1500), FaultKind::NodeCrash { node: n(22) })
-        .at(ms(1650), FaultKind::NodeRestart { node: n(22) })
-}
-
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for b in bytes {
-        *h ^= *b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-fn run(seed: u64) -> (u64, Sim<Msg, Driver>) {
-    let cfg = SimConfig {
-        rto: MediaDuration::from_millis(20),
-        max_attempts: 4,
-    };
-    let mut sim = Sim::with_config(topology(seed), Driver::default(), seed, cfg);
-    sim.install_faults(&fault_plan());
-    sim.with_api(|_, api| {
-        for c in 0..5 {
-            api.mcast_join(GROUP, n(10 + c));
-        }
-        api.mcast_join(GROUP, n(22));
-        for i in 0..400u64 {
-            let at = MediaDuration::from_millis(5 * i as i64);
-            api.set_timer(n(1), at, TICK, i);
-            if i.is_multiple_of(7) {
-                api.set_timer(n(10 + i % 5), at, TICK, i);
-                api.set_timer(n(22), at, TICK, i);
-            }
-            if i.is_multiple_of(90) {
-                api.set_timer(n(77), at, TICK, i);
-            }
-        }
-        api.set_timer(n(13), MediaDuration::from_millis(500), CHURN, 0);
-        api.set_timer(n(13), MediaDuration::from_millis(1100), CHURN, 1);
-    });
-    sim.run(10_000_000);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for (at, node, from, text) in &sim.app().trace {
-        let line = format!("{} {} {} {text}\n", at.as_micros(), node.raw(), from.raw());
-        fnv1a(&mut h, line.as_bytes());
-    }
-    fnv1a(&mut h, format!("{:?}\n", sim.stats()).as_bytes());
-    fnv1a(
-        &mut h,
-        format!("{:?}\n", sim.net().total_stats()).as_bytes(),
-    );
-    (h, sim)
+fn run(seed: u64) -> (u64, u64, Sim<Msg, Driver>) {
+    let mut sim = world(seed);
+    let events = sim.run(10_000_000);
+    (digest(&sim), events, sim)
 }
 
 #[test]
 fn engine_trace_digest_is_unchanged() {
-    let (digest, sim) = run(20_260_930);
+    let (digest, events, sim) = run(20_260_930);
     let s = sim.stats();
     let net = sim.net().total_stats();
     // The scenario must really reach every path, or the digest pins nothing.
@@ -261,10 +47,13 @@ fn engine_trace_digest_is_unchanged() {
         "timers on an unknown node fire (alive, incarnation 0)"
     );
     assert_eq!(
-        (sim.app().trace.len(), digest),
+        (sim.app().trace.len(), digest, events),
         GOLDEN,
         "engine behaviour moved: {s:?} {net:?}"
     );
+    // Each accepted send took its first link when it was made: exactly the
+    // events the queued first hop cost.
+    assert_eq!(EVENTS_WITH_QUEUED_FIRST_HOP - events, sim.app().sends);
 }
 
 #[test]
@@ -272,5 +61,10 @@ fn digest_depends_on_the_seed() {
     assert_ne!(run(1).0, run(2).0);
 }
 
-/// (deliveries, digest) of the scenario at seed 20260930, computed at d2535e7.
-const GOLDEN: (usize, u64) = (1105, 2_577_028_440_352_498_687);
+/// (deliveries, digest) of the scenario at seed 20260930, computed at
+/// d2535e7, and the events `sim.run` processed.
+const GOLDEN: (usize, u64, u64) = (1105, 2_577_028_440_352_498_687, 3_573);
+
+/// The events the same run processed while every send queued its first hop
+/// as an event of its own (printed at 357d293).
+const EVENTS_WITH_QUEUED_FIRST_HOP: u64 = 4_326;

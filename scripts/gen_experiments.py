@@ -534,8 +534,8 @@ starvation axis is near its ceiling for both modes — a ×9 crowd is more
 than four nodes carry without gaps too — so the margin there is thin
 (lower on every seed, by 44–222 of 1000); utility is the axis with room.
 The
-`pinned` rows are the measured price of ROADMAP item 4's single point
-of failure; the `ha` rows are the same crowd with the control plane
+`pinned` rows are the measured price of a controller that is a single
+point of failure; the `ha` rows are the same crowd with the control plane
 treated as a service, not a machine. CI re-runs the smoke grid twice
 and byte-diffs the output — leases, votes, elections, fencing and
 cold-start are all deterministic in simulated time.
