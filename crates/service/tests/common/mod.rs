@@ -39,6 +39,12 @@ pub fn world(tier: MediaTierConfig) -> World {
 
 /// The world at t = 0: content distributed, nobody connected yet.
 pub fn build(tier: MediaTierConfig) -> World {
+    build_with(tier, LinkSpec::lan(10_000_000))
+}
+
+/// [`build`] with every client behind `access` instead of a clean 10 Mbps
+/// LAN link.
+pub fn build_with(tier: MediaTierConfig, access: LinkSpec) -> World {
     let mut b = WorldBuilder::new(SEED);
     let srv = b.add_server(
         ServerId::new(0),
@@ -46,7 +52,7 @@ pub fn build(tier: MediaTierConfig) -> World {
         ServerConfig::default(),
     );
     let clients: Vec<NodeId> = (0..CLIENTS)
-        .map(|_| b.add_client(LinkSpec::lan(10_000_000), ClientConfig::default()))
+        .map(|_| b.add_client(access.clone(), ClientConfig::default()))
         .collect();
     let media: Vec<NodeId> = (0..2)
         .map(|_| b.add_media_node(LinkSpec::san(100_000_000)))

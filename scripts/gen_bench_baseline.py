@@ -2,20 +2,21 @@
 """Regenerate BENCH_baseline.json — the checked-in perf trajectory.
 
 Runs the pinned-seed (--smoke) grids of the scale, overload, control,
-HA, SLO and placement experiments with `--json` and merges the documents
-into one file. Every run is deterministic and no row is host-timed, so
-the file is a pure function of the source: a diff against the checked-in
-baseline is a real behaviour change, never noise, and CI fails on one
-(`git diff --exit-code BENCH_baseline.json` after this script). Re-run
-after a PR that moves these numbers and commit the diff alongside the
-change that explains it. Host cost is measured by `bash
+HA, SLO, placement and grade experiments with `--json` and merges the
+documents into one file. Every run is deterministic and no row is
+host-timed, so the file is a pure function of the source: a diff against
+the checked-in baseline is a real behaviour change, never noise, and CI
+fails on one (`git diff --exit-code BENCH_baseline.json` after this
+script). Re-run after a PR that moves these numbers and commit the diff
+alongside the change that explains it. Host cost is measured by `bash
 benchmark/run.sh`, not here.
 
 Usage: python3 scripts/gen_bench_baseline.py
 """
 import json, subprocess, sys, tempfile, os
 
-EXPERIMENTS = ["exp_scale", "exp_overload", "exp_control", "exp_ha", "exp_slo", "exp_placement"]
+EXPERIMENTS = ["exp_scale", "exp_overload", "exp_control", "exp_ha", "exp_slo", "exp_placement",
+               "exp_grade"]
 OUT = "BENCH_baseline.json"
 
 def main():
