@@ -97,8 +97,8 @@ fn run_point(n_clients: usize, seed: u64) -> Point {
         p.mean_startup_ms = startup_sum / p.completed as f64;
     }
     let srv = sim.app().server(server);
-    for sess in srv.sessions.values() {
-        p.degrades += sess.qos.degrades_issued;
+    for sid in srv.sessions.keys() {
+        p.degrades += srv.grading.qos(*sid).map_or(0, |q| q.degrades_issued);
     }
     let bytes: u64 = srv
         .sessions

@@ -84,7 +84,9 @@ fn run_traced(
     for t in 1..=40 {
         sim.run_until(MediaTime::from_secs(t));
         let srv = sim.app().server(server);
-        if let Some((_, sess)) = srv.sessions.iter().next() {
+        if let Some((sid, sess)) = srv.sessions.iter().next() {
+            let qos = srv.grading.qos(*sid);
+            let level_of = |c| qos.and_then(|q| q.level_of(c)).map_or(0, |l| l.0);
             let mut row = TraceRow {
                 t,
                 audio_level: 0,
@@ -94,12 +96,10 @@ fn run_traced(
             };
             for (c, tx) in &sess.streams {
                 match tx.plan.kind {
-                    MediaKind::Audio => {
-                        row.audio_level = sess.qos.level_of(*c).map(|l| l.0).unwrap_or(0)
-                    }
+                    MediaKind::Audio => row.audio_level = level_of(*c),
                     MediaKind::Video => {
-                        row.video_level = sess.qos.level_of(*c).map(|l| l.0).unwrap_or(0);
-                        if let Some(ms) = sess.qos.stream(*c) {
+                        row.video_level = level_of(*c);
+                        if let Some(ms) = qos.and_then(|q| q.stream(*c)) {
                             row.video_kbps = ms.converter.current_bandwidth_bps() / 1000;
                             row.stopped = ms.converter.stopped;
                         }
@@ -128,10 +128,10 @@ fn run_traced(
         m.max_skew = m.max_skew.max(pres.engine.max_skew_observed);
     }
     let srv = sim.app().server(server);
-    for sess in srv.sessions.values() {
-        m.degrades += sess.qos.degrades_issued;
-        m.upgrades += sess.qos.upgrades_issued;
-        m.stops += sess.qos.stops_issued;
+    for q in srv.sessions.keys().filter_map(|sid| srv.grading.qos(*sid)) {
+        m.degrades += q.degrades_issued;
+        m.upgrades += q.upgrades_issued;
+        m.stops += q.stops_issued;
     }
     let net = sim.net().total_stats();
     m.net_dropped = net.packets_lost + net.packets_dropped_queue;

@@ -205,10 +205,12 @@ fn run_streaming_session_inner(
         }
     }
     let srv = sim.app().server(server);
-    for sess in srv.sessions.values() {
-        m.degrades += sess.qos.degrades_issued;
-        m.upgrades += sess.qos.upgrades_issued;
-        m.stops += sess.qos.stops_issued;
+    for (sid, sess) in &srv.sessions {
+        if let Some(q) = srv.grading.qos(*sid) {
+            m.degrades += q.degrades_issued;
+            m.upgrades += q.upgrades_issued;
+            m.stops += q.stops_issued;
+        }
         m.bytes_sent += sess.streams.values().map(|t| t.bytes_sent).sum::<u64>();
     }
     let net = sim.net().total_stats();

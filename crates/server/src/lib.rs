@@ -9,6 +9,9 @@
 //!   instants, rates, QoS requirements) from presentation scenarios;
 //! * [`qos`] — the Server QoS Manager and grading engine (long-term
 //!   recovery: video-first degradation, patient upgrades, stop-at-floor);
+//! * [`grading`] — every regrade, whoever asks (client feedback through
+//!   [`qos`], the degradation ladder, the fleet controller), as a
+//!   simulator-free core that answers in [`grading::GradeOut`] data;
 //! * [`admission`] — connection admission control with pricing classes;
 //! * [`accounts`] — subscription, authentication and pricing primitives;
 //! * [`placement`] — content placement over the distributed media-server
@@ -34,6 +37,7 @@ pub mod admission;
 pub mod database;
 pub mod fetch;
 pub mod flow;
+pub mod grading;
 pub mod overload;
 pub mod placement;
 pub mod qos;
@@ -55,7 +59,7 @@ pub use overload::{
     PressureDetector, QueuedRequest, ReplicaHealthMap, RetryBudget,
 };
 pub use placement::{PlacementMap, ReplicaSelector};
-pub use qos::{GradingAction, ManagedStream, ServerQosManager};
+pub use qos::{ManagedStream, ServerQosManager};
 pub use segcache::{SegmentCache, SegmentCacheStats, SegmentKey};
 pub use sharing::{
     ShareDecision, ShareOut, SharedGroups, SharingMode, SharingPolicy, SharingStats,

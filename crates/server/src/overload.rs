@@ -528,13 +528,6 @@ impl<T> OverloadQueue<T> {
         self.queue.iter()
     }
 
-    /// Queueing delay the head request has accumulated (zero when empty).
-    pub fn head_delay(&self, now: MediaTime) -> MediaDuration {
-        self.queue
-            .front()
-            .map_or(MediaDuration::ZERO, |r| now - r.enqueued_at)
-    }
-
     /// Drop every request whose deadline has already passed (unmeetable),
     /// appending them oldest-first to the caller's `shed` so it can answer
     /// each (the media actor reuses one scratch `Vec` across a shed storm).

@@ -11,11 +11,11 @@
 //! more important to users."
 
 use hermes_core::{
-    ComponentId, GradeDecision, GradeLevel, GradingHysteresis, GradingOrder, MediaKind,
-    QosMeasurement, QosRequirement,
+    ComponentId, GradeDecision, GradeLevel, GradingHysteresis, GradingOrder, QosMeasurement,
+    QosRequirement,
 };
 use hermes_media::{CodecModel, QualityConverter};
-use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 /// One stream under grading management.
@@ -26,30 +26,15 @@ pub struct ManagedStream {
     /// The stream's declared QoS requirement (congestion scores are
     /// normalized against it).
     pub requirement: QosRequirement,
-    /// Media kind (drives the degrade order).
-    pub kind: MediaKind,
     /// Consecutive healthy reports seen (for upgrade patience).
     healthy_streak: u32,
     /// The latest congestion score.
     pub last_score: f64,
 }
 
-/// An action the manager instructs a media server to take.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GradingAction {
-    /// Which stream.
-    pub component: ComponentId,
-    /// What to do.
-    pub decision: GradeDecision,
-    /// The level after applying the decision.
-    pub new_level: GradeLevel,
-    /// Whether the stream is stopped after the decision.
-    pub stopped: bool,
-}
-
 /// The server-side QoS manager: ingests client feedback, ranks streams and
 /// walks their quality converters.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ServerQosManager {
     streams: BTreeMap<ComponentId, ManagedStream>,
     /// Degrade ordering policy (video-first per the paper; ablations flip it).
@@ -69,18 +54,10 @@ impl ServerQosManager {
     pub fn new(order: GradingOrder, hysteresis: GradingHysteresis) -> Self {
         assert!(hysteresis.is_valid(), "invalid hysteresis dead-band");
         ServerQosManager {
-            streams: BTreeMap::new(),
             order,
             hysteresis,
-            degrades_issued: 0,
-            upgrades_issued: 0,
-            stops_issued: 0,
+            ..Self::default()
         }
-    }
-
-    /// Paper-default manager: video first, default hysteresis.
-    pub fn paper_default() -> Self {
-        Self::new(GradingOrder::default(), GradingHysteresis::default())
     }
 
     /// Register a stream with its codec model, floor and requirement.
@@ -91,27 +68,19 @@ impl ServerQosManager {
         floor: GradeLevel,
         requirement: QosRequirement,
     ) {
-        let kind = model.kind();
         self.streams.insert(
             component,
             ManagedStream {
                 converter: QualityConverter::new(model, floor),
                 requirement,
-                kind,
                 healthy_streak: 0,
                 last_score: 0.0,
             },
         );
     }
 
-    /// Remove a stream (presentation finished).
-    pub fn unregister(&mut self, component: ComponentId) {
-        self.streams.remove(&component);
-    }
-
-    /// Force a stream's converter to a level (admission-time shedding: under
-    /// pressure a session starts its streams pre-degraded instead of being
-    /// rejected outright). Clamped to the codec ladder.
+    /// Force a stream's converter to a level, clamped to its codec ladder:
+    /// admission-time shedding, or a regrade another source decided.
     pub fn force_level(&mut self, component: ComponentId, level: GradeLevel) {
         if let Some(s) = self.streams.get_mut(&component) {
             s.converter.level = level.min(s.converter.model.max_level());
@@ -128,109 +97,57 @@ impl ServerQosManager {
         self.streams.get(&component).map(|s| s.converter.level)
     }
 
-    /// Total bandwidth of all managed streams at their current levels.
-    pub fn total_bandwidth_bps(&self) -> u64 {
-        self.streams
-            .values()
-            .map(|s| s.converter.current_bandwidth_bps())
-            .sum()
-    }
-
     /// Ingest one feedback report (a set of per-stream measurements taken by
-    /// the client QoS manager) and decide the grading actions. At most one
-    /// degrade and one upgrade action are issued per report — graceful,
-    /// stepwise adaptation.
-    pub fn on_feedback(&mut self, report: &[(ComponentId, QosMeasurement)]) -> Vec<GradingAction> {
-        let mut actions = Vec::new();
-        // Update scores and streaks.
+    /// the client QoS manager) and decide the grading action: at most one
+    /// step per report — graceful, stepwise adaptation. Returns the stream,
+    /// the decision applied to its converter and its level after it.
+    pub fn on_feedback(
+        &mut self,
+        report: &[(ComponentId, QosMeasurement)],
+    ) -> Option<(ComponentId, GradeDecision, GradeLevel)> {
+        let (order, h) = (self.order, self.hysteresis);
         for (id, m) in report {
             if let Some(s) = self.streams.get_mut(id) {
                 s.last_score = m.congestion_score(&s.requirement);
-                if s.last_score < self.hysteresis.upgrade_below {
-                    s.healthy_streak += 1;
-                } else {
-                    s.healthy_streak = 0;
-                }
+                let healthy = s.last_score < h.upgrade_below;
+                s.healthy_streak = if healthy { s.healthy_streak + 1 } else { 0 };
             }
         }
-        let any_congested = self
-            .streams
-            .values()
-            .any(|s| s.last_score > self.hysteresis.degrade_above);
-        if any_congested {
-            // Pick the degrade victim: lowest degrade-rank first (video
-            // before audio under the paper's rule), tie-broken by largest
-            // bandwidth saving, skipping streams that cannot yield any.
-            let order = self.order;
-            let victim = self
-                .streams
-                .iter()
+        let rank = |s: &ManagedStream| order.degrade_rank(s.converter.model.kind());
+        let all = || self.streams.values();
+        let congested = all().any(|s| s.last_score > h.degrade_above);
+        let patient = all().all(|s| s.healthy_streak >= h.upgrade_patience);
+        let (&component, s) = if congested {
+            // The degrade victim: lowest degrade-rank first (video before
+            // audio under the paper's rule), tie-broken by largest bandwidth
+            // saving, skipping streams that cannot yield any.
+            self.streams
+                .iter_mut()
                 .filter(|(_, s)| !s.converter.stopped && s.converter.next_step_saving() > 0)
-                .min_by(|(_, a), (_, b)| {
-                    let ra = order.degrade_rank(a.kind);
-                    let rb = order.degrade_rank(b.kind);
-                    ra.cmp(&rb).then(
-                        b.converter
-                            .next_step_saving()
-                            .cmp(&a.converter.next_step_saving()),
-                    )
-                })
-                .map(|(id, _)| *id);
-            if let Some(id) = victim {
-                let s = self.streams.get_mut(&id).unwrap();
-                let applied = s.converter.apply(GradeDecision::Degrade);
-                match applied {
-                    GradeDecision::Degrade => self.degrades_issued += 1,
-                    GradeDecision::Stop => self.stops_issued += 1,
-                    _ => {}
-                }
-                if applied != GradeDecision::Hold {
-                    actions.push(GradingAction {
-                        component: id,
-                        decision: applied,
-                        new_level: s.converter.level,
-                        stopped: s.converter.stopped,
-                    });
-                }
-            }
+                .min_by_key(|(_, s)| (rank(s), Reverse(s.converter.next_step_saving())))?
+        } else if patient && !self.streams.is_empty() {
+            // Every stream has been healthy long enough: restore in reverse
+            // degrade order (audio back first under the video-first rule),
+            // most-degraded first within a rank.
+            self.streams
+                .iter_mut()
+                .filter(|(_, s)| s.converter.stopped || s.converter.level > GradeLevel::NOMINAL)
+                .max_by_key(|(_, s)| (rank(s), s.converter.level))?
         } else {
-            // Upgrade when every stream has been healthy long enough:
-            // restore in reverse degrade order (audio back first under the
-            // video-first rule), most-degraded first within a rank.
-            let all_patient = !self.streams.is_empty()
-                && self
-                    .streams
-                    .values()
-                    .all(|s| s.healthy_streak >= self.hysteresis.upgrade_patience);
-            if all_patient {
-                let order = self.order;
-                let candidate = self
-                    .streams
-                    .iter()
-                    .filter(|(_, s)| s.converter.stopped || s.converter.level > GradeLevel::NOMINAL)
-                    .max_by(|(_, a), (_, b)| {
-                        let ra = order.degrade_rank(a.kind);
-                        let rb = order.degrade_rank(b.kind);
-                        ra.cmp(&rb).then(a.converter.level.cmp(&b.converter.level))
-                    })
-                    .map(|(id, _)| *id);
-                if let Some(id) = candidate {
-                    let s = self.streams.get_mut(&id).unwrap();
-                    let applied = s.converter.apply(GradeDecision::Upgrade);
-                    if applied == GradeDecision::Upgrade {
-                        self.upgrades_issued += 1;
-                        s.healthy_streak = 0;
-                        actions.push(GradingAction {
-                            component: id,
-                            decision: applied,
-                            new_level: s.converter.level,
-                            stopped: s.converter.stopped,
-                        });
-                    }
-                }
+            return None;
+        };
+        use GradeDecision::{Degrade, Hold, Stop, Upgrade};
+        let decision = s.converter.apply(if congested { Degrade } else { Upgrade });
+        match decision {
+            Degrade => self.degrades_issued += 1,
+            Stop => self.stops_issued += 1,
+            Upgrade => {
+                self.upgrades_issued += 1;
+                s.healthy_streak = 0;
             }
+            Hold => return None,
         }
-        actions
+        Some((component, decision, s.converter.level))
     }
 }
 
@@ -256,7 +173,7 @@ mod tests {
     }
 
     fn manager_with_av() -> ServerQosManager {
-        let mut m = ServerQosManager::paper_default();
+        let mut m = ServerQosManager::new(GradingOrder::default(), GradingHysteresis::default());
         m.register(
             ComponentId::new(1),
             CodecModel::for_encoding(Encoding::Pcm),
@@ -279,10 +196,9 @@ mod tests {
             (ComponentId::new(1), measurement(150)),
             (ComponentId::new(2), measurement(150)),
         ];
-        let a = m.on_feedback(&congested);
-        assert_eq!(a.len(), 1);
-        assert_eq!(a[0].component, ComponentId::new(2)); // the video stream
-        assert_eq!(a[0].decision, GradeDecision::Degrade);
+        let (c, decision, _) = m.on_feedback(&congested).unwrap();
+        assert_eq!(c, ComponentId::new(2)); // the video stream
+        assert_eq!(decision, GradeDecision::Degrade);
         assert_eq!(m.level_of(ComponentId::new(1)), Some(GradeLevel(0)));
         assert_eq!(m.level_of(ComponentId::new(2)), Some(GradeLevel(1)));
     }
@@ -306,8 +222,8 @@ mod tests {
             (ComponentId::new(1), measurement(150)),
             (ComponentId::new(2), measurement(150)),
         ];
-        let a = m.on_feedback(&congested);
-        assert_eq!(a[0].component, ComponentId::new(1)); // audio degraded first
+        let (c, ..) = m.on_feedback(&congested).unwrap();
+        assert_eq!(c, ComponentId::new(1)); // audio degraded first
     }
 
     #[test]
@@ -319,8 +235,8 @@ mod tests {
         ];
         let mut stops = 0;
         for _ in 0..12 {
-            for act in m.on_feedback(&congested) {
-                if act.decision == GradeDecision::Stop {
+            if let Some((_, decision, _)) = m.on_feedback(&congested) {
+                if decision == GradeDecision::Stop {
                     stops += 1;
                 }
             }
@@ -329,7 +245,6 @@ mod tests {
         assert_eq!(stops, 2);
         assert!(m.stream(ComponentId::new(2)).unwrap().converter.stopped);
         assert!(m.stream(ComponentId::new(1)).unwrap().converter.stopped);
-        assert_eq!(m.total_bandwidth_bps(), 0);
         assert_eq!(m.degrades_issued, 6);
     }
 
@@ -346,11 +261,10 @@ mod tests {
             (ComponentId::new(2), measurement(10)),
         ];
         // Default patience is 3 healthy reports.
-        assert!(m.on_feedback(&healthy).is_empty());
-        assert!(m.on_feedback(&healthy).is_empty());
-        let a = m.on_feedback(&healthy);
-        assert_eq!(a.len(), 1);
-        assert_eq!(a[0].decision, GradeDecision::Upgrade);
+        assert!(m.on_feedback(&healthy).is_none());
+        assert!(m.on_feedback(&healthy).is_none());
+        let (_, decision, _) = m.on_feedback(&healthy).unwrap();
+        assert_eq!(decision, GradeDecision::Upgrade);
         assert_eq!(m.level_of(ComponentId::new(2)), Some(GradeLevel(0)));
     }
 
@@ -372,9 +286,8 @@ mod tests {
         ];
         let mut first_upgrade = None;
         for _ in 0..10 {
-            let acts = m.on_feedback(&healthy);
-            if let Some(a) = acts.first() {
-                first_upgrade = Some(a.component);
+            if let Some((c, ..)) = m.on_feedback(&healthy) {
+                first_upgrade = Some(c);
                 break;
             }
         }
@@ -393,8 +306,8 @@ mod tests {
             (ComponentId::new(2), measurement(10)),
         ];
         for _ in 0..10 {
-            let acts = m.on_feedback(&healthy);
-            assert!(acts.is_empty(), "{acts:?}");
+            let act = m.on_feedback(&healthy);
+            assert!(act.is_none(), "{act:?}");
         }
         assert_eq!(m.degrades_issued, 0);
     }
@@ -413,17 +326,9 @@ mod tests {
             (ComponentId::new(2), measurement(150)),
         ]); // degrade once
         for _ in 0..10 {
-            assert!(m.on_feedback(&mid).is_empty());
+            assert!(m.on_feedback(&mid).is_none());
         }
         assert_eq!(m.level_of(ComponentId::new(2)), Some(GradeLevel(1)));
-    }
-
-    #[test]
-    fn unregister_removes_stream() {
-        let mut m = manager_with_av();
-        m.unregister(ComponentId::new(2));
-        assert!(m.stream(ComponentId::new(2)).is_none());
-        assert!(m.level_of(ComponentId::new(1)).is_some());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::protocol::MailMessage;
 use crate::server_actor::ServerActor;
-use hermes_core::{DocumentId, Encoding, MediaDuration, MediaKind, ServerId};
+use hermes_core::{DocumentId, Encoding, MediaDuration, MediaKind};
 use hermes_simnet::SimRng;
 
 /// Parameters of a generated lesson.
@@ -205,17 +205,11 @@ pub fn install_figure2(server: &mut ServerActor, doc: DocumentId, rng: &mut SimR
         .expect("figure-2 markup is well-formed");
 }
 
-/// Shorthand used across experiments: the ServerId a document's relative
-/// sources resolve against when installed by these helpers.
-pub fn home_of(server: &ServerActor) -> ServerId {
-    server.server_id
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::server_actor::ServerConfig;
-    use hermes_core::NodeId;
+    use hermes_core::{NodeId, ServerId};
 
     #[test]
     fn lesson_markup_parses_and_links() {

@@ -206,11 +206,6 @@ impl MediaActor {
         self.queue.len()
     }
 
-    /// Shedding statistics of the request queue.
-    pub fn queue_stats(&self) -> hermes_server::OverloadQueueStats {
-        self.queue.stats
-    }
-
     /// Apply/lift a brownout: service times multiply by `factor`.
     pub fn set_slowdown(&mut self, factor: u32) {
         self.slowdown = factor.max(1);

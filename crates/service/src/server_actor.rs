@@ -10,21 +10,22 @@ use hermes_control::{
     Election, FleetController, HaOut,
 };
 use hermes_core::{
-    ComponentId, DocumentId, GradeDecision, GradeLevel, GradingHysteresis, GradingOrder,
-    MediaDuration, MediaKind, MediaTime, NodeId, PresentationFloor, PricingClass, ServerId,
-    SessionId, UserId,
+    ComponentId, DocumentId, GradeLevel, GradingHysteresis, GradingOrder, MediaDuration, MediaTime,
+    NodeId, PresentationFloor, PricingClass, ServerId, SessionId, UserId,
 };
 use hermes_media::{CodecModel, FrameSource, SegmentFrame};
 use hermes_rtp::RtpSender;
+use hermes_server::grading::{GradeOut, GradedSession, Grading, StreamView};
 use hermes_server::{
     compute_flow_scenario, AccountsDb, AdmissionController, AdmissionDecision, Charge,
-    ConnectionRequest, Demand, FetchOut, FlowConfig, FlowPlan, MediaTier, MultimediaDb,
-    PathCondition, PlacementMap, RemoteStream, ServerQosManager, ShareDecision, ShareOut,
-    SharedGroups, SharingMode, SharingPolicy, SharingStats,
+    ConnectionRequest, Demand, FetchOut, FlowConfig, FlowPlan, FlowScenario, MediaTier,
+    MultimediaDb, PathCondition, PlacementMap, RemoteStream, ShareDecision, ShareOut, SharedGroups,
+    SharingMode, SharingPolicy, SharingStats, StoredDocument,
 };
 use hermes_simnet::obs::{MetricsRegistry, SloMonitor, SloSpec};
 use hermes_simnet::{Labels, Obs, Severity, SimApi, SpanId};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One active outgoing media stream of a session.
 #[derive(Debug)]
@@ -117,8 +118,6 @@ pub struct SessionState {
     pub user: Option<UserId>,
     /// Pricing contract.
     pub class: PricingClass,
-    /// The QoS manager/grading engine for this session's streams.
-    pub qos: ServerQosManager,
     /// Active media transmissions by component.
     pub streams: BTreeMap<ComponentId, StreamTx>,
     /// The document being delivered.
@@ -141,9 +140,6 @@ pub struct SessionState {
     /// client that died mid-session would pin its admission reservation
     /// forever.
     pub last_ack: MediaTime,
-    /// Admission-time shed: streams started this many grade levels below
-    /// nominal because the path lacked headroom for full quality.
-    pub shed_levels: u8,
     /// The session's root trace span (null when tracing is off).
     pub obs_root: SpanId,
     /// The open admission span: connect → first successful document
@@ -165,7 +161,6 @@ impl SessionState {
         client: NodeId,
         user: Option<UserId>,
         class: PricingClass,
-        cfg: &ServerConfig,
         now: MediaTime,
         obs_root: SpanId,
         obs_admission: SpanId,
@@ -174,7 +169,6 @@ impl SessionState {
             client,
             user,
             class,
-            qos: ServerQosManager::new(cfg.grading_order, cfg.hysteresis),
             streams: BTreeMap::new(),
             current_doc: None,
             paused: false,
@@ -183,29 +177,11 @@ impl SessionState {
             heartbeat_seq: 0,
             last_media: now,
             last_ack: now,
-            shed_levels: 0,
             obs_root,
             obs_admission,
             util_acc: 0.0,
             util_pos: BTreeMap::new(),
         }
-    }
-
-    /// The session's current utility rate: summed [`stream_utility`] of its
-    /// live continuous streams (utility per delivered media second).
-    pub fn utility_rate(&self) -> f64 {
-        self.streams
-            .values()
-            .filter(|tx| tx.plan.kind.is_continuous() && !tx.done && !tx.stopped)
-            .map(|tx| {
-                stream_utility(
-                    self.class,
-                    tx.plan.kind,
-                    tx.source.level().0,
-                    tx.source.model().max_level().0,
-                )
-            })
-            .sum()
     }
 
     /// Media progress not yet folded into [`util_acc`]: each continuous
@@ -248,14 +224,21 @@ impl SessionState {
     }
 }
 
-/// One degradation-ladder step: a victim session walked one level down,
-/// with the per-component levels it held before (exact restore target).
-#[derive(Debug, Clone)]
-pub struct LadderStep {
-    /// The victim session.
-    pub session: SessionId,
-    /// The levels its continuous streams held before this step.
-    pub prior: Vec<(ComponentId, GradeLevel)>,
+impl GradedSession for SessionState {
+    fn victim_key(&self) -> Option<(PricingClass, MediaTime)> {
+        (!self.suspended).then_some((self.class, self.connected_at))
+    }
+
+    fn streams(&self) -> impl Iterator<Item = StreamView> + '_ {
+        self.streams.iter().map(|(&component, tx)| StreamView {
+            component,
+            kind: tx.plan.kind,
+            level: tx.source.level(),
+            max_level: tx.source.model().max_level(),
+            done: tx.done,
+            stopped: tx.stopped,
+        })
+    }
 }
 
 /// A distributed search in progress.
@@ -360,14 +343,11 @@ pub struct ServerActor {
     /// Stream-sharing counters, counted where the actor applies
     /// [`ShareOut`]s and sends frames.
     pub sharing_stats: SharingStats,
-    /// Sessions stepped down by the degradation ladder, most recent last
-    /// (restores pop in LIFO order).
-    pub ladder_stack: Vec<LadderStep>,
-    /// The ladder evaluation timer chain is running.
-    ladder_armed: bool,
-    /// Last instant the ladder saw pressure (or acted); restores wait out
-    /// the hysteresis from here.
-    ladder_last_pressure: MediaTime,
+    /// Every regrade, whoever asks: the sessions' feedback managers and
+    /// the degradation ladder.
+    pub grading: Grading,
+    /// What the grading core asked for and nobody has applied yet.
+    grade_out: Vec<GradeOut>,
     /// The fleet controller, when this server hosts the control plane
     /// ([`host_controller`](Self::host_controller)).
     pub controller: Option<FleetController>,
@@ -485,6 +465,21 @@ impl FetchPort {
     }
 }
 
+/// The presentation scenario of `document` for `session`.
+fn scenario_response(
+    session: SessionId,
+    document: DocumentId,
+    doc: &StoredDocument,
+    flow: &FlowScenario,
+) -> ServiceMsg {
+    ServiceMsg::ScenarioResponse {
+        session,
+        document,
+        markup: doc.markup.clone(),
+        lead_micros: flow.lead.as_micros(),
+    }
+}
+
 /// Controller high-availability counters of one server.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CtrlHaStats {
@@ -505,6 +500,7 @@ impl ServerActor {
     /// Create a server actor for a node.
     pub fn new(node: NodeId, server_id: ServerId, cfg: ServerConfig) -> Self {
         let sharing = SharedGroups::new(cfg.sharing.clone(), node);
+        let grading = Grading::new(cfg.grading_order, cfg.hysteresis, cfg.floor);
         ServerActor {
             node,
             server_id,
@@ -525,9 +521,8 @@ impl ServerActor {
             sharing,
             share_out: Vec::new(),
             sharing_stats: SharingStats::default(),
-            ladder_stack: Vec::new(),
-            ladder_armed: false,
-            ladder_last_pressure: MediaTime::ZERO,
+            grading,
+            grade_out: Vec::new(),
             controller: None,
             control_peer: None,
             control_report_period: MediaDuration::from_millis(100),
@@ -564,27 +559,21 @@ impl ServerActor {
         // Every live session dies with the process — say so, and close its
         // spans, so the trace shows a terminal state for each one (the
         // lifecycle invariant checker audits exactly this).
-        for (session, mut s) in std::mem::take(&mut self.sessions) {
-            // Utility delivered up to the crash still counts toward the
-            // run's aggregate; fold the integral into the closed ledger.
-            s.utility_touch();
-            self.util_closed += s.util_acc;
-            api.emit(
-                self.node,
-                Severity::Warn,
-                "session_crash_lost",
-                Labels::session(session.raw()).peer(s.client.raw()),
+        for (session, s) in std::mem::take(&mut self.sessions) {
+            let labels = Labels::session(session.raw()).peer(s.client.raw());
+            self.retire(
+                api,
+                session,
+                s,
+                (Severity::Warn, "session_crash_lost", labels),
             );
-            api.span_end(s.obs_admission);
-            api.span_end(s.obs_root);
         }
         self.seen_reqs.clear();
         self.queries.clear();
         if let Some(tier) = self.media.as_mut() {
             tier.crash();
         }
-        self.ladder_stack.clear();
-        self.ladder_armed = false;
+        self.grading.crash();
         // Controller leadership is RAM: it dies with the process, and the
         // restarted node rejoins as a follower.
         self.controller = None;
@@ -611,8 +600,7 @@ impl ServerActor {
                 let seen = self.seen_reqs.entry(from).or_default();
                 if seen.insert(req) {
                     if seen.len() > 128 {
-                        let oldest = *seen.iter().next().unwrap();
-                        seen.remove(&oldest);
+                        seen.pop_first();
                     }
                     self.on_message(api, from, *inner);
                 }
@@ -640,7 +628,10 @@ impl ServerActor {
                 if let Some(s) = self.sessions.get_mut(&session) {
                     s.last_ack = api.now();
                 }
-                self.on_feedback(api, session, &measurements)
+                let out = &mut self.grade_out;
+                self.grading
+                    .feedback(&self.sessions, session, &measurements, out);
+                self.flush_grade(api);
             }
             ServiceMsg::HeartbeatAck { session, .. } => {
                 if let Some(s) = self.sessions.get_mut(&session) {
@@ -663,22 +654,16 @@ impl ServerActor {
             }
             ServiceMsg::Resume { session } => self.on_resume(api, session),
             ServiceMsg::DisableStream { session, component } => {
-                if let Some(s) = self.sessions.get_mut(&session) {
-                    if let Some(tx) = s.streams.get_mut(&component) {
-                        tx.stopped = true;
-                    }
+                if let Some((_, tx)) = Self::stream_mut(&mut self.sessions, session, component) {
+                    tx.stopped = true;
                 }
             }
             ServiceMsg::SuspendConnection { session } => {
                 if let Some(s) = self.sessions.get_mut(&session) {
                     s.suspended = true;
                     s.paused = true;
-                    api.set_timer(
-                        self.node,
-                        self.cfg.suspend_grace,
-                        timers::TK_GRACE,
-                        session.raw(),
-                    );
+                    let grace = self.cfg.suspend_grace;
+                    api.set_timer(self.node, grace, timers::TK_GRACE, session.raw());
                 }
             }
             ServiceMsg::ResumeSuspended { session } => {
@@ -687,12 +672,8 @@ impl ServerActor {
                         s.suspended = false;
                         s.paused = false;
                         let topics = self.db.topics().to_vec();
-                        let client = s.client;
-                        api.send_reliable(
-                            self.node,
-                            client,
-                            ServiceMsg::TopicList { session, topics },
-                        );
+                        let msg = ServiceMsg::TopicList { session, topics };
+                        api.send_reliable(self.node, s.client, msg);
                     }
                 }
             }
@@ -767,7 +748,9 @@ impl ServerActor {
                 epoch,
             } => {
                 if !self.ctrl_fenced(api, epoch) {
-                    self.apply_control_regrade(api, session, upgrade);
+                    let out = &mut self.grade_out;
+                    self.grading.control(&self.sessions, session, upgrade, out);
+                    self.flush_grade(api);
                 }
             }
             #[allow(clippy::collapsible_match)]
@@ -864,13 +847,8 @@ impl ServerActor {
             }
             timers::TK_GRACE => {
                 let session = SessionId::new(payload);
-                let expired = self
-                    .sessions
-                    .get(&session)
-                    .map(|s| s.suspended)
-                    .unwrap_or(false);
-                if expired {
-                    let client = self.sessions[&session].client;
+                let expired = self.sessions.get(&session).filter(|s| s.suspended);
+                if let Some(client) = expired.map(|s| s.client) {
                     self.teardown_session(api, session);
                     api.send_reliable(self.node, client, ServiceMsg::SuspendExpired { session });
                 }
@@ -902,7 +880,12 @@ impl ServerActor {
         user: Option<UserId>,
         class: PricingClass,
     ) {
-        self.ensure_ladder(api);
+        // The ladder's evaluation chain starts with the first session.
+        if let Some(tier) = self.media.as_ref().filter(|t| t.cfg.ladder) {
+            if self.grading.arm_ladder(true) {
+                api.set_timer(self.node, tier.cfg.ladder_period, timers::TK_LADDER, 0);
+            }
+        }
         let session = SessionId::new(self.next_session);
         self.next_session += 1;
         let authorized = user
@@ -927,7 +910,7 @@ impl ServerActor {
             Labels::session(session.raw()).peer(from.raw()),
         );
         let user = user.filter(|_| authorized);
-        let s = SessionState::new(from, user, class, &self.cfg, now, obs_root, obs_admission);
+        let s = SessionState::new(from, user, class, now, obs_root, obs_admission);
         self.sessions.insert(session, s);
         if let Some(u) = user {
             self.accounts.record_login(u, now);
@@ -1077,52 +1060,20 @@ impl ServerActor {
         let Some(s) = self.sessions.get(&session) else {
             return;
         };
-        let client = s.client;
-        let class = s.class;
-        let user = s.user;
-        let doc = match self.db.document(document) {
-            Ok(d) => d.clone(),
-            Err(e) => {
-                api.send_reliable(
-                    self.node,
-                    client,
-                    ServiceMsg::DocError {
-                        session,
-                        reason: e.to_string(),
-                    },
-                );
-                return;
-            }
+        let (client, class) = (s.client, s.class);
+        let Some((doc, flow)) = self.flow_for(api, session, client, document) else {
+            return;
         };
-        let flow = compute_flow_scenario(&doc.scenario, self.cfg.flow);
         self.release_admission(api, session);
         if let Err(reason) = self.admit_with_shedding(api, session, class, client, &flow, true) {
             api.send_reliable(self.node, client, ServiceMsg::DocError { session, reason });
             return;
         }
-        if let Some(u) = user {
-            self.accounts.record_retrieval(u, document);
-            self.accounts.charge(u, Charge::Retrieval(document));
-        }
-        self.release_session_readers(session);
-        let Some(s) = self.sessions.get_mut(&session) else {
+        if !self.switch_document(session, document) {
             return;
-        };
-        s.streams.clear();
-        s.qos = ServerQosManager::new(self.cfg.grading_order, self.cfg.hysteresis);
-        s.current_doc = Some(document);
-        s.paused = false;
-        s.shed_levels = 0;
-        api.send_reliable(
-            self.node,
-            client,
-            ServiceMsg::ScenarioResponse {
-                session,
-                document,
-                markup: doc.markup.clone(),
-                lead_micros: flow.lead.as_micros(),
-            },
-        );
+        }
+        let msg = scenario_response(session, document, &doc, &flow);
+        api.send_reliable(self.node, client, msg);
         // Snapshot the leader's pacer positions now: this event also enters
         // the joiner into the multicast group, so every frame multicast
         // after this instant reaches it — the patch must cover exactly the
@@ -1292,7 +1243,7 @@ impl ServerActor {
             session.raw() as i64,
         );
         let user = user.filter(|_| authorized);
-        let s = SessionState::new(from, user, class, &self.cfg, now, obs_root, SpanId::NONE);
+        let s = SessionState::new(from, user, class, now, obs_root, SpanId::NONE);
         self.sessions.insert(new_session, s);
         self.rebuilt_sessions.push((session, new_session));
         self.start_heartbeat(api, new_session);
@@ -1354,8 +1305,7 @@ impl ServerActor {
                     model.level(lvl).bandwidth_bps()
                 })
                 .sum();
-            let mut requirement = hermes_core::QosRequirement::continuous(bw, 300, 0.05);
-            requirement.bandwidth_bps = bw;
+            let requirement = hermes_core::QosRequirement::continuous(bw, 300, 0.05);
             let request = ConnectionRequest {
                 session,
                 class,
@@ -1365,6 +1315,7 @@ impl ServerActor {
             match decision {
                 AdmissionDecision::Reject { reason } => last_reason = reason,
                 AdmissionDecision::Admit { reserved_bps } => {
+                    // `evaluate` returns a connection with every `Admit`.
                     let conn = conn.expect("admit without connection id");
                     let reserved = if shared_trunk {
                         let mut links = api.net().path_links(self.node, client).unwrap_or_default();
@@ -1384,6 +1335,46 @@ impl ServerActor {
             }
         }
         Err(last_reason)
+    }
+
+    /// `document` (an `Arc` handle shared out of the database, not a deep
+    /// copy) with its flow scenario, or a `DocError` to `client` when this
+    /// server lacks it.
+    fn flow_for(
+        &self,
+        api: &mut SimApi<'_, ServiceMsg>,
+        session: SessionId,
+        client: NodeId,
+        document: DocumentId,
+    ) -> Option<(Arc<StoredDocument>, FlowScenario)> {
+        match self.db.document(document) {
+            Ok(d) => Some((d.clone(), compute_flow_scenario(&d.scenario, self.cfg.flow))),
+            Err(e) => {
+                let reason = e.to_string();
+                api.send_reliable(self.node, client, ServiceMsg::DocError { session, reason });
+                None
+            }
+        }
+    }
+
+    /// Switch admitted `session` over to `document`: drop the previous
+    /// document's cache readers (first, so interval-caching admission sees
+    /// them leave) and grading state, charge the retrieval, and clear the
+    /// old streams. False when the session is gone.
+    fn switch_document(&mut self, session: SessionId, document: DocumentId) -> bool {
+        self.release_session_readers(session);
+        self.grading.reset(session);
+        let Some(s) = self.sessions.get_mut(&session) else {
+            return false;
+        };
+        if let Some(u) = s.user {
+            self.accounts.record_retrieval(u, document);
+            self.accounts.charge(u, Charge::Retrieval(document));
+        }
+        s.streams.clear();
+        s.current_doc = Some(document);
+        s.paused = false;
+        true
     }
 
     /// Deliver a document to a session over a private flow from the start.
@@ -1416,26 +1407,10 @@ impl ServerActor {
         let Some(s) = self.sessions.get(&session) else {
             return;
         };
-        let client = s.client;
-        let class = s.class;
-        let user = s.user;
-        // Arc handle: the document is shared out of the database, not
-        // deep-copied (markup + scenario) per request.
-        let doc = match self.db.document(document) {
-            Ok(d) => d.clone(),
-            Err(e) => {
-                api.send_reliable(
-                    self.node,
-                    client,
-                    ServiceMsg::DocError {
-                        session,
-                        reason: e.to_string(),
-                    },
-                );
-                return;
-            }
+        let (client, class) = (s.client, s.class);
+        let Some((doc, flow)) = self.flow_for(api, session, client, document) else {
+            return;
         };
-        let flow = compute_flow_scenario(&doc.scenario, self.cfg.flow);
 
         // Admission: evaluate the aggregate continuous bandwidth against the
         // path to this client, weighted by the pricing contract. Under
@@ -1446,27 +1421,19 @@ impl ServerActor {
         let shed = match self.admit_with_shedding(api, session, class, client, &flow, false) {
             Ok(shed) => shed,
             Err(reason) => {
-                api.emit(
-                    self.node,
-                    Severity::Warn,
-                    "admit_reject",
-                    Labels::session(session.raw()),
-                );
+                let labels = Labels::session(session.raw());
+                api.emit(self.node, Severity::Warn, "admit_reject", labels);
                 api.send_reliable(self.node, client, ServiceMsg::DocError { session, reason });
                 return;
             }
         };
-        api.emit_val(
-            self.node,
-            if shed > 0 {
-                Severity::Warn
-            } else {
-                Severity::Info
-            },
-            "admit",
-            Labels::session(session.raw()),
-            shed as i64,
-        );
+        let severity = if shed > 0 {
+            Severity::Warn
+        } else {
+            Severity::Info
+        };
+        let labels = Labels::session(session.raw());
+        api.emit_val(self.node, severity, "admit", labels, shed as i64);
         if let Some(s) = self.sessions.get_mut(&session) {
             let span = std::mem::replace(&mut s.obs_admission, SpanId::NONE);
             api.span_end(span);
@@ -1474,39 +1441,16 @@ impl ServerActor {
             let now = api.now();
             self.slo.record_latency(now, SLO_JOIN, now - s.connected_at);
         }
-
-        if let Some(u) = user {
-            self.accounts.record_retrieval(u, document);
-            self.accounts.charge(u, Charge::Retrieval(document));
+        if !self.switch_document(session, document) {
+            return;
         }
-
-        // Tear down any previous document's streams (their cache readers
-        // first, so interval-caching admission sees them leave).
-        self.release_session_readers(session);
-        let s = self.sessions.get_mut(&session).unwrap();
-        s.streams.clear();
-        s.qos = ServerQosManager::new(self.cfg.grading_order, self.cfg.hysteresis);
-        s.current_doc = Some(document);
-        s.paused = false;
-        s.shed_levels = shed;
-
-        // Ship the presentation scenario.
         if send_scenario {
-            api.send_reliable(
-                self.node,
-                client,
-                ServiceMsg::ScenarioResponse {
-                    session,
-                    document,
-                    markup: doc.markup.clone(),
-                    lead_micros: flow.lead.as_micros(),
-                },
-            );
+            let msg = scenario_response(session, document, &doc, &flow);
+            api.send_reliable(self.node, client, msg);
         }
 
         // Activate the media servers: discrete media ship directly at their
         // send start; continuous media get a transmission loop.
-        let floor = self.cfg.floor;
         let resume_point = MediaTime::ZERO + resume_from;
         let lead = flow.lead;
         for plan in &flow.plans {
@@ -1522,18 +1466,7 @@ impl ServerActor {
                 (plan.send_start - resume_point).max(MediaDuration::ZERO)
             } + extra_delay;
             if plan.kind.is_continuous() {
-                let model = CodecModel::for_encoding(plan.encoding);
-                let start_level = GradeLevel(shed).min(model.max_level());
-                let stream_floor = match plan.kind {
-                    MediaKind::Audio => GradeLevel(floor.audio_floor),
-                    _ => GradeLevel(floor.video_floor),
-                };
-                let s = self.sessions.get_mut(&session).unwrap();
-                s.qos
-                    .register(plan.component, model, stream_floor, plan.requirement);
-                if start_level > GradeLevel::NOMINAL {
-                    s.qos.force_level(plan.component, start_level);
-                }
+                let start_level = self.grading.register(session, plan, shed);
                 let started = self.start_stream(api, session, plan, delay, None, |source| {
                     source.set_level(start_level);
                     // Fast-forward past the client's playout position: the
@@ -1655,6 +1588,16 @@ impl ServerActor {
         }
     }
 
+    /// Stream `(session, component)` with its session's client.
+    fn stream_mut(
+        sessions: &mut BTreeMap<SessionId, SessionState>,
+        session: SessionId,
+        component: ComponentId,
+    ) -> Option<(NodeId, &mut StreamTx)> {
+        let s = sessions.get_mut(&session)?;
+        Some((s.client, s.streams.get_mut(&component)?))
+    }
+
     /// The tier-backed stream `(session, component)` if it is live (neither
     /// done nor stopped), with what its pacer still needs.
     fn live_stream(
@@ -1757,23 +1700,17 @@ impl ServerActor {
             return;
         };
         self.flush_woken(api);
-        let Some(s) = self.sessions.get_mut(&tag.session) else {
+        let (session, component) = (tag.session, tag.component);
+        let Some((client, tx)) = Self::stream_mut(&mut self.sessions, session, component) else {
             return;
         };
-        let client = s.client;
-        if let Some(tx) = s.streams.get_mut(&tag.component) {
-            let live_epoch = tx.remote.as_ref().map(|r| r.epoch);
-            if live_epoch == Some(tag.epoch) && !tx.done && !tx.stopped {
-                tx.stopped = true;
-                api.send_reliable(
-                    self.node,
-                    client,
-                    ServiceMsg::StreamStopped {
-                        session: tag.session,
-                        component: tag.component,
-                    },
-                );
-            }
+        let live_epoch = tx.remote.as_ref().map(|r| r.epoch);
+        if live_epoch == Some(tag.epoch) && !tx.done && !tx.stopped {
+            // Not a grading stop: the session's feedback manager is not
+            // told, so a later feedback regrade of the stream restarts it.
+            tx.stopped = true;
+            let msg = ServiceMsg::StreamStopped { session, component };
+            api.send_reliable(self.node, client, msg);
         }
     }
 
@@ -1830,154 +1767,72 @@ impl ServerActor {
         self.flush_share(api);
     }
 
-    /// Arm the degradation-ladder evaluation chain once a tier with the
-    /// ladder enabled is in place (idempotent; called on session arrival).
-    fn ensure_ladder(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
-        let tier = self.media.as_ref().filter(|t| t.cfg.ladder);
-        if let (Some(tier), false) = (tier, self.ladder_armed) {
-            self.ladder_armed = true;
-            api.set_timer(self.node, tier.cfg.ladder_period, timers::TK_LADDER, 0);
-        }
-    }
-
-    /// Periodic degradation-ladder evaluation (timer `TK_LADDER`): under
-    /// sustained fetch pressure walk one victim session one grade level
-    /// down; once pressure has stayed clear for the hysteresis, restore
-    /// one step (LIFO), level by level.
+    /// Periodic degradation-ladder evaluation (timer `TK_LADDER`).
     fn on_ladder_tick(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
         let now = api.now();
         let Some(tier) = self.media.as_ref().filter(|t| t.cfg.ladder) else {
-            self.ladder_armed = false;
+            self.grading.arm_ladder(false);
             return;
         };
         let (period, hysteresis) = (tier.cfg.ladder_period, tier.cfg.ladder_hysteresis);
-        if tier.pressure.overloaded(now) {
-            self.ladder_last_pressure = now;
-            self.ladder_degrade_step(api);
-        } else if !self.ladder_stack.is_empty() && now - self.ladder_last_pressure >= hysteresis {
-            self.ladder_restore_step(api);
-            // Space successive restores a full hysteresis apart.
-            self.ladder_last_pressure = now;
-        }
+        let overloaded = tier.pressure.overloaded(now);
+        let out = &mut self.grade_out;
+        self.grading
+            .ladder_tick(&self.sessions, now, overloaded, hysteresis, out);
+        self.flush_grade(api);
         api.set_timer(self.node, period, timers::TK_LADDER, 0);
     }
 
-    /// One ladder step down: pick the victim (cheapest pricing class first,
-    /// most recently admitted — LIFO — within the class) and walk each of
-    /// its live continuous streams one grade level lower.
-    fn ladder_degrade_step(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
-        let victim = self
-            .sessions
-            .iter()
-            .filter(|(_, s)| !s.suspended)
-            .filter_map(|(sid, s)| {
-                let degradable = s.streams.values().any(|tx| {
-                    tx.plan.kind.is_continuous()
-                        && !tx.done
-                        && !tx.stopped
-                        && tx.source.level() < tx.source.model().max_level()
-                });
-                degradable.then_some((s.class, std::cmp::Reverse(s.connected_at), *sid))
-            })
-            .min_by_key(|&(class, at, sid)| (class, at, std::cmp::Reverse(sid.raw())))
-            .map(|(_, _, sid)| sid);
-        let Some(sid) = victim else {
-            return; // everyone is already at the bottom of the ladder
-        };
-        let Some(s) = self.sessions.get_mut(&sid) else {
-            return;
-        };
-        s.utility_touch();
-        let client = s.client;
-        let mut prior: Vec<(ComponentId, GradeLevel)> = Vec::new();
-        let mut regrades: Vec<(ComponentId, GradeLevel)> = Vec::new();
-        for (cid, tx) in s.streams.iter_mut() {
-            if !tx.plan.kind.is_continuous() || tx.done || tx.stopped {
-                continue;
+    /// Apply what the grading core asked for, in the order it asked: the
+    /// one place a regrade switches a stream's level and tells the client.
+    /// Each output records its trace event before it sends anything.
+    fn flush_grade(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
+        let node = self.node;
+        for o in self.grade_out.drain(..) {
+            if let Some((severity, name, labels, value)) = o.event() {
+                api.emit_val(node, severity, name, labels, value);
             }
-            let cur = tx.source.level();
-            if cur >= tx.source.model().max_level() {
-                continue;
-            }
-            let new = GradeLevel(cur.0 + 1);
-            s.qos.force_level(*cid, new);
-            tx.set_level(new);
-            prior.push((*cid, cur));
-            regrades.push((*cid, new));
-        }
-        if prior.is_empty() {
-            return;
-        }
-        for &(cid, new) in &regrades {
-            api.send_reliable(
-                self.node,
-                client,
-                ServiceMsg::StreamRegraded {
-                    session: sid,
-                    component: cid,
-                    level: new.0,
-                },
-            );
-        }
-        api.emit_val(
-            self.node,
-            Severity::Warn,
-            "ladder_degrade",
-            Labels::session(sid.raw()),
-            regrades.len() as i64,
-        );
-        self.ladder_stack.push(LadderStep {
-            session: sid,
-            prior,
-        });
-        if let Some(tier) = self.media.as_mut() {
-            tier.stats.ladder_degrades += 1;
-        }
-    }
-
-    /// One ladder step back up: restore the most recently degraded session
-    /// to the levels it held before that step.
-    fn ladder_restore_step(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
-        let Some(step) = self.ladder_stack.pop() else {
-            return;
-        };
-        let Some(s) = self.sessions.get_mut(&step.session) else {
-            return; // the victim disconnected meanwhile
-        };
-        s.utility_touch();
-        let client = s.client;
-        let mut regrades: Vec<(ComponentId, GradeLevel)> = Vec::new();
-        for (cid, level) in step.prior {
-            let Some(tx) = s.streams.get_mut(&cid) else {
-                continue;
+            let stream = match o {
+                GradeOut::Regrade(s, c, ..) | GradeOut::Stop(s, c) | GradeOut::Restart(s, c) => {
+                    Self::stream_mut(&mut self.sessions, s, c)
+                }
+                _ => None,
             };
-            if tx.done || tx.stopped {
-                continue;
-            }
-            s.qos.force_level(cid, level);
-            tx.set_level(level);
-            regrades.push((cid, level));
-        }
-        for &(cid, level) in &regrades {
-            api.send_reliable(
-                self.node,
-                client,
-                ServiceMsg::StreamRegraded {
-                    session: step.session,
-                    component: cid,
-                    level: level.0,
+            match (o, stream) {
+                (GradeOut::Touch(session), _) => {
+                    if let Some(s) = self.sessions.get_mut(&session) {
+                        s.utility_touch();
+                    }
+                }
+                (GradeOut::Regrade(session, component, level, _), Some((client, tx))) => {
+                    self.grading.force_level(session, component, level);
+                    tx.set_level(level);
+                    let level = level.0;
+                    let msg = ServiceMsg::StreamRegraded {
+                        session,
+                        component,
+                        level,
+                    };
+                    api.send_reliable(node, client, msg);
+                }
+                (GradeOut::Stop(session, component), Some((client, tx))) => {
+                    tx.stopped = true;
+                    let msg = ServiceMsg::StreamStopped { session, component };
+                    api.send_reliable(node, client, msg);
+                }
+                (GradeOut::Restart(session, component), Some((_, tx))) => {
+                    tx.stopped = false;
+                    let key = timers::pack(session, component);
+                    api.set_timer(node, MediaDuration::ZERO, timers::TK_FRAME, key);
+                }
+                (GradeOut::Stale(_), _) => self.ctrl_stats.stale_drops += 1,
+                (GradeOut::Ladder(_, restore, _), _) => match self.media.as_mut() {
+                    Some(t) if restore => t.stats.ladder_restores += 1,
+                    Some(t) => t.stats.ladder_degrades += 1,
+                    None => {}
                 },
-            );
-        }
-        api.emit_val(
-            self.node,
-            Severity::Info,
-            "ladder_restore",
-            Labels::session(step.session.raw()),
-            regrades.len() as i64,
-        );
-        if let Some(tier) = self.media.as_mut() {
-            tier.stats.ladder_restores += 1;
+                _ => {} // a stream output whose stream is gone
+            }
         }
     }
 
@@ -2034,12 +1889,8 @@ impl ServerActor {
     /// reporting follower.
     pub fn rearm_control(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
         if self.control_peer.is_some() {
-            api.set_timer(
-                self.node,
-                self.control_report_period,
-                timers::TK_CONTROL_REPORT,
-                0,
-            );
+            let period = self.control_report_period;
+            api.set_timer(self.node, period, timers::TK_CONTROL_REPORT, 0);
         }
         self.election.restart(api.now(), &mut self.ha_out);
         self.flush_ha(api);
@@ -2150,31 +2001,20 @@ impl ServerActor {
             Labels::for_peer(me),
             self.slo.max_burn(now) * 1000.0,
         );
-        for (sid, s) in &self.sessions {
-            if s.suspended {
-                continue;
-            }
-            reg.gauge_set(
-                ctrl_names::SESSION_CLASS,
-                Labels::session(sid.raw()).peer(me),
-                s.class.priority() as f64,
-            );
-            for (cid, tx) in &s.streams {
-                if !tx.plan.kind.is_continuous() || tx.done || tx.stopped {
-                    continue;
-                }
-                let l = Labels::session(sid.raw()).stream(cid.raw()).peer(me);
-                reg.gauge_set(
-                    ctrl_names::STREAM_KIND,
-                    l,
-                    hermes_control::encode_kind(tx.plan.kind),
-                );
-                reg.gauge_set(ctrl_names::STREAM_LEVEL, l, tx.source.level().0 as f64);
-                reg.gauge_set(
-                    ctrl_names::STREAM_MAX,
-                    l,
-                    tx.source.model().max_level().0 as f64,
-                );
+        for (sid, s) in self.sessions.iter().filter(|(_, s)| !s.suspended) {
+            let (labels, class) = (Labels::session(sid.raw()).peer(me), s.class.priority());
+            reg.gauge_set(ctrl_names::SESSION_CLASS, labels, class as f64);
+            for v in s
+                .streams()
+                .filter(|v| v.kind.is_continuous() && !v.done && !v.stopped)
+            {
+                let l = Labels::session(sid.raw())
+                    .stream(v.component.raw())
+                    .peer(me);
+                let kind = hermes_control::encode_kind(v.kind);
+                reg.gauge_set(ctrl_names::STREAM_KIND, l, kind);
+                reg.gauge_set(ctrl_names::STREAM_LEVEL, l, v.level.0 as f64);
+                reg.gauge_set(ctrl_names::STREAM_MAX, l, v.max_level.0 as f64);
             }
         }
         self.election.report_sent(now);
@@ -2199,12 +2039,8 @@ impl ServerActor {
                 api.send(self.node, p, report());
             }
         }
-        api.set_timer(
-            self.node,
-            self.control_report_period,
-            timers::TK_CONTROL_REPORT,
-            0,
-        );
+        let period = self.control_report_period;
+        api.set_timer(self.node, period, timers::TK_CONTROL_REPORT, 0);
     }
 
     /// Timer `TK_CONTROL`: evaluate one fleet control tick and actuate the
@@ -2245,17 +2081,16 @@ impl ServerActor {
                     api.emit(self.node, Severity::Info, name, labels);
                     let session = SessionId::new(session);
                     if server == self.node.raw() {
-                        self.apply_control_regrade(api, session, upgrade);
+                        let out = &mut self.grade_out;
+                        self.grading.control(&self.sessions, session, upgrade, out);
+                        self.flush_grade(api);
                     } else {
-                        api.send_reliable(
-                            self.node,
-                            NodeId::new(server),
-                            ServiceMsg::ControlRegrade {
-                                session,
-                                upgrade,
-                                epoch,
-                            },
-                        );
+                        let msg = ServiceMsg::ControlRegrade {
+                            session,
+                            upgrade,
+                            epoch,
+                        };
+                        api.send_reliable(self.node, NodeId::new(server), msg);
                     }
                 }
                 ControlCommand::SetPrice { shed } => {
@@ -2286,85 +2121,6 @@ impl ServerActor {
             }
         }
         api.set_timer(self.node, cfg.tick, timers::TK_CONTROL, 0);
-    }
-
-    /// Apply a controller-issued grade step to one of the session's
-    /// streams, chosen by the same video-first order the controller's view
-    /// model uses. Stale commands (session gone, suspended, or no step
-    /// left) are dropped with a `ctrl_stale` trace.
-    pub fn apply_control_regrade(
-        &mut self,
-        api: &mut SimApi<'_, ServiceMsg>,
-        session: SessionId,
-        upgrade: bool,
-    ) {
-        let order = self.cfg.grading_order;
-        let steppable = |tx: &StreamTx| {
-            tx.plan.kind.is_continuous()
-                && !tx.done
-                && !tx.stopped
-                && if upgrade {
-                    tx.source.level().0 > 0
-                } else {
-                    tx.source.level() < tx.source.model().max_level()
-                }
-        };
-        let target = self
-            .sessions
-            .get_mut(&session)
-            .filter(|s| !s.suspended)
-            .and_then(|s| {
-                if s.streams.values().any(steppable) {
-                    s.utility_touch();
-                }
-                let rank = |(cid, tx): &(&ComponentId, &mut StreamTx)| {
-                    (
-                        order.degrade_rank(tx.plan.kind),
-                        tx.source.level().0,
-                        cid.raw(),
-                    )
-                };
-                let streams = s.streams.iter_mut().filter(|(_, tx)| steppable(tx));
-                let (cid, tx) = if upgrade {
-                    streams.max_by_key(rank)
-                } else {
-                    streams.min_by_key(rank)
-                }?;
-                Some((s.client, &mut s.qos, *cid, tx))
-            });
-        let Some((client, qos, cid, tx)) = target else {
-            // The session was torn down (possibly this very tick) between
-            // the controller's view and the command's arrival, is
-            // suspended, or has no step left — count and drop rather than
-            // touch rebuilt state under a stale id.
-            self.ctrl_stats.stale_drops += 1;
-            api.emit(
-                self.node,
-                Severity::Info,
-                "ctrl_stale",
-                Labels::session(session.raw()),
-            );
-            return;
-        };
-        let cur = tx.source.level().0;
-        let (new, severity, name) = if upgrade {
-            (GradeLevel(cur - 1), Severity::Info, "ctrl_upgrade")
-        } else {
-            (GradeLevel(cur + 1), Severity::Warn, "ctrl_degrade")
-        };
-        qos.force_level(cid, new);
-        tx.set_level(new);
-        let labels = Labels::session(session.raw()).stream(cid.raw());
-        api.emit_val(self.node, severity, name, labels, new.0 as i64);
-        api.send_reliable(
-            self.node,
-            client,
-            ServiceMsg::StreamRegraded {
-                session,
-                component: cid,
-                level: new.0,
-            },
-        );
     }
 
     /// Controller-driven elastic rebalance: swap the tier's placement map
@@ -2428,18 +2184,14 @@ impl ServerActor {
         session: SessionId,
         component: ComponentId,
     ) {
-        let node = self.node;
+        let (node, key) = (self.node, timers::pack(session, component));
         let Some(s) = self.sessions.get_mut(&session) else {
             return;
         };
         if s.paused || s.suspended {
             // Retry after a pause-poll interval.
-            api.set_timer(
-                node,
-                MediaDuration::from_millis(200),
-                timers::TK_DISCRETE,
-                timers::pack(session, component),
-            );
+            let poll = MediaDuration::from_millis(200);
+            api.set_timer(node, poll, timers::TK_DISCRETE, key);
             return;
         }
         let client = s.client;
@@ -2457,12 +2209,7 @@ impl ServerActor {
             self.fetch.flush(api, &mut self.slo);
             let Some(spec) = r.ready.front() else {
                 tier.stats.stalls += 1;
-                api.set_timer(
-                    node,
-                    tier.cfg.stall_poll,
-                    timers::TK_DISCRETE,
-                    timers::pack(session, component),
-                );
+                api.set_timer(node, tier.cfg.stall_poll, timers::TK_DISCRETE, key);
                 return;
             };
             spec.size
@@ -2509,7 +2256,7 @@ impl ServerActor {
         session: SessionId,
         component: ComponentId,
     ) {
-        let node = self.node;
+        let (node, key) = (self.node, timers::pack(session, component));
         let Some(s) = self.sessions.get_mut(&session) else {
             return;
         };
@@ -2518,12 +2265,8 @@ impl ServerActor {
         }
         if s.paused {
             // Poll until resumed (resume also re-arms immediately).
-            api.set_timer(
-                node,
-                MediaDuration::from_millis(100),
-                timers::TK_FRAME,
-                timers::pack(session, component),
-            );
+            let poll = MediaDuration::from_millis(100);
+            api.set_timer(node, poll, timers::TK_FRAME, key);
             return;
         }
         let client = s.client;
@@ -2555,12 +2298,7 @@ impl ServerActor {
             fetched = r.ready.pop_front();
             if fetched.is_none() {
                 tier.stats.stalls += 1;
-                api.set_timer(
-                    node,
-                    tier.cfg.stall_poll,
-                    timers::TK_FRAME,
-                    timers::pack(session, component),
-                );
+                api.set_timer(node, tier.cfg.stall_poll, timers::TK_FRAME, key);
                 return;
             }
         }
@@ -2602,12 +2340,7 @@ impl ServerActor {
                     });
                 }
                 let period = tx.source.model().level(tx.source.level()).frame_period();
-                api.set_timer(
-                    self.node,
-                    period,
-                    timers::TK_FRAME,
-                    timers::pack(session, component),
-                );
+                api.set_timer(node, period, timers::TK_FRAME, key);
                 s.last_media = now;
             }
             None => {
@@ -2624,83 +2357,6 @@ impl ServerActor {
         }
     }
 
-    fn on_feedback(
-        &mut self,
-        api: &mut SimApi<'_, ServiceMsg>,
-        session: SessionId,
-        measurements: &[(ComponentId, hermes_core::QosMeasurement)],
-    ) {
-        let Some(s) = self.sessions.get_mut(&session) else {
-            return;
-        };
-        let client = s.client;
-        // Grade changes alter the utility rate: settle the integral at the
-        // pre-change rate first.
-        s.utility_touch();
-        let actions = s.qos.on_feedback(measurements);
-        for act in actions {
-            if let Some(tx) = s.streams.get_mut(&act.component) {
-                match act.decision {
-                    GradeDecision::Degrade | GradeDecision::Upgrade => {
-                        tx.set_level(act.new_level);
-                        if tx.stopped && !act.stopped {
-                            // Restarted after a stop: re-arm the chain.
-                            tx.stopped = false;
-                            api.set_timer(
-                                self.node,
-                                MediaDuration::ZERO,
-                                timers::TK_FRAME,
-                                timers::pack(session, act.component),
-                            );
-                        }
-                        api.emit_val(
-                            self.node,
-                            if act.decision == GradeDecision::Degrade {
-                                Severity::Warn
-                            } else {
-                                Severity::Info
-                            },
-                            if act.decision == GradeDecision::Degrade {
-                                "qos_degrade"
-                            } else {
-                                "qos_upgrade"
-                            },
-                            Labels::session(session.raw()).stream(act.component.raw()),
-                            act.new_level.0 as i64,
-                        );
-                        api.send_reliable(
-                            self.node,
-                            client,
-                            ServiceMsg::StreamRegraded {
-                                session,
-                                component: act.component,
-                                level: act.new_level.0,
-                            },
-                        );
-                    }
-                    GradeDecision::Stop => {
-                        tx.stopped = true;
-                        api.emit(
-                            self.node,
-                            Severity::Warn,
-                            "qos_stop",
-                            Labels::session(session.raw()).stream(act.component.raw()),
-                        );
-                        api.send_reliable(
-                            self.node,
-                            client,
-                            ServiceMsg::StreamStopped {
-                                session,
-                                component: act.component,
-                            },
-                        );
-                    }
-                    GradeDecision::Hold => {}
-                }
-            }
-        }
-    }
-
     fn on_resume(&mut self, api: &mut SimApi<'_, ServiceMsg>, session: SessionId) {
         let Some(s) = self.sessions.get_mut(&session) else {
             return;
@@ -2709,19 +2365,9 @@ impl ServerActor {
             return;
         }
         s.paused = false;
-        let components: Vec<ComponentId> = s
-            .streams
-            .iter()
-            .filter(|(_, tx)| !tx.done && !tx.stopped)
-            .map(|(c, _)| *c)
-            .collect();
-        for c in components {
-            api.set_timer(
-                self.node,
-                MediaDuration::ZERO,
-                timers::TK_FRAME,
-                timers::pack(session, c),
-            );
+        for (c, _) in s.streams.iter().filter(|(_, tx)| !tx.done && !tx.stopped) {
+            let key = timers::pack(session, *c);
+            api.set_timer(self.node, MediaDuration::ZERO, timers::TK_FRAME, key);
         }
     }
 
@@ -2729,20 +2375,34 @@ impl ServerActor {
         self.leave_group(api, session);
         self.release_session_readers(session);
         self.release_admission(api, session);
-        if let Some(mut s) = self.sessions.remove(&session) {
-            // Fold the session's utility integral into the closed ledger so
-            // `server.utility_acc` keeps counting it after removal.
-            s.utility_touch();
-            self.util_closed += s.util_acc;
-            api.emit(
-                self.node,
-                Severity::Info,
-                "session_teardown",
-                Labels::session(session.raw()),
+        if let Some(s) = self.sessions.remove(&session) {
+            let labels = Labels::session(session.raw());
+            self.retire(
+                api,
+                session,
+                s,
+                (Severity::Info, "session_teardown", labels),
             );
-            api.span_end(s.obs_admission);
-            api.span_end(s.obs_root);
         }
+    }
+
+    /// A session is gone (torn down, or lost in a crash): fold its utility
+    /// integral into the closed ledger, so `server.utility_acc` keeps
+    /// counting what it delivered, drop its grading state, and record its
+    /// terminal `event` and span ends.
+    fn retire(
+        &mut self,
+        api: &mut SimApi<'_, ServiceMsg>,
+        session: SessionId,
+        mut s: SessionState,
+        (severity, name, labels): (Severity, &'static str, Labels),
+    ) {
+        s.utility_touch();
+        self.util_closed += s.util_acc;
+        self.grading.reset(session);
+        api.emit(self.node, severity, name, labels);
+        api.span_end(s.obs_admission);
+        api.span_end(s.obs_root);
     }
 
     /// Snapshot this server's counters into the unified metrics registry.
@@ -2808,36 +2468,35 @@ impl ServerActor {
             .gauge_set("server.utility_acc", l, self.util_closed + live);
         obs.registry
             .gauge_set("server.admission_price", l, self.admission_price as f64);
-        if let Some(c) = self.controller.as_ref() {
-            let st = c.stats;
-            obs.registry.counter_set("ctrl.ticks", l, st.ticks);
-            obs.registry
-                .counter_set("ctrl.pressured_ticks", l, st.pressured_ticks);
-            obs.registry.counter_set("ctrl.degrades", l, st.degrades);
-            obs.registry.counter_set("ctrl.upgrades", l, st.upgrades);
-            obs.registry
-                .counter_set("ctrl.price_changes", l, st.price_changes);
-            obs.registry
-                .counter_set("ctrl.scale_outs", l, st.scale_outs);
-            obs.registry.counter_set("ctrl.scale_ins", l, st.scale_ins);
-            obs.registry
-                .counter_set("ctrl.cold_ticks", l, st.cold_ticks);
+        if let Some(st) = self.controller.as_ref().map(|c| c.stats) {
+            for (name, count) in [
+                ("ctrl.ticks", st.ticks),
+                ("ctrl.pressured_ticks", st.pressured_ticks),
+                ("ctrl.degrades", st.degrades),
+                ("ctrl.upgrades", st.upgrades),
+                ("ctrl.price_changes", st.price_changes),
+                ("ctrl.scale_outs", st.scale_outs),
+                ("ctrl.scale_ins", st.scale_ins),
+                ("ctrl.cold_ticks", st.cold_ticks),
+            ] {
+                obs.registry.counter_set(name, l, count);
+            }
         }
         // HA: which controller was in charge (highest epoch this node
         // accepted) and what got fenced — first-class, so exp tables and
         // flight dumps can show the failover story without trace parsing.
         obs.registry
             .gauge_set("control.epoch", l, self.election.fence() as f64);
-        obs.registry
-            .counter_set("control.fence_drops", l, self.ctrl_stats.fence_drops);
-        obs.registry
-            .counter_set("control.stale_drops", l, self.ctrl_stats.stale_drops);
-        obs.registry
-            .counter_set("control.elections", l, self.ctrl_stats.elections);
-        obs.registry
-            .counter_set("control.demotions", l, self.ctrl_stats.demotions);
-        obs.registry
-            .counter_set("control.lease_beats", l, self.ctrl_stats.lease_beats);
+        let st = self.ctrl_stats;
+        for (name, count) in [
+            ("control.fence_drops", st.fence_drops),
+            ("control.stale_drops", st.stale_drops),
+            ("control.elections", st.elections),
+            ("control.demotions", st.demotions),
+            ("control.lease_beats", st.lease_beats),
+        ] {
+            obs.registry.counter_set(name, l, count);
+        }
     }
 
     fn on_disconnect(&mut self, api: &mut SimApi<'_, ServiceMsg>, session: SessionId) {
@@ -2919,25 +2578,27 @@ impl ServerActor {
         query: u64,
         hits: Vec<SearchHit>,
     ) {
-        let done = {
-            let Some(q) = self.queries.get_mut(&query) else {
-                return;
-            };
-            q.hits.extend(hits);
-            q.awaiting -= 1;
-            q.awaiting == 0
+        let Some(q) = self.queries.get_mut(&query) else {
+            return;
         };
-        if done {
-            let q = self.queries.remove(&query).unwrap();
-            api.send_reliable(
-                self.node,
-                q.client,
-                ServiceMsg::SearchResponse {
-                    session: q.session,
-                    query,
-                    hits: q.hits,
-                },
-            );
+        q.hits.extend(hits);
+        q.awaiting -= 1;
+        if q.awaiting > 0 {
+            return;
+        }
+        if let Some(PendingQuery {
+            session,
+            client,
+            hits,
+            ..
+        }) = self.queries.remove(&query)
+        {
+            let msg = ServiceMsg::SearchResponse {
+                session,
+                query,
+                hits,
+            };
+            api.send_reliable(self.node, client, msg);
         }
     }
 }

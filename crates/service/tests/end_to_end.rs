@@ -568,15 +568,10 @@ fn stopped_stream_restarts_after_recovery() {
     sim.run_until(MediaTime::from_secs(60));
 
     let srv_actor = sim.app().server(srv);
-    let (_, sess) = srv_actor.sessions.iter().next().unwrap();
-    assert!(
-        sess.qos.stops_issued >= 1,
-        "epoch must stop the video stream"
-    );
-    assert!(
-        sess.qos.upgrades_issued >= 1,
-        "recovery must upgrade afterwards"
-    );
+    let (sid, sess) = srv_actor.sessions.iter().next().unwrap();
+    let qos = srv_actor.grading.qos(*sid).expect("graded");
+    assert!(qos.stops_issued >= 1, "epoch must stop the video stream");
+    assert!(qos.upgrades_issued >= 1, "recovery must upgrade afterwards");
     // The video stream resumed transmitting after its stop.
     let video_tx = sess
         .streams

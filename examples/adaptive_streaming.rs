@@ -63,18 +63,20 @@ fn main() {
     for t in 1..=40 {
         sim.run_until(MediaTime::from_secs(t));
         let srv = sim.app().server(server);
-        if let Some((_, sess)) = srv.sessions.iter().next() {
+        if let Some((sid, sess)) = srv.sessions.iter().next() {
+            let qos = srv.grading.qos(*sid);
             let mut audio = None;
             let mut video = None;
             let mut vid_bw = 0u64;
             for (c, tx) in &sess.streams {
                 match tx.plan.kind {
-                    hermes_od::core::MediaKind::Audio => audio = sess.qos.level_of(*c).map(|l| l.0),
+                    hermes_od::core::MediaKind::Audio => {
+                        audio = qos.and_then(|q| q.level_of(*c)).map(|l| l.0)
+                    }
                     hermes_od::core::MediaKind::Video => {
-                        video = sess.qos.level_of(*c).map(|l| l.0);
-                        vid_bw = sess
-                            .qos
-                            .stream(*c)
+                        video = qos.and_then(|q| q.level_of(*c)).map(|l| l.0);
+                        vid_bw = qos
+                            .and_then(|q| q.stream(*c))
                             .map(|s| s.converter.current_bandwidth_bps())
                             .unwrap_or(0);
                     }
@@ -95,10 +97,14 @@ fn main() {
 
     let c = sim.app().client(client);
     let srv = sim.app().server(server);
-    let (_, sess) = srv.sessions.iter().next().unwrap();
+    let (sid, _) = srv.sessions.iter().next().unwrap();
+    let qos = srv
+        .grading
+        .qos(*sid)
+        .expect("the session's streams are graded");
     println!(
         "\ngrading totals: {} degrades, {} upgrades, {} stops",
-        sess.qos.degrades_issued, sess.qos.upgrades_issued, sess.qos.stops_issued
+        qos.degrades_issued, qos.upgrades_issued, qos.stops_issued
     );
     let p = c.presentation.as_ref().expect("presentation exists");
     let stats = p.engine.total_stats();
@@ -107,11 +113,8 @@ fn main() {
         stats.frames_played, stats.duplicates_played, stats.glitches, p.engine.max_skew_observed
     );
     assert!(
-        sess.qos.degrades_issued > 0,
+        qos.degrades_issued > 0,
         "congestion must trigger degradation"
     );
-    assert!(
-        sess.qos.upgrades_issued > 0,
-        "recovery must trigger upgrades"
-    );
+    assert!(qos.upgrades_issued > 0, "recovery must trigger upgrades");
 }
