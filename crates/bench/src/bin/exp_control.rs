@@ -31,15 +31,10 @@
 //! `--smoke` runs two seeds for the CI determinism gate; `--seed`/`--out`/
 //! `--json` as in every experiment binary.
 
-use hermes_bench::{clip_lesson, drive_pool, percentile, tight_tier, ExpOpts, FlashCrowd, Table};
-use hermes_control::ControllerConfig;
-use hermes_core::{MediaDuration, MediaTime, NodeId, ServerId};
-use hermes_server::{SharingMode, SharingPolicy};
-use hermes_service::{
-    install_course, ClientConfig, MediaTierConfig, ServerConfig, ServiceMsg, ServiceWorld,
-    WorldBuilder,
-};
-use hermes_simnet::{LinkSpec, Sim, SimRng};
+use hermes_bench::{ExpOpts, FlashCrowd, Scenario, Table};
+use hermes_control::{ControllerConfig, ControllerStats};
+use hermes_core::{MediaDuration, MediaTime};
+use hermes_service::MediaTierConfig;
 
 /// Who fights the flash crowd.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,59 +118,25 @@ impl Grid {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct Point {
-    arrivals: usize,
-    completed: usize,
-    rejected: usize,
-    unserved: usize,
-    utility: f64,
-    gap_per_kframe: f64,
-    gap_p99: f64,
-    degrades: u64,
-    upgrades: u64,
-    price_changes: u64,
-    scale_outs: u64,
-    scale_ins: u64,
-    fetch_p99_ms: f64,
-}
-
-fn run_point(seed: u64, mode: Mode, g: &Grid) -> Point {
-    let mut b = WorldBuilder::new(seed);
-    let mut cfg = ServerConfig::default();
-    // No stream sharing: every session pays full media-tier cost, so the
-    // flash crowd hits the tier head-on.
-    cfg.sharing = SharingPolicy {
-        mode: SharingMode::Off,
-        ..Default::default()
-    };
-    let srv = b.add_server(ServerId::new(0), LinkSpec::lan(2_000_000_000), cfg);
-    let nodes: Vec<NodeId> = (0..g.pool)
-        .map(|_| b.add_client(LinkSpec::lan(10_000_000), ClientConfig::default()))
-        .collect();
-    // Four media nodes; the last two start on standby in BOTH modes — only
-    // the controller can activate them, which is exactly the elasticity
-    // claim: same hardware, different control.
-    let media: Vec<NodeId> = (0..4)
-        .map(|_| b.add_media_node(LinkSpec::san(1_000_000_000)))
-        .collect();
-    b.media_config(mode.tier());
-    let mut sim: Sim<ServiceMsg, ServiceWorld> = b.build(seed);
-    for &m in &media[2..] {
-        sim.app_mut().standby_media.insert(m);
+/// Run one grid point and add its row to `table`; returns the claim
+/// inputs: utility, session gap P99 and the control actions taken.
+fn run_point(seed: u64, mode: Mode, g: &Grid, table: &mut Table) -> (f64, f64, u64) {
+    // One server, sharing off (the crowd hits the tier head-on), and four
+    // media nodes of which the last two start on standby in BOTH modes —
+    // only the controller can activate them, which is exactly the
+    // elasticity claim: same hardware, different control.
+    let mut crowd = Scenario {
+        pool: g.pool,
+        media: 4,
+        standby: 2,
+        tier: mode.tier(),
+        tag: "control",
+        lessons: g.crowd.catalog,
+        clip_secs: g.clip_secs,
+        ..Scenario::default()
     }
-    tight_tier(&mut sim, &media, 300);
-    let mut rng = SimRng::seed_from_u64(seed ^ 0xF1A5);
-    let lessons = install_course(
-        sim.app_mut().server_mut(srv),
-        "Crowd",
-        &["control"],
-        1,
-        g.crowd.catalog,
-        clip_lesson(g.clip_secs),
-        &mut rng,
-    );
-    sim.app_mut().distribute_media();
+    .build(seed);
+    let srv = crowd.servers[0];
     if mode == Mode::Global {
         // Capacity-first tuning: scale the standby nodes out quickly and
         // keep grade steps scarce — elasticity absorbs the crowd, small
@@ -192,79 +153,43 @@ fn run_point(seed: u64, mode: Mode, g: &Grid) -> Point {
             scale_in_after: MediaDuration::from_secs(10),
             ..ControllerConfig::default()
         };
-        sim.with_api(|w, api| w.enable_control(api, srv, cfg));
+        crowd.sim.with_api(|w, api| w.enable_control(api, srv, cfg));
     }
 
     let arrivals = g.crowd.arrivals(seed);
-    let mut glitches = 0u64;
-    let mut frames = 0u64;
-    let mut session_gaps: Vec<f64> = Vec::new();
-    // Drain: let every in-flight session play out.
-    let end = g.crowd.horizon + MediaDuration::from_secs(g.clip_secs + 15);
-    let run = drive_pool(
-        &mut sim,
-        &nodes,
-        &arrivals,
-        end,
-        |a| (srv, lessons[a.rank]),
-        |c| {
-            if let Some(pres) = &c.presentation {
-                let s = pres.engine.total_stats();
-                glitches += s.glitches;
-                frames += s.frames_played;
-                if s.frames_played > 0 {
-                    session_gaps.push(s.glitches as f64 * 1_000.0 / s.frames_played as f64);
-                }
-            }
-        },
-    );
-    let mut p = Point {
-        arrivals: arrivals.len(),
-        unserved: run.unserved,
-        ..Point::default()
-    };
-
-    for &node in &nodes {
-        let c = sim.app().client(node);
-        p.completed += c.completed.len();
-        p.rejected += c.errors.len();
-    }
-    if frames > 0 {
-        p.gap_per_kframe = glitches as f64 * 1_000.0 / frames as f64;
-    }
-    p.gap_p99 = percentile(&session_gaps, 0.99);
-    let server = sim.app().server(srv);
-    // Aggregate delivered utility: the closed-session ledger plus every
-    // live session's settled integral and unsettled media progress
-    // (identical bookkeeping in both modes).
-    let live_tail: f64 = server
-        .sessions
-        .values()
-        .map(|s| s.util_acc + s.utility_pending())
-        .sum();
-    p.utility = server.util_closed + live_tail;
+    let t = crowd.drive(&arrivals, g.crowd.horizon);
+    let server = crowd.sim.app().server(srv);
     let tier = server.media.as_ref().expect("media tier not deployed");
-    p.fetch_p99_ms = tier.fetch_latency.quantile(0.99).as_micros() as f64 / 1_000.0;
-    match mode {
-        Mode::Local => {
-            p.degrades = tier.stats.ladder_degrades;
-            p.upgrades = tier.stats.ladder_restores;
-        }
-        Mode::Global => {
-            let st = server
-                .controller
-                .as_ref()
-                .expect("controller not hosted")
-                .stats;
-            p.degrades = st.degrades;
-            p.upgrades = st.upgrades;
-            p.price_changes = st.price_changes;
-            p.scale_outs = st.scale_outs;
-            p.scale_ins = st.scale_ins;
-        }
-    }
-    sim.app().audit_media_parts(&sim.stats());
-    p
+    let hosted = server.controller.as_ref().map(|c| c.stats);
+    let c = match mode {
+        Mode::Local => ControllerStats {
+            degrades: tier.stats.ladder_degrades,
+            upgrades: tier.stats.ladder_restores,
+            ..ControllerStats::default()
+        },
+        Mode::Global => hosted.expect("controller not hosted"),
+    };
+    let p99 = t.gap_p99();
+    table.row(vec![
+        mode.label().to_string(),
+        seed.to_string(),
+        arrivals.len().to_string(),
+        t.completed.to_string(),
+        t.rejected.to_string(),
+        t.pool.unserved.to_string(),
+        format!("{:.1}", t.utility),
+        format!("{:.2}", t.gap_per_kframe()),
+        format!("{p99:.2}"),
+        format!("{}/{}", c.degrades, c.upgrades),
+        c.price_changes.to_string(),
+        format!("{}/{}", c.scale_outs, c.scale_ins),
+        format!(
+            "{:.1}",
+            tier.fetch_latency.quantile(0.99).as_micros() as f64 / 1_000.0
+        ),
+    ]);
+    crowd.judge();
+    (t.utility, p99, c.degrades + c.price_changes + c.scale_outs)
 }
 
 fn main() {
@@ -303,34 +228,13 @@ fn main() {
         "scale +/-",
         "fetch p99 ms",
     ]);
-    // mode → worst-seed claim stats.
-    let mut worst_p99 = std::collections::BTreeMap::new();
-    let mut least_utility = std::collections::BTreeMap::new();
-    let mut engaged = std::collections::BTreeMap::new();
+    // mode → worst-seed (utility, gap P99) and the actions summed over seeds.
+    let mut worst = std::collections::BTreeMap::new();
     for &mode in &g.modes {
         for &seed in &g.seeds {
-            let p = run_point(seed, mode, &g);
-            t.row(vec![
-                mode.label().to_string(),
-                seed.to_string(),
-                p.arrivals.to_string(),
-                p.completed.to_string(),
-                p.rejected.to_string(),
-                p.unserved.to_string(),
-                format!("{:.1}", p.utility),
-                format!("{:.2}", p.gap_per_kframe),
-                format!("{:.2}", p.gap_p99),
-                format!("{}/{}", p.degrades, p.upgrades),
-                p.price_changes.to_string(),
-                format!("{}/{}", p.scale_outs, p.scale_ins),
-                format!("{:.1}", p.fetch_p99_ms),
-            ]);
-            let wp: &mut f64 = worst_p99.entry(mode.label()).or_insert(0f64);
-            *wp = wp.max(p.gap_p99);
-            let lu: &mut f64 = least_utility.entry(mode.label()).or_insert(f64::MAX);
-            *lu = lu.min(p.utility);
-            let e: &mut u64 = engaged.entry(mode.label()).or_insert(0);
-            *e += p.degrades + p.price_changes + p.scale_outs;
+            let (utility, p99, engaged) = run_point(seed, mode, &g, &mut t);
+            let w = worst.entry(mode.label()).or_insert((f64::MAX, 0f64, 0u64));
+            *w = (w.0.min(utility), w.1.max(p99), w.2 + engaged);
         }
     }
     out.table(
@@ -350,17 +254,15 @@ fn main() {
 
     // The headline claim on the worst seed of each mode: global control wins
     // BOTH axes, and actually actuated (grades, price moves or scale-outs).
-    let local_u = least_utility["local"];
-    let global_u = least_utility["global"];
-    let local_p = worst_p99["local"];
-    let global_p = worst_p99["global"];
+    let (local_u, local_p, _) = worst["local"];
+    let (global_u, global_p, engaged) = worst["global"];
     out.line(&format!(
         "claim @ ×{:.1} crowd: aggregate utility (worst seed) {:.1} → {:.1}, \
          session gap P99 (worst seed) {:.2} → {:.2}",
         g.crowd.spike_mult, local_u, global_u, local_p, global_p,
     ));
     assert!(
-        engaged["global"] > 0,
+        engaged > 0,
         "fleet controller never actuated under the crowd"
     );
     assert!(

@@ -1,4 +1,3 @@
-#![allow(clippy::field_reassign_with_default)]
 //! EXP-GRADE — claim: the long-term recovery (media quality grading driven
 //! by client feedback) lets a presentation survive sustained congestion that
 //! the nominal rates cannot fit, degrading video before audio and upgrading
@@ -8,13 +7,10 @@
 //! 12 s mid-stream. With grading ON vs OFF, trace the video quality level
 //! and delivered rate over time, and compare playout quality.
 
-use hermes_bench::harness::standard_lesson;
-use hermes_bench::{ExpOpts, StreamingParams, Table};
-use hermes_client::BufferConfig;
-use hermes_client::PlayoutConfig;
-use hermes_core::{GradingOrder, MediaKind, MediaTime, ServerId};
-use hermes_service::{install_course, ClientConfig, ServerConfig, WorldBuilder};
-use hermes_simnet::{CongestionEpoch, CongestionProfile, LinkSpec, SimRng};
+use hermes_bench::harness::{build_streaming_session, streaming_metrics};
+use hermes_bench::{ExpOpts, StreamingMetrics, StreamingParams, Table};
+use hermes_core::{GradingOrder, MediaKind, MediaTime};
+use hermes_simnet::{CongestionEpoch, CongestionProfile};
 
 struct TraceRow {
     t: i64,
@@ -24,12 +20,7 @@ struct TraceRow {
     stopped: bool,
 }
 
-fn run_traced(
-    grading: bool,
-    order: GradingOrder,
-    seed: u64,
-) -> (Vec<TraceRow>, hermes_bench::StreamingMetrics) {
-    // Build the same world the harness would, but sample levels per second.
+fn run_traced(grading: bool, order: GradingOrder, seed: u64) -> (Vec<TraceRow>, StreamingMetrics) {
     let p = StreamingParams {
         access_bps: 4_000_000,
         congestion: CongestionProfile::new(vec![CongestionEpoch {
@@ -45,41 +36,8 @@ fn run_traced(
         seed,
         ..Default::default()
     };
-    // Inline a traced variant of run_streaming_session.
-    let mut b = WorldBuilder::new(p.seed);
-    let mut server_cfg = ServerConfig::default();
-    if !grading {
-        server_cfg.hysteresis = hermes_core::GradingHysteresis {
-            degrade_above: 1e18,
-            upgrade_below: 0.5,
-            upgrade_patience: 3,
-        };
-    }
-    server_cfg.grading_order = order;
-    let server = b.add_server(ServerId::new(0), LinkSpec::lan(100_000_000), server_cfg);
-    let mut access = LinkSpec::lan(p.access_bps);
-    access.queue_capacity_bytes = p.queue_bytes;
-    access.congestion = p.congestion.clone();
-    let mut ccfg = ClientConfig::default();
-    ccfg.class = p.class;
-    ccfg.form.class = p.class;
-    ccfg.buffer = BufferConfig::with_window(p.time_window);
-    ccfg.playout = PlayoutConfig::default();
-    let client = b.add_client(access, ccfg);
-    let mut sim = b.build(p.seed);
-    let mut rng = SimRng::seed_from_u64(p.seed.wrapping_mul(0x9E37_79B9));
-    let lessons = install_course(
-        sim.app_mut().server_mut(server),
-        "Workload",
-        &["experiment"],
-        1,
-        1,
-        standard_lesson(p.clip_secs),
-        &mut rng,
-    );
-    sim.with_api(|w, api| {
-        w.client_mut(client).connect(api, server, Some(lessons[0]));
-    });
+    // The harness's session, sampled once a second on the way.
+    let (mut sim, server, client) = build_streaming_session(&p);
     let mut trace = Vec::new();
     for t in 1..=40 {
         sim.run_until(MediaTime::from_secs(t));
@@ -111,31 +69,7 @@ fn run_traced(
         }
     }
     sim.run_until(p.horizon);
-    // Extract final metrics via the shared harness shape.
-    let c = sim.app().client(client);
-    let mut m = hermes_bench::StreamingMetrics::default();
-    m.completed = !c.completed.is_empty();
-    if let Some((_, startup, skew)) = c.completed.first() {
-        m.startup = *startup;
-        m.max_skew = *skew;
-    }
-    if let Some(pres) = &c.presentation {
-        let stats = pres.engine.total_stats();
-        m.frames_played = stats.frames_played;
-        m.duplicates = stats.duplicates_played;
-        m.glitches = stats.glitches;
-        m.dropped = stats.frames_dropped;
-        m.max_skew = m.max_skew.max(pres.engine.max_skew_observed);
-    }
-    let srv = sim.app().server(server);
-    for q in srv.sessions.keys().filter_map(|sid| srv.grading.qos(*sid)) {
-        m.degrades += q.degrades_issued;
-        m.upgrades += q.upgrades_issued;
-        m.stops += q.stops_issued;
-    }
-    let net = sim.net().total_stats();
-    m.net_dropped = net.packets_lost + net.packets_dropped_queue;
-    (trace, m)
+    (trace, streaming_metrics(&sim, server, client))
 }
 
 fn main() {

@@ -23,16 +23,11 @@
 //! `--smoke` runs two seeds for the CI determinism gate; `--seed`/`--out`/
 //! `--json` as in every experiment binary.
 
-use hermes_bench::{clip_lesson, drive_pool, percentile, tight_tier, ExpOpts, FlashCrowd, Table};
-use hermes_control::ControllerConfig;
-use hermes_core::{MediaDuration, MediaTime, NodeId, ServerId};
-use hermes_server::{SharingMode, SharingPolicy};
-use hermes_service::{
-    install_course, ClientConfig, MediaTierConfig, ServerConfig, ServiceMsg, ServiceWorld,
-    WorldBuilder,
-};
-use hermes_simnet::obs::invariants::check_controller_legality;
-use hermes_simnet::{FaultPlan, LinkSpec, Sim, SimRng};
+use hermes_bench::{percentile, ExpOpts, FlashCrowd, Scenario, Table};
+use hermes_control::{ControllerConfig, ControllerStats};
+use hermes_core::{MediaDuration, MediaTime};
+use hermes_service::MediaTierConfig;
+use hermes_simnet::FaultPlan;
 
 /// Whether the controller can move when its host dies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,40 +93,43 @@ impl Grid {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct Point {
-    arrivals: usize,
-    completed: usize,
-    rejected: usize,
-    unserved: usize,
-    utility: f64,
-    /// P99 over sessions of the starvation share of playout ticks,
-    /// scaled to glitch ticks per 1000 presented (bounded by 1000 —
-    /// a ratio over played frames alone degenerates for sessions the
-    /// crowd starved before they presented anything).
-    gap_p99: f64,
-    elections: u64,
-    /// Milliseconds from the host crash to the successor's election.
-    elect_ms: f64,
-    /// Highest controller epoch the fleet converged on.
-    epoch: u64,
-    fenced: u64,
-    stale_dropped: u64,
-    scale_outs: u64,
-    scale_ins: u64,
-    degrades: u64,
-    price_changes: u64,
-    legality_violations: usize,
-}
-
-fn controller_cfg() -> ControllerConfig {
-    // Capacity-first tuning as in EXP-CONTROL: scale out quickly, keep
-    // grade steps scarce; the defaults' lease/warmup discipline applies.
-    ControllerConfig {
-        // Capacity-led tuning: the decisive move after a failover is
-        // scaling the standby pool out, not mass regrades — a high queue
-        // target and a long dwell keep grading surgical while scale-out
-        // triggers fast.
+/// Run one grid point, add its row to `table` and check its failover
+/// claims; returns its utility and session gap P99.
+fn run_point(seed: u64, mode: Mode, g: &Grid, table: &mut Table) -> (f64, f64) {
+    let mut breaker_cfg = hermes_server::BreakerConfig::default();
+    breaker_cfg.latency_threshold = MediaDuration::from_millis(3_000);
+    // Management host first, then the two session-bearing servers: the
+    // lessons live on those only, so crashing the host takes out the
+    // control function and nothing else. EXP-CONTROL's tight tier with
+    // disks twice as slow, two of four media nodes on standby.
+    let mut crowd = Scenario {
+        servers: 3,
+        pool: g.pool,
+        media: 4,
+        standby: 2,
+        tier: MediaTierConfig {
+            replication: 2,
+            cache_bytes: 0,
+            breaker: true,
+            breaker_cfg,
+            hedging: true,
+            ladder: false, // the controller is the only grading authority
+            ..Default::default()
+        },
+        tight_ms_per_mib: Some(600),
+        titles: &["Crowd A", "Crowd B"],
+        tag: "ha",
+        lessons: g.crowd.catalog,
+        clip_secs: g.clip_secs,
+        ..Scenario::default()
+    }
+    .build(seed);
+    let host = crowd.servers[0];
+    // Capacity-led tuning as in EXP-CONTROL: the decisive move after a
+    // failover is scaling the standby pool out, not mass regrades — a high
+    // queue target and a long dwell keep grading surgical while scale-out
+    // triggers fast; the defaults' lease/warmup discipline applies.
+    let ccfg = ControllerConfig {
         queue_target: 22.0,
         max_steps_per_tick: 1,
         dwell: MediaDuration::from_millis(2_500),
@@ -141,66 +139,8 @@ fn controller_cfg() -> ControllerConfig {
         scale_dwell: MediaDuration::from_millis(1_500),
         scale_in_after: MediaDuration::from_secs(10),
         ..ControllerConfig::default()
-    }
-}
-
-fn run_point(seed: u64, mode: Mode, g: &Grid) -> Point {
-    let mut b = WorldBuilder::new(seed);
-    let mut cfg = ServerConfig::default();
-    cfg.sharing = SharingPolicy {
-        mode: SharingMode::Off,
-        ..Default::default()
     };
-    // Management host first, then the two session-bearing servers.
-    let servers = vec![
-        b.add_server(ServerId::new(0), LinkSpec::lan(2_000_000_000), cfg.clone()),
-        b.add_server(ServerId::new(1), LinkSpec::lan(2_000_000_000), cfg.clone()),
-        b.add_server(ServerId::new(2), LinkSpec::lan(2_000_000_000), cfg),
-    ];
-    let host = servers[0];
-    let nodes: Vec<NodeId> = (0..g.pool)
-        .map(|_| b.add_client(LinkSpec::lan(10_000_000), ClientConfig::default()))
-        .collect();
-    let media: Vec<NodeId> = (0..4)
-        .map(|_| b.add_media_node(LinkSpec::san(1_000_000_000)))
-        .collect();
-    let mut breaker_cfg = hermes_server::BreakerConfig::default();
-    breaker_cfg.latency_threshold = MediaDuration::from_millis(3_000);
-    b.media_config(MediaTierConfig {
-        replication: 2,
-        cache_bytes: 0,
-        breaker: true,
-        breaker_cfg,
-        hedging: true,
-        ladder: false, // the controller is the only grading authority
-        ..Default::default()
-    });
-    let mut sim: Sim<ServiceMsg, ServiceWorld> = b.build(seed);
-    for &m in &media[2..] {
-        sim.app_mut().standby_media.insert(m);
-    }
-    // EXP-CONTROL's tight tier with disks twice as slow.
-    tight_tier(&mut sim, &media, 600);
-    // Lessons on the session servers only: crashing the host takes out
-    // the control function and nothing else.
-    let mut rng = SimRng::seed_from_u64(seed ^ 0xF1A5);
-    let mut lessons = Vec::new();
-    for (i, &srv) in servers[1..].iter().enumerate() {
-        let docs = install_course(
-            sim.app_mut().server_mut(srv),
-            ["Crowd A", "Crowd B"][i],
-            &["ha"],
-            1 + 100 * i as u64,
-            g.crowd.catalog / 2,
-            clip_lesson(g.clip_secs),
-            &mut rng,
-        );
-        for d in docs {
-            lessons.push((srv, d));
-        }
-    }
-    sim.app_mut().distribute_media();
-    let ccfg = controller_cfg();
+    let sim = &mut crowd.sim;
     match mode {
         Mode::Ha => sim.with_api(|w, api| w.enable_control(api, host, ccfg)),
         Mode::Pinned => sim.with_api(|w, api| w.enable_control_pinned(api, host, ccfg)),
@@ -210,71 +150,91 @@ fn run_point(seed: u64, mode: Mode, g: &Grid) -> Point {
     sim.install_faults(&FaultPlan::new().crash_for(host, g.crash_at, g.crash_down));
 
     let arrivals = g.crowd.arrivals(seed);
-    let mut session_gaps: Vec<f64> = Vec::new();
-    let end = g.crowd.horizon + MediaDuration::from_secs(g.clip_secs + 15);
-    let run = drive_pool(
-        &mut sim,
-        &nodes,
-        &arrivals,
-        end,
-        |a| lessons[a.rank % lessons.len()],
-        |c| {
-            if let Some(pres) = &c.presentation {
-                let s = pres.engine.total_stats();
-                let ticks = s.glitches + s.frames_played + s.duplicates_played;
-                if ticks > 0 {
-                    session_gaps.push(s.glitches as f64 * 1_000.0 / ticks as f64);
-                }
-            }
-        },
-    );
-    let mut p = Point {
-        arrivals: arrivals.len(),
-        unserved: run.unserved,
-        ..Point::default()
-    };
-
-    for &node in &nodes {
-        let c = sim.app().client(node);
-        p.completed += c.completed.len();
-        p.rejected += c.errors.len();
-    }
-    p.gap_p99 = percentile(&session_gaps, 0.99);
-    for &srv in &servers[1..] {
-        let s = sim.app().server(srv);
-        let live_tail: f64 = s
-            .sessions
-            .values()
-            .map(|s| s.util_acc + s.utility_pending())
-            .sum();
-        p.utility += s.util_closed + live_tail;
-    }
-    for &srv in &servers {
-        let s = sim.app().server(srv);
-        p.elections += s.ctrl_stats.elections;
-        p.fenced += s.ctrl_stats.fence_drops;
-        p.stale_dropped += s.ctrl_stats.stale_drops;
-        p.epoch = p.epoch.max(s.election.fence());
+    let t = crowd.drive(&arrivals, g.crowd.horizon);
+    // P99 over sessions of the starvation share of playout ticks, scaled
+    // to glitch ticks per 1000 presented (bounded by 1000 — a ratio over
+    // played frames alone degenerates for sessions the crowd starved before
+    // they presented anything).
+    let session_gaps: Vec<f64> = t
+        .sessions
+        .iter()
+        .filter_map(|s| {
+            let ticks = s.glitches + s.frames_played + s.duplicates_played;
+            (ticks > 0).then(|| s.glitches as f64 * 1_000.0 / ticks as f64)
+        })
+        .collect();
+    let p99 = percentile(&session_gaps, 0.99);
+    // Summed over the fleet; `elect_ms` runs from the host crash to the
+    // successor's election, `epoch` is the highest the fleet converged on.
+    let (mut elections, mut fenced, mut stale, mut epoch, mut elect_ms) = (0, 0, 0, 0, 0.0);
+    let mut c = ControllerStats::default();
+    for &srv in &crowd.servers {
+        let s = crowd.sim.app().server(srv);
+        elections += s.ctrl_stats.elections;
+        fenced += s.ctrl_stats.fence_drops;
+        stale += s.ctrl_stats.stale_drops;
+        epoch = epoch.max(s.election.fence());
         if let Some(at) = s.election.last_elected_at {
-            p.elect_ms = (at - g.crash_at).as_micros() as f64 / 1_000.0;
+            elect_ms = (at - g.crash_at).as_micros() as f64 / 1_000.0;
         }
-        if let Some(c) = &s.controller {
-            p.scale_outs += c.stats.scale_outs;
-            p.scale_ins += c.stats.scale_ins;
-            p.degrades += c.stats.degrades;
-            p.price_changes += c.stats.price_changes;
+        if let Some(ctl) = &s.controller {
+            c.scale_outs += ctl.stats.scale_outs;
+            c.scale_ins += ctl.stats.scale_ins;
+            c.degrades += ctl.stats.degrades;
+            c.price_changes += ctl.stats.price_changes;
         }
     }
-    p.fenced += sim.app().control_fence_drops;
-
-    sim.app().audit_media_parts(&sim.stats());
-    // Trace-level proof (vacuous in no-trace builds): actuation epochs
+    fenced += crowd.sim.app().control_fence_drops;
+    table.row(vec![
+        mode.label().to_string(),
+        seed.to_string(),
+        arrivals.len().to_string(),
+        t.completed.to_string(),
+        t.rejected.to_string(),
+        t.pool.unserved.to_string(),
+        format!("{:.1}", t.utility),
+        format!("{p99:.2}"),
+        elections.to_string(),
+        format!("{elect_ms:.0}"),
+        epoch.to_string(),
+        fenced.to_string(),
+        stale.to_string(),
+        c.scale_outs.to_string(),
+        c.degrades.to_string(),
+    ]);
+    match mode {
+        Mode::Ha => {
+            // Detection needs the lease to expire and the next watch tick
+            // to notice: lease_timeout plus two beats of scheduling slack.
+            let bound = ccfg.lease_timeout() + ccfg.lease_beat + ccfg.lease_beat;
+            let lease_bound_ms = bound.as_micros() as f64 / 1_000.0;
+            assert_eq!(
+                elections, 1,
+                "ha seed {seed}: expected exactly one failover election"
+            );
+            assert!(
+                elect_ms > 0.0 && elect_ms <= lease_bound_ms,
+                "ha seed {seed}: successor elected {elect_ms:.0} ms after the crash \
+                 (lease bound {lease_bound_ms:.0} ms)",
+            );
+            assert_eq!(
+                epoch, 2,
+                "ha seed {seed}: fleet did not converge on the successor's epoch"
+            );
+            assert!(
+                c.scale_outs + c.scale_ins + c.degrades + c.price_changes > 0,
+                "ha seed {seed}: the successor never actuated"
+            );
+        }
+        Mode::Pinned => {
+            assert_eq!(elections, 0, "pinned seed {seed}: nobody may elect");
+        }
+    }
+    // The judge's catalog includes controller legality: actuation epochs
     // never regress, no two controllers share an epoch, elections claim
     // fresh epochs, no command lands on a torn-down target.
-    sim.publish_metrics();
-    let obs = sim.take_obs();
-    p.legality_violations = check_controller_legality(obs.events()).len();
-    p
+    crowd.judge();
+    (t.utility, p99)
 }
 
 fn main() {
@@ -316,70 +276,13 @@ fn main() {
         "scale+",
         "grades-",
     ]);
-    let mut worst_p99 = std::collections::BTreeMap::new();
-    let mut least_utility = std::collections::BTreeMap::new();
-    let lease_bound_ms = {
-        let c = controller_cfg();
-        // Detection needs the lease to expire and the next watch tick to
-        // notice: lease_timeout plus two beats of scheduling slack.
-        (c.lease_timeout().as_micros() + 2 * c.lease_beat.as_micros()) as f64 / 1_000.0
-    };
+    // mode → worst-seed (utility, gap P99).
+    let mut worst = std::collections::BTreeMap::new();
     for &mode in &g.modes {
         for &seed in &g.seeds {
-            let p = run_point(seed, mode, &g);
-            t.row(vec![
-                mode.label().to_string(),
-                seed.to_string(),
-                p.arrivals.to_string(),
-                p.completed.to_string(),
-                p.rejected.to_string(),
-                p.unserved.to_string(),
-                format!("{:.1}", p.utility),
-                format!("{:.2}", p.gap_p99),
-                p.elections.to_string(),
-                format!("{:.0}", p.elect_ms),
-                p.epoch.to_string(),
-                p.fenced.to_string(),
-                p.stale_dropped.to_string(),
-                p.scale_outs.to_string(),
-                p.degrades.to_string(),
-            ]);
-            assert_eq!(
-                p.legality_violations,
-                0,
-                "{} seed {seed}: controller-legality violations in trace",
-                mode.label()
-            );
-            match mode {
-                Mode::Ha => {
-                    assert_eq!(
-                        p.elections, 1,
-                        "ha seed {seed}: expected exactly one failover election"
-                    );
-                    assert!(
-                        p.elect_ms > 0.0 && p.elect_ms <= lease_bound_ms,
-                        "ha seed {seed}: successor elected {:.0} ms after the crash \
-                         (lease bound {:.0} ms)",
-                        p.elect_ms,
-                        lease_bound_ms,
-                    );
-                    assert_eq!(
-                        p.epoch, 2,
-                        "ha seed {seed}: fleet did not converge on the successor's epoch"
-                    );
-                    assert!(
-                        p.scale_outs + p.scale_ins + p.degrades + p.price_changes > 0,
-                        "ha seed {seed}: the successor never actuated"
-                    );
-                }
-                Mode::Pinned => {
-                    assert_eq!(p.elections, 0, "pinned seed {seed}: nobody may elect");
-                }
-            }
-            let wp: &mut f64 = worst_p99.entry(mode.label()).or_insert(0f64);
-            *wp = wp.max(p.gap_p99);
-            let lu: &mut f64 = least_utility.entry(mode.label()).or_insert(f64::MAX);
-            *lu = lu.min(p.utility);
+            let (utility, p99) = run_point(seed, mode, &g, &mut t);
+            let w = worst.entry(mode.label()).or_insert((f64::MAX, 0f64));
+            *w = (w.0.min(utility), w.1.max(p99));
         }
     }
     out.table(
@@ -395,10 +298,8 @@ fn main() {
          the successor warms up on live reports, re-prices and scales out,\n\
          and every command a zombie could send is fenced by its stale epoch.",
     );
-    let ha_u = least_utility["ha"];
-    let pin_u = least_utility["pinned"];
-    let ha_p = worst_p99["ha"];
-    let pin_p = worst_p99["pinned"];
+    let (ha_u, ha_p) = worst["ha"];
+    let (pin_u, pin_p) = worst["pinned"];
     out.line(&format!(
         "claim @ x{:.1} crowd: aggregate utility (worst seed) {:.1} (pinned) -> {:.1} (ha), \
          session gap P99 (worst seed) {:.2} (pinned) -> {:.2} (ha)",

@@ -17,14 +17,9 @@
 //! `--smoke` runs a reduced grid (spike only, off vs full, two seeds) for
 //! the CI determinism gate; `--seed`/`--out` as in every experiment binary.
 
-use hermes_bench::{clip_lesson, drive_pool, percentile, tight_tier, ExpOpts, FlashCrowd, Table};
-use hermes_core::{MediaDuration, MediaTime, NodeId, ServerId};
-use hermes_server::{SharingMode, SharingPolicy};
-use hermes_service::{
-    install_course, ClientConfig, MediaTierConfig, ServerConfig, ServiceMsg, ServiceWorld,
-    WorldBuilder,
-};
-use hermes_simnet::{LinkSpec, Sim, SimRng};
+use hermes_bench::{ExpOpts, FlashCrowd, Scenario, Table};
+use hermes_core::{MediaDuration, MediaTime};
+use hermes_service::MediaTierConfig;
 
 /// Which overload-control features are armed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,54 +140,27 @@ impl Grid {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct Point {
-    arrivals: usize,
-    completed: usize,
-    rejected: usize,
-    unserved: usize,
-    gap_per_kframe: f64,
-    gap_p99: f64,
-    shed: u64,
-    hedges: u64,
-    hedge_wins: u64,
-    trips: u64,
-    degrades: u64,
-    restores: u64,
-    fetch_p99_ms: f64,
-}
-
-fn run_point(seed: u64, pattern: Pattern, mode: Mode, g: &Grid) -> Point {
-    let mut b = WorldBuilder::new(seed);
-    let mut cfg = ServerConfig::default();
-    // No stream sharing: every session pays full media-tier cost, so the
-    // flash crowd hits the tier head-on (sharing is EXP-SCALE's subject).
-    cfg.sharing = SharingPolicy {
-        mode: SharingMode::Off,
-        ..Default::default()
-    };
-    let srv = b.add_server(ServerId::new(0), LinkSpec::lan(2_000_000_000), cfg);
-    let nodes: Vec<NodeId> = (0..g.pool)
-        .map(|_| b.add_client(LinkSpec::lan(10_000_000), ClientConfig::default()))
-        .collect();
-    let media: Vec<NodeId> = (0..2)
-        .map(|_| b.add_media_node(LinkSpec::san(1_000_000_000)))
-        .collect();
-    b.media_config(mode.tier());
-    let mut sim: Sim<ServiceMsg, ServiceWorld> = b.build(seed);
-    tight_tier(&mut sim, &media, 300);
-    let mut rng = SimRng::seed_from_u64(seed ^ 0xF1A5);
-    let lessons = install_course(
-        sim.app_mut().server_mut(srv),
-        "Crowd",
-        &["overload"],
-        1,
-        g.crowd.catalog,
-        clip_lesson(g.clip_secs),
-        &mut rng,
-    );
-    sim.app_mut().distribute_media();
-
+/// Run one grid point and add its row to `table`; returns the claim
+/// inputs: gaps/kframe, session gap P99 and the control actions taken.
+fn run_point(
+    seed: u64,
+    pattern: Pattern,
+    mode: Mode,
+    g: &Grid,
+    table: &mut Table,
+) -> (f64, f64, u64) {
+    // One server on a two-node tight tier, sharing off: every session pays
+    // full media-tier cost, so the flash crowd hits the tier head-on
+    // (sharing is EXP-SCALE's subject).
+    let mut crowd = Scenario {
+        pool: g.pool,
+        tier: mode.tier(),
+        tag: "overload",
+        lessons: g.crowd.catalog,
+        clip_secs: g.clip_secs,
+        ..Scenario::default()
+    }
+    .build(seed);
     let arrivals = FlashCrowd {
         spike_len: match pattern {
             Pattern::Step => None,
@@ -201,55 +169,32 @@ fn run_point(seed: u64, pattern: Pattern, mode: Mode, g: &Grid) -> Point {
         ..g.crowd.clone()
     }
     .arrivals(seed);
-
-    let mut glitches = 0u64;
-    let mut frames = 0u64;
-    let mut session_gaps: Vec<f64> = Vec::new();
-    // Drain: let every in-flight session play out.
-    let end = g.crowd.horizon + MediaDuration::from_secs(g.clip_secs + 15);
-    let run = drive_pool(
-        &mut sim,
-        &nodes,
-        &arrivals,
-        end,
-        |a| (srv, lessons[a.rank]),
-        |c| {
-            if let Some(pres) = &c.presentation {
-                let s = pres.engine.total_stats();
-                glitches += s.glitches;
-                frames += s.frames_played;
-                if s.frames_played > 0 {
-                    session_gaps.push(s.glitches as f64 * 1_000.0 / s.frames_played as f64);
-                }
-            }
-        },
-    );
-    let mut p = Point {
-        arrivals: arrivals.len(),
-        unserved: run.unserved,
-        ..Point::default()
-    };
-
-    for &node in &nodes {
-        let c = sim.app().client(node);
-        p.completed += c.completed.len();
-        p.rejected += c.errors.len();
-    }
-    if frames > 0 {
-        p.gap_per_kframe = glitches as f64 * 1_000.0 / frames as f64;
-    }
-    p.gap_p99 = percentile(&session_gaps, 0.99);
-    let server = sim.app().server(srv);
-    let tier = server.media.as_ref().expect("media tier not deployed");
-    p.shed = tier.stats.busy;
-    p.hedges = tier.stats.hedges;
-    p.hedge_wins = tier.stats.hedge_wins;
-    p.trips = tier.stats.breaker_trips;
-    p.degrades = tier.stats.ladder_degrades;
-    p.restores = tier.stats.ladder_restores;
-    p.fetch_p99_ms = tier.fetch_latency.quantile(0.99).as_micros() as f64 / 1_000.0;
-    sim.app().audit_media_parts(&sim.stats());
-    p
+    let t = crowd.drive(&arrivals, g.crowd.horizon);
+    let tier = crowd.sim.app().server(crowd.servers[0]).media.as_ref();
+    let tier = tier.expect("media tier not deployed");
+    let s = tier.stats;
+    let (gap, p99) = (t.gap_per_kframe(), t.gap_p99());
+    table.row(vec![
+        pattern.label().to_string(),
+        mode.label().to_string(),
+        seed.to_string(),
+        arrivals.len().to_string(),
+        t.completed.to_string(),
+        t.rejected.to_string(),
+        t.pool.unserved.to_string(),
+        format!("{gap:.2}"),
+        format!("{p99:.2}"),
+        s.busy.to_string(),
+        format!("{}({})", s.hedges, s.hedge_wins),
+        s.breaker_trips.to_string(),
+        format!("{}/{}", s.ladder_degrades, s.ladder_restores),
+        format!(
+            "{:.1}",
+            tier.fetch_latency.quantile(0.99).as_micros() as f64 / 1_000.0
+        ),
+    ]);
+    crowd.judge();
+    (gap, p99, s.breaker_trips + s.hedges + s.ladder_degrades)
 }
 
 fn main() {
@@ -290,37 +235,17 @@ fn main() {
         "ladder -/+",
         "fetch p99 ms",
     ]);
-    // (pattern, mode) → worst-seed gap stats for the claim checks.
-    let mut worst_gap = std::collections::BTreeMap::new();
-    let mut worst_p99 = std::collections::BTreeMap::new();
-    let mut armed = std::collections::BTreeMap::new();
+    // (pattern, mode) → worst-seed (gap rate, gap P99) and the control
+    // actions summed over seeds, for the claim checks.
+    let mut worst = std::collections::BTreeMap::new();
     for &pattern in &g.patterns {
         for &mode in &g.modes {
             for &seed in &g.seeds {
-                let p = run_point(seed, pattern, mode, &g);
-                t.row(vec![
-                    pattern.label().to_string(),
-                    mode.label().to_string(),
-                    seed.to_string(),
-                    p.arrivals.to_string(),
-                    p.completed.to_string(),
-                    p.rejected.to_string(),
-                    p.unserved.to_string(),
-                    format!("{:.2}", p.gap_per_kframe),
-                    format!("{:.2}", p.gap_p99),
-                    p.shed.to_string(),
-                    format!("{}({})", p.hedges, p.hedge_wins),
-                    p.trips.to_string(),
-                    format!("{}/{}", p.degrades, p.restores),
-                    format!("{:.1}", p.fetch_p99_ms),
-                ]);
-                let key = (pattern.label(), mode.label());
-                let wg: &mut f64 = worst_gap.entry(key).or_insert(0f64);
-                *wg = wg.max(p.gap_per_kframe);
-                let wp: &mut f64 = worst_p99.entry(key).or_insert(0f64);
-                *wp = wp.max(p.gap_p99);
-                let a: &mut u64 = armed.entry(key).or_insert(0);
-                *a += p.trips + p.hedges + p.degrades;
+                let (gap, p99, armed) = run_point(seed, pattern, mode, &g, &mut t);
+                let w = worst
+                    .entry((pattern.label(), mode.label()))
+                    .or_insert((0f64, 0f64, 0u64));
+                *w = (w.0.max(gap), w.1.max(p99), w.2 + armed);
             }
         }
     }
@@ -341,19 +266,16 @@ fn main() {
     // its control loops actually engaged (trips + hedges + ladder steps).
     for &pattern in &g.patterns {
         let k = |m: &'static str| (pattern.label(), m);
-        let off = worst_gap[&k("off")];
-        let full = worst_gap[&k("full")];
+        let (off, off_p99, _) = worst[&k("off")];
+        let (full, full_p99, armed) = worst[&k("full")];
         out.line(&format!(
-            "claim @ {} ×{:.1}: gaps/kframe {:.2} → {:.2}, session gap P99 {:.2} → {:.2}",
+            "claim @ {} ×{:.1}: gaps/kframe {off:.2} → {full:.2}, \
+             session gap P99 {off_p99:.2} → {full_p99:.2}",
             pattern.label(),
             g.crowd.spike_mult,
-            off,
-            full,
-            worst_p99[&k("off")],
-            worst_p99[&k("full")],
         ));
         assert!(
-            armed[&k("full")] > 0,
+            armed > 0,
             "overload stack never engaged under the {} crowd",
             pattern.label()
         );

@@ -1,4 +1,3 @@
-#![allow(clippy::field_reassign_with_default)]
 //! EXP-SCALE — claim: stream sharing makes server cost sublinear in the
 //! audience size.
 //!
@@ -16,13 +15,9 @@
 //! `--smoke` runs a reduced grid (two low rates, two seeds) for the CI
 //! determinism gate; `--seed`/`--out` as in every experiment binary.
 
-use hermes_bench::{clip_lesson, drive_pool, session_arrivals, ExpOpts, Table, ZipfCatalog};
-use hermes_core::{MediaDuration, MediaTime, NodeId, ServerId};
+use hermes_bench::{session_arrivals, ExpOpts, Scenario, Table, ZipfCatalog};
+use hermes_core::{MediaTime, NodeId};
 use hermes_server::{SharingMode, SharingPolicy};
-use hermes_service::{
-    install_course, ClientConfig, ServerConfig, ServiceMsg, ServiceWorld, WorldBuilder,
-};
-use hermes_simnet::{LinkSpec, Sim, SimRng};
 
 /// Sweep dimensions (full vs `--smoke`).
 struct Grid {
@@ -61,21 +56,6 @@ impl Grid {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Point {
-    arrivals: usize,
-    completed: usize,
-    rejected: usize,
-    unserved: usize,
-    peak_concurrent: usize,
-    egress_bytes: u64,
-    san_util: f64,
-    mean_startup_ms: f64,
-    gap_per_kframe: f64,
-    groups: u64,
-    mcast_frames: u64,
-}
-
 fn mode_label(mode: SharingMode) -> &'static str {
     match mode {
         SharingMode::Off => "off",
@@ -84,101 +64,84 @@ fn mode_label(mode: SharingMode) -> &'static str {
     }
 }
 
-fn run_point(seed: u64, rate: f64, skew: f64, mode: SharingMode, g: &Grid) -> Point {
-    let mut b = WorldBuilder::new(seed);
-    let mut cfg = ServerConfig::default();
-    cfg.sharing = SharingPolicy {
-        mode,
-        window: MediaDuration::from_millis(2_000),
-        max_patch: MediaDuration::from_secs(4),
-        hot_rank: 4,
-    };
-    let srv = b.add_server(ServerId::new(0), LinkSpec::lan(2_000_000_000), cfg);
-    let nodes: Vec<NodeId> = (0..g.pool)
-        .map(|_| b.add_client(LinkSpec::lan(10_000_000), ClientConfig::default()))
-        .collect();
-    let media: Vec<NodeId> = (0..4)
-        .map(|_| b.add_media_node(LinkSpec::san(1_000_000_000)))
-        .collect();
-    let mut sim: Sim<ServiceMsg, ServiceWorld> = b.build(seed);
-    let mut rng = SimRng::seed_from_u64(seed ^ 0xC0FFEE);
+/// Run one grid point and add its row to `table`; returns the claim
+/// inputs: server egress bytes and gaps/kframe.
+fn run_point(
+    seed: u64,
+    rate: f64,
+    skew: f64,
+    mode: SharingMode,
+    g: &Grid,
+    table: &mut Table,
+) -> (u64, f64) {
     // Clip-at-zero lessons: the continuous flow starts the moment a group
     // opens, so sharing covers the whole lesson and patches are meaningful.
-    let lessons = install_course(
-        sim.app_mut().server_mut(srv),
-        "Scale",
-        &["load"],
-        1,
-        g.catalog,
-        clip_lesson(g.clip_secs),
-        &mut rng,
-    );
-    sim.app_mut().distribute_media();
+    let mut crowd = Scenario {
+        sharing: SharingPolicy {
+            mode,
+            ..SharingPolicy::default()
+        },
+        pool: g.pool,
+        media: 4,
+        tight_ms_per_mib: None,
+        titles: &["Scale"],
+        tag: "load",
+        salt: 0xC0FFEE,
+        lessons: g.catalog,
+        clip_secs: g.clip_secs,
+        ..Scenario::default()
+    }
+    .build(seed);
 
     // The same seed gives the same schedule for every sharing mode, so
     // mode columns are directly comparable.
     let catalog = ZipfCatalog::new(g.catalog, skew);
     let arrivals = session_arrivals(seed, rate, g.arrival_horizon, &catalog);
-
-    let mut glitches = 0u64;
-    let mut frames = 0u64;
-    // Drain: let every in-flight session play out.
-    let end = g.arrival_horizon + MediaDuration::from_secs(g.clip_secs + 15);
-    let run = drive_pool(
-        &mut sim,
-        &nodes,
-        &arrivals,
-        end,
-        |a| (srv, lessons[a.rank]),
-        |c| {
-            if let Some(pres) = &c.presentation {
-                let s = pres.engine.total_stats();
-                glitches += s.glitches;
-                frames += s.frames_played;
-            }
-        },
-    );
-    let mut p = Point {
-        arrivals: arrivals.len(),
-        unserved: run.unserved,
-        peak_concurrent: run.peak_concurrent,
-        ..Point::default()
+    let t = crowd.drive(&arrivals, g.arrival_horizon);
+    let (sim, srv) = (&crowd.sim, crowd.servers[0]);
+    let startup_us: f64 = crowd
+        .clients
+        .iter()
+        .flat_map(|&n| &sim.app().client(n).completed)
+        .map(|(_, startup, _)| startup.as_micros() as f64)
+        .sum();
+    let mean_startup_ms = match t.completed {
+        0 => 0.0,
+        n => startup_us / n as f64 / 1_000.0,
     };
-
-    let mut startup_us = 0f64;
-    for &node in &nodes {
-        let c = sim.app().client(node);
-        p.completed += c.completed.len();
-        p.rejected += c.errors.len();
-        for (_, startup, _) in &c.completed {
-            startup_us += startup.as_micros() as f64;
-        }
-    }
-    if p.completed > 0 {
-        p.mean_startup_ms = startup_us / p.completed as f64 / 1_000.0;
-    }
-    if frames > 0 {
-        p.gap_per_kframe = glitches as f64 * 1_000.0 / frames as f64;
-    }
-    p.egress_bytes = sim
-        .net()
-        .link(srv, NodeId::new(0))
-        .expect("server trunk")
-        .stats
-        .bytes_sent;
-    let secs = (end - MediaTime::ZERO).as_micros() as f64 / 1e6;
-    p.san_util = media
+    let egress = sim.net().link(srv, NodeId::new(0)).expect("server trunk");
+    let egress = egress.stats.bytes_sent;
+    let secs = (sim.now() - MediaTime::ZERO).as_micros() as f64 / 1e6;
+    let san_util = crowd
+        .media
         .iter()
         .map(|&m| {
             let l = sim.net().link(m, NodeId::new(0)).expect("SAN link");
             l.stats.bytes_sent as f64 * 8.0 / (l.spec.bandwidth_bps as f64 * secs)
         })
         .sum::<f64>()
-        / media.len() as f64;
-    let stats = sim.app().server(srv).sharing_stats;
-    p.groups = stats.groups_opened;
-    p.mcast_frames = stats.mcast_frames;
-    p
+        / crowd.media.len() as f64;
+    let shared = sim.app().server(srv).sharing_stats;
+    let gap = t.gap_per_kframe();
+    table.row(vec![
+        format!("{rate:.0}"),
+        format!("{skew:.1}"),
+        mode_label(mode).to_string(),
+        seed.to_string(),
+        arrivals.len().to_string(),
+        t.pool.peak_concurrent.to_string(),
+        t.completed.to_string(),
+        t.rejected.to_string(),
+        t.pool.unserved.to_string(),
+        format!("{:.1}", egress as f64 / 1e6),
+        format!("{san_util:.3}"),
+        format!("{mean_startup_ms:.0}"),
+        format!("{gap:.2}"),
+        shared.groups_opened.to_string(),
+        shared.mcast_frames.to_string(),
+    ]);
+    crowd.judge();
+    (egress, gap)
 }
 
 fn main() {
@@ -224,28 +187,11 @@ fn main() {
         for &skew in &g.skews {
             for &mode in &modes {
                 for &seed in &g.seeds {
-                    let p = run_point(seed, rate, skew, mode, &g);
-                    t.row(vec![
-                        format!("{rate:.0}"),
-                        format!("{skew:.1}"),
-                        mode_label(mode).to_string(),
-                        seed.to_string(),
-                        p.arrivals.to_string(),
-                        p.peak_concurrent.to_string(),
-                        p.completed.to_string(),
-                        p.rejected.to_string(),
-                        p.unserved.to_string(),
-                        format!("{:.1}", p.egress_bytes as f64 / 1e6),
-                        format!("{:.3}", p.san_util),
-                        format!("{:.0}", p.mean_startup_ms),
-                        format!("{:.2}", p.gap_per_kframe),
-                        p.groups.to_string(),
-                        p.mcast_frames.to_string(),
-                    ]);
+                    let (bytes, gap) = run_point(seed, rate, skew, mode, &g, &mut t);
                     let key = (rate.to_bits(), skew.to_bits(), mode_label(mode));
-                    *egress.entry(key).or_insert(0u64) += p.egress_bytes;
+                    *egress.entry(key).or_insert(0u64) += bytes;
                     let worst: &mut f64 = gaps.entry(key).or_insert(0f64);
-                    *worst = worst.max(p.gap_per_kframe);
+                    *worst = worst.max(gap);
                 }
             }
         }

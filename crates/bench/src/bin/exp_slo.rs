@@ -19,7 +19,7 @@
 //! The attribution and burn tables are fully deterministic (the CI gate
 //! byte-diffs two runs).
 
-use hermes_bench::{clip_lesson, drive_pool, tight_tier, ExpOpts, FlashCrowd, Table};
+use hermes_bench::{clip_lesson, ExpOpts, FlashCrowd, Table};
 use hermes_control::ControllerConfig;
 use hermes_core::{MediaDuration, MediaTime, NodeId, ServerId};
 use hermes_server::{SharingMode, SharingPolicy};
@@ -136,64 +136,42 @@ fn score(
 /// controller on to measure how far the SLO-burn pressure bit leads the
 /// queue-depth bit.
 fn run_spike(seed: u64, g: &Grid, control: bool) -> Point {
-    let mut b = WorldBuilder::new(seed);
-    let mut cfg = ServerConfig::default();
-    cfg.sharing = SharingPolicy {
-        mode: SharingMode::Off,
+    let mut crowd = hermes_bench::Scenario {
+        pool: g.pool,
+        // Overload stack off: saturation must show up as queueing, not be
+        // absorbed by breakers/hedges/the ladder.
+        tier: MediaTierConfig {
+            replication: 2,
+            cache_bytes: 0,
+            breaker: false,
+            hedging: false,
+            ladder: false,
+            ..Default::default()
+        },
+        tag: "slo",
+        lessons: g.crowd.catalog,
+        clip_secs: g.clip_secs,
         ..Default::default()
-    };
-    let srv = b.add_server(ServerId::new(0), LinkSpec::lan(2_000_000_000), cfg);
-    let nodes: Vec<NodeId> = (0..g.pool)
-        .map(|_| b.add_client(LinkSpec::lan(10_000_000), ClientConfig::default()))
-        .collect();
-    let media: Vec<NodeId> = (0..2)
-        .map(|_| b.add_media_node(LinkSpec::san(1_000_000_000)))
-        .collect();
-    // Overload stack off: saturation must show up as queueing, not be
-    // absorbed by breakers/hedges/the ladder.
-    b.media_config(MediaTierConfig {
-        replication: 2,
-        cache_bytes: 0,
-        breaker: false,
-        hedging: false,
-        ladder: false,
-        ..Default::default()
-    });
-    let mut sim: Sim<ServiceMsg, ServiceWorld> = b.build(seed);
-    sim.obs_mut().set_enabled(true);
-    tight_tier(&mut sim, &media, 300);
-    let mut rng = SimRng::seed_from_u64(seed ^ 0xF1A5);
-    let lessons = install_course(
-        sim.app_mut().server_mut(srv),
-        "Crowd",
-        &["slo"],
-        1,
-        g.crowd.catalog,
-        clip_lesson(g.clip_secs),
-        &mut rng,
-    );
-    sim.app_mut().distribute_media();
-    if control {
-        sim.with_api(|w, api| w.enable_control(api, srv, ControllerConfig::default()));
     }
-
-    let end = g.crowd.horizon + MediaDuration::from_secs(g.clip_secs + 15);
-    drive_pool(
-        &mut sim,
-        &nodes,
-        &g.crowd.arrivals(seed),
-        end,
-        |a| (srv, lessons[a.rank]),
-        |_| {},
-    );
+    .build(seed);
+    let srv = crowd.servers[0];
+    if control {
+        let cfg = ControllerConfig::default();
+        crowd.sim.with_api(|w, api| w.enable_control(api, srv, cfg));
+    }
+    crowd.drive(&g.crowd.arrivals(seed), g.crowd.horizon);
 
     // The crowd's queue backlog keeps starving sessions well past the
     // arrival spike itself, so every gap from spike onset to the end of
     // the drain is spike-caused (the run injects nothing else).
-    finish(sim, Scenario::Spike, g.crowd.spike_at, end)
+    let end = crowd.sim.now();
+    let p = finish(&mut crowd.sim, Scenario::Spike, g.crowd.spike_at, end);
+    crowd.judge();
+    p
 }
 
 fn run_partition(seed: u64, _g: &Grid) -> Point {
+    // Hand-built: scripted joins on one deep-queued replica, not a crowd.
     let mut b = WorldBuilder::new(seed);
     let mut cfg = ServerConfig::default();
     cfg.sharing = SharingPolicy {
@@ -260,11 +238,11 @@ fn run_partition(seed: u64, _g: &Grid) -> Point {
     // Score every gap from outage onset to the end of the run: the loss
     // starves playout both while the link is down and through the refill
     // backlog after repair, and the run injects no other fault.
-    finish(sim, Scenario::Partition, from, end)
+    finish(&mut sim, Scenario::Partition, from, end)
 }
 
 fn finish(
-    mut sim: Sim<ServiceMsg, ServiceWorld>,
+    sim: &mut Sim<ServiceMsg, ServiceWorld>,
     scenario: Scenario,
     from: MediaTime,
     until: MediaTime,
@@ -274,48 +252,15 @@ fn finish(
     // lags its cause by the client buffer plus the server's prefetch
     // lead (several seconds here), and the causal window must span that
     // lag to reach the link_down / shed evidence.
-    let t0 = std::time::Instant::now();
     let attrs = obs.attribute(&AttributionConfig {
         window: MediaDuration::from_secs(6),
         ..AttributionConfig::default()
     });
-    if std::env::var_os("EXP_SLO_DEBUG").is_some() {
-        eprintln!("[debug] attribute took {:?}", t0.elapsed());
-    }
     let mut p = Point::default();
     (p.window_gaps, p.correct) = score(&attrs, scenario.expected(), from, until);
     p.total_attrs = attrs.len();
     p.prov_records = obs.prov.len();
     let events = obs.events();
-    if std::env::var_os("EXP_SLO_DEBUG").is_some() {
-        let mut hist = std::collections::BTreeMap::new();
-        for e in events {
-            *hist.entry(e.name).or_insert(0u64) += 1;
-        }
-        eprintln!("[debug] {} events: {hist:?}", events.len());
-        let mut classes = std::collections::BTreeMap::new();
-        let mut win_classes = std::collections::BTreeMap::new();
-        for a in &attrs {
-            *classes.entry(a.class.label()).or_insert(0u64) += 1;
-            if a.kind == "playout_gap" && a.at >= from && a.at <= until {
-                *win_classes.entry(a.class.label()).or_insert(0u64) += 1;
-            }
-        }
-        eprintln!("[debug] attr classes: {classes:?} window: {win_classes:?}");
-        let gaps: Vec<i64> = events
-            .iter()
-            .filter(|e| e.name == "playout_gap")
-            .map(|e| e.at.as_micros() / 1_000)
-            .collect();
-        if !gaps.is_empty() {
-            eprintln!(
-                "[debug] gaps: {} first {} ms last {} ms",
-                gaps.len(),
-                gaps.first().unwrap(),
-                gaps.last().unwrap()
-            );
-        }
-    }
     p.alert_ms = first_at(events, |e| e.name == "slo_alert");
     p.burn_ms = first_at(events, |e| {
         e.name == "ctrl_pressure_src" && e.value & 4 != 0

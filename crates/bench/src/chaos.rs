@@ -71,6 +71,7 @@ pub struct ChaosReport {
 }
 
 fn build_world(seed: u64) -> (Sim<ServiceMsg, ServiceWorld>, WorldIds) {
+    // Hand-built, not a crowd `Scenario`: media before clients pins its ids.
     let mut b = WorldBuilder::new(seed);
     let scfg = ServerConfig {
         client_timeout: CLIENT_TIMEOUT,

@@ -1,19 +1,35 @@
-//! The flash-crowd rig the load experiments share (EXP-SCALE, -OVERLOAD,
-//! -CONTROL, -HA, -SLO): one arrival schedule, one open-loop driver over a
-//! fixed client pool, one tight media tier. Each experiment keeps only its
-//! world, its harvest and its claim check.
+//! The crowd scenario of the load experiments (EXP-SCALE, -OVERLOAD,
+//! -CONTROL, -HA and EXP-SLO's spike). A [`Scenario`] builds the world —
+//! servers, then the client pool, then the media nodes (node ids feed
+//! rendezvous placement) — with one course. The experiment sets up its
+//! controller or faults on the [`Crowd`], drives a schedule through the
+//! pool, reads its numbers off the [`Tally`] and the simulation, and ends
+//! with [`Crowd::judge`], which fails the run on any invariant violation.
 //!
 //! Every pinned table of those experiments is a function of the RNG draw
-//! order and the driver's slot order below; change either and
-//! `BENCH_baseline.json` moves.
+//! order, the node order and the pool's slot order below; change any of
+//! them and `BENCH_baseline.json` moves.
 
+use crate::harness::clip_lesson;
 use crate::workload::{Arrival, ZipfCatalog};
-use hermes_core::{DocumentId, MediaDuration, MediaTime, NodeId};
-use hermes_service::{ClientActor, MediaNodeConfig, ServiceMsg, ServiceWorld};
-use hermes_simnet::{Sim, SimRng};
+use hermes_client::StreamPlayoutStats;
+use hermes_core::{DocumentId, MediaDuration, MediaTime, NodeId, ServerId};
+use hermes_server::{SharingMode, SharingPolicy};
+use hermes_service::{
+    install_course, ClientActor, ClientConfig, MediaNodeConfig, MediaTierConfig, ServerConfig,
+    ServiceMsg, ServiceWorld, WorldBuilder,
+};
+use hermes_simnet::obs::invariants::{check_run, InvariantConfig};
+use hermes_simnet::obs::percentile;
+use hermes_simnet::{LinkSpec, Sim, SimRng};
 
 /// Zipf skew of the flash-crowd catalog.
 const CROWD_SKEW: f64 = 1.1;
+/// The drain past the arrival horizon, on top of one clip: long enough for
+/// every in-flight session to play out.
+const DRAIN: MediaDuration = MediaDuration::from_secs(15);
+/// How long the judge lets the final disconnects settle.
+const SETTLE: MediaDuration = MediaDuration::from_secs(5);
 
 /// A piecewise-Poisson flash crowd over a Zipf(1.1) catalog: `base_rate`
 /// outside the crowd window, `base_rate × spike_mult` inside it.
@@ -65,7 +81,241 @@ impl FlashCrowd {
     }
 }
 
-/// What [`drive_pool`] saw besides what the harvest collected.
+/// The world of one load experiment. Each field is one the experiments
+/// set differently; everything they share is a constant of this module.
+#[derive(Debug, Clone)]
+pub struct Scenario {
+    /// Multimedia servers; the course sits on the last `titles.len()`.
+    pub servers: usize,
+    /// Stream sharing on every server.
+    pub sharing: SharingPolicy,
+    /// Client pool size.
+    pub pool: usize,
+    /// Media nodes, of which the last `standby` start out of the placement.
+    pub media: usize,
+    /// See `media`.
+    pub standby: usize,
+    /// Media-tier configuration.
+    pub tier: MediaTierConfig,
+    /// Queue 24 and 1 ms + this many ms/MiB on every media node, so a crowd
+    /// overloads serving rather than the network; `None` keeps the defaults.
+    pub tight_ms_per_mib: Option<i64>,
+    /// One course title per course server (titles reach the markup's size).
+    pub titles: &'static [&'static str],
+    /// The course's topic word.
+    pub tag: &'static str,
+    /// Salt of the course RNG (`seed ^ salt`).
+    pub salt: u64,
+    /// Lessons in all, split evenly over the titles.
+    pub lessons: usize,
+    /// Clip length of every lesson, seconds.
+    pub clip_secs: i64,
+}
+
+impl Default for Scenario {
+    /// EXP-OVERLOAD's world without its size: one server, sharing off, two
+    /// media nodes on a 300 ms/MiB tight tier, the `"Crowd"` course.
+    fn default() -> Self {
+        Scenario {
+            servers: 1,
+            sharing: SharingPolicy {
+                mode: SharingMode::Off,
+                ..SharingPolicy::default()
+            },
+            pool: 0,
+            media: 2,
+            standby: 0,
+            tier: MediaTierConfig::default(),
+            tight_ms_per_mib: Some(300),
+            titles: &["Crowd"],
+            tag: "",
+            salt: 0xF1A5,
+            lessons: 0,
+            clip_secs: 8,
+        }
+    }
+}
+
+impl Scenario {
+    /// Build the world for `seed`: topology, tier, course, placement.
+    pub fn build(&self, seed: u64) -> Crowd {
+        let mut b = WorldBuilder::new(seed);
+        let cfg = ServerConfig {
+            sharing: self.sharing.clone(),
+            ..ServerConfig::default()
+        };
+        // A 2 Gb/s trunk per server, 10 Mb/s client access, a 1 Gb/s SAN.
+        let trunk = LinkSpec::lan(2_000_000_000);
+        let servers: Vec<NodeId> = (0..self.servers)
+            .map(|i| b.add_server(ServerId::new(i as u64), trunk.clone(), cfg.clone()))
+            .collect();
+        let clients = (0..self.pool)
+            .map(|_| b.add_client(LinkSpec::lan(10_000_000), ClientConfig::default()))
+            .collect();
+        let media: Vec<NodeId> = (0..self.media)
+            .map(|_| b.add_media_node(LinkSpec::san(1_000_000_000)))
+            .collect();
+        b.media_config(self.tier.clone());
+        let mut sim = b.build(seed);
+        let app = sim.app_mut();
+        app.standby_media
+            .extend(&media[self.media - self.standby..]);
+        if let Some(ms) = self.tight_ms_per_mib {
+            for &m in &media {
+                app.media_mut(m).configure(MediaNodeConfig {
+                    queue_capacity: 24,
+                    fixed_service: MediaDuration::from_millis(1),
+                    per_mbyte: MediaDuration::from_millis(ms),
+                });
+            }
+        }
+        let mut rng = SimRng::seed_from_u64(seed ^ self.salt);
+        let (tag, shape) = ([self.tag], clip_lesson(self.clip_secs));
+        let n = self.lessons / self.titles.len(); // lessons per title
+        let mut docs = Vec::new();
+        let course = &servers[self.servers - self.titles.len()..];
+        for (i, (&srv, title)) in course.iter().zip(self.titles).enumerate() {
+            let first = 1 + 100 * i as u64;
+            let lessons =
+                install_course(app.server_mut(srv), title, &tag, first, n, shape, &mut rng);
+            docs.extend(lessons.into_iter().map(|d| (srv, d)));
+        }
+        app.distribute_media();
+        Crowd {
+            sim,
+            servers,
+            clients,
+            media,
+            docs,
+            clip_secs: self.clip_secs,
+        }
+    }
+}
+
+/// A built [`Scenario`], ready for the experiment's own set-up before
+/// [`drive`](Self::drive).
+pub struct Crowd {
+    /// The simulation.
+    pub sim: Sim<ServiceMsg, ServiceWorld>,
+    /// Server nodes, in `ServerId` order.
+    pub servers: Vec<NodeId>,
+    /// The client pool.
+    pub clients: Vec<NodeId>,
+    /// Media nodes.
+    pub media: Vec<NodeId>,
+    /// Every lesson with its server, in install order; an arrival of rank
+    /// `r` asks for `docs[r % docs.len()]`.
+    pub docs: Vec<(NodeId, DocumentId)>,
+    clip_secs: i64,
+}
+
+/// What one driven crowd delivered, read before the judge.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Tally {
+    /// Turned-away arrivals and peak concurrency.
+    pub pool: PoolRun,
+    /// Presentations completed across the pool.
+    pub completed: usize,
+    /// Errors received across the pool (rejections, failed documents).
+    pub rejected: usize,
+    /// Playout totals of every harvested session that presented, in
+    /// harvest order.
+    pub sessions: Vec<StreamPlayoutStats>,
+    /// Delivered utility on every server: the closed-session ledger plus
+    /// each live session's settled integral and unsettled progress.
+    pub utility: f64,
+}
+
+impl Tally {
+    /// Glitches per thousand frames played, over all sessions.
+    pub fn gap_per_kframe(&self) -> f64 {
+        let glitches: u64 = self.sessions.iter().map(|s| s.glitches).sum();
+        let frames: u64 = self.sessions.iter().map(|s| s.frames_played).sum();
+        if frames == 0 {
+            return 0.0;
+        }
+        glitches as f64 * 1_000.0 / frames as f64
+    }
+
+    /// P99 over sessions that played a frame of their glitches per
+    /// thousand frames.
+    pub fn gap_p99(&self) -> f64 {
+        let gaps: Vec<f64> = self
+            .sessions
+            .iter()
+            .filter(|s| s.frames_played > 0)
+            .map(|s| s.glitches as f64 * 1_000.0 / s.frames_played as f64)
+            .collect();
+        percentile(&gaps, 0.99)
+    }
+}
+
+impl Crowd {
+    /// Drive `arrivals` through the pool, run on to `horizon` plus one clip
+    /// plus 15 s so every session plays out, and tally the run.
+    pub fn drive(&mut self, arrivals: &[Arrival], horizon: MediaTime) -> Tally {
+        let docs = &self.docs;
+        let end = horizon + MediaDuration::from_secs(self.clip_secs) + DRAIN;
+        let mut sessions = Vec::new();
+        let pool = drive_pool(
+            &mut self.sim,
+            &self.clients,
+            arrivals,
+            end,
+            |a| docs[a.rank % docs.len()],
+            |c| sessions.extend(c.presentation.as_ref().map(|p| p.engine.total_stats())),
+        );
+        let mut t = Tally {
+            pool,
+            sessions,
+            ..Tally::default()
+        };
+        let app = self.sim.app();
+        for &n in &self.clients {
+            t.completed += app.client(n).completed.len();
+            t.rejected += app.client(n).errors.len();
+        }
+        for &n in &self.servers {
+            let s = app.server(n);
+            let live: f64 = s
+                .sessions
+                .values()
+                .map(|s| s.util_acc + s.utility_pending())
+                .sum();
+            t.utility += s.util_closed + live;
+        }
+        t
+    }
+
+    /// End the run and judge it: disconnect every pool client, settle for
+    /// 5 s, audit media-part conservation, publish the metrics and run the
+    /// invariant catalog. Bounded recovery stays off: under a live
+    /// crowd it would count the crowd's own gaps. Panics with the first
+    /// violations, so a broken run exits nonzero.
+    pub fn judge(mut self) {
+        let sim = &mut self.sim;
+        sim.with_api(|w, api| {
+            for &c in &self.clients {
+                w.client_mut(c).disconnect(api);
+            }
+        });
+        sim.run_until(sim.now() + SETTLE);
+        sim.app().audit_media_parts(&sim.stats());
+        sim.publish_metrics();
+        let mut obs = sim.take_obs();
+        sim.app().publish_metrics(&mut obs);
+        let v = check_run(obs.events(), &obs.registry, &InvariantConfig::default());
+        let first: Vec<String> = v.iter().take(8).map(|v| v.render()).collect();
+        assert!(
+            v.is_empty(),
+            "{} invariant violations:\n{}",
+            v.len(),
+            first.join("\n")
+        );
+    }
+}
+
+/// What driving the pool saw besides what the harvest collected.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolRun {
     /// Arrivals that found every pool client busy.
@@ -81,7 +331,7 @@ pub struct PoolRun {
 /// the pool busy is counted and dropped. `harvest` sees each claimed client
 /// exactly once: when its session is found resolved at a later arrival, or
 /// after the run has drained to `drain_until`.
-pub fn drive_pool(
+fn drive_pool(
     sim: &mut Sim<ServiceMsg, ServiceWorld>,
     nodes: &[NodeId],
     arrivals: &[Arrival],
@@ -134,25 +384,9 @@ pub fn drive_pool(
     run
 }
 
-/// Short queues and slow disks on every node of `media`, so a crowd
-/// overloads serving capacity rather than the network.
-pub fn tight_tier(sim: &mut Sim<ServiceMsg, ServiceWorld>, media: &[NodeId], per_mbyte_ms: i64) {
-    for &m in media {
-        sim.app_mut().media_mut(m).configure(MediaNodeConfig {
-            queue_capacity: 24,
-            fixed_service: MediaDuration::from_millis(1),
-            per_mbyte: MediaDuration::from_millis(per_mbyte_ms),
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::clip_lesson;
-    use hermes_core::ServerId;
-    use hermes_service::{install_course, ClientConfig, ServerConfig, WorldBuilder};
-    use hermes_simnet::LinkSpec;
 
     fn secs(s: i64) -> MediaTime {
         MediaTime::from_secs(s)
@@ -348,5 +582,129 @@ mod tests {
         assert_eq!(run, PoolRun::default());
         assert_eq!(harvested, 0);
         assert_eq!(sim.now(), secs(3));
+    }
+
+    /// The rig's smallest world: a two-client pool, two media nodes of
+    /// which one is on standby, three 4 s clip lessons.
+    fn tiny() -> Scenario {
+        Scenario {
+            pool: 2,
+            standby: 1,
+            tag: "rig",
+            lessons: 3,
+            clip_secs: 4,
+            ..Scenario::default()
+        }
+    }
+
+    #[test]
+    fn a_scenario_builds_servers_then_clients_then_media() {
+        let crowd = tiny().build(5);
+        let ids = |v: &[NodeId]| v.iter().map(|n| n.raw()).collect::<Vec<_>>();
+        assert_eq!(ids(&crowd.servers), [1]);
+        assert_eq!(ids(&crowd.clients), [2, 3]);
+        assert_eq!(ids(&crowd.media), [4, 5]);
+        let app = crowd.sim.app();
+        assert_eq!(
+            app.standby_media.iter().copied().collect::<Vec<_>>(),
+            [crowd.media[1]]
+        );
+        for &m in &crowd.media {
+            let cfg = &app.media(m).cfg;
+            assert_eq!(cfg.queue_capacity, 24);
+            assert_eq!(cfg.fixed_service, MediaDuration::from_millis(1));
+            assert_eq!(cfg.per_mbyte, MediaDuration::from_millis(300));
+        }
+        let docs: Vec<_> = crowd
+            .docs
+            .iter()
+            .map(|&(s, d)| (s.raw(), d.raw()))
+            .collect();
+        assert_eq!(docs, [(1, 1), (1, 2), (1, 3)]);
+
+        // Several servers: the course sits on the last ones, one title each,
+        // and without a tight tier the media nodes keep their defaults.
+        let crowd = Scenario {
+            servers: 3,
+            titles: &["A", "B"],
+            lessons: 4,
+            tight_ms_per_mib: None,
+            ..tiny()
+        }
+        .build(5);
+        let docs: Vec<_> = crowd
+            .docs
+            .iter()
+            .map(|&(s, d)| (s.raw(), d.raw()))
+            .collect();
+        assert_eq!(docs, [(2, 1), (2, 2), (3, 101), (3, 102)]);
+        let cfg = &crowd.sim.app().media(crowd.media[0]).cfg;
+        assert_eq!(
+            cfg.queue_capacity,
+            MediaNodeConfig::default().queue_capacity
+        );
+    }
+
+    #[test]
+    fn the_tally_is_what_the_harvests_saw() {
+        let arrivals = at_ms(&[200, 500, 800, 9_000]);
+        let mut crowd = tiny().build(5);
+        let tally = crowd.drive(&arrivals, secs(10));
+        assert_eq!(
+            crowd.sim.now(),
+            secs(10 + 4 + 15),
+            "drain: horizon + clip + 15 s"
+        );
+
+        // The same world driven by hand.
+        let mut twin = tiny().build(5);
+        let docs = twin.docs.clone();
+        let mut seen = Vec::new();
+        let run = drive_pool(
+            &mut twin.sim,
+            &twin.clients,
+            &arrivals,
+            secs(29),
+            |a| docs[a.rank % docs.len()],
+            |c| seen.extend(c.presentation.as_ref().map(|p| p.engine.total_stats())),
+        );
+        let app = twin.sim.app();
+        let sum = |f: fn(&ClientActor) -> usize| -> usize {
+            twin.clients.iter().map(|&n| f(app.client(n))).sum()
+        };
+        assert_eq!(tally.pool, run);
+        assert_eq!(tally.pool.unserved, 1);
+        assert_eq!(tally.sessions, seen);
+        assert_eq!(tally.completed, sum(|c| c.completed.len()));
+        assert_eq!(tally.rejected, sum(|c| c.errors.len()));
+        assert_eq!(tally.completed, 3);
+        assert!(tally.utility > 0.0);
+        assert_eq!(
+            tally.gap_per_kframe(),
+            0.0,
+            "a clean world plays without gaps"
+        );
+        crowd.judge();
+    }
+
+    #[test]
+    fn an_empty_crowd_is_judged_clean() {
+        let mut crowd = tiny().build(5);
+        assert_eq!(crowd.drive(&[], secs(1)), Tally::default());
+        crowd.judge();
+    }
+
+    #[test]
+    #[should_panic(expected = "session_lifecycle")]
+    fn the_judge_catches_a_session_left_open() {
+        let mut crowd = tiny().build(5);
+        // A client outside the pool: the judge never disconnects it.
+        let stray = crowd.clients.pop().expect("a pool of two");
+        let (srv, doc) = crowd.docs[0];
+        crowd
+            .sim
+            .with_api(|w, api| w.client_mut(stray).connect(api, srv, Some(doc)));
+        crowd.drive(&at_ms(&[300]), secs(1));
+        crowd.judge();
     }
 }

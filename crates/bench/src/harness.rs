@@ -5,7 +5,7 @@
 
 use hermes_client::{BufferConfig, PlayoutConfig};
 use hermes_core::{
-    GradingHysteresis, GradingOrder, MediaDuration, MediaTime, PricingClass, ServerId,
+    GradingHysteresis, GradingOrder, MediaDuration, MediaTime, NodeId, PricingClass, ServerId,
 };
 use hermes_service::{
     install_course, ClientConfig, LessonShape, ServerConfig, ServiceMsg, ServiceWorld, WorldBuilder,
@@ -87,8 +87,6 @@ pub struct StreamingMetrics {
     pub dropped: u64,
     /// Buffer underflow events across streams.
     pub underflows: u64,
-    /// Buffer overflow events across streams.
-    pub overflows: u64,
     /// Grading degrade actions.
     pub degrades: u64,
     /// Grading upgrade actions.
@@ -97,10 +95,6 @@ pub struct StreamingMetrics {
     pub stops: u64,
     /// Datagrams dropped by the network.
     pub net_dropped: u64,
-    /// Total packets the network carried.
-    pub net_packets: u64,
-    /// Bytes delivered by media servers.
-    pub bytes_sent: u64,
 }
 
 /// The standard one-lesson shape used across experiments: a synchronized
@@ -129,12 +123,17 @@ pub fn clip_lesson(clip_secs: i64) -> LessonShape {
 
 /// Run one streaming session with the given parameters and extract metrics.
 pub fn run_streaming_session(p: &StreamingParams) -> StreamingMetrics {
-    run_streaming_session_inner(p).0
+    let (mut sim, server, client) = build_streaming_session(p);
+    sim.run_until(p.horizon);
+    streaming_metrics(&sim, server, client)
 }
 
-fn run_streaming_session_inner(
+/// Build the session's world — one server, one client on the congestible
+/// access link, one lesson — and connect the client at time zero. Returns
+/// the simulation with the server and client nodes.
+pub fn build_streaming_session(
     p: &StreamingParams,
-) -> (StreamingMetrics, Sim<ServiceMsg, ServiceWorld>) {
+) -> (Sim<ServiceMsg, ServiceWorld>, NodeId, NodeId) {
     let mut b = WorldBuilder::new(p.seed);
     let mut server_cfg = ServerConfig::default();
     server_cfg.flow.media_time_window = p.time_window;
@@ -154,7 +153,6 @@ fn run_streaming_session_inner(
     access.congestion = p.congestion.clone();
     access.jitter = p.jitter.clone();
     access.loss = p.loss.clone();
-    #[allow(clippy::field_reassign_with_default)]
     let mut client_cfg = ClientConfig::default();
     client_cfg.class = p.class;
     client_cfg.form.class = p.class;
@@ -178,8 +176,15 @@ fn run_streaming_session_inner(
     sim.with_api(|w, api| {
         w.client_mut(client).connect(api, server, Some(lessons[0]));
     });
-    sim.run_until(p.horizon);
+    (sim, server, client)
+}
 
+/// Read a session's metrics off its world, at whatever time it has run to.
+pub fn streaming_metrics(
+    sim: &Sim<ServiceMsg, ServiceWorld>,
+    server: NodeId,
+    client: NodeId,
+) -> StreamingMetrics {
     let mut m = StreamingMetrics::default();
     let c = sim.app().client(client);
     m.completed = !c.completed.is_empty();
@@ -200,23 +205,18 @@ fn run_streaming_session_inner(
         for s in pres.engine.streams() {
             if let Some(b) = &s.buffer {
                 m.underflows += b.stats.underflow_events;
-                m.overflows += b.stats.overflow_events;
             }
         }
     }
     let srv = sim.app().server(server);
-    for (sid, sess) in &srv.sessions {
-        if let Some(q) = srv.grading.qos(*sid) {
-            m.degrades += q.degrades_issued;
-            m.upgrades += q.upgrades_issued;
-            m.stops += q.stops_issued;
-        }
-        m.bytes_sent += sess.streams.values().map(|t| t.bytes_sent).sum::<u64>();
+    for q in srv.sessions.keys().filter_map(|sid| srv.grading.qos(*sid)) {
+        m.degrades += q.degrades_issued;
+        m.upgrades += q.upgrades_issued;
+        m.stops += q.stops_issued;
     }
     let net = sim.net().total_stats();
     m.net_dropped = net.packets_lost + net.packets_dropped_queue;
-    m.net_packets = net.packets_sent;
-    (m, sim)
+    m
 }
 
 /// Run the same parameter point over several seeds in parallel (scoped
@@ -240,7 +240,9 @@ pub fn run_seeds(base: &StreamingParams, seeds: &[u64]) -> Vec<StreamingMetrics>
 /// with the metrics: the engine + actor counters are published into the
 /// capture's registry before it is detached.
 pub fn run_streaming_session_traced(p: &StreamingParams) -> (StreamingMetrics, hermes_simnet::Obs) {
-    let (m, mut sim) = run_streaming_session_inner(p);
+    let (mut sim, server, client) = build_streaming_session(p);
+    sim.run_until(p.horizon);
+    let m = streaming_metrics(&sim, server, client);
     sim.publish_metrics();
     let mut obs = sim.take_obs();
     sim.app().publish_metrics(&mut obs);

@@ -1,10 +1,11 @@
 //! # hermes-bench
 //!
-//! The experiment harness: shared world builders, the flash-crowd rig,
-//! metric extraction, table printing and parallel parameter sweeps used by
-//! the `exp_*` binaries (one per paper figure/table/claim — see DESIGN.md's
-//! reproduction index). Host cost is measured from outside, by
-//! `benchmark/`.
+//! The experiment harness behind the `exp_*` binaries (one per paper
+//! figure/table/claim — see DESIGN.md's reproduction index): the
+//! single-session streaming harness, the crowd scenario every load
+//! experiment builds, drives, tallies and judges its world with, the chaos
+//! harness, table printing and parallel seed sweeps. Host cost is measured
+//! from outside, by `benchmark/`.
 
 #![warn(missing_docs)]
 
@@ -16,7 +17,7 @@ pub mod tables;
 pub mod workload;
 
 pub use cli::{ExpOpts, Sink};
-pub use crowd::{drive_pool, tight_tier, FlashCrowd, PoolRun};
+pub use crowd::{Crowd, FlashCrowd, PoolRun, Scenario, Tally};
 pub use harness::{
     clip_lesson, run_seeds, run_streaming_session, run_streaming_session_traced, standard_lesson,
     StreamingMetrics, StreamingParams,

@@ -41,7 +41,10 @@ design sections, reproduced on the simulated substrate. Regenerate any row
 with `cargo run --release -p hermes-bench --bin <experiment>` (or everything
 at once with `--bin exp_all`, or this file with
 `python3 scripts/gen_experiments.py`). All runs are seeded and deterministic;
-the tables below are verbatim program output.
+the tables below are verbatim program output. Every crowd run of the load
+experiments (EXP-SCALE, -OVERLOAD, -CONTROL, -HA and EXP-SLO's spike) is
+also judged by the invariant catalog (`hermes_obs::invariants::check_run`,
+after the pool disconnects and settles); a violation fails the experiment.
 
 The paper (HPDC-5 1996 / extended journal version) is a design/architecture
 paper: its "evaluation" consists of the design artifacts Figs. 1–5 and
