@@ -114,24 +114,35 @@ impl ServiceWorld {
         &self.servers[&node]
     }
     /// Mutable server access.
+    ///
+    /// # Panics
+    /// If `node` hosts no server.
     pub fn server_mut(&mut self, node: NodeId) -> &mut ServerActor {
-        self.servers.get_mut(&node).unwrap()
+        self.servers.get_mut(&node).expect("no server on this node")
     }
     /// The client actor on a node.
     pub fn client(&self, node: NodeId) -> &ClientActor {
         &self.clients[&node]
     }
     /// Mutable client access.
+    ///
+    /// # Panics
+    /// If `node` hosts no client.
     pub fn client_mut(&mut self, node: NodeId) -> &mut ClientActor {
-        self.clients.get_mut(&node).unwrap()
+        self.clients.get_mut(&node).expect("no client on this node")
     }
     /// The media actor on a node.
     pub fn media(&self, node: NodeId) -> &MediaActor {
         &self.media_nodes[&node]
     }
     /// Mutable media-node access.
+    ///
+    /// # Panics
+    /// If `node` hosts no media actor.
     pub fn media_mut(&mut self, node: NodeId) -> &mut MediaActor {
-        self.media_nodes.get_mut(&node).unwrap()
+        self.media_nodes
+            .get_mut(&node)
+            .expect("no media actor on this node")
     }
 
     /// Distribute every server's media content over the media-tier nodes
@@ -168,11 +179,10 @@ impl ServiceWorld {
                 cfg.replication,
             );
             for obj in objects {
-                for &n in placement.replicas(&obj.key) {
-                    self.media_nodes
-                        .get_mut(&n)
-                        .unwrap()
-                        .install(server.server_id, obj.clone());
+                for n in placement.replicas(&obj.key) {
+                    if let Some(media) = self.media_nodes.get_mut(n) {
+                        media.install(server.server_id, obj.clone());
+                    }
                 }
             }
             server.media = Some(MediaTier::new(cfg.clone(), placement, server.node));
@@ -302,13 +312,11 @@ impl ServiceWorld {
             }
             let placement =
                 PlacementMap::build(objects.iter().map(|o| o.key.as_str()), &nodes, replication);
-            if let Some(n) = warm {
+            let warming = warm.and_then(|n| Some((n, self.media_nodes.get_mut(&n)?)));
+            if let Some((n, media)) = warming {
                 for obj in &objects {
                     if placement.replicas(&obj.key).contains(&n) {
-                        self.media_nodes
-                            .get_mut(&n)
-                            .unwrap()
-                            .install(server.server_id, obj.clone());
+                        media.install(server.server_id, obj.clone());
                     }
                 }
             }
@@ -360,10 +368,9 @@ impl ServiceWorld {
                 return; // already active
             }
             let period = self.control_report;
-            self.media_nodes
-                .get_mut(&node)
-                .unwrap()
-                .enable_control_reports(api, NodeId::new(host), period);
+            if let Some(media) = self.media_nodes.get_mut(&node) {
+                media.enable_control_reports(api, NodeId::new(host), period);
+            }
             self.rebuild_placements(api, Some(node), None);
         } else {
             if self.standby_media.contains(&node) {
@@ -523,18 +530,17 @@ impl App<ServiceMsg> for ServiceWorld {
             // died with the old incarnation, so not even the client-death
             // reaper could run. Found by the chaos harness's shrinker.
             FaultKind::NodeRestart { node } => {
-                if self.servers.contains_key(&node) {
-                    let s = self.servers.get_mut(&node).unwrap();
+                if let Some(s) = self.servers.get_mut(&node) {
                     s.on_crash(api);
                     // Control-plane timer chains died with the old
                     // incarnation; the new one reports and watches the
                     // lease as a follower.
                     s.rearm_control(api);
-                } else if self.media_nodes.contains_key(&node) {
+                } else if let Some(media) = self.media_nodes.get_mut(&node) {
                     for server in self.servers.values_mut() {
                         server.on_media_node_event(api, node);
                     }
-                    self.media_nodes.get_mut(&node).unwrap().rearm_control(api);
+                    media.rearm_control(api);
                 }
             }
             // A brownout inflates the media node's service times; the

@@ -199,13 +199,25 @@ impl Link {
 /// "No link" in the routing table, "no such node" as a dense index.
 pub(crate) const NONE: u32 = u32::MAX;
 
+/// How one node finds its egress link (see [`Network::compute_routes`]).
+#[derive(Debug, Clone, Copy)]
+enum Routing {
+    /// The node's own row of the routing table (its index among the rows).
+    Row(u32),
+    /// The node's only outgoing link: everything it reaches, it reaches
+    /// through that link, and the far end's row says what that is.
+    Via(u32),
+}
+
 /// The network: a set of nodes and directed links with static routing.
 ///
 /// Nodes and links live in flat arrays. A node's *dense index* is its
 /// position in `add_node` order and never changes, so engine events may
 /// carry indices across any later topology change; a link's index is its
-/// position in `add_link` order. Routing is one `n × n` table of egress
-/// link indices (4·n² bytes), rebuilt only by [`Network::compute_routes`].
+/// position in `add_link` order. Routing keeps an n-entry row of egress
+/// link indices only for the nodes that have a choice; a node whose one
+/// outgoing link leads to such a node reads that node's row. It costs 4·(kept rows)·n bytes
+/// — one row on a star — and is rebuilt only by [`Network::compute_routes`].
 #[derive(Debug)]
 pub struct Network {
     /// Dense index → node id.
@@ -221,11 +233,13 @@ pub struct Network {
     /// Pair-keyed link lookup for the cold public calls (`link`, `reserve*`,
     /// fault application); the engine's per-hop path goes through `routes`.
     link_ix: HashMap<(NodeId, NodeId), u32>,
-    /// `routes[src * stride + dst]` = index of the link a packet at `src`
-    /// bound for `dst` leaves on, [`NONE`] when unreachable (or `src == dst`).
+    /// Dense index → how the node routes; one entry per node the table was
+    /// built for, empty while routing is invalid.
+    routing: Vec<Routing>,
+    /// The kept rows, each `routing.len()` wide: `routes[row * n + dst]` =
+    /// index of the link the row's node sends toward `dst` on, [`NONE`]
+    /// when unreachable (or `dst` is the row's node).
     routes: Vec<u32>,
-    /// Node count the table was built for; 0 while routing is invalid.
-    stride: usize,
     /// Reservations: connection → (link indices charged, bps).
     reservations: HashMap<ConnectionId, (Vec<u32>, u64)>,
 }
@@ -240,8 +254,8 @@ impl Network {
             links: Vec::new(),
             ends: Vec::new(),
             link_ix: HashMap::new(),
+            routing: Vec::new(),
             routes: Vec::new(),
-            stride: 0,
             reservations: HashMap::new(),
         }
     }
@@ -316,8 +330,8 @@ impl Network {
                 self.ends.push((f, t));
             }
         }
+        self.routing.clear();
         self.routes.clear();
-        self.stride = 0;
     }
 
     /// Add a symmetric pair of links with the same spec.
@@ -364,7 +378,16 @@ impl Network {
     /// (Re)compute all-pairs routes by BFS (hop count metric): neighbours
     /// are explored in ascending node-id order and the first-discovered
     /// parent wins, so equal-cost ties break the same way on every run.
-    /// Rebuilds the whole `n × n` table; nothing else ever writes it.
+    /// Rebuilds the whole table; nothing else ever writes it.
+    ///
+    /// Only a node with a choice keeps a row. A node with exactly one
+    /// outgoing link whose far end has more than one keeps just that link:
+    /// a shortest path out of it never comes back through it, so it reaches
+    /// the far end plus what the far end's row reaches, always over that
+    /// link. The far end keeps a row by the same rule, so delegation is one
+    /// level deep; a chain of single-link nodes, or two that point at each
+    /// other, keep rows of their own. A builder's world — every node one
+    /// duplex link from the backbone — runs one BFS and keeps one row.
     pub fn compute_routes(&mut self) {
         let n = self.ids.len();
         let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
@@ -374,16 +397,28 @@ impl Network {
         for nbrs in &mut adj {
             nbrs.sort_by_key(|&(to, _)| self.ids[to as usize]);
         }
+        let mut rows = 0;
+        self.routing.clear();
+        self.routing.extend(adj.iter().map(|nbrs| match nbrs[..] {
+            [(far, l)] if adj[far as usize].len() > 1 => Routing::Via(l),
+            _ => {
+                rows += 1;
+                Routing::Row(rows - 1)
+            }
+        }));
         self.routes.clear();
-        self.routes.resize(n * n, NONE);
-        self.stride = n;
+        self.routes.resize(rows as usize * n, NONE);
         let mut queue = VecDeque::with_capacity(n);
-        for src in 0..n {
+        for (src, &routing) in self.routing.iter().enumerate() {
+            let Routing::Row(r) = routing else {
+                continue;
+            };
             // The row doubles as the BFS visited set: a node is discovered
             // exactly when its egress link out of `src` becomes known, and
             // it inherits that link from its parent — the first hop a walk
             // back from it along the parents would reach.
-            let row = &mut self.routes[src * n..(src + 1) * n];
+            let r = r as usize;
+            let row = &mut self.routes[r * n..(r + 1) * n];
             queue.push_back(src);
             while let Some(u) = queue.pop_front() {
                 for &(w, l) in &adj[u] {
@@ -398,16 +433,30 @@ impl Network {
     }
 
     /// The link a packet at `here` bound for `dst` leaves on (dense indices),
-    /// or `None` when `dst` is unreachable, routing is invalid, or either
-    /// index is [`NONE`] or newer than the table.
+    /// or `None` when `dst` is `here` or unreachable, routing is invalid, or
+    /// either index is [`NONE`] or newer than the table. A node without a
+    /// row leaves on its one link when `dst` is that link's far end or the
+    /// far end's row reaches `dst`.
     #[inline]
     pub(crate) fn egress(&self, here: u32, dst: u32) -> Option<u32> {
-        let (here, dst, n) = (here as usize, dst as usize, self.stride);
+        let (here, dst, n) = (here as usize, dst as usize, self.routing.len());
         if here >= n || dst >= n {
             return None;
         }
-        let l = self.routes[here * n + dst];
-        (l != NONE).then_some(l)
+        let hop = |row: u32| {
+            let l = self.routes[row as usize * n + dst];
+            (l != NONE).then_some(l)
+        };
+        match self.routing[here] {
+            Routing::Row(row) => hop(row),
+            Routing::Via(link) => {
+                // `compute_routes` delegates only to a node that keeps a row.
+                let far = self.link_to(link) as usize;
+                let reaches = dst == far
+                    || matches!(self.routing[far], Routing::Row(row) if hop(row).is_some());
+                (dst != here && reaches).then_some(link)
+            }
+        }
     }
 
     /// Mutable link by index, with the dense index of its far end.
@@ -696,30 +745,102 @@ mod tests {
         Ok(())
     }
 
+    /// Node ids in `add_node` order, and links as pairs of positions in it.
+    type Graph = (Vec<NodeId>, Vec<(usize, usize)>);
+
+    /// Sparse ids in arbitrary order: a few dense low ids among widely
+    /// spaced ones, at least two.
+    fn sparse_ids(raw_ids: Vec<u64>) -> Vec<NodeId> {
+        let mut ids: Vec<NodeId> = Vec::new();
+        for raw in raw_ids {
+            let id = n(if raw % 3 == 0 {
+                raw / 3
+            } else {
+                raw * 1_000_003
+            });
+            if !ids.contains(&id) {
+                ids.push(id);
+            }
+        }
+        if ids.len() < 2 {
+            ids.push(n(u64::MAX));
+        }
+        ids
+    }
+
+    /// Random directed graphs: asymmetric links, unreachable nodes and
+    /// equal-cost ties.
+    fn random_graph() -> impl Strategy<Value = Graph> {
+        (
+            proptest::collection::vec(0u64..400, 2..61),
+            proptest::collection::vec((0usize..60, 0usize..60), 0..200),
+        )
+            .prop_map(|(raw_ids, links)| (sparse_ids(raw_ids), links))
+    }
+
+    /// Graphs where most nodes have one outgoing link, which random graphs
+    /// rarely give. Up to three hubs with directed trunks between them (a
+    /// hub may reach only part of the graph); every other node belongs to
+    /// one piece hung off a hub: a duplex leaf, a leaf with only a link out,
+    /// a sink with only a link in, a chain of single-link nodes the hub
+    /// feeds and the chain's end links back to, or two single-link nodes
+    /// pointing at each other (fed by the hub, or an island).
+    fn leafy_graph() -> impl Strategy<Value = Graph> {
+        (
+            proptest::collection::vec(0u64..400, 2..61),
+            proptest::collection::vec((0usize..7, 0usize..3, 1usize..5), 0..40),
+            proptest::collection::vec((0usize..3, 0usize..3), 0..5),
+        )
+            .prop_map(|(raw_ids, pieces, trunks)| {
+                let ids = sparse_ids(raw_ids);
+                let hubs = 1 + ids.len() / 21;
+                let mut links: Vec<(usize, usize)> =
+                    trunks.iter().map(|&(a, b)| (a % hubs, b % hubs)).collect();
+                let mut next = hubs;
+                for (kind, hub, len) in pieces {
+                    let (x, hub) = (next, hub % hubs);
+                    next += match kind {
+                        4 => len,
+                        5 => 2,
+                        _ => 1,
+                    };
+                    if next > ids.len() {
+                        break;
+                    }
+                    match kind {
+                        0..=2 => links.extend([(x, hub), (hub, x)]),
+                        3 => links.push((x, hub)),
+                        4 => {
+                            links.push((hub, x));
+                            links.extend((x..next - 1).map(|c| (c, c + 1)));
+                            links.push((next - 1, hub));
+                        }
+                        5 => {
+                            links.extend([(x, x + 1), (x + 1, x)]);
+                            if len > 2 {
+                                links.push((hub, x));
+                            }
+                        }
+                        _ => links.push((hub, x)),
+                    }
+                }
+                (ids, links)
+            })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Random directed graphs — asymmetric links, unreachable nodes,
-        /// equal-cost ties, sparse ids added in arbitrary order — route
-        /// exactly as the reference does for every ordered pair, and read as
-        /// unrouted between an `add_link` and the next `compute_routes`.
+        /// Random and leaf-heavy directed graphs, with sparse ids added in
+        /// arbitrary order, route exactly as the reference does for every
+        /// ordered pair, and read as unrouted between an `add_link` and the
+        /// next `compute_routes`.
         #[test]
         fn dense_routing_equals_reference_bfs(
-            raw_ids in proptest::collection::vec(0u64..400, 2..61),
-            raw_links in proptest::collection::vec((0usize..60, 0usize..60), 0..200),
+            graph in prop_oneof![random_graph(), leafy_graph()],
             late in (0usize..60, 0usize..60),
         ) {
-            let mut ids: Vec<NodeId> = Vec::new();
-            for raw in raw_ids {
-                // A few dense low ids among widely spaced ones.
-                let id = n(if raw % 3 == 0 { raw / 3 } else { raw * 1_000_003 });
-                if !ids.contains(&id) {
-                    ids.push(id);
-                }
-            }
-            if ids.len() < 2 {
-                ids.push(n(u64::MAX));
-            }
+            let (ids, raw_links) = graph;
             let pick = |(a, b): (usize, usize)| (ids[a % ids.len()], ids[b % ids.len()]);
             let mut net = Network::new();
             for &id in &ids {
@@ -756,6 +877,31 @@ mod tests {
                 net.compute_routes();
                 assert_routes_match(&net, &sorted, &links)?;
             }
+        }
+    }
+
+    /// A star keeps one routing row, the hub's: 4·n bytes where an n × n
+    /// table would take 1.6 GB at this size.
+    #[test]
+    fn a_star_keeps_one_row() {
+        let leaves = 20_000;
+        let mut rng = SimRng::seed_from_u64(6);
+        let mut net = Network::new();
+        net.add_node(n(0), "hub");
+        for leaf in 1..=leaves {
+            net.add_node(n(leaf), "");
+            net.add_duplex(n(0), n(leaf), LinkSpec::lan(1_000_000), &mut rng);
+        }
+        net.compute_routes();
+        assert_eq!(net.routes.len(), leaves as usize + 1, "one n-entry row");
+        for (src, dst, hops) in [
+            (1, leaves, 2),
+            (leaves, 7_919, 2),
+            (12_345, 0, 1),
+            (0, 4_242, 1),
+        ] {
+            let path = net.path(n(src), n(dst)).unwrap();
+            assert_eq!(path.len() - 1, hops, "{src}→{dst}");
         }
     }
 
