@@ -2,16 +2,19 @@
 //! solver under fairness budgets, the coordinated admission price, and the
 //! elastic media-node scale policy.
 
-use crate::utility::{class_from_priority, decode_kind, SessionView, StreamView};
+use crate::report::LoadReport;
+use crate::utility::SessionView;
 use hermes_core::{MediaDuration, MediaTime, PricingClass};
-use hermes_obs::MetricsRegistry;
 use std::collections::BTreeMap;
 
-/// Well-known metric names of the control-plane report protocol: servers and
-/// media nodes publish these into the compact registries they ship to the
-/// controller, and the controller reads fleet state back out of them. Every
-/// key is labelled with the reporter's node id (`peer`), so reports from
-/// different nodes never collide when merged.
+#[cfg(test)]
+mod spec;
+
+/// Well-known metric names of the registry form of a control-plane report,
+/// which [`LoadReport`] accepts through `From<&MetricsRegistry>`: each
+/// names one signal a [`LoadReport`] carries as a typed field or row.
+/// Every key is labelled with the reporter's node id (`peer`), so reports
+/// from different nodes never collide when merged.
 pub mod names {
     /// Gauge (per server, labels `{peer}`): the server's CoDel pressure
     /// verdict over fetch latency — 1 under sustained pressure, else 0.
@@ -239,10 +242,18 @@ pub struct ControllerStats {
 /// The plan one control tick produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControlPlan {
-    /// The tick's fleet pressure verdict (after report staleness filtering).
-    pub pressured: bool,
+    /// Which signal families voted pressure this tick, after report
+    /// staleness filtering ([`FleetController::pressure_sources`]).
+    pub sources: u8,
     /// Commands to actuate, in issue order.
     pub commands: Vec<ControlCommand>,
+}
+
+impl ControlPlan {
+    /// The tick's fleet pressure verdict: any signal family voted.
+    pub fn pressured(&self) -> bool {
+        self.sources != 0
+    }
 }
 
 /// The administrative controller state a lease beat replicates to every
@@ -264,14 +275,14 @@ pub struct ControlSnapshot {
 }
 
 /// The fleet controller. Hosted by one designated server actor; pure policy
-/// — `ingest` stores report registries, `tick` turns the current fleet view
-/// into actuation commands.
+/// — `ingest` stores each reporter's latest [`LoadReport`] as received,
+/// `tick` turns the current fleet view into actuation commands.
 #[derive(Debug, Clone)]
 pub struct FleetController {
     /// Configuration.
     pub cfg: ControllerConfig,
-    /// Last report per reporter node: (received at, registry).
-    reports: BTreeMap<u64, (MediaTime, MetricsRegistry)>,
+    /// Last report per reporter node: (received at, report).
+    reports: BTreeMap<u64, (MediaTime, LoadReport)>,
     /// Last grade action per session (anti-flap dwell).
     last_step: BTreeMap<u64, MediaTime>,
     /// When the current pressure episode began.
@@ -379,70 +390,32 @@ impl FleetController {
         &self.scaled_out
     }
 
-    /// Absorb one report registry from `node` (replaces its prior report).
-    pub fn ingest(&mut self, now: MediaTime, node: u64, registry: &MetricsRegistry) {
-        self.reports.insert(node, (now, registry.clone()));
+    /// Absorb one report from `node`, replacing its prior one. The
+    /// registry form of a report is accepted too, through
+    /// `From<&MetricsRegistry>`.
+    pub fn ingest(&mut self, now: MediaTime, node: u64, report: impl Into<LoadReport>) {
+        self.reports.insert(node, (now, report.into()));
     }
 
-    /// Assemble the current per-session fleet view from all fresh reports.
+    /// The reports no older than `stale_after`, by reporter node.
+    fn fresh(&self, now: MediaTime) -> impl Iterator<Item = (u64, &LoadReport)> {
+        let stale_after = self.cfg.stale_after;
+        self.reports
+            .iter()
+            .filter(move |(_, (at, _))| now - *at <= stale_after)
+            .map(|(&node, (_, report))| (node, report))
+    }
+
+    /// Assemble the current per-session fleet view from all fresh reports:
+    /// sessions by `(server, session)`, each session's streams by
+    /// component. A `(server, session)` pair is reported by one node only.
     pub fn fleet_view(&self, now: MediaTime) -> Vec<SessionView> {
-        let mut sessions: BTreeMap<(u64, u64), SessionView> = BTreeMap::new();
-        let mut streams: BTreeMap<(u64, u64, u64), StreamView> = BTreeMap::new();
-        for (&node, (at, reg)) in &self.reports {
-            if now - *at > self.cfg.stale_after {
-                continue;
-            }
-            for (key, v) in reg.gauges() {
-                let (Some(session), peer) = (key.labels.session, key.labels.peer) else {
-                    continue;
-                };
-                let server = peer.unwrap_or(node);
-                match (key.name, key.labels.stream) {
-                    (names::SESSION_CLASS, None) => {
-                        sessions
-                            .entry((server, session))
-                            .or_insert_with(|| SessionView {
-                                session,
-                                server,
-                                class: PricingClass::Economy,
-                                streams: Vec::new(),
-                            })
-                            .class = class_from_priority(v as u8);
-                    }
-                    (name, Some(stream)) => {
-                        let s = streams
-                            .entry((server, session, stream))
-                            .or_insert(StreamView {
-                                component: stream,
-                                kind: hermes_core::MediaKind::Video,
-                                level: 0,
-                                max_level: 0,
-                            });
-                        match name {
-                            names::STREAM_LEVEL => s.level = v as u8,
-                            names::STREAM_MAX => s.max_level = v as u8,
-                            names::STREAM_KIND => s.kind = decode_kind(v),
-                            _ => {}
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        for ((server, session, _), s) in streams {
-            if let Some(view) = sessions.get_mut(&(server, session)) {
-                view.streams.push(s);
-            }
-        }
-        sessions.into_values().collect()
-    }
-
-    /// The fleet pressure verdict from all fresh reports: any server's
-    /// CoDel detector reporting pressure, any media node's queue at or
-    /// beyond the configured target, or any server's SLO burn rate at or
-    /// beyond its target.
-    pub fn pressure_verdict(&self, now: MediaTime) -> bool {
-        self.pressure_sources(now) != 0
+        let mut view: Vec<SessionView> = self
+            .fresh(now)
+            .flat_map(|(node, report)| report.sessions(node))
+            .collect();
+        view.sort_unstable_by_key(|s| (s.server, s.session));
+        view
     }
 
     /// Bitmask of which signal families currently vote pressure across the
@@ -451,22 +424,9 @@ impl FleetController {
     /// rate ([`names::SLO_BURN`]). Burn is the leading indicator: on a
     /// flash crowd it typically sets bits ticks before the queue bit.
     pub fn pressure_sources(&self, now: MediaTime) -> u8 {
-        let mut sources = 0u8;
-        for (_, (at, reg)) in self.reports.iter() {
-            if now - *at > self.cfg.stale_after {
-                continue;
-            }
-            for (key, v) in reg.gauges() {
-                if key.name == names::PRESSURE && v >= 0.5 {
-                    sources |= 1;
-                } else if key.name == names::QUEUE_LEN && v >= self.cfg.queue_target {
-                    sources |= 2;
-                } else if key.name == names::SLO_BURN && v >= self.cfg.burn_target * 1000.0 {
-                    sources |= 4;
-                }
-            }
-        }
-        sources
+        self.fresh(now).fold(0, |sources, (_, report)| {
+            sources | report.pressure_sources(self.cfg.queue_target, self.cfg.burn_target)
+        })
     }
 
     fn dwell_ok(&self, session: u64, now: MediaTime) -> bool {
@@ -475,11 +435,12 @@ impl FleetController {
             .is_none_or(|t| now - *t >= self.cfg.dwell)
     }
 
-    /// Evaluate one control tick: returns the fleet verdict and the
-    /// actuation commands for this period.
+    /// Evaluate one control tick: returns the pressure sources behind the
+    /// fleet verdict and the actuation commands for this period.
     pub fn tick(&mut self, now: MediaTime) -> ControlPlan {
         self.stats.ticks += 1;
-        let pressured = self.pressure_verdict(now);
+        let sources = self.pressure_sources(now);
+        let pressured = sources != 0;
         if self.is_cold(now) {
             // Cold start: keep the pressure clocks honest (so calm windows
             // are measured from real pressure, not from election time) but
@@ -495,7 +456,7 @@ impl FleetController {
                 self.pressured_since = None;
             }
             return ControlPlan {
-                pressured,
+                sources,
                 commands: Vec::new(),
             };
         }
@@ -518,10 +479,7 @@ impl FleetController {
                 self.plan_scale_in(now, &mut commands);
             }
         }
-        ControlPlan {
-            pressured,
-            commands,
-        }
+        ControlPlan { sources, commands }
     }
 
     /// Pick up to `max_steps_per_tick` degrade victims: the steps losing
@@ -671,7 +629,7 @@ mod tests {
     use super::*;
     use crate::utility::encode_kind;
     use hermes_core::MediaKind;
-    use hermes_obs::Labels;
+    use hermes_obs::{Labels, MetricsRegistry};
 
     fn at(v: i64) -> MediaTime {
         MediaTime::from_millis(v)
@@ -727,7 +685,7 @@ mod tests {
         r.merge_from(&pressured(1));
         c.ingest(at(0), 1, &r);
         let plan = c.tick(at(100));
-        assert!(plan.pressured);
+        assert!(plan.pressured());
         let degrades: Vec<&ControlCommand> = plan
             .commands
             .iter()
@@ -751,7 +709,7 @@ mod tests {
         r.merge_from(&pressured(1));
         c.ingest(at(0), 1, &r);
         let plan = c.tick(at(100));
-        assert!(plan.pressured);
+        assert!(plan.pressured());
         // Pressure clears; a fresh calm report arrives each tick.
         let mut t = 100;
         let mut first_upgrade = None;
@@ -759,7 +717,7 @@ mod tests {
             t += 200;
             c.ingest(at(t), 1, &report(1, 1, PricingClass::Standard, (0, 1)));
             let plan = c.tick(at(t));
-            assert!(!plan.pressured);
+            assert!(!plan.pressured());
             if plan
                 .commands
                 .iter()
@@ -837,9 +795,9 @@ mod tests {
     fn stale_reports_cannot_wedge_pressure() {
         let mut c = FleetController::new(ControllerConfig::default());
         c.ingest(at(0), 1, &pressured(1));
-        assert!(c.tick(at(100)).pressured);
+        assert!(c.tick(at(100)).pressured());
         // The reporter dies; its stale verdict must age out.
-        assert!(!c.tick(at(5_000)).pressured);
+        assert!(!c.tick(at(5_000)).pressured());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! # hermes-control
 //!
 //! The closed-loop QoS control plane: a deterministic sim-time fleet
-//! controller that ingests [`hermes_obs::MetricsRegistry`] report snapshots
-//! (node pressure verdicts, media queue depths, per-session stream grades)
-//! and emits global actuation commands back into the service layer.
+//! controller that ingests [`LoadReport`]s (node pressure verdicts, SLO
+//! burn, media queue depths, per-session stream grades) and emits global
+//! actuation commands back into the service layer.
 //!
 //! Where PRs 1–6 built purely *local* reactions — per-request admission
 //! shedding, a per-server degradation ladder, per-replica circuit breakers —
@@ -18,13 +18,16 @@
 //!   under per-class fairness budgets, anti-flap dwell and pressure
 //!   hysteresis, a controller-set admission price, and the elastic
 //!   media-node scale-out/in policy;
+//! * [`report`] — the [`LoadReport`]: one reporter's signals as typed rows
+//!   behind one `Arc`, built once per report period and shared by every
+//!   copy, with an adapter from the older registry form;
 //! * [`ha`] — controller high availability: the lease/K-missed-beats
 //!   failure detector, strict-majority quorum arithmetic, and the
 //!   [`Election`] state machine — lowest-live-id candidacy, a vote round
 //!   over durable promises, fencing epochs and [`ControlSnapshot`] lease
 //!   replication — as inputs in, a list of [`HaOut`] effects out.
 //!
-//! Everything here is pure policy over report registries — no simulator or
+//! Everything here is pure policy over reports — no simulator or
 //! network types — so the service layer owns transport (report, command
 //! and election messages), timers and actuation, and tests and the bench
 //! can drive the decision functions directly.
@@ -33,6 +36,7 @@
 
 pub mod controller;
 pub mod ha;
+pub mod report;
 pub mod utility;
 
 pub use controller::{
@@ -40,6 +44,7 @@ pub use controller::{
     FairnessBudget, FleetController,
 };
 pub use ha::{elect, majority, Election, HaMsg, HaOut, LeaseView, PeerFreshness};
+pub use report::LoadReport;
 pub use utility::{
     class_from_priority, class_multiplier, decode_kind, encode_kind, fleet_utility, kind_weight,
     stream_utility, SessionView, StreamView,

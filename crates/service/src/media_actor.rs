@@ -164,19 +164,11 @@ impl MediaActor {
         let Some(peer) = self.control_peer else {
             return;
         };
-        let mut reg = hermes_simnet::obs::MetricsRegistry::new();
-        reg.gauge_set(
-            hermes_control::names::QUEUE_LEN,
-            Labels::for_peer(self.node.raw()),
-            self.queue.len() as f64,
-        );
+        let report = hermes_control::LoadReport::queue(self.queue.len());
         api.send_reliable(
             self.node,
             peer,
-            ServiceMsg::ControlReport {
-                registry: reg,
-                epoch: 0,
-            },
+            ServiceMsg::ControlReport { report, epoch: 0 },
         );
         api.set_timer(self.node, self.report_period, timers::TK_CONTROL_REPORT, 0);
     }

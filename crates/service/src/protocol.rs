@@ -427,13 +427,13 @@ pub enum ServiceMsg {
 
     // ---- closed-loop control plane (TCP path) ----
     /// Server / media node → controller host: this reporter's current
-    /// control-plane signal registry (pressure verdict, queue depth,
+    /// control-plane signals (pressure verdict, SLO burn, queue depth,
     /// per-session stream grades) — the periodic measurement leg of the
-    /// closed loop. Every key is labelled with the reporter's node id, so
-    /// the controller can merge reports without collisions.
+    /// closed loop. Built once per report period; the reliable send, the
+    /// HA broadcast copies and the host's own ingest share its rows.
     ControlReport {
-        /// The report registry (compact: only `ctrl.*` keys).
-        registry: hermes_simnet::obs::MetricsRegistry,
+        /// The report (a cheap-clone handle over one `Arc`).
+        report: hermes_control::LoadReport,
         /// The sender's highest controller epoch seen — gossiped so a
         /// node that missed the leader's lease beats (restart, healed
         /// partition) still learns a succession happened before its own
@@ -737,10 +737,11 @@ impl WireSize for ServiceMsg {
                 24 + TCP_IP_OVERHEAD
             }
             ServiceMsg::StreamRegraded { .. } => 25 + TCP_IP_OVERHEAD,
-            // ~32 bytes per registry entry (name hash, labels, value);
-            // the 16-byte header absorbs the gossiped epoch stamp.
-            ServiceMsg::ControlReport { registry, .. } => {
-                16 + 32 * registry.len() + TCP_IP_OVERHEAD
+            // ~32 bytes per gauge of the report's registry form (name
+            // hash, labels, value); the 16-byte header absorbs the gossiped
+            // epoch stamp.
+            ServiceMsg::ControlReport { report, .. } => {
+                16 + 32 * report.entries() + TCP_IP_OVERHEAD
             }
             // +8 bytes for the fencing epoch stamp.
             ServiceMsg::ControlRegrade { .. } => 25 + TCP_IP_OVERHEAD,

@@ -6,8 +6,8 @@
 use crate::protocol::{MailMessage, SearchHit, ServiceMsg};
 use crate::timers;
 use hermes_control::{
-    names as ctrl_names, stream_utility, ControlCommand, ControlSnapshot, ControllerConfig,
-    Election, FleetController, HaOut,
+    stream_utility, ControlCommand, ControlSnapshot, ControllerConfig, Election, FleetController,
+    HaOut, LoadReport,
 };
 use hermes_core::{
     ComponentId, DocumentId, GradeLevel, GradingHysteresis, GradingOrder, MediaDuration, MediaTime,
@@ -22,7 +22,7 @@ use hermes_server::{
     MultimediaDb, PathCondition, PlacementMap, RemoteStream, ShareDecision, ShareOut, SharedGroups,
     SharingMode, SharingPolicy, SharingStats, StoredDocument,
 };
-use hermes_simnet::obs::{MetricsRegistry, SloMonitor, SloSpec};
+use hermes_simnet::obs::{SloMonitor, SloSpec};
 use hermes_simnet::{Labels, Obs, Severity, SimApi, SpanId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -730,13 +730,13 @@ impl ServerActor {
                 let messages = self.mailboxes.get(&address).cloned().unwrap_or_default();
                 api.send_reliable(self.node, from, ServiceMsg::MailBox { messages });
             }
-            ServiceMsg::ControlReport { registry, epoch } => {
+            ServiceMsg::ControlReport { report, epoch } => {
                 let (now, leading) = (api.now(), self.leading());
                 self.election
                     .report_heard(from.raw(), epoch, now, leading, &mut self.ha_out);
                 self.flush_ha(api);
                 if let Some(c) = self.controller.as_mut() {
-                    c.ingest(api.now(), from.raw(), &registry);
+                    c.ingest(api.now(), from.raw(), report);
                 }
             }
             // Not match guards: `ctrl_fenced` counts and traces the drop,
@@ -1965,11 +1965,11 @@ impl ServerActor {
         fenced
     }
 
-    /// Timer `TK_CONTROL_REPORT`: assemble this server's control-plane
-    /// signal registry (pressure verdict + per-session stream grades) and
-    /// ship it to the controller host. Also advances every live session's
-    /// utility integral, bounding the published integral's tail error by
-    /// one report period.
+    /// Timer `TK_CONTROL_REPORT`: build this server's control-plane
+    /// report (pressure verdict, SLO burn, per-session stream grades) once
+    /// and ship it to the controller host; every copy shares it. Also
+    /// advances every live session's utility integral, bounding the
+    /// published integral's tail error by one report period.
     fn on_control_report(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
         let Some(peer) = self.control_peer else {
             return;
@@ -1979,16 +1979,10 @@ impl ServerActor {
             s.utility_touch();
         }
         let me = self.node.raw();
-        let mut reg = MetricsRegistry::new();
         let pressured = self
             .media
             .as_ref()
             .is_some_and(|t| t.pressure.overloaded(now));
-        reg.gauge_set(
-            ctrl_names::PRESSURE,
-            Labels::for_peer(me),
-            if pressured { 1.0 } else { 0.0 },
-        );
         // SLO burn-rate: evaluate multi-window alerts and ship the max burn
         // (milli-burn units) as a leading pressure signal — fetch latency
         // crosses its threshold several control ticks before queue depth.
@@ -1996,47 +1990,42 @@ impl ServerActor {
             let burn = (alert.fast_burn * 100.0) as i64;
             self.ctrl_event(api, Severity::Warn, "slo_alert", burn);
         }
-        reg.gauge_set(
-            ctrl_names::SLO_BURN,
-            Labels::for_peer(me),
-            self.slo.max_burn(now) * 1000.0,
-        );
-        for (sid, s) in self.sessions.iter().filter(|(_, s)| !s.suspended) {
-            let (labels, class) = (Labels::session(sid.raw()).peer(me), s.class.priority());
-            reg.gauge_set(ctrl_names::SESSION_CLASS, labels, class as f64);
-            for v in s
+        let burn = self.slo.max_burn(now) * 1000.0;
+        let sessions = self.sessions.iter().filter(|(_, s)| !s.suspended);
+        let rows = sessions.map(|(sid, s)| {
+            let streams = s
                 .streams()
                 .filter(|v| v.kind.is_continuous() && !v.done && !v.stopped)
-            {
-                let l = Labels::session(sid.raw())
-                    .stream(v.component.raw())
-                    .peer(me);
-                let kind = hermes_control::encode_kind(v.kind);
-                reg.gauge_set(ctrl_names::STREAM_KIND, l, kind);
-                reg.gauge_set(ctrl_names::STREAM_LEVEL, l, v.level.0 as f64);
-                reg.gauge_set(ctrl_names::STREAM_MAX, l, v.max_level.0 as f64);
-            }
-        }
+                .map(|v| hermes_control::StreamView {
+                    component: v.component.raw(),
+                    kind: v.kind,
+                    level: v.level.0,
+                    max_level: v.max_level.0,
+                });
+            (sid.raw(), s.class, streams)
+        });
+        let pressure = if pressured { 1.0 } else { 0.0 };
+        let report = LoadReport::server(me, Some(pressure), Some(burn), rows);
         self.election.report_sent(now);
         let epoch = self.election.fence();
-        let report = || ServiceMsg::ControlReport {
-            registry: reg.clone(),
+        let msg = || ServiceMsg::ControlReport {
+            report: report.clone(),
             epoch,
         };
         if peer == self.node {
             // The hosting server's own report short-circuits the wire.
             if let Some(c) = self.controller.as_mut() {
-                c.ingest(now, me, &reg);
+                c.ingest(now, me, report.clone());
             }
         } else {
-            api.send_reliable(self.node, peer, report());
+            api.send_reliable(self.node, peer, msg());
         }
         // With HA on, every other server gets a best-effort copy too: the
         // broadcast is the failover election's liveness signal ("report-
         // reachable peers") and pre-warms whoever wins with fleet state.
         if self.election.cfg().is_some() {
             for &p in self.peers.iter().filter(|&&p| p != peer) {
-                api.send(self.node, p, report());
+                api.send(self.node, p, msg());
             }
         }
         let period = self.control_report_period;
@@ -2057,14 +2046,15 @@ impl ServerActor {
         let cfg = c.cfg;
         let epoch = c.epoch();
         let plan = c.tick(now);
-        let sources = c.pressure_sources(now);
-        if sources != 0 {
+        if plan.pressured() {
             // Which signal families voted pressure this tick (bit 0 CoDel,
             // bit 1 queue depth, bit 2 SLO burn) — exp_slo measures the
             // burn-rate lead time from these markers.
-            self.ctrl_event(api, Severity::Info, "ctrl_pressure_src", sources as i64);
+            let sources = plan.sources as i64;
+            self.ctrl_event(api, Severity::Info, "ctrl_pressure_src", sources);
         }
-        self.ctrl_event(api, Severity::Info, "ctrl_overload", plan.pressured as i64);
+        let pressured = plan.pressured() as i64;
+        self.ctrl_event(api, Severity::Info, "ctrl_overload", pressured);
         if !plan.commands.is_empty() {
             // One actuation marker per commanding tick, stamped with the
             // epoch: the chaos invariant proves at most one controller

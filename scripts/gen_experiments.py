@@ -451,8 +451,8 @@ the controller's degrades cost more utility than they buy (ROADMAP item
 (installed but out of the placement). `local` fights with the PR-5 stack
 alone — breakers, hedged fetches, the degradation ladder — and can never
 touch the standby nodes. `global` hands the same signals (per-node queue
-depths, per-session grades, published at 100 ms over the metrics
-registry) to a fleet controller on the host server, which degrades video
+depths, per-session grades, published at 100 ms as one typed report
+per node) to a fleet controller on the host server, which degrades video
 before audio fleet-wide under per-class fairness budgets, sets an
 admission price that pre-sheds doomed nominal-grade admissions, and
 scales the standby nodes out — segment-shard warm-up plus

@@ -5,11 +5,10 @@
 //! budgets are never exceeded no matter how long pressure persists.
 
 use hermes_od::control::{
-    names, ControlCommand, ControllerConfig, FairnessBudget, FleetController, SessionView,
+    ControlCommand, ControllerConfig, FairnessBudget, FleetController, LoadReport, SessionView,
     StreamView,
 };
 use hermes_od::core::{MediaDuration, MediaKind, MediaTime, PricingClass};
-use hermes_od::obs::{Labels, MetricsRegistry};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -82,31 +81,12 @@ fn fleet(n: usize) -> impl Strategy<Value = Vec<SessionView>> {
 // state after applying each tick's commands.
 // ---------------------------------------------------------------------------
 
-fn publish(view: &[SessionView], pressured: bool) -> MetricsRegistry {
-    let mut r = MetricsRegistry::new();
-    r.gauge_set(
-        names::PRESSURE,
-        Labels::for_peer(1),
-        if pressured { 1.0 } else { 0.0 },
-    );
-    for s in view {
-        r.gauge_set(
-            names::SESSION_CLASS,
-            Labels::session(s.session).peer(1),
-            s.class.priority() as f64,
-        );
-        for st in &s.streams {
-            let l = Labels::session(s.session).stream(st.component).peer(1);
-            r.gauge_set(
-                names::STREAM_KIND,
-                l,
-                hermes_od::control::encode_kind(st.kind),
-            );
-            r.gauge_set(names::STREAM_LEVEL, l, st.level as f64);
-            r.gauge_set(names::STREAM_MAX, l, st.max_level as f64);
-        }
-    }
-    r
+fn publish(view: &[SessionView], pressured: bool) -> LoadReport {
+    let pressure = if pressured { 1.0 } else { 0.0 };
+    let sessions = view
+        .iter()
+        .map(|s| (s.session, s.class, s.streams.iter().copied()));
+    LoadReport::server(1, Some(pressure), None, sessions)
 }
 
 /// Apply a tick's grade commands to the local fleet model the way the
@@ -199,7 +179,7 @@ proptest! {
         let mut now = MediaTime::ZERO;
         for &pressured in &pattern {
             now += cfg.tick;
-            c.ingest(now, 1, &publish(&view, pressured));
+            c.ingest(now, 1, publish(&view, pressured));
             let plan = c.tick(now);
             for cmd in &plan.commands {
                 let session = match *cmd {
@@ -245,9 +225,9 @@ proptest! {
         let mut now = MediaTime::ZERO;
         for _ in 0..ticks {
             now += cfg.tick;
-            c.ingest(now, 1, &publish(&view, true));
+            c.ingest(now, 1, publish(&view, true));
             let plan = c.tick(now);
-            prop_assert!(plan.pressured);
+            prop_assert!(plan.pressured());
             apply(&mut view, &plan.commands);
             for class in PricingClass::ALL {
                 let total = view.iter().filter(|s| s.class == class).count();
@@ -283,7 +263,7 @@ proptest! {
         };
         let mut c = FleetController::new(cfg);
         let now = MediaTime::from_millis(200);
-        c.ingest(now, 1, &publish(&view, pressured));
+        c.ingest(now, 1, publish(&view, pressured));
         let plan = c.tick(now);
         for cmd in &plan.commands {
             match *cmd {
