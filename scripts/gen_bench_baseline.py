@@ -2,8 +2,9 @@
 """Regenerate BENCH_baseline.json — the checked-in perf trajectory.
 
 Runs the pinned-seed (--smoke) grids of the scale, overload, control,
-HA, SLO, placement and grade experiments with `--json` and merges the
-documents into one file. Every run is deterministic and no row is
+HA, SLO, placement and grade experiments, and of the three session-lifecycle
+experiments (fig4: pause/resume; faults: crash-and-rebuild timing; migrate:
+suspend and grace), with `--json` and merges the documents into one file. Every run is deterministic and no row is
 host-timed, so the file is a pure function of the source: a diff against
 the checked-in baseline is a real behaviour change, never noise, and CI
 fails on one (`git diff --exit-code BENCH_baseline.json` after this
@@ -16,7 +17,7 @@ Usage: python3 scripts/gen_bench_baseline.py
 import json, subprocess, sys, tempfile, os
 
 EXPERIMENTS = ["exp_scale", "exp_overload", "exp_control", "exp_ha", "exp_slo", "exp_placement",
-               "exp_grade"]
+               "exp_grade", "exp_fig4", "exp_faults", "exp_migrate"]
 OUT = "BENCH_baseline.json"
 
 def main():
