@@ -12,6 +12,9 @@
 //! * [`grading`] — every regrade, whoever asks (client feedback through
 //!   [`qos`], the degradation ladder, the fleet controller), as a
 //!   simulator-free core that answers in [`grading::GradeOut`] data;
+//! * [`lifecycle`] — each session's phase and liveness, session ids and
+//!   the tracked-request dedup window, as a simulator-free core that
+//!   answers in [`lifecycle::LifeOut`] data;
 //! * [`admission`] — connection admission control with pricing classes;
 //! * [`accounts`] — subscription, authentication and pricing primitives;
 //! * [`placement`] — content placement over the distributed media-server
@@ -38,6 +41,7 @@ pub mod database;
 pub mod fetch;
 pub mod flow;
 pub mod grading;
+pub mod lifecycle;
 pub mod overload;
 pub mod placement;
 pub mod qos;

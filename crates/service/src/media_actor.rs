@@ -514,6 +514,53 @@ mod tests {
         assert_eq!(m.credit(to), 1);
     }
 
+    /// Finding (i): a cancel names its fetch by id alone, but fetch ids are
+    /// per-server counters. Two servers queue fetch 7 on one node and the
+    /// first cancels its own: the second's must stay queued, then be served.
+    #[test]
+    #[ignore = "ROADMAP item 6 (i): MediaActor cancels by fetch id alone, dropping another server's fetch"]
+    fn a_cancel_drops_only_the_senders_fetch() {
+        use crate::{ServerConfig, WorldBuilder};
+        use hermes_simnet::LinkSpec;
+        let mut b = WorldBuilder::new(1);
+        let lan = || LinkSpec::lan(100_000_000);
+        let one = b.add_server(ServerId::new(0), lan(), ServerConfig::default());
+        let two = b.add_server(ServerId::new(1), lan(), ServerConfig::default());
+        let m = b.add_media_node(LinkSpec::san(100_000_000));
+        let mut sim = b.build(1);
+        let object = MediaObject {
+            key: "v.mpg".into(),
+            encoding: Encoding::Mpeg,
+            duration: MediaDuration::from_secs(8),
+            seed: 1,
+        };
+        sim.app_mut().media_mut(m).install(ServerId::new(0), object);
+        let fetch = |fetch| ServiceMsg::MediaFetchRequest {
+            fetch,
+            server: ServerId::new(0),
+            kind: MediaKind::Video,
+            object: "v.mpg".into(),
+            level: 0,
+            segment: fetch,
+            frames_per_segment: 32,
+            deadline_micros: 9_000_000,
+            class: hermes_core::PricingClass::Standard,
+        };
+        sim.with_api(|w, api| {
+            let node = w.media_mut(m);
+            // Fetch 1 goes into service; both fetch 7s queue behind it.
+            node.on_message(api, one, fetch(1));
+            node.on_message(api, one, fetch(7));
+            node.on_message(api, two, fetch(7));
+            node.on_message(api, one, ServiceMsg::MediaFetchCancel { fetch: 7 });
+            let queued = node.queue.iter().map(|q| (q.item.fetch, q.item.from));
+            assert_eq!(queued.collect::<Vec<_>>(), [(7, two)]);
+        });
+        sim.run_until(MediaTime::from_secs(1));
+        let st = sim.app().media(m).stats;
+        assert_eq!((st.cancelled, st.requests_served), (1, 2));
+    }
+
     #[test]
     fn service_time_scales_with_bytes_and_slowdown() {
         let mut m = MediaActor::new(NodeId::new(7));

@@ -16,6 +16,7 @@ use hermes_core::{
 use hermes_media::{CodecModel, FrameSource, SegmentFrame};
 use hermes_rtp::RtpSender;
 use hermes_server::grading::{GradeOut, GradedSession, Grading, StreamView};
+use hermes_server::lifecycle::{Gate, Input, LifeOut, LifeOuts, Lifecycle, SessionLife};
 use hermes_server::{
     compute_flow_scenario, AccountsDb, AdmissionController, AdmissionDecision, Charge,
     ConnectionRequest, Demand, FetchOut, FlowConfig, FlowPlan, FlowScenario, MediaTier,
@@ -122,24 +123,8 @@ pub struct SessionState {
     pub streams: BTreeMap<ComponentId, StreamTx>,
     /// The document being delivered.
     pub current_doc: Option<DocumentId>,
-    /// Paused by the user.
-    pub paused: bool,
-    /// Suspended pending migration.
-    pub suspended: bool,
-    /// Connect time (for duration pricing).
-    pub connected_at: MediaTime,
-    /// Liveness beats emitted so far.
-    pub heartbeat_seq: u64,
-    /// Last time media traffic went to the client. Heartbeats only fill
-    /// gaps in the media flow — an active stream is its own liveness
-    /// signal, and extra datagrams would perturb the shared link models.
-    pub last_media: MediaTime,
-    /// Last proof the *client* is alive: connect time, then refreshed by
-    /// heartbeat acks and stream feedback. A session silent past
-    /// [`ServerConfig::client_timeout`] is torn down — without this, a
-    /// client that died mid-session would pin its admission reservation
-    /// forever.
-    pub last_ack: MediaTime,
+    /// Phase and liveness, read and written by the [`Lifecycle`] core.
+    pub life: SessionLife,
     /// The session's root trace span (null when tracing is off).
     pub obs_root: SpanId,
     /// The open admission span: connect → first successful document
@@ -155,35 +140,6 @@ pub struct SessionState {
 }
 
 impl SessionState {
-    /// A session of `client` that has just connected (or been rebuilt) at
-    /// `now`: no document, no streams.
-    fn new(
-        client: NodeId,
-        user: Option<UserId>,
-        class: PricingClass,
-        now: MediaTime,
-        obs_root: SpanId,
-        obs_admission: SpanId,
-    ) -> Self {
-        SessionState {
-            client,
-            user,
-            class,
-            streams: BTreeMap::new(),
-            current_doc: None,
-            paused: false,
-            suspended: false,
-            connected_at: now,
-            heartbeat_seq: 0,
-            last_media: now,
-            last_ack: now,
-            obs_root,
-            obs_admission,
-            util_acc: 0.0,
-            util_pos: BTreeMap::new(),
-        }
-    }
-
     /// Media progress not yet folded into [`util_acc`]: each continuous
     /// stream's utility times the media time it has produced since the
     /// last [`utility_touch`]. Immutable so harvesting can read the exact
@@ -226,7 +182,7 @@ impl SessionState {
 
 impl GradedSession for SessionState {
     fn victim_key(&self) -> Option<(PricingClass, MediaTime)> {
-        (!self.suspended).then_some((self.class, self.connected_at))
+        (!self.life.suspended()).then_some((self.class, self.life.connected_at))
     }
 
     fn streams(&self) -> impl Iterator<Item = StreamView> + '_ {
@@ -316,7 +272,11 @@ pub struct ServerActor {
     /// The stream-sharing table: popularity, groups, which group each
     /// session is in, patch cut-offs, epochs and cache pins.
     pub sharing: SharedGroups,
-    next_session: u64,
+    /// Session ids, the tracked-request dedup windows and the rebuilt
+    /// sessions; each session's phase and liveness go through it.
+    pub life: Lifecycle,
+    /// What the lifecycle core asked for and nobody has applied yet.
+    life_out: LifeOuts,
     /// Other servers (for search fan-out), set by the world builder.
     pub peers: Vec<NodeId>,
     /// Tutor / user mailboxes by address.
@@ -326,13 +286,6 @@ pub struct ServerActor {
     queries: BTreeMap<u64, PendingQuery>,
     /// Subscription forms processed here that the world must replicate.
     pub pending_replications: Vec<(UserId, hermes_server::SubscriptionForm)>,
-    /// Tracked request ids already processed, per client node (bounded
-    /// dedup window; ids are client-monotone so pruning the smallest is
-    /// safe).
-    seen_reqs: BTreeMap<NodeId, std::collections::BTreeSet<u64>>,
-    /// Sessions rebuilt from a client [`ServiceMsg::ReconnectRequest`]
-    /// after this server lost its state: (old session, new session).
-    pub rebuilt_sessions: Vec<(SessionId, SessionId)>,
     /// The distributed media tier, when deployed ([`ServiceWorld::distribute_media`]
     /// wires it); `None` keeps the pre-tier fully local delivery path.
     ///
@@ -509,14 +462,13 @@ impl ServerActor {
             admission: AdmissionController::new(),
             cfg,
             sessions: BTreeMap::new(),
-            next_session: 1,
+            life: Lifecycle::default(),
+            life_out: Vec::new(),
             peers: Vec::new(),
             mailboxes: BTreeMap::new(),
             annotations: BTreeMap::new(),
             queries: BTreeMap::new(),
             pending_replications: Vec::new(),
-            seen_reqs: BTreeMap::new(),
-            rebuilt_sessions: Vec::new(),
             media: None,
             sharing,
             share_out: Vec::new(),
@@ -543,32 +495,24 @@ impl ServerActor {
 
     /// The node crashed: volatile state (sessions, reservations, dedup
     /// windows, in-flight searches) is lost. The databases (documents,
-    /// accounts) model disk and survive. `next_session` also survives —
-    /// epoch-style allocation keeps rebuilt session ids from colliding with
-    /// ids still held by clients of the previous incarnation.
+    /// accounts) model disk and survive, and so does the session-id
+    /// allocator (see [`Lifecycle`]).
     pub fn on_crash(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
         // Shared groups are RAM: dissolve them (and their simulator
         // multicast memberships) before the sessions vanish.
         let cache = self.media.as_mut().map(|t| &mut t.cache);
         self.sharing.crash(cache, &mut self.share_out);
         self.flush_share(api);
-        let ids: Vec<SessionId> = self.sessions.keys().copied().collect();
-        for session in ids {
-            self.release_admission(api, session);
-        }
         // Every live session dies with the process — say so, and close its
         // spans, so the trace shows a terminal state for each one (the
         // lifecycle invariant checker audits exactly this).
         for (session, s) in std::mem::take(&mut self.sessions) {
+            self.release_admission(api, session);
             let labels = Labels::session(session.raw()).peer(s.client.raw());
-            self.retire(
-                api,
-                session,
-                s,
-                (Severity::Warn, "session_crash_lost", labels),
-            );
+            let lost = (Severity::Warn, "session_crash_lost", labels);
+            self.retire(api, session, s, lost);
         }
-        self.seen_reqs.clear();
+        self.life.crash();
         self.queries.clear();
         if let Some(tier) = self.media.as_mut() {
             tier.crash();
@@ -580,15 +524,6 @@ impl ServerActor {
         self.election.crash();
     }
 
-    fn start_heartbeat(&mut self, api: &mut SimApi<'_, ServiceMsg>, session: SessionId) {
-        api.set_timer(
-            self.node,
-            self.cfg.heartbeat_interval,
-            timers::TK_HEARTBEAT,
-            session.raw(),
-        );
-    }
-
     /// Handle an incoming message addressed to this server.
     pub fn on_message(&mut self, api: &mut SimApi<'_, ServiceMsg>, from: NodeId, msg: ServiceMsg) {
         match msg {
@@ -597,11 +532,7 @@ impl ServerActor {
                 // a partition or with a crashed incarnation — but process
                 // the inner request only on first sight of the id.
                 api.send_reliable(self.node, from, ServiceMsg::Ack { req });
-                let seen = self.seen_reqs.entry(from).or_default();
-                if seen.insert(req) {
-                    if seen.len() > 128 {
-                        seen.pop_first();
-                    }
+                if self.life.first_sight(from, req) {
                     self.on_message(api, from, *inner);
                 }
             }
@@ -625,18 +556,16 @@ impl ServerActor {
                 measurements,
                 ..
             } => {
-                if let Some(s) = self.sessions.get_mut(&session) {
-                    s.last_ack = api.now();
-                }
+                let life = self.sessions.get_mut(&session).map(|s| &mut s.life);
+                self.life.ack(life, api.now());
                 let out = &mut self.grade_out;
                 self.grading
                     .feedback(&self.sessions, session, &measurements, out);
                 self.flush_grade(api);
             }
             ServiceMsg::HeartbeatAck { session, .. } => {
-                if let Some(s) = self.sessions.get_mut(&session) {
-                    s.last_ack = api.now();
-                }
+                let life = self.sessions.get_mut(&session).map(|s| &mut s.life);
+                self.life.ack(life, api.now());
             }
             ServiceMsg::MediaFetchChunk {
                 fetch,
@@ -647,36 +576,15 @@ impl ServerActor {
             } => self.on_media_chunk(api, fetch, frames, last, credit),
             ServiceMsg::MediaFetchError { fetch, .. } => self.on_media_error(api, fetch),
             ServiceMsg::MediaFetchBusy { fetch, credit } => self.on_media_busy(api, fetch, credit),
-            ServiceMsg::Pause { session } => {
-                if let Some(s) = self.sessions.get_mut(&session) {
-                    s.paused = true;
-                }
-            }
-            ServiceMsg::Resume { session } => self.on_resume(api, session),
+            ServiceMsg::Pause { session } => self.step(api, session, Input::Pause),
+            ServiceMsg::Resume { session } => self.step(api, session, Input::Resume),
             ServiceMsg::DisableStream { session, component } => {
                 if let Some((_, tx)) = Self::stream_mut(&mut self.sessions, session, component) {
                     tx.stopped = true;
                 }
             }
-            ServiceMsg::SuspendConnection { session } => {
-                if let Some(s) = self.sessions.get_mut(&session) {
-                    s.suspended = true;
-                    s.paused = true;
-                    let grace = self.cfg.suspend_grace;
-                    api.set_timer(self.node, grace, timers::TK_GRACE, session.raw());
-                }
-            }
-            ServiceMsg::ResumeSuspended { session } => {
-                if let Some(s) = self.sessions.get_mut(&session) {
-                    if s.suspended {
-                        s.suspended = false;
-                        s.paused = false;
-                        let topics = self.db.topics().to_vec();
-                        let msg = ServiceMsg::TopicList { session, topics };
-                        api.send_reliable(self.node, s.client, msg);
-                    }
-                }
-            }
+            ServiceMsg::SuspendConnection { session } => self.step(api, session, Input::Suspend),
+            ServiceMsg::ResumeSuspended { session } => self.step(api, session, Input::Revisit),
             ServiceMsg::Disconnect { session } => self.on_disconnect(api, session),
             ServiceMsg::SearchRequest {
                 session,
@@ -813,45 +721,21 @@ impl ServerActor {
             }
             timers::TK_HEARTBEAT => {
                 let session = SessionId::new(payload);
-                if let Some(s) = self.sessions.get_mut(&session) {
-                    let now = api.now();
-                    // A session whose client has proven nothing for the
-                    // timeout is dead weight: reap it so its admission
-                    // reservation returns to the pool. Suspended sessions
-                    // are exempt — TK_GRACE owns their fate.
-                    if !s.suspended && now - s.last_ack >= self.cfg.client_timeout {
-                        api.emit(
-                            self.node,
-                            Severity::Warn,
-                            "client_expired",
-                            Labels::session(session.raw()).peer(s.client.raw()),
-                        );
-                        self.teardown_session(api, session);
-                        return;
-                    }
-                    // Gap-filling: an active media stream is its own
-                    // liveness signal, so only beat when the client has
-                    // heard nothing for a full interval.
-                    if now - s.last_media >= self.cfg.heartbeat_interval {
-                        s.heartbeat_seq += 1;
-                        let beat = ServiceMsg::Heartbeat {
-                            session,
-                            seq: s.heartbeat_seq,
-                        };
-                        let client = s.client;
-                        api.send(self.node, client, beat);
-                    }
-                    self.start_heartbeat(api, session);
+                let life = self.sessions.get_mut(&session).map(|s| &mut s.life);
+                let beat = (self.cfg.heartbeat_interval, self.cfg.client_timeout);
+                self.life
+                    .heartbeat(life, session, api.now(), beat, &mut self.life_out);
+                // An expiry ends the dispatch at its teardown, before the breaker drain.
+                if self.life_out.contains(&(session, LifeOut::Expired)) {
+                    return self.flush_life(api);
                 }
-                // Session gone: the chain dies with it.
+                self.flush_life(api);
             }
             timers::TK_GRACE => {
                 let session = SessionId::new(payload);
-                let expired = self.sessions.get(&session).filter(|s| s.suspended);
-                if let Some(client) = expired.map(|s| s.client) {
-                    self.teardown_session(api, session);
-                    api.send_reliable(self.node, client, ServiceMsg::SuspendExpired { session });
-                }
+                let life = self.sessions.get_mut(&session).map(|s| &mut s.life);
+                self.life.grace(life, session, &mut self.life_out);
+                self.flush_life(api);
             }
             timers::TK_HEDGE => self.on_hedge_timer(api, payload),
             timers::TK_LADDER => self.on_ladder_tick(api),
@@ -886,49 +770,65 @@ impl ServerActor {
                 api.set_timer(self.node, tier.cfg.ladder_period, timers::TK_LADDER, 0);
             }
         }
-        let session = SessionId::new(self.next_session);
-        self.next_session += 1;
-        let authorized = user
-            .map(|u| self.accounts.is_authorized(u))
-            .unwrap_or(false);
-        let now = api.now();
-        // Originate the session's causal root: every downstream send (the
-        // ack, scenario fetches, stream pumps, retries) inherits this
-        // context, so a later playout gap can be walked back to it.
-        api.cause_root(session.raw(), self.node);
-        let obs_root = api.session_span(session.raw(), self.node);
-        let obs_admission = api.span_start(
-            self.node,
-            "admission",
-            Labels::session(session.raw()),
-            obs_root,
-        );
-        api.emit(
-            self.node,
-            Severity::Info,
-            "session_connect",
-            Labels::session(session.raw()).peer(from.raw()),
-        );
-        let user = user.filter(|_| authorized);
-        let s = SessionState::new(from, user, class, now, obs_root, obs_admission);
-        self.sessions.insert(session, s);
+        let node = self.node;
+        let (session, user) = self.open_session(api, from, user, class, None, |api, id, root| {
+            // Originate the session's causal root: every downstream send (the
+            // ack, scenario fetches, stream pumps, retries) inherits this
+            // context, so a later playout gap can be walked back to it.
+            api.cause_root(id.raw(), node);
+            let labels = Labels::session(id.raw());
+            let admission = api.span_start(node, "admission", labels, root);
+            let connect = labels.peer(from.raw());
+            api.emit(node, Severity::Info, "session_connect", connect);
+            admission
+        });
         if let Some(u) = user {
-            self.accounts.record_login(u, now);
+            self.accounts.record_login(u, api.now());
             self.accounts.charge(u, Charge::Connection);
         }
-        self.start_heartbeat(api, session);
-        api.send_reliable(
-            self.node,
-            from,
-            ServiceMsg::ConnectAck {
-                session,
-                must_subscribe: !authorized,
-            },
-        );
-        if authorized {
-            let topics = self.db.topics().to_vec();
-            api.send_reliable(self.node, from, ServiceMsg::TopicList { session, topics });
+        let must_subscribe = user.is_none();
+        let ack = ServiceMsg::ConnectAck {
+            session,
+            must_subscribe,
+        };
+        api.send_reliable(node, from, ack);
+        if !must_subscribe {
+            self.life_out.push((session, LifeOut::Topics));
+            self.flush_life(api);
         }
+    }
+
+    /// Open a session of `client`, fresh or rebuilding `rebuilds`: its id and
+    /// root span, then `trace`'s events and admission span, then the user if
+    /// authorized here, its state and first heartbeat. Returns id and user.
+    fn open_session(
+        &mut self,
+        api: &mut SimApi<'_, ServiceMsg>,
+        client: NodeId,
+        user: Option<UserId>,
+        class: PricingClass,
+        rebuilds: Option<SessionId>,
+        trace: impl FnOnce(&mut SimApi<'_, ServiceMsg>, SessionId, SpanId) -> SpanId,
+    ) -> (SessionId, Option<UserId>) {
+        let session = self.life.open(rebuilds, &mut self.life_out);
+        let root = api.session_span(session.raw(), self.node);
+        let admission = trace(api, session, root);
+        let user = user.filter(|&u| self.accounts.is_authorized(u));
+        let s = SessionState {
+            client,
+            user,
+            class,
+            streams: BTreeMap::new(),
+            current_doc: None,
+            life: SessionLife::new(api.now()),
+            obs_root: root,
+            obs_admission: admission,
+            util_acc: 0.0,
+            util_pos: BTreeMap::new(),
+        };
+        self.sessions.insert(session, s);
+        self.flush_life(api);
+        (session, user)
     }
 
     fn on_subscribe(
@@ -948,13 +848,10 @@ impl ServerActor {
         self.accounts.charge(user, Charge::Connection);
         // The world replicates the form to every other server (§5).
         self.pending_replications.push((user, form));
-        api.send_reliable(
-            self.node,
-            client,
-            ServiceMsg::SubscribeAck { session, user },
-        );
-        let topics = self.db.topics().to_vec();
-        api.send_reliable(self.node, client, ServiceMsg::TopicList { session, topics });
+        let ack = ServiceMsg::SubscribeAck { session, user };
+        api.send_reliable(self.node, client, ack);
+        self.life_out.push((session, LifeOut::Topics));
+        self.flush_life(api);
     }
 
     fn path_condition(&self, api: &SimApi<'_, ServiceMsg>, client: NodeId) -> PathCondition {
@@ -1208,65 +1105,43 @@ impl ServerActor {
         document: Option<DocumentId>,
         position_micros: i64,
     ) {
-        let now = api.now();
-        if let Some(s) = self.sessions.get_mut(&session) {
+        let node = self.node;
+        let new_session = match self.sessions.get_mut(&session) {
             // In-place resume: the process never died. Streams kept (or
             // keep) transmitting; the client's detector was tripped by the
             // network, not by us.
-            s.client = from;
-            s.suspended = false;
-            api.send_reliable(
-                self.node,
-                from,
-                ServiceMsg::ReconnectAck {
-                    old_session: session,
-                    session,
-                },
-            );
-            return;
-        }
-        // Rebuild after a restart. A fresh id keeps the recovered session
-        // out of any state the old id might still be attached to elsewhere.
-        let new_session = SessionId::new(self.next_session);
-        self.next_session += 1;
-        let authorized = user
-            .map(|u| self.accounts.is_authorized(u))
-            .unwrap_or(false);
-        let obs_root = api.session_span(new_session.raw(), self.node);
-        // The payload carries the superseded session id so trace consumers
-        // (and the lifecycle invariant checker) can link the chain.
-        api.emit_val(
-            self.node,
-            Severity::Warn,
-            "session_rebuilt",
-            Labels::session(new_session.raw()).peer(from.raw()),
-            session.raw() as i64,
-        );
-        let user = user.filter(|_| authorized);
-        let s = SessionState::new(from, user, class, now, obs_root, SpanId::NONE);
-        self.sessions.insert(new_session, s);
-        self.rebuilt_sessions.push((session, new_session));
-        self.start_heartbeat(api, new_session);
-        api.send_reliable(
-            self.node,
-            from,
-            ServiceMsg::ReconnectAck {
-                old_session: session,
-                session: new_session,
-            },
-        );
-        if let Some(doc) = document {
+            Some(s) => {
+                s.client = from;
+                s.life.step(Input::Reconnect);
+                session
+            }
+            // Rebuild after a restart. A fresh id keeps the recovered
+            // session out of any state the old id might still be attached
+            // to elsewhere.
+            None => {
+                let new = self.open_session(api, from, user, class, Some(session), |api, id, _| {
+                    // The payload carries the superseded session id so trace
+                    // consumers (and the lifecycle invariant checker) can
+                    // link the chain.
+                    let labels = Labels::session(id.raw()).peer(from.raw());
+                    let value = session.raw() as i64;
+                    api.emit_val(node, Severity::Warn, "session_rebuilt", labels, value);
+                    SpanId::NONE
+                });
+                new.0
+            }
+        };
+        let ack = ServiceMsg::ReconnectAck {
+            old_session: session,
+            session: new_session,
+        };
+        api.send_reliable(node, from, ack);
+        if let (true, Some(doc)) = (new_session != session, document) {
             // The client already holds the scenario; just restart delivery
             // past the reported playout position.
             let resume_from = MediaDuration::from_micros(position_micros.max(0));
-            self.deliver_document(
-                api,
-                new_session,
-                doc,
-                resume_from,
-                false,
-                MediaDuration::ZERO,
-            );
+            let zero = MediaDuration::ZERO;
+            self.deliver_document(api, new_session, doc, resume_from, false, zero);
         }
     }
 
@@ -1373,7 +1248,7 @@ impl ServerActor {
         }
         s.streams.clear();
         s.current_doc = Some(document);
-        s.paused = false;
+        s.life.step(Input::Switch);
         true
     }
 
@@ -1439,7 +1314,8 @@ impl ServerActor {
             api.span_end(span);
             // Join-latency SLO sample: connect → first successful admission.
             let now = api.now();
-            self.slo.record_latency(now, SLO_JOIN, now - s.connected_at);
+            self.slo
+                .record_latency(now, SLO_JOIN, now - s.life.connected_at);
         }
         if !self.switch_document(session, document) {
             return;
@@ -1991,7 +1867,7 @@ impl ServerActor {
             self.ctrl_event(api, Severity::Warn, "slo_alert", burn);
         }
         let burn = self.slo.max_burn(now) * 1000.0;
-        let sessions = self.sessions.iter().filter(|(_, s)| !s.suspended);
+        let sessions = self.sessions.iter().filter(|(_, s)| !s.life.suspended());
         let rows = sessions.map(|(sid, s)| {
             let streams = s
                 .streams()
@@ -2178,11 +2054,8 @@ impl ServerActor {
         let Some(s) = self.sessions.get_mut(&session) else {
             return;
         };
-        if s.paused || s.suspended {
-            // Retry after a pause-poll interval.
-            let poll = MediaDuration::from_millis(200);
-            api.set_timer(node, poll, timers::TK_DISCRETE, key);
-            return;
+        if let Gate::Poll(poll) = s.life.phase.discrete() {
+            return api.set_timer(node, poll, timers::TK_DISCRETE, key);
         }
         let client = s.client;
         let Some(tx) = s.streams.get_mut(&component) else {
@@ -2214,7 +2087,7 @@ impl ServerActor {
         tx.frames_sent = 1;
         tx.bytes_sent = total as u64;
         let now = api.now();
-        s.last_media = now;
+        s.life.media_sent(now);
         // Segment to MTU-sized chunks, as TCP would.
         const SEGMENT: u32 = 1_400;
         let mut remaining = total;
@@ -2250,14 +2123,12 @@ impl ServerActor {
         let Some(s) = self.sessions.get_mut(&session) else {
             return;
         };
-        if s.suspended {
-            return; // resumes re-arm the chain
-        }
-        if s.paused {
-            // Poll until resumed (resume also re-arms immediately).
-            let poll = MediaDuration::from_millis(100);
-            api.set_timer(node, poll, timers::TK_FRAME, key);
-            return;
+        match s.life.phase.frame() {
+            Gate::Send => {}
+            // Poll until resumed (a resume also re-arms immediately).
+            Gate::Poll(poll) => return api.set_timer(node, poll, timers::TK_FRAME, key),
+            // Nothing re-arms a suspended session's chain: ROADMAP item 6 (o).
+            Gate::Halt => return,
         }
         let client = s.client;
         // A group leader's streams feed the whole group: one multicast send
@@ -2331,7 +2202,7 @@ impl ServerActor {
                 }
                 let period = tx.source.model().level(tx.source.level()).frame_period();
                 api.set_timer(node, period, timers::TK_FRAME, key);
-                s.last_media = now;
+                s.life.media_sent(now);
             }
             None => {
                 tx.done = true;
@@ -2347,18 +2218,58 @@ impl ServerActor {
         }
     }
 
-    fn on_resume(&mut self, api: &mut SimApi<'_, ServiceMsg>, session: SessionId) {
-        let Some(s) = self.sessions.get_mut(&session) else {
-            return;
-        };
-        if !s.paused {
-            return;
+    /// Step `session`'s phase on the client's `input`.
+    fn step(&mut self, api: &mut SimApi<'_, ServiceMsg>, session: SessionId, input: Input) {
+        let life = self.sessions.get_mut(&session).map(|s| &mut s.life);
+        self.life.input(life, session, input, &mut self.life_out);
+        self.flush_life(api);
+    }
+
+    /// Apply what the lifecycle core asked for, in the order it asked: the
+    /// one place lifecycle timers are armed and topic lists are sent.
+    fn flush_life(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
+        let node = self.node;
+        let mut out = std::mem::take(&mut self.life_out);
+        for (session, o) in out.drain(..) {
+            // The core answers only for live sessions.
+            let Some(s) = self.sessions.get(&session) else {
+                continue;
+            };
+            let (client, id) = (s.client, session.raw());
+            match o {
+                LifeOut::ArmHeartbeat => {
+                    api.set_timer(node, self.cfg.heartbeat_interval, timers::TK_HEARTBEAT, id)
+                }
+                LifeOut::ArmGrace => {
+                    api.set_timer(node, self.cfg.suspend_grace, timers::TK_GRACE, id);
+                }
+                LifeOut::Beat(seq) => {
+                    api.send(node, client, ServiceMsg::Heartbeat { session, seq });
+                }
+                LifeOut::Rearm => {
+                    for (c, _) in s.streams.iter().filter(|(_, tx)| !tx.done && !tx.stopped) {
+                        let key = timers::pack(session, *c);
+                        api.set_timer(node, MediaDuration::ZERO, timers::TK_FRAME, key);
+                    }
+                }
+                LifeOut::Topics => {
+                    let topics = self.db.topics().to_vec();
+                    api.send_reliable(node, client, ServiceMsg::TopicList { session, topics });
+                }
+                // A client silent for the timeout is dead weight: reaping it
+                // returns its admission reservation to the pool.
+                LifeOut::Expired => {
+                    let labels = Labels::session(id).peer(client.raw());
+                    api.emit(node, Severity::Warn, "client_expired", labels);
+                    self.teardown_session(api, session);
+                }
+                LifeOut::GraceExpired => {
+                    self.teardown_session(api, session);
+                    api.send_reliable(node, client, ServiceMsg::SuspendExpired { session });
+                }
+            }
         }
-        s.paused = false;
-        for (c, _) in s.streams.iter().filter(|(_, tx)| !tx.done && !tx.stopped) {
-            let key = timers::pack(session, *c);
-            api.set_timer(self.node, MediaDuration::ZERO, timers::TK_FRAME, key);
-        }
+        self.life_out = out;
     }
 
     fn teardown_session(&mut self, api: &mut SimApi<'_, ServiceMsg>, session: SessionId) {
@@ -2367,12 +2278,8 @@ impl ServerActor {
         self.release_admission(api, session);
         if let Some(s) = self.sessions.remove(&session) {
             let labels = Labels::session(session.raw());
-            self.retire(
-                api,
-                session,
-                s,
-                (Severity::Info, "session_teardown", labels),
-            );
+            let gone = (Severity::Info, "session_teardown", labels);
+            self.retire(api, session, s, gone);
         }
     }
 
@@ -2490,14 +2397,11 @@ impl ServerActor {
     }
 
     fn on_disconnect(&mut self, api: &mut SimApi<'_, ServiceMsg>, session: SessionId) {
-        let now = api.now();
-        if let Some(s) = self.sessions.get(&session) {
-            if let Some(u) = s.user {
-                let dur = now - s.connected_at;
-                let bytes: u64 = s.streams.values().map(|t| t.bytes_sent).sum();
-                self.accounts.charge(u, Charge::Duration(dur));
-                self.accounts.charge(u, Charge::Volume(bytes));
-            }
+        if let Some((s, u)) = self.sessions.get(&session).and_then(|s| Some((s, s.user?))) {
+            let bytes: u64 = s.streams.values().map(|t| t.bytes_sent).sum();
+            let dur = api.now() - s.life.connected_at;
+            self.accounts.charge(u, Charge::Duration(dur));
+            self.accounts.charge(u, Charge::Volume(bytes));
         }
         self.teardown_session(api, session);
     }

@@ -104,11 +104,11 @@ fn server_crash_mid_playout_recovers_via_heartbeats() {
 
     let server = sim.app().server(srv);
     assert_eq!(
-        server.rebuilt_sessions.len(),
+        server.life.rebuilt_sessions.len(),
         1,
         "server should have rebuilt exactly one session"
     );
-    let (old, new) = server.rebuilt_sessions[0];
+    let (old, new) = server.life.rebuilt_sessions[0];
     assert_ne!(old, new, "rebuilt session must get a fresh id");
     assert_eq!(client.session.unwrap().1, new);
     assert_eq!(server.sessions.len(), 1);
@@ -145,7 +145,7 @@ fn partition_heal_does_not_duplicate_side_effects() {
     // Dedup held: retransmissions never created extra sessions or rebuilt
     // anything (the process never died).
     assert_eq!(server.sessions.len(), 1, "duplicate sessions created");
-    assert!(server.rebuilt_sessions.is_empty());
+    assert!(server.life.rebuilt_sessions.is_empty());
     // Exactly one retrieval was charged despite control retransmissions.
     let user = client.user.expect("subscription completed");
     let retrievals = server
@@ -370,7 +370,7 @@ fn reconnect_resumes_through_replica_partition_plus_server_crash() {
     );
     let server = sim.app().server(srv);
     assert_eq!(
-        server.rebuilt_sessions.len(),
+        server.life.rebuilt_sessions.len(),
         1,
         "server should have rebuilt exactly one session"
     );
