@@ -58,13 +58,11 @@ impl Mode {
     fn tier(self) -> MediaTierConfig {
         // Same breaker/hedge substrate in both modes; only the grading
         // authority differs (ladder vs controller).
-        let mut breaker_cfg = hermes_server::BreakerConfig::default();
-        breaker_cfg.latency_threshold = MediaDuration::from_millis(3_000);
         MediaTierConfig {
             replication: 2,
             cache_bytes: 0, // every fetch reaches the tier: overload is real
             breaker: true,
-            breaker_cfg,
+            breaker_latency: MediaDuration::from_millis(3_000),
             hedging: true,
             ladder: self == Mode::Local,
             ladder_period: MediaDuration::from_millis(50),

@@ -7,7 +7,7 @@
 use hermes_bench::{fmt_dur_ms, ExpOpts, Table};
 use hermes_core::MediaDuration;
 use hermes_core::{MediaTime, ServerId};
-use hermes_server::{compute_flow_scenario, FlowConfig};
+use hermes_server::compute_flow_scenario;
 use hermes_service::{install_course, ClientConfig, LessonShape, ServerConfig, WorldBuilder};
 use hermes_simnet::{CongestionEpoch, CongestionProfile, JitterModel, LinkSpec, LossModel, SimRng};
 
@@ -61,7 +61,7 @@ fn main() {
     // Show the flow scheduler's output before running (Fig. 3's server half).
     {
         let doc = sim.app().server(server).db.document(lessons[0]).unwrap();
-        let flow = compute_flow_scenario(&doc.scenario, FlowConfig::default());
+        let flow = compute_flow_scenario(&doc.scenario, ServerConfig::default().media_time_window);
         let mut t = Table::new(vec![
             "component",
             "kind",

@@ -24,7 +24,7 @@
 //! `--json` as in every experiment binary.
 
 use hermes_bench::{percentile, ExpOpts, FlashCrowd, Scenario, Table};
-use hermes_control::{ControllerConfig, ControllerStats};
+use hermes_control::{ControllerConfig, ControllerStats, LEASE_BEAT, LEASE_TIMEOUT};
 use hermes_core::{MediaDuration, MediaTime};
 use hermes_service::MediaTierConfig;
 use hermes_simnet::FaultPlan;
@@ -96,8 +96,6 @@ impl Grid {
 /// Run one grid point, add its row to `table` and check its failover
 /// claims; returns its utility and session gap P99.
 fn run_point(seed: u64, mode: Mode, g: &Grid, table: &mut Table) -> (f64, f64) {
-    let mut breaker_cfg = hermes_server::BreakerConfig::default();
-    breaker_cfg.latency_threshold = MediaDuration::from_millis(3_000);
     // Management host first, then the two session-bearing servers: the
     // lessons live on those only, so crashing the host takes out the
     // control function and nothing else. EXP-CONTROL's tight tier with
@@ -111,7 +109,7 @@ fn run_point(seed: u64, mode: Mode, g: &Grid, table: &mut Table) -> (f64, f64) {
             replication: 2,
             cache_bytes: 0,
             breaker: true,
-            breaker_cfg,
+            breaker_latency: MediaDuration::from_millis(3_000),
             hedging: true,
             ladder: false, // the controller is the only grading authority
             ..Default::default()
@@ -205,8 +203,8 @@ fn run_point(seed: u64, mode: Mode, g: &Grid, table: &mut Table) -> (f64, f64) {
     match mode {
         Mode::Ha => {
             // Detection needs the lease to expire and the next watch tick
-            // to notice: lease_timeout plus two beats of scheduling slack.
-            let bound = ccfg.lease_timeout() + ccfg.lease_beat + ccfg.lease_beat;
+            // to notice: the lease timeout plus two beats of scheduling slack.
+            let bound = LEASE_TIMEOUT + LEASE_BEAT + LEASE_BEAT;
             let lease_bound_ms = bound.as_micros() as f64 / 1_000.0;
             assert_eq!(
                 elections, 1,

@@ -56,13 +56,11 @@ impl Mode {
         // every replica queues alike, and tripping on shared queueing would
         // only strangle throughput. The error-rate wire still catches shed
         // storms and sick nodes.
-        let mut breaker_cfg = hermes_server::BreakerConfig::default();
-        breaker_cfg.latency_threshold = MediaDuration::from_millis(3_000);
         MediaTierConfig {
             replication: 2,
             cache_bytes: 0, // every fetch reaches the tier: overload is real
             breaker,
-            breaker_cfg,
+            breaker_latency: MediaDuration::from_millis(3_000),
             hedging,
             ladder,
             // One victim session per tick: 20/s walks a flash crowd down

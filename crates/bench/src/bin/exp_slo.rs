@@ -20,7 +20,7 @@
 //! byte-diffs two runs).
 
 use hermes_bench::{clip_lesson, ExpOpts, FlashCrowd, Table};
-use hermes_control::ControllerConfig;
+use hermes_control::{ControllerConfig, CONTROL_TICK};
 use hermes_core::{MediaDuration, MediaTime, NodeId, ServerId};
 use hermes_server::{SharingMode, SharingPolicy};
 use hermes_service::{
@@ -314,7 +314,7 @@ fn main() {
         "queue-bit tick ms",
         "lead ticks",
     ]);
-    let tick_ms = ControllerConfig::default().tick.as_micros() / 1_000;
+    let tick_ms = CONTROL_TICK.as_micros() / 1_000;
     let mut agg: std::collections::BTreeMap<&'static str, (usize, usize)> =
         std::collections::BTreeMap::new();
     for &scenario in &[Scenario::Spike, Scenario::Partition] {

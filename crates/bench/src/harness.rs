@@ -136,7 +136,7 @@ pub fn build_streaming_session(
 ) -> (Sim<ServiceMsg, ServiceWorld>, NodeId, NodeId) {
     let mut b = WorldBuilder::new(p.seed);
     let mut server_cfg = ServerConfig::default();
-    server_cfg.flow.media_time_window = p.time_window;
+    server_cfg.media_time_window = p.time_window;
     if !p.grading {
         // Disable the long-term mechanism by an unreachable threshold.
         server_cfg.hysteresis = GradingHysteresis {
@@ -158,7 +158,7 @@ pub fn build_streaming_session(
     client_cfg.form.class = p.class;
     client_cfg.buffer = BufferConfig::with_window(p.time_window);
     client_cfg.playout = p.playout;
-    client_cfg.feedback.interval = p.feedback_interval;
+    client_cfg.feedback_interval = p.feedback_interval;
     let client = b.add_client(access, client_cfg);
 
     let mut sim: Sim<ServiceMsg, ServiceWorld> = b.build(p.seed);

@@ -39,16 +39,18 @@ pub enum BufferState {
     Overflow,
 }
 
+/// Occupancy, as a fraction of the time window, below which a buffer is in
+/// underflow.
+const LOW_WATERMARK: f64 = 0.25;
+/// Occupancy above which a buffer is in overflow (above 1: the buffer may
+/// hold more than the nominal window before overflowing).
+const HIGH_WATERMARK: f64 = 1.75;
+
 /// Configuration of one media buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BufferConfig {
     /// Target media time window (prefill depth before playout may start).
     pub time_window: MediaDuration,
-    /// Low watermark as a fraction of the time window.
-    pub low_watermark: f64,
-    /// High watermark as a fraction of the time window (> 1 means the
-    /// buffer may hold more than the nominal window before overflowing).
-    pub high_watermark: f64,
     /// Hard capacity in frames (drop-newest beyond this).
     pub capacity_frames: usize,
 }
@@ -57,15 +59,13 @@ impl Default for BufferConfig {
     fn default() -> Self {
         BufferConfig {
             time_window: MediaDuration::from_millis(1_000),
-            low_watermark: 0.25,
-            high_watermark: 1.75,
             capacity_frames: 4_096,
         }
     }
 }
 
 impl BufferConfig {
-    /// A config with the given window and default watermarks.
+    /// A config with the given window and the default capacity.
     pub fn with_window(time_window: MediaDuration) -> Self {
         BufferConfig {
             time_window,
@@ -173,9 +173,9 @@ impl MediaBuffer {
     /// Current watermark state.
     pub fn state(&self) -> BufferState {
         let occ = self.occupancy();
-        if occ < self.cfg.low_watermark {
+        if occ < LOW_WATERMARK {
             BufferState::Underflow
-        } else if occ > self.cfg.high_watermark {
+        } else if occ > HIGH_WATERMARK {
             BufferState::Overflow
         } else {
             BufferState::Normal

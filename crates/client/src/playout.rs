@@ -19,9 +19,7 @@
 //! repair. Both are implemented on [`MediaBuffer`] and applied here.
 
 use crate::buffers::{BufferConfig, BufferState, MediaBuffer, Popped};
-use hermes_core::{
-    ComponentId, MediaDuration, MediaTime, PlayoutSchedule, Scenario, SkewPolicy, SkewTolerance,
-};
+use hermes_core::{ComponentId, MediaDuration, MediaTime, PlayoutSchedule, Scenario, SkewPolicy};
 use hermes_media::MediaFrame;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -270,6 +268,11 @@ impl StreamPlayout {
     }
 }
 
+/// The intermedia skew a sync group may reach before it is repaired:
+/// Steinmetz's lip-sync tolerance, audio ↔ video ±80 ms ([STE 90], cited in
+/// the paper's related work), applied to every sync pair whatever its kinds.
+const LIP_SYNC: MediaDuration = MediaDuration::from_millis(80);
+
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PlayoutConfig {
@@ -280,8 +283,6 @@ pub struct PlayoutConfig {
     pub drop_on_overflow: bool,
     /// Enforce intermedia skew bounds between sync partners.
     pub enforce_sync: bool,
-    /// Skew tolerances per media pair.
-    pub tolerance: SkewTolerance,
     /// Which side of a skewed pair to repair.
     pub policy: SkewPolicy,
     /// Append every [`PlayoutEvent`] — one per presented frame per stream
@@ -299,7 +300,6 @@ impl Default for PlayoutConfig {
             duplicate_on_underflow: true,
             drop_on_overflow: true,
             enforce_sync: true,
-            tolerance: SkewTolerance::default(),
             policy: SkewPolicy::Both,
             record_events: false,
         }
@@ -506,7 +506,6 @@ impl PlayoutEngine {
         // the position it could itself reach right now — using the frontier
         // rather than raw content lets partners with backlog skip forward
         // together. Every cap is taken before any stream moves.
-        let tolerance = self.cfg.tolerance.audio_video;
         let streams = &self.streams;
         self.caps.clear();
         self.caps.extend(streams.values().map(|s| {
@@ -516,7 +515,7 @@ impl PlayoutEngine {
                 .filter(|ps| matches!(ps.status, StreamStatus::Active | StreamStatus::Pending))
                 .map(|ps| ps.frontier(t0, now))
                 .min()
-                .map(|min_partner| min_partner + tolerance)
+                .map(|min_partner| min_partner + LIP_SYNC)
         }));
         let (cfg, events) = (&self.cfg, &mut self.events);
         for (s, &cap) in self.streams.values_mut().zip(&self.caps) {
@@ -537,18 +536,6 @@ impl PlayoutEngine {
         self.observe_skew(t0, now);
     }
 
-    /// Signed content skew of `a` relative to `b` (positive: `a` leads).
-    pub fn skew_between(&self, a: ComponentId, b: ComponentId) -> Option<MediaDuration> {
-        let (t0, now) = (self.presentation_start?, MediaTime::ZERO);
-        let _ = now;
-        let sa = self.streams.get(&a)?;
-        let sb = self.streams.get(&b)?;
-        let _ = t0;
-        // Both partners share start/duration, so content positions compare
-        // directly.
-        Some(sa.content_pos - sb.content_pos)
-    }
-
     /// Enforce skew bounds within each sync group.
     fn enforce_sync(&mut self, now: MediaTime) {
         for g in 0..self.sync_groups.len() {
@@ -563,30 +550,20 @@ impl PlayoutEngine {
     }
 
     fn repair_pair(&mut self, a: ComponentId, b: ComponentId, now: MediaTime) {
-        let (skew, kind_a, kind_b, period_lag, active) = {
+        let (skew, period_lag, active) = {
             let (Some(sa), Some(sb)) = (self.streams.get(&a), self.streams.get(&b)) else {
                 return;
             };
             let active = sa.status == StreamStatus::Active && sb.status == StreamStatus::Active;
             let skew = sa.content_pos - sb.content_pos;
-            // Media kinds are encoded in tolerances via the engine config;
-            // here we approximate with the pair's frame periods: take the
-            // laggard's period for frame quantization.
+            // Frame quantization uses the laggard's period.
             let laggard = if skew.is_negative() { sa } else { sb };
-            (
-                skew,
-                sa.frame_period,
-                sb.frame_period,
-                laggard.frame_period,
-                active,
-            )
+            (skew, laggard.frame_period, active)
         };
-        let _ = (kind_a, kind_b);
         if !active {
             return;
         }
-        let tolerance = self.cfg.tolerance.audio_video;
-        if skew.abs() <= tolerance {
+        if skew.abs() <= LIP_SYNC {
             return;
         }
         // Rate-limit corrections to one per frame period so leader-side
@@ -598,7 +575,7 @@ impl PlayoutEngine {
         }
         self.repair_cooldown.insert((a, b), now);
         let (laggard_id, leader_id) = if skew.is_negative() { (a, b) } else { (b, a) };
-        let excess = skew.abs() - tolerance;
+        let excess = skew.abs() - LIP_SYNC;
         let frames = ((excess.as_micros() + period_lag.as_micros() - 1) / period_lag.as_micros())
             .max(1) as u32;
         match self.cfg.policy {

@@ -9,7 +9,6 @@
 
 use hermes_core::{smooth_jitter, ComponentId, MediaDuration, MediaTime, QosMeasurement};
 use hermes_simnet::Accumulator;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One stream's reception-condition tracker inside the client QoS manager.
@@ -66,38 +65,24 @@ impl StreamCondition {
     }
 }
 
-/// Feedback cadence configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FeedbackConfig {
-    /// Period between feedback reports.
-    pub interval: MediaDuration,
-}
-
-impl Default for FeedbackConfig {
-    fn default() -> Self {
-        FeedbackConfig {
-            interval: MediaDuration::from_millis(1_000),
-        }
-    }
-}
-
 /// The client QoS manager: per-stream condition tracking and feedback
 /// scheduling.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ClientQosManager {
     streams: BTreeMap<ComponentId, StreamCondition>,
-    cfg: FeedbackConfig,
+    /// Period between feedback reports.
+    interval: MediaDuration,
     last_report: Option<MediaTime>,
     /// Reports emitted so far.
     pub reports_sent: u64,
 }
 
 impl ClientQosManager {
-    /// Manager with the given feedback cadence.
-    pub fn new(cfg: FeedbackConfig) -> Self {
+    /// Manager sending a feedback report every `interval`.
+    pub fn new(interval: MediaDuration) -> Self {
         ClientQosManager {
             streams: BTreeMap::new(),
-            cfg,
+            interval,
             last_report: None,
             reports_sent: 0,
         }
@@ -117,7 +102,7 @@ impl ClientQosManager {
     pub fn report_due(&self, now: MediaTime) -> bool {
         match self.last_report {
             None => true,
-            Some(t) => now - t >= self.cfg.interval,
+            Some(t) => now - t >= self.interval,
         }
     }
 
@@ -171,9 +156,7 @@ mod tests {
 
     #[test]
     fn report_cadence() {
-        let mut m = ClientQosManager::new(FeedbackConfig {
-            interval: MediaDuration::from_millis(500),
-        });
+        let mut m = ClientQosManager::new(MediaDuration::from_millis(500));
         m.track(ComponentId::new(1));
         assert!(m.report_due(MediaTime::ZERO));
         let r = m.make_report(MediaTime::ZERO);
@@ -185,7 +168,7 @@ mod tests {
 
     #[test]
     fn buffer_occupancy_carried_into_measurement() {
-        let mut m = ClientQosManager::new(FeedbackConfig::default());
+        let mut m = ClientQosManager::new(MediaDuration::from_secs(1));
         m.stream_mut(ComponentId::new(3)).buffer_occupancy = 0.7;
         let r = m.make_report(MediaTime::ZERO);
         assert_eq!(r[0].1.buffer_occupancy, 0.7);

@@ -86,17 +86,39 @@ impl FairnessBudget {
     }
 }
 
+/// Control-loop evaluation period (the service arms `TK_CONTROL` with it).
+pub const CONTROL_TICK: MediaDuration = MediaDuration::from_millis(200);
+/// Report cadence of servers and media nodes (`TK_CONTROL_REPORT`).
+pub const REPORT_PERIOD: MediaDuration = MediaDuration::from_millis(100);
+/// Reports older than this are ignored (a crashed reporter's stale
+/// snapshot must not wedge the pressure verdict).
+pub(crate) const STALE_AFTER: MediaDuration = MediaDuration::from_millis(1_000);
+/// Controller lease-beat period: the leader broadcasts a
+/// [`ControlSnapshot`]-bearing lease at this cadence.
+pub const LEASE_BEAT: MediaDuration = MediaDuration::from_millis(300);
+/// Missed lease beats before followers declare the lease expired and run
+/// the failover election (the PR 1 K-missed-beats discipline).
+const LEASE_MISSED: u32 = 4;
+/// How long followers wait without a lease beat before electing.
+pub const LEASE_TIMEOUT: MediaDuration =
+    MediaDuration::from_micros(LEASE_BEAT.as_micros() * LEASE_MISSED as i64);
+/// Report windows a freshly elected controller observes before its first
+/// actuation (the "cold controller" rate limit): state rebuilt from a lease
+/// snapshot is administrative, not behavioral, so the successor watches
+/// [`WARMUP`] of live telemetry before it may thrash the fleet.
+const WARMUP_REPORTS: u32 = 3;
+/// The cold-start window of a freshly elected controller.
+pub const WARMUP: MediaDuration =
+    MediaDuration::from_micros(REPORT_PERIOD.as_micros() * WARMUP_REPORTS as i64);
+
+// A quorum-isolated leader must see its peer reports go stale (and
+// self-demote) no later than a follower's election can fire, so both sides
+// of a partition can never actuate at once.
+const _: () = assert!(LEASE_TIMEOUT.as_micros() >= STALE_AFTER.as_micros());
+
 /// Configuration of the fleet controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
-    /// Control-loop evaluation period (the service arms `TK_CONTROL` with
-    /// this).
-    pub tick: MediaDuration,
-    /// Report cadence of servers and media nodes (`TK_CONTROL_REPORT`).
-    pub report: MediaDuration,
-    /// Reports older than this are ignored (a crashed reporter's stale
-    /// snapshot must not wedge the pressure verdict).
-    pub stale_after: MediaDuration,
     /// Media-node queue depth counted as fleet pressure.
     pub queue_target: f64,
     /// SLO burn rate (multiple of the sustainable budget-consumption rate)
@@ -126,26 +148,11 @@ pub struct ControllerConfig {
     pub scale_in_after: MediaDuration,
     /// Minimum spacing between successive scale actions.
     pub scale_dwell: MediaDuration,
-    /// Controller lease-beat period: the leader broadcasts a
-    /// [`ControlSnapshot`]-bearing lease at this cadence.
-    pub lease_beat: MediaDuration,
-    /// Missed lease beats before followers declare the lease expired and
-    /// run the failover election (the PR 1 K-missed-beats discipline).
-    pub lease_missed: u32,
-    /// Report windows a freshly elected controller observes before its
-    /// first actuation (the "cold controller" rate limit): state rebuilt
-    /// from a lease snapshot is administrative, not behavioral, so the
-    /// successor watches `warmup_reports * report` of live telemetry
-    /// before it may thrash the fleet.
-    pub warmup_reports: u32,
 }
 
 impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
-            tick: MediaDuration::from_millis(200),
-            report: MediaDuration::from_millis(100),
-            stale_after: MediaDuration::from_millis(1_000),
             queue_target: 8.0,
             burn_target: 6.0,
             dwell: MediaDuration::from_millis(1_000),
@@ -156,28 +163,7 @@ impl Default for ControllerConfig {
             scale_out_after: MediaDuration::from_millis(1_500),
             scale_in_after: MediaDuration::from_secs(6),
             scale_dwell: MediaDuration::from_secs(3),
-            // lease_missed * lease_beat must stay >= stale_after: a
-            // quorum-isolated leader sees its peer reports go stale (and
-            // self-demotes) no later than a follower's election can fire,
-            // so both sides of a partition can never actuate at once.
-            lease_beat: MediaDuration::from_millis(300),
-            lease_missed: 4,
-            warmup_reports: 3,
         }
-    }
-}
-
-impl ControllerConfig {
-    /// How long followers wait without a lease beat before electing:
-    /// `lease_missed * lease_beat`.
-    pub fn lease_timeout(&self) -> MediaDuration {
-        MediaDuration::from_micros(self.lease_beat.as_micros() * self.lease_missed as i64)
-    }
-
-    /// The cold-start window of a freshly elected controller:
-    /// `warmup_reports * report`.
-    pub fn warmup(&self) -> MediaDuration {
-        MediaDuration::from_micros(self.report.as_micros() * self.warmup_reports as i64)
     }
 }
 
@@ -335,7 +321,7 @@ impl FleetController {
     /// verbatim under the successor's `epoch`; behavioral state is seeded
     /// conservatively — dwell, calm, price and scale clocks all start at
     /// `now`, and no command is issued until the cold-start window
-    /// (`warmup_reports * report`) has been observed.
+    /// ([`WARMUP`]) has been observed.
     pub fn from_snapshot(
         cfg: ControllerConfig,
         epoch: u64,
@@ -350,7 +336,7 @@ impl FleetController {
         c.last_pressure = now;
         c.last_price = now;
         c.last_scale = now;
-        c.cold_until = now + cfg.warmup();
+        c.cold_until = now + WARMUP;
         c
     }
 
@@ -397,12 +383,11 @@ impl FleetController {
         self.reports.insert(node, (now, report.into()));
     }
 
-    /// The reports no older than `stale_after`, by reporter node.
+    /// The reports no older than [`STALE_AFTER`], by reporter node.
     fn fresh(&self, now: MediaTime) -> impl Iterator<Item = (u64, &LoadReport)> {
-        let stale_after = self.cfg.stale_after;
         self.reports
             .iter()
-            .filter(move |(_, (at, _))| now - *at <= stale_after)
+            .filter(move |(_, (at, _))| now - *at <= STALE_AFTER)
             .map(|(&node, (_, report))| (node, report))
     }
 

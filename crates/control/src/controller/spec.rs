@@ -18,11 +18,11 @@ use proptest::prelude::*;
 type Reports = BTreeMap<u64, (MediaTime, MetricsRegistry)>;
 
 /// The registry-scanning fleet view.
-fn fleet_view(cfg: &ControllerConfig, reports: &Reports, now: MediaTime) -> Vec<SessionView> {
+fn fleet_view(reports: &Reports, now: MediaTime) -> Vec<SessionView> {
     let mut sessions: BTreeMap<(u64, u64), SessionView> = BTreeMap::new();
     let mut streams: BTreeMap<(u64, u64, u64), StreamView> = BTreeMap::new();
     for (&node, (at, reg)) in reports {
-        if now - *at > cfg.stale_after {
+        if now - *at > STALE_AFTER {
             continue;
         }
         for (key, v) in reg.gauges() {
@@ -74,7 +74,7 @@ fn fleet_view(cfg: &ControllerConfig, reports: &Reports, now: MediaTime) -> Vec<
 fn pressure_sources(cfg: &ControllerConfig, reports: &Reports, now: MediaTime) -> u8 {
     let mut sources = 0u8;
     for (_, (at, reg)) in reports.iter() {
-        if now - *at > cfg.stale_after {
+        if now - *at > STALE_AFTER {
             continue;
         }
         for (key, v) in reg.gauges() {
@@ -337,7 +337,7 @@ proptest! {
             prop_assert_eq!(clean.entries(), registry.len());
             prop_assert_eq!(LoadReport::from(&registry).entries(), registry.len());
         }
-        let view = fleet_view(&cfg, &registries, now);
+        let view = fleet_view(&registries, now);
         prop_assert_eq!(&typed.fleet_view(now), &view);
         prop_assert_eq!(&adapted.fleet_view(now), &view);
         let sources = pressure_sources(&cfg, &registries, now);

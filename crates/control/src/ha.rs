@@ -17,7 +17,7 @@
 //! no simulator in it: its host calls one entry point per message or timer
 //! and applies the [`HaOut`] list that comes back, in order.
 
-use crate::controller::{ControlSnapshot, ControllerConfig};
+use crate::controller::{ControlSnapshot, LEASE_BEAT, LEASE_TIMEOUT, STALE_AFTER};
 use hermes_core::{MediaDuration, MediaTime};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -150,9 +150,9 @@ pub struct Election {
     me: u64,
     /// The other servers of the fleet, in broadcast order.
     peers: Vec<u64>,
-    /// `None` until [`enable`](Self::enable): the controller is pinned to
+    /// False until [`enable`](Self::enable): the controller is pinned to
     /// its first host and only the fence and epoch gossip run.
-    cfg: Option<ControllerConfig>,
+    enabled: bool,
     /// Highest controller epoch this node has observed. Epochs must never
     /// regress across restarts or a zombie could actuate on an amnesiac
     /// fleet.
@@ -201,24 +201,23 @@ impl Election {
         &self.snapshot
     }
 
-    /// The controller config, once failover is [`enable`](Self::enable)d.
-    pub fn cfg(&self) -> Option<ControllerConfig> {
-        self.cfg
+    /// Failover is [`enable`](Self::enable)d.
+    pub fn enabled(&self) -> bool {
+        self.enabled
     }
 
-    /// Arm failover: remember the config, the other servers and the seed
-    /// snapshot (the deployment manifest: standby pool, nominal price),
-    /// start the lease watch, and grant the fleet one optimistic liveness
-    /// window so nobody elects before the first reports can arrive.
+    /// Arm failover: remember the other servers and the seed snapshot (the
+    /// deployment manifest: standby pool, nominal price), start the lease
+    /// watch, and grant the fleet one optimistic liveness window so nobody
+    /// elects before the first reports can arrive.
     pub fn enable(
         &mut self,
-        cfg: ControllerConfig,
         seed: ControlSnapshot,
         peers: Vec<u64>,
         now: MediaTime,
         out: &mut Vec<HaOut>,
     ) {
-        self.cfg = Some(cfg);
+        self.enabled = true;
         self.saw(seed.epoch);
         self.snapshot = seed;
         self.grant_timeout(now);
@@ -234,7 +233,7 @@ impl Election {
     pub fn host(&mut self, epoch: u64, now: MediaTime, out: &mut Vec<HaOut>) {
         self.saw(epoch);
         self.lease.observe(epoch, self.me, now);
-        if self.cfg.is_some() {
+        if self.enabled {
             out.push(HaOut::ArmBeat);
         }
     }
@@ -249,7 +248,7 @@ impl Election {
     /// The process is back (its timers died with the old one): watch the
     /// lease again, assuming it alive.
     pub fn restart(&mut self, now: MediaTime, out: &mut Vec<HaOut>) {
-        if self.cfg.is_some() {
+        if self.enabled {
             self.grant_timeout(now);
             out.push(HaOut::ArmWatch);
         }
@@ -337,9 +336,8 @@ impl Election {
         out: &mut Vec<HaOut>,
     ) {
         if leading.is_none()
-            && self
-                .cfg
-                .is_some_and(|cfg| self.lease.expired(now, cfg.lease_timeout()))
+            && self.enabled
+            && self.lease.expired(now, LEASE_TIMEOUT)
             && epoch > self.highest_epoch()
             && self.peers.contains(&from)
         {
@@ -369,7 +367,7 @@ impl Election {
         now: MediaTime,
         out: &mut Vec<HaOut>,
     ) {
-        if let (Some(snapshot), Some(_)) = (leading, self.cfg) {
+        if let Some(snapshot) = leading.filter(|_| self.enabled) {
             self.snapshot = snapshot;
             self.beat(now, out);
         }
@@ -381,11 +379,11 @@ impl Election {
     /// quorum precondition keeps both sides of a partition from campaigning
     /// at once; the vote round makes the claimed epoch provably unused.
     pub fn watch_tick(&mut self, now: MediaTime, leading: Option<u64>, out: &mut Vec<HaOut>) {
-        let Some(cfg) = self.cfg else {
+        if !self.enabled {
             return;
-        };
+        }
         if leading.is_none() {
-            let fresh = self.freshness.fresh(now, cfg.stale_after);
+            let fresh = self.freshness.fresh(now, STALE_AFTER);
             if !self.is_majority(fresh.len()) {
                 // No quorum view: "leader dead" and "we are the isolated
                 // side" are indistinguishable, so grant the (possibly live)
@@ -395,15 +393,14 @@ impl Election {
                 // beats (or gossiped epochs) to reach us.
                 self.grant_timeout(now);
                 self.candidacy = None;
-            } else if self.lease.expired(now, cfg.lease_timeout()) && elect(&fresh) == Some(self.me)
-            {
+            } else if self.lease.expired(now, LEASE_TIMEOUT) && elect(&fresh) == Some(self.me) {
                 // Stand, or retry a candidacy whose votes never came after
                 // two beats: lost grants are absorbed by re-asking at a
                 // higher epoch, never by waiting on a specific voter.
                 let retry = self
                     .candidacy
                     .as_ref()
-                    .is_none_or(|c| now - c.since >= cfg.lease_beat + cfg.lease_beat);
+                    .is_none_or(|c| now - c.since >= LEASE_BEAT + LEASE_BEAT);
                 if retry {
                     self.stand(now, out);
                 }
@@ -421,8 +418,8 @@ impl Election {
     /// and stops leading (the majority side will elect once the lease
     /// lapses).
     pub fn quorum(&mut self, now: MediaTime, leading: Option<u64>, out: &mut Vec<HaOut>) {
-        if let (Some(cfg), Some(mine)) = (self.cfg, leading) {
-            if !self.is_majority(self.freshness.fresh(now, cfg.stale_after).len()) {
+        if let Some(mine) = leading.filter(|_| self.enabled) {
+            if !self.is_majority(self.freshness.fresh(now, STALE_AFTER).len()) {
                 self.demote(mine, now, out);
             }
         }
@@ -575,7 +572,7 @@ mod tests {
         let mut e = Election::new(me);
         let mut out = Vec::new();
         let peers = [1, 2, 3].into_iter().filter(|&p| p != me).collect();
-        e.enable(ControllerConfig::default(), seed(), peers, at(0), &mut out);
+        e.enable(seed(), peers, at(0), &mut out);
         assert_eq!(out, [HaOut::ArmWatch]);
         e
     }

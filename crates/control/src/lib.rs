@@ -41,7 +41,8 @@ pub mod utility;
 
 pub use controller::{
     names, ControlCommand, ControlPlan, ControlSnapshot, ControllerConfig, ControllerStats,
-    FairnessBudget, FleetController,
+    FairnessBudget, FleetController, CONTROL_TICK, LEASE_BEAT, LEASE_TIMEOUT, REPORT_PERIOD,
+    WARMUP,
 };
 pub use ha::{elect, majority, Election, HaMsg, HaOut, LeaseView, PeerFreshness};
 pub use report::LoadReport;

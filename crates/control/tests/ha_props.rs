@@ -7,7 +7,10 @@
 //! drops and duplicates, with crashes, restarts and an arbitrary clock.
 
 use hermes_control::ha::{elect, majority, Election, HaMsg, HaOut, LeaseView, PeerFreshness};
-use hermes_control::{ControlSnapshot, ControllerConfig, FleetController};
+use hermes_control::{
+    ControlSnapshot, ControllerConfig, FleetController, CONTROL_TICK, LEASE_BEAT, LEASE_TIMEOUT,
+    REPORT_PERIOD, WARMUP,
+};
 use hermes_core::{MediaDuration, MediaTime};
 use proptest::prelude::*;
 
@@ -16,7 +19,6 @@ use proptest::prelude::*;
 /// order is the test's choice, report gossip, and a hosted controller
 /// reduced to the snapshot it would replicate.
 struct Fleet {
-    cfg: ControllerConfig,
     now: MediaTime,
     nodes: Vec<Node>,
     /// In flight: (from, to, message).
@@ -54,20 +56,17 @@ enum Wire {
 /// The failover bound `exp_ha` asserts: the lease must lapse, the next watch
 /// tick must notice, the vote round must come back.
 fn failover_bound() -> MediaDuration {
-    let cfg = ControllerConfig::default();
-    cfg.lease_timeout() + retry_round()
+    LEASE_TIMEOUT + retry_round()
 }
 
 /// How long a candidacy waits for its votes before it asks again.
 fn retry_round() -> MediaDuration {
-    let cfg = ControllerConfig::default();
-    cfg.lease_beat + cfg.lease_beat
+    LEASE_BEAT + LEASE_BEAT
 }
 
 impl Fleet {
     /// `n` servers 1..=n with failover armed, the controller hosted on 1.
     fn new(n: u64) -> Fleet {
-        let cfg = ControllerConfig::default();
         let seed = ControlSnapshot {
             epoch: 1,
             price: 0,
@@ -75,7 +74,6 @@ impl Fleet {
             scaled_out: Vec::new(),
         };
         let mut fleet = Fleet {
-            cfg,
             now: MediaTime::ZERO,
             nodes: Vec::new(),
             wire: Vec::new(),
@@ -85,13 +83,13 @@ impl Fleet {
         for id in 1..=n {
             let mut election = Election::new(id);
             let peers = (1..=n).filter(|&p| p != id).collect();
-            election.enable(cfg, seed.clone(), peers, fleet.now, &mut fleet.out);
+            election.enable(seed.clone(), peers, fleet.now, &mut fleet.out);
             fleet.nodes.push(Node {
                 id,
                 election,
                 up: true,
                 leading: None,
-                timers: vec![(fleet.now + cfg.report, Timer::Report)],
+                timers: vec![(fleet.now + REPORT_PERIOD, Timer::Report)],
                 disk: (0, 0),
             });
             fleet.apply(id as usize - 1);
@@ -100,7 +98,7 @@ impl Fleet {
         fleet.nodes[0].leading = Some(seed);
         fleet.nodes[0]
             .timers
-            .push((fleet.now + cfg.tick, Timer::Control));
+            .push((fleet.now + CONTROL_TICK, Timer::Control));
         fleet.apply(0);
         fleet
     }
@@ -117,7 +115,7 @@ impl Fleet {
                         epoch,
                         ..node.election.snapshot().clone()
                     });
-                    node.timers.push((self.now + self.cfg.tick, Timer::Control));
+                    node.timers.push((self.now + CONTROL_TICK, Timer::Control));
                     self.promotions.push((self.now, node.id, epoch));
                 }
                 HaOut::Demote => {
@@ -125,11 +123,11 @@ impl Fleet {
                     node.leading = None;
                 }
                 HaOut::ArmWatch => {
-                    let due = self.now + self.cfg.lease_beat;
+                    let due = self.now + LEASE_BEAT;
                     node.timers.push((due, Timer::Watch));
                 }
                 HaOut::ArmBeat => {
-                    let due = self.now + self.cfg.lease_beat;
+                    let due = self.now + LEASE_BEAT;
                     node.timers.push((due, Timer::Beat));
                 }
                 HaOut::Repoint(_) | HaOut::Price(_) | HaOut::Event(..) => {}
@@ -191,7 +189,7 @@ impl Fleet {
                 }
                 self.nodes[i]
                     .timers
-                    .push((now + self.cfg.report, Timer::Report));
+                    .push((now + REPORT_PERIOD, Timer::Report));
             }
             // The control tick: the quorum guard, then (not modelled) the
             // plan; the chain dies with leadership.
@@ -201,7 +199,7 @@ impl Fleet {
         if matches!(timer, Timer::Control) && self.nodes[i].leading.is_some() {
             self.nodes[i]
                 .timers
-                .push((now + self.cfg.tick, Timer::Control));
+                .push((now + CONTROL_TICK, Timer::Control));
         }
     }
 
@@ -238,8 +236,7 @@ impl Fleet {
         self.crash(i);
         let node = &mut self.nodes[i];
         node.up = true;
-        node.timers
-            .push((self.now + self.cfg.report, Timer::Report));
+        node.timers.push((self.now + REPORT_PERIOD, Timer::Report));
         node.election.restart(self.now, &mut self.out);
         self.apply(i);
     }
@@ -422,7 +419,7 @@ proptest! {
         let probe = now + MediaDuration::from_millis(probe_ms);
         let plan = c.tick(probe);
         prop_assert_eq!(c.epoch(), epoch + 1, "the successor's epoch fences the zombie");
-        if probe < now + cfg.warmup() {
+        if probe < now + WARMUP {
             prop_assert!(c.is_cold(probe));
             prop_assert!(plan.commands.is_empty(),
                 "a cold controller must not actuate ({} ms after election)", probe_ms);
@@ -438,7 +435,7 @@ proptest! {
     /// Once the network heals and everyone is back, the fleet settles on
     /// one leader at the highest epoch anyone has seen; and when that
     /// leader then dies, a successor is promoted inside the bound `exp_ha`
-    /// asserts, `lease_timeout + 2 * lease_beat` — plus one retry round for
+    /// asserts, `LEASE_TIMEOUT + 2 * LEASE_BEAT` — plus one retry round for
     /// every epoch some voter has promised above the fence (finding (g),
     /// pinned below). That promotions are ordered by epoch *across* nodes
     /// is not required: finding (h).

@@ -50,11 +50,11 @@ pub use ids::{
 pub use interval::{AllenRelation, Interval};
 pub use layout::{HeadingLevel, Region, TextStyle};
 pub use media_kind::{Encoding, MediaKind};
-pub use qos::{PresentationFloor, PricingClass, QosMeasurement, QosRequirement};
+pub use qos::{PricingClass, QosMeasurement, QosRequirement};
 pub use scenario::{
     ComponentContent, HyperLink, LinkKind, LinkTarget, MediaComponent, MediaSource, Scenario,
     ScenarioIssue, SyncGroup, TextBlock, TextRun,
 };
 pub use schedule::{PlayoutEntry, PlayoutSchedule, TimelineEvent, TimelineEventKind};
-pub use skew::{plan_repair, RepairSide, Skew, SkewPolicy, SkewRepair, SkewTolerance};
+pub use skew::{plan_repair, RepairSide, Skew, SkewPolicy, SkewRepair};
 pub use time::{MediaDuration, MediaTime};

@@ -49,30 +49,6 @@ impl QosRequirement {
     }
 }
 
-/// Quality-of-Presentation floor the user accepts, expressed as the lowest
-/// quality-ladder level (0 = best) the service may degrade a stream to before
-/// it must stop transmitting the stream instead (§4: "when falling to the
-/// lower threshold, the service may choose to stop transmitting").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PresentationFloor {
-    /// Deepest acceptable degradation level for video streams.
-    pub video_floor: u8,
-    /// Deepest acceptable degradation level for audio streams.
-    pub audio_floor: u8,
-}
-
-impl Default for PresentationFloor {
-    fn default() -> Self {
-        // By default allow full ladder depth for video, shallow for audio —
-        // the paper grades video first because "users can tolerate lower
-        // video quality rather than not hear well".
-        PresentationFloor {
-            video_floor: 4,
-            audio_floor: 2,
-        }
-    }
-}
-
 /// A windowed measurement of a connection's observed condition, computed by
 /// the client QoS manager from packet timestamps and sequence numbers, and
 /// shipped to the server QoS manager as a feedback report.

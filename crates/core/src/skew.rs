@@ -1,4 +1,4 @@
-//! Intermedia-skew algebra and tolerance policy.
+//! Intermedia-skew algebra and repair planning.
 //!
 //! §4: "*Intermedia skew* refers to the difference of the arrival times among
 //! media objects that should be synchronized." The short-term recovery
@@ -6,7 +6,6 @@
 //! dropping frames from the stream that leads, or duplicating frames of the
 //! stream that lags (after Little & Kao [LIT 92]).
 
-use crate::media_kind::MediaKind;
 use crate::time::MediaDuration;
 use serde::{Deserialize, Serialize};
 
@@ -38,48 +37,6 @@ impl Skew {
     /// Is the skew within a symmetric tolerance?
     pub fn within(self, tolerance: MediaDuration) -> bool {
         self.magnitude() <= tolerance
-    }
-}
-
-/// Perceptual skew tolerances between media-kind pairs.
-///
-/// Defaults follow Steinmetz's classic measurements (cited in the paper's
-/// related work, [STE 90]): lip-sync audio↔video ±80 ms; audio↔audio
-/// (e.g. stereo-adjacent streams) tighter; anything involving discrete media
-/// far looser.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SkewTolerance {
-    /// audio ↔ video (lip sync).
-    pub audio_video: MediaDuration,
-    /// audio ↔ audio.
-    pub audio_audio: MediaDuration,
-    /// video ↔ video.
-    pub video_video: MediaDuration,
-    /// any continuous ↔ discrete (image/text) pairing.
-    pub continuous_discrete: MediaDuration,
-}
-
-impl Default for SkewTolerance {
-    fn default() -> Self {
-        SkewTolerance {
-            audio_video: MediaDuration::from_millis(80),
-            audio_audio: MediaDuration::from_millis(11),
-            video_video: MediaDuration::from_millis(120),
-            continuous_discrete: MediaDuration::from_millis(500),
-        }
-    }
-}
-
-impl SkewTolerance {
-    /// Tolerance applicable to a pair of media kinds (symmetric).
-    pub fn for_pair(&self, a: MediaKind, b: MediaKind) -> MediaDuration {
-        use MediaKind::*;
-        match (a, b) {
-            (Audio, Video) | (Video, Audio) => self.audio_video,
-            (Audio, Audio) => self.audio_audio,
-            (Video, Video) => self.video_video,
-            _ => self.continuous_discrete,
-        }
     }
 }
 
@@ -206,17 +163,6 @@ mod tests {
         assert_eq!(behind.magnitude(), ms(50));
         assert!(ahead.within(ms(50)));
         assert!(!ahead.within(ms(49)));
-    }
-
-    #[test]
-    fn tolerance_pairs_symmetric() {
-        let t = SkewTolerance::default();
-        assert_eq!(
-            t.for_pair(MediaKind::Audio, MediaKind::Video),
-            t.for_pair(MediaKind::Video, MediaKind::Audio)
-        );
-        assert_eq!(t.for_pair(MediaKind::Audio, MediaKind::Video), ms(80));
-        assert_eq!(t.for_pair(MediaKind::Image, MediaKind::Audio), ms(500));
     }
 
     #[test]

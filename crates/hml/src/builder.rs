@@ -5,8 +5,7 @@
 use crate::ast::*;
 use crate::values::SourceRef;
 use hermes_core::{
-    DocumentId, HeadingLevel, LinkKind, MediaDuration, MediaSource, MediaTime, Region, ServerId,
-    TextStyle,
+    DocumentId, HeadingLevel, LinkKind, MediaDuration, MediaSource, MediaTime, Region, TextStyle,
 };
 
 /// Fluent builder for [`HmlDocument`].
@@ -59,19 +58,6 @@ impl DocumentBuilder {
                 text: text.into(),
                 style: TextStyle::PLAIN,
             }],
-            timing: Timing::default(),
-            id: None,
-        }));
-        self
-    }
-
-    /// Add styled text runs.
-    pub fn styled_text(mut self, runs: Vec<(String, TextStyle)>) -> Self {
-        self.current.body.push(BodyItem::Text(TextElem {
-            runs: runs
-                .into_iter()
-                .map(|(text, style)| AstTextRun { text, style })
-                .collect(),
             timing: Timing::default(),
             id: None,
         }));
@@ -191,24 +177,6 @@ impl DocumentBuilder {
         self
     }
 
-    /// Add a remote hyperlink (another multimedia server).
-    pub fn remote_link(
-        mut self,
-        kind: LinkKind,
-        host: ServerId,
-        to: DocumentId,
-        at: Option<MediaTime>,
-    ) -> Self {
-        self.current.body.push(BodyItem::Link(LinkElem {
-            kind,
-            to,
-            host: Some(host),
-            at,
-            note: None,
-        }));
-        self
-    }
-
     /// Close the current sentence with a separator and start a new one.
     pub fn separator(mut self) -> Self {
         self.current.separator = true;
@@ -235,6 +203,7 @@ mod tests {
     use crate::parser::parse;
     use crate::scenario_build::build_scenario;
     use crate::serializer::serialize;
+    use hermes_core::ServerId;
 
     #[test]
     fn builder_round_trips_through_markup() {

@@ -313,13 +313,14 @@ fn class_cap(class: CauseClass) -> usize {
 /// Event names attribution treats as disruptions to explain.
 pub const DISRUPTION_KINDS: [&str; 3] = ["playout_gap", "server_silent", "session_abandoned"];
 
+/// Minimum `playout_gap` payload (gap ticks) worth attributing.
+pub(crate) const GAP_THRESHOLD: i64 = 1;
+
 /// Attribution tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct AttributionConfig {
     /// How far back from a disruption the causal window reaches.
     pub window: MediaDuration,
-    /// Minimum `playout_gap` payload (gap ticks) worth attributing.
-    pub gap_threshold: i64,
     /// How many critical-path hops to keep per attribution.
     pub path_hops: usize,
 }
@@ -328,7 +329,6 @@ impl Default for AttributionConfig {
     fn default() -> Self {
         AttributionConfig {
             window: MediaDuration::from_secs(2),
-            gap_threshold: 1,
             path_hops: 4,
         }
     }
@@ -604,7 +604,7 @@ pub fn attribute_events(events: &[Event], cfg: &AttributionConfig) -> Vec<GapAtt
     let mut out = Vec::new();
     for e in events {
         let is_disruption = match e.name {
-            "playout_gap" => e.value >= cfg.gap_threshold,
+            "playout_gap" => e.value >= GAP_THRESHOLD,
             "server_silent" | "session_abandoned" => true,
             _ => false,
         };
@@ -815,7 +815,7 @@ pub(crate) mod tests {
                 next() % 6,
                 "playout_gap",
                 Labels::session(next() % 4),
-                (next() % 3) as i64, // sometimes below gap_threshold
+                (next() % 3) as i64, // sometimes below GAP_THRESHOLD
             ));
         }
         events.sort_by_key(|e| e.sort_key());
@@ -836,7 +836,7 @@ pub(crate) mod tests {
             // Reference: the windowed scan, disruption by disruption.
             let mut expected = Vec::new();
             for e in &events {
-                if e.name != "playout_gap" || e.value < cfg.gap_threshold {
+                if e.name != "playout_gap" || e.value < GAP_THRESHOLD {
                     continue;
                 }
                 let lo = events.partition_point(|x| x.at < e.at - cfg.window);

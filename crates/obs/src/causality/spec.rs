@@ -172,7 +172,6 @@ proptest! {
             let cfg = AttributionConfig {
                 window: MediaDuration::from_secs(window_s),
                 path_hops,
-                ..AttributionConfig::default()
             };
             // A disruption sits on a stamp's instant, exactly one window
             // after it (the stamp is the oldest one still inside), 1 µs

@@ -136,7 +136,7 @@ pub fn check_label_overflow(registry: &MetricsRegistry) -> Vec<Violation> {
 /// the causal window the attribution claims to have read. A verdict whose
 /// evidence is missing would mean the attributor invented a cause.
 pub fn check_attribution_soundness(events: &[Event]) -> Vec<Violation> {
-    use crate::causality::{attribute_events, AttributionConfig, CauseClass};
+    use crate::causality::{attribute_events, AttributionConfig, CauseClass, GAP_THRESHOLD};
     let mut v = Vec::new();
     let cfg = AttributionConfig::default();
     let attrs = attribute_events(events, &cfg);
@@ -144,7 +144,7 @@ pub fn check_attribution_soundness(events: &[Event]) -> Vec<Violation> {
     let disruptions = events
         .iter()
         .filter(|e| match e.name {
-            "playout_gap" => e.value >= cfg.gap_threshold,
+            "playout_gap" => e.value >= GAP_THRESHOLD,
             "server_silent" | "session_abandoned" => true,
             _ => false,
         })

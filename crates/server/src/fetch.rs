@@ -232,6 +232,22 @@ impl RemoteStream {
     }
 }
 
+/// Frames per fetched segment of a continuous object.
+const FRAMES_PER_SEGMENT: u32 = 32;
+/// Maximum outstanding segment fetches per stream (the pipelining window).
+const PIPELINE: u32 = 3;
+/// Floor of the adaptive (P95-derived) hedge delay.
+const HEDGE_MIN: MediaDuration = MediaDuration::from_millis(5);
+/// Slack added to every fetch deadline beyond the playout horizon the
+/// stream's buffered frames already cover.
+const DEADLINE_SLACK: MediaDuration = MediaDuration::from_millis(500);
+/// Fetch-latency target of the CoDel-style pressure detector; also the
+/// latency above which a hedge's alternate counts as slow too.
+const PRESSURE_TARGET: MediaDuration = MediaDuration::from_millis(50);
+/// How long fetch latency must stay above target before the detector
+/// declares pressure (transient bursts pass).
+const PRESSURE_INTERVAL: MediaDuration = MediaDuration::from_millis(100);
+
 /// Configuration of the distributed media tier, shared by the world builder
 /// (content distribution) and the multimedia servers (fetch behaviour).
 #[derive(Debug, Clone)]
@@ -240,43 +256,24 @@ pub struct MediaTierConfig {
     pub replication: usize,
     /// Segment-cache capacity in payload bytes (0 disables caching).
     pub cache_bytes: u64,
-    /// Frames per fetched segment.
-    pub frames_per_segment: u32,
-    /// Maximum outstanding segment fetches per stream (the pipelining
-    /// window).
-    pub pipeline: u32,
-    /// Re-poll interval while a stream is stalled waiting for the tier.
-    pub stall_poll: MediaDuration,
     /// Consult the per-replica circuit breaker: score fetch outcomes,
     /// penalise sick replicas at selection time and bound probe traffic
     /// while a tripped circuit is half-open.
     pub breaker: bool,
-    /// Circuit-breaker tuning (EWMA thresholds, open timeout, probe count).
-    pub breaker_cfg: crate::BreakerConfig,
+    /// Trip a replica's breaker when its EWMA fetch latency exceeds this
+    /// (the rest of the breaker's tuning is in [`crate::overload`]).
+    pub breaker_latency: MediaDuration,
     /// Issue a duplicate fetch to the next-best replica when the first has
     /// not answered within the hedge delay; first response wins.
     pub hedging: bool,
-    /// Floor of the adaptive (P95-derived) hedge delay.
-    pub hedge_min: MediaDuration,
     /// Cap of the adaptive hedge delay; also used until enough latency
     /// samples accumulate to estimate a P95.
     pub hedge_max: MediaDuration,
-    /// Slack added to every fetch deadline beyond the playout horizon the
-    /// stream's buffered frames already cover.
-    pub deadline_slack: MediaDuration,
     /// Walk active sessions down the grade ladder under sustained fetch
     /// pressure (the mid-session extension of admission-time shedding).
     pub ladder: bool,
-    /// Fetch-latency target of the CoDel-style pressure detector.
-    pub pressure_target: MediaDuration,
-    /// How long fetch latency must stay above target before the detector
-    /// declares pressure (transient bursts pass).
-    pub pressure_interval: MediaDuration,
     /// Cadence of the degradation-ladder evaluation timer.
     pub ladder_period: MediaDuration,
-    /// Calm period required before one degraded level is restored (and the
-    /// spacing between successive restores).
-    pub ladder_hysteresis: MediaDuration,
 }
 
 impl Default for MediaTierConfig {
@@ -284,20 +281,12 @@ impl Default for MediaTierConfig {
         MediaTierConfig {
             replication: 2,
             cache_bytes: 512 * 1024,
-            frames_per_segment: 32,
-            pipeline: 3,
-            stall_poll: MediaDuration::from_millis(10),
             breaker: true,
-            breaker_cfg: crate::BreakerConfig::default(),
+            breaker_latency: MediaDuration::from_millis(250),
             hedging: false,
-            hedge_min: MediaDuration::from_millis(5),
             hedge_max: MediaDuration::from_millis(250),
-            deadline_slack: MediaDuration::from_millis(500),
             ladder: false,
-            pressure_target: MediaDuration::from_millis(50),
-            pressure_interval: MediaDuration::from_millis(100),
             ladder_period: MediaDuration::from_millis(250),
-            ladder_hysteresis: MediaDuration::from_secs(2),
         }
     }
 }
@@ -428,8 +417,8 @@ impl MediaTier {
     /// `cfg`.
     pub fn new(cfg: MediaTierConfig, placement: PlacementMap, home: NodeId) -> Self {
         let cache = SegmentCache::new(cfg.cache_bytes);
-        let health = ReplicaHealthMap::new(cfg.breaker_cfg);
-        let pressure = PressureDetector::new(cfg.pressure_target, cfg.pressure_interval);
+        let health = ReplicaHealthMap::new(cfg.breaker_latency);
+        let pressure = PressureDetector::new(PRESSURE_TARGET, PRESSURE_INTERVAL);
         MediaTier {
             cfg,
             placement,
@@ -457,7 +446,7 @@ impl MediaTier {
         }
         self.fetch_latency
             .quantile(0.95)
-            .clamp(self.cfg.hedge_min, self.cfg.hedge_max)
+            .clamp(HEDGE_MIN, self.cfg.hedge_max)
     }
 
     /// The stream an outstanding fetch belongs to.
@@ -482,7 +471,7 @@ impl MediaTier {
             return None;
         }
         let frames_per_segment = if kind.is_continuous() {
-            self.cfg.frames_per_segment.max(1)
+            FRAMES_PER_SEGMENT
         } else {
             1 // a discrete "frame" is the whole object; don't fetch copies
         };
@@ -655,8 +644,7 @@ impl MediaTier {
         out: &mut Vec<FetchOut>,
     ) {
         out.push(FetchOut::Adopt(d.session));
-        while (r.inflight.len() as u32) < self.cfg.pipeline && r.frames_covered() < d.frames_needed
-        {
+        while (r.inflight.len() as u32) < PIPELINE && r.frames_covered() < d.frames_needed {
             let seg = r.next_request;
             // After a shed rolls the cursor back, segments between the shed
             // one and the frontier may still be covered — skip them.
@@ -703,7 +691,7 @@ impl MediaTier {
             // the node may shed the request instead of serving dead work.
             let deadline = now
                 + d.frame_period * (r.frames_covered() + r.frames_per_segment as u64) as i64
-                + self.cfg.deadline_slack;
+                + DEADLINE_SLACK;
             // An issued fetch is by definition a server-cache miss for this
             // segment — the evidence record the cache-miss-chain attribution
             // class looks for in the event window.
@@ -819,7 +807,7 @@ impl MediaTier {
         // windows keep the nodes' queues full, so latency sits at queue
         // depth × service time whenever any backlog exists. What hurts is
         // a segment landing after the pacer needed it.
-        let late = (now - (tag.deadline - self.cfg.deadline_slack)).max(MediaDuration::ZERO);
+        let late = (now - (tag.deadline - DEADLINE_SLACK)).max(MediaDuration::ZERO);
         let felt = if self.cfg.breaker { late } else { latency };
         self.pressure.observe(now, felt);
         out.push(FetchOut::Latency(latency));
@@ -981,7 +969,7 @@ impl MediaTier {
         if self
             .health
             .health(alt)
-            .is_some_and(|h| h.latency.value() > self.cfg.pressure_target.as_micros() as f64)
+            .is_some_and(|h| h.latency.value() > PRESSURE_TARGET.as_micros() as f64)
         {
             return;
         }
@@ -1081,12 +1069,12 @@ impl MediaTier {
         self.cache.stats = stats;
         self.inflight.clear();
         self.selector = ReplicaSelector::new();
-        self.health = ReplicaHealthMap::new(self.cfg.breaker_cfg);
+        self.health = ReplicaHealthMap::new(self.cfg.breaker_latency);
         self.hedge_pairs.clear();
         self.grants.clear();
         self.waiting.clear();
         self.wait_index.clear();
-        self.pressure = PressureDetector::new(self.cfg.pressure_target, self.cfg.pressure_interval);
+        self.pressure = PressureDetector::new(PRESSURE_TARGET, PRESSURE_INTERVAL);
     }
 
     /// A trace event per breaker state change recorded since the last

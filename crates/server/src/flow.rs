@@ -81,33 +81,18 @@ impl FlowScenario {
     }
 }
 
-/// Flow-scheduler configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FlowConfig {
-    /// The client's media time window (prefill target) the sender must lead
-    /// by.
-    pub media_time_window: MediaDuration,
-    /// Extra lead covering transfer and processing delay estimates.
-    pub transfer_margin: MediaDuration,
-}
-
-impl Default for FlowConfig {
-    fn default() -> Self {
-        FlowConfig {
-            media_time_window: MediaDuration::from_millis(1_000),
-            transfer_margin: MediaDuration::from_millis(250),
-        }
-    }
-}
+/// Extra lead beyond the media time window, covering transfer and
+/// processing delay estimates.
+const TRANSFER_MARGIN: MediaDuration = MediaDuration::from_millis(250);
 
 /// Compute the flow scenario for a presentation scenario.
 ///
-/// Sending for each stream starts one *lead* (media time window + transfer
-/// margin) before its playout deadline `t_i`, clamped at zero — the
-/// intentional initial delay of §4 appears on the client side as the gap
-/// between requesting the document and the presentation start.
-pub fn compute_flow_scenario(scenario: &Scenario, cfg: FlowConfig) -> FlowScenario {
-    let lead = cfg.media_time_window + cfg.transfer_margin;
+/// Sending for each stream starts one *lead* (the client's media time
+/// `window` + a transfer margin) before its playout deadline `t_i`, clamped
+/// at zero — the intentional initial delay of §4 appears on the client side
+/// as the gap between requesting the document and the presentation start.
+pub fn compute_flow_scenario(scenario: &Scenario, window: MediaDuration) -> FlowScenario {
+    let lead = window + TRANSFER_MARGIN;
     let end = scenario.presentation_end();
     let mut plans = Vec::new();
     for c in &scenario.components {
@@ -151,7 +136,7 @@ mod tests {
 
     fn fig2_flow() -> FlowScenario {
         let s = scenario_from_markup(FIGURE2_MARKUP, DocumentId::new(1), ServerId::new(0)).unwrap();
-        compute_flow_scenario(&s, FlowConfig::default())
+        compute_flow_scenario(&s, MediaDuration::from_secs(1))
     }
 
     #[test]
@@ -221,7 +206,7 @@ mod tests {
             ServerId::new(0),
         )
         .unwrap();
-        let f = compute_flow_scenario(&s, FlowConfig::default());
+        let f = compute_flow_scenario(&s, MediaDuration::from_secs(1));
         let img = f.plan(ComponentId::new(1)).unwrap();
         assert_eq!(img.duration, MediaDuration::from_secs(30));
     }

@@ -9,7 +9,7 @@ use crate::flow::FlowPlan;
 use crate::qos::ServerQosManager;
 use hermes_core::{
     ComponentId, GradeDecision, GradeLevel, GradingHysteresis, GradingOrder, MediaDuration,
-    MediaKind, MediaTime, PresentationFloor, PricingClass, QosMeasurement, SessionId,
+    MediaKind, MediaTime, PricingClass, QosMeasurement, SessionId,
 };
 use hermes_media::CodecModel;
 use hermes_simnet::{Labels, Severity};
@@ -113,12 +113,19 @@ impl GradeOut {
     }
 }
 
+/// Deepest grade level feedback may take a video stream to before it must
+/// stop it instead (§4: "when falling to the lower threshold, the service
+/// may choose to stop transmitting"): the full ladder.
+const VIDEO_FLOOR: GradeLevel = GradeLevel(4);
+/// The same for audio, kept shallow: the paper grades video first because
+/// "users can tolerate lower video quality rather than not hear well".
+const AUDIO_FLOOR: GradeLevel = GradeLevel(2);
+
 /// The grading state of one server.
 #[derive(Debug, Default)]
 pub struct Grading {
     order: GradingOrder,
     hysteresis: GradingHysteresis,
-    floor: PresentationFloor,
     /// Each session's feedback manager, created by its first
     /// [`register`](Self::register); an absent one acts as an empty one.
     qos: BTreeMap<SessionId, ServerQosManager>,
@@ -133,12 +140,11 @@ pub struct Grading {
 }
 
 impl Grading {
-    /// Grading with the feedback managers' order, hysteresis and floors.
-    pub fn new(order: GradingOrder, h: GradingHysteresis, floor: PresentationFloor) -> Self {
+    /// Grading with the feedback managers' order and hysteresis.
+    pub fn new(order: GradingOrder, h: GradingHysteresis) -> Self {
         Grading {
             order,
             hysteresis: h,
-            floor,
             ..Self::default()
         }
     }
@@ -155,12 +161,12 @@ impl Grading {
         let model = CodecModel::for_encoding(plan.encoding);
         let start = GradeLevel(shed).min(model.max_level());
         let floor = match plan.kind {
-            MediaKind::Audio => self.floor.audio_floor,
-            _ => self.floor.video_floor,
+            MediaKind::Audio => AUDIO_FLOOR,
+            _ => VIDEO_FLOOR,
         };
         let qos = self.qos.entry(session);
         let qos = qos.or_insert_with(|| ServerQosManager::new(self.order, self.hysteresis));
-        qos.register(plan.component, model, GradeLevel(floor), plan.requirement);
+        qos.register(plan.component, model, floor, plan.requirement);
         qos.force_level(plan.component, start);
         start
     }
@@ -363,7 +369,7 @@ mod tests {
 
     fn grading() -> Grading {
         let (order, hysteresis) = (GradingOrder::VideoFirst, GradingHysteresis::default());
-        Grading::new(order, hysteresis, PresentationFloor::default())
+        Grading::new(order, hysteresis)
     }
 
     /// Start a document of audio + video + an image for `session`, `shed`

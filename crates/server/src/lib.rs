@@ -57,9 +57,9 @@ pub use fetch::{
     ChunkDone, Demand, FetchOut, FetchTag, MediaTier, MediaTierConfig, MediaTierStats,
     RemoteStream, TierNet,
 };
-pub use flow::{compute_flow_scenario, FlowConfig, FlowPlan, FlowScenario};
+pub use flow::{compute_flow_scenario, FlowPlan, FlowScenario};
 pub use overload::{
-    BreakerConfig, BreakerState, BreakerTransition, NodeHealth, OverloadQueue, OverloadQueueStats,
+    BreakerState, BreakerTransition, NodeHealth, OverloadQueue, OverloadQueueStats,
     PressureDetector, QueuedRequest, ReplicaHealthMap, RetryBudget,
 };
 pub use placement::{PlacementMap, ReplicaSelector};

@@ -25,46 +25,26 @@ pub use hermes_core::PressureDetector;
 // Circuit breaker
 // ---------------------------------------------------------------------------
 
-/// Configuration of the per-replica health tracker / circuit breaker.
-#[derive(Debug, Clone, Copy)]
-pub struct BreakerConfig {
-    /// EWMA weight given to each new sample (0 < alpha ≤ 1).
-    pub alpha: f64,
-    /// Trip when the EWMA fetch latency exceeds this.
-    pub latency_threshold: MediaDuration,
-    /// Trip when the EWMA error rate exceeds this fraction.
-    pub error_threshold: f64,
-    /// Minimum samples before the breaker may trip (cold replicas are not
-    /// judged on their first fetch).
-    pub min_samples: u32,
-    /// How long an Open breaker blocks traffic before letting probes through.
-    pub open_timeout: MediaDuration,
-    /// Maximum concurrent probe fetches admitted while HalfOpen.
-    pub half_open_probes: u32,
-    /// Consecutive probe successes required to close again.
-    pub close_successes: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            alpha: 0.2,
-            latency_threshold: MediaDuration::from_millis(250),
-            error_threshold: 0.5,
-            min_samples: 5,
-            open_timeout: MediaDuration::from_millis(500),
-            half_open_probes: 2,
-            close_successes: 3,
-        }
-    }
-}
+/// EWMA weight the breaker gives each new latency / error sample.
+const BREAKER_ALPHA: f64 = 0.2;
+/// Trip when the EWMA error rate exceeds this fraction.
+const ERROR_THRESHOLD: f64 = 0.5;
+/// Samples a replica must have before its breaker may trip (cold replicas
+/// are not judged on their first fetch).
+const MIN_SAMPLES: u32 = 5;
+/// How long an Open breaker blocks traffic before letting probes through.
+pub const OPEN_TIMEOUT: MediaDuration = MediaDuration::from_millis(500);
+/// Concurrent probe fetches admitted while HalfOpen.
+pub const HALF_OPEN_PROBES: u32 = 2;
+/// Consecutive probe successes that close a HalfOpen breaker.
+pub const CLOSE_SUCCESSES: u32 = 3;
 
 /// The three breaker states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Healthy: all traffic admitted, health tracked.
     Closed,
-    /// Tripped: no traffic until `open_timeout` elapses.
+    /// Tripped: no traffic until [`OPEN_TIMEOUT`] elapses.
     Open,
     /// Probing: a bounded number of probe fetches decide the verdict.
     HalfOpen,
@@ -113,9 +93,9 @@ impl NodeHealth {
         }
     }
 
-    fn absorb(&mut self, cfg: &BreakerConfig, latency_micros: f64, error: f64) {
-        self.latency.observe(cfg.alpha, latency_micros);
-        self.errors.observe(cfg.alpha, error);
+    fn absorb(&mut self, latency_micros: f64, error: f64) {
+        self.latency.observe(BREAKER_ALPHA, latency_micros);
+        self.errors.observe(BREAKER_ALPHA, error);
     }
 
     /// Samples absorbed since the last reset/close.
@@ -131,13 +111,19 @@ impl NodeHealth {
         self.trips += 1;
     }
 
-    /// A fetch to this replica completed successfully after `latency`.
-    pub fn record_success(&mut self, cfg: &BreakerConfig, now: MediaTime, latency: MediaDuration) {
-        self.absorb(cfg, latency.as_micros() as f64, 0.0);
+    /// A fetch to this replica completed successfully after `latency`;
+    /// `threshold` is the EWMA latency that trips the breaker.
+    pub fn record_success(
+        &mut self,
+        threshold: MediaDuration,
+        now: MediaTime,
+        latency: MediaDuration,
+    ) {
+        self.absorb(latency.as_micros() as f64, 0.0);
         match self.state {
             BreakerState::Closed => {
-                if self.samples() >= cfg.min_samples
-                    && self.latency.value() > cfg.latency_threshold.as_micros() as f64
+                if self.samples() >= MIN_SAMPLES
+                    && self.latency.value() > threshold.as_micros() as f64
                 {
                     self.trip(now);
                 }
@@ -146,9 +132,9 @@ impl NodeHealth {
                 self.probes_in_flight = self.probes_in_flight.saturating_sub(1);
                 // A slow probe is not a recovery: only a probe under the
                 // latency threshold counts toward closing.
-                if latency <= cfg.latency_threshold {
+                if latency <= threshold {
                     self.probe_successes += 1;
-                    if self.probe_successes >= cfg.close_successes {
+                    if self.probe_successes >= CLOSE_SUCCESSES {
                         self.close();
                     }
                 } else {
@@ -160,15 +146,15 @@ impl NodeHealth {
     }
 
     /// A fetch to this replica failed (error, shed, or timed out).
-    pub fn record_failure(&mut self, cfg: &BreakerConfig, now: MediaTime) {
+    pub fn record_failure(&mut self, threshold: MediaDuration, now: MediaTime) {
         // A failure also counts as a worst-case latency sample so a replica
         // that only ever errors still accumulates a poisoned latency score.
-        self.absorb(cfg, cfg.latency_threshold.as_micros() as f64 * 2.0, 1.0);
+        self.absorb(threshold.as_micros() as f64 * 2.0, 1.0);
         match self.state {
             BreakerState::Closed => {
-                if self.samples() >= cfg.min_samples
-                    && (self.errors.value() > cfg.error_threshold
-                        || self.latency.value() > cfg.latency_threshold.as_micros() as f64)
+                if self.samples() >= MIN_SAMPLES
+                    && (self.errors.value() > ERROR_THRESHOLD
+                        || self.latency.value() > threshold.as_micros() as f64)
                 {
                     self.trip(now);
                 }
@@ -197,22 +183,22 @@ impl NodeHealth {
     /// never counts toward closing a half-open circuit: no verdict arrived.
     pub fn record_slow_loss(
         &mut self,
-        cfg: &BreakerConfig,
+        threshold: MediaDuration,
         now: MediaTime,
         elapsed: MediaDuration,
     ) {
-        self.absorb(cfg, elapsed.as_micros() as f64, 0.0);
+        self.absorb(elapsed.as_micros() as f64, 0.0);
         match self.state {
             BreakerState::Closed => {
-                if self.samples() >= cfg.min_samples
-                    && self.latency.value() > cfg.latency_threshold.as_micros() as f64
+                if self.samples() >= MIN_SAMPLES
+                    && self.latency.value() > threshold.as_micros() as f64
                 {
                     self.trip(now);
                 }
             }
             BreakerState::HalfOpen => {
                 self.probes_in_flight = self.probes_in_flight.saturating_sub(1);
-                if elapsed > cfg.latency_threshold {
+                if elapsed > threshold {
                     self.trip(now);
                 }
             }
@@ -231,18 +217,18 @@ impl NodeHealth {
     }
 
     /// May a fetch be sent to this replica right now? Open breakers move to
-    /// HalfOpen once `open_timeout` has elapsed; HalfOpen admits a bounded
+    /// HalfOpen once [`OPEN_TIMEOUT`] has elapsed; HalfOpen admits a bounded
     /// number of concurrent probes. Admission of a probe reserves its slot —
     /// the caller must follow up with `record_success`/`record_failure`/
     /// `record_abandon`. Should every verdict be lost anyway (a probe
     /// written off with a dead incarnation), the stale slots are reclaimed
-    /// after a further `open_timeout` so the breaker can never wedge
+    /// after a further [`OPEN_TIMEOUT`] so the breaker can never wedge
     /// half-open.
-    pub fn admit(&mut self, cfg: &BreakerConfig, now: MediaTime) -> bool {
+    pub fn admit(&mut self, now: MediaTime) -> bool {
         match self.state {
             BreakerState::Closed => true,
             BreakerState::Open => {
-                if now - self.opened_at >= cfg.open_timeout {
+                if now - self.opened_at >= OPEN_TIMEOUT {
                     self.state = BreakerState::HalfOpen;
                     self.probes_in_flight = 1;
                     self.probe_successes = 0;
@@ -253,11 +239,11 @@ impl NodeHealth {
                 }
             }
             BreakerState::HalfOpen => {
-                if self.probes_in_flight < cfg.half_open_probes {
+                if self.probes_in_flight < HALF_OPEN_PROBES {
                     self.probes_in_flight += 1;
                     self.probed_at = now;
                     true
-                } else if now - self.probed_at >= cfg.open_timeout {
+                } else if now - self.probed_at >= OPEN_TIMEOUT {
                     self.probes_in_flight = 1;
                     self.probe_successes = 0;
                     self.probed_at = now;
@@ -270,13 +256,13 @@ impl NodeHealth {
     }
 
     /// What [`admit`](Self::admit) would answer at `now`; reserves nothing.
-    pub fn admits(&self, cfg: &BreakerConfig, now: MediaTime) -> bool {
-        let stale = |since| now - since >= cfg.open_timeout;
+    pub fn admits(&self, now: MediaTime) -> bool {
+        let stale = |since| now - since >= OPEN_TIMEOUT;
         match self.state {
             BreakerState::Closed => true,
             BreakerState::Open => stale(self.opened_at),
             BreakerState::HalfOpen => {
-                self.probes_in_flight < cfg.half_open_probes || stale(self.probed_at)
+                self.probes_in_flight < HALF_OPEN_PROBES || stale(self.probed_at)
             }
         }
     }
@@ -314,8 +300,8 @@ pub struct BreakerTransition {
 /// breaker verdicts before load/RTT selection.
 #[derive(Debug, Clone)]
 pub struct ReplicaHealthMap {
-    /// Breaker configuration shared by all replicas.
-    pub cfg: BreakerConfig,
+    /// The EWMA fetch latency that trips a replica's breaker.
+    pub threshold: MediaDuration,
     nodes: BTreeMap<NodeId, NodeHealth>,
     /// Trips of replicas whose health was since reset (kept so totals
     /// survive node restarts).
@@ -325,10 +311,10 @@ pub struct ReplicaHealthMap {
 }
 
 impl ReplicaHealthMap {
-    /// An empty map with the given breaker configuration.
-    pub fn new(cfg: BreakerConfig) -> Self {
+    /// An empty map whose breakers trip above `threshold`.
+    pub fn new(threshold: MediaDuration) -> Self {
         ReplicaHealthMap {
-            cfg,
+            threshold,
             nodes: BTreeMap::new(),
             retired_trips: 0,
             pending: Vec::new(),
@@ -345,12 +331,12 @@ impl ReplicaHealthMap {
         &mut self,
         node: NodeId,
         cause: &'static str,
-        op: impl FnOnce(&mut NodeHealth, &BreakerConfig),
+        op: impl FnOnce(&mut NodeHealth, MediaDuration),
     ) -> bool {
-        let cfg = self.cfg;
+        let threshold = self.threshold;
         let h = self.entry(node);
         let from = h.state;
-        op(h, &cfg);
+        op(h, threshold);
         let to = h.state;
         if from != to {
             self.pending.push(BreakerTransition {
@@ -373,14 +359,16 @@ impl ReplicaHealthMap {
     /// Record a successful fetch to `node` with the observed latency. True
     /// when this observation tripped the circuit Open (a slow success can).
     pub fn record_success(&mut self, node: NodeId, now: MediaTime, latency: MediaDuration) -> bool {
-        self.traced(node, "success", |h, cfg| {
-            h.record_success(cfg, now, latency);
+        self.traced(node, "success", |h, threshold| {
+            h.record_success(threshold, now, latency);
         })
     }
 
     /// Record a failed fetch to `node`. True when it tripped the circuit.
     pub fn record_failure(&mut self, node: NodeId, now: MediaTime) -> bool {
-        self.traced(node, "failure", |h, cfg| h.record_failure(cfg, now))
+        self.traced(node, "failure", |h, threshold| {
+            h.record_failure(threshold, now)
+        })
     }
 
     /// Record an abandoned fetch to `node` (no verdict).
@@ -397,8 +385,8 @@ impl ReplicaHealthMap {
         now: MediaTime,
         elapsed: MediaDuration,
     ) -> bool {
-        self.traced(node, "slow_loss", |h, cfg| {
-            h.record_slow_loss(cfg, now, elapsed);
+        self.traced(node, "slow_loss", |h, threshold| {
+            h.record_slow_loss(threshold, now, elapsed);
         })
     }
 
@@ -407,8 +395,8 @@ impl ReplicaHealthMap {
     /// [`NodeHealth::admit`].)
     pub fn admit(&mut self, node: NodeId, now: MediaTime) -> bool {
         let mut admitted = false;
-        self.traced(node, "probe", |h, cfg| {
-            admitted = h.admit(cfg, now);
+        self.traced(node, "probe", |h, _| {
+            admitted = h.admit(now);
         });
         admitted
     }
@@ -416,7 +404,7 @@ impl ReplicaHealthMap {
     /// What [`admit`](Self::admit) would answer; reserves nothing.
     pub fn admits(&self, node: NodeId, now: MediaTime) -> bool {
         let known = self.nodes.get(&node);
-        known.is_none_or(|h| h.admits(&self.cfg, now))
+        known.is_none_or(|h| h.admits(now))
     }
 
     /// Selection penalty for `node` (0 for unknown nodes).
@@ -659,43 +647,43 @@ mod tests {
 
     #[test]
     fn breaker_trips_on_sustained_latency_and_recovers_via_probes() {
-        let cfg = BreakerConfig::default();
+        let lat = ms(250); // the default trip threshold
         let mut h = NodeHealth::new();
         // Healthy samples keep it closed.
         for i in 0..10 {
-            h.record_success(&cfg, at(i * 10), ms(20));
+            h.record_success(lat, at(i * 10), ms(20));
             assert_eq!(h.state, BreakerState::Closed);
         }
         // Sustained slowness trips it.
         let mut t = 100;
         while h.state == BreakerState::Closed {
-            h.record_success(&cfg, at(t), ms(800));
+            h.record_success(lat, at(t), ms(800));
             t += 10;
         }
         assert_eq!(h.state, BreakerState::Open);
         assert_eq!(h.trips, 1);
         // Blocked while Open, admitted as a probe after the timeout.
-        assert!(!h.admit(&cfg, at(t)));
-        let after = at(t) + cfg.open_timeout;
-        assert!(h.admit(&cfg, after));
+        assert!(!h.admit(at(t)));
+        let after = at(t) + OPEN_TIMEOUT;
+        assert!(h.admit(after));
         assert_eq!(h.state, BreakerState::HalfOpen);
         // Fast probes close it again.
-        for i in 0..cfg.close_successes {
+        for i in 0..CLOSE_SUCCESSES {
             if i > 0 {
-                assert!(h.admit(&cfg, after));
+                assert!(h.admit(after));
             }
-            h.record_success(&cfg, after, ms(10));
+            h.record_success(lat, after, ms(10));
         }
         assert_eq!(h.state, BreakerState::Closed);
     }
 
     #[test]
     fn breaker_trips_on_error_rate() {
-        let cfg = BreakerConfig::default();
+        let lat = ms(250); // the default trip threshold
         let mut h = NodeHealth::new();
         let mut t = 0;
         while h.state == BreakerState::Closed && t < 1000 {
-            h.record_failure(&cfg, at(t));
+            h.record_failure(lat, at(t));
             t += 10;
         }
         assert_eq!(h.state, BreakerState::Open);
@@ -703,90 +691,90 @@ mod tests {
 
     #[test]
     fn half_open_failure_reopens() {
-        let cfg = BreakerConfig::default();
+        let lat = ms(250); // the default trip threshold
         let mut h = NodeHealth::new();
         for _ in 0..10 {
-            h.record_failure(&cfg, at(0));
+            h.record_failure(lat, at(0));
         }
         assert_eq!(h.state, BreakerState::Open);
-        let probe_at = at(0) + cfg.open_timeout;
-        assert!(h.admit(&cfg, probe_at));
-        h.record_failure(&cfg, probe_at);
+        let probe_at = at(0) + OPEN_TIMEOUT;
+        assert!(h.admit(probe_at));
+        h.record_failure(lat, probe_at);
         assert_eq!(h.state, BreakerState::Open);
         assert_eq!(h.trips, 2);
     }
 
     #[test]
     fn half_open_probes_are_bounded() {
-        let cfg = BreakerConfig::default();
+        let lat = ms(250); // the default trip threshold
         let mut h = NodeHealth::new();
         for _ in 0..10 {
-            h.record_failure(&cfg, at(0));
+            h.record_failure(lat, at(0));
         }
-        let probe_at = at(0) + cfg.open_timeout;
+        let probe_at = at(0) + OPEN_TIMEOUT;
         let mut admitted = 0;
         for _ in 0..20 {
-            if h.admit(&cfg, probe_at) {
+            if h.admit(probe_at) {
                 admitted += 1;
             }
         }
-        assert_eq!(admitted, cfg.half_open_probes);
+        assert_eq!(admitted, HALF_OPEN_PROBES);
         // An abandoned probe releases its slot.
         h.record_abandon();
-        assert!(h.admit(&cfg, probe_at));
+        assert!(h.admit(probe_at));
     }
 
     #[test]
     fn half_open_stale_probe_slots_are_reclaimed() {
         // If every probe verdict is lost (e.g. the replica's incarnation died
         // with the probes in flight), the breaker must not wedge half-open:
-        // after a further open_timeout the slots are reclaimed.
-        let cfg = BreakerConfig::default();
+        // after a further OPEN_TIMEOUT the slots are reclaimed.
+        let lat = ms(250); // the default trip threshold
         let mut h = NodeHealth::new();
         for _ in 0..10 {
-            h.record_failure(&cfg, at(0));
+            h.record_failure(lat, at(0));
         }
-        let t1 = at(0) + cfg.open_timeout;
-        for _ in 0..cfg.half_open_probes {
-            assert!(h.admit(&cfg, t1));
+        let t1 = at(0) + OPEN_TIMEOUT;
+        for _ in 0..HALF_OPEN_PROBES {
+            assert!(h.admit(t1));
         }
-        assert!(!h.admit(&cfg, t1), "probe slots exhausted");
-        // No verdict ever arrives; a full open_timeout later probing resumes.
-        let t2 = t1 + cfg.open_timeout;
-        assert!(h.admit(&cfg, t2), "stale slots must be reclaimed");
-        assert!(h.admit(&cfg, t2));
-        assert!(!h.admit(&cfg, t2), "reclaimed probes are bounded again");
+        assert!(!h.admit(t1), "probe slots exhausted");
+        // No verdict ever arrives; a full OPEN_TIMEOUT later probing resumes.
+        let t2 = t1 + OPEN_TIMEOUT;
+        assert!(h.admit(t2), "stale slots must be reclaimed");
+        assert!(h.admit(t2));
+        assert!(!h.admit(t2), "reclaimed probes are bounded again");
     }
 
     #[test]
     fn admits_answers_what_admit_would_and_reserves_nothing() {
         // Closed, Open before and after the timeout, HalfOpen with a free
         // slot, with none, and with stale ones.
-        let cfg = BreakerConfig::default();
+        let lat = ms(250); // the default trip threshold
         let mut h = NodeHealth::new();
         let agree = |h: &mut NodeHealth, now| {
-            let asked = h.admits(&cfg, now);
-            assert_eq!(h.admits(&cfg, now), asked, "asking changes nothing");
-            assert_eq!(h.admit(&cfg, now), asked, "{:?} at {now:?}", h.state);
+            let asked = h.admits(now);
+            assert_eq!(h.admits(now), asked, "asking changes nothing");
+            assert_eq!(h.admit(now), asked, "{:?} at {now:?}", h.state);
             asked
         };
         assert!(agree(&mut h, at(0)));
         for _ in 0..10 {
-            h.record_failure(&cfg, at(0));
+            h.record_failure(lat, at(0));
         }
         assert!(!agree(&mut h, at(1)));
-        let t1 = at(0) + cfg.open_timeout;
-        for _ in 0..cfg.half_open_probes {
+        let t1 = at(0) + OPEN_TIMEOUT;
+        for _ in 0..HALF_OPEN_PROBES {
             assert!(agree(&mut h, t1));
         }
         assert!(!agree(&mut h, t1));
-        assert!(agree(&mut h, t1 + cfg.open_timeout));
+        assert!(agree(&mut h, t1 + OPEN_TIMEOUT));
     }
 
     #[test]
     fn health_map_reset_forgets_state_but_keeps_trip_total() {
         let n = NodeId::new(9);
-        let mut m = ReplicaHealthMap::new(BreakerConfig::default());
+        let mut m = ReplicaHealthMap::new(ms(250));
         for _ in 0..10 {
             m.record_failure(n, at(0));
         }

@@ -5,8 +5,7 @@
 use crate::protocol::{MailMessage, SearchHit, ServiceMsg};
 use crate::timers;
 use hermes_client::{
-    AppEvent, AppStateMachine, BufferConfig, ClientQosManager, FeedbackConfig, PlayoutConfig,
-    PlayoutEngine,
+    AppEvent, AppStateMachine, BufferConfig, ClientQosManager, PlayoutConfig, PlayoutEngine,
 };
 use hermes_core::{
     ComponentContent, ComponentId, DocumentId, LinkTarget, MediaDuration, MediaTime, NodeId,
@@ -69,6 +68,23 @@ impl Presentation {
     }
 }
 
+/// Playout tick interval.
+const TICK_INTERVAL: MediaDuration = MediaDuration::from_millis(20);
+/// Give up waiting for prefill after this long and start anyway.
+const MAX_START_DELAY: MediaDuration = MediaDuration::from_secs(8);
+/// Declare the server dead after this many silent heartbeat intervals.
+const MISSED_BEATS: u32 = 3;
+/// Base retransmission interval for tracked control requests (doubles per
+/// attempt).
+const RETRY_INTERVAL: MediaDuration = MediaDuration::from_millis(500);
+/// Give up on a tracked request after this many transmissions.
+const RETRY_BUDGET: u32 = 10;
+/// Retry-budget token bucket capacity shared by all tracked requests: each
+/// resend spends a token, each acknowledgement refills one, and an empty
+/// bucket suppresses resends (the backoff clock keeps running) so a
+/// recovering server sees a bounded wave, not a storm.
+const RETRY_TOKENS: u32 = 16;
+
 /// Client configuration.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
@@ -78,12 +94,8 @@ pub struct ClientConfig {
     pub buffer: BufferConfig,
     /// Playout/recovery configuration.
     pub playout: PlayoutConfig,
-    /// Feedback cadence.
-    pub feedback: FeedbackConfig,
-    /// Playout tick interval.
-    pub tick_interval: MediaDuration,
-    /// Give up waiting for prefill after this long and start anyway.
-    pub max_start_delay: MediaDuration,
+    /// Period between QoS feedback reports.
+    pub feedback_interval: MediaDuration,
     /// Automatically follow timed (`AT`) links when a presentation ends.
     pub auto_follow_links: bool,
     /// The subscription form used when the server requires enrolment.
@@ -91,18 +103,6 @@ pub struct ClientConfig {
     /// Expected server heartbeat cadence (must match the server's
     /// `heartbeat_interval`); also the liveness-check cadence.
     pub heartbeat_interval: MediaDuration,
-    /// Declare the server dead after this many silent heartbeat intervals.
-    pub missed_beats: u32,
-    /// Base retransmission interval for tracked control requests (doubles
-    /// per attempt).
-    pub retry_interval: MediaDuration,
-    /// Give up on a tracked request after this many transmissions.
-    pub retry_budget: u32,
-    /// Retry-budget token bucket capacity shared by all tracked requests:
-    /// each resend spends a token, each acknowledgement refills one, and an
-    /// empty bucket suppresses resends (the backoff clock keeps running) so
-    /// a recovering server sees a bounded wave, not a storm.
-    pub retry_tokens: u32,
 }
 
 impl Default for ClientConfig {
@@ -111,9 +111,7 @@ impl Default for ClientConfig {
             class: PricingClass::Standard,
             buffer: BufferConfig::default(),
             playout: PlayoutConfig::default(),
-            feedback: FeedbackConfig::default(),
-            tick_interval: MediaDuration::from_millis(20),
-            max_start_delay: MediaDuration::from_secs(8),
+            feedback_interval: MediaDuration::from_millis(1_000),
             auto_follow_links: false,
             form: SubscriptionForm {
                 name: "Test User".into(),
@@ -123,10 +121,6 @@ impl Default for ClientConfig {
                 class: PricingClass::Standard,
             },
             heartbeat_interval: MediaDuration::from_millis(400),
-            missed_beats: 3,
-            retry_interval: MediaDuration::from_millis(500),
-            retry_budget: 10,
-            retry_tokens: 16,
         }
     }
 }
@@ -216,8 +210,8 @@ pub struct ClientActor {
 impl ClientActor {
     /// Create a client on a node.
     pub fn new(node: NodeId, cfg: ClientConfig) -> Self {
-        let feedback = cfg.feedback;
-        let retries = RetryBudget::new(cfg.retry_tokens);
+        let feedback = cfg.feedback_interval;
+        let retries = RetryBudget::new(RETRY_TOKENS);
         ClientActor {
             node,
             cfg,
@@ -283,7 +277,7 @@ impl ClientActor {
                 inner: Box::new(msg),
             },
         );
-        api.set_timer(self.node, self.cfg.retry_interval, timers::TK_RETRY, req);
+        api.set_timer(self.node, RETRY_INTERVAL, timers::TK_RETRY, req);
         req
     }
 
@@ -292,7 +286,7 @@ impl ClientActor {
             return; // acknowledged meanwhile
         };
         p.attempts += 1;
-        if p.attempts >= self.cfg.retry_budget {
+        if p.attempts >= RETRY_BUDGET {
             let attempts = p.attempts;
             let p = self.pending_reqs.remove(&req).unwrap();
             self.errors.push(format!(
@@ -327,7 +321,7 @@ impl ClientActor {
             return;
         }
         let (server, msg, attempts) = (p.server, p.msg.clone(), p.attempts);
-        let backoff = self.cfg.retry_interval * (1i64 << attempts.min(5));
+        let backoff = RETRY_INTERVAL * (1i64 << attempts.min(5));
         // The backoff clock always runs; the retry budget decides whether
         // this tick actually reaches the wire. An empty bucket means too
         // many unacknowledged resends are already in flight — let the
@@ -369,7 +363,7 @@ impl ClientActor {
             return;
         };
         let now = api.now();
-        let timeout = self.cfg.heartbeat_interval * self.cfg.missed_beats as i64;
+        let timeout = self.cfg.heartbeat_interval * MISSED_BEATS as i64;
         if self.recovering.is_none() && now - self.last_server_activity > timeout {
             // K beats missed: declare the server dead and reconnect. The
             // playout clock freezes at the detection instant; a successful
@@ -381,14 +375,11 @@ impl ClientActor {
                 Severity::Warn,
                 "server_silent",
                 Labels::session(session.raw()).peer(server.raw()),
-                self.cfg.missed_beats as i64,
+                MISSED_BEATS as i64,
             );
             self.note(
                 now,
-                format!(
-                    "server silent for {} beats — reconnecting",
-                    self.cfg.missed_beats
-                ),
+                format!("server silent for {} beats — reconnecting", MISSED_BEATS),
             );
             let (document, position_micros) = match &mut self.presentation {
                 Some(p) if p.started_at.is_some() => {
@@ -1245,7 +1236,7 @@ impl ClientActor {
         let waited = now - p.scenario_at;
         // Streams starting within `lead` of the presentation start must be
         // primed; later ones keep filling while earlier media plays.
-        let ready = p.engine.buffers_primed_for_start(p.lead) || waited >= self.cfg.max_start_delay;
+        let ready = p.engine.buffers_primed_for_start(p.lead) || waited >= MAX_START_DELAY;
         if ready {
             p.started_at = Some(now);
             p.engine.start(now);
@@ -1263,10 +1254,10 @@ impl ClientActor {
                 waited.as_micros(),
             );
             self.note(now, "presentation started");
-            api.set_timer(self.node, self.cfg.tick_interval, timers::TK_TICK, 0);
+            api.set_timer(self.node, TICK_INTERVAL, timers::TK_TICK, 0);
             api.set_timer(
                 self.node,
-                self.cfg.feedback.interval,
+                self.cfg.feedback_interval,
                 timers::TK_FEEDBACK,
                 0,
             );
@@ -1349,7 +1340,7 @@ impl ClientActor {
                     p.engine.max_skew_observed,
                 ));
             } else {
-                api.set_timer(self.node, self.cfg.tick_interval, timers::TK_TICK, 0);
+                api.set_timer(self.node, TICK_INTERVAL, timers::TK_TICK, 0);
             }
         }
         if finished.is_none() && self.cfg.auto_follow_links {
@@ -1485,7 +1476,7 @@ impl ClientActor {
         if still_active {
             api.set_timer(
                 self.node,
-                self.cfg.feedback.interval,
+                self.cfg.feedback_interval,
                 timers::TK_FEEDBACK,
                 0,
             );

@@ -18,8 +18,9 @@
 
 use crate::protocol::ServiceMsg;
 use crate::timers;
+use hermes_control::REPORT_PERIOD;
 use hermes_core::{GradeLevel, MediaDuration, MediaKind, MediaTime, NodeId, ServerId};
-use hermes_media::{segment_bytes, segment_frames, MediaObject, MediaStore};
+use hermes_media::{segment_bytes, segment_frames, MediaObject, MediaStore, SegmentFrame};
 use hermes_server::{OverloadQueue, QueuedRequest};
 use hermes_simnet::{Labels, Obs, Severity, SimApi};
 use std::collections::BTreeMap;
@@ -98,15 +99,13 @@ pub struct MediaActor {
     /// Scratch the queue sheds into; empty between calls, kept so a shed
     /// storm allocates nothing per fetch.
     shed: Vec<QueuedRequest<PendingFetch>>,
-    /// The request currently in service, if any.
-    serving: Option<PendingFetch>,
+    /// The request currently in service, if any, with the frames it ships.
+    serving: Option<(PendingFetch, Vec<SegmentFrame>)>,
     /// Scratch of `credit`: the distinct pullers it counted last.
     pullers: Vec<NodeId>,
     /// Controller host receiving this node's queue-depth reports, if the
     /// control plane is enabled.
     control_peer: Option<NodeId>,
-    /// Cadence of those reports.
-    report_period: MediaDuration,
 }
 
 impl MediaActor {
@@ -125,20 +124,13 @@ impl MediaActor {
             serving: None,
             pullers: Vec::new(),
             control_peer: None,
-            report_period: MediaDuration::from_millis(100),
         }
     }
 
     /// Start shipping periodic queue-depth reports to the controller host.
-    pub fn enable_control_reports(
-        &mut self,
-        api: &mut SimApi<'_, ServiceMsg>,
-        host: NodeId,
-        period: MediaDuration,
-    ) {
+    pub fn enable_control_reports(&mut self, api: &mut SimApi<'_, ServiceMsg>, host: NodeId) {
         self.control_peer = Some(host);
-        self.report_period = period;
-        api.set_timer(self.node, period, timers::TK_CONTROL_REPORT, 0);
+        api.set_timer(self.node, REPORT_PERIOD, timers::TK_CONTROL_REPORT, 0);
     }
 
     /// Re-point the live report chain at a new controller host (failover:
@@ -155,7 +147,7 @@ impl MediaActor {
     /// incarnation).
     pub fn rearm_control(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
         if self.control_peer.is_some() {
-            api.set_timer(self.node, self.report_period, timers::TK_CONTROL_REPORT, 0);
+            api.set_timer(self.node, REPORT_PERIOD, timers::TK_CONTROL_REPORT, 0);
         }
     }
 
@@ -170,7 +162,7 @@ impl MediaActor {
             peer,
             ServiceMsg::ControlReport { report, epoch: 0 },
         );
-        api.set_timer(self.node, self.report_period, timers::TK_CONTROL_REPORT, 0);
+        api.set_timer(self.node, REPORT_PERIOD, timers::TK_CONTROL_REPORT, 0);
     }
 
     /// Replace the service-model configuration (resizes the queue bound).
@@ -306,8 +298,8 @@ impl MediaActor {
     pub fn on_timer(&mut self, api: &mut SimApi<'_, ServiceMsg>, key: u64, _payload: u64) {
         match key {
             timers::TK_MEDIA_SVC => {
-                if let Some(p) = self.serving.take() {
-                    self.finish(api, p);
+                if let Some((p, frames)) = self.serving.take() {
+                    self.finish(api, p, frames);
                 }
                 self.maybe_start(api);
             }
@@ -325,7 +317,7 @@ impl MediaActor {
         pullers.clear();
         pullers.push(to);
         let queued = self.queue.iter().map(|q| q.item.from);
-        for from in queued.chain(self.serving.as_ref().map(|p| p.from)) {
+        for from in queued.chain(self.serving.as_ref().map(|(p, _)| p.from)) {
             if !pullers.contains(&from) {
                 pullers.push(from);
             }
@@ -366,21 +358,15 @@ impl MediaActor {
             (api.now() - next.enqueued_at).as_micros(),
         );
         let p = next.item;
-        let bytes = self.segment_size(&p);
-        let service = self.service_time(bytes);
-        self.serving = Some(p);
-        api.set_timer(self.node, service, timers::TK_MEDIA_SVC, 0);
-    }
-
-    /// Total payload bytes of the segment `p` addresses.
-    fn segment_size(&self, p: &PendingFetch) -> u64 {
         let stored = self
             .shards
             .get(&(p.server, p.kind))
             .and_then(|s| s.get(&p.object))
             .expect("existence checked at enqueue; shards are immutable");
         let frames = segment_frames(stored, GradeLevel(p.level), p.segment, p.frames_per_segment);
-        segment_bytes(&frames)
+        let service = self.service_time(segment_bytes(&frames));
+        self.serving = Some((p, frames));
+        api.set_timer(self.node, service, timers::TK_MEDIA_SVC, 0);
     }
 
     /// Deterministic service time for a segment of `bytes` payload bytes.
@@ -390,14 +376,14 @@ impl MediaActor {
         MediaDuration::from_micros(us as i64) * self.slowdown.max(1) as i64
     }
 
-    /// Service of `p` completed: stream the segment back as transport parts.
-    fn finish(&mut self, api: &mut SimApi<'_, ServiceMsg>, p: PendingFetch) {
-        let stored = self
-            .shards
-            .get(&(p.server, p.kind))
-            .and_then(|s| s.get(&p.object))
-            .expect("existence checked at enqueue; shards are immutable");
-        let frames = segment_frames(stored, GradeLevel(p.level), p.segment, p.frames_per_segment);
+    /// Service of `p` completed: stream its segment's `frames` back as
+    /// transport parts.
+    fn finish(
+        &mut self,
+        api: &mut SimApi<'_, ServiceMsg>,
+        p: PendingFetch,
+        frames: Vec<SegmentFrame>,
+    ) {
         let total = segment_bytes(&frames);
         self.stats.requests_served += 1;
         self.stats.frames_served += frames.len() as u64;
@@ -501,7 +487,7 @@ mod tests {
         // one being answered counts whether or not it has work left.
         queued(&mut m, [1, 1, 1, 2, 2]);
         assert_eq!((m.credit(to), m.credit(NodeId::new(3))), (32, 21));
-        m.serving = m.queue.pop().map(|q| q.item);
+        m.serving = m.queue.pop().map(|q| (q.item, Vec::new()));
         assert_eq!(m.credit(NodeId::new(2)), 32, "in service is at work too");
         // Ten pullers share evenly; a bound smaller than the crowd still
         // grants one each, or a puller could never learn a wider grant.

@@ -7,11 +7,11 @@ use crate::protocol::{MailMessage, SearchHit, ServiceMsg};
 use crate::timers;
 use hermes_control::{
     stream_utility, ControlCommand, ControlSnapshot, ControllerConfig, Election, FleetController,
-    HaOut, LoadReport,
+    HaOut, LoadReport, CONTROL_TICK, LEASE_BEAT, REPORT_PERIOD,
 };
 use hermes_core::{
     ComponentId, DocumentId, GradeLevel, GradingHysteresis, GradingOrder, MediaDuration, MediaTime,
-    NodeId, PresentationFloor, PricingClass, ServerId, SessionId, UserId,
+    NodeId, PricingClass, ServerId, SessionId, UserId,
 };
 use hermes_media::{CodecModel, FrameSource, SegmentFrame};
 use hermes_rtp::RtpSender;
@@ -19,9 +19,9 @@ use hermes_server::grading::{GradeOut, GradedSession, Grading, StreamView};
 use hermes_server::lifecycle::{Gate, Input, LifeOut, LifeOuts, Lifecycle, SessionLife};
 use hermes_server::{
     compute_flow_scenario, AccountsDb, AdmissionController, AdmissionDecision, Charge,
-    ConnectionRequest, Demand, FetchOut, FlowConfig, FlowPlan, FlowScenario, MediaTier,
-    MultimediaDb, PathCondition, PlacementMap, RemoteStream, ShareDecision, ShareOut, SharedGroups,
-    SharingMode, SharingPolicy, SharingStats, StoredDocument,
+    ConnectionRequest, Demand, FetchOut, FlowPlan, FlowScenario, MediaTier, MultimediaDb,
+    PathCondition, PlacementMap, RemoteStream, ShareDecision, ShareOut, SharedGroups, SharingMode,
+    SharingPolicy, SharingStats, StoredDocument,
 };
 use hermes_simnet::obs::{SloMonitor, SloSpec};
 use hermes_simnet::{Labels, Obs, Severity, SimApi, SpanId};
@@ -206,17 +206,26 @@ struct PendingQuery {
     awaiting: usize,
 }
 
+/// Instead of rejecting a document request outright, retry admission with
+/// the streams shed up to this many grade levels below nominal.
+const MAX_ADMISSION_SHED: u8 = 3;
+/// Re-poll interval while a stream is stalled waiting for the media tier.
+const STALL_POLL: MediaDuration = MediaDuration::from_millis(10);
+/// Calm period required before the degradation ladder restores one level
+/// (and the spacing between successive restores).
+const LADDER_HYSTERESIS: MediaDuration = MediaDuration::from_secs(2);
+
 /// Configuration of a server actor.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Flow-scheduler lead configuration.
-    pub flow: FlowConfig,
+    /// The client's media time window (prefill target): the flow scheduler
+    /// starts each stream this much, plus a transfer margin, ahead of its
+    /// playout deadline.
+    pub media_time_window: MediaDuration,
     /// Grading order policy (video-first per the paper).
     pub grading_order: GradingOrder,
     /// Grading hysteresis.
     pub hysteresis: GradingHysteresis,
-    /// Presentation floors applied to admitted streams.
-    pub floor: PresentationFloor,
     /// Grace period for suspended connections.
     pub suspend_grace: MediaDuration,
     /// Per-session liveness heartbeat cadence (clients must expect the
@@ -226,9 +235,6 @@ pub struct ServerConfig {
     /// with no heartbeat ack or feedback from it. Must comfortably exceed
     /// any partition the deployment is expected to ride out.
     pub client_timeout: MediaDuration,
-    /// Instead of rejecting a document request outright, retry admission
-    /// with the streams shed up to this many grade levels below nominal.
-    pub max_admission_shed: u8,
     /// Stream-sharing policy (batching windows / patching). `Off` by
     /// default: every session keeps its private flow.
     pub sharing: SharingPolicy,
@@ -237,14 +243,12 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            flow: FlowConfig::default(),
+            media_time_window: MediaDuration::from_millis(1_000),
             grading_order: GradingOrder::default(),
             hysteresis: GradingHysteresis::default(),
-            floor: PresentationFloor::default(),
             suspend_grace: MediaDuration::from_secs(30),
             heartbeat_interval: MediaDuration::from_millis(400),
             client_timeout: MediaDuration::from_secs(30),
-            max_admission_shed: 3,
             sharing: SharingPolicy {
                 mode: SharingMode::Off,
                 ..SharingPolicy::default()
@@ -307,8 +311,6 @@ pub struct ServerActor {
     /// The controller host this server reports to (`None` disables the
     /// control-plane report chain).
     control_peer: Option<NodeId>,
-    /// Cadence of the control-plane report timer.
-    control_report_period: MediaDuration,
     /// Fleet admission price set by the controller: new admissions start
     /// this many grade levels below nominal.
     pub admission_price: u8,
@@ -318,6 +320,9 @@ pub struct ServerActor {
     pub election: Election,
     /// What the election asked for and nobody has applied yet.
     ha_out: Vec<HaOut>,
+    /// The config a controller this server is elected to host is built
+    /// with; set when failover is enabled.
+    ha_cfg: Option<ControllerConfig>,
     /// Controller HA counters (elections won, demotions, fenced and stale
     /// command drops).
     pub ctrl_stats: CtrlHaStats,
@@ -453,7 +458,7 @@ impl ServerActor {
     /// Create a server actor for a node.
     pub fn new(node: NodeId, server_id: ServerId, cfg: ServerConfig) -> Self {
         let sharing = SharedGroups::new(cfg.sharing.clone(), node);
-        let grading = Grading::new(cfg.grading_order, cfg.hysteresis, cfg.floor);
+        let grading = Grading::new(cfg.grading_order, cfg.hysteresis);
         ServerActor {
             node,
             server_id,
@@ -477,10 +482,10 @@ impl ServerActor {
             grade_out: Vec::new(),
             controller: None,
             control_peer: None,
-            control_report_period: MediaDuration::from_millis(100),
             admission_price: 0,
             election: Election::new(node.raw()),
             ha_out: Vec::new(),
+            ha_cfg: None,
             ctrl_stats: CtrlHaStats::default(),
             util_closed: 0.0,
             slo: server_slo_monitor(),
@@ -1015,7 +1020,7 @@ impl ServerActor {
             Ok(d) => d.clone(),
             Err(_) => return,
         };
-        let flow = compute_flow_scenario(&doc.scenario, self.cfg.flow);
+        let flow = compute_flow_scenario(&doc.scenario, self.cfg.media_time_window);
         for plan in flow.plans.iter().filter(|p| p.kind.is_continuous()) {
             let Some(&(_, cutoff)) = cutoffs.iter().find(|(c, _)| *c == plan.component) else {
                 continue;
@@ -1166,8 +1171,8 @@ impl ServerActor {
         // The controller's admission price floors the search: under fleet
         // pressure new sessions enter pre-degraded instead of competing for
         // nominal-grade reservations.
-        let floor = self.admission_price.min(self.cfg.max_admission_shed);
-        for shed in floor..=self.cfg.max_admission_shed {
+        let floor = self.admission_price.min(MAX_ADMISSION_SHED);
+        for shed in floor..=MAX_ADMISSION_SHED {
             // Aggregate continuous bandwidth with every stream `shed`
             // levels below nominal (clamped to each codec's ladder).
             let bw: u64 = flow
@@ -1223,7 +1228,10 @@ impl ServerActor {
         document: DocumentId,
     ) -> Option<(Arc<StoredDocument>, FlowScenario)> {
         match self.db.document(document) {
-            Ok(d) => Some((d.clone(), compute_flow_scenario(&d.scenario, self.cfg.flow))),
+            Ok(d) => Some((
+                d.clone(),
+                compute_flow_scenario(&d.scenario, self.cfg.media_time_window),
+            )),
             Err(e) => {
                 let reason = e.to_string();
                 api.send_reliable(self.node, client, ServiceMsg::DocError { session, reason });
@@ -1650,11 +1658,11 @@ impl ServerActor {
             self.grading.arm_ladder(false);
             return;
         };
-        let (period, hysteresis) = (tier.cfg.ladder_period, tier.cfg.ladder_hysteresis);
+        let period = tier.cfg.ladder_period;
         let overloaded = tier.pressure.overloaded(now);
         let out = &mut self.grade_out;
         self.grading
-            .ladder_tick(&self.sessions, now, overloaded, hysteresis, out);
+            .ladder_tick(&self.sessions, now, overloaded, LADDER_HYSTERESIS, out);
         self.flush_grade(api);
         api.set_timer(self.node, period, timers::TK_LADDER, 0);
     }
@@ -1730,7 +1738,7 @@ impl ServerActor {
         c.set_standby(standby);
         self.election.host(c.epoch(), api.now(), &mut self.ha_out);
         self.controller = Some(c);
-        api.set_timer(self.node, cfg.tick, timers::TK_CONTROL, 0);
+        api.set_timer(self.node, CONTROL_TICK, timers::TK_CONTROL, 0);
         self.flush_ha(api);
     }
 
@@ -1742,21 +1750,16 @@ impl ServerActor {
         seed: ControlSnapshot,
     ) {
         let peers = self.peers.iter().map(|p| p.raw()).collect();
+        self.ha_cfg = Some(cfg);
         self.election
-            .enable(cfg, seed, peers, api.now(), &mut self.ha_out);
+            .enable(seed, peers, api.now(), &mut self.ha_out);
         self.flush_ha(api);
     }
 
     /// Start shipping periodic control-plane reports to `host`.
-    pub fn enable_control_reports(
-        &mut self,
-        api: &mut SimApi<'_, ServiceMsg>,
-        host: NodeId,
-        period: MediaDuration,
-    ) {
+    pub fn enable_control_reports(&mut self, api: &mut SimApi<'_, ServiceMsg>, host: NodeId) {
         self.control_peer = Some(host);
-        self.control_report_period = period;
-        api.set_timer(self.node, period, timers::TK_CONTROL_REPORT, 0);
+        api.set_timer(self.node, REPORT_PERIOD, timers::TK_CONTROL_REPORT, 0);
     }
 
     /// Re-arm the control-plane timer chains after a restart (the old
@@ -1765,8 +1768,7 @@ impl ServerActor {
     /// reporting follower.
     pub fn rearm_control(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
         if self.control_peer.is_some() {
-            let period = self.control_report_period;
-            api.set_timer(self.node, period, timers::TK_CONTROL_REPORT, 0);
+            api.set_timer(self.node, REPORT_PERIOD, timers::TK_CONTROL_REPORT, 0);
         }
         self.election.restart(api.now(), &mut self.ha_out);
         self.flush_ha(api);
@@ -1792,7 +1794,7 @@ impl ServerActor {
     /// Apply what the election asked for, in the order it asked.
     fn flush_ha(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
         let node = self.node;
-        let cfg = self.election.cfg();
+        let cfg = self.ha_cfg;
         let mut out = std::mem::take(&mut self.ha_out);
         for o in out.drain(..) {
             match (o, cfg) {
@@ -1804,7 +1806,7 @@ impl ServerActor {
                     let c = FleetController::from_snapshot(cfg, epoch, seed, api.now());
                     self.controller = Some(c);
                     self.ctrl_stats.elections += 1;
-                    api.set_timer(node, cfg.tick, timers::TK_CONTROL, 0);
+                    api.set_timer(node, CONTROL_TICK, timers::TK_CONTROL, 0);
                 }
                 (HaOut::Demote, _) => {
                     self.controller = None;
@@ -1812,11 +1814,11 @@ impl ServerActor {
                 }
                 (HaOut::Repoint(holder), _) => self.control_peer = Some(NodeId::new(holder)),
                 (HaOut::Price(price), _) => self.admission_price = price,
-                (HaOut::ArmWatch, Some(cfg)) => {
-                    api.set_timer(node, cfg.lease_beat, timers::TK_CTRL_WATCH, 0);
+                (HaOut::ArmWatch, Some(_)) => {
+                    api.set_timer(node, LEASE_BEAT, timers::TK_CTRL_WATCH, 0);
                 }
-                (HaOut::ArmBeat, Some(cfg)) => {
-                    api.set_timer(node, cfg.lease_beat, timers::TK_CTRL_LEASE, 0);
+                (HaOut::ArmBeat, Some(_)) => {
+                    api.set_timer(node, LEASE_BEAT, timers::TK_CTRL_LEASE, 0);
                 }
                 (HaOut::Event(name, value), _) => {
                     self.ctrl_event(api, Severity::Warn, name, value);
@@ -1899,13 +1901,12 @@ impl ServerActor {
         // With HA on, every other server gets a best-effort copy too: the
         // broadcast is the failover election's liveness signal ("report-
         // reachable peers") and pre-warms whoever wins with fleet state.
-        if self.election.cfg().is_some() {
+        if self.election.enabled() {
             for &p in self.peers.iter().filter(|&&p| p != peer) {
                 api.send(self.node, p, msg());
             }
         }
-        let period = self.control_report_period;
-        api.set_timer(self.node, period, timers::TK_CONTROL_REPORT, 0);
+        api.set_timer(self.node, REPORT_PERIOD, timers::TK_CONTROL_REPORT, 0);
     }
 
     /// Timer `TK_CONTROL`: evaluate one fleet control tick and actuate the
@@ -1919,7 +1920,6 @@ impl ServerActor {
         let Some(c) = self.controller.as_mut() else {
             return;
         };
-        let cfg = c.cfg;
         let epoch = c.epoch();
         let plan = c.tick(now);
         if plan.pressured() {
@@ -1986,7 +1986,7 @@ impl ServerActor {
                 }
             }
         }
-        api.set_timer(self.node, cfg.tick, timers::TK_CONTROL, 0);
+        api.set_timer(self.node, CONTROL_TICK, timers::TK_CONTROL, 0);
     }
 
     /// Controller-driven elastic rebalance: swap the tier's placement map
@@ -2072,7 +2072,7 @@ impl ServerActor {
             self.fetch.flush(api, &mut self.slo);
             let Some(spec) = r.ready.front() else {
                 tier.stats.stalls += 1;
-                api.set_timer(node, tier.cfg.stall_poll, timers::TK_DISCRETE, key);
+                api.set_timer(node, STALL_POLL, timers::TK_DISCRETE, key);
                 return;
             };
             spec.size
@@ -2159,7 +2159,7 @@ impl ServerActor {
             fetched = r.ready.pop_front();
             if fetched.is_none() {
                 tier.stats.stalls += 1;
-                api.set_timer(node, tier.cfg.stall_poll, timers::TK_FRAME, key);
+                api.set_timer(node, STALL_POLL, timers::TK_FRAME, key);
                 return;
             }
         }

@@ -6,7 +6,7 @@ use crate::media_actor::MediaActor;
 use crate::protocol::{ServiceMsg, StackPath};
 use crate::server_actor::{ServerActor, ServerConfig};
 use hermes_control::{ControlSnapshot, ControllerConfig, LeaseView};
-use hermes_core::{MediaDuration, MediaKind, MediaTime, NodeId, ServerId};
+use hermes_core::{MediaKind, MediaTime, NodeId, ServerId};
 use hermes_media::MediaObject;
 use hermes_server::{MediaTier, MediaTierConfig, PlacementMap};
 use hermes_simnet::{
@@ -42,8 +42,6 @@ pub struct ServiceWorld {
     /// the highest epoch seen — the fencing record for `ControlScale`
     /// commands.
     control: Option<LeaseView>,
-    /// Report cadence the control plane was enabled with.
-    control_report: MediaDuration,
     /// Stale-epoch `ControlScale` commands the world fenced off.
     pub control_fence_drops: u64,
     /// Scale commands skipped because their target media node was crashed
@@ -156,28 +154,13 @@ impl ServiceWorld {
     /// is ingested into the built sim) and before driving the run. A no-op
     /// without media nodes.
     pub fn distribute_media(&mut self) {
-        // Standby nodes stay out of the placement until the controller
-        // scales them out (shards are installed at warm-up time).
-        let nodes: Vec<NodeId> = self
-            .media_nodes
-            .keys()
-            .copied()
-            .filter(|n| !self.standby_media.contains(n))
-            .collect();
+        let nodes = self.active_media();
         if nodes.is_empty() {
             return;
         }
         let cfg = self.media_cfg.clone();
         for server in self.servers.values_mut() {
-            let mut objects: Vec<MediaObject> = Vec::new();
-            for kind in MediaKind::ALL {
-                objects.extend(server.db.store(kind).iter().cloned());
-            }
-            let placement = PlacementMap::build(
-                objects.iter().map(|o| o.key.as_str()),
-                &nodes,
-                cfg.replication,
-            );
+            let (objects, placement) = place(server, &nodes, cfg.replication);
             for obj in objects {
                 for n in placement.replicas(&obj.key) {
                     if let Some(media) = self.media_nodes.get_mut(n) {
@@ -187,6 +170,13 @@ impl ServiceWorld {
             }
             server.media = Some(MediaTier::new(cfg.clone(), placement, server.node));
         }
+    }
+
+    /// The media nodes content is placed on: all but the standby pool
+    /// (standby nodes join when the controller scales them out).
+    fn active_media(&self) -> Vec<NodeId> {
+        let active = self.media_nodes.keys().copied();
+        active.filter(|n| !self.standby_media.contains(n)).collect()
     }
 
     /// Turn on the closed-loop control plane: host the fleet controller on
@@ -234,7 +224,6 @@ impl ServiceWorld {
             heard_at: api.now(),
             holder: host.raw(),
         });
-        self.control_report = cfg.report;
         assert!(
             self.servers.contains_key(&host),
             "controller host must be a server node"
@@ -255,11 +244,11 @@ impl ServiceWorld {
         }
         self.server_mut(host).host_controller(api, cfg, standby);
         for s in self.servers.values_mut() {
-            s.enable_control_reports(api, host, cfg.report);
+            s.enable_control_reports(api, host);
         }
         for (n, m) in &mut self.media_nodes {
             if !self.standby_media.contains(n) {
-                m.enable_control_reports(api, host, cfg.report);
+                m.enable_control_reports(api, host);
             }
         }
     }
@@ -292,12 +281,7 @@ impl ServiceWorld {
         warm: Option<NodeId>,
         drain: Option<NodeId>,
     ) {
-        let nodes: Vec<NodeId> = self
-            .media_nodes
-            .keys()
-            .copied()
-            .filter(|n| !self.standby_media.contains(n))
-            .collect();
+        let nodes = self.active_media();
         if nodes.is_empty() {
             return;
         }
@@ -306,12 +290,7 @@ impl ServiceWorld {
             if server.media.is_none() {
                 continue;
             }
-            let mut objects: Vec<MediaObject> = Vec::new();
-            for kind in MediaKind::ALL {
-                objects.extend(server.db.store(kind).iter().cloned());
-            }
-            let placement =
-                PlacementMap::build(objects.iter().map(|o| o.key.as_str()), &nodes, replication);
+            let (objects, placement) = place(server, &nodes, replication);
             let warming = warm.and_then(|n| Some((n, self.media_nodes.get_mut(&n)?)));
             if let Some((n, media)) = warming {
                 for obj in &objects {
@@ -367,9 +346,8 @@ impl ServiceWorld {
             if !self.standby_media.remove(&node) {
                 return; // already active
             }
-            let period = self.control_report;
             if let Some(media) = self.media_nodes.get_mut(&node) {
-                media.enable_control_reports(api, NodeId::new(host), period);
+                media.enable_control_reports(api, NodeId::new(host));
             }
             self.rebuild_placements(api, Some(node), None);
         } else {
@@ -437,6 +415,21 @@ impl ServiceWorld {
             }
         }
     }
+}
+
+/// `server`'s media objects, every kind, and their placement over `nodes`
+/// with `replication` replicas each.
+fn place(
+    server: &ServerActor,
+    nodes: &[NodeId],
+    replication: usize,
+) -> (Vec<MediaObject>, PlacementMap) {
+    let mut objects: Vec<MediaObject> = Vec::new();
+    for kind in MediaKind::ALL {
+        objects.extend(server.db.store(kind).iter().cloned());
+    }
+    let placement = PlacementMap::build(objects.iter().map(|o| o.key.as_str()), nodes, replication);
+    (objects, placement)
 }
 
 impl App<ServiceMsg> for ServiceWorld {
@@ -609,7 +602,6 @@ impl WorldBuilder {
                 catalog: Vec::new(),
                 standby_media: BTreeSet::new(),
                 control: None,
-                control_report: MediaDuration::from_millis(100),
                 control_fence_drops: 0,
                 control_scale_skips: 0,
                 profile: None,

@@ -4,7 +4,7 @@
 //! lease bound), a quorum-isolated leader must self-demote, and commands
 //! stamped with a superseded fencing epoch must be dropped everywhere.
 
-use hermes_control::ControllerConfig;
+use hermes_control::{ControllerConfig, LEASE_BEAT, LEASE_TIMEOUT};
 use hermes_core::{MediaDuration, MediaTime, NodeId, ServerId, SessionId};
 use hermes_service::{
     install_course, ClientConfig, LessonShape, MediaNodeConfig, MediaTierConfig, ServerConfig,
@@ -132,8 +132,7 @@ const ISOLATED: Pin = (
 /// Milliseconds within which a successor must be elected: the lease must
 /// expire and the next watch tick must notice.
 fn lease_bound() -> MediaDuration {
-    let c = ControllerConfig::default();
-    c.lease_timeout() + c.lease_beat + c.lease_beat
+    LEASE_TIMEOUT + LEASE_BEAT + LEASE_BEAT
 }
 
 /// The controller host crashes in the middle of a flash crowd. The lowest

@@ -7,7 +7,6 @@
 mod common;
 
 use hermes_core::{DocumentId, MediaDuration, MediaTime, ServerId};
-use hermes_server::BreakerConfig;
 use hermes_service::{
     install_figure2, ClientConfig, MediaTierConfig, ServerConfig, ServiceMsg, ServiceWorld,
     WorldBuilder,
@@ -48,11 +47,9 @@ fn brownout_run(overload_on: bool) -> RunOutcome {
     }
     // Tight latency threshold so the browned-out node's EWMA trips quickly;
     // everything else at defaults.
-    let mut breaker_cfg = BreakerConfig::default();
-    breaker_cfg.latency_threshold = MediaDuration::from_millis(20);
     b.media_config(MediaTierConfig {
         breaker: overload_on,
-        breaker_cfg,
+        breaker_latency: MediaDuration::from_millis(20),
         hedging: overload_on,
         ..Default::default()
     });

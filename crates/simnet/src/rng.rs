@@ -36,11 +36,6 @@ impl SimRng {
         self.inner.gen_range(lo..hi)
     }
 
-    /// Uniform in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        self.inner.gen_range(lo..hi)
-    }
-
     /// Bernoulli trial with success probability `p` (clamped to \[0,1\]).
     pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {

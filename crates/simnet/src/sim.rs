@@ -950,14 +950,6 @@ impl<'a, M: WireSize + Clone> SimApi<'a, M> {
             }
         }
     }
-    /// Current members of `group` (empty when the group does not exist).
-    pub fn mcast_members(&self, group: u64) -> Vec<NodeId> {
-        self.core
-            .mcast_groups
-            .get(&group)
-            .map(|m| m.iter().copied().collect())
-            .unwrap_or_default()
-    }
     /// Arrange for `on_timer(node, key, payload)` after `delay`. Timers die
     /// with the incarnation that set them: if the node crashes (or crashes
     /// and restarts) before the timer fires, it is silently discarded.
@@ -983,14 +975,6 @@ impl<'a, M: WireSize + Clone> SimApi<'a, M> {
     #[inline]
     pub fn cause(&self) -> CauseCtx {
         self.core.current_cause
-    }
-    /// Override the ambient causal context — used by actors that resume
-    /// work for a session from state rather than from a delivered message
-    /// (e.g. a pump timer serving many sessions re-adopts each session's
-    /// context as it switches between them).
-    #[inline]
-    pub fn adopt_cause(&mut self, cause: CauseCtx) {
-        self.core.current_cause = cause;
     }
     /// Originate a causal root for `session`: get-or-create the session's
     /// root span, adopt it as the ambient cause, and return the context.

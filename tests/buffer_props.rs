@@ -55,8 +55,6 @@ fn check_ops(ops: &[Op]) -> Result<(), String> {
     }
     let cfg = BufferConfig {
         time_window: MediaDuration::from_millis(400),
-        low_watermark: 0.25,
-        high_watermark: 1.75,
         capacity_frames: 32,
     };
     let mut b = MediaBuffer::new(ComponentId::new(1), cfg, MediaDuration::from_millis(40));

@@ -6,7 +6,7 @@
 
 use hermes_od::control::{
     ControlCommand, ControllerConfig, FairnessBudget, FleetController, LoadReport, SessionView,
-    StreamView,
+    StreamView, CONTROL_TICK,
 };
 use hermes_od::core::{MediaDuration, MediaKind, MediaTime, PricingClass};
 use proptest::prelude::*;
@@ -178,7 +178,7 @@ proptest! {
         let mut last_action: BTreeMap<u64, MediaTime> = BTreeMap::new();
         let mut now = MediaTime::ZERO;
         for &pressured in &pattern {
-            now += cfg.tick;
+            now += CONTROL_TICK;
             c.ingest(now, 1, publish(&view, pressured));
             let plan = c.tick(now);
             for cmd in &plan.commands {
@@ -224,7 +224,7 @@ proptest! {
         let mut c = FleetController::new(cfg);
         let mut now = MediaTime::ZERO;
         for _ in 0..ticks {
-            now += cfg.tick;
+            now += CONTROL_TICK;
             c.ingest(now, 1, publish(&view, true));
             let plan = c.tick(now);
             prop_assert!(plan.pressured());

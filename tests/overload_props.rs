@@ -6,8 +6,9 @@
 //! it accepts.
 
 use hermes_od::core::{MediaDuration, MediaTime, PricingClass};
+use hermes_od::server::overload::{CLOSE_SUCCESSES, HALF_OPEN_PROBES, OPEN_TIMEOUT};
 use hermes_od::server::{
-    BreakerConfig, BreakerState, NodeHealth, OverloadQueue, QueuedRequest, RetryBudget,
+    BreakerState, MediaTierConfig, NodeHealth, OverloadQueue, QueuedRequest, RetryBudget,
 };
 use proptest::prelude::*;
 
@@ -39,22 +40,27 @@ fn breaker_op() -> impl Strategy<Value = BreakerOp> {
     ]
 }
 
-fn drive(cfg: &BreakerConfig, ops: &[BreakerOp]) -> (NodeHealth, MediaTime) {
+/// The breaker's default trip threshold.
+fn threshold() -> MediaDuration {
+    MediaTierConfig::default().breaker_latency
+}
+
+fn drive(ops: &[BreakerOp]) -> (NodeHealth, MediaTime) {
     let mut h = NodeHealth::default();
     let mut now = MediaTime::ZERO;
     for op in ops {
         match *op {
             BreakerOp::Admit(dt) => {
                 now += MediaDuration::from_micros(dt);
-                let _ = h.admit(cfg, now);
+                let _ = h.admit(now);
             }
             BreakerOp::Success(dt, lat) => {
                 now += MediaDuration::from_micros(dt);
-                h.record_success(cfg, now, MediaDuration::from_micros(lat));
+                h.record_success(threshold(), now, MediaDuration::from_micros(lat));
             }
             BreakerOp::Failure(dt) => {
                 now += MediaDuration::from_micros(dt);
-                h.record_failure(cfg, now);
+                h.record_failure(threshold(), now);
             }
             BreakerOp::Abandon => h.record_abandon(),
         }
@@ -71,48 +77,46 @@ proptest! {
     /// breaker Open forever.
     #[test]
     fn breaker_never_stuck_open(ops in proptest::collection::vec(breaker_op(), 0..80)) {
-        let cfg = BreakerConfig::default();
-        let (mut h, mut now) = drive(&cfg, &ops);
+        let (mut h, mut now) = drive(&ops);
         // Recovery drive: resolve every admission instantly and favourably.
-        let budget = cfg.close_successes + cfg.half_open_probes + 2;
+        let budget = CLOSE_SUCCESSES + HALF_OPEN_PROBES + 2;
         for _ in 0..budget {
             if h.state == BreakerState::Closed {
                 break;
             }
-            now += cfg.open_timeout;
+            now += OPEN_TIMEOUT;
             prop_assert!(
-                h.admit(&cfg, now),
-                "breaker refused a probe a full open_timeout after {:?}",
+                h.admit(now),
+                "breaker refused a probe a full OPEN_TIMEOUT after {:?}",
                 h.state
             );
-            h.record_success(&cfg, now, MediaDuration::ZERO);
+            h.record_success(threshold(), now, MediaDuration::ZERO);
         }
         prop_assert_eq!(h.state, BreakerState::Closed);
     }
 
     /// From any reachable state, a burst of admission attempts at one
-    /// instant grants at most `half_open_probes` fetches unless the circuit
+    /// instant grants at most `HALF_OPEN_PROBES` fetches unless the circuit
     /// is fully Closed — probe traffic to a sick replica is strictly
     /// bounded no matter what history preceded it.
     #[test]
     fn half_open_probe_burst_is_bounded(ops in proptest::collection::vec(breaker_op(), 0..80)) {
-        let cfg = BreakerConfig::default();
-        let (h, now) = drive(&cfg, &ops);
+        let (h, now) = drive(&ops);
         if h.state == BreakerState::Closed {
             return Ok(()); // closed circuits meter nothing, by design
         }
         let mut probe = h.clone();
-        let burst = now + cfg.open_timeout; // enough for Open → HalfOpen
+        let burst = now + OPEN_TIMEOUT; // enough for Open → HalfOpen
         let mut granted = 0u32;
-        for _ in 0..(cfg.half_open_probes + 5) {
-            if probe.admit(&cfg, burst) {
+        for _ in 0..(HALF_OPEN_PROBES + 5) {
+            if probe.admit(burst) {
                 granted += 1;
             }
         }
         prop_assert!(
-            granted <= cfg.half_open_probes,
+            granted <= HALF_OPEN_PROBES,
             "{granted} probes admitted in one burst (cap {})",
-            cfg.half_open_probes
+            HALF_OPEN_PROBES
         );
     }
 }
