@@ -2,9 +2,8 @@
 
 use hermes_core::{ComponentId, SessionId};
 
-/// Server: a media stream's transmission begins (flow-scenario send start).
-pub const TK_STREAM_START: u64 = 1;
-/// Server: send the next frame of a stream.
+/// Server: send the next frame of a stream (its first one at the stream's
+/// flow-scenario send start).
 pub const TK_FRAME: u64 = 2;
 /// Server: a suspended connection's grace period check.
 pub const TK_GRACE: u64 = 3;

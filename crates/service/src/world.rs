@@ -477,12 +477,7 @@ impl App<ServiceMsg> for ServiceWorld {
     fn on_timer(&mut self, api: &mut SimApi<'_, ServiceMsg>, node: NodeId, key: u64, payload: u64) {
         let start = self.profile.as_ref().map(|_| std::time::Instant::now());
         if let Some(server) = self.servers.get_mut(&node) {
-            if key == crate::timers::TK_DISCRETE {
-                let (session, component) = crate::timers::unpack(payload);
-                server.send_discrete(api, session, component);
-            } else {
-                server.on_timer(api, key, payload);
-            }
+            server.on_timer(api, key, payload);
             self.profile_lane(start, Lane::Server);
         } else if let Some(client) = self.clients.get_mut(&node) {
             client.on_timer(api, key, payload);
