@@ -8,8 +8,9 @@
 //!   it), handed on to whatever its handler sends. At final delivery the
 //!   engine writes one 16-byte [`HopRecord`] — when, under which causal
 //!   root, which protocol message kind, how long in flight — into the
-//!   capture's [`ProvenanceLog`]: a delivery
-//!   log keyed by causal root. Losses, retransmissions, abandoned sends
+//!   capture's [`ProvenanceLog`]: a delivery log keyed by causal root
+//!   that keeps the last [`PROV_HORIZON`] and, older than that, only each
+//!   disruption's window. Losses, retransmissions, abandoned sends
 //!   and multicast fan-out are not logged per message; they are engine
 //!   counters (`sim.datagrams_dropped`, `sim.retransmissions`,
 //!   `sim.reliable_failures`, `sim.mcast_link_copies`) and the
@@ -31,7 +32,7 @@ use crate::event::Event;
 use crate::registry::MetricsRegistry;
 use crate::span::SpanId;
 use hermes_core::{MediaDuration, MediaTime};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 #[cfg(test)]
 mod spec;
@@ -105,24 +106,44 @@ impl HopRecord {
 }
 
 /// Default cap on retained delivery records: 2²¹ × 16 B = 32 MiB when
-/// full. A hard byte budget — a world with more deliveries than this is
-/// truncated to its first 2²¹, and the later ones are invisible to
-/// attribution. The overflow is counted in [`ProvenanceLog::dropped`] and
-/// published as `sim.prov_dropped`.
+/// full. A hard byte budget — a delivery that would take the log past it
+/// is dropped and invisible to attribution. The overflow is counted in
+/// [`ProvenanceLog::dropped`] and published as `sim.prov_dropped`.
 pub const DEFAULT_PROV_CAP: usize = 1 << 21;
 
-/// The run's provenance log: final deliveries only, append-only in
-/// engine-clock order and bounded, plus the interned table of message
-/// kinds the records index into.
+/// How far back the provenance log keeps every delivery, and so the widest
+/// attribution window [`fill_critical_paths`] accepts.
+pub const PROV_HORIZON: MediaDuration = MediaDuration::from_secs(6);
+
+/// The run's provenance log: final deliveries in engine-clock order, plus
+/// the interned table of message kinds the records index into.
+///
+/// It keeps only what attribution can read. Every delivery of the last
+/// [`PROV_HORIZON`] sits in a ring. A delivery that ages out of the ring
+/// is kept only if some marked disruption of its causal root lies in
+/// `[at, at + PROV_HORIZON]`; every other one is dropped. The rule is
+/// exact: by the time a delivery is older than `now − PROV_HORIZON`,
+/// every disruption whose window could hold it has been marked and
+/// resolved to its root (`Obs::record_hop` resolves the marks first).
 #[derive(Debug, Clone)]
 pub struct ProvenanceLog {
-    records: Vec<HopRecord>,
+    /// Deliveries that left the ring inside some disruption's window; all
+    /// older than anything in `ring`.
+    kept: Vec<HopRecord>,
+    /// Every delivery of the last [`PROV_HORIZON`].
+    ring: VecDeque<HopRecord>,
+    /// Marked disruptions `(session, at)` the clock has not yet passed.
+    pending: Vec<(u64, MediaTime)>,
+    /// Resolved disruption instants per causal root, oldest first.
+    marks: HashMap<u32, VecDeque<MediaTime>>,
     /// Interned message kinds; a record stores an index into this.
     kinds: Vec<&'static str>,
     /// Index of the kind interned last (consecutive deliveries mostly
     /// share one).
     last_kind: u8,
     cap: usize,
+    /// Deliveries offered to the log, retained or not.
+    offered: u64,
     /// Deliveries dropped past the cap (still counted so audits notice).
     pub dropped: u64,
 }
@@ -130,10 +151,14 @@ pub struct ProvenanceLog {
 impl Default for ProvenanceLog {
     fn default() -> Self {
         ProvenanceLog {
-            records: Vec::new(),
+            kept: Vec::new(),
+            ring: VecDeque::new(),
+            pending: Vec::new(),
+            marks: HashMap::new(),
             kinds: Vec::new(),
             last_kind: 0,
             cap: DEFAULT_PROV_CAP,
+            offered: 0,
             dropped: 0,
         }
     }
@@ -143,15 +168,65 @@ impl ProvenanceLog {
     /// Append one delivery (dropped with accounting past the cap): at
     /// engine time `at` a message of protocol class `kind`, descending
     /// from causal root `root`, reached its application after `wait_us`
-    /// in flight.
+    /// in flight. Deliveries older than `at − PROV_HORIZON` leave the
+    /// ring first.
     #[inline]
     pub fn record(&mut self, at: MediaTime, root: u32, kind: &'static str, wait_us: i64) {
-        if self.records.len() >= self.cap {
+        self.offered += 1;
+        let horizon = at - PROV_HORIZON;
+        while let Some(&old) = self.ring.front() {
+            if old.at() >= horizon {
+                break;
+            }
+            self.ring.pop_front();
+            if self.in_marked_window(old) {
+                self.kept.push(old);
+            }
+        }
+        if self.len() >= self.cap {
             self.dropped += 1;
             return;
         }
         let kind = self.intern(kind);
-        self.records.push(HopRecord::new(at, kind, root, wait_us));
+        self.ring.push_back(HopRecord::new(at, kind, root, wait_us));
+    }
+
+    /// True when a resolved disruption of `rec`'s root lies in
+    /// `[rec.at, rec.at + PROV_HORIZON]`. Records leave the ring in time
+    /// order, so an instant before `rec.at` serves no later one and goes.
+    fn in_marked_window(&mut self, rec: HopRecord) -> bool {
+        let Some(marks) = self.marks.get_mut(&rec.root) else {
+            return false;
+        };
+        let at = rec.at();
+        while marks.front().is_some_and(|&t| t < at) {
+            marks.pop_front();
+        }
+        marks.front().is_some_and(|&t| t - PROV_HORIZON <= at)
+    }
+
+    /// Mark a disruption attribution will explain: `session` at engine
+    /// time `at`. Marks arrive in clock order.
+    pub(crate) fn mark(&mut self, session: u64, at: MediaTime) {
+        self.pending.push((session, at));
+    }
+
+    /// Resolve every mark the clock has passed (`at < now`) to its session
+    /// root. Roots are get-or-create and never change, and a delivery's
+    /// root existed when its message was sent, so resolving late gives
+    /// the post-run answer — also for deliveries later in the mark's own
+    /// instant, which may follow the root's creation.
+    pub(crate) fn resolve_marks(
+        &mut self,
+        now: MediaTime,
+        session_root: impl Fn(u64) -> Option<SpanId>,
+    ) {
+        let n = self.pending.partition_point(|&(_, at)| at < now);
+        for (session, at) in self.pending.drain(..n) {
+            if let Some(root) = session_root(session) {
+                self.marks.entry(root.0).or_default().push_back(at);
+            }
+        }
     }
 
     /// Index of `kind` in the kind table, adding it on first sight. Equal
@@ -189,19 +264,39 @@ impl ProvenanceLog {
         self.kinds[rec.kind_index() as usize]
     }
 
-    /// All retained deliveries in stamp order.
-    pub fn records(&self) -> &[HopRecord] {
-        &self.records
+    /// All retained deliveries in stamp order: the kept ones, then the
+    /// ring.
+    pub fn records(&self) -> impl Iterator<Item = &HopRecord> {
+        self.kept.iter().chain(&self.ring)
+    }
+
+    /// The retained deliveries stamped in `[lo, hi]`, in stamp order:
+    /// two binary searches per stored run, no scan of the log.
+    fn window(&self, lo: MediaTime, hi: MediaTime) -> impl Iterator<Item = &HopRecord> {
+        let (front, back) = self.ring.as_slices();
+        [&self.kept[..], front, back]
+            .into_iter()
+            .flat_map(move |recs| {
+                let w0 = recs.partition_point(|r| r.at() < lo);
+                let w1 = recs.partition_point(|r| r.at() <= hi);
+                &recs[w0..w1]
+            })
     }
 
     /// Number of deliveries retained.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.kept.len() + self.ring.len()
     }
 
-    /// True when nothing was recorded.
+    /// True when nothing is retained.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
+    }
+
+    /// Deliveries offered to the log, whether retained, aged out or
+    /// dropped past the cap (published as `sim.prov_records`).
+    pub fn offered(&self) -> u64 {
+        self.offered
     }
 }
 
@@ -310,16 +405,24 @@ fn class_cap(class: CauseClass) -> usize {
     }
 }
 
-/// Event names attribution treats as disruptions to explain.
-pub const DISRUPTION_KINDS: [&str; 3] = ["playout_gap", "server_silent", "session_abandoned"];
-
 /// Minimum `playout_gap` payload (gap ticks) worth attributing.
 pub(crate) const GAP_THRESHOLD: i64 = 1;
+
+/// True for an event attribution explains: a `playout_gap` of at least
+/// `GAP_THRESHOLD` ticks, a `server_silent` or a `session_abandoned`.
+pub fn is_disruption(name: &str, value: i64) -> bool {
+    match name {
+        "playout_gap" => value >= GAP_THRESHOLD,
+        "server_silent" | "session_abandoned" => true,
+        _ => false,
+    }
+}
 
 /// Attribution tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct AttributionConfig {
-    /// How far back from a disruption the causal window reaches.
+    /// How far back from a disruption the causal window reaches; at most
+    /// [`PROV_HORIZON`] when critical paths are filled.
     pub window: MediaDuration,
     /// How many critical-path hops to keep per attribution.
     pub path_hops: usize,
@@ -603,12 +706,7 @@ pub fn attribute_events(events: &[Event], cfg: &AttributionConfig) -> Vec<GapAtt
     let index = EvidenceIndex::build(events);
     let mut out = Vec::new();
     for e in events {
-        let is_disruption = match e.name {
-            "playout_gap" => e.value >= GAP_THRESHOLD,
-            "server_silent" | "session_abandoned" => true,
-            _ => false,
-        };
-        if !is_disruption {
+        if !is_disruption(e.name, e.value) {
             continue;
         }
         let session = e.labels().session;
@@ -629,25 +727,26 @@ pub fn attribute_events(events: &[Event], cfg: &AttributionConfig) -> Vec<GapAtt
 }
 
 /// Fill each attribution's critical path: the slowest in-window message
-/// deliveries whose causal root is the disruption's session root.
+/// deliveries whose causal root is the disruption's session root. The
+/// log retains no more than that, so `cfg.window` may reach at most
+/// [`PROV_HORIZON`] back.
 pub fn fill_critical_paths(
     attrs: &mut [GapAttribution],
     prov: &ProvenanceLog,
     session_root: impl Fn(u64) -> Option<SpanId>,
     cfg: &AttributionConfig,
 ) {
+    assert!(
+        cfg.window <= PROV_HORIZON,
+        "attribution window {:?} reaches past the provenance horizon",
+        cfg.window
+    );
     for a in attrs.iter_mut() {
         let Some(root) = session_root(a.session) else {
             continue;
         };
-        let lo = a.at - cfg.window;
-        // Records are appended in stamp order, so the window is a
-        // contiguous slice — don't scan the whole log per attribution.
-        let recs = prov.records();
-        let w0 = recs.partition_point(|r| r.at() < lo);
-        let w1 = recs.partition_point(|r| r.at() <= a.at);
-        let mut hops: Vec<(&'static str, i64)> = recs[w0..w1]
-            .iter()
+        let mut hops: Vec<(&'static str, i64)> = prov
+            .window(a.at - cfg.window, a.at)
             .filter(|r| r.root == root.0)
             .map(|r| (prov.kind(r), r.wait_us as i64))
             .collect();
@@ -925,6 +1024,6 @@ pub(crate) mod tests {
         // The first deliveries are kept, the rest only counted.
         assert_eq!(p.len(), 2);
         assert_eq!(p.dropped, 3);
-        assert_eq!(p.records()[1].at(), MediaTime::from_millis(1));
+        assert_eq!(p.records().nth(1).unwrap().at(), MediaTime::from_millis(1));
     }
 }

@@ -1,9 +1,13 @@
-//! Executable spec for the provenance log: the 64-byte stamp of six hop
-//! kinds and the first-N log this crate shipped before the log kept only
-//! what attribution reads, with the `fill_critical_paths` that filtered
-//! it — kept verbatim — and a differential property holding
-//! [`ProvenanceLog`] + [`fill_critical_paths`] to them. The layout pins of
-//! the 16-byte record live here too.
+//! Executable specs for the provenance log, and differential properties
+//! holding [`ProvenanceLog`] + [`fill_critical_paths`] to them:
+//! - the 64-byte stamp of six hop kinds and the first-N log this crate
+//!   shipped before the log kept only deliveries, with the
+//!   `fill_critical_paths` that filtered it — kept verbatim;
+//! - the keep-everything delivery log that followed it, before the log
+//!   kept only the last [`PROV_HORIZON`] and each disruption's window.
+//!
+//! The layout pins of the 16-byte record and the retention bounds live
+//! here too.
 
 use super::*;
 use proptest::prelude::*;
@@ -80,6 +84,60 @@ fn spec_fill_critical_paths(
     }
 }
 
+/// The keep-everything delivery log: every delivery up to the cap, in
+/// stamp order, with the kind it was stamped with.
+struct KeepAllLog {
+    records: Vec<(HopRecord, &'static str)>,
+    cap: usize,
+    dropped: u64,
+}
+
+impl Default for KeepAllLog {
+    fn default() -> Self {
+        KeepAllLog {
+            records: Vec::new(),
+            cap: DEFAULT_PROV_CAP,
+            dropped: 0,
+        }
+    }
+}
+
+impl KeepAllLog {
+    fn record(&mut self, at: MediaTime, root: u32, kind: &'static str, wait_us: i64) {
+        if self.records.len() >= self.cap {
+            self.dropped += 1;
+            return;
+        }
+        self.records
+            .push((HopRecord::new(at, 0, root, wait_us), kind));
+    }
+}
+
+fn keep_all_fill_critical_paths(
+    attrs: &mut [GapAttribution],
+    prov: &KeepAllLog,
+    session_root: impl Fn(u64) -> Option<SpanId>,
+    cfg: &AttributionConfig,
+) {
+    for a in attrs.iter_mut() {
+        let Some(root) = session_root(a.session) else {
+            continue;
+        };
+        let lo = a.at - cfg.window;
+        let recs = &prov.records;
+        let w0 = recs.partition_point(|(r, _)| r.at() < lo);
+        let w1 = recs.partition_point(|(r, _)| r.at() <= a.at);
+        let mut hops: Vec<(&'static str, i64)> = recs[w0..w1]
+            .iter()
+            .filter(|(r, _)| r.root == root.0)
+            .map(|&(r, kind)| (kind, r.wait_us as i64))
+            .collect();
+        hops.sort_unstable_by(|a, b| (b.1, a.0).cmp(&(a.1, b.0)));
+        hops.truncate(cfg.path_hops);
+        a.path = hops;
+    }
+}
+
 const MSG_KINDS: [&str; 12] = [
     "rtp",
     "rtcp",
@@ -114,12 +172,12 @@ proptest! {
 
     /// The engine's old stamp stream — all six hop kinds, several causal
     /// roots including none, same-tick ties, zero and tied waits — fed to
-    /// the old log whole and to the new log as the engine now feeds it
-    /// (deliveries only): every critical path agrees, for disruptions
-    /// anywhere in the run and on both edges of a stamp's window, both
-    /// attribution windows in use and every path length. The stream is
-    /// short enough that the spec truncates nothing; past its cap the two
-    /// differ on purpose.
+    /// the six-kind log whole and to the keep-everything log as the engine
+    /// feeds it (deliveries only): every critical path agrees, for
+    /// disruptions anywhere in the run and on both edges of a stamp's
+    /// window, both attribution windows in use and every path length. The
+    /// stream is short enough that the spec truncates nothing; past its
+    /// cap the two differ on purpose.
     #[test]
     fn delivery_log_paths_equal_the_six_kind_log(
         shape in (1usize..=8, 3usize..=12, 1usize..=8),
@@ -135,7 +193,7 @@ proptest! {
             .map(|i| if i == 0 { CauseCtx::NONE.root } else { i * 7 })
             .collect();
         let mut spec = SpecLog { records: Vec::new(), cap: 1 << 20, dropped: 0 };
-        let mut log = ProvenanceLog::default();
+        let mut log = KeepAllLog::default();
         let mut now = 0i64;
         for &((tie, dt), hop, root, kind, (wsel, w)) in &stamps {
             now += if tie == 0 { 0 } else { dt };
@@ -164,7 +222,7 @@ proptest! {
         prop_assert_eq!(spec.dropped, 0);
         prop_assert_eq!(log.dropped, 0);
         let deliveries = spec.records.iter().filter(|r| r.kind == SpecHopKind::Deliver).count();
-        prop_assert_eq!(log.len(), deliveries);
+        prop_assert_eq!(log.records.len(), deliveries);
 
         // Sessions 0..n_roots map onto the root pool; the rest have none.
         let session_root = |s: u64| roots.get(s as usize).map(|&r| SpanId(r));
@@ -194,9 +252,194 @@ proptest! {
                 .collect();
             let mut got = want.clone();
             spec_fill_critical_paths(&mut want, &spec, session_root, &cfg);
-            fill_critical_paths(&mut got, &log, session_root, &cfg);
+            keep_all_fill_critical_paths(&mut got, &log, session_root, &cfg);
             prop_assert_eq!(got, want);
         }
+    }
+}
+
+/// Runs driven through [`crate::Obs`] as the engine drives it: the
+/// marks are set and resolved there, so these need the `trace` feature.
+#[cfg(feature = "trace")]
+mod through_obs {
+    use super::*;
+    use crate::event::{Labels, Severity};
+
+    /// A run driven through [`crate::Obs`] as the engine drives it, into the
+    /// windowed log and, delivery by delivery, the keep-everything log.
+    struct Run {
+        obs: crate::Obs,
+        spec: KeepAllLog,
+    }
+
+    impl Run {
+        fn new() -> Run {
+            Run {
+                obs: crate::Obs::new(),
+                spec: KeepAllLog::default(),
+            }
+        }
+
+        fn deliver(&mut self, at: MediaTime, root: u32, kind: &'static str, wait_us: i64) {
+            let wait = MediaDuration::from_micros(wait_us);
+            self.obs.record_hop(at, CauseCtx { root }, kind, wait);
+            self.spec.record(at, root, kind, wait_us);
+        }
+
+        /// Every attribution's critical path, from the windowed log and from
+        /// the spec.
+        fn paths(&self, cfg: &AttributionConfig) -> (Vec<GapAttribution>, Vec<GapAttribution>) {
+            let mut got = attribute_events(self.obs.events(), cfg);
+            let mut want = got.clone();
+            let session_root = |s| self.obs.spans.session_root_of(s);
+            fill_critical_paths(&mut got, &self.obs.prov, session_root, cfg);
+            keep_all_fill_critical_paths(&mut want, &self.spec, session_root, cfg);
+            (got, want)
+        }
+    }
+
+    /// The disruptions [`attribute_events`] explains, and one it skips.
+    const DISRUPTIONS: [(&str, i64); 4] = [
+        ("playout_gap", 2),
+        ("playout_gap", 0),
+        ("server_silent", 0),
+        ("session_abandoned", 0),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random delivery streams over several session roots, a foreign root
+        /// and none, on a 250 ms grid (so stamps sit exactly one window or
+        /// one horizon before a disruption) with same-instant ties and jumps
+        /// past the horizon. Disruptions are marked at their instant, some
+        /// before their session's root exists, some followed in that instant
+        /// by the root's creation and a delivery under it. Every critical path
+        /// equals the keep-everything log's, for windows from 1 µs to 6 s and
+        /// paths of 1 to 8 hops.
+        #[test]
+        fn windowed_log_paths_equal_the_keep_all_log(
+            path_hops in 1usize..=8,
+            window_us in 1i64..=6_000_000,
+            ops in proptest::collection::vec(
+                ((0u8..8, 1i64..=24), 0u8..8, 0u64..8, 0usize..12, 0i64..5_000),
+                0..400,
+            ),
+        ) {
+            let mut run = Run::new();
+            let mut now = MediaTime::ZERO;
+            for &((step, quarters), op, session, pick, w) in &ops {
+                now += MediaDuration::from_millis(match step {
+                    0 | 1 => 0,
+                    7 => 250 * quarters,
+                    _ => 250 * (quarters % 4),
+                });
+                let root = |run: &Run| run.obs.spans.session_root_of(session).map(|r| r.0);
+                match op {
+                    0 => {
+                        run.obs.session_span(session, 1, now);
+                    }
+                    1..=4 => {
+                        let root = match pick {
+                            0 => CauseCtx::NONE.root,
+                            1 => 1 << 20, // a root no session maps to
+                            _ => root(&run).unwrap_or(CauseCtx::NONE.root),
+                        };
+                        let wait = if pick % 3 == 0 { w % 4 } else { w * 37 };
+                        run.deliver(now, root, MSG_KINDS[pick], wait);
+                    }
+                    _ => {
+                        let (name, value) = DISRUPTIONS[pick % 4];
+                        let labels = if pick < 10 { Labels::session(session) } else { Labels::NONE };
+                        run.obs.emit_val(now, 1, Severity::Warn, name, labels, value);
+                        if op == 7 {
+                            let r = run.obs.session_span(session, 1, now);
+                            run.deliver(now, r.0, "rtp", w);
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(run.obs.prov.offered(), run.spec.records.len() as u64);
+            prop_assert!(run.obs.prov.len() <= run.spec.records.len());
+            for window in [window_us, 2_000_000, 6_000_000] {
+                let cfg = AttributionConfig {
+                    window: MediaDuration::from_micros(window),
+                    path_hops,
+                };
+                let (got, want) = run.paths(&cfg);
+                prop_assert_eq!(got, want);
+            }
+        }
+    }
+
+    /// A mark is resolved once the clock has passed its instant: the root its
+    /// session gets later in that instant, after another delivery, still keeps
+    /// the delivery made under it.
+    #[test]
+    fn a_mark_sees_a_root_created_later_in_its_instant() {
+        let mut run = Run::new();
+        let t = MediaTime::from_secs(1);
+        let other = run.obs.session_span(1, 1, MediaTime::ZERO).0;
+        run.deliver(MediaTime::from_millis(500), other, "rtp", 10);
+        run.obs
+            .emit_val(t, 1, Severity::Warn, "server_silent", Labels::session(2), 0);
+        run.deliver(t, other, "rtp", 20);
+        let root = run.obs.session_span(2, 1, t).0;
+        run.deliver(t, root, "fetch_chunk", 7_000);
+        // Both instants age out of the ring.
+        run.deliver(
+            t + PROV_HORIZON + MediaDuration::from_micros(1),
+            other,
+            "rtp",
+            30,
+        );
+        let (got, want) = run.paths(&AttributionConfig::default());
+        assert_eq!(got[0].path, vec![("fetch_chunk", 7_000)]);
+        assert_eq!(got, want);
+        assert_eq!(run.obs.prov.len(), 2);
+    }
+}
+
+/// Without a disruption the log holds one horizon of deliveries however
+/// long the run; one disruption keeps exactly its root's window besides.
+#[test]
+fn the_log_holds_one_horizon_plus_each_disruptions_window() {
+    let step = MediaDuration::from_millis(10);
+    let per_horizon = (PROV_HORIZON.as_micros() / step.as_micros()) as usize + 1;
+    let roots = |s: u64| (s < 3).then_some(SpanId(10 + s as u32));
+    let t_d = MediaTime::from_secs(30);
+    for disrupted in [false, true] {
+        let mut log = ProvenanceLog::default();
+        let mut now = MediaTime::ZERO;
+        for i in 0..6_000u32 {
+            now = MediaTime::ZERO + step * i as i64;
+            log.resolve_marks(now, roots);
+            log.record(now, 10 + i % 3, "rtp", 0);
+            if disrupted && now == t_d {
+                log.mark(1, now);
+            }
+            if !disrupted {
+                assert!(log.len() <= per_horizon, "{} records at {now:?}", log.len());
+            }
+        }
+        let horizon = now - PROV_HORIZON;
+        let kept: Vec<MediaTime> = log
+            .records()
+            .map(|r| r.at())
+            .filter(|&at| at < horizon)
+            .collect();
+        let want: Vec<MediaTime> = if disrupted {
+            (0..6_000u32)
+                .filter(|i| i % 3 == 1)
+                .map(|i| MediaTime::ZERO + step * i as i64)
+                .filter(|&at| t_d - PROV_HORIZON <= at && at <= t_d)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        assert_eq!(kept, want);
+        assert_eq!(log.len(), per_horizon + want.len());
+        assert_eq!(log.offered(), 6_000);
     }
 }
 
@@ -240,9 +483,9 @@ fn kinds_intern_by_content_not_address() {
     log.record(MediaTime::ZERO, 1, "rtp", 0);
     log.record(MediaTime::ZERO, 1, "fetch_chunk", 0);
     log.record(MediaTime::ZERO, 1, elsewhere, 0);
-    let ix: Vec<u8> = log.records().iter().map(|r| r.kind_index()).collect();
+    let ix: Vec<u8> = log.records().map(|r| r.kind_index()).collect();
     assert_eq!(ix, vec![0, 1, 0]);
-    assert_eq!(log.kind(&log.records()[2]), "rtp");
+    assert_eq!(log.kind(log.records().nth(2).unwrap()), "rtp");
     assert_eq!(log.kinds.len(), 2);
 }
 
@@ -252,8 +495,9 @@ fn kind_table_holds_256_kinds() {
     for i in 0..256 {
         log.record(MediaTime::ZERO, 0, leaked(format!("k{i}")), 0);
     }
-    assert_eq!(log.records()[255].kind_index(), 255);
-    assert_eq!(log.kind(&log.records()[255]), "k255");
+    let last = log.records().nth(255).unwrap();
+    assert_eq!(last.kind_index(), 255);
+    assert_eq!(log.kind(last), "k255");
 }
 
 #[test]

@@ -136,18 +136,14 @@ pub fn check_label_overflow(registry: &MetricsRegistry) -> Vec<Violation> {
 /// the causal window the attribution claims to have read. A verdict whose
 /// evidence is missing would mean the attributor invented a cause.
 pub fn check_attribution_soundness(events: &[Event]) -> Vec<Violation> {
-    use crate::causality::{attribute_events, AttributionConfig, CauseClass, GAP_THRESHOLD};
+    use crate::causality::{attribute_events, is_disruption, AttributionConfig, CauseClass};
     let mut v = Vec::new();
     let cfg = AttributionConfig::default();
     let attrs = attribute_events(events, &cfg);
     // One attribution per qualifying disruption, in log order.
     let disruptions = events
         .iter()
-        .filter(|e| match e.name {
-            "playout_gap" => e.value >= GAP_THRESHOLD,
-            "server_silent" | "session_abandoned" => true,
-            _ => false,
-        })
+        .filter(|e| is_disruption(e.name, e.value))
         .count();
     if attrs.len() != disruptions {
         v.push(Violation::new(

@@ -45,8 +45,8 @@ pub mod span;
 pub mod stats;
 
 pub use causality::{
-    attribute_events, fill_critical_paths, publish_attr_counters, AttributionConfig, CauseClass,
-    CauseCtx, GapAttribution, HopRecord, ProvenanceLog,
+    attribute_events, fill_critical_paths, is_disruption, publish_attr_counters, AttributionConfig,
+    CauseClass, CauseCtx, GapAttribution, HopRecord, ProvenanceLog, PROV_HORIZON,
 };
 pub use event::{Event, Labels, Severity};
 pub use export::{chrome_trace, events_jsonl, flight_report, session_timeline};
@@ -83,8 +83,9 @@ pub struct Obs {
     pub registry: MetricsRegistry,
     /// Per-node recent-event rings and anomaly dumps.
     pub flight: FlightRecorder,
-    /// Message provenance stamped by the engine: one record per final
-    /// delivery, keyed by causal root.
+    /// Message provenance stamped by the engine: final deliveries keyed by
+    /// causal root — the last [`PROV_HORIZON`] of them, and each
+    /// disruption's window.
     pub prov: ProvenanceLog,
 }
 
@@ -136,7 +137,8 @@ impl Obs {
     }
 
     /// Record an event. `Debug` severity goes to the node's flight ring
-    /// only; `Info` and above also append to the main log.
+    /// only; `Info` and above also append to the main log, and a
+    /// disruption there marks its window for the provenance log.
     #[inline]
     pub fn emit_val(
         &mut self,
@@ -155,6 +157,9 @@ impl Obs {
         self.label_overflow += u64::from(ev.saturated());
         self.flight.record(ev);
         if severity >= Severity::Info {
+            if causality::is_disruption(ev.name, ev.value) {
+                self.prov.mark(ev.labels().session.unwrap_or(0), at);
+            }
             self.events.push(ev);
         }
     }
@@ -221,7 +226,8 @@ impl Obs {
 
     /// Record one final delivery in the provenance log: a message of
     /// protocol class `kind` carrying `cause` reached its application at
-    /// `at` after `wait` in flight (no-op when tracing is off).
+    /// `at` after `wait` in flight (no-op when tracing is off). The
+    /// disruptions marked before `at` are resolved to their roots first.
     #[inline]
     pub fn record_hop(
         &mut self,
@@ -233,6 +239,8 @@ impl Obs {
         if !self.on() {
             return;
         }
+        let spans = &self.spans;
+        self.prov.resolve_marks(at, |s| spans.session_root_of(s));
         self.prov.record(at, cause.root, kind, wait.as_micros());
     }
 
@@ -353,7 +361,7 @@ mod tests {
         let counter = |name| obs.registry.counter(name, Labels::NONE);
         if TRACE_COMPILED {
             assert_eq!(obs.prov.len(), 1);
-            assert_eq!(obs.prov.records()[0].wait_us, 1000);
+            assert_eq!(obs.prov.records().next().unwrap().wait_us, 1000);
             assert_eq!(obs.flight.dumps().len(), 1);
             assert_eq!(counter("obs.flight_deduped"), 99);
             assert_eq!(counter("obs.flight_overwritten_debug"), 6);

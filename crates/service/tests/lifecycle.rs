@@ -31,6 +31,7 @@ use hermes_core::{DocumentId, LinkTarget, MediaDuration, MediaTime, NodeId, Serv
 use hermes_service::{
     install_course, ClientConfig, LessonShape, ServerConfig, ServiceMsg, ServiceWorld, WorldBuilder,
 };
+use hermes_simnet::obs::PROV_HORIZON;
 use hermes_simnet::{FaultPlan, LinkSpec, Sim, SimRng};
 
 fn ms(t: i64) -> MediaTime {
@@ -63,6 +64,38 @@ fn kind(m: &ServiceMsg) -> &'static str {
         ServiceMsg::Heartbeat { .. } => "heartbeat_to_client",
         ServiceMsg::SuspendExpired { .. } => "suspend_expired",
         _ => m.provenance_kind(),
+    }
+}
+
+/// The `Heartbeat` and `SuspendExpired` deliveries read out of the
+/// provenance log so far, as `(kind, at µs, root)`, and how many
+/// deliveries the log had been offered at the last read.
+#[derive(Default)]
+struct Notices {
+    seen: Vec<(&'static str, i64, u32)>,
+    offered: u64,
+}
+
+/// `sim.run_until(until)`, reading the notices out of the provenance log
+/// on the way. The log keeps every delivery only for `PROV_HORIZON`, so
+/// the run goes in steps no longer than that; the deliveries of a step are
+/// the newest of the log, all still inside the horizon.
+fn run_until(sim: &mut Sim<ServiceMsg, ServiceWorld>, notices: &mut Notices, until: MediaTime) {
+    loop {
+        let to = until.min(sim.now() + PROV_HORIZON);
+        sim.run_until(to);
+        let prov = &sim.obs().prov;
+        let fresh = (prov.offered() - notices.offered) as usize;
+        for r in prov.records().skip(prov.len() - fresh) {
+            let k = prov.kind(r);
+            if k == "heartbeat_to_client" || k == "suspend_expired" {
+                notices.seen.push((k, r.at().as_micros(), r.root));
+            }
+        }
+        notices.offered = prov.offered();
+        if to == until {
+            return;
+        }
     }
 }
 
@@ -105,6 +138,7 @@ fn lifecycle_golden() {
     let backbone = b.backbone();
     let mut sim: Sim<ServiceMsg, ServiceWorld> = b.build(seed);
     sim.set_msg_kind(kind);
+    let mut notices = Notices::default();
     let mut rng = SimRng::seed_from_u64(seed);
     let home = install_course(
         sim.app_mut().server_mut(s1),
@@ -132,11 +166,11 @@ fn lifecycle_golden() {
     sim.install_faults(&plan);
     for (i, &cli) in [a, bb, cc, d, e, g].iter().enumerate() {
         let doc = home[i % 2];
-        sim.run_until(ms(100 * i as i64));
+        run_until(&mut sim, &mut notices, ms(100 * i as i64));
         sim.with_api(|w, api| w.client_mut(cli).connect(api, s1, Some(doc)));
     }
     // F's node repeats one tracked connect: the second copy is a duplicate.
-    sim.run_until(ms(1_000));
+    run_until(&mut sim, &mut notices, ms(1_000));
     for _ in 0..2 {
         let inner = Box::new(ServiceMsg::Connect {
             user: None,
@@ -148,24 +182,24 @@ fn lifecycle_golden() {
         };
         sim.with_api(|_, api| api.send_reliable(f, s1, msg));
     }
-    sim.run_until(ms(2_000));
+    run_until(&mut sim, &mut notices, ms(2_000));
     let remote = LinkTarget::Remote(ServerId::new(1), away[0]);
     for cli in [bb, cc] {
         sim.with_api(|w, api| w.client_mut(cli).follow_link(api, remote.clone()));
     }
-    sim.run_until(ms(3_000));
+    run_until(&mut sim, &mut notices, ms(3_000));
     sim.with_api(|w, api| w.client_mut(a).pause(api));
-    sim.run_until(ms(3_500));
+    run_until(&mut sim, &mut notices, ms(3_500));
     sim.with_api(|w, api| {
         if let Some((old_server, session)) = w.client_mut(cc).suspended.take() {
             api.send_reliable(cc, old_server, ServiceMsg::ResumeSuspended { session });
         }
     });
-    sim.run_until(ms(5_000));
+    run_until(&mut sim, &mut notices, ms(5_000));
     sim.with_api(|w, api| w.client_mut(a).resume(api));
-    sim.run_until(ms(9_000));
+    run_until(&mut sim, &mut notices, ms(9_000));
     sim.with_api(|w, api| w.client_mut(a).disconnect(api));
-    sim.run_until(ms(25_000));
+    run_until(&mut sim, &mut notices, ms(25_000));
 
     // The world must really reach every path, or the literals pin nothing.
     let app = sim.app();
@@ -200,14 +234,13 @@ fn lifecycle_golden() {
         );
     }
     let (mut beats, mut expired) = (0, 0);
-    for r in obs.prov.records() {
-        let k = obs.prov.kind(r);
+    for &(k, at, root) in &notices.seen {
         match k {
             "heartbeat_to_client" => beats += 1,
             "suspend_expired" => expired += 1,
             _ => continue,
         }
-        fnv1a(&mut h, &format!("{k} {} {}\n", r.at().as_micros(), r.root));
+        fnv1a(&mut h, &format!("{k} {at} {root}\n"));
     }
     let rebuilt: Vec<&[(u64, u64)]> = rebuilt.iter().map(|v| v.as_slice()).collect();
     let utils: Vec<(u64, Vec<(u64, u64)>)> = [s1, s2]

@@ -1,12 +1,13 @@
 //! Provenance reaches the end of a run: a fault injected in the last
 //! quarter of a fleet world must still get a critical path — the delivery
-//! log retains the whole run, not its opening seconds.
+//! log keeps what attribution reads of the whole run, not its opening
+//! seconds. Every critical path of the run is pinned by digest.
 
 use hermes_core::{MediaDuration, MediaTime, NodeId, ServerId};
 use hermes_service::{
     install_course, ClientConfig, LessonShape, ServerConfig, ServiceMsg, ServiceWorld, WorldBuilder,
 };
-use hermes_simnet::obs::{AttributionConfig, CauseClass, Labels};
+use hermes_simnet::obs::{AttributionConfig, CauseClass, GapAttribution, Labels};
 use hermes_simnet::{FaultPlan, LinkSpec, Sim, SimRng};
 
 /// Every label `ServiceMsg::provenance_kind` can return.
@@ -35,6 +36,22 @@ const PROVENANCE_KINDS: [&str; 23] = [
     "annotation",
     "mail",
 ];
+
+/// FNV-1a digests of every attribution's rendering, critical path
+/// included, at the 2 s default window and at 6 s. Printed at 7bebd54,
+/// while the log still kept every delivery.
+const PATHS: (u64, u64) = (5140248512243482326, 8819337389873313589);
+
+fn digest(attrs: &[GapAttribution]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for a in attrs {
+        for b in a.render().bytes().chain([b'\n']) {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
 
 /// One server, eight staggered clients on a long narrated clip. The
 /// server's backbone link dies at 19 s of a 25 s run: every client's
@@ -98,6 +115,8 @@ fn late_partition_gets_a_critical_path() {
         window: MediaDuration::from_secs(6),
         ..AttributionConfig::default()
     });
+    let short = obs.attribute(&AttributionConfig::default());
+    assert_eq!((digest(&short), digest(&attrs)), PATHS);
     let late: Vec<_> = attrs
         .iter()
         .filter(|a| a.at > from && a.class == CauseClass::LinkLoss)

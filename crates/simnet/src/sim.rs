@@ -1162,11 +1162,13 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
     /// capture's metrics registry under the `sim.*` / `net.*` namespaces.
     pub fn publish_metrics(&mut self) {
         let s = self.core.stats;
-        let prov_records = self.core.obs.prov.len() as u64;
-        let prov_dropped = self.core.obs.prov.dropped;
+        let prov = &self.core.obs.prov;
+        let (prov_records, prov_retained) = (prov.offered(), prov.len() as u64);
+        let prov_dropped = prov.dropped;
         self.core.obs.publish_self_metrics();
         let r = &mut self.core.obs.registry;
         r.counter_set("sim.prov_records", Labels::NONE, prov_records);
+        r.counter_set("sim.prov_retained", Labels::NONE, prov_retained);
         r.counter_set("sim.prov_dropped", Labels::NONE, prov_dropped);
         r.counter_set("sim.delivered", Labels::NONE, s.delivered);
         r.counter_set("sim.datagrams_dropped", Labels::NONE, s.datagrams_dropped);
