@@ -241,6 +241,12 @@ impl MediaBuffer {
         f.map(Popped::Frame)
     }
 
+    /// Give back the queue's unused storage (its stream has finished, so
+    /// the queue is normally empty). Staged frames, if any, are kept.
+    pub fn release(&mut self) {
+        self.queue.shrink_to_fit();
+    }
+
     /// Peek at the next frame without removing it.
     pub fn peek(&self) -> Option<&MediaFrame> {
         self.queue.front()

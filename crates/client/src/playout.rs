@@ -19,7 +19,9 @@
 //! repair. Both are implemented on [`MediaBuffer`] and applied here.
 
 use crate::buffers::{BufferConfig, BufferState, MediaBuffer, Popped};
-use hermes_core::{ComponentId, MediaDuration, MediaTime, PlayoutSchedule, Scenario, SkewPolicy};
+use hermes_core::{
+    ComponentId, MediaDuration, MediaTime, PlayoutSchedule, Scenario, SkewPolicy, VecMap,
+};
 use hermes_media::MediaFrame;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -80,8 +82,14 @@ pub struct PlayoutEvent {
 pub struct StreamPlayoutStats {
     /// Real frames presented.
     pub frames_played: u64,
-    /// Duplicates presented (underflow smoothing).
+    /// Duplicates presented: skew repair's replays plus underflow
+    /// concealment's.
     pub duplicates_played: u64,
+    /// The part of `duplicates_played` that concealed an underflow (no
+    /// frame at the deadline, so the previous one was replayed), as
+    /// opposed to skew repair's queued replays. Each is a stall the viewer
+    /// sees.
+    pub duplicates_concealed: u64,
     /// Re-delivered frames presented whose content position had already
     /// been played. Unlike `duplicates_played` (deliberate concealment
     /// replays of the *previous* frame), a stale frame means an upstream
@@ -245,6 +253,7 @@ impl StreamPlayout {
                                 // Replay the previous frame: smooth
                                 // presentation, content stalls.
                                 self.stats.duplicates_played += 1;
+                                self.stats.duplicates_concealed += 1;
                                 emit(deadline, PlayoutEventKind::DuplicatePlayed);
                             } else {
                                 self.stats.glitches += 1;
@@ -325,7 +334,7 @@ pub struct PlayoutEngine {
     cfg: PlayoutConfig,
     /// Wall time the presentation started (set by `start`).
     pub presentation_start: Option<MediaTime>,
-    streams: BTreeMap<ComponentId, StreamPlayout>,
+    streams: VecMap<ComponentId, StreamPlayout>,
     sync_groups: Vec<Vec<ComponentId>>,
     /// Recorded events (if `record_events`).
     pub events: Vec<PlayoutEvent>,
@@ -334,7 +343,7 @@ pub struct PlayoutEngine {
     /// Last repair instant per (a, b) pair — corrections are rate-limited to
     /// one per frame period so duplicates don't pile up faster than playout
     /// consumes them.
-    repair_cooldown: BTreeMap<(ComponentId, ComponentId), MediaTime>,
+    repair_cooldown: VecMap<(ComponentId, ComponentId), MediaTime>,
     /// Scratch of the tick in progress: each stream's catch-up cap, in
     /// `streams` order. Kept so a tick allocates nothing.
     caps: Vec<Option<MediaDuration>>,
@@ -352,7 +361,7 @@ impl PlayoutEngine {
         frame_periods: &BTreeMap<ComponentId, MediaDuration>,
         cfg: PlayoutConfig,
     ) -> Self {
-        let mut streams = BTreeMap::new();
+        let mut streams = VecMap::with_capacity(schedule.entries.len());
         for e in &schedule.entries {
             let period = frame_periods
                 .get(&e.component)
@@ -389,7 +398,7 @@ impl PlayoutEngine {
             sync_groups,
             events: Vec::new(),
             max_skew_observed: MediaDuration::ZERO,
-            repair_cooldown: BTreeMap::new(),
+            repair_cooldown: VecMap::new(),
             caps: Vec::new(),
         }
     }
@@ -654,12 +663,21 @@ impl PlayoutEngine {
             .all(|s| matches!(s.status, StreamStatus::Finished | StreamStatus::Disabled))
     }
 
+    /// The presentation is over: every stream's buffer gives back its
+    /// unused storage. Statistics are untouched.
+    pub fn release_buffers(&mut self) {
+        for b in self.streams.values_mut().filter_map(|s| s.buffer.as_mut()) {
+            b.release();
+        }
+    }
+
     /// Aggregate stats over all streams.
     pub fn total_stats(&self) -> StreamPlayoutStats {
         let mut t = StreamPlayoutStats::default();
         for s in self.streams.values() {
             t.frames_played += s.stats.frames_played;
             t.duplicates_played += s.stats.duplicates_played;
+            t.duplicates_concealed += s.stats.duplicates_concealed;
             t.stale_frames += s.stats.stale_frames;
             t.glitches += s.stats.glitches;
             t.frames_dropped += s.stats.frames_dropped;
@@ -773,6 +791,45 @@ mod tests {
         let a = e.stream(ComponentId::new(0)).unwrap();
         assert!(a.stats.duplicates_played > 0, "{:?}", a.stats);
         assert_eq!(a.stats.glitches, 0);
+    }
+
+    /// Underflow concealment and skew repair both replay a frame; only the
+    /// replay with no frame to show counts as concealed.
+    #[test]
+    fn only_underflow_replays_count_as_concealed() {
+        let fill = |e: &mut PlayoutEngine| {
+            for i in 0..10 {
+                e.deliver(frame(0, i, i as i64 * 40, false));
+                e.deliver(frame(1, i, i as i64 * 40, false));
+            }
+            e.start(MediaTime::ZERO);
+        };
+        // Starved: ten frames, then nothing.
+        let mut e = engine(PlayoutConfig::default(), 80);
+        fill(&mut e);
+        for t in 0..20 {
+            e.tick(MediaTime::from_millis(t * 40));
+        }
+        let t = e.total_stats();
+        assert!(t.duplicates_concealed > 0, "{t:?}");
+        assert_eq!(t.duplicates_concealed, t.duplicates_played);
+        // Fed, with two skew-repair replays queued ahead of the frames.
+        let cfg = PlayoutConfig {
+            enforce_sync: false,
+            drop_on_overflow: false,
+            ..Default::default()
+        };
+        let mut e = engine(cfg, 80);
+        fill(&mut e);
+        let audio = e.streams.get_mut(&ComponentId::new(0));
+        let buffer = audio.and_then(|s| s.buffer.as_mut()).unwrap();
+        assert_eq!(buffer.duplicate_front(2), 2);
+        for t in 0..5 {
+            e.tick(MediaTime::from_millis(t * 40));
+        }
+        let a = e.stream(ComponentId::new(0)).unwrap().stats;
+        assert_eq!((a.frames_played, a.duplicates_played), (3, 2));
+        assert_eq!(e.total_stats().duplicates_concealed, 0);
     }
 
     #[test]

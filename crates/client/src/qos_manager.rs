@@ -7,9 +7,8 @@
 //! manager, periodically or in specifically calculated intervals, sends
 //! feedback reports to the sending side."
 
-use hermes_core::{smooth_jitter, ComponentId, MediaDuration, MediaTime, QosMeasurement};
+use hermes_core::{smooth_jitter, ComponentId, MediaDuration, MediaTime, QosMeasurement, VecMap};
 use hermes_simnet::Accumulator;
-use std::collections::BTreeMap;
 
 /// One stream's reception-condition tracker inside the client QoS manager.
 #[derive(Debug, Clone, Default)]
@@ -69,7 +68,7 @@ impl StreamCondition {
 /// scheduling.
 #[derive(Debug)]
 pub struct ClientQosManager {
-    streams: BTreeMap<ComponentId, StreamCondition>,
+    streams: VecMap<ComponentId, StreamCondition>,
     /// Period between feedback reports.
     interval: MediaDuration,
     last_report: Option<MediaTime>,
@@ -81,7 +80,7 @@ impl ClientQosManager {
     /// Manager sending a feedback report every `interval`.
     pub fn new(interval: MediaDuration) -> Self {
         ClientQosManager {
-            streams: BTreeMap::new(),
+            streams: VecMap::new(),
             interval,
             last_report: None,
             reports_sent: 0,

@@ -21,6 +21,7 @@
 //! * [`qos`] — QoS requirements, measurements and pricing classes;
 //! * [`ewma`] — shared EWMA smoothing and CoDel-style pressure detection
 //!   (one implementation for local reactions and the fleet controller);
+//! * [`vecmap`] — a small ordered map stored as one sorted `Vec`;
 //! * [`error`] — shared error types.
 
 #![warn(missing_docs)]
@@ -37,6 +38,7 @@ pub mod scenario;
 pub mod schedule;
 pub mod skew;
 pub mod time;
+pub mod vecmap;
 
 pub use error::{ServiceError, ServiceResult};
 pub use ewma::{smooth_jitter, Ewma, PressureDetector};
@@ -58,3 +60,4 @@ pub use scenario::{
 pub use schedule::{PlayoutEntry, PlayoutSchedule, TimelineEvent, TimelineEventKind};
 pub use skew::{plan_repair, RepairSide, Skew, SkewPolicy, SkewRepair};
 pub use time::{MediaDuration, MediaTime};
+pub use vecmap::VecMap;

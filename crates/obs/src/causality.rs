@@ -115,6 +115,14 @@ pub const DEFAULT_PROV_CAP: usize = 1 << 21;
 /// attribution window [`fill_critical_paths`] accepts.
 pub const PROV_HORIZON: MediaDuration = MediaDuration::from_secs(6);
 
+/// A full ring grows by `len / RING_GROWTH_DIVISOR` records (at least
+/// [`RING_MIN_GROWTH`]) rather than doubling: a ring holds a steady
+/// [`PROV_HORIZON`] of deliveries, and a doubled one sits up to half empty
+/// at that length for the rest of the run.
+const RING_GROWTH_DIVISOR: usize = 8;
+/// The smallest step a full ring grows by.
+const RING_MIN_GROWTH: usize = 4096;
+
 /// The run's provenance log: final deliveries in engine-clock order, plus
 /// the interned table of message kinds the records index into.
 ///
@@ -188,6 +196,10 @@ impl ProvenanceLog {
             return;
         }
         let kind = self.intern(kind);
+        if self.ring.len() == self.ring.capacity() {
+            let step = (self.ring.len() / RING_GROWTH_DIVISOR).max(RING_MIN_GROWTH);
+            self.ring.reserve_exact(step);
+        }
         self.ring.push_back(HopRecord::new(at, kind, root, wait_us));
     }
 

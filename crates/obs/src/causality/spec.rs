@@ -443,6 +443,19 @@ fn the_log_holds_one_horizon_plus_each_disruptions_window() {
     }
 }
 
+/// A full ring grows by an eighth of its length, not by doubling: its
+/// slack stays within one step of what it holds.
+#[test]
+fn a_full_ring_grows_in_bounded_steps() {
+    let mut log = ProvenanceLog::default();
+    for i in 0..200_000i64 {
+        log.record(MediaTime::from_micros(i), 7, "rtp", 0);
+        let len = log.ring.len();
+        let slack = log.ring.capacity() - len;
+        assert!(slack <= (len / 8).max(4096), "{slack} at {len}");
+    }
+}
+
 #[test]
 fn record_is_sixteen_bytes_and_round_trips() {
     assert_eq!(std::mem::size_of::<HopRecord>(), 16);

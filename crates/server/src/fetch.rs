@@ -19,6 +19,7 @@ use crate::{
 };
 use hermes_core::{
     ComponentId, GradeLevel, MediaDuration, MediaKind, MediaTime, NodeId, PricingClass, SessionId,
+    VecMap,
 };
 use hermes_media::{segment_of_frame, SegmentFrame};
 use hermes_simnet::{DurationHistogram, Labels, Severity, SimApi, WireSize};
@@ -170,12 +171,12 @@ pub struct RemoteStream {
     /// Next segment index to append into `ready`.
     next_append: u64,
     /// Fetched segments waiting for in-order append (segment → frames).
-    pending: BTreeMap<u64, Vec<SegmentFrame>>,
+    pending: VecMap<u64, Vec<SegmentFrame>>,
     /// Frames to drop from the next appended segment (mid-segment starts
     /// after fast-forward or a level retarget).
     skip: u32,
     /// Outstanding segment fetches (segment → fetch id).
-    inflight: BTreeMap<u64, u64>,
+    inflight: VecMap<u64, u64>,
 }
 
 impl RemoteStream {
@@ -208,6 +209,16 @@ impl RemoteStream {
             Labels::session(session.raw()).stream(component.raw()),
             self.epoch as i64,
         ));
+    }
+
+    /// The stream has sent its last frame: drop the frame specs still
+    /// queued (fetched whole segments can run past the last frame sent;
+    /// nothing pops them now) and give back the fetch window's unused
+    /// storage.
+    pub fn release(&mut self) {
+        self.ready = VecDeque::new();
+        self.pending.shrink_to_fit();
+        self.inflight.shrink_to_fit();
     }
 
     /// Drain contiguously fetched segments into the ready queue.
@@ -488,9 +499,9 @@ impl MediaTier {
             ready: VecDeque::new(),
             next_request: seg,
             next_append: seg,
-            pending: BTreeMap::new(),
+            pending: VecMap::new(),
             skip: off,
-            inflight: BTreeMap::new(),
+            inflight: VecMap::new(),
         })
     }
 

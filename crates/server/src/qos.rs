@@ -12,11 +12,10 @@
 
 use hermes_core::{
     ComponentId, GradeDecision, GradeLevel, GradingHysteresis, GradingOrder, QosMeasurement,
-    QosRequirement,
+    QosRequirement, VecMap,
 };
 use hermes_media::{CodecModel, QualityConverter};
 use std::cmp::Reverse;
-use std::collections::BTreeMap;
 
 /// One stream under grading management.
 #[derive(Debug)]
@@ -36,7 +35,7 @@ pub struct ManagedStream {
 /// walks their quality converters.
 #[derive(Debug, Default)]
 pub struct ServerQosManager {
-    streams: BTreeMap<ComponentId, ManagedStream>,
+    streams: VecMap<ComponentId, ManagedStream>,
     /// Degrade ordering policy (video-first per the paper; ablations flip it).
     pub order: GradingOrder,
     /// Hysteresis thresholds.

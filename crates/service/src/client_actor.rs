@@ -9,7 +9,7 @@ use hermes_client::{
 };
 use hermes_core::{
     ComponentContent, ComponentId, DocumentId, LinkTarget, MediaDuration, MediaTime, NodeId,
-    PlayoutSchedule, PricingClass, QosMeasurement, Scenario, ServerId, SessionId, UserId,
+    PlayoutSchedule, PricingClass, QosMeasurement, Scenario, ServerId, SessionId, UserId, VecMap,
 };
 use hermes_media::MediaFrame;
 use hermes_rtp::RtpReceiver;
@@ -29,15 +29,15 @@ pub struct Presentation {
     /// The playout engine.
     pub engine: PlayoutEngine,
     /// RTP receivers per continuous component.
-    pub receivers: BTreeMap<ComponentId, RtpReceiver>,
+    pub receivers: VecMap<ComponentId, RtpReceiver>,
     /// Separate receivers for unicast patch streams (stream sharing): the
     /// patch sender uses its own RTP sequence space, so reassembly must not
     /// mix its packets with the shared flow's.
-    pub patch_receivers: BTreeMap<ComponentId, RtpReceiver>,
+    pub patch_receivers: VecMap<ComponentId, RtpReceiver>,
     /// Per-frame reassembly counters (frames delivered per component).
-    pub frames_received: BTreeMap<ComponentId, u64>,
+    pub frames_received: VecMap<ComponentId, u64>,
     /// Bytes accumulated for in-flight discrete objects, per component.
-    pub discrete_partial: BTreeMap<ComponentId, u32>,
+    pub discrete_partial: VecMap<ComponentId, u32>,
     /// The flow lead the server applied.
     pub lead: MediaDuration,
     /// When the scenario arrived (prefill delay measured from here).
@@ -179,7 +179,7 @@ pub struct ClientActor {
     history_nav: bool,
     next_query: u64,
     /// Tracked requests not yet acknowledged, by request id.
-    pending_reqs: BTreeMap<u64, PendingReq>,
+    pending_reqs: VecMap<u64, PendingReq>,
     /// Token bucket gating tracked-request retransmissions (PR 1's backoff
     /// decides *when* to resend; the budget decides *whether*).
     pub retries: RetryBudget,
@@ -234,7 +234,7 @@ impl ClientActor {
             errors: Vec::new(),
             history_nav: false,
             next_query: 1,
-            pending_reqs: BTreeMap::new(),
+            pending_reqs: VecMap::new(),
             retries,
             next_req: 1,
             last_server_activity: MediaTime::ZERO,
@@ -261,6 +261,9 @@ impl ClientActor {
     ) -> u64 {
         let req = self.next_req;
         self.next_req += 1;
+        // Requests are acked one at a time, and the map outlives them: grow
+        // it by one entry, not to a vector's first four.
+        self.pending_reqs.reserve_exact(1);
         self.pending_reqs.insert(
             req,
             PendingReq {
@@ -1102,8 +1105,10 @@ impl ClientActor {
         let schedule = PlayoutSchedule::from_scenario(&scenario);
         // Frame periods per component from the codec models.
         let mut periods = BTreeMap::new();
-        let mut receivers = BTreeMap::new();
-        for c in &scenario.components {
+        let components = &scenario.components;
+        let continuous = components.iter().filter(|c| c.is_continuous()).count();
+        let mut receivers = VecMap::with_capacity(continuous);
+        for c in components {
             if let ComponentContent::Stored { encoding, .. } = &c.content {
                 let model = hermes_media::CodecModel::for_encoding(*encoding);
                 periods.insert(
@@ -1148,9 +1153,9 @@ impl ClientActor {
             schedule,
             engine,
             receivers,
-            patch_receivers: BTreeMap::new(),
-            frames_received: BTreeMap::new(),
-            discrete_partial: BTreeMap::new(),
+            patch_receivers: VecMap::new(),
+            frames_received: VecMap::with_capacity(periods.len()),
+            discrete_partial: VecMap::new(),
             lead: MediaDuration::from_micros(lead_micros),
             scenario_at: now,
             started_at: None,
@@ -1326,6 +1331,7 @@ impl ClientActor {
             }
             if p.engine.is_complete() {
                 p.ticking = false;
+                p.engine.release_buffers();
                 let playout = std::mem::replace(&mut p.obs_playout, SpanId::NONE);
                 api.span_end(playout);
                 api.emit(
@@ -1423,6 +1429,8 @@ impl ClientActor {
                 .counter_set("client.frames_played", l, t.frames_played);
             obs.registry
                 .counter_set("client.duplicates_played", l, t.duplicates_played);
+            obs.registry
+                .counter_set("client.duplicates_concealed", l, t.duplicates_concealed);
             obs.registry
                 .counter_set("client.stale_frames", l, t.stale_frames);
             obs.registry.counter_set("client.glitches", l, t.glitches);

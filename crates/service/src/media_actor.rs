@@ -285,9 +285,10 @@ impl MediaActor {
             }
             ServiceMsg::MediaFetchCancel { fetch } => {
                 // Best effort: only a still-queued fetch can be abandoned;
-                // one already in service streams to completion.
+                // one already in service streams to completion. Fetch ids
+                // are per-server counters, so the sender names it too.
                 let before = self.queue.len();
-                self.queue.retain(|p| p.fetch != fetch);
+                self.queue.retain(|p| p.fetch != fetch || p.from != from);
                 self.stats.cancelled += (before - self.queue.len()) as u64;
             }
             _ => {} // media nodes speak only the fetch protocol
@@ -500,11 +501,11 @@ mod tests {
         assert_eq!(m.credit(to), 1);
     }
 
-    /// Finding (i): a cancel names its fetch by id alone, but fetch ids are
-    /// per-server counters. Two servers queue fetch 7 on one node and the
-    /// first cancels its own: the second's must stay queued, then be served.
+    /// Finding (i): fetch ids are per-server counters, so a cancel matches
+    /// its sender as well as the id. Two servers queue fetch 7 on one node
+    /// and the first cancels its own: the second's must stay queued, then
+    /// be served.
     #[test]
-    #[ignore = "ROADMAP item 6 (i): MediaActor cancels by fetch id alone, dropping another server's fetch"]
     fn a_cancel_drops_only_the_senders_fetch() {
         use crate::{ServerConfig, WorldBuilder};
         use hermes_simnet::LinkSpec;

@@ -11,7 +11,7 @@ use hermes_control::{
 };
 use hermes_core::{
     ComponentId, DocumentId, GradeLevel, GradingHysteresis, GradingOrder, MediaDuration, MediaTime,
-    NodeId, PricingClass, ServerId, SessionId, UserId,
+    NodeId, PricingClass, ServerId, SessionId, UserId, VecMap,
 };
 use hermes_media::{CodecModel, FrameSource, SegmentFrame};
 use hermes_rtp::RtpSender;
@@ -119,7 +119,7 @@ pub struct SessionState {
     /// Pricing contract.
     pub class: PricingClass,
     /// Active media transmissions by component.
-    pub streams: BTreeMap<ComponentId, StreamTx>,
+    pub streams: VecMap<ComponentId, StreamTx>,
     /// The document being delivered.
     pub current_doc: Option<DocumentId>,
     /// Phase and liveness, read and written by the [`Lifecycle`] core.
@@ -135,7 +135,7 @@ pub struct SessionState {
     pub util_acc: f64,
     /// Per-stream media position (`next_pts`) the utility integral has
     /// been charged up to.
-    pub util_pos: BTreeMap<ComponentId, MediaTime>,
+    pub util_pos: VecMap<ComponentId, MediaTime>,
 }
 
 impl SessionState {
@@ -825,13 +825,13 @@ impl ServerActor {
             client,
             user,
             class,
-            streams: BTreeMap::new(),
+            streams: VecMap::new(),
             current_doc: None,
             life: SessionLife::new(api.now()),
             obs_root: root,
             obs_admission: admission,
             util_acc: 0.0,
-            util_pos: BTreeMap::new(),
+            util_pos: VecMap::new(),
         };
         self.sessions.insert(session, s);
         self.flush_life(api);
@@ -1258,6 +1258,8 @@ impl ServerActor {
             self.accounts.charge(u, Charge::Retrieval(document));
         }
         s.streams.clear();
+        // Streams stay in the session after they finish: size them exactly.
+        s.streams.reserve_exact(flow.plans.len());
         s.current_doc = Some(document);
         s.life.step(Input::Switch);
         if send_scenario {
@@ -2159,6 +2161,9 @@ impl ServerActor {
             }
             None => {
                 tx.done = true;
+                if let Some(r) = tx.remote.as_mut() {
+                    r.release();
+                }
                 // The group ends when the leader's last continuous stream
                 // finishes; members keep draining their playout buffers.
                 let mut continuous = s.streams.values().filter(|t| t.plan.kind.is_continuous());

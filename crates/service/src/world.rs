@@ -6,7 +6,7 @@ use crate::media_actor::MediaActor;
 use crate::protocol::{ServiceMsg, StackPath};
 use crate::server_actor::{ServerActor, ServerConfig};
 use hermes_control::{ControlSnapshot, ControllerConfig, LeaseView};
-use hermes_core::{MediaKind, MediaTime, NodeId, ServerId};
+use hermes_core::{MediaKind, MediaTime, NodeId, ServerId, VecMap};
 use hermes_media::MediaObject;
 use hermes_server::{MediaTier, MediaTierConfig, PlacementMap};
 use hermes_simnet::{
@@ -19,7 +19,7 @@ pub struct ServiceWorld {
     /// Multimedia servers by node.
     pub servers: BTreeMap<NodeId, ServerActor>,
     /// Browsers by node.
-    pub clients: BTreeMap<NodeId, ClientActor>,
+    pub clients: VecMap<NodeId, ClientActor>,
     /// Media-server nodes of the distributed media tier, by node.
     pub media_nodes: BTreeMap<NodeId, MediaActor>,
     /// Media-tier configuration ([`distribute_media`](Self::distribute_media)
@@ -590,7 +590,7 @@ impl WorldBuilder {
             net,
             world: ServiceWorld {
                 servers: BTreeMap::new(),
-                clients: BTreeMap::new(),
+                clients: VecMap::new(),
                 media_nodes: BTreeMap::new(),
                 media_cfg: MediaTierConfig::default(),
                 stack_bytes: BTreeMap::new(),

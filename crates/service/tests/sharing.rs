@@ -96,7 +96,7 @@ fn staggered_connects(
 fn client_frames(
     sim: &Sim<ServiceMsg, ServiceWorld>,
     clients: &[NodeId],
-) -> Vec<std::collections::BTreeMap<hermes_core::ComponentId, u64>> {
+) -> Vec<hermes_core::VecMap<hermes_core::ComponentId, u64>> {
     clients
         .iter()
         .map(|&cli| {
