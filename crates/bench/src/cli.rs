@@ -175,14 +175,9 @@ pub struct Sink {
 }
 
 impl Sink {
-    /// A sink teeing into `path` (if any). Panics if the file cannot be
-    /// created — a misspelled `--out` should fail loudly, not silently
-    /// drop results.
-    pub fn new(path: Option<&Path>) -> Self {
-        Self::with_json(path, None)
-    }
-
-    /// A sink teeing into `path` and accumulating tables for `json`.
+    /// A sink teeing into `path` (if any) and accumulating tables for
+    /// `json` (if any). Panics if the file cannot be created — a misspelled
+    /// `--out` should fail loudly, not silently drop results.
     pub fn with_json(path: Option<&Path>, json: Option<PathBuf>) -> Self {
         Sink {
             file: path.map(|p| {
@@ -201,7 +196,7 @@ impl Sink {
         }
     }
 
-    /// Emit a captioned table (the `print_table` format).
+    /// Emit a table under a `== caption ==` line.
     pub fn table(&mut self, caption: &str, t: &Table) {
         self.line(&format!("\n== {caption} =="));
         self.line(&t.render());
@@ -361,7 +356,7 @@ mod tests {
     #[test]
     fn sink_tees_to_file() {
         let path = std::env::temp_dir().join("hermes-bench-cli-test.txt");
-        let mut sink = Sink::new(Some(&path));
+        let mut sink = Sink::with_json(Some(&path), None);
         let mut t = Table::new(vec!["a"]);
         t.row(vec!["1"]);
         sink.line("hello");

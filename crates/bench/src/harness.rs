@@ -41,10 +41,6 @@ pub struct StreamingParams {
     pub clip_secs: i64,
     /// How long to run the simulation.
     pub horizon: MediaTime,
-    /// Pricing class of the client. Playout/grading experiments default to
-    /// Premium so the admission controller stays out of the way; the
-    /// EXP-ADMIT experiment studies admission separately.
-    pub class: PricingClass,
 }
 
 impl Default for StreamingParams {
@@ -63,7 +59,6 @@ impl Default for StreamingParams {
             feedback_interval: MediaDuration::from_millis(1_000),
             clip_secs: 20,
             horizon: MediaTime::from_secs(45),
-            class: PricingClass::Premium,
         }
     }
 }
@@ -154,8 +149,10 @@ pub fn build_streaming_session(
     access.jitter = p.jitter.clone();
     access.loss = p.loss.clone();
     let mut client_cfg = ClientConfig::default();
-    client_cfg.class = p.class;
-    client_cfg.form.class = p.class;
+    // Premium keeps the admission controller out of the way; EXP-ADMIT
+    // studies admission separately.
+    client_cfg.class = PricingClass::Premium;
+    client_cfg.form.class = PricingClass::Premium;
     client_cfg.buffer = BufferConfig::with_window(p.time_window);
     client_cfg.playout = p.playout;
     client_cfg.feedback_interval = p.feedback_interval;

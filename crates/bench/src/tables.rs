@@ -93,15 +93,6 @@ impl Table {
     }
 }
 
-/// Print a table with a caption to stdout via a throwaway [`Sink`] (the
-/// binaries that tee into `--out` call [`Sink::table`] directly).
-///
-/// [`Sink`]: crate::cli::Sink
-/// [`Sink::table`]: crate::cli::Sink::table
-pub fn print_table(caption: &str, table: &Table) {
-    crate::cli::Sink::new(None).table(caption, table);
-}
-
 /// Milliseconds with one decimal, for experiment tables.
 pub fn fmt_dur_ms(d: MediaDuration) -> String {
     format!("{:.1}", d.as_micros() as f64 / 1000.0)

@@ -4,14 +4,11 @@
 //! (suspend + reconnect), and disconnection.
 
 use hermes_core::{ServiceError, ServiceResult};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// The states of the service's application protocol.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum AppState {
     /// Not connected to any server.
     #[default]
@@ -34,7 +31,7 @@ pub enum AppState {
 }
 
 /// Events (user actions and service responses) driving the state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AppEvent {
     /// User asks to connect to a server.
     Connect,

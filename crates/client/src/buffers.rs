@@ -15,7 +15,6 @@
 
 use hermes_core::{ComponentId, MediaDuration, MediaTime};
 use hermes_media::MediaFrame;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// What [`MediaBuffer::pop`] hands to playout.
@@ -29,7 +28,7 @@ pub enum Popped {
 }
 
 /// Watermark classification of a buffer's occupancy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BufferState {
     /// Below the low watermark — playout is at risk (underflow).
     Underflow,
@@ -47,7 +46,7 @@ const LOW_WATERMARK: f64 = 0.25;
 const HIGH_WATERMARK: f64 = 1.75;
 
 /// Configuration of one media buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BufferConfig {
     /// Target media time window (prefill depth before playout may start).
     pub time_window: MediaDuration,
@@ -75,7 +74,7 @@ impl BufferConfig {
 }
 
 /// Counters for one buffer's lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BufferStats {
     /// Frames accepted.
     pub frames_in: u64,
@@ -257,24 +256,6 @@ impl MediaBuffer {
         self.queue.back().map(|f| f.pts)
     }
 
-    /// Drop up to `n` frames from the *front* of the queue (the overflow /
-    /// leading-stream repair: discard the stalest data first so playout
-    /// skips ahead). Returns how many were actually dropped.
-    pub fn drop_frames(&mut self, n: u32) -> u32 {
-        let mut dropped = 0;
-        for _ in 0..n {
-            // Never drop the final frame marker — playout needs it to end.
-            if self.queue.len() <= 1 {
-                break;
-            }
-            self.queue.pop_front();
-            dropped += 1;
-        }
-        self.stats.frames_dropped += dropped as u64;
-        self.note_state();
-        dropped
-    }
-
     /// Drop up to `max_n` staged units from the front whose content is
     /// *stale* — entirely before `before_pts` on the stream's own timeline.
     /// Pending duplicates (always stale by construction) go first. Used by
@@ -318,18 +299,6 @@ impl MediaBuffer {
         self.stats.frames_duplicated += inserted as u64;
         self.note_state();
         inserted
-    }
-
-    /// Frames whose deadline (stream start + pts) has passed `now` given the
-    /// stream's absolute start time — used by playout to fetch all due frames.
-    pub fn due_frame(&mut self, stream_start: MediaTime, now: MediaTime) -> Option<MediaFrame> {
-        match self.queue.front() {
-            Some(f) if stream_start + (f.pts - MediaTime::ZERO) <= now => match self.pop() {
-                Some(Popped::Frame(f)) => Some(f),
-                _ => None,
-            },
-            _ => None,
-        }
     }
 
     fn note_state(&mut self) {
@@ -440,19 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_frames_keeps_last() {
-        let mut b = buf(200);
-        for i in 0..5 {
-            b.push(frame(i, i as i64 * 40));
-        }
-        let dropped = b.drop_frames(10);
-        assert_eq!(dropped, 4); // one frame retained
-        assert_eq!(b.len(), 1);
-        assert_eq!(b.stats.frames_dropped, 4);
-        assert_eq!(b.peek().unwrap().seq, 4);
-    }
-
-    #[test]
     fn drop_stale_consumes_dups_first() {
         let mut b = buf(200);
         b.push(frame(0, 0));
@@ -531,41 +487,6 @@ mod tests {
         assert!(!b.push(frame(3, 120)));
         assert_eq!(b.stats.frames_rejected, 1);
         assert_eq!(b.len(), 3);
-    }
-
-    #[test]
-    fn due_frames_respect_deadlines() {
-        let mut b = buf(200);
-        for i in 0..3 {
-            b.push(frame(i, i as i64 * 40));
-        }
-        let stream_start = MediaTime::from_secs(6);
-        // At 6.000s only frame 0 (pts 0) is due.
-        assert_eq!(
-            b.due_frame(stream_start, MediaTime::from_millis(6_000))
-                .unwrap()
-                .seq,
-            0
-        );
-        assert!(b
-            .due_frame(stream_start, MediaTime::from_millis(6_000))
-            .is_none());
-        // At 6.080s frames 1 and 2 are both due.
-        assert_eq!(
-            b.due_frame(stream_start, MediaTime::from_millis(6_080))
-                .unwrap()
-                .seq,
-            1
-        );
-        assert_eq!(
-            b.due_frame(stream_start, MediaTime::from_millis(6_080))
-                .unwrap()
-                .seq,
-            2
-        );
-        assert!(b
-            .due_frame(stream_start, MediaTime::from_millis(6_080))
-            .is_none());
     }
 
     #[test]

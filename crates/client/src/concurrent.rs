@@ -11,12 +11,12 @@
 //!
 //! The deterministic simulation engine (`playout.rs`) is what experiments
 //! use; this module demonstrates the concurrent design on real threads
-//! (crossbeam scoped threads + a parking_lot-protected event log) and backs
+//! (`std::thread::scope` + a mutex-protected event log) and backs
 //! the `concurrent_playout` example. A `speed` factor compresses scenario
 //! time so tests run in milliseconds.
 
 use hermes_core::{ComponentId, MediaTime, PlayoutSchedule};
-use parking_lot::Mutex;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// What one playout thread recorded.
@@ -48,14 +48,14 @@ pub fn run_threaded_playout(schedule: &PlayoutSchedule, speed: f64) -> Vec<Threa
     let unscale = |d: Duration| -> MediaTime {
         MediaTime::from_micros((d.as_nanos() as f64 / (1_000.0 * speed)) as i64)
     };
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for entry in &schedule.entries {
             let records = &records;
             let entry = entry.clone();
             let scale = &scale;
             let unscale = &unscale;
             // "Create a playout thread (i.e. a playout process)"
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 // "wait until current relative time = t_i"
                 let target = scale(entry.start);
                 loop {
@@ -76,17 +76,21 @@ pub fn run_threaded_playout(schedule: &PlayoutSchedule, speed: f64) -> Vec<Threa
                     std::thread::sleep((end_target - elapsed).min(Duration::from_micros(500)));
                 }
                 let actual_end = unscale(t0.elapsed());
-                records.lock().push(ThreadRecord {
-                    component: entry.component,
-                    scheduled_start: entry.start,
-                    actual_start,
-                    actual_end,
-                });
+                records
+                    .lock()
+                    .expect("a playout thread panicked while recording")
+                    .push(ThreadRecord {
+                        component: entry.component,
+                        scheduled_start: entry.start,
+                        actual_start,
+                        actual_end,
+                    });
             });
         }
-    })
-    .expect("playout thread panicked");
-    let mut out = records.into_inner();
+    });
+    let mut out = records
+        .into_inner()
+        .expect("a playout thread panicked while recording");
     out.sort_by_key(|r| r.component);
     out
 }

@@ -23,11 +23,17 @@ use hermes_core::{
     ComponentId, MediaDuration, MediaTime, PlayoutSchedule, Scenario, SkewPolicy, VecMap,
 };
 use hermes_media::MediaFrame;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
+/// How many frames of `period` a skew repair corrects for `excess`, the
+/// skew beyond tolerance: rounded up so the repair covers the excess, and
+/// at least one.
+pub fn repair_frames(excess: MediaDuration, period: MediaDuration) -> u32 {
+    ((excess.as_micros() + period.as_micros() - 1) / period.as_micros()).max(1) as u32
+}
+
 /// Lifecycle of one stream's playout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamStatus {
     /// Start deadline not reached yet.
     Pending,
@@ -42,7 +48,7 @@ pub enum StreamStatus {
 
 /// A presentation event, recorded for tests, experiments and the headless
 /// "browser" renderer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlayoutEventKind {
     /// Stream playout began.
     Started,
@@ -67,7 +73,7 @@ pub enum PlayoutEventKind {
 }
 
 /// A timestamped playout event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlayoutEvent {
     /// Wall (simulation) time of the event.
     pub at: MediaTime,
@@ -78,7 +84,7 @@ pub struct PlayoutEvent {
 }
 
 /// Per-stream playout statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamPlayoutStats {
     /// Real frames presented.
     pub frames_played: u64,
@@ -131,12 +137,6 @@ impl StreamPlayout {
     pub fn expected_pos(&self, presentation_start: MediaTime, now: MediaTime) -> MediaDuration {
         let elapsed = now - (presentation_start + (self.start - MediaTime::ZERO));
         elapsed.max(MediaDuration::ZERO).min(self.duration)
-    }
-
-    /// Presentation lag: how far behind perfect playout this stream's
-    /// content is (≥ 0).
-    pub fn lag(&self, presentation_start: MediaTime, now: MediaTime) -> MediaDuration {
-        (self.expected_pos(presentation_start, now) - self.content_pos).max(MediaDuration::ZERO)
     }
 
     /// The position this stream could itself reach right now: its content,
@@ -283,7 +283,7 @@ impl StreamPlayout {
 const LIP_SYNC: MediaDuration = MediaDuration::from_millis(80);
 
 /// Engine configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlayoutConfig {
     /// Replay the last frame when the buffer underruns (the paper's
     /// short-term duplication) instead of glitching.
@@ -584,9 +584,7 @@ impl PlayoutEngine {
         }
         self.repair_cooldown.insert((a, b), now);
         let (laggard_id, leader_id) = if skew.is_negative() { (a, b) } else { (b, a) };
-        let excess = skew.abs() - LIP_SYNC;
-        let frames = ((excess.as_micros() + period_lag.as_micros() - 1) / period_lag.as_micros())
-            .max(1) as u32;
+        let frames = repair_frames(skew.abs() - LIP_SYNC, period_lag);
         match self.cfg.policy {
             SkewPolicy::DropLeader | SkewPolicy::Both => {
                 // Drop the laggard's stale backlog so its content skips

@@ -16,7 +16,6 @@ pub struct StreamCondition {
     delay: Accumulator,
     jitter_estimate: MediaDuration,
     packets: u64,
-    lost_estimate: u64,
     /// Buffer occupancy snapshot supplied by the buffer layer.
     pub buffer_occupancy: f64,
 }
@@ -36,57 +35,34 @@ impl StreamCondition {
         self.packets += 1;
     }
 
-    /// Record that `n` packets are known lost (from RTP sequence gaps).
-    pub fn on_lost(&mut self, n: u64) {
-        self.lost_estimate += n;
-    }
-
     /// Snapshot the current window into a [`QosMeasurement`] and reset the
-    /// window counters.
+    /// window counters. Loss is left at 0: the client actor fills it in
+    /// from the RTP receiver's statistics.
     pub fn take_measurement(&mut self, now: MediaTime) -> QosMeasurement {
-        let total = self.packets + self.lost_estimate;
         let m = QosMeasurement {
             window_end: now,
             mean_delay: MediaDuration::from_micros(self.delay.mean() as i64),
             jitter: self.jitter_estimate,
-            loss_fraction: if total == 0 {
-                0.0
-            } else {
-                self.lost_estimate as f64 / total as f64
-            },
+            loss_fraction: 0.0,
             packets_received: self.packets,
             buffer_occupancy: self.buffer_occupancy,
         };
-        self.delay = Accumulator::new();
+        self.delay = Accumulator::default();
         self.packets = 0;
-        self.lost_estimate = 0;
         m
     }
 }
 
-/// The client QoS manager: per-stream condition tracking and feedback
-/// scheduling.
-#[derive(Debug)]
+/// The client QoS manager: per-stream condition tracking. The client
+/// actor's feedback timer sets the report cadence.
+#[derive(Debug, Default)]
 pub struct ClientQosManager {
     streams: VecMap<ComponentId, StreamCondition>,
-    /// Period between feedback reports.
-    interval: MediaDuration,
-    last_report: Option<MediaTime>,
     /// Reports emitted so far.
     pub reports_sent: u64,
 }
 
 impl ClientQosManager {
-    /// Manager sending a feedback report every `interval`.
-    pub fn new(interval: MediaDuration) -> Self {
-        ClientQosManager {
-            streams: VecMap::new(),
-            interval,
-            last_report: None,
-            reports_sent: 0,
-        }
-    }
-
     /// Register a stream (idempotent).
     pub fn track(&mut self, id: ComponentId) {
         self.streams.entry(id).or_default();
@@ -97,18 +73,9 @@ impl ClientQosManager {
         self.streams.entry(id).or_default()
     }
 
-    /// Is a feedback report due at `now`?
-    pub fn report_due(&self, now: MediaTime) -> bool {
-        match self.last_report {
-            None => true,
-            Some(t) => now - t >= self.interval,
-        }
-    }
-
     /// Produce the per-stream measurements for a feedback report and roll
     /// the windows.
     pub fn make_report(&mut self, now: MediaTime) -> Vec<(ComponentId, QosMeasurement)> {
-        self.last_report = Some(now);
         self.reports_sent += 1;
         self.streams
             .iter_mut()
@@ -122,21 +89,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn delay_and_loss_measured() {
+    fn delay_measured() {
         let mut c = StreamCondition::default();
         for i in 0..10 {
             c.on_packet(MediaDuration::from_millis(10 + i % 2)); // 10 or 11 ms
         }
-        c.on_lost(2);
         let m = c.take_measurement(MediaTime::from_secs(1));
         assert!(m.mean_delay >= MediaDuration::from_millis(10));
         assert!(m.mean_delay <= MediaDuration::from_millis(11));
         assert_eq!(m.packets_received, 10);
-        assert!((m.loss_fraction - 2.0 / 12.0).abs() < 1e-9);
         // Window reset.
         let m2 = c.take_measurement(MediaTime::from_secs(2));
         assert_eq!(m2.packets_received, 0);
-        assert_eq!(m2.loss_fraction, 0.0);
     }
 
     #[test]
@@ -154,20 +118,17 @@ mod tests {
     }
 
     #[test]
-    fn report_cadence() {
-        let mut m = ClientQosManager::new(MediaDuration::from_millis(500));
+    fn report_covers_tracked_streams() {
+        let mut m = ClientQosManager::default();
         m.track(ComponentId::new(1));
-        assert!(m.report_due(MediaTime::ZERO));
         let r = m.make_report(MediaTime::ZERO);
         assert_eq!(r.len(), 1);
-        assert!(!m.report_due(MediaTime::from_millis(300)));
-        assert!(m.report_due(MediaTime::from_millis(500)));
         assert_eq!(m.reports_sent, 1);
     }
 
     #[test]
     fn buffer_occupancy_carried_into_measurement() {
-        let mut m = ClientQosManager::new(MediaDuration::from_secs(1));
+        let mut m = ClientQosManager::default();
         m.stream_mut(ComponentId::new(3)).buffer_occupancy = 0.7;
         let r = m.make_report(MediaTime::ZERO);
         assert_eq!(r[0].1.buffer_occupancy, 0.7);

@@ -47,6 +47,6 @@ pub use controller::{
 pub use ha::{elect, majority, Election, HaMsg, HaOut, LeaseView, PeerFreshness};
 pub use report::LoadReport;
 pub use utility::{
-    class_from_priority, class_multiplier, decode_kind, encode_kind, fleet_utility, kind_weight,
-    stream_utility, SessionView, StreamView,
+    class_from_priority, class_multiplier, decode_kind, encode_kind, kind_weight, stream_utility,
+    SessionView, StreamView,
 };

@@ -169,11 +169,6 @@ impl SessionView {
     }
 }
 
-/// Aggregate utility of a fleet of sessions.
-pub fn fleet_utility(sessions: &[SessionView]) -> f64 {
-    sessions.iter().map(SessionView::utility).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,13 +230,5 @@ mod tests {
         for class in PricingClass::ALL {
             assert_eq!(class_from_priority(class.priority()), class);
         }
-    }
-
-    #[test]
-    fn fleet_utility_sums_sessions() {
-        let a = session(&[(MediaKind::Audio, 0, 3)]);
-        let b = session(&[(MediaKind::Video, 3, 3)]);
-        let total = fleet_utility(&[a.clone(), b.clone()]);
-        assert!((total - (a.utility() + b.utility())).abs() < 1e-12);
     }
 }

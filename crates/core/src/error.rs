@@ -1,27 +1,13 @@
 //! Error types shared across the service crates.
 
-use crate::ids::{ComponentId, DocumentId, ServerId, SessionId};
-use serde::{Deserialize, Serialize};
+use crate::ids::DocumentId;
 use std::fmt;
 
 /// Top-level service error.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
     /// The requested document does not exist on the contacted server.
     DocumentNotFound(DocumentId),
-    /// The referenced server does not exist in the topology.
-    ServerNotFound(ServerId),
-    /// A media component referenced by a scenario could not be located.
-    MediaNotFound(ComponentId),
-    /// Authentication failed or the user is not subscribed.
-    NotAuthorized,
-    /// The admission controller rejected the connection.
-    AdmissionRejected {
-        /// Human-readable reason.
-        reason: String,
-    },
-    /// The session id is unknown or already closed.
-    NoSuchSession(SessionId),
     /// An operation was attempted in a state where it is not allowed
     /// (violates the Fig. 4 application state machine).
     InvalidStateTransition {
@@ -34,27 +20,17 @@ pub enum ServiceError {
     MalformedScenario(String),
     /// Markup parse failure.
     ParseError(String),
-    /// Transport-level failure (connection reset, node down).
-    Transport(String),
 }
 
 impl fmt::Display for ServiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServiceError::DocumentNotFound(d) => write!(f, "document not found: {d}"),
-            ServiceError::ServerNotFound(s) => write!(f, "server not found: {s}"),
-            ServiceError::MediaNotFound(c) => write!(f, "media component not found: {c}"),
-            ServiceError::NotAuthorized => write!(f, "not authorized"),
-            ServiceError::AdmissionRejected { reason } => {
-                write!(f, "admission rejected: {reason}")
-            }
-            ServiceError::NoSuchSession(s) => write!(f, "no such session: {s}"),
             ServiceError::InvalidStateTransition { state, operation } => {
                 write!(f, "operation '{operation}' invalid in state '{state}'")
             }
             ServiceError::MalformedScenario(m) => write!(f, "malformed scenario: {m}"),
             ServiceError::ParseError(m) => write!(f, "parse error: {m}"),
-            ServiceError::Transport(m) => write!(f, "transport error: {m}"),
         }
     }
 }
@@ -82,6 +58,6 @@ mod tests {
     #[test]
     fn error_is_std_error() {
         fn takes_err(_: &dyn std::error::Error) {}
-        takes_err(&ServiceError::NotAuthorized);
+        takes_err(&ServiceError::ParseError(String::new()));
     }
 }

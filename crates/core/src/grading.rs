@@ -7,18 +7,15 @@
 //! grading technique to the video stream, since audio or voice is considered
 //! to be more important to users."
 //!
-//! This module defines the *policy* types (ladders, ordering, hysteresis);
-//! the codec-specific ladders live in `hermes-media`, and the control loop
-//! that applies them lives in `hermes-server`.
+//! This module defines the *policy* types (levels, ordering, hysteresis);
+//! the codec-specific ladders live in `hermes-media` (`CodecModel::level`),
+//! and the control loop that applies them lives in `hermes-server`.
 
 use crate::media_kind::MediaKind;
-use serde::{Deserialize, Serialize};
 
 /// A quality level on a grading ladder. Level 0 is nominal (best); higher
 /// levels are progressively degraded.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GradeLevel(pub u8);
 
 impl GradeLevel {
@@ -39,64 +36,10 @@ impl GradeLevel {
     }
 }
 
-/// One rung of a quality ladder: a named quality with a bandwidth cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LadderRung {
-    /// Human-readable description (e.g. "25 fps, Q=0.9" or "16 kHz ADPCM").
-    pub label: String,
-    /// Bandwidth this rung requires, bits/second.
-    pub bandwidth_bps: u64,
-}
-
-/// An ordered quality ladder for one stream: rung 0 is nominal, the last rung
-/// is the deepest degradation the encoder supports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QualityLadder {
-    /// Rungs from best (index 0) to worst.
-    pub rungs: Vec<LadderRung>,
-}
-
-impl QualityLadder {
-    /// Build a ladder; panics if empty or if bandwidth is not non-increasing
-    /// (degrading must never cost more bandwidth).
-    pub fn new(rungs: Vec<LadderRung>) -> Self {
-        assert!(
-            !rungs.is_empty(),
-            "quality ladder must have at least one rung"
-        );
-        for w in rungs.windows(2) {
-            assert!(
-                w[1].bandwidth_bps <= w[0].bandwidth_bps,
-                "ladder bandwidth must be non-increasing"
-            );
-        }
-        QualityLadder { rungs }
-    }
-    /// Deepest level on this ladder.
-    pub fn max_level(&self) -> GradeLevel {
-        GradeLevel((self.rungs.len() - 1) as u8)
-    }
-    /// The rung at a level, clamped to the ladder depth.
-    pub fn rung(&self, level: GradeLevel) -> &LadderRung {
-        let i = (level.0 as usize).min(self.rungs.len() - 1);
-        &self.rungs[i]
-    }
-    /// Bandwidth at a level.
-    pub fn bandwidth_at(&self, level: GradeLevel) -> u64 {
-        self.rung(level).bandwidth_bps
-    }
-    /// Bandwidth saved by moving from `from` one step down.
-    pub fn step_saving(&self, from: GradeLevel) -> u64 {
-        let next = from.degraded(self.max_level());
-        self.bandwidth_at(from)
-            .saturating_sub(self.bandwidth_at(next))
-    }
-}
-
 /// Which kind of stream the grading engine degrades first — the paper's rule
 /// is video-first ("users can tolerate lower video quality rather than 'not
 /// hear well'"); the EXP-ABLATE experiment flips it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GradingOrder {
     /// Degrade video streams before audio streams (paper's rule).
     #[default]
@@ -130,7 +73,7 @@ impl GradingOrder {
 /// Hysteresis configuration for the grading control loop: degrade promptly,
 /// upgrade cautiously ("gracefully upgrade the media quality when the
 /// network's condition permits it").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GradingHysteresis {
     /// Congestion score above which a degradation step is taken.
     pub degrade_above: f64,
@@ -159,7 +102,7 @@ impl GradingHysteresis {
 }
 
 /// The decision the grading engine reaches for one stream on one report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GradeDecision {
     /// Leave the stream at its current level.
     Hold,
@@ -177,27 +120,6 @@ pub enum GradeDecision {
 mod tests {
     use super::*;
 
-    fn ladder() -> QualityLadder {
-        QualityLadder::new(vec![
-            LadderRung {
-                label: "nominal".into(),
-                bandwidth_bps: 1_500_000,
-            },
-            LadderRung {
-                label: "q1".into(),
-                bandwidth_bps: 1_000_000,
-            },
-            LadderRung {
-                label: "q2".into(),
-                bandwidth_bps: 600_000,
-            },
-            LadderRung {
-                label: "q3".into(),
-                bandwidth_bps: 300_000,
-            },
-        ])
-    }
-
     #[test]
     fn level_stepping_saturates() {
         let max = GradeLevel(3);
@@ -210,45 +132,6 @@ mod tests {
             l = l.upgraded();
         }
         assert_eq!(l, GradeLevel::NOMINAL);
-    }
-
-    #[test]
-    fn ladder_lookup_and_clamp() {
-        let l = ladder();
-        assert_eq!(l.max_level(), GradeLevel(3));
-        assert_eq!(l.bandwidth_at(GradeLevel(0)), 1_500_000);
-        assert_eq!(l.bandwidth_at(GradeLevel(3)), 300_000);
-        // Beyond-depth levels clamp to the deepest rung.
-        assert_eq!(l.bandwidth_at(GradeLevel(9)), 300_000);
-    }
-
-    #[test]
-    fn step_saving_computed() {
-        let l = ladder();
-        assert_eq!(l.step_saving(GradeLevel(0)), 500_000);
-        assert_eq!(l.step_saving(GradeLevel(2)), 300_000);
-        assert_eq!(l.step_saving(GradeLevel(3)), 0); // already at bottom
-    }
-
-    #[test]
-    #[should_panic(expected = "non-increasing")]
-    fn increasing_ladder_rejected() {
-        let _ = QualityLadder::new(vec![
-            LadderRung {
-                label: "a".into(),
-                bandwidth_bps: 100,
-            },
-            LadderRung {
-                label: "b".into(),
-                bandwidth_bps: 200,
-            },
-        ]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one rung")]
-    fn empty_ladder_rejected() {
-        let _ = QualityLadder::new(vec![]);
     }
 
     #[test]

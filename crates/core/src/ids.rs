@@ -5,16 +5,12 @@
 //! demultiplex media streams arriving in parallel from several media servers.
 //! Strongly-typed ids keep those namespaces from being confused.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub u64);
 
         impl $name {
@@ -89,34 +85,6 @@ id_type!(
     "conn-"
 );
 
-/// A monotonically increasing id allocator, one per id namespace.
-#[derive(Debug, Default, Clone)]
-pub struct IdAllocator {
-    next: u64,
-}
-
-impl IdAllocator {
-    /// Allocator whose first issued id is 0.
-    pub fn new() -> Self {
-        IdAllocator { next: 0 }
-    }
-    /// Allocator whose first issued id is `start`.
-    pub fn starting_at(start: u64) -> Self {
-        IdAllocator { next: start }
-    }
-    /// Issue the next raw id value.
-    pub fn next_raw(&mut self) -> u64 {
-        let v = self.next;
-        self.next += 1;
-        v
-    }
-    /// Issue the next id, converted into any id newtype.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next<T: From<u64>>(&mut self) -> T {
-        T::from(self.next_raw())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,21 +101,5 @@ mod tests {
         // This is a compile-time property; here we just confirm values round-trip.
         let c = ComponentId::from(3u64);
         assert_eq!(c.raw(), 3);
-    }
-
-    #[test]
-    fn allocator_is_monotonic() {
-        let mut a = IdAllocator::new();
-        let x: StreamId = a.next();
-        let y: StreamId = a.next();
-        let z: StreamId = a.next();
-        assert_eq!((x.raw(), y.raw(), z.raw()), (0, 1, 2));
-    }
-
-    #[test]
-    fn allocator_starting_at() {
-        let mut a = IdAllocator::starting_at(100);
-        let x: DocumentId = a.next();
-        assert_eq!(x.raw(), 100);
     }
 }

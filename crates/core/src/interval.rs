@@ -7,11 +7,10 @@
 //! containment exactly.
 
 use crate::time::{MediaDuration, MediaTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A half-open interval `[start, end)` on the media timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Interval {
     /// Inclusive start instant.
     pub start: MediaTime,
@@ -20,7 +19,7 @@ pub struct Interval {
 }
 
 /// The 13 Allen interval relations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllenRelation {
     /// `a` ends before `b` starts.
     Before,
@@ -89,13 +88,6 @@ impl Interval {
             start: self.start.max(other.start),
             end: self.end.min(other.end),
         })
-    }
-    /// Smallest interval covering both.
-    pub fn hull(&self, other: &Interval) -> Interval {
-        Interval {
-            start: self.start.min(other.start),
-            end: self.end.max(other.end),
-        }
     }
     /// Classify the Allen relation of `self` with respect to `other`.
     ///
@@ -190,7 +182,6 @@ mod tests {
         assert!(!iv(0, 10).overlaps(&iv(10, 20))); // meets, no shared instant
         assert_eq!(iv(0, 10).intersect(&iv(5, 15)), Some(iv(5, 10)));
         assert_eq!(iv(0, 10).intersect(&iv(20, 30)), None);
-        assert_eq!(iv(0, 10).hull(&iv(20, 30)), iv(0, 30));
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! of the model's four logical abstractions (content / layout /
 //! synchronization / interconnection).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An axis-aligned rectangle on the presentation desktop, in pixels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Region {
     /// Left edge.
     pub x: i32,
@@ -40,10 +39,6 @@ impl Region {
     pub const fn bottom(&self) -> i32 {
         self.y + self.height as i32
     }
-    /// Area in pixels.
-    pub const fn area(&self) -> u64 {
-        self.width as u64 * self.height as u64
-    }
     /// True iff the region has zero area.
     pub const fn is_empty(&self) -> bool {
         self.width == 0 || self.height == 0
@@ -65,31 +60,6 @@ impl Region {
                 && self.right() >= other.right()
                 && self.bottom() >= other.bottom())
     }
-    /// Intersection of two regions, if non-empty.
-    pub fn intersect(&self, other: &Region) -> Option<Region> {
-        if !self.overlaps(other) {
-            return None;
-        }
-        let x = self.x.max(other.x);
-        let y = self.y.max(other.y);
-        let r = self.right().min(other.right());
-        let b = self.bottom().min(other.bottom());
-        Some(Region::new(x, y, (r - x) as u32, (b - y) as u32))
-    }
-    /// Smallest region containing both.
-    pub fn union(&self, other: &Region) -> Region {
-        if self.is_empty() {
-            return *other;
-        }
-        if other.is_empty() {
-            return *self;
-        }
-        let x = self.x.min(other.x);
-        let y = self.y.min(other.y);
-        let r = self.right().max(other.right());
-        let b = self.bottom().max(other.bottom());
-        Region::new(x, y, (r - x) as u32, (b - y) as u32)
-    }
 }
 
 impl fmt::Display for Region {
@@ -99,7 +69,7 @@ impl fmt::Display for Region {
 }
 
 /// Text style flags of the markup language (`B`, `I`, `U` keywords).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TextStyle {
     /// Boldface (`<B>`).
     pub bold: bool,
@@ -119,7 +89,7 @@ impl TextStyle {
 }
 
 /// Heading levels (`H1`, `H2`, `H3`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HeadingLevel {
     /// `<H1>`
     H1,
@@ -156,17 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn intersection_and_union() {
-        let a = Region::new(0, 0, 100, 100);
-        let b = Region::new(50, 50, 100, 100);
-        let i = a.intersect(&b).unwrap();
-        assert_eq!(i, Region::new(50, 50, 50, 50));
-        let u = a.union(&b);
-        assert_eq!(u, Region::new(0, 0, 150, 150));
-        assert!(u.contains(&a) && u.contains(&b) && u.contains(&i));
-    }
-
-    #[test]
     fn containment() {
         let a = Region::new(0, 0, 100, 100);
         assert!(a.contains(&Region::new(10, 10, 50, 50)));
@@ -174,21 +133,6 @@ mod tests {
         assert!(!a.contains(&Region::new(90, 90, 20, 20)));
         // Empty regions are contained everywhere.
         assert!(a.contains(&Region::new(500, 500, 0, 0)));
-    }
-
-    #[test]
-    fn disjoint_intersection_is_none() {
-        let a = Region::new(0, 0, 10, 10);
-        let b = Region::new(20, 20, 10, 10);
-        assert!(a.intersect(&b).is_none());
-    }
-
-    #[test]
-    fn union_with_empty_is_identity() {
-        let a = Region::new(5, 5, 10, 10);
-        let e = Region::default();
-        assert_eq!(a.union(&e), a);
-        assert_eq!(e.union(&a), a);
     }
 
     #[test]

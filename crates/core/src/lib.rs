@@ -16,8 +16,8 @@
 //! * [`scenario`] — the pre-orchestrated presentation scenario (content /
 //!   layout / synchronization / interconnection abstractions);
 //! * [`schedule`] — the client-side playout structures `E_i` and timeline;
-//! * [`skew`] — intermedia-skew algebra and the short-term repair policy;
-//! * [`grading`] — quality ladders and the long-term grading policy;
+//! * [`skew`] — the short-term skew-repair policy;
+//! * [`grading`] — grade levels and the long-term grading policy;
 //! * [`qos`] — QoS requirements, measurements and pricing classes;
 //! * [`ewma`] — shared EWMA smoothing and CoDel-style pressure detection
 //!   (one implementation for local reactions and the fleet controller);
@@ -42,12 +42,10 @@ pub mod vecmap;
 
 pub use error::{ServiceError, ServiceResult};
 pub use ewma::{smooth_jitter, Ewma, PressureDetector};
-pub use grading::{
-    GradeDecision, GradeLevel, GradingHysteresis, GradingOrder, LadderRung, QualityLadder,
-};
+pub use grading::{GradeDecision, GradeLevel, GradingHysteresis, GradingOrder};
 pub use ids::{
-    ComponentId, ConnectionId, DocumentId, IdAllocator, MediaServerId, NodeId, ServerId, SessionId,
-    StreamId, UserId,
+    ComponentId, ConnectionId, DocumentId, MediaServerId, NodeId, ServerId, SessionId, StreamId,
+    UserId,
 };
 pub use interval::{AllenRelation, Interval};
 pub use layout::{HeadingLevel, Region, TextStyle};
@@ -58,6 +56,6 @@ pub use scenario::{
     ScenarioIssue, SyncGroup, TextBlock, TextRun,
 };
 pub use schedule::{PlayoutEntry, PlayoutSchedule, TimelineEvent, TimelineEventKind};
-pub use skew::{plan_repair, RepairSide, Skew, SkewPolicy, SkewRepair};
+pub use skew::SkewPolicy;
 pub use time::{MediaDuration, MediaTime};
 pub use vecmap::VecMap;

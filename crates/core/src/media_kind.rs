@@ -4,13 +4,12 @@
 //! PCM/ADPCM/VADPCM audio and AVI/MPEG video; text and the presentation
 //! scenario itself travel as discrete documents.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The five media types of the markup language (`TEXT, IMG, AU, VI` and the
 /// synchronized `AU_VI` pair which is represented as separate AU + VI
 /// components bound into one sync group).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MediaKind {
     /// Formatted text (discrete; shown for the whole presentation unless timed).
     Text,
@@ -27,10 +26,6 @@ impl MediaKind {
     /// discrete media go over the reliable (TCP) path — paper Fig. 5.
     pub fn is_continuous(self) -> bool {
         matches!(self, MediaKind::Audio | MediaKind::Video)
-    }
-    /// Discrete media: text, images, and the scenario document itself.
-    pub fn is_discrete(self) -> bool {
-        !self.is_continuous()
     }
     /// All media kinds, in a stable order.
     pub const ALL: [MediaKind; 4] = [
@@ -54,7 +49,7 @@ impl fmt::Display for MediaKind {
 }
 
 /// Concrete encodings per media kind (paper Fig. 5 / §6.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Encoding {
     /// Plain or lightly formatted text.
     PlainText,
@@ -148,8 +143,8 @@ mod tests {
     fn continuity_split_matches_protocol_stack() {
         assert!(MediaKind::Audio.is_continuous());
         assert!(MediaKind::Video.is_continuous());
-        assert!(MediaKind::Text.is_discrete());
-        assert!(MediaKind::Image.is_discrete());
+        assert!(!MediaKind::Text.is_continuous());
+        assert!(!MediaKind::Image.is_continuous());
     }
 
     #[test]

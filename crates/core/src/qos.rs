@@ -8,10 +8,9 @@
 //! feedback reports (RTCP receiver reports in the implementation).
 
 use crate::time::{MediaDuration, MediaTime};
-use serde::{Deserialize, Serialize};
 
 /// Static QoS requirements a stream declares when its connection is set up.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QosRequirement {
     /// Mean bandwidth the stream needs at nominal quality, bits/second.
     pub bandwidth_bps: u64,
@@ -52,9 +51,9 @@ impl QosRequirement {
 /// A windowed measurement of a connection's observed condition, computed by
 /// the client QoS manager from packet timestamps and sequence numbers, and
 /// shipped to the server QoS manager as a feedback report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QosMeasurement {
-    /// Stream this measurement describes.
+    /// End of the measurement window.
     pub window_end: MediaTime,
     /// Mean one-way packet delay over the window.
     pub mean_delay: MediaDuration,
@@ -79,13 +78,6 @@ impl QosMeasurement {
             packets_received: 0,
             buffer_occupancy: 0.0,
         }
-    }
-
-    /// Does this measurement violate the given requirement?
-    pub fn violates(&self, req: &QosRequirement) -> bool {
-        self.mean_delay > req.max_delay
-            || self.jitter > req.max_jitter
-            || self.loss_fraction > req.max_loss + f64::EPSILON
     }
 
     /// A scalar congestion score in [0, ∞): 0 = perfectly within requirement,
@@ -115,7 +107,7 @@ impl QosMeasurement {
 
 /// Pricing classes used by the admission controller (§4: "a user who pays
 /// more should be serviced, even though it affects the other users").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PricingClass {
     /// Best-effort subscribers; first to be rejected under load.
     Economy,
@@ -168,22 +160,9 @@ mod tests {
     }
 
     #[test]
-    fn idle_measurement_never_violates() {
+    fn idle_measurement_scores_zero() {
         let m = QosMeasurement::idle(MediaTime::ZERO);
-        assert!(!m.violates(&req()));
         assert_eq!(m.congestion_score(&req()), 0.0);
-    }
-
-    #[test]
-    fn violation_detection() {
-        let mut m = QosMeasurement::idle(MediaTime::ZERO);
-        m.mean_delay = MediaDuration::from_millis(250);
-        assert!(m.violates(&req()));
-        m.mean_delay = MediaDuration::from_millis(10);
-        m.loss_fraction = 0.05;
-        assert!(m.violates(&req()));
-        m.loss_fraction = 0.01;
-        assert!(!m.violates(&req()));
     }
 
     #[test]

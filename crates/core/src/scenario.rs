@@ -18,13 +18,12 @@ use crate::interval::Interval;
 use crate::layout::{HeadingLevel, Region, TextStyle};
 use crate::media_kind::{Encoding, MediaKind};
 use crate::time::{MediaDuration, MediaTime};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Where a media component's inline data lives: the media server path / key
 /// that the `SOURCE` keyword carries ("information about the storage of data
 /// ... based on the database model used by the service").
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MediaSource {
     /// The multimedia server holding the referenced media server.
     pub server: ServerId,
@@ -43,7 +42,7 @@ impl MediaSource {
 }
 
 /// A run of styled text inside a text component.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TextRun {
     /// The characters.
     pub text: String,
@@ -52,7 +51,7 @@ pub struct TextRun {
 }
 
 /// Structured body content of a text component.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TextBlock {
     /// A heading line (`H1`/`H2`/`H3`).
     Heading(HeadingLevel, String),
@@ -65,7 +64,7 @@ pub enum TextBlock {
 }
 
 /// The content payload of one media component.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ComponentContent {
     /// Inline formatted text (travels with the scenario; always available).
     Text(Vec<TextBlock>),
@@ -91,7 +90,7 @@ impl ComponentContent {
 /// One media component of the scenario: a piece of media with an `ID`,
 /// timing (`STARTIME`/`DURATION`), placement (`WHERE`/`HEIGHT`/`WIDTH`) and
 /// an optional annotation (`NOTE`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MediaComponent {
     /// Unique id within the document (demultiplexing key at the client).
     pub id: ComponentId,
@@ -131,7 +130,7 @@ impl MediaComponent {
 /// Hyperlink categories (§3): *sequential* links "preserve the logical
 /// sequence (or the author's sequence)"; *explorational* links "override the
 /// logical sequence and provide access to related information".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkKind {
     /// Follows the author's intended sequence of documents.
     Sequential,
@@ -140,7 +139,7 @@ pub enum LinkKind {
 }
 
 /// Where a hyperlink leads.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum LinkTarget {
     /// A document on the same multimedia server.
     Local(DocumentId),
@@ -157,19 +156,12 @@ impl LinkTarget {
             LinkTarget::Remote(_, d) => *d,
         }
     }
-    /// The server the document lives on, if it is a remote link.
-    pub fn remote_server(&self) -> Option<ServerId> {
-        match self {
-            LinkTarget::Local(_) => None,
-            LinkTarget::Remote(s, _) => Some(*s),
-        }
-    }
 }
 
 /// A hyperlink (`HLINK`), optionally auto-activated `AT` a scenario time:
 /// "a specific link will be automatically followed after the expiration of a
 /// time period ... in the absence of user involvement".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HyperLink {
     /// Sequential or explorational.
     pub kind: LinkKind,
@@ -184,14 +176,14 @@ pub struct HyperLink {
 /// A group of components that must start and stop together — the `AU_VI`
 /// construct ("the two media should start and stop playing at the same
 /// time"). Generalized to any set of component ids.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncGroup {
     /// Members of the group; all must share start and duration.
     pub members: Vec<ComponentId>,
 }
 
 /// A complete pre-orchestrated presentation scenario for one document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Document this scenario presents.
     pub document: DocumentId,
@@ -206,7 +198,7 @@ pub struct Scenario {
 }
 
 /// A structural problem found while validating a scenario.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScenarioIssue {
     /// Two components share one id.
     DuplicateComponentId(ComponentId),
@@ -259,11 +251,6 @@ impl Scenario {
             }
         }
         end
-    }
-
-    /// Components of a given kind, in body order.
-    pub fn components_of_kind(&self, kind: MediaKind) -> impl Iterator<Item = &MediaComponent> {
-        self.components.iter().filter(move |c| c.kind() == kind)
     }
 
     /// The sync group containing `id`, if any.
@@ -513,7 +500,6 @@ mod tests {
         });
         let l = s.next_auto_link().unwrap();
         assert_eq!(l.auto_at, Some(MediaTime::from_millis(8000)));
-        assert_eq!(l.target.remote_server(), Some(ServerId::new(5)));
     }
 
     #[test]
@@ -531,13 +517,5 @@ mod tests {
         assert_eq!(find(1, 2), AllenRelation::Meets); // image meets audio
         assert_eq!(find(2, 3), AllenRelation::Equals); // the sync pair
         assert_eq!(rels.len(), 6); // C(4,2) pairs over the demo's components
-    }
-
-    #[test]
-    fn components_of_kind_filters() {
-        let s = demo();
-        assert_eq!(s.components_of_kind(MediaKind::Audio).count(), 1);
-        assert_eq!(s.components_of_kind(MediaKind::Video).count(), 1);
-        assert_eq!(s.components_of_kind(MediaKind::Text).count(), 1);
     }
 }

@@ -14,11 +14,10 @@ use crate::interval::Interval;
 use crate::media_kind::MediaKind;
 use crate::scenario::Scenario;
 use crate::time::{MediaDuration, MediaTime};
-use serde::{Deserialize, Serialize};
 
 /// The structure `E_i` of the paper: everything the playout scheduler needs
 /// to present one media stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlayoutEntry {
     /// The component this entry plays.
     pub component: ComponentId,
@@ -48,7 +47,7 @@ impl PlayoutEntry {
 }
 
 /// A discrete event on the presentation timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimelineEventKind {
     /// A component's playout begins (its deadline).
     Start(ComponentId),
@@ -59,7 +58,7 @@ pub enum TimelineEventKind {
 }
 
 /// An instant plus what happens then.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimelineEvent {
     /// When the event occurs (relative to presentation start).
     pub at: MediaTime,
@@ -68,7 +67,7 @@ pub struct TimelineEvent {
 }
 
 /// The complete playout schedule derived from a scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlayoutSchedule {
     /// One entry per media component, in deadline order (ties: id order).
     pub entries: Vec<PlayoutEntry>,
@@ -171,48 +170,6 @@ impl PlayoutSchedule {
             .collect()
     }
 
-    /// The number of buffer slots the client must provision.
-    pub fn buffer_slots(&self) -> usize {
-        self.entries
-            .iter()
-            .filter_map(|e| e.buffer_slot)
-            .map(|s| s + 1)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Maximum number of simultaneously active continuous streams — the
-    /// peak device/connection concurrency the client must support.
-    pub fn peak_continuous_concurrency(&self) -> usize {
-        let mut peak = 0usize;
-        let mut active = 0usize;
-        for ev in &self.events {
-            match ev.kind {
-                TimelineEventKind::Start(c) => {
-                    if self
-                        .entry(c)
-                        .map(|e| e.kind.is_continuous())
-                        .unwrap_or(false)
-                    {
-                        active += 1;
-                        peak = peak.max(active);
-                    }
-                }
-                TimelineEventKind::Stop(c) => {
-                    if self
-                        .entry(c)
-                        .map(|e| e.kind.is_continuous())
-                        .unwrap_or(false)
-                    {
-                        active = active.saturating_sub(1);
-                    }
-                }
-                TimelineEventKind::AutoLink(_) => {}
-            }
-        }
-        peak
-    }
-
     /// Render the schedule as a printable timeline table (used by the FIG2
     /// experiment and the examples).
     pub fn timeline_table(&self) -> String {
@@ -312,7 +269,6 @@ mod tests {
         // Text is inline → no slot; the 5 stored components get slots 0..5.
         let text = sched.entry(ComponentId::new(0)).unwrap();
         assert_eq!(text.buffer_slot, None);
-        assert_eq!(sched.buffer_slots(), 5);
         let mut slots: Vec<usize> = sched.entries.iter().filter_map(|e| e.buffer_slot).collect();
         slots.sort();
         assert_eq!(slots, vec![0, 1, 2, 3, 4]);
@@ -372,12 +328,6 @@ mod tests {
             .find(|e| matches!(e.kind, TimelineEventKind::AutoLink(_)))
             .unwrap();
         assert_eq!(link_ev.at, MediaTime::from_millis(19_000));
-    }
-
-    #[test]
-    fn peak_concurrency_counts_sync_pair() {
-        let sched = PlayoutSchedule::from_scenario(&figure2_scenario());
-        assert_eq!(sched.peak_continuous_concurrency(), 2); // A1 + V together
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! synchronization mechanisms compare deadlines and arrival times directly,
 //! and floating point drift would make property tests flaky.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -15,15 +14,11 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// * *media time*: microseconds since the start of a presentation scenario
 ///   (the "relative start time" of the paper's markup language);
 /// * *simulation time*: microseconds since the start of a simulation run.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MediaTime(pub i64);
 
 /// A span of time in microseconds. May be negative when it represents a skew.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MediaDuration(pub i64);
 
 impl MediaTime {
@@ -94,10 +89,6 @@ impl MediaDuration {
     pub const fn from_micros(us: i64) -> Self {
         MediaDuration(us)
     }
-    /// Construct from seconds given as f64, rounding to the nearest microsecond.
-    pub fn from_secs_f64(s: f64) -> Self {
-        MediaDuration((s * 1e6).round() as i64)
-    }
     /// Value in microseconds.
     pub const fn as_micros(self) -> i64 {
         self.0
@@ -118,10 +109,6 @@ impl MediaDuration {
     pub const fn is_negative(self) -> bool {
         self.0 < 0
     }
-    /// True iff the duration is zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
     /// The smaller of two durations.
     pub fn min(self, other: MediaDuration) -> MediaDuration {
         if self <= other {
@@ -137,11 +124,6 @@ impl MediaDuration {
         } else {
             other
         }
-    }
-    /// Checked division yielding how many times `unit` fits in `self`.
-    pub fn div_duration(self, unit: MediaDuration) -> i64 {
-        assert!(unit.0 != 0, "division by zero duration");
-        self.0 / unit.0
     }
 }
 
@@ -266,19 +248,12 @@ mod tests {
         let d = MediaDuration::from_millis(40);
         assert_eq!(d * 25, MediaDuration::from_secs(1));
         assert_eq!(MediaDuration::from_secs(1) / 25, d);
-        assert_eq!(MediaDuration::from_secs(1).div_duration(d), 25);
     }
 
     #[test]
     fn saturating_add_never_overflows() {
         let t = MediaTime::MAX.saturating_add(MediaDuration::from_secs(10));
         assert_eq!(t, MediaTime::MAX);
-    }
-
-    #[test]
-    fn from_secs_f64_rounds() {
-        assert_eq!(MediaDuration::from_secs_f64(0.0000015).as_micros(), 2);
-        assert_eq!(MediaDuration::from_secs_f64(1.5).as_millis(), 1500);
     }
 
     #[test]

@@ -7,10 +7,9 @@ use crate::values::SourceRef;
 use hermes_core::{
     DocumentId, HeadingLevel, LinkKind, MediaDuration, MediaTime, Region, ServerId, TextStyle,
 };
-use serde::{Deserialize, Serialize};
 
 /// A styled run of text inside `<TEXT>`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AstTextRun {
     /// The characters.
     pub text: String,
@@ -19,7 +18,7 @@ pub struct AstTextRun {
 }
 
 /// Common timing attributes of a media element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Timing {
     /// `STARTIME=` — relative playout start; defaults to 0.
     pub start: Option<MediaTime>,
@@ -28,7 +27,7 @@ pub struct Timing {
 }
 
 /// `<TEXT>` element: styled runs (paragraph breaks appear as body items).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TextElem {
     /// Styled text runs.
     pub runs: Vec<AstTextRun>,
@@ -39,7 +38,7 @@ pub struct TextElem {
 }
 
 /// `<IMG>` element.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ImageElem {
     /// Where the image data lives (`SOURCE=`).
     pub source: SourceRef,
@@ -56,7 +55,7 @@ pub struct ImageElem {
 }
 
 /// `<AU>` element.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AudioElem {
     /// Source (`SOURCE=`).
     pub source: SourceRef,
@@ -73,7 +72,7 @@ pub struct AudioElem {
 }
 
 /// `<VI>` element.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VideoElem {
     /// Source (`SOURCE=`).
     pub source: SourceRef,
@@ -94,7 +93,7 @@ pub struct VideoElem {
 /// `<AU_VI>` element: the synchronized audio+video pair. Per the grammar,
 /// it carries two `STARTIME`s, two `SOURCE`s and two `ID`s (audio first),
 /// but the pair must start together — the parser enforces equal start times.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AudioVideoElem {
     /// The audio half.
     pub audio: AudioElem,
@@ -105,7 +104,7 @@ pub struct AudioVideoElem {
 }
 
 /// `<HLINK>` element.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkElem {
     /// Sequential (default) or explorational (`KIND=`).
     pub kind: LinkKind,
@@ -120,7 +119,7 @@ pub struct LinkElem {
 }
 
 /// One item of an `<HSentence>` body (`<Body>` in the grammar).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BodyItem {
     /// `<TEXT>`.
     Text(TextElem),
@@ -139,7 +138,7 @@ pub enum BodyItem {
 }
 
 /// A heading line.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Heading {
     /// H1/H2/H3.
     pub level: HeadingLevel,
@@ -148,7 +147,7 @@ pub struct Heading {
 }
 
 /// `<HSentence>`: headings, then a body, then an optional separator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HSentence {
     /// Leading headings (the grammar allows at most one per level slot; we
     /// keep them in order of appearance).
@@ -160,7 +159,7 @@ pub struct HSentence {
 }
 
 /// `<Hdocument>`: the root.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HmlDocument {
     /// Document title.
     pub title: String,
@@ -185,12 +184,6 @@ impl HmlDocument {
                 _ => 0,
             })
             .sum()
-    }
-    /// Count hyperlinks.
-    pub fn link_count(&self) -> usize {
-        self.body_items()
-            .filter(|b| matches!(b, BodyItem::Link(_)))
-            .count()
     }
 }
 
@@ -244,7 +237,6 @@ mod tests {
             }],
         };
         assert_eq!(doc.media_count(), 3);
-        assert_eq!(doc.link_count(), 1);
         assert_eq!(doc.body_items().count(), 4);
     }
 }

@@ -3,11 +3,10 @@
 //! Keywords appear in two positions: as *tag names* (`<TEXT> ... </TEXT>`)
 //! and as *attribute names* inside an element (`SOURCE=`, `STARTIME=`, ...).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Tag-position keywords.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TagKeyword {
     /// `TITLE` — document title indicator.
     Title,
@@ -83,17 +82,6 @@ impl TagKeyword {
             _ => return None,
         })
     }
-    /// Void elements have no closing tag (`<PAR>`, `<SEP>`).
-    pub fn is_void(self) -> bool {
-        matches!(self, TagKeyword::Par | TagKeyword::Sep)
-    }
-    /// Media-component elements.
-    pub fn is_media(self) -> bool {
-        matches!(
-            self,
-            TagKeyword::Text | TagKeyword::Img | TagKeyword::Au | TagKeyword::Vi | TagKeyword::AuVi
-        )
-    }
     /// Inline style spans.
     pub fn is_style(self) -> bool {
         matches!(
@@ -128,7 +116,7 @@ impl fmt::Display for TagKeyword {
 }
 
 /// Attribute-position keywords.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttrKeyword {
     /// `SOURCE` — media retrieval options (server and object key).
     Source,
@@ -228,7 +216,7 @@ impl fmt::Display for AttrKeyword {
 
 /// One row of the keyword table (paper Table 1), regenerated live by the
 /// TAB1 experiment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeywordRow {
     /// The keyword spelling(s), comma-separated as in the paper.
     pub keyword: String,
@@ -308,12 +296,7 @@ mod tests {
     }
 
     #[test]
-    fn void_and_media_classification() {
-        assert!(TagKeyword::Par.is_void());
-        assert!(TagKeyword::Sep.is_void());
-        assert!(!TagKeyword::Text.is_void());
-        assert!(TagKeyword::AuVi.is_media());
-        assert!(!TagKeyword::Hlink.is_media());
+    fn style_classification() {
         assert!(TagKeyword::Bold.is_style());
     }
 

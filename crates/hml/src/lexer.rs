@@ -12,11 +12,10 @@
 //! paper's examples (`SOURCE=retrieval_options ID=component_id ...`).
 
 use crate::keywords::{AttrKeyword, TagKeyword};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Source position (1-based line and column) for diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pos {
     /// 1-based line.
     pub line: u32,
@@ -31,7 +30,7 @@ impl fmt::Display for Pos {
 }
 
 /// A lexical token.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TokenKind {
     /// `<NAME>`
     Open(TagKeyword),
@@ -44,7 +43,7 @@ pub enum TokenKind {
 }
 
 /// A token with its source position.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Token {
     /// What the token is.
     pub kind: TokenKind,
@@ -53,7 +52,7 @@ pub struct Token {
 }
 
 /// A lexical error.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LexError {
     /// Explanation.
     pub message: String,

@@ -85,7 +85,6 @@ mod tests {
         assert!(s.is_well_formed());
         let sched = PlayoutSchedule::from_scenario(&s);
         assert_eq!(sched.end, hermes_core::MediaTime::from_secs(19));
-        assert_eq!(sched.peak_continuous_concurrency(), 2);
     }
 
     #[test]

@@ -15,11 +15,10 @@ use crate::values::{
     parse_source, parse_time, parse_where, region_from_parts, SourceRef,
 };
 use hermes_core::{HeadingLevel, LinkKind, MediaTime, TextStyle};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A parse error with source position.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Explanation.
     pub message: String,

@@ -14,12 +14,11 @@ use hermes_core::{
     ComponentContent, ComponentId, DocumentId, Encoding, HyperLink, LinkTarget, MediaComponent,
     MediaKind, MediaTime, Scenario, ServerId, SyncGroup, TextBlock, TextRun,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// An error produced while lowering an AST to a scenario.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
     /// Two elements claim the same explicit component id.
     DuplicateId(u64),

@@ -2,11 +2,10 @@
 
 use hermes_core::MediaDuration;
 use hermes_core::{DocumentId, LinkKind, MediaSource, MediaTime, Region, ServerId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A value-level parse error with the offending input.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValueError {
     /// What kind of value was expected.
     pub expected: &'static str,
@@ -58,7 +57,7 @@ pub fn parse_time(s: &str) -> Result<MediaTime, ValueError> {
 /// Parse a `SOURCE` value: `"srvN:object"` selects a server explicitly,
 /// a bare object key (`"lessons/intro.mpg"`) refers to the document's home
 /// server (resolved later).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SourceRef {
     /// Explicit server + object.
     Absolute(MediaSource),

@@ -8,18 +8,22 @@
 //! Quality Converter walks: "increasing video compression factor or
 //! decreasing audio sampling frequency" (§4).
 
-use hermes_core::{Encoding, GradeLevel, LadderRung, MediaDuration, MediaKind, QualityLadder};
-use serde::Serialize;
+use hermes_core::{Encoding, GradeLevel, MediaDuration, MediaKind};
 
 /// Parameters of one quality level of a continuous encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LevelParams {
     /// Frames (or audio blocks) per second at this level.
     pub frame_rate: u32,
     /// Mean frame/block payload size in bytes.
     pub mean_frame_bytes: u32,
-    /// Human description of the level.
-    pub label: &'static str,
+}
+
+const fn lv(frame_rate: u32, mean_frame_bytes: u32) -> LevelParams {
+    LevelParams {
+        frame_rate,
+        mean_frame_bytes,
+    }
 }
 
 impl LevelParams {
@@ -35,7 +39,7 @@ impl LevelParams {
 
 /// The rate model of a continuous encoding: an ordered list of levels,
 /// best first.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CodecModel {
     /// Which encoding this models.
     pub encoding: Encoding,
@@ -56,31 +60,11 @@ impl CodecModel {
         let (levels, gop, key_scale_pct): (Vec<LevelParams>, u32, u32) = match encoding {
             Mpeg => (
                 vec![
-                    LevelParams {
-                        frame_rate: 25,
-                        mean_frame_bytes: 7_500,
-                        label: "25fps Q1 (1.5 Mbps)",
-                    },
-                    LevelParams {
-                        frame_rate: 25,
-                        mean_frame_bytes: 5_000,
-                        label: "25fps Q2 (1.0 Mbps)",
-                    },
-                    LevelParams {
-                        frame_rate: 25,
-                        mean_frame_bytes: 3_000,
-                        label: "25fps Q3 (600 kbps)",
-                    },
-                    LevelParams {
-                        frame_rate: 15,
-                        mean_frame_bytes: 3_000,
-                        label: "15fps Q3 (360 kbps)",
-                    },
-                    LevelParams {
-                        frame_rate: 10,
-                        mean_frame_bytes: 2_500,
-                        label: "10fps Q4 (200 kbps)",
-                    },
+                    lv(25, 7_500), // 25fps Q1 (1.5 Mbps)
+                    lv(25, 5_000), // 25fps Q2 (1.0 Mbps)
+                    lv(25, 3_000), // 25fps Q3 (600 kbps)
+                    lv(15, 3_000), // 15fps Q3 (360 kbps)
+                    lv(10, 2_500), // 10fps Q4 (200 kbps)
                 ],
                 12,
                 300,
@@ -88,26 +72,10 @@ impl CodecModel {
             Avi => (
                 // Motion-JPEG-like: every frame independent (gop 1).
                 vec![
-                    LevelParams {
-                        frame_rate: 25,
-                        mean_frame_bytes: 12_000,
-                        label: "25fps MJPEG hi (2.4 Mbps)",
-                    },
-                    LevelParams {
-                        frame_rate: 25,
-                        mean_frame_bytes: 8_000,
-                        label: "25fps MJPEG med (1.6 Mbps)",
-                    },
-                    LevelParams {
-                        frame_rate: 15,
-                        mean_frame_bytes: 8_000,
-                        label: "15fps MJPEG med (960 kbps)",
-                    },
-                    LevelParams {
-                        frame_rate: 10,
-                        mean_frame_bytes: 6_000,
-                        label: "10fps MJPEG lo (480 kbps)",
-                    },
+                    lv(25, 12_000), // 25fps MJPEG hi (2.4 Mbps)
+                    lv(25, 8_000),  // 25fps MJPEG med (1.6 Mbps)
+                    lv(15, 8_000),  // 15fps MJPEG med (960 kbps)
+                    lv(10, 6_000),  // 10fps MJPEG lo (480 kbps)
                 ],
                 1,
                 100,
@@ -115,128 +83,66 @@ impl CodecModel {
             Pcm => (
                 // 20 ms blocks; sampling frequency halves down the ladder.
                 vec![
-                    LevelParams {
-                        frame_rate: 50,
-                        mean_frame_bytes: 1_764,
-                        label: "44.1 kHz 16-bit (706 kbps)",
-                    },
-                    LevelParams {
-                        frame_rate: 50,
-                        mean_frame_bytes: 882,
-                        label: "22.05 kHz 16-bit (353 kbps)",
-                    },
-                    LevelParams {
-                        frame_rate: 50,
-                        mean_frame_bytes: 441,
-                        label: "11.025 kHz 16-bit (176 kbps)",
-                    },
+                    lv(50, 1_764), // 44.1 kHz 16-bit (706 kbps)
+                    lv(50, 882),   // 22.05 kHz 16-bit (353 kbps)
+                    lv(50, 441),   // 11.025 kHz 16-bit (176 kbps)
                 ],
                 0,
                 100,
             ),
             Adpcm => (
                 vec![
-                    LevelParams {
-                        frame_rate: 50,
-                        mean_frame_bytes: 441,
-                        label: "44.1 kHz ADPCM 4:1 (176 kbps)",
-                    },
-                    LevelParams {
-                        frame_rate: 50,
-                        mean_frame_bytes: 220,
-                        label: "22.05 kHz ADPCM (88 kbps)",
-                    },
-                    LevelParams {
-                        frame_rate: 50,
-                        mean_frame_bytes: 110,
-                        label: "11.025 kHz ADPCM (44 kbps)",
-                    },
+                    lv(50, 441), // 44.1 kHz ADPCM 4:1 (176 kbps)
+                    lv(50, 220), // 22.05 kHz ADPCM (88 kbps)
+                    lv(50, 110), // 11.025 kHz ADPCM (44 kbps)
                 ],
                 0,
                 100,
             ),
             Vadpcm => (
                 vec![
-                    LevelParams {
-                        frame_rate: 50,
-                        mean_frame_bytes: 330,
-                        label: "VADPCM hi (132 kbps)",
-                    },
-                    LevelParams {
-                        frame_rate: 50,
-                        mean_frame_bytes: 165,
-                        label: "VADPCM med (66 kbps)",
-                    },
-                    LevelParams {
-                        frame_rate: 50,
-                        mean_frame_bytes: 83,
-                        label: "VADPCM lo (33 kbps)",
-                    },
+                    lv(50, 330), // VADPCM hi (132 kbps)
+                    lv(50, 165), // VADPCM med (66 kbps)
+                    lv(50, 83),  // VADPCM lo (33 kbps)
                 ],
                 0,
                 100,
             ),
             Jpeg => (
                 vec![
-                    LevelParams {
-                        frame_rate: 1,
-                        mean_frame_bytes: 60_000,
-                        label: "JPEG Q90",
-                    },
-                    LevelParams {
-                        frame_rate: 1,
-                        mean_frame_bytes: 30_000,
-                        label: "JPEG Q60",
-                    },
-                    LevelParams {
-                        frame_rate: 1,
-                        mean_frame_bytes: 15_000,
-                        label: "JPEG Q30",
-                    },
+                    lv(1, 60_000), // JPEG Q90
+                    lv(1, 30_000), // JPEG Q60
+                    lv(1, 15_000), // JPEG Q30
                 ],
                 0,
                 100,
             ),
             Gif => (
                 vec![
-                    LevelParams {
-                        frame_rate: 1,
-                        mean_frame_bytes: 45_000,
-                        label: "GIF 256c",
-                    },
-                    LevelParams {
-                        frame_rate: 1,
-                        mean_frame_bytes: 25_000,
-                        label: "GIF 64c",
-                    },
+                    lv(1, 45_000), // GIF 256c
+                    lv(1, 25_000), // GIF 64c
                 ],
                 0,
                 100,
             ),
             Tiff => (
-                vec![LevelParams {
-                    frame_rate: 1,
-                    mean_frame_bytes: 200_000,
-                    label: "TIFF lossless",
-                }],
+                vec![
+                    lv(1, 200_000), // TIFF lossless
+                ],
                 0,
                 100,
             ),
             Bmp => (
-                vec![LevelParams {
-                    frame_rate: 1,
-                    mean_frame_bytes: 300_000,
-                    label: "BMP raw",
-                }],
+                vec![
+                    lv(1, 300_000), // BMP raw
+                ],
                 0,
                 100,
             ),
             PlainText => (
-                vec![LevelParams {
-                    frame_rate: 1,
-                    mean_frame_bytes: 2_000,
-                    label: "text",
-                }],
+                vec![
+                    lv(1, 2_000), // text
+                ],
                 0,
                 100,
             ),
@@ -263,19 +169,6 @@ impl CodecModel {
     pub fn level(&self, level: GradeLevel) -> &LevelParams {
         let i = (level.0 as usize).min(self.levels.len() - 1);
         &self.levels[i]
-    }
-
-    /// The grading ladder of this codec (for the core grading engine).
-    pub fn ladder(&self) -> QualityLadder {
-        QualityLadder::new(
-            self.levels
-                .iter()
-                .map(|l| LadderRung {
-                    label: l.label.to_string(),
-                    bandwidth_bps: l.bandwidth_bps(),
-                })
-                .collect(),
-        )
     }
 
     /// Size in bytes of frame number `seq` at `level`, deterministic in
@@ -327,10 +220,13 @@ mod tests {
 
     #[test]
     fn ladders_are_monotone() {
+        // Degrading never costs more bandwidth, on every encoding's ladder.
         for e in Encoding::ALL {
             let m = CodecModel::for_encoding(e);
-            let ladder = m.ladder(); // QualityLadder::new panics if not monotone
-            assert_eq!(ladder.rungs.len(), m.levels.len(), "{e}");
+            for l in 0..m.max_level().0 {
+                let (hi, lo) = (m.level(GradeLevel(l)), m.level(GradeLevel(l + 1)));
+                assert!(lo.bandwidth_bps() <= hi.bandwidth_bps(), "{e} level {l}");
+            }
         }
     }
 

@@ -10,10 +10,9 @@
 
 use crate::codec::CodecModel;
 use hermes_core::{GradeDecision, GradeLevel, MediaDuration};
-use serde::Serialize;
 
 /// One stream's grading state inside the converter.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QualityConverter {
     /// The codec being converted.
     pub model: CodecModel,

@@ -7,10 +7,9 @@
 
 use crate::codec::CodecModel;
 use hermes_core::{ComponentId, Encoding, GradeLevel, MediaDuration, MediaTime};
-use serde::{Deserialize, Serialize};
 
 /// One frame / audio block / image slice of a media stream.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MediaFrame {
     /// The component this frame belongs to (demultiplexing key).
     pub component: ComponentId,

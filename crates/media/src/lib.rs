@@ -20,5 +20,5 @@ pub mod store;
 pub use codec::{CodecModel, LevelParams};
 pub use convert::QualityConverter;
 pub use frames::{FrameSource, MediaFrame};
-pub use segment::{frames_at_level, segment_bytes, segment_frames, segment_of_frame, SegmentFrame};
+pub use segment::{segment_bytes, segment_frames, segment_of_frame, SegmentFrame};
 pub use store::{MediaObject, MediaStore};

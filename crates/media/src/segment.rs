@@ -10,27 +10,16 @@
 use crate::codec::CodecModel;
 use crate::store::MediaObject;
 use hermes_core::GradeLevel;
-use serde::{Deserialize, Serialize};
 
 /// The content spec of one frame inside a fetched segment: everything the
 /// pulling multimedia server cannot regenerate locally without the object's
 /// content seed. Timing (pts/period) stays with the puller's own pacer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentFrame {
     /// Payload size in bytes.
     pub size: u32,
     /// Key frame (independently decodable)?
     pub key: bool,
-}
-
-/// Total number of frames `object` yields at `level` (its intrinsic
-/// duration divided by the level's frame period; images are one frame).
-pub fn frames_at_level(object: &MediaObject, level: GradeLevel) -> u64 {
-    let model = CodecModel::for_encoding(object.encoding);
-    let period = model.level(level).frame_period().as_micros().max(1);
-    let micros = object.duration.as_micros().max(0);
-    // Ceil: a trailing partial period still emits one frame at its start.
-    (((micros + period - 1) / period).max(1)) as u64
 }
 
 /// Compute segment `segment` of `object` at `level`, with
@@ -90,20 +79,18 @@ mod tests {
     #[test]
     fn segments_tile_the_stream_exactly() {
         let o = obj();
-        let total = frames_at_level(&o, GradeLevel::NOMINAL);
-        assert_eq!(total, 200); // 25 fps × 8 s
-        let mut stitched = Vec::new();
-        let mut seg = 0;
-        while (stitched.len() as u64) < total {
-            stitched.extend(segment_frames(&o, GradeLevel::NOMINAL, seg, 32));
-            seg += 1;
-        }
-        stitched.truncate(total as usize);
-        assert_eq!(stitched.len(), 200);
         // Segment contents match what a local FrameSource generates.
         let local =
             crate::frames::FrameSource::new(ComponentId::new(1), o.encoding, o.seed, o.duration)
                 .collect_all();
+        assert_eq!(local.len(), 200); // 25 fps × 8 s
+        let mut stitched = Vec::new();
+        let mut seg = 0;
+        while stitched.len() < local.len() {
+            stitched.extend(segment_frames(&o, GradeLevel::NOMINAL, seg, 32));
+            seg += 1;
+        }
+        stitched.truncate(local.len());
         for (spec, frame) in stitched.iter().zip(local.iter()) {
             assert_eq!(spec.size, frame.size);
             assert_eq!(spec.key, frame.key);
@@ -153,7 +140,6 @@ mod tests {
             duration: MediaDuration::from_secs(1),
             seed: 7,
         };
-        assert_eq!(frames_at_level(&o, GradeLevel::NOMINAL), 1);
         let s0 = segment_frames(&o, GradeLevel::NOMINAL, 0, 1);
         assert_eq!(s0.len(), 1);
         assert!(s0[0].key);

@@ -7,11 +7,10 @@
 
 use crate::frames::FrameSource;
 use hermes_core::{ComponentId, Encoding, MediaDuration, MediaKind};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Metadata of one stored media object.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MediaObject {
     /// Storage key (the `SOURCE` object name).
     pub key: String,
@@ -39,7 +38,7 @@ impl MediaObject {
 }
 
 /// A key → object map; one per media server.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MediaStore {
     objects: BTreeMap<String, MediaObject>,
 }
@@ -96,10 +95,6 @@ impl MediaStore {
     pub fn iter(&self) -> impl Iterator<Item = &MediaObject> {
         self.objects.values()
     }
-    /// Objects of one media kind.
-    pub fn of_kind(&self, kind: MediaKind) -> impl Iterator<Item = &MediaObject> {
-        self.objects.values().filter(move |o| o.kind() == kind)
-    }
 }
 
 #[cfg(test)]
@@ -116,7 +111,6 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert_eq!(s.get("v.mpg").unwrap().encoding, Encoding::Mpeg);
         assert!(s.get("missing").is_none());
-        assert_eq!(s.of_kind(MediaKind::Audio).count(), 1);
         // BTreeMap iteration is key-ordered.
         let keys: Vec<&str> = s.iter().map(|o| o.key.as_str()).collect();
         assert_eq!(keys, vec!["a.pcm", "i.jpg", "v.mpg"]);

@@ -710,7 +710,7 @@ impl EvidenceIndex {
 /// synthetic streams; [`fill_critical_paths`] adds provenance-based hop
 /// timings.
 ///
-/// Classification runs off a pre-built [`EvidenceIndex`] — O(evidence
+/// Classification runs off a pre-built evidence index — O(evidence
 /// names × log n) per disruption rather than a scan of the window — but
 /// produces exactly [`classify_window`]'s verdicts (differentially
 /// tested); the scan stays as the executable specification.

@@ -16,10 +16,10 @@ pub const DEFAULT_RING_CAP: usize = 64;
 /// Default cap on retained dumps (later anomalies stop dumping — by then
 /// the first few windows have told the story, and memory stays bounded).
 pub const DEFAULT_MAX_DUMPS: usize = 32;
-/// Default incident-dedupe window: repeat dumps for the same
+/// Incident-dedupe window: repeat dumps for the same
 /// `(reason, session, root span)` incident key inside this window are
 /// folded into the first one.
-pub const DEFAULT_DEDUPE_WINDOW: MediaDuration = MediaDuration::from_secs(1);
+pub const DEDUPE_WINDOW: MediaDuration = MediaDuration::from_secs(1);
 
 /// One anomaly dump: the triggering context plus the preceding window of
 /// the node's events, oldest first.
@@ -48,7 +48,6 @@ pub struct FlightDump {
 pub struct FlightRecorder {
     cap: usize,
     max_dumps: usize,
-    dedupe_window: MediaDuration,
     rings: BTreeMap<u64, VecDeque<Event>>,
     dumps: Vec<FlightDump>,
     /// Last dump time per `(reason, incident id, root)` key.
@@ -75,7 +74,6 @@ impl FlightRecorder {
         FlightRecorder {
             cap,
             max_dumps,
-            dedupe_window: DEFAULT_DEDUPE_WINDOW,
             rings: BTreeMap::new(),
             dumps: Vec::new(),
             recent: BTreeMap::new(),
@@ -110,7 +108,7 @@ impl FlightRecorder {
     /// burst on a session, the same breaker trip observed from two nodes —
     /// used to dump multiple near-identical windows and burn the dump cap.
     /// The first dump inside the dedupe window
-    /// ([`Self::set_dedupe_window`]) per `(reason, session, root)` key
+    /// ([`DEDUPE_WINDOW`]) per `(reason, session, root)` key
     /// wins; repeats are counted in [`Self::deduped`]. Anomalies with no
     /// session label keep a per-node key (distinct unlabelled incidents on
     /// different nodes never fold).
@@ -132,7 +130,7 @@ impl FlightRecorder {
         };
         let key = (reason, ident, root);
         if let Some(&last) = self.recent.get(&key) {
-            if at - last <= self.dedupe_window {
+            if at - last <= DEDUPE_WINDOW {
                 self.deduped += 1;
                 return;
             }
@@ -153,11 +151,6 @@ impl FlightRecorder {
             cause: cause(ring),
             events: ring.iter().copied().collect(),
         });
-    }
-
-    /// Override the incident-dedupe window.
-    pub fn set_dedupe_window(&mut self, w: MediaDuration) {
-        self.dedupe_window = w;
     }
 
     /// Dumps collected so far, in trigger order.
@@ -247,7 +240,6 @@ mod tests {
             })
             .collect();
         let mut f = FlightRecorder::new(4, all.len());
-        f.set_dedupe_window(MediaDuration::ZERO);
         let mut evicted = [0u64; 4];
         for (i, &e) in all.iter().enumerate() {
             f.record(e);
@@ -255,8 +247,9 @@ mod tests {
                 evicted[all[i - 4].severity as usize] += 1;
             }
             assert_eq!(f.overwritten, evicted);
+            // Dumps spaced past the dedupe window, so every one is kept.
             f.dump(
-                MediaTime::from_millis(100 + i as i64),
+                MediaTime::from_millis(100 + 1_001 * i as i64),
                 5,
                 "probe",
                 Labels::NONE,

@@ -55,7 +55,7 @@ pub use invariants::{check_run, InvariantConfig, Violation};
 pub use registry::{MetricKey, MetricsRegistry};
 pub use slo::{SloAlert, SloMonitor, SloSpec};
 pub use span::{Span, SpanId, SpanStore};
-pub use stats::{max_dur_by, mean_by, percentile, Accumulator, DurationHistogram, RateMeter};
+pub use stats::{max_dur_by, mean_by, percentile, Accumulator, DurationHistogram};
 
 use hermes_core::{MediaDuration, MediaTime};
 

@@ -10,7 +10,6 @@
 
 use crate::event::Labels;
 use crate::stats::DurationHistogram;
-use hermes_core::MediaDuration;
 use std::collections::BTreeMap;
 
 /// A metric identity: static name plus the fixed label set.
@@ -79,22 +78,6 @@ impl MetricsRegistry {
             .get(&MetricKey::new(name, labels))
             .copied()
             .unwrap_or(0.0)
-    }
-
-    /// Record into a histogram, creating it on first use with the given
-    /// bucket layout (later calls keep the original layout).
-    pub fn hist_record(
-        &mut self,
-        name: &'static str,
-        labels: Labels,
-        width: MediaDuration,
-        buckets: usize,
-        d: MediaDuration,
-    ) {
-        self.hists
-            .entry(MetricKey::new(name, labels))
-            .or_insert_with(|| DurationHistogram::new(width, buckets))
-            .record(d);
     }
 
     /// Install an externally-built histogram under a key (replacing any
@@ -179,6 +162,7 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hermes_core::MediaDuration;
 
     #[test]
     fn counters_and_gauges_round_trip() {
@@ -204,13 +188,9 @@ mod tests {
             r.counter_set("b.metric", Labels::NONE, 2);
             r.counter_set("a.metric", Labels::session(9), 1);
             r.gauge_set("g", Labels::NONE, 1.25);
-            r.hist_record(
-                "lat",
-                Labels::NONE,
-                MediaDuration::from_millis(1),
-                10,
-                MediaDuration::from_millis(3),
-            );
+            let mut h = DurationHistogram::new(MediaDuration::from_millis(1), 10);
+            h.record(MediaDuration::from_millis(3));
+            r.hist_set("lat", Labels::NONE, h);
             r
         };
         let a = build().snapshot();
@@ -220,22 +200,5 @@ mod tests {
         let b_pos = a.find("b.metric").unwrap();
         assert!(a_pos < b_pos, "snapshot must be key-ordered:\n{a}");
         assert!(a.contains("hist lat count=1"));
-    }
-
-    #[test]
-    fn hist_keeps_first_layout() {
-        let mut r = MetricsRegistry::new();
-        let w = MediaDuration::from_millis(10);
-        r.hist_record("h", Labels::NONE, w, 4, MediaDuration::from_millis(35));
-        r.hist_record(
-            "h",
-            Labels::NONE,
-            MediaDuration::from_millis(1), // ignored: layout fixed at creation
-            100,
-            MediaDuration::from_millis(5),
-        );
-        let h = r.hist("h", Labels::NONE).unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.quantile(1.0), MediaDuration::from_millis(40));
     }
 }

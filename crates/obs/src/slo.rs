@@ -31,6 +31,18 @@ use crate::event::Labels;
 use crate::registry::MetricsRegistry;
 use hermes_core::{MediaDuration, MediaTime};
 
+/// Fast burn window (is it happening *now*?).
+const FAST_WINDOW: MediaDuration = MediaDuration::from_secs(1);
+/// Slow burn window (is it *sustained*?).
+const SLOW_WINDOW: MediaDuration = MediaDuration::from_secs(5);
+/// Fast-window burn rate required to alert.
+const FAST_BURN: f64 = 2.0;
+/// Slow-window burn rate required to alert.
+const SLOW_BURN: f64 = 1.0;
+/// Bucket width, µs: a quarter of the fast window — fine enough that
+/// window sums track the true rate, coarse enough to stay tiny.
+const BUCKET_US: i64 = FAST_WINDOW.as_micros() / 4;
+
 /// One declarative SLO. `name` doubles as the registry gauge name for the
 /// published burn, so it must be `&'static` and unique per monitor.
 #[derive(Debug, Clone, Copy)]
@@ -42,28 +54,15 @@ pub struct SloSpec {
     /// Latency threshold for latency-style specs fed via
     /// [`SloMonitor::record_latency`]; `None` for pure event-rate specs.
     pub latency_threshold: Option<MediaDuration>,
-    /// Fast burn window (is it happening *now*?).
-    pub fast_window: MediaDuration,
-    /// Slow burn window (is it *sustained*?).
-    pub slow_window: MediaDuration,
-    /// Fast-window burn rate required to alert.
-    pub fast_burn: f64,
-    /// Slow-window burn rate required to alert.
-    pub slow_burn: f64,
 }
 
 impl SloSpec {
-    /// An event-rate spec (gap ticks, shed fetches, …) with the default
-    /// 1 s / 5 s windows and 2× / 1× burn thresholds.
+    /// An event-rate spec (gap ticks, shed fetches, …).
     pub fn event_rate(name: &'static str, bad_per_1000: f64) -> SloSpec {
         SloSpec {
             name,
             bad_per_1000,
             latency_threshold: None,
-            fast_window: MediaDuration::from_secs(1),
-            slow_window: MediaDuration::from_secs(5),
-            fast_burn: 2.0,
-            slow_burn: 1.0,
         }
     }
 
@@ -74,20 +73,6 @@ impl SloSpec {
             latency_threshold: Some(threshold),
             ..SloSpec::event_rate(name, bad_per_1000)
         }
-    }
-
-    /// Override the windows (builder style).
-    pub fn windows(mut self, fast: MediaDuration, slow: MediaDuration) -> SloSpec {
-        self.fast_window = fast;
-        self.slow_window = slow;
-        self
-    }
-
-    /// Override the burn thresholds (builder style).
-    pub fn burns(mut self, fast: f64, slow: f64) -> SloSpec {
-        self.fast_burn = fast;
-        self.slow_burn = slow;
-        self
     }
 }
 
@@ -110,19 +95,14 @@ type Bucket = (i64, u64, u64);
 #[derive(Debug, Clone)]
 struct SpecState {
     spec: SloSpec,
-    bucket_us: i64,
     buckets: VecDeque<Bucket>,
     alerting: bool,
 }
 
 impl SpecState {
     fn new(spec: SloSpec) -> SpecState {
-        // Bucket at fast_window/4 granularity (≥1 ms) — fine enough that
-        // window sums track the true rate, coarse enough to stay tiny.
-        let bucket_us = (spec.fast_window.as_micros() / 4).max(1_000);
         SpecState {
             spec,
-            bucket_us,
             buckets: VecDeque::new(),
             alerting: false,
         }
@@ -132,7 +112,7 @@ impl SpecState {
         if total == 0 {
             return;
         }
-        let start = now.as_micros().div_euclid(self.bucket_us) * self.bucket_us;
+        let start = now.as_micros().div_euclid(BUCKET_US) * BUCKET_US;
         match self.buckets.back_mut() {
             Some(b) if b.0 == start => {
                 b.1 += total;
@@ -140,8 +120,8 @@ impl SpecState {
             }
             _ => self.buckets.push_back((start, total, bad)),
         }
-        let horizon = now.as_micros() - self.spec.slow_window.as_micros();
-        while matches!(self.buckets.front(), Some(b) if b.0 + self.bucket_us <= horizon) {
+        let horizon = now.as_micros() - SLOW_WINDOW.as_micros();
+        while matches!(self.buckets.front(), Some(b) if b.0 + BUCKET_US <= horizon) {
             self.buckets.pop_front();
         }
     }
@@ -153,7 +133,7 @@ impl SpecState {
         let (mut total, mut bad) = (0u64, 0u64);
         for &(start, t, b) in &self.buckets {
             // A bucket counts while any part of it overlaps the window.
-            if start + self.bucket_us > lo && start <= now.as_micros() {
+            if start + BUCKET_US > lo && start <= now.as_micros() {
                 total += t;
                 bad += b;
             }
@@ -211,10 +191,7 @@ impl SloMonitor {
     /// `(fast, slow)` burn for spec `idx` at `now`.
     pub fn burn(&self, now: MediaTime, idx: usize) -> (f64, f64) {
         match self.states.get(idx) {
-            Some(s) => (
-                s.burn_over(now, s.spec.fast_window),
-                s.burn_over(now, s.spec.slow_window),
-            ),
+            Some(s) => (s.burn_over(now, FAST_WINDOW), s.burn_over(now, SLOW_WINDOW)),
             None => (0.0, 0.0),
         }
     }
@@ -240,7 +217,7 @@ impl SloMonitor {
         for i in 0..self.states.len() {
             let (fast, slow) = self.burn(now, i);
             let s = &mut self.states[i];
-            let hot = fast >= s.spec.fast_burn && slow >= s.spec.slow_burn;
+            let hot = fast >= FAST_BURN && slow >= SLOW_BURN;
             if hot && !s.alerting {
                 s.alerting = true;
                 let a = SloAlert {
@@ -251,7 +228,7 @@ impl SloMonitor {
                 };
                 fired.push(a);
                 self.alerts.push(a);
-            } else if !hot && fast < s.spec.fast_burn {
+            } else if !hot && fast < FAST_BURN {
                 s.alerting = false;
             }
         }
@@ -293,42 +270,28 @@ mod tests {
 
     #[test]
     fn alert_needs_both_windows() {
-        let spec = SloSpec::event_rate("slo.gap", 10.0)
-            .windows(MediaDuration::from_millis(500), MediaDuration::from_secs(4));
-        let mut m = SloMonitor::new(vec![spec]);
-        // A short spike fills the fast window but not the slow one.
-        for i in 0..5 {
+        // A half-bad spike over a 100/1000 budget: the fast window burns
+        // 2.5× within 0.5 s, while 4.5 s of clean history keeps the slow
+        // window under 1×.
+        let mut m = SloMonitor::new(vec![SloSpec::event_rate("slo.gap", 100.0)]);
+        for i in 0..45 {
+            m.record(t(100 * i), 0, 10, 0);
+        }
+        for i in 45..50 {
             m.record(t(100 * i), 0, 10, 5);
         }
-        let (fast, slow) = m.burn(t(500), 0);
-        assert!(fast >= spec.fast_burn);
-        // 25/50 bad over the slow window too (all history is the spike) —
-        // the rule still holds because slow also burns here; stretch the
-        // history with clean samples to make slow cool.
-        let _ = slow;
-        // A looser budget (100/1000) so a half-bad spike diluted over the
-        // slow window stays under 1× burn while the fast window screams.
-        let spec = SloSpec::event_rate("slo.gap", 100.0)
-            .windows(MediaDuration::from_millis(500), MediaDuration::from_secs(4));
-        let mut cool = SloMonitor::new(vec![spec]);
-        for i in 0..35 {
-            cool.record(t(100 * i), 0, 10, 0); // 3.5 s clean
-        }
-        for i in 35..40 {
-            cool.record(t(100 * i), 0, 10, 5); // 0.5 s spike
-        }
-        let (f2, s2) = cool.burn(t(4000), 0);
-        assert!(f2 >= spec.fast_burn, "fast {f2}");
-        assert!(s2 < spec.slow_burn, "slow {s2}");
-        assert!(cool.check(t(4000)).is_empty(), "no alert without slow burn");
+        let (fast, slow) = m.burn(t(5000), 0);
+        assert!(fast >= FAST_BURN, "fast {fast}");
+        assert!(slow < SLOW_BURN, "slow {slow}");
+        assert!(m.check(t(5000)).is_empty(), "no alert without slow burn");
         // Keep burning: slow catches up and the alert fires exactly once.
         let mut fired = 0;
-        for i in 40..80 {
-            cool.record(t(100 * i), 0, 10, 5);
-            fired += cool.check(t(100 * i)).len();
+        for i in 50..100 {
+            m.record(t(100 * i), 0, 10, 5);
+            fired += m.check(t(100 * i)).len();
         }
         assert_eq!(fired, 1);
-        assert_eq!(cool.alerts.len(), 1);
+        assert_eq!(m.alerts.len(), 1);
     }
 
     #[test]

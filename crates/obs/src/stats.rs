@@ -1,99 +1,37 @@
 //! Measurement primitives shared by the QoS managers, the metrics registry
-//! and the experiment harness: streaming mean/variance, fixed-bucket
-//! latency histograms, windowed rate meters and small sample-set helpers.
+//! and the experiment harness: a streaming mean, fixed-bucket latency
+//! histograms and small sample-set helpers.
 //!
 //! (Migrated here from `hermes-simnet::metrics`, which now re-exports these
 //! types, so the registry and the simulator agree on one implementation.)
 
-use hermes_core::{MediaDuration, MediaTime};
-use serde::{Deserialize, Serialize};
+use hermes_core::MediaDuration;
 
-/// Streaming mean / variance / min / max accumulator (Welford).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Streaming mean accumulator (Welford's update).
+#[derive(Debug, Clone, Default)]
 pub struct Accumulator {
     n: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Accumulator {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Accumulator {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
     /// Record one sample.
     pub fn push(&mut self, x: f64) {
         self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
+        self.mean += (x - self.mean) / self.n as f64;
     }
     /// Record a duration in microseconds.
     pub fn push_duration(&mut self, d: MediaDuration) {
         self.push(d.as_micros() as f64);
     }
-    /// Sample count.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
     /// Sample mean (0 if empty).
     pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-    /// Population variance (0 if fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-    /// Standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-    /// Minimum (0 if empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-    /// Maximum (0 if empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-    /// Mean as a duration (for latency accumulators).
-    pub fn mean_duration(&self) -> MediaDuration {
-        MediaDuration::from_micros(self.mean() as i64)
-    }
-    /// Max as a duration.
-    pub fn max_duration(&self) -> MediaDuration {
-        MediaDuration::from_micros(self.max() as i64)
+        self.mean
     }
 }
 
 /// A fixed-width bucket histogram over durations, with overflow bucket.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DurationHistogram {
     bucket_width: MediaDuration,
     buckets: Vec<u64>,
@@ -152,44 +90,6 @@ impl DurationHistogram {
     }
 }
 
-/// A windowed rate meter: events per second over a sliding window.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RateMeter {
-    window: MediaDuration,
-    events: std::collections::VecDeque<MediaTime>,
-}
-
-impl RateMeter {
-    /// Meter with the given window length.
-    pub fn new(window: MediaDuration) -> Self {
-        assert!(window.as_micros() > 0);
-        RateMeter {
-            window,
-            events: std::collections::VecDeque::new(),
-        }
-    }
-    /// Record an event at `now`.
-    pub fn record(&mut self, now: MediaTime) {
-        self.events.push_back(now);
-        self.evict(now);
-    }
-    fn evict(&mut self, now: MediaTime) {
-        let cutoff = now - self.window;
-        while matches!(self.events.front(), Some(&t) if t < cutoff) {
-            self.events.pop_front();
-        }
-    }
-    /// Events per second over the window ending at `now`.
-    pub fn rate(&mut self, now: MediaTime) -> f64 {
-        self.evict(now);
-        self.events.len() as f64 / self.window.as_secs_f64()
-    }
-    /// Events currently inside the window.
-    pub fn count(&self) -> usize {
-        self.events.len()
-    }
-}
-
 /// Mean of a projected metric over a sample set (0 if empty) — the one
 /// shared implementation behind the experiment harness's per-run summaries.
 pub fn mean_by<T>(items: &[T], f: impl Fn(&T) -> f64) -> f64 {
@@ -223,34 +123,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accumulator_moments() {
-        let mut a = Accumulator::new();
+    fn accumulator_mean() {
+        let mut a = Accumulator::default();
+        assert_eq!(a.mean(), 0.0);
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             a.push(x);
         }
-        assert_eq!(a.count(), 8);
         assert!((a.mean() - 5.0).abs() < 1e-9);
-        assert!((a.variance() - 4.0).abs() < 1e-9);
-        assert_eq!(a.min(), 2.0);
-        assert_eq!(a.max(), 9.0);
-    }
-
-    #[test]
-    fn empty_accumulator_is_zeroes() {
-        let a = Accumulator::new();
-        assert_eq!(a.mean(), 0.0);
-        assert_eq!(a.variance(), 0.0);
-        assert_eq!(a.min(), 0.0);
-        assert_eq!(a.max(), 0.0);
-    }
-
-    #[test]
-    fn accumulator_durations() {
-        let mut a = Accumulator::new();
-        a.push_duration(MediaDuration::from_millis(10));
-        a.push_duration(MediaDuration::from_millis(20));
-        assert_eq!(a.mean_duration(), MediaDuration::from_millis(15));
-        assert_eq!(a.max_duration(), MediaDuration::from_millis(20));
+        let mut d = Accumulator::default();
+        d.push_duration(MediaDuration::from_millis(10));
+        d.push_duration(MediaDuration::from_millis(20));
+        assert_eq!(d.mean(), 15_000.0);
     }
 
     #[test]
@@ -331,20 +214,6 @@ mod tests {
         // q clamps: out-of-range q behaves like the endpoints.
         assert_eq!(h.quantile(2.0), h.quantile(1.0));
         assert_eq!(h.quantile(-1.0), h.quantile(0.0));
-    }
-
-    #[test]
-    fn rate_meter_window() {
-        let mut m = RateMeter::new(MediaDuration::from_secs(1));
-        for i in 0..10 {
-            m.record(MediaTime::from_millis(i * 100)); // 10 events in 1s
-        }
-        let r = m.rate(MediaTime::from_millis(900));
-        assert!((r - 10.0).abs() < 1e-9, "{r}");
-        // 2 seconds later everything expired.
-        let r = m.rate(MediaTime::from_millis(2900));
-        assert_eq!(r, 0.0);
-        assert_eq!(m.count(), 0);
     }
 
     #[test]

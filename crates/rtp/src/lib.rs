@@ -19,8 +19,5 @@ pub use packet::{
     UDP_IP_OVERHEAD,
 };
 pub use rtcp::{ReportBlock, RtcpDecodeError, RtcpPacket};
-pub use session::{
-    payload_type_for, wire_bytes_for_frame, ReceivedFrame, RtpReceiver, RtpSender,
-    DEFAULT_MAX_PAYLOAD,
-};
+pub use session::{payload_type_for, ReceivedFrame, RtpReceiver, RtpSender, DEFAULT_MAX_PAYLOAD};
 pub use stats::ReceiverStats;

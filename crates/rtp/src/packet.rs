@@ -8,7 +8,6 @@
 //! packet records only how long its payload is and owns no memory.
 
 use bytes::{Buf, Bytes};
-use serde::{Deserialize, Serialize};
 
 /// RTP protocol version (always 2).
 pub const RTP_VERSION: u8 = 2;
@@ -19,7 +18,7 @@ pub const UDP_IP_OVERHEAD: usize = 28;
 
 /// Payload types used by the service (per-kind static assignment, as the
 /// audio/video profile did).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PayloadType {
     /// PCM audio (PT 11 in the AV profile: L16 mono).
     Pcm,

@@ -7,10 +7,9 @@
 //! reports to the flow scheduler, which drives the quality converters.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 /// One report block of a receiver report (RFC 3550 §6.4.1 fields).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReportBlock {
     /// The source this block describes.
     pub ssrc: u32,
@@ -41,7 +40,7 @@ impl ReportBlock {
 }
 
 /// RTCP packet variants used by the service.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RtcpPacket {
     /// Sender report: sending stats + report blocks.
     SenderReport {

@@ -7,9 +7,7 @@
 //! parallel connection which is established between the browser and the
 //! corresponding media server", §6.1).
 
-use crate::packet::{
-    clock_to_micros, micros_to_clock, PayloadType, RtpPacket, RTP_HEADER_LEN, UDP_IP_OVERHEAD,
-};
+use crate::packet::{clock_to_micros, micros_to_clock, PayloadType, RtpPacket};
 use crate::rtcp::{ReportBlock, RtcpPacket};
 use crate::stats::ReceiverStats;
 use hermes_core::{Encoding, MediaTime};
@@ -299,13 +297,6 @@ impl RtpReceiver {
     }
 }
 
-/// On-wire bytes for a frame of `size` payload bytes split at `max_payload`:
-/// used by the flow scheduler to budget bandwidth including header overhead.
-pub fn wire_bytes_for_frame(size: u32, max_payload: usize) -> u64 {
-    let fragments = (size as usize).div_ceil(max_payload).max(1);
-    size as u64 + (fragments * (RTP_HEADER_LEN + UDP_IP_OVERHEAD)) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -495,12 +486,5 @@ mod tests {
         // 25 frames per second: the newest 26 late fragments are within 1 s.
         assert_eq!(rx.partial.len(), 26);
         assert_eq!(rx.stats.frames_abandoned, 74);
-    }
-
-    #[test]
-    fn wire_budget_counts_fragment_headers() {
-        assert_eq!(wire_bytes_for_frame(1400, 1400), 1400 + 40);
-        assert_eq!(wire_bytes_for_frame(1401, 1400), 1401 + 80);
-        assert_eq!(wire_bytes_for_frame(0, 1400), 40);
     }
 }

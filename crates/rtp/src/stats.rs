@@ -7,10 +7,9 @@
 
 use crate::packet::{clock_to_micros, RtpPacket};
 use hermes_core::{MediaDuration, MediaTime};
-use serde::{Deserialize, Serialize};
 
 /// Per-source reception statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReceiverStats {
     clock_rate: u32,
     /// Highest sequence number seen (16-bit).

@@ -8,11 +8,10 @@
 //! mechanism is initialized."
 
 use hermes_core::{DocumentId, MediaDuration, MediaTime, PricingClass, UserId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The subscription form of §5.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubscriptionForm {
     /// Real name.
     pub name: String,
@@ -27,7 +26,7 @@ pub struct SubscriptionForm {
 }
 
 /// One entry of the "coherent, centralized database of authorized users".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserRecord {
     /// The user's id.
     pub id: UserId,
@@ -41,7 +40,7 @@ pub struct UserRecord {
 }
 
 /// A pricing event on a user's ledger.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Charge {
     /// Session connect fee.
     Connection,

@@ -10,11 +10,10 @@
 //! though it affects the other users)."
 
 use hermes_core::{ConnectionId, MediaDuration, PricingClass, QosRequirement, SessionId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A connection request as evaluated by the admission controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConnectionRequest {
     /// The session asking for admission.
     pub session: SessionId,
@@ -25,7 +24,7 @@ pub struct ConnectionRequest {
 }
 
 /// The admission verdict.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AdmissionDecision {
     /// Admitted; the stated bandwidth was reserved.
     Admit {
@@ -41,7 +40,7 @@ pub enum AdmissionDecision {
 
 /// A snapshot of the network path's condition, supplied by the caller (the
 /// service layer measures it on the simulated network).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathCondition {
     /// Bottleneck capacity of the path, bits/second.
     pub capacity_bps: u64,
@@ -59,7 +58,7 @@ impl PathCondition {
 }
 
 /// Statistics kept by the controller (per pricing class).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassStats {
     /// Requests received.
     pub requests: u64,
@@ -140,23 +139,10 @@ impl AdmissionController {
         (AdmissionDecision::Admit { reserved_bps: want }, Some(conn))
     }
 
-    /// The connection admitted for a session, if any.
-    pub fn connection_of(&self, session: SessionId) -> Option<ConnectionId> {
-        self.active.get(&session).map(|(c, _)| *c)
-    }
-
     /// Release a session's admission (disconnect / migration away).
     /// Returns the connection id to un-reserve, if one was active.
     pub fn release(&mut self, session: SessionId) -> Option<ConnectionId> {
         self.active.remove(&session).map(|(c, _)| c)
-    }
-
-    /// Admission rate for a class (admitted / requests), or 1.0 if none.
-    pub fn admit_rate(&self, class: PricingClass) -> f64 {
-        match self.stats.get(&class) {
-            Some(s) if s.requests > 0 => s.admitted as f64 / s.requests as f64,
-            _ => 1.0,
-        }
     }
 }
 
@@ -245,7 +231,6 @@ mod tests {
         let req = request(PricingClass::Standard, 1_000_000);
         let (_, conn) = ac.evaluate(&req, path(10_000_000, 0));
         let conn = conn.unwrap();
-        assert_eq!(ac.connection_of(req.session), Some(conn));
         assert_eq!(ac.release(req.session), Some(conn));
         assert_eq!(ac.release(req.session), None);
         assert_eq!(ac.active_sessions(), 0);
@@ -266,8 +251,8 @@ mod tests {
         let eco = ac.stats[&PricingClass::Economy];
         assert_eq!(eco.requests, 4);
         assert_eq!(eco.rejected, 4);
-        assert_eq!(ac.admit_rate(PricingClass::Economy), 0.0);
-        assert_eq!(ac.admit_rate(PricingClass::Premium), 1.0);
-        assert_eq!(ac.admit_rate(PricingClass::Standard), 1.0); // no requests
+        let premium = ac.stats[&PricingClass::Premium];
+        assert_eq!((premium.requests, premium.admitted), (1, 1));
+        assert!(!ac.stats.contains_key(&PricingClass::Standard)); // no requests
     }
 }

@@ -9,12 +9,11 @@
 use hermes_core::{DocumentId, MediaKind, Scenario, ServerId, ServiceError, ServiceResult};
 use hermes_hml::scenario_from_markup;
 use hermes_media::MediaStore;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A topic entry in the service's contents list.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopicEntry {
     /// The document presenting the topic/lesson.
     pub document: DocumentId,
@@ -99,11 +98,6 @@ impl MultimediaDb {
             .ok_or(ServiceError::DocumentNotFound(id))
     }
 
-    /// Does the server hold this document?
-    pub fn has_document(&self, id: DocumentId) -> bool {
-        self.documents.contains_key(&id)
-    }
-
     /// The topic list (the service contents presented after connection).
     pub fn topics(&self) -> &[TopicEntry] {
         &self.topics
@@ -180,7 +174,7 @@ mod tests {
         assert_eq!(db.len(), 2);
         let d = db.document(DocumentId::new(1)).unwrap();
         assert_eq!(d.scenario.title, "Rivers of Europe");
-        assert!(db.has_document(DocumentId::new(2)));
+        assert!(db.document(DocumentId::new(2)).is_ok());
         assert!(matches!(
             db.document(DocumentId::new(9)),
             Err(ServiceError::DocumentNotFound(_))

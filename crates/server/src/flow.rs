@@ -12,10 +12,9 @@ use hermes_core::{
     QosRequirement, Scenario,
 };
 use hermes_media::CodecModel;
-use serde::{Deserialize, Serialize};
 
 /// The transmission plan for one media stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowPlan {
     /// The component the plan transmits.
     pub component: ComponentId,
@@ -39,7 +38,7 @@ pub struct FlowPlan {
 }
 
 /// The complete flow scenario for a document request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowScenario {
     /// One plan per stored media component, in send-start order.
     pub plans: Vec<FlowPlan>,

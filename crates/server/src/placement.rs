@@ -96,18 +96,6 @@ impl PlacementMap {
             .iter()
             .map(|(k, v)| (k.as_str(), v.as_slice()))
     }
-
-    /// Objects placed per node (the static load balance the experiment
-    /// tables report).
-    pub fn objects_per_node(&self) -> BTreeMap<NodeId, usize> {
-        let mut counts = BTreeMap::new();
-        for nodes in self.replicas.values() {
-            for n in nodes {
-                *counts.entry(*n).or_insert(0) += 1;
-            }
-        }
-        counts
-    }
 }
 
 /// Load- and RTT-aware replica choice: each candidate replica is scored as
@@ -228,7 +216,10 @@ mod tests {
         let ns = nodes(4);
         let keys: Vec<String> = (0..64).map(|i| format!("obj-{i}.mpg")).collect();
         let p = PlacementMap::build(keys.iter().map(String::as_str), &ns, 1);
-        let per = p.objects_per_node();
+        let mut per = BTreeMap::new();
+        for n in p.iter().flat_map(|(_, replicas)| replicas) {
+            *per.entry(*n).or_insert(0) += 1;
+        }
         // Every node got something; no node hoards more than half.
         assert_eq!(per.len(), 4, "{per:?}");
         for (_, c) in per {

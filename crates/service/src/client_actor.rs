@@ -210,7 +210,6 @@ pub struct ClientActor {
 impl ClientActor {
     /// Create a client on a node.
     pub fn new(node: NodeId, cfg: ClientConfig) -> Self {
-        let feedback = cfg.feedback_interval;
         let retries = RetryBudget::new(RETRY_TOKENS);
         ClientActor {
             node,
@@ -221,7 +220,7 @@ impl ClientActor {
             suspended: None,
             topics: Vec::new(),
             presentation: None,
-            qos: ClientQosManager::new(feedback),
+            qos: ClientQosManager::default(),
             directory: BTreeMap::new(),
             completed: Vec::new(),
             history: Vec::new(),

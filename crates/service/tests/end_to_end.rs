@@ -73,19 +73,10 @@ fn full_session_plays_figure2() {
     assert!(sess
         .streams
         .values()
-        .all(|t| t.done || t.plan.kind.is_discrete_kind()));
+        .all(|t| t.done || !t.plan.kind.is_continuous()));
     // Accounting: connect + retrieval charges landed.
     let user = client.user.unwrap();
     assert!(server.accounts.balance(user).unwrap() > 0);
-}
-
-trait KindExt {
-    fn is_discrete_kind(&self) -> bool;
-}
-impl KindExt for hermes_core::MediaKind {
-    fn is_discrete_kind(&self) -> bool {
-        self.is_discrete()
-    }
 }
 
 #[test]

@@ -7,9 +7,7 @@
 //! applied at a deterministic simulation instant, so a run with a given
 //! (topology seed, sim seed, fault plan) triple is exactly reproducible —
 //! including runs that also use jitter/loss/congestion models, which keep
-//! drawing from their own per-link RNG streams. Optional timing jitter on
-//! the plan itself draws from a [`SimRng`], keeping perturbed schedules
-//! seeded too.
+//! drawing from their own per-link RNG streams.
 //!
 //! Semantics:
 //!
@@ -26,7 +24,6 @@
 //! * **Link flap** — a periodic down/up cycle, expanded at install time
 //!   into plain partition/heal events.
 
-use crate::rng::SimRng;
 use hermes_core::{MediaDuration, MediaTime, NodeId};
 use std::fmt;
 
@@ -114,8 +111,8 @@ pub struct FaultEvent {
 }
 
 /// The *subject* a fault acts on: a node's process, a node's service speed,
-/// or a link. Window validation and order-preserving jitter pair an opening
-/// fault with the closing fault of the same subject.
+/// or a link. Window validation pairs an opening fault with the closing
+/// fault of the same subject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Subject {
     Process(NodeId),
@@ -255,33 +252,6 @@ impl FaultPlan {
         self
     }
 
-    /// Perturb every event time by a uniform draw from `[0, max_jitter)`.
-    /// The draw comes from the supplied seeded RNG, so a jittered plan is
-    /// still fully reproducible. Relative order *within one subject* (a
-    /// node's crash/restart pair, a link's down/up pair) is preserved: a
-    /// repair drawn to land before its fault is clamped just after it, so
-    /// jitter can never invert a window into a permanent outage.
-    pub fn jittered(mut self, rng: &mut SimRng, max_jitter: MediaDuration) -> Self {
-        let span = max_jitter.as_micros().max(0) as u64;
-        if span > 0 {
-            let mut floor: Vec<(Subject, MediaTime)> = Vec::new();
-            for ev in &mut self.events {
-                ev.at += MediaDuration::from_micros(rng.range_u64(0, span) as i64);
-                let subject = ev.kind.subject();
-                match floor.iter_mut().find(|(s, _)| *s == subject) {
-                    Some((_, t)) => {
-                        if ev.at <= *t {
-                            ev.at = *t + MediaDuration::from_micros(1);
-                        }
-                        *t = ev.at;
-                    }
-                    None => floor.push((subject, ev.at)),
-                }
-            }
-        }
-        self
-    }
-
     /// The scheduled events, sorted by time.
     ///
     /// **Same-tick ordering guarantee:** the sort is stable, so events at
@@ -417,24 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        let base =
-            FaultPlan::new().crash_for(n(2), MediaTime::from_secs(10), MediaDuration::from_secs(1));
-        let j1 = base.clone().jittered(
-            &mut SimRng::seed_from_u64(7),
-            MediaDuration::from_millis(500),
-        );
-        let j2 = base.clone().jittered(
-            &mut SimRng::seed_from_u64(7),
-            MediaDuration::from_millis(500),
-        );
-        assert_eq!(j1, j2, "same seed, same perturbation");
-        for (b, j) in base.events().iter().zip(j1.events()) {
-            assert!(j.at >= b.at && j.at < b.at + MediaDuration::from_millis(500));
-        }
-    }
-
-    #[test]
     fn brownout_expands_to_slow_then_nominal() {
         let plan = FaultPlan::new().brownout(
             n(3),
@@ -507,28 +459,6 @@ mod tests {
         assert_eq!(norm.len(), 2);
         // Distinct events at the same tick survive.
         assert_eq!(norm.events()[1].kind, FaultKind::NodeCrash { node: n(2) });
-    }
-
-    #[test]
-    fn jitter_preserves_per_subject_order() {
-        // A tight crash window under heavy jitter: the restart must never
-        // land at or before the crash, whatever the draws.
-        for seed in 0..50 {
-            let plan = FaultPlan::new()
-                .crash_for(n(2), MediaTime::from_secs(1), MediaDuration::from_millis(5))
-                .jittered(
-                    &mut SimRng::seed_from_u64(seed),
-                    MediaDuration::from_secs(1),
-                );
-            let evs = plan.raw_events();
-            assert!(
-                evs[0].at < evs[1].at,
-                "seed {seed}: restart at {:?} not after crash at {:?}",
-                evs[1].at,
-                evs[0].at
-            );
-            assert!(plan.validate().is_ok(), "seed {seed}");
-        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod topology;
 pub use chaos::{ChaosProfile, ChaosTargets, IncidentWeights};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, PlanError};
 pub use hermes_obs::{self as obs, Event, Labels, Obs, Severity, SpanId};
-pub use metrics::{Accumulator, DurationHistogram, RateMeter};
+pub use metrics::{Accumulator, DurationHistogram};
 pub use models::{CongestionEpoch, CongestionProfile, JitterModel, LossModel, LossState};
 pub use rng::SimRng;
 pub use sim::{App, Sim, SimApi, SimConfig, SimStats, Transport, WireSize};

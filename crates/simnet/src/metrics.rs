@@ -5,6 +5,4 @@
 //! harness); this module re-exports them under their historical simnet
 //! paths so existing call sites keep working.
 
-pub use hermes_obs::stats::{
-    max_dur_by, mean_by, percentile, Accumulator, DurationHistogram, RateMeter,
-};
+pub use hermes_obs::stats::{max_dur_by, mean_by, percentile, Accumulator, DurationHistogram};

@@ -8,11 +8,10 @@
 
 use crate::rng::SimRng;
 use hermes_core::{MediaDuration, MediaTime};
-use serde::{Deserialize, Serialize};
 
 /// Per-packet delay-jitter model (added on top of propagation + transmission
 /// delay on a link).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JitterModel {
     /// No jitter.
     None,
@@ -87,7 +86,7 @@ impl JitterModel {
 }
 
 /// Packet-loss model for a link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LossModel {
     /// Lossless.
     None,
@@ -166,7 +165,7 @@ impl LossModel {
 /// One epoch of a background-traffic (congestion) profile: during
 /// `[start, end)` the link carries cross traffic equal to `load` of its
 /// capacity, and suffers `extra_loss` additional loss probability.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CongestionEpoch {
     /// Epoch start (simulation time).
     pub start: MediaTime,
@@ -180,7 +179,7 @@ pub struct CongestionEpoch {
 
 /// A schedule of congestion epochs on a link. Gaps between epochs are
 /// uncongested. Epochs must be sorted and non-overlapping.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CongestionProfile {
     /// The epochs, sorted by start.
     pub epochs: Vec<CongestionEpoch>,

@@ -548,13 +548,6 @@ impl Network {
             .min()
     }
 
-    /// Worst utilization along a path at instant `t`.
-    pub fn path_utilization(&self, src: NodeId, dst: NodeId, t: MediaTime) -> Option<f64> {
-        self.route(src, dst)?
-            .map(|l| self.links[l as usize].utilization(t))
-            .fold(None, |acc, u| Some(acc.map_or(u, |a: f64| a.max(u))))
-    }
-
     /// Reserve `bps` along the path for a connection. Returns false (and
     /// reserves nothing) if any link lacks headroom.
     pub fn reserve(&mut self, conn: ConnectionId, src: NodeId, dst: NodeId, bps: u64) -> bool {
@@ -1128,14 +1121,5 @@ mod tests {
             Some(MediaDuration::from_micros(4_300))
         );
         assert_eq!(net.path_propagation(n(0), n(9)), None);
-    }
-
-    #[test]
-    fn path_utilization_is_worst_link() {
-        let mut net = line_network();
-        net.link_mut(n(0), n(1)).unwrap().reserved_bps = 2_000_000;
-        net.link_mut(n(1), n(2)).unwrap().reserved_bps = 7_000_000;
-        let u = net.path_utilization(n(0), n(2), MediaTime::ZERO).unwrap();
-        assert!((u - 0.7).abs() < 1e-9, "{u}");
     }
 }

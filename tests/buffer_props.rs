@@ -27,7 +27,6 @@ fn frame(seq: u64, pts_ms: i64, last: bool) -> MediaFrame {
 enum Op {
     Push(i64),
     Pop,
-    Drop(u8),
     DropStale(i64, u8),
     Duplicate(u8),
 }
@@ -36,7 +35,6 @@ fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0i64..10_000).prop_map(Op::Push),
         Just(Op::Pop),
-        (0u8..10).prop_map(Op::Drop),
         ((0i64..10_000), (0u8..10)).prop_map(|(p, n)| Op::DropStale(p, n)),
         (0u8..6).prop_map(Op::Duplicate),
     ]
@@ -95,9 +93,6 @@ fn check_ops(ops: &[Op]) -> Result<(), String> {
                 Some(Popped::Duplicate) => popped_dups += 1,
                 None => ensure!(b.is_empty(), "pop returned None on non-empty buffer"),
             },
-            Op::Drop(n) => {
-                b.drop_frames(*n as u32);
-            }
             Op::DropStale(pts, n) => {
                 b.drop_stale(MediaTime::from_millis(*pts), *n as u32);
             }
@@ -116,7 +111,7 @@ fn check_ops(ops: &[Op]) -> Result<(), String> {
     let s = b.stats;
     // Unit conservation over real frames AND duplicates: everything that
     // entered (pushes + queued duplicates) is either popped (real or
-    // dup), dropped (drop_frames / drop_stale, which may consume dups),
+    // dup), dropped (drop_stale, which may consume dups),
     // or still staged. Late/capacity-rejected frames never enter.
     ensure!(
         s.frames_in + s.frames_duplicated
@@ -154,17 +149,12 @@ proptest! {
 
 // --- pinned shrunk cases from buffer_props.proptest-regressions ----------
 
-/// `cc b6a37980…`: drop_stale must consume queued duplicates (and count them
+/// `cc b6a37980…` (less its no-op `Drop(0)`, an operation the buffer no
+/// longer has): drop_stale must consume queued duplicates (and count them
 /// as drops) without touching the lone staged frame.
 #[test]
 fn regression_drop_stale_consumes_duplicate() {
-    check_ops(&[
-        Op::Push(0),
-        Op::Drop(0),
-        Op::Duplicate(1),
-        Op::DropStale(0, 1),
-    ])
-    .unwrap();
+    check_ops(&[Op::Push(0), Op::Duplicate(1), Op::DropStale(0, 1)]).unwrap();
 }
 
 /// `cc 8eb52a04…`: a frame arriving with a pts earlier than one already

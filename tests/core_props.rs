@@ -1,10 +1,10 @@
-//! Property tests on the core temporal algebra: intervals/Allen relations,
-//! time arithmetic, skew-repair planning and grading ladders.
+//! Property tests on the core temporal algebra (intervals/Allen relations,
+//! time arithmetic) and on the two recovery rules that step over it: the
+//! skew repair's frame count and the codecs' grading ladders.
 
-use hermes_od::core::{
-    plan_repair, AllenRelation, GradeLevel, Interval, LadderRung, MediaDuration, MediaTime,
-    QualityLadder, Skew, SkewPolicy, SkewRepair,
-};
+use hermes_od::client::playout::repair_frames;
+use hermes_od::core::{AllenRelation, Encoding, GradeLevel, Interval, MediaDuration, MediaTime};
+use hermes_od::media::CodecModel;
 use proptest::prelude::*;
 
 fn time() -> impl Strategy<Value = MediaTime> {
@@ -46,15 +46,6 @@ proptest! {
         }
     }
 
-    /// The hull contains both intervals and any intersection.
-    #[test]
-    fn hull_contains(a in interval(), b in interval()) {
-        let h = a.hull(&b);
-        prop_assert!(h.start <= a.start && h.end >= a.end);
-        prop_assert!(h.start <= b.start && h.end >= b.end);
-        prop_assert!(h.duration() >= a.duration().max(b.duration()));
-    }
-
     /// Time arithmetic: (a + d) - d == a, and subtraction inverts addition.
     #[test]
     fn time_arithmetic(a in time(), d in -1_000_000i64..1_000_000) {
@@ -63,61 +54,47 @@ proptest! {
         prop_assert_eq!((a + d) - a, d);
     }
 
-    /// plan_repair never returns a zero-frame repair when out of tolerance,
-    /// and never repairs within tolerance.
+    /// The skew repair's frame count (the live rule in the client's
+    /// playout engine) is at least one whenever skew is out of tolerance,
+    /// and covers the excess with less than one frame to spare.
     #[test]
     fn repair_planning_sound(
-        skew_us in -2_000_000i64..2_000_000,
-        tol_ms in 1i64..500,
         period_ms in 1i64..100,
-        policy in prop_oneof![Just(SkewPolicy::DropLeader), Just(SkewPolicy::DuplicateLaggard), Just(SkewPolicy::Both)],
+        whole in 1i64..50,
+        short_us in prop_oneof![Just(0i64), 0i64..100_000],
     ) {
-        let skew = Skew::new(MediaDuration::from_micros(skew_us));
-        let tol = MediaDuration::from_millis(tol_ms);
         let period = MediaDuration::from_millis(period_ms);
-        let (repair, _side) = plan_repair(skew, tol, period, policy);
-        if skew.within(tol) {
-            prop_assert_eq!(repair, SkewRepair::None);
-        } else {
-            match repair {
-                SkewRepair::None => prop_assert!(false, "out-of-tolerance skew not repaired"),
-                SkewRepair::DropFromLeader { frames } | SkewRepair::DuplicateInLaggard { frames } => {
-                    prop_assert!(frames >= 1);
-                    // The correction never exceeds the excess by more than
-                    // one frame quantum.
-                    let excess = skew.magnitude() - tol;
-                    let corrected = period * frames as i64;
-                    prop_assert!(corrected <= excess + period + period,
-                        "overcorrection: {corrected} for excess {excess}");
-                }
-            }
-        }
+        // The skew beyond tolerance lies in ((whole − 1) periods, whole
+        // periods], and is an exact multiple half the time: where a
+        // rounding slip shows.
+        let excess = period * whole - MediaDuration::from_micros(short_us % period.as_micros());
+        let frames = repair_frames(excess, period);
+        prop_assert!(frames >= 1);
+        prop_assert!(period * frames as i64 >= excess,
+            "undercorrection: {frames} × {period} for excess {excess}");
+        prop_assert!(period * (frames as i64 - 1) < excess,
+            "overcorrection: {frames} × {period} for excess {excess}");
     }
 
-    /// Grading ladders: degraded levels never cost more bandwidth; stepping
-    /// down then up returns to the same level.
+    /// Every codec's grading ladder: stepping a level down never costs more
+    /// bandwidth, the step saturates at the deepest level, and stepping
+    /// back up returns to nominal.
     #[test]
-    fn ladder_monotone(rungs in proptest::collection::vec(1_000u64..10_000_000, 1..8)) {
-        let mut sorted = rungs.clone();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        let ladder = QualityLadder::new(
-            sorted.iter().enumerate()
-                .map(|(i, bw)| LadderRung { label: format!("L{i}"), bandwidth_bps: *bw })
-                .collect(),
-        );
-        let max = ladder.max_level();
+    fn ladder_monotone(e in 0..Encoding::ALL.len(), steps in 1usize..10) {
+        let model = CodecModel::for_encoding(Encoding::ALL[e]);
+        let max = model.max_level();
         let mut level = GradeLevel::NOMINAL;
-        let mut last_bw = ladder.bandwidth_at(level);
-        for _ in 0..10 {
+        let mut last_bw = model.level(level).bandwidth_bps();
+        for _ in 0..steps {
             level = level.degraded(max);
-            let bw = ladder.bandwidth_at(level);
+            let bw = model.level(level).bandwidth_bps();
             prop_assert!(bw <= last_bw);
+            prop_assert!(level <= max);
             last_bw = bw;
         }
-        for _ in 0..10 {
+        for _ in 0..steps {
             level = level.upgraded();
         }
         prop_assert_eq!(level, GradeLevel::NOMINAL);
-        prop_assert_eq!(ladder.bandwidth_at(level), sorted[0]);
     }
 }
