@@ -63,24 +63,9 @@ impl TagKeyword {
     }
     /// Parse a tag name (case-insensitive, as in HTML).
     pub fn from_spelling(s: &str) -> Option<TagKeyword> {
-        Some(match s.to_ascii_uppercase().as_str() {
-            "TITLE" => TagKeyword::Title,
-            "H1" => TagKeyword::H1,
-            "H2" => TagKeyword::H2,
-            "H3" => TagKeyword::H3,
-            "PAR" => TagKeyword::Par,
-            "SEP" => TagKeyword::Sep,
-            "TEXT" => TagKeyword::Text,
-            "IMG" => TagKeyword::Img,
-            "AU" => TagKeyword::Au,
-            "VI" => TagKeyword::Vi,
-            "AU_VI" => TagKeyword::AuVi,
-            "HLINK" => TagKeyword::Hlink,
-            "B" => TagKeyword::Bold,
-            "I" => TagKeyword::Italic,
-            "U" => TagKeyword::Underline,
-            _ => return None,
-        })
+        Self::ALL
+            .into_iter()
+            .find(|k| k.spelling().eq_ignore_ascii_case(s))
     }
     /// Inline style spans.
     pub fn is_style(self) -> bool {
@@ -171,23 +156,9 @@ impl AttrKeyword {
     }
     /// Parse an attribute name (case-insensitive).
     pub fn from_spelling(s: &str) -> Option<AttrKeyword> {
-        Some(match s.to_ascii_uppercase().as_str() {
-            "SOURCE" => AttrKeyword::Source,
-            "ID" => AttrKeyword::Id,
-            "STARTIME" => AttrKeyword::Startime,
-            "DURATION" => AttrKeyword::Duration,
-            "WHERE" => AttrKeyword::Where,
-            "HEIGHT" => AttrKeyword::Height,
-            "WIDTH" => AttrKeyword::Width,
-            "NOTE" => AttrKeyword::Note,
-            "AT" => AttrKeyword::At,
-            "TO" => AttrKeyword::To,
-            "HOST" => AttrKeyword::Host,
-            "KIND" => AttrKeyword::Kind,
-            "ENCODING" => AttrKeyword::EncodingAttr,
-            "SYNC" => AttrKeyword::Sync,
-            _ => return None,
-        })
+        Self::ALL
+            .into_iter()
+            .find(|k| k.spelling().eq_ignore_ascii_case(s))
     }
     /// All attribute keywords, in a stable order.
     pub const ALL: [AttrKeyword; 14] = [
@@ -270,9 +241,58 @@ pub fn keyword_table() -> Vec<KeywordRow> {
     ]
 }
 
+/// The lookups as they were first written — upper-case the spelling, then
+/// match it — kept as the executable spec the scanning lookups are held to.
+#[cfg(test)]
+mod spec {
+    use super::{AttrKeyword, TagKeyword};
+
+    pub fn tag(s: &str) -> Option<TagKeyword> {
+        Some(match s.to_ascii_uppercase().as_str() {
+            "TITLE" => TagKeyword::Title,
+            "H1" => TagKeyword::H1,
+            "H2" => TagKeyword::H2,
+            "H3" => TagKeyword::H3,
+            "PAR" => TagKeyword::Par,
+            "SEP" => TagKeyword::Sep,
+            "TEXT" => TagKeyword::Text,
+            "IMG" => TagKeyword::Img,
+            "AU" => TagKeyword::Au,
+            "VI" => TagKeyword::Vi,
+            "AU_VI" => TagKeyword::AuVi,
+            "HLINK" => TagKeyword::Hlink,
+            "B" => TagKeyword::Bold,
+            "I" => TagKeyword::Italic,
+            "U" => TagKeyword::Underline,
+            _ => return None,
+        })
+    }
+
+    pub fn attr(s: &str) -> Option<AttrKeyword> {
+        Some(match s.to_ascii_uppercase().as_str() {
+            "SOURCE" => AttrKeyword::Source,
+            "ID" => AttrKeyword::Id,
+            "STARTIME" => AttrKeyword::Startime,
+            "DURATION" => AttrKeyword::Duration,
+            "WHERE" => AttrKeyword::Where,
+            "HEIGHT" => AttrKeyword::Height,
+            "WIDTH" => AttrKeyword::Width,
+            "NOTE" => AttrKeyword::Note,
+            "AT" => AttrKeyword::At,
+            "TO" => AttrKeyword::To,
+            "HOST" => AttrKeyword::Host,
+            "KIND" => AttrKeyword::Kind,
+            "ENCODING" => AttrKeyword::EncodingAttr,
+            "SYNC" => AttrKeyword::Sync,
+            _ => return None,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn tag_spellings_round_trip() {
@@ -322,6 +342,79 @@ mod tests {
                 all_cells.split(", ").any(|k| k == a.spelling()),
                 "attr {a} missing from Table 1"
             );
+        }
+    }
+
+    /// Every tag and attribute spelling.
+    fn spellings() -> Vec<&'static str> {
+        let tags = TagKeyword::ALL.map(TagKeyword::spelling);
+        let attrs = AttrKeyword::ALL.map(AttrKeyword::spelling);
+        tags.into_iter().chain(attrs).collect()
+    }
+
+    /// Keyword `i` with each letter's case drawn from `upper`.
+    fn in_case(i: usize, upper: &[bool]) -> String {
+        let spelling = spellings()[i % spellings().len()];
+        let case = |(c, up): (char, &bool)| {
+            if *up {
+                c.to_ascii_uppercase()
+            } else {
+                c.to_ascii_lowercase()
+            }
+        };
+        spelling
+            .chars()
+            .zip(upper.iter().cycle())
+            .map(case)
+            .collect()
+    }
+
+    /// Keyword `i` with its first `S`, `I` or `K` swapped for a non-ASCII
+    /// letter that Unicode upper-cases to it (`ſ`, `ı`, the Kelvin sign).
+    fn with_twin(i: usize) -> String {
+        let spelling = spellings()[i % spellings().len()];
+        let twin = |c| match c {
+            'S' => Some('ſ'),
+            'I' => Some('ı'),
+            'K' => Some('\u{212A}'),
+            _ => None,
+        };
+        match spelling
+            .char_indices()
+            .find_map(|(at, c)| Some((at, twin(c)?)))
+        {
+            Some((at, t)) => format!("{}{t}{}", &spelling[..at], &spelling[at + 1..]),
+            None => spelling.to_string(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The scanning lookups agree with the upper-case-and-match spec on
+        /// every keyword in any case, on every keyword with a letter swapped
+        /// for its non-ASCII twin (which a Unicode-case lookup would
+        /// accept), and on random ASCII and non-ASCII words.
+        #[test]
+        fn lookups_agree_with_the_spec(
+            i in 0usize..64,
+            upper in proptest::collection::vec(any::<bool>(), 1..9),
+            ascii in "[A-Za-z0-9_=]{0,9}",
+            word in "[a-zA-Z_ßſıİé\u{212A}]{0,6}",
+            any_text in "[\u{1}-\u{D7FF}\u{E000}-\u{10FFFF}]{0,8}",
+        ) {
+            let keyword = in_case(i, &upper);
+            let twin = with_twin(i);
+            prop_assert!(
+                TagKeyword::from_spelling(&keyword).is_some()
+                    || AttrKeyword::from_spelling(&keyword).is_some(),
+                "{:?} is a keyword",
+                keyword
+            );
+            for s in [&keyword, &twin, &ascii, &word, &any_text] {
+                prop_assert_eq!(TagKeyword::from_spelling(s), spec::tag(s), "{:?}", s);
+                prop_assert_eq!(AttrKeyword::from_spelling(s), spec::attr(s), "{:?}", s);
+            }
         }
     }
 }

@@ -69,6 +69,8 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 struct Lexer<'a> {
+    /// The source, for slicing names out of; `src` is its bytes.
+    text: &'a str,
     src: &'a [u8],
     i: usize,
     line: u32,
@@ -78,6 +80,7 @@ struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
         Lexer {
+            text: src,
             src: src.as_bytes(),
             i: 0,
             line: 1,
@@ -112,6 +115,16 @@ impl<'a> Lexer<'a> {
             self.bump();
         }
     }
+    /// The run of bytes from the current position that `part` accepts,
+    /// consumed. Callers accept only ASCII bytes, so a non-empty run is
+    /// whole characters.
+    fn take_while(&mut self, part: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.i;
+        while self.peek().is_some_and(&part) {
+            self.bump();
+        }
+        self.text.get(start..self.i).unwrap_or_default()
+    }
     fn err(&self, msg: impl Into<String>) -> LexError {
         LexError {
             message: msg.into(),
@@ -128,22 +141,14 @@ impl<'a> Lexer<'a> {
         } else {
             false
         };
-        let mut name = String::new();
-        while let Some(c) = self.peek() {
-            if c == b'>' {
-                break;
-            }
-            if c.is_ascii_alphanumeric() || c == b'_' {
-                name.push(self.bump().unwrap() as char);
-            } else {
-                return Err(self.err(format!("unexpected byte {:?} in tag name", c as char)));
-            }
-        }
-        if self.peek() != Some(b'>') {
-            return Err(self.err("unterminated tag (missing '>')"));
+        let name = self.take_while(|c| c.is_ascii_alphanumeric() || c == b'_');
+        match self.peek() {
+            Some(b'>') => {}
+            Some(c) => return Err(self.err(format!("unexpected byte {:?} in tag name", c as char))),
+            None => return Err(self.err("unterminated tag (missing '>')")),
         }
         self.bump();
-        let kw = TagKeyword::from_spelling(&name)
+        let kw = TagKeyword::from_spelling(name)
             .ok_or_else(|| self.err(format!("unknown tag keyword '{name}'")))?;
         Ok(Token {
             kind: if closing {
@@ -199,19 +204,12 @@ impl<'a> Lexer<'a> {
     fn try_lex_attr(&mut self) -> Result<Option<Token>, LexError> {
         let save = (self.i, self.line, self.col);
         let pos = self.pos();
-        let mut name = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_uppercase() || c == b'_' {
-                name.push(self.bump().unwrap() as char);
-            } else {
-                break;
-            }
-        }
+        let name = self.take_while(|c| c.is_ascii_uppercase() || c == b'_');
         if name.is_empty() || self.peek() != Some(b'=') {
             (self.i, self.line, self.col) = save;
             return Ok(None);
         }
-        let Some(kw) = AttrKeyword::from_spelling(&name) else {
+        let Some(kw) = AttrKeyword::from_spelling(name) else {
             (self.i, self.line, self.col) = save;
             return Ok(None);
         };
@@ -223,24 +221,32 @@ impl<'a> Lexer<'a> {
         }))
     }
 
+    /// A text run, whitespace-normalised as it is read: words (each byte
+    /// taken as one `char`) joined by single spaces.
     fn lex_text(&mut self) -> Token {
         let pos = self.pos();
-        let mut t = String::new();
+        let mut norm = String::new();
+        // At the run's start or just after whitespace.
+        let mut boundary = true;
         while let Some(c) = self.peek() {
             if c == b'<' {
                 break;
             }
             // Stop if an attribute assignment begins at a word boundary.
-            if (t.is_empty() || t.ends_with(char::is_whitespace))
-                && c.is_ascii_uppercase()
-                && self.looks_like_attr()
-            {
+            if boundary && c.is_ascii_uppercase() && self.looks_like_attr() {
                 break;
             }
-            t.push(self.bump().unwrap() as char);
+            let ch = self.bump().expect("peeked a byte") as char;
+            if ch.is_whitespace() {
+                boundary = true;
+                continue;
+            }
+            if boundary && !norm.is_empty() {
+                norm.push(' ');
+            }
+            norm.push(ch);
+            boundary = false;
         }
-        // Normalize internal whitespace; keep single spaces.
-        let norm = t.split_whitespace().collect::<Vec<_>>().join(" ");
         Token {
             kind: TokenKind::Text(norm),
             pos,
@@ -249,19 +255,14 @@ impl<'a> Lexer<'a> {
 
     /// Lookahead: does an `ATTRKEYWORD=` assignment start here?
     fn looks_like_attr(&self) -> bool {
-        let mut j = self.i;
-        let mut name = String::new();
-        while let Some(&c) = self.src.get(j) {
-            if c.is_ascii_uppercase() || c == b'_' {
-                name.push(c as char);
-                j += 1;
-            } else {
-                break;
-            }
-        }
-        !name.is_empty()
-            && self.src.get(j) == Some(&b'=')
-            && AttrKeyword::from_spelling(&name).is_some()
+        let rest = &self.src[self.i..];
+        let len = rest
+            .iter()
+            .take_while(|&&c| c.is_ascii_uppercase() || c == b'_')
+            .count();
+        len > 0
+            && rest.get(len) == Some(&b'=')
+            && AttrKeyword::from_spelling(&self.text[self.i..self.i + len]).is_some()
     }
 
     fn run(&mut self) -> Result<Vec<Token>, LexError> {

@@ -67,12 +67,26 @@ impl Parser {
     fn peek(&self) -> Option<&Token> {
         self.toks.get(self.i)
     }
+    /// Take the next token. It is moved out, not cloned: the parser never
+    /// looks back, so the slot keeps only its position.
     fn bump(&mut self) -> Option<Token> {
-        let t = self.toks.get(self.i).cloned();
-        if t.is_some() {
-            self.i += 1;
+        let slot = self.toks.get_mut(self.i)?;
+        self.i += 1;
+        let spent = Token {
+            kind: TokenKind::Text(String::new()),
+            pos: slot.pos,
+        };
+        Some(std::mem::replace(slot, spent))
+    }
+    /// Take the next token, which the caller has peeked is an attribute.
+    fn bump_attr(&mut self) -> (AttrKeyword, String, Pos) {
+        match self.bump() {
+            Some(Token {
+                kind: TokenKind::Attr(a, v),
+                pos,
+            }) => (a, v, pos),
+            _ => unreachable!("peeked an attribute"),
         }
-        t
     }
     fn err_here(&self, msg: impl Into<String>) -> ParseError {
         ParseError {
@@ -238,11 +252,10 @@ impl Parser {
                     runs.push(AstTextRun { text, style });
                 }
                 Some(Token {
-                    kind: TokenKind::Attr(a, v),
-                    pos,
+                    kind: TokenKind::Attr(..),
+                    ..
                 }) => {
-                    let (a, v, pos) = (*a, v.clone(), *pos);
-                    self.bump();
+                    let (a, v, pos) = self.bump_attr();
                     match a {
                         AttrKeyword::Startime => {
                             timing.start = Some(parse_time(&v).map_err(|e| ParseError {
@@ -307,11 +320,10 @@ impl Parser {
         loop {
             match self.peek() {
                 Some(Token {
-                    kind: TokenKind::Attr(a, v),
-                    pos,
+                    kind: TokenKind::Attr(..),
+                    ..
                 }) => {
-                    let item = (*a, v.clone(), *pos);
-                    self.bump();
+                    let item = self.bump_attr();
                     if item.0 == AttrKeyword::Note {
                         note = Some(item.1);
                     } else {

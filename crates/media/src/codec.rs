@@ -44,7 +44,7 @@ pub struct CodecModel {
     /// Which encoding this models.
     pub encoding: Encoding,
     /// Levels, index = grade level.
-    pub levels: Vec<LevelParams>,
+    pub levels: &'static [LevelParams],
     /// Key-frame group size (GoP) — every `gop`-th video frame is a key
     /// frame roughly `key_scale`× the mean size. 0 disables (audio).
     pub gop: u32,
@@ -57,92 +57,112 @@ impl CodecModel {
     /// "model" used only for quality-graded still transfers.
     pub fn for_encoding(encoding: Encoding) -> CodecModel {
         use Encoding::*;
-        let (levels, gop, key_scale_pct): (Vec<LevelParams>, u32, u32) = match encoding {
+        let (levels, gop, key_scale_pct): (&'static [LevelParams], u32, u32) = match encoding {
             Mpeg => (
-                vec![
-                    lv(25, 7_500), // 25fps Q1 (1.5 Mbps)
-                    lv(25, 5_000), // 25fps Q2 (1.0 Mbps)
-                    lv(25, 3_000), // 25fps Q3 (600 kbps)
-                    lv(15, 3_000), // 15fps Q3 (360 kbps)
-                    lv(10, 2_500), // 10fps Q4 (200 kbps)
-                ],
+                const {
+                    &[
+                        lv(25, 7_500), // 25fps Q1 (1.5 Mbps)
+                        lv(25, 5_000), // 25fps Q2 (1.0 Mbps)
+                        lv(25, 3_000), // 25fps Q3 (600 kbps)
+                        lv(15, 3_000), // 15fps Q3 (360 kbps)
+                        lv(10, 2_500), // 10fps Q4 (200 kbps)
+                    ]
+                },
                 12,
                 300,
             ),
             Avi => (
                 // Motion-JPEG-like: every frame independent (gop 1).
-                vec![
-                    lv(25, 12_000), // 25fps MJPEG hi (2.4 Mbps)
-                    lv(25, 8_000),  // 25fps MJPEG med (1.6 Mbps)
-                    lv(15, 8_000),  // 15fps MJPEG med (960 kbps)
-                    lv(10, 6_000),  // 10fps MJPEG lo (480 kbps)
-                ],
+                const {
+                    &[
+                        lv(25, 12_000), // 25fps MJPEG hi (2.4 Mbps)
+                        lv(25, 8_000),  // 25fps MJPEG med (1.6 Mbps)
+                        lv(15, 8_000),  // 15fps MJPEG med (960 kbps)
+                        lv(10, 6_000),  // 10fps MJPEG lo (480 kbps)
+                    ]
+                },
                 1,
                 100,
             ),
             Pcm => (
                 // 20 ms blocks; sampling frequency halves down the ladder.
-                vec![
-                    lv(50, 1_764), // 44.1 kHz 16-bit (706 kbps)
-                    lv(50, 882),   // 22.05 kHz 16-bit (353 kbps)
-                    lv(50, 441),   // 11.025 kHz 16-bit (176 kbps)
-                ],
+                const {
+                    &[
+                        lv(50, 1_764), // 44.1 kHz 16-bit (706 kbps)
+                        lv(50, 882),   // 22.05 kHz 16-bit (353 kbps)
+                        lv(50, 441),   // 11.025 kHz 16-bit (176 kbps)
+                    ]
+                },
                 0,
                 100,
             ),
             Adpcm => (
-                vec![
-                    lv(50, 441), // 44.1 kHz ADPCM 4:1 (176 kbps)
-                    lv(50, 220), // 22.05 kHz ADPCM (88 kbps)
-                    lv(50, 110), // 11.025 kHz ADPCM (44 kbps)
-                ],
+                const {
+                    &[
+                        lv(50, 441), // 44.1 kHz ADPCM 4:1 (176 kbps)
+                        lv(50, 220), // 22.05 kHz ADPCM (88 kbps)
+                        lv(50, 110), // 11.025 kHz ADPCM (44 kbps)
+                    ]
+                },
                 0,
                 100,
             ),
             Vadpcm => (
-                vec![
-                    lv(50, 330), // VADPCM hi (132 kbps)
-                    lv(50, 165), // VADPCM med (66 kbps)
-                    lv(50, 83),  // VADPCM lo (33 kbps)
-                ],
+                const {
+                    &[
+                        lv(50, 330), // VADPCM hi (132 kbps)
+                        lv(50, 165), // VADPCM med (66 kbps)
+                        lv(50, 83),  // VADPCM lo (33 kbps)
+                    ]
+                },
                 0,
                 100,
             ),
             Jpeg => (
-                vec![
-                    lv(1, 60_000), // JPEG Q90
-                    lv(1, 30_000), // JPEG Q60
-                    lv(1, 15_000), // JPEG Q30
-                ],
+                const {
+                    &[
+                        lv(1, 60_000), // JPEG Q90
+                        lv(1, 30_000), // JPEG Q60
+                        lv(1, 15_000), // JPEG Q30
+                    ]
+                },
                 0,
                 100,
             ),
             Gif => (
-                vec![
-                    lv(1, 45_000), // GIF 256c
-                    lv(1, 25_000), // GIF 64c
-                ],
+                const {
+                    &[
+                        lv(1, 45_000), // GIF 256c
+                        lv(1, 25_000), // GIF 64c
+                    ]
+                },
                 0,
                 100,
             ),
             Tiff => (
-                vec![
-                    lv(1, 200_000), // TIFF lossless
-                ],
+                const {
+                    &[
+                        lv(1, 200_000), // TIFF lossless
+                    ]
+                },
                 0,
                 100,
             ),
             Bmp => (
-                vec![
-                    lv(1, 300_000), // BMP raw
-                ],
+                const {
+                    &[
+                        lv(1, 300_000), // BMP raw
+                    ]
+                },
                 0,
                 100,
             ),
             PlainText => (
-                vec![
-                    lv(1, 2_000), // text
-                ],
+                const {
+                    &[
+                        lv(1, 2_000), // text
+                    ]
+                },
                 0,
                 100,
             ),

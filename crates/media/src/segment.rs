@@ -10,6 +10,7 @@
 use crate::codec::CodecModel;
 use crate::store::MediaObject;
 use hermes_core::GradeLevel;
+use std::sync::Arc;
 
 /// The content spec of one frame inside a fetched segment: everything the
 /// pulling multimedia server cannot regenerate locally without the object's
@@ -26,6 +27,10 @@ pub struct SegmentFrame {
 /// `frames_per_segment` frames per segment. Global frame index `i` of the
 /// `k`-th frame in the segment is `segment * frames_per_segment + k`.
 ///
+/// A segment is fixed content, so it is built once, in one allocation, and
+/// every later holder (the fetch reply, the puller's segment cache, each
+/// stream's fetch window) shares it.
+///
 /// Serving is deliberately *unbounded*: the object's duration does not clip
 /// the segment. The pulling multimedia server's pacer owns the stream's
 /// timeline and stops it at the presentation duration; a mid-stream level
@@ -38,7 +43,7 @@ pub fn segment_frames(
     level: GradeLevel,
     segment: u64,
     frames_per_segment: u32,
-) -> Vec<SegmentFrame> {
+) -> Arc<[SegmentFrame]> {
     let model = CodecModel::for_encoding(object.encoding);
     let level = GradeLevel(level.0.min(model.max_level().0));
     let first = segment.saturating_mul(frames_per_segment as u64);
@@ -87,7 +92,7 @@ mod tests {
         let mut stitched = Vec::new();
         let mut seg = 0;
         while stitched.len() < local.len() {
-            stitched.extend(segment_frames(&o, GradeLevel::NOMINAL, seg, 32));
+            stitched.extend_from_slice(&segment_frames(&o, GradeLevel::NOMINAL, seg, 32));
             seg += 1;
         }
         stitched.truncate(local.len());

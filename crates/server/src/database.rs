@@ -43,7 +43,8 @@ pub struct MultimediaDb {
     /// document across admission + media activation without deep-copying the
     /// markup and scenario per request.
     documents: BTreeMap<DocumentId, Arc<StoredDocument>>,
-    topics: Vec<TopicEntry>,
+    /// The topic list, shared with every session it is sent to.
+    topics: Arc<[TopicEntry]>,
     /// Media stores keyed by kind — "for every media object (e.g., text,
     /// image, audio, video, etc) a media server is associated" (§6.1).
     stores: BTreeMap<MediaKind, MediaStore>,
@@ -59,7 +60,7 @@ impl MultimediaDb {
         MultimediaDb {
             server,
             documents: BTreeMap::new(),
-            topics: Vec::new(),
+            topics: Arc::default(),
             stores,
         }
     }
@@ -81,11 +82,14 @@ impl MultimediaDb {
                 scenario.validate()
             )));
         }
-        self.topics.push(TopicEntry {
+        // A catalog is installed before sessions register, so the list is
+        // rebuilt here and only shared from then on.
+        let entry = TopicEntry {
             document: id,
             title: scenario.title.clone(),
             description: description.into(),
-        });
+        };
+        self.topics = self.topics.iter().cloned().chain([entry]).collect();
         self.documents
             .insert(id, Arc::new(StoredDocument { markup, scenario }));
         Ok(&**self.documents.get(&id).unwrap())
@@ -99,7 +103,7 @@ impl MultimediaDb {
     }
 
     /// The topic list (the service contents presented after connection).
-    pub fn topics(&self) -> &[TopicEntry] {
+    pub fn topics(&self) -> &Arc<[TopicEntry]> {
         &self.topics
     }
 

@@ -15,7 +15,6 @@
 
 use crate::{
     BreakerState, PlacementMap, PressureDetector, ReplicaHealthMap, ReplicaSelector, SegmentCache,
-    SegmentKey,
 };
 use hermes_core::{
     ComponentId, GradeLevel, MediaDuration, MediaKind, MediaTime, NodeId, PricingClass, SessionId,
@@ -24,6 +23,7 @@ use hermes_core::{
 use hermes_media::{segment_of_frame, SegmentFrame};
 use hermes_simnet::{DurationHistogram, Labels, Severity, SimApi, WireSize};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 #[cfg(test)]
 mod tests;
@@ -63,8 +63,8 @@ pub enum FetchOut {
         tag: FetchTag,
         /// Media kind (selects the shard store on the node).
         kind: MediaKind,
-        /// The media object's storage key.
-        object: String,
+        /// The media object's storage key, shared with the stream.
+        object: Arc<str>,
         /// Segment granularity.
         frames_per_segment: u32,
         /// The session's pricing class (shedding priority).
@@ -151,8 +151,9 @@ pub struct Demand {
 /// the windowed-pipelining bookkeeping between the pacer and the network.
 #[derive(Debug)]
 pub struct RemoteStream {
-    /// The media object's storage key.
-    pub object: String,
+    /// The media object's storage key, shared by every fetch request and
+    /// wait-set entry of the stream.
+    pub object: Arc<str>,
     /// Its media kind (selects the shard store on media nodes).
     pub kind: MediaKind,
     /// The media node currently serving this stream.
@@ -170,8 +171,9 @@ pub struct RemoteStream {
     next_request: u64,
     /// Next segment index to append into `ready`.
     next_append: u64,
-    /// Fetched segments waiting for in-order append (segment → frames).
-    pending: VecMap<u64, Vec<SegmentFrame>>,
+    /// Fetched segments waiting for in-order append (segment → frames, as
+    /// fetched or cached: shared, never copied).
+    pending: VecMap<u64, Arc<[SegmentFrame]>>,
     /// Frames to drop from the next appended segment (mid-segment starts
     /// after fast-forward or a level retarget).
     skip: u32,
@@ -225,7 +227,7 @@ impl RemoteStream {
     fn drain_ready(&mut self) {
         while let Some(frames) = self.pending.remove(&self.next_append) {
             self.next_append += 1;
-            for f in frames {
+            for &f in frames.iter() {
                 if self.skip > 0 {
                     self.skip -= 1;
                 } else {
@@ -415,7 +417,7 @@ pub struct MediaTier {
     grants: BTreeMap<NodeId, u16>,
     /// Streams held at the gate, keyed by when each runs dry — most urgent
     /// first — with the object whose replicas can serve it.
-    waiting: BTreeMap<(MediaTime, (SessionId, ComponentId)), String>,
+    waiting: BTreeMap<(MediaTime, (SessionId, ComponentId)), Arc<str>>,
     /// Each waiting stream's key in `waiting`.
     wait_index: BTreeMap<(SessionId, ComponentId), MediaTime>,
     /// The server's own node: where propagation is measured from, and where
@@ -489,7 +491,7 @@ impl MediaTier {
         let (seg, off) = segment_of_frame(next_seq, frames_per_segment);
         self.cache.reader_started(object);
         Some(RemoteStream {
-            object: object.to_string(),
+            object: object.into(),
             kind,
             replica: self
                 .best_replica(net, object, |_| true)
@@ -535,7 +537,6 @@ impl MediaTier {
     fn issue(
         &mut self,
         tag: FetchTag,
-        object: String,
         r: &RemoteStream,
         class: PricingClass,
         out: &mut Vec<FetchOut>,
@@ -548,7 +549,7 @@ impl MediaTier {
             fetch,
             tag,
             kind: r.kind,
-            object,
+            object: Arc::clone(&r.object),
             frames_per_segment: r.frames_per_segment,
             class,
         });
@@ -595,7 +596,7 @@ impl MediaTier {
         }
         let dry_at = now + d.frame_period * covered as i64;
         self.wait_index.insert(stream, dry_at);
-        self.waiting.insert((dry_at, stream), r.object.clone());
+        self.waiting.insert((dry_at, stream), Arc::clone(&r.object));
     }
 
     /// Take `stream` out of the wait set, if it is there.
@@ -613,7 +614,7 @@ impl MediaTier {
             return;
         }
         for _ in 0..self.room(node, now).min(self.waiting.len() as u64) {
-            let holds = |object: &String| self.placement.replicas(object).contains(&node);
+            let holds = |object: &Arc<str>| self.placement.replicas(object).contains(&node);
             let Some((&(_, stream), _)) = self.waiting.iter().find(|(_, o)| holds(o)) else {
                 return;
             };
@@ -664,13 +665,8 @@ impl MediaTier {
                 r.next_request = seg + 1;
                 continue;
             }
-            let key = SegmentKey {
-                object: r.object.clone(),
-                level: d.level,
-                segment: seg,
-            };
-            if let Some(frames) = self.cache.get(&key) {
-                r.pending.insert(seg, frames.to_vec());
+            if let Some(frames) = self.cache.lookup(&r.object, d.level, seg) {
+                r.pending.insert(seg, Arc::clone(frames));
                 r.next_request = seg + 1;
                 r.drain_ready();
                 continue;
@@ -724,7 +720,7 @@ impl MediaTier {
                 hedged: false,
             };
             self.unwait((d.session, d.component));
-            let fetch = self.issue(tag, key.object, r, d.class, out);
+            let fetch = self.issue(tag, r, d.class, out);
             r.inflight.insert(seg, fetch);
             r.next_request = seg + 1;
             self.stats.fetches += 1;
@@ -797,7 +793,7 @@ impl MediaTier {
         &mut self,
         now: MediaTime,
         fetch: u64,
-        frames: Vec<SegmentFrame>,
+        frames: Arc<[SegmentFrame]>,
         last: bool,
         credit: u16,
         stream: Option<&mut RemoteStream>,
@@ -848,14 +844,8 @@ impl MediaTier {
         };
         // Offer the segment to the cache even when the stream has moved on
         // (stale epoch): the content itself is valid and shareable.
-        self.cache.insert(
-            SegmentKey {
-                object: r.object.clone(),
-                level: tag.level,
-                segment: tag.segment,
-            },
-            frames.clone(),
-        );
+        self.cache
+            .offer(&r.object, tag.level, tag.segment, Arc::clone(&frames));
         if tag.epoch == r.epoch {
             r.inflight.remove(&tag.segment);
             r.pending.insert(tag.segment, frames);
@@ -990,7 +980,7 @@ impl MediaTier {
             hedged: true,
             ..tag
         };
-        let hedge = self.issue(hedge_tag, r.object.clone(), r, class, out);
+        let hedge = self.issue(hedge_tag, r, class, out);
         self.hedge_pairs.insert(fetch, hedge);
         self.hedge_pairs.insert(hedge, fetch);
         self.stats.hedges += 1;

@@ -49,12 +49,12 @@ fn demand(component: u64) -> Demand {
     }
 }
 
-fn segment(r: &RemoteStream) -> Vec<SegmentFrame> {
+fn segment(r: &RemoteStream) -> Arc<[SegmentFrame]> {
     let frame = SegmentFrame {
         size: 900,
         key: false,
     };
-    vec![frame; r.frames_per_segment as usize]
+    vec![frame; r.frames_per_segment as usize].into()
 }
 
 /// `(fetch id, replica, segment)` of every request in `out`.
@@ -189,7 +189,7 @@ fn a_stale_epoch_chunk_is_cached_but_not_appended() {
     assert_eq!(t.cache.stats.hits, 1);
     // A part that is not the last one is counted and nothing else.
     let before = t.stats;
-    let done = t.on_chunk(ms(5), 2, Vec::new(), false, 64, Some(&mut a), &mut out);
+    let done = t.on_chunk(ms(5), 2, Arc::default(), false, 64, Some(&mut a), &mut out);
     assert_eq!(done, ChunkDone::default());
     assert_eq!(t.stats.parts_received, before.parts_received + 1);
     assert!(t.owner(2).is_some());
@@ -623,7 +623,7 @@ fn a_freed_credit_goes_to_the_most_urgent_waiter_that_node_can_serve() {
     // The dry waiter cannot use the node; the one with frames in hand can.
     let mut dry = t.open(&net, &elsewhere, MediaKind::Video, 0).unwrap();
     let mut buffered = t.open(&net, &here, MediaKind::Video, 0).unwrap();
-    buffered.ready.extend(segment(&buffered));
+    buffered.ready.extend(segment(&buffered).iter());
     t.pump(&net, ms(10), &demand(2), &mut dry, &mut out);
     t.pump(&net, ms(10), &demand(3), &mut buffered, &mut out);
     assert_eq!(t.waiting.keys().next().unwrap().1 .1.raw(), 2);
@@ -787,7 +787,7 @@ impl Rig {
             Op::Chunk(draw, last, credit) => {
                 let fetch = self.fetch_id(draw);
                 let i = self.index_of(fetch);
-                let frames = i.map_or(Vec::new(), |i| segment(&self.streams[i]));
+                let frames = i.map_or(Arc::default(), |i| segment(&self.streams[i]));
                 let r = i.map(|i| &mut self.streams[i]);
                 let tier = &mut self.tier;
                 let done = tier.on_chunk(now, fetch, frames, last, credit, r, &mut out);

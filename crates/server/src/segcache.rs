@@ -7,10 +7,15 @@
 //! actually produces hits — while one-off fetches pass straight through
 //! without evicting anything useful (Dan & Sitaram's interval caching, as
 //! used throughout the large-scale VoD literature).
+//!
+//! Object names are interned once per distinct object, so a lookup, a hit
+//! and an admission key the cache by a `Copy` (object id, level, segment)
+//! and allocate nothing; a resident segment shares the fetched frame list.
 
 use hermes_core::GradeLevel;
 use hermes_media::SegmentFrame;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Identity of one cached segment.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -23,9 +28,12 @@ pub struct SegmentKey {
     pub segment: u64,
 }
 
+/// A segment's identity inside the cache: (interned object, level, segment).
+type Slot = (u32, GradeLevel, u64);
+
 #[derive(Debug, Clone)]
 struct Entry {
-    frames: Vec<SegmentFrame>,
+    frames: Arc<[SegmentFrame]>,
     bytes: u64,
     stamp: u64,
 }
@@ -62,22 +70,25 @@ impl SegmentCacheStats {
 pub struct SegmentCache {
     capacity_bytes: u64,
     used_bytes: u64,
-    entries: BTreeMap<SegmentKey, Entry>,
-    /// Recency index: stamp → key. Stamps are unique (monotone clock), so
+    /// Interned object names: name → id. An object is interned the first
+    /// time it is read, pinned or offered, and kept for the cache's life.
+    objects: BTreeMap<String, u32>,
+    entries: BTreeMap<Slot, Entry>,
+    /// Recency index: stamp → slot. Stamps are unique (monotone clock), so
     /// the first entry is always the least recently used.
-    recency: BTreeMap<u64, SegmentKey>,
+    recency: BTreeMap<u64, Slot>,
     clock: u64,
-    /// Active readers per object key — maintained by the stream lifecycle
+    /// Active readers per object — maintained by the stream lifecycle
     /// (register on stream start, deregister on teardown). Admission
     /// requires ≥ 2: a segment is only worth keeping while another viewer
     /// is behind (or beside) the one that fetched it.
-    readers: BTreeMap<String, u32>,
+    readers: BTreeMap<u32, u32>,
     /// Objects pinned by shared (multicast) flows: their segments are
     /// admitted regardless of reader count and are exempt from LRU
     /// eviction while the pin holds — a shared flow serves many viewers
     /// from one fetch sequence, so its working set must not be displaced
     /// by one-off unicast traffic.
-    pinned: BTreeSet<String>,
+    pinned: BTreeSet<u32>,
     /// Statistics.
     pub stats: SegmentCacheStats,
 }
@@ -108,80 +119,127 @@ impl SegmentCache {
         self.entries.is_empty()
     }
 
+    /// The id of `object`, if it was ever interned.
+    fn id(&self, object: &str) -> Option<u32> {
+        self.objects.get(object).copied()
+    }
+
+    /// The id of `object`, interning it on first sight.
+    fn intern(&mut self, object: &str) -> u32 {
+        if let Some(id) = self.id(object) {
+            return id;
+        }
+        let id = u32::try_from(self.objects.len()).expect("fewer than 2^32 objects");
+        self.objects.insert(object.to_string(), id);
+        id
+    }
+
     /// A stream over `object` started.
     pub fn reader_started(&mut self, object: &str) {
-        *self.readers.entry(object.to_string()).or_insert(0) += 1;
+        let id = self.intern(object);
+        *self.readers.entry(id).or_insert(0) += 1;
     }
 
     /// A stream over `object` ended.
     pub fn reader_finished(&mut self, object: &str) {
-        if let Some(n) = self.readers.get_mut(object) {
+        let Some(id) = self.id(object) else {
+            return;
+        };
+        if let Some(n) = self.readers.get_mut(&id) {
             *n = n.saturating_sub(1);
             if *n == 0 {
-                self.readers.remove(object);
+                self.readers.remove(&id);
             }
         }
-    }
-
-    /// Concurrent readers of `object`.
-    pub fn readers(&self, object: &str) -> u32 {
-        *self.readers.get(object).unwrap_or(&0)
     }
 
     /// Pin `object`: admit its segments unconditionally and protect them
     /// from eviction until [`SegmentCache::unpin`].
     pub fn pin(&mut self, object: &str) {
-        self.pinned.insert(object.to_string());
+        let id = self.intern(object);
+        self.pinned.insert(id);
     }
 
     /// Drop the pin on `object`; its resident segments return to normal
     /// LRU life.
     pub fn unpin(&mut self, object: &str) {
-        self.pinned.remove(object);
+        if let Some(id) = self.id(object) {
+            self.pinned.remove(&id);
+        }
     }
 
     /// Is `object` currently pinned?
     pub fn is_pinned(&self, object: &str) -> bool {
-        self.pinned.contains(object)
+        self.id(object).is_some_and(|id| self.pinned.contains(&id))
     }
 
     /// Would an insert for `object` currently be admitted?
     pub fn admits(&self, object: &str) -> bool {
-        self.capacity_bytes > 0 && (self.readers(object) >= 2 || self.pinned.contains(object))
+        self.id(object).is_some_and(|id| self.admits_id(id))
+    }
+
+    fn admits_id(&self, id: u32) -> bool {
+        let shared = self.readers.get(&id).is_some_and(|&n| n >= 2);
+        self.capacity_bytes > 0 && (shared || self.pinned.contains(&id))
     }
 
     /// Look up a segment, refreshing its recency on a hit. Counts a hit or
-    /// miss in [`SegmentCacheStats`].
-    pub fn get(&mut self, key: &SegmentKey) -> Option<&[SegmentFrame]> {
-        if let Some(entry) = self.entries.get_mut(key) {
-            self.recency.remove(&entry.stamp);
-            self.clock += 1;
-            entry.stamp = self.clock;
-            self.recency.insert(entry.stamp, key.clone());
-            self.stats.hits += 1;
-            Some(&self.entries[key].frames)
-        } else {
+    /// miss in [`SegmentCacheStats`]. The frames are shared, not copied.
+    pub fn lookup(
+        &mut self,
+        object: &str,
+        level: GradeLevel,
+        segment: u64,
+    ) -> Option<&Arc<[SegmentFrame]>> {
+        let entry = self
+            .id(object)
+            .and_then(|id| self.entries.get_mut(&(id, level, segment)));
+        let Some(entry) = entry else {
             self.stats.misses += 1;
-            None
-        }
+            return None;
+        };
+        let slot = self
+            .recency
+            .remove(&entry.stamp)
+            .expect("every entry has a recency slot");
+        self.clock += 1;
+        entry.stamp = self.clock;
+        self.recency.insert(entry.stamp, slot);
+        self.stats.hits += 1;
+        Some(&entry.frames)
+    }
+
+    /// [`lookup`](Self::lookup) by a whole key.
+    pub fn get(&mut self, key: &SegmentKey) -> Option<&Arc<[SegmentFrame]>> {
+        self.lookup(&key.object, key.level, key.segment)
     }
 
     /// Peek without touching recency or statistics (tests/inspection).
     pub fn contains(&self, key: &SegmentKey) -> bool {
-        self.entries.contains_key(key)
+        self.id(&key.object)
+            .is_some_and(|id| self.entries.contains_key(&(id, key.level, key.segment)))
     }
 
     /// Offer a fetched segment. Admission applies the interval-caching
     /// policy ([`SegmentCache::admits`]); an admitted segment evicts from
     /// the LRU end until it fits. Segments larger than the whole cache are
     /// rejected. Returns whether the segment is now resident.
-    pub fn insert(&mut self, key: SegmentKey, frames: Vec<SegmentFrame>) -> bool {
+    pub fn offer(
+        &mut self,
+        object: &str,
+        level: GradeLevel,
+        segment: u64,
+        frames: Arc<[SegmentFrame]>,
+    ) -> bool {
         let bytes = hermes_media::segment_bytes(&frames);
-        if !self.admits(&key.object) || bytes > self.capacity_bytes || frames.is_empty() {
+        let fits = bytes <= self.capacity_bytes && !frames.is_empty();
+        let admitted = self.id(object).filter(|&id| fits && self.admits_id(id));
+        let Some(id) = admitted else {
             self.stats.rejected += 1;
             return false;
-        }
-        if let Some(old) = self.entries.remove(&key) {
+        };
+        let slot = (id, level, segment);
+        if let Some(old) = self.entries.remove(&slot) {
             // Replacing an existing entry: drop its bytes and recency slot.
             self.recency.remove(&old.stamp);
             self.used_bytes -= old.bytes;
@@ -193,7 +251,7 @@ impl SegmentCache {
             let Some(stamp) = self
                 .recency
                 .iter()
-                .find(|(_, k)| !self.pinned.contains(&k.object))
+                .find(|(_, s)| !self.pinned.contains(&s.0))
                 .map(|(&stamp, _)| stamp)
             else {
                 self.stats.rejected += 1;
@@ -205,23 +263,38 @@ impl SegmentCache {
             self.stats.evicted += 1;
         }
         self.clock += 1;
+        let stamp = self.clock;
         self.entries.insert(
-            key.clone(),
+            slot,
             Entry {
                 frames,
                 bytes,
-                stamp: self.clock,
+                stamp,
             },
         );
-        self.recency.insert(self.clock, key);
+        self.recency.insert(stamp, slot);
         self.used_bytes += bytes;
         self.stats.admitted += 1;
         true
     }
 
+    /// [`offer`](Self::offer) by a whole key.
+    pub fn insert(&mut self, key: SegmentKey, frames: impl Into<Arc<[SegmentFrame]>>) -> bool {
+        self.offer(&key.object, key.level, key.segment, frames.into())
+    }
+
     /// Resident segment keys, least recently used first (tests/inspection).
     pub fn lru_order(&self) -> Vec<SegmentKey> {
-        self.recency.values().cloned().collect()
+        let mut names = vec![""; self.objects.len()];
+        for (name, &id) in &self.objects {
+            names[id as usize] = name;
+        }
+        let key = |&(id, level, segment): &Slot| SegmentKey {
+            object: names[id as usize].to_string(),
+            level,
+            segment,
+        };
+        self.recency.values().map(key).collect()
     }
 }
 

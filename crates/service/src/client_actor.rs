@@ -17,6 +17,7 @@ use hermes_server::{RetryBudget, SubscriptionForm, TopicEntry};
 use hermes_simnet::obs::{SloMonitor, SloSpec};
 use hermes_simnet::{Labels, Obs, Severity, SimApi, SpanId};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The presentation currently being received/played.
 pub struct Presentation {
@@ -148,7 +149,7 @@ pub struct ClientActor {
     /// A suspended (server node, session) kept during migration.
     pub suspended: Option<(NodeId, SessionId)>,
     /// Topics last received.
-    pub topics: Vec<TopicEntry>,
+    pub topics: Arc<[TopicEntry]>,
     /// The current presentation.
     pub presentation: Option<Presentation>,
     /// The client QoS manager.
@@ -218,7 +219,7 @@ impl ClientActor {
             user: None,
             session: None,
             suspended: None,
-            topics: Vec::new(),
+            topics: Arc::default(),
             presentation: None,
             qos: ClientQosManager::default(),
             directory: BTreeMap::new(),

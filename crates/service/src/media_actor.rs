@@ -24,6 +24,7 @@ use hermes_media::{segment_bytes, segment_frames, MediaObject, MediaStore, Segme
 use hermes_server::{OverloadQueue, QueuedRequest};
 use hermes_simnet::{Labels, Obs, Severity, SimApi};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Service-model configuration of a media node.
 #[derive(Debug, Clone)]
@@ -74,7 +75,7 @@ struct PendingFetch {
     from: NodeId,
     server: ServerId,
     kind: MediaKind,
-    object: String,
+    object: Arc<str>,
     level: u8,
     segment: u64,
     frames_per_segment: u32,
@@ -100,7 +101,7 @@ pub struct MediaActor {
     /// storm allocates nothing per fetch.
     shed: Vec<QueuedRequest<PendingFetch>>,
     /// The request currently in service, if any, with the frames it ships.
-    serving: Option<(PendingFetch, Vec<SegmentFrame>)>,
+    serving: Option<(PendingFetch, Arc<[SegmentFrame]>)>,
     /// Scratch of `credit`: the distinct pullers it counted last.
     pullers: Vec<NodeId>,
     /// Controller host receiving this node's queue-depth reports, if the
@@ -383,7 +384,7 @@ impl MediaActor {
         &mut self,
         api: &mut SimApi<'_, ServiceMsg>,
         p: PendingFetch,
-        frames: Vec<SegmentFrame>,
+        frames: Arc<[SegmentFrame]>,
     ) {
         let total = segment_bytes(&frames);
         self.stats.requests_served += 1;
@@ -412,7 +413,7 @@ impl MediaActor {
                     frames: if last {
                         frames.take().unwrap()
                     } else {
-                        Vec::new()
+                        Arc::default()
                     },
                     credit,
                 },
@@ -488,7 +489,7 @@ mod tests {
         // one being answered counts whether or not it has work left.
         queued(&mut m, [1, 1, 1, 2, 2]);
         assert_eq!((m.credit(to), m.credit(NodeId::new(3))), (32, 21));
-        m.serving = m.queue.pop().map(|q| (q.item, Vec::new()));
+        m.serving = m.queue.pop().map(|q| (q.item, Arc::default()));
         assert_eq!(m.credit(NodeId::new(2)), 32, "in service is at work too");
         // Ten pullers share evenly; a bound smaller than the crowd still
         // grants one each, or a puller could never learn a wider grant.

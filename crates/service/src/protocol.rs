@@ -16,6 +16,7 @@ use hermes_media::SegmentFrame;
 use hermes_rtp::{RtcpPacket, RtpPacket};
 use hermes_server::{SubscriptionForm, TopicEntry};
 use hermes_simnet::WireSize;
+use std::sync::Arc;
 
 /// TCP+IP header overhead charged to reliable messages.
 pub const TCP_IP_OVERHEAD: usize = 40;
@@ -179,8 +180,8 @@ pub enum ServiceMsg {
     TopicList {
         /// The session.
         session: SessionId,
-        /// The topics.
-        topics: Vec<TopicEntry>,
+        /// The topics: the database's list, shared.
+        topics: Arc<[TopicEntry]>,
     },
     /// Client → server: request a document/lesson.
     DocRequest {
@@ -356,8 +357,8 @@ pub enum ServiceMsg {
         server: ServerId,
         /// The media kind of the object (selects the shard's store).
         kind: MediaKind,
-        /// The object's storage key.
-        object: String,
+        /// The object's storage key, shared with the pulling stream.
+        object: Arc<str>,
         /// Quality level to compute frame sizes at.
         level: u8,
         /// Segment index within the object.
@@ -391,8 +392,9 @@ pub enum ServiceMsg {
         /// Frame specs (sizes + key flags) of the whole segment; empty on
         /// non-final parts. Always `frames_per_segment` long on the final
         /// part — serving is unbounded past the object's duration; the
-        /// puller's pacer bounds the stream.
-        frames: Vec<SegmentFrame>,
+        /// puller's pacer bounds the stream. Computed once by the media
+        /// node and shared from there on.
+        frames: Arc<[SegmentFrame]>,
         /// Final part only: how many fetches this puller may hold at the
         /// node from now on — absolute, so a lost, reordered or repeated
         /// grant needs no bookkeeping. Rides in the 16-byte fetch header.

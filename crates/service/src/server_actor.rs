@@ -26,6 +26,7 @@ use hermes_server::{
 use hermes_simnet::obs::{SloMonitor, SloSpec};
 use hermes_simnet::{Labels, Obs, Severity, SimApi, SpanId};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One active outgoing media stream of a session.
 #[derive(Debug)]
@@ -938,7 +939,7 @@ impl ServerActor {
         if s.current_doc != Some(document) || continuous.clone().all(|tx| tx.done) {
             return;
         }
-        let objects = continuous.filter_map(|tx| tx.remote.as_ref().map(|r| r.object.clone()));
+        let objects = continuous.filter_map(|tx| tx.remote.as_ref().map(|r| r.object.to_string()));
         let cache = self.media.as_mut().map(|t| &mut t.cache);
         let (starts_at, out) = (now + wait, &mut self.share_out);
         self.sharing
@@ -1529,7 +1530,7 @@ impl ServerActor {
         &mut self,
         api: &mut SimApi<'_, ServiceMsg>,
         fetch: u64,
-        frames: Vec<SegmentFrame>,
+        frames: Arc<[SegmentFrame]>,
         last: bool,
         credit: u16,
     ) {
@@ -2214,7 +2215,7 @@ impl ServerActor {
                     }
                 }
                 LifeOut::Topics => {
-                    let topics = self.db.topics().to_vec();
+                    let topics = Arc::clone(self.db.topics());
                     api.send_reliable(node, client, ServiceMsg::TopicList { session, topics });
                 }
                 // A client silent for the timeout is dead weight: reaping it

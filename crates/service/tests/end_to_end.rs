@@ -77,6 +77,9 @@ fn full_session_plays_figure2() {
     // Accounting: connect + retrieval charges landed.
     let user = client.user.unwrap();
     assert!(server.accounts.balance(user).unwrap() > 0);
+    // The topic list the client holds is the database's own, shared.
+    assert_eq!(client.topics.len(), 3);
+    assert!(std::sync::Arc::ptr_eq(&client.topics, server.db.topics()));
 }
 
 #[test]

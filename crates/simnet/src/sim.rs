@@ -64,7 +64,8 @@ pub enum Transport {
 /// The group members one multicast copy is bound for (dense indices,
 /// ascending by node id). Most copies are last-hop copies for one or two
 /// members, so up to three are carried inline and only longer lists own a
-/// buffer; the type is no larger than the `Vec` it replaces.
+/// buffer, taken from and given back to the engine's free list; the type is
+/// no larger than the `Vec` it replaces.
 #[derive(Debug)]
 enum Targets {
     Few { len: u8, ix: [u32; 3] },
@@ -78,10 +79,10 @@ impl Targets {
             Targets::Many(v) => v,
         }
     }
-}
 
-impl FromIterator<u32> for Targets {
-    fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Targets {
+    /// The list `iter` yields; a list longer than three takes a cleared
+    /// buffer from `free` (allocating only when `free` is empty).
+    fn collect(free: &mut Vec<Vec<u32>>, iter: impl IntoIterator<Item = u32>) -> Targets {
         let mut iter = iter.into_iter();
         let mut ix = [0; 3];
         let mut len = 0;
@@ -95,11 +96,19 @@ impl FromIterator<u32> for Targets {
         let Some(t) = iter.next() else {
             return Targets::Few { len, ix };
         };
-        let mut v = Vec::with_capacity(ix.len() + 1 + iter.size_hint().0);
+        let mut v = free.pop().unwrap_or_default();
         v.extend_from_slice(&ix);
         v.push(t);
         v.extend(iter);
         Targets::Many(v)
+    }
+
+    /// Give a list's buffer, if it has one, back to `free`.
+    fn recycle(self, free: &mut Vec<Vec<u32>>) {
+        if let Targets::Many(mut v) = self {
+            v.clear();
+            free.push(v);
+        }
     }
 }
 
@@ -358,6 +367,9 @@ struct Core<M> {
     /// Scratch for one multicast hop's (egress link, target) pairs, kept
     /// between hops so fanning out allocates only the subtrees it forwards.
     mcast_fanout: Vec<(u32, u32)>,
+    /// Cleared buffers of spent multicast target lists, reused by the next
+    /// list longer than three: a send and each hop copy allocate none.
+    mcast_free: Vec<Vec<u32>>,
     /// The observability capture for the run (tracing, spans, metrics,
     /// flight recorder) — events record through [`SimApi`] so every record
     /// is stamped with the engine clock.
@@ -644,17 +656,15 @@ impl<M: WireSize + Clone> Core<M> {
         // A member the network has never heard of is unroutable from
         // anywhere: its copy is counted dropped here, not carried along.
         let mut unknown = 0;
-        let targets: Targets = members
-            .iter()
-            .filter(|&&t| t != from)
-            .filter_map(|&t| {
-                let ix = self.net.index_of(t);
-                unknown += ix.is_none() as usize;
-                ix
-            })
-            .collect();
+        let members = members.iter().filter(|&&t| t != from).filter_map(|&t| {
+            let ix = self.net.index_of(t);
+            unknown += ix.is_none() as usize;
+            ix
+        });
+        let targets = Targets::collect(&mut self.mcast_free, members);
         let count = targets.as_slice().len() + unknown;
         if count == 0 {
+            targets.recycle(&mut self.mcast_free);
             return 0;
         }
         self.stats.datagrams_dropped += unknown as u64;
@@ -707,6 +717,7 @@ impl<M: WireSize + Clone> Core<M> {
     ) {
         if self.gone(src, src_inc) {
             self.stats.fault_drops += 1;
+            targets.recycle(&mut self.mcast_free);
             return;
         }
         let now = self.now;
@@ -756,7 +767,10 @@ impl<M: WireSize + Clone> Core<M> {
                             group,
                             src,
                             here: next,
-                            targets: copy.iter().map(|&(_, t)| t).collect(),
+                            targets: Targets::collect(
+                                &mut self.mcast_free,
+                                copy.iter().map(|&(_, t)| t),
+                            ),
                             from,
                             msg: msg.clone(),
                             src_inc,
@@ -772,6 +786,7 @@ impl<M: WireSize + Clone> Core<M> {
         }
         fanout.clear();
         self.mcast_fanout = fanout;
+        targets.recycle(&mut self.mcast_free);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1100,6 +1115,7 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
                 nodes: Vec::new(),
                 mcast_groups: BTreeMap::new(),
                 mcast_fanout: Vec::new(),
+                mcast_free: Vec::new(),
                 obs: Obs::new(),
                 current_cause: CauseCtx::NONE,
                 kind_of: |_| "msg",
@@ -1358,10 +1374,13 @@ mod tests {
             std::mem::size_of::<Targets>(),
             std::mem::size_of::<Vec<u32>>()
         );
+        let mut free = Vec::new();
         for n in 0..9u32 {
-            let t: Targets = (10..10 + n).collect();
+            let t = Targets::collect(&mut free, 10..10 + n);
             assert_eq!(t.as_slice(), (10..10 + n).collect::<Vec<u32>>());
             assert_eq!(matches!(t, Targets::Few { .. }), n <= 3, "{t:?}");
+            t.recycle(&mut free);
+            assert_eq!(free.len(), (n > 3) as usize, "one buffer, reused");
         }
     }
 

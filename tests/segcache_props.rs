@@ -1,17 +1,19 @@
 //! Property tests on the media-tier segment cache: byte capacity is a hard
-//! bound, eviction follows exact LRU order, and the interval-caching
-//! admission policy keeps shared-viewer segments resident while one-off
-//! fetches pass straight through.
+//! bound, eviction follows exact LRU order (skipping pinned objects), and
+//! the interval-caching admission policy keeps shared-viewer and pinned
+//! segments resident while one-off fetches pass straight through.
 //!
 //! The cache is driven against a straightforward reference model (a recency
-//! vector plus a byte map) under arbitrary operation sequences; any
-//! divergence — in residency, order or accounting — fails the property.
+//! vector plus a byte map) under arbitrary operation sequences over several
+//! objects at two grade levels; any divergence — in residency, order,
+//! accounting or the admitted / rejected / evicted counts — fails the
+//! property.
 
 use hermes_od::core::GradeLevel;
 use hermes_od::media::SegmentFrame;
 use hermes_od::server::{SegmentCache, SegmentKey};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 const CAPACITY: u64 = 2_000;
 
@@ -19,33 +21,43 @@ fn object(o: u8) -> String {
     format!("obj-{o}")
 }
 
-fn key(o: u8, segment: u64) -> SegmentKey {
+fn object_of(k: &SegmentKey) -> u8 {
+    k.object["obj-".len()..].parse().unwrap()
+}
+
+fn key(o: u8, level: u8, segment: u64) -> SegmentKey {
     SegmentKey {
         object: object(o),
-        level: GradeLevel::NOMINAL,
+        level: GradeLevel(level),
         segment,
     }
 }
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// Offer a segment: (object, segment, frame size, frame count).
-    Insert(u8, u64, u32, u8),
-    /// Look a segment up: (object, segment).
-    Get(u8, u64),
+    /// Offer a segment: (object, level, segment, frame size, frame count).
+    Insert(u8, u8, u64, u32, u8),
+    /// Look a segment up: (object, level, segment).
+    Get(u8, u8, u64),
     /// A stream over the object started.
     ReaderStart(u8),
     /// A stream over the object ended.
     ReaderEnd(u8),
+    /// A shared flow pinned the object.
+    Pin(u8),
+    /// The shared flow ended.
+    Unpin(u8),
 }
 
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        ((0u8..3), (0u64..8), (50u32..300), (1u8..4))
-            .prop_map(|(o, s, sz, n)| Op::Insert(o, s, sz, n)),
-        ((0u8..3), (0u64..8)).prop_map(|(o, s)| Op::Get(o, s)),
+        ((0u8..3), (0u8..2), (0u64..8), (50u32..300), (1u8..4))
+            .prop_map(|(o, l, s, sz, n)| Op::Insert(o, l, s, sz, n)),
+        ((0u8..3), (0u8..2), (0u64..8)).prop_map(|(o, l, s)| Op::Get(o, l, s)),
         (0u8..3).prop_map(Op::ReaderStart),
         (0u8..3).prop_map(Op::ReaderEnd),
+        (0u8..3).prop_map(Op::Pin),
+        (0u8..3).prop_map(Op::Unpin),
     ]
 }
 
@@ -61,12 +73,22 @@ fn check_ops(ops: &[Op]) -> Result<(), String> {
     }
     let mut c = SegmentCache::new(CAPACITY);
     // Reference model: recency order (LRU first), bytes per resident key,
-    // readers per object.
+    // readers per object, pinned objects and the expected statistics.
     let mut order: Vec<SegmentKey> = Vec::new();
     let mut bytes_of: BTreeMap<SegmentKey, u64> = BTreeMap::new();
     let mut readers: BTreeMap<u8, u32> = BTreeMap::new();
+    let mut pinned: BTreeSet<u8> = BTreeSet::new();
+    let mut stats = c.stats;
     for o in ops {
         match *o {
+            Op::Pin(obj) => {
+                c.pin(&object(obj));
+                pinned.insert(obj);
+            }
+            Op::Unpin(obj) => {
+                c.unpin(&object(obj));
+                pinned.remove(&obj);
+            }
             Op::ReaderStart(obj) => {
                 c.reader_started(&object(obj));
                 *readers.entry(obj).or_insert(0) += 1;
@@ -76,14 +98,16 @@ fn check_ops(ops: &[Op]) -> Result<(), String> {
                 let r = readers.entry(obj).or_insert(0);
                 *r = r.saturating_sub(1);
             }
-            Op::Get(obj, seg) => {
-                let k = key(obj, seg);
+            Op::Get(obj, level, seg) => {
+                let k = key(obj, level, seg);
                 let hit = c.get(&k).is_some();
                 let resident = order.contains(&k);
                 ensure!(
                     hit == resident,
                     "get({k:?}) hit={hit}, model says {resident}"
                 );
+                stats.hits += hit as u64;
+                stats.misses += !hit as u64;
                 if hit {
                     // A hit refreshes recency: the key moves to the MRU end.
                     let pos = order.iter().position(|x| *x == k).unwrap();
@@ -91,33 +115,52 @@ fn check_ops(ops: &[Op]) -> Result<(), String> {
                     order.push(k);
                 }
             }
-            Op::Insert(obj, seg, size, n) => {
-                let k = key(obj, seg);
+            Op::Insert(obj, level, seg, size, n) => {
+                let k = key(obj, level, seg);
                 let frames = vec![SegmentFrame { size, key: true }; n as usize];
                 let b = size as u64 * n as u64;
                 let admitted = c.insert(k.clone(), frames);
-                let should = *readers.get(&obj).unwrap_or(&0) >= 2 && b <= CAPACITY;
-                ensure!(
-                    admitted == should,
-                    "insert({k:?}) admitted={admitted}, readers={:?}",
-                    readers.get(&obj)
-                );
-                if admitted {
+                let open = *readers.get(&obj).unwrap_or(&0) >= 2 || pinned.contains(&obj);
+                let mut should = open && b <= CAPACITY;
+                if should {
+                    // A replaced entry goes first, whatever follows.
                     if let Some(pos) = order.iter().position(|x| *x == k) {
                         order.remove(pos);
                         bytes_of.remove(&k);
                     }
-                    // Evict from the LRU end until the new segment fits.
+                    // Evict the least recently used unpinned segment until
+                    // the new one fits; with none left, refuse it.
                     let mut used: u64 = bytes_of.values().sum();
                     while used + b > CAPACITY {
-                        let victim = order.remove(0);
+                        let evictable = |x: &SegmentKey| !pinned.contains(&object_of(x));
+                        let Some(pos) = order.iter().position(evictable) else {
+                            should = false;
+                            break;
+                        };
+                        let victim = order.remove(pos);
                         used -= bytes_of.remove(&victim).unwrap();
+                        stats.evicted += 1;
                     }
-                    order.push(k.clone());
-                    bytes_of.insert(k, b);
+                    if should {
+                        order.push(k.clone());
+                        bytes_of.insert(k.clone(), b);
+                    }
                 }
+                ensure!(
+                    admitted == should,
+                    "insert({k:?}) admitted={admitted}, readers={:?}, pinned={}",
+                    readers.get(&obj),
+                    pinned.contains(&obj)
+                );
+                stats.admitted += admitted as u64;
+                stats.rejected += !admitted as u64;
             }
         }
+        ensure!(
+            c.stats == stats,
+            "statistics diverged:\n cache={:?}\n model={stats:?}",
+            c.stats
+        );
         // Hard invariants after every operation.
         ensure!(
             c.used_bytes() <= CAPACITY,
@@ -143,10 +186,11 @@ fn check_ops(ops: &[Op]) -> Result<(), String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Under any sequence of inserts, lookups and reader churn: capacity is
-    /// never exceeded, residency and eviction follow exact LRU order, byte
-    /// accounting balances, and admission tracks the ≥2-readers interval
-    /// policy precisely.
+    /// Under any sequence of inserts, lookups, reader churn and pins at two
+    /// grade levels: capacity is never exceeded, residency and eviction
+    /// follow exact LRU order with pinned objects exempt, byte accounting
+    /// and the statistics balance, and admission tracks the ≥2-readers (or
+    /// pinned) interval policy precisely.
     #[test]
     fn cache_matches_reference_model(ops in proptest::collection::vec(op(), 0..200)) {
         if let Err(e) = check_ops(&ops) {
