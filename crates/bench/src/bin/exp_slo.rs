@@ -81,6 +81,13 @@ impl Grid {
     }
 }
 
+/// The attribution window, declared to each capture before its run. Wider
+/// than the library default: a fault's visible effect lags its cause by
+/// the client buffer plus the server's prefetch lead (several seconds
+/// here), and the causal window must span that lag to reach the
+/// link_down / shed evidence.
+const WINDOW: MediaDuration = MediaDuration::from_secs(6);
+
 /// One scenario run's attribution + burn-signal measurements.
 #[derive(Debug, Clone, Default)]
 struct Point {
@@ -154,6 +161,7 @@ fn run_spike(seed: u64, g: &Grid, control: bool) -> Point {
         ..Default::default()
     }
     .build(seed);
+    crowd.sim.obs_mut().widen_attribution_window(WINDOW);
     let srv = crowd.servers[0];
     if control {
         let cfg = ControllerConfig::default();
@@ -198,6 +206,7 @@ fn run_partition(seed: u64, _g: &Grid) -> Point {
         ..Default::default()
     });
     let mut sim: Sim<ServiceMsg, ServiceWorld> = b.build(seed);
+    sim.obs_mut().widen_attribution_window(WINDOW);
     sim.obs_mut().set_enabled(true);
     // Slow the replica's service down so segment fetches are still in
     // flight when the link dies: with the default (fast) service the
@@ -248,12 +257,8 @@ fn finish(
     until: MediaTime,
 ) -> Point {
     let obs = sim.obs_mut();
-    // Wider lookback than the library default: a fault's visible effect
-    // lags its cause by the client buffer plus the server's prefetch
-    // lead (several seconds here), and the causal window must span that
-    // lag to reach the link_down / shed evidence.
     let attrs = obs.attribute(&AttributionConfig {
-        window: MediaDuration::from_secs(6),
+        window: WINDOW,
         ..AttributionConfig::default()
     });
     let mut p = Point::default();

@@ -68,8 +68,10 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
+/// Reads the source a whole character at a time (`i` is always on a
+/// character boundary) and slices names, values and words out of it; `src`
+/// is its bytes, for ASCII lookahead.
 struct Lexer<'a> {
-    /// The source, for slicing names out of; `src` is its bytes.
     text: &'a str,
     src: &'a [u8],
     i: usize,
@@ -99,10 +101,16 @@ impl<'a> Lexer<'a> {
     fn peek2(&self) -> Option<u8> {
         self.src.get(self.i + 1).copied()
     }
-    fn bump(&mut self) -> Option<u8> {
-        let c = self.peek()?;
-        self.i += 1;
-        if c == b'\n' {
+    fn peek_char(&self) -> Option<char> {
+        match self.peek()? {
+            b if b.is_ascii() => Some(b as char),
+            _ => self.text[self.i..].chars().next(),
+        }
+    }
+    fn bump(&mut self) -> Option<char> {
+        let c = self.peek_char()?;
+        self.i += c.len_utf8();
+        if c == '\n' {
             self.line += 1;
             self.col = 1;
         } else {
@@ -115,15 +123,14 @@ impl<'a> Lexer<'a> {
             self.bump();
         }
     }
-    /// The run of bytes from the current position that `part` accepts,
-    /// consumed. Callers accept only ASCII bytes, so a non-empty run is
-    /// whole characters.
-    fn take_while(&mut self, part: impl Fn(u8) -> bool) -> &'a str {
+    /// The run of characters from the current position that `part`
+    /// accepts, consumed.
+    fn take_while(&mut self, part: impl Fn(char) -> bool) -> &'a str {
         let start = self.i;
-        while self.peek().is_some_and(&part) {
+        while self.peek_char().is_some_and(&part) {
             self.bump();
         }
-        self.text.get(start..self.i).unwrap_or_default()
+        &self.text[start..self.i]
     }
     fn err(&self, msg: impl Into<String>) -> LexError {
         LexError {
@@ -141,7 +148,7 @@ impl<'a> Lexer<'a> {
         } else {
             false
         };
-        let name = self.take_while(|c| c.is_ascii_alphanumeric() || c == b'_');
+        let name = self.take_while(|c| c.is_ascii_alphanumeric() || c == '_');
         match self.peek() {
             Some(b'>') => {}
             Some(c) => return Err(self.err(format!("unexpected byte {:?} in tag name", c as char))),
@@ -165,36 +172,27 @@ impl<'a> Lexer<'a> {
             self.bump();
             let mut v = String::new();
             loop {
+                v.push_str(self.take_while(|c| c != '"' && c != '\\'));
                 match self.bump() {
                     None => return Err(self.err("unterminated quoted value")),
-                    Some(b'"') => break,
-                    Some(b'\\') => match self.bump() {
-                        Some(b'"') => v.push('"'),
-                        Some(b'\\') => v.push('\\'),
-                        Some(b'n') => v.push('\n'),
+                    Some('"') => break,
+                    _ => match self.bump() {
+                        Some('"') => v.push('"'),
+                        Some('\\') => v.push('\\'),
+                        Some('n') => v.push('\n'),
                         other => {
-                            return Err(self.err(format!(
-                                "bad escape '\\{}'",
-                                other.map(|c| c as char).unwrap_or('?')
-                            )))
+                            return Err(self.err(format!("bad escape '\\{}'", other.unwrap_or('?'))))
                         }
                     },
-                    Some(c) => v.push(c as char),
                 }
             }
             Ok(v)
         } else {
-            let mut v = String::new();
-            while let Some(c) = self.peek() {
-                if c.is_ascii_whitespace() || c == b'<' || c == b'>' {
-                    break;
-                }
-                v.push(self.bump().unwrap() as char);
-            }
+            let v = self.take_while(|c| !c.is_ascii_whitespace() && c != '<' && c != '>');
             if v.is_empty() {
                 return Err(self.err("empty attribute value"));
             }
-            Ok(v)
+            Ok(v.to_string())
         }
     }
 
@@ -204,7 +202,7 @@ impl<'a> Lexer<'a> {
     fn try_lex_attr(&mut self) -> Result<Option<Token>, LexError> {
         let save = (self.i, self.line, self.col);
         let pos = self.pos();
-        let name = self.take_while(|c| c.is_ascii_uppercase() || c == b'_');
+        let name = self.take_while(|c| c.is_ascii_uppercase() || c == '_');
         if name.is_empty() || self.peek() != Some(b'=') {
             (self.i, self.line, self.col) = save;
             return Ok(None);
@@ -221,31 +219,23 @@ impl<'a> Lexer<'a> {
         }))
     }
 
-    /// A text run, whitespace-normalised as it is read: words (each byte
-    /// taken as one `char`) joined by single spaces.
+    /// A text run, whitespace-normalised as it is read: its words, sliced
+    /// from the source, joined by single spaces. It ends at a tag or where
+    /// an attribute assignment begins a word.
     fn lex_text(&mut self) -> Token {
         let pos = self.pos();
         let mut norm = String::new();
-        // At the run's start or just after whitespace.
-        let mut boundary = true;
-        while let Some(c) = self.peek() {
-            if c == b'<' {
-                break;
+        loop {
+            self.take_while(char::is_whitespace);
+            match self.peek() {
+                None | Some(b'<') => break,
+                Some(c) if c.is_ascii_uppercase() && self.looks_like_attr() => break,
+                _ => {}
             }
-            // Stop if an attribute assignment begins at a word boundary.
-            if boundary && c.is_ascii_uppercase() && self.looks_like_attr() {
-                break;
-            }
-            let ch = self.bump().expect("peeked a byte") as char;
-            if ch.is_whitespace() {
-                boundary = true;
-                continue;
-            }
-            if boundary && !norm.is_empty() {
+            if !norm.is_empty() {
                 norm.push(' ');
             }
-            norm.push(ch);
-            boundary = false;
+            norm.push_str(self.take_while(|c| c != '<' && !c.is_whitespace()));
         }
         Token {
             kind: TokenKind::Text(norm),
@@ -318,7 +308,7 @@ impl<'a> Lexer<'a> {
                         pos: start,
                     })
                 }
-                Some(b'-') => {
+                Some('-') => {
                     if self.peek() == Some(b'-') && self.peek2() == Some(b'>') {
                         self.bump();
                         self.bump();
@@ -399,6 +389,21 @@ mod tests {
                 TokenKind::Close(TagKeyword::Vi),
             ]
         );
+    }
+
+    /// Text and values are read a character at a time, not a byte: a
+    /// multi-byte character survives whole, and a byte inside one is never
+    /// taken for whitespace.
+    #[test]
+    fn non_ascii_text_and_values_survive() {
+        let toks = kinds("<TEXT> café voilà tout </TEXT>");
+        assert_eq!(toks[1], TokenKind::Text("café voilà tout".into()));
+        let toks = kinds(r#"<IMG> NOTE="naïve" SOURCE=là ID=3 </IMG>"#);
+        assert_eq!(toks[1], TokenKind::Attr(AttrKeyword::Note, "naïve".into()));
+        assert_eq!(toks[2], TokenKind::Attr(AttrKeyword::Source, "là".into()));
+        // A no-break space still separates words.
+        let toks = kinds("<TEXT> a\u{a0}b </TEXT>");
+        assert_eq!(toks[1], TokenKind::Text("a b".into()));
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //!   engine writes one 16-byte [`HopRecord`] — when, under which causal
 //!   root, which protocol message kind, how long in flight — into the
 //!   capture's [`ProvenanceLog`]: a delivery log keyed by causal root
-//!   that keeps the last [`PROV_HORIZON`] and, older than that, only each
-//!   disruption's window. Losses, retransmissions, abandoned sends
-//!   and multicast fan-out are not logged per message; they are engine
-//!   counters (`sim.datagrams_dropped`, `sim.retransmissions`,
-//!   `sim.reliable_failures`, `sim.mcast_link_copies`) and the
-//!   `reliable_abandon` event.
+//!   that keeps the last [`ProvenanceLog::horizon`] (the widest
+//!   attribution window the capture will be asked for) and, older than
+//!   that, only each disruption's window. Losses, retransmissions,
+//!   abandoned sends and multicast fan-out are not logged per message;
+//!   they are engine counters (`sim.datagrams_dropped`,
+//!   `sim.retransmissions`, `sim.reliable_failures`,
+//!   `sim.mcast_link_copies`) and the `reliable_abandon` event.
 //! * **Attribution** — for every playout gap, stall and session abandon in
 //!   the finished event log, [`attribute_events`] walks the causal window
 //!   backwards and emits a deterministic [`GapAttribution`] naming the
@@ -111,35 +112,36 @@ impl HopRecord {
 /// [`ProvenanceLog::dropped`] and published as `sim.prov_dropped`.
 pub const DEFAULT_PROV_CAP: usize = 1 << 21;
 
-/// How far back the provenance log keeps every delivery, and so the widest
-/// attribution window [`fill_critical_paths`] accepts.
-pub const PROV_HORIZON: MediaDuration = MediaDuration::from_secs(6);
+/// The attribution window a caller that names none reads
+/// ([`AttributionConfig::default`]), and so the provenance horizon a
+/// capture keeps unless it declares a wider one
+/// (`Obs::widen_attribution_window`).
+pub const DEFAULT_ATTRIBUTION_WINDOW: MediaDuration = MediaDuration::from_secs(2);
 
-/// A full ring grows by `len / RING_GROWTH_DIVISOR` records (at least
-/// [`RING_MIN_GROWTH`]) rather than doubling: a ring holds a steady
-/// [`PROV_HORIZON`] of deliveries, and a doubled one sits up to half empty
-/// at that length for the rest of the run.
-const RING_GROWTH_DIVISOR: usize = 8;
-/// The smallest step a full ring grows by.
-const RING_MIN_GROWTH: usize = 4096;
+/// The smallest step the provenance ring and its kept records grow by.
+const RECORDS_MIN_STEP: usize = 4096;
 
 /// The run's provenance log: final deliveries in engine-clock order, plus
 /// the interned table of message kinds the records index into.
 ///
 /// It keeps only what attribution can read. Every delivery of the last
-/// [`PROV_HORIZON`] sits in a ring. A delivery that ages out of the ring
+/// [`Self::horizon`] sits in a ring. A delivery that ages out of the ring
 /// is kept only if some marked disruption of its causal root lies in
-/// `[at, at + PROV_HORIZON]`; every other one is dropped. The rule is
-/// exact: by the time a delivery is older than `now − PROV_HORIZON`,
-/// every disruption whose window could hold it has been marked and
-/// resolved to its root (`Obs::record_hop` resolves the marks first).
+/// `[at, at + horizon]`; every other one is dropped. The rule is exact:
+/// by the time a delivery is older than `now − horizon`, every disruption
+/// whose window could hold it has been marked and resolved to its root
+/// (`Obs::record_hop` resolves the marks first). Both stores grow in
+/// steps (`grow_step`), not by doubling.
 #[derive(Debug, Clone)]
 pub struct ProvenanceLog {
     /// Deliveries that left the ring inside some disruption's window; all
     /// older than anything in `ring`.
     kept: Vec<HopRecord>,
-    /// Every delivery of the last [`PROV_HORIZON`].
+    /// Every delivery of the last `horizon`.
     ring: VecDeque<HopRecord>,
+    /// How far back every delivery is kept: the widest attribution window
+    /// the capture will be asked for.
+    horizon: MediaDuration,
     /// Marked disruptions `(session, at)` the clock has not yet passed.
     pending: Vec<(u64, MediaTime)>,
     /// Resolved disruption instants per causal root, oldest first.
@@ -161,6 +163,7 @@ impl Default for ProvenanceLog {
         ProvenanceLog {
             kept: Vec::new(),
             ring: VecDeque::new(),
+            horizon: DEFAULT_ATTRIBUTION_WINDOW,
             pending: Vec::new(),
             marks: HashMap::new(),
             kinds: Vec::new(),
@@ -176,19 +179,22 @@ impl ProvenanceLog {
     /// Append one delivery (dropped with accounting past the cap): at
     /// engine time `at` a message of protocol class `kind`, descending
     /// from causal root `root`, reached its application after `wait_us`
-    /// in flight. Deliveries older than `at − PROV_HORIZON` leave the
-    /// ring first.
+    /// in flight. Deliveries older than `at − horizon` leave the ring
+    /// first.
     #[inline]
     pub fn record(&mut self, at: MediaTime, root: u32, kind: &'static str, wait_us: i64) {
         self.offered += 1;
-        let horizon = at - PROV_HORIZON;
+        let horizon = at - self.horizon;
         while let Some(&old) = self.ring.front() {
             if old.at() >= horizon {
                 break;
             }
             self.ring.pop_front();
             if self.in_marked_window(old) {
-                self.kept.push(old);
+                let kept = &mut self.kept;
+                let step = crate::grow_step(kept.len(), kept.capacity(), RECORDS_MIN_STEP);
+                kept.reserve_exact(step);
+                kept.push(old);
             }
         }
         if self.len() >= self.cap {
@@ -196,17 +202,17 @@ impl ProvenanceLog {
             return;
         }
         let kind = self.intern(kind);
-        if self.ring.len() == self.ring.capacity() {
-            let step = (self.ring.len() / RING_GROWTH_DIVISOR).max(RING_MIN_GROWTH);
-            self.ring.reserve_exact(step);
-        }
-        self.ring.push_back(HopRecord::new(at, kind, root, wait_us));
+        let ring = &mut self.ring;
+        let step = crate::grow_step(ring.len(), ring.capacity(), RECORDS_MIN_STEP);
+        ring.reserve_exact(step);
+        ring.push_back(HopRecord::new(at, kind, root, wait_us));
     }
 
     /// True when a resolved disruption of `rec`'s root lies in
-    /// `[rec.at, rec.at + PROV_HORIZON]`. Records leave the ring in time
+    /// `[rec.at, rec.at + horizon]`. Records leave the ring in time
     /// order, so an instant before `rec.at` serves no later one and goes.
     fn in_marked_window(&mut self, rec: HopRecord) -> bool {
+        let horizon = self.horizon;
         let Some(marks) = self.marks.get_mut(&rec.root) else {
             return false;
         };
@@ -214,7 +220,26 @@ impl ProvenanceLog {
         while marks.front().is_some_and(|&t| t < at) {
             marks.pop_front();
         }
-        marks.front().is_some_and(|&t| t - PROV_HORIZON <= at)
+        marks.front().is_some_and(|&t| t - horizon <= at)
+    }
+
+    /// How far back the log keeps every delivery, and so the widest
+    /// attribution window [`fill_critical_paths`] accepts:
+    /// [`DEFAULT_ATTRIBUTION_WINDOW`] unless the capture declared more.
+    pub fn horizon(&self) -> MediaDuration {
+        self.horizon
+    }
+
+    /// Keep every delivery of the last `window` at least. Only before the
+    /// first delivery: a horizon widened later would have already dropped
+    /// what the wider window reads.
+    pub(crate) fn widen(&mut self, window: MediaDuration) {
+        assert!(
+            self.offered == 0,
+            "the attribution window is widened to {window} after {} deliveries were recorded",
+            self.offered
+        );
+        self.horizon = self.horizon.max(window);
     }
 
     /// Mark a disruption attribution will explain: `session` at engine
@@ -293,6 +318,11 @@ impl ProvenanceLog {
                 let w1 = recs.partition_point(|r| r.at() <= hi);
                 &recs[w0..w1]
             })
+    }
+
+    /// Deliveries the ring can hold before it grows again.
+    pub fn ring_capacity(&self) -> usize {
+        self.ring.capacity()
     }
 
     /// Number of deliveries retained.
@@ -434,7 +464,8 @@ pub fn is_disruption(name: &str, value: i64) -> bool {
 #[derive(Debug, Clone, Copy)]
 pub struct AttributionConfig {
     /// How far back from a disruption the causal window reaches; at most
-    /// [`PROV_HORIZON`] when critical paths are filled.
+    /// the capture's [`ProvenanceLog::horizon`] when critical paths are
+    /// filled.
     pub window: MediaDuration,
     /// How many critical-path hops to keep per attribution.
     pub path_hops: usize,
@@ -443,7 +474,7 @@ pub struct AttributionConfig {
 impl Default for AttributionConfig {
     fn default() -> Self {
         AttributionConfig {
-            window: MediaDuration::from_secs(2),
+            window: DEFAULT_ATTRIBUTION_WINDOW,
             path_hops: 4,
         }
     }
@@ -740,8 +771,8 @@ pub fn attribute_events(events: &[Event], cfg: &AttributionConfig) -> Vec<GapAtt
 
 /// Fill each attribution's critical path: the slowest in-window message
 /// deliveries whose causal root is the disruption's session root. The
-/// log retains no more than that, so `cfg.window` may reach at most
-/// [`PROV_HORIZON`] back.
+/// log retains no more than that, so `cfg.window` may reach at most the
+/// log's [`ProvenanceLog::horizon`] back.
 pub fn fill_critical_paths(
     attrs: &mut [GapAttribution],
     prov: &ProvenanceLog,
@@ -749,9 +780,11 @@ pub fn fill_critical_paths(
     cfg: &AttributionConfig,
 ) {
     assert!(
-        cfg.window <= PROV_HORIZON,
-        "attribution window {:?} reaches past the provenance horizon",
-        cfg.window
+        cfg.window <= prov.horizon,
+        "attribution window {} reaches past the provenance horizon {} this capture \
+         declared (Obs::widen_attribution_window)",
+        cfg.window,
+        prov.horizon
     );
     for a in attrs.iter_mut() {
         let Some(root) = session_root(a.session) else {

@@ -4,7 +4,8 @@
 //!   shipped before the log kept only deliveries, with the
 //!   `fill_critical_paths` that filtered it — kept verbatim;
 //! - the keep-everything delivery log that followed it, before the log
-//!   kept only the last [`PROV_HORIZON`] and each disruption's window.
+//!   kept only the last [`ProvenanceLog::horizon`] and each disruption's
+//!   window.
 //!
 //! The layout pins of the 16-byte record and the retention bounds live
 //! here too.
@@ -273,11 +274,19 @@ mod through_obs {
     }
 
     impl Run {
+        /// A run whose capture keeps the default horizon.
         fn new() -> Run {
             Run {
                 obs: crate::Obs::new(),
                 spec: KeepAllLog::default(),
             }
+        }
+
+        /// A run whose capture declared attribution windows up to `window`.
+        fn widened(window: MediaDuration) -> Run {
+            let mut run = Run::new();
+            run.obs.widen_attribution_window(window);
+            run
         }
 
         fn deliver(&mut self, at: MediaTime, root: u32, kind: &'static str, wait_us: i64) {
@@ -314,19 +323,26 @@ mod through_obs {
         /// one horizon before a disruption) with same-instant ties and jumps
         /// past the horizon. Disruptions are marked at their instant, some
         /// before their session's root exists, some followed in that instant
-        /// by the root's creation and a delivery under it. Every critical path
-        /// equals the keep-everything log's, for windows from 1 µs to 6 s and
-        /// paths of 1 to 8 hops.
+        /// by the root's creation and a delivery under it. The capture
+        /// declares no window (2 s), 6 s or one from 1 µs to 6 s. Every
+        /// critical path equals the keep-everything log's, for windows from
+        /// 1 µs up to the declared one and paths of 1 to 8 hops.
         #[test]
         fn windowed_log_paths_equal_the_keep_all_log(
             path_hops in 1usize..=8,
+            declared in (0u8..4, 1i64..=6_000_000),
             window_us in 1i64..=6_000_000,
             ops in proptest::collection::vec(
                 ((0u8..8, 1i64..=24), 0u8..8, 0u64..8, 0usize..12, 0i64..5_000),
                 0..400,
             ),
         ) {
-            let mut run = Run::new();
+            let mut run = match declared {
+                (0, _) => Run::new(),
+                (1, _) => Run::widened(MediaDuration::from_secs(6)),
+                (_, us) => Run::widened(MediaDuration::from_micros(us)),
+            };
+            let horizon = run.obs.prov.horizon().as_micros();
             let mut now = MediaTime::ZERO;
             for &((step, quarters), op, session, pick, w) in &ops {
                 now += MediaDuration::from_millis(match step {
@@ -361,7 +377,8 @@ mod through_obs {
             }
             prop_assert_eq!(run.obs.prov.offered(), run.spec.records.len() as u64);
             prop_assert!(run.obs.prov.len() <= run.spec.records.len());
-            for window in [window_us, 2_000_000, 6_000_000] {
+            let windows = [window_us % horizon + 1, 2_000_000, 6_000_000, horizon];
+            for window in windows.into_iter().filter(|&w| w <= horizon) {
                 let cfg = AttributionConfig {
                     window: MediaDuration::from_micros(window),
                     path_hops,
@@ -388,7 +405,7 @@ mod through_obs {
         run.deliver(t, root, "fetch_chunk", 7_000);
         // Both instants age out of the ring.
         run.deliver(
-            t + PROV_HORIZON + MediaDuration::from_micros(1),
+            t + run.obs.prov.horizon() + MediaDuration::from_micros(1),
             other,
             "rtp",
             30,
@@ -400,59 +417,96 @@ mod through_obs {
     }
 }
 
+/// A log keeping the default horizon, or one widened to `window`.
+fn log_with_horizon(window: Option<MediaDuration>) -> ProvenanceLog {
+    let mut log = ProvenanceLog::default();
+    if let Some(w) = window {
+        log.widen(w);
+    }
+    log
+}
+
 /// Without a disruption the log holds one horizon of deliveries however
 /// long the run; one disruption keeps exactly its root's window besides.
+/// Both for the default horizon and for one widened to 6 s.
 #[test]
 fn the_log_holds_one_horizon_plus_each_disruptions_window() {
     let step = MediaDuration::from_millis(10);
-    let per_horizon = (PROV_HORIZON.as_micros() / step.as_micros()) as usize + 1;
     let roots = |s: u64| (s < 3).then_some(SpanId(10 + s as u32));
     let t_d = MediaTime::from_secs(30);
-    for disrupted in [false, true] {
-        let mut log = ProvenanceLog::default();
-        let mut now = MediaTime::ZERO;
-        for i in 0..6_000u32 {
-            now = MediaTime::ZERO + step * i as i64;
-            log.resolve_marks(now, roots);
-            log.record(now, 10 + i % 3, "rtp", 0);
-            if disrupted && now == t_d {
-                log.mark(1, now);
+    for declared in [None, Some(MediaDuration::from_secs(6))] {
+        for disrupted in [false, true] {
+            let mut log = log_with_horizon(declared);
+            let horizon = log.horizon();
+            assert_eq!(horizon, declared.unwrap_or(DEFAULT_ATTRIBUTION_WINDOW));
+            let per_horizon = (horizon.as_micros() / step.as_micros()) as usize + 1;
+            let mut now = MediaTime::ZERO;
+            for i in 0..6_000u32 {
+                now = MediaTime::ZERO + step * i as i64;
+                log.resolve_marks(now, roots);
+                log.record(now, 10 + i % 3, "rtp", 0);
+                if disrupted && now == t_d {
+                    log.mark(1, now);
+                }
+                if !disrupted {
+                    assert!(log.len() <= per_horizon, "{} records at {now:?}", log.len());
+                }
             }
-            if !disrupted {
-                assert!(log.len() <= per_horizon, "{} records at {now:?}", log.len());
-            }
+            let kept: Vec<MediaTime> = log
+                .records()
+                .map(|r| r.at())
+                .filter(|&at| at < now - horizon)
+                .collect();
+            let want: Vec<MediaTime> = if disrupted {
+                (0..6_000u32)
+                    .filter(|i| i % 3 == 1)
+                    .map(|i| MediaTime::ZERO + step * i as i64)
+                    .filter(|&at| t_d - horizon <= at && at <= t_d)
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            assert_eq!(kept, want);
+            assert_eq!(log.len(), per_horizon + want.len());
+            assert_eq!(log.offered(), 6_000);
         }
-        let horizon = now - PROV_HORIZON;
-        let kept: Vec<MediaTime> = log
-            .records()
-            .map(|r| r.at())
-            .filter(|&at| at < horizon)
-            .collect();
-        let want: Vec<MediaTime> = if disrupted {
-            (0..6_000u32)
-                .filter(|i| i % 3 == 1)
-                .map(|i| MediaTime::ZERO + step * i as i64)
-                .filter(|&at| t_d - PROV_HORIZON <= at && at <= t_d)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        assert_eq!(kept, want);
-        assert_eq!(log.len(), per_horizon + want.len());
-        assert_eq!(log.offered(), 6_000);
     }
 }
 
 /// A full ring grows by an eighth of its length, not by doubling: its
-/// slack stays within one step of what it holds.
+/// slack stays within one step of what it holds, and once the run is
+/// several horizons long it holds one horizon of deliveries and not much
+/// more room. The kept records grow by the same rule.
 #[test]
 fn a_full_ring_grows_in_bounded_steps() {
-    let mut log = ProvenanceLog::default();
-    for i in 0..200_000i64 {
-        log.record(MediaTime::from_micros(i), 7, "rtp", 0);
-        let len = log.ring.len();
-        let slack = log.ring.capacity() - len;
-        assert!(slack <= (len / 8).max(4096), "{slack} at {len}");
+    let step = MediaDuration::from_micros(50);
+    for declared in [None, Some(MediaDuration::from_secs(6))] {
+        let mut log = log_with_horizon(declared);
+        let per_horizon = (log.horizon().as_micros() / step.as_micros()) as usize + 1;
+        // A mark every 50 ms, two horizons ahead: most deliveries leaving
+        // the ring are kept.
+        let roots = |_| Some(SpanId(7));
+        for i in 0..(3 * per_horizon) as i64 {
+            let now = MediaTime::ZERO + step * i;
+            log.resolve_marks(now, roots);
+            log.record(now, 7, "rtp", 0);
+            if i % 1_000 == 0 {
+                log.mark(0, now + log.horizon() * 2);
+            }
+            for (len, cap) in [
+                (log.ring.len(), log.ring.capacity()),
+                (log.kept.len(), log.kept.capacity()),
+            ] {
+                assert!(
+                    cap - len <= (len / 8).max(4096),
+                    "{} slack at {len}",
+                    cap - len
+                );
+            }
+        }
+        assert_eq!(log.ring.len(), per_horizon);
+        assert!(log.ring.capacity() <= per_horizon * 9 / 8 + 4096);
+        assert!(!log.kept.is_empty());
     }
 }
 

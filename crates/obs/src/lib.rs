@@ -46,7 +46,7 @@ pub mod stats;
 
 pub use causality::{
     attribute_events, fill_critical_paths, is_disruption, publish_attr_counters, AttributionConfig,
-    CauseClass, CauseCtx, GapAttribution, HopRecord, ProvenanceLog, PROV_HORIZON,
+    CauseClass, CauseCtx, GapAttribution, HopRecord, ProvenanceLog, DEFAULT_ATTRIBUTION_WINDOW,
 };
 pub use event::{Event, Labels, Severity};
 pub use export::{chrome_trace, events_jsonl, flight_report, session_timeline};
@@ -58,6 +58,23 @@ pub use span::{Span, SpanId, SpanStore};
 pub use stats::{max_dur_by, mean_by, percentile, Accumulator, DurationHistogram};
 
 use hermes_core::{MediaDuration, MediaTime};
+
+/// Room to reserve before one more push onto an append-only log: none
+/// while it has spare capacity, else an eighth of its length and at least
+/// `min_step`. A log that doubles can sit half empty for the rest of the
+/// run; one grown in these steps is never more than one step short of
+/// full.
+#[inline]
+pub(crate) fn grow_step(len: usize, capacity: usize, min_step: usize) -> usize {
+    if len < capacity {
+        0
+    } else {
+        (len / 8).max(min_step)
+    }
+}
+
+/// The smallest step the main event log grows by.
+const EVENT_LOG_MIN_STEP: usize = 1024;
 
 /// True when the `trace` cargo feature is compiled in. With it off, every
 /// recording method starts with a statically-false check and compiles to a
@@ -84,7 +101,7 @@ pub struct Obs {
     /// Per-node recent-event rings and anomaly dumps.
     pub flight: FlightRecorder,
     /// Message provenance stamped by the engine: final deliveries keyed by
-    /// causal root — the last [`PROV_HORIZON`] of them, and each
+    /// causal root — the last [`ProvenanceLog::horizon`] of them, and each
     /// disruption's window.
     pub prov: ProvenanceLog,
 }
@@ -115,6 +132,14 @@ impl Obs {
     #[inline]
     pub fn on(&self) -> bool {
         TRACE_COMPILED && self.enabled
+    }
+
+    /// Declare, before anything is recorded, that this capture will be
+    /// attributed with a window up to `window` wide: the provenance log
+    /// then keeps that much of every delivery instead of
+    /// [`DEFAULT_ATTRIBUTION_WINDOW`]. Panics once a delivery was recorded.
+    pub fn widen_attribution_window(&mut self, window: MediaDuration) {
+        self.prov.widen(window);
     }
 
     /// Flip the runtime toggle (a disabled capture records nothing but
@@ -160,7 +185,10 @@ impl Obs {
             if causality::is_disruption(ev.name, ev.value) {
                 self.prov.mark(ev.labels().session.unwrap_or(0), at);
             }
-            self.events.push(ev);
+            let log = &mut self.events;
+            let step = grow_step(log.len(), log.capacity(), EVENT_LOG_MIN_STEP);
+            log.reserve_exact(step);
+            log.push(ev);
         }
     }
 
@@ -270,7 +298,8 @@ impl Obs {
     /// Attribute every disruption in the capture: walks the event log,
     /// names a dominant cause per gap/stall/abandon, fills critical-path
     /// hop timings from the provenance log, and feeds the `attr.*`
-    /// registry counters.
+    /// registry counters. `cfg.window` may be at most the window the
+    /// capture declared ([`Self::widen_attribution_window`]).
     pub fn attribute(&mut self, cfg: &AttributionConfig) -> Vec<GapAttribution> {
         let mut attrs = attribute_events(&self.events, cfg);
         let spans = &self.spans;
@@ -283,6 +312,11 @@ impl Obs {
     /// construction.
     pub fn events(&self) -> &[Event] {
         &self.events
+    }
+
+    /// Events the main log can hold before it grows again.
+    pub fn events_capacity(&self) -> usize {
+        self.events.capacity()
     }
 }
 
@@ -372,6 +406,46 @@ mod tests {
             assert_eq!(counter("obs.flight_overwritten_debug"), 0);
         }
         assert_eq!(counter("obs.flight_suppressed"), 0);
+    }
+
+    /// A capture is asked for no wider window than it declared: its
+    /// provenance log no longer holds what a wider one would read.
+    #[test]
+    #[should_panic(
+        expected = "attribution window 6.000s reaches past the provenance horizon 2.000s"
+    )]
+    fn attributing_past_the_declared_window_panics() {
+        let mut obs = Obs::new();
+        obs.attribute(&AttributionConfig {
+            window: MediaDuration::from_secs(6),
+            ..AttributionConfig::default()
+        });
+    }
+
+    #[test]
+    fn a_declared_window_widens_the_horizon_and_never_narrows_it() {
+        let mut obs = Obs::new();
+        assert_eq!(obs.prov.horizon(), DEFAULT_ATTRIBUTION_WINDOW);
+        assert_eq!(
+            AttributionConfig::default().window,
+            DEFAULT_ATTRIBUTION_WINDOW
+        );
+        obs.widen_attribution_window(MediaDuration::from_secs(6));
+        obs.widen_attribution_window(MediaDuration::from_secs(1));
+        assert_eq!(obs.prov.horizon(), MediaDuration::from_secs(6));
+        let cfg = AttributionConfig {
+            window: MediaDuration::from_secs(6),
+            ..AttributionConfig::default()
+        };
+        assert!(obs.attribute(&cfg).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "widened to 6.000s after 1 deliveries were recorded")]
+    fn widening_after_a_delivery_panics() {
+        let mut obs = Obs::new();
+        obs.prov.record(MediaTime::ZERO, 0, "msg", 0);
+        obs.widen_attribution_window(MediaDuration::from_secs(6));
     }
 
     #[test]

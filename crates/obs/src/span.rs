@@ -42,7 +42,11 @@ pub struct Span {
     pub end: Option<MediaTime>,
 }
 
-/// Append-only span storage plus the per-session root index.
+/// The smallest step the span store grows by.
+const MIN_STEP: usize = 256;
+
+/// Append-only span storage plus the per-session root index. The spans
+/// grow in steps (`grow_step`), not by doubling.
 #[derive(Debug, Clone, Default)]
 pub struct SpanStore {
     spans: Vec<Span>,
@@ -60,7 +64,10 @@ impl SpanStore {
         parent: SpanId,
     ) -> SpanId {
         let id = SpanId(self.spans.len() as u32);
-        self.spans.push(Span {
+        let spans = &mut self.spans;
+        let step = crate::grow_step(spans.len(), spans.capacity(), MIN_STEP);
+        spans.reserve_exact(step);
+        spans.push(Span {
             id,
             parent,
             name,

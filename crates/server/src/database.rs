@@ -10,7 +10,7 @@ use hermes_core::{DocumentId, MediaKind, Scenario, ServerId, ServiceError, Servi
 use hermes_hml::scenario_from_markup;
 use hermes_media::MediaStore;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A topic entry in the service's contents list.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,8 +43,11 @@ pub struct MultimediaDb {
     /// document across admission + media activation without deep-copying the
     /// markup and scenario per request.
     documents: BTreeMap<DocumentId, Arc<StoredDocument>>,
-    /// The topic list, shared with every session it is sent to.
-    topics: Arc<[TopicEntry]>,
+    /// The topic entries, in the order their documents were added.
+    topics: Vec<TopicEntry>,
+    /// The topic list as sessions are sent it: built at the first read
+    /// after an add, then shared with every session.
+    shared_topics: OnceLock<Arc<[TopicEntry]>>,
     /// Media stores keyed by kind — "for every media object (e.g., text,
     /// image, audio, video, etc) a media server is associated" (§6.1).
     stores: BTreeMap<MediaKind, MediaStore>,
@@ -60,7 +63,8 @@ impl MultimediaDb {
         MultimediaDb {
             server,
             documents: BTreeMap::new(),
-            topics: Arc::default(),
+            topics: Vec::new(),
+            shared_topics: OnceLock::new(),
             stores,
         }
     }
@@ -82,14 +86,12 @@ impl MultimediaDb {
                 scenario.validate()
             )));
         }
-        // A catalog is installed before sessions register, so the list is
-        // rebuilt here and only shared from then on.
-        let entry = TopicEntry {
+        self.topics.push(TopicEntry {
             document: id,
             title: scenario.title.clone(),
             description: description.into(),
-        };
-        self.topics = self.topics.iter().cloned().chain([entry]).collect();
+        });
+        self.shared_topics.take();
         self.documents
             .insert(id, Arc::new(StoredDocument { markup, scenario }));
         Ok(&**self.documents.get(&id).unwrap())
@@ -103,8 +105,11 @@ impl MultimediaDb {
     }
 
     /// The topic list (the service contents presented after connection).
+    /// A catalog is installed before sessions register, so the list is
+    /// built once and every later read shares it.
     pub fn topics(&self) -> &Arc<[TopicEntry]> {
-        &self.topics
+        self.shared_topics
+            .get_or_init(|| self.topics.as_slice().into())
     }
 
     /// The media store for a kind (the attached media server's storage).
@@ -193,6 +198,20 @@ mod tests {
         assert_eq!(t[0].title, "Rivers of Europe");
         assert_eq!(t[1].document, DocumentId::new(2));
         assert_eq!(t[0].description, "geography");
+    }
+
+    #[test]
+    fn the_topic_list_is_built_once_per_change_and_shared() {
+        let mut db = db();
+        let first = Arc::clone(db.topics());
+        assert!(Arc::ptr_eq(&first, db.topics()), "no add, no rebuild");
+        db.add_document(DocumentId::new(3), "<TITLE> Fjords </TITLE>", "geography")
+            .unwrap();
+        let after = db.topics();
+        assert!(!Arc::ptr_eq(&first, after));
+        let ids: Vec<u64> = after.iter().map(|t| t.document.raw()).collect();
+        assert_eq!(ids, [1, 2, 3], "insertion order");
+        assert_eq!(after[..2], first[..]);
     }
 
     #[test]

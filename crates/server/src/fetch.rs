@@ -166,7 +166,7 @@ pub struct RemoteStream {
     /// epoch are stale and dropped.
     pub epoch: u32,
     /// In-order frame specs ready for the pacer to consume.
-    pub ready: VecDeque<SegmentFrame>,
+    pub ready: ReadyFrames,
     /// Next segment index to request.
     next_request: u64,
     /// Next segment index to append into `ready`.
@@ -218,7 +218,7 @@ impl RemoteStream {
     /// nothing pops them now) and give back the fetch window's unused
     /// storage.
     pub fn release(&mut self) {
-        self.ready = VecDeque::new();
+        self.ready = ReadyFrames::default();
         self.pending.shrink_to_fit();
         self.inflight.shrink_to_fit();
     }
@@ -227,13 +227,9 @@ impl RemoteStream {
     fn drain_ready(&mut self) {
         while let Some(frames) = self.pending.remove(&self.next_append) {
             self.next_append += 1;
-            for &f in frames.iter() {
-                if self.skip > 0 {
-                    self.skip -= 1;
-                } else {
-                    self.ready.push_back(f);
-                }
-            }
+            let skipped = self.skip.min(frames.len() as u32);
+            self.skip -= skipped;
+            self.ready.push_segment(frames, skipped);
         }
     }
 
@@ -242,6 +238,63 @@ impl RemoteStream {
         self.ready.len() as u64
             + self.pending.values().map(|v| v.len() as u64).sum::<u64>()
             + self.inflight.len() as u64 * self.frames_per_segment as u64
+    }
+}
+
+/// A stream's fetched frames in pacing order, read in place: each landed
+/// segment is held shared, as fetched or cached, with the index of its
+/// next unread frame. Nothing is copied out of a segment.
+#[derive(Debug, Default)]
+pub struct ReadyFrames {
+    /// Segments with frames left, oldest first, each with its next frame.
+    segments: VecDeque<(Arc<[SegmentFrame]>, u32)>,
+    /// Frames left across all of them.
+    len: usize,
+}
+
+impl ReadyFrames {
+    /// Queue `frames[from..]` behind what is queued (nothing when `from` is
+    /// past its end).
+    pub(crate) fn push_segment(&mut self, frames: Arc<[SegmentFrame]>, from: u32) {
+        let left = frames.len().saturating_sub(from as usize);
+        if left > 0 {
+            self.len += left;
+            self.segments.push_back((frames, from));
+        }
+    }
+
+    /// Frames queued.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no frame is queued.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The next frame, still in its segment.
+    pub fn front(&self) -> Option<&SegmentFrame> {
+        let (frames, next) = self.segments.front()?;
+        frames.get(*next as usize)
+    }
+
+    /// Take the next frame; a segment read to its end is let go.
+    pub fn pop_front(&mut self) -> Option<SegmentFrame> {
+        let (frames, next) = self.segments.front_mut()?;
+        let frame = frames[*next as usize];
+        *next += 1;
+        if *next as usize == frames.len() {
+            self.segments.pop_front();
+        }
+        self.len -= 1;
+        Some(frame)
+    }
+
+    /// Drop every queued frame.
+    pub fn clear(&mut self) {
+        self.segments.clear();
+        self.len = 0;
     }
 }
 
@@ -498,7 +551,7 @@ impl MediaTier {
                 .unwrap_or(self.home),
             frames_per_segment,
             epoch: 0,
-            ready: VecDeque::new(),
+            ready: ReadyFrames::default(),
             next_request: seg,
             next_append: seg,
             pending: VecMap::new(),

@@ -85,6 +85,48 @@ fn pumped(breaker: bool, hedging: bool) -> (MediaTier, Net, RemoteStream, Remote
     (t, net, a, b)
 }
 
+/// Frames are read in place, in order across segments, and a skip that
+/// runs past a whole segment carries into the next one.
+#[test]
+fn ready_frames_are_read_in_place_across_segments() {
+    let (mut t, net) = (tier(true, false), Net::default());
+    let mut r = t.open(&net, OBJECTS[0], MediaKind::Video, 40).unwrap();
+    r.skip = 40; // past all of segment 0 and 8 frames into segment 1
+    let segs: Vec<Arc<[SegmentFrame]>> = (0..3u32)
+        .map(|i| {
+            let frames: Vec<SegmentFrame> = (0..32)
+                .map(|k| SegmentFrame {
+                    size: i * 100 + k,
+                    key: k == 0,
+                })
+                .collect();
+            frames.into()
+        })
+        .collect();
+    for (i, seg) in segs.iter().enumerate() {
+        r.pending.insert(i as u64, seg.clone());
+    }
+    r.next_append = 0;
+    r.drain_ready();
+    assert_eq!((r.ready.len(), r.skip), (56, 0));
+    assert!(std::ptr::eq(r.ready.front().unwrap(), &segs[1][8]));
+    let sizes: Vec<u32> = std::iter::from_fn(|| r.ready.pop_front())
+        .map(|f| f.size)
+        .collect();
+    let want: Vec<u32> = (108..132).chain(200..232).collect();
+    assert_eq!(sizes, want);
+    assert!(r.ready.is_empty() && r.ready.front().is_none());
+    r.ready.push_segment(segs[2].clone(), 32);
+    assert!(
+        r.ready.is_empty(),
+        "a segment read to its end queues nothing"
+    );
+    r.ready.push_segment(segs[2].clone(), 31);
+    assert_eq!(r.ready.len(), 1);
+    r.ready.clear();
+    assert!(r.ready.is_empty() && r.ready.pop_front().is_none());
+}
+
 #[test]
 fn undistributed_content_and_dead_tiers_park_streams() {
     let (mut t, mut net) = (tier(true, false), Net::default());
@@ -539,7 +581,9 @@ fn three_waiters() -> (MediaTier, Net, Vec<RemoteStream>) {
     out.clear();
     for (i, buffered) in [(1, 10), (2, 0), (3, 5)] {
         let frame = segment(&streams[i])[0];
-        streams[i].ready.extend(vec![frame; buffered]);
+        streams[i]
+            .ready
+            .push_segment(vec![frame; buffered].into(), 0);
         t.pump(&net, ms(100), &demand(i as u64), &mut streams[i], &mut out);
     }
     assert!(requests(&out).is_empty());
@@ -623,7 +667,7 @@ fn a_freed_credit_goes_to_the_most_urgent_waiter_that_node_can_serve() {
     // The dry waiter cannot use the node; the one with frames in hand can.
     let mut dry = t.open(&net, &elsewhere, MediaKind::Video, 0).unwrap();
     let mut buffered = t.open(&net, &here, MediaKind::Video, 0).unwrap();
-    buffered.ready.extend(segment(&buffered).iter());
+    buffered.ready.push_segment(segment(&buffered), 0);
     t.pump(&net, ms(10), &demand(2), &mut dry, &mut out);
     t.pump(&net, ms(10), &demand(3), &mut buffered, &mut out);
     assert_eq!(t.waiting.keys().next().unwrap().1 .1.raw(), 2);

@@ -54,7 +54,7 @@ pub use admission::{
 };
 pub use database::{MultimediaDb, StoredDocument, TopicEntry};
 pub use fetch::{
-    ChunkDone, Demand, FetchOut, FetchTag, MediaTier, MediaTierConfig, MediaTierStats,
+    ChunkDone, Demand, FetchOut, FetchTag, MediaTier, MediaTierConfig, MediaTierStats, ReadyFrames,
     RemoteStream, TierNet,
 };
 pub use flow::{compute_flow_scenario, FlowPlan, FlowScenario};

@@ -31,7 +31,6 @@ use hermes_core::{DocumentId, LinkTarget, MediaDuration, MediaTime, NodeId, Serv
 use hermes_service::{
     install_course, ClientConfig, LessonShape, ServerConfig, ServiceMsg, ServiceWorld, WorldBuilder,
 };
-use hermes_simnet::obs::PROV_HORIZON;
 use hermes_simnet::{FaultPlan, LinkSpec, Sim, SimRng};
 
 fn ms(t: i64) -> MediaTime {
@@ -77,12 +76,12 @@ struct Notices {
 }
 
 /// `sim.run_until(until)`, reading the notices out of the provenance log
-/// on the way. The log keeps every delivery only for `PROV_HORIZON`, so
+/// on the way. The log keeps every delivery only for its horizon, so
 /// the run goes in steps no longer than that; the deliveries of a step are
 /// the newest of the log, all still inside the horizon.
 fn run_until(sim: &mut Sim<ServiceMsg, ServiceWorld>, notices: &mut Notices, until: MediaTime) {
     loop {
-        let to = until.min(sim.now() + PROV_HORIZON);
+        let to = until.min(sim.now() + sim.obs().prov.horizon());
         sim.run_until(to);
         let prov = &sim.obs().prov;
         let fresh = (prov.offered() - notices.offered) as usize;

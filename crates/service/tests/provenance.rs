@@ -72,6 +72,8 @@ fn late_partition_gets_a_critical_path() {
     b.add_media_node(LinkSpec::san(1_000_000_000));
     let backbone = b.backbone();
     let mut sim: Sim<ServiceMsg, ServiceWorld> = b.build(seed);
+    sim.obs_mut()
+        .widen_attribution_window(MediaDuration::from_secs(6));
     let mut rng = SimRng::seed_from_u64(seed ^ 0xF1A5);
     let lessons = install_course(
         sim.app_mut().server_mut(srv),
