@@ -18,8 +18,7 @@
 //! * [`invariants`] — global invariant checkers (epoch monotonicity,
 //!   session lifecycle, breaker legality, conservation, bounded recovery)
 //!   run over a finished capture by the chaos harness;
-//! * [`stats`] — accumulators, histograms, rate meters and sample-set
-//!   helpers (migrated from `hermes-simnet::metrics`).
+//! * [`stats`] — accumulators, histograms and sample-set helpers.
 //!
 //! ## Cost model
 //!

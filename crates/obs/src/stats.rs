@@ -2,8 +2,8 @@
 //! and the experiment harness: a streaming mean, fixed-bucket latency
 //! histograms and small sample-set helpers.
 //!
-//! (Migrated here from `hermes-simnet::metrics`, which now re-exports these
-//! types, so the registry and the simulator agree on one implementation.)
+//! (`hermes-simnet` re-exports `Accumulator` and `DurationHistogram` at its
+//! root, so the registry and the simulator agree on one implementation.)
 
 use hermes_core::MediaDuration;
 

@@ -154,8 +154,9 @@ pub struct ClientActor {
     pub presentation: Option<Presentation>,
     /// The client QoS manager.
     pub qos: ClientQosManager,
-    /// ServerId → NodeId directory (for remote links), set by the world.
-    pub directory: BTreeMap<ServerId, NodeId>,
+    /// ServerId → NodeId directory (for remote links): the world's one
+    /// server list, shared by every client.
+    pub directory: Arc<BTreeMap<ServerId, NodeId>>,
     /// Completed presentations (document, startup delay, max skew µs).
     pub completed: Vec<(DocumentId, MediaDuration, MediaDuration)>,
     /// Browser history: documents viewed, oldest first (§6.2.3: "moving
@@ -171,8 +172,6 @@ pub struct ClientActor {
     pub annotations: BTreeMap<DocumentId, Vec<String>>,
     /// Document queued to request once a connection/topic list is ready.
     pub pending_request: Option<DocumentId>,
-    /// Human-readable event log.
-    pub log: Vec<(MediaTime, String)>,
     /// Errors received (DocError / ConnectReject reasons).
     pub errors: Vec<String>,
     /// The in-flight document request is a history navigation (don't extend
@@ -209,8 +208,13 @@ pub struct ClientActor {
 }
 
 impl ClientActor {
-    /// Create a client on a node.
-    pub fn new(node: NodeId, cfg: ClientConfig) -> Self {
+    /// Create a client on a node, resolving remote links through
+    /// `directory`.
+    pub fn new(
+        node: NodeId,
+        cfg: ClientConfig,
+        directory: Arc<BTreeMap<ServerId, NodeId>>,
+    ) -> Self {
         let retries = RetryBudget::new(RETRY_TOKENS);
         ClientActor {
             node,
@@ -222,7 +226,7 @@ impl ClientActor {
             topics: Arc::default(),
             presentation: None,
             qos: ClientQosManager::default(),
-            directory: BTreeMap::new(),
+            directory,
             completed: Vec::new(),
             history: Vec::new(),
             history_cursor: 0,
@@ -230,7 +234,6 @@ impl ClientActor {
             mailbox: Vec::new(),
             annotations: BTreeMap::new(),
             pending_request: None,
-            log: Vec::new(),
             errors: Vec::new(),
             history_nav: false,
             next_query: 1,
@@ -295,7 +298,6 @@ impl ClientActor {
             self.errors.push(format!(
                 "tracked request {req} abandoned after {attempts} attempts"
             ));
-            self.note(api.now(), format!("giving up on request {req}"));
             // Abandoning a session-establishing request must not leave a
             // phantom session behind: tear back down to disconnected.
             match p.msg {
@@ -380,10 +382,6 @@ impl ClientActor {
                 Labels::session(session.raw()).peer(server.raw()),
                 MISSED_BEATS as i64,
             );
-            self.note(
-                now,
-                format!("server silent for {} beats — reconnecting", MISSED_BEATS),
-            );
             let (document, position_micros) = match &mut self.presentation {
                 Some(p) if p.started_at.is_some() => {
                     if p.paused_at.is_none() {
@@ -421,10 +419,6 @@ impl ClientActor {
         );
     }
 
-    fn note(&mut self, at: MediaTime, msg: impl Into<String>) {
-        self.log.push((at, msg.into()));
-    }
-
     /// User action: connect to a server, optionally queueing a document to
     /// request as soon as the topic list arrives.
     pub fn connect(
@@ -441,7 +435,6 @@ impl ClientActor {
             user: self.user,
             class: self.cfg.class,
         };
-        self.note(api.now(), format!("connect → node {server}"));
         self.send_tracked(api, server, msg);
         self.session = Some((server, SessionId::new(0))); // placeholder until ack
     }
@@ -454,7 +447,6 @@ impl ClientActor {
         if self.machine.apply(AppEvent::RequestDocument).is_err() {
             return;
         }
-        self.note(api.now(), format!("request {doc}"));
         self.send_tracked(
             api,
             server,
@@ -478,7 +470,6 @@ impl ClientActor {
             p.paused_at = Some(now);
         }
         api.send_reliable(self.node, server, ServiceMsg::Pause { session });
-        self.note(now, "pause");
     }
 
     /// User action: resume a paused presentation.
@@ -498,7 +489,6 @@ impl ClientActor {
             }
         }
         api.send_reliable(self.node, server, ServiceMsg::Resume { session });
-        self.note(now, "resume");
     }
 
     /// User action: go back to the previously viewed document (§6.2.3).
@@ -548,7 +538,6 @@ impl ClientActor {
         }
         self.presentation = None;
         self.history_nav = true;
-        self.note(api.now(), format!("history → {doc}"));
         api.send_reliable(
             self.node,
             server,
@@ -573,7 +562,6 @@ impl ClientActor {
             return;
         }
         self.presentation = None;
-        self.note(api.now(), format!("reload {doc}"));
         api.send_reliable(
             self.node,
             server,
@@ -595,7 +583,6 @@ impl ClientActor {
                     return;
                 };
                 self.presentation = None;
-                self.note(api.now(), format!("follow local link → {doc}"));
                 api.send_reliable(
                     self.node,
                     server,
@@ -627,7 +614,6 @@ impl ClientActor {
                 }
                 self.presentation = None;
                 self.pending_request = Some(doc);
-                self.note(api.now(), format!("migrate → {server_id} for {doc}"));
                 api.send_reliable(
                     self.node,
                     new_node,
@@ -652,7 +638,6 @@ impl ClientActor {
         if let Some(p) = &mut self.presentation {
             p.engine.disable(component);
         }
-        self.note(api.now(), format!("disable {component}"));
         api.send_reliable(
             self.node,
             server,
@@ -747,7 +732,6 @@ impl ClientActor {
             let _ = self.machine.apply(AppEvent::Disconnect);
             api.send_reliable(self.node, server, ServiceMsg::Disconnect { session });
             self.presentation = None;
-            self.note(api.now(), "disconnect");
         }
         // Drop in-flight tracked requests: retrying a Connect or
         // ReconnectRequest on behalf of a user who just left would rebuild
@@ -795,16 +779,12 @@ impl ClientActor {
                     }
                 }
             }
-            ServiceMsg::ReconnectAck {
-                old_session,
-                session,
-            } if self.session.is_none() => {
+            ServiceMsg::ReconnectAck { session, .. } if self.session.is_none() => {
                 // We disconnected (or abandoned) while the reconnect was
                 // still in flight: the server just rebuilt a session nobody
                 // is behind. Adopting it would keep heartbeat acks flowing
                 // and pin the reservation forever (found by the chaos
                 // harness's shrinker) — release it instead.
-                let _ = old_session;
                 api.send_reliable(self.node, from, ServiceMsg::Disconnect { session });
             }
             ServiceMsg::ReconnectAck {
@@ -850,16 +830,11 @@ impl ClientActor {
                             }
                         }
                     }
-                    self.note(now, format!("session recovered as {session}"));
                 }
             }
-            ServiceMsg::ConnectAck {
-                session,
-                must_subscribe,
-            } if self.session.is_none() => {
+            ServiceMsg::ConnectAck { session, .. } if self.session.is_none() => {
                 // Same late-ack race as ReconnectAck above: the user left
                 // while the Connect was in flight.
-                let _ = must_subscribe;
                 api.send_reliable(self.node, from, ServiceMsg::Disconnect { session });
             }
             ServiceMsg::ConnectAck {
@@ -932,7 +907,6 @@ impl ClientActor {
                 offset_micros,
                 ..
             } => {
-                let now = api.now();
                 self.shared_group = Some((group, epoch));
                 if offset_micros >= 0 {
                     // The shared flow already started: set up dedicated
@@ -954,19 +928,12 @@ impl ClientActor {
                             ServiceMsg::PatchRequest { session, group },
                         );
                     }
-                    self.note(
-                        now,
-                        format!("joined shared group {group} — patching {offset_micros}µs"),
-                    );
-                } else {
-                    self.note(now, format!("joined shared group {group} before start"));
                 }
             }
             ServiceMsg::GroupEpoch { group, epoch } => {
                 if let Some((g, e)) = &mut self.shared_group {
-                    if *g == group && *e != epoch {
+                    if *g == group {
                         *e = epoch;
-                        self.note(api.now(), format!("shared group {group} epoch → {epoch}"));
                     }
                 }
             }
@@ -1034,7 +1001,6 @@ impl ClientActor {
                     "stream_stopped",
                     Labels::session(session).stream(component.raw()),
                 );
-                self.note(now, format!("server stopped {component}"));
             }
             ServiceMsg::StreamRegraded {
                 component, level, ..
@@ -1052,11 +1018,9 @@ impl ClientActor {
                     Labels::session(session).stream(component.raw()),
                     level as i64,
                 );
-                self.note(now, format!("{component} regraded to level {level}"));
             }
             ServiceMsg::SuspendExpired { .. } => {
                 self.suspended = None;
-                self.note(api.now(), "suspended connection expired");
             }
             ServiceMsg::SearchResponse { query, hits, .. } => {
                 self.search_results.insert(query, hits);
@@ -1081,7 +1045,6 @@ impl ClientActor {
         let Some((server, _)) = self.session else {
             return;
         };
-        let _ = server;
         if self.machine.apply(AppEvent::ScenarioReceived).is_err() {
             return;
         }
@@ -1091,7 +1054,7 @@ impl ClientActor {
         let home = self
             .directory
             .iter()
-            .find(|(_, n)| **n == self.session.unwrap().0)
+            .find(|(_, n)| **n == server)
             .map(|(s, _)| *s)
             .unwrap_or(ServerId::new(0));
         let scenario = match hermes_hml::scenario_from_markup(markup, document, home) {
@@ -1167,7 +1130,6 @@ impl ClientActor {
             obs_glitches: 0,
             obs_ticks: 0,
         });
-        self.note(now, format!("scenario for {document} received"));
         api.set_timer(
             self.node,
             MediaDuration::from_millis(20),
@@ -1258,7 +1220,6 @@ impl ClientActor {
                 Labels::session(session),
                 waited.as_micros(),
             );
-            self.note(now, "presentation started");
             api.set_timer(self.node, TICK_INTERVAL, timers::TK_TICK, 0);
             api.set_timer(
                 self.node,
@@ -1375,14 +1336,12 @@ impl ClientActor {
                     p.auto_link_fired = true;
                     p.ticking = false;
                 }
-                self.note(now, "timed link fired — interrupting presentation");
                 self.follow_link(api, target);
                 return;
             }
         }
         if let Some((doc, delay, skew)) = finished {
             self.completed.push((doc, delay, skew));
-            self.note(now, format!("presentation of {doc} complete"));
             let _ = self.machine.apply(AppEvent::PresentationEnded);
             if self.cfg.auto_follow_links {
                 let link = self

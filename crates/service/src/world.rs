@@ -13,6 +13,7 @@ use hermes_simnet::{
     App, FaultEvent, FaultKind, Labels, LinkSpec, Network, Severity, Sim, SimApi, SimRng, WireSize,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// All actors of a running service deployment.
 pub struct ServiceWorld {
@@ -555,8 +556,8 @@ pub struct WorldBuilder {
     rng: SimRng,
     next_node: u64,
     backbone: NodeId,
-    server_nodes: Vec<NodeId>,
-    directory: BTreeMap<ServerId, NodeId>,
+    /// Clients added so far, built once the server list is complete.
+    clients: Vec<(NodeId, ClientConfig)>,
 }
 
 impl WorldBuilder {
@@ -576,16 +577,13 @@ impl WorldBuilder {
     pub fn media_config(&mut self, cfg: MediaTierConfig) {
         self.world.media_cfg = cfg;
     }
-}
 
-impl WorldBuilder {
     /// Start a deployment: a backbone switch node everything hangs off.
     pub fn new(seed: u64) -> Self {
-        let mut rng = SimRng::seed_from_u64(seed);
+        let rng = SimRng::seed_from_u64(seed);
         let mut net = Network::new();
         let backbone = NodeId::new(0);
         net.add_node(backbone, "backbone");
-        let _ = &mut rng;
         WorldBuilder {
             net,
             world: ServiceWorld {
@@ -604,8 +602,7 @@ impl WorldBuilder {
             rng,
             next_node: 1,
             backbone,
-            server_nodes: Vec::new(),
-            directory: BTreeMap::new(),
+            clients: Vec::new(),
         }
     }
 
@@ -635,8 +632,6 @@ impl WorldBuilder {
             .add_duplex(self.backbone, node, link, &mut self.rng);
         let actor = ServerActor::new(node, server_id, cfg);
         self.world.servers.insert(node, actor);
-        self.server_nodes.push(node);
-        self.directory.insert(server_id, node);
         self.world
             .catalog
             .push((server_id, node, description.into()));
@@ -649,8 +644,7 @@ impl WorldBuilder {
         let node = self.alloc_node(&format!("client-{}", self.next_node));
         self.net
             .add_duplex(self.backbone, node, link, &mut self.rng);
-        let actor = ClientActor::new(node, cfg);
-        self.world.clients.insert(node, actor);
+        self.clients.push((node, cfg));
         node
     }
 
@@ -665,14 +659,20 @@ impl WorldBuilder {
         self.backbone
     }
 
-    /// Finish: wire peer lists + directories, compute routes, build the Sim.
+    /// Finish: wire peer lists and the clients' one shared server directory
+    /// from the catalog, compute routes, build the Sim.
     pub fn build(mut self, seed: u64) -> Sim<ServiceMsg, ServiceWorld> {
-        let peers: Vec<NodeId> = self.server_nodes.clone();
+        let catalog = &self.world.catalog;
         for s in self.world.servers.values_mut() {
-            s.peers = peers.iter().copied().filter(|n| *n != s.node).collect();
+            let others = catalog.iter().map(|(_, n, _)| *n).filter(|n| *n != s.node);
+            s.peers = others.collect();
         }
-        for c in self.world.clients.values_mut() {
-            c.directory = self.directory.clone();
+        let directory: Arc<BTreeMap<ServerId, NodeId>> =
+            Arc::new(catalog.iter().map(|(s, n, _)| (*s, *n)).collect());
+        self.world.clients = VecMap::with_capacity(self.clients.len());
+        for (node, cfg) in self.clients {
+            let client = ClientActor::new(node, cfg, directory.clone());
+            self.world.clients.insert(node, client);
         }
         self.net.compute_routes();
         let mut sim = Sim::new(self.net, self.world, seed);
@@ -701,14 +701,28 @@ mod tests {
             ServerConfig::default(),
         );
         let c = b.add_client(LinkSpec::lan(10_000_000), ClientConfig::default());
+        let s3 = b.add_server(
+            ServerId::new(2),
+            LinkSpec::lan(10_000_000),
+            ServerConfig::default(),
+        );
+        b.add_client(LinkSpec::lan(10_000_000), ClientConfig::default());
         let sim = b.build(1);
-        // Routes exist between the client and both servers.
-        assert!(sim.net().path(c, s1).is_some());
-        assert!(sim.net().path(c, s2).is_some());
-        // Peers exclude self.
-        assert_eq!(sim.app().server(s1).peers, vec![s2]);
-        assert_eq!(sim.app().server(s2).peers, vec![s1]);
-        // Directory maps both servers.
-        assert_eq!(sim.app().client(c).directory.len(), 2);
+        // Routes exist between the client and every server.
+        for s in [s1, s2, s3] {
+            assert!(sim.net().path(c, s).is_some());
+        }
+        // Peers exclude self and keep the order the servers were added in.
+        assert_eq!(sim.app().server(s1).peers, vec![s2, s3]);
+        assert_eq!(sim.app().server(s2).peers, vec![s1, s3]);
+        assert_eq!(sim.app().server(s3).peers, vec![s1, s2]);
+        // One directory maps every server, and every client shares it.
+        let directory = &sim.app().client(c).directory;
+        let expected = [(0, s1), (1, s2), (2, s3)].map(|(id, n)| (ServerId::new(id), n));
+        assert!(directory.iter().map(|(s, n)| (*s, *n)).eq(expected));
+        assert_eq!(sim.app().clients.len(), 2);
+        for client in sim.app().clients.values() {
+            assert!(Arc::ptr_eq(&client.directory, directory));
+        }
     }
 }

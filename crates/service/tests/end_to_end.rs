@@ -1,11 +1,12 @@
 #![allow(clippy::field_reassign_with_default)]
 //! End-to-end session tests: full service runs over the simulated network.
 
-use hermes_client::AppState;
+use hermes_client::{AppEvent, AppState};
 use hermes_core::{DocumentId, MediaDuration, MediaTime, ServerId};
 use hermes_service::{
     install_course, install_figure2, ClientConfig, LessonShape, ServerConfig, WorldBuilder,
 };
+use hermes_simnet::obs::events_jsonl;
 use hermes_simnet::{LinkSpec, SimRng};
 
 /// One server with Fig. 2 + a short course, one client, clean 10 Mbps links.
@@ -92,9 +93,23 @@ fn deterministic_across_runs() {
         });
         sim.run_until(MediaTime::from_secs(30));
         let c = sim.app().client(cli);
-        (c.completed.clone(), c.log.clone(), sim.stats().delivered)
+        let node = format!("\"node\":{},", cli.raw());
+        let events = events_jsonl(sim.obs());
+        let mine: Vec<String> = events
+            .lines()
+            .filter(|l| l.contains(&node))
+            .map(String::from)
+            .collect();
+        (
+            c.completed.clone(),
+            c.machine.log.clone(),
+            mine,
+            sim.stats().delivered,
+        )
     };
-    assert_eq!(run(), run());
+    let first = run();
+    assert!(!first.1.is_empty() && !first.2.is_empty());
+    assert_eq!(first, run());
 }
 
 #[test]
@@ -344,16 +359,23 @@ fn timed_link_interrupts_presentation() {
         c.completed
     );
     assert!(c.completed.iter().any(|(d, _, _)| *d == DocumentId::new(2)));
-    assert!(c.log.iter().any(|(_, l)| l.contains("timed link fired")));
-    // The interruption happened around t=5s + startup, far before the 12 s
-    // clip end.
-    let fired_at = c
+    let fired = c
+        .machine
         .log
         .iter()
-        .find(|(_, l)| l.contains("timed link fired"))
-        .unwrap()
-        .0;
-    assert!(fired_at < MediaTime::from_secs(7), "fired at {fired_at}");
+        .filter(|(_, e, _)| *e == AppEvent::FollowLocalLink);
+    assert_eq!(fired.count(), 1, "{:?}", c.machine.log);
+    // The interruption happened around t=5s + startup, far before the 12 s
+    // clip end: the linked document's scenario arrived before 7 s.
+    let scenarios: Vec<MediaTime> = sim
+        .obs()
+        .events()
+        .iter()
+        .filter(|e| e.node() == cli.raw() && e.name == "scenario_received")
+        .map(|e| e.at)
+        .collect();
+    assert_eq!(scenarios.len(), 2, "{scenarios:?}");
+    assert!(scenarios[1] < MediaTime::from_secs(7), "{scenarios:?}");
 }
 
 #[test]
@@ -371,14 +393,11 @@ fn reload_restarts_document() {
     // The reloaded presentation ran to completion from the start.
     assert_eq!(c.completed.len(), 1);
     assert_eq!(c.completed[0].0, DocumentId::new(1));
-    assert!(c.log.iter().any(|(_, l)| l.contains("reload")));
-    // Two full scenario deliveries happened.
-    let scenario_count = c
-        .log
-        .iter()
-        .filter(|(_, l)| l.contains("scenario for doc-1"))
-        .count();
-    assert_eq!(scenario_count, 2);
+    let count = |event| c.machine.log.iter().filter(|(_, e, _)| *e == event).count();
+    assert_eq!(count(AppEvent::Reload), 1, "{:?}", c.machine.log);
+    // Two full scenario deliveries happened, both of the one document
+    // requested.
+    assert_eq!(count(AppEvent::ScenarioReceived), 2, "{:?}", c.machine.log);
 }
 
 #[test]

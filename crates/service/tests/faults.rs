@@ -6,6 +6,7 @@ use hermes_core::{DocumentId, MediaTime, ServerId};
 use hermes_service::{
     install_figure2, ClientConfig, ServerConfig, ServiceMsg, ServiceWorld, WorldBuilder,
 };
+use hermes_simnet::obs::events_jsonl;
 use hermes_simnet::{FaultKind, FaultPlan, LinkSpec, Sim, SimRng};
 
 /// One server with Fig. 2 installed, one client, clean 10 Mbps links.
@@ -159,7 +160,8 @@ fn partition_heal_does_not_duplicate_side_effects() {
 }
 
 /// The whole fault pipeline is deterministic: same seed, same plan, same
-/// outcome — byte-for-byte identical logs and recovery timestamps.
+/// outcome — identical Fig. 4 transitions, obs events and recovery
+/// timestamps.
 #[test]
 fn fault_recovery_is_deterministic() {
     let run = || {
@@ -176,15 +178,25 @@ fn fault_recovery_is_deterministic() {
         });
         sim.run_until(MediaTime::from_secs(60));
         let c = sim.app().client(cli);
+        let node = format!("\"node\":{},", cli.raw());
+        let events = events_jsonl(sim.obs());
+        let mine: Vec<String> = events
+            .lines()
+            .filter(|l| l.contains(&node))
+            .map(String::from)
+            .collect();
         (
             c.completed.clone(),
-            c.log.clone(),
+            c.machine.log.clone(),
+            mine,
             c.recoveries.clone(),
             sim.stats().delivered,
             sim.stats().fault_drops,
         )
     };
-    assert_eq!(run(), run());
+    let first = run();
+    assert!(!first.1.is_empty() && !first.2.is_empty() && !first.3.is_empty());
+    assert_eq!(first, run());
 }
 
 /// Mid-playout media-node crash: the multimedia server fails the affected

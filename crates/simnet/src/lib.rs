@@ -18,8 +18,8 @@
 //! * [`chaos`] — seeded random fault-plan generation (crash storms,
 //!   rolling restarts, partitions, flaps, brownouts with correlated
 //!   bursts) and delta-debugging shrinking of failing plans;
-//! * [`metrics`] — accumulators, histograms and rate meters (re-exported
-//!   from [`hermes_obs::stats`]).
+//! * [`Accumulator`] and [`DurationHistogram`] — the measurement helpers of
+//!   [`hermes_obs::stats`], re-exported for the QoS managers.
 //!
 //! The engine carries a [`hermes_obs::Obs`] capture: application callbacks
 //! record sim-time-stamped events and spans through [`SimApi`], the engine
@@ -31,7 +31,6 @@
 
 pub mod chaos;
 pub mod faults;
-pub mod metrics;
 pub mod models;
 pub mod rng;
 pub mod sim;
@@ -39,8 +38,8 @@ pub mod topology;
 
 pub use chaos::{ChaosProfile, ChaosTargets, IncidentWeights};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, PlanError};
+pub use hermes_obs::stats::{Accumulator, DurationHistogram};
 pub use hermes_obs::{self as obs, Event, Labels, Obs, Severity, SpanId};
-pub use metrics::{Accumulator, DurationHistogram};
 pub use models::{CongestionEpoch, CongestionProfile, JitterModel, LossModel, LossState};
 pub use rng::SimRng;
 pub use sim::{App, Sim, SimApi, SimConfig, SimStats, Transport, WireSize};

@@ -7,6 +7,7 @@
 //! ```
 
 use hermes_od::core::{DocumentId, LinkTarget, MediaTime, ServerId};
+use hermes_od::obs::session_timeline;
 use hermes_od::service::{
     install_course, tutor_reply, ClientConfig, LessonShape, MailMessage, ServerConfig, WorldBuilder,
 };
@@ -137,9 +138,13 @@ fn main() {
         c.mailbox.len(),
         c.mailbox[0].body
     );
-    println!("\nsession log:");
-    for (at, line) in &c.log {
-        println!("  {at}  {line}");
+    println!("\nFig. 4 transitions (the migration is FollowRemoteLink → MigrationComplete):");
+    for (from, event, to) in &c.machine.log {
+        println!("  {from} --{event}--> {to}");
     }
+    // Session ids count per server, so the srv-0 session the migration
+    // suspended shares this id and this timeline.
+    let (_, session) = c.session.expect("connected to srv-1");
+    print!("{}", session_timeline(sim.obs(), session.raw()));
     assert!(c.errors.is_empty(), "{:?}", c.errors);
 }

@@ -10,6 +10,7 @@
 
 use hermes_od::client::storyboard;
 use hermes_od::core::{DocumentId, MediaKind, MediaTime, PlayoutSchedule, ServerId};
+use hermes_od::obs::session_timeline;
 use hermes_od::service::{ClientConfig, ServerConfig, WorldBuilder};
 use hermes_od::simnet::{LinkSpec, SimRng};
 
@@ -134,9 +135,11 @@ fn main() {
     let c = sim.app().client(reader);
     assert!(c.errors.is_empty(), "{:?}", c.errors);
     println!("=== reader session ===");
-    for (at, line) in &c.log {
-        println!("  {at}  {line}");
+    for (from, event, to) in &c.machine.log {
+        println!("  {from} --{event}--> {to}");
     }
+    let (_, session) = c.session.expect("still connected");
+    print!("{}", session_timeline(sim.obs(), session.raw()));
     assert!(c.completed.iter().any(|(d, _, _)| *d == DocumentId::new(3)));
     println!("\nexplorational link followed mid-presentation; review completed ✓");
 }

@@ -6,10 +6,11 @@
 //!
 //! Builds a one-server / one-client deployment on a clean 10 Mbps network,
 //! connects, subscribes, requests the document and plays it out, printing
-//! the playout timeline, the presentation event summary and the QoS
-//! statistics.
+//! the playout timeline, the browser's Fig. 4 transitions, the session's
+//! obs timeline and the QoS statistics.
 
 use hermes_od::core::{DocumentId, MediaTime, PlayoutSchedule, ServerId};
+use hermes_od::obs::session_timeline;
 use hermes_od::service::{install_figure2, ClientConfig, ServerConfig, WorldBuilder};
 use hermes_od::simnet::{LinkSpec, SimRng};
 
@@ -57,10 +58,12 @@ fn main() {
 
     // 5. Report.
     let c = sim.app().client(client);
-    println!("=== session log ===");
-    for (at, line) in &c.log {
-        println!("  {at}  {line}");
+    println!("=== Fig. 4 transitions ===");
+    for (from, event, to) in &c.machine.log {
+        println!("  {from} --{event}--> {to}");
     }
+    let (_, session) = c.session.expect("still connected");
+    println!("=== {}", session_timeline(sim.obs(), session.raw()));
     let (doc, startup, skew) = c.completed[0];
     println!("=== result ===");
     println!("  document        : {doc}");

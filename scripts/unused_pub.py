@@ -12,6 +12,13 @@ scanned.
 
     python3 scripts/unused_pub.py            # this checkout
     python3 scripts/unused_pub.py ../parent  # another checkout, to compare
+    python3 scripts/unused_pub.py --check    # fail unless the list is HOOKS
+
+With `--check` the listed `path kind name` set must equal `HOOKS`, the
+test hooks that docs/PERF_LEDGER.md names and says why each is kept; line
+numbers are not compared. A new entry is dead code or a new hook: delete
+it, or add it here and to the ledger. An entry no longer listed leaves
+`HOOKS` too.
 """
 
 import re
@@ -28,6 +35,35 @@ DEF = re.compile(
 USE = re.compile(r"\b(?:pub(?:\([a-z]+\))?\s+)?use\s[^;]*;", re.S)
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 TYPES = ("struct", "enum", "trait", "type")
+HOOKS = {
+    "crates/bench/src/workload.rs fn probability",
+    "crates/core/src/interval.rs fn intersect",
+    "crates/core/src/interval.rs fn inverse",
+    "crates/hml/src/builder.rs struct DocumentBuilder",
+    "crates/hml/src/builder.rs fn heading",
+    "crates/hml/src/builder.rs fn audio_video",
+    "crates/obs/src/causality.rs fn ring_capacity",
+    "crates/obs/src/flight.rs fn ring_len",
+    "crates/obs/src/lib.rs fn events_capacity",
+    "crates/obs/src/registry.rs fn merge_from",
+    "crates/rtp/src/packet.rs fn encode",
+    "crates/rtp/src/rtcp.rs fn encode",
+    "crates/rtp/src/session.rs fn with_max_payload",
+    "crates/server/src/accounts.rs fn balance",
+    "crates/server/src/admission.rs fn active_sessions",
+    "crates/server/src/segcache.rs fn is_pinned",
+    "crates/server/src/segcache.rs fn lru_order",
+    "crates/service/src/client_actor.rs fn pending_tracked",
+    "crates/service/src/client_actor.rs fn forward",
+    "crates/service/src/client_actor.rs fn reload",
+    "crates/service/src/client_actor.rs fn disable_stream",
+    "crates/service/src/client_actor.rs fn annotate",
+    "crates/service/src/client_actor.rs fn fetch_annotations",
+    "crates/simnet/src/models.rs fn steady_state_loss",
+    "crates/simnet/src/topology.rs fn node_name",
+    "crates/simnet/src/topology.rs fn link_is_up",
+    "crates/simnet/src/topology.rs fn next_hop",
+}
 
 
 def without_impls(code, name):
@@ -57,7 +93,10 @@ def program_text(path, crate_src, aliases):
 
 
 def main():
-    root = Path(sys.argv[1] if len(sys.argv) > 1 else ".")
+    args = sys.argv[1:]
+    check = "--check" in args
+    args = [a for a in args if a != "--check"]
+    root = Path(args[0] if args else ".")
     uses, defs, code_of, aliases = Counter(), [], {}, set()
     crate_files = [
         p
@@ -93,6 +132,13 @@ def main():
     for path, line, kind, name in unused:
         print(f"{path.relative_to(root).as_posix()}:{line}  {kind} {name}")
     print(f"{len(unused)} of {len(defs)} pub items have no caller outside tests")
+    if check:
+        listed = {f"{p.relative_to(root).as_posix()} {k} {n}" for p, _, k, n in unused}
+        for entry in sorted(listed - HOOKS):
+            print(f"not a known test hook (dead code?): {entry}")
+        for entry in sorted(HOOKS - listed):
+            print(f"known test hook no longer listed: {entry}")
+        sys.exit(listed != HOOKS)
 
 
 if __name__ == "__main__":
