@@ -8,7 +8,7 @@
 
 use hermes_bench::harness::run_seeds;
 use hermes_bench::{fmt_dur_ms, ExpOpts, StreamingParams, Table};
-use hermes_bench::{max_dur_of, mean_of};
+use hermes_bench::{max_dur_by, mean_by};
 use hermes_client::PlayoutConfig;
 use hermes_core::{GradingOrder, MediaDuration, MediaTime, SkewPolicy};
 use hermes_simnet::{CongestionEpoch, CongestionProfile, JitterModel, LossModel};
@@ -55,12 +55,12 @@ fn main() {
         };
         t.row(vec![
             label.to_string(),
-            format!("{:.1}", mean_of(&runs, |m| m.degrades as f64)),
-            format!("{:.1}", mean_of(&runs, |m| m.stops as f64)),
+            format!("{:.1}", mean_by(&runs, |m| m.degrades as f64)),
+            format!("{:.1}", mean_by(&runs, |m| m.stops as f64)),
             audio_kept.to_string(),
             format!(
                 "{:.0}",
-                mean_of(&runs, |m| (m.duplicates + m.glitches + m.dropped) as f64)
+                mean_by(&runs, |m| (m.duplicates + m.glitches + m.dropped) as f64)
             ),
         ]);
     }
@@ -101,10 +101,10 @@ fn main() {
         let runs = run_seeds(&p, &seeds);
         t.row(vec![
             label.to_string(),
-            fmt_dur_ms(max_dur_of(&runs, |m| m.max_skew)),
-            format!("{:.0}", mean_of(&runs, |m| m.duplicates as f64)),
-            format!("{:.0}", mean_of(&runs, |m| m.dropped as f64)),
-            format!("{:.0}", mean_of(&runs, |m| m.frames_played as f64)),
+            fmt_dur_ms(max_dur_by(&runs, |m| m.max_skew)),
+            format!("{:.0}", mean_by(&runs, |m| m.duplicates as f64)),
+            format!("{:.0}", mean_by(&runs, |m| m.dropped as f64)),
+            format!("{:.0}", mean_by(&runs, |m| m.frames_played as f64)),
         ]);
     }
     out.table(
@@ -131,13 +131,13 @@ fn main() {
         let runs = run_seeds(&p, &seeds);
         t.row(vec![
             iv.to_string(),
-            format!("{:.1}", mean_of(&runs, |m| m.degrades as f64)),
-            format!("{:.1}", mean_of(&runs, |m| m.upgrades as f64)),
+            format!("{:.1}", mean_by(&runs, |m| m.degrades as f64)),
+            format!("{:.1}", mean_by(&runs, |m| m.upgrades as f64)),
             format!(
                 "{:.0}",
-                mean_of(&runs, |m| (m.duplicates + m.glitches + m.dropped) as f64)
+                mean_by(&runs, |m| (m.duplicates + m.glitches + m.dropped) as f64)
             ),
-            format!("{:.0}", mean_of(&runs, |m| m.net_dropped as f64)),
+            format!("{:.0}", mean_by(&runs, |m| m.net_dropped as f64)),
         ]);
     }
     out.table("EXP-ABLATE/3 — feedback-interval sensitivity", &t);

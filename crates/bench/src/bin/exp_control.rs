@@ -66,7 +66,6 @@ impl Mode {
             hedging: true,
             ladder: self == Mode::Local,
             ladder_period: MediaDuration::from_millis(50),
-            ..Default::default()
         }
     }
 }

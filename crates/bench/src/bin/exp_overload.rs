@@ -66,7 +66,6 @@ impl Mode {
             // One victim session per tick: 20/s walks a flash crowd down
             // the ladder fast enough to shed demand inside the spike.
             ladder_period: MediaDuration::from_millis(50),
-            ..Default::default()
         }
     }
 }

@@ -8,7 +8,7 @@
 
 use hermes_bench::harness::run_seeds;
 use hermes_bench::{fmt_dur_ms, ExpOpts, StreamingParams, Table};
-use hermes_bench::{max_dur_of, mean_of};
+use hermes_bench::{max_dur_by, mean_by};
 use hermes_client::PlayoutConfig;
 use hermes_core::{MediaDuration, MediaTime};
 use hermes_simnet::{CongestionEpoch, CongestionProfile, JitterModel, LossModel};
@@ -61,11 +61,11 @@ fn main() {
             t.row(vec![
                 format!("{:.0}%", load * 100.0),
                 label.to_string(),
-                fmt_dur_ms(max_dur_of(&runs, |m| m.max_skew)),
-                format!("{:.0}", mean_of(&runs, |m| m.glitches as f64)),
-                format!("{:.0}", mean_of(&runs, |m| m.duplicates as f64)),
-                format!("{:.0}", mean_of(&runs, |m| m.dropped as f64)),
-                format!("{:.0}", mean_of(&runs, |m| m.frames_played as f64)),
+                fmt_dur_ms(max_dur_by(&runs, |m| m.max_skew)),
+                format!("{:.0}", mean_by(&runs, |m| m.glitches as f64)),
+                format!("{:.0}", mean_by(&runs, |m| m.duplicates as f64)),
+                format!("{:.0}", mean_by(&runs, |m| m.dropped as f64)),
+                format!("{:.0}", mean_by(&runs, |m| m.frames_played as f64)),
             ]);
         }
     }

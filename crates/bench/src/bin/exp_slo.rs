@@ -257,10 +257,7 @@ fn finish(
     until: MediaTime,
 ) -> Point {
     let obs = sim.obs_mut();
-    let attrs = obs.attribute(&AttributionConfig {
-        window: WINDOW,
-        ..AttributionConfig::default()
-    });
+    let attrs = obs.attribute(&AttributionConfig { window: WINDOW });
     let mut p = Point::default();
     (p.window_gaps, p.correct) = score(&attrs, scenario.expected(), from, until);
     p.total_attrs = attrs.len();

@@ -8,7 +8,7 @@
 //! glitches + late-dropped frames). Averaged over three seeds per point.
 
 use hermes_bench::harness::run_seeds;
-use hermes_bench::mean_of;
+use hermes_bench::mean_by;
 use hermes_bench::{ExpOpts, StreamingParams, Table};
 use hermes_core::{MediaDuration, MediaTime};
 use hermes_simnet::{CongestionEpoch, CongestionProfile};
@@ -65,13 +65,13 @@ fn main() {
             t.row(vec![
                 w.to_string(),
                 o.to_string(),
-                format!("{:.0}", mean_of(&runs, |m| m.startup.as_millis() as f64)),
+                format!("{:.0}", mean_by(&runs, |m| m.startup.as_millis() as f64)),
                 format!(
                     "{:.1}",
-                    mean_of(&runs, |m| (m.duplicates + m.glitches + m.dropped) as f64)
+                    mean_by(&runs, |m| (m.duplicates + m.glitches + m.dropped) as f64)
                 ),
-                format!("{:.1}", mean_of(&runs, |m| m.underflows as f64)),
-                format!("{:.0}", mean_of(&runs, |m| m.frames_played as f64)),
+                format!("{:.1}", mean_by(&runs, |m| m.underflows as f64)),
+                format!("{:.0}", mean_by(&runs, |m| m.frames_played as f64)),
             ]);
         }
     }

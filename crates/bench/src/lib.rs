@@ -22,8 +22,6 @@ pub use harness::{
     clip_lesson, run_seeds, run_streaming_session, run_streaming_session_traced, standard_lesson,
     StreamingMetrics, StreamingParams,
 };
-// The sample-set helpers live in hermes-obs now; keep the historical bench
-// names as aliases so the exp_* binaries read naturally.
-pub use hermes_simnet::obs::{max_dur_by as max_dur_of, mean_by as mean_of, percentile};
+pub use hermes_simnet::obs::{max_dur_by, mean_by, percentile};
 pub use tables::{fmt_dur_ms, Table};
 pub use workload::{poisson_arrivals, session_arrivals, Arrival, ZipfCatalog};

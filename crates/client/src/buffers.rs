@@ -45,31 +45,27 @@ const LOW_WATERMARK: f64 = 0.25;
 /// hold more than the nominal window before overflowing).
 const HIGH_WATERMARK: f64 = 1.75;
 
+/// Hard capacity of a buffer in frames, queued duplicates included
+/// (drop-newest beyond this).
+pub const CAPACITY_FRAMES: usize = 4_096;
+
 /// Configuration of one media buffer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BufferConfig {
     /// Target media time window (prefill depth before playout may start).
     pub time_window: MediaDuration,
-    /// Hard capacity in frames (drop-newest beyond this).
-    pub capacity_frames: usize,
 }
 
 impl Default for BufferConfig {
     fn default() -> Self {
-        BufferConfig {
-            time_window: MediaDuration::from_millis(1_000),
-            capacity_frames: 4_096,
-        }
+        BufferConfig::with_window(MediaDuration::from_millis(1_000))
     }
 }
 
 impl BufferConfig {
-    /// A config with the given window and the default capacity.
+    /// A config with the given window.
     pub fn with_window(time_window: MediaDuration) -> Self {
-        BufferConfig {
-            time_window,
-            ..Default::default()
-        }
+        BufferConfig { time_window }
     }
 }
 
@@ -191,7 +187,7 @@ impl MediaBuffer {
     /// Accept an arriving frame, inserting it in pts order (jitter reorders
     /// arrivals). Returns false if the frame was rejected (hard capacity).
     pub fn push(&mut self, frame: MediaFrame) -> bool {
-        if self.len() >= self.cfg.capacity_frames {
+        if self.len() >= CAPACITY_FRAMES {
             self.stats.frames_rejected += 1;
             return false;
         }
@@ -290,10 +286,7 @@ impl MediaBuffer {
         if self.queue.is_empty() && self.pending_dups == 0 {
             return 0; // nothing has been or will be presented to replay
         }
-        let room = self
-            .cfg
-            .capacity_frames
-            .saturating_sub(self.queue.len() + self.pending_dups as usize);
+        let room = CAPACITY_FRAMES.saturating_sub(self.len());
         let inserted = (n as usize).min(room) as u32;
         self.pending_dups += inserted;
         self.stats.frames_duplicated += inserted as u64;
@@ -473,20 +466,14 @@ mod tests {
 
     #[test]
     fn capacity_rejects() {
-        let mut b = MediaBuffer::new(
-            ComponentId::new(1),
-            BufferConfig {
-                capacity_frames: 3,
-                ..BufferConfig::with_window(MediaDuration::from_millis(100))
-            },
-            MediaDuration::from_millis(40),
-        );
-        assert!(b.push(frame(0, 0)));
-        assert!(b.push(frame(1, 40)));
-        assert!(b.push(frame(2, 80)));
-        assert!(!b.push(frame(3, 120)));
+        let mut b = buf(100);
+        let n = CAPACITY_FRAMES as u64;
+        for i in 0..n {
+            assert!(b.push(frame(i, i as i64 * 40)));
+        }
+        assert!(!b.push(frame(n, n as i64 * 40)));
         assert_eq!(b.stats.frames_rejected, 1);
-        assert_eq!(b.len(), 3);
+        assert_eq!(b.len(), CAPACITY_FRAMES);
     }
 
     #[test]

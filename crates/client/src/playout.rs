@@ -178,7 +178,7 @@ impl StreamPlayout {
         }
         // Occupancy repair: overflow → drop stale frames down to the
         // nominal window.
-        if cfg.drop_on_overflow {
+        if cfg.recovery {
             let mut expected = self.expected_pos(t0, now);
             if let Some(cap) = catch_up_cap {
                 expected = expected.min(cap);
@@ -249,7 +249,7 @@ impl StreamPlayout {
                             emit(deadline, PlayoutEventKind::DuplicatePlayed);
                         }
                         None => {
-                            if cfg.duplicate_on_underflow && self.stats.frames_played > 0 {
+                            if cfg.recovery && self.stats.frames_played > 0 {
                                 // Replay the previous frame: smooth
                                 // presentation, content stalls.
                                 self.stats.duplicates_played += 1;
@@ -285,13 +285,12 @@ const LIP_SYNC: MediaDuration = MediaDuration::from_millis(80);
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlayoutConfig {
-    /// Replay the last frame when the buffer underruns (the paper's
-    /// short-term duplication) instead of glitching.
-    pub duplicate_on_underflow: bool,
-    /// Drop stale frames when a buffer goes above its high watermark.
-    pub drop_on_overflow: bool,
-    /// Enforce intermedia skew bounds between sync partners.
-    pub enforce_sync: bool,
+    /// The paper's three recovery mechanisms, on or off together: replay
+    /// the last frame when a buffer underruns (short-term duplication)
+    /// instead of glitching, drop stale frames when a buffer goes above its
+    /// high watermark, and enforce intermedia skew bounds between sync
+    /// partners.
+    pub recovery: bool,
     /// Which side of a skewed pair to repair.
     pub policy: SkewPolicy,
     /// Append every [`PlayoutEvent`] — one per presented frame per stream
@@ -306,9 +305,7 @@ pub struct PlayoutConfig {
 impl Default for PlayoutConfig {
     fn default() -> Self {
         PlayoutConfig {
-            duplicate_on_underflow: true,
-            drop_on_overflow: true,
-            enforce_sync: true,
+            recovery: true,
             policy: SkewPolicy::Both,
             record_events: false,
         }
@@ -320,9 +317,7 @@ impl PlayoutConfig {
     /// EXP-SKEW experiment compares against.
     pub fn no_recovery() -> Self {
         PlayoutConfig {
-            duplicate_on_underflow: false,
-            drop_on_overflow: false,
-            enforce_sync: false,
+            recovery: false,
             ..Default::default()
         }
     }
@@ -539,7 +534,7 @@ impl PlayoutEngine {
                 }
             });
         }
-        if self.cfg.enforce_sync {
+        if self.cfg.recovery {
             self.enforce_sync(now);
         }
         self.observe_skew(t0, now);
@@ -812,12 +807,7 @@ mod tests {
         assert!(t.duplicates_concealed > 0, "{t:?}");
         assert_eq!(t.duplicates_concealed, t.duplicates_played);
         // Fed, with two skew-repair replays queued ahead of the frames.
-        let cfg = PlayoutConfig {
-            enforce_sync: false,
-            drop_on_overflow: false,
-            ..Default::default()
-        };
-        let mut e = engine(cfg, 80);
+        let mut e = engine(PlayoutConfig::no_recovery(), 80);
         fill(&mut e);
         let audio = e.streams.get_mut(&ComponentId::new(0));
         let buffer = audio.and_then(|s| s.buffer.as_mut()).unwrap();
@@ -852,7 +842,7 @@ mod tests {
         // late from frame 5 onwards. Monotone tick loop every 10 ms.
         let run = |enforce: bool| {
             let cfg = PlayoutConfig {
-                enforce_sync: enforce,
+                recovery: enforce,
                 ..Default::default()
             };
             let mut e = engine(cfg, 120);

@@ -66,7 +66,6 @@ pub fn render_text_blocks(blocks: &[TextBlock], max: usize) -> String {
                 let _ = write!(out, "[H{}] {} ", level.level(), text);
             }
             TextBlock::ParagraphBreak => out.push_str("¶ "),
-            TextBlock::Separator => out.push_str("--- "),
             TextBlock::Runs(runs) => {
                 for r in runs {
                     if r.style.bold {

@@ -44,46 +44,19 @@ pub mod names {
     pub const SLO_BURN: &str = "ctrl.slo_burn";
 }
 
-/// Per-class fairness budget: the fraction of each class's live sessions
-/// the controller may hold degraded at once. Spreads flash-crowd pain as
-/// many small degradations across cheap classes instead of collapsing a few
-/// sessions, while bounding how much of the premium fleet may ever be
-/// touched.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FairnessBudget {
-    /// Max degraded fraction of premium sessions.
-    pub premium: f64,
-    /// Max degraded fraction of standard sessions.
-    pub standard: f64,
-    /// Max degraded fraction of economy sessions.
-    pub economy: f64,
-}
-
-impl Default for FairnessBudget {
-    fn default() -> Self {
-        FairnessBudget {
-            premium: 0.25,
-            standard: 0.5,
-            economy: 1.0,
-        }
-    }
-}
-
-impl FairnessBudget {
-    /// The budget fraction for a class.
-    pub fn fraction(&self, class: PricingClass) -> f64 {
-        match class {
-            PricingClass::Premium => self.premium,
-            PricingClass::Standard => self.standard,
-            PricingClass::Economy => self.economy,
-        }
-    }
-
-    /// Maximum sessions of `class` that may be degraded at once, out of
-    /// `total` live ones.
-    pub fn cap(&self, class: PricingClass, total: usize) -> usize {
-        (self.fraction(class) * total as f64).ceil() as usize
-    }
+/// The per-class fairness budget: the most sessions of `class` the
+/// controller may hold degraded at once, out of `total` live ones — a
+/// quarter of premium, half of standard, every economy session. Spreads
+/// flash-crowd pain as many small degradations across cheap classes instead
+/// of collapsing a few sessions, while bounding how much of the premium
+/// fleet may ever be touched.
+pub fn fairness_cap(class: PricingClass, total: usize) -> usize {
+    let fraction = match class {
+        PricingClass::Premium => 0.25,
+        PricingClass::Standard => 0.5,
+        PricingClass::Economy => 1.0,
+    };
+    (fraction * total as f64).ceil() as usize
 }
 
 /// Control-loop evaluation period (the service arms `TK_CONTROL` with it).
@@ -136,8 +109,6 @@ pub struct ControllerConfig {
     /// Maximum grade steps (degrades or upgrades) per tick — many small
     /// steps across ticks, never a mass regrade in one.
     pub max_steps_per_tick: u32,
-    /// Per-class fairness budgets.
-    pub fairness: FairnessBudget,
     /// Highest admission price (pre-shed grade levels) the controller may
     /// set.
     pub max_price: u8,
@@ -158,7 +129,6 @@ impl Default for ControllerConfig {
             dwell: MediaDuration::from_millis(1_000),
             calm: MediaDuration::from_secs(2),
             max_steps_per_tick: 4,
-            fairness: FairnessBudget::default(),
             max_price: 2,
             scale_out_after: MediaDuration::from_millis(1_500),
             scale_in_after: MediaDuration::from_secs(6),
@@ -508,7 +478,7 @@ impl FleetController {
             if !s.degraded() {
                 let total = class_total.get(&s.class.priority()).copied().unwrap_or(0);
                 let degraded = class_degraded.entry(s.class.priority()).or_default();
-                if *degraded + 1 > self.cfg.fairness.cap(s.class, total) {
+                if *degraded + 1 > fairness_cap(s.class, total) {
                     continue;
                 }
                 *degraded += 1;

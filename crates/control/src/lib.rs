@@ -40,8 +40,8 @@ pub mod report;
 pub mod utility;
 
 pub use controller::{
-    names, ControlCommand, ControlPlan, ControlSnapshot, ControllerConfig, ControllerStats,
-    FairnessBudget, FleetController, CONTROL_TICK, LEASE_BEAT, LEASE_TIMEOUT, REPORT_PERIOD,
+    fairness_cap, names, ControlCommand, ControlPlan, ControlSnapshot, ControllerConfig,
+    ControllerStats, FleetController, CONTROL_TICK, LEASE_BEAT, LEASE_TIMEOUT, REPORT_PERIOD,
     WARMUP,
 };
 pub use ha::{elect, majority, Election, HaMsg, HaOut, LeaseView, PeerFreshness};

@@ -57,8 +57,6 @@ pub enum TextBlock {
     Heading(HeadingLevel, String),
     /// A paragraph break (`PAR`).
     ParagraphBreak,
-    /// A horizontal separator (`SEP`).
-    Separator,
     /// A sequence of styled runs.
     Runs(Vec<TextRun>),
 }

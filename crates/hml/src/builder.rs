@@ -1,6 +1,7 @@
-//! Programmatic document builder — the authoring API used by examples,
-//! tests and workload generators to construct documents without writing
-//! markup by hand.
+//! Programmatic document builder: constructs documents without writing
+//! markup by hand. Only tests use it (`tests/markup_roundtrip.rs` builds
+//! the documents it feeds to the parser and serializer); the examples and
+//! workload generators write their markup as text.
 
 use crate::ast::*;
 use crate::values::SourceRef;

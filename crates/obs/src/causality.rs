@@ -460,6 +460,9 @@ pub fn is_disruption(name: &str, value: i64) -> bool {
     }
 }
 
+/// Critical-path hops kept per attribution ([`GapAttribution::path`]).
+pub const PATH_HOPS: usize = 4;
+
 /// Attribution tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct AttributionConfig {
@@ -467,15 +470,12 @@ pub struct AttributionConfig {
     /// the capture's [`ProvenanceLog::horizon`] when critical paths are
     /// filled.
     pub window: MediaDuration,
-    /// How many critical-path hops to keep per attribution.
-    pub path_hops: usize,
 }
 
 impl Default for AttributionConfig {
     fn default() -> Self {
         AttributionConfig {
             window: DEFAULT_ATTRIBUTION_WINDOW,
-            path_hops: 4,
         }
     }
 }
@@ -501,10 +501,10 @@ pub struct GapAttribution {
     pub evidence: &'static str,
     /// When that evidence fired.
     pub evidence_at: MediaTime,
-    /// Critical-path hop timings from the provenance log: the slowest
-    /// in-window deliveries under this session's causal root, as
-    /// `(message kind, in-flight µs)`, slowest first. Empty when
-    /// provenance was not captured.
+    /// Critical-path hop timings from the provenance log: the
+    /// [`PATH_HOPS`] slowest in-window deliveries under this session's
+    /// causal root, as `(message kind, in-flight µs)`, slowest first.
+    /// Empty when provenance was not captured.
     pub path: Vec<(&'static str, i64)>,
 }
 
@@ -797,7 +797,7 @@ pub fn fill_critical_paths(
             .collect();
         // Slowest first; name tie-break keeps the order content-determined.
         hops.sort_unstable_by(|a, b| (b.1, a.0).cmp(&(a.1, b.0)));
-        hops.truncate(cfg.path_hops);
+        hops.truncate(PATH_HOPS);
         a.path = hops;
     }
 }

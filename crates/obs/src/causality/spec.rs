@@ -80,7 +80,7 @@ fn spec_fill_critical_paths(
             .map(|r| (r.msg_kind, r.value))
             .collect();
         hops.sort_unstable_by(|a, b| (b.1, a.0).cmp(&(a.1, b.0)));
-        hops.truncate(cfg.path_hops);
+        hops.truncate(PATH_HOPS);
         a.path = hops;
     }
 }
@@ -134,7 +134,7 @@ fn keep_all_fill_critical_paths(
             .map(|&(r, kind)| (kind, r.wait_us as i64))
             .collect();
         hops.sort_unstable_by(|a, b| (b.1, a.0).cmp(&(a.1, b.0)));
-        hops.truncate(cfg.path_hops);
+        hops.truncate(PATH_HOPS);
         a.path = hops;
     }
 }
@@ -176,19 +176,19 @@ proptest! {
     /// the six-kind log whole and to the keep-everything log as the engine
     /// feeds it (deliveries only): every critical path agrees, for
     /// disruptions anywhere in the run and on both edges of a stamp's
-    /// window, both attribution windows in use and every path length. The
-    /// stream is short enough that the spec truncates nothing; past its
-    /// cap the two differ on purpose.
+    /// window, and both attribution windows in use. The stream is short
+    /// enough that the spec truncates nothing; past its cap the two differ
+    /// on purpose.
     #[test]
     fn delivery_log_paths_equal_the_six_kind_log(
-        shape in (1usize..=8, 3usize..=12, 1usize..=8),
+        shape in (1usize..=8, 3usize..=12),
         stamps in proptest::collection::vec(
             ((0u8..4, 0i64..400_000), 0usize..6, 0usize..8, 0usize..12, (0u8..4, 0i64..5_000)),
             0..300,
         ),
         gaps in proptest::collection::vec((0usize..300, 0u8..4, 0i64..8_000_000, 0u64..10), 1..12),
     ) {
-        let (n_roots, n_kinds, path_hops) = shape;
+        let (n_roots, n_kinds) = shape;
         // Root 0 of the pool is "no known root".
         let roots: Vec<u32> = (0..n_roots as u32)
             .map(|i| if i == 0 { CauseCtx::NONE.root } else { i * 7 })
@@ -230,7 +230,6 @@ proptest! {
         for window_s in [2, 6] {
             let cfg = AttributionConfig {
                 window: MediaDuration::from_secs(window_s),
-                path_hops,
             };
             // A disruption sits on a stamp's instant, exactly one window
             // after it (the stamp is the oldest one still inside), 1 µs
@@ -326,10 +325,9 @@ mod through_obs {
         /// by the root's creation and a delivery under it. The capture
         /// declares no window (2 s), 6 s or one from 1 µs to 6 s. Every
         /// critical path equals the keep-everything log's, for windows from
-        /// 1 µs up to the declared one and paths of 1 to 8 hops.
+        /// 1 µs up to the declared one.
         #[test]
         fn windowed_log_paths_equal_the_keep_all_log(
-            path_hops in 1usize..=8,
             declared in (0u8..4, 1i64..=6_000_000),
             window_us in 1i64..=6_000_000,
             ops in proptest::collection::vec(
@@ -381,7 +379,6 @@ mod through_obs {
             for window in windows.into_iter().filter(|&w| w <= horizon) {
                 let cfg = AttributionConfig {
                     window: MediaDuration::from_micros(window),
-                    path_hops,
                 };
                 let (got, want) = run.paths(&cfg);
                 prop_assert_eq!(got, want);

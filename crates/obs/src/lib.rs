@@ -46,6 +46,7 @@ pub mod stats;
 pub use causality::{
     attribute_events, fill_critical_paths, is_disruption, publish_attr_counters, AttributionConfig,
     CauseClass, CauseCtx, GapAttribution, HopRecord, ProvenanceLog, DEFAULT_ATTRIBUTION_WINDOW,
+    PATH_HOPS,
 };
 pub use event::{Event, Labels, Severity};
 pub use export::{chrome_trace, events_jsonl, flight_report, session_timeline};
@@ -417,7 +418,6 @@ mod tests {
         let mut obs = Obs::new();
         obs.attribute(&AttributionConfig {
             window: MediaDuration::from_secs(6),
-            ..AttributionConfig::default()
         });
     }
 
@@ -434,7 +434,6 @@ mod tests {
         assert_eq!(obs.prov.horizon(), MediaDuration::from_secs(6));
         let cfg = AttributionConfig {
             window: MediaDuration::from_secs(6),
-            ..AttributionConfig::default()
         };
         assert!(obs.attribute(&cfg).is_empty());
     }

@@ -72,23 +72,10 @@ impl MetricsRegistry {
         self.gauges.insert(MetricKey::new(name, labels), v);
     }
 
-    /// Read a gauge (0 when absent).
-    pub fn gauge(&self, name: &'static str, labels: Labels) -> f64 {
-        self.gauges
-            .get(&MetricKey::new(name, labels))
-            .copied()
-            .unwrap_or(0.0)
-    }
-
     /// Install an externally-built histogram under a key (replacing any
     /// prior one) — how the media tier publishes its fetch-latency buckets.
     pub fn hist_set(&mut self, name: &'static str, labels: Labels, h: DurationHistogram) {
         self.hists.insert(MetricKey::new(name, labels), h);
-    }
-
-    /// Look up a histogram.
-    pub fn hist(&self, name: &'static str, labels: Labels) -> Option<&DurationHistogram> {
-        self.hists.get(&MetricKey::new(name, labels))
     }
 
     /// Iterate counters in key order.
@@ -174,10 +161,8 @@ mod tests {
         assert_eq!(r.counter("sim.delivered", Labels::NONE), 5);
         assert_eq!(r.counter("cache.hits", Labels::for_peer(4)), 77);
         assert_eq!(r.counter("missing", Labels::NONE), 0);
-        assert_eq!(
-            r.gauge("buffer.occupancy", Labels::session(1).stream(2)),
-            0.5
-        );
+        let key = MetricKey::new("buffer.occupancy", Labels::session(1).stream(2));
+        assert_eq!(r.gauges.get(&key), Some(&0.5));
         assert_eq!(r.len(), 3);
     }
 

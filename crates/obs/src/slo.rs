@@ -319,7 +319,8 @@ mod tests {
         }
         let mut reg = MetricsRegistry::new();
         m.publish(t(1000), &mut reg, Labels::for_peer(1));
-        let g = reg.gauge("slo.gap", Labels::for_peer(1));
+        let (key, g) = reg.gauges().next().expect("one gauge");
+        assert_eq!((key.name, key.labels), ("slo.gap", Labels::for_peer(1)));
         assert!(g >= 99_000.0, "gauge {g}");
     }
 

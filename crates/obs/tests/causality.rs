@@ -6,7 +6,7 @@
 use hermes_core::MediaTime;
 use hermes_obs::{
     attribute_events, fill_critical_paths, AttributionConfig, CauseClass, Event, GapAttribution,
-    Labels, ProvenanceLog, Severity, SpanId,
+    Labels, ProvenanceLog, Severity, SpanId, PATH_HOPS,
 };
 
 fn ev(at_ms: i64, seq: u64, node: u64, name: &'static str, labels: Labels, value: i64) -> Event {
@@ -119,7 +119,7 @@ fn critical_path_is_provenance_order_independent() {
     };
 
     let reference = run(&base);
-    assert_eq!(reference.len(), cfg.path_hops.min(hops.len()));
+    assert_eq!(reference.len(), PATH_HOPS.min(hops.len()));
     assert_eq!(reference[0], ("fetch_chunk", 4000), "slowest hop first");
     for seed in 0..64u64 {
         let mut permuted = base.clone();

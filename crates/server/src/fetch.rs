@@ -304,6 +304,9 @@ const FRAMES_PER_SEGMENT: u32 = 32;
 const PIPELINE: u32 = 3;
 /// Floor of the adaptive (P95-derived) hedge delay.
 const HEDGE_MIN: MediaDuration = MediaDuration::from_millis(5);
+/// Cap of the adaptive hedge delay; also the delay until enough latency
+/// samples accumulate to estimate a P95.
+const HEDGE_MAX: MediaDuration = MediaDuration::from_millis(250);
 /// Slack added to every fetch deadline beyond the playout horizon the
 /// stream's buffered frames already cover.
 const DEADLINE_SLACK: MediaDuration = MediaDuration::from_millis(500);
@@ -332,9 +335,6 @@ pub struct MediaTierConfig {
     /// Issue a duplicate fetch to the next-best replica when the first has
     /// not answered within the hedge delay; first response wins.
     pub hedging: bool,
-    /// Cap of the adaptive hedge delay; also used until enough latency
-    /// samples accumulate to estimate a P95.
-    pub hedge_max: MediaDuration,
     /// Walk active sessions down the grade ladder under sustained fetch
     /// pressure (the mid-session extension of admission-time shedding).
     pub ladder: bool,
@@ -350,7 +350,6 @@ impl Default for MediaTierConfig {
             breaker: true,
             breaker_latency: MediaDuration::from_millis(250),
             hedging: false,
-            hedge_max: MediaDuration::from_millis(250),
             ladder: false,
             ladder_period: MediaDuration::from_millis(250),
         }
@@ -504,15 +503,15 @@ impl MediaTier {
         }
     }
 
-    /// The hedge delay: the observed P95 fetch latency clamped to the
-    /// configured window; the cap until enough samples accumulate.
+    /// The hedge delay: the observed P95 fetch latency clamped to
+    /// `[HEDGE_MIN, HEDGE_MAX]`; the cap until enough samples accumulate.
     fn hedge_delay(&self) -> MediaDuration {
         if self.fetch_latency.count() < 16 {
-            return self.cfg.hedge_max;
+            return HEDGE_MAX;
         }
         self.fetch_latency
             .quantile(0.95)
-            .clamp(HEDGE_MIN, self.cfg.hedge_max)
+            .clamp(HEDGE_MIN, HEDGE_MAX)
     }
 
     /// The stream an outstanding fetch belongs to.

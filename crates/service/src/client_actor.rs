@@ -172,7 +172,9 @@ pub struct ClientActor {
     pub annotations: BTreeMap<DocumentId, Vec<String>>,
     /// Document queued to request once a connection/topic list is ready.
     pub pending_request: Option<DocumentId>,
-    /// Errors received (DocError / ConnectReject reasons).
+    /// Failures this client met: `DocError` reasons, tracked requests
+    /// abandoned after their retry budget, links to an unknown server and
+    /// scenarios that did not parse.
     pub errors: Vec<String>,
     /// The in-flight document request is a history navigation (don't extend
     /// the history when its scenario arrives).
@@ -869,11 +871,6 @@ impl ClientActor {
                         }
                     }
                 }
-            }
-            ServiceMsg::ConnectReject { reason } => {
-                self.errors.push(reason);
-                let _ = self.machine.apply(AppEvent::AdmissionRejected);
-                self.session = None;
             }
             ServiceMsg::SubscribeAck { user, .. } => {
                 self.user = Some(user);

@@ -186,11 +186,6 @@ impl MediaActor {
         self.shards.values().map(MediaStore::len).sum()
     }
 
-    /// Requests currently queued (not counting the one in service).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Apply/lift a brownout: service times multiply by `factor`.
     pub fn set_slowdown(&mut self, factor: u32) {
         self.slowdown = factor.max(1);

@@ -157,11 +157,6 @@ pub enum ServiceMsg {
         /// Whether the user must subscribe first.
         must_subscribe: bool,
     },
-    /// Server → client: connection rejected by admission.
-    ConnectReject {
-        /// Why.
-        reason: String,
-    },
     /// Client → server: filled-in subscription form.
     Subscribe {
         /// The session performing the subscription.
@@ -633,9 +628,7 @@ impl ServiceMsg {
             ServiceMsg::Ack { .. } => "ack",
             ServiceMsg::Heartbeat { .. } | ServiceMsg::HeartbeatAck { .. } => "heartbeat",
             ServiceMsg::ReconnectRequest { .. } | ServiceMsg::ReconnectAck { .. } => "reconnect",
-            ServiceMsg::Connect { .. }
-            | ServiceMsg::ConnectAck { .. }
-            | ServiceMsg::ConnectReject { .. } => "connect",
+            ServiceMsg::Connect { .. } | ServiceMsg::ConnectAck { .. } => "connect",
             ServiceMsg::Subscribe { .. }
             | ServiceMsg::SubscribeAck { .. }
             | ServiceMsg::TopicList { .. } => "subscribe",
@@ -710,7 +703,6 @@ impl WireSize for ServiceMsg {
             ServiceMsg::ReconnectAck { .. } => 24 + TCP_IP_OVERHEAD,
             ServiceMsg::Connect { .. } => 64 + TCP_IP_OVERHEAD,
             ServiceMsg::ConnectAck { .. } => 32 + TCP_IP_OVERHEAD,
-            ServiceMsg::ConnectReject { reason } => 16 + reason.len() + TCP_IP_OVERHEAD,
             ServiceMsg::Subscribe { form, .. } => {
                 48 + form.name.len()
                     + form.address.len()

@@ -964,7 +964,7 @@ impl ServerActor {
             let zero = MediaDuration::ZERO;
             return self.deliver_document(api, session, document, zero, true, zero);
         };
-        let Some(Ok((_, flow, _))) = self.admit_document(api, session, document, true, true) else {
+        let Some((_, flow, _)) = self.admit_document(api, session, document, true, true) else {
             return;
         };
         // Snapshot the leader's pacer positions now: this event also enters
@@ -1211,13 +1211,16 @@ impl ServerActor {
     /// The admission prelude of every document delivery, private or shared:
     /// leave any group, look the document up (a `DocError` when this server
     /// lacks it), trade the session's old reservation for one that fits the
-    /// new flow — shedding grade levels under pressure, a `DocError` when
-    /// even that is refused — then switch the session over and, if asked,
-    /// send the scenario. `shared_trunk` reserves only the tail links (see
-    /// [`admit_with_shedding`](Self::admit_with_shedding)).
+    /// new flow — shedding grade levels under pressure (evaluated against
+    /// the path to the client, weighted by the pricing contract), a
+    /// `DocError` and an `admit_reject` event when even that is refused —
+    /// then switch the session over, if asked send the scenario, and record
+    /// the admission: the `admit` event, the admission span's end and the
+    /// join-latency SLO sample. `shared_trunk` reserves only the tail links
+    /// (see [`admit_with_shedding`](Self::admit_with_shedding)).
     ///
-    /// `None` when the session or the document is gone, `Some(Err(()))` on
-    /// a refusal, else the shed applied, the flow and the client.
+    /// `None` when the session or the document is gone or admission is
+    /// refused, else the shed applied, the flow and the client.
     fn admit_document(
         &mut self,
         api: &mut SimApi<'_, ServiceMsg>,
@@ -1225,7 +1228,7 @@ impl ServerActor {
         document: DocumentId,
         shared_trunk: bool,
         send_scenario: bool,
-    ) -> Option<Result<(u8, FlowScenario, NodeId), ()>> {
+    ) -> Option<(u8, FlowScenario, NodeId)> {
         self.leave_group(api, session);
         let s = self.sessions.get(&session)?;
         let (node, client, class) = (self.node, s.client, s.class);
@@ -1245,7 +1248,9 @@ impl ServerActor {
             Ok(shed) => shed,
             Err(reason) => {
                 api.send_reliable(node, client, ServiceMsg::DocError { session, reason });
-                return Some(Err(()));
+                let labels = Labels::session(session.raw());
+                api.emit(node, Severity::Warn, "admit_reject", labels);
+                return None;
             }
         };
         // Switch over: drop the previous document's cache readers (first, so
@@ -1273,7 +1278,20 @@ impl ServerActor {
             };
             api.send_reliable(node, client, msg);
         }
-        Some(Ok((shed, flow, client)))
+        let severity = if shed > 0 {
+            Severity::Warn
+        } else {
+            Severity::Info
+        };
+        let labels = Labels::session(session.raw());
+        api.emit_val(node, severity, "admit", labels, shed as i64);
+        let span = std::mem::replace(&mut s.obs_admission, SpanId::NONE);
+        api.span_end(span);
+        // Join-latency SLO sample: connect → first successful admission.
+        let now = api.now();
+        self.slo
+            .record_latency(now, SLO_JOIN, now - s.life.connected_at);
+        Some((shed, flow, client))
     }
 
     /// Deliver a document to a session: the admission prelude, then media
@@ -1290,33 +1308,10 @@ impl ServerActor {
         send_scenario: bool,
         extra_delay: MediaDuration,
     ) {
-        // Admission: evaluate the aggregate continuous bandwidth against the
-        // path to this client, weighted by the pricing contract. Under
-        // pressure, shed quality levels before giving up ("graceful
-        // degradation instead of session loss").
-        let labels = Labels::session(session.raw());
         let admitted = self.admit_document(api, session, document, false, send_scenario);
-        // Only a private flow's admission is recorded, not a shared-group
-        // joiner's: ROADMAP item 6 (k).
-        let (shed, flow, client) = match admitted {
-            Some(Ok(admitted)) => admitted,
-            Some(Err(())) => return api.emit(self.node, Severity::Warn, "admit_reject", labels),
-            None => return,
+        let Some((shed, flow, client)) = admitted else {
+            return;
         };
-        let severity = if shed > 0 {
-            Severity::Warn
-        } else {
-            Severity::Info
-        };
-        api.emit_val(self.node, severity, "admit", labels, shed as i64);
-        if let Some(s) = self.sessions.get_mut(&session) {
-            let span = std::mem::replace(&mut s.obs_admission, SpanId::NONE);
-            api.span_end(span);
-            // Join-latency SLO sample: connect → first successful admission.
-            let now = api.now();
-            self.slo
-                .record_latency(now, SLO_JOIN, now - s.life.connected_at);
-        }
 
         // Activate the media servers: discrete media ship directly at their
         // send start; continuous media get a transmission loop.

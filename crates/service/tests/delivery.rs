@@ -9,7 +9,10 @@
 //! digest of the exported event log plus the engine's `SimStats`. The
 //! literals were printed at cdc25bd, before the delivery half of
 //! `server_actor.rs` was folded; none may move unasked. They pin today's
-//! behaviour, the four findings below included.
+//! behaviour, the four findings below included. `SHARED` was printed again
+//! when the two joiners' admissions began to be recorded: its log gained
+//! their two `admit` events, which shift the sequence numbers after them;
+//! every instant, stream row and `SimStats` count stayed.
 //!
 //! Cases other tests already pin are left out:
 //! - a private flow and an image with the media tier: `fetch_golden`'s
@@ -354,8 +357,8 @@ const SHARED: Pin = (
             (3, 3, MediaKind::Video, 49, 388645, true),
         ],
     ],
-    [1, 0, 3],
-    17879512281047094339,
+    [3, 0, 3],
+    15173144231580694779,
 );
 const LINK: Pin = (
     &[

@@ -4,7 +4,9 @@
 //! `NAIVE` was printed at cec5907 — the commit *before* the fetch client
 //! moved out of `server_actor.rs` into `hermes_server::fetch` — and has never
 //! moved; the other four were re-pinned when the credit window replaced the
-//! paced re-poll (PR 24; docs/PERF_LEDGER.md explains each moved counter).
+//! paced re-poll (PR 24; docs/PERF_LEDGER.md explains each moved counter),
+//! and `HEDGING` again when its world lost a 40 ms hedge cap the service no
+//! longer offers.
 //! None may move again unasked: a send, timer, emit or RNG draw that changes
 //! order or count anywhere on the pump / chunk / busy / hedge / failover /
 //! rebalance paths changes a digest.
@@ -19,7 +21,7 @@
 mod common;
 
 use common::{build, connect, ms, world, World};
-use hermes_core::{MediaDuration, MediaKind, MediaTime};
+use hermes_core::{MediaKind, MediaTime};
 use hermes_server::PlacementMap;
 use hermes_service::{MediaTierConfig, MediaTierStats};
 use hermes_simnet::obs::events_jsonl;
@@ -100,7 +102,6 @@ fn hedging_around_a_slow_replica() {
     // healthy replica — while the crowd is still arriving.
     let mut w = build(MediaTierConfig {
         hedging: true,
-        hedge_max: MediaDuration::from_millis(40),
         ..MediaTierConfig::default()
     });
     let slow = w.media[0];
@@ -160,7 +161,8 @@ fn rebalance_with_drain() {
 type Pin = ([u64; 14], usize, u64);
 
 // Printed by this file's own `assert_eq!` failure messages: `NAIVE` at
-// cec5907, the rest at PR 24.
+// cec5907, `HEDGING` at bf53604 with the hedge cap at its 250 ms default
+// (the cap it has been fixed at since), the rest at PR 24.
 // Columns: fetches, chunks, stalls, failovers, fetch_errors, parts_received,
 // busy, hedges, hedge_wins, hedge_cancels, breaker_trips, fetches_lost,
 // ladder_degrades, ladder_restores.
@@ -175,9 +177,9 @@ const NAIVE: Pin = (
     3_044_348_924_380_930_742,
 );
 const HEDGING: Pin = (
-    [200, 198, 532, 0, 0, 374, 2, 4, 4, 4, 2, 0, 0, 0],
-    296,
-    14_840_022_397_364_975_861,
+    [203, 201, 791, 0, 0, 379, 2, 1, 1, 1, 1, 0, 0, 0],
+    310,
+    16_738_011_441_258_630_250,
 );
 const CRASH: Pin = (
     [252, 248, 3912, 13, 0, 476, 0, 0, 0, 0, 0, 4, 0, 0],

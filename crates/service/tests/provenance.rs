@@ -115,7 +115,6 @@ fn late_partition_gets_a_critical_path() {
     assert_eq!(counter("obs.flight_suppressed"), obs.flight.suppressed);
     let attrs = obs.attribute(&AttributionConfig {
         window: MediaDuration::from_secs(6),
-        ..AttributionConfig::default()
     });
     let short = obs.attribute(&AttributionConfig::default());
     assert_eq!((digest(&short), digest(&attrs)), PATHS);

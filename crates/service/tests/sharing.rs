@@ -378,14 +378,11 @@ fn group_lifecycle_golden() {
     assert_eq!(got, LIFECYCLE);
 }
 
-/// ROADMAP item 6 (k): a shared-group joiner's admission is not recorded.
-/// `join_shared_group` admits the joiner but never ends its `admission`
-/// span (it stays open until teardown), emits no `admit` event and records
-/// no `slo.join` sample, while `deliver_document` does all three for the
-/// group's leader. Three sessions batch onto one group here, so three
-/// sessions were admitted — the trace says one.
+/// A shared-group joiner's admission is recorded like the leader's: one
+/// place, the admission prelude both share, emits the `admit` event, ends
+/// the `admission` span and records the `slo.join` sample. Three sessions
+/// batch onto one group here, so three sessions were admitted.
 #[test]
-#[ignore = "ROADMAP item 6 (k): a joiner's admission is not recorded (fix moves vod_shared / exp_scale)"]
 fn a_joiners_admission_is_recorded() {
     let (mut sim, srv, clients) = sharing_world(31, policy(SharingMode::Batching), 3);
     staggered_connects(

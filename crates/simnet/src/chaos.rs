@@ -5,11 +5,11 @@
 //! [`generate`] composes the fault vocabulary the engine understands —
 //! crash storms, rolling restarts, access-link partitions, link flaps and
 //! slow-node brownouts — into a schedule drawn from a seeded [`SimRng`].
-//! Incidents target nodes *by role* ([`ChaosTargets`]), and a tunable
-//! fraction of them is **correlated**: clustered around a few burst
-//! centres so overlapping failures (a crash *during* a partition, a
-//! brownout *during* a failover) actually happen instead of being washed
-//! out by uniform spacing. Identical `(seed, targets, profile)` triples
+//! Incidents target nodes *by role* ([`ChaosTargets`]), and a third of
+//! them is **correlated**: clustered around a few burst centres so
+//! overlapping failures (a crash *during* a partition, a brownout *during*
+//! a failover) actually happen instead of being washed out by uniform
+//! spacing. Identical `(seed, targets, profile)` triples
 //! yield identical plans.
 //!
 //! [`shrink`] is a greedy delta-debugging minimizer: given a plan whose
@@ -55,25 +55,48 @@ impl ChaosTargets {
     }
 }
 
-/// Relative weights of the five incident families.
-#[derive(Debug, Clone, Copy)]
-pub struct IncidentWeights {
-    /// A single node crash + restart.
-    pub crash: u32,
-    /// A staggered crash/restart wave across every node of one role.
-    pub rolling_restart: u32,
-    /// One access link partitioned for a window.
-    pub partition: u32,
-    /// One access link flapping down/up for a few cycles.
-    pub flap: u32,
-    /// One media node browning out (slow, not dead) for a window.
-    pub brownout: u32,
-    /// The controller host crashing (no-op unless
-    /// [`ChaosTargets::controller`] is set).
-    pub ctrl_crash: u32,
-}
+/// Relative weights of the six incident families, in the order
+/// [`generate`] numbers them: a single node crash + restart; a staggered
+/// crash/restart wave across every node of one role; one access link
+/// partitioned for a window; one access link flapping down/up for a few
+/// cycles; one media node browning out (slow, not dead) for a window; the
+/// controller host crashing (weightless unless [`ChaosTargets::controller`]
+/// is set).
+const FAMILY_WEIGHTS: [u32; 6] = [4, 1, 4, 2, 3, 2];
+/// Fraction of incidents pulled onto a burst centre instead of spread
+/// uniformly over the window.
+const BURSTINESS: f64 = 0.35;
+/// Burst centres drawn inside the window.
+const BURST_CENTRES: u32 = 2;
+/// Temporal spread of one burst: correlated incidents start within
+/// `[centre, centre + BURST_SPAN)`.
+const BURST_SPAN: MediaDuration = MediaDuration::from_millis(800);
+/// Role-targeting weights for crashes and partitions, in order (servers,
+/// media, clients). Roles with no nodes get weight 0.
+const ROLE_BIAS: (u32, u32, u32) = (3, 4, 2);
+/// Crash-window length range `[min, max)`.
+const CRASH_DOWN: (MediaDuration, MediaDuration) =
+    (MediaDuration::from_millis(400), MediaDuration::from_secs(2));
+/// Partition-window length range `[min, max)`.
+const PARTITION_LEN: (MediaDuration, MediaDuration) =
+    (MediaDuration::from_millis(300), MediaDuration::from_secs(3));
+/// Brownout-window length range `[min, max)`.
+const BROWNOUT_LEN: (MediaDuration, MediaDuration) =
+    (MediaDuration::from_millis(500), MediaDuration::from_secs(3));
+/// Brownout slowdown factor range `[min, max)`.
+const BROWNOUT_FACTOR: (u64, u64) = (4, 16);
+/// Flap cycle period.
+const FLAP_PERIOD: MediaDuration = MediaDuration::from_millis(600);
+/// Outage per flap cycle.
+const FLAP_DOWN: MediaDuration = MediaDuration::from_millis(200);
+/// Flap cycle count range `[min, max)`.
+const FLAP_CYCLES: (u64, u64) = (2, 5);
+/// Stagger between consecutive crashes of a rolling restart.
+const ROLLING_STAGGER: MediaDuration = MediaDuration::from_millis(700);
 
-/// Tunable intensity profile for [`generate`].
+/// Intensity profile for [`generate`]: roughly one incident per second, a
+/// third of them correlated into bursts, windows of a few hundred
+/// milliseconds to a couple of seconds.
 #[derive(Debug, Clone)]
 pub struct ChaosProfile {
     /// Faults are injected inside `[start, end)`. Repairs may land a
@@ -84,67 +107,15 @@ pub struct ChaosProfile {
     pub end: MediaTime,
     /// Expected incidents per simulated second inside the window.
     pub incident_rate: f64,
-    /// Fraction of incidents pulled onto a burst centre instead of spread
-    /// uniformly (0 = independent faults, 1 = everything correlated).
-    pub burstiness: f64,
-    /// Number of burst centres drawn inside the window.
-    pub burst_centres: u32,
-    /// Temporal spread of one burst: correlated incidents start within
-    /// `[centre, centre + burst_span)`.
-    pub burst_span: MediaDuration,
-    /// Incident-family weights.
-    pub weights: IncidentWeights,
-    /// Role-targeting weights for crashes and partitions, in order
-    /// (servers, media, clients). Roles with no nodes get weight 0
-    /// automatically.
-    pub role_bias: (u32, u32, u32),
-    /// Crash-window length range `[min, max)`.
-    pub crash_down: (MediaDuration, MediaDuration),
-    /// Partition-window length range `[min, max)`.
-    pub partition_len: (MediaDuration, MediaDuration),
-    /// Brownout-window length range `[min, max)`.
-    pub brownout_len: (MediaDuration, MediaDuration),
-    /// Brownout slowdown factor range `[min, max)` (min ≥ 2).
-    pub brownout_factor: (u32, u32),
-    /// Flap cycle period and per-cycle outage.
-    pub flap_period: MediaDuration,
-    /// Outage per flap cycle (clamped to the period).
-    pub flap_down: MediaDuration,
-    /// Flap cycle count range `[min, max)`.
-    pub flap_cycles: (u32, u32),
-    /// Stagger between consecutive crashes of a rolling restart.
-    pub rolling_stagger: MediaDuration,
 }
 
 impl ChaosProfile {
-    /// A moderate profile over `[start, end)`: roughly one incident per
-    /// second, a third of them correlated into bursts, windows of a few
-    /// hundred milliseconds to a couple of seconds.
+    /// The moderate profile over `[start, end)`: one incident per second.
     pub fn moderate(start: MediaTime, end: MediaTime) -> Self {
         ChaosProfile {
             start,
             end,
             incident_rate: 1.0,
-            burstiness: 0.35,
-            burst_centres: 2,
-            burst_span: MediaDuration::from_millis(800),
-            weights: IncidentWeights {
-                crash: 4,
-                rolling_restart: 1,
-                partition: 4,
-                flap: 2,
-                brownout: 3,
-                ctrl_crash: 2,
-            },
-            role_bias: (3, 4, 2),
-            crash_down: (MediaDuration::from_millis(400), MediaDuration::from_secs(2)),
-            partition_len: (MediaDuration::from_millis(300), MediaDuration::from_secs(3)),
-            brownout_len: (MediaDuration::from_millis(500), MediaDuration::from_secs(3)),
-            brownout_factor: (4, 16),
-            flap_period: MediaDuration::from_millis(600),
-            flap_down: MediaDuration::from_millis(200),
-            flap_cycles: (2, 5),
-            rolling_stagger: MediaDuration::from_millis(700),
         }
     }
 
@@ -181,12 +152,7 @@ impl Occupancy {
 }
 
 fn dur_range(rng: &mut SimRng, (lo, hi): (MediaDuration, MediaDuration)) -> MediaDuration {
-    let lo_us = lo.as_micros().max(1) as u64;
-    let hi_us = hi.as_micros().max(0) as u64;
-    if hi_us <= lo_us {
-        return MediaDuration::from_micros(lo_us as i64);
-    }
-    MediaDuration::from_micros(rng.range_u64(lo_us, hi_us) as i64)
+    MediaDuration::from_micros(rng.range_u64(lo.as_micros() as u64, hi.as_micros() as u64) as i64)
 }
 
 /// Pick a role (servers/media/clients) by weight, skipping empty roles.
@@ -242,62 +208,45 @@ pub fn generate(seed: u64, targets: &ChaosTargets, profile: &ChaosProfile) -> Fa
         incidents += 1;
     }
     // Burst centres: the correlation anchors.
-    let centres: Vec<MediaTime> = (0..profile.burst_centres.max(1))
+    let centres: Vec<MediaTime> = (0..BURST_CENTRES)
         .map(|_| profile.start + MediaDuration::from_micros(rng.range_u64(0, window_us) as i64))
         .collect();
-    let span_us = profile.burst_span.as_micros().max(1) as u64;
+    let span_us = BURST_SPAN.as_micros() as u64;
 
-    let w = profile.weights;
-    let families: [(u32, u8); 6] = [
-        (w.crash, 0),
-        (w.rolling_restart, 1),
-        (w.partition, 2),
-        (w.flap, 3),
-        (w.brownout, 4),
-        (
-            if targets.controller.is_some() {
-                w.ctrl_crash
-            } else {
-                0
-            },
-            5,
-        ),
-    ];
-    let wtotal: u64 = families.iter().map(|(w, _)| *w as u64).sum();
+    let mut weights = FAMILY_WEIGHTS;
+    if targets.controller.is_none() {
+        weights[5] = 0;
+    }
+    let wtotal: u64 = weights.iter().map(|&w| w as u64).sum();
 
     let mut plan = FaultPlan::new();
     let mut busy = Occupancy::default();
     for _ in 0..incidents {
         // Incident start: clustered on a burst centre, or uniform.
-        let at = if rng.chance(profile.burstiness) {
+        let at = if rng.chance(BURSTINESS) {
             let c = centres[rng.range_u64(0, centres.len() as u64) as usize];
             (c + MediaDuration::from_micros(rng.range_u64(0, span_us) as i64)).min(profile.end)
         } else {
             profile.start + MediaDuration::from_micros(rng.range_u64(0, window_us) as i64)
         };
-        let family = if wtotal == 0 {
-            0
-        } else {
-            let mut draw = rng.range_u64(0, wtotal);
-            let mut picked = 0;
-            for (fw, id) in families {
-                if draw < fw as u64 {
-                    picked = id;
-                    break;
-                }
-                draw -= fw as u64;
+        let mut draw = rng.range_u64(0, wtotal);
+        let mut family = 0;
+        for (id, &w) in weights.iter().enumerate() {
+            if draw < w as u64 {
+                family = id;
+                break;
             }
-            picked
-        };
+            draw -= w as u64;
+        }
         match family {
             // Crash one crashable node (servers and media only).
             0 => {
-                let bias = (profile.role_bias.0, profile.role_bias.1, 0);
+                let bias = (ROLE_BIAS.0, ROLE_BIAS.1, 0);
                 let Some(pool) = pick_role(&mut rng, targets, bias) else {
                     continue;
                 };
                 let node = pick_node(&mut rng, pool);
-                let down = dur_range(&mut rng, profile.crash_down);
+                let down = dur_range(&mut rng, CRASH_DOWN);
                 if busy.node_free(node, at) {
                     busy.claim_node(node, at + down);
                     plan = plan.crash_for(node, at, down);
@@ -312,9 +261,9 @@ pub fn generate(seed: u64, targets: &ChaosTargets, profile: &ChaosProfile) -> Fa
                 } else {
                     continue;
                 };
-                let down = dur_range(&mut rng, profile.crash_down);
+                let down = dur_range(&mut rng, CRASH_DOWN);
                 for (i, &node) in pool.iter().enumerate() {
-                    let t = at + profile.rolling_stagger * i as i64;
+                    let t = at + ROLLING_STAGGER * i as i64;
                     if busy.node_free(node, t) {
                         busy.claim_node(node, t + down);
                         plan = plan.crash_for(node, t, down);
@@ -323,11 +272,11 @@ pub fn generate(seed: u64, targets: &ChaosTargets, profile: &ChaosProfile) -> Fa
             }
             // Partition one access link.
             2 => {
-                let Some(pool) = pick_role(&mut rng, targets, profile.role_bias) else {
+                let Some(pool) = pick_role(&mut rng, targets, ROLE_BIAS) else {
                     continue;
                 };
                 let node = pick_node(&mut rng, pool);
-                let len = dur_range(&mut rng, profile.partition_len);
+                let len = dur_range(&mut rng, PARTITION_LEN);
                 if busy.link_free(node, targets.hub, at) {
                     busy.claim_link(node, targets.hub, at + len);
                     plan = plan.partition(node, targets.hub, at, at + len);
@@ -335,26 +284,14 @@ pub fn generate(seed: u64, targets: &ChaosTargets, profile: &ChaosProfile) -> Fa
             }
             // Flap one access link.
             3 => {
-                let Some(pool) = pick_role(&mut rng, targets, profile.role_bias) else {
+                let Some(pool) = pick_role(&mut rng, targets, ROLE_BIAS) else {
                     continue;
                 };
                 let node = pick_node(&mut rng, pool);
-                let (clo, chi) = profile.flap_cycles;
-                let cycles = if chi > clo {
-                    rng.range_u64(clo as u64, chi as u64) as u32
-                } else {
-                    clo.max(1)
-                };
+                let cycles = rng.range_u64(FLAP_CYCLES.0, FLAP_CYCLES.1) as u32;
                 if busy.link_free(node, targets.hub, at) {
-                    busy.claim_link(node, targets.hub, at + profile.flap_period * cycles as i64);
-                    plan = plan.flap(
-                        node,
-                        targets.hub,
-                        at,
-                        profile.flap_period,
-                        profile.flap_down.min(profile.flap_period),
-                        cycles,
-                    );
+                    busy.claim_link(node, targets.hub, at + FLAP_PERIOD * cycles as i64);
+                    plan = plan.flap(node, targets.hub, at, FLAP_PERIOD, FLAP_DOWN, cycles);
                 }
             }
             // Brownout one media node.
@@ -363,13 +300,8 @@ pub fn generate(seed: u64, targets: &ChaosTargets, profile: &ChaosProfile) -> Fa
                     continue;
                 }
                 let node = pick_node(&mut rng, &targets.media);
-                let len = dur_range(&mut rng, profile.brownout_len);
-                let (flo, fhi) = profile.brownout_factor;
-                let factor = if fhi > flo {
-                    rng.range_u64(flo.max(2) as u64, fhi as u64) as u32
-                } else {
-                    flo.max(2)
-                };
+                let len = dur_range(&mut rng, BROWNOUT_LEN);
+                let factor = rng.range_u64(BROWNOUT_FACTOR.0, BROWNOUT_FACTOR.1) as u32;
                 if busy.node_free(node, at) {
                     busy.claim_node(node, at + len);
                     plan = plan.brownout(node, at, len, factor);
@@ -380,7 +312,7 @@ pub fn generate(seed: u64, targets: &ChaosTargets, profile: &ChaosProfile) -> Fa
                 let Some(node) = targets.controller else {
                     continue;
                 };
-                let down = dur_range(&mut rng, profile.crash_down);
+                let down = dur_range(&mut rng, CRASH_DOWN);
                 if busy.node_free(node, at) {
                     busy.claim_node(node, at + down);
                     plan = plan.crash_for(node, at, down);
@@ -591,39 +523,34 @@ mod tests {
 
     #[test]
     fn ctrl_crash_family_aims_at_the_controller_host() {
-        let t = targets();
-        let mut p = profile().with_intensity(4.0);
-        p.weights = IncidentWeights {
-            crash: 0,
-            rolling_restart: 0,
-            partition: 0,
-            flap: 0,
-            brownout: 0,
-            ctrl_crash: 1,
-        };
-        let ctrl = t.controller.unwrap();
+        // A controller host outside the crashable pools: only the ctrl_crash
+        // family can crash it.
+        let mut t = targets();
+        let ctrl = NodeId::new(9);
+        t.controller = Some(ctrl);
+        let p = profile().with_intensity(4.0);
         let mut hits = 0;
         for seed in 0..30 {
             for ev in generate(seed, &t, &p).events() {
                 if let FaultKind::NodeCrash { node } = ev.kind {
-                    assert_eq!(node, ctrl, "seed {seed}: ctrl_crash hit {node:?}");
-                    hits += 1;
+                    assert!(
+                        node == ctrl || t.servers.contains(&node) || t.media.contains(&node),
+                        "seed {seed}: crash on non-process node {node:?}"
+                    );
+                    hits += (node == ctrl) as u32;
                 }
             }
         }
         assert!(hits > 10, "only {hits} controller crashes across 30 seeds");
 
-        // Without a controller target the family is weightless: even an
-        // overwhelming ctrl_crash weight yields only ordinary crashes.
-        let mut headless = t.clone();
-        headless.controller = None;
-        p.weights.crash = 1;
-        p.weights.ctrl_crash = 1000;
-        for seed in 0..10 {
-            for ev in generate(seed, &headless, &p).events() {
+        // Without a controller target the family is weightless: only
+        // ordinary crashes, none of them on the would-be host.
+        t.controller = None;
+        for seed in 0..30 {
+            for ev in generate(seed, &t, &p).events() {
                 if let FaultKind::NodeCrash { node } = ev.kind {
                     assert!(
-                        headless.servers.contains(&node) || headless.media.contains(&node),
+                        t.servers.contains(&node) || t.media.contains(&node),
                         "seed {seed}: crash on non-process node {node:?}"
                     );
                 }

@@ -6,8 +6,8 @@
 //! delay, jitter and loss; this crate generates those with controlled,
 //! seedable distributions:
 //!
-//! * [`rng`] — seeded RNG with normal/exponential/Pareto sampling;
-//! * [`models`] — jitter models, loss models (Bernoulli, Gilbert–Elliott)
+//! * [`rng`] — seeded RNG with uniform, Bernoulli and exponential sampling;
+//! * [`models`] — exponential jitter, loss models (Bernoulli, Gilbert–Elliott)
 //!   and background-congestion profiles;
 //! * [`topology`] — nodes, bandwidth-limited queued links, static routing
 //!   and per-connection bandwidth reservations;
@@ -36,11 +36,11 @@ pub mod rng;
 pub mod sim;
 pub mod topology;
 
-pub use chaos::{ChaosProfile, ChaosTargets, IncidentWeights};
+pub use chaos::{ChaosProfile, ChaosTargets};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, PlanError};
 pub use hermes_obs::stats::{Accumulator, DurationHistogram};
 pub use hermes_obs::{self as obs, Event, Labels, Obs, Severity, SpanId};
 pub use models::{CongestionEpoch, CongestionProfile, JitterModel, LossModel, LossState};
 pub use rng::SimRng;
-pub use sim::{App, Sim, SimApi, SimConfig, SimStats, Transport, WireSize};
+pub use sim::{App, Sim, SimApi, SimStats, WireSize};
 pub use topology::{Link, LinkOutcome, LinkSpec, LinkStats, Network};

@@ -15,33 +15,10 @@ use hermes_core::{MediaDuration, MediaTime};
 pub enum JitterModel {
     /// No jitter.
     None,
-    /// Uniform in `[0, max]`.
-    Uniform {
-        /// Upper bound.
-        max: MediaDuration,
-    },
-    /// Truncated Gaussian: `N(mean, std)`, clamped at zero.
-    Gaussian {
-        /// Mean added delay.
-        mean: MediaDuration,
-        /// Standard deviation.
-        std_dev: MediaDuration,
-    },
     /// Exponential with the given mean (heavy upper tail).
     Exponential {
         /// Mean added delay.
         mean: MediaDuration,
-    },
-    /// Pareto-distributed jitter: scale `floor`, shape `alpha_tenths`/10
-    /// (integer tenths keep the model `Eq`-friendly and serializable).
-    /// Heavy-tailed — models the rare multi-hundred-millisecond stalls real
-    /// Internet paths exhibit.
-    Pareto {
-        /// Minimum added delay (the Pareto scale x_m).
-        floor: MediaDuration,
-        /// Shape α in tenths (e.g. 15 → α = 1.5). Must be > 10 for a
-        /// finite mean.
-        alpha_tenths: u32,
     },
 }
 
@@ -50,17 +27,6 @@ impl JitterModel {
     pub fn sample(&self, rng: &mut SimRng) -> MediaDuration {
         match self {
             JitterModel::None => MediaDuration::ZERO,
-            JitterModel::Uniform { max } => {
-                if max.as_micros() == 0 {
-                    MediaDuration::ZERO
-                } else {
-                    MediaDuration::from_micros(rng.range_u64(0, max.as_micros() as u64 + 1) as i64)
-                }
-            }
-            JitterModel::Gaussian { mean, std_dev } => {
-                let v = rng.normal(mean.as_micros() as f64, std_dev.as_micros() as f64);
-                MediaDuration::from_micros(v.max(0.0).round() as i64)
-            }
             JitterModel::Exponential { mean } => {
                 if mean.as_micros() == 0 {
                     MediaDuration::ZERO
@@ -69,17 +35,6 @@ impl JitterModel {
                         rng.exponential(mean.as_micros() as f64).round() as i64
                     )
                 }
-            }
-            JitterModel::Pareto {
-                floor,
-                alpha_tenths,
-            } => {
-                if floor.as_micros() == 0 {
-                    return MediaDuration::ZERO;
-                }
-                let alpha = (*alpha_tenths).max(11) as f64 / 10.0;
-                let v = rng.pareto(floor.as_micros() as f64, alpha);
-                MediaDuration::from_micros(v.round() as i64)
             }
         }
     }
@@ -257,28 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_jitter_bounded() {
-        let mut r = rng();
-        let m = JitterModel::Uniform {
-            max: MediaDuration::from_millis(10),
-        };
-        for _ in 0..1000 {
-            let j = m.sample(&mut r);
-            assert!(j >= MediaDuration::ZERO && j <= MediaDuration::from_millis(10));
-        }
-    }
-
-    #[test]
-    fn gaussian_jitter_never_negative() {
-        let mut r = rng();
-        let m = JitterModel::Gaussian {
-            mean: MediaDuration::from_millis(1),
-            std_dev: MediaDuration::from_millis(5),
-        };
-        assert!((0..1000).all(|_| m.sample(&mut r) >= MediaDuration::ZERO));
-    }
-
-    #[test]
     fn exponential_jitter_mean_close() {
         let mut r = rng();
         let m = JitterModel::Exponential {
@@ -288,30 +221,6 @@ mod tests {
         let total: i64 = (0..n).map(|_| m.sample(&mut r).as_micros()).sum();
         let mean_us = total as f64 / n as f64;
         assert!((mean_us - 4000.0).abs() < 120.0, "mean {mean_us}");
-    }
-
-    #[test]
-    fn pareto_jitter_heavy_tailed() {
-        let mut r = rng();
-        let m = JitterModel::Pareto {
-            floor: MediaDuration::from_millis(1),
-            alpha_tenths: 12, // α = 1.2: heavy tail, finite mean
-        };
-        let samples: Vec<MediaDuration> = (0..20_000).map(|_| m.sample(&mut r)).collect();
-        // Never below the floor.
-        assert!(samples.iter().all(|&s| s >= MediaDuration::from_millis(1)));
-        // The tail produces rare large spikes (≥ 50× the floor).
-        let spikes = samples
-            .iter()
-            .filter(|&&s| s >= MediaDuration::from_millis(50))
-            .count();
-        assert!(spikes > 10 && spikes < 2_000, "spikes {spikes}");
-        // Degenerate shapes are clamped rather than panicking.
-        let degenerate = JitterModel::Pareto {
-            floor: MediaDuration::from_millis(1),
-            alpha_tenths: 5,
-        };
-        let _ = degenerate.sample(&mut r);
     }
 
     #[test]

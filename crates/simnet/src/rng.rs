@@ -8,12 +8,10 @@ use rand::{Rng, SeedableRng};
 
 /// The simulator's RNG: a seeded [`SmallRng`] plus the distribution helpers
 /// the network models need (`rand_distr` is outside the approved dependency
-/// set, so normal/exponential sampling is implemented here).
+/// set, so exponential sampling is implemented here).
 #[derive(Debug, Clone)]
 pub struct SimRng {
     inner: SmallRng,
-    /// Cached second value from the Box–Muller transform.
-    spare_normal: Option<f64>,
 }
 
 impl SimRng {
@@ -21,7 +19,6 @@ impl SimRng {
     pub fn seed_from_u64(seed: u64) -> Self {
         SimRng {
             inner: SmallRng::seed_from_u64(seed),
-            spare_normal: None,
         }
     }
 
@@ -47,30 +44,6 @@ impl SimRng {
         }
     }
 
-    /// Standard normal via Box–Muller (cached pairs).
-    pub fn standard_normal(&mut self) -> f64 {
-        if let Some(v) = self.spare_normal.take() {
-            return v;
-        }
-        // Avoid ln(0).
-        let u1 = loop {
-            let u = self.f64();
-            if u > 1e-12 {
-                break u;
-            }
-        };
-        let u2 = self.f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        self.spare_normal = Some(r * theta.sin());
-        r * theta.cos()
-    }
-
-    /// Normal with mean and standard deviation.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.standard_normal()
-    }
-
     /// Exponential with the given mean (inverse-transform sampling).
     pub fn exponential(&mut self, mean: f64) -> f64 {
         assert!(mean > 0.0, "exponential mean must be positive");
@@ -81,18 +54,6 @@ impl SimRng {
             }
         };
         -mean * u.ln()
-    }
-
-    /// Pareto with shape `alpha` and scale `x_m` (heavy-tailed bursts).
-    pub fn pareto(&mut self, x_m: f64, alpha: f64) -> f64 {
-        assert!(x_m > 0.0 && alpha > 0.0);
-        let u = loop {
-            let u = self.f64();
-            if u > 1e-12 {
-                break u;
-            }
-        };
-        x_m / u.powf(1.0 / alpha)
     }
 
     /// Split off an independent child RNG (for per-link streams), seeded
@@ -133,17 +94,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_moments_approximately_right() {
-        let mut r = SimRng::seed_from_u64(11);
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| r.normal(5.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.1, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.25, "var {var}");
-    }
-
-    #[test]
     fn exponential_mean_approximately_right() {
         let mut r = SimRng::seed_from_u64(13);
         let n = 20_000;
@@ -151,12 +101,6 @@ mod tests {
         assert!((mean - 3.0).abs() < 0.15, "mean {mean}");
         // Exponential samples are non-negative.
         assert!((0..100).all(|_| r.exponential(1.0) >= 0.0));
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut r = SimRng::seed_from_u64(17);
-        assert!((0..1000).all(|_| r.pareto(2.0, 1.5) >= 2.0));
     }
 
     #[test]

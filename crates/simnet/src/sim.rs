@@ -52,15 +52,6 @@ pub trait App<M>: Sized {
     }
 }
 
-/// Which transport a message used.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// Lossy datagram service.
-    Datagram,
-    /// Retransmitting, in-order stream service.
-    Reliable,
-}
-
 /// The group members one multicast copy is bound for (dense indices,
 /// ascending by node id). Most copies are last-hop copies for one or two
 /// members, so up to three are carried inline and only longer lists own a
@@ -125,10 +116,9 @@ enum Pending<M> {
         here: u32,
         dst: u32,
         msg: M,
-        transport: Transport,
         attempt: u32,
         sent_at: MediaTime,
-        /// Reliable-stream sequence number (None for datagrams).
+        /// Reliable-stream sequence number; `None` is a datagram.
         seq_no: Option<u64>,
         /// Incarnation of the sending node's stack when the send started:
         /// retransmission chains die with the incarnation that created them.
@@ -217,23 +207,11 @@ pub struct SimStats {
     pub mcast_deliveries: u64,
 }
 
-/// Engine configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct SimConfig {
-    /// Base retransmission timeout for the reliable transport.
-    pub rto: MediaDuration,
-    /// Maximum reliable transmission attempts (1 = no retries).
-    pub max_attempts: u32,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            rto: MediaDuration::from_millis(200),
-            max_attempts: 8,
-        }
-    }
-}
+/// Base retransmission timeout of the reliable transport.
+const RTO: MediaDuration = MediaDuration::from_millis(200);
+/// Reliable transmission attempts before a segment is abandoned: its last
+/// retry leaves 25.4 s after the first send.
+const MAX_ATTEMPTS: u32 = 8;
 
 /// The future-event list: a min-heap on (time, scheduling order), so events
 /// of one instant run in the order they were scheduled. The heap orders
@@ -353,7 +331,6 @@ struct Core<M> {
     queue: EventQueue<M>,
     net: Network,
     rng: SimRng,
-    cfg: SimConfig,
     stats: SimStats,
     /// Reliable streams by dense (src, dst): one lookup per reliable send
     /// and one per reliable arrival or abandon.
@@ -566,15 +543,8 @@ impl<M: WireSize + Clone> Core<M> {
     /// send takes the node's egress link, and schedules what that link
     /// reaches, ahead of the events still queued for this microsecond,
     /// among them any retransmission from this node or packet forwarded
-    /// through it.
-    fn start_send(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-        transport: Transport,
-        attempt: u32,
-    ) -> bool {
+    /// through it. A reliable send takes the pair's next sequence number.
+    fn start_send(&mut self, from: NodeId, to: NodeId, msg: M, reliable: bool) -> bool {
         let src = self.ix(from);
         let src_state = self.node(src);
         if src_state.dead {
@@ -603,14 +573,11 @@ impl<M: WireSize + Clone> Core<M> {
         if self.net.egress(src, dst).is_none() {
             return false; // unreachable, or routing invalidated
         }
-        let seq_no = match transport {
-            Transport::Datagram => None,
-            Transport::Reliable => {
-                let channel = self.channels.entry((src, dst)).or_default();
-                channel.tx_next += 1;
-                Some(channel.tx_next - 1)
-            }
-        };
+        let seq_no = reliable.then(|| {
+            let channel = self.channels.entry((src, dst)).or_default();
+            channel.tx_next += 1;
+            channel.tx_next - 1
+        });
         let now = self.now;
         #[cfg(test)]
         if self.queued_first_hop {
@@ -621,8 +588,7 @@ impl<M: WireSize + Clone> Core<M> {
                     here: src,
                     dst,
                     msg,
-                    transport,
-                    attempt,
+                    attempt: 0,
                     sent_at: now,
                     seq_no,
                     src_inc: src_state.inc,
@@ -632,9 +598,7 @@ impl<M: WireSize + Clone> Core<M> {
             return true;
         }
         let inc = src_state.inc;
-        self.process_hop(
-            src, src, dst, msg, transport, attempt, now, seq_no, inc, cause,
-        );
+        self.process_hop(src, src, dst, msg, 0, now, seq_no, inc, cause);
         true
     }
 
@@ -796,7 +760,6 @@ impl<M: WireSize + Clone> Core<M> {
         here: u32,
         dst: u32,
         msg: M,
-        transport: Transport,
         attempt: u32,
         sent_at: MediaTime,
         seq_no: Option<u64>,
@@ -824,8 +787,8 @@ impl<M: WireSize + Clone> Core<M> {
             LinkOutcome::Delivered { arrival } => {
                 if next == dst {
                     // Reached the destination node.
-                    match (transport, seq_no) {
-                        (Transport::Datagram, _) | (Transport::Reliable, None) => {
+                    match seq_no {
+                        None => {
                             let inc = self.node(dst).inc;
                             self.queue.push(
                                 arrival,
@@ -840,7 +803,7 @@ impl<M: WireSize + Clone> Core<M> {
                                 },
                             );
                         }
-                        (Transport::Reliable, Some(seq)) => {
+                        Some(seq) => {
                             // In-order release: deliver if this is the next
                             // expected sequence number, then flush any held
                             // or abandoned successors; otherwise hold.
@@ -856,7 +819,6 @@ impl<M: WireSize + Clone> Core<M> {
                             here: next,
                             dst,
                             msg,
-                            transport,
                             attempt,
                             sent_at,
                             seq_no,
@@ -867,12 +829,12 @@ impl<M: WireSize + Clone> Core<M> {
                 }
             }
             LinkOutcome::Lost { .. } | LinkOutcome::QueueFull => {
-                match transport {
-                    Transport::Datagram => {
+                match seq_no {
+                    None => {
                         self.stats.datagrams_dropped += 1;
                     }
-                    Transport::Reliable => {
-                        if attempt + 1 >= self.cfg.max_attempts {
+                    Some(seq) => {
+                        if attempt + 1 >= MAX_ATTEMPTS {
                             self.stats.reliable_failures += 1;
                             self.obs.emit_val(
                                 now,
@@ -885,13 +847,11 @@ impl<M: WireSize + Clone> Core<M> {
                             // Abandoning a sequence number must not wedge the
                             // receiver's in-order gate: mark it dead so later
                             // segments can still be released.
-                            if let Some(seq) = seq_no {
-                                self.advance_reliable_gate(src, dst, seq, None, now);
-                            }
+                            self.advance_reliable_gate(src, dst, seq, None, now);
                         } else {
                             self.stats.retransmissions += 1;
                             // Exponential backoff from the original send time.
-                            let backoff = self.cfg.rto * (1 << attempt.min(6)) as i64;
+                            let backoff = RTO * (1 << attempt.min(6)) as i64;
                             let retry_at = self.now + backoff;
                             self.queue.push(
                                 retry_at,
@@ -900,7 +860,6 @@ impl<M: WireSize + Clone> Core<M> {
                                     here: src,
                                     dst,
                                     msg,
-                                    transport,
                                     attempt: attempt + 1,
                                     sent_at,
                                     seq_no,
@@ -934,11 +893,11 @@ impl<'a, M: WireSize + Clone> SimApi<'a, M> {
     }
     /// Send a datagram. Returns false if no route exists.
     pub fn send(&mut self, from: NodeId, to: NodeId, msg: M) -> bool {
-        self.core.start_send(from, to, msg, Transport::Datagram, 0)
+        self.core.start_send(from, to, msg, false)
     }
     /// Send reliably (retransmitted, delivered in order per src/dst pair).
     pub fn send_reliable(&mut self, from: NodeId, to: NodeId, msg: M) -> bool {
-        self.core.start_send(from, to, msg, Transport::Reliable, 0)
+        self.core.start_send(from, to, msg, true)
     }
     /// Send a datagram to every member of a multicast group (except the
     /// sender). The copy fans out along the routing tree with one link
@@ -1097,11 +1056,6 @@ impl<'a, M: WireSize + Clone> SimApi<'a, M> {
 impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
     /// Build a simulator from a network, an app and a seed.
     pub fn new(net: Network, app: A, seed: u64) -> Self {
-        Sim::with_config(net, app, seed, SimConfig::default())
-    }
-
-    /// Build with explicit engine configuration.
-    pub fn with_config(net: Network, app: A, seed: u64, cfg: SimConfig) -> Self {
         Sim {
             app,
             core: Core {
@@ -1109,7 +1063,6 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
                 queue: EventQueue::new(),
                 net,
                 rng: SimRng::seed_from_u64(seed),
-                cfg,
                 stats: SimStats::default(),
                 channels: HashMap::new(),
                 nodes: Vec::new(),
@@ -1230,7 +1183,6 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
                 here,
                 dst,
                 msg,
-                transport,
                 attempt,
                 sent_at,
                 seq_no,
@@ -1238,7 +1190,7 @@ impl<M: WireSize + Clone, A: App<M>> Sim<M, A> {
                 cause,
             } => {
                 self.core.process_hop(
-                    src, here, dst, msg, transport, attempt, sent_at, seq_no, src_inc, cause,
+                    src, here, dst, msg, attempt, sent_at, seq_no, src_inc, cause,
                 );
             }
             Pending::Deliver {
@@ -1773,19 +1725,16 @@ mod tests {
 
     #[test]
     fn gate_releases_held_segments_past_an_abandoned_one() {
-        // m0 is lost to a partition and its single retry to a second one, so
-        // the sender abandons it while m1 and m2 wait in the receiver's hold:
-        // the abandon itself must open the gate, in order, at that instant.
-        let cfg = SimConfig {
-            rto: MediaDuration::from_millis(100),
-            max_attempts: 2,
-        };
+        // m0 is lost to a partition and its seven retries (0.2 s to 25.4 s
+        // after it) to a second one, so the sender abandons it while m1 and
+        // m2 wait in the receiver's hold: the abandon itself must open the
+        // gate, in order, at that instant.
         let ms = MediaTime::from_millis;
-        let mut sim = Sim::with_config(two_node_net(LossModel::None), Recorder::default(), 16, cfg);
+        let mut sim = Sim::new(two_node_net(LossModel::None), Recorder::default(), 16);
         sim.install_faults(
             &FaultPlan::new()
                 .partition(n(0), n(1), ms(0), ms(10))
-                .partition(n(0), n(1), ms(90), ms(150)),
+                .partition(n(0), n(1), ms(90), ms(25_500)),
         );
         sim.run(1); // apply the first LinkDown
         sim.with_api(|_, api| {
@@ -1796,9 +1745,9 @@ mod tests {
             api.send_reliable(n(0), n(1), Msg("m1".into(), 100));
             api.send_reliable(n(0), n(1), Msg("m2".into(), 100));
         });
-        sim.run_until(ms(99));
+        sim.run_until(ms(25_399));
         assert!(sim.app().got.is_empty(), "released past a live gap");
-        sim.run_until(ms(200));
+        sim.run_until(ms(25_600));
         sim.with_api(|_, api| {
             api.send_reliable(n(0), n(1), Msg("m3".into(), 100));
         });
@@ -1810,9 +1759,10 @@ mod tests {
             .map(|g| (g.0.as_micros(), g.3.as_str()))
             .collect();
         // m3: 100 bytes at 8 Mbps = 100 µs tx + 200 µs propagation.
-        assert_eq!(got, vec![(100_000, "m1"), (100_001, "m2"), (200_300, "m3")]);
+        let released = vec![(25_400_000, "m1"), (25_400_001, "m2"), (25_600_300, "m3")];
+        assert_eq!(got, released);
         assert_eq!(sim.stats().reliable_failures, 1);
-        assert_eq!(sim.stats().retransmissions, 1);
+        assert_eq!(sim.stats().retransmissions, 7);
         assert_eq!(sim.stats().fault_drops, 0);
     }
 

@@ -276,15 +276,8 @@ fn star_and_line(star: usize, line: usize, links: &[(usize, usize, usize)], seed
         spec.propagation = MediaDuration::from_micros([50, 200, 1_000, 3_000][prop]);
         spec.jitter = match jitter {
             0 => JitterModel::None,
-            1 => JitterModel::Uniform {
-                max: MediaDuration::from_millis(2),
-            },
-            2 => JitterModel::Exponential {
-                mean: MediaDuration::from_micros(300),
-            },
-            _ => JitterModel::Pareto {
-                floor: MediaDuration::from_micros(200),
-                alpha_tenths: 18,
+            j => JitterModel::Exponential {
+                mean: MediaDuration::from_micros([100, 300, 1_000][(j - 1) % 3]),
             },
         };
         net.add_duplex(a, b, spec, &mut rng);

@@ -145,12 +145,6 @@ impl Link {
         eff as u64
     }
 
-    /// Fraction of capacity currently reserved plus background load at `t`.
-    pub fn utilization(&self, t: MediaTime) -> f64 {
-        let reserved = self.reserved_bps as f64 / self.spec.bandwidth_bps as f64;
-        (reserved + self.spec.congestion.load_at(t)).min(1.0)
-    }
-
     /// Offer a packet of `size_bytes` to the link at time `now`; returns the
     /// outcome and updates queue/loss state and counters.
     pub fn transmit(&mut self, now: MediaTime, size_bytes: usize) -> LinkOutcome {
@@ -598,11 +592,6 @@ impl Network {
         }
     }
 
-    /// Total reserved bandwidth for a connection, if registered.
-    pub fn reservation(&self, conn: ConnectionId) -> Option<u64> {
-        self.reservations.get(&conn).map(|(_, bps)| *bps)
-    }
-
     /// Aggregate stats over all links.
     pub fn total_stats(&self) -> LinkStats {
         let mut s = LinkStats::default();
@@ -1016,7 +1005,6 @@ mod tests {
         spec.congestion = CongestionProfile::constant(0.5);
         let l = Link::new(spec, rng.split());
         assert_eq!(l.effective_bandwidth(MediaTime::ZERO), 5_000_000);
-        assert!((l.utilization(MediaTime::ZERO) - 0.5).abs() < 1e-9);
     }
 
     #[test]

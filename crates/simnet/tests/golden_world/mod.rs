@@ -1,11 +1,12 @@
 //! The engine golden scenario, built to touch every engine path: a star
 //! (server `1` — hub `0` — clients `10..=14`) joined to a three-hop line
 //! (`0 — 20 — 21 — 22`), sparse ids added out of order, an unlinked island,
-//! jittery links of every model, Gilbert–Elliott loss on three of them, one
-//! tiny queue; datagram, reliable (with request/response echo) and multicast
-//! traffic with membership churn; crash + restart of a receiver, a sender and
-//! a forwarding node; a partition longer than the retry budget (abandons)
-//! and a link flap; sends to unreachable and unknown nodes, a self-send and a
+//! exponential jitter of three means on most links and none on the line's
+//! first two, Gilbert–Elliott loss on three of them, one tiny queue;
+//! datagram, reliable (with request/response echo) and multicast traffic
+//! with membership churn; crash + restart of a receiver, a sender and a
+//! forwarding node; a partition longer than the retry budget (abandons) and
+//! a link flap; sends to unreachable and unknown nodes, a self-send and a
 //! timer on a node the network never heard of.
 //!
 //! Shared by `tests/engine_golden.rs`, which pins its digest, and the
@@ -141,8 +142,8 @@ fn topology(seed: u64) -> Network {
         let c = n(10 + i);
         net.add_node(c, format!("client-{i}"));
         let mut spec = LinkSpec::lan(4_000_000);
-        spec.jitter = JitterModel::Uniform {
-            max: MediaDuration::from_millis(2),
+        spec.jitter = JitterModel::Exponential {
+            mean: MediaDuration::from_millis(1),
         };
         if i % 2 == 1 {
             spec.loss = ge.clone();
@@ -153,18 +154,14 @@ fn topology(seed: u64) -> Network {
         net.add_duplex(n(0), c, spec, &mut rng);
     }
     let mut head = LinkSpec::wan(2_000_000, 3);
-    head.jitter = JitterModel::Gaussian {
-        mean: MediaDuration::from_millis(1),
-        std_dev: MediaDuration::from_micros(400),
-    };
+    head.jitter = JitterModel::None;
     net.add_duplex(n(0), n(20), head, &mut rng);
     let mut mid = LinkSpec::wan(2_000_000, 2);
     mid.loss = ge;
     net.add_duplex(n(20), n(21), mid, &mut rng);
     let mut tail = LinkSpec::lan(2_000_000);
-    tail.jitter = JitterModel::Pareto {
-        floor: MediaDuration::from_micros(200),
-        alpha_tenths: 18,
+    tail.jitter = JitterModel::Exponential {
+        mean: MediaDuration::from_micros(200),
     };
     net.add_duplex(n(21), n(22), tail, &mut rng);
     net.compute_routes();
@@ -178,8 +175,9 @@ pub fn fault_plan() -> FaultPlan {
         .crash_for(n(22), ms(300), dur(200))
         .crash_for(n(12), ms(420), dur(150))
         .crash_for(n(21), ms(1200), dur(100))
-        // Longer than the whole retry window (20 + 40 + 80 ms): abandons.
-        .partition(n(0), n(20), ms(700), ms(1000))
+        // Longer than the whole retry window (0.2 + 0.4 + … + 12.8 s =
+        // 25.4 s): the segments first sent from 0.7 s to 1.6 s abandon.
+        .partition(n(0), n(20), ms(700), ms(27_000))
         .flap(n(0), n(11), ms(1300), dur(40), dur(15), 5)
         .slow(n(1), ms(100), 4)
         .at(ms(1500), FaultKind::NodeCrash { node: n(22) })
@@ -188,11 +186,7 @@ pub fn fault_plan() -> FaultPlan {
 
 /// The scenario at `seed`, every fault and timer installed, not yet run.
 pub fn world(seed: u64) -> Sim<Msg, Driver> {
-    let cfg = SimConfig {
-        rto: MediaDuration::from_millis(20),
-        max_attempts: 4,
-    };
-    let mut sim = Sim::with_config(topology(seed), Driver::default(), seed, cfg);
+    let mut sim = Sim::new(topology(seed), Driver::default(), seed);
     sim.install_faults(&fault_plan());
     sim.with_api(|_, api| {
         for c in 0..5 {

@@ -5,8 +5,8 @@
 //! as explicit fixed tests below (the hermetic proptest shim cannot replay
 //! upstream `cc` seed hashes).
 
-use hermes_od::client::buffers::Popped;
-use hermes_od::client::{BufferConfig, MediaBuffer};
+use hermes_od::client::buffers::{Popped, CAPACITY_FRAMES};
+use hermes_od::client::{BufferConfig, BufferStats, MediaBuffer};
 use hermes_od::core::{ComponentId, GradeLevel, MediaDuration, MediaTime};
 use hermes_od::media::MediaFrame;
 use proptest::prelude::*;
@@ -26,73 +26,104 @@ fn frame(seq: u64, pts_ms: i64, last: bool) -> MediaFrame {
 #[derive(Debug, Clone)]
 enum Op {
     Push(i64),
+    /// Push `n` real frames at consecutive pts from `start` ms.
+    PushRun(i64, u16),
     Pop,
+    /// `n` pops, each checked like `Pop`.
+    PopMany(u16),
     DropStale(i64, u8),
-    Duplicate(u8),
+    Duplicate(u16),
 }
 
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0i64..10_000).prop_map(Op::Push),
+        // A run that fills the buffer to its capacity or close to it.
+        ((0i64..10_000), (4_000u16..4_200)).prop_map(|(p, n)| Op::PushRun(p, n)),
         Just(Op::Pop),
+        // Enough pops to drain a full buffer.
+        (4_000u16..4_200).prop_map(Op::PopMany),
         ((0i64..10_000), (0u8..10)).prop_map(|(p, n)| Op::DropStale(p, n)),
-        (0u8..6).prop_map(Op::Duplicate),
+        (0u16..6).prop_map(Op::Duplicate),
+        // A duplicate flood that fills the buffer or close to it.
+        (4_000u16..4_200).prop_map(Op::Duplicate),
     ]
 }
 
-/// Drive one operation sequence through a 32-frame buffer, checking every
-/// invariant after each step. Returns `Err` with a description on the first
-/// violation. Shared by the property below and the fixed regression tests.
-fn check_ops(ops: &[Op]) -> Result<(), String> {
-    macro_rules! ensure {
-        ($cond:expr, $($fmt:tt)+) => {
-            if !($cond) {
-                return Err(format!($($fmt)+));
-            }
-        };
-    }
-    let cfg = BufferConfig {
-        time_window: MediaDuration::from_millis(400),
-        capacity_frames: 32,
+macro_rules! ensure {
+    ($cond:expr, $($fmt:tt)+) => {
+        if !($cond) {
+            return Err(format!($($fmt)+));
+        }
     };
+}
+
+/// What the checked pops have taken out so far.
+#[derive(Default)]
+struct Played {
+    real: u64,
+    dups: u64,
+    last_pts: Option<MediaTime>,
+}
+
+/// Pop one unit. A real frame must come out in global presentation order:
+/// never earlier than anything already presented, nor later than anything
+/// still staged.
+fn pop_checked(b: &mut MediaBuffer, played: &mut Played) -> Result<(), String> {
+    match b.pop() {
+        Some(Popped::Frame(f)) => {
+            if let Some(lp) = played.last_pts {
+                ensure!(
+                    f.pts >= lp,
+                    "pts order violated: popped {} after {}",
+                    f.pts,
+                    lp
+                );
+            }
+            if let Some(head) = b.peek() {
+                ensure!(
+                    f.pts <= head.pts,
+                    "pts order violated: popped {} ahead of staged {}",
+                    f.pts,
+                    head.pts
+                );
+            }
+            played.last_pts = Some(f.pts);
+            played.real += 1;
+        }
+        Some(Popped::Duplicate) => played.dups += 1,
+        None => ensure!(b.is_empty(), "pop returned None on non-empty buffer"),
+    }
+    Ok(())
+}
+
+/// Drive one operation sequence through a buffer, checking every
+/// invariant after each step. Returns `Err` with a description on the first
+/// violation, else the buffer's final counters. Shared by the property
+/// below and the fixed regression tests.
+fn check_ops(ops: &[Op]) -> Result<BufferStats, String> {
+    let cfg = BufferConfig::with_window(MediaDuration::from_millis(400));
     let mut b = MediaBuffer::new(ComponentId::new(1), cfg, MediaDuration::from_millis(40));
     let mut seq = 0u64;
-    let mut popped_real = 0u64;
-    let mut popped_dups = 0u64;
-    let mut last_popped: Option<MediaTime> = None;
+    let mut played = Played::default();
     for o in ops {
         match o {
             Op::Push(pts) => {
                 b.push(frame(seq, *pts, false));
                 seq += 1;
             }
-            Op::Pop => match b.pop() {
-                Some(Popped::Frame(f)) => {
-                    // Global presentation order: a popped frame is never
-                    // earlier than anything already presented, nor later
-                    // than anything still staged.
-                    if let Some(lp) = last_popped {
-                        ensure!(
-                            f.pts >= lp,
-                            "pts order violated: popped {} after {}",
-                            f.pts,
-                            lp
-                        );
-                    }
-                    if let Some(head) = b.peek() {
-                        ensure!(
-                            f.pts <= head.pts,
-                            "pts order violated: popped {} ahead of staged {}",
-                            f.pts,
-                            head.pts
-                        );
-                    }
-                    last_popped = Some(f.pts);
-                    popped_real += 1;
+            Op::PushRun(start, n) => {
+                for i in 0..*n as i64 {
+                    b.push(frame(seq, start + i, false));
+                    seq += 1;
                 }
-                Some(Popped::Duplicate) => popped_dups += 1,
-                None => ensure!(b.is_empty(), "pop returned None on non-empty buffer"),
-            },
+            }
+            Op::Pop => pop_checked(&mut b, &mut played)?,
+            Op::PopMany(n) => {
+                for _ in 0..*n {
+                    pop_checked(&mut b, &mut played)?;
+                }
+            }
             Op::DropStale(pts, n) => {
                 b.drop_stale(MediaTime::from_millis(*pts), *n as u32);
             }
@@ -100,7 +131,7 @@ fn check_ops(ops: &[Op]) -> Result<(), String> {
                 b.duplicate_front(*n as u32);
             }
         }
-        ensure!(b.len() <= 32, "capacity exceeded: {}", b.len());
+        ensure!(b.len() <= CAPACITY_FRAMES, "capacity exceeded: {}", b.len());
         ensure!(
             b.staged_time() == MediaDuration::from_millis(40) * b.len() as i64,
             "staged_time {} != period * len {}",
@@ -115,21 +146,21 @@ fn check_ops(ops: &[Op]) -> Result<(), String> {
     // or still staged. Late/capacity-rejected frames never enter.
     ensure!(
         s.frames_in + s.frames_duplicated
-            == s.frames_out + popped_dups + s.frames_dropped + b.len() as u64,
+            == s.frames_out + played.dups + s.frames_dropped + b.len() as u64,
         "accounting: in={} duplicated={} out={} dups_played={} dropped={} len={}",
         s.frames_in,
         s.frames_duplicated,
         s.frames_out,
-        popped_dups,
+        played.dups,
         s.frames_dropped,
         b.len()
     );
-    ensure!(s.frames_out == popped_real, "frames_out miscounted");
+    ensure!(s.frames_out == played.real, "frames_out miscounted");
     ensure!(
-        s.frames_duplicated >= popped_dups,
+        s.frames_duplicated >= played.dups,
         "more dups played than queued"
     );
-    Ok(())
+    Ok(s)
 }
 
 proptest! {
@@ -165,26 +196,39 @@ fn regression_late_arrival_not_presented() {
     check_ops(&[Op::Push(1_093), Op::Pop, Op::Push(0), Op::Pop]).unwrap();
 }
 
-/// `cc 6c13be6e…`: duplicate floods respect the hard frame capacity and the
-/// accounting stays balanced when a push is then capacity-rejected.
+/// `cc 6c13be6e…`, its floods scaled from the 32-frame buffer it shrank on
+/// to the fixed capacity: duplicate floods respect the hard frame capacity
+/// (the last one only partly fits) and the accounting stays balanced when
+/// a push is then capacity-rejected.
 #[test]
 fn regression_duplicate_flood_respects_capacity() {
     check_ops(&[
         Op::Push(0),
-        Op::Duplicate(3),
-        Op::Duplicate(3),
-        Op::Duplicate(4),
-        Op::Duplicate(4),
-        Op::Duplicate(1),
-        Op::Duplicate(1),
+        Op::Duplicate(2_000),
+        Op::Duplicate(2_000),
         Op::Push(0),
-        Op::Duplicate(3),
-        Op::Duplicate(3),
-        Op::Duplicate(3),
-        Op::Duplicate(5),
+        Op::Duplicate(200),
         Op::Push(0),
     ])
     .unwrap();
+}
+
+/// The buffer fills to capacity with real frames, out of pts order; the
+/// pushes past capacity are rejected; then every staged frame drains in pts
+/// order.
+#[test]
+fn regression_capacity_reject_then_drain_in_order() {
+    let s = check_ops(&[
+        Op::PushRun(5_000, 4_000),
+        Op::Push(0),
+        Op::PushRun(2_000, 200),
+        Op::Push(1_000),
+        Op::PopMany(4_100),
+    ])
+    .unwrap();
+    let capacity = CAPACITY_FRAMES as u64;
+    assert_eq!((s.frames_in, s.frames_out), (capacity, capacity));
+    assert_eq!(s.frames_rejected, 4_000 + 1 + 200 + 1 - capacity);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! budgets are never exceeded no matter how long pressure persists.
 
 use hermes_od::control::{
-    ControlCommand, ControllerConfig, FairnessBudget, FleetController, LoadReport, SessionView,
+    fairness_cap, ControlCommand, ControllerConfig, FleetController, LoadReport, SessionView,
     StreamView, CONTROL_TICK,
 };
 use hermes_od::core::{MediaDuration, MediaKind, MediaTime, PricingClass};
@@ -209,19 +209,9 @@ proptest! {
     fn fairness_budgets_never_exceeded(
         view in fleet(8),
         ticks in 5usize..50,
-        budget in (10u32..=100, 10u32..=100, 10u32..=100),
     ) {
         let mut view = view;
-        let fairness = FairnessBudget {
-            premium: budget.0 as f64 / 100.0,
-            standard: budget.1 as f64 / 100.0,
-            economy: budget.2 as f64 / 100.0,
-        };
-        let cfg = ControllerConfig {
-            fairness,
-            ..ControllerConfig::default()
-        };
-        let mut c = FleetController::new(cfg);
+        let mut c = FleetController::new(ControllerConfig::default());
         let mut now = MediaTime::ZERO;
         for _ in 0..ticks {
             now += CONTROL_TICK;
@@ -236,9 +226,9 @@ proptest! {
                     .filter(|s| s.class == class && s.degraded())
                     .count();
                 prop_assert!(
-                    degraded <= fairness.cap(class, total),
+                    degraded <= fairness_cap(class, total),
                     "{class:?}: {degraded} degraded of {total} exceeds cap {}",
-                    fairness.cap(class, total)
+                    fairness_cap(class, total)
                 );
             }
             for s in &view {
