@@ -11,7 +11,9 @@
 //!   queues (overload stack off so saturation is undamped). Playout gaps
 //!   inside the spike window must attribute to `media_queue`, and the
 //!   controller's per-tick pressure-source markers must show the SLO-burn
-//!   bit before the queue-depth bit.
+//!   bit before the queue-depth bit. The table also prints each bit's
+//!   first tick from the spike's onset on, which the assertion does not
+//!   judge.
 //! * **partition** — a single-replica tier loses its backbone link for a
 //!   window mid-stream. Gaps inside the window must attribute to
 //!   `link_loss`.
@@ -20,6 +22,7 @@
 //! byte-diffs two runs).
 
 use hermes_bench::{clip_lesson, ExpOpts, FlashCrowd, Table};
+use hermes_client::PlayoutConfig;
 use hermes_control::{ControllerConfig, CONTROL_TICK};
 use hermes_core::{MediaDuration, MediaTime, NodeId, ServerId};
 use hermes_server::{SharingMode, SharingPolicy};
@@ -105,6 +108,10 @@ struct Point {
     burn_ms: Option<i64>,
     /// First control tick whose mask has the queue-depth bit.
     queue_ms: Option<i64>,
+    /// The burn bit's first tick at or after the fault's onset.
+    burn_onset_ms: Option<i64>,
+    /// The queue bit's first tick at or after the fault's onset.
+    queue_onset_ms: Option<i64>,
 }
 
 fn first_at(events: &[Event], pred: impl Fn(&Event) -> bool) -> Option<i64> {
@@ -187,8 +194,14 @@ fn run_partition(seed: u64, _g: &Grid) -> Point {
         ..Default::default()
     };
     let srv = b.add_server(ServerId::new(0), LinkSpec::lan(2_000_000_000), cfg);
+    // Recovery off: a starved stream with recovery on replays its last
+    // frame, which hides every mid-stream underrun from the gap count.
+    let client = ClientConfig {
+        playout: PlayoutConfig::no_recovery(),
+        ..Default::default()
+    };
     let clients: Vec<NodeId> = (0..8)
-        .map(|_| b.add_client(LinkSpec::lan(10_000_000), ClientConfig::default()))
+        .map(|_| b.add_client(LinkSpec::lan(10_000_000), client.clone()))
         .collect();
     let media = b.add_media_node(LinkSpec::san(1_000_000_000));
     let backbone = b.backbone();
@@ -270,6 +283,12 @@ fn finish(
     p.queue_ms = first_at(events, |e| {
         e.name == "ctrl_pressure_src" && e.value & 2 != 0
     });
+    p.burn_onset_ms = first_at(events, |e| {
+        e.at >= from && e.name == "ctrl_pressure_src" && e.value & 4 != 0
+    });
+    p.queue_onset_ms = first_at(events, |e| {
+        e.at >= from && e.name == "ctrl_pressure_src" && e.value & 2 != 0
+    });
     p
 }
 
@@ -315,6 +334,8 @@ fn main() {
         "burn-bit tick ms",
         "queue-bit tick ms",
         "lead ticks",
+        "burn-bit from spike ms",
+        "queue-bit from spike ms",
     ]);
     let tick_ms = CONTROL_TICK.as_micros() / 1_000;
     let mut agg: std::collections::BTreeMap<&'static str, (usize, usize)> =
@@ -330,6 +351,8 @@ fn main() {
                     p.alert_ms = lead.alert_ms;
                     p.burn_ms = lead.burn_ms;
                     p.queue_ms = lead.queue_ms;
+                    p.burn_onset_ms = lead.burn_onset_ms;
+                    p.queue_onset_ms = lead.queue_onset_ms;
                     p
                 }
                 Scenario::Partition => run_partition(seed, &g),
@@ -363,6 +386,8 @@ fn main() {
                     opt_ms(p.burn_ms),
                     opt_ms(p.queue_ms),
                     lead,
+                    opt_ms(p.burn_onset_ms),
+                    opt_ms(p.queue_onset_ms),
                 ]);
                 assert!(
                     p.burn_ms.is_some(),

@@ -87,6 +87,16 @@ impl FrameSource {
         (left.as_micros().max(0) / period.as_micros()) as u64
     }
 
+    /// Frames still to come whose pts lies before `end`, at the current
+    /// level's rate: every frame [`next_frame`](Self::next_frame) will
+    /// still produce when `end` is at or past the stream's end.
+    pub fn frames_before(&self, end: MediaTime) -> u64 {
+        let period = self.model.level(self.level).frame_period().as_micros();
+        let stop = end.min(MediaTime::ZERO + self.duration);
+        let left = (stop - self.next_pts).as_micros().max(0);
+        (left as u64).div_ceil(period as u64)
+    }
+
     /// Presentation timestamp of the next frame.
     pub fn next_pts(&self) -> MediaTime {
         self.next_pts
@@ -196,6 +206,23 @@ mod tests {
         assert_eq!(f.pts, MediaTime::from_secs(4)); // no jump
         let g = s.next_frame().unwrap();
         assert_eq!(g.pts - f.pts, MediaDuration::from_millis(100)); // new period
+    }
+
+    #[test]
+    fn frames_before_counts_what_next_frame_will_produce() {
+        let mut s = src(Encoding::Mpeg, 8);
+        assert_eq!(s.frames_before(MediaTime::MAX), 200);
+        assert_eq!(s.frames_before(MediaTime::from_millis(1_000)), 25);
+        assert_eq!(s.frames_before(MediaTime::from_millis(1_001)), 26);
+        assert_eq!(s.frames_before(MediaTime::ZERO), 0);
+        for _ in 0..190 {
+            s.next_frame().unwrap();
+        }
+        s.set_level(GradeLevel(4)); // 10 fps for the last 0.4 s
+        assert_eq!(s.frames_before(MediaTime::MAX), 4);
+        assert_eq!(s.frames_before(MediaTime::from_secs(1)), 0, "already past");
+        assert_eq!(std::iter::from_fn(|| s.next_frame()).count(), 4);
+        assert_eq!(s.frames_before(MediaTime::MAX), 0);
     }
 
     #[test]

@@ -101,7 +101,8 @@ pub enum FetchOut {
         /// labels.
         dump: bool,
     },
-    /// A fetch completed after this long (the fetch-latency SLO sample).
+    /// A fetch completed after this long (the fetch-latency SLO sample). A
+    /// fetch [`MediaTier::newly_late`] already counted gives none.
     Latency(MediaDuration),
 }
 
@@ -128,7 +129,8 @@ impl FetchOut {
     }
 }
 
-/// The pacer's side of a pump: whose stream it is and what it still needs.
+/// The pacer's side of a pump: whose stream it is and how far ahead of
+/// it the fetch may run.
 #[derive(Debug, Clone, Copy)]
 pub struct Demand {
     /// The session the stream belongs to.
@@ -141,7 +143,9 @@ pub struct Demand {
     pub level: GradeLevel,
     /// Frame period at that level.
     pub frame_period: MediaDuration,
-    /// Frames the pacer still has to send, plus one. A discrete object
+    /// Frames the pacer will still send: to the end of the object, or of
+    /// a patch stream's patch. The fetch never runs past them; the pump
+    /// caps it further at the [`FETCH_AHEAD`] window. A discrete object
     /// needs exactly its one oversized frame; demanding more would fetch
     /// redundant copies.
     pub frames_needed: u64,
@@ -233,6 +237,28 @@ impl RemoteStream {
         }
     }
 
+    /// The tier no longer holds `lost.fetch`. If this window names it for
+    /// its segment, the surviving half of its hedge race carries the
+    /// segment from now on; with none, the segment leaves the window and
+    /// the request cursor rolls back so the next pump re-asks it. A fetch
+    /// of an older epoch, or one the window no longer names, changes
+    /// nothing.
+    pub fn forget(&mut self, lost: &LostFetch) {
+        let seg = lost.tag.segment;
+        if lost.tag.epoch != self.epoch || self.inflight.get(&seg) != Some(&lost.fetch) {
+            return;
+        }
+        match lost.survivor {
+            Some(survivor) => {
+                self.inflight.insert(seg, survivor);
+            }
+            None => {
+                self.inflight.remove(&seg);
+                self.next_request = self.next_request.min(seg);
+            }
+        }
+    }
+
     /// Frames buffered or expected from outstanding fetches.
     fn frames_covered(&self) -> u64 {
         self.ready.len() as u64
@@ -300,6 +326,14 @@ impl ReadyFrames {
 
 /// Frames per fetched segment of a continuous object.
 const FRAMES_PER_SEGMENT: u32 = 32;
+/// How much media a stream's fetch window runs ahead of its pacer: the
+/// server holds only the media time window it is about to send. Chosen
+/// over 1 s and 4 s on seeds 1–10 of the benchmark (docs/PERF_LEDGER.md,
+/// "PR 43", per-seed table): 4 s is worse than 2 s on `fleet_faults`'
+/// SLO, continuity and A/V sync on 7, 8 and 10 of 10 seeds; 1 s gains
+/// A/V sync on 9 and loses SLO and continuity on 7; `flash_overload`
+/// orders none of the three.
+pub const FETCH_AHEAD: MediaDuration = MediaDuration::from_secs(2);
 /// Maximum outstanding segment fetches per stream (the pipelining window).
 const PIPELINE: u32 = 3;
 /// Floor of the adaptive (P95-derived) hedge delay.
@@ -392,6 +426,18 @@ pub struct MediaTierStats {
     pub ladder_restores: u64,
 }
 
+/// A fetch the tier stopped waiting for while its stream's window may
+/// still name it: a shed, or a write-off. See [`RemoteStream::forget`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LostFetch {
+    /// The fetch id.
+    pub fetch: u64,
+    /// What it was for.
+    pub tag: FetchTag,
+    /// The other half of its hedge race, still outstanding.
+    pub survivor: Option<u64>,
+}
+
 /// Identifies an outstanding fetch (for chunk routing and failover).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FetchTag {
@@ -460,6 +506,9 @@ pub struct MediaTier {
     /// Outstanding fetches by fetch id.
     inflight: BTreeMap<u64, FetchTag>,
     next_fetch: u64,
+    /// Every fetch id up to this one that was still outstanding when
+    /// [`newly_late`](Self::newly_late) last ran has been counted late.
+    late_through: u64,
     /// Per-replica EWMA health scores and circuit breakers.
     health: ReplicaHealthMap,
     /// Unresolved hedge races, keyed both ways (primary ⇄ duplicate).
@@ -475,6 +524,12 @@ pub struct MediaTier {
     /// The server's own node: where propagation is measured from, and where
     /// a stream is parked while every replica of its object is down.
     home: NodeId,
+}
+
+/// Frames of [`FETCH_AHEAD`] at `period`, rounded up.
+fn window_frames(period: MediaDuration) -> u64 {
+    let period = period.as_micros().max(1) as u64;
+    (FETCH_AHEAD.as_micros() as u64).div_ceil(period)
 }
 
 impl MediaTier {
@@ -494,6 +549,7 @@ impl MediaTier {
             selector: ReplicaSelector::new(),
             inflight: BTreeMap::new(),
             next_fetch: 1,
+            late_through: 0,
             health,
             hedge_pairs: BTreeMap::new(),
             grants: BTreeMap::new(),
@@ -512,6 +568,24 @@ impl MediaTier {
         self.fetch_latency
             .quantile(0.95)
             .clamp(HEDGE_MIN, HEDGE_MAX)
+    }
+
+    /// How many outstanding fetches have waited longer than `threshold`
+    /// since the last call: the fetch-latency SLO counts a fetch bad once
+    /// it is late, not when it lands, so a saturated tier burns while its
+    /// queues are still filling. Each is counted once; its completion
+    /// gives no [`FetchOut::Latency`] sample. Fetch ids rise with their
+    /// issue time, so the scan stops at the first fetch still on time.
+    pub fn newly_late(&mut self, now: MediaTime, threshold: MediaDuration) -> u64 {
+        let mut late = 0;
+        for (&fetch, tag) in self.inflight.range(self.late_through + 1..) {
+            if now - tag.issued_at <= threshold {
+                break;
+            }
+            late += 1;
+            self.late_through = fetch;
+        }
+        late
     }
 
     /// The stream an outstanding fetch belongs to.
@@ -634,7 +708,9 @@ impl MediaTier {
 
     /// No replica of the stream's object has room: hold it in the wait set
     /// under the moment it runs dry. A stream already there keeps its
-    /// place, so one that has run dry stays ahead of one about to.
+    /// place, so one that has run dry stays ahead of one about to, and one
+    /// woken to a credit somebody else took stays first. A pump that issues
+    /// a fetch, or ends for any reason but a full gate, takes it out.
     fn wait(&mut self, now: MediaTime, d: &Demand, r: &RemoteStream, out: &mut Vec<FetchOut>) {
         let stream = (d.session, d.component);
         if self.wait_index.contains_key(&stream) {
@@ -651,8 +727,9 @@ impl MediaTier {
         self.waiting.insert((dry_at, stream), Arc::clone(&r.object));
     }
 
-    /// Take `stream` out of the wait set, if it is there.
-    fn unwait(&mut self, stream: (SessionId, ComponentId)) {
+    /// Take `stream` out of the wait set, if it is there. The caller says
+    /// so for a woken stream that has gone.
+    pub fn unwait(&mut self, stream: (SessionId, ComponentId)) {
         if let Some(dry_at) = self.wait_index.remove(&stream) {
             self.waiting.remove(&(dry_at, stream));
         }
@@ -660,19 +737,21 @@ impl MediaTier {
 
     /// Credits came back at `node`: wake the most urgent waiters whose
     /// object it holds, one per free credit — none for a node no waiter
-    /// may be sent to. A waiter that has moved on or gone wakes to nothing.
+    /// may be sent to. They stay in the wait set until their pumps say
+    /// otherwise, so a woken stream that finds its credit taken keeps its
+    /// place.
     fn wake(&mut self, node: NodeId, now: MediaTime, out: &mut Vec<FetchOut>) {
         if self.waiting.is_empty() || !self.health.admits(node, now) {
             return;
         }
-        for _ in 0..self.room(node, now).min(self.waiting.len() as u64) {
-            let holds = |object: &Arc<str>| self.placement.replicas(object).contains(&node);
-            let Some((&(_, stream), _)) = self.waiting.iter().find(|(_, o)| holds(o)) else {
-                return;
-            };
-            self.unwait(stream);
-            out.push(FetchOut::Wake(stream));
-        }
+        let room = self.room(node, now).min(self.waiting.len() as u64) as usize;
+        let holds = |object: &Arc<str>| self.placement.replicas(object).contains(&node);
+        let woken = self.waiting.iter().filter(|(_, o)| holds(o));
+        out.extend(
+            woken
+                .take(room)
+                .map(|(&(_, stream), _)| FetchOut::Wake(stream)),
+        );
     }
 
     /// The one place a credit is given back: `fetch` is no longer
@@ -696,9 +775,11 @@ impl MediaTier {
 
     /// Top up a stream's fetch window: serve segments from the cache when
     /// resident, otherwise issue pipelined fetches to the stream's replica
-    /// — or, when its window there is full, to another with room — until
-    /// the window covers the pacer's remaining need. With every window
-    /// full the stream waits for a credit.
+    /// — or, when its credit window there is full, to another with room —
+    /// until the window covers [`FETCH_AHEAD`] of media or every frame the
+    /// pacer will still send, whichever is less. With every credit window
+    /// full the stream waits for a credit. The pacer pumps before every
+    /// frame it sends, so the window refills as it drains.
     pub fn pump(
         &mut self,
         net: &impl TierNet,
@@ -708,7 +789,9 @@ impl MediaTier {
         out: &mut Vec<FetchOut>,
     ) {
         out.push(FetchOut::Adopt(d.session));
-        while (r.inflight.len() as u32) < PIPELINE && r.frames_covered() < d.frames_needed {
+        let wanted = d.frames_needed.min(window_frames(d.frame_period));
+        let mut waits = false;
+        while (r.inflight.len() as u32) < PIPELINE && r.frames_covered() < wanted {
             let seg = r.next_request;
             // After a shed rolls the cursor back, segments between the shed
             // one and the frontier may still be covered — skip them.
@@ -735,6 +818,7 @@ impl MediaTier {
                 let usable = |n| self.has_room(n, now) && self.health.admits(n, now);
                 let Some(alt) = self.best_replica(net, &r.object, usable) else {
                     self.wait(now, d, r, out);
+                    waits = true;
                     break;
                 };
                 r.replica = alt;
@@ -782,6 +866,9 @@ impl MediaTier {
                     delay: self.hedge_delay(),
                 });
             }
+        }
+        if !waits {
+            self.unwait((d.session, d.component));
         }
     }
 
@@ -869,7 +956,9 @@ impl MediaTier {
         let late = (now - (tag.deadline - DEADLINE_SLACK)).max(MediaDuration::ZERO);
         let felt = if self.cfg.breaker { late } else { latency };
         self.pressure.observe(now, felt);
-        out.push(FetchOut::Latency(latency));
+        if fetch > self.late_through {
+            out.push(FetchOut::Latency(latency));
+        }
         if self.score(tag.replica, now, Outcome::Success(latency)) {
             done.tripped[0] = Some(tag.replica);
         }
@@ -960,21 +1049,24 @@ impl MediaTier {
         let Some(&tag) = self.inflight.get(&fetch) else {
             return;
         };
-        let racing = self
-            .unpair(fetch)
-            .is_some_and(|p| self.inflight.contains_key(&p));
         // Surgical retry of just the shed segment: roll the request cursor
         // back so the next pump re-requests it. Sibling fetches, buffered
         // segments and the epoch all stay valid — a shed must not discard
         // work the node is still completing. The epoch check skips this if
-        // something else already moved the stream.
-        let mut owner = stream.filter(|(_, r)| !racing && r.epoch == tag.epoch);
-        if let Some((d, r)) = &mut owner {
-            r.inflight.remove(&tag.segment);
-            r.next_request = r.next_request.min(tag.segment);
-            if self.cfg.breaker {
-                self.wait(now, d, r, out);
-            }
+        // something else already moved the stream, and a still-racing
+        // hedge partner takes the segment over instead.
+        let lost = LostFetch {
+            fetch,
+            tag,
+            survivor: self.unpair(fetch).filter(|p| self.inflight.contains_key(p)),
+        };
+        let mut owner = stream.filter(|(_, r)| r.epoch == tag.epoch);
+        if let Some((_, r)) = &mut owner {
+            r.forget(&lost);
+        }
+        let mut owner = owner.filter(|_| lost.survivor.is_none());
+        if let (true, Some((d, r))) = (self.cfg.breaker, &mut owner) {
+            self.wait(now, d, r, out);
         }
         self.settle(fetch, Some(credit), now, out);
         if let (false, Some((d, r))) = (self.cfg.breaker, owner) {
@@ -1040,20 +1132,27 @@ impl MediaTier {
 
     /// Write off every fetch outstanding to `node` (they will never be
     /// answered, or must not be): a written-off half of a hedge race leaves
-    /// the survivor racing nobody. With `cancel`, each one is also
-    /// cancelled at the node. Returns how many were lost.
-    fn write_off(&mut self, node: NodeId, cancel: bool, out: &mut Vec<FetchOut>) -> u64 {
-        let mut lost = 0;
+    /// the survivor racing nobody — the two halves of a race are never at
+    /// one node. With `cancel`, each one is also cancelled at the node.
+    /// Returns what was lost, for the caller to hand each owner's stream
+    /// ([`RemoteStream::forget`]).
+    fn write_off(&mut self, node: NodeId, cancel: bool, out: &mut Vec<FetchOut>) -> Vec<LostFetch> {
+        let mut lost = Vec::new();
         let pairs = &mut self.hedge_pairs;
         self.selector.clear_outstanding(node);
         self.inflight.retain(|&fetch, tag| {
             if tag.replica != node {
                 return true;
             }
-            lost += 1;
-            if let Some(partner) = pairs.remove(&fetch) {
+            let survivor = pairs.remove(&fetch);
+            if let Some(partner) = survivor {
                 pairs.remove(&partner);
             }
+            lost.push(LostFetch {
+                fetch,
+                tag: *tag,
+                survivor,
+            });
             if cancel {
                 out.push(FetchOut::Cancel {
                     fetch,
@@ -1068,34 +1167,44 @@ impl MediaTier {
     /// A media node crashed or restarted. Fetches outstanding to it will
     /// never complete, and a new incarnation is a new server: forget the
     /// old one's load estimate, grant, health score and breaker state (its
-    /// trips stay in the cumulative totals). The caller re-points every
-    /// stream that was pulling from it; a restarted node (`up`) opens its
-    /// window to the waiters it can serve.
-    pub fn node_event(&mut self, up: bool, now: MediaTime, node: NodeId, out: &mut Vec<FetchOut>) {
+    /// trips stay in the cumulative totals). The caller hands each lost
+    /// fetch to its stream and re-points every stream that was pulling from
+    /// the node; a restarted node (`up`) opens its window to the waiters it
+    /// can serve.
+    pub fn node_event(
+        &mut self,
+        up: bool,
+        now: MediaTime,
+        node: NodeId,
+        out: &mut Vec<FetchOut>,
+    ) -> Vec<LostFetch> {
         out.push(FetchOut::alarm(Severity::Warn, "media_failover", node));
         self.health.reset(node);
         self.grants.remove(&node);
-        self.stats.fetches_lost += self.write_off(node, false, out);
+        let lost = self.write_off(node, false, out);
+        self.stats.fetches_lost += lost.len() as u64;
         if up {
             self.wake(node, now, out);
         }
+        lost
     }
 
     /// Controller-driven elastic rebalance: swap the placement map. When
     /// `drain` names a node being scaled in, its outstanding fetches are
     /// cancelled and written off first (the node is healthy, so this is a
-    /// graceful drain, not a failover). The caller re-points exactly the
-    /// streams whose replica no longer hosts their object.
+    /// graceful drain, not a failover). The caller hands each lost fetch
+    /// to its stream and re-points exactly the streams whose replica no
+    /// longer hosts their object.
     pub fn drain(
         &mut self,
         net: &impl TierNet,
         placement: PlacementMap,
         drain: Option<NodeId>,
         out: &mut Vec<FetchOut>,
-    ) {
+    ) -> Vec<LostFetch> {
         self.placement = placement;
         let Some(node) = drain else {
-            return;
+            return Vec::new();
         };
         out.push(FetchOut::event(
             Severity::Info,
@@ -1108,7 +1217,7 @@ impl MediaTier {
         // would be retried into its next incarnation, which never saw the
         // fetch. The crash already voided the queue, so only a live node
         // needs the courtesy cancel.
-        self.write_off(node, net.node_is_up(node), out);
+        self.write_off(node, net.node_is_up(node), out)
     }
 
     /// The server process crashed: the segment cache, the fetch table, load

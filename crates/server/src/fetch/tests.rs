@@ -38,14 +38,25 @@ fn tier(breaker: bool, hedging: bool) -> MediaTier {
     MediaTier::new(cfg, PlacementMap::build(OBJECTS, &NODES, 2), HOME)
 }
 
+/// A demand at 100 frames a second: its [`FETCH_AHEAD`] window is 200
+/// frames, so the three-deep pipeline binds before the window does.
 fn demand(component: u64) -> Demand {
     Demand {
         session: SESSION,
         component: ComponentId::new(component),
         class: PricingClass::Standard,
         level: GradeLevel::NOMINAL,
-        frame_period: MediaDuration::from_millis(40),
+        frame_period: MediaDuration::from_millis(10),
         frames_needed: 10_000,
+    }
+}
+
+/// A demand at a video's 25 frames a second: a 50-frame window, which
+/// two 32-frame segments cover.
+fn video(component: u64) -> Demand {
+    Demand {
+        frame_period: MediaDuration::from_millis(40),
+        ..demand(component)
     }
 }
 
@@ -162,11 +173,12 @@ fn a_shed_rolls_the_cursor_back_to_its_segment_only() {
     out.clear();
 
     // Fetch 2 (segment 1) is shed: the stream waits, and the credit the
-    // shed gave back wakes it — nothing else moves.
+    // shed gave back wakes it — nothing else moves. It keeps its place in
+    // the wait set until its refill asks.
     t.on_busy(&net, ms(7), 2, 64, Some((demand(0), &mut a)), &mut out);
     let stream = (SESSION, ComponentId::new(0));
     assert_eq!(out, [FetchOut::Wake(stream)]);
-    assert!(t.waiting.is_empty() && t.wait_index.is_empty());
+    assert_eq!(t.wait_index.keys().collect::<Vec<_>>(), [&stream]);
     assert_eq!(a.next_request, 1, "rolled back to the shed segment");
     assert_eq!(a.inflight.keys().copied().collect::<Vec<_>>(), [2, 3]);
     assert_eq!(a.ready.len(), 32, "fetched frames survive");
@@ -176,6 +188,7 @@ fn a_shed_rolls_the_cursor_back_to_its_segment_only() {
     // The repump re-asks exactly that segment, then the frontier.
     assert!(t.repump(&net, ms(17), &demand(0), &mut a, &mut out));
     assert_eq!(requests(&out), [(5, a.replica, 1)]);
+    assert!(t.waiting.is_empty() && t.wait_index.is_empty());
     out.clear();
     let frames = segment(&a);
     t.on_chunk(ms(18), 3, frames, true, 64, Some(&mut a), &mut out);
@@ -435,6 +448,131 @@ fn a_crash_forgets_everything_but_the_totals() {
     assert_eq!(requests(&out)[0].0, 4);
 }
 
+#[test]
+fn the_pump_stops_at_the_window_and_refills_as_the_pacer_drains_it() {
+    let (mut t, net) = (tier(true, false), Net::default());
+    let mut r = t.open(&net, OBJECTS[0], MediaKind::Video, 0).unwrap();
+    let (x, mut out) = (r.replica, Vec::new());
+    t.pump(&net, ms(0), &video(0), &mut r, &mut out);
+    assert_eq!(
+        requests(&out),
+        [(1, x, 0), (2, x, 1)],
+        "two segments cover 2 s of video"
+    );
+    for fetch in [1, 2] {
+        t.on_chunk(ms(5), fetch, segment(&r), true, 64, Some(&mut r), &mut out);
+    }
+    out.clear();
+    t.pump(&net, ms(6), &video(0), &mut r, &mut out);
+    assert!(requests(&out).is_empty() && r.ready.len() == 64);
+    // The pacer plays 14 frames: 50 left is still the window.
+    for _ in 0..14 {
+        r.ready.pop_front();
+    }
+    t.pump(&net, ms(566), &video(0), &mut r, &mut out);
+    assert!(requests(&out).is_empty());
+    // One more and the window has room: the next segment is asked.
+    r.ready.pop_front();
+    t.pump(&net, ms(606), &video(0), &mut r, &mut out);
+    assert_eq!(requests(&out), [(3, x, 2)]);
+    // What the pacer will still send bounds the window too: a patch
+    // stream 20 frames short of its end asks one segment, one at its end
+    // asks none.
+    let mut patch = t.open(&net, OBJECTS[1], MediaKind::Video, 0).unwrap();
+    out.clear();
+    t.pump(&net, ms(606), &needing(1, 20), &mut patch, &mut out);
+    assert_eq!(requests(&out).len(), 1);
+    out.clear();
+    t.pump(&net, ms(606), &needing(1, 0), &mut patch, &mut out);
+    assert!(requests(&out).is_empty());
+}
+
+#[test]
+fn a_fetch_is_counted_late_once_when_overdue_and_gives_no_sample_on_landing() {
+    let (mut t, net) = (tier(true, false), Net::default());
+    let mut r = t.open(&net, OBJECTS[0], MediaKind::Video, 0).unwrap();
+    let mut out = Vec::new();
+    t.pump(&net, ms(0), &video(0), &mut r, &mut out);
+    assert_eq!(requests(&out).len(), 2);
+    let late = MediaDuration::from_millis(150);
+    assert_eq!(
+        t.newly_late(ms(150), late),
+        0,
+        "at the threshold is on time"
+    );
+    // Fetch 1 lands on time and gives its sample.
+    out.clear();
+    t.on_chunk(ms(100), 1, segment(&r), true, 64, Some(&mut r), &mut out);
+    let samples = |out: &[FetchOut]| {
+        out.iter()
+            .filter(|o| matches!(o, FetchOut::Latency(_)))
+            .count()
+    };
+    assert_eq!(samples(&out), 1);
+    // Fetch 2 is still out at 151 ms: late now, and only once.
+    assert_eq!(t.newly_late(ms(151), late), 1);
+    assert_eq!(t.newly_late(ms(400), late), 0);
+    // A fetch issued after the scan is judged on its own issue time.
+    out.clear();
+    r.ready.clear();
+    t.pump(&net, ms(400), &video(0), &mut r, &mut out);
+    let third = requests(&out)[0].0;
+    assert_eq!(t.newly_late(ms(500), late), 0);
+    // Fetch 2 lands: counted already, so no second sample.
+    out.clear();
+    t.on_chunk(ms(600), 2, segment(&r), true, 64, Some(&mut r), &mut out);
+    assert_eq!(samples(&out), 0);
+    assert_eq!(t.newly_late(ms(600), late), 1, "fetch {third} is now late");
+    out.clear();
+    t.on_chunk(
+        ms(650),
+        third,
+        segment(&r),
+        true,
+        64,
+        Some(&mut r),
+        &mut out,
+    );
+    assert_eq!(samples(&out), 0);
+}
+
+#[test]
+fn a_written_off_fetch_leaves_its_window_or_passes_to_its_hedge() {
+    let (mut t, net, mut a, (hedge, alt)) = hedged();
+    let x = a.replica;
+    // The stream has moved on to the alternate (its credit at x ran out)
+    // when x crashes: nothing re-points it, so the write-off must reach it.
+    a.replica = alt;
+    let mut out = Vec::new();
+    let lost = t.node_event(false, ms(300), x, &mut out);
+    let ids: Vec<(u64, Option<u64>)> = lost.iter().map(|l| (l.fetch, l.survivor)).collect();
+    assert_eq!(ids, [(1, Some(hedge)), (2, None), (3, None)]);
+    for l in &lost {
+        a.forget(l);
+    }
+    assert_eq!(a.inflight.iter().collect::<Vec<_>>(), [(&0, &hedge)]);
+    assert_eq!(a.next_request, 1, "segments 1 and 2 are re-asked");
+    out.clear();
+    t.pump(&net, ms(300), &demand(0), &mut a, &mut out);
+    assert_eq!(requests(&out), [(5, alt, 1), (6, alt, 2)]);
+    // The hedge lands and carries segment 0.
+    let frames = segment(&a);
+    let done = t.on_chunk(ms(310), hedge, frames, true, 64, Some(&mut a), &mut out);
+    assert!(done.appended && a.ready.len() == 32 && !a.inflight.contains_key(&0));
+    // A fetch the window no longer names, or of an older epoch, changes
+    // nothing.
+    let window = a.inflight.clone();
+    a.forget(&lost[0]);
+    a.forget(&lost[1]);
+    assert_eq!((a.inflight.clone(), a.next_request), (window, 3));
+    a.retarget(32);
+    a.forget(&LostFetch {
+        fetch: 5,
+        ..lost[1]
+    });
+    assert_eq!(a.next_request, 1);
+}
+
 // ---------------------------------------------------------------------------
 // The credit window
 // ---------------------------------------------------------------------------
@@ -595,7 +733,7 @@ fn three_waiters() -> (MediaTier, Net, Vec<RemoteStream>) {
 fn waiters_are_ordered_by_when_they_run_dry_and_woken_in_that_order() {
     let (mut t, net, mut s) = three_waiters();
     let keys: Vec<(MediaTime, u64)> = t.waiting.keys().map(|(at, s)| (*at, s.1.raw())).collect();
-    assert_eq!(keys, [(ms(100), 2), (ms(300), 3), (ms(500), 1)]);
+    assert_eq!(keys, [(ms(100), 2), (ms(150), 3), (ms(200), 1)]);
     // One credit back, one waiter woken: the most urgent.
     let (mut out, frames) = (Vec::new(), segment(&s[0]));
     t.on_chunk(
@@ -615,8 +753,9 @@ fn waiters_are_ordered_by_when_they_run_dry_and_woken_in_that_order() {
     assert_eq!(requests(&out).len(), 1);
     let order: Vec<u64> = t.waiting.keys().map(|(_, s)| s.1.raw()).collect();
     assert_eq!(order, [3, 1, 2]);
-    // A torn-down waiter (the actor finds no stream and does nothing) and a
-    // retargeted one are woken like any other and cost nothing.
+    // A torn-down waiter (the actor finds no stream and takes it out of the
+    // wait set) and a retargeted one are woken like any other and cost
+    // nothing.
     out.clear();
     t.on_chunk(
         ms(120),
@@ -628,6 +767,7 @@ fn waiters_are_ordered_by_when_they_run_dry_and_woken_in_that_order() {
         &mut out,
     );
     assert_eq!(woken(&out), [3], "stream 3 is gone: nobody refills");
+    t.unwait((SESSION, ComponentId::new(3)));
     out.clear();
     s[1].retarget(70);
     t.on_chunk(ms(130), 3, frames, true, 1, Some(&mut s[2]), &mut out);
@@ -639,6 +779,32 @@ fn waiters_are_ordered_by_when_they_run_dry_and_woken_in_that_order() {
         [2, 3]
     );
     // The wait set and its index still tell one story.
+    assert_eq!(t.waiting.len(), t.wait_index.len());
+}
+
+#[test]
+fn a_woken_waiter_whose_credit_was_taken_keeps_its_place() {
+    let (mut t, net, mut s) = three_waiters();
+    let (mut out, frames) = (Vec::new(), segment(&s[0]));
+    t.on_chunk(ms(110), 1, frames, true, 1, Some(&mut s[0]), &mut out);
+    assert_eq!(woken(&out), [2]);
+    // Before the actor refills stream 2, stream 1's own stall poll takes
+    // the credit (segment 0 is a cache hit, segment 1 a fetch), then waits
+    // again for the rest of its window: 10 + 64 frames from now.
+    out.clear();
+    t.pump(&net, ms(110), &demand(1), &mut s[1], &mut out);
+    assert_eq!(requests(&out).len(), 1);
+    out.clear();
+    assert!(t.repump(&net, ms(110), &demand(2), &mut s[2], &mut out));
+    assert!(requests(&out).is_empty());
+    let keys: Vec<(MediaTime, u64)> = t.waiting.keys().map(|(at, s)| (*at, s.1.raw())).collect();
+    assert_eq!(keys, [(ms(100), 2), (ms(150), 3), (ms(850), 1)]);
+    // A waiter with nothing left to ask for leaves the set when it pumps,
+    // so it cannot hold the head for a credit it would not use.
+    t.pump(&net, ms(120), &needing(3, 5), &mut s[3], &mut out);
+    assert!(requests(&out).is_empty());
+    let order: Vec<u64> = t.waiting.keys().map(|(_, s)| s.1.raw()).collect();
+    assert_eq!(order, [2, 1]);
     assert_eq!(t.waiting.len(), t.wait_index.len());
 }
 
@@ -732,6 +898,7 @@ enum Op {
     Hedge(u64),
     Repump(usize),
     Retarget(usize, u64),
+    Play(usize, usize),
     NodeEvent(usize),
     Drain(usize),
     Crash,
@@ -758,6 +925,7 @@ fn op() -> impl Strategy<Value = Op> {
         fetch.prop_map(Op::Hedge),
         (0usize..4).prop_map(Op::Repump),
         ((0usize..4), (0u64..500)).prop_map(|(i, seq)| Op::Retarget(i, seq)),
+        ((0usize..4), (0usize..64)).prop_map(|(i, n)| Op::Play(i, n)),
         (0usize..3).prop_map(Op::NodeEvent),
         (0usize..3).prop_map(Op::Drain),
         Just(Op::Crash),
@@ -765,9 +933,11 @@ fn op() -> impl Strategy<Value = Op> {
 }
 
 /// The caller's side of the contract, as the server actor keeps it: four
-/// streams found by `(session, component)`, a stream stopped by a fetch
-/// error is never handed in as live, and a node event re-points the
-/// streams pulling from that node.
+/// video-paced streams found by `(session, component)`, a stream stopped
+/// by a fetch error is never handed in as live, the fetches a node event
+/// or a drain writes off are handed to their streams, a node event
+/// re-points the streams pulling from that node, and the pacers play
+/// frames out of the ready queues.
 struct Rig {
     tier: MediaTier,
     net: Net,
@@ -775,6 +945,8 @@ struct Rig {
     stopped: [bool; 4],
     now: MediaTime,
     out: Vec<FetchOut>,
+    /// The stream the last op pumped explicitly.
+    pumped: Option<usize>,
 }
 
 impl Rig {
@@ -786,6 +958,7 @@ impl Rig {
             stopped: [false; 4],
             now: MediaTime::ZERO,
             out: Vec::new(),
+            pumped: None,
         };
         rig.open_streams();
         rig
@@ -821,12 +994,16 @@ impl Rig {
         let mut out = std::mem::take(&mut self.out);
         out.clear();
         let (tier, net) = (&mut self.tier, &self.net);
+        self.pumped = None;
         match *op {
             Op::Tick(dt) => self.now += MediaDuration::from_millis(dt),
             Op::Pump(i) | Op::Repump(i) if self.stopped[i] => {}
-            Op::Pump(i) => tier.pump(net, now, &demand(i as u64), &mut self.streams[i], &mut out),
+            Op::Pump(i) => {
+                tier.pump(net, now, &video(i as u64), &mut self.streams[i], &mut out);
+                self.pumped = Some(i);
+            }
             Op::Repump(i) => {
-                tier.repump(net, now, &demand(i as u64), &mut self.streams[i], &mut out);
+                tier.repump(net, now, &video(i as u64), &mut self.streams[i], &mut out);
             }
             Op::Chunk(draw, last, credit) => {
                 let fetch = self.fetch_id(draw);
@@ -843,7 +1020,7 @@ impl Rig {
             Op::Busy(draw, credit) => {
                 let fetch = self.fetch_id(draw);
                 let i = self.index_of(fetch).filter(|&i| !self.stopped[i]);
-                let live = i.map(|i| (demand(i as u64), &mut self.streams[i]));
+                let live = i.map(|i| (video(i as u64), &mut self.streams[i]));
                 let (tier, net) = (&mut self.tier, &self.net);
                 tier.on_busy(net, now, fetch, credit, live, &mut out);
             }
@@ -862,18 +1039,26 @@ impl Rig {
                     .on_hedge_timer(&self.net, now, fetch, stream, &mut out);
             }
             Op::Retarget(i, seq) => self.streams[i].retarget(seq),
+            Op::Play(i, n) => {
+                let ready = &mut self.streams[i].ready;
+                for _ in 0..n.min(ready.len()) {
+                    ready.pop_front();
+                }
+            }
             Op::NodeEvent(n) => {
                 // Crash and restart alternate, as the engine reports them.
                 if !self.net.down.remove(&NODES[n]) {
                     self.net.down.insert(NODES[n]);
                 }
                 let up = self.net.node_is_up(NODES[n]);
-                self.tier.node_event(up, now, NODES[n], &mut out);
+                let lost = self.tier.node_event(up, now, NODES[n], &mut out);
+                self.forget(&lost);
                 self.repoint(NODES[n], &mut out);
             }
             Op::Drain(n) => {
                 let placement = tier.placement.clone();
-                tier.drain(net, placement, Some(NODES[n]), &mut out);
+                let lost = tier.drain(net, placement, Some(NODES[n]), &mut out);
+                self.forget(&lost);
             }
             Op::Crash => {
                 // The actor's sessions die with the process.
@@ -886,11 +1071,18 @@ impl Rig {
             if !self.stopped[i as usize] {
                 let r = &mut self.streams[i as usize];
                 self.tier
-                    .repump(&self.net, self.now, &demand(i), r, &mut out);
+                    .repump(&self.net, self.now, &video(i), r, &mut out);
             }
         }
         self.tier.breaker_events(&mut out);
         self.out = out;
+    }
+
+    /// Hand written-off fetches to their streams, as `server_actor.rs` does.
+    fn forget(&mut self, lost: &[LostFetch]) {
+        for l in lost {
+            self.streams[l.tag.component.raw() as usize].forget(l);
+        }
     }
 
     /// Phase one and two of a failover, as `server_actor.rs` runs them.
@@ -904,30 +1096,58 @@ impl Rig {
         for i in moved {
             let r = &mut self.streams[i];
             self.tier
-                .repump(&self.net, self.now, &demand(i as u64), r, out);
+                .repump(&self.net, self.now, &video(i as u64), r, out);
         }
     }
 
     fn check(&self) -> Result<(), TestCaseError> {
         let t = &self.tier;
-        // The stream windows and the fetch table tell one story: a fetch
-        // both know is the same fetch, and a current-epoch primary the tier
-        // holds is in its stream's window.
+        // The stream windows and the fetch table tell one story: every
+        // entry of a live stream's window is a fetch the tier still holds
+        // for that segment and epoch (answered, shed and written-off ones
+        // leave the window), and a current-epoch fetch the tier holds is in
+        // its stream's window — a primary always, a hedge once its primary
+        // is gone and it carries the segment alone. Only a stopped stream
+        // may name a refused fetch: it is never pumped again.
         for (i, r) in self.streams.iter().enumerate() {
             for (&seg, id) in &r.inflight {
                 let Some(tag) = t.inflight.get(id) else {
-                    continue; // answered or written off: not live
+                    prop_assert!(self.stopped[i], "stream {i} names lost fetch {id}");
+                    continue;
                 };
                 let same = tag.component.raw() as usize == i && tag.segment == seg;
-                prop_assert!(same && tag.epoch == r.epoch && !tag.hedged);
+                prop_assert!(same && tag.epoch == r.epoch);
             }
         }
         for (id, tag) in &t.inflight {
-            let r = &self.streams[tag.component.raw() as usize];
-            if !tag.hedged && tag.epoch == r.epoch {
+            let i = tag.component.raw() as usize;
+            let r = &self.streams[i];
+            let alone = !t.hedge_pairs.contains_key(id) && !self.stopped[i];
+            if tag.epoch == r.epoch && (!tag.hedged || alone) {
                 prop_assert_eq!(r.inflight.get(&tag.segment), Some(id));
             }
             prop_assert!(*id < t.next_fetch);
+        }
+        // The window runs at most one segment past FETCH_AHEAD of media,
+        // and a pump stops short of it only at the pipeline or for a
+        // reason: the stream waits for a credit, its replica is down, or
+        // its circuit refuses it.
+        let window = window_frames(video(0).frame_period);
+        for r in &self.streams {
+            prop_assert!(r.frames_covered() <= window + FRAMES_PER_SEGMENT as u64);
+        }
+        if let Some(i) = self.pumped {
+            let r = &self.streams[i];
+            let stream = (SESSION, ComponentId::new(i as u64));
+            let stopped_short = r.frames_covered() < window && r.inflight.len() < PIPELINE as usize;
+            prop_assert!(
+                !stopped_short
+                    || t.wait_index.contains_key(&stream)
+                    || !self.net.node_is_up(r.replica)
+                    || (t.cfg.breaker && !t.health.admits(r.replica, self.now)),
+                "stream {i} stopped at {} frames with room to fetch",
+                r.frames_covered()
+            );
         }
         // Hedge races are symmetric pairs of outstanding fetches.
         for (a, b) in &t.hedge_pairs {

@@ -54,8 +54,8 @@ pub use admission::{
 };
 pub use database::{MultimediaDb, StoredDocument, TopicEntry};
 pub use fetch::{
-    ChunkDone, Demand, FetchOut, FetchTag, MediaTier, MediaTierConfig, MediaTierStats, ReadyFrames,
-    RemoteStream, TierNet,
+    ChunkDone, Demand, FetchOut, FetchTag, LostFetch, MediaTier, MediaTierConfig, MediaTierStats,
+    ReadyFrames, RemoteStream, TierNet, FETCH_AHEAD,
 };
 pub use flow::{compute_flow_scenario, FlowPlan, FlowScenario};
 pub use overload::{

@@ -19,9 +19,9 @@ use hermes_server::grading::{GradeOut, GradedSession, Grading, StreamView};
 use hermes_server::lifecycle::{Gate, Input, LifeOut, LifeOuts, Lifecycle, SessionLife};
 use hermes_server::{
     compute_flow_scenario, AccountsDb, AdmissionController, AdmissionDecision, Charge,
-    ConnectionRequest, Demand, FetchOut, FlowPlan, FlowScenario, MediaTier, MultimediaDb,
-    PathCondition, PlacementMap, RemoteStream, ShareDecision, ShareOut, SharedGroups, SharingMode,
-    SharingPolicy, SharingStats,
+    ConnectionRequest, Demand, FetchOut, FlowPlan, FlowScenario, LostFetch, MediaTier,
+    MultimediaDb, PathCondition, PlacementMap, RemoteStream, ShareDecision, ShareOut, SharedGroups,
+    SharingMode, SharingPolicy, SharingStats,
 };
 use hermes_simnet::obs::{SloMonitor, SloSpec};
 use hermes_simnet::{Labels, Obs, Severity, SimApi, SpanId};
@@ -92,9 +92,11 @@ impl StreamTx {
     }
 
     /// What the fetch client needs to know of the pacer to top up this
-    /// stream's window.
+    /// stream's window: the frames it will really send, to the end of the
+    /// object or, for a patch stream, of the patch.
     fn demand(&self, session: SessionId, component: ComponentId, class: PricingClass) -> Demand {
         let level = self.source.level();
+        let end = self.patch_until.unwrap_or(MediaTime::MAX);
         Demand {
             session,
             component,
@@ -102,7 +104,7 @@ impl StreamTx {
             level,
             frame_period: self.source.model().level(level).frame_period(),
             frames_needed: if self.plan.kind.is_continuous() {
-                self.source.frames_remaining() + 1
+                self.source.frames_before(end)
             } else {
                 1
             },
@@ -331,7 +333,8 @@ pub struct ServerActor {
     pub util_closed: f64,
     /// SLO burn-rate monitor over this server's user-visible objectives:
     /// media fetch latency (`slo.fetch`, the leading signal for media-tier
-    /// saturation) and admission join latency (`slo.join`). Checked every
+    /// saturation; a fetch counts bad once it is overdue, not when it
+    /// lands) and admission join latency (`slo.join`). Checked every
     /// control-report beat; the max burn feeds the controller as
     /// `ctrl.slo_burn` pressure ahead of queue depth.
     pub slo: SloMonitor,
@@ -1502,6 +1505,11 @@ impl ServerActor {
         let stream = Self::live_stream(&mut self.sessions, session, component);
         let found = match (self.media.as_mut(), stream) {
             (Some(tier), Some((d, r))) => tier.repump(&*api, api.now(), &d, r, &mut self.fetch.out),
+            (Some(tier), None) => {
+                // Gone while it waited: it must not keep the head of the set.
+                tier.unwait((session, component));
+                false
+            }
             _ => false,
         };
         self.fetch.flush(api, &mut self.slo);
@@ -1600,6 +1608,19 @@ impl ServerActor {
         });
         tier.on_hedge_timer(&*api, api.now(), fetch, stream, &mut self.fetch.out);
         self.fetch.flush(api, &mut self.slo);
+    }
+
+    /// Hand each fetch the tier wrote off to the stream that asked for it
+    /// (a survivor of its hedge race takes it over, or its segment is
+    /// re-asked), so no window keeps a fetch that will never be answered.
+    fn forget_lost(sessions: &mut BTreeMap<SessionId, SessionState>, lost: &[LostFetch]) {
+        for l in lost {
+            let s = sessions.get_mut(&l.tag.session);
+            let tx = s.and_then(|s| s.streams.get_mut(&l.tag.component));
+            if let Some(r) = tx.and_then(|tx| tx.remote.as_mut()) {
+                r.forget(l);
+            }
+        }
     }
 
     /// Phase one of a failover: restart the fetch window of every live
@@ -1842,6 +1863,11 @@ impl ServerActor {
         // SLO burn-rate: evaluate multi-window alerts and ship the max burn
         // (milli-burn units) as a leading pressure signal — fetch latency
         // crosses its threshold several control ticks before queue depth.
+        // A fetch outstanding past the threshold is a bad sample now.
+        if let Some(t) = self.media.as_mut() {
+            let late = t.newly_late(now, SLO_FETCH_THRESHOLD);
+            self.slo.record(now, SLO_FETCH, late, late);
+        }
         for alert in self.slo.check(now) {
             let burn = (alert.fast_burn * 100.0) as i64;
             self.ctrl_event(api, Severity::Warn, "slo_alert", burn);
@@ -1980,7 +2006,8 @@ impl ServerActor {
         let Some(tier) = self.media.as_mut() else {
             return;
         };
-        tier.drain(&*api, placement, drain, &mut self.fetch.out);
+        let lost = tier.drain(&*api, placement, drain, &mut self.fetch.out);
+        Self::forget_lost(&mut self.sessions, &lost);
         let affected: Vec<(SessionId, ComponentId)> = Self::live_streams(&mut self.sessions)
             .filter(|(_, _, r)| !tier.placement.replicas(&r.object).contains(&r.replica))
             .map(|(sid, cid, _)| (sid, cid))
@@ -2004,7 +2031,8 @@ impl ServerActor {
             return;
         };
         let up = api.node_is_up(media_node);
-        tier.node_event(up, api.now(), media_node, &mut self.fetch.out);
+        let lost = tier.node_event(up, api.now(), media_node, &mut self.fetch.out);
+        Self::forget_lost(&mut self.sessions, &lost);
         let affected = self.restart_streams_on(media_node);
         self.fetch.flush(api, &mut self.slo);
         for &(sid, cid) in &affected {
@@ -2066,12 +2094,13 @@ impl ServerActor {
         // Media tier: top up the fetch window, then gate the send on fetched
         // content — the pacer only advances once the frame's bytes (or the
         // object's) have actually come off the wire from a replica (or the
-        // cache). Until then, poll.
+        // cache). Until then, poll. A pacer with nothing left to send needs
+        // no frame to find that out.
         let demand = tx.demand(session, component, s.class);
         if let (Some(tier), Some(r)) = (self.media.as_mut(), tx.remote.as_mut()) {
             tier.pump(&*api, api.now(), &demand, r, &mut self.fetch.out);
             self.fetch.flush(api, &mut self.slo);
-            if r.ready.is_empty() {
+            if r.ready.is_empty() && demand.frames_needed > 0 {
                 tier.stats.stalls += 1;
                 return arm_stream(api, node, ship, STALL_POLL, stream);
             }

@@ -118,11 +118,16 @@ fn ha_pin(world: &ServiceWorld, servers: &[NodeId], events: &[Event]) -> Pin {
 // in place of the shed storm the controller sees 3 pressured ticks of 117
 // where it saw 6 and actuates 3 times for 5, so the `ctrl_overload` /
 // `ctrl_pressure_src` / `ctrl_actuate` events differ; one `ctrl_elect`, 8
-// degrades and 4 upgrades either way. Columns: fence_drops, stale_drops,
-// elections, demotions, lease_beats, fence record.
+// degrades and 4 upgrades either way. Again, asked, when a stream's fetch
+// window became 2 s of media: every counter stands; with no whole-clip
+// fetch bursts the controller names a pressure source once, not three
+// times, and actuates twice, not three times — 4 degrades, not 8, and 4
+// upgrades; one `ctrl_elect` and 117 `ctrl_overload` either way.
+// Columns: fence_drops, stale_drops, elections, demotions, lease_beats,
+// fence record.
 const CRASH: Pin = (
     [[0, 0, 0, 0, 9, 2], [0, 0, 1, 0, 70, 2], [0, 0, 0, 0, 0, 2]],
-    3_900_747_968_762_399_704,
+    13_611_371_308_813_734_470,
 );
 const ISOLATED: Pin = (
     [[0, 0, 0, 1, 13, 2], [2, 0, 1, 0, 26, 2], [0, 0, 0, 0, 0, 2]],

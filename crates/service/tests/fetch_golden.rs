@@ -6,7 +6,10 @@
 //! moved; the other four were re-pinned when the credit window replaced the
 //! paced re-poll (PR 24; docs/PERF_LEDGER.md explains each moved counter),
 //! and `HEDGING` again when its world lost a 40 ms hedge cap the service no
-//! longer offers.
+//! longer offers. All five were re-pinned when a stream's fetch window
+//! became 2 s of media (`FETCH_AHEAD`) instead of the whole rest of its
+//! object, `NAIVE` for the first time; the comment above the literals says
+//! what moved in each.
 //! None may move again unasked: a send, timer, emit or RNG draw that changes
 //! order or count anywhere on the pump / chunk / busy / hedge / failover /
 //! rebalance paths changes a digest.
@@ -128,9 +131,9 @@ fn media_node_crash_and_restart() {
     let mut w = world(MediaTierConfig::default());
     let victim = w.media[1];
     w.sim
-        .inject_fault(ms(2_500), FaultKind::NodeCrash { node: victim });
+        .inject_fault(ms(2_550), FaultKind::NodeCrash { node: victim });
     w.sim
-        .inject_fault(ms(4_500), FaultKind::NodeRestart { node: victim });
+        .inject_fault(ms(4_550), FaultKind::NodeRestart { node: victim });
     let (s, got) = finish(w);
     assert!(s.failovers > 0 && s.fetches_lost > 0, "{s:?}");
     assert_eq!(got, CRASH);
@@ -162,32 +165,58 @@ type Pin = ([u64; 14], usize, u64);
 
 // Printed by this file's own `assert_eq!` failure messages: `NAIVE` at
 // cec5907, `HEDGING` at bf53604 with the hedge cap at its 250 ms default
-// (the cap it has been fixed at since), the rest at PR 24.
+// (the cap it has been fixed at since), the rest when the credit window
+// came in; all five again when the fetch window became 2 s of media. What
+// that moved:
+// - Fetches rise in four worlds (252 → 298 with the defaults). The 512 KB
+//   cache holds about two video segments; a stream that fetched its whole
+//   clip in one burst left segments resident for the next viewer of the
+//   lesson 450 ms behind (48 hits), while streams that fetch in step with
+//   their pacers turn the cache over first (2 hits).
+// - Stalls fall (294 → 198): no burst of 2 s-and-further fetches queues
+//   ahead of a segment a pacer needs now.
+// - `NAIVE` sheds 2 fetches, not 499: fetches go out as pacers drain,
+//   not in bursts, so the short queues rarely overflow even without the
+//   credit window, and this small world's retry storm is gone.
+// - `CRASH` and `REBALANCE` stalled 3,912 times because a written-off
+//   fetch stayed in its stream's window and stalled it for good (ROADMAP
+//   item 6 (f)). Handing the write-off to its stream alone, with the
+//   whole-object window kept, brings both to 289; now 205 and 196.
+// - `CRASH`'s crash moved 2.5 s → 2.55 s: with a 2 s window both nodes
+//   were idle at 2.5 s and nothing was written off; at 2.55 s three
+//   fetches are (without the hand-over, its stalls read 3,938).
+// - `HEDGING` runs five hedge races, not one, and the breaker trips
+//   twice: more fetches go out while the replica is slow.
+// `HEDGING` again when a woken waiter that finds no credit began keeping
+// its place in the wait set (it had re-entered under a later key): the
+// streams behind the slow replica are served in another order. Fetches
+// 277 → 294, chunks 276 → 293, stalls 587 → 637, parts 575 → 571, trace
+// events 370 → 381; hedges, wins, cancels, trips and busy are unchanged.
 // Columns: fetches, chunks, stalls, failovers, fetch_errors, parts_received,
 // busy, hedges, hedge_wins, hedge_cancels, breaker_trips, fetches_lost,
 // ladder_degrades, ladder_restores.
 const DEFAULTS: Pin = (
-    [252, 252, 294, 0, 0, 492, 0, 0, 0, 0, 0, 0, 0, 0],
-    338,
-    1_854_026_607_145_854_128,
+    [298, 298, 198, 0, 0, 586, 0, 0, 0, 0, 0, 0, 0, 0],
+    358,
+    18_087_074_767_088_012_626,
 );
 const NAIVE: Pin = (
-    [780, 281, 638, 0, 0, 560, 499, 0, 0, 0, 0, 0, 0, 0],
-    1339,
-    3_044_348_924_380_930_742,
+    [300, 298, 171, 0, 0, 586, 2, 0, 0, 0, 0, 0, 0, 0],
+    362,
+    7_511_255_324_598_416_988,
 );
 const HEDGING: Pin = (
-    [203, 201, 791, 0, 0, 379, 2, 1, 1, 1, 1, 0, 0, 0],
-    310,
-    16_738_011_441_258_630_250,
+    [294, 293, 637, 0, 0, 571, 1, 5, 5, 5, 2, 0, 0, 0],
+    381,
+    2_766_534_692_640_746_674,
 );
 const CRASH: Pin = (
-    [252, 248, 3912, 13, 0, 476, 0, 0, 0, 0, 0, 4, 0, 0],
-    354,
-    6_219_896_558_802_267_688,
+    [301, 298, 205, 9, 0, 586, 0, 0, 0, 0, 0, 3, 0, 0],
+    374,
+    949_440_545_927_465_949,
 );
 const REBALANCE: Pin = (
-    [252, 248, 3912, 0, 0, 481, 0, 0, 0, 0, 0, 0, 0, 0],
-    351,
-    12_716_029_065_538_257_960,
+    [298, 298, 196, 0, 0, 586, 0, 0, 0, 0, 0, 0, 0, 0],
+    370,
+    17_246_992_726_844_149_135,
 );

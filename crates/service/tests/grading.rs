@@ -125,19 +125,37 @@ fn regrade_golden() {
     assert_eq!(got, GOLDEN);
 }
 
+// Re-pinned, asked, when a stream's fetch window became 2 s of media. The
+// whole-clip prefetch had every clip fetched before the media nodes slowed
+// at 4 s; a 2 s window runs dry inside the 4 s slowdown, so it now reaches
+// the viewers. Client feedback degrades more and stops more (qos_degrade
+// 52 → 57, qos_stop 2 → 9, stream_stopped 2 → 9), upgrades less (8 → 5),
+// the ladder steps twice more each way (5 → 7), the controller upgrades
+// less (60 → 53 commands) and drops one more stale command (2 → 3). Each
+// session's utility at 8 s falls 10–29 % (session 4: 47.3 → 40.8) and
+// the closed ledger 130.6 → 114.6.
+//
+// Digest re-pinned when the fetch SLO began counting a fetch bad once it
+// is overdue rather than when it lands: inside the slowdown the burn now
+// pressures the controller, which degrades sessions 7 and 8 at 8.4 s and
+// 9 at 8.6 s; session 9's 9.43 s feedback step becomes a stop and the
+// upgrades after 10 s re-time. Every per-name count and utility is equal.
+// Then again when a woken waiter that finds no credit kept its place in
+// the wait set: sessions 11's and 9's stops come 2–4 ms earlier and four
+// regrades land a few ms apart; nothing else moves.
 const GOLDEN: Pin = (
-    [52, 8, 2, 5, 5, 15, 60, 15, 60, 2, 148, 2],
-    17878408860599978542,
+    [57, 5, 9, 7, 7, 16, 53, 15, 53, 3, 141, 9],
+    5052631651338256203,
     &[
-        (4, 4631854263458659834),
-        (5, 4631406155295736469),
-        (6, 4631192234313436372),
-        (7, 4631034608326478404),
-        (8, 4630967054332067845),
-        (9, 4630717104552748783),
-        (10, 4630588751963368724),
-        (11, 4630077593405662172),
-        (12, 4629024876992764318),
+        (4, 4630941158634210465),
+        (5, 4630308402886564910),
+        (6, 4629650877340968822),
+        (7, 4629565308948048781),
+        (8, 4630409733878180744),
+        (9, 4629542790949911929),
+        (10, 4628376358646422968),
+        (11, 4628191711061700777),
+        (12, 4628029581475115440),
     ],
-    4638800502933925401,
+    4637763549119723346,
 );

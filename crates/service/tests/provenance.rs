@@ -39,8 +39,12 @@ const PROVENANCE_KINDS: [&str; 23] = [
 
 /// FNV-1a digests of every attribution's rendering, critical path
 /// included, at the 2 s default window and at 6 s. Printed at 7bebd54,
-/// while the log still kept every delivery.
-const PATHS: (u64, u64) = (5140248512243482326, 8819337389873313589);
+/// while the log still kept every delivery. Re-printed when a stream's
+/// fetch window became 2 s of media: the same eight `link_loss`
+/// attributions at the same instants, each with a four-hop `rtp` path;
+/// only the hops' waits moved, as fetch traffic now shares the server's
+/// links at other times.
+const PATHS: (u64, u64) = (2437669147610570656, 16021473295669757077);
 
 fn digest(attrs: &[GapAttribution]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;

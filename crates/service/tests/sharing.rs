@@ -284,6 +284,26 @@ fn feeding_nodes(sim: &Sim<ServiceMsg, ServiceWorld>, srv: NodeId, cli: NodeId) 
         .collect()
 }
 
+/// The objects of `cli`'s session's live continuous streams that have no
+/// replica up.
+fn stranded(sim: &Sim<ServiceMsg, ServiceWorld>, srv: NodeId, cli: NodeId) -> Vec<String> {
+    let server = sim.app().server(srv);
+    let tier = server.media.as_ref().expect("media tier");
+    let session = sim.app().client(cli).session.map(|(_, s)| s);
+    let s = session.and_then(|s| server.sessions.get(&s));
+    let live = s.into_iter().flat_map(|s| s.streams.values());
+    let live = live.filter(|tx| !tx.done && !tx.stopped && tx.plan.kind.is_continuous());
+    live.filter_map(|tx| tx.remote.as_ref())
+        .filter(|r| {
+            tier.placement
+                .replicas(&r.object)
+                .iter()
+                .all(|&n| !sim.node_is_up(n))
+        })
+        .map(|r| r.object.to_string())
+        .collect()
+}
+
 /// What the group-lifecycle world is pinned by: the full `SharingStats` in
 /// declaration order; the tier cache's hits, misses and evictions; the
 /// frames each client had received when it left (or at the end); and an FNV
@@ -291,14 +311,24 @@ fn feeding_nodes(sim: &Sim<ServiceMsg, ServiceWorld>, srv: NodeId, cli: NodeId) 
 /// (name, node, time, labels, value) followed by the engine's `SimStats`.
 type Pin = ([u64; 6], [u64; 3], [u64; 7], u64);
 
-// Printed at e3cbd65 — the commit before the group life-cycle moved out of
-// `server_actor.rs` into `hermes_server::sharing::SharedGroups` — by this
-// test's own `assert_eq!` failure message. It must never move unasked.
+// First printed at e3cbd65 — the commit before the group life-cycle moved
+// out of `server_actor.rs` into `hermes_server::sharing::SharedGroups` — by
+// this test's own `assert_eq!` failure message. It must never move unasked.
+//
+// Re-pinned when a stream's fetch window became 2 s of media: group A's
+// leader had fetched the whole clip before the 12 s crash, and now holds
+// only 2 s. Its narration has no replica up after the crash (`stranded`),
+// so its audio parks 200 frames early: A's leader and its two patched
+// members receive 1,008 frames (400 video + 608 audio), not 1,200, and
+// A multicasts 192 frames fewer (1,620 → 1,428). The parked stream polls
+// the cache every 10 ms for the rest of the run (misses 175 → 3,318).
+// Hits (20 → 16) and evictions (0 → 5) move with the fetch timing: the
+// leaders now fetch in step with their pacers, not all at once.
 const LIFECYCLE: Pin = (
-    [2, 2, 3, 6, 1_620, 2],
-    [20, 175, 0],
-    [1_200, 674, 1_200, 1_200, 420, 420, 420],
-    5_219_493_802_541_488_525,
+    [2, 2, 3, 6, 1_428, 2],
+    [16, 3_318, 5],
+    [1_008, 674, 1_008, 1_008, 420, 420, 420],
+    15_896_960_536_464_654_122,
 );
 
 /// Every group transition in one `BatchingPatching` world, nothing hot (each
@@ -342,6 +372,14 @@ fn group_lifecycle_golden() {
         FaultKind::NodeCrash { node: victim },
     );
     sim.run_until(MediaTime::from_secs(14));
+    // One node was down from the start and the victim held the other
+    // replica of the narration: group A's audio is parked from here on,
+    // with what its 2 s fetch window held at the crash. A's members get
+    // no more audio; video goes on from the third node.
+    assert_eq!(
+        stranded(&sim, srv, clients[0]),
+        ["audio/narration-patching-1.pcm"]
+    );
     leave(&mut sim, 4);
     sim.run_until(MediaTime::from_secs(45));
     for (i, &cli) in clients.iter().enumerate() {

@@ -341,9 +341,12 @@ cell crashes a live media node mid-playout.
 **Finding.** Every cell completes both presentations with zero errors. The
 interval cache (Dan–Sitaram admission: only segments with concurrent
 readers are cached) lets the trailing viewer ride the leader's fetches —
-the 1 MB budget turns ~14% of lookups into hits and measurably cuts
-network fetch volume, while the no-cache cell pays full price for every
-segment. Crashing the serving replica triggers failover for each of its
+the 1 MB budget turns ~48% of lookups into hits and cuts network fetches
+50 → 30, while the no-cache cell pays full price for every segment.
+When a stream fetched the whole rest of its clip at once, the
+leader's segments were fetched before the trailing viewer joined and
+the cache refused them (14% hits at 1 MB, 2% at 256 KB); now each stream
+fetches 2 s ahead and the two viewers' windows overlap. Crashing the serving replica triggers failover for each of its
 live streams (stateless segment addressing resumes from the exact next
 frame) and the presentations still complete with identical frame counts.
 
@@ -366,18 +369,22 @@ catalog skew × sharing policy (off / batching / batching+patching).
 **Finding.** At 12 arrivals/s every policy serves everyone, and sharing
 already cuts server egress ~3× on the skewed catalog — but batching alone
 buys that with a ~1.3 s startup penalty (the window wait), which patching
-mostly eliminates. At 50 arrivals/s the unshared service saturates: a
-sixth to a quarter of arrivals go unserved because stalled sessions pin
-the client pool, the served ones glitch at ~5–25 gaps per thousand
-frames, and startup stretches past 3 s (before the media fetch was
-flow-controlled — PR 24 — the same cell lost over a third of its
-arrivals and glitched at 60–70: much of that collapse was the tier's
-own shed-and-retry churn). Batching absorbs the same crowd
-outright — all 2 292 arrivals served with **zero** playout gaps — while
-batching+patching trades a small residual tail (~0.2 gaps/kframe, a
-couple hundred late joiners unserved on the skewed catalog) for the
-deepest egress cut: 81% versus off (4983 → 967 MB) on the Zipf(1.2)
-catalog. Egress flattens as skew grows
+mostly eliminates. At 50 arrivals/s every policy now serves all 2 292
+arrivals (one unshared session is still playing at the horizon). While
+each stream fetched the whole rest of its clip at once,
+the unshared service saturated there: a sixth to
+a quarter of arrivals went unserved because stalled sessions pinned the
+client pool, the served ones glitched at ~5–25 gaps per thousand frames
+and startup stretched past 3 s, and batching+patching left a couple
+hundred late joiners unserved. With a 2 s fetch window the
+unshared cell glitches at about one gap per thousand frames or less
+(1.07 and 0.02) and starts in about 1.3 s, at the price of serving
+everyone: 6 575 MB of egress on the Zipf(1.2) catalog. (Before the media fetch was flow-controlled by
+credits, the same cell lost over a third of its arrivals and glitched at
+60–70.) Both sharing policies absorb the crowd with **zero** playout
+gaps: batching+patching cuts egress 78% versus off (6 575 → 1 475 MB)
+and starts in under a second, batching alone cuts it further (815 MB)
+for a ~2.1 s startup. Egress flattens as skew grows
 because more arrivals land on hot titles whose groups already stream.
 Multicast frame copies ride one trunk serialization each (`mcast`
 column), which is exactly the saving.
@@ -402,30 +409,32 @@ off, breaker+hedging, breaker+ladder, or the full stack.
     A("""```
 
 **Finding.** With everything off the crowd saturates the tier and playout
-falls apart: a quarter of all frames glitch (257 gaps/kframe on the step
-crowd) and the worst sessions spend more time stalled than playing
-(P99 ≈ 1.45 gaps *per frame*), while naive immediate-retry turns ~17 M
-shed fetches into pure message churn. That baseline is the `off` row and
-has not moved since it was first measured. What *has* moved is everything
-with overload control on: since PR 24 the media node grants each puller a
+falls apart: a tenth of all frames glitch (102 gaps/kframe on both
+crowds) and the worst sessions spend more time stalled than playing
+(P99 ≈ 1.1–1.4 gaps *per frame*), while naive immediate-retry turns
+~10–11 M shed fetches into pure message churn. That baseline is the
+`off` row; when every stream fetched the whole rest of its clip, it read
+257 gaps/kframe and ~17 M sheds. What moved first is everything with
+overload control on: the media node grants each puller a
 credit window in every answer and the server's fetch client stays inside
 it, so a stream that cannot ask waits its turn — most urgent first — where
 it used to be shed and re-ask every 10 ms. The same crowds now pass with
-**zero playout gaps in every controlled mode** on 9 shed fetches where
+**zero playout gaps in every controlled mode** on 7–11 shed fetches where
 the paced re-poll shed 5.0–6.5 M (and glitched at 79–174 gaps/kframe): the
 collapse the earlier stack fought with hedges and the ladder was largely
 the retry traffic itself. The individual controls consequently have
-little left to do here — 7 hedges, none won; no ladder step, because the
-pressure detector now reads how *late* a segment was for its pacer rather
-than fetch latency (which full windows pin at queue depth × service time)
-and nothing arrives late — and the three controlled rows coincide. Breaker
+little left to do here — no hedge is sent; the ladder takes one or two
+steps down and back, because the pressure detector reads how *late* a
+segment was for its pacer rather than fetch latency (which full windows
+pin at queue depth × service time), and with a 2 s fetch window a few
+segments do arrive late. Breaker
 trips stay at zero by design: a symmetric flash crowd makes every replica
 equally slow, and tripping on shared queueing would only amplify the
 collapse (the brownout tests in `crates/service/tests/overload.rs` cover
 the asymmetric case where the breaker *does* fire, and
 `brownout_does_not_storm` that a slow replica no longer triggers a storm).
-The crowd still costs something: 78 of 184 step arrivals (26 of 132 on
-the spike) find the client pool busy, because flow control stretches
+The crowd still costs something: 80 of 184 step arrivals (28–29 of 132
+on the spike) find the client pool busy, because flow control stretches
 delivery instead of dropping it. Note the step and spike rows coincide
 for the modes that pin the client pool: once every slot is busy, late
 arrivals are turned away either way and the served set — hence the tier
@@ -468,12 +477,12 @@ seconds, so degradation, stops, stalls and rejections all price in.
 **Finding.** Same hardware, different control. The local stack rides the
 crowd on its two active nodes: fetches are granted in deadline order, so
 nothing is shed and the ladder — which now acts on lateness, not queueing
-delay — takes one to three steps; but two nodes cannot carry a ×9 crowd at
-any grade, so delivery stretches past the drain (15–22 of ~270 sessions
-finish inside it), a fifth of arrivals find the pool busy and the sessions
-that are served glitch into a four-digit gap P99. The controller absorbs
-the same crowd on both axes at once — worst-seed utility 6874.6 → 12124.8
-*and* a gap-free P99 — because its three actuators compose: the standby
+delay — takes at most one step; but two nodes cannot carry a ×9 crowd at
+any grade, so delivery stretches past the drain (11–20 of ~270 sessions
+finish inside it), a sixth to a quarter of arrivals find the pool busy and
+the sessions that are served glitch into a four-digit gap P99. The
+controller absorbs the same crowd on both axes at once — worst-seed
+utility 6805.8 → 12271.8 *and* a gap-free P99 — because its three actuators compose: the standby
 nodes come online ~1 s into the spike (capacity first), the admission
 price pre-sheds one grade while pressured instead of admitting at doomed
 nominal, and the grade steps that remain are video-first singles under
@@ -530,12 +539,16 @@ whose promise forbids the second grant. The restarted ex-host rejoins
 as a follower and re-learns the epoch from lease beats and
 report-carried epoch gossip. Economically the successor's response —
 re-pricing, surgical video-first grade steps, standby scale-out — beats
-the headless fleet on both axes at once: worst-seed utility 3747.4 →
-6276.5 (+67%) and worst-seed starvation tail 979 → 935 per 1000 ticks,
-with more sessions finishing inside the horizon (37–51 vs 14–30). The
+the headless fleet on both axes at once: worst-seed utility 3686.5 →
+6396.3 (+73%) and worst-seed starvation tail 993 → 930 per 1000 ticks,
+with more sessions finishing inside the horizon (39–51 vs 6–32). The
 starvation axis is near its ceiling for both modes — a ×9 crowd is more
 than four nodes carry without gaps too — so the margin there is thin
-(lower on every seed, by 44–222 of 1000); utility is the axis with room.
+(lower on every seed, by 64–238 of 1000); utility is the axis with room.
+The thinness shows: the worst tails are sessions that never receive a
+frame, because a stream's own stall poll can take a freed credit ahead
+of older waiters, and a change in when the controller pressures moves
+how many there are.
 The
 `pinned` rows are the measured price of a controller that is a single
 point of failure; the `ha` rows are the same crowd with the control plane
@@ -655,17 +668,30 @@ so it doubles past the cache-miss noise), while the partition's gaps
 trace to the `link_down`/`link_up` edge even when the starvation
 surfaces seconds later during the post-repair refill — the evidence
 weighting deliberately keeps routine cache-miss volume below a single
-hard infrastructure event. The SLO monitor sees the spike first: the
-fetch-latency burn alert fires at 400 ms of crowd, the controller's
-burn-pressure bit trips at its next tick (600 ms), and the queue-depth
-signal only crosses its target at 1600 ms (seed 1) / 1000 ms (seed 2) —
-a five- and two-tick lead for the leading indicator, which is exactly
-the window the controller's degrade/price actuators need (the
-controller-on twin run absorbs the same crowd without a single playout
-gap). Attribution is pure and indexed: classifying ~3 000 gaps against
-a 13.8-million-event log costs under a second (it was a 7-minute
-windowed scan before the evidence index), and two runs byte-diff — CI
-gates on it.
+hard infrastructure event. Counted from the run's start, the
+fetch-latency burn alert fires at 300 ms, the controller's burn-pressure
+bit trips at 400 ms (seed 1) / 800 ms (seed 2), and the queue-depth
+signal first crosses its target at 7400 ms / 3400 ms — a 35- and
+13-tick lead, but one earned in the opening seconds, not on the spike
+(below). Attribution is pure and indexed: classifying a few thousand
+gaps against a multi-million-event log costs under a second (it was a
+7-minute windowed scan before the evidence index), and two runs
+byte-diff — CI gates on it.
+
+**The burn-rate lead holds only from the run's start.** The assertion
+counts each pressure bit from the run's start, and both first burns
+above are opening-seconds ones (0.4 s and 0.8 s), before the 6 s spike,
+as they were when every stream fetched its whole clip at once. The last
+two columns count from the spike's onset, and there the queue-depth bit
+comes first: 7.4 s against 8.4 s (seed 1) and 6.6 s against 7.2 s (seed
+2). The fetch SLO already counts a fetch bad the moment it is 150 ms
+overdue rather than when it lands, but on this rig fetch latency and
+media queue depth rise together (at seed 1 no fetch is overdue before
+7.3 s), and the burn needs 30% bad fetches over both its 1 s and 5 s
+windows. The partition scenario's clients play with recovery off: with
+recovery on, a starved stream replays its last frame, so a mid-stream
+underrun is never a gap, and once each stream fetches only 2 s ahead
+every session has its first frame before the outage.
 
 ---
 

@@ -5,11 +5,17 @@
 //!   its room is at most an eighth more, plus one growth step;
 //! - the main event log's room is at most an eighth more than it holds,
 //!   plus one growth step;
-//! - a stream's queue of fetched frames reads them in place: its next
-//!   frame is the segment cache's own copy, not a copy of it.
+//! - a stream's queue of fetched frames holds at most its fetch window
+//!   (`FETCH_AHEAD` of media) plus one segment, and reads them in place:
+//!   its next frame is the segment cache's own copy, not a copy of it.
+//!
+//! A window of 2 s, not the whole rest of the clip, also keeps the first
+//! viewer from racing ahead of the others: by 2 s the cache has refused 6
+//! segments, where a whole-object fetch had it refuse 30.
 
 use hermes_od::core::{MediaDuration, MediaTime, ServerId};
 use hermes_od::obs::{AttributionConfig, HopRecord, Labels, Obs, Severity};
+use hermes_od::server::FETCH_AHEAD;
 use hermes_od::service::{
     install_course, ClientConfig, LessonShape, MediaTierConfig, ServerConfig, WorldBuilder,
 };
@@ -57,8 +63,12 @@ fn the_capture_and_the_fetch_queues_hold_what_is_read() {
         sim.with_api(|w, api| w.client_mut(c).connect(api, srv, Some(doc)));
     }
 
+    sim.run_until(MediaTime::from_secs(2));
+    let refused = sim.app().server(srv).media.as_ref().expect("media tier");
+    assert_eq!(refused.cache.stats.rejected, 6, "segments refused by 2 s");
+
     let window = AttributionConfig::default().window;
-    let (mut in_place, mut ring_checks) = (0, 0);
+    let (mut in_place, mut queues, mut ring_checks) = (0, 0, 0);
     // By 4 s every client has joined.
     let mut t = MediaTime::from_secs(4);
     while t <= MediaTime::from_secs(12) {
@@ -92,12 +102,25 @@ fn the_capture_and_the_fetch_queues_hold_what_is_read() {
             .iter()
             .map(|key| cache.get(key).expect("resident").clone())
             .collect();
-        // The first viewer's stream fetches alone until a second viewer
-        // makes the lesson worth caching, so its first segments live only
-        // in its own queue; every later viewer's segments are resident.
-        for session in server.sessions.values().skip(1) {
+        // Every viewer's segments are resident, the first one's too: its
+        // window is still ahead of the others when a second viewer makes
+        // the lesson worth caching.
+        for session in server.sessions.values() {
             for stream in session.streams.values() {
-                let Some(front) = stream.remote.as_ref().and_then(|r| r.ready.front()) else {
+                let Some(r) = stream.remote.as_ref() else {
+                    continue;
+                };
+                let source = &stream.source;
+                let period = source.model().level(source.level()).frame_period();
+                let ahead = (FETCH_AHEAD.as_micros() as u64).div_ceil(period.as_micros() as u64);
+                let bound = ahead as usize + r.frames_per_segment as usize;
+                assert!(
+                    r.ready.len() <= bound,
+                    "{} frames queued: more than {bound}",
+                    r.ready.len()
+                );
+                queues += 1;
+                let Some(front) = r.ready.front() else {
                     continue;
                 };
                 let frame = front as *const _;
@@ -112,6 +135,7 @@ fn the_capture_and_the_fetch_queues_hold_what_is_read() {
         }
     }
     assert!(ring_checks >= 12, "{ring_checks} ring checks");
+    assert_eq!(queues, CLIENTS * 2 * 17, "two streams a viewer, 17 steps");
     assert!(
         in_place > 100,
         "only {in_place} queued frames were looked at"
