@@ -3,7 +3,7 @@
 //! interactions until every transition has been exercised, and print the
 //! coverage matrix.
 
-use hermes_bench::{ExpOpts, Table};
+use hermes_bench::{judge_world, ExpOpts, Table};
 use hermes_client::{all_legal_transitions, AppEvent, AppState, AppStateMachine};
 use hermes_core::{DocumentId, LinkTarget, MediaTime, ServerId};
 use hermes_service::{install_course, ClientConfig, LessonShape, ServerConfig, WorldBuilder};
@@ -49,6 +49,7 @@ fn main() {
         sim.with_api(|w, api| w.client_mut(cli).disconnect(api));
         sim.run_until(MediaTime::from_secs(31));
         covered.extend(sim.app().client(cli).machine.covered());
+        judge_world(&mut sim, &[cli]);
     }
 
     // Session B: known user reconnect (AuthOk), failed request, remote
@@ -78,6 +79,7 @@ fn main() {
         let _ = lessons;
         covered.extend(sim.app().client(cli).machine.covered());
         let _ = srv;
+        judge_world(&mut sim, &[cli]);
     }
 
     // Session C: the synthetic-only edges (admission rejection, migration

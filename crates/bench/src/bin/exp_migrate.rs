@@ -8,7 +8,7 @@
 //! Sweep the user's revisit delay against the server's grace period and
 //! report whether the suspended session survived.
 
-use hermes_bench::{clip_lesson, ExpOpts, Table};
+use hermes_bench::{clip_lesson, judge_world, ExpOpts, Table};
 use hermes_core::{LinkTarget, MediaDuration, MediaTime, ServerId};
 use hermes_service::{install_course, ClientConfig, ServerConfig, WorldBuilder};
 use hermes_simnet::{LinkSpec, SimRng};
@@ -78,6 +78,7 @@ fn run(revisit_after_s: i64, grace_s: i64, seed: u64) -> (bool, bool) {
     sim.run_until(revisit_at + MediaDuration::from_secs(grace_s + 5));
     // Past the revisit, only the server's expiry notice clears the pointer.
     let notified = !resumed && sim.app().client(cli).suspended.is_none();
+    judge_world(&mut sim, &[cli]);
     (alive, notified)
 }
 

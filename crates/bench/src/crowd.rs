@@ -287,32 +287,35 @@ impl Crowd {
         t
     }
 
-    /// End the run and judge it: disconnect every pool client, settle for
-    /// 5 s, audit media-part conservation, publish the metrics and run the
-    /// invariant catalog. Bounded recovery stays off: under a live
-    /// crowd it would count the crowd's own gaps. Panics with the first
-    /// violations, so a broken run exits nonzero.
+    /// End the run and judge it: [`judge_world`] over the pool.
     pub fn judge(mut self) {
-        let sim = &mut self.sim;
-        sim.with_api(|w, api| {
-            for &c in &self.clients {
-                w.client_mut(c).disconnect(api);
-            }
-        });
-        sim.run_until(sim.now() + SETTLE);
-        sim.app().audit_media_parts(&sim.stats());
-        sim.publish_metrics();
-        let mut obs = sim.take_obs();
-        sim.app().publish_metrics(&mut obs);
-        let v = check_run(obs.events(), &obs.registry, &InvariantConfig::default());
-        let first: Vec<String> = v.iter().take(8).map(|v| v.render()).collect();
-        assert!(
-            v.is_empty(),
-            "{} invariant violations:\n{}",
-            v.len(),
-            first.join("\n")
-        );
+        judge_world(&mut self.sim, &self.clients);
     }
+}
+
+/// End a run (of [`Crowd::judge`], exp_fig4, exp_migrate) and judge it:
+/// disconnect `clients`, settle 5 s, audit media parts, publish metrics and
+/// run the invariant catalog, bounded recovery off (a crowd's own gaps would
+/// count). Panics with the first violations: a broken run exits nonzero.
+pub fn judge_world(sim: &mut Sim<ServiceMsg, ServiceWorld>, clients: &[NodeId]) {
+    sim.with_api(|w, api| {
+        for &c in clients {
+            w.client_mut(c).disconnect(api);
+        }
+    });
+    sim.run_until(sim.now() + SETTLE);
+    sim.app().audit_media_parts(&sim.stats());
+    sim.publish_metrics();
+    let mut obs = sim.take_obs();
+    sim.app().publish_metrics(&mut obs);
+    let v = check_run(obs.events(), &obs.registry, &InvariantConfig::default());
+    let first: Vec<String> = v.iter().take(8).map(|v| v.render()).collect();
+    assert!(
+        v.is_empty(),
+        "{} invariant violations:\n{}",
+        v.len(),
+        first.join("\n")
+    );
 }
 
 /// What driving the pool saw besides what the harvest collected.

@@ -17,7 +17,7 @@ pub mod tables;
 pub mod workload;
 
 pub use cli::{ExpOpts, Sink};
-pub use crowd::{Crowd, FlashCrowd, PoolRun, Scenario, Tally};
+pub use crowd::{judge_world, Crowd, FlashCrowd, PoolRun, Scenario, Tally};
 pub use harness::{
     clip_lesson, run_seeds, run_streaming_session, run_streaming_session_traced, standard_lesson,
     StreamingMetrics, StreamingParams,

@@ -14,7 +14,7 @@
 
 use hermes_core::GradeLevel;
 use hermes_media::SegmentFrame;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_map, BTreeMap};
 use std::sync::Arc;
 
 /// Identity of one cached segment.
@@ -87,8 +87,9 @@ pub struct SegmentCache {
     /// admitted regardless of reader count and are exempt from LRU
     /// eviction while the pin holds — a shared flow serves many viewers
     /// from one fetch sequence, so its working set must not be displaced
-    /// by one-off unicast traffic.
-    pinned: BTreeSet<u32>,
+    /// by one-off unicast traffic. A count, not a set: two overlapping
+    /// groups for one document each hold a pin.
+    pinned: BTreeMap<u32, u32>,
     /// Statistics.
     pub stats: SegmentCacheStats,
 }
@@ -142,35 +143,26 @@ impl SegmentCache {
 
     /// A stream over `object` ended.
     pub fn reader_finished(&mut self, object: &str) {
-        let Some(id) = self.id(object) else {
-            return;
-        };
-        if let Some(n) = self.readers.get_mut(&id) {
-            *n = n.saturating_sub(1);
-            if *n == 0 {
-                self.readers.remove(&id);
-            }
-        }
+        drop_one(self.id(object), &mut self.readers);
     }
 
     /// Pin `object`: admit its segments unconditionally and protect them
-    /// from eviction until [`SegmentCache::unpin`].
+    /// from eviction until every pin is [`unpin`](SegmentCache::unpin)ned.
     pub fn pin(&mut self, object: &str) {
         let id = self.intern(object);
-        self.pinned.insert(id);
+        *self.pinned.entry(id).or_insert(0) += 1;
     }
 
-    /// Drop the pin on `object`; its resident segments return to normal
-    /// LRU life.
+    /// Drop one pin on `object`; when none is left its resident segments
+    /// return to normal LRU life.
     pub fn unpin(&mut self, object: &str) {
-        if let Some(id) = self.id(object) {
-            self.pinned.remove(&id);
-        }
+        drop_one(self.id(object), &mut self.pinned);
     }
 
     /// Is `object` currently pinned?
     pub fn is_pinned(&self, object: &str) -> bool {
-        self.id(object).is_some_and(|id| self.pinned.contains(&id))
+        self.id(object)
+            .is_some_and(|id| self.pinned.contains_key(&id))
     }
 
     /// Would an insert for `object` currently be admitted?
@@ -180,7 +172,7 @@ impl SegmentCache {
 
     fn admits_id(&self, id: u32) -> bool {
         let shared = self.readers.get(&id).is_some_and(|&n| n >= 2);
-        self.capacity_bytes > 0 && (shared || self.pinned.contains(&id))
+        self.capacity_bytes > 0 && (shared || self.pinned.contains_key(&id))
     }
 
     /// Look up a segment, refreshing its recency on a hit. Counts a hit or
@@ -251,7 +243,7 @@ impl SegmentCache {
             let Some(stamp) = self
                 .recency
                 .iter()
-                .find(|(_, s)| !self.pinned.contains(&s.0))
+                .find(|(_, s)| !self.pinned.contains_key(&s.0))
                 .map(|(&stamp, _)| stamp)
             else {
                 self.stats.rejected += 1;
@@ -295,6 +287,16 @@ impl SegmentCache {
             segment,
         };
         self.recency.values().map(key).collect()
+    }
+}
+
+/// Take one off `id`'s count, forgetting it at zero.
+fn drop_one(id: Option<u32>, counts: &mut BTreeMap<u32, u32>) {
+    if let Some(btree_map::Entry::Occupied(mut n)) = id.map(|id| counts.entry(id)) {
+        *n.get_mut() -= 1;
+        if *n.get() == 0 {
+            n.remove();
+        }
     }
 }
 

@@ -791,13 +791,12 @@ mod tests {
         assert_eq!(t.requests[&doc(1)], 1);
     }
 
-    /// ROADMAP item 6 (j): pins are a set, not a count. Two groups for one
-    /// document overlap whenever a request arrives past `max_patch` while
-    /// the older group still streams (common on `vod_shared`: hot titles,
-    /// 4 s `max_patch`, 10 s clips); when the older one ends it unpins the
-    /// object the younger one still streams.
+    /// ROADMAP item 6 (j): pins are a count. Two groups for one document
+    /// overlap whenever a request arrives past `max_patch` while the older
+    /// group still streams (common on `vod_shared`: hot titles, 4 s
+    /// `max_patch`, 10 s clips); when the older one ends, the object the
+    /// younger one still streams keeps the younger group's pin.
     #[test]
-    #[ignore = "ROADMAP item 6 (j): pins are a set, not a count (fix moves vod_shared / exp_scale)"]
     fn overlapping_groups_keep_their_pins() {
         let (mut t, mut out) = (table(SharingMode::BatchingPatching), Vec::new());
         let mut cache = SegmentCache::new(1 << 20);

@@ -16,7 +16,7 @@ use hermes_core::{
 use hermes_media::{CodecModel, FrameSource, SegmentFrame};
 use hermes_rtp::RtpSender;
 use hermes_server::grading::{GradeOut, GradedSession, Grading, StreamView};
-use hermes_server::lifecycle::{Gate, Input, LifeOut, LifeOuts, Lifecycle, SessionLife};
+use hermes_server::lifecycle::{self, Chain, Input, LifeOut, LifeOuts, Lifecycle, SessionLife};
 use hermes_server::{
     compute_flow_scenario, AccountsDb, AdmissionController, AdmissionDecision, Charge,
     ConnectionRequest, Demand, FetchOut, FlowPlan, FlowScenario, LostFetch, MediaTier,
@@ -55,6 +55,8 @@ pub struct StreamTx {
     /// receives carries exactly this pts, so the patch covers [0, cutoff)
     /// with no duplicate and no gap.
     pub patch_until: Option<MediaTime>,
+    /// The stream's timer chain: its one pending timer.
+    chain: Chain,
 }
 
 impl StreamTx {
@@ -76,6 +78,7 @@ impl StreamTx {
             bytes_sent: 0,
             remote: None,
             patch_until,
+            chain: Chain::default(),
         }
     }
 
@@ -426,26 +429,15 @@ impl FetchPort {
     }
 }
 
-/// What a stream timer sends, keyed by its timer: the next RTP frame of a
-/// continuous stream, or a discrete object whole.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u64)]
-enum Ship {
-    Frame = timers::TK_FRAME,
-    Object = timers::TK_DISCRETE,
-}
-
-/// Arm stream `(session, component)`'s `ship` timer on `node`, `delay`
-/// from now. Every stream timer is armed here, and
-/// [`ServerActor::on_timer`] reads them.
+/// Set the stream timer [`Lifecycle::arm`] just minted `gen` for, `delay`
+/// from now; [`ServerActor::on_stream_timer`] reads every one.
 fn arm_stream(
     api: &mut SimApi<'_, ServiceMsg>,
     node: NodeId,
-    ship: Ship,
     delay: MediaDuration,
-    (session, component): (SessionId, ComponentId),
+    (session, gen): (SessionId, u32),
 ) {
-    api.set_timer(node, delay, ship as u64, timers::pack(session, component));
+    api.set_timer(node, delay, timers::TK_FRAME, timers::pack(session, gen));
 }
 
 /// Controller high-availability counters of one server.
@@ -598,7 +590,10 @@ impl ServerActor {
                     tx.stopped = true;
                 }
             }
-            ServiceMsg::SuspendConnection { session } => self.step(api, session, Input::Suspend),
+            ServiceMsg::SuspendConnection { session } => {
+                let until = api.now() + self.cfg.suspend_grace;
+                self.step(api, session, Input::Suspend(until))
+            }
             ServiceMsg::ResumeSuspended { session } => self.step(api, session, Input::Revisit),
             ServiceMsg::Disconnect { session } => self.on_disconnect(api, session),
             ServiceMsg::SearchRequest {
@@ -728,8 +723,7 @@ impl ServerActor {
     /// Handle a timer addressed to this server.
     pub fn on_timer(&mut self, api: &mut SimApi<'_, ServiceMsg>, key: u64, payload: u64) {
         match key {
-            timers::TK_FRAME => self.send_stream(api, Ship::Frame, timers::unpack(payload)),
-            timers::TK_DISCRETE => self.send_stream(api, Ship::Object, timers::unpack(payload)),
+            timers::TK_FRAME => self.on_stream_timer(api, payload),
             timers::TK_HEARTBEAT => {
                 let session = SessionId::new(payload);
                 let life = self.sessions.get_mut(&session).map(|s| &mut s.life);
@@ -745,7 +739,8 @@ impl ServerActor {
             timers::TK_GRACE => {
                 let session = SessionId::new(payload);
                 let life = self.sessions.get_mut(&session).map(|s| &mut s.life);
-                self.life.grace(life, session, &mut self.life_out);
+                self.life
+                    .grace(life, session, api.now(), &mut self.life_out);
                 self.flush_life(api);
             }
             timers::TK_HEDGE => self.on_hedge_timer(api, payload),
@@ -1111,7 +1106,6 @@ impl ServerActor {
             // network, not by us.
             Some(s) => {
                 s.client = from;
-                s.life.step(Input::Reconnect);
                 session
             }
             // Rebuild after a restart. A fresh id keeps the recovered
@@ -1130,6 +1124,7 @@ impl ServerActor {
                 new.0
             }
         };
+        self.step(api, session, Input::Reconnect); // a rebuild's old id is gone
         let ack = ServiceMsg::ReconnectAck {
             old_session: session,
             session: new_session,
@@ -1270,7 +1265,6 @@ impl ServerActor {
         // Streams stay in the session after they finish: size them exactly.
         s.streams.reserve_exact(flow.plans.len());
         s.current_doc = Some(document);
-        s.life.step(Input::Switch);
         if send_scenario {
             let (markup, lead_micros) = (doc.markup.clone(), flow.lead.as_micros());
             let msg = ServiceMsg::ScenarioResponse {
@@ -1294,6 +1288,7 @@ impl ServerActor {
         let now = api.now();
         self.slo
             .record_latency(now, SLO_JOIN, now - s.life.connected_at);
+        self.step(api, session, Input::Switch);
         Some((shed, flow, client))
     }
 
@@ -1381,15 +1376,15 @@ impl ServerActor {
         prep(&mut source);
         let ssrc = ((session.raw() as u32) << 16) ^ plan.component.raw() as u32;
         let tx = StreamTx::new(plan, source, ssrc, patch_until);
-        self.open_stream(api, session, tx, Ship::Frame, delay)
+        self.open_stream(api, session, tx, delay)
     }
 
     /// Schedule one discrete media object (image / text file) for `session`
     /// `delay` from now: a single object over the reliable path. With a
-    /// media tier its size comes from the fetched segment. Locally it comes
-    /// from a frame source *seeded* with the stored first frame's size
-    /// (ROADMAP item 6 (s)), or with the codec's mean frame size when the
-    /// store lacks the object.
+    /// media tier its size comes from the fetched segment. Locally it is the
+    /// stored first frame's size, read from the store's own frame source, or
+    /// one hashed from the codec's mean frame size when the store lacks the
+    /// object.
     fn schedule_discrete(
         &mut self,
         api: &mut SimApi<'_, ServiceMsg>,
@@ -1398,29 +1393,27 @@ impl ServerActor {
         delay: MediaDuration,
     ) {
         let store = self.db.store(plan.kind);
-        let size = match store.open(&plan.source.object, plan.component, plan.duration) {
-            Some(mut src) => src.next_frame().map(|f| f.size).unwrap_or(0),
-            None => {
-                let model = CodecModel::for_encoding(plan.encoding);
-                model.level(GradeLevel::NOMINAL).mean_frame_bytes
-            }
-        };
         let duration = plan.duration.max(MediaDuration::from_millis(1));
-        let source = FrameSource::new(plan.component, plan.encoding, size as u64, duration);
+        let source = store
+            .open(&plan.source.object, plan.component, duration)
+            .unwrap_or_else(|| {
+                let model = CodecModel::for_encoding(plan.encoding);
+                let size = model.level(GradeLevel::NOMINAL).mean_frame_bytes;
+                FrameSource::new(plan.component, plan.encoding, size as u64, duration)
+            });
         let tx = StreamTx::new(plan, source, 0, None);
-        self.open_stream(api, session, tx, Ship::Object, delay);
+        self.open_stream(api, session, tx, delay);
     }
 
     /// The tail of both stream openers: install `tx` as its component's
     /// stream of `session`, with its media-tier fetch state opened at the
-    /// source's position, and arm its first `ship` timer `delay` from now.
-    /// False when the session is gone.
+    /// source's position, and arm its first timer `delay` from now. False
+    /// when the session is gone.
     fn open_stream(
         &mut self,
         api: &mut SimApi<'_, ServiceMsg>,
         session: SessionId,
         mut tx: StreamTx,
-        ship: Ship,
         delay: MediaDuration,
     ) -> bool {
         let Some(s) = self.sessions.get_mut(&session) else {
@@ -1429,9 +1422,9 @@ impl ServerActor {
         let (plan, seq) = (&tx.plan, tx.source.next_seq());
         let tier = self.media.as_mut();
         tx.remote = tier.and_then(|t| t.open(&*api, &plan.source.object, plan.kind, seq));
-        let component = tx.plan.component;
-        s.streams.insert(component, tx);
-        arm_stream(api, self.node, ship, delay, (session, component));
+        let gen = self.life.arm(&mut tx.chain);
+        s.streams.insert(tx.plan.component, tx);
+        arm_stream(api, self.node, delay, (session, gen));
         true
     }
 
@@ -1541,17 +1534,19 @@ impl ServerActor {
             return;
         };
         let owner = tier.owner(fetch);
-        let tx = owner.and_then(|(s, c)| self.sessions.get_mut(&s)?.streams.get_mut(&c));
+        let s = owner.and_then(|(s, _)| self.sessions.get_mut(&s));
+        let sends = s.as_ref().is_some_and(|s| s.life.phase.sends());
+        let tx = owner.zip(s).and_then(|((_, c), s)| s.streams.get_mut(&c));
         let discrete = tx.as_ref().is_some_and(|tx| !tx.plan.kind.is_continuous());
         let r = tx.and_then(|tx| tx.remote.as_mut());
         let out = &mut self.fetch.out;
         let done = tier.on_chunk(api.now(), fetch, frames, last, credit, r, out);
         self.flush_woken(api);
-        // Discrete objects ship the moment their bytes arrive; continuous
-        // streams stay on the pacer's cadence (the stall poll picks the
-        // fetched frames up).
-        if let (true, Some(stream)) = (done.appended && discrete, owner) {
-            self.send_stream(api, Ship::Object, stream);
+        // Discrete objects ship the moment their bytes arrive while the
+        // phase sends; continuous streams stay on the pacer's cadence (the
+        // stall poll picks the fetched frames up).
+        if let (true, Some(stream)) = (done.appended && discrete && sends, owner) {
+            self.send_stream(api, stream);
         }
         // A successful-but-slow completion can still trip the breaker (EWMA
         // latency): eject only after the fetched frames landed.
@@ -1703,10 +1698,11 @@ impl ServerActor {
                     let msg = ServiceMsg::StreamStopped { session, component };
                     api.send_reliable(node, client, msg);
                 }
-                (GradeOut::Restart(session, component), Some((_, tx))) => {
+                (GradeOut::Restart(session, _), Some((_, tx))) => {
                     tx.stopped = false;
-                    let stream = (session, component);
-                    arm_stream(api, node, Ship::Frame, MediaDuration::ZERO, stream);
+                    if let Some(gen) = self.life.rearm(&mut tx.chain) {
+                        arm_stream(api, node, MediaDuration::ZERO, (session, gen));
+                    }
                 }
                 (GradeOut::Stale(_), _) => self.ctrl_stats.stale_drops += 1,
                 (GradeOut::Ladder(_, restore, _), _) => match self.media.as_mut() {
@@ -2049,33 +2045,27 @@ impl ServerActor {
         self.drain_breaker_events(api);
     }
 
-    /// A stream timer fired, or a discrete object's bytes just arrived:
-    /// send what `ship` names. One prologue serves both: the session's
-    /// phase gate (checked before the stream lookup), the live stream, and
-    /// with a media tier a pump of its fetch window. A polling gate or a dry
-    /// window re-arms the same timer.
-    fn send_stream(
-        &mut self,
-        api: &mut SimApi<'_, ServiceMsg>,
-        ship: Ship,
-        stream: (SessionId, ComponentId),
-    ) {
+    /// A stream timer fired: send on the stream the lifecycle core names.
+    fn on_stream_timer(&mut self, api: &mut SimApi<'_, ServiceMsg>, payload: u64) {
+        let (session, gen) = timers::unpack(payload);
+        let Some(s) = self.sessions.get_mut(&session) else {
+            return;
+        };
+        let chains = s.streams.iter_mut().map(|(c, tx)| (*c, &mut tx.chain));
+        if let Some(component) = lifecycle::fire(s.life.phase, gen, chains) {
+            self.send_stream(api, (session, component));
+        }
+    }
+
+    /// Send stream `(session, component)`'s next frame, or its discrete
+    /// object whole: a stream timer fired, or the object's bytes just
+    /// arrived. With a media tier the fetch window is pumped first; a dry
+    /// window re-arms the stream's timer.
+    fn send_stream(&mut self, api: &mut SimApi<'_, ServiceMsg>, stream: (SessionId, ComponentId)) {
         let (node, (session, component)) = (self.node, stream);
         let Some(s) = self.sessions.get_mut(&session) else {
             return;
         };
-        let gate = match ship {
-            Ship::Frame => s.life.phase.frame(),
-            Ship::Object => s.life.phase.discrete(),
-        };
-        match gate {
-            Gate::Send => {}
-            // Poll until resumed. The resume arms a chain of its own on top,
-            // so a resumed stream runs two: ROADMAP item 6 (q).
-            Gate::Poll(poll) => return arm_stream(api, node, ship, poll, stream),
-            // Nothing re-arms a suspended session's chain: ROADMAP item 6 (o).
-            Gate::Halt => return,
-        }
         let client = s.client;
         let Some(tx) = s.streams.get_mut(&component) else {
             return;
@@ -2083,7 +2073,7 @@ impl ServerActor {
         if tx.done || tx.stopped {
             return;
         }
-        if let (Ship::Frame, Some(limit)) = (ship, tx.patch_until) {
+        if let Some(limit) = tx.patch_until {
             // Patch complete: the stream's next pts is carried by the
             // shared flow. Strictly exclusive — equal pts stops here.
             if tx.source.next_pts() >= limit {
@@ -2102,11 +2092,12 @@ impl ServerActor {
             self.fetch.flush(api, &mut self.slo);
             if r.ready.is_empty() && demand.frames_needed > 0 {
                 tier.stats.stalls += 1;
-                return arm_stream(api, node, ship, STALL_POLL, stream);
+                let gen = self.life.arm(&mut tx.chain);
+                return arm_stream(api, node, STALL_POLL, (session, gen));
             }
         }
         let now = api.now();
-        if ship == Ship::Object {
+        if !tx.plan.kind.is_continuous() {
             let fetched = tx.remote.as_ref().and_then(|r| r.ready.front());
             let total = match fetched {
                 Some(spec) => spec.size,
@@ -2118,7 +2109,7 @@ impl ServerActor {
             tx.done = true;
             tx.frames_sent = 1;
             tx.bytes_sent = total as u64;
-            s.life.media_sent(now);
+            s.life.last_media = now;
             // Segment to MTU-sized chunks, as TCP would.
             const SEGMENT: u32 = 1_400;
             let mut remaining = total;
@@ -2181,8 +2172,9 @@ impl ServerActor {
                     });
                 }
                 let period = tx.source.model().level(tx.source.level()).frame_period();
-                arm_stream(api, node, Ship::Frame, period, stream);
-                s.life.media_sent(now);
+                let gen = self.life.arm(&mut tx.chain);
+                arm_stream(api, node, period, (session, gen));
+                s.life.last_media = now;
             }
             None => {
                 tx.done = true;
@@ -2215,7 +2207,7 @@ impl ServerActor {
         let mut out = std::mem::take(&mut self.life_out);
         for (session, o) in out.drain(..) {
             // The core answers only for live sessions.
-            let Some(s) = self.sessions.get(&session) else {
+            let Some(s) = self.sessions.get_mut(&session) else {
                 continue;
             };
             let (client, id) = (s.client, session.raw());
@@ -2223,19 +2215,19 @@ impl ServerActor {
                 LifeOut::ArmHeartbeat => {
                     api.set_timer(node, self.cfg.heartbeat_interval, timers::TK_HEARTBEAT, id)
                 }
-                LifeOut::ArmGrace => {
-                    api.set_timer(node, self.cfg.suspend_grace, timers::TK_GRACE, id);
+                LifeOut::ArmGrace(until) => {
+                    api.set_timer(node, until - api.now(), timers::TK_GRACE, id);
                 }
                 LifeOut::Beat(seq) => {
                     api.send(node, client, ServiceMsg::Heartbeat { session, seq });
                 }
-                // `TK_FRAME` for every live stream, while each one's paused
-                // poll keeps running (ROADMAP item 6 (q)), and a pending
-                // image goes down the RTP frame path (item 6 (t)).
+                // A pending timer (an image's send start) stays as it was.
                 LifeOut::Rearm => {
-                    for (c, _) in s.streams.iter().filter(|(_, tx)| !tx.done && !tx.stopped) {
-                        let stream = (session, *c);
-                        arm_stream(api, node, Ship::Frame, MediaDuration::ZERO, stream);
+                    let live = s.streams.values_mut().filter(|tx| !tx.done && !tx.stopped);
+                    for tx in live {
+                        if let Some(gen) = self.life.rearm(&mut tx.chain) {
+                            arm_stream(api, node, MediaDuration::ZERO, (session, gen));
+                        }
                     }
                 }
                 LifeOut::Topics => {

@@ -1,14 +1,12 @@
 //! Timer-key constants and payload packing shared by the actors.
 
-use hermes_core::{ComponentId, SessionId};
+use hermes_core::SessionId;
 
-/// Server: send the next frame of a stream (its first one at the stream's
-/// flow-scenario send start).
+/// Server: send a stream's next frame, or its discrete object whole (the
+/// first at its flow-scenario send start); the payload is [`pack`]ed.
 pub const TK_FRAME: u64 = 2;
-/// Server: a suspended connection's grace period check.
+/// Server: a suspended connection's grace deadline.
 pub const TK_GRACE: u64 = 3;
-/// Server: ship a discrete media object.
-pub const TK_DISCRETE: u64 = 4;
 /// Server: emit the next per-session liveness heartbeat.
 pub const TK_HEARTBEAT: u64 = 5;
 /// Server: periodic degradation-ladder evaluation (queue-pressure check).
@@ -41,18 +39,16 @@ pub const TK_CTRL_LEASE: u64 = 19;
 /// election if it lapsed (the K-missed-beats watch chain).
 pub const TK_CTRL_WATCH: u64 = 20;
 
-/// Pack a (session, component) pair into one timer payload.
-pub fn pack(session: SessionId, component: ComponentId) -> u64 {
-    debug_assert!(session.raw() < (1 << 32) && component.raw() < (1 << 32));
-    (session.raw() << 32) | component.raw()
+/// Pack a stream timer's session (all 32 bits of it) and generation into
+/// one timer payload.
+pub fn pack(session: SessionId, gen: u32) -> u64 {
+    debug_assert!(session.raw() < (1 << 32));
+    (session.raw() << 32) | u64::from(gen)
 }
 
-/// Unpack a timer payload into (session, component).
-pub fn unpack(payload: u64) -> (SessionId, ComponentId) {
-    (
-        SessionId::new(payload >> 32),
-        ComponentId::new(payload & 0xFFFF_FFFF),
-    )
+/// Unpack a stream timer's payload into (session, generation).
+pub fn unpack(payload: u64) -> (SessionId, u32) {
+    (SessionId::new(payload >> 32), payload as u32)
 }
 
 #[cfg(test)]
@@ -61,12 +57,9 @@ mod tests {
 
     #[test]
     fn pack_unpack_round_trip() {
-        let s = SessionId::new(123_456);
-        let c = ComponentId::new(789);
-        assert_eq!(unpack(pack(s, c)), (s, c));
-        assert_eq!(
-            unpack(pack(SessionId::new(0), ComponentId::new(0))),
-            (SessionId::new(0), ComponentId::new(0))
-        );
+        for (s, gen) in [(123_456, 789), (0, 0), (u32::MAX as u64, u32::MAX)] {
+            let s = SessionId::new(s);
+            assert_eq!(unpack(pack(s, gen)), (s, gen));
+        }
     }
 }

@@ -1,7 +1,7 @@
 #![allow(clippy::field_reassign_with_default)]
 //! Document-delivery tests: one golden over the server's delivery paths
-//! that no other golden pins exactly, and four pinned frame-chain findings
-//! of ROADMAP item 6.
+//! that no other golden pins exactly, and the four frame-chain findings of
+//! ROADMAP item 6 that one timer chain per stream closed.
 //!
 //! `delivery_golden`'s cases are pinned by every stream's `(session,
 //! component, kind, frames_sent, bytes_sent, done)` at fixed instants, the
@@ -18,6 +18,19 @@
 //! moved, with the fetches. The rebuilt session asks one segment fewer
 //! (26 `cache_miss` events → 25), and the shared world 14 fewer (38 →
 //! 24): patch streams stop fetching at their patch's end.
+//!
+//! `LOCAL`, `LINK` and `PAUSED_IMAGE` were printed again when each stream
+//! got one timer chain (findings (q)–(t) closed). The local path now ships
+//! each image's stored size, as the tier path in `REBUILD` and `SHARED`
+//! always did (s): 62,292 → 67,476 B and 56,454 → 65,454 B, and lesson 2's
+//! image 55,074 → 56,730 B. After `LINK`'s local link at 3 s, lesson 1's
+//! pending frame timer no longer drives lesson 2's clip (r), so the clip
+//! runs at its own rate: 150 audio / 75 video frames by 6 s, not 300 / 150,
+//! and not yet done at 12 s. In `PAUSED_IMAGE` the resume at 0.8 s re-arms
+//! nothing, since no chain halted in the 0.5 s pause: the clip keeps its
+//! 6 s send start (it had started at the resume, 60 audio frames by 2 s)
+//! and the pending image ships its own object (t). Its rows now equal
+//! `LOCAL`'s; only the digest differs, by the pause and resume events.
 //!
 //! Cases other tests already pin are left out:
 //! - a private flow and an image with the media tier: `fetch_golden`'s
@@ -310,20 +323,20 @@ fn delivery_golden_pause_while_image_pending() {
 const LOCAL: Pin = (
     &[
         &[
-            (1, 1, MediaKind::Image, 1, 62292, true),
-            (1, 2, MediaKind::Image, 1, 56454, true),
+            (1, 1, MediaKind::Image, 1, 67476, true),
+            (1, 2, MediaKind::Image, 1, 65454, true),
             (1, 3, MediaKind::Audio, 0, 0, false),
             (1, 4, MediaKind::Video, 0, 0, false),
         ],
         &[
-            (1, 1, MediaKind::Image, 1, 62292, true),
-            (1, 2, MediaKind::Image, 1, 56454, true),
+            (1, 1, MediaKind::Image, 1, 67476, true),
+            (1, 2, MediaKind::Image, 1, 65454, true),
             (1, 3, MediaKind::Audio, 163, 289740, false),
             (1, 4, MediaKind::Video, 82, 619151, false),
         ],
     ],
     [1, 0, 0],
-    14608344681437198763,
+    7428606141471582442,
 );
 const REBUILD: Pin = (
     &[
@@ -368,47 +381,47 @@ const SHARED: Pin = (
 const LINK: Pin = (
     &[
         &[
-            (1, 1, MediaKind::Image, 1, 62292, true),
+            (1, 1, MediaKind::Image, 1, 67476, true),
             (1, 2, MediaKind::Audio, 150, 263069, false),
             (1, 3, MediaKind::Video, 75, 579713, false),
         ],
         &[
-            (1, 1, MediaKind::Image, 1, 55074, true),
-            (1, 2, MediaKind::Audio, 300, 528586, false),
-            (1, 3, MediaKind::Video, 150, 1135086, false),
+            (1, 1, MediaKind::Image, 1, 56730, true),
+            (1, 2, MediaKind::Audio, 150, 265630, false),
+            (1, 3, MediaKind::Video, 75, 577158, false),
         ],
         &[
-            (1, 1, MediaKind::Image, 1, 55074, true),
-            (1, 2, MediaKind::Audio, 600, 1061284, true),
-            (1, 3, MediaKind::Video, 300, 2258972, true),
+            (1, 1, MediaKind::Image, 1, 56730, true),
+            (1, 2, MediaKind::Audio, 450, 794728, false),
+            (1, 3, MediaKind::Video, 225, 1697537, false),
         ],
     ],
     [2, 0, 0],
-    17015272633186671545,
+    17056370576535930381,
 );
 const PAUSED_IMAGE: Pin = (
     &[
         &[
-            (1, 1, MediaKind::Image, 1, 62292, true),
+            (1, 1, MediaKind::Image, 1, 67476, true),
             (1, 2, MediaKind::Image, 0, 0, false),
             (1, 3, MediaKind::Audio, 0, 0, false),
             (1, 4, MediaKind::Video, 0, 0, false),
         ],
         &[
-            (1, 1, MediaKind::Image, 1, 62292, true),
-            (1, 2, MediaKind::Image, 1, 54354, true),
-            (1, 3, MediaKind::Audio, 60, 106889, false),
-            (1, 4, MediaKind::Video, 30, 232933, false),
+            (1, 1, MediaKind::Image, 1, 67476, true),
+            (1, 2, MediaKind::Image, 1, 65454, true),
+            (1, 3, MediaKind::Audio, 0, 0, false),
+            (1, 4, MediaKind::Video, 0, 0, false),
         ],
         &[
-            (1, 1, MediaKind::Image, 1, 62292, true),
-            (1, 2, MediaKind::Image, 1, 54354, true),
-            (1, 3, MediaKind::Audio, 300, 531598, true),
-            (1, 4, MediaKind::Video, 150, 1133104, true),
+            (1, 1, MediaKind::Image, 1, 67476, true),
+            (1, 2, MediaKind::Image, 1, 65454, true),
+            (1, 3, MediaKind::Audio, 163, 289740, false),
+            (1, 4, MediaKind::Video, 82, 619151, false),
         ],
     ],
     [1, 0, 0],
-    8877946662828057190,
+    2987197562855344788,
 );
 
 /// Frames the only session's `kind` stream sends from `from` to `to`.
@@ -424,7 +437,6 @@ fn rate(w: &mut World, kind: MediaKind, (from, to): (i64, i64)) -> u64 {
 /// same clip unpaused; today the resume arms a second frame chain on top
 /// of the pause's poll, and every stream goes out at twice its rate.
 #[test]
-#[ignore = "ROADMAP item 6 (q): a Resume after a Pause doubles every live stream's frame chain"]
 fn a_resume_keeps_one_frame_chain_per_stream() {
     let mut plain = private(1, clip(12));
     plain.connect(0, 0);
@@ -449,7 +461,6 @@ fn a_resume_keeps_one_frame_chain_per_stream() {
 /// lesson 1's pending frame timer finds lesson 2's stream under the same
 /// component id and drives it as a second chain.
 #[test]
-#[ignore = "ROADMAP item 6 (r): after a local link the old document's frame chain drives the new stream"]
 fn a_local_link_does_not_inherit_the_old_frame_chain() {
     let mut plain = private(1, clip(12));
     plain.connect(0, 0);
@@ -478,7 +489,6 @@ fn images_shipped(w: &mut World) -> Vec<(u64, u64)> {
 /// path does. Today `schedule_discrete` passes the size as a frame-source
 /// seed, and the discrete send ships the size of a frame hashed from it.
 #[test]
-#[ignore = "ROADMAP item 6 (s): the local path ships a re-hashed image size"]
 fn the_local_path_ships_the_stored_image_size() {
     let mut w = private(1, IMAGES);
     w.connect(0, 0);
@@ -506,7 +516,6 @@ fn the_local_path_ships_the_stored_image_size() {
 /// timer for the image too, which advances its source, so the later
 /// discrete timer ships another frame's size.
 #[test]
-#[ignore = "ROADMAP item 6 (t): a Resume while an image is pending sends it down the RTP frame path"]
 fn a_resume_leaves_a_pending_image_alone() {
     let mut plain = private(1, IMAGES);
     plain.connect(0, 0);

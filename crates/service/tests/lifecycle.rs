@@ -1,6 +1,7 @@
 #![allow(clippy::field_reassign_with_default)]
 //! Session-lifecycle tests: one golden world that walks every server-side
-//! lifecycle transition, and two pinned findings of ROADMAP item 6.
+//! lifecycle transition, and the two findings of ROADMAP item 6 that one
+//! timer chain per stream closed.
 //!
 //! `lifecycle_golden` is pinned by the count of each lifecycle trace name,
 //! the `Heartbeat` and `SuspendExpired` messages the clients received, the
@@ -9,6 +10,19 @@
 //! 3138be0, while the session phase was two booleans in `server_actor.rs`;
 //! none may move unasked: a teardown, heartbeat, timer or emit that changes
 //! order or count moves them.
+//!
+//! They were printed again when leaving `Suspended` began to re-arm the
+//! frame chains the suspension halted (finding (o)). C's revisited S1
+//! session streams again, so S1 sends it no heartbeat; before, its first
+//! beat at 3.8 s reached C, which now belongs to S2 and answered with a
+//! `Disconnect`. C acks nothing for that session, so S1 reaps it by the
+//! client timeout at 4.2 s instead: `client_expired` 1 → 2 and heartbeats
+//! 119 → 118. A's resume at 5 s now re-arms the one chain per stream its
+//! pause halted (finding (q)), not a second chain over a 100 ms poll, so
+//! A's streams run at their own rate, not twice it, until its disconnect at
+//! 9 s. Utility is charged per delivered media second, so S1's closed
+//! ledger falls 191.44 → 165.20 net of the 0.4 s C's session streamed. The
+//! teardown count and every rebuilt pair stay.
 //!
 //! The world: two servers (S1 with a 3 s suspend grace and a 4 s client
 //! timeout, S2 with the defaults), each with lessons of one image and a
@@ -257,14 +271,14 @@ fn lifecycle_golden() {
 }
 
 const GOLDEN: Pin = (
-    [9, 2, 1, 5, 2],
-    119,
+    [9, 2, 2, 5, 2],
+    118,
     1,
     &[&[], &[(2, 3), (1, 4)]],
-    14413621669952831198,
+    8820025582566444992,
     &[
         (
-            4640939712756926382,
+            4640016474833315430,
             &[(5, 4636400647282490343), (6, 4636455816377925632)],
         ),
         (
@@ -334,7 +348,6 @@ fn resume_suspended(session: hermes_core::SessionId) -> ServiceMsg {
 /// should finish well inside 20 s; today it sits at 2 s of audio and video
 /// — neither done nor stopped, still holding its admission reservation.
 #[test]
-#[ignore = "ROADMAP item 6 (o): leaving Suspended never re-arms the frame chain"]
 fn leaving_suspended_restarts_the_frame_chain() {
     let (mut sim, srv, cli) = one_session(30);
     at_send(&mut sim, ms(2_000), (srv, cli), suspend);
@@ -358,7 +371,6 @@ fn leaving_suspended_restarts_the_frame_chain() {
 /// 8 s, the session must live until its own deadline at 18 s; today the
 /// first suspension's timer tears it down at 12 s.
 #[test]
-#[ignore = "ROADMAP item 6 (p): a stale grace timer expires a later suspension early"]
 fn a_stale_grace_timer_does_not_expire_a_later_suspension() {
     let (mut sim, srv, cli) = one_session(10);
     at_send(&mut sim, ms(2_000), (srv, cli), suspend);

@@ -324,9 +324,14 @@ type Pin = ([u64; 6], [u64; 3], [u64; 7], u64);
 // the cache every 10 ms for the rest of the run (misses 175 → 3,318).
 // Hits (20 → 16) and evictions (0 → 5) move with the fetch timing: the
 // leaders now fetch in step with their pacers, not all at once.
+//
+// Re-pinned when cache pins became a count (ROADMAP item 6 (j)): group B
+// opens for the same document while A still streams, and A's end no longer
+// unpins the object B streams, so B's pinned segments are not evicted
+// (evictions 5 → 0). Every other count, frame and the digest stay.
 const LIFECYCLE: Pin = (
     [2, 2, 3, 6, 1_428, 2],
-    [16, 3_318, 5],
+    [16, 3_318, 0],
     [1_008, 674, 1_008, 1_008, 420, 420, 420],
     15_896_960_536_464_654_122,
 );

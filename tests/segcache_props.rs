@@ -13,7 +13,7 @@ use hermes_od::core::GradeLevel;
 use hermes_od::media::SegmentFrame;
 use hermes_od::server::{SegmentCache, SegmentKey};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 const CAPACITY: u64 = 2_000;
 
@@ -73,21 +73,27 @@ fn check_ops(ops: &[Op]) -> Result<(), String> {
     }
     let mut c = SegmentCache::new(CAPACITY);
     // Reference model: recency order (LRU first), bytes per resident key,
-    // readers per object, pinned objects and the expected statistics.
+    // readers per object, pins per object (each group holds its own) and
+    // the expected statistics.
     let mut order: Vec<SegmentKey> = Vec::new();
     let mut bytes_of: BTreeMap<SegmentKey, u64> = BTreeMap::new();
     let mut readers: BTreeMap<u8, u32> = BTreeMap::new();
-    let mut pinned: BTreeSet<u8> = BTreeSet::new();
+    let mut pinned: BTreeMap<u8, u32> = BTreeMap::new();
     let mut stats = c.stats;
     for o in ops {
         match *o {
             Op::Pin(obj) => {
                 c.pin(&object(obj));
-                pinned.insert(obj);
+                *pinned.entry(obj).or_insert(0) += 1;
             }
             Op::Unpin(obj) => {
                 c.unpin(&object(obj));
-                pinned.remove(&obj);
+                if let Some(n) = pinned.get_mut(&obj) {
+                    *n -= 1;
+                    if *n == 0 {
+                        pinned.remove(&obj);
+                    }
+                }
             }
             Op::ReaderStart(obj) => {
                 c.reader_started(&object(obj));
@@ -120,7 +126,7 @@ fn check_ops(ops: &[Op]) -> Result<(), String> {
                 let frames = vec![SegmentFrame { size, key: true }; n as usize];
                 let b = size as u64 * n as u64;
                 let admitted = c.insert(k.clone(), frames);
-                let open = *readers.get(&obj).unwrap_or(&0) >= 2 || pinned.contains(&obj);
+                let open = *readers.get(&obj).unwrap_or(&0) >= 2 || pinned.contains_key(&obj);
                 let mut should = open && b <= CAPACITY;
                 if should {
                     // A replaced entry goes first, whatever follows.
@@ -132,7 +138,7 @@ fn check_ops(ops: &[Op]) -> Result<(), String> {
                     // the new one fits; with none left, refuse it.
                     let mut used: u64 = bytes_of.values().sum();
                     while used + b > CAPACITY {
-                        let evictable = |x: &SegmentKey| !pinned.contains(&object_of(x));
+                        let evictable = |x: &SegmentKey| !pinned.contains_key(&object_of(x));
                         let Some(pos) = order.iter().position(evictable) else {
                             should = false;
                             break;
@@ -150,7 +156,7 @@ fn check_ops(ops: &[Op]) -> Result<(), String> {
                     admitted == should,
                     "insert({k:?}) admitted={admitted}, readers={:?}, pinned={}",
                     readers.get(&obj),
-                    pinned.contains(&obj)
+                    pinned.contains_key(&obj)
                 );
                 stats.admitted += admitted as u64;
                 stats.rejected += !admitted as u64;
