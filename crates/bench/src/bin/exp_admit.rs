@@ -31,7 +31,7 @@ fn run_point(n_clients: usize, seed: u64) -> Vec<(PricingClass, u64, u64)> {
         };
         let mut cfg = ClientConfig::default();
         cfg.class = class;
-        cfg.form.class = class;
+        std::sync::Arc::make_mut(&mut cfg.form).class = class;
         clients.push((b.add_client(LinkSpec::lan(100_000_000), cfg), class));
     }
     let mut sim = b.build(seed);

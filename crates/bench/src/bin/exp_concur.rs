@@ -33,7 +33,7 @@ fn run_point(n_clients: usize, seed: u64) -> Point {
     for _ in 0..n_clients {
         let mut cfg = ClientConfig::default();
         cfg.class = PricingClass::Premium; // isolate sharing, not admission
-        cfg.form.class = PricingClass::Premium;
+        std::sync::Arc::make_mut(&mut cfg.form).class = PricingClass::Premium;
         clients.push(b.add_client(LinkSpec::lan(100_000_000), cfg));
     }
     let mut sim = b.build(seed);

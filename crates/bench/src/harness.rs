@@ -152,7 +152,7 @@ pub fn build_streaming_session(
     // Premium keeps the admission controller out of the way; EXP-ADMIT
     // studies admission separately.
     client_cfg.class = PricingClass::Premium;
-    client_cfg.form.class = PricingClass::Premium;
+    std::sync::Arc::make_mut(&mut client_cfg.form).class = PricingClass::Premium;
     client_cfg.buffer = BufferConfig::with_window(p.time_window);
     client_cfg.playout = p.playout;
     client_cfg.feedback_interval = p.feedback_interval;

@@ -28,4 +28,4 @@ pub use playout::{
     StreamPlayoutStats, StreamStatus,
 };
 pub use presentation::{desktop_at, render_text_blocks, storyboard, DesktopItem};
-pub use qos_manager::{ClientQosManager, StreamCondition};
+pub use qos_manager::{ClientQosManager, FeedbackRow, StreamCondition};

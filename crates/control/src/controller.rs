@@ -361,14 +361,23 @@ impl FleetController {
             .map(|(&node, (_, report))| (node, report))
     }
 
-    /// Assemble the current per-session fleet view from all fresh reports:
-    /// sessions by `(server, session)`, each session's streams by
-    /// component. A `(server, session)` pair is reported by one node only.
-    pub fn fleet_view(&self, now: MediaTime) -> Vec<SessionView> {
-        let mut view: Vec<SessionView> = self
-            .fresh(now)
-            .flat_map(|(node, report)| report.sessions(node))
-            .collect();
+    /// Handles to the reports no older than the 1 s staleness bound, by
+    /// reporter node: one allocation, and the rows stay shared.
+    pub fn fresh_reports(&self, now: MediaTime) -> Vec<(u64, LoadReport)> {
+        let mut fresh = Vec::with_capacity(self.fresh(now).count());
+        fresh.extend(self.fresh(now).map(|(node, report)| (node, report.clone())));
+        fresh
+    }
+
+    /// Assemble the per-session fleet view of `fresh` reports (see
+    /// [`FleetController::fresh_reports`]): sessions by `(server, session)`,
+    /// each session's streams by component, borrowed from the reports. A
+    /// `(server, session)` pair is reported by one node only. One
+    /// allocation, sized by a first walk over the reports.
+    pub fn fleet_view(fresh: &[(u64, LoadReport)]) -> Vec<SessionView<'_>> {
+        let n = fresh.iter().map(|(node, r)| r.sessions(*node).len()).sum();
+        let mut view = Vec::with_capacity(n);
+        view.extend(fresh.iter().flat_map(|(node, r)| r.sessions(*node)));
         view.sort_unstable_by_key(|s| (s.server, s.session));
         view
     }
@@ -415,7 +424,10 @@ impl FleetController {
                 commands: Vec::new(),
             };
         }
-        let view = self.fleet_view(now);
+        // The planners take `&mut self`, so the view borrows from handles
+        // to the fresh reports rather than from `self.reports`.
+        let fresh = self.fresh_reports(now);
+        let mut view = Self::fleet_view(&fresh);
         let mut commands = Vec::new();
         if pressured {
             self.stats.pressured_ticks += 1;
@@ -423,13 +435,13 @@ impl FleetController {
                 self.pressured_since = Some(now);
             }
             self.last_pressure = now;
-            self.plan_degrades(now, &view, &mut commands);
+            self.plan_degrades(now, &mut view, &mut commands);
             self.plan_price(now, true, &mut commands);
             self.plan_scale_out(now, &mut commands);
         } else {
             self.pressured_since = None;
             if now - self.last_pressure >= self.cfg.calm {
-                self.plan_upgrades(now, &view, &mut commands);
+                self.plan_upgrades(now, &mut view, &mut commands);
                 self.plan_price(now, false, &mut commands);
                 self.plan_scale_in(now, &mut commands);
             }
@@ -440,35 +452,37 @@ impl FleetController {
     /// Pick up to `max_steps_per_tick` degrade victims: the steps losing
     /// the least aggregate utility first, spreading across the shallowest
     /// sessions, without breaching any class's fairness budget and without
-    /// touching a session still in its dwell window.
+    /// touching a session still in its dwell window. The view is filtered
+    /// and ordered in place.
     fn plan_degrades(
         &mut self,
         now: MediaTime,
-        view: &[SessionView],
+        view: &mut Vec<SessionView<'_>>,
         commands: &mut Vec<ControlCommand>,
     ) {
-        let mut class_total: BTreeMap<u8, usize> = BTreeMap::new();
-        let mut class_degraded: BTreeMap<u8, usize> = BTreeMap::new();
-        for s in view {
-            *class_total.entry(s.class.priority()).or_default() += 1;
+        // Sessions and degraded sessions per class, by class priority.
+        let mut class_total = [0usize; 3];
+        let mut class_degraded = [0usize; 3];
+        for s in view.iter() {
+            class_total[s.class.priority() as usize] += 1;
             if s.degraded() {
-                *class_degraded.entry(s.class.priority()).or_default() += 1;
+                class_degraded[s.class.priority() as usize] += 1;
             }
         }
-        let mut candidates: Vec<&SessionView> = view
-            .iter()
-            .filter(|s| s.next_step_down().is_some())
-            .collect();
+        view.retain(|s| s.next_step_down().is_some());
         // Cheapest utility loss first; spread (shallowest depth) next;
-        // newest session last tie-break for determinism.
-        candidates.sort_by(|a, b| {
+        // newest session, then lowest server, last tie-break for
+        // determinism (the server key keeps the view's own order among
+        // equal sessions, so the unstable sort picks as a stable one would).
+        view.sort_unstable_by(|a, b| {
             a.step_down_loss()
                 .partial_cmp(&b.step_down_loss())
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.depth().cmp(&b.depth()))
                 .then(b.session.cmp(&a.session))
+                .then(a.server.cmp(&b.server))
         });
-        for s in candidates {
+        for s in view.iter() {
             if commands.len() as u32 >= self.cfg.max_steps_per_tick {
                 break;
             }
@@ -476,12 +490,11 @@ impl FleetController {
                 continue;
             }
             if !s.degraded() {
-                let total = class_total.get(&s.class.priority()).copied().unwrap_or(0);
-                let degraded = class_degraded.entry(s.class.priority()).or_default();
-                if *degraded + 1 > fairness_cap(s.class, total) {
+                let class = s.class.priority() as usize;
+                if class_degraded[class] + 1 > fairness_cap(s.class, class_total[class]) {
                     continue;
                 }
-                *degraded += 1;
+                class_degraded[class] += 1;
             }
             self.last_step.insert(s.session, now);
             self.stats.degrades += 1;
@@ -494,22 +507,23 @@ impl FleetController {
 
     /// Pick up to `max_steps_per_tick` upgrade steps: the largest utility
     /// gains first (premium audio recovers before economy video), dwell
-    /// gated like degrades.
+    /// gated like degrades. The view is filtered and ordered in place.
     fn plan_upgrades(
         &mut self,
         now: MediaTime,
-        view: &[SessionView],
+        view: &mut Vec<SessionView<'_>>,
         commands: &mut Vec<ControlCommand>,
     ) {
-        let mut candidates: Vec<&SessionView> = view.iter().filter(|s| s.degraded()).collect();
-        candidates.sort_by(|a, b| {
+        view.retain(|s| s.degraded());
+        view.sort_unstable_by(|a, b| {
             b.step_up_gain()
                 .partial_cmp(&a.step_up_gain())
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(b.depth().cmp(&a.depth()))
                 .then(a.session.cmp(&b.session))
+                .then(a.server.cmp(&b.server))
         });
-        for s in candidates {
+        for s in view.iter() {
             if commands.len() as u32 >= self.cfg.max_steps_per_tick {
                 break;
             }
@@ -617,7 +631,8 @@ mod tests {
     fn view_round_trips_reports() {
         let mut c = FleetController::new(ControllerConfig::default());
         c.ingest(at(0), 1, &report(1, 7, PricingClass::Premium, (0, 2)));
-        let view = c.fleet_view(at(50));
+        let fresh = c.fresh_reports(at(50));
+        let view = FleetController::fleet_view(&fresh);
         assert_eq!(view.len(), 1);
         assert_eq!(view[0].session, 7);
         assert_eq!(view[0].class, PricingClass::Premium);
@@ -625,8 +640,7 @@ mod tests {
         assert_eq!(view[0].streams[1].kind, MediaKind::Video);
         assert_eq!(view[0].streams[1].level, 2);
         // Stale reports drop out of the view.
-        let view = c.fleet_view(at(5_000));
-        assert!(view.is_empty());
+        assert!(c.fresh_reports(at(5_000)).is_empty());
     }
 
     #[test]

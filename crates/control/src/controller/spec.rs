@@ -17,9 +17,19 @@ use proptest::prelude::*;
 
 type Reports = BTreeMap<u64, (MediaTime, MetricsRegistry)>;
 
+/// One session of a fleet view, owning its streams: `(server, session,
+/// class, streams)`.
+type OwnedView = (u64, u64, PricingClass, Vec<StreamView>);
+
+/// A fleet view as owned rows, to compare with the spec's.
+fn owned(view: &[SessionView]) -> Vec<OwnedView> {
+    let row = |s: &SessionView| (s.server, s.session, s.class, s.streams.to_vec());
+    view.iter().map(row).collect()
+}
+
 /// The registry-scanning fleet view.
-fn fleet_view(reports: &Reports, now: MediaTime) -> Vec<SessionView> {
-    let mut sessions: BTreeMap<(u64, u64), SessionView> = BTreeMap::new();
+fn fleet_view(reports: &Reports, now: MediaTime) -> Vec<OwnedView> {
+    let mut sessions: BTreeMap<(u64, u64), OwnedView> = BTreeMap::new();
     let mut streams: BTreeMap<(u64, u64, u64), StreamView> = BTreeMap::new();
     for (&node, (at, reg)) in reports {
         if now - *at > STALE_AFTER {
@@ -34,13 +44,8 @@ fn fleet_view(reports: &Reports, now: MediaTime) -> Vec<SessionView> {
                 (names::SESSION_CLASS, None) => {
                     sessions
                         .entry((server, session))
-                        .or_insert_with(|| SessionView {
-                            session,
-                            server,
-                            class: PricingClass::Economy,
-                            streams: Vec::new(),
-                        })
-                        .class = class_from_priority(v as u8);
+                        .or_insert_with(|| (server, session, PricingClass::Economy, Vec::new()))
+                        .2 = class_from_priority(v as u8);
                 }
                 (name, Some(stream)) => {
                     let s = streams
@@ -64,7 +69,7 @@ fn fleet_view(reports: &Reports, now: MediaTime) -> Vec<SessionView> {
     }
     for ((server, session, _), s) in streams {
         if let Some(view) = sessions.get_mut(&(server, session)) {
-            view.streams.push(s);
+            view.3.push(s);
         }
     }
     sessions.into_values().collect()
@@ -338,8 +343,10 @@ proptest! {
             prop_assert_eq!(LoadReport::from(&registry).entries(), registry.len());
         }
         let view = fleet_view(&registries, now);
-        prop_assert_eq!(&typed.fleet_view(now), &view);
-        prop_assert_eq!(&adapted.fleet_view(now), &view);
+        for c in [&typed, &adapted] {
+            let fresh = c.fresh_reports(now);
+            prop_assert_eq!(&owned(&FleetController::fleet_view(&fresh)), &view);
+        }
         let sources = pressure_sources(&cfg, &registries, now);
         prop_assert_eq!(typed.pressure_sources(now), sources);
         prop_assert_eq!(adapted.pressure_sources(now), sources);

@@ -1,12 +1,15 @@
-//! The control-plane report: one reporter's signals as typed rows, built
-//! once per report period and shared by every copy.
+//! The control-plane report: one reporter's signals and its session rows,
+//! built once per report period and shared by every copy.
 //!
-//! A [`LoadReport`] is a handle over one `Arc`: the reliable send to the
-//! controller host, the HA broadcast copies and the host's own ingest all
-//! hold the same rows, and the controller stores the report as received.
-//! The controller reads the rows directly; the gauge names of
-//! [`names`] survive only in the [`MetricsRegistry`] adapter,
-//! which accepts the older registry form of a report.
+//! A [`LoadReport`] holds its three signals inline and its session rows
+//! behind one `Arc`: the reliable send to the controller host, the HA
+//! broadcast copies and the host's own ingest all hold the same rows, and
+//! the controller stores the report as received. A media node's
+//! queue-only report has no rows and allocates nothing. The controller
+//! reads the rows in place: each [`SessionView`] of its fleet view borrows
+//! its streams from the report. The gauge names of [`names`] survive only
+//! in the [`MetricsRegistry`] adapter, which accepts the older registry
+//! form of a report.
 
 use crate::controller::names;
 use crate::utility::{class_from_priority, decode_kind, SessionView, StreamView};
@@ -20,17 +23,20 @@ use std::sync::Arc;
 /// queue depth, each absent unless the reporter measures it, and one row
 /// per live session holding the session's gradable streams. Cloning shares
 /// the rows.
-#[derive(Debug, Clone)]
-pub struct LoadReport(Arc<Rows>);
-
-#[derive(Debug, Default)]
-struct Rows {
+#[derive(Debug, Clone, Default)]
+pub struct LoadReport {
     /// CoDel pressure verdict (1 pressured, 0 calm).
     pressure: Option<f64>,
     /// Worst SLO burn rate, in milli-burn.
     burn: Option<f64>,
     /// Media-node fetch-queue depth.
     queue: Option<f64>,
+    /// The session rows; `None` for a report that carries none.
+    rows: Option<Arc<Rows>>,
+}
+
+#[derive(Debug, Default)]
+struct Rows {
     /// Session rows, each indexing its streams in `streams`.
     sessions: Vec<SessionRow>,
     /// Every session's streams, in session-row order, each session's in
@@ -64,9 +70,6 @@ impl LoadReport {
             n_streams += streams.count();
         }
         let mut rows = Rows {
-            pressure,
-            burn,
-            queue: None,
             sessions: Vec::with_capacity(n_sessions),
             streams: Vec::with_capacity(n_streams),
         };
@@ -81,45 +84,62 @@ impl LoadReport {
                 streams: start..rows.streams.len(),
             });
         }
-        LoadReport(Arc::new(rows))
+        LoadReport {
+            pressure,
+            burn,
+            queue: None,
+            rows: Some(Arc::new(rows)),
+        }
     }
 
-    /// A media node's report: its fetch-queue depth.
+    /// A media node's report: its fetch-queue depth. It allocates nothing.
     pub fn queue(len: usize) -> Self {
-        LoadReport(Arc::new(Rows {
+        LoadReport {
             queue: Some(len as f64),
-            ..Rows::default()
-        }))
+            ..LoadReport::default()
+        }
+    }
+
+    /// The session rows, empty when the report carries none.
+    fn rows(&self) -> (&[SessionRow], &[StreamView]) {
+        match self.rows.as_deref() {
+            Some(r) => (&r.sessions, &r.streams),
+            None => (&[], &[]),
+        }
     }
 
     /// The number of gauges the registry form of this report holds: one
     /// per signal present, one per session, three per stream. A report's
     /// wire size is priced from it.
     pub fn entries(&self) -> usize {
-        let r = &*self.0;
-        let signals = [r.pressure, r.burn, r.queue].iter().flatten().count();
-        signals + r.sessions.len() + 3 * r.streams.len()
+        let signals = [self.pressure, self.burn, self.queue]
+            .iter()
+            .flatten()
+            .count();
+        let (sessions, streams) = self.rows();
+        signals + sessions.len() + 3 * streams.len()
     }
 
     /// Which signal families vote pressure against the given targets:
     /// bit 0 CoDel pressure, bit 1 queue depth, bit 2 SLO burn
     /// (`burn_target` is a plain multiple; the report carries milli-burn).
     pub(crate) fn pressure_sources(&self, queue_target: f64, burn_target: f64) -> u8 {
-        let r = &*self.0;
         let votes = |v: Option<f64>, target: f64| v.is_some_and(|v| v >= target) as u8;
-        votes(r.pressure, 0.5)
-            | votes(r.queue, queue_target) << 1
-            | votes(r.burn, burn_target * 1000.0) << 2
+        votes(self.pressure, 0.5)
+            | votes(self.queue, queue_target) << 1
+            | votes(self.burn, burn_target * 1000.0) << 2
     }
 
-    /// The report's sessions as the controller views them; a row without
-    /// an owning server belongs to `node`, the reporter.
-    pub(crate) fn sessions(&self, node: u64) -> impl Iterator<Item = SessionView> + '_ {
-        self.0.sessions.iter().map(move |row| SessionView {
+    /// The report's sessions as the controller views them, each borrowing
+    /// its streams from the report; a row without an owning server belongs
+    /// to `node`, the reporter.
+    pub(crate) fn sessions(&self, node: u64) -> impl ExactSizeIterator<Item = SessionView<'_>> {
+        let (sessions, streams) = self.rows();
+        sessions.iter().map(move |row| SessionView {
             session: row.session,
             server: row.server.unwrap_or(node),
             class: row.class,
-            streams: self.0.streams[row.streams.clone()].to_vec(),
+            streams: &streams[row.streams.clone()],
         })
     }
 }
@@ -135,14 +155,15 @@ impl LoadReport {
 /// session row are dropped.
 impl From<&MetricsRegistry> for LoadReport {
     fn from(registry: &MetricsRegistry) -> Self {
+        let mut report = LoadReport::default();
         let mut rows = Rows::default();
         let mut sessions: BTreeMap<(Option<u64>, u64), PricingClass> = BTreeMap::new();
         let mut streams: BTreeMap<(Option<u64>, u64, u64), StreamView> = BTreeMap::new();
         for (key, v) in registry.gauges() {
             let signal = match key.name {
-                names::PRESSURE => Some(&mut rows.pressure),
-                names::QUEUE_LEN => Some(&mut rows.queue),
-                names::SLO_BURN => Some(&mut rows.burn),
+                names::PRESSURE => Some(&mut report.pressure),
+                names::QUEUE_LEN => Some(&mut report.queue),
+                names::SLO_BURN => Some(&mut report.burn),
                 _ => None,
             };
             if let Some(slot) = signal {
@@ -185,6 +206,7 @@ impl From<&MetricsRegistry> for LoadReport {
                 streams: start..rows.streams.len(),
             });
         }
-        LoadReport(Arc::new(rows))
+        report.rows = Some(Arc::new(rows));
+        report
     }
 }

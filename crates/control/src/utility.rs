@@ -88,10 +88,10 @@ pub struct StreamView {
     pub max_level: u8,
 }
 
-/// One live session as the controller sees it, assembled from a server's
-/// report registry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionView {
+/// One live session as the controller sees it, borrowing its streams from
+/// the report that carried them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SessionView<'a> {
     /// The session id.
     pub session: u64,
     /// The raw node id of the server owning the session.
@@ -99,10 +99,10 @@ pub struct SessionView {
     /// The session's pricing class.
     pub class: PricingClass,
     /// The session's continuous streams.
-    pub streams: Vec<StreamView>,
+    pub streams: &'a [StreamView],
 }
 
-impl SessionView {
+impl<'a> SessionView<'a> {
     /// The session's current utility.
     pub fn utility(&self) -> f64 {
         self.streams
@@ -125,7 +125,7 @@ impl SessionView {
     /// order: video before audio (rank), then the least-degraded stream of
     /// that rank, then the lowest component id. `None` when every stream is
     /// already at its floor.
-    pub fn next_step_down(&self) -> Option<&StreamView> {
+    pub fn next_step_down(&self) -> Option<&'a StreamView> {
         self.streams
             .iter()
             .filter(|s| s.level < s.max_level)
@@ -142,7 +142,7 @@ impl SessionView {
     /// [`SessionView::next_step_down`]: audio recovers before video, the
     /// deepest-degraded stream of that rank first. `None` when nothing is
     /// degraded.
-    pub fn next_step_up(&self) -> Option<&StreamView> {
+    pub fn next_step_up(&self) -> Option<&'a StreamView> {
         self.streams.iter().filter(|s| s.level > 0).max_by_key(|s| {
             (
                 GradingOrder::VideoFirst.degrade_rank(s.kind),
@@ -173,21 +173,22 @@ impl SessionView {
 mod tests {
     use super::*;
 
-    fn session(levels: &[(MediaKind, u8, u8)]) -> SessionView {
+    fn session(levels: &[(MediaKind, u8, u8)]) -> SessionView<'static> {
+        let streams = levels
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, level, max))| StreamView {
+                component: i as u64,
+                kind,
+                level,
+                max_level: max,
+            })
+            .collect::<Vec<_>>();
         SessionView {
             session: 1,
             server: 1,
             class: PricingClass::Standard,
-            streams: levels
-                .iter()
-                .enumerate()
-                .map(|(i, &(kind, level, max))| StreamView {
-                    component: i as u64,
-                    kind,
-                    level,
-                    max_level: max,
-                })
-                .collect(),
+            streams: streams.leak(),
         }
     }
 

@@ -786,19 +786,22 @@ pub fn fill_critical_paths(
         cfg.window,
         prov.horizon
     );
+    // One scratch list for every attribution; each path keeps only its
+    // slowest hops.
+    let mut hops: Vec<(&'static str, i64)> = Vec::new();
     for a in attrs.iter_mut() {
         let Some(root) = session_root(a.session) else {
             continue;
         };
-        let mut hops: Vec<(&'static str, i64)> = prov
-            .window(a.at - cfg.window, a.at)
-            .filter(|r| r.root == root.0)
-            .map(|r| (prov.kind(r), r.wait_us as i64))
-            .collect();
+        hops.clear();
+        hops.extend(
+            prov.window(a.at - cfg.window, a.at)
+                .filter(|r| r.root == root.0)
+                .map(|r| (prov.kind(r), r.wait_us as i64)),
+        );
         // Slowest first; name tie-break keeps the order content-determined.
         hops.sort_unstable_by(|a, b| (b.1, a.0).cmp(&(a.1, b.0)));
-        hops.truncate(PATH_HOPS);
-        a.path = hops;
+        a.path = hops[..hops.len().min(PATH_HOPS)].to_vec();
     }
 }
 

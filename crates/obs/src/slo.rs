@@ -156,7 +156,7 @@ pub struct SloMonitor {
 
 impl SloMonitor {
     /// Monitor over the given specs.
-    pub fn new(specs: Vec<SloSpec>) -> SloMonitor {
+    pub fn new(specs: impl IntoIterator<Item = SloSpec>) -> SloMonitor {
         SloMonitor {
             states: specs.into_iter().map(SpecState::new).collect(),
             alerts: Vec::new(),
@@ -260,7 +260,7 @@ mod tests {
     #[test]
     fn burn_is_rate_over_budget() {
         // Budget 10/1000; feed 5% bad -> burn 50.
-        let mut m = SloMonitor::new(vec![SloSpec::event_rate("slo.gap", 10.0)]);
+        let mut m = SloMonitor::new([SloSpec::event_rate("slo.gap", 10.0)]);
         for i in 0..100 {
             m.record(t(10 * i), 0, 1, (i % 20 == 0) as u64);
         }
@@ -273,7 +273,7 @@ mod tests {
         // A half-bad spike over a 100/1000 budget: the fast window burns
         // 2.5× within 0.5 s, while 4.5 s of clean history keeps the slow
         // window under 1×.
-        let mut m = SloMonitor::new(vec![SloSpec::event_rate("slo.gap", 100.0)]);
+        let mut m = SloMonitor::new([SloSpec::event_rate("slo.gap", 100.0)]);
         for i in 0..45 {
             m.record(t(100 * i), 0, 10, 0);
         }
@@ -297,7 +297,7 @@ mod tests {
     #[test]
     fn latency_spec_marks_over_threshold_bad() {
         let spec = SloSpec::latency("slo.join", MediaDuration::from_millis(100), 100.0);
-        let mut m = SloMonitor::new(vec![spec]);
+        let mut m = SloMonitor::new([spec]);
         for i in 0..10 {
             let d = if i < 5 {
                 MediaDuration::from_millis(10)
@@ -313,7 +313,7 @@ mod tests {
 
     #[test]
     fn publish_writes_milli_burn_gauges() {
-        let mut m = SloMonitor::new(vec![SloSpec::event_rate("slo.gap", 10.0)]);
+        let mut m = SloMonitor::new([SloSpec::event_rate("slo.gap", 10.0)]);
         for i in 0..50 {
             m.record(t(20 * i), 0, 1, 1); // 100% bad: burn 100
         }
@@ -326,7 +326,7 @@ mod tests {
 
     #[test]
     fn old_buckets_are_evicted() {
-        let mut m = SloMonitor::new(vec![SloSpec::event_rate("slo.gap", 10.0)]);
+        let mut m = SloMonitor::new([SloSpec::event_rate("slo.gap", 10.0)]);
         for i in 0..1000 {
             m.record(t(10 * i), 0, 1, 0);
         }

@@ -223,12 +223,19 @@ impl RtcpPacket {
     ///
     /// [`encode`]: RtcpPacket::encode
     pub fn wire_size(&self) -> usize {
-        let rtcp = match self {
-            RtcpPacket::SenderReport { reports, .. } => 28 + BLOCK_LEN * reports.len(),
-            RtcpPacket::ReceiverReport { reports, .. } => 8 + BLOCK_LEN * reports.len(),
-            RtcpPacket::Bye { .. } => 8,
-        };
-        rtcp + crate::packet::UDP_IP_OVERHEAD
+        match self {
+            RtcpPacket::SenderReport { reports, .. } => {
+                28 + BLOCK_LEN * reports.len() + crate::packet::UDP_IP_OVERHEAD
+            }
+            RtcpPacket::ReceiverReport { reports, .. } => Self::receiver_report_size(reports.len()),
+            RtcpPacket::Bye { .. } => 8 + crate::packet::UDP_IP_OVERHEAD,
+        }
+    }
+
+    /// Bytes on the wire of a receiver report carrying `blocks` report
+    /// blocks, UDP/IP overhead included.
+    pub const fn receiver_report_size(blocks: usize) -> usize {
+        8 + BLOCK_LEN * blocks + crate::packet::UDP_IP_OVERHEAD
     }
 }
 

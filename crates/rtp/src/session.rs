@@ -271,9 +271,11 @@ impl RtpReceiver {
         before - self.partial.len()
     }
 
-    /// Build a receiver report at local time `now`.
-    pub fn receiver_report(&mut self, reporter_ssrc: u32, now: MediaTime) -> RtcpPacket {
-        let fraction = self.stats.take_interval_loss();
+    /// The RTCP receiver-report block for this stream at local time `now`.
+    /// `loss_fraction` is the interval loss the caller took from
+    /// [`ReceiverStats::take_interval_loss`]: taking it resets the
+    /// interval, so it is taken once and passed in.
+    pub fn report_block(&self, loss_fraction: f64, now: MediaTime) -> ReportBlock {
         let (lsr, dlsr) = match self.last_sr {
             Some((ntp, at)) => {
                 let mid = ((ntp >> 16) & 0xFFFF_FFFF) as u32;
@@ -282,17 +284,14 @@ impl RtpReceiver {
             }
             None => (0, 0),
         };
-        RtcpPacket::ReceiverReport {
-            ssrc: reporter_ssrc,
-            reports: vec![ReportBlock {
-                ssrc: self.ssrc.unwrap_or(0),
-                fraction_lost: ReportBlock::fraction_from_f64(fraction),
-                cumulative_lost: self.stats.cumulative_lost().min(u32::MAX as u64) as u32,
-                ext_highest_seq: self.stats.extended_highest_seq(),
-                jitter: micros_to_clock(self.stats.jitter().as_micros(), self.clock_rate),
-                lsr,
-                dlsr,
-            }],
+        ReportBlock {
+            ssrc: self.ssrc.unwrap_or(0),
+            fraction_lost: ReportBlock::fraction_from_f64(loss_fraction),
+            cumulative_lost: self.stats.cumulative_lost().min(u32::MAX as u64) as u32,
+            ext_highest_seq: self.stats.extended_highest_seq(),
+            jitter: micros_to_clock(self.stats.jitter().as_micros(), self.clock_rate),
+            lsr,
+            dlsr,
         }
     }
 }
@@ -371,7 +370,7 @@ mod tests {
     }
 
     #[test]
-    fn receiver_report_reflects_loss() {
+    fn report_block_reflects_loss() {
         let mut tx = RtpSender::new(9, Encoding::Mpeg);
         let mut rx = RtpReceiver::new(Encoding::Mpeg);
         // 10 single-packet frames; drop every other packet.
@@ -381,18 +380,13 @@ mod tests {
                 rx.on_packet(&pkts[0], MediaTime::from_millis(i as i64 * 40 + 10));
             }
         }
-        let rr = rx.receiver_report(100, MediaTime::from_millis(500));
-        match rr {
-            RtcpPacket::ReceiverReport { ssrc, reports } => {
-                assert_eq!(ssrc, 100);
-                let b = reports[0];
-                assert_eq!(b.ssrc, 9);
-                // 9 expected (up to highest seq), 5 received → 4 lost.
-                assert_eq!(b.cumulative_lost, 4);
-                assert!(b.loss_fraction() > 0.3);
-            }
-            other => panic!("{other:?}"),
-        }
+        let loss = rx.stats.take_interval_loss();
+        let b = rx.report_block(loss, MediaTime::from_millis(500));
+        assert_eq!(b.ssrc, 9);
+        // 9 expected (up to highest seq), 5 received → 4 lost.
+        assert_eq!(b.cumulative_lost, 4);
+        assert!(b.loss_fraction() > 0.3);
+        assert_eq!(b.fraction_lost, ReportBlock::fraction_from_f64(loss));
     }
 
     #[test]
@@ -421,14 +415,9 @@ mod tests {
             rx.on_packet(&p, MediaTime::from_millis(5));
         }
         rx.on_sender_report(0x0001_2345_6789_ABCD, MediaTime::from_secs(1));
-        let rr = rx.receiver_report(8, MediaTime::from_secs(2));
-        match rr {
-            RtcpPacket::ReceiverReport { reports, .. } => {
-                assert_eq!(reports[0].lsr, 0x2345_6789);
-                assert_eq!(reports[0].dlsr, 65_536); // exactly 1 s
-            }
-            other => panic!("{other:?}"),
-        }
+        let b = rx.report_block(0.0, MediaTime::from_secs(2));
+        assert_eq!(b.lsr, 0x2345_6789);
+        assert_eq!(b.dlsr, 65_536); // exactly 1 s
     }
 
     #[test]

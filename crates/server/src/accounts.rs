@@ -9,8 +9,11 @@
 
 use hermes_core::{DocumentId, MediaDuration, MediaTime, PricingClass, UserId};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-/// The subscription form of §5.
+/// The subscription form of §5. The service passes it around as one
+/// shared `Arc`: the client's config, the `Subscribe` message, every
+/// server's [`UserRecord`] and each replication hold the same form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubscriptionForm {
     /// Real name.
@@ -30,8 +33,8 @@ pub struct SubscriptionForm {
 pub struct UserRecord {
     /// The user's id.
     pub id: UserId,
-    /// The subscription form on file.
-    pub form: SubscriptionForm,
+    /// The subscription form on file, shared with every other copy.
+    pub form: Arc<SubscriptionForm>,
     /// "specific information about the exact time logged into the service"
     /// — login timestamps.
     pub logins: Vec<MediaTime>,
@@ -91,7 +94,7 @@ impl AccountsDb {
 
     /// Process a subscription form: creates the user entry and initializes
     /// the pricing mechanism. Returns the new user id.
-    pub fn subscribe(&mut self, form: SubscriptionForm) -> UserId {
+    pub fn subscribe(&mut self, form: Arc<SubscriptionForm>) -> UserId {
         let id = UserId::new(self.next_user);
         self.next_user += 1;
         self.users.insert(
@@ -110,7 +113,7 @@ impl AccountsDb {
     /// Register a subscription replicated from another server under its
     /// existing id ("this form is transmitted to every server of the
     /// service", §5). Keeps the id allocator ahead of replicated ids.
-    pub fn register_replica(&mut self, id: UserId, form: SubscriptionForm) {
+    pub fn register_replica(&mut self, id: UserId, form: Arc<SubscriptionForm>) {
         self.next_user = self.next_user.max(id.raw() + 1);
         self.users.entry(id).or_insert_with(|| UserRecord {
             id,
@@ -177,14 +180,14 @@ impl AccountsDb {
 mod tests {
     use super::*;
 
-    fn form(class: PricingClass) -> SubscriptionForm {
-        SubscriptionForm {
+    fn form(class: PricingClass) -> Arc<SubscriptionForm> {
+        Arc::new(SubscriptionForm {
             name: "Ada Lovelace".into(),
             address: "12 St James Sq".into(),
             telephone: "+44 20 0000".into(),
             email: "ada@example.org".into(),
             class,
-        }
+        })
     }
 
     #[test]

@@ -198,7 +198,7 @@ impl Grading {
         &mut self,
         sessions: &BTreeMap<SessionId, S>,
         session: SessionId,
-        report: &[(ComponentId, QosMeasurement)],
+        report: impl IntoIterator<Item = (ComponentId, QosMeasurement)>,
         out: &mut Vec<GradeOut>,
     ) {
         let Some(s) = sessions.get(&session) else {
@@ -454,7 +454,7 @@ mod tests {
 
     /// A report every stream of which measures `delay_ms` against a 100 ms
     /// bound (150 congests, 10 is healthy).
-    fn report(delay_ms: i64) -> Vec<(ComponentId, QosMeasurement)> {
+    fn report(delay_ms: i64) -> [(ComponentId, QosMeasurement); 2] {
         let m = QosMeasurement {
             window_end: MediaTime::ZERO,
             mean_delay: ms(delay_ms),
@@ -463,7 +463,7 @@ mod tests {
             packets_received: 100,
             buffer_occupancy: 0.5,
         };
-        vec![(AUDIO, m), (VIDEO, m)]
+        [(AUDIO, m), (VIDEO, m)]
     }
 
     #[test]
@@ -588,17 +588,17 @@ mod tests {
         let (mut g, mut out) = (grading(), Vec::new());
         let mut sessions = BTreeMap::new();
         // Unknown session: not even a touch.
-        g.feedback(&sessions, ses(1), &report(150), &mut out);
+        g.feedback(&sessions, ses(1), report(150), &mut out);
         assert!(out.is_empty());
         sessions.insert(ses(1), join(&mut g, PricingClass::Standard, 0, ses(1), 0));
         // Video walks its four rungs (floor 4), then stops.
         for level in 1..=4 {
-            g.feedback(&sessions, ses(1), &report(150), &mut out);
+            g.feedback(&sessions, ses(1), report(150), &mut out);
             assert_eq!(out[0], GradeOut::Touch(ses(1)));
             assert_eq!(regraded(&out), vec![(1, 2, level)]);
             apply(&mut g, &mut sessions, &mut out).unwrap();
         }
-        g.feedback(&sessions, ses(1), &report(150), &mut out);
+        g.feedback(&sessions, ses(1), report(150), &mut out);
         let stop = GradeOut::Stop(ses(1), VIDEO);
         assert_eq!(out, vec![GradeOut::Touch(ses(1)), stop]);
         assert_eq!(stop.event().map(|e| e.1), Some("qos_stop"));
@@ -607,7 +607,7 @@ mod tests {
         // restarts video at its floor: the restart precedes the regrade.
         let mut seen = Vec::new();
         for _ in 0..3 {
-            g.feedback(&sessions, ses(1), &report(10), &mut out);
+            g.feedback(&sessions, ses(1), report(10), &mut out);
             seen.extend(out.iter().copied());
             apply(&mut g, &mut sessions, &mut out).unwrap();
         }
@@ -693,7 +693,7 @@ mod tests {
                         let joined = join(&mut g, classes[k], at, ses(s), shed);
                         sessions.insert(ses(s), joined);
                     }
-                    Op::Feedback(s, d) => g.feedback(&sessions, ses(s), &report(d), &mut out),
+                    Op::Feedback(s, d) => g.feedback(&sessions, ses(s), report(d), &mut out),
                     Op::Tick(dt, overloaded) => {
                         now += ms(dt);
                         g.ladder_tick(&sessions, now, overloaded, ms(2_000), &mut out);

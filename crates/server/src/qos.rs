@@ -102,11 +102,11 @@ impl ServerQosManager {
     /// the decision applied to its converter and its level after it.
     pub fn on_feedback(
         &mut self,
-        report: &[(ComponentId, QosMeasurement)],
+        report: impl IntoIterator<Item = (ComponentId, QosMeasurement)>,
     ) -> Option<(ComponentId, GradeDecision, GradeLevel)> {
         let (order, h) = (self.order, self.hysteresis);
         for (id, m) in report {
-            if let Some(s) = self.streams.get_mut(id) {
+            if let Some(s) = self.streams.get_mut(&id) {
                 s.last_score = m.congestion_score(&s.requirement);
                 let healthy = s.last_score < h.upgrade_below;
                 s.healthy_streak = if healthy { s.healthy_streak + 1 } else { 0 };
@@ -191,11 +191,11 @@ mod tests {
     #[test]
     fn video_degraded_before_audio() {
         let mut m = manager_with_av();
-        let congested = vec![
+        let congested = [
             (ComponentId::new(1), measurement(150)),
             (ComponentId::new(2), measurement(150)),
         ];
-        let (c, decision, _) = m.on_feedback(&congested).unwrap();
+        let (c, decision, _) = m.on_feedback(congested).unwrap();
         assert_eq!(c, ComponentId::new(2)); // the video stream
         assert_eq!(decision, GradeDecision::Degrade);
         assert_eq!(m.level_of(ComponentId::new(1)), Some(GradeLevel(0)));
@@ -217,24 +217,24 @@ mod tests {
             GradeLevel(4),
             req(),
         );
-        let congested = vec![
+        let congested = [
             (ComponentId::new(1), measurement(150)),
             (ComponentId::new(2), measurement(150)),
         ];
-        let (c, ..) = m.on_feedback(&congested).unwrap();
+        let (c, ..) = m.on_feedback(congested).unwrap();
         assert_eq!(c, ComponentId::new(1)); // audio degraded first
     }
 
     #[test]
     fn sustained_congestion_walks_video_to_stop_then_audio() {
         let mut m = manager_with_av();
-        let congested = vec![
+        let congested = [
             (ComponentId::new(1), measurement(150)),
             (ComponentId::new(2), measurement(150)),
         ];
         let mut stops = 0;
         for _ in 0..12 {
-            if let Some((_, decision, _)) = m.on_feedback(&congested) {
+            if let Some((_, decision, _)) = m.on_feedback(congested) {
                 if decision == GradeDecision::Stop {
                     stops += 1;
                 }
@@ -250,19 +250,19 @@ mod tests {
     #[test]
     fn upgrade_requires_patience() {
         let mut m = manager_with_av();
-        let congested = vec![
+        let congested = [
             (ComponentId::new(1), measurement(150)),
             (ComponentId::new(2), measurement(150)),
         ];
-        m.on_feedback(&congested); // video → level 1
-        let healthy = vec![
+        m.on_feedback(congested); // video → level 1
+        let healthy = [
             (ComponentId::new(1), measurement(10)),
             (ComponentId::new(2), measurement(10)),
         ];
         // Default patience is 3 healthy reports.
-        assert!(m.on_feedback(&healthy).is_none());
-        assert!(m.on_feedback(&healthy).is_none());
-        let (_, decision, _) = m.on_feedback(&healthy).unwrap();
+        assert!(m.on_feedback(healthy).is_none());
+        assert!(m.on_feedback(healthy).is_none());
+        let (_, decision, _) = m.on_feedback(healthy).unwrap();
         assert_eq!(decision, GradeDecision::Upgrade);
         assert_eq!(m.level_of(ComponentId::new(2)), Some(GradeLevel(0)));
     }
@@ -270,22 +270,22 @@ mod tests {
     #[test]
     fn upgrade_restores_audio_before_video() {
         let mut m = manager_with_av();
-        let congested = vec![
+        let congested = [
             (ComponentId::new(1), measurement(150)),
             (ComponentId::new(2), measurement(150)),
         ];
         // Degrade video fully (4 + stop) then audio once: 6 rounds.
         for _ in 0..6 {
-            m.on_feedback(&congested);
+            m.on_feedback(congested);
         }
         assert_eq!(m.level_of(ComponentId::new(1)), Some(GradeLevel(1)));
-        let healthy = vec![
+        let healthy = [
             (ComponentId::new(1), measurement(10)),
             (ComponentId::new(2), measurement(10)),
         ];
         let mut first_upgrade = None;
         for _ in 0..10 {
-            if let Some((c, ..)) = m.on_feedback(&healthy) {
+            if let Some((c, ..)) = m.on_feedback(healthy) {
                 first_upgrade = Some(c);
                 break;
             }
@@ -300,12 +300,12 @@ mod tests {
     #[test]
     fn healthy_network_never_degrades() {
         let mut m = manager_with_av();
-        let healthy = vec![
+        let healthy = [
             (ComponentId::new(1), measurement(10)),
             (ComponentId::new(2), measurement(10)),
         ];
         for _ in 0..10 {
-            let act = m.on_feedback(&healthy);
+            let act = m.on_feedback(healthy);
             assert!(act.is_none(), "{act:?}");
         }
         assert_eq!(m.degrades_issued, 0);
@@ -316,16 +316,16 @@ mod tests {
         // Score between upgrade_below (0.5) and degrade_above (1.0): no
         // action ever (the hysteresis dead-band).
         let mut m = manager_with_av();
-        let mid = vec![
+        let mid = [
             (ComponentId::new(1), measurement(70)),
             (ComponentId::new(2), measurement(70)),
         ];
-        m.on_feedback(&[
+        m.on_feedback([
             (ComponentId::new(1), measurement(150)),
             (ComponentId::new(2), measurement(150)),
         ]); // degrade once
         for _ in 0..10 {
-            assert!(m.on_feedback(&mid).is_none());
+            assert!(m.on_feedback(mid).is_none());
         }
         assert_eq!(m.level_of(ComponentId::new(2)), Some(GradeLevel(1)));
     }

@@ -9,7 +9,7 @@ use hermes_client::{
 };
 use hermes_core::{
     ComponentContent, ComponentId, DocumentId, LinkTarget, MediaDuration, MediaTime, NodeId,
-    PlayoutSchedule, PricingClass, QosMeasurement, Scenario, ServerId, SessionId, UserId, VecMap,
+    PlayoutSchedule, PricingClass, Scenario, ServerId, SessionId, UserId, VecMap,
 };
 use hermes_media::MediaFrame;
 use hermes_rtp::RtpReceiver;
@@ -17,7 +17,7 @@ use hermes_server::{RetryBudget, SubscriptionForm, TopicEntry};
 use hermes_simnet::obs::{SloMonitor, SloSpec};
 use hermes_simnet::{Labels, Obs, Severity, SimApi, SpanId};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// The presentation currently being received/played.
 pub struct Presentation {
@@ -99,12 +99,24 @@ pub struct ClientConfig {
     pub feedback_interval: MediaDuration,
     /// Automatically follow timed (`AT`) links when a presentation ends.
     pub auto_follow_links: bool,
-    /// The subscription form used when the server requires enrolment.
-    pub form: SubscriptionForm,
+    /// The subscription form used when the server requires enrolment,
+    /// shared by every copy of the config and every message carrying it.
+    pub form: Arc<SubscriptionForm>,
     /// Expected server heartbeat cadence (must match the server's
     /// `heartbeat_interval`); also the liveness-check cadence.
     pub heartbeat_interval: MediaDuration,
 }
+
+/// The default subscription form, built once per process.
+static DEFAULT_FORM: LazyLock<Arc<SubscriptionForm>> = LazyLock::new(|| {
+    Arc::new(SubscriptionForm {
+        name: "Test User".into(),
+        address: "1 Simulation Way".into(),
+        telephone: "000".into(),
+        email: "user@hermes".into(),
+        class: PricingClass::Standard,
+    })
+});
 
 impl Default for ClientConfig {
     fn default() -> Self {
@@ -114,13 +126,7 @@ impl Default for ClientConfig {
             playout: PlayoutConfig::default(),
             feedback_interval: MediaDuration::from_millis(1_000),
             auto_follow_links: false,
-            form: SubscriptionForm {
-                name: "Test User".into(),
-                address: "1 Simulation Way".into(),
-                telephone: "000".into(),
-                email: "user@hermes".into(),
-                class: PricingClass::Standard,
-            },
+            form: Arc::clone(&DEFAULT_FORM),
             heartbeat_interval: MediaDuration::from_millis(400),
         }
     }
@@ -248,7 +254,7 @@ impl ClientActor {
             recovering: None,
             recoveries: Vec::new(),
             shared_group: None,
-            slo: SloMonitor::new(vec![SloSpec::event_rate("slo.gap", 10.0)]),
+            slo: SloMonitor::new([SloSpec::event_rate("slo.gap", 10.0)]),
             slo_now: MediaTime::ZERO,
         }
     }
@@ -847,7 +853,7 @@ impl ClientActor {
                 self.arm_liveness(api);
                 if must_subscribe {
                     if self.machine.apply(AppEvent::AuthUnknownUser).is_ok() {
-                        let form = self.cfg.form.clone();
+                        let form = Arc::clone(&self.cfg.form);
                         api.send_reliable(self.node, from, ServiceMsg::Subscribe { session, form });
                     }
                 } else {
@@ -1416,27 +1422,9 @@ impl ClientActor {
             Some(p) => p.ticking || p.started_at.is_none(),
             None => false,
         };
-        // Build measurements: delays/jitter from the QoS trackers, loss from
-        // the RTP receiver statistics.
-        let mut measurements: Vec<(ComponentId, QosMeasurement)> = self.qos.make_report(now);
-        let mut rtcp = Vec::new();
-        if let Some(p) = &mut self.presentation {
-            for (id, m) in &mut measurements {
-                if let Some(rx) = p.receivers.get_mut(id) {
-                    m.loss_fraction = rx.stats.take_interval_loss();
-                    rtcp.push(rx.receiver_report(self.node.raw() as u32, now));
-                }
-            }
-        }
-        api.send(
-            self.node,
-            server,
-            ServiceMsg::Feedback {
-                session,
-                measurements,
-                rtcp,
-            },
-        );
+        let receivers = self.presentation.as_mut().map(|p| &mut p.receivers);
+        let rows = self.qos.make_report(now, receivers);
+        api.send(self.node, server, ServiceMsg::Feedback { session, rows });
         if still_active {
             api.set_timer(
                 self.node,

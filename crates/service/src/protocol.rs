@@ -7,10 +7,10 @@
 //! message declares its wire size so the simulated links can charge
 //! serialization delay faithfully.
 
+use hermes_client::FeedbackRow;
 use hermes_control::HaMsg;
 use hermes_core::{
-    ComponentId, DocumentId, MediaKind, MediaTime, PricingClass, QosMeasurement, ServerId,
-    SessionId, UserId,
+    ComponentId, DocumentId, MediaKind, MediaTime, PricingClass, ServerId, SessionId, UserId,
 };
 use hermes_media::SegmentFrame;
 use hermes_rtp::{RtcpPacket, RtpPacket};
@@ -161,8 +161,8 @@ pub enum ServiceMsg {
     Subscribe {
         /// The session performing the subscription.
         session: SessionId,
-        /// The form.
-        form: SubscriptionForm,
+        /// The form, shared with the sender's config.
+        form: Arc<SubscriptionForm>,
     },
     /// Server → client: subscription accepted; identity issued.
     SubscribeAck {
@@ -501,15 +501,17 @@ pub enum ServiceMsg {
     },
 
     // ---- feedback (RTCP path) ----
-    /// Client → server: periodic feedback report (RTCP receiver reports
-    /// plus the QoS manager's per-stream measurements).
+    /// Client → server: periodic feedback report, one row per stream: the
+    /// QoS manager's measurement plus, for a stream with an RTP receiver,
+    /// its RTCP receiver-report block. The rows are one vector, so a
+    /// report costs one allocation whatever its number of streams. It is
+    /// priced as 16 bytes, 48 per row and one single-block RR packet per
+    /// block; the server grades from the measurements and reads no block.
     Feedback {
         /// The session.
         session: SessionId,
-        /// Per-stream QoS measurements.
-        measurements: Vec<(ComponentId, QosMeasurement)>,
-        /// The raw RTCP receiver reports.
-        rtcp: Vec<RtcpPacket>,
+        /// Per-stream rows, in component order.
+        rows: Vec<FeedbackRow>,
     },
 
     // ---- distributed search (TCP path) ----
@@ -771,9 +773,10 @@ impl WireSize for ServiceMsg {
                 16 + TCP_IP_OVERHEAD
             }
             ServiceMsg::RtcpSenderReport { packet, .. } => packet.wire_size(),
-            ServiceMsg::Feedback {
-                measurements, rtcp, ..
-            } => 16 + measurements.len() * 48 + rtcp.iter().map(|r| r.wire_size()).sum::<usize>(),
+            ServiceMsg::Feedback { rows, .. } => {
+                let blocks = rows.iter().filter(|r| r.rr.is_some()).count();
+                16 + rows.len() * 48 + blocks * RtcpPacket::receiver_report_size(1)
+            }
             ServiceMsg::Annotate { text, .. } => 32 + text.len() + TCP_IP_OVERHEAD,
             ServiceMsg::AnnotationsFetch { .. } => 24 + TCP_IP_OVERHEAD,
             ServiceMsg::Annotations { notes, .. } => {
@@ -819,8 +822,7 @@ mod tests {
         assert_eq!(rtp.stack_path(), StackPath::MediaRtpUdp);
         let fb = ServiceMsg::Feedback {
             session: SessionId::new(1),
-            measurements: vec![],
-            rtcp: vec![],
+            rows: vec![],
         };
         assert_eq!(fb.stack_path(), StackPath::FeedbackRtcpUdp);
         let mail = ServiceMsg::MailFetch {

@@ -294,7 +294,7 @@ pub struct ServerActor {
     pub annotations: BTreeMap<(UserId, DocumentId), Vec<String>>,
     queries: BTreeMap<u64, PendingQuery>,
     /// Subscription forms processed here that the world must replicate.
-    pub pending_replications: Vec<(UserId, hermes_server::SubscriptionForm)>,
+    pub pending_replications: Vec<(UserId, Arc<hermes_server::SubscriptionForm>)>,
     /// The distributed media tier, when deployed ([`ServiceWorld::distribute_media`]
     /// wires it); `None` keeps the pre-tier fully local delivery path.
     ///
@@ -358,7 +358,7 @@ const SLO_FETCH: usize = 0;
 const SLO_JOIN: usize = 1;
 
 fn server_slo_monitor() -> SloMonitor {
-    SloMonitor::new(vec![
+    SloMonitor::new([
         SloSpec::latency("slo.fetch", SLO_FETCH_THRESHOLD, SLO_BUDGET_PER_1000),
         SloSpec::latency("slo.join", SLO_JOIN_THRESHOLD, SLO_BUDGET_PER_1000),
     ])
@@ -558,16 +558,12 @@ impl ServerActor {
             ServiceMsg::PatchRequest { session, group } => {
                 self.on_patch_request(api, session, group)
             }
-            ServiceMsg::Feedback {
-                session,
-                measurements,
-                ..
-            } => {
+            ServiceMsg::Feedback { session, rows } => {
                 let life = self.sessions.get_mut(&session).map(|s| &mut s.life);
                 self.life.ack(life, api.now());
                 let out = &mut self.grade_out;
-                self.grading
-                    .feedback(&self.sessions, session, &measurements, out);
+                let report = rows.iter().map(|r| (r.component, r.measurement));
+                self.grading.feedback(&self.sessions, session, report, out);
                 self.flush_grade(api);
             }
             ServiceMsg::HeartbeatAck { session, .. } => {
@@ -841,12 +837,12 @@ impl ServerActor {
         &mut self,
         api: &mut SimApi<'_, ServiceMsg>,
         session: SessionId,
-        form: hermes_server::SubscriptionForm,
+        form: Arc<hermes_server::SubscriptionForm>,
     ) {
         let Some(s) = self.sessions.get_mut(&session) else {
             return;
         };
-        let user = self.accounts.subscribe(form.clone());
+        let user = self.accounts.subscribe(Arc::clone(&form));
         s.user = Some(user);
         s.class = form.class;
         let client = s.client;

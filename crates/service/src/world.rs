@@ -412,7 +412,7 @@ impl ServiceWorld {
         }
         for (user, form) in pending {
             for s in self.servers.values_mut() {
-                s.accounts.register_replica(user, form.clone());
+                s.accounts.register_replica(user, Arc::clone(&form));
             }
         }
     }
@@ -565,7 +565,7 @@ impl WorldBuilder {
     /// storage-area side of the media tier). Placement and shard install
     /// happen later, in [`ServiceWorld::distribute_media`].
     pub fn add_media_node(&mut self, link: LinkSpec) -> NodeId {
-        let node = self.alloc_node(&format!("media-{}", self.next_node));
+        let node = self.alloc_node(format!("media-{}", self.next_node));
         self.net
             .add_duplex(self.backbone, node, link, &mut self.rng);
         self.world.media_nodes.insert(node, MediaActor::new(node));
@@ -606,7 +606,7 @@ impl WorldBuilder {
         }
     }
 
-    fn alloc_node(&mut self, name: &str) -> NodeId {
+    fn alloc_node(&mut self, name: String) -> NodeId {
         let id = NodeId::new(self.next_node);
         self.next_node += 1;
         self.net.add_node(id, name);
@@ -627,7 +627,7 @@ impl WorldBuilder {
         cfg: ServerConfig,
         description: impl Into<String>,
     ) -> NodeId {
-        let node = self.alloc_node(&format!("server-{}", server_id.raw()));
+        let node = self.alloc_node(format!("server-{}", server_id.raw()));
         self.net
             .add_duplex(self.backbone, node, link, &mut self.rng);
         let actor = ServerActor::new(node, server_id, cfg);
@@ -641,7 +641,7 @@ impl WorldBuilder {
     /// Add a client attached to the backbone by `link` (the client's access
     /// link — congestion profiles on it drive most experiments).
     pub fn add_client(&mut self, link: LinkSpec, cfg: ClientConfig) -> NodeId {
-        let node = self.alloc_node(&format!("client-{}", self.next_node));
+        let node = self.alloc_node(format!("client-{}", self.next_node));
         self.net
             .add_duplex(self.backbone, node, link, &mut self.rng);
         self.clients.push((node, cfg));

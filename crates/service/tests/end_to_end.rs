@@ -457,20 +457,15 @@ fn rtcp_sender_reports_reach_receivers() {
             "at least one stream sent enough frames for an SR"
         );
     }
-    // The client's receivers saw the sender reports: a fresh receiver
-    // report carries a nonzero LSR (last-SR timestamp).
+    // The client's receivers saw the sender reports: a fresh receiver-report
+    // block carries a nonzero LSR (last-SR timestamp).
     let now = sim.now();
     let got_lsr = sim.with_api(|w, _| {
         let c = w.client_mut(cli);
         let p = c.presentation.as_mut().unwrap();
         p.receivers
             .values_mut()
-            .any(|rx| match rx.receiver_report(1, now) {
-                hermes_rtp::RtcpPacket::ReceiverReport { reports, .. } => {
-                    reports.iter().any(|b| b.lsr != 0)
-                }
-                _ => false,
-            })
+            .any(|rx| rx.report_block(0.0, now).lsr != 0)
     });
     assert!(got_lsr, "no receiver recorded a sender report");
 }

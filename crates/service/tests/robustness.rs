@@ -9,6 +9,7 @@ use hermes_service::{
     install_figure2, ClientConfig, MailMessage, ServerConfig, ServiceMsg, WorldBuilder,
 };
 use hermes_simnet::{LinkSpec, SimRng};
+use std::sync::Arc;
 
 fn world() -> (
     hermes_simnet::Sim<ServiceMsg, hermes_service::ServiceWorld>,
@@ -49,18 +50,21 @@ fn server_survives_messages_for_unknown_sessions() {
             },
             ServiceMsg::Feedback {
                 session: bogus,
-                measurements: vec![(ComponentId::new(1), QosMeasurement::idle(MediaTime::ZERO))],
-                rtcp: vec![],
+                rows: vec![hermes_client::FeedbackRow {
+                    component: ComponentId::new(1),
+                    measurement: QosMeasurement::idle(MediaTime::ZERO),
+                    rr: None,
+                }],
             },
             ServiceMsg::Subscribe {
                 session: bogus,
-                form: hermes_server::SubscriptionForm {
+                form: Arc::new(hermes_server::SubscriptionForm {
                     name: "x".into(),
                     address: "y".into(),
                     telephone: "z".into(),
                     email: "e".into(),
                     class: PricingClass::Economy,
-                },
+                }),
             },
             ServiceMsg::SearchRequest {
                 session: bogus,

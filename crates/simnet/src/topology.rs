@@ -384,17 +384,25 @@ impl Network {
     /// duplex link from the backbone — runs one BFS and keeps one row.
     pub fn compute_routes(&mut self) {
         let n = self.ids.len();
-        let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-        for (l, &(from, to)) in self.ends.iter().enumerate() {
-            adj[from as usize].push((to, l as u32));
+        // Adjacency as one flat list: every link as `(to, link)`, grouped
+        // by its near end and ordered by far-end id within a group (link
+        // order breaks ties), with `start[u]..start[u + 1]` node `u`'s.
+        let mut start = vec![0u32; n + 1];
+        for &(from, _) in &self.ends {
+            start[from as usize + 1] += 1;
         }
-        for nbrs in &mut adj {
-            nbrs.sort_by_key(|&(to, _)| self.ids[to as usize]);
+        for u in 0..n {
+            start[u + 1] += start[u];
         }
+        let mut flat: Vec<(u32, u32)> = (0..self.ends.len() as u32)
+            .map(|l| (self.ends[l as usize].1, l))
+            .collect();
+        flat.sort_unstable_by_key(|&(to, l)| (self.ends[l as usize].0, self.ids[to as usize], l));
+        let adj = |u: usize| &flat[start[u] as usize..start[u + 1] as usize];
         let mut rows = 0;
         self.routing.clear();
-        self.routing.extend(adj.iter().map(|nbrs| match nbrs[..] {
-            [(far, l)] if adj[far as usize].len() > 1 => Routing::Via(l),
+        self.routing.extend((0..n).map(|u| match adj(u) {
+            &[(far, l)] if adj(far as usize).len() > 1 => Routing::Via(l),
             _ => {
                 rows += 1;
                 Routing::Row(rows - 1)
@@ -415,7 +423,7 @@ impl Network {
             let row = &mut self.routes[r * n..(r + 1) * n];
             queue.push_back(src);
             while let Some(u) = queue.pop_front() {
-                for &(w, l) in &adj[u] {
+                for &(w, l) in adj(u) {
                     let w = w as usize;
                     if w != src && row[w] == NONE {
                         row[w] = if u == src { l } else { row[u] };

@@ -38,21 +38,40 @@ fn stream(component: u64) -> impl Strategy<Value = StreamView> {
     })
 }
 
-fn session_view(session: u64) -> impl Strategy<Value = SessionView> {
+/// One session of the local fleet model, owning its streams; the
+/// controller's [`SessionView`] borrows them.
+#[derive(Debug, Clone)]
+struct Session {
+    session: u64,
+    class: PricingClass,
+    streams: Vec<StreamView>,
+}
+
+impl Session {
+    fn view(&self) -> SessionView<'_> {
+        SessionView {
+            session: self.session,
+            server: 1,
+            class: self.class,
+            streams: &self.streams,
+        }
+    }
+}
+
+fn session_view(session: u64) -> impl Strategy<Value = Session> {
     (class(), proptest::collection::vec(stream(0), 1..4)).prop_map(move |(class, mut streams)| {
         for (i, s) in streams.iter_mut().enumerate() {
             s.component = i as u64 + 1;
         }
-        SessionView {
+        Session {
             session,
-            server: 1,
             class,
             streams,
         }
     })
 }
 
-fn fleet(n: usize) -> impl Strategy<Value = Vec<SessionView>> {
+fn fleet(n: usize) -> impl Strategy<Value = Vec<Session>> {
     proptest::collection::vec(
         (class(), proptest::collection::vec(stream(0), 1..3)),
         1..n + 1,
@@ -65,9 +84,8 @@ fn fleet(n: usize) -> impl Strategy<Value = Vec<SessionView>> {
                     s.component = j as u64 + 1;
                     s.level = 0; // fleets start nominal; the controller degrades them
                 }
-                SessionView {
+                Session {
                     session: i as u64 + 1,
-                    server: 1,
                     class,
                     streams,
                 }
@@ -81,7 +99,7 @@ fn fleet(n: usize) -> impl Strategy<Value = Vec<SessionView>> {
 // state after applying each tick's commands.
 // ---------------------------------------------------------------------------
 
-fn publish(view: &[SessionView], pressured: bool) -> LoadReport {
+fn publish(view: &[Session], pressured: bool) -> LoadReport {
     let pressure = if pressured { 1.0 } else { 0.0 };
     let sessions = view
         .iter()
@@ -91,12 +109,12 @@ fn publish(view: &[SessionView], pressured: bool) -> LoadReport {
 
 /// Apply a tick's grade commands to the local fleet model the way the
 /// owning server would: one step along the shared video-first order.
-fn apply(view: &mut [SessionView], commands: &[ControlCommand]) {
+fn apply(view: &mut [Session], commands: &[ControlCommand]) {
     for cmd in commands {
         match *cmd {
             ControlCommand::Degrade { session, .. } => {
                 if let Some(s) = view.iter_mut().find(|s| s.session == session) {
-                    if let Some(component) = s.next_step_down().map(|st| st.component) {
+                    if let Some(component) = s.view().next_step_down().map(|st| st.component) {
                         let st = s
                             .streams
                             .iter_mut()
@@ -108,7 +126,7 @@ fn apply(view: &mut [SessionView], commands: &[ControlCommand]) {
             }
             ControlCommand::Upgrade { session, .. } => {
                 if let Some(s) = view.iter_mut().find(|s| s.session == session) {
-                    if let Some(component) = s.next_step_up().map(|st| st.component) {
+                    if let Some(component) = s.view().next_step_up().map(|st| st.component) {
                         let st = s
                             .streams
                             .iter_mut()
@@ -132,6 +150,7 @@ proptest! {
     /// stream is still degraded.
     #[test]
     fn video_degrades_first_audio_recovers_first(s in session_view(1)) {
+        let s = s.view();
         if let Some(down) = s.next_step_down() {
             let video_headroom = s
                 .streams
@@ -223,7 +242,7 @@ proptest! {
                 let total = view.iter().filter(|s| s.class == class).count();
                 let degraded = view
                     .iter()
-                    .filter(|s| s.class == class && s.degraded())
+                    .filter(|s| s.class == class && s.view().degraded())
                     .count();
                 prop_assert!(
                     degraded <= fairness_cap(class, total),
@@ -259,11 +278,11 @@ proptest! {
             match *cmd {
                 ControlCommand::Degrade { session, .. } => {
                     let s = view.iter().find(|s| s.session == session);
-                    prop_assert!(s.is_some_and(|s| s.next_step_down().is_some()));
+                    prop_assert!(s.is_some_and(|s| s.view().next_step_down().is_some()));
                 }
                 ControlCommand::Upgrade { session, .. } => {
                     let s = view.iter().find(|s| s.session == session);
-                    prop_assert!(s.is_some_and(|s| s.degraded()));
+                    prop_assert!(s.is_some_and(|s| s.view().degraded()));
                 }
                 _ => {}
             }

@@ -1,7 +1,9 @@
 //! A control report is built once and shared: building a server's report
-//! costs the same three allocations for one session as for two hundred,
-//! and neither the copies a server sends nor the controller's `ingest`
-//! allocate at all.
+//! costs the same three allocations for one session as for two hundred, a
+//! media node's queue report costs none, and neither the copies a server
+//! sends nor the controller's `ingest` allocate at all. The controller's
+//! fleet view borrows the reports' rows, so the view and a control tick
+//! cost the same for one session per server as for two hundred.
 //!
 //! The count is per thread (the test harness allocates on others), taken by
 //! a global allocator that wraps the system one.
@@ -87,7 +89,47 @@ fn building_a_report_costs_the_same_for_any_fleet() {
     assert!(one <= 3, "{one} allocations for a one-session report");
     assert_eq!(one, many, "allocations grow with the session count");
     let (queue, _) = allocs_of(|| LoadReport::queue(7));
-    assert!(queue <= 1, "{queue} allocations for a queue report");
+    assert_eq!(queue, 0, "allocations for a queue report");
+}
+
+/// Allocations of the fleet view (the fresh reports' handles and the view
+/// borrowing them), of a tick inside the calm window and of
+/// a pressured tick, over three servers of `sessions` sessions each and a
+/// media node whose queue presses.
+fn tick_costs(sessions: u64) -> (u64, u64, u64) {
+    let cfg = ControllerConfig {
+        max_steps_per_tick: 1,
+        ..ControllerConfig::default()
+    };
+    let mut ctl = FleetController::new(cfg);
+    for server in 1..=3 {
+        ctl.ingest(MediaTime::ZERO, server, server_report(server, sessions));
+    }
+    let now = MediaTime::from_millis(100);
+    let (view, n) = allocs_of(|| FleetController::fleet_view(&ctl.fresh_reports(now)).len());
+    assert_eq!(n as u64, 3 * sessions);
+    let (calm, plan) = allocs_of(|| ctl.tick(now));
+    assert!(plan.commands.is_empty() && !plan.pressured());
+    ctl.ingest(now, 4, LoadReport::queue(20));
+    let (pressured, plan) = allocs_of(|| ctl.tick(now));
+    // One degrade (the per-tick cap) and the price rise.
+    assert!(plan.pressured() && plan.commands.len() == 2, "{plan:?}");
+    (view, calm, pressured)
+}
+
+#[test]
+fn the_fleet_view_and_a_tick_cost_the_same_for_any_fleet() {
+    let (view, calm, pressured) = tick_costs(1);
+    assert!(view <= 2, "{view} allocations for the fleet view");
+    assert!(
+        calm <= 2,
+        "{calm} allocations for a tick with nothing to plan"
+    );
+    assert_eq!(
+        tick_costs(200),
+        (view, calm, pressured),
+        "allocations of the view, a calm and a pressured tick grow with the session count"
+    );
 }
 
 #[test]
@@ -115,5 +157,6 @@ fn copies_and_ingest_allocate_nothing() {
         }
     });
     assert_eq!(ingests, 0, "allocations in FleetController::ingest");
-    assert_eq!(ctl.fleet_view(MediaTime::from_secs(2)).len(), 600);
+    let fresh = ctl.fresh_reports(MediaTime::from_secs(2));
+    assert_eq!(FleetController::fleet_view(&fresh).len(), 600);
 }

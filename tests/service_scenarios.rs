@@ -28,7 +28,7 @@ fn three_clients_share_one_server() {
     for _ in 0..3 {
         let mut cfg = ClientConfig::default();
         cfg.class = PricingClass::Premium;
-        cfg.form.class = PricingClass::Premium;
+        std::sync::Arc::make_mut(&mut cfg.form).class = PricingClass::Premium;
         clients.push(b.add_client(LinkSpec::lan(20_000_000), cfg));
     }
     let mut sim = b.build(71);
