@@ -22,7 +22,9 @@ use hermes_core::{
 };
 use hermes_media::{segment_of_frame, SegmentFrame};
 use hermes_simnet::{DurationHistogram, Labels, Severity, SimApi, WireSize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::btree_map::{self, Entry};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Bound;
 use std::sync::Arc;
 
 #[cfg(test)]
@@ -84,9 +86,16 @@ pub enum FetchOut {
         /// The hedge delay.
         delay: MediaDuration,
     },
-    /// A credit came free at a node this waiting stream can pull from:
-    /// [`MediaTier::repump`] it. Most urgent waiter first.
-    Wake((SessionId, ComponentId)),
+    /// A gate may have opened at this node: run a wake round there,
+    /// [`MediaTier::repump`]ing each waiter [`MediaTier::next_woken`] names.
+    Wake(NodeId),
+    /// Arm `node`'s gate timer, for [`MediaTier::on_gate_timer`].
+    GateTimer {
+        /// The closed node.
+        node: NodeId,
+        /// Until its gate would open.
+        delay: MediaDuration,
+    },
     /// Record a trace event.
     Event {
         /// Event severity.
@@ -242,19 +251,21 @@ impl RemoteStream {
     /// segment from now on; with none, the segment leaves the window and
     /// the request cursor rolls back so the next pump re-asks it. A fetch
     /// of an older epoch, or one the window no longer names, changes
-    /// nothing.
-    pub fn forget(&mut self, lost: &LostFetch) {
+    /// nothing. True when the segment left the window.
+    pub fn forget(&mut self, lost: &LostFetch) -> bool {
         let seg = lost.tag.segment;
         if lost.tag.epoch != self.epoch || self.inflight.get(&seg) != Some(&lost.fetch) {
-            return;
+            return false;
         }
         match lost.survivor {
             Some(survivor) => {
                 self.inflight.insert(seg, survivor);
+                false
             }
             None => {
                 self.inflight.remove(&seg);
                 self.next_request = self.next_request.min(seg);
+                true
             }
         }
     }
@@ -516,15 +527,21 @@ pub struct MediaTier {
     /// The last credit each media node granted: how many fetches may be
     /// outstanding there. A node that has not said is open.
     grants: BTreeMap<NodeId, u16>,
-    /// Streams held at the gate, keyed by when each runs dry — most urgent
-    /// first — with the object whose replicas can serve it.
-    waiting: BTreeMap<(MediaTime, (SessionId, ComponentId)), Arc<str>>,
+    /// Streams that cannot fetch — every replica of their object is full,
+    /// tripped or down — keyed by when each runs dry, most urgent first,
+    /// with the object whose replicas can serve it.
+    waiting: BTreeMap<WaitKey, Arc<str>>,
     /// Each waiting stream's key in `waiting`.
     wait_index: BTreeMap<(SessionId, ComponentId), MediaTime>,
+    /// Nodes whose gate timer is pending.
+    gate_timers: BTreeSet<NodeId>,
     /// The server's own node: where propagation is measured from, and where
     /// a stream is parked while every replica of its object is down.
     home: NodeId,
 }
+
+/// A waiting stream's place in the wait set: when it runs dry, and who it is.
+pub type WaitKey = (MediaTime, (SessionId, ComponentId));
 
 /// Frames of [`FETCH_AHEAD`] at `period`, rounded up.
 fn window_frames(period: MediaDuration) -> u64 {
@@ -555,6 +572,7 @@ impl MediaTier {
             grants: BTreeMap::new(),
             waiting: BTreeMap::new(),
             wait_index: BTreeMap::new(),
+            gate_timers: BTreeSet::new(),
             home,
         }
     }
@@ -706,52 +724,153 @@ impl MediaTier {
         (grant as u64).saturating_sub(self.inflight.values().filter(live).count() as u64)
     }
 
-    /// No replica of the stream's object has room: hold it in the wait set
+    /// May a fetch be sent to `node` now: it is up, not the server's own
+    /// node (where a parked stream points), and has room and admits.
+    fn gate_open(&self, net: &impl TierNet, node: NodeId, now: MediaTime) -> bool {
+        node != self.home
+            && net.node_is_up(node)
+            && self.has_room(node, now)
+            && self.health.admits(node, now)
+    }
+
+    /// No replica of the stream's object is open: hold it in the wait set
     /// under the moment it runs dry. A stream already there keeps its
     /// place, so one that has run dry stays ahead of one about to, and one
     /// woken to a credit somebody else took stays first. A pump that issues
-    /// a fetch, or ends for any reason but a full gate, takes it out.
-    fn wait(&mut self, now: MediaTime, d: &Demand, r: &RemoteStream, out: &mut Vec<FetchOut>) {
+    /// a fetch, or ends for any reason but a closed gate, takes it out.
+    /// What opens a gate wakes it: a settle, a restart, or a gate timer.
+    fn wait(
+        &mut self,
+        net: &impl TierNet,
+        now: MediaTime,
+        d: &Demand,
+        r: &RemoteStream,
+        out: &mut Vec<FetchOut>,
+    ) {
         let stream = (d.session, d.component);
-        if self.wait_index.contains_key(&stream) {
+        if let Entry::Vacant(place) = self.wait_index.entry(stream) {
+            let dry_at = now + d.frame_period * r.frames_covered() as i64;
+            place.insert(dry_at);
+            self.waiting.insert((dry_at, stream), Arc::clone(&r.object));
+        }
+        let untimed = |t: &Self| {
+            let replicas = t.placement.replicas(&r.object).iter().copied();
+            let closed = |&n: &NodeId| net.node_is_up(n) && t.opens_at(n, now).is_some();
+            replicas.filter(|n| !t.gate_timers.contains(n)).find(closed)
+        };
+        while let Some(n) = untimed(self) {
+            self.arm_gate(n, now, out);
+        }
+    }
+
+    /// When the clock alone opens `node`'s closed gate: a refusing breaker
+    /// once it admits, a full window once a fetch holding it is overdue.
+    fn opens_at(&self, node: NodeId, now: MediaTime) -> Option<MediaTime> {
+        if !self.health.admits(node, now) {
+            return Some(self.health.admits_from(node));
+        }
+        if self.has_room(node, now) {
+            return None;
+        }
+        let holding = self.inflight.values().filter(|t| t.replica == node);
+        let expires = holding.map(|t| t.deadline + MediaDuration::from_micros(1));
+        expires.filter(|&at| at > now).min()
+    }
+
+    /// A waiter finds `node`'s gate closed: arm its one gate timer. One
+    /// that fires to a gate still closed is armed again by the round.
+    fn arm_gate(&mut self, node: NodeId, now: MediaTime, out: &mut Vec<FetchOut>) {
+        if self.gate_timers.contains(&node) {
             return;
         }
-        let covered = r.frames_covered();
-        if covered == 0 {
-            // Evidence for attribution: a gap here is the tier's queue.
-            let labels = Labels::session(d.session.raw()).segment(r.next_request);
-            out.push(FetchOut::event(Severity::Info, "fetch_wait", labels, 0));
+        if let Some(at) = self.opens_at(node, now) {
+            self.gate_timers.insert(node);
+            let delay = at - now;
+            out.push(FetchOut::GateTimer { node, delay });
         }
-        let dry_at = now + d.frame_period * covered as i64;
-        self.wait_index.insert(stream, dry_at);
-        self.waiting.insert((dry_at, stream), Arc::clone(&r.object));
+    }
+
+    /// `node`'s gate timer fired: wake the waiters it can serve.
+    pub fn on_gate_timer(&mut self, node: NodeId, out: &mut Vec<FetchOut>) {
+        self.gate_timers.remove(&node);
+        self.wake(node, out);
     }
 
     /// Take `stream` out of the wait set, if it is there. The caller says
-    /// so for a woken stream that has gone.
+    /// so for a woken stream that has gone, and for one it stops.
     pub fn unwait(&mut self, stream: (SessionId, ComponentId)) {
         if let Some(dry_at) = self.wait_index.remove(&stream) {
             self.waiting.remove(&(dry_at, stream));
         }
     }
 
-    /// Credits came back at `node`: wake the most urgent waiters whose
-    /// object it holds, one per free credit — none for a node no waiter
-    /// may be sent to. They stay in the wait set until their pumps say
-    /// otherwise, so a woken stream that finds its credit taken keeps its
-    /// place.
-    fn wake(&mut self, node: NodeId, now: MediaTime, out: &mut Vec<FetchOut>) {
-        if self.waiting.is_empty() || !self.health.admits(node, now) {
-            return;
+    /// Is `stream` in the wait set?
+    pub fn waits(&self, stream: (SessionId, ComponentId)) -> bool {
+        self.wait_index.contains_key(&stream)
+    }
+
+    /// The most urgent waiter after `after` that pulls `object` (any, with
+    /// none). The caller repumps each in turn.
+    pub fn next_waiter(&self, after: Option<WaitKey>, object: Option<&str>) -> Option<WaitKey> {
+        let pulls = |o: &Arc<str>| object.is_none_or(|object| **o == *object);
+        let mut waiters = self.waiting_after(after);
+        waiters.find(|(_, o)| pulls(o)).map(|(&key, _)| key)
+    }
+
+    /// The wait set past `after`, most urgent first.
+    fn waiting_after(&self, after: Option<WaitKey>) -> btree_map::Range<'_, WaitKey, Arc<str>> {
+        let from = after.map_or(Bound::Unbounded, Bound::Excluded);
+        self.waiting.range((from, Bound::Unbounded))
+    }
+
+    /// The pacer halted the stream dry, so something must resume it: a
+    /// fetch of its window out, or its place in the wait set. Waiting at a
+    /// live replica's gate, it leaves the evidence attribution looks for (a
+    /// gap here is the tier's queue); a parked one's is its `media_failover`.
+    pub fn halted_dry(
+        &self,
+        net: &impl TierNet,
+        d: &Demand,
+        r: &RemoteStream,
+        out: &mut Vec<FetchOut>,
+    ) {
+        let waits = self.waits((d.session, d.component));
+        debug_assert!(waits || !r.inflight.is_empty(), "{d:?} halted, stranded");
+        let live = |&n: &NodeId| net.node_is_up(n);
+        if waits && self.placement.replicas(&r.object).iter().any(live) {
+            let labels = Labels::session(d.session.raw()).segment(r.next_request);
+            out.push(FetchOut::event(Severity::Info, "fetch_wait", labels, 0));
         }
-        let room = self.room(node, now).min(self.waiting.len() as u64) as usize;
-        let holds = |object: &Arc<str>| self.placement.replicas(object).contains(&node);
-        let woken = self.waiting.iter().filter(|(_, o)| holds(o));
-        out.extend(
-            woken
-                .take(room)
-                .map(|(&(_, stream), _)| FetchOut::Wake(stream)),
-        );
+    }
+
+    /// A gate may have opened at `node`: ask for a wake round, if anybody waits.
+    fn wake(&self, node: NodeId, out: &mut Vec<FetchOut>) {
+        if !self.waiting.is_empty() {
+            out.push(FetchOut::Wake(node));
+        }
+    }
+
+    /// The next waiter of a wake round at `node`: the most urgent one after
+    /// `after` whose object `node` holds, while its gate is open. The caller
+    /// repumps each, so a credit one leaves goes to the next; a round that
+    /// ends at a closed gate with somebody waiting arms its gate timer.
+    pub fn next_woken(
+        &mut self,
+        net: &impl TierNet,
+        node: NodeId,
+        now: MediaTime,
+        after: Option<WaitKey>,
+        out: &mut Vec<FetchOut>,
+    ) -> Option<WaitKey> {
+        let holds = |t: &Self, object: &Arc<str>| t.placement.replicas(object).contains(&node);
+        if !self.gate_open(net, node, now) {
+            if net.node_is_up(node) && self.waiting.values().any(|o| holds(self, o)) {
+                self.arm_gate(node, now, out);
+            }
+            return None;
+        }
+        let mut woken = self.waiting_after(after);
+        woken.find(|(_, o)| holds(self, o)).map(|(&key, _)| key)
     }
 
     /// The one place a credit is given back: `fetch` is no longer
@@ -761,7 +880,6 @@ impl MediaTier {
         &mut self,
         fetch: u64,
         grant: Option<u16>,
-        now: MediaTime,
         out: &mut Vec<FetchOut>,
     ) -> Option<FetchTag> {
         let tag = self.inflight.remove(&fetch)?;
@@ -769,17 +887,18 @@ impl MediaTier {
             self.grants.insert(tag.replica, credit.max(1));
         }
         self.selector.fetch_finished(tag.replica);
-        self.wake(tag.replica, now, out);
+        self.wake(tag.replica, out);
         Some(tag)
     }
 
     /// Top up a stream's fetch window: serve segments from the cache when
     /// resident, otherwise issue pipelined fetches to the stream's replica
-    /// — or, when its credit window there is full, to another with room —
-    /// until the window covers [`FETCH_AHEAD`] of media or every frame the
-    /// pacer will still send, whichever is less. With every credit window
-    /// full the stream waits for a credit. The pacer pumps before every
-    /// frame it sends, so the window refills as it drains.
+    /// — or, when it is down or its credit window full, to another whose
+    /// gate is open — until the window covers [`FETCH_AHEAD`] of media or
+    /// every frame the pacer will still send, whichever is less. A stream
+    /// whose replica's circuit refuses, or that finds no open gate, waits
+    /// for one to open. The pacer pumps before every frame it sends, so the
+    /// window refills as it drains.
     pub fn pump(
         &mut self,
         net: &impl TierNet,
@@ -806,18 +925,15 @@ impl MediaTier {
                 r.drain_ready();
                 continue;
             }
-            if !net.node_is_up(r.replica) {
-                // Parked: every replica of the object is down. The stall
-                // poll keeps the stream alive until a fault event re-points
-                // it at a live (or restarted) replica.
-                break;
-            }
-            if !self.has_room(r.replica, now) {
-                // Full: another with room takes the fetch if it would admit
-                // it (a tripped circuit has room: nobody may use it), or wait.
-                let usable = |n| self.has_room(n, now) && self.health.admits(n, now);
-                let Some(alt) = self.best_replica(net, &r.object, usable) else {
-                    self.wait(now, d, r, out);
+            let parked = r.replica == self.home || !net.node_is_up(r.replica);
+            if parked || !self.has_room(r.replica, now) {
+                // Down or full: another replica whose gate is open takes
+                // the fetch (a tripped circuit has room: nobody may use
+                // it), or the stream waits — parked, when every replica is
+                // down — for whatever opens one.
+                let open = |n| self.gate_open(net, n, now);
+                let Some(alt) = self.best_replica(net, &r.object, open) else {
+                    self.wait(net, now, d, r, out);
                     waits = true;
                     break;
                 };
@@ -825,8 +941,9 @@ impl MediaTier {
             }
             if self.cfg.breaker && !self.health.admit(r.replica, now) {
                 // Circuit open (or half-open with its probe slots taken):
-                // hold the window. The stall poll re-pumps, and the open
-                // timeout eventually admits probes through this same path.
+                // hold the window until its gate timer wakes it.
+                self.wait(net, now, d, r, out);
+                waits = true;
                 break;
             }
             // The segment is useful until the pacer plays out everything it
@@ -874,7 +991,7 @@ impl MediaTier {
 
     /// Re-pick the stream's replica and refill its window (a no-op refill
     /// if a chunk, an eject or another shed already did). False when no
-    /// replica of its object is up: the stream stays parked.
+    /// replica of its object is up: the stream is parked in the wait set.
     pub fn repump(
         &mut self,
         net: &impl TierNet,
@@ -883,12 +1000,10 @@ impl MediaTier {
         r: &mut RemoteStream,
         out: &mut Vec<FetchOut>,
     ) -> bool {
-        let Some(choice) = self.best_replica(net, &r.object, |_| true) else {
-            return false;
-        };
-        r.replica = choice;
+        let choice = self.best_replica(net, &r.object, |_| true);
+        r.replica = choice.unwrap_or(r.replica);
         self.pump(net, now, d, r, out);
-        true
+        choice.is_some()
     }
 
     /// Forget the hedge race `fetch` is in, if any; returns its partner.
@@ -943,7 +1058,7 @@ impl MediaTier {
         if !last {
             return done;
         }
-        let Some(tag) = self.settle(fetch, Some(credit), now, out) else {
+        let Some(tag) = self.settle(fetch, Some(credit), out) else {
             return done; // superseded by failover or session teardown
         };
         self.stats.chunks += 1;
@@ -969,7 +1084,7 @@ impl MediaTier {
         // always beat, without counting as a real verdict.
         if let Some(partner) = self.unpair(fetch) {
             self.stats.hedge_wins += tag.hedged as u64;
-            if let Some(ptag) = self.settle(partner, None, now, out) {
+            if let Some(ptag) = self.settle(partner, None, out) {
                 if self.score(ptag.replica, now, Outcome::SlowLoss(now - ptag.issued_at)) {
                     done.tripped[1] = Some(ptag.replica);
                 }
@@ -1005,7 +1120,7 @@ impl MediaTier {
         fetch: u64,
         out: &mut Vec<FetchOut>,
     ) -> Option<FetchTag> {
-        let tag = self.settle(fetch, None, now, out)?;
+        let tag = self.settle(fetch, None, out)?;
         self.stats.fetch_errors += 1;
         let tripped = self.score(tag.replica, now, Outcome::Failure);
         out.push(FetchOut::event(
@@ -1066,9 +1181,9 @@ impl MediaTier {
         }
         let mut owner = owner.filter(|_| lost.survivor.is_none());
         if let (true, Some((d, r))) = (self.cfg.breaker, &mut owner) {
-            self.wait(now, d, r, out);
+            self.wait(net, now, d, r, out);
         }
-        self.settle(fetch, Some(credit), now, out);
+        self.settle(fetch, Some(credit), out);
         if let (false, Some((d, r))) = (self.cfg.breaker, owner) {
             self.repump(net, now, &d, r, out);
         }
@@ -1169,12 +1284,11 @@ impl MediaTier {
     /// old one's load estimate, grant, health score and breaker state (its
     /// trips stay in the cumulative totals). The caller hands each lost
     /// fetch to its stream and re-points every stream that was pulling from
-    /// the node; a restarted node (`up`) opens its window to the waiters it
-    /// can serve.
+    /// the node; a restarted node (`up`) wakes the waiters it can serve,
+    /// whichever replica each last pointed at.
     pub fn node_event(
         &mut self,
         up: bool,
-        now: MediaTime,
         node: NodeId,
         out: &mut Vec<FetchOut>,
     ) -> Vec<LostFetch> {
@@ -1184,7 +1298,7 @@ impl MediaTier {
         let lost = self.write_off(node, false, out);
         self.stats.fetches_lost += lost.len() as u64;
         if up {
-            self.wake(node, now, out);
+            self.wake(node, out);
         }
         lost
     }
@@ -1194,7 +1308,8 @@ impl MediaTier {
     /// cancelled and written off first (the node is healthy, so this is a
     /// graceful drain, not a failover). The caller hands each lost fetch
     /// to its stream and re-points exactly the streams whose replica no
-    /// longer hosts their object.
+    /// longer hosts their object; a new map can open a gate anywhere, so
+    /// it also repumps every waiter ([`next_waiter`](Self::next_waiter)).
     pub fn drain(
         &mut self,
         net: &impl TierNet,
@@ -1236,6 +1351,7 @@ impl MediaTier {
         self.grants.clear();
         self.waiting.clear();
         self.wait_index.clear();
+        self.gate_timers.clear();
         self.pressure = PressureDetector::new(PRESSURE_TARGET, PRESSURE_INTERVAL);
     }
 

@@ -146,10 +146,20 @@ fn undistributed_content_and_dead_tiers_park_streams() {
     let mut r = t.open(&net, OBJECTS[0], MediaKind::Video, 70).unwrap();
     assert_eq!(r.replica, HOME, "parked on the server's own node");
     assert_eq!((r.next_request, r.skip), (2, 6), "frame 70 = segment 2 + 6");
+    // Its pump asks nothing of the server's own node: the stream waits,
+    // and the restart of either replica wakes it.
     let mut out = Vec::new();
     assert!(!t.repump(&net, ms(0), &demand(0), &mut r, &mut out));
-    assert!(out.is_empty());
+    assert!(requests(&out).is_empty() && t.waits((SESSION, ComponentId::new(0))));
+    let back = t.placement.replicas(OBJECTS[0])[1];
+    net.down.remove(&back);
+    out.clear();
+    t.node_event(true, back, &mut out);
+    assert_eq!(wakes(&out), [back]);
+    let key = t.next_woken(&net, back, ms(0), None, &mut out);
+    assert_eq!(key.map(|k| k.1), Some((SESSION, ComponentId::new(0))));
     net.down.clear();
+    out.clear();
     assert!(t.repump(&net, ms(0), &demand(0), &mut r, &mut out));
     assert_eq!(requests(&out).len(), 3);
     let image = t.open(&net, OBJECTS[1], MediaKind::Image, 0).unwrap();
@@ -177,8 +187,10 @@ fn a_shed_rolls_the_cursor_back_to_its_segment_only() {
     // the wait set until its refill asks.
     t.on_busy(&net, ms(7), 2, 64, Some((demand(0), &mut a)), &mut out);
     let stream = (SESSION, ComponentId::new(0));
-    assert_eq!(out, [FetchOut::Wake(stream)]);
+    assert_eq!(out, [FetchOut::Wake(a.replica)]);
     assert_eq!(t.wait_index.keys().collect::<Vec<_>>(), [&stream]);
+    let key = t.next_woken(&net, a.replica, ms(7), None, &mut out);
+    assert_eq!(key.map(|k| k.1), Some(stream));
     assert_eq!(a.next_request, 1, "rolled back to the shed segment");
     assert_eq!(a.inflight.keys().copied().collect::<Vec<_>>(), [2, 3]);
     assert_eq!(a.ready.len(), 32, "fetched frames survive");
@@ -371,9 +383,14 @@ fn failures_trip_the_breaker_once_and_the_trip_is_an_alarm() {
     }
     assert_eq!((trips, t.stats.breaker_trips), (1, 1));
     assert!(a.inflight.is_empty(), "an open circuit holds the window");
+    let timer = |o: &FetchOut| matches!(o, FetchOut::GateTimer { node: n, .. } if *n == node);
+    assert!(
+        t.waits((SESSION, ComponentId::new(0))) && out.iter().any(timer),
+        "until its gate timer wakes it"
+    );
     // The transition record skips the trip and reports the rest.
     out.clear();
-    t.node_event(true, ms(20), node, &mut out);
+    t.node_event(true, node, &mut out);
     t.breaker_events(&mut out);
     let names: Vec<&str> = out
         .iter()
@@ -403,7 +420,7 @@ fn a_node_event_writes_off_that_nodes_fetches_only() {
     assert_eq!(t.selector.outstanding(other), 4);
     out.clear();
 
-    t.node_event(true, ms(250), a.replica, &mut out);
+    t.node_event(true, a.replica, &mut out);
     assert!(matches!(
         out[..],
         [FetchOut::Event {
@@ -544,7 +561,7 @@ fn a_written_off_fetch_leaves_its_window_or_passes_to_its_hedge() {
     // when x crashes: nothing re-points it, so the write-off must reach it.
     a.replica = alt;
     let mut out = Vec::new();
-    let lost = t.node_event(false, ms(300), x, &mut out);
+    let lost = t.node_event(false, x, &mut out);
     let ids: Vec<(u64, Option<u64>)> = lost.iter().map(|l| (l.fetch, l.survivor)).collect();
     assert_eq!(ids, [(1, Some(hedge)), (2, None), (3, None)]);
     for l in &lost {
@@ -583,12 +600,35 @@ fn other(t: &MediaTier, r: &RemoteStream) -> NodeId {
     *replicas.iter().find(|&&n| n != r.replica).unwrap()
 }
 
-fn woken(out: &[FetchOut]) -> Vec<u64> {
+/// The nodes `out` says to run a wake round at.
+fn wakes(out: &[FetchOut]) -> Vec<NodeId> {
     let wake = |o: &FetchOut| match o {
-        FetchOut::Wake((_, c)) => Some(c.raw()),
+        FetchOut::Wake(node) => Some(*node),
         _ => None,
     };
     out.iter().filter_map(wake).collect()
+}
+
+/// Run the wake rounds `out` names, as the actor does: `refill` each
+/// waiter the tier names (by component), until the node's room or its
+/// waiters run out. Returns the components woken, in order.
+fn rounds(
+    t: &mut MediaTier,
+    net: &Net,
+    now: MediaTime,
+    out: &mut Vec<FetchOut>,
+    mut refill: impl FnMut(&mut MediaTier, u64, &mut Vec<FetchOut>),
+) -> Vec<u64> {
+    let mut woken = Vec::new();
+    for node in wakes(out) {
+        let mut after = None;
+        while let Some(key) = t.next_woken(net, node, now, after, out) {
+            after = Some(key);
+            woken.push(key.1 .1.raw());
+            refill(t, key.1 .1.raw(), out);
+        }
+    }
+    woken
 }
 
 fn events(out: &[FetchOut], wanted: &str) -> usize {
@@ -626,21 +666,26 @@ fn a_grant_is_learned_from_a_chunk_and_a_busy_and_the_gate_holds_at_it() {
     b.retarget(320); // past the segment the chunk left in the cache
     out.clear();
     t.pump(&net, ms(7), &demand(1), &mut b, &mut out);
-    assert!(requests(&out).is_empty() && events(&out, "fetch_wait") == 1);
+    assert!(requests(&out).is_empty() && events(&out, "fetch_wait") == 0);
     let waiter = (SESSION, ComponentId::new(1));
     assert_eq!(t.wait_index.get(&waiter), Some(&ms(7)));
-    // Ticking again neither moves its place nor repeats the event.
+    // Its pacer halts it dry there, and that leaves the evidence.
+    t.halted_dry(&net, &demand(1), &b, &mut out);
+    assert_eq!(events(&out, "fetch_wait"), 1);
+    // Pumping again moves nothing.
     out.clear();
     t.pump(&net, ms(47), &demand(1), &mut b, &mut out);
     assert_eq!(out, [FetchOut::Adopt(SESSION)]);
     assert_eq!(t.waiting.keys().collect::<Vec<_>>(), [&(ms(7), waiter)]);
 
     // A busy narrows the grant to 1: its own credit comes back, but two
-    // fetches are still out, so nobody is woken and the shed stream waits
-    // behind the dry one (it still has a segment buffered).
+    // fetches are still out, so the round it asks for wakes nobody, and
+    // the shed stream waits behind the dry one (it still has a segment
+    // buffered).
     out.clear();
     t.on_busy(&net, ms(50), 2, 1, Some((demand(0), &mut a)), &mut out);
-    assert!(out.is_empty(), "{out:?}");
+    assert_eq!(out, [FetchOut::Wake(x)]);
+    assert_eq!(t.next_woken(&net, x, ms(50), None, &mut out), None);
     assert_eq!((t.grants[&x], t.room(x, ms(50))), (1, 0));
     let order: Vec<u64> = t.waiting.keys().map(|(_, s)| s.1.raw()).collect();
     assert_eq!(order, [1, 0]);
@@ -662,23 +707,40 @@ fn a_tripped_replica_has_room_nobody_may_use() {
         t.health.record_failure(y, ms(0));
     }
     // x is full and y is open: the sibling waits where it is rather than
-    // move to the one replica with room, and y's credits wake nobody —
-    // until y's open timeout has passed and it is owed a probe.
+    // move to the one replica with room. Each replica's gate timer is set
+    // for the moment the clock opens it: y's when its open timeout runs
+    // out, x's when the first fetch holding a credit there passes its
+    // deadline. Until then a round at y wakes nobody, and arms no second
+    // timer.
     b.replica = x;
     b.retarget(320);
     t.pump(&net, ms(1), &demand(1), &mut b, &mut out);
     assert!(requests(&out).is_empty() && b.replica == x && t.waiting.len() == 1);
+    let timers = [(y, 499_000), (x, 819_001)].map(|(node, us)| FetchOut::GateTimer {
+        node,
+        delay: MediaDuration::from_micros(us),
+    });
+    assert_eq!(out[1..], timers);
     out.clear();
-    t.wake(y, ms(2), &mut out);
+    assert_eq!(t.next_woken(&net, y, ms(2), None, &mut out), None);
     assert!(out.is_empty());
-    t.wake(y, ms(600), &mut out);
-    assert_eq!(woken(&out), [1]);
+    t.on_gate_timer(y, &mut out);
+    assert_eq!(out, [FetchOut::Wake(y)]);
+    let key = t.next_woken(&net, y, ms(500), None, &mut out);
+    assert_eq!(key.map(|k| k.1 .1.raw()), Some(1));
     out.clear();
-    t.pump(&net, ms(600), &demand(1), &mut b, &mut out);
+    t.pump(&net, ms(500), &demand(1), &mut b, &mut out);
     assert!(
         b.replica == y && requests(&out).len() == 2,
         "two probe slots"
     );
+    // Both taken, the stream waits again, on a new timer for when the
+    // slots go stale.
+    let timer = FetchOut::GateTimer {
+        node: y,
+        delay: MediaDuration::from_millis(500),
+    };
+    assert!(t.waiting.len() == 1 && out.ends_with(&[timer]));
 }
 
 #[test]
@@ -725,8 +787,62 @@ fn three_waiters() -> (MediaTier, Net, Vec<RemoteStream>) {
         t.pump(&net, ms(100), &demand(i as u64), &mut streams[i], &mut out);
     }
     assert!(requests(&out).is_empty());
-    assert_eq!(events(&out, "fetch_wait"), 1, "only the dry one says so");
+    assert_eq!(events(&out, "fetch_wait"), 0, "a pump leaves no evidence");
     (t, net, streams)
+}
+
+#[test]
+fn a_credit_a_deadline_frees_wakes_the_most_urgent_waiter() {
+    let (mut t, net, mut s) = three_waiters();
+    // No settle is coming soon enough: each replica's gate timer is set for
+    // the moment the hog's fetch there passes its deadline and stops
+    // holding the node's one credit.
+    let mut replicas = t.placement.replicas(OBJECTS[0]).to_vec();
+    replicas.sort();
+    assert!(t.gate_timers.iter().eq(&replicas));
+    let (&fetch, tag) = t.inflight.iter().next().unwrap();
+    let (x, expired) = (tag.replica, tag.deadline + MediaDuration::from_micros(1));
+    assert!(!t.has_room(x, tag.deadline) && t.has_room(x, expired));
+    let mut out = Vec::new();
+    t.on_gate_timer(x, &mut out);
+    assert_eq!(out, [FetchOut::Wake(x)]);
+    let woken = rounds(&mut t, &net, expired, &mut out, |t, c, out| {
+        assert!(t.repump(&net, expired, &demand(c), &mut s[c as usize], out));
+    });
+    assert_eq!(woken, [2], "the dry one");
+    assert_eq!(requests(&out).iter().map(|r| r.1).collect::<Vec<_>>(), [x]);
+    // The hog's fetch, answered late, gives nothing back: x is full again.
+    out.clear();
+    t.on_chunk(
+        expired,
+        fetch,
+        segment(&s[0]),
+        true,
+        1,
+        Some(&mut s[0]),
+        &mut out,
+    );
+    assert!(!t.has_room(x, expired));
+}
+
+#[test]
+fn a_waiter_finds_a_segment_another_stream_brought_into_the_cache() {
+    let (mut t, net, mut s) = three_waiters();
+    // The hog's segment 0 lands: the cache holds it, and the dry stream,
+    // one of the three waiting on the object, finds its frames there.
+    let mut out = Vec::new();
+    let frames = segment(&s[0]);
+    t.on_chunk(ms(110), 1, frames, true, 1, Some(&mut s[0]), &mut out);
+    let mut waiters = Vec::new();
+    while let Some(key) = t.next_waiter(waiters.last().copied(), Some(OBJECTS[0])) {
+        waiters.push(key);
+    }
+    assert_eq!(waiters.len(), 3);
+    out.clear();
+    assert!(t.repump(&net, ms(110), &demand(2), &mut s[2], &mut out));
+    assert_eq!(s[2].ready.len(), 32, "segment 0 from the cache");
+    let asked: Vec<u64> = requests(&out).iter().map(|r| r.2).collect();
+    assert_eq!(asked, [1], "the credit the hog gave back asks the next");
 }
 
 #[test]
@@ -734,8 +850,11 @@ fn waiters_are_ordered_by_when_they_run_dry_and_woken_in_that_order() {
     let (mut t, net, mut s) = three_waiters();
     let keys: Vec<(MediaTime, u64)> = t.waiting.keys().map(|(at, s)| (*at, s.1.raw())).collect();
     assert_eq!(keys, [(ms(100), 2), (ms(150), 3), (ms(200), 1)]);
-    // One credit back, one waiter woken: the most urgent.
+    // One credit back, one waiter woken: the most urgent. The actor
+    // refills it: one fetch fits, and it waits again for the rest — now
+    // behind the others, with a segment on its way — and the node is full.
     let (mut out, frames) = (Vec::new(), segment(&s[0]));
+    let x = t.inflight[&1].replica;
     t.on_chunk(
         ms(110),
         1,
@@ -745,39 +864,26 @@ fn waiters_are_ordered_by_when_they_run_dry_and_woken_in_that_order() {
         Some(&mut s[0]),
         &mut out,
     );
-    assert_eq!(woken(&out), [2]);
-    // The actor refills it: one fetch fits, and it waits again for the
-    // rest — now behind the others, with a segment on its way.
-    out.clear();
-    assert!(t.repump(&net, ms(110), &demand(2), &mut s[2], &mut out));
+    assert_eq!(wakes(&out), [x]);
+    let woken = rounds(&mut t, &net, ms(110), &mut out, |t, c, out| {
+        assert!(t.repump(&net, ms(110), &demand(c), &mut s[c as usize], out));
+    });
+    assert_eq!(woken, [2]);
     assert_eq!(requests(&out).len(), 1);
     let order: Vec<u64> = t.waiting.keys().map(|(_, s)| s.1.raw()).collect();
     assert_eq!(order, [3, 1, 2]);
     // A torn-down waiter (the actor finds no stream and takes it out of the
-    // wait set) and a retargeted one are woken like any other and cost
-    // nothing.
-    out.clear();
-    t.on_chunk(
-        ms(120),
-        2,
-        frames.clone(),
-        true,
-        1,
-        Some(&mut s[0]),
-        &mut out,
-    );
-    assert_eq!(woken(&out), [3], "stream 3 is gone: nobody refills");
-    t.unwait((SESSION, ComponentId::new(3)));
+    // wait set) is woken like any other and costs nothing: the round goes
+    // on to the next, retargeted one, and the credit is not lost.
     out.clear();
     s[1].retarget(70);
-    t.on_chunk(ms(130), 3, frames, true, 1, Some(&mut s[2]), &mut out);
-    assert_eq!(woken(&out), [1], "the credit stream 3 left is not lost");
-    out.clear();
-    assert!(t.repump(&net, ms(130), &demand(1), &mut s[1], &mut out));
-    assert_eq!(
-        requests(&out).iter().map(|r| r.2).collect::<Vec<_>>(),
-        [2, 3]
-    );
+    t.on_chunk(ms(120), 2, frames, true, 1, Some(&mut s[0]), &mut out);
+    let woken = rounds(&mut t, &net, ms(120), &mut out, |t, c, out| match c {
+        3 => t.unwait((SESSION, ComponentId::new(3))),
+        _ => assert!(t.repump(&net, ms(120), &demand(c), &mut s[c as usize], out)),
+    });
+    assert_eq!(woken, [3, 1], "stream 3 is gone: nobody refills");
+    assert_eq!(requests(&out).iter().map(|r| r.2).collect::<Vec<_>>(), [2]);
     // The wait set and its index still tell one story.
     assert_eq!(t.waiting.len(), t.wait_index.len());
 }
@@ -786,14 +892,19 @@ fn waiters_are_ordered_by_when_they_run_dry_and_woken_in_that_order() {
 fn a_woken_waiter_whose_credit_was_taken_keeps_its_place() {
     let (mut t, net, mut s) = three_waiters();
     let (mut out, frames) = (Vec::new(), segment(&s[0]));
+    let x = t.inflight[&1].replica;
     t.on_chunk(ms(110), 1, frames, true, 1, Some(&mut s[0]), &mut out);
-    assert_eq!(woken(&out), [2]);
-    // Before the actor refills stream 2, stream 1's own stall poll takes
-    // the credit (segment 0 is a cache hit, segment 1 a fetch), then waits
-    // again for the rest of its window: 10 + 64 frames from now.
+    assert_eq!(wakes(&out), [x]);
+    // Before the round, stream 1 — not dry: it has frames to send — pumps
+    // before its next frame and takes the credit (segment 0 is a cache
+    // hit, segment 1 a fetch), then waits again for the rest of its
+    // window: 10 + 64 frames from now.
     out.clear();
     t.pump(&net, ms(110), &demand(1), &mut s[1], &mut out);
     assert_eq!(requests(&out).len(), 1);
+    // The round then wakes nobody, and a refill of stream 2 finds no
+    // credit: it keeps its place.
+    assert_eq!(t.next_woken(&net, x, ms(110), None, &mut out), None);
     out.clear();
     assert!(t.repump(&net, ms(110), &demand(2), &mut s[2], &mut out));
     assert!(requests(&out).is_empty());
@@ -841,12 +952,78 @@ fn a_freed_credit_goes_to_the_most_urgent_waiter_that_node_can_serve() {
     let (&fetch, _) = at_x.expect("a hog holds the node's one credit");
     out.clear();
     t.on_error(ms(20), fetch, &mut out);
-    assert_eq!(woken(&out), [3]);
+    let mut streams = [dry, buffered];
+    let woken = rounds(&mut t, &net, ms(20), &mut out, |t, c, out| {
+        assert!(t.repump(&net, ms(20), &demand(c), &mut streams[c as usize - 2], out));
+    });
+    assert_eq!(woken, [3]);
     let dry = (SESSION, ComponentId::new(2));
     assert!(
         t.wait_index.contains_key(&dry),
         "the more urgent one waits on"
     );
+}
+
+#[test]
+fn a_credit_a_woken_waiter_leaves_goes_to_the_next() {
+    // Object A on z and x, object B on x and y: x serves both.
+    let names: Vec<String> = (0..32).map(|i| format!("clips/{i}.mpg")).collect();
+    let placement = PlacementMap::build(names.iter().map(String::as_str), &NODES, 2);
+    let on = |pair: [NodeId; 2]| {
+        let exact = |n: &&String| pair.iter().all(|p| placement.replicas(n).contains(p));
+        names.iter().find(exact).unwrap().clone()
+    };
+    let [z, x, y] = NODES;
+    let (a, b) = (on([z, x]), on([x, y]));
+    let mut t = MediaTier::new(MediaTierConfig::default(), placement, HOME);
+    let net = Net::default();
+    t.grants.extend([(z, 1), (x, 2), (y, 1)]);
+    // Hogs fill every window: one fetch at z issued at 0 ms, due by
+    // 820 ms; two at x and one at y issued at 500 ms.
+    let mut out = Vec::new();
+    for (i, (object, node, at)) in [(&a, z, 0), (&a, x, 500), (&b, x, 500), (&b, y, 500)]
+        .into_iter()
+        .enumerate()
+    {
+        let mut hog = t.open(&net, object, MediaKind::Video, 0).unwrap();
+        hog.replica = node;
+        t.pump(
+            &net,
+            ms(at),
+            &needing(10 + i as u64, 32),
+            &mut hog,
+            &mut out,
+        );
+    }
+    assert!(NODES.iter().all(|&n| !t.has_room(n, ms(500))));
+    // The dry waiter over A wants one segment; the one over B has frames.
+    let mut streams = [a, b].map(|o| t.open(&net, &o, MediaKind::Video, 0).unwrap());
+    streams[1].ready.push_segment(segment(&streams[1]), 0);
+    t.pump(&net, ms(510), &needing(0, 32), &mut streams[0], &mut out);
+    t.pump(&net, ms(510), &demand(1), &mut streams[1], &mut out);
+    assert_eq!(t.waiting.len(), 2);
+    // By 900 ms the fetch at z is past its deadline and holds no credit.
+    // A fetch at x lands: the round there wakes the dry waiter first, which
+    // takes the credit z has had since, and the round goes on to the next.
+    let at_x = t.inflight.iter().find(|(_, tag)| tag.replica == x);
+    let (&fetch, _) = at_x.unwrap();
+    out.clear();
+    t.on_chunk(
+        ms(900),
+        fetch,
+        segment(&streams[0]),
+        true,
+        2,
+        None,
+        &mut out,
+    );
+    let woken = rounds(&mut t, &net, ms(900), &mut out, |t, c, out| {
+        let d = [needing(0, 32), demand(1)][c as usize];
+        t.repump(&net, ms(900), &d, &mut streams[c as usize], out);
+    });
+    assert_eq!(woken, [0, 1]);
+    let asked: Vec<(NodeId, u64)> = requests(&out).iter().map(|r| (r.1, r.2)).collect();
+    assert_eq!(asked, [(z, 0), (x, 0)], "the credit at x is not left idle");
 }
 
 #[test]
@@ -875,7 +1052,7 @@ fn without_the_breaker_grants_are_ignored() {
     let mut out = Vec::new();
     t.on_chunk(ms(5), 1, segment(&a), true, 1, Some(&mut a), &mut out);
     t.on_busy(&net, ms(6), 2, 1, Some((demand(0), &mut a)), &mut out);
-    assert!(t.grants.is_empty() && woken(&out).is_empty());
+    assert!(t.grants.is_empty() && wakes(&out).is_empty());
     assert_eq!(requests(&out).len(), 2, "the shed segment and the frontier");
     b.replica = a.replica;
     out.clear();
@@ -935,14 +1112,23 @@ fn op() -> impl Strategy<Value = Op> {
 /// The caller's side of the contract, as the server actor keeps it: four
 /// video-paced streams found by `(session, component)`, a stream stopped
 /// by a fetch error is never handed in as live, the fetches a node event
-/// or a drain writes off are handed to their streams, a node event
-/// re-points the streams pulling from that node, and the pacers play
-/// frames out of the ready queues.
+/// or a drain writes off are handed to their streams (and those that lost
+/// a segment repumped), a node event re-points the streams pulling from
+/// that node, a drain repumps the waiters, a landed segment the waiters of
+/// its object, every wake round is run, every
+/// gate timer fires when due, and the pacers play frames out of the
+/// ready queues. A pump that leaves a stream dry halts its pacer, as a
+/// stream timer's does; a frame in its queue resumes it, as does a
+/// retarget.
 struct Rig {
     tier: MediaTier,
     net: Net,
     streams: Vec<RemoteStream>,
     stopped: [bool; 4],
+    /// Pacers halted dry.
+    halted: [bool; 4],
+    /// Pending gate timers: when each fires, and for which node.
+    timers: Vec<(MediaTime, NodeId)>,
     now: MediaTime,
     out: Vec<FetchOut>,
     /// The stream the last op pumped explicitly.
@@ -956,6 +1142,8 @@ impl Rig {
             net: Net::default(),
             streams: Vec::new(),
             stopped: [false; 4],
+            halted: [false; 4],
+            timers: Vec::new(),
             now: MediaTime::ZERO,
             out: Vec::new(),
             pumped: None,
@@ -975,6 +1163,7 @@ impl Rig {
         };
         self.streams = (0..4).map(open).collect();
         self.stopped = [false; 4];
+        self.halted = [false; 4];
     }
 
     fn fetch_id(&self, draw: u64) -> u64 {
@@ -996,11 +1185,23 @@ impl Rig {
         let (tier, net) = (&mut self.tier, &self.net);
         self.pumped = None;
         match *op {
-            Op::Tick(dt) => self.now += MediaDuration::from_millis(dt),
+            Op::Tick(dt) => {
+                self.now += MediaDuration::from_millis(dt);
+                self.timers.sort();
+                let due = self.timers.partition_point(|&(at, _)| at <= self.now);
+                for (_, node) in self.timers.drain(..due) {
+                    self.tier.on_gate_timer(node, &mut out);
+                }
+            }
             Op::Pump(i) | Op::Repump(i) if self.stopped[i] => {}
             Op::Pump(i) => {
-                tier.pump(net, now, &video(i as u64), &mut self.streams[i], &mut out);
+                let (d, r) = (video(i as u64), &mut self.streams[i]);
+                tier.pump(net, now, &d, r, &mut out);
                 self.pumped = Some(i);
+                self.halted[i] = r.ready.is_empty();
+                if self.halted[i] {
+                    tier.halted_dry(net, &d, r, &mut out);
+                }
             }
             Op::Repump(i) => {
                 tier.repump(net, now, &video(i as u64), &mut self.streams[i], &mut out);
@@ -1012,6 +1213,12 @@ impl Rig {
                 let r = i.map(|i| &mut self.streams[i]);
                 let tier = &mut self.tier;
                 let done = tier.on_chunk(now, fetch, frames, last, credit, r, &mut out);
+                if let Some(i) = i.filter(|_| last) {
+                    let object = Arc::clone(&self.streams[i].object);
+                    let waiters = self.tier.waiting.iter().filter(|(_, o)| **o == object);
+                    let waiters = waiters.map(|(s, _)| s.1 .1.raw() as usize).collect();
+                    self.refill(waiters, &mut out);
+                }
                 for sick in done.tripped.into_iter().flatten() {
                     MediaTier::report_trip(sick, &mut out);
                     self.repoint(sick, &mut out);
@@ -1038,7 +1245,10 @@ impl Rig {
                 self.tier
                     .on_hedge_timer(&self.net, now, fetch, stream, &mut out);
             }
-            Op::Retarget(i, seq) => self.streams[i].retarget(seq),
+            Op::Retarget(i, seq) => {
+                self.streams[i].retarget(seq);
+                self.halted[i] = false;
+            }
             Op::Play(i, n) => {
                 let ready = &mut self.streams[i].ready;
                 for _ in 0..n.min(ready.len()) {
@@ -1051,37 +1261,68 @@ impl Rig {
                     self.net.down.insert(NODES[n]);
                 }
                 let up = self.net.node_is_up(NODES[n]);
-                let lost = self.tier.node_event(up, now, NODES[n], &mut out);
-                self.forget(&lost);
+                let lost = self.tier.node_event(up, NODES[n], &mut out);
+                let bereft = self.forget(&lost);
                 self.repoint(NODES[n], &mut out);
+                self.refill(bereft, &mut out);
             }
             Op::Drain(n) => {
                 let placement = tier.placement.clone();
                 let lost = tier.drain(net, placement, Some(NODES[n]), &mut out);
-                self.forget(&lost);
+                let mut bereft = self.forget(&lost);
+                bereft.extend(self.tier.waiting.keys().map(|s| s.1 .1.raw() as usize));
+                self.refill(bereft, &mut out);
             }
             Op::Crash => {
-                // The actor's sessions die with the process.
+                // The actor's sessions and timers die with the process.
                 tier.crash();
                 self.open_streams();
+                self.timers.clear();
             }
         }
-        // Woken waiters are refilled, as the actor does — unless stopped.
-        for i in woken(&out) {
-            if !self.stopped[i as usize] {
-                let r = &mut self.streams[i as usize];
-                self.tier
-                    .repump(&self.net, self.now, &video(i), r, &mut out);
+        // Every wake round is run, as the actor runs it: a stopped stream
+        // is taken out of the wait set, any other refilled.
+        let (now, net) = (self.now, &self.net);
+        let (streams, stopped) = (&mut self.streams, self.stopped);
+        rounds(&mut self.tier, net, now, &mut out, |t, i, out| {
+            if stopped[i as usize] {
+                t.unwait((SESSION, ComponentId::new(i)));
+            } else {
+                t.repump(net, now, &video(i), &mut streams[i as usize], out);
             }
+        });
+        for o in &out {
+            if let FetchOut::GateTimer { node, delay } = *o {
+                self.timers.push((self.now + delay, node));
+            }
+        }
+        // A halted pacer with a frame in its queue sends again.
+        for (halted, r) in self.halted.iter_mut().zip(&self.streams) {
+            *halted &= r.ready.is_empty();
         }
         self.tier.breaker_events(&mut out);
         self.out = out;
     }
 
-    /// Hand written-off fetches to their streams, as `server_actor.rs` does.
-    fn forget(&mut self, lost: &[LostFetch]) {
+    /// Hand written-off fetches to their streams, as `server_actor.rs`
+    /// does; returns the streams that lost a segment.
+    fn forget(&mut self, lost: &[LostFetch]) -> Vec<usize> {
+        let mut bereft = Vec::new();
         for l in lost {
-            self.streams[l.tag.component.raw() as usize].forget(l);
+            let i = l.tag.component.raw() as usize;
+            if self.streams[i].forget(l) {
+                bereft.push(i);
+            }
+        }
+        bereft
+    }
+
+    /// Repump each of `streams` that is live, as `server_actor.rs` does.
+    fn refill(&mut self, streams: Vec<usize>, out: &mut Vec<FetchOut>) {
+        for i in streams.into_iter().filter(|&i| !self.stopped[i]) {
+            let r = &mut self.streams[i];
+            self.tier
+                .repump(&self.net, self.now, &video(i as u64), r, out);
         }
     }
 
@@ -1129,9 +1370,8 @@ impl Rig {
             prop_assert!(*id < t.next_fetch);
         }
         // The window runs at most one segment past FETCH_AHEAD of media,
-        // and a pump stops short of it only at the pipeline or for a
-        // reason: the stream waits for a credit, its replica is down, or
-        // its circuit refuses it.
+        // and a pump stops short of it only at the pipeline or in the wait
+        // set.
         let window = window_frames(video(0).frame_period);
         for r in &self.streams {
             prop_assert!(r.frames_covered() <= window + FRAMES_PER_SEGMENT as u64);
@@ -1141,12 +1381,34 @@ impl Rig {
             let stream = (SESSION, ComponentId::new(i as u64));
             let stopped_short = r.frames_covered() < window && r.inflight.len() < PIPELINE as usize;
             prop_assert!(
-                !stopped_short
-                    || t.wait_index.contains_key(&stream)
-                    || !self.net.node_is_up(r.replica)
-                    || (t.cfg.breaker && !t.health.admits(r.replica, self.now)),
+                !stopped_short || t.waits(stream),
                 "stream {i} stopped at {} frames with room to fetch",
                 r.frames_covered()
+            );
+        }
+        // No stream is stranded: a halted pacer has a fetch out or a place
+        // in the wait set, and every waiter has an opener coming — a fetch
+        // out at a live node that holds its object (its settle runs a wake
+        // round there), that node's gate timer, or, with every such
+        // node down, a restart.
+        for (i, r) in self.streams.iter().enumerate() {
+            let stream = (SESSION, ComponentId::new(i as u64));
+            prop_assert!(
+                !self.halted[i] || self.stopped[i] || !r.inflight.is_empty() || t.waits(stream),
+                "stream {i} halted dry with nothing to resume it"
+            );
+        }
+        for (_, stream) in t.waiting.keys() {
+            let i = stream.1.raw() as usize;
+            let replicas = t.placement.replicas(&self.streams[i].object);
+            let up = |n: &&NodeId| self.net.node_is_up(**n);
+            let fetching = |n: &NodeId| t.inflight.values().any(|tag| tag.replica == *n);
+            let timed = |n: &NodeId| self.timers.iter().any(|(_, m)| m == n);
+            prop_assert!(
+                self.stopped[i]
+                    || replicas.iter().filter(up).any(|n| fetching(n) || timed(n))
+                    || !replicas.iter().any(|n| up(&n)),
+                "waiter {i} has no opener coming"
             );
         }
         // Hedge races are symmetric pairs of outstanding fetches.

@@ -257,13 +257,19 @@ impl NodeHealth {
 
     /// What [`admit`](Self::admit) would answer at `now`; reserves nothing.
     pub fn admits(&self, now: MediaTime) -> bool {
-        let stale = |since| now - since >= OPEN_TIMEOUT;
+        now >= self.admits_from()
+    }
+
+    /// From when [`admit`](Self::admit) says yes, if no verdict comes
+    /// first: an Open breaker once its timeout has run, a HalfOpen one with
+    /// its probe slots taken once they have gone stale.
+    pub fn admits_from(&self) -> MediaTime {
         match self.state {
-            BreakerState::Closed => true,
-            BreakerState::Open => stale(self.opened_at),
-            BreakerState::HalfOpen => {
-                self.probes_in_flight < HALF_OPEN_PROBES || stale(self.probed_at)
+            BreakerState::Open => self.opened_at + OPEN_TIMEOUT,
+            BreakerState::HalfOpen if self.probes_in_flight >= HALF_OPEN_PROBES => {
+                self.probed_at + OPEN_TIMEOUT
             }
+            _ => MediaTime::ZERO,
         }
     }
 
@@ -403,8 +409,13 @@ impl ReplicaHealthMap {
 
     /// What [`admit`](Self::admit) would answer; reserves nothing.
     pub fn admits(&self, node: NodeId, now: MediaTime) -> bool {
+        now >= self.admits_from(node)
+    }
+
+    /// From when `node`'s breaker admits (see [`NodeHealth::admits_from`]).
+    pub fn admits_from(&self, node: NodeId) -> MediaTime {
         let known = self.nodes.get(&node);
-        known.is_none_or(|h| h.admits(now))
+        known.map_or(MediaTime::ZERO, NodeHealth::admits_from)
     }
 
     /// Selection penalty for `node` (0 for unknown nodes).

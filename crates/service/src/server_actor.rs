@@ -214,8 +214,6 @@ struct PendingQuery {
 /// Instead of rejecting a document request outright, retry admission with
 /// the streams shed up to this many grade levels below nominal.
 const MAX_ADMISSION_SHED: u8 = 3;
-/// Re-poll interval while a stream is stalled waiting for the media tier.
-const STALL_POLL: MediaDuration = MediaDuration::from_millis(10);
 /// Calm period required before the degradation ladder restores one level
 /// (and the spacing between successive restores).
 const LADDER_HYSTERESIS: MediaDuration = MediaDuration::from_secs(2);
@@ -370,8 +368,8 @@ struct FetchPort {
     node: NodeId,
     server: ServerId,
     out: Vec<FetchOut>,
-    /// Waiting streams the list said to wake, for [`ServerActor::flush_woken`].
-    woken: Vec<(SessionId, ComponentId)>,
+    /// Nodes to run a wake round at, for [`ServerActor::flush_woken`].
+    woken: Vec<NodeId>,
 }
 
 impl FetchPort {
@@ -410,7 +408,10 @@ impl FetchPort {
                 FetchOut::HedgeTimer { fetch, delay } => {
                     api.set_timer(node, delay, timers::TK_HEDGE, fetch);
                 }
-                FetchOut::Wake(stream) => self.woken.push(stream),
+                FetchOut::Wake(at) => self.woken.push(at),
+                FetchOut::GateTimer { node: at, delay } => {
+                    api.set_timer(node, delay, timers::TK_GATE, at.raw());
+                }
                 FetchOut::Event {
                     severity,
                     name,
@@ -740,6 +741,12 @@ impl ServerActor {
                 self.flush_life(api);
             }
             timers::TK_HEDGE => self.on_hedge_timer(api, payload),
+            timers::TK_GATE => {
+                if let Some(tier) = self.media.as_mut() {
+                    tier.on_gate_timer(NodeId::new(payload), &mut self.fetch.out);
+                    self.flush_woken(api);
+                }
+            }
             timers::TK_LADDER => self.on_ladder_tick(api),
             timers::TK_CONTROL => self.on_control_tick(api),
             timers::TK_CONTROL_REPORT => self.on_control_report(api),
@@ -1483,8 +1490,8 @@ impl ServerActor {
     }
 
     /// Re-pick a live stream's replica and refill its fetch window (a
-    /// waiter woken by a freed credit; every re-point). False when the
-    /// stream is gone or no replica of its object is up.
+    /// waiter a wake round names; every re-point), resuming it if the cache
+    /// had its frame. False when it is gone or no replica is up.
     fn repump_stream(
         &mut self,
         api: &mut SimApi<'_, ServiceMsg>,
@@ -1502,18 +1509,58 @@ impl ServerActor {
             _ => false,
         };
         self.fetch.flush(api, &mut self.slo);
+        self.resume(api, (session, component));
         found
     }
 
-    /// Apply the fetch client's list, then refill the waiting streams it
-    /// woke, most urgent first. A refill gives no credit back, so it wakes
-    /// nobody in turn.
+    /// Repump every waiter of the tier that pulls `object` (any, with none),
+    /// most urgent first.
+    fn repump_waiters(&mut self, api: &mut SimApi<'_, ServiceMsg>, object: Option<&str>) {
+        let mut after = None;
+        while let Some(key) = self
+            .media
+            .as_ref()
+            .and_then(|t| t.next_waiter(after, object))
+        {
+            after = Some(key);
+            self.repump_stream(api, key.1 .0, key.1 .1);
+        }
+    }
+
+    /// A stream its pacer halted dry has a frame again (a segment landed,
+    /// or a repump found one cached): send it now, restarting its chain.
+    /// Outside a sending phase it waits for the phase's `Rearm`.
+    fn resume(&mut self, api: &mut SimApi<'_, ServiceMsg>, stream: (SessionId, ComponentId)) {
+        let (session, component) = stream;
+        let s = self.sessions.get(&session).filter(|s| s.life.phase.sends());
+        let Some(tx) = s.and_then(|s| s.streams.get(&component)) else {
+            return;
+        };
+        let fed = tx.remote.as_ref().is_some_and(|r| !r.ready.is_empty());
+        if fed && tx.chain == Chain::default() {
+            self.send_stream(api, stream);
+        }
+    }
+
+    /// Apply the fetch client's list, then run a wake round at each node
+    /// it named: refill the waiters the tier names there, most urgent
+    /// first. A refill gives no credit back, so it names no node in turn.
     fn flush_woken(&mut self, api: &mut SimApi<'_, ServiceMsg>) {
         self.fetch.flush(api, &mut self.slo);
         let mut woken = std::mem::take(&mut self.fetch.woken);
-        for (session, component) in woken.drain(..) {
-            self.repump_stream(api, session, component);
+        for node in woken.drain(..) {
+            let mut after = None;
+            while let Some(key) = self
+                .media
+                .as_mut()
+                .and_then(|t| t.next_woken(&*api, node, api.now(), after, &mut self.fetch.out))
+            {
+                after = Some(key);
+                let (session, component) = key.1;
+                self.repump_stream(api, session, component);
+            }
         }
+        self.fetch.flush(api, &mut self.slo);
         self.fetch.woken = woken;
     }
 
@@ -1531,18 +1578,19 @@ impl ServerActor {
         };
         let owner = tier.owner(fetch);
         let s = owner.and_then(|(s, _)| self.sessions.get_mut(&s));
-        let sends = s.as_ref().is_some_and(|s| s.life.phase.sends());
         let tx = owner.zip(s).and_then(|((_, c), s)| s.streams.get_mut(&c));
-        let discrete = tx.as_ref().is_some_and(|tx| !tx.plan.kind.is_continuous());
         let r = tx.and_then(|tx| tx.remote.as_mut());
+        let landed = r.as_ref().filter(|_| last).map(|r| Arc::clone(&r.object));
         let out = &mut self.fetch.out;
         let done = tier.on_chunk(api.now(), fetch, frames, last, credit, r, out);
         self.flush_woken(api);
-        // Discrete objects ship the moment their bytes arrive while the
-        // phase sends; continuous streams stay on the pacer's cadence (the
-        // stall poll picks the fetched frames up).
-        if let (true, Some(stream)) = (done.appended && discrete && sends, owner) {
-            self.send_stream(api, stream);
+        if let (true, Some(stream)) = (done.appended, owner) {
+            self.resume(api, stream);
+        }
+        // The segment is in the cache now: a stream waiting for the same
+        // one, with every gate closed, finds it there.
+        if let Some(object) = landed {
+            self.repump_waiters(api, Some(&object));
         }
         // A successful-but-slow completion can still trip the breaker (EWMA
         // latency): eject only after the fetched frames landed.
@@ -1585,6 +1633,11 @@ impl ServerActor {
         let out = &mut self.fetch.out;
         tier.on_busy(&*api, api.now(), fetch, credit, stream, out);
         self.flush_woken(api);
+        // Without overload control the shed segment was re-asked at once,
+        // and may have been cached.
+        if let Some(stream) = owner {
+            self.resume(api, stream);
+        }
     }
 
     /// The hedge delay of a fetch expired unanswered (timer `TK_HEDGE`,
@@ -1604,14 +1657,24 @@ impl ServerActor {
     /// Hand each fetch the tier wrote off to the stream that asked for it
     /// (a survivor of its hedge race takes it over, or its segment is
     /// re-asked), so no window keeps a fetch that will never be answered.
-    fn forget_lost(sessions: &mut BTreeMap<SessionId, SessionState>, lost: &[LostFetch]) {
+    /// Returns the streams that must re-ask a segment (a pacer may have
+    /// halted one dry on it), for the caller to repump.
+    fn forget_lost(
+        sessions: &mut BTreeMap<SessionId, SessionState>,
+        lost: &[LostFetch],
+    ) -> Vec<(SessionId, ComponentId)> {
+        let mut bereft = Vec::new();
         for l in lost {
             let s = sessions.get_mut(&l.tag.session);
             let tx = s.and_then(|s| s.streams.get_mut(&l.tag.component));
-            if let Some(r) = tx.and_then(|tx| tx.remote.as_mut()) {
-                r.forget(l);
+            if tx
+                .and_then(|tx| tx.remote.as_mut())
+                .is_some_and(|r| r.forget(l))
+            {
+                bereft.push((l.tag.session, l.tag.component));
             }
         }
+        bereft
     }
 
     /// Phase one of a failover: restart the fetch window of every live
@@ -1681,6 +1744,13 @@ impl ServerActor {
                 (GradeOut::Regrade(session, component, level, _), Some((client, tx))) => {
                     self.grading.force_level(session, component, level);
                     tx.set_level(level);
+                    // The switch dropped the fetch window: a stream halted
+                    // dry on it pumps again.
+                    if !tx.done && !tx.stopped {
+                        if let Some(gen) = self.life.rearm(&mut tx.chain) {
+                            arm_stream(api, node, MediaDuration::ZERO, (session, gen));
+                        }
+                    }
                     let level = level.0;
                     let msg = ServiceMsg::StreamRegraded {
                         session,
@@ -1999,7 +2069,7 @@ impl ServerActor {
             return;
         };
         let lost = tier.drain(&*api, placement, drain, &mut self.fetch.out);
-        Self::forget_lost(&mut self.sessions, &lost);
+        let bereft = Self::forget_lost(&mut self.sessions, &lost);
         let affected: Vec<(SessionId, ComponentId)> = Self::live_streams(&mut self.sessions)
             .filter(|(_, _, r)| !tier.placement.replicas(&r.object).contains(&r.replica))
             .map(|(sid, cid, _)| (sid, cid))
@@ -2011,6 +2081,11 @@ impl ServerActor {
             }
             self.repump_stream(api, sid, cid);
         }
+        for (sid, cid) in bereft {
+            self.repump_stream(api, sid, cid);
+        }
+        // The new map can open a gate anywhere.
+        self.repump_waiters(api, None);
         self.fetch.flush(api, &mut self.slo);
         self.sharing.bump(&affected, &mut self.share_out);
         self.flush_share(api);
@@ -2023,17 +2098,21 @@ impl ServerActor {
             return;
         };
         let up = api.node_is_up(media_node);
-        let lost = tier.node_event(up, api.now(), media_node, &mut self.fetch.out);
-        Self::forget_lost(&mut self.sessions, &lost);
+        let lost = tier.node_event(up, media_node, &mut self.fetch.out);
+        let bereft = Self::forget_lost(&mut self.sessions, &lost);
         let affected = self.restart_streams_on(media_node);
         self.fetch.flush(api, &mut self.slo);
         for &(sid, cid) in &affected {
-            // No live replica: parked until a restart event re-points us.
+            // No live replica: parked in the wait set until one restarts.
             if self.repump_stream(api, sid, cid) {
                 if let Some(tier) = self.media.as_mut() {
                     tier.stats.failovers += 1;
                 }
             }
+        }
+        // Streams pulling elsewhere re-ask what they lost here.
+        for (sid, cid) in bereft {
+            self.repump_stream(api, sid, cid);
         }
         self.flush_woken(api);
         self.sharing.bump(&affected, &mut self.share_out);
@@ -2054,9 +2133,9 @@ impl ServerActor {
     }
 
     /// Send stream `(session, component)`'s next frame, or its discrete
-    /// object whole: a stream timer fired, or the object's bytes just
-    /// arrived. With a media tier the fetch window is pumped first; a dry
-    /// window re-arms the stream's timer.
+    /// object whole: its stream timer fired, or a halted stream has a frame
+    /// again ([`resume`](Self::resume)). With a media tier the fetch window
+    /// is pumped first; a dry window halts the stream's chain.
     fn send_stream(&mut self, api: &mut SimApi<'_, ServiceMsg>, stream: (SessionId, ComponentId)) {
         let (node, (session, component)) = (self.node, stream);
         let Some(s) = self.sessions.get_mut(&session) else {
@@ -2080,16 +2159,20 @@ impl ServerActor {
         // Media tier: top up the fetch window, then gate the send on fetched
         // content — the pacer only advances once the frame's bytes (or the
         // object's) have actually come off the wire from a replica (or the
-        // cache). Until then, poll. A pacer with nothing left to send needs
-        // no frame to find that out.
+        // cache). Until then the chain halts, and whatever ends the dryness
+        // resumes it. A pacer with nothing left to send needs no frame to
+        // find that out.
         let demand = tx.demand(session, component, s.class);
         if let (Some(tier), Some(r)) = (self.media.as_mut(), tx.remote.as_mut()) {
             tier.pump(&*api, api.now(), &demand, r, &mut self.fetch.out);
-            self.fetch.flush(api, &mut self.slo);
-            if r.ready.is_empty() && demand.frames_needed > 0 {
+            let dry = r.ready.is_empty() && demand.frames_needed > 0;
+            if dry {
                 tier.stats.stalls += 1;
-                let gen = self.life.arm(&mut tx.chain);
-                return arm_stream(api, node, STALL_POLL, (session, gen));
+                tier.halted_dry(&*api, &demand, r, &mut self.fetch.out);
+            }
+            self.fetch.flush(api, &mut self.slo);
+            if dry {
+                return;
             }
         }
         let now = api.now();

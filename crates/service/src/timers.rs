@@ -14,6 +14,10 @@ pub const TK_LADDER: u64 = 6;
 /// Server: hedge delay expired for a media fetch (payload = fetch id) —
 /// issue the duplicate to the next-best replica if still unanswered.
 pub const TK_HEDGE: u64 = 7;
+/// Server: a media node's closed gate opens by the clock (payload = node
+/// id) — its breaker admits again, or a fetch holding a credit there has
+/// passed its deadline: wake the streams waiting on it.
+pub const TK_GATE: u64 = 8;
 /// Client: periodic feedback report.
 pub const TK_FEEDBACK: u64 = 10;
 /// Client: playout tick.

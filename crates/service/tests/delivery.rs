@@ -32,6 +32,15 @@
 //! and the pending image ships its own object (t). Its rows now equal
 //! `LOCAL`'s; only the digest differs, by the pause and resume events.
 //!
+//! `REBUILD` and `SHARED` were printed again when a dry stream stopped
+//! polling: the segment that lands for a halted stream sends its frame at
+//! once, not at the next 10 ms poll, so a stream that ran dry gets a frame
+//! further by the same instant. The rebuilt session's video has sent 70
+//! frames by 12 s, not 69 (520,106 → 526,735 B), and the shared group
+//! leader's audio 150 / 350 by 5 s / 9 s, not 149 / 349 (261,348 →
+//! 263,069 B, 615,433 → 617,220 B). Event counts stay; the digests move
+//! with the send times.
+//!
 //! Cases other tests already pin are left out:
 //! - a private flow and an image with the media tier: `fetch_golden`'s
 //!   worlds ship both (tier counters, event log and `SimStats`);
@@ -348,17 +357,17 @@ const REBUILD: Pin = (
         ],
         &[
             (2, 3, MediaKind::Audio, 140, 246745, false),
-            (2, 4, MediaKind::Video, 69, 520106, false),
+            (2, 4, MediaKind::Video, 70, 526735, false),
         ],
     ],
     [2, 0, 0],
-    7177853008590925896,
+    12191465301075547600,
 );
 const SHARED: Pin = (
     &[
         &[
             (1, 1, MediaKind::Image, 1, 67476, true),
-            (1, 2, MediaKind::Audio, 149, 261348, false),
+            (1, 2, MediaKind::Audio, 150, 263069, false),
             (1, 3, MediaKind::Video, 74, 573651, false),
             (2, 1, MediaKind::Image, 1, 67476, true),
             (3, 1, MediaKind::Image, 1, 67476, true),
@@ -367,7 +376,7 @@ const SHARED: Pin = (
         ],
         &[
             (1, 1, MediaKind::Image, 1, 67476, true),
-            (1, 2, MediaKind::Audio, 349, 615433, false),
+            (1, 2, MediaKind::Audio, 350, 617220, false),
             (1, 3, MediaKind::Video, 174, 1326076, false),
             (2, 1, MediaKind::Image, 1, 67476, true),
             (3, 1, MediaKind::Image, 1, 67476, true),
@@ -376,7 +385,7 @@ const SHARED: Pin = (
         ],
     ],
     [3, 0, 3],
-    17397681036072191367,
+    10062665984468403980,
 );
 const LINK: Pin = (
     &[

@@ -296,3 +296,87 @@ fn quorum_isolated_leader_demotes_and_zombie_commands_are_fenced() {
     assert!(violations.is_empty(), "violations: {violations:?}");
     assert_eq!(ha_pin(sim.app(), &servers, obs.events()), ISOLATED);
 }
+
+/// A stream both of whose replicas are down is parked: once it has sent
+/// what it had, its chain halts and no stream timer fires for it until a
+/// gate opens — and the restart of either replica opens one, not only the
+/// restart of the replica it last pointed at.
+#[test]
+fn a_parked_stream_costs_nothing_and_either_restart_resumes_it() {
+    let mut b = WorldBuilder::new(5);
+    let srv = b.add_server(
+        ServerId::new(0),
+        LinkSpec::lan(1_000_000_000),
+        ServerConfig::default(),
+    );
+    let client = b.add_client(LinkSpec::lan(10_000_000), ClientConfig::default());
+    let media: Vec<NodeId> = (0..2)
+        .map(|_| b.add_media_node(LinkSpec::san(1_000_000_000)))
+        .collect();
+    // No cache: a parked stream has nowhere to read from.
+    b.media_config(MediaTierConfig {
+        cache_bytes: 0,
+        ..Default::default()
+    });
+    let mut sim: Sim<ServiceMsg, ServiceWorld> = b.build(5);
+    let mut rng = SimRng::seed_from_u64(5);
+    let shape = LessonShape {
+        images: 0,
+        image_secs: 0,
+        narrated_clip_secs: Some(20),
+        closing_audio_secs: None,
+    };
+    let lessons = install_course(
+        sim.app_mut().server_mut(srv),
+        "Park",
+        &["park"],
+        1,
+        1,
+        shape,
+        &mut rng,
+    );
+    sim.app_mut().distribute_media();
+    sim.with_api(|w, api| w.client_mut(client).connect(api, srv, Some(lessons[0])));
+    // Each stream's (replica, frames sent), and the server's dry halts.
+    let look = |sim: &Sim<ServiceMsg, ServiceWorld>| {
+        let server = sim.app().server(srv);
+        let streams = server.sessions.values().flat_map(|s| s.streams.values());
+        let live = streams.filter(|tx| tx.plan.kind.is_continuous() && !tx.done);
+        let rows: Vec<(NodeId, u64)> = live
+            .map(|tx| (tx.remote.as_ref().unwrap().replica, tx.frames_sent))
+            .collect();
+        (rows, server.media.as_ref().unwrap().stats.stalls)
+    };
+    sim.run_until(MediaTime::from_secs(3));
+    let (rows, _) = look(&sim);
+    assert_eq!(rows.len(), 2, "audio and video stream");
+    // Crash the replica the streams pull from, then, once they have moved
+    // to the other one, that one too: they are parked pointing at it.
+    let first = rows[0].0;
+    let last = media.iter().copied().find(|&m| m != first).unwrap();
+    let plan = FaultPlan::new()
+        .crash(first, MediaTime::from_millis(3_000))
+        .crash(last, MediaTime::from_millis(3_200))
+        .restart(first, MediaTime::from_secs(9))
+        .restart(last, MediaTime::from_secs(12));
+    sim.install_faults(&plan);
+    sim.run_until(MediaTime::from_millis(3_300));
+    assert!(look(&sim).0.iter().all(|&(replica, _)| replica == last));
+    // Both run dry within their window (2 s and a segment) and halt: for
+    // the 2 s from then on to 9 s no stream timer finds them dry again,
+    // and nothing is sent.
+    sim.run_until(MediaTime::from_millis(6_900));
+    let parked = look(&sim);
+    sim.run_until(MediaTime::from_millis(8_990));
+    assert_eq!(look(&sim), parked, "a parked stream's timer fired");
+    // The replica they did not point at restarts: both resume.
+    sim.run_until(MediaTime::from_millis(11_900));
+    let (rows, _) = look(&sim);
+    for (now, then) in rows.iter().zip(&parked.0) {
+        assert!(
+            now.1 > then.1 + 50,
+            "not resumed by the other restart: {rows:?}"
+        );
+        assert_eq!(now.0, first);
+    }
+}

@@ -192,31 +192,48 @@ type Pin = ([u64; 14], usize, u64);
 // streams behind the slow replica are served in another order. Fetches
 // 277 → 294, chunks 276 → 293, stalls 587 → 637, parts 575 → 571, trace
 // events 370 → 381; hedges, wins, cancels, trips and busy are unchanged.
+// All five again when a dry stream stopped polling: its pacer halts, and
+// the segment that lands for it sends its frame (no 10 ms re-pump). What
+// that moved:
+// - Stalls count dry halts, one per dry spell, not one per 10 ms poll:
+//   198 → 36 with the defaults, 171 → 36, 637 → 36, 205 → 36, 196 → 36.
+// - Pumps no longer run on the poll's 10 ms lattice, so streams spread
+//   over the two nodes differently: at `CRASH`'s crash twelve streams pull
+//   from the victim, not nine (failovers 9 → 12, three more
+//   `stream_epoch` events), and `REBALANCE`'s drain re-points three more
+//   (`stream_epoch` 10 → 13).
+// - `HEDGING`'s waiters are woken when the slow replica's breaker would
+//   admit again, when a fetch holding a credit passes its deadline (by a
+//   gate timer) and when a segment they wait for lands in the cache,
+//   rather than by their own polls: fetches 294 → 295, chunks 293 → 294,
+//   parts 571 → 590, trace events 381 → 390; the races, trips and busy
+//   are unchanged.
+// - Every digest moves with the send times.
 // Columns: fetches, chunks, stalls, failovers, fetch_errors, parts_received,
 // busy, hedges, hedge_wins, hedge_cancels, breaker_trips, fetches_lost,
 // ladder_degrades, ladder_restores.
 const DEFAULTS: Pin = (
-    [298, 298, 198, 0, 0, 586, 0, 0, 0, 0, 0, 0, 0, 0],
+    [298, 298, 36, 0, 0, 586, 0, 0, 0, 0, 0, 0, 0, 0],
     358,
-    18_087_074_767_088_012_626,
+    11_793_820_120_097_054_451,
 );
 const NAIVE: Pin = (
-    [300, 298, 171, 0, 0, 586, 2, 0, 0, 0, 0, 0, 0, 0],
+    [300, 298, 36, 0, 0, 586, 2, 0, 0, 0, 0, 0, 0, 0],
     362,
-    7_511_255_324_598_416_988,
+    913_876_542_571_297_240,
 );
 const HEDGING: Pin = (
-    [294, 293, 637, 0, 0, 571, 1, 5, 5, 5, 2, 0, 0, 0],
-    381,
-    2_766_534_692_640_746_674,
+    [295, 294, 36, 0, 0, 590, 1, 5, 5, 5, 2, 0, 0, 0],
+    390,
+    1_277_174_655_673_042_652,
 );
 const CRASH: Pin = (
-    [301, 298, 205, 9, 0, 586, 0, 0, 0, 0, 0, 3, 0, 0],
-    374,
-    949_440_545_927_465_949,
+    [301, 298, 36, 12, 0, 586, 0, 0, 0, 0, 0, 3, 0, 0],
+    377,
+    15_983_239_517_780_607_713,
 );
 const REBALANCE: Pin = (
-    [298, 298, 196, 0, 0, 586, 0, 0, 0, 0, 0, 0, 0, 0],
-    370,
-    17_246_992_726_844_149_135,
+    [298, 298, 36, 0, 0, 586, 0, 0, 0, 0, 0, 0, 0, 0],
+    373,
+    345_975_133_612_549_786,
 );

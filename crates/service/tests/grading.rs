@@ -143,19 +143,31 @@ fn regrade_golden() {
 // Then again when a woken waiter that finds no credit kept its place in
 // the wait set: sessions 11's and 9's stops come 2–4 ms earlier and four
 // regrades land a few ms apart; nothing else moves.
+// Then again when a dry stream stopped polling. Inside the 4–8 s slowdown
+// a freed credit now goes to the most urgent waiter — at a settle, or when
+// a fetch holding it passes its deadline — and a waiter finds a segment
+// another stream brought into the cache when it lands, not at its own
+// 10 ms poll; a landed segment is sent at once. Which sessions starve,
+// and when, moves. Feedback degrades and stops more (qos_degrade 57 → 62,
+// qos_stop 9 → 13, stream_stopped 9 → 13) and upgrades less (5 → 3), the
+// controller degrades more and upgrades less (16 → 20 and 53 → 48
+// commands), drops one stale command fewer (3 → 2), and stream_regraded
+// reads 146, not 141; the ladder's steps stay. Utility at 8 s moves
+// −10 … +5 % by session (session 4: 40.8 → 36.9, session 7: 31.5 → 33.2)
+// and the closed ledger 114.6 → 111.9.
 const GOLDEN: Pin = (
-    [57, 5, 9, 7, 7, 16, 53, 15, 53, 3, 141, 9],
-    5052631651338256203,
+    [62, 3, 13, 7, 7, 20, 48, 20, 48, 2, 146, 13],
+    2790690663102235976,
     &[
-        (4, 4630941158634210465),
-        (5, 4630308402886564910),
-        (6, 4629650877340968822),
-        (7, 4629565308948048781),
-        (8, 4630409733878180744),
-        (9, 4629542790949911929),
-        (10, 4628376358646422968),
-        (11, 4628191711061700777),
-        (12, 4628029581475115440),
+        (4, 4630393971279484949),
+        (5, 4630171043097930110),
+        (6, 4629785985329789932),
+        (7, 4629869301922896286),
+        (8, 4630173294897743796),
+        (9, 4629722934935006745),
+        (10, 4628380862246050339),
+        (11, 4628016070676233326),
+        (12, 4628304301052385040),
     ],
-    4637763549119723346,
+    4637573834985420364,
 );

@@ -43,8 +43,10 @@ const PROVENANCE_KINDS: [&str; 23] = [
 /// fetch window became 2 s of media: the same eight `link_loss`
 /// attributions at the same instants, each with a four-hop `rtp` path;
 /// only the hops' waits moved, as fetch traffic now shares the server's
-/// links at other times.
-const PATHS: (u64, u64) = (2437669147610570656, 16021473295669757077);
+/// links at other times. Re-printed when a dry stream stopped polling and
+/// began to send as its segment lands: the same eight attributions again,
+/// each path four `rtp` hops; the hops' waits moved with the send times.
+const PATHS: (u64, u64) = (3344848538558931399, 4082616310356582991);
 
 fn digest(attrs: &[GapAttribution]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;

@@ -370,19 +370,22 @@ catalog skew × sharing policy (off / batching / batching+patching).
 already cuts server egress ~3× on the skewed catalog — but batching alone
 buys that with a ~1.3 s startup penalty (the window wait), which patching
 mostly eliminates. At 50 arrivals/s every policy now serves all 2 292
-arrivals (one unshared session is still playing at the horizon). While
+arrivals. While
 each stream fetched the whole rest of its clip at once,
 the unshared service saturated there: a sixth to
 a quarter of arrivals went unserved because stalled sessions pinned the
 client pool, the served ones glitched at ~5–25 gaps per thousand frames
 and startup stretched past 3 s, and batching+patching left a couple
 hundred late joiners unserved. With a 2 s fetch window the
-unshared cell glitches at about one gap per thousand frames or less
-(1.07 and 0.02) and starts in about 1.3 s, at the price of serving
+unshared cell glitched at about one gap per thousand frames or less
+(1.07 and 0.02) and started in about 1.3 s. Since a stream waiting at a
+full tier is woken when the segment it waits for lands in the cache for
+another viewer, rather than finding it there at its own 10 ms poll, it
+plays without a gap and starts in about 1.1 s, at the price of serving
 everyone: 6 575 MB of egress on the Zipf(1.2) catalog. (Before the media fetch was flow-controlled by
 credits, the same cell lost over a third of its arrivals and glitched at
 60–70.) Both sharing policies absorb the crowd with **zero** playout
-gaps: batching+patching cuts egress 78% versus off (6 575 → 1 475 MB)
+gaps: batching+patching cuts egress 78% versus off (6 575 → 1 479 MB)
 and starts in under a second, batching alone cuts it further (815 MB)
 for a ~2.1 s startup. Egress flattens as skew grows
 because more arrivals land on hot titles whose groups already stream.
@@ -403,6 +406,12 @@ deliberately tight two-node media tier (24-deep service queues,
 arrival rate multiplies by 3.5× — permanently (`step`) or for a 10 s
 window (`spike`) — and the sweep crosses pattern × overload mode: all
 off, breaker+hedging, breaker+ladder, or the full stack.
+
+The table is the run from before a dry stream stopped polling the tier.
+Since then the full grid fails the binary's own check that the full
+stack engages (trips + hedges + ladder steps > 0): the controlled modes
+still play with zero gaps, but no segment is late enough for the ladder
+to step (ROADMAP item 17). The smoke grid still passes.
 
 ```""")
     A(grab("exp_overload", start="== EXP-OVERLOAD"))
@@ -478,11 +487,11 @@ seconds, so degradation, stops, stalls and rejections all price in.
 crowd on its two active nodes: fetches are granted in deadline order, so
 nothing is shed and the ladder — which now acts on lateness, not queueing
 delay — takes at most one step; but two nodes cannot carry a ×9 crowd at
-any grade, so delivery stretches past the drain (11–20 of ~270 sessions
+any grade, so delivery stretches past the drain (11–19 of ~270 sessions
 finish inside it), a sixth to a quarter of arrivals find the pool busy and
-the sessions that are served glitch into a four-digit gap P99. The
+the sessions that are served glitch into a gap P99 of 255–1415. The
 controller absorbs the same crowd on both axes at once — worst-seed
-utility 6805.8 → 12271.8 *and* a gap-free P99 — because its three actuators compose: the standby
+utility 6840.8 → 12244.9 *and* a gap P99 of 0 — because its three actuators compose: the standby
 nodes come online ~1 s into the spike (capacity first), the admission
 price pre-sheds one grade while pressured instead of admitting at doomed
 nominal, and the grade steps that remain are video-first singles under
@@ -539,16 +548,16 @@ whose promise forbids the second grant. The restarted ex-host rejoins
 as a follower and re-learns the epoch from lease beats and
 report-carried epoch gossip. Economically the successor's response —
 re-pricing, surgical video-first grade steps, standby scale-out — beats
-the headless fleet on both axes at once: worst-seed utility 3686.5 →
-6396.3 (+73%) and worst-seed starvation tail 993 → 930 per 1000 ticks,
-with more sessions finishing inside the horizon (39–51 vs 6–32). The
-starvation axis is near its ceiling for both modes — a ×9 crowd is more
-than four nodes carry without gaps too — so the margin there is thin
-(lower on every seed, by 64–238 of 1000); utility is the axis with room.
-The thinness shows: the worst tails are sessions that never receive a
-frame, because a stream's own stall poll can take a freed credit ahead
-of older waiters, and a change in when the controller pressures moves
-how many there are.
+the headless fleet on utility: worst-seed utility 3775.2 → 6350.2
+(+68%), with more sessions finishing inside the horizon (35–50 vs
+2–34). The starvation axis no longer separates the modes: worst-seed
+tails are 718 (pinned) and 707 (ha) per 1000 ticks, and ha's is higher
+on seed 1 (707 vs 706), lower on seeds 2 and 3 by 7 and 37. Both fell
+from 930–990 when a dry stream stopped polling the tier: a freed credit,
+whether a fetch settled or passed its deadline, now goes to the most
+urgent waiter, so sessions no longer starve behind others' polls (in
+the ha seed-1 run, sessions that played at most one frame went 2 → 1).
+Utility is the axis with room.
 The
 `pinned` rows are the measured price of a controller that is a single
 point of failure; the `ha` rows are the same crowd with the control plane
@@ -683,7 +692,7 @@ counts each pressure bit from the run's start, and both first burns
 above are opening-seconds ones (0.4 s and 0.8 s), before the 6 s spike,
 as they were when every stream fetched its whole clip at once. The last
 two columns count from the spike's onset, and there the queue-depth bit
-comes first: 7.4 s against 8.4 s (seed 1) and 6.6 s against 7.2 s (seed
+comes first: 7.4 s against 8.2 s (seed 1) and 7.2 s against 8.2 s (seed
 2). The fetch SLO already counts a fetch bad the moment it is 150 ms
 overdue rather than when it lands, but on this rig fetch latency and
 media queue depth rise together (at seed 1 no fetch is overdue before
